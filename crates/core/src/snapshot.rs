@@ -7,12 +7,18 @@
 //! committed LSH forests, every attribute profile, the embedder state
 //! and the configuration — and loads back ([`D3l::from_snapshot_bytes`])
 //! into a query-ready engine with **no re-profiling and no re-sorting**.
+//! The codec is streamed in both directions: saving writes each section
+//! to the sink as it is produced (the forests' signature arenas go
+//! straight from memory to the file) and loading decodes one section
+//! at a time (the slabs go straight from the file into the arenas), so
+//! neither holds a whole-snapshot buffer. The byte-slice entry points
+//! are the same code over a `Vec` and a cursor.
 //!
 //! On top of the base snapshot, [`IndexStore`] manages a directory:
 //!
 //! ```text
 //! <dir>/base.d3ls           full snapshot (atomic tmp + rename)
-//! <dir>/delta-000001.d3ld   appended add/remove segment
+//! <dir>/delta-000001.d3ld   appended add/remove segment (tmp + link)
 //! <dir>/delta-000002.d3ld   ...
 //! ```
 //!
@@ -31,9 +37,12 @@
 //!
 //! [`LshForest::commit`]: d3l_lsh::forest::LshForest::commit
 
+use std::io::{self, Read, Seek, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use d3l_embedding::SemanticEmbedder;
+use d3l_lsh::banded::Signature;
 use d3l_lsh::forest::LshForest;
 use d3l_lsh::minhash::{MinHashSignature, MinHasher};
 use d3l_lsh::randproj::{BitSignature, RandomProjector};
@@ -85,10 +94,6 @@ fn encode_config(cfg: &D3lConfig, enc: &mut Encoder) {
     enc.put_u64(cfg.seed);
     enc.put_varint(cfg.index_threads as u64);
     enc.put_varint(cfg.query_threads as u64);
-    // Appended after the original 13 fields so pre-sharding readers
-    // of this writer's snapshots fail loudly (trailing bytes) rather
-    // than silently, and this reader accepts pre-sharding snapshots
-    // (absent field = 1 shard).
     enc.put_varint(cfg.shards as u64);
 }
 
@@ -107,13 +112,7 @@ fn decode_config(dec: &mut Decoder<'_>) -> Result<D3lConfig, StoreError> {
         seed: dec.get_u64()?,
         index_threads: dec.get_varint()? as usize,
         query_threads: dec.get_varint()? as usize,
-        // Optional trailing field: snapshots written before sharding
-        // end here and mean one monolithic shard.
-        shards: if dec.is_exhausted() {
-            1
-        } else {
-            dec.get_varint()? as usize
-        },
+        shards: dec.get_varint()? as usize,
     };
     if cfg.num_perm == 0 || cfg.embed_bits == 0 || cfg.embed_dim == 0 || cfg.trees == 0 {
         return Err(StoreError::corrupt("config with zero-sized index shape"));
@@ -202,19 +201,20 @@ fn decode_profiles(bytes: &[u8], embed_dim: usize) -> Result<Vec<AttributeProfil
 impl D3l {
     /// Serialize the full engine state into one snapshot container.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        self.snapshot_writer().finish()
+        self.write_snapshot(Vec::new(), None)
+            .expect("writing to a Vec cannot fail")
     }
 
-    /// The engine's snapshot sections, left open so the store can
-    /// append bookkeeping sections (the delta watermark) before
-    /// finishing the container.
-    fn snapshot_writer(&self) -> ContainerWriter {
-        let mut w = ContainerWriter::new(KIND_SNAPSHOT);
+    /// Stream the engine's snapshot container into `out`. The store
+    /// passes the delta watermark its base file carries as one more
+    /// section; a bare snapshot has none.
+    fn write_snapshot<W: Write>(&self, out: W, applied_through: Option<u64>) -> io::Result<W> {
+        let mut w = ContainerWriter::new(out, KIND_SNAPSHOT)?;
 
         let mut conf = Encoder::new();
         encode_config(&self.cfg, &mut conf);
-        w.add_section(SEC_CONFIG, conf.into_bytes());
-        w.add_section(SEC_EMBEDDER, self.embedder.to_bytes());
+        w.add_section(SEC_CONFIG, conf.as_bytes())?;
+        w.add_section(SEC_EMBEDDER, &self.embedder.to_bytes())?;
 
         let mut tabl = Encoder::new();
         tabl.put_varint(self.names.len() as u64);
@@ -230,19 +230,27 @@ impl D3l {
             }
             tabl.put_u8(self.removed[i] as u8);
         }
-        w.add_section(SEC_TABLES, tabl.into_bytes());
+        w.add_section(SEC_TABLES, tabl.as_bytes())?;
+        drop(tabl);
 
         let mut prof = Encoder::new();
         for table_profiles in &self.profiles {
             prof.put_bytes(&encode_profiles(table_profiles));
         }
-        w.add_section(SEC_PROFILES, prof.into_bytes());
+        w.add_section(SEC_PROFILES, prof.as_bytes())?;
+        drop(prof);
 
-        w.add_section(SEC_FOREST_N, self.i_n.to_bytes());
-        w.add_section(SEC_FOREST_V, self.i_v.to_bytes());
-        w.add_section(SEC_FOREST_F, self.i_f.to_bytes());
-        w.add_section(SEC_FOREST_E, self.i_e.to_bytes());
-        w
+        w.stream_section(SEC_FOREST_N, |sec| self.i_n.write_to(sec))?;
+        w.stream_section(SEC_FOREST_V, |sec| self.i_v.write_to(sec))?;
+        w.stream_section(SEC_FOREST_F, |sec| self.i_f.write_to(sec))?;
+        w.stream_section(SEC_FOREST_E, |sec| self.i_e.write_to(sec))?;
+
+        if let Some(seq) = applied_through {
+            let mut enc = Encoder::new();
+            enc.put_varint(seq);
+            w.add_section(SEC_APPLIED, enc.as_bytes())?;
+        }
+        w.finish()
     }
 
     /// Load a query-ready engine from snapshot bytes. The hashers are
@@ -251,13 +259,18 @@ impl D3l {
     /// their token hashes — nothing is re-profiled, which is what
     /// makes cold starts orders of magnitude cheaper than a rebuild.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        let reader = ContainerReader::parse(bytes, KIND_SNAPSHOT)?;
+        Self::read_snapshot(&mut ContainerReader::parse(bytes, KIND_SNAPSHOT)?)
+    }
 
-        let mut conf_dec = Decoder::new(reader.section(SEC_CONFIG)?);
+    /// Decode an engine from an opened snapshot container, one section
+    /// at a time.
+    fn read_snapshot<R: Read + Seek>(reader: &mut ContainerReader<R>) -> Result<Self, StoreError> {
+        let conf = reader.section(SEC_CONFIG)?;
+        let mut conf_dec = Decoder::new(&conf);
         let cfg = decode_config(&mut conf_dec)?;
         conf_dec.expect_exhausted("config")?;
 
-        let embedder = SemanticEmbedder::from_bytes(reader.section(SEC_EMBEDDER)?)?;
+        let embedder = SemanticEmbedder::from_bytes(&reader.section(SEC_EMBEDDER)?)?;
         if embedder.lexicon().dim() != cfg.embed_dim {
             return Err(StoreError::corrupt(format!(
                 "embedder dim {} does not match config dim {}",
@@ -266,7 +279,8 @@ impl D3l {
             )));
         }
 
-        let mut tabl = Decoder::new(reader.section(SEC_TABLES)?);
+        let tabl_bytes = reader.section(SEC_TABLES)?;
+        let mut tabl = Decoder::new(&tabl_bytes);
         let count = tabl.get_len(3, "table list")?;
         let mut names = Vec::with_capacity(count);
         let mut arities = Vec::with_capacity(count);
@@ -298,10 +312,11 @@ impl D3l {
         }
         tabl.expect_exhausted("table list")?;
 
-        let mut prof = Decoder::new(reader.section(SEC_PROFILES)?);
+        let prof = reader.section(SEC_PROFILES)?;
+        let mut prof_dec = Decoder::new(&prof);
         let mut profiles = Vec::with_capacity(count);
         for (i, &arity) in arities.iter().enumerate() {
-            let table_profiles = decode_profiles(prof.get_bytes()?, cfg.embed_dim)?;
+            let table_profiles = decode_profiles(prof_dec.get_bytes()?, cfg.embed_dim)?;
             if table_profiles.len() != arity {
                 return Err(StoreError::corrupt(format!(
                     "table {i} has {} profiles for arity {arity}",
@@ -310,38 +325,39 @@ impl D3l {
             }
             profiles.push(table_profiles);
         }
-        prof.expect_exhausted("profiles")?;
+        prof_dec.expect_exhausted("profiles")?;
+        drop(prof);
 
-        let i_n = LshForest::<MinHashSignature>::from_bytes(reader.section(SEC_FOREST_N)?)?;
-        let i_v = LshForest::<MinHashSignature>::from_bytes(reader.section(SEC_FOREST_V)?)?;
-        let i_f = LshForest::<MinHashSignature>::from_bytes(reader.section(SEC_FOREST_F)?)?;
-        let i_e = LshForest::<BitSignature>::from_bytes(reader.section(SEC_FOREST_E)?)?;
-        for (name, forest) in [("IN", &i_n), ("IV", &i_v), ("IF", &i_f)] {
-            if forest.shape() != (cfg.trees, cfg.num_perm / cfg.trees) {
-                return Err(StoreError::corrupt(format!(
-                    "forest {name} shape {:?} does not match the config",
-                    forest.shape()
-                )));
-            }
-        }
-        if i_e.shape() != (cfg.trees, cfg.embed_bits / cfg.trees) {
-            return Err(StoreError::corrupt(format!(
-                "forest IE shape {:?} does not match the config",
-                i_e.shape()
-            )));
-        }
-        for (name, committed) in [
-            ("IN", i_n.is_committed()),
-            ("IV", i_v.is_committed()),
-            ("IF", i_f.is_committed()),
-            ("IE", i_e.is_committed()),
-        ] {
-            if !committed {
+        // A forest must have the shape the config gives its hasher and
+        // must have been snapshotted committed: the query paths assume
+        // both.
+        fn read_forest<S: Signature, R: Read + Seek>(
+            reader: &mut ContainerReader<R>,
+            tag: SectionTag,
+            name: &str,
+            shape: (usize, usize),
+        ) -> Result<LshForest<S>, StoreError> {
+            let forest = reader.stream_section(tag, |sec| LshForest::read_from(sec, shape))?;
+            if !forest.is_committed() {
                 return Err(StoreError::corrupt(format!(
                     "forest {name} was snapshotted uncommitted"
                 )));
             }
+            Ok(forest)
         }
+        let minhash_shape = (cfg.trees, cfg.num_perm / cfg.trees);
+        let i_n: LshForest<MinHashSignature> =
+            read_forest(reader, SEC_FOREST_N, "IN", minhash_shape)?;
+        let i_v: LshForest<MinHashSignature> =
+            read_forest(reader, SEC_FOREST_V, "IV", minhash_shape)?;
+        let i_f: LshForest<MinHashSignature> =
+            read_forest(reader, SEC_FOREST_F, "IF", minhash_shape)?;
+        let i_e: LshForest<BitSignature> = read_forest(
+            reader,
+            SEC_FOREST_E,
+            "IE",
+            (cfg.trees, cfg.embed_bits / cfg.trees),
+        )?;
         // Every indexed item must name a live (table, column) the
         // query pipeline can dereference — an out-of-range key would
         // decode fine here and panic on the first query that draws it
@@ -476,6 +492,12 @@ impl DeltaRecord {
         enc.into_bytes()
     }
 
+    /// Decode a whole delta segment file.
+    fn from_segment(segment: &[u8], embed_dim: usize) -> Result<Self, StoreError> {
+        let mut reader = ContainerReader::parse(segment, KIND_DELTA)?;
+        Self::from_bytes(&reader.section(SEC_DELTA_RECORD)?, embed_dim)
+    }
+
     fn from_bytes(bytes: &[u8], embed_dim: usize) -> Result<Self, StoreError> {
         let mut dec = Decoder::new(bytes);
         let record = match dec.get_u8()? {
@@ -597,10 +619,11 @@ impl D3l {
 ///
 /// The store assumes a **single writer** per directory (the usual
 /// embedded-store contract): `append_add`/`append_remove`/`compact`
-/// from two processes at once are not coordinated. Writing a delta
-/// segment refuses to replace an existing one, so a seq collision
-/// from a second writer surfaces as an error rather than silently
-/// dropping the first writer's acknowledged operation.
+/// from two handles at once are not coordinated. Publishing a delta
+/// segment never replaces an existing one — the name is claimed
+/// atomically — so a seq collision with a second writer surfaces as
+/// an error for exactly one of them rather than silently dropping the
+/// other's acknowledged operation.
 #[derive(Debug)]
 pub struct IndexStore {
     dir: PathBuf,
@@ -648,9 +671,11 @@ impl IndexStore {
     pub fn open(dir: impl AsRef<Path>) -> Result<(IndexStore, D3l), StoreError> {
         let dir = dir.as_ref().to_path_buf();
         Self::sweep_tmp(&dir)?;
-        let base = std::fs::read(dir.join(BASE_FILE))?;
-        let applied_through = Self::applied_through(&base)?;
-        let mut d3l = D3l::from_snapshot_bytes(&base)?;
+        let base = std::fs::File::open(dir.join(BASE_FILE))?;
+        let mut reader = ContainerReader::open(base, KIND_SNAPSHOT)?;
+        let applied_through = Self::applied_through(&mut reader)?;
+        let mut d3l = D3l::read_snapshot(&mut reader)?;
+        drop(reader);
         let mut store = IndexStore {
             dir,
             next_delta_seq: applied_through + 1,
@@ -677,12 +702,8 @@ impl IndexStore {
         let mut through = self.replayed_through();
         for (seq, path) in pending {
             let replay = |d3l: &mut D3l| -> Result<(), StoreError> {
-                let bytes = std::fs::read(&path)?;
-                let reader = ContainerReader::parse(&bytes, KIND_DELTA)?;
-                let record = DeltaRecord::from_bytes(
-                    reader.section(SEC_DELTA_RECORD)?,
-                    d3l.config().embed_dim,
-                )?;
+                let segment = std::fs::read(&path)?;
+                let record = DeltaRecord::from_segment(&segment, d3l.config().embed_dim)?;
                 d3l.apply_delta(record)
             };
             replay(d3l).map_err(|e| StoreError::bad_segment(seq, e))?;
@@ -695,11 +716,10 @@ impl IndexStore {
 
     /// The applied-through watermark of a base snapshot (0 when the
     /// section is absent).
-    fn applied_through(base: &[u8]) -> Result<u64, StoreError> {
-        let reader = ContainerReader::parse(base, KIND_SNAPSHOT)?;
-        match reader.section_opt(SEC_APPLIED)? {
+    fn applied_through<R: Read + Seek>(base: &mut ContainerReader<R>) -> Result<u64, StoreError> {
+        match base.section_opt(SEC_APPLIED)? {
             Some(payload) => {
-                let mut dec = Decoder::new(payload);
+                let mut dec = Decoder::new(&payload);
                 let seq = dec.get_varint()?;
                 dec.expect_exhausted("applied-through watermark")?;
                 Ok(seq)
@@ -844,43 +864,70 @@ impl IndexStore {
     }
 
     fn write_base(&mut self, d3l: &D3l, applied_through: u64) -> Result<(), StoreError> {
-        let mut w = d3l.snapshot_writer();
-        let mut seq = Encoder::new();
-        seq.put_varint(applied_through);
-        w.add_section(SEC_APPLIED, seq.into_bytes());
-        self.persist(BASE_FILE, &w.finish(), true)
+        self.persist(BASE_FILE, true, |file| {
+            d3l.write_snapshot(file, Some(applied_through)).map(|_| ())
+        })
     }
 
     fn write_delta(&mut self, record: &DeltaRecord, embed_dim: usize) -> Result<(), StoreError> {
-        let mut w = ContainerWriter::new(KIND_DELTA);
-        w.add_section(SEC_DELTA_RECORD, record.to_bytes(embed_dim));
+        let mut w = ContainerWriter::new(Vec::new(), KIND_DELTA)?;
+        w.add_section(SEC_DELTA_RECORD, &record.to_bytes(embed_dim))?;
+        let bytes = w.finish()?;
         let name = layout::delta_file_name(self.next_delta_seq);
-        self.persist(&name, &w.finish(), false)?;
+        self.persist(&name, false, |file| file.write_all(&bytes))?;
         self.next_delta_seq += 1;
         Ok(())
     }
 
-    /// Durable atomic write: the bytes are fsynced in a tmp file,
-    /// renamed over the final name, and the directory entry is
-    /// fsynced — a crash at any point leaves either the old file or
-    /// the complete new one, never a torn or empty rename target.
-    /// With `overwrite` false (delta segments), an already-existing
-    /// target is an error: segments are append-only, and a sequence
-    /// collision means a second writer is mutating the same store.
-    fn persist(&self, name: &str, bytes: &[u8], overwrite: bool) -> Result<(), StoreError> {
-        use std::io::Write;
+    /// Durable atomic write: `write` fills a tmp file, which is
+    /// fsynced and published under the final name, and the directory
+    /// entry is fsynced — a crash at any point leaves either the old
+    /// file or the complete new one, never a torn or empty target.
+    /// With `overwrite` (the base snapshot) publishing is a rename
+    /// over the old file. Without it (delta segments, append-only)
+    /// publishing is `hard_link` + unlink of the tmp name: linking
+    /// fails atomically when the target exists, so of two writers
+    /// racing for one sequence number exactly one publishes and the
+    /// other gets an error — a check-then-rename would let both pass
+    /// the check and the second silently replace the first's
+    /// acknowledged segment.
+    fn persist(
+        &self,
+        name: &str,
+        overwrite: bool,
+        write: impl FnOnce(&mut std::fs::File) -> io::Result<()>,
+    ) -> Result<(), StoreError> {
+        // Unique per write, not just per process: two handles in one
+        // process must not share a tmp file.
+        static WRITES: AtomicU64 = AtomicU64::new(0);
         let target = self.dir.join(name);
-        if !overwrite && target.exists() {
-            return Err(StoreError::corrupt(format!(
-                "{name} already exists — another writer is using this store"
-            )));
+        let tmp = self.dir.join(format!(
+            "{name}.{}.tmp.{}",
+            WRITES.fetch_add(1, Ordering::Relaxed),
+            std::process::id()
+        ));
+        let publish = || -> Result<(), StoreError> {
+            let mut file = std::fs::File::create(&tmp)?;
+            write(&mut file)?;
+            file.sync_all()?;
+            drop(file);
+            if overwrite {
+                return Ok(std::fs::rename(&tmp, &target)?);
+            }
+            match std::fs::hard_link(&tmp, &target) {
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Err(StoreError::corrupt(
+                    format!("{name} already exists — another writer is using this store"),
+                )),
+                linked => Ok(linked?),
+            }
+        };
+        let published = publish();
+        // A rename consumed the tmp name; in every other case it is
+        // ours to remove (a failure to is left to the next sweep).
+        if published.is_err() || !overwrite {
+            let _ = std::fs::remove_file(&tmp);
         }
-        let tmp = self.dir.join(format!("{name}.tmp.{}", std::process::id()));
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, target)?;
+        published?;
         std::fs::File::open(&self.dir)?.sync_all()?;
         Ok(())
     }
@@ -1062,10 +1109,17 @@ mod tests {
             D3l::from_snapshot_bytes(&bad),
             Err(StoreError::UnsupportedVersion { found: 99, .. })
         ));
-        // Payload bit flip.
+        // Payload bit flip (the first payload follows the header).
+        let mut bad = bytes.clone();
+        bad[16] ^= 0x10;
+        assert!(matches!(
+            D3l::from_snapshot_bytes(&bad),
+            Err(StoreError::ChecksumMismatch { section }) if section == "CONF"
+        ));
+        // A flip in the trailing section table is caught as well.
         let mut bad = bytes.clone();
         let n = bad.len();
-        bad[n - 3] ^= 0x10;
+        bad[n - 30] ^= 0x10;
         assert!(matches!(
             D3l::from_snapshot_bytes(&bad),
             Err(StoreError::ChecksumMismatch { .. })
@@ -1077,6 +1131,166 @@ mod tests {
                 "cut {cut}"
             );
         }
+    }
+
+    /// A store written by format version 1 is named as such — by
+    /// `open` as by the byte-slice decoder — and nothing of it is
+    /// decoded.
+    #[test]
+    fn version_1_store_is_a_typed_unsupported_version() {
+        // Version 1 opened with: magic, version, kind, section count,
+        // then the section table.
+        let mut v1 = Encoder::new();
+        v1.put_raw(d3l_store::MAGIC);
+        v1.put_u32(1);
+        v1.put_u32(KIND_SNAPSHOT);
+        v1.put_u32(0);
+        v1.put_raw(&[0u8; 64]);
+        let is_v1 = |err: &StoreError| {
+            matches!(
+                err,
+                StoreError::UnsupportedVersion {
+                    found: 1,
+                    supported: 2
+                }
+            )
+        };
+        let err = D3l::from_snapshot_bytes(v1.as_bytes()).unwrap_err();
+        assert!(is_v1(&err), "{err}");
+        let dir = std::env::temp_dir().join(format!("d3l_store_v1_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(BASE_FILE), v1.as_bytes()).unwrap();
+        let err = IndexStore::open(&dir).unwrap_err();
+        assert!(is_v1(&err), "{err}");
+        assert!(err.to_string().contains("re-index"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn typed_decode_failure(err: &StoreError) -> bool {
+        matches!(
+            err,
+            StoreError::BadMagic { .. }
+                | StoreError::UnsupportedVersion { .. }
+                | StoreError::WrongKind { .. }
+                | StoreError::Truncated { .. }
+                | StoreError::ChecksumMismatch { .. }
+                | StoreError::MissingSection { .. }
+                | StoreError::Corrupt(_)
+        )
+    }
+
+    /// No prefix of a snapshot and no single damaged byte of one
+    /// decodes, and none panics: each is one of the decode errors.
+    #[test]
+    fn every_snapshot_prefix_and_byte_flip_is_a_typed_error() {
+        let bytes = engine().to_snapshot_bytes();
+        for cut in 0..bytes.len() {
+            match D3l::from_snapshot_bytes(&bytes[..cut]) {
+                Err(e) => assert!(typed_decode_failure(&e), "cut {cut}: {e}"),
+                Ok(_) => panic!("cut {cut}: truncated snapshot decoded"),
+            }
+        }
+        let mut bad = bytes.clone();
+        for pos in 0..bytes.len() {
+            bad[pos] ^= 1 << (pos % 8);
+            match D3l::from_snapshot_bytes(&bad) {
+                Err(e) => assert!(typed_decode_failure(&e), "flip {pos}: {e}"),
+                Ok(_) => panic!("flip {pos}: damaged snapshot decoded"),
+            }
+            bad[pos] = bytes[pos];
+        }
+    }
+
+    /// The same for a delta segment.
+    #[test]
+    fn every_delta_prefix_and_byte_flip_is_a_typed_error() {
+        let dir = std::env::temp_dir().join(format!("d3l_store_dfuzz_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut d3l = engine();
+        let dim = d3l.config().embed_dim;
+        let mut store = IndexStore::create(&dir, &d3l).unwrap();
+        let extra = Table::from_rows(
+            "local_gps",
+            &["GP", "Location"],
+            &[vec!["Blackfriars".into(), "Salford".into()]],
+        )
+        .unwrap();
+        store.append_add(&mut d3l, &extra).unwrap();
+        let bytes = std::fs::read(dir.join(layout::delta_file_name(1))).unwrap();
+        assert!(matches!(
+            DeltaRecord::from_segment(&bytes, dim),
+            Ok(DeltaRecord::Add { .. })
+        ));
+        for cut in 0..bytes.len() {
+            match DeltaRecord::from_segment(&bytes[..cut], dim) {
+                Err(e) => assert!(typed_decode_failure(&e), "cut {cut}: {e}"),
+                Ok(_) => panic!("cut {cut}: truncated segment decoded"),
+            }
+        }
+        let mut bad = bytes.clone();
+        for pos in 0..bytes.len() {
+            bad[pos] ^= 1 << (pos % 8);
+            match DeltaRecord::from_segment(&bad, dim) {
+                Err(e) => assert!(typed_decode_failure(&e), "flip {pos}: {e}"),
+                Ok(_) => panic!("flip {pos}: damaged segment decoded"),
+            }
+            bad[pos] = bytes[pos];
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Two handles on one directory race for the same sequence
+    /// number: exactly one append is published, the other fails with
+    /// the no-clobber error, and the published segment is the
+    /// winner's, whole. (With check-then-rename both passed the check
+    /// — it precedes the write and the fsync — and the second rename
+    /// silently replaced the first writer's acknowledged segment.)
+    #[test]
+    fn racing_appends_publish_exactly_one_segment() {
+        let dir = std::env::temp_dir().join(format!("d3l_store_race_{}", std::process::id()));
+        for round in 0..8 {
+            let _ = std::fs::remove_dir_all(&dir);
+            let base = engine();
+            let first = IndexStore::create(&dir, &base).unwrap();
+            let (second, second_engine) = IndexStore::open(&dir).unwrap();
+            let barrier = std::sync::Barrier::new(2);
+            let race = |mut store: IndexStore, mut d3l: D3l, name: &'static str| {
+                let barrier = &barrier;
+                move || {
+                    let table =
+                        Table::from_rows(name, &["GP"], &[vec!["Blackfriars".into()]]).unwrap();
+                    barrier.wait();
+                    store.append_add(&mut d3l, &table).map(|_| name)
+                }
+            };
+            let (a, b) = std::thread::scope(|scope| {
+                let a = scope.spawn(race(first, base, "writer_a"));
+                let b = scope.spawn(race(second, second_engine, "writer_b"));
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            let (winner, loser) = match (a, b) {
+                (Ok(w), Err(e)) | (Err(e), Ok(w)) => (w, e),
+                (Ok(_), Ok(_)) => panic!("round {round}: both appends were acknowledged"),
+                (Err(a), Err(b)) => panic!("round {round}: no append won: {a}; {b}"),
+            };
+            assert!(
+                matches!(&loser, StoreError::Corrupt(m) if m.contains("another writer")),
+                "round {round}: {loser}"
+            );
+            let scan = layout::scan(&dir).unwrap();
+            assert_eq!(scan.deltas.len(), 1, "round {round}: one segment published");
+            let leftovers: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .filter(|n| layout::is_store_tmp(n))
+                .collect();
+            assert!(leftovers.is_empty(), "round {round}: {leftovers:?}");
+            let (_, reopened) = IndexStore::open(&dir).unwrap();
+            assert!(reopened.name_to_id().contains_key(winner), "round {round}");
+            assert_eq!(reopened.live_table_count(), 4, "round {round}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -16,9 +16,13 @@ use crate::{Hit, ItemId};
 /// similarity.
 pub trait Signature: Clone {
     /// Number of hash positions.
-    fn lsh_len(&self) -> usize;
+    fn lsh_len(&self) -> usize {
+        Self::lsh_len_words(self.words(), self.meta())
+    }
     /// Hash value at a position.
-    fn lsh_hash(&self, i: usize) -> u64;
+    fn lsh_hash(&self, i: usize) -> u64 {
+        Self::lsh_hash_words(self.words(), self.meta(), i)
+    }
     /// Estimated similarity (Jaccard or cosine) with another signature
     /// of the same provenance.
     fn similarity(&self, other: &Self) -> f64;
@@ -41,15 +45,19 @@ pub trait Signature: Clone {
     /// its raw arena words — bit-identical to materializing the stored
     /// signature first, without the copy.
     fn similarity_words(&self, words: &[u64], meta: u64) -> f64;
+    /// Whether a signature of `words` words can carry `meta` — what
+    /// [`Signature::from_words`] would panic on. Shapes read from a
+    /// store file are checked with this before anything is rebuilt.
+    fn shape_is_valid(words: usize, meta: u64) -> bool;
+    /// Number of hash positions of a signature given as its raw arena
+    /// words — positions are a function of `(words, meta)` alone.
+    fn lsh_len_words(words: &[u64], meta: u64) -> usize;
+    /// Hash value at a position of a signature given as its raw arena
+    /// words.
+    fn lsh_hash_words(words: &[u64], meta: u64, i: usize) -> u64;
 }
 
 impl Signature for MinHashSignature {
-    fn lsh_len(&self) -> usize {
-        self.len()
-    }
-    fn lsh_hash(&self, i: usize) -> u64 {
-        self.0[i]
-    }
     fn similarity(&self, other: &Self) -> f64 {
         self.jaccard(other)
     }
@@ -68,15 +76,18 @@ impl Signature for MinHashSignature {
     fn similarity_words(&self, words: &[u64], _meta: u64) -> f64 {
         self.jaccard_words(words)
     }
+    fn shape_is_valid(_words: usize, meta: u64) -> bool {
+        meta == 0
+    }
+    fn lsh_len_words(words: &[u64], _meta: u64) -> usize {
+        words.len()
+    }
+    fn lsh_hash_words(words: &[u64], _meta: u64, i: usize) -> u64 {
+        words[i]
+    }
 }
 
 impl Signature for BitSignature {
-    fn lsh_len(&self) -> usize {
-        self.len()
-    }
-    fn lsh_hash(&self, i: usize) -> u64 {
-        self.bit(i) as u64
-    }
     fn similarity(&self, other: &Self) -> f64 {
         self.cosine(other)
     }
@@ -96,6 +107,15 @@ impl Signature for BitSignature {
     fn similarity_words(&self, words: &[u64], meta: u64) -> f64 {
         debug_assert_eq!(meta as usize, self.len(), "signature length mismatch");
         self.cosine_words(words)
+    }
+    fn shape_is_valid(words: usize, meta: u64) -> bool {
+        meta.div_ceil(64) == words as u64
+    }
+    fn lsh_len_words(_words: &[u64], meta: u64) -> usize {
+        meta as usize
+    }
+    fn lsh_hash_words(words: &[u64], _meta: u64, i: usize) -> u64 {
+        (words[i / 64] >> (i % 64)) & 1
     }
 }
 

@@ -61,6 +61,13 @@ impl FlatTree {
         }
     }
 
+    /// A tree over already-laid-out arenas (the snapshot decoder's
+    /// constructor). Panics unless there is one `k`-byte label per id.
+    pub fn from_parts(k: usize, labels: Vec<u8>, ids: Vec<ItemId>) -> Self {
+        assert_eq!(labels.len(), ids.len() * k, "one k-byte label per id");
+        FlatTree { k, labels, ids }
+    }
+
     /// Number of entries.
     #[inline]
     pub fn len(&self) -> usize {
@@ -242,29 +249,6 @@ impl FlatTree {
     pub fn byte_size(&self) -> usize {
         self.labels.len() + self.ids.len() * std::mem::size_of::<ItemId>()
     }
-
-    /// Swap two entries (labels and ids) — corruption-injection tests.
-    pub fn swap(&mut self, i: usize, j: usize) {
-        if i == j {
-            return;
-        }
-        self.ids.swap(i, j);
-        for b in 0..self.k {
-            self.labels.swap(i * self.k + b, j * self.k + b);
-        }
-    }
-
-    /// Overwrite entry `i`'s id — corruption-injection tests.
-    pub fn set_id(&mut self, i: usize, id: ItemId) {
-        self.ids[i] = id;
-    }
-
-    /// Drop the last entry — corruption-injection tests.
-    pub fn pop(&mut self) {
-        if self.ids.pop().is_some() {
-            self.labels.truncate(self.labels.len() - self.k);
-        }
-    }
 }
 
 /// An LSH Forest over signatures of type `S`.
@@ -345,45 +329,21 @@ impl<S: Signature> LshForest<S> {
         self.slot_ids.is_empty()
     }
 
-    /// Append the label of `sig` in tree `t` (one byte per consumed
-    /// position, exactly `k` bytes) to `out`.
-    fn write_label(&self, sig: &S, t: usize, out: &mut Vec<u8>) {
-        let start = t * self.k;
-        for i in 0..self.k {
-            let pos = start + i;
-            out.push(if pos < sig.lsh_len() {
-                (sig.lsh_hash(pos) & 0xff) as u8
-            } else {
-                0
-            });
-        }
-    }
-
     /// All `l` tree labels of `sig`, concatenated (tree `t` at
     /// `t*k..(t+1)*k`) — one allocation per query.
     fn query_labels(&self, sig: &S) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.l * self.k);
-        for t in 0..self.l {
-            self.write_label(sig, t, &mut buf);
-        }
+        write_labels::<S>(sig.words(), sig.meta(), 0..self.l * self.k, &mut buf);
         buf
     }
 
     /// Insert an item. The forest must be (re-)committed before the
     /// next query.
     pub fn insert(&mut self, id: ItemId, sig: S) {
-        for t in 0..self.l {
-            let (trees, k) = (&mut self.trees, self.k);
-            let start = t * k;
-            trees[t].push_with(id, |out| {
-                for i in 0..k {
-                    let pos = start + i;
-                    out.push(if pos < sig.lsh_len() {
-                        (sig.lsh_hash(pos) & 0xff) as u8
-                    } else {
-                        0
-                    });
-                }
+        let k = self.k;
+        for (t, tree) in self.trees.iter_mut().enumerate() {
+            tree.push_with(id, |out| {
+                write_labels::<S>(sig.words(), sig.meta(), t * k..(t + 1) * k, out)
             });
         }
         self.store_signature(id, &sig);
@@ -495,47 +455,90 @@ impl<S: Signature> LshForest<S> {
         true
     }
 
-    /// The per-tree sorted label arenas — the persistence layer
-    /// serializes them verbatim so a loaded forest needs no re-sort.
+    /// The per-tree sorted label arenas. The persistence layer stores
+    /// each tree's entry order (not its labels), so a loaded forest
+    /// needs no re-sort.
     pub fn tree_arrays(&self) -> &[FlatTree] {
         &self.trees
     }
 
-    /// Mutable tree access for corruption-injection tests.
-    #[cfg(test)]
-    pub(crate) fn tree_arrays_mut(&mut self) -> &mut [FlatTree] {
-        &mut self.trees
+    /// The signature arena as the persistence layer sees it: item id
+    /// of each slot, the slot-major word arena, words per slot, and
+    /// the shared shape metadata.
+    pub(crate) fn arena(&self) -> (&[ItemId], &[u64], usize, u64) {
+        (
+            &self.slot_ids,
+            &self.sig_words,
+            self.sig_stride,
+            self.sig_meta,
+        )
     }
 
-    /// Reassemble a forest from deserialized parts. The caller (the
+    /// Arena slot of an item.
+    pub(crate) fn slot_of(&self, id: ItemId) -> Option<u32> {
+        self.slot_of.get(&id).copied()
+    }
+
+    /// The label matrix of a slab of `n` signatures: row `i` holds the
+    /// `l*k` label bytes of the `i`-th signature (tree `t`'s label at
+    /// `t*k..(t+1)*k`), one sequential pass over the slab.
+    pub(crate) fn label_matrix(
+        (l, k): (usize, usize),
+        n: usize,
+        slab: &[u64],
+        stride: usize,
+        meta: u64,
+    ) -> Vec<u8> {
+        let mut out = Vec::with_capacity(n * l * k);
+        for i in 0..n {
+            write_labels::<S>(
+                &slab[i * stride..(i + 1) * stride],
+                meta,
+                0..l * k,
+                &mut out,
+            );
+        }
+        out
+    }
+
+    /// Reassemble a forest from deserialized parts: the trees, and the
+    /// signature slab taken whole — slot `i` holds item `ids[i]` with
+    /// words `sig_words[i*stride..(i+1)*stride]`. The caller (the
     /// snapshot decoder) is responsible for having validated the
-    /// invariants: `k`-stride trees, one tree entry per signature per
-    /// tree, unique ids with one shared signature shape, and sorted
-    /// trees whenever `sorted` is set.
+    /// invariants: `k`-stride trees holding exactly the slab's ids,
+    /// unique ids, a `(stride, meta)` shape the signature type
+    /// accepts, and sorted trees whenever `sorted` is set.
+    #[allow(clippy::too_many_arguments)]
     pub fn from_stored_parts(
         l: usize,
         k: usize,
         trees: Vec<FlatTree>,
-        sigs: Vec<(ItemId, S)>,
+        ids: Vec<ItemId>,
+        sig_words: Vec<u64>,
+        sig_stride: usize,
+        sig_meta: u64,
         sorted: bool,
     ) -> Self {
         debug_assert_eq!(trees.len(), l, "one tree array per tree");
-        let mut forest = LshForest {
+        debug_assert_eq!(sig_words.len(), ids.len() * sig_stride, "one slot per id");
+        assert!(
+            ids.len() <= u32::MAX as usize,
+            "forest too large for u32 slots"
+        );
+        let mut slot_of = IdHashMap::with_capacity_and_hasher(ids.len(), Default::default());
+        slot_of.extend(ids.iter().enumerate().map(|(slot, &id)| (id, slot as u32)));
+        LshForest {
             l,
             k,
             trees,
             sorted,
-            sig_stride: 0,
-            sig_meta: 0,
-            sig_words: Vec::new(),
-            slot_ids: Vec::new(),
-            slot_of: IdHashMap::default(),
+            sig_stride,
+            sig_meta,
+            sig_words,
+            slot_ids: ids,
+            slot_of,
             _sig: std::marker::PhantomData,
-        };
-        for (id, sig) in &sigs {
-            forest.store_signature(*id, sig);
         }
-        forest
     }
 
     /// Top-`k` most similar items to `sig`. Panics unless the forest
@@ -611,7 +614,7 @@ impl<S: Signature> LshForest<S> {
     }
 
     /// Stored signature of an item, rebuilt from its arena words.
-    /// Cold paths only (persistence, shard splitting) — the scoring
+    /// Cold paths only (shard splitting, signature lookup) — the scoring
     /// paths read arena words in place via [`LshForest::signature_words`].
     pub fn signature(&self, id: ItemId) -> Option<S> {
         self.signature_words(id)
@@ -653,6 +656,30 @@ impl<S: Signature> LshForest<S> {
     pub fn byte_size(&self) -> usize {
         self.tree_byte_size() + self.signature_byte_size()
     }
+}
+
+/// Append the label bytes of signature positions `positions` to
+/// `out`: one byte per position, the low byte of its hash value, `0`
+/// past the signature's end. Tree `t` of a depth-`k` forest owns
+/// positions `t*k..(t+1)*k`. Labels are a pure function of the stored
+/// `(words, meta)` — every label in the crate (insert, query, bulk
+/// build, snapshot load) comes from here, which is what lets a
+/// snapshot leave them out.
+#[inline]
+fn write_labels<S: Signature>(
+    words: &[u64],
+    meta: u64,
+    positions: std::ops::Range<usize>,
+    out: &mut Vec<u8>,
+) {
+    let len = S::lsh_len_words(words, meta);
+    out.extend(positions.map(|pos| {
+        if pos < len {
+            (S::lsh_hash_words(words, meta, pos) & 0xff) as u8
+        } else {
+            0
+        }
+    }));
 }
 
 /// Add the `need` smallest ids from `ids` that are not already in
@@ -795,29 +822,40 @@ impl<S: Signature + Send + Sync> LshForest<S> {
     /// insert-then-commit at every thread count and item order.
     pub fn build_from(sig_len: usize, l: usize, items: Vec<(ItemId, S)>, threads: usize) -> Self {
         let mut forest = LshForest::new(sig_len, l);
+        let stride = items.first().map_or(0, |(_, sig)| sig.words().len());
         let threads = threads.clamp(1, forest.l);
+        // Bulk construction knows its size: growing a 20 MB arena by
+        // doubling copies it several times over and leaves up to half
+        // of the last doubling unused.
+        forest.sig_words.reserve_exact(items.len() * stride);
+        forest.slot_ids.reserve_exact(items.len());
+        forest.slot_of.reserve(items.len());
         if threads == 1 {
+            for tree in &mut forest.trees {
+                tree.reserve(items.len());
+            }
             for (id, sig) in items {
                 forest.insert(id, sig);
             }
             forest.commit();
             return forest;
         }
-        let shape = forest.clone(); // empty: cheap label template
-        let chunk = forest.l.div_ceil(threads);
+        let (k, chunk) = (forest.k, forest.l.div_ceil(threads));
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             let items = &items;
-            let shape = &shape;
             let mut t0 = 0usize;
             for batch in forest.trees.chunks_mut(chunk) {
                 let start = t0;
                 t0 += batch.len();
                 handles.push(scope.spawn(move || {
                     for (off, tree) in batch.iter_mut().enumerate() {
+                        let t = start + off;
                         tree.reserve(items.len());
                         for (id, sig) in items {
-                            tree.push_with(*id, |out| shape.write_label(sig, start + off, out));
+                            tree.push_with(*id, |out| {
+                                write_labels::<S>(sig.words(), sig.meta(), t * k..(t + 1) * k, out)
+                            });
                         }
                         tree.sort();
                     }
@@ -885,9 +923,11 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert!(t.is_sorted());
         assert_eq!(t.ids(), &[5, 10]);
-        t.pop();
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.label_at(0), &[1, 2]);
+        assert_eq!(
+            FlatTree::from_parts(2, vec![1, 2, 3, 1], vec![5, 10]),
+            t,
+            "from_parts is the arenas verbatim"
+        );
     }
 
     #[test]

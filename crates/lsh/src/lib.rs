@@ -29,7 +29,6 @@ pub mod randproj;
 pub mod store;
 pub mod tokenset;
 
-pub use store::SignatureCodec;
 pub use tokenset::TokenSet;
 
 /// Opaque item identifier used by all indexes in this crate.

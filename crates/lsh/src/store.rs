@@ -1,108 +1,134 @@
 //! Binary persistence for LSH forests.
 //!
 //! A committed [`LshForest`] is the product of the expensive indexing
-//! pass (signature generation + per-tree sorts); serializing it with
-//! its trees *and* stored signatures means a cold start deserializes
+//! pass (signature generation + per-tree sorts); serializing its
+//! signatures *and* its tree orders means a cold start deserializes
 //! straight into a query-ready structure with no re-hashing and no
 //! re-sorting.
 //!
-//! Wire layout (inside one `d3l-store` container section):
+//! Wire layout (one streamed `d3l-store` container section, format
+//! version 2 — all fixed-width little-endian, no per-item framing):
 //!
 //! ```text
-//! varint l, varint k, u8 sorted
-//! l × tree:  varint entry_count, entries × { k raw label bytes,
-//!                                            varint item id }
-//! signatures: varint count, count × { varint item id, signature }
+//! header   u32 l, u32 k, u8 committed, u64 n, u32 stride, u64 meta
+//! ids      n × u64            item ids, strictly ascending
+//! slab     n × stride × u64   signature words, in id order
+//! l × tree n × u32            entry j of the tree is the item with
+//!                             rank perm[j] in the id table
 //! ```
 //!
-//! Signatures are written in ascending item-id order so the encoding
-//! of a forest is a deterministic function of its contents (the
-//! in-memory signature arena is in slot order, which depends on
-//! insertion and removal history).
-//! Decoding validates the structural invariants — positive tree
-//! count, labels of exactly `k` bytes, one tree entry per signature
-//! per tree, and sorted tree arrays when the committed flag is set —
-//! so a corrupt section becomes a typed [`StoreError`], never a
-//! panicking or silently-wrong forest.
+//! The signature slab is the forest's arena: when slot order is
+//! already id order — after every bulk build and every reopen — it is
+//! written with one bulk copy, otherwise gathered a chunk at a time,
+//! so the bytes are a function of the forest's contents, not of its
+//! insertion and removal history. On load the slab *becomes* the
+//! arena; nothing is copied per signature.
+//!
+//! Tree labels are not stored. A label is a pure function of the
+//! stored signature (one byte per consumed hash position, see
+//! `forest::write_labels`), so a tree is fully described by its order:
+//! the decoder regenerates the labels with one sequential pass over
+//! the slab and a gather per tree, and *checks* the stored order
+//! against them. Decoding validates every structural invariant the
+//! query paths rely on — the expected shape, a signature shape the
+//! type accepts, unique ascending ids, each tree a permutation of the
+//! id table (every rank in range, none repeated) and sorted when the
+//! committed flag is set — so a corrupt section becomes a typed
+//! [`StoreError`], never a panicking or silently-wrong forest.
+//!
+//! Format version 1 (per-item varint framing, stored labels) is not
+//! read; the container rejects such files by version.
 
-use d3l_store::{Decoder, Encoder, StoreError};
+use std::io::{self, Read, Write};
+
+use d3l_store::{Decoder, Encoder, SectionReader, SectionWriter, StoreError};
 
 use crate::banded::Signature;
 use crate::forest::{FlatTree, LshForest};
-use crate::hash::IdHashSet;
-use crate::minhash::MinHashSignature;
-use crate::randproj::BitSignature;
 use crate::ItemId;
 
-/// A signature type that can round-trip through the snapshot codec.
-pub trait SignatureCodec: Sized {
-    /// Append the signature to an encoder.
-    fn encode_into(&self, enc: &mut Encoder);
-    /// Decode one signature.
-    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, StoreError>;
-}
+/// Encoded size of the fixed forest header.
+const HEADER_LEN: usize = 4 + 4 + 1 + 8 + 4 + 8;
 
-impl SignatureCodec for MinHashSignature {
-    fn encode_into(&self, enc: &mut Encoder) {
-        enc.put_u64s(&self.0);
-    }
+/// Signatures gathered per write when slot order is not id order.
+const GATHER_ITEMS: usize = 64;
 
-    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
-        Ok(MinHashSignature(dec.get_u64s()?))
-    }
-}
-
-impl SignatureCodec for BitSignature {
-    fn encode_into(&self, enc: &mut Encoder) {
-        enc.put_varint(self.len() as u64);
-        enc.put_u64s(self.words());
-    }
-
-    fn decode_from(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
-        let nbits = dec.get_varint()? as usize;
-        let words = dec.get_u64s()?;
-        BitSignature::from_words(words, nbits)
-            .ok_or_else(|| StoreError::corrupt("bit signature word count mismatch"))
-    }
-}
-
-impl<S: Signature + SignatureCodec> LshForest<S> {
-    /// Serialize the forest (trees + stored signatures) for a
-    /// snapshot section.
-    pub fn to_bytes(&self) -> Vec<u8> {
+impl<S: Signature> LshForest<S> {
+    /// Stream the forest (signature slab + tree orders) into a
+    /// snapshot section. Signatures go from the arena to the sink and
+    /// nowhere else.
+    pub fn write_to<W: Write>(&self, sec: &mut SectionWriter<'_, W>) -> io::Result<()> {
         let (l, k) = self.shape();
-        let mut enc = Encoder::with_capacity(self.byte_size() + 64);
-        enc.put_varint(l as u64);
-        enc.put_varint(k as u64);
-        enc.put_u8(self.is_committed() as u8);
-        for tree in self.tree_arrays() {
-            debug_assert_eq!(tree.stride(), k, "label width is the tree depth");
-            enc.put_varint(tree.len() as u64);
-            for (label, id) in tree.entries() {
-                enc.put_raw(label);
-                enc.put_varint(id);
+        let (slot_ids, sig_words, stride, meta) = self.arena();
+        let n = slot_ids.len();
+        // An emptied forest keeps the shape of its last signature;
+        // the encoding is of the contents.
+        let (stride, meta) = if n == 0 { (0, 0) } else { (stride, meta) };
+
+        let mut head = Encoder::with_capacity(HEADER_LEN);
+        head.put_u32(l as u32);
+        head.put_u32(k as u32);
+        head.put_u8(self.is_committed() as u8);
+        head.put_u64(n as u64);
+        head.put_u32(u32::try_from(stride).expect("signature stride fits u32"));
+        head.put_u64(meta);
+        sec.put_raw(head.as_bytes())?;
+
+        // rank_of_slot[s]: position of slot s's item in the id table.
+        let mut rank_of_slot: Vec<u32> = (0..n as u32).collect();
+        if slot_ids.windows(2).all(|w| w[0] < w[1]) {
+            sec.put_u64_slab(slot_ids)?;
+            sec.put_u64_slab(sig_words)?;
+        } else {
+            let mut by_id = rank_of_slot.clone();
+            by_id.sort_unstable_by_key(|&s| slot_ids[s as usize]);
+            let ids: Vec<ItemId> = by_id.iter().map(|&s| slot_ids[s as usize]).collect();
+            sec.put_u64_slab(&ids)?;
+            let mut gathered = Vec::with_capacity(GATHER_ITEMS * stride);
+            for slots in by_id.chunks(GATHER_ITEMS) {
+                gathered.clear();
+                for &s in slots {
+                    let at = s as usize * stride;
+                    gathered.extend_from_slice(&sig_words[at..at + stride]);
+                }
+                sec.put_u64_slab(&gathered)?;
+            }
+            for (rank, &s) in by_id.iter().enumerate() {
+                rank_of_slot[s as usize] = rank as u32;
             }
         }
-        let mut ids: Vec<ItemId> = self.ids().collect();
-        ids.sort_unstable();
-        enc.put_varint(ids.len() as u64);
-        for id in ids {
-            enc.put_varint(id);
-            self.signature(id)
-                .expect("id came from the forest")
-                .encode_into(&mut enc);
+
+        let mut perm: Vec<u32> = Vec::with_capacity(n);
+        for tree in self.tree_arrays() {
+            assert_eq!(tree.len(), n, "a tree holds one entry per stored item");
+            perm.clear();
+            perm.extend(tree.ids().iter().map(|&id| {
+                let slot = self.slot_of(id).expect("tree entries name stored items");
+                rank_of_slot[slot as usize]
+            }));
+            sec.put_u32_slab(&perm)?;
         }
-        enc.into_bytes()
+        Ok(())
     }
 
-    /// Deserialize a forest written by [`LshForest::to_bytes`],
-    /// validating every structural invariant the query paths rely on.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        let mut dec = Decoder::new(bytes);
-        let l = dec.get_varint()? as usize;
-        let k = dec.get_varint()? as usize;
-        if l == 0 {
-            return Err(StoreError::corrupt("forest with zero trees"));
+    /// Decode a forest of shape `(l, k)` streamed by
+    /// [`LshForest::write_to`], validating every structural invariant
+    /// the query paths rely on. The shape is the caller's to state — a
+    /// forest of any other shape is of no use to it, and stating it
+    /// bounds everything the decoder allocates by the section's size.
+    pub fn read_from<R: Read>(
+        sec: &mut SectionReader<'_, R>,
+        shape: (usize, usize),
+    ) -> Result<Self, StoreError> {
+        let mut head = [0u8; HEADER_LEN];
+        sec.get_raw(&mut head, "forest header")?;
+        let mut dec = Decoder::new(&head);
+        let (l, k) = (dec.get_u32()? as usize, dec.get_u32()? as usize);
+        if (l, k) != shape || l == 0 {
+            return Err(StoreError::corrupt(format!(
+                "forest shape {:?} where {shape:?} was expected",
+                (l, k)
+            )));
         }
         let sorted = match dec.get_u8()? {
             0 => false,
@@ -113,16 +139,60 @@ impl<S: Signature + SignatureCodec> LshForest<S> {
                 )))
             }
         };
+        let n = usize::try_from(dec.get_u64()?)
+            .ok()
+            .filter(|&n| n <= u32::MAX as usize)
+            .ok_or_else(|| StoreError::corrupt("forest item count exceeds u32 slots"))?;
+        let stride = dec.get_u32()? as usize;
+        let meta = dec.get_u64()?;
+        // A shape the signature type would refuse to rebuild must not
+        // reach the arena: it would decode fine and panic at the first
+        // query that materializes a stored signature.
+        if !S::shape_is_valid(stride, meta) {
+            return Err(StoreError::corrupt(format!(
+                "forest signature shape ({stride} words, meta {meta}) is not one its type has"
+            )));
+        }
+
+        let ids = sec.get_u64_slab(n, "forest ids")?;
+        if let Some(w) = ids.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(StoreError::corrupt(format!(
+                "forest ids not strictly ascending at {} → {}",
+                w[0], w[1]
+            )));
+        }
+        let slab_words = n
+            .checked_mul(stride)
+            .ok_or_else(|| StoreError::corrupt("forest signature slab size overflows"))?;
+        let sig_words = sec.get_u64_slab(slab_words, "forest signatures")?;
+
+        let labels = Self::label_matrix(shape, n, &sig_words, stride, meta);
+        let row = l * k;
+        let mut seen = vec![false; n];
         let mut trees = Vec::with_capacity(l);
         for t in 0..l {
-            let count = dec.get_len(k + 1, "forest tree")?;
-            let mut tree = FlatTree::new(k);
-            tree.reserve(count);
-            for _ in 0..count {
-                let label = dec.get_raw(k, "tree label")?;
-                let id = dec.get_varint()?;
-                tree.push(label, id);
+            let perm = sec.get_u32_slab(n, "forest tree")?;
+            seen.fill(false);
+            let mut tree_labels = Vec::with_capacity(n * k);
+            let mut tree_ids = Vec::with_capacity(n);
+            for &rank in &perm {
+                let rank = rank as usize;
+                if rank >= n {
+                    return Err(StoreError::corrupt(format!(
+                        "tree {t} names rank {rank} of {n} items"
+                    )));
+                }
+                if std::mem::replace(&mut seen[rank], true) {
+                    return Err(StoreError::corrupt(format!(
+                        "tree {t} holds item {} twice",
+                        ids[rank]
+                    )));
+                }
+                let at = rank * row + t * k;
+                tree_labels.extend_from_slice(&labels[at..at + k]);
+                tree_ids.push(ids[rank]);
             }
+            let tree = FlatTree::from_parts(k, tree_labels, tree_ids);
             if sorted && !tree.is_sorted() {
                 return Err(StoreError::corrupt(format!(
                     "tree {t} claims committed but is not sorted"
@@ -130,64 +200,53 @@ impl<S: Signature + SignatureCodec> LshForest<S> {
             }
             trees.push(tree);
         }
-        let sig_count = dec.get_len(1, "forest signatures")?;
-        let mut sigs: Vec<(ItemId, S)> = Vec::with_capacity(sig_count);
-        let mut seen: IdHashSet<ItemId> =
-            IdHashSet::with_capacity_and_hasher(sig_count, Default::default());
-        for _ in 0..sig_count {
-            let id = dec.get_varint()?;
-            let sig = S::decode_from(&mut dec)?;
-            if !seen.insert(id) {
-                return Err(StoreError::corrupt(format!("duplicate signature id {id}")));
-            }
-            // The arena requires one shape per forest; heterogeneous
-            // signatures would previously decode fine and then panic
-            // at query time on the first cross-length similarity.
-            if let Some((_, first)) = sigs.first() {
-                if sig.words().len() != first.words().len() || sig.meta() != first.meta() {
-                    return Err(StoreError::corrupt(format!(
-                        "signature {id} shape differs from the forest's"
-                    )));
-                }
-            }
-            sigs.push((id, sig));
-        }
-        dec.expect_exhausted("forest")?;
-        for (t, tree) in trees.iter().enumerate() {
-            if tree.len() != sigs.len() {
-                return Err(StoreError::corrupt(format!(
-                    "tree {t} holds {} entries for {} signatures",
-                    tree.len(),
-                    sigs.len()
-                )));
-            }
-            // Count equality is not enough: a tree entry whose id has
-            // no stored signature would decode fine and then panic at
-            // query time when the candidate's signature is looked up.
-            for &id in tree.ids() {
-                if !seen.contains(&id) {
-                    return Err(StoreError::corrupt(format!(
-                        "tree {t} references item {id} with no stored signature"
-                    )));
-                }
-            }
-        }
-        Ok(LshForest::from_stored_parts(l, k, trees, sigs, sorted))
+        Ok(LshForest::from_stored_parts(
+            l, k, trees, ids, sig_words, stride, meta, sorted,
+        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minhash::MinHasher;
-    use crate::randproj::RandomProjector;
+    use crate::minhash::{MinHashSignature, MinHasher};
+    use crate::randproj::{BitSignature, RandomProjector};
+    use d3l_store::{ContainerReader, ContainerWriter, KIND_SNAPSHOT};
+
+    const TAG: [u8; 4] = *b"TEST";
+    const SHAPE: (usize, usize) = (8, 8);
+
+    /// The forest's section payload.
+    fn to_bytes<S: Signature>(f: &LshForest<S>) -> Vec<u8> {
+        let mut w = ContainerWriter::new(Vec::new(), KIND_SNAPSHOT).unwrap();
+        w.stream_section(TAG, |sec| f.write_to(sec)).unwrap();
+        let file = w.finish().unwrap();
+        ContainerReader::parse(&file, KIND_SNAPSHOT)
+            .unwrap()
+            .section(TAG)
+            .unwrap()
+    }
+
+    /// Decode a section payload (wrapped intact, so what fails is the
+    /// forest's own validation, not the container's checksum).
+    fn from_bytes<S: Signature>(payload: &[u8]) -> Result<LshForest<S>, StoreError> {
+        let mut w = ContainerWriter::new(Vec::new(), KIND_SNAPSHOT).unwrap();
+        w.add_section(TAG, payload).unwrap();
+        let file = w.finish().unwrap();
+        ContainerReader::parse(&file, KIND_SNAPSHOT)?
+            .stream_section(TAG, |sec| LshForest::read_from(sec, SHAPE))
+    }
+
+    fn minhash_sig(mh: &MinHasher, i: u64) -> MinHashSignature {
+        let toks: Vec<String> = (i..i + 20).map(|j| format!("tok{j}")).collect();
+        mh.sign_strs(toks.iter().map(String::as_str))
+    }
 
     fn minhash_forest() -> LshForest<MinHashSignature> {
         let mh = MinHasher::new(64, 7);
         let mut f = LshForest::new(64, 8);
         for i in 0..12u64 {
-            let toks: Vec<String> = (i..i + 20).map(|j| format!("tok{j}")).collect();
-            f.insert(i * 3, mh.sign_strs(toks.iter().map(String::as_str)));
+            f.insert(i * 3, minhash_sig(&mh, i));
         }
         f.commit();
         f
@@ -204,13 +263,23 @@ mod tests {
         f
     }
 
+    /// Offset of tree `t`'s permutation inside a section payload.
+    fn perm_at(n: usize, stride: usize, t: usize) -> usize {
+        HEADER_LEN + n * 8 + n * stride * 8 + t * n * 4
+    }
+
+    fn patch_rank(payload: &mut [u8], at: usize, rank: u32) {
+        payload[at..at + 4].copy_from_slice(&rank.to_le_bytes());
+    }
+
     #[test]
     fn minhash_forest_round_trips() {
         let f = minhash_forest();
-        let loaded = LshForest::<MinHashSignature>::from_bytes(&f.to_bytes()).unwrap();
+        let loaded: LshForest<MinHashSignature> = from_bytes(&to_bytes(&f)).unwrap();
         assert_eq!(loaded.shape(), f.shape());
         assert_eq!(loaded.len(), f.len());
         assert!(loaded.is_committed());
+        // The regenerated labels are the saved forest's labels.
         assert_eq!(loaded.tree_arrays(), f.tree_arrays());
         for id in f.ids() {
             assert_eq!(loaded.signature(id), f.signature(id));
@@ -223,8 +292,9 @@ mod tests {
     #[test]
     fn bit_forest_round_trips() {
         let f = bit_forest();
-        let loaded = LshForest::<BitSignature>::from_bytes(&f.to_bytes()).unwrap();
+        let loaded: LshForest<BitSignature> = from_bytes(&to_bytes(&f)).unwrap();
         assert_eq!(loaded.tree_arrays(), f.tree_arrays());
+        assert_eq!(loaded.sig_meta(), 64);
         let q = f.signature(3).unwrap().clone();
         assert_eq!(loaded.query(&q, 4), f.query(&q, 4));
     }
@@ -233,74 +303,199 @@ mod tests {
     fn encoding_is_deterministic() {
         // HashMap iteration order varies between equal forests; the
         // encoding must not.
-        let a = minhash_forest().to_bytes();
-        let b = minhash_forest().to_bytes();
-        assert_eq!(a, b);
+        assert_eq!(to_bytes(&minhash_forest()), to_bytes(&minhash_forest()));
+    }
+
+    /// Removals swap-compact the arena and re-inserts append, so slot
+    /// order drifts from id order; the bytes must still be those of a
+    /// fresh build of the same contents, and of the reloaded forest.
+    #[test]
+    fn encoding_is_a_function_of_content_not_history() {
+        let mh = MinHasher::new(64, 7);
+        let mut worn = minhash_forest();
+        for i in [2u64, 0, 7] {
+            assert!(worn.remove(i * 3));
+        }
+        for i in [7u64, 2, 0] {
+            worn.insert(i * 3, minhash_sig(&mh, i));
+        }
+        worn.commit();
+        let slot_order: Vec<ItemId> = worn.ids().collect();
+        assert!(
+            !slot_order.windows(2).all(|w| w[0] < w[1]),
+            "the history must actually scramble slot order"
+        );
+        let fresh = minhash_forest();
+        assert_eq!(to_bytes(&worn), to_bytes(&fresh));
+        let reloaded: LshForest<MinHashSignature> = from_bytes(&to_bytes(&worn)).unwrap();
+        assert!(
+            reloaded.ids().eq(fresh.ids()),
+            "a reload is in id order, like a build"
+        );
+        assert_eq!(to_bytes(&reloaded), to_bytes(&fresh));
+        let q = minhash_sig(&mh, 5);
+        assert_eq!(reloaded.query(&q, 6), worn.query(&q, 6));
+
+        // More items than one gather holds.
+        let mut big = LshForest::new(64, 8);
+        let mut big_fresh = LshForest::new(64, 8);
+        let n = GATHER_ITEMS as u64 * 2 + 3;
+        for i in (0..n).rev() {
+            big.insert(i, minhash_sig(&mh, i));
+        }
+        for i in 0..n {
+            big_fresh.insert(i, minhash_sig(&mh, i));
+        }
+        big.commit();
+        big_fresh.commit();
+        assert_eq!(to_bytes(&big), to_bytes(&big_fresh));
     }
 
     #[test]
-    fn empty_forest_round_trips() {
+    fn empty_and_emptied_forests_round_trip() {
         let f: LshForest<MinHashSignature> = LshForest::new(64, 8);
-        let loaded = LshForest::<MinHashSignature>::from_bytes(&f.to_bytes()).unwrap();
+        let loaded: LshForest<MinHashSignature> = from_bytes(&to_bytes(&f)).unwrap();
         assert!(loaded.is_empty());
         assert_eq!(loaded.shape(), (8, 8));
+        let mut emptied = minhash_forest();
+        for id in emptied.ids().collect::<Vec<_>>() {
+            emptied.remove(id);
+        }
+        assert_eq!(to_bytes(&emptied), to_bytes(&f));
+    }
+
+    #[test]
+    fn uncommitted_forest_keeps_its_entry_order() {
+        let mh = MinHasher::new(64, 7);
+        let mut f = LshForest::new(64, 8);
+        for i in [5u64, 1, 9] {
+            f.insert(i, minhash_sig(&mh, i));
+        }
+        let loaded: LshForest<MinHashSignature> = from_bytes(&to_bytes(&f)).unwrap();
+        assert!(!loaded.is_committed());
+        assert_eq!(loaded.tree_arrays(), f.tree_arrays());
     }
 
     #[test]
     fn truncation_and_corruption_are_typed_errors() {
-        let bytes = minhash_forest().to_bytes();
+        let bytes = to_bytes(&minhash_forest());
         for cut in 0..bytes.len() {
-            match LshForest::<MinHashSignature>::from_bytes(&bytes[..cut]) {
+            match from_bytes::<MinHashSignature>(&bytes[..cut]) {
                 Err(StoreError::Truncated { .. } | StoreError::Corrupt(_)) => {}
                 Err(other) => panic!("cut {cut}: unexpected error {other}"),
                 Ok(_) => panic!("cut {cut}: truncated forest decoded"),
             }
         }
-        // Zero trees.
-        let mut enc = Encoder::new();
-        enc.put_varint(0);
-        enc.put_varint(8);
-        enc.put_u8(1);
+        // Trailing bytes.
+        let mut long = bytes.clone();
+        long.push(0);
         assert!(matches!(
-            LshForest::<MinHashSignature>::from_bytes(&enc.into_bytes()),
+            from_bytes::<MinHashSignature>(&long),
+            Err(StoreError::Corrupt(_))
+        ));
+        // Another shape than the caller's, zero trees included.
+        for (l, k) in [(0u32, 8u32), (8, 4), (4, 16)] {
+            let mut bad = bytes.clone();
+            bad[..4].copy_from_slice(&l.to_le_bytes());
+            bad[4..8].copy_from_slice(&k.to_le_bytes());
+            assert!(matches!(
+                from_bytes::<MinHashSignature>(&bad),
+                Err(StoreError::Corrupt(_))
+            ));
+        }
+        // A committed flag that is neither.
+        let mut bad = bytes.clone();
+        bad[8] = 2;
+        assert!(matches!(
+            from_bytes::<MinHashSignature>(&bad),
+            Err(StoreError::Corrupt(_))
+        ));
+        // An item count no section could hold.
+        let mut bad = bytes.clone();
+        bad[9..17].copy_from_slice(&(u32::MAX as u64).to_le_bytes());
+        assert!(matches!(
+            from_bytes::<MinHashSignature>(&bad),
+            Err(StoreError::Truncated { .. })
+        ));
+        bad[9..17].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            from_bytes::<MinHashSignature>(&bad),
             Err(StoreError::Corrupt(_))
         ));
     }
 
     #[test]
-    fn unsorted_tree_claiming_committed_is_rejected() {
-        let mut f = minhash_forest();
-        // Swap two tree entries out of order, keep the committed flag.
-        f.tree_arrays_mut()[0].swap(0, 1);
-        let bytes = f.to_bytes();
+    fn signature_shape_the_type_refuses_is_rejected() {
+        // 64 bits are one word; claim 65.
+        let mut bytes = to_bytes(&bit_forest());
+        bytes[21..29].copy_from_slice(&65u64.to_le_bytes());
         assert!(matches!(
-            LshForest::<MinHashSignature>::from_bytes(&bytes),
+            from_bytes::<BitSignature>(&bytes),
+            Err(StoreError::Corrupt(_))
+        ));
+        // MinHash carries no meta.
+        let mut bytes = to_bytes(&minhash_forest());
+        bytes[21..29].copy_from_slice(&1u64.to_le_bytes());
+        assert!(matches!(
+            from_bytes::<MinHashSignature>(&bytes),
             Err(StoreError::Corrupt(_))
         ));
     }
 
     #[test]
-    fn orphan_tree_id_is_rejected() {
-        // Replace one tree entry's id with a duplicate of another:
-        // counts still match the signature map, but the replaced id
-        // now has no stored signature.
-        let mut f = minhash_forest();
-        f.tree_arrays_mut()[0].set_id(0, 999_999);
-        let bytes = f.to_bytes();
+    fn unsorted_or_duplicate_ids_are_rejected() {
+        let f = minhash_forest();
+        let good = to_bytes(&f);
+        // Swap the first two ids: unsorted.
+        let mut bad = good.clone();
+        let (a, b) = (HEADER_LEN, HEADER_LEN + 8);
+        let first: [u8; 8] = bad[a..b].try_into().unwrap();
+        bad.copy_within(b..b + 8, a);
+        bad[b..b + 8].copy_from_slice(&first);
         assert!(matches!(
-            LshForest::<MinHashSignature>::from_bytes(&bytes),
+            from_bytes::<MinHashSignature>(&bad),
+            Err(StoreError::Corrupt(_))
+        ));
+        // Repeat the first id: duplicate.
+        let mut bad = good.clone();
+        bad.copy_within(a..b, b);
+        assert!(matches!(
+            from_bytes::<MinHashSignature>(&bad),
             Err(StoreError::Corrupt(_))
         ));
     }
 
     #[test]
-    fn tree_signature_count_mismatch_is_rejected() {
-        let mut f = minhash_forest();
-        f.tree_arrays_mut()[2].pop();
-        let bytes = f.to_bytes();
-        assert!(matches!(
-            LshForest::<MinHashSignature>::from_bytes(&bytes),
-            Err(StoreError::Corrupt(_))
-        ));
+    fn a_tree_that_is_not_a_sorted_permutation_is_rejected() {
+        let f = minhash_forest();
+        let (n, stride) = (f.len(), 64);
+        let good = to_bytes(&f);
+        let rank_at =
+            |payload: &[u8], at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap());
+        for t in [0usize, 3, 7] {
+            let at = perm_at(n, stride, t);
+            // Out of range.
+            let mut bad = good.clone();
+            patch_rank(&mut bad, at + 4, n as u32);
+            let err = from_bytes::<MinHashSignature>(&bad).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt(_)), "tree {t}: {err}");
+            // Repeated: entry 1 names entry 0's item (so another item
+            // has no entry — the orphan case of the old layout).
+            let mut bad = good.clone();
+            let first = rank_at(&bad, at);
+            patch_rank(&mut bad, at + 4, first);
+            let err = from_bytes::<MinHashSignature>(&bad).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt(_)), "tree {t}: {err}");
+            // Unsorted: a valid permutation in the wrong order.
+            let mut bad = good.clone();
+            let (first, last) = (rank_at(&bad, at), rank_at(&bad, at + (n - 1) * 4));
+            patch_rank(&mut bad, at, last);
+            patch_rank(&mut bad, at + (n - 1) * 4, first);
+            let err = from_bytes::<MinHashSignature>(&bad).unwrap_err();
+            assert!(
+                matches!(&err, StoreError::Corrupt(m) if m.contains("not sorted")),
+                "tree {t}: {err}"
+            );
+        }
     }
 }

@@ -1,31 +1,52 @@
-//! The container format shared by base snapshots and delta segments:
-//! magic, format version, container kind, then a checksummed section
-//! table over opaque payloads.
+//! The container format shared by base snapshots and delta segments
+//! (format version 2): a fixed header, section payloads back to back,
+//! then a checksummed section table the reader finds from the end.
 //!
 //! ```text
 //! offset  field
 //! 0       magic              "D3LSTORE" (8 bytes)
-//! 8       format version     u32 LE
+//! 8       format version     u32 LE (2)
 //! 12      container kind     u32 LE (1 = snapshot, 2 = delta)
-//! 16      section count      u32 LE
-//! 20      section table      count × { tag: 4 bytes, offset: u64,
+//! 16      payloads           section bytes, back to back
+//! T       section table      count × { tag: 4 bytes, offset: u64,
 //!                                      len: u64, checksum: u64 }
-//! ...     payloads           concatenated section bytes
+//! T+28n   trailer            table offset T: u64, section count n: u32,
+//!                            checksum: u64 over header ++ table ++ T ++ n
 //! ```
 //!
-//! Offsets are absolute. Each section's checksum is FNV-1a over its
-//! payload and is verified on access, so a torn write or bit flip in
-//! one section surfaces as [`StoreError::ChecksumMismatch`] naming the
-//! section rather than a garbled decode downstream.
+//! The table trails the payloads so that a writer needs nothing but
+//! [`std::io::Write`]: [`ContainerWriter`] sends every byte to its
+//! sink as it is produced, folding each section's [`Checksum`] and
+//! length on the way, and never holds a payload it was not handed.
+//! [`ContainerReader`] reads header, trailer and table, then hands out
+//! one section at a time — whole ([`ContainerReader::section`]) or as a
+//! [`SectionReader`] the caller pulls fields and word slabs from
+//! ([`ContainerReader::stream_section`]) — so neither side ever holds a
+//! whole-file buffer. The same two types run over a `Vec<u8>` and a
+//! [`std::io::Cursor`]: one codec, two sinks.
+//!
+//! Offsets are absolute. The trailer checksum covers everything that
+//! says where sections are; each section's checksum covers its payload
+//! and is verified when the section has been read, so a torn write or
+//! bit flip surfaces as a typed [`StoreError`] naming the section
+//! rather than a garbled decode downstream.
+//!
+//! Version 1 files (table up front, FNV-1a checksums, per-item forest
+//! sections) are not read: opening one is
+//! [`StoreError::UnsupportedVersion`], and the lake must be re-indexed.
 
-use crate::codec::{checksum, Decoder, Encoder};
+use std::io::{self, Read, Seek, SeekFrom, Write};
+
+use crate::codec::{
+    extend_u32s_from_le, extend_u64s_from_le, u32s_to_le, u64s_to_le, Checksum, Decoder, Encoder,
+};
 use crate::error::StoreError;
 
 /// Leading magic of every D3L store file.
 pub const MAGIC: &[u8; 8] = b"D3LSTORE";
 
-/// Newest container format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+/// The container format version this build reads and writes.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Container kind of a full base snapshot.
 pub const KIND_SNAPSHOT: u32 = 1;
@@ -36,91 +57,208 @@ pub const KIND_DELTA: u32 = 2;
 /// A four-character section tag.
 pub type SectionTag = [u8; 4];
 
+const HEADER_LEN: usize = 16;
+const ROW_LEN: usize = 4 + 8 + 8 + 8;
+const TRAILER_LEN: usize = 8 + 4 + 8;
+
+/// Bytes a word slab moves through between the caller's words and the
+/// sink or source: small enough to stay cache-resident, large enough
+/// that a 20 MB slab is under a hundred reads or writes.
+const SLAB_CHUNK: usize = 256 * 1024;
+
 fn tag_str(tag: &SectionTag) -> String {
     tag.iter().map(|&b| b as char).collect()
 }
 
-/// Builds a container file: sections are appended, `finish` lays out
-/// the header, table and payloads.
-#[derive(Debug, Default)]
-pub struct ContainerWriter {
-    kind: u32,
-    sections: Vec<(SectionTag, Vec<u8>)>,
+fn header_bytes(kind: u32) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[..8].copy_from_slice(MAGIC);
+    h[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    h[12..].copy_from_slice(&kind.to_le_bytes());
+    h
 }
 
-impl ContainerWriter {
-    /// A writer for the given container kind.
-    pub fn new(kind: u32) -> Self {
-        ContainerWriter {
-            kind,
-            sections: Vec::new(),
-        }
-    }
-
-    /// Append one section. Tags must be unique within a container.
-    pub fn add_section(&mut self, tag: SectionTag, payload: Vec<u8>) {
-        debug_assert!(
-            self.sections.iter().all(|(t, _)| *t != tag),
-            "duplicate section {}",
-            tag_str(&tag)
-        );
-        self.sections.push((tag, payload));
-    }
-
-    /// Serialize the container.
-    pub fn finish(self) -> Vec<u8> {
-        let table_len = 20 + self.sections.len() * (4 + 8 + 8 + 8);
-        let payload_len: usize = self.sections.iter().map(|(_, p)| p.len()).sum();
-        let mut enc = Encoder::with_capacity(table_len + payload_len);
-        enc.put_raw(MAGIC);
-        enc.put_u32(FORMAT_VERSION);
-        enc.put_u32(self.kind);
-        enc.put_u32(self.sections.len() as u32);
-        let mut offset = table_len as u64;
-        for (tag, payload) in &self.sections {
-            enc.put_raw(tag);
-            enc.put_u64(offset);
-            enc.put_u64(payload.len() as u64);
-            enc.put_u64(checksum(payload));
-            offset += payload.len() as u64;
-        }
-        for (_, payload) in &self.sections {
-            enc.put_raw(payload);
-        }
-        enc.into_bytes()
-    }
+/// Checksum of everything that locates sections: header, table rows,
+/// table offset and section count.
+fn table_checksum(header: &[u8], table: &[u8], table_offset: u64, count: u32) -> u64 {
+    let mut sum = Checksum::new();
+    sum.update(header);
+    sum.update(table);
+    sum.update(&table_offset.to_le_bytes());
+    sum.update(&count.to_le_bytes());
+    sum.finish()
 }
 
-/// One parsed section-table entry.
+/// One section-table entry.
 #[derive(Debug, Clone, Copy)]
 struct SectionEntry {
     tag: SectionTag,
-    offset: usize,
-    len: usize,
+    offset: u64,
+    len: u64,
     checksum: u64,
 }
 
-/// A parsed container over borrowed bytes. Parsing validates the
-/// header and the structural sanity of the section table; payload
-/// checksums are verified on access.
+/// Streams a container into an [`io::Write`] sink: the header on
+/// construction, each section as it is added, table and trailer on
+/// [`ContainerWriter::finish`].
 #[derive(Debug)]
-pub struct ContainerReader<'a> {
-    buf: &'a [u8],
+pub struct ContainerWriter<W: Write> {
+    out: W,
     kind: u32,
+    pos: u64,
     entries: Vec<SectionEntry>,
+    scratch: Vec<u8>,
 }
 
-impl<'a> ContainerReader<'a> {
-    /// Parse a container of the expected kind.
+impl<W: Write> ContainerWriter<W> {
+    /// Start a container of the given kind on `out`.
+    pub fn new(mut out: W, kind: u32) -> io::Result<Self> {
+        out.write_all(&header_bytes(kind))?;
+        Ok(ContainerWriter {
+            out,
+            kind,
+            pos: HEADER_LEN as u64,
+            entries: Vec::new(),
+            scratch: Vec::new(),
+        })
+    }
+
+    /// Append one section the caller already holds as bytes. Tags must
+    /// be unique within a container.
+    pub fn add_section(&mut self, tag: SectionTag, payload: &[u8]) -> io::Result<()> {
+        self.stream_section(tag, |sec| sec.put_raw(payload))
+    }
+
+    /// Append one section produced piecewise: `fill` writes the payload
+    /// through the [`SectionWriter`], which passes it on to the sink
+    /// and keeps only the running checksum and length.
+    pub fn stream_section(
+        &mut self,
+        tag: SectionTag,
+        fill: impl FnOnce(&mut SectionWriter<'_, W>) -> io::Result<()>,
+    ) -> io::Result<()> {
+        debug_assert!(
+            self.entries.iter().all(|e| e.tag != tag),
+            "duplicate section {}",
+            tag_str(&tag)
+        );
+        let mut sec = SectionWriter {
+            out: &mut self.out,
+            scratch: &mut self.scratch,
+            sum: Checksum::new(),
+            len: 0,
+        };
+        fill(&mut sec)?;
+        let (len, checksum) = (sec.len, sec.sum.finish());
+        self.entries.push(SectionEntry {
+            tag,
+            offset: self.pos,
+            len,
+            checksum,
+        });
+        self.pos += len;
+        Ok(())
+    }
+
+    /// Write the section table and trailer and hand the sink back
+    /// (a file still needs its `sync_all`).
+    pub fn finish(mut self) -> io::Result<W> {
+        let mut table = Encoder::with_capacity(self.entries.len() * ROW_LEN + TRAILER_LEN);
+        for e in &self.entries {
+            table.put_raw(&e.tag);
+            table.put_u64(e.offset);
+            table.put_u64(e.len);
+            table.put_u64(e.checksum);
+        }
+        let count = self.entries.len() as u32;
+        let sum = table_checksum(&header_bytes(self.kind), table.as_bytes(), self.pos, count);
+        table.put_u64(self.pos);
+        table.put_u32(count);
+        table.put_u64(sum);
+        self.out.write_all(table.as_bytes())?;
+        Ok(self.out)
+    }
+}
+
+/// The write side of one streamed section: bytes and word slabs go
+/// straight to the container's sink.
+#[derive(Debug)]
+pub struct SectionWriter<'a, W: Write> {
+    out: &'a mut W,
+    scratch: &'a mut Vec<u8>,
+    sum: Checksum,
+    len: u64,
+}
+
+impl<W: Write> SectionWriter<'_, W> {
+    /// Raw bytes.
+    pub fn put_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.sum.update(bytes);
+        self.len += bytes.len() as u64;
+        self.out.write_all(bytes)
+    }
+
+    /// A slab of fixed-width words, no prefix: converted and moved to
+    /// the sink a chunk at a time, never copied whole.
+    fn put_slab<T>(&mut self, words: &[T], to_le: fn(&[T], &mut [u8])) -> io::Result<()> {
+        let width = std::mem::size_of::<T>();
+        for chunk in words.chunks(SLAB_CHUNK / width) {
+            self.scratch.resize(std::mem::size_of_val(chunk), 0);
+            to_le(chunk, self.scratch);
+            self.sum.update(self.scratch);
+            self.out.write_all(self.scratch)?;
+        }
+        self.len += std::mem::size_of_val(words) as u64;
+        Ok(())
+    }
+
+    /// A `u64` slab as little-endian words, no prefix.
+    pub fn put_u64_slab(&mut self, words: &[u64]) -> io::Result<()> {
+        self.put_slab(words, u64s_to_le)
+    }
+
+    /// A `u32` slab as little-endian words, no prefix.
+    pub fn put_u32_slab(&mut self, words: &[u32]) -> io::Result<()> {
+        self.put_slab(words, u32s_to_le)
+    }
+}
+
+/// A parsed container over a seekable source. Opening validates the
+/// header, the trailer and the section table; payload checksums are
+/// verified as sections are read.
+#[derive(Debug)]
+pub struct ContainerReader<R: Read + Seek> {
+    src: R,
+    kind: u32,
+    entries: Vec<SectionEntry>,
+    scratch: Vec<u8>,
+}
+
+impl<'a> ContainerReader<io::Cursor<&'a [u8]>> {
+    /// Parse a container held in memory.
     pub fn parse(buf: &'a [u8], expected_kind: u32) -> Result<Self, StoreError> {
-        if buf.len() < MAGIC.len() || &buf[..MAGIC.len()] != MAGIC {
+        ContainerReader::open(io::Cursor::new(buf), expected_kind)
+    }
+}
+
+impl<R: Read + Seek> ContainerReader<R> {
+    /// Parse the header, trailer and section table of a container of
+    /// the expected kind. Reads a few dozen bytes per section; no
+    /// payload is touched.
+    pub fn open(mut src: R, expected_kind: u32) -> Result<Self, StoreError> {
+        let file_len = src.seek(SeekFrom::End(0))?;
+        src.seek(SeekFrom::Start(0))?;
+        let mut header = [0u8; HEADER_LEN];
+        let have = (file_len.min(HEADER_LEN as u64)) as usize;
+        src.read_exact(&mut header[..have])?;
+        if have < MAGIC.len() || &header[..MAGIC.len()] != MAGIC {
             return Err(StoreError::BadMagic {
-                found: buf[..buf.len().min(8)].to_vec(),
+                found: header[..have.min(MAGIC.len())].to_vec(),
             });
         }
-        let mut dec = Decoder::new(&buf[MAGIC.len()..]);
+        let mut dec = Decoder::new(&header[MAGIC.len()..have]);
         let version = dec.get_u32()?;
-        if version > FORMAT_VERSION {
+        if version != FORMAT_VERSION {
             return Err(StoreError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -133,33 +271,64 @@ impl<'a> ContainerReader<'a> {
                 expected: expected_kind,
             });
         }
-        let count = dec.get_u32()? as usize;
-        // Each table row is 28 bytes; an absurd count is truncation.
-        if count > dec.remaining() / 28 {
+
+        let body = file_len - HEADER_LEN as u64;
+        if body < TRAILER_LEN as u64 {
             return Err(StoreError::Truncated {
-                context: "section table",
-                needed: count * 28,
-                remaining: dec.remaining(),
+                context: "container trailer",
+                needed: TRAILER_LEN,
+                remaining: body as usize,
             });
         }
-        let mut entries = Vec::with_capacity(count);
+        let mut trailer = [0u8; TRAILER_LEN];
+        src.seek(SeekFrom::Start(file_len - TRAILER_LEN as u64))?;
+        src.read_exact(&mut trailer)?;
+        let mut dec = Decoder::new(&trailer);
+        let table_offset = dec.get_u64()?;
+        let count = dec.get_u32()?;
+        let stored_sum = dec.get_u64()?;
+        // The table must sit exactly between the payloads and the
+        // trailer; anything else is a file cut short (the "trailer" is
+        // then payload bytes) or not what the writer produced.
+        let table_len = count as u64 * ROW_LEN as u64;
+        let table_end = file_len - TRAILER_LEN as u64;
+        if table_offset < HEADER_LEN as u64
+            || table_offset.checked_add(table_len) != Some(table_end)
+        {
+            return Err(StoreError::Truncated {
+                context: "section table",
+                needed: usize::try_from(table_len).unwrap_or(usize::MAX),
+                remaining: usize::try_from(table_end.saturating_sub(table_offset))
+                    .unwrap_or(usize::MAX),
+            });
+        }
+        let mut table = vec![0u8; table_len as usize];
+        src.seek(SeekFrom::Start(table_offset))?;
+        src.read_exact(&mut table)?;
+        if table_checksum(&header, &table, table_offset, count) != stored_sum {
+            return Err(StoreError::ChecksumMismatch {
+                section: "section table".to_string(),
+            });
+        }
+        let mut dec = Decoder::new(&table);
+        let mut entries = Vec::with_capacity(count as usize);
         for _ in 0..count {
             let tag: SectionTag = dec
                 .get_raw(4, "section tag")?
                 .try_into()
                 .expect("4-byte tag");
-            let offset = dec.get_u64()? as usize;
-            let len = dec.get_u64()? as usize;
+            let offset = dec.get_u64()?;
+            let len = dec.get_u64()?;
             let checksum = dec.get_u64()?;
-            let end = offset.checked_add(len).ok_or_else(|| {
-                StoreError::corrupt(format!("section {} offset overflow", tag_str(&tag)))
-            })?;
-            if end > buf.len() {
-                return Err(StoreError::Truncated {
-                    context: "section payload",
-                    needed: end,
-                    remaining: buf.len(),
-                });
+            let inside = offset >= HEADER_LEN as u64
+                && offset
+                    .checked_add(len)
+                    .is_some_and(|end| end <= table_offset);
+            if !inside {
+                return Err(StoreError::corrupt(format!(
+                    "section {} lies outside the payload area",
+                    tag_str(&tag)
+                )));
             }
             entries.push(SectionEntry {
                 tag,
@@ -168,7 +337,12 @@ impl<'a> ContainerReader<'a> {
                 checksum,
             });
         }
-        Ok(ContainerReader { buf, kind, entries })
+        Ok(ContainerReader {
+            src,
+            kind,
+            entries,
+            scratch: Vec::new(),
+        })
     }
 
     /// The container kind stamped in the header.
@@ -181,27 +355,165 @@ impl<'a> ContainerReader<'a> {
         self.entries.iter().map(|e| e.tag).collect()
     }
 
-    /// A required section's payload, checksum-verified.
-    pub fn section(&self, tag: SectionTag) -> Result<&'a [u8], StoreError> {
-        self.section_opt(tag)?
-            .ok_or_else(|| StoreError::MissingSection {
-                section: tag_str(&tag),
-            })
+    /// A required section's payload, read whole and checksum-verified.
+    pub fn section(&mut self, tag: SectionTag) -> Result<Vec<u8>, StoreError> {
+        self.stream_section(tag, |sec| sec.get_rest())
     }
 
     /// An optional section's payload: `None` when absent,
     /// checksum-verified when present.
-    pub fn section_opt(&self, tag: SectionTag) -> Result<Option<&'a [u8]>, StoreError> {
-        let Some(entry) = self.entries.iter().find(|e| e.tag == tag) else {
-            return Ok(None);
+    pub fn section_opt(&mut self, tag: SectionTag) -> Result<Option<Vec<u8>>, StoreError> {
+        if self.entries.iter().any(|e| e.tag == tag) {
+            self.section(tag).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// Decode a required section while it is read: `decode` pulls
+    /// fields and slabs from the [`SectionReader`]. Its result is
+    /// handed out only if it consumed the section exactly and the
+    /// payload's checksum matches; when `decode` fails on a payload
+    /// whose checksum does not match either, the mismatch is what is
+    /// reported — the decode error is then a symptom.
+    pub fn stream_section<T>(
+        &mut self,
+        tag: SectionTag,
+        decode: impl FnOnce(&mut SectionReader<'_, R>) -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
+        let entry = *self.entries.iter().find(|e| e.tag == tag).ok_or_else(|| {
+            StoreError::MissingSection {
+                section: tag_str(&tag),
+            }
+        })?;
+        self.src.seek(SeekFrom::Start(entry.offset))?;
+        let mut sec = SectionReader {
+            src: &mut self.src,
+            scratch: &mut self.scratch,
+            sum: Checksum::new(),
+            remaining: entry.len,
         };
-        let payload = &self.buf[entry.offset..entry.offset + entry.len];
-        if checksum(payload) != entry.checksum {
+        let decoded = decode(&mut sec).and_then(|value| {
+            if sec.remaining == 0 {
+                Ok(value)
+            } else {
+                Err(StoreError::corrupt(format!(
+                    "{} trailing bytes in section {}",
+                    sec.remaining,
+                    tag_str(&tag)
+                )))
+            }
+        });
+        if matches!(decoded, Err(StoreError::Io(_))) {
+            return decoded;
+        }
+        sec.skip_rest()?;
+        if sec.sum.finish() != entry.checksum {
             return Err(StoreError::ChecksumMismatch {
                 section: tag_str(&tag),
             });
         }
-        Ok(Some(payload))
+        decoded
+    }
+}
+
+/// The read side of one streamed section: a bounded, checksummed view
+/// of the source. Every read is checked against the bytes the section
+/// has left, so a corrupt count can neither run into the next section
+/// nor size an allocation beyond the file.
+#[derive(Debug)]
+pub struct SectionReader<'a, R: Read> {
+    src: &'a mut R,
+    scratch: &'a mut Vec<u8>,
+    sum: Checksum,
+    remaining: u64,
+}
+
+impl<R: Read> SectionReader<'_, R> {
+    /// Claim `n` bytes of the section, or fail typed.
+    fn claim(&mut self, n: u64, context: &'static str) -> Result<(), StoreError> {
+        if n > self.remaining {
+            return Err(StoreError::Truncated {
+                context,
+                needed: usize::try_from(n).unwrap_or(usize::MAX),
+                remaining: usize::try_from(self.remaining).unwrap_or(usize::MAX),
+            });
+        }
+        self.remaining -= n;
+        Ok(())
+    }
+
+    /// Fill `buf` with the next bytes.
+    pub fn get_raw(&mut self, buf: &mut [u8], context: &'static str) -> Result<(), StoreError> {
+        self.claim(buf.len() as u64, context)?;
+        self.src.read_exact(buf)?;
+        self.sum.update(buf);
+        Ok(())
+    }
+
+    /// Everything the section has left.
+    pub fn get_rest(&mut self) -> Result<Vec<u8>, StoreError> {
+        let n = usize::try_from(self.remaining)
+            .map_err(|_| StoreError::corrupt("section larger than the address space"))?;
+        let mut out = vec![0u8; n];
+        self.get_raw(&mut out, "section payload")?;
+        Ok(out)
+    }
+
+    /// Pull the next `bytes` bytes through the scratch buffer, a chunk
+    /// at a time, handing each (checksummed) chunk to `sink`.
+    fn pull(&mut self, bytes: u64, mut sink: impl FnMut(&[u8])) -> Result<(), StoreError> {
+        let mut left = bytes;
+        while left > 0 {
+            let take = left.min(SLAB_CHUNK as u64) as usize;
+            self.scratch.resize(take, 0);
+            self.src.read_exact(self.scratch)?;
+            self.sum.update(self.scratch);
+            sink(self.scratch);
+            left -= take as u64;
+        }
+        Ok(())
+    }
+
+    /// The next `n` fixed-width words, in a vector of exactly that
+    /// capacity: file → chunk → destination, no whole-slab byte buffer
+    /// in between. (`SLAB_CHUNK` is a multiple of every word width, so
+    /// chunks never split a word.)
+    fn get_slab<T>(
+        &mut self,
+        n: usize,
+        context: &'static str,
+        extend_from_le: fn(&mut Vec<T>, &[u8]),
+    ) -> Result<Vec<T>, StoreError> {
+        let bytes = (n as u64).saturating_mul(std::mem::size_of::<T>() as u64);
+        self.claim(bytes, context)?;
+        let mut out = Vec::with_capacity(n);
+        self.pull(bytes, |chunk| extend_from_le(&mut out, chunk))?;
+        Ok(out)
+    }
+
+    /// The next `n` little-endian `u64` words.
+    pub fn get_u64_slab(
+        &mut self,
+        n: usize,
+        context: &'static str,
+    ) -> Result<Vec<u64>, StoreError> {
+        self.get_slab(n, context, extend_u64s_from_le)
+    }
+
+    /// The next `n` little-endian `u32` words.
+    pub fn get_u32_slab(
+        &mut self,
+        n: usize,
+        context: &'static str,
+    ) -> Result<Vec<u32>, StoreError> {
+        self.get_slab(n, context, extend_u32s_from_le)
+    }
+
+    /// Read (and checksum) whatever the decoder left unconsumed.
+    fn skip_rest(&mut self) -> Result<(), StoreError> {
+        let left = std::mem::take(&mut self.remaining);
+        self.pull(left, |_| {})
     }
 }
 
@@ -210,26 +522,98 @@ mod tests {
     use super::*;
 
     fn two_section_container() -> Vec<u8> {
-        let mut w = ContainerWriter::new(KIND_SNAPSHOT);
-        w.add_section(*b"AAAA", vec![1, 2, 3]);
-        w.add_section(*b"BBBB", b"payload".to_vec());
-        w.finish()
+        let mut w = ContainerWriter::new(Vec::new(), KIND_SNAPSHOT).unwrap();
+        w.add_section(*b"AAAA", &[1, 2, 3]).unwrap();
+        w.add_section(*b"BBBB", b"payload").unwrap();
+        w.finish().unwrap()
     }
 
     #[test]
     fn sections_round_trip() {
         let bytes = two_section_container();
-        let r = ContainerReader::parse(&bytes, KIND_SNAPSHOT).unwrap();
+        let mut r = ContainerReader::parse(&bytes, KIND_SNAPSHOT).unwrap();
         assert_eq!(r.kind(), KIND_SNAPSHOT);
         assert_eq!(r.tags(), vec![*b"AAAA", *b"BBBB"]);
-        assert_eq!(r.section(*b"AAAA").unwrap(), &[1, 2, 3]);
+        // Any order, any number of times.
         assert_eq!(r.section(*b"BBBB").unwrap(), b"payload");
+        assert_eq!(r.section(*b"AAAA").unwrap(), &[1, 2, 3]);
+        assert_eq!(r.section_opt(*b"AAAA").unwrap().unwrap(), &[1, 2, 3]);
+        assert!(r.section_opt(*b"NOPE").unwrap().is_none());
+    }
+
+    #[test]
+    fn slabs_stream_both_ways_across_chunk_boundaries() {
+        // More words than one chunk holds, and not a multiple of it.
+        let words: Vec<u64> = (0..(SLAB_CHUNK as u64 / 8) * 2 + 77)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect();
+        let ranks: Vec<u32> = (0..(SLAB_CHUNK as u32 / 4) + 5).rev().collect();
+        let mut w = ContainerWriter::new(Vec::new(), KIND_SNAPSHOT).unwrap();
+        w.stream_section(*b"SLAB", |sec| {
+            sec.put_raw(&[9, 9])?;
+            sec.put_u64_slab(&words)?;
+            sec.put_u32_slab(&ranks)
+        })
+        .unwrap();
+        let bytes = w.finish().unwrap();
+
+        // The streamed section is byte-identical to the buffered one.
+        let mut enc = Encoder::new();
+        enc.put_raw(&[9, 9]);
+        enc.put_u64_slab(&words);
+        for r in &ranks {
+            enc.put_u32(*r);
+        }
+        let mut w = ContainerWriter::new(Vec::new(), KIND_SNAPSHOT).unwrap();
+        w.add_section(*b"SLAB", enc.as_bytes()).unwrap();
+        assert_eq!(w.finish().unwrap(), bytes);
+
+        let mut r = ContainerReader::parse(&bytes, KIND_SNAPSHOT).unwrap();
+        let (head, got_words, got_ranks) = r
+            .stream_section(*b"SLAB", |sec| {
+                let mut head = [0u8; 2];
+                sec.get_raw(&mut head, "head")?;
+                let w = sec.get_u64_slab(words.len(), "words")?;
+                assert_eq!(w.capacity(), words.len(), "exact reservation");
+                let r = sec.get_u32_slab(ranks.len(), "ranks")?;
+                Ok((head, w, r))
+            })
+            .unwrap();
+        assert_eq!(head, [9, 9]);
+        assert_eq!(got_words, words);
+        assert_eq!(got_ranks, ranks);
+    }
+
+    #[test]
+    fn oversized_slab_count_is_truncation_not_allocation() {
+        let bytes = two_section_container();
+        let mut r = ContainerReader::parse(&bytes, KIND_SNAPSHOT).unwrap();
+        let err = r
+            .stream_section(*b"BBBB", |sec| sec.get_u64_slab(usize::MAX / 2, "slab"))
+            .unwrap_err();
+        assert!(matches!(err, StoreError::Truncated { .. }), "{err}");
+    }
+
+    #[test]
+    fn undecoded_trailing_bytes_are_corrupt() {
+        let bytes = two_section_container();
+        let mut r = ContainerReader::parse(&bytes, KIND_SNAPSHOT).unwrap();
+        let err = r
+            .stream_section(*b"BBBB", |sec| {
+                let mut two = [0u8; 2];
+                sec.get_raw(&mut two, "two")
+            })
+            .unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
     }
 
     #[test]
     fn empty_container_is_valid() {
-        let bytes = ContainerWriter::new(KIND_DELTA).finish();
-        let r = ContainerReader::parse(&bytes, KIND_DELTA).unwrap();
+        let bytes = ContainerWriter::new(Vec::new(), KIND_DELTA)
+            .unwrap()
+            .finish()
+            .unwrap();
+        let mut r = ContainerReader::parse(&bytes, KIND_DELTA).unwrap();
         assert!(r.tags().is_empty());
         assert!(matches!(
             r.section(*b"NOPE"),
@@ -257,14 +641,47 @@ mod tests {
     }
 
     #[test]
-    fn future_version_is_rejected() {
-        let mut bytes = two_section_container();
-        bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        assert!(matches!(
-            ContainerReader::parse(&bytes, KIND_SNAPSHOT),
-            Err(StoreError::UnsupportedVersion { found, supported })
-                if found == FORMAT_VERSION + 1 && supported == FORMAT_VERSION
-        ));
+    fn other_versions_are_rejected() {
+        // Newer and older alike: there is one read path, and a
+        // version 1 store must be re-indexed.
+        for version in [FORMAT_VERSION + 1, 1, 0] {
+            let mut bytes = two_section_container();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                ContainerReader::parse(&bytes, KIND_SNAPSHOT),
+                Err(StoreError::UnsupportedVersion { found, supported })
+                    if found == version && supported == FORMAT_VERSION
+            ));
+        }
+    }
+
+    /// A file as format version 1 laid it out (header, section count,
+    /// table, payloads) is named by its version, not misread as a
+    /// torn version 2 file.
+    #[test]
+    fn a_version_1_file_is_an_unsupported_version() {
+        let mut v1 = Encoder::new();
+        v1.put_raw(MAGIC);
+        v1.put_u32(1);
+        v1.put_u32(KIND_SNAPSHOT);
+        v1.put_u32(1); // section count
+        v1.put_raw(b"CONF");
+        v1.put_u64(48);
+        v1.put_u64(3);
+        v1.put_u64(0xdead_beef);
+        v1.put_raw(&[1, 2, 3]);
+        let err = ContainerReader::parse(v1.as_bytes(), KIND_SNAPSHOT).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::UnsupportedVersion {
+                    found: 1,
+                    supported: FORMAT_VERSION
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("re-index"), "{err}");
     }
 
     #[test]
@@ -279,9 +696,10 @@ mod tests {
     #[test]
     fn flipped_payload_bit_is_a_checksum_mismatch() {
         let mut bytes = two_section_container();
-        let n = bytes.len();
-        bytes[n - 1] ^= 0x40; // inside BBBB's payload
-        let r = ContainerReader::parse(&bytes, KIND_SNAPSHOT).unwrap();
+        // BBBB's payload ends where the table starts.
+        let table_at = HEADER_LEN + 3 + 7;
+        bytes[table_at - 1] ^= 0x40;
+        let mut r = ContainerReader::parse(&bytes, KIND_SNAPSHOT).unwrap();
         assert!(r.section(*b"AAAA").is_ok(), "AAAA untouched");
         assert!(matches!(
             r.section(*b"BBBB"),
@@ -289,21 +707,52 @@ mod tests {
         ));
     }
 
+    /// When the decoder trips over a damaged payload, the damage is
+    /// what gets reported.
+    #[test]
+    fn checksum_mismatch_outranks_the_decode_error_it_causes() {
+        let mut bytes = two_section_container();
+        bytes[HEADER_LEN] ^= 0x01; // first byte of AAAA
+        let mut r = ContainerReader::parse(&bytes, KIND_SNAPSHOT).unwrap();
+        let err = r
+            .stream_section(*b"AAAA", |_| -> Result<(), StoreError> {
+                Err(StoreError::corrupt("decoder saw nonsense"))
+            })
+            .unwrap_err();
+        assert!(matches!(err, StoreError::ChecksumMismatch { .. }), "{err}");
+        // On an intact payload the decoder's own error stands.
+        let err = r
+            .stream_section(*b"BBBB", |_| -> Result<(), StoreError> {
+                Err(StoreError::corrupt("decoder saw nonsense"))
+            })
+            .unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
+    }
+
+    #[test]
+    fn every_flipped_byte_is_a_typed_error() {
+        let bytes = two_section_container();
+        for pos in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[pos] ^= 0x04;
+            let failed = match ContainerReader::parse(&bad, KIND_SNAPSHOT) {
+                Ok(mut r) => r.section(*b"AAAA").is_err() || r.section(*b"BBBB").is_err(),
+                Err(_) => true,
+            };
+            assert!(failed, "flip at {pos} went unnoticed");
+        }
+    }
+
     #[test]
     fn every_truncation_is_a_typed_error() {
         let bytes = two_section_container();
         for cut in 0..bytes.len() {
             match ContainerReader::parse(&bytes[..cut], KIND_SNAPSHOT) {
-                Ok(r) => {
-                    // Parsing may succeed when payloads are intact but
-                    // the buffer shrank from elsewhere; section access
-                    // stays typed. (Unreachable in practice: payloads
-                    // sit at the end.)
-                    let _ = r.section(*b"AAAA");
-                }
+                Ok(_) => panic!("cut {cut}: truncated container parsed"),
                 Err(
                     StoreError::BadMagic { .. }
                     | StoreError::Truncated { .. }
+                    | StoreError::ChecksumMismatch { .. }
                     | StoreError::Corrupt(_),
                 ) => {}
                 Err(other) => panic!("cut {cut}: unexpected error {other}"),
@@ -313,8 +762,12 @@ mod tests {
 
     #[test]
     fn absurd_section_count_is_truncation() {
-        let mut bytes = ContainerWriter::new(KIND_SNAPSHOT).finish();
-        bytes[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut bytes = ContainerWriter::new(Vec::new(), KIND_SNAPSHOT)
+            .unwrap()
+            .finish()
+            .unwrap();
+        let n = bytes.len();
+        bytes[n - 12..n - 8].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             ContainerReader::parse(&bytes, KIND_SNAPSHOT),
             Err(StoreError::Truncated { .. })

@@ -16,11 +16,13 @@ pub enum StoreError {
         /// The first bytes actually found (at most 8).
         found: Vec<u8>,
     },
-    /// The container's format version is newer than this build reads.
+    /// The container's format version is not the one this build reads
+    /// and writes. Older stores are not migrated: the lake must be
+    /// re-indexed.
     UnsupportedVersion {
         /// Version stamped in the file.
         found: u32,
-        /// Newest version this build supports.
+        /// The version this build supports.
         supported: u32,
     },
     /// The container kind (snapshot vs delta) is not the expected one.
@@ -86,9 +88,14 @@ impl std::fmt::Display for StoreError {
             StoreError::BadMagic { found } => {
                 write!(f, "not a D3L store file (leading bytes {found:02x?})")
             }
+            StoreError::UnsupportedVersion { found, supported } if found < supported => write!(
+                f,
+                "store format version {found} is older than the supported {supported}; \
+                 re-index the lake to rewrite the store"
+            ),
             StoreError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "snapshot format version {found} is newer than the supported {supported}"
+                "store format version {found} is newer than the supported {supported}"
             ),
             StoreError::WrongKind { found, expected } => {
                 write!(f, "container kind {found} where {expected} was expected")
@@ -147,9 +154,16 @@ mod tests {
             (
                 StoreError::UnsupportedVersion {
                     found: 9,
-                    supported: 1,
+                    supported: 2,
                 },
-                "version 9",
+                "version 9 is newer",
+            ),
+            (
+                StoreError::UnsupportedVersion {
+                    found: 1,
+                    supported: 2,
+                },
+                "re-index the lake",
             ),
             (
                 StoreError::Truncated {

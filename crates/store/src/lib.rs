@@ -9,11 +9,13 @@
 //! offline compat stand-ins, so every encoder here is hand-written):
 //!
 //! * [`codec`] — LEB128 varints, fixed-width little-endian scalars,
-//!   length-prefixed strings/slices, plus the FNV-1a section checksum.
-//!   Every decode is bounds-checked and returns a typed error.
+//!   length-prefixed strings/slices, bulk word slabs, plus the
+//!   word-wise section [`Checksum`]. Every decode is bounds-checked
+//!   and returns a typed error.
 //! * [`container`] — the shared file layout: `"D3LSTORE"` magic,
-//!   format version, container kind (base snapshot vs delta segment)
-//!   and a checksummed section table over opaque payloads.
+//!   format version, container kind (base snapshot vs delta segment),
+//!   payloads and a trailing checksummed section table; written to any
+//!   [`std::io::Write`] and read back one section at a time.
 //! * [`error`] — [`StoreError`], the typed failure surface (bad magic,
 //!   unsupported version, truncation, checksum mismatch, corruption,
 //!   per-segment wrapping).
@@ -23,7 +25,7 @@
 //!   segments appended by another writer.
 //!
 //! Domain serialization lives with the domain types: `d3l-lsh` encodes
-//! LSH forests (`LshForest::{to,from}_bytes`), `d3l-embedding` encodes
+//! LSH forests (`LshForest::{write_to,read_from}`), `d3l-embedding` encodes
 //! the lexicon state, and `d3l-core` assembles full engine snapshots,
 //! delta segments and the on-disk [`IndexStore`] directory layout on
 //! top of these primitives.
@@ -35,9 +37,10 @@ pub mod container;
 pub mod error;
 pub mod layout;
 
-pub use codec::{checksum, Decoder, Encoder};
+pub use codec::{checksum, Checksum, Decoder, Encoder};
 pub use container::{
-    ContainerReader, ContainerWriter, SectionTag, FORMAT_VERSION, KIND_DELTA, KIND_SNAPSHOT, MAGIC,
+    ContainerReader, ContainerWriter, SectionReader, SectionTag, SectionWriter, FORMAT_VERSION,
+    KIND_DELTA, KIND_SNAPSHOT, MAGIC,
 };
 pub use error::StoreError;
 pub use layout::{StoreScan, BASE_FILE};

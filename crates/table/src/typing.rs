@@ -16,39 +16,33 @@ pub const NUMERIC_MAJORITY: f64 = 0.8;
 
 /// Returns `true` if the trimmed cell parses as an integer or float,
 /// allowing a leading sign, thousands separators and a `%` suffix.
+///
+/// Runs once per cell of every parsed table, so it looks at the bytes
+/// in place: separators are skipped, not copied out.
 pub fn is_numeric_cell(cell: &str) -> bool {
     let s = cell.trim();
-    if s.is_empty() {
-        return false;
-    }
     let s = s.strip_suffix('%').unwrap_or(s).trim();
     let s = s.strip_prefix(['+', '-']).unwrap_or(s);
-    if s.is_empty() {
-        return false;
-    }
-    // Strip thousands separators only when they appear between digits,
-    // so "1,202" is numeric but "," alone is not.
-    let cleaned: String = s.chars().filter(|c| *c != ',').collect();
-    if cleaned.is_empty() {
-        return false;
-    }
+    // Thousands separators count for nothing wherever they stand, so
+    // "1,202" is numeric but "," alone is not; positions below are
+    // positions among the other bytes. A non-ASCII byte is never part
+    // of a number.
+    let significant = || s.bytes().filter(|&b| b != b',');
+    let len = significant().count();
     let mut digits = 0usize;
     let mut dots = 0usize;
     let mut exps = 0usize;
-    for (i, c) in cleaned.chars().enumerate() {
-        match c {
-            '0'..='9' => digits += 1,
-            '.' => dots += 1,
-            'e' | 'E' if i > 0 && i + 1 < cleaned.len() => exps += 1,
-            '+' | '-' if i > 0 => {
-                // only valid immediately after an exponent marker
-                let prev = cleaned.as_bytes()[i - 1];
-                if prev != b'e' && prev != b'E' {
-                    return false;
-                }
-            }
+    let mut prev = 0u8;
+    for (i, b) in significant().enumerate() {
+        match b {
+            b'0'..=b'9' => digits += 1,
+            b'.' => dots += 1,
+            b'e' | b'E' if i > 0 && i + 1 < len => exps += 1,
+            // only valid immediately after an exponent marker
+            b'+' | b'-' if matches!(prev, b'e' | b'E') => {}
             _ => return false,
         }
+        prev = b;
     }
     digits > 0 && dots <= 1 && exps <= 1
 }
@@ -64,11 +58,13 @@ pub fn parse_numeric(cell: &str) -> Option<f64> {
         Some(rest) => (rest.trim(), true),
         None => (s, false),
     };
-    let cleaned: String = s.chars().filter(|c| *c != ',').collect();
-    cleaned
-        .parse::<f64>()
-        .ok()
-        .map(|v| if pct { v / 100.0 } else { v })
+    let parsed = if s.contains(',') {
+        let cleaned: String = s.chars().filter(|c| *c != ',').collect();
+        cleaned.parse::<f64>()
+    } else {
+        s.parse::<f64>()
+    };
+    parsed.ok().map(|v| if pct { v / 100.0 } else { v })
 }
 
 /// Infer the [`ColumnType`] of a column from its cell values.
@@ -114,6 +110,77 @@ pub fn infer_type<'a, I: IntoIterator<Item = &'a str>>(cells: I) -> ColumnType {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    // The copying implementations these functions replaced, kept as
+    // the oracle: same answer for every cell, bit for bit.
+
+    fn oracle_is_numeric_cell(cell: &str) -> bool {
+        let s = cell.trim();
+        if s.is_empty() {
+            return false;
+        }
+        let s = s.strip_suffix('%').unwrap_or(s).trim();
+        let s = s.strip_prefix(['+', '-']).unwrap_or(s);
+        if s.is_empty() {
+            return false;
+        }
+        // Strip thousands separators only when they appear between digits,
+        // so "1,202" is numeric but "," alone is not.
+        let cleaned: String = s.chars().filter(|c| *c != ',').collect();
+        if cleaned.is_empty() {
+            return false;
+        }
+        let mut digits = 0usize;
+        let mut dots = 0usize;
+        let mut exps = 0usize;
+        for (i, c) in cleaned.chars().enumerate() {
+            match c {
+                '0'..='9' => digits += 1,
+                '.' => dots += 1,
+                'e' | 'E' if i > 0 && i + 1 < cleaned.len() => exps += 1,
+                '+' | '-' if i > 0 => {
+                    // only valid immediately after an exponent marker
+                    let prev = cleaned.as_bytes()[i - 1];
+                    if prev != b'e' && prev != b'E' {
+                        return false;
+                    }
+                }
+                _ => return false,
+            }
+        }
+        digits > 0 && dots <= 1 && exps <= 1
+    }
+
+    fn oracle_parse_numeric(cell: &str) -> Option<f64> {
+        if !oracle_is_numeric_cell(cell) {
+            return None;
+        }
+        let s = cell.trim();
+        let (s, pct) = match s.strip_suffix('%') {
+            Some(rest) => (rest.trim(), true),
+            None => (s, false),
+        };
+        let cleaned: String = s.chars().filter(|c| *c != ',').collect();
+        cleaned
+            .parse::<f64>()
+            .ok()
+            .map(|v| if pct { v / 100.0 } else { v })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+
+        #[test]
+        fn numeric_syntax_matches_the_oracle(cell in "[0-9eE.,+%a é-]{0,10}") {
+            prop_assert_eq!(is_numeric_cell(&cell), oracle_is_numeric_cell(&cell), "{:?}", cell);
+            prop_assert_eq!(
+                parse_numeric(&cell).map(f64::to_bits),
+                oracle_parse_numeric(&cell).map(f64::to_bits),
+                "{:?}", cell
+            );
+        }
+    }
 
     #[test]
     fn numeric_cells() {

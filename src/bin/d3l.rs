@@ -141,6 +141,9 @@ fn cmd_index(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     };
     let engine = ShardedD3l::index_lake(&lake, cfg);
     let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
+    // The engine keeps profiles, not cells: the parsed lake is dead
+    // weight from here on.
+    drop(lake);
     let save_start = Instant::now();
     let tables = engine.table_count();
     // The shard count rides in every shard's config, so `d3l serve`

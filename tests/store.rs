@@ -125,6 +125,10 @@ fn removal_survives_replay_and_compaction() {
     let victim_name = d3l.table_name(victim).to_string();
     assert!(store.append_remove(&mut d3l, victim).unwrap());
     assert_eq!(d3l.live_table_count(), bench.lake.len() - 1);
+    // Removal swap-compacts the forests' signature arenas, so the live
+    // engine's slot order is no longer id order while a reopened
+    // engine's is; the snapshot must not tell them apart.
+    let live_bytes = d3l.to_snapshot_bytes();
 
     for (ctx, engine) in [
         ("replay", IndexStore::open(&dir).unwrap().1),
@@ -134,6 +138,10 @@ fn removal_survives_replay_and_compaction() {
         }),
     ] {
         assert!(engine.is_removed(victim), "{ctx}: tombstone lost");
+        assert!(
+            engine.to_snapshot_bytes() == live_bytes,
+            "{ctx}: snapshot bytes depend on arena history"
+        );
         assert!(
             !engine.name_to_id().contains_key(victim_name.as_str()),
             "{ctx}: removed name resolves"
