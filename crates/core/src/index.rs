@@ -6,25 +6,35 @@
 //! guarded KS computation and join-overlap checks), and each table's
 //! subject attribute.
 //!
-//! Index construction profiles tables in parallel (std scoped
-//! threads over table chunks) — profiling and signature generation
-//! dominate, as the paper observes for all three compared systems
-//! (Experiment 4) — then bulk-builds the four forests concurrently
-//! (one scoped thread per forest, per-tree parallel sorts inside
-//! each; see [`LshForest::build_from`]). Profiles store hashed token
-//! sets, so signatures are derived from the stored hashes in one pass
-//! with no re-tokenization, and the built index is byte-identical at
-//! every thread count.
+//! There is one build path. A worker takes a contiguous run of table
+//! ids and, table by table, obtains the table (borrowed from a
+//! [`DataLake`], or read and parsed from its CSV file and dropped
+//! again), profiles it, detects its subject attribute, and signs each
+//! attribute **straight into the signature arenas** of its own four
+//! forests ([`LshForest::insert_with`] hands the hasher the arena
+//! slot; the tree labels are read back from it) — profiling and
+//! signature generation dominate, as the paper observes for all three
+//! compared systems (Experiment 4). The workers' forests are then
+//! appended in table-id order ([`LshForest::append`]; with one worker
+//! there is nothing to append) and committed. [`D3l::add_table`] is
+//! the same per-table step on the live forests. Profiles store hashed
+//! token sets, so signatures are derived from the stored hashes with
+//! no re-tokenization; every tree sorts a total order, so the built
+//! index is byte-identical at every thread count, from a directory or
+//! from a lake, in bulk or one table at a time.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
+use std::path::Path;
 
 use d3l_embedding::{CachedEmbedder, Lexicon, SemanticEmbedder};
 use d3l_lsh::forest::LshForest;
 use d3l_lsh::minhash::{MinHashSignature, MinHasher};
 use d3l_lsh::randproj::{BitSignature, RandomProjector};
 use d3l_lsh::ItemId;
-use d3l_ml::SubjectClassifier;
-use d3l_table::{DataLake, Table, TableId};
+use d3l_table::lake::{csv_files, load_csv, table_name_of};
+use d3l_table::{DataLake, Table, TableError, TableId};
 
 use crate::config::D3lConfig;
 use crate::profile::{profile_table, AttributeProfile};
@@ -156,6 +166,57 @@ impl D3l {
 
     /// Index a lake with the supplied word-embedding model.
     pub fn index_lake_with(lake: &DataLake, cfg: D3lConfig, embedder: SemanticEmbedder) -> Self {
+        let built = Self::build(lake.len(), cfg, embedder, |i| {
+            Ok::<_, Infallible>(Cow::Borrowed(lake.table(TableId(i as u32))))
+        });
+        match built {
+            Ok(d3l) => d3l,
+            Err(never) => match never {},
+        }
+    }
+
+    /// Index the `*.csv` files of a directory without ever holding
+    /// the lake: equal to [`D3l::index_lake`] over
+    /// [`DataLake::load_dir`] of the same directory — same ids, same
+    /// bytes, and the same [`TableError`] for the first file (in id
+    /// order) that cannot be read or parsed — but each worker reads,
+    /// parses, indexes and drops one table at a time.
+    pub fn index_dir(dir: impl AsRef<Path>, cfg: D3lConfig) -> Result<Self, TableError> {
+        let embedder = SemanticEmbedder::new(Lexicon::new(cfg.embed_dim));
+        Self::index_dir_with(dir, cfg, embedder)
+    }
+
+    /// [`D3l::index_dir`] with the supplied word-embedding model.
+    pub fn index_dir_with(
+        dir: impl AsRef<Path>,
+        cfg: D3lConfig,
+        embedder: SemanticEmbedder,
+    ) -> Result<Self, TableError> {
+        let files = csv_files(dir)?;
+        // Lossy stems can collide; a lake refuses the second of two
+        // tables of one name, and so does this.
+        let mut names = HashSet::with_capacity(files.len());
+        for f in &files {
+            if let Some(twice) = names.replace(table_name_of(f)) {
+                return Err(TableError::DuplicateTable(twice));
+            }
+        }
+        drop(names);
+        Self::build(files.len(), cfg, embedder, |i| {
+            load_csv(&files[i]).map(Cow::Owned)
+        })
+    }
+
+    /// The one index build: tables `0..count`, obtained one at a time
+    /// through `table_at`, indexed by up to `cfg.index_threads`
+    /// workers over contiguous id runs. Fails with the error of the
+    /// lowest-numbered table `table_at` failed on.
+    fn build<'t, E: Send>(
+        count: usize,
+        cfg: D3lConfig,
+        embedder: SemanticEmbedder,
+        table_at: impl Fn(usize) -> Result<Cow<'t, Table>, E> + Sync,
+    ) -> Result<Self, E> {
         assert_eq!(
             embedder.lexicon().dim(),
             cfg.embed_dim,
@@ -163,161 +224,114 @@ impl D3l {
         );
         let minhasher = MinHasher::new(cfg.num_perm, cfg.seed);
         let projector = RandomProjector::new(cfg.embed_dim, cfg.embed_bits, cfg.seed ^ 0xee);
-        let classifier = SubjectClassifier::default_model();
-
-        // Parallel profiling + signature generation over table chunks.
-        let tables: Vec<(TableId, &Table)> = lake.iter().collect();
-        let threads = cfg.effective_threads().min(tables.len().max(1));
-        let chunk = tables.len().div_ceil(threads.max(1)).max(1);
-        type ProfiledTable = (
-            TableId,
-            Vec<AttributeProfile>,
-            Vec<AttrSignatures>,
-            Option<u32>,
-        );
-        let mut results: Vec<ProfiledTable> = Vec::with_capacity(tables.len());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for batch in tables.chunks(chunk) {
-                let embedder = &embedder;
-                let minhasher = &minhasher;
-                let projector = &projector;
-                let classifier = &classifier;
-                let cfg = &cfg;
-                handles.push(scope.spawn(move || {
-                    // Per-worker embedding memo: domain vocabulary
-                    // recurs across a batch's columns, and cached
-                    // vectors are identical to fresh ones, so results
-                    // stay thread-count-invariant.
-                    let cached = CachedEmbedder::new(embedder);
-                    batch
-                        .iter()
-                        .map(|(id, table)| {
-                            let profiles = profile_table(table, cfg.q, &cached);
-                            let sigs = profiles
-                                .iter()
-                                .map(|p| sign_profile(p, minhasher, projector))
-                                .collect::<Vec<_>>();
-                            let subject = classifier.subject_of(table).map(|i| i as u32);
-                            (*id, profiles, sigs, subject)
-                        })
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for h in handles {
-                results.extend(h.join().expect("profiling worker panicked"));
-            }
-        });
-        results.sort_by_key(|(id, ..)| *id);
-
-        // Partition the signatures into per-forest item lists
-        // (Algorithm 1 lines 15–18, with the §III-C rule that numeric
-        // attributes skip IV and IE), then bulk-build the four
-        // forests concurrently. Item lists are assembled in table-id
-        // order and each forest sorts total orders, so the built
-        // index is identical at every thread count.
-        let attr_count: usize = results.iter().map(|(_, p, ..)| p.len()).sum();
-        let mut n_items = Vec::with_capacity(attr_count);
-        let mut v_items = Vec::with_capacity(attr_count);
-        let mut f_items = Vec::with_capacity(attr_count);
-        let mut e_items = Vec::with_capacity(attr_count);
-        let mut profiles = Vec::with_capacity(results.len());
-        let mut subjects = Vec::with_capacity(results.len());
-        let mut names = Vec::with_capacity(results.len());
-        let mut arities = Vec::with_capacity(results.len());
-
-        for (id, table_profiles, sigs, subject) in results {
-            for (col, sig) in sigs.into_iter().enumerate() {
-                let key = AttrRef {
-                    table: id,
-                    column: col as u32,
-                }
-                .key();
-                n_items.push((key, sig.name));
-                f_items.push((key, sig.format));
-                if !table_profiles[col].is_numeric {
-                    v_items.push((key, sig.value));
-                    e_items.push((key, sig.embedding));
-                }
-            }
-            names.push(lake.table(id).name().to_string());
-            arities.push(table_profiles.len());
-            profiles.push(table_profiles);
-            subjects.push(subject);
-        }
-
-        // Build the forests concurrently within the configured thread
-        // budget (the profiling fan-out above clamps to the table
-        // count; forest construction uses the raw budget): 4+ workers
-        // get one thread per forest with the leftover budget fanning
-        // each forest's tree sorts out, 2–3 workers pair the forests
-        // up, and 1 worker builds sequentially.
-        let budget = cfg.effective_threads();
-        let (i_n, i_v, i_f, i_e) = if budget >= 4 {
-            let sort_threads = (budget / 4).max(1);
-            std::thread::scope(|scope| {
-                let h_n = scope.spawn(|| {
-                    LshForest::build_from(cfg.num_perm, cfg.trees, n_items, sort_threads)
-                });
-                let h_v = scope.spawn(|| {
-                    LshForest::build_from(cfg.num_perm, cfg.trees, v_items, sort_threads)
-                });
-                let h_f = scope.spawn(|| {
-                    LshForest::build_from(cfg.num_perm, cfg.trees, f_items, sort_threads)
-                });
-                let h_e = scope.spawn(|| {
-                    LshForest::build_from(cfg.embed_bits, cfg.trees, e_items, sort_threads)
-                });
-                (
-                    h_n.join().expect("IN build worker panicked"),
-                    h_v.join().expect("IV build worker panicked"),
-                    h_f.join().expect("IF build worker panicked"),
-                    h_e.join().expect("IE build worker panicked"),
-                )
-            })
-        } else if budget > 1 {
-            std::thread::scope(|scope| {
-                let h_nf = scope.spawn(|| {
-                    (
-                        LshForest::build_from(cfg.num_perm, cfg.trees, n_items, 1),
-                        LshForest::build_from(cfg.num_perm, cfg.trees, f_items, 1),
-                    )
-                });
-                let h_ve = scope.spawn(|| {
-                    (
-                        LshForest::build_from(cfg.num_perm, cfg.trees, v_items, 1),
-                        LshForest::build_from(cfg.embed_bits, cfg.trees, e_items, 1),
-                    )
-                });
-                let (i_n, i_f) = h_nf.join().expect("IN/IF build worker panicked");
-                let (i_v, i_e) = h_ve.join().expect("IV/IE build worker panicked");
-                (i_n, i_v, i_f, i_e)
-            })
+        let mut d3l = Self::empty(cfg, embedder, minhasher, projector);
+        let threads = d3l.cfg.effective_threads();
+        let workers = threads.min(count.max(1));
+        let run = count.div_ceil(workers).max(1);
+        let runs = (0..count)
+            .step_by(run)
+            .map(|from| from..(from + run).min(count));
+        let parts: Vec<Result<D3l, E>> = if workers == 1 {
+            runs.map(|r| d3l.index_run(r, &table_at)).collect()
         } else {
-            (
-                LshForest::build_from(cfg.num_perm, cfg.trees, n_items, 1),
-                LshForest::build_from(cfg.num_perm, cfg.trees, v_items, 1),
-                LshForest::build_from(cfg.num_perm, cfg.trees, f_items, 1),
-                LshForest::build_from(cfg.embed_bits, cfg.trees, e_items, 1),
-            )
+            let (base, table_at) = (&d3l, &table_at);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = runs
+                    .map(|r| scope.spawn(move || base.index_run(r, table_at)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("index worker panicked"))
+                    .collect()
+            })
         };
+        // Runs are ascending and each stops at its first failure, so
+        // the first failed run carries the lowest failed table.
+        for part in parts {
+            d3l.absorb(part?);
+        }
+        d3l.commit(threads);
+        Ok(d3l)
+    }
 
-        let removed = vec![false; names.len()];
+    /// An engine over no tables.
+    fn empty(
+        cfg: D3lConfig,
+        embedder: SemanticEmbedder,
+        minhasher: MinHasher,
+        projector: RandomProjector,
+    ) -> Self {
         D3l {
+            i_n: LshForest::new(cfg.num_perm, cfg.trees),
+            i_v: LshForest::new(cfg.num_perm, cfg.trees),
+            i_f: LshForest::new(cfg.num_perm, cfg.trees),
+            i_e: LshForest::new(cfg.embed_bits, cfg.trees),
+            profiles: Vec::new(),
+            subjects: Vec::new(),
+            names: Vec::new(),
+            arities: Vec::new(),
+            removed: Vec::new(),
             cfg,
             embedder,
             minhasher,
             projector,
-            i_n,
-            i_v,
-            i_f,
-            i_e,
-            profiles,
-            subjects,
-            names,
-            arities,
-            removed,
         }
+    }
+
+    /// One worker's share of [`D3l::build`]: an engine of this one's
+    /// configuration and hashers holding exactly the tables of `run`,
+    /// uncommitted. Its slot vectors start at `run.start`, not at 0 —
+    /// it exists to be [`D3l::absorb`]ed.
+    fn index_run<'t, E>(
+        &self,
+        run: std::ops::Range<usize>,
+        table_at: &(impl Fn(usize) -> Result<Cow<'t, Table>, E> + Sync),
+    ) -> Result<D3l, E> {
+        let mut part = Self::empty(
+            self.cfg.clone(),
+            self.embedder.clone(),
+            self.minhasher.clone(),
+            self.projector.clone(),
+        );
+        // Per-worker embedding memo: domain vocabulary recurs across
+        // a run's columns, and cached vectors are identical to fresh
+        // ones, so results stay thread-count-invariant.
+        let cached = CachedEmbedder::new(&self.embedder);
+        for i in run {
+            let table = table_at(i)?;
+            let profiles = profile_table(&table, self.cfg.q, &cached);
+            let subject = d3l_ml::subject_attribute(&table).map(|c| c as u32);
+            part.push_profiled_table(
+                TableId(i as u32),
+                table.name().to_string(),
+                subject,
+                profiles,
+            );
+        }
+        Ok(part)
+    }
+
+    /// Take over the tables of a later run of the same build.
+    fn absorb(&mut self, part: D3l) {
+        self.i_n.append(part.i_n);
+        self.i_v.append(part.i_v);
+        self.i_f.append(part.i_f);
+        self.i_e.append(part.i_e);
+        self.profiles.extend(part.profiles);
+        self.subjects.extend(part.subjects);
+        self.names.extend(part.names);
+        self.arities.extend(part.arities);
+        self.removed.extend(part.removed);
+    }
+
+    /// Commit the four forests within a thread budget: each forest's
+    /// tree sorts fan out in turn (results are identical at any
+    /// thread count; see [`LshForest::commit_parallel`]).
+    fn commit(&mut self, threads: usize) {
+        self.i_n.commit_parallel(threads);
+        self.i_v.commit_parallel(threads);
+        self.i_f.commit_parallel(threads);
+        self.i_e.commit_parallel(threads);
     }
 
     /// Incrementally index one more table (data lakes grow; Goods-style
@@ -328,16 +342,16 @@ impl D3l {
     pub fn add_table(&mut self, table: &Table) -> TableId {
         let cached = CachedEmbedder::new(&self.embedder);
         let profiles = profile_table(table, self.cfg.q, &cached);
-        let classifier = SubjectClassifier::default_model();
-        let subject = classifier.subject_of(table).map(|i| i as u32);
+        let subject = d3l_ml::subject_attribute(table).map(|i| i as u32);
         self.insert_profiled_table(table.name().to_string(), subject, profiles)
     }
 
     /// The shared tail of [`D3l::add_table`] and the delta-segment
-    /// replay path: insert an already-profiled table. Signatures are
-    /// derived from the profiles' stored token hashes, so replaying a
-    /// persisted delta (which carries the profiles) patches the
-    /// forests bit-identically to the original `add_table` call.
+    /// replay path: insert an already-profiled table and re-commit.
+    /// Signatures are derived from the profiles' stored token hashes,
+    /// so replaying a persisted delta (which carries the profiles)
+    /// patches the forests bit-identically to the original
+    /// `add_table` call.
     pub(crate) fn insert_profiled_table(
         &mut self,
         name: String,
@@ -345,34 +359,48 @@ impl D3l {
         profiles: Vec<AttributeProfile>,
     ) -> TableId {
         let id = TableId(self.profiles.len() as u32);
+        self.push_profiled_table(id, name, subject, profiles);
+        self.commit(self.cfg.effective_threads());
+        id
+    }
+
+    /// Append a profiled table as the next slot, `id`: sign every
+    /// attribute into the forests' signature arenas (Algorithm 1
+    /// lines 15–18, with the §III-C rule that numeric attributes skip
+    /// `IV` and `IE`) and record the table. The forests are left
+    /// uncommitted.
+    fn push_profiled_table(
+        &mut self,
+        id: TableId,
+        name: String,
+        subject: Option<u32>,
+        profiles: Vec<AttributeProfile>,
+    ) {
+        let (mh, rp) = (&self.minhasher, &self.projector);
         for (col, p) in profiles.iter().enumerate() {
-            let sig = sign_profile(p, &self.minhasher, &self.projector);
             let key = AttrRef {
                 table: id,
                 column: col as u32,
             }
             .key();
-            self.i_n.insert(key, sig.name);
-            self.i_f.insert(key, sig.format);
+            let sign =
+                |set: &d3l_lsh::TokenSet, slot: &mut [u64]| mh.sign_into(set.as_slice(), slot);
+            self.i_n
+                .insert_with(key, mh.sig_shape(), |slot| sign(&p.qset, slot));
+            self.i_f
+                .insert_with(key, mh.sig_shape(), |slot| sign(&p.rset, slot));
             if !p.is_numeric {
-                self.i_v.insert(key, sig.value);
-                self.i_e.insert(key, sig.embedding);
+                self.i_v
+                    .insert_with(key, mh.sig_shape(), |slot| sign(&p.tset, slot));
+                self.i_e
+                    .insert_with(key, rp.sig_shape(), |slot| rp.sign_into(&p.embedding, slot));
             }
         }
-        // Re-commit within the configured budget: each forest's tree
-        // re-sorts fan out in turn (results are identical at any
-        // thread count; see LshForest::commit_parallel).
-        let threads = self.cfg.effective_threads();
-        self.i_n.commit_parallel(threads);
-        self.i_v.commit_parallel(threads);
-        self.i_f.commit_parallel(threads);
-        self.i_e.commit_parallel(threads);
         self.names.push(name);
         self.arities.push(profiles.len());
         self.subjects.push(subject);
         self.profiles.push(profiles);
         self.removed.push(false);
-        id
     }
 
     /// Append an empty, permanently-tombstoned slot.

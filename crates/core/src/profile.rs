@@ -11,15 +11,23 @@
 //!
 //! Numeric attributes are profiled for N and F only (§III-C): "we do
 //! not index numeric values into the respective indexes".
-
-use std::collections::HashSet;
+//!
+//! [`AttributeProfile::build`] touches each cell once: one walk over
+//! the non-null cells hashes the cell's format pattern and then
+//! either parses it (numeric attributes) or tokenizes it into the
+//! column's [`TokenHistogram`] interner (textual ones). Everything
+//! after that runs over interned token ids — the
+//! frequent/infrequent split, the tset hashes (read back from the
+//! interner, never recomputed), the wordlike filter (once per
+//! distinct frequent token) — and the embedding is accumulated from
+//! the embedder's cache in sorted token order. [`profile_table`]
+//! reuses one interner for all the columns of a table.
 
 use d3l_embedding::WordEmbedder;
 use d3l_features::histogram::TokenHistogram;
-use d3l_features::{qgrams, regex_format, tokenize};
-use d3l_lsh::hash::hash_str;
+use d3l_features::{qgrams, regex_format};
 use d3l_lsh::TokenSet;
-use d3l_table::Column;
+use d3l_table::{typing, Column};
 
 /// The extracted set representations of one attribute.
 ///
@@ -52,68 +60,70 @@ pub struct AttributeProfile {
 impl AttributeProfile {
     /// Run Algorithm 1's feature extraction over one column.
     pub fn build<E: WordEmbedder>(column: &Column, q: usize, embedder: &E) -> Self {
+        Self::build_with(&mut TokenHistogram::new(), column, q, embedder)
+    }
+
+    /// [`AttributeProfile::build`] with the caller's interner as
+    /// scratch (cleared here), so a table's columns share its buffers.
+    fn build_with<E: WordEmbedder>(
+        hist: &mut TokenHistogram,
+        column: &Column,
+        q: usize,
+        embedder: &E,
+    ) -> Self {
         let name = column.name().to_string();
         let qset = qgrams::qgram_hash_set(&name, q);
         let is_numeric = column.column_type().is_numeric();
 
-        let mut tset_hashes: Vec<u64> = Vec::new();
+        // The one pass over the extent: every cell's format pattern
+        // (streamed straight to a hash; no pattern strings), then its
+        // number or its tokens. Numeric attributes carry no V or E
+        // evidence, so they never reach the interner.
+        hist.clear();
         let mut rset_hashes: Vec<u64> = Vec::new();
-        let mut frequent_tokens: HashSet<String> = HashSet::new();
-
-        // Pass 1: histogram of token occurrences + format patterns
-        // (streamed straight to hashes; no pattern strings).
-        let mut hist = TokenHistogram::new();
+        let mut numeric_extent: Vec<f64> = Vec::new();
         for v in column.non_null() {
-            hist.insert_value(v);
             rset_hashes.push(regex_format::format_pattern_hash(v));
-        }
-
-        // Pass 2 (textual only): per part, the infrequent word joins
-        // the tset and the frequent word is embedded. Only *wordlike*
-        // frequent tokens are embedded — the E evidence is defined
-        // for attribute values "that [have] textual content"
-        // (§III-A); digit strings like `00` or `2019` have no
-        // meaningful position in a word-embedding space.
-        if !is_numeric {
-            for v in column.non_null() {
-                for part in tokenize::parts(v) {
-                    if let Some((inf, freq)) = hist.split_of_part(part) {
-                        tset_hashes.push(hash_str(&inf));
-                        if is_wordlike(&freq) {
-                            frequent_tokens.insert(freq);
-                        }
-                    }
-                }
+            if is_numeric {
+                numeric_extent.extend(typing::parse_numeric(v));
+            } else {
+                hist.insert_value(v);
             }
         }
-        let tset = TokenSet::from_hashes(tset_hashes);
         let rset = TokenSet::from_hashes(rset_hashes);
-
-        // Embed in sorted token order: mean_vector's float summation
-        // is order-sensitive in the low bits, and HashSet iteration
-        // order varies per instance — sorting makes the profile a
-        // bit-deterministic function of the column, which snapshot
-        // byte-identity (and `compact == rebuild`) depends on.
-        let embedding = if frequent_tokens.is_empty() {
-            vec![0.0; embedder.dim()]
-        } else {
-            let mut tokens: Vec<&str> = frequent_tokens.iter().map(String::as_str).collect();
-            tokens.sort_unstable();
-            embedder.embed_all(tokens)
-        };
-
         // Sorted ascending so KS at query time is a linear merge
-        // rather than a per-pair sort.
-        let numeric_extent = if is_numeric {
-            // total_cmp, not partial_cmp: a column whose cells parse
-            // to NaN ("nan", "-nan") would otherwise hand the sort a
-            // comparator that violates strict weak ordering.
-            let mut e = column.numeric_extent();
-            e.sort_by(f64::total_cmp);
-            e
-        } else {
-            Vec::new()
-        };
+        // rather than a per-pair sort. total_cmp, not partial_cmp: a
+        // column whose cells parse to NaN ("nan", "-nan") would
+        // otherwise hand the sort a comparator that violates strict
+        // weak ordering.
+        numeric_extent.sort_by(f64::total_cmp);
+
+        // Per part, the infrequent word joins the tset and the
+        // frequent word is embedded. Only *wordlike* frequent tokens
+        // are embedded — the E evidence is defined for attribute
+        // values "that [have] textual content" (§III-A); digit
+        // strings like `00` or `2019` have no meaningful position in
+        // a word-embedding space.
+        let split = hist.split_extent();
+        let tset = TokenSet::from_hashes(
+            split
+                .infrequent
+                .iter()
+                .map(|&id| hist.token_hash(id))
+                .collect(),
+        );
+        // Embed in sorted token order: the mean's float summation is
+        // order-sensitive in the low bits — sorting makes the profile
+        // a bit-deterministic function of the column, which snapshot
+        // byte-identity (and `compact == rebuild`) depends on.
+        let mut frequent: Vec<&str> = split
+            .frequent
+            .iter()
+            .map(|&id| hist.token(id))
+            .filter(|t| is_wordlike(t))
+            .collect();
+        frequent.sort_unstable();
+        let embedding = embedder.embed_all(frequent);
 
         AttributeProfile {
             name,
@@ -172,18 +182,344 @@ pub fn profile_table<E: WordEmbedder>(
     q: usize,
     embedder: &E,
 ) -> Vec<AttributeProfile> {
+    let mut hist = TokenHistogram::new();
     table
         .columns()
         .iter()
-        .map(|c| AttributeProfile::build(c, q, embedder))
+        .map(|c| AttributeProfile::build_with(&mut hist, c, q, embedder))
         .collect()
+}
+
+/// The profiler this module replaced, kept as the reference the
+/// one-pass build is tested (and, by `profile_beats_oracle`, timed)
+/// against: three passes over the extent, a `HashMap<String, usize>`
+/// histogram, every word lower-cased into a fresh `String` per pass,
+/// one `embed` clone per frequent token.
+#[cfg(test)]
+mod oracle {
+    use std::collections::{HashMap, HashSet};
+
+    use d3l_features::tokenize;
+    use d3l_lsh::hash::hash_str;
+
+    use super::*;
+
+    /// The `HashMap` histogram: `(infrequent, frequent)` of one part.
+    pub fn split_of_part(counts: &HashMap<String, usize>, part: &str) -> Option<(String, String)> {
+        let count = |w: &String| counts.get(w).copied().unwrap_or(0);
+        let words = tokenize::words(part);
+        let infrequent = words
+            .iter()
+            .min_by(|a, b| count(a).cmp(&count(b)).then_with(|| a.cmp(b)))?
+            .clone();
+        let frequent = words
+            .into_iter()
+            .max_by(|a, b| count(a).cmp(&count(b)).then_with(|| b.cmp(a)))?;
+        Some((infrequent, frequent))
+    }
+
+    /// Occurrences of every token of the extent.
+    pub fn histogram(column: &Column) -> HashMap<String, usize> {
+        let mut counts = HashMap::new();
+        for v in column.non_null() {
+            for t in tokenize::tokens(v) {
+                *counts.entry(t).or_insert(0) += 1;
+            }
+        }
+        counts
+    }
+
+    pub fn build<E: WordEmbedder>(column: &Column, q: usize, embedder: &E) -> AttributeProfile {
+        let name = column.name().to_string();
+        let qset = qgrams::qgram_hash_set(&name, q);
+        let is_numeric = column.column_type().is_numeric();
+
+        let mut tset_hashes: Vec<u64> = Vec::new();
+        let mut rset_hashes: Vec<u64> = Vec::new();
+        let mut frequent_tokens: HashSet<String> = HashSet::new();
+
+        let counts = histogram(column);
+        for v in column.non_null() {
+            rset_hashes.push(regex_format::format_pattern_hash(v));
+        }
+        if !is_numeric {
+            for v in column.non_null() {
+                for part in tokenize::parts(v) {
+                    if let Some((inf, freq)) = split_of_part(&counts, part) {
+                        tset_hashes.push(hash_str(&inf));
+                        if is_wordlike(&freq) {
+                            frequent_tokens.insert(freq);
+                        }
+                    }
+                }
+            }
+        }
+        let embedding = if frequent_tokens.is_empty() {
+            vec![0.0; embedder.dim()]
+        } else {
+            let mut tokens: Vec<&str> = frequent_tokens.iter().map(String::as_str).collect();
+            tokens.sort_unstable();
+            embedder.embed_all(tokens)
+        };
+        let numeric_extent = if is_numeric {
+            let mut e = column.numeric_extent();
+            e.sort_by(f64::total_cmp);
+            e
+        } else {
+            Vec::new()
+        };
+        AttributeProfile {
+            name,
+            qset,
+            tset: TokenSet::from_hashes(tset_hashes),
+            rset: TokenSet::from_hashes(rset_hashes),
+            embedding,
+            numeric_extent,
+            is_numeric,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use d3l_embedding::{HashEmbedder, Lexicon, SemanticEmbedder};
+    use d3l_embedding::{CachedEmbedder, HashEmbedder, Lexicon, SemanticEmbedder};
+    use d3l_features::tokenize;
+    use d3l_lsh::hash::splitmix64;
     use d3l_table::Column;
+
+    /// A deterministic stream of choices for the generated columns.
+    struct Choices(u64);
+
+    impl Choices {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = splitmix64(self.0);
+            (self.0 >> 33) as usize % n
+        }
+
+        fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
+            from[self.below(from.len())]
+        }
+    }
+
+    /// Words whose lowercase expands (`İ`), is context-sensitive
+    /// (final `Σ`), folds across scripts (Kelvin `K`, titlecase `ǅ`),
+    /// digit-only "words", one-letter words, and plain vocabulary in
+    /// several cases so counts tie and differ.
+    const WORDS: &[&str] = &[
+        "street",
+        "Street",
+        "STREET",
+        "road",
+        "Road",
+        "avenue",
+        "salford",
+        "Salford",
+        "belfast",
+        "İstanbul",
+        "İ",
+        "straße",
+        "STRASSE",
+        "ß",
+        "ΟΔΟΣ",
+        "ΣΟΦΟΣ",
+        "Σ",
+        "σ",
+        "ς",
+        "ΑΣ",
+        "ǅungla",
+        "K",
+        "ﬁn",
+        "café",
+        "CAFÉ",
+        "12",
+        "2019",
+        "00",
+        "7",
+        "a",
+        "ab",
+        "x1",
+        "M1",
+        "3BE",
+        "m1",
+        "1a",
+        "é",
+        "日本",
+        "nan",
+        "-",
+    ];
+
+    /// What sits between two words: whitespace of every width (none,
+    /// NBSP and a tab included) and the punctuation that ends a part.
+    const GAPS: &[&str] = &[
+        " ", " ", " ", "  ", "\t", "\u{a0}", ",", ", ", ";", "-", ".", " . ", "/", ":", "::", "",
+    ];
+
+    /// Whole cells no word generator produces: nulls, whitespace-only,
+    /// punctuation-only, and every numeric syntax the typer accepts.
+    const CELLS: &[&str] = &[
+        "", " ", "   ", "\t", ",;:", "...", "-", " - ", "12.5", "1,200", "45%", "-3", "1e3", "nan",
+        "NaN", "0", "007", "3.", ".5",
+    ];
+
+    const NAMES: &[&str] = &[
+        "Address",
+        "Practice Name",
+        "GP",
+        "",
+        "--- ",
+        "Café №5",
+        "İl",
+        "ΟΔΟΣ",
+        "payment_2019",
+        "x",
+    ];
+
+    fn generated_column(c: &mut Choices) -> Column {
+        let rows = [0, 1, 2, 3, 5, 8, 13, 40][c.below(8)];
+        // A quarter of the columns are mostly numeric cells, so both
+        // typings (and the mixed ones the typer tips either way) occur.
+        let numeric_bias = c.below(4) == 0;
+        let values = (0..rows)
+            .map(|_| {
+                if c.below(if numeric_bias { 10 } else { 6 }) == 0 || numeric_bias {
+                    return c.pick(CELLS).to_string();
+                }
+                let mut cell = String::new();
+                for _ in 0..c.below(6) {
+                    cell.push_str(c.pick(WORDS));
+                    cell.push_str(c.pick(GAPS));
+                }
+                cell
+            })
+            .collect();
+        Column::new(c.pick(NAMES), values)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The one-pass build equals the three-pass oracle on 2 400
+    /// generated columns: same token sets, bit-equal floats. The
+    /// string views of the interner equal the oracle's histogram too.
+    #[test]
+    fn one_pass_build_matches_the_oracle() {
+        let plain = embedder();
+        let cached = CachedEmbedder::new(&plain);
+        let mut c = Choices(0x0dd_ba11);
+        let mut hist = TokenHistogram::new();
+        let (mut textual, mut numeric, mut tied) = (0, 0, 0);
+        for case in 0..2400 {
+            let column = generated_column(&mut c);
+            // Through the shared scratch, as `profile_table` runs it.
+            let got = AttributeProfile::build_with(&mut hist, &column, 4, &cached);
+            let want = oracle::build(&column, 4, &plain);
+            let ctx = format!("case {case}: {column:?}");
+            assert_eq!(got.name, want.name, "{ctx}");
+            assert_eq!(got.is_numeric, want.is_numeric, "{ctx}");
+            assert_eq!(got.qset, want.qset, "{ctx}");
+            assert_eq!(got.tset, want.tset, "{ctx}");
+            assert_eq!(got.rset, want.rset, "{ctx}");
+            assert_eq!(bits(&got.embedding), bits(&want.embedding), "{ctx}");
+            assert_eq!(
+                bits(&got.numeric_extent),
+                bits(&want.numeric_extent),
+                "{ctx}"
+            );
+            if got.is_numeric {
+                numeric += 1;
+                assert_eq!(hist.total(), 0, "numeric extents are never tokenized");
+                continue;
+            }
+            textual += 1;
+            let counts = oracle::histogram(&column);
+            assert_eq!(hist.distinct(), counts.len(), "{ctx}");
+            assert_eq!(hist.total(), counts.values().sum::<usize>(), "{ctx}");
+            for (token, &n) in &counts {
+                assert_eq!(hist.count(token), n, "{ctx}: {token:?}");
+            }
+            for v in column.non_null() {
+                for part in tokenize::parts(v) {
+                    let split = oracle::split_of_part(&counts, part);
+                    assert_eq!(hist.split_of_part(part), split, "{ctx}: {part:?}");
+                    let words = tokenize::words(part);
+                    tied += words
+                        .iter()
+                        .any(|w| *w != words[0] && counts[w] == counts[&words[0]])
+                        as usize;
+                }
+            }
+        }
+        // The generator reaches what it is there to reach.
+        assert!(textual > 1000 && numeric > 100, "{textual} / {numeric}");
+        assert!(tied > 1000, "count ties inside a part: {tied}");
+    }
+
+    /// The same-run ratio gate (CI runs it in release): on the same
+    /// generated tables the one-pass profiler takes at most half the
+    /// oracle's time (expected: a third).
+    #[test]
+    #[ignore = "timing: cargo test --release -p d3l-core profile_beats_oracle -- --ignored"]
+    fn profile_beats_oracle() {
+        use std::time::Instant;
+        // 400 address-like columns of 150 cells: case noise, shared
+        // domain words, distinct signal carriers.
+        let mut c = Choices(0xbea7);
+        let streets = ["Street", "street", "Road", "ROAD", "Avenue", "Lane", "St"];
+        let columns: Vec<Column> = (0..400)
+            .map(|i| {
+                let values = (0..150)
+                    .map(|_| {
+                        format!(
+                            "{} {}{} {}, M{} {}B{}",
+                            c.below(200),
+                            c.pick(&["Port", "Ox", "Mira", "Chap", "Bot"]),
+                            c.pick(&["land", "ford", "bel", "el", "anic"]),
+                            c.pick(&streets),
+                            c.below(30),
+                            c.below(9),
+                            c.pick(&["E", "PL", "NN", "AF"]),
+                        )
+                    })
+                    .collect();
+                Column::new(format!("Address {i}"), values)
+            })
+            .collect();
+        let table = d3l_table::Table::new("addresses", columns).unwrap();
+        let plain = embedder();
+        let time = |run: &dyn Fn() -> usize| {
+            (0..5)
+                .map(|_| {
+                    let start = Instant::now();
+                    std::hint::black_box(run());
+                    start.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let oracle = time(&|| {
+            let cached = CachedEmbedder::new(&plain);
+            table
+                .columns()
+                .iter()
+                .map(|col| oracle::build(col, 4, &cached).tset.len())
+                .sum()
+        });
+        let one_pass = time(&|| {
+            let cached = CachedEmbedder::new(&plain);
+            profile_table(&table, 4, &cached)
+                .iter()
+                .map(|p| p.tset.len())
+                .sum()
+        });
+        let ratio = oracle.as_secs_f64() / one_pass.as_secs_f64();
+        println!("oracle {oracle:?}, one pass {one_pass:?}: {ratio:.2}x");
+        assert!(
+            ratio >= 2.0,
+            "one-pass profiling only {ratio:.2}x the oracle"
+        );
+    }
 
     fn embedder() -> SemanticEmbedder {
         SemanticEmbedder::new(Lexicon::with_groups(

@@ -94,6 +94,17 @@ impl ShardedD3l {
         Self::split(D3l::index_lake_with(lake, cfg, embedder), shards)
     }
 
+    /// Index the `*.csv` files of a directory into `cfg.shards` shards
+    /// without holding the lake ([`D3l::index_dir`]): what
+    /// [`ShardedD3l::index_lake`] builds from the loaded directory.
+    pub fn index_dir(
+        dir: impl AsRef<std::path::Path>,
+        cfg: D3lConfig,
+    ) -> Result<Self, d3l_table::TableError> {
+        let shards = cfg.shards;
+        Ok(Self::split(D3l::index_dir(dir, cfg)?, shards))
+    }
+
     /// Wrap an existing monolithic engine as a one-shard engine.
     pub fn from_monolith(mut d3l: D3l) -> Self {
         d3l.cfg.shards = 1;
@@ -169,24 +180,27 @@ impl ShardedD3l {
     /// maps to shard `s`, rebuilt into a committed forest. Trees sort
     /// a total `(label, id)` order, so the result is independent of
     /// iteration order and identical to incremental insertion.
-    fn partition_forest<S: d3l_lsh::banded::Signature + Send + Sync>(
+    fn partition_forest<S: d3l_lsh::banded::Signature>(
         full: &LshForest<S>,
         sig_len: usize,
         cfg: &D3lConfig,
         owner: &[Option<usize>],
         s: usize,
     ) -> LshForest<S> {
-        let items: Vec<(u64, S)> = full
-            .ids()
-            .filter(|&key| owner[AttrRef::from_key(key).table.index()] == Some(s))
-            .map(|key| {
-                (
-                    key,
-                    full.signature(key).expect("forest id without signature"),
-                )
-            })
-            .collect();
-        LshForest::build_from(sig_len, cfg.trees, items, cfg.effective_threads())
+        let mut part = LshForest::new(sig_len, cfg.trees);
+        for key in full.ids() {
+            if owner[AttrRef::from_key(key).table.index()] != Some(s) {
+                continue;
+            }
+            let words = full
+                .signature_words(key)
+                .expect("forest id without signature");
+            part.insert_with(key, (words.len(), full.sig_meta()), |slot| {
+                slot.copy_from_slice(words)
+            });
+        }
+        part.commit_parallel(cfg.effective_threads());
+        part
     }
 
     /// Assemble an engine from per-shard instances (the loader path:

@@ -42,6 +42,13 @@ mod cached_tests {
             inner.embed_all(["street", "road"])
         );
         assert_eq!(cached.cached_words(), 2);
+        // Bit for bit, hits and misses mixed, and the empty bag.
+        let words: Vec<String> = (0..40).map(|i| format!("word{}", i % 23)).collect();
+        let bag = || words.iter().map(String::as_str);
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(cached.embed_all(bag())), bits(inner.embed_all(bag())));
+        assert_eq!(cached.cached_words(), 2 + 23);
+        assert_eq!(cached.embed_all([]), vec![0.0; 16]);
     }
 }
 
@@ -109,6 +116,38 @@ impl<E: WordEmbedder> WordEmbedder for CachedEmbedder<'_, E> {
         let v = self.inner.embed(word);
         self.cache.borrow_mut().insert(word.to_string(), v.clone());
         v
+    }
+
+    /// The trait's `normalize(mean_vector(..))` accumulated straight
+    /// from borrowed cache entries — the same additions in the same
+    /// order, so the same bits, without cloning a vector per word.
+    fn embed_all<'a, I: IntoIterator<Item = &'a str>>(&self, words: I) -> Vec<f64> {
+        let mut cache = self.cache.borrow_mut();
+        let mut sum = vec![0.0; self.dim()];
+        let mut n = 0usize;
+        let mut add = |v: &[f64]| {
+            assert_eq!(v.len(), sum.len(), "dimension mismatch");
+            for (s, x) in sum.iter_mut().zip(v) {
+                *s += x;
+            }
+            n += 1;
+        };
+        for word in words {
+            if let Some(v) = cache.get(word) {
+                add(v);
+            } else {
+                let v = self.inner.embed(word);
+                add(&v);
+                cache.insert(word.to_string(), v);
+            }
+        }
+        if n == 0 {
+            return sum;
+        }
+        for s in &mut sum {
+            *s /= n as f64;
+        }
+        normalize(sum)
     }
 }
 

@@ -6,7 +6,8 @@
 //!   q = 4);
 //! * [`tokenize`] — value tokenization: a value is a *document*, split
 //!   into *parts* at punctuation, parts into lowercase words;
-//! * [`histogram`] — token-occurrence histograms with the
+//! * [`histogram`] — the per-column token interner: occurrence
+//!   counts plus the extent as token ids, with the
 //!   frequent/infrequent split that feeds the value tset (**V**) and
 //!   the embedding token selection (**E**);
 //! * [`regex_format`] — format-describing pattern strings over the

@@ -8,11 +8,16 @@
 /// preserved inside parts (words are extracted later); empty parts
 /// are dropped.
 pub fn parts(value: &str) -> Vec<&str> {
+    part_iter(value).collect()
+}
+
+/// [`parts`] without the `Vec`: the profiling pass walks a value's
+/// parts once and keeps none of them.
+pub(crate) fn part_iter(value: &str) -> impl Iterator<Item = &str> {
     value
         .split(|c: char| c.is_ascii_punctuation())
         .map(str::trim)
         .filter(|p| !p.is_empty())
-        .collect()
 }
 
 /// Split a part into lowercase words at whitespace.

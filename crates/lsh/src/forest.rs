@@ -16,16 +16,18 @@
 //! chasing a heap pointer per entry, and candidate ids come out of a
 //! contiguous `&[ItemId]` slice.
 //!
-//! Construction is a two-phase builder: [`LshForest::insert`] appends
-//! to the per-tree arenas, and an explicit [`LshForest::commit`] (or
-//! [`LshForest::commit_parallel`]) sorts them. All query methods take
-//! `&self` and require a committed forest, so a built forest can be
-//! shared lock-free across query workers. [`LshForest::build_from`]
-//! bulk-builds a forest from an item list, parallelizing label
-//! generation and tree sorting across trees; because each sorted tree
-//! array is a total order over `(label, item)` pairs, the committed
-//! forest is byte-identical for every insertion order and thread
-//! count.
+//! Construction is a two-phase builder: [`LshForest::insert_with`]
+//! reserves an arena slot, lets the hasher sign straight into it and
+//! appends the labels read back from the slot to the per-tree arenas
+//! ([`LshForest::insert`] is the same for an already-built
+//! signature); an explicit [`LshForest::commit`] (or
+//! [`LshForest::commit_parallel`]) sorts the trees. All query methods
+//! take `&self` and require a committed forest, so a built forest can
+//! be shared lock-free across query workers. A bulk build fills one
+//! forest per worker and joins them with [`LshForest::append`];
+//! because each sorted tree array is a total order over
+//! `(label, item)` pairs, the committed forest is byte-identical for
+//! every insertion order, worker count and thread count.
 
 use serde::{Deserialize, Serialize};
 
@@ -340,42 +342,93 @@ impl<S: Signature> LshForest<S> {
     /// Insert an item. The forest must be (re-)committed before the
     /// next query.
     pub fn insert(&mut self, id: ItemId, sig: S) {
-        let k = self.k;
-        for (t, tree) in self.trees.iter_mut().enumerate() {
-            tree.push_with(id, |out| {
-                write_labels::<S>(sig.words(), sig.meta(), t * k..(t + 1) * k, out)
-            });
-        }
-        self.store_signature(id, &sig);
-        self.sorted = false;
+        let words = sig.words();
+        self.insert_with(id, (words.len(), sig.meta()), |slot| {
+            slot.copy_from_slice(words)
+        });
     }
 
-    /// Write a signature's words into the arena — new ids append a
-    /// slot; re-inserted ids overwrite theirs in place. Panics when
-    /// the signature's shape differs from what the forest stores (one
-    /// forest holds one hasher's output).
-    fn store_signature(&mut self, id: ItemId, sig: &S) {
-        let words = sig.words();
+    /// Insert an item whose signature `fill` writes straight into its
+    /// arena slot — `shape` is the `(words, meta)` of the hasher's
+    /// output (`MinHasher::sig_shape`, `RandomProjector::sig_shape`),
+    /// and `fill` must overwrite all `words` words. New ids append a
+    /// slot; re-inserted ids overwrite theirs in place. The tree
+    /// labels are read back from the slot, so a signature is written
+    /// once and never exists outside the arena. Panics when the shape
+    /// differs from what the forest stores (one forest holds one
+    /// hasher's output). The forest must be (re-)committed before the
+    /// next query.
+    pub fn insert_with(
+        &mut self,
+        id: ItemId,
+        (stride, meta): (usize, u64),
+        fill: impl FnOnce(&mut [u64]),
+    ) {
         if self.slot_ids.is_empty() {
-            self.sig_stride = words.len();
-            self.sig_meta = sig.meta();
+            self.sig_stride = stride;
+            self.sig_meta = meta;
         } else {
-            assert_eq!(words.len(), self.sig_stride, "signature shape mismatch");
-            debug_assert_eq!(sig.meta(), self.sig_meta, "signature shape mismatch");
+            assert_eq!(stride, self.sig_stride, "signature shape mismatch");
+            debug_assert_eq!(meta, self.sig_meta, "signature shape mismatch");
         }
-        match self.slot_of.get(&id) {
-            Some(&slot) => {
-                let s = slot as usize * self.sig_stride;
-                self.sig_words[s..s + self.sig_stride].copy_from_slice(words);
-            }
+        let slot = match self.slot_of.get(&id) {
+            Some(&slot) => slot as usize,
             None => {
                 let slot = self.slot_ids.len();
                 assert!(slot <= u32::MAX as usize, "forest too large for u32 slots");
                 self.slot_of.insert(id, slot as u32);
                 self.slot_ids.push(id);
-                self.sig_words.extend_from_slice(words);
+                self.sig_words.resize((slot + 1) * stride, 0);
+                slot
             }
+        };
+        let words = &mut self.sig_words[slot * stride..(slot + 1) * stride];
+        fill(words);
+        let k = self.k;
+        for (t, tree) in self.trees.iter_mut().enumerate() {
+            tree.push_with(id, |out| {
+                write_labels::<S>(words, meta, t * k..(t + 1) * k, out)
+            });
         }
+        self.sorted = false;
+    }
+
+    /// Move every item of `other` — a forest of the same shape over a
+    /// disjoint id set — into this one: arenas and tree arrays are
+    /// appended whole, nothing is re-signed or re-labelled. This is
+    /// how the index build joins its workers' forests; commit
+    /// afterwards.
+    pub fn append(&mut self, other: LshForest<S>) {
+        assert_eq!(self.shape(), other.shape(), "forests must share one shape");
+        if other.slot_ids.is_empty() {
+            return;
+        }
+        if self.slot_ids.is_empty() {
+            // Nothing to append to: take the arenas as they are.
+            *self = other;
+            return;
+        }
+        assert_eq!(
+            (self.sig_stride, self.sig_meta),
+            (other.sig_stride, other.sig_meta),
+            "signature shape mismatch"
+        );
+        let base = self.slot_ids.len();
+        assert!(
+            base + other.slot_ids.len() <= u32::MAX as usize,
+            "forest too large for u32 slots"
+        );
+        for (i, &id) in other.slot_ids.iter().enumerate() {
+            let clash = self.slot_of.insert(id, (base + i) as u32);
+            assert!(clash.is_none(), "appended forests must hold disjoint ids");
+        }
+        self.slot_ids.extend_from_slice(&other.slot_ids);
+        self.sig_words.extend_from_slice(&other.sig_words);
+        for (tree, more) in self.trees.iter_mut().zip(&other.trees) {
+            tree.labels.extend_from_slice(&more.labels);
+            tree.ids.extend_from_slice(&more.ids);
+        }
+        self.sorted = false;
     }
 
     /// Arena words of slot `s`.
@@ -811,68 +864,6 @@ pub fn query_union<S: Signature>(forests: &[&LshForest<S>], sig: &S, k: usize) -
     top_k(hits, k)
 }
 
-impl<S: Signature + Send + Sync> LshForest<S> {
-    /// Bulk-build a committed forest from `(item, signature)` pairs.
-    ///
-    /// The indexing fast path: per-tree label arenas are generated and
-    /// sorted tree-major — fanned out over up to `threads` scoped
-    /// workers — instead of item-major `insert` calls followed by a
-    /// sequential sort. Each tree's sorted array is a total order over
-    /// `(label, item)` pairs, so the result is byte-identical to
-    /// insert-then-commit at every thread count and item order.
-    pub fn build_from(sig_len: usize, l: usize, items: Vec<(ItemId, S)>, threads: usize) -> Self {
-        let mut forest = LshForest::new(sig_len, l);
-        let stride = items.first().map_or(0, |(_, sig)| sig.words().len());
-        let threads = threads.clamp(1, forest.l);
-        // Bulk construction knows its size: growing a 20 MB arena by
-        // doubling copies it several times over and leaves up to half
-        // of the last doubling unused.
-        forest.sig_words.reserve_exact(items.len() * stride);
-        forest.slot_ids.reserve_exact(items.len());
-        forest.slot_of.reserve(items.len());
-        if threads == 1 {
-            for tree in &mut forest.trees {
-                tree.reserve(items.len());
-            }
-            for (id, sig) in items {
-                forest.insert(id, sig);
-            }
-            forest.commit();
-            return forest;
-        }
-        let (k, chunk) = (forest.k, forest.l.div_ceil(threads));
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let items = &items;
-            let mut t0 = 0usize;
-            for batch in forest.trees.chunks_mut(chunk) {
-                let start = t0;
-                t0 += batch.len();
-                handles.push(scope.spawn(move || {
-                    for (off, tree) in batch.iter_mut().enumerate() {
-                        let t = start + off;
-                        tree.reserve(items.len());
-                        for (id, sig) in items {
-                            tree.push_with(*id, |out| {
-                                write_labels::<S>(sig.words(), sig.meta(), t * k..(t + 1) * k, out)
-                            });
-                        }
-                        tree.sort();
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().expect("forest build worker panicked");
-            }
-        });
-        for (id, sig) in &items {
-            forest.store_signature(*id, sig);
-        }
-        forest.sorted = true;
-        forest
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1023,29 +1014,64 @@ mod tests {
         assert!(f.is_committed());
     }
 
-    /// `build_from` must equal insert-then-commit byte for byte, at
-    /// every thread count and under item-order permutations.
+    /// Signing into the arena slot, and joining per-worker forests
+    /// with `append`, must both equal insert-then-commit byte for
+    /// byte, at every worker count.
     #[test]
-    fn build_from_matches_incremental_inserts() {
+    fn insert_with_and_append_match_incremental_inserts() {
         let mh = MinHasher::new(128, 3);
-        let items: Vec<(u64, MinHashSignature)> = (0..20)
-            .map(|i| (i, sign(&mh, &tokens("t", i as usize..i as usize + 30))))
+        let sets: Vec<(u64, crate::TokenSet)> = (0..20)
+            .map(|i| {
+                let toks = tokens("t", i as usize..i as usize + 30);
+                (
+                    i,
+                    crate::TokenSet::from_strs(toks.iter().map(String::as_str)),
+                )
+            })
             .collect();
         let mut incremental = LshForest::new(128, 8);
-        for (id, sig) in &items {
-            incremental.insert(*id, sig.clone());
+        for (id, set) in &sets {
+            incremental.insert(*id, mh.sign_token_set(set));
         }
         incremental.commit();
         let q = sign(&mh, &tokens("t", 5..35));
-        for threads in [1usize, 2, 8] {
-            let mut shuffled = items.clone();
-            shuffled.rotate_left(threads); // different insertion order
-            let bulk = LshForest::build_from(128, 8, shuffled, threads);
-            assert!(bulk.is_committed());
-            assert_eq!(bulk.len(), incremental.len());
-            assert_eq!(bulk.trees, incremental.trees, "trees @{threads} threads");
-            assert_eq!(bulk.query(&q, 5), incremental.query(&q, 5));
+        for workers in [1usize, 2, 3, 20] {
+            let mut joined: LshForest<MinHashSignature> = LshForest::new(128, 8);
+            for batch in sets.chunks(sets.len().div_ceil(workers)) {
+                let mut part = LshForest::new(128, 8);
+                for (id, set) in batch {
+                    part.insert_with(*id, mh.sig_shape(), |slot| {
+                        mh.sign_into(set.as_slice(), slot)
+                    });
+                }
+                joined.append(part);
+            }
+            assert!(!joined.is_committed());
+            joined.commit_parallel(workers);
+            assert_eq!(joined.len(), incremental.len());
+            assert_eq!(joined.trees, incremental.trees, "trees @{workers} workers");
+            assert_eq!(
+                joined.arena(),
+                incremental.arena(),
+                "arena @{workers} workers"
+            );
+            assert_eq!(joined.query(&q, 5), incremental.query(&q, 5));
         }
+        // Appending an empty forest changes nothing, not even the
+        // committed flag.
+        incremental.append(LshForest::new(128, 8));
+        assert!(incremental.is_committed());
+    }
+
+    #[test]
+    #[should_panic(expected = "disjoint ids")]
+    fn append_rejects_a_shared_id() {
+        let mh = MinHasher::new(64, 5);
+        let mut a = LshForest::new(64, 8);
+        let mut b = LshForest::new(64, 8);
+        a.insert(7, sign(&mh, &tokens("a", 0..5)));
+        b.insert(7, sign(&mh, &tokens("b", 0..5)));
+        a.append(b);
     }
 
     #[test]

@@ -98,7 +98,24 @@ impl MinHasher {
         self.sign_hashed(tokens.as_slice())
     }
 
-    /// Signature of a slice of pre-hashed tokens.
+    /// Signature of a slice of pre-hashed tokens: allocate, then
+    /// [`MinHasher::sign_into`].
+    pub fn sign_hashed(&self, hashes: &[u64]) -> MinHashSignature {
+        let mut sig = vec![0u64; self.family.len()];
+        self.sign_into(hashes, &mut sig);
+        MinHashSignature(sig)
+    }
+
+    /// `(words, meta)` of every signature this hasher writes — the
+    /// shape [`crate::forest::LshForest::insert_with`] reserves a
+    /// slot of.
+    pub fn sig_shape(&self) -> (usize, u64) {
+        (self.family.len(), 0)
+    }
+
+    /// Write the signature of a slice of pre-hashed tokens into `out`
+    /// (exactly `num_perm` words) — the index build signs straight
+    /// into a forest's signature arena through this.
     ///
     /// Produces bit-identical output to the historical per-token ×
     /// per-permutation formulation (`min_x splitmix64(a_i·x + b_i)`),
@@ -116,9 +133,9 @@ impl MinHasher {
     /// mix/compare work runs as packed vector lanes instead of one
     /// serial chain (fixed-width windows are what the auto-vectorizer
     /// recognizes; manual `i`, `i + 1`, … indexing is not).
-    pub fn sign_hashed(&self, hashes: &[u64]) -> MinHashSignature {
-        let mut sig = Vec::with_capacity(self.family.len());
-        for &(a, b) in self.family.params() {
+    pub fn sign_into(&self, hashes: &[u64], out: &mut [u64]) {
+        assert_eq!(out.len(), self.family.len(), "signature length mismatch");
+        for (slot, &(a, b)) in out.iter_mut().zip(self.family.params()) {
             let mix = |h: u64| splitmix64(a.wrapping_mul(h).wrapping_add(b));
             let mut m = [u64::MAX; 4];
             let mut ch = hashes.chunks_exact(4);
@@ -131,9 +148,8 @@ impl MinHasher {
             for &h in ch.remainder() {
                 min = min.min(mix(h));
             }
-            sig.push(min);
+            *slot = min;
         }
-        MinHashSignature(sig)
     }
 }
 
@@ -216,6 +232,40 @@ mod tests {
         assert_eq!(by_strs, by_set);
         // And empty sets through both paths.
         assert_eq!(mh.sign_strs([]), mh.sign_token_set(&TokenSet::new()));
+    }
+
+    /// `sign_into` overwrites a dirty slot with exactly the signature
+    /// `sign_hashed` returns, which is the per-token × per-permutation
+    /// definition, on random token sets of every tail length.
+    #[test]
+    fn sign_into_matches_sign_hashed_and_the_definition() {
+        let mh = MinHasher::new(48, 13);
+        let mut state = 0x5eed_u64;
+        for n in (0..40).chain([255, 1000]) {
+            let hashes: Vec<u64> = (0..n)
+                .map(|_| {
+                    state = splitmix64(state);
+                    state
+                })
+                .collect();
+            let mut slot = vec![0xdead_beef_u64; 48];
+            mh.sign_into(&hashes, &mut slot);
+            assert_eq!(slot, mh.sign_hashed(&hashes).0, "{n} tokens");
+            let naive: Vec<u64> = mh
+                .family
+                .params()
+                .iter()
+                .map(|&(a, b)| {
+                    hashes
+                        .iter()
+                        .map(|&h| splitmix64(a.wrapping_mul(h).wrapping_add(b)))
+                        .min()
+                        .unwrap_or(u64::MAX)
+                })
+                .collect();
+            assert_eq!(slot, naive, "{n} tokens");
+        }
+        assert_eq!(mh.sig_shape(), (48, 0));
     }
 
     #[test]

@@ -147,18 +147,41 @@ impl RandomProjector {
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
-    /// Sign a dense vector. Panics if the dimension differs from the
-    /// projector's.
+    /// Sign a dense vector: allocate, then
+    /// [`RandomProjector::sign_into`].
+    pub fn sign(&self, v: &[f64]) -> BitSignature {
+        let mut bits = vec![0u64; self.nbits.div_ceil(64)];
+        self.sign_into(v, &mut bits);
+        BitSignature {
+            bits,
+            nbits: self.nbits,
+        }
+    }
+
+    /// `(words, meta)` of every signature this projector writes — the
+    /// shape [`crate::forest::LshForest::insert_with`] reserves a
+    /// slot of.
+    pub fn sig_shape(&self) -> (usize, u64) {
+        (self.nbits.div_ceil(64), self.nbits as u64)
+    }
+
+    /// Write the packed bit signature of a dense vector into `out`
+    /// (exactly `nbits.div_ceil(64)` words, overwritten). Panics if
+    /// the dimension differs from the projector's.
     /// The per-plane dot runs four independent accumulators over
     /// coordinate lanes `i % 4`, folded in the fixed order
     /// `((d0 + d1) + (d2 + d3)) + tail` — the same documented
     /// summation order as `d3l-embedding`'s dot/norm kernel, so
     /// signatures are a deterministic function of the input vector at
     /// every thread and shard count.
-    pub fn sign(&self, v: &[f64]) -> BitSignature {
+    pub fn sign_into(&self, v: &[f64], out: &mut [u64]) {
         assert_eq!(v.len(), self.dim, "vector dimension mismatch");
-        let words = self.nbits.div_ceil(64);
-        let mut bits = vec![0u64; words];
+        assert_eq!(
+            out.len(),
+            self.nbits.div_ceil(64),
+            "signature length mismatch"
+        );
+        out.fill(0);
         for plane in 0..self.nbits {
             let row = &self.planes[plane * self.dim..(plane + 1) * self.dim];
             // Same fixed summation order as `vecmath::dot_norms`:
@@ -178,12 +201,8 @@ impl RandomProjector {
                 dot += r * x;
             }
             if dot >= 0.0 {
-                bits[plane / 64] |= 1 << (plane % 64);
+                out[plane / 64] |= 1 << (plane % 64);
             }
-        }
-        BitSignature {
-            bits,
-            nbits: self.nbits,
         }
     }
 }
@@ -264,6 +283,33 @@ mod tests {
         assert!(exact_cosine(&[0.0, 0.0], &[1.0, 0.0]).abs() < 1e-12);
         // negative cosine clamps to 0
         assert!(exact_cosine(&[1.0], &[-1.0]).abs() < 1e-12);
+    }
+
+    /// `sign_into` overwrites a dirty slot with exactly the words
+    /// `sign` returns, on random vectors (zero vector included) and a
+    /// bit count that does not fill its last word.
+    #[test]
+    fn sign_into_matches_sign() {
+        let rp = RandomProjector::new(7, 70, 21);
+        assert_eq!(rp.sig_shape(), (2, 70));
+        let mut state = 0xfeed_u64;
+        for case in 0..64 {
+            let v: Vec<f64> = (0..7)
+                .map(|_| {
+                    state = splitmix64(state);
+                    if case == 0 {
+                        0.0
+                    } else {
+                        (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+                    }
+                })
+                .collect();
+            let mut slot = vec![u64::MAX; 2];
+            rp.sign_into(&v, &mut slot);
+            let sig = rp.sign(&v);
+            assert_eq!(slot, sig.words(), "case {case}");
+            assert_eq!(slot[1] >> 6, 0, "bits past nbits stay clear");
+        }
     }
 
     #[test]

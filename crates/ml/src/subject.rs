@@ -39,10 +39,10 @@ pub fn subject_features(table: &Table, idx: usize) -> [f64; SUBJECT_FEATURES] {
     } else {
         0.0
     };
-    let distinct = col.distinct_ratio();
-    let fill = 1.0 - col.null_ratio();
-    let avg_len = (col.avg_len() / 20.0).min(1.0);
-    [leftness, non_numeric, distinct, fill, avg_len]
+    let cells = col.cell_stats();
+    let fill = 1.0 - cells.null_ratio();
+    let avg_len = (cells.avg_len() / 20.0).min(1.0);
+    [leftness, non_numeric, cells.distinct_ratio(), fill, avg_len]
 }
 
 /// A trained (or default) subject-attribute classifier.
@@ -102,9 +102,13 @@ impl Default for SubjectClassifier {
 }
 
 /// Convenience: subject attribute with the default classifier —
-/// `get_subject_attribute(T)` in Algorithm 2.
+/// `get_subject_attribute(T)` in Algorithm 2. The model is built once
+/// per process, not per table.
 pub fn subject_attribute(table: &Table) -> Option<usize> {
-    SubjectClassifier::default_model().subject_of(table)
+    static DEFAULT: std::sync::OnceLock<SubjectClassifier> = std::sync::OnceLock::new();
+    DEFAULT
+        .get_or_init(SubjectClassifier::default_model)
+        .subject_of(table)
 }
 
 #[cfg(test)]

@@ -39,6 +39,49 @@ pub struct Column {
     ty: ColumnType,
 }
 
+/// What [`Column::cell_stats`] counts in its one pass; the ratios are
+/// derived from the counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellStats {
+    /// Rows, nulls included.
+    pub rows: usize,
+    /// Non-null (non-empty after trim) cells.
+    pub non_null: usize,
+    /// Distinct non-null cell values.
+    pub distinct: usize,
+    /// Total character length of the non-null cells.
+    pub chars: usize,
+}
+
+impl CellStats {
+    /// Fraction of cells that are null; 0 for an empty column.
+    pub fn null_ratio(&self) -> f64 {
+        if self.rows == 0 {
+            0.0
+        } else {
+            (self.rows - self.non_null) as f64 / self.rows as f64
+        }
+    }
+
+    /// distinct / non-null count, in [0,1]; 0 for all-null columns.
+    pub fn distinct_ratio(&self) -> f64 {
+        if self.non_null == 0 {
+            0.0
+        } else {
+            self.distinct as f64 / self.non_null as f64
+        }
+    }
+
+    /// Mean character length of non-null cells.
+    pub fn avg_len(&self) -> f64 {
+        if self.non_null == 0 {
+            0.0
+        } else {
+            self.chars as f64 / self.non_null as f64
+        }
+    }
+}
+
 impl Column {
     /// Build a column, inferring its type from the supplied cells.
     pub fn new(name: impl Into<String>, values: Vec<String>) -> Self {
@@ -94,6 +137,26 @@ impl Column {
             .filter(|v| !v.trim().is_empty())
     }
 
+    /// Null count, distinct count and total length of the cells, in
+    /// one pass over the column.
+    pub fn cell_stats(&self) -> CellStats {
+        let mut distinct: std::collections::HashSet<&str> =
+            std::collections::HashSet::with_capacity(self.values.len());
+        let mut chars = 0usize;
+        let mut non_null = 0usize;
+        for v in self.non_null() {
+            non_null += 1;
+            chars += v.chars().count();
+            distinct.insert(v);
+        }
+        CellStats {
+            rows: self.values.len(),
+            non_null,
+            distinct: distinct.len(),
+            chars,
+        }
+    }
+
     /// Count of null cells.
     pub fn null_count(&self) -> usize {
         self.values.iter().filter(|v| v.trim().is_empty()).count()
@@ -110,36 +173,17 @@ impl Column {
 
     /// Number of distinct non-null cell values.
     pub fn distinct_count(&self) -> usize {
-        let mut set: std::collections::HashSet<&str> = std::collections::HashSet::new();
-        for v in self.non_null() {
-            set.insert(v);
-        }
-        set.len()
+        self.cell_stats().distinct
     }
 
     /// distinct / non-null count, in [0,1]; 0 for all-null columns.
     pub fn distinct_ratio(&self) -> f64 {
-        let non_null = self.values.len() - self.null_count();
-        if non_null == 0 {
-            0.0
-        } else {
-            self.distinct_count() as f64 / non_null as f64
-        }
+        self.cell_stats().distinct_ratio()
     }
 
     /// Mean character length of non-null cells.
     pub fn avg_len(&self) -> f64 {
-        let mut n = 0usize;
-        let mut total = 0usize;
-        for v in self.non_null() {
-            n += 1;
-            total += v.chars().count();
-        }
-        if n == 0 {
-            0.0
-        } else {
-            total as f64 / n as f64
-        }
+        self.cell_stats().avg_len()
     }
 
     /// Parse the extent as numbers (for D-relatedness). Non-numeric
@@ -193,6 +237,20 @@ mod tests {
         assert!((c.null_ratio() - 0.4).abs() < 1e-12);
         assert_eq!(c.distinct_count(), 2);
         assert!((c.distinct_ratio() - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(
+            c.cell_stats(),
+            CellStats {
+                rows: 5,
+                non_null: 3,
+                distinct: 2,
+                chars: 3
+            }
+        );
+        let empty = col(&[]).cell_stats();
+        assert_eq!(
+            (empty.null_ratio(), empty.distinct_ratio(), empty.avg_len()),
+            (0.0, 0.0, 0.0)
+        );
     }
 
     #[test]

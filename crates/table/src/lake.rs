@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::csv;
 use crate::error::TableError;
@@ -101,23 +101,11 @@ impl DataLake {
     }
 
     /// Load every `*.csv` file in a directory (non-recursive) as a
-    /// table named after the file stem.
+    /// table named after the file stem, in [`csv_files`] order.
     pub fn load_dir(path: impl AsRef<Path>) -> Result<Self, TableError> {
         let mut lake = DataLake::new();
-        let mut entries: Vec<_> = std::fs::read_dir(path)?
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "csv"))
-            .collect();
-        entries.sort();
-        for p in entries {
-            let text = std::fs::read_to_string(&p)?;
-            let name = p
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "unnamed".to_string());
-            lake.add(csv::parse_csv(name, &text)?)?;
+        for p in csv_files(path)? {
+            lake.add(load_csv(&p)?)?;
         }
         Ok(lake)
     }
@@ -133,6 +121,32 @@ impl DataLake {
         }
         Ok(())
     }
+}
+
+/// The `*.csv` files of a directory (non-recursive), sorted by path —
+/// the order [`DataLake::load_dir`] assigns table ids in.
+pub fn csv_files(dir: impl AsRef<Path>) -> Result<Vec<PathBuf>, TableError> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)?
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|e| e == "csv"))
+        .collect();
+    files.sort();
+    Ok(files)
+}
+
+/// The table name a CSV file loads under: its file stem.
+pub fn table_name_of(path: &Path) -> String {
+    path.file_stem()
+        .map(|s| s.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "unnamed".to_string())
+}
+
+/// Read and parse one CSV file as a table named after its file stem.
+pub fn load_csv(path: &Path) -> Result<Table, TableError> {
+    let text = std::fs::read_to_string(path)?;
+    csv::parse_csv(table_name_of(path), &text)
 }
 
 #[cfg(test)]

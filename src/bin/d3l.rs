@@ -100,10 +100,8 @@ fn load_engine(
             Ok(snap.engine.clone())
         }
         (Some(dir), None) => {
-            eprintln!("loading lake from {dir} ...");
-            let lake = DataLake::load_dir(dir)?;
-            eprintln!("indexing {} tables ...", lake.len());
-            Ok(ShardedD3l::index_lake(&lake, D3lConfig::default()))
+            eprintln!("indexing the lake in {dir} ...");
+            Ok(ShardedD3l::index_dir(dir, D3lConfig::default())?)
         }
         (Some(_), Some(_)) => Err("give either a lake directory or --index, not both".into()),
         (None, None) => Err("missing lake directory (or --index <index-dir>)".into()),
@@ -131,19 +129,17 @@ fn cmd_index(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let dir = dir.ok_or("missing lake directory")?;
     let out = out.ok_or("missing --out <index-dir>")?;
 
-    eprintln!("loading lake from {dir} ...");
-    let lake = DataLake::load_dir(&dir)?;
-    eprintln!("indexing {} tables ...", lake.len());
+    eprintln!("indexing the lake in {dir} ...");
     let build_start = Instant::now();
     let cfg = D3lConfig {
         shards,
         ..Default::default()
     };
-    let engine = ShardedD3l::index_lake(&lake, cfg);
+    // Streamed: each table is read, parsed, indexed and dropped in
+    // turn, and nothing is created under `out` unless all of them
+    // load.
+    let engine = ShardedD3l::index_dir(&dir, cfg)?;
     let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
-    // The engine keeps profiles, not cells: the parsed lake is dead
-    // weight from here on.
-    drop(lake);
     let save_start = Instant::now();
     let tables = engine.table_count();
     // The shard count rides in every shard's config, so `d3l serve`
@@ -164,12 +160,7 @@ fn cmd_add(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         return Err("usage: d3l add <index-dir> <table.csv>".into());
     };
     let engine = EngineHandle::open(index_dir)?;
-    let text = std::fs::read_to_string(table_path)?;
-    let name = std::path::Path::new(table_path)
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "unnamed".to_string());
-    let table = csv::parse_csv(name, &text)?;
+    let table = d3l::table::lake::load_csv(std::path::Path::new(table_path))?;
     let start = Instant::now();
     let (id, snap) = engine.add_table(&table)?;
     let shard = snap.engine.shard_of(table.name());

@@ -206,6 +206,26 @@ fn index_persists_and_query_cold_starts_from_it() {
 }
 
 #[test]
+fn index_of_a_lake_with_a_bad_csv_leaves_no_index_directory() {
+    let lake = TempLake::create("bad_csv");
+    let index_dir = format!("{}_index", lake.dir());
+    std::fs::write(lake.dir.join("broken.csv"), "a,b\n\"unterminated").unwrap();
+    for shards in ["1", "2"] {
+        let out = d3l_cmd(&["index", lake.dir(), "--out", &index_dir, "--shards", shards]);
+        assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout_of(&out));
+        assert!(
+            stderr_of(&out).contains("error: csv parse error"),
+            "must name the parse error: {}",
+            stderr_of(&out)
+        );
+        assert!(
+            !std::path::Path::new(&index_dir).exists(),
+            "a failed build must not leave a partial index"
+        );
+    }
+}
+
+#[test]
 fn add_remove_compact_maintain_the_index() {
     let lake = TempLake::create("store_maint");
     let index_dir = format!("{}_index", lake.dir());

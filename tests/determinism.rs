@@ -717,6 +717,98 @@ fn index_build_is_thread_count_invariant() {
     }
 }
 
+/// The small dirty lake of the two tests below: `benchgen`'s dirty
+/// derivation at seed 11, drawn as the benchmark's `build-dirty2k`
+/// lake is.
+fn dirty_lake(tables: usize) -> DataLake {
+    benchgen::derive::derive(&benchgen::DeriveConfig {
+        tables,
+        base_rows: 60,
+        seed: 11,
+        dirty: Some(benchgen::DirtConfig::default()),
+        row_keep: (0.15, 0.5),
+        ..Default::default()
+    })
+    .lake
+}
+
+/// The index of a fixed lake is pinned to the bytes the parent of the
+/// one-pass profiler (commit 498514b: three-pass profiling, owned
+/// signatures through `build_from`) wrote for it. Profiling and
+/// signing may get faster; what they produce may not move.
+#[test]
+fn dirty_lake_snapshot_checksum_is_pinned() {
+    let lake = dirty_lake(40);
+    assert_eq!(lake.total_attributes(), 178);
+    let bytes = D3l::index_lake(&lake, D3lConfig::default()).to_snapshot_bytes();
+    assert_eq!(bytes.len(), 1_129_460);
+    assert_eq!(d3l::store::checksum(&bytes), 0x87fd_e201_fea9_baa8);
+}
+
+/// There is one build path: streaming a lake directory, indexing the
+/// loaded lake, and adding its tables one by one to an empty store and
+/// compacting all leave the same snapshot bytes in every shard, at
+/// index threads {1, 2, 8} × shards {1, 2}.
+#[test]
+fn every_build_path_writes_the_same_bytes() {
+    use d3l::core::hotswap::EngineHandle;
+
+    let root = std::env::temp_dir().join(format!("d3l_build_paths_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let lake_dir = root.join("lake");
+    dirty_lake(24).save_dir(&lake_dir).unwrap();
+    // Ids follow file order, and cells are what the CSV reader hands
+    // back: the loaded lake is the reference, not the generated one.
+    let lake = DataLake::load_dir(&lake_dir).unwrap();
+    assert_eq!(lake.len(), 24);
+
+    let shard_bytes = |engine: &ShardedD3l| -> Vec<Vec<u8>> {
+        engine
+            .shards()
+            .iter()
+            .map(|s| s.to_snapshot_bytes())
+            .collect()
+    };
+    for index_threads in THREAD_COUNTS {
+        for shards in [1usize, 2] {
+            let ctx = format!("@{index_threads} index threads / {shards} shards");
+            let cfg = D3lConfig {
+                index_threads,
+                shards,
+                ..D3lConfig::fast()
+            };
+            let from_lake = shard_bytes(&ShardedD3l::index_lake(&lake, cfg.clone()));
+            assert_eq!(from_lake.len(), shards);
+
+            let streamed = ShardedD3l::index_dir(&lake_dir, cfg.clone()).unwrap();
+            assert!(
+                shard_bytes(&streamed) == from_lake,
+                "streamed directory build differs {ctx}"
+            );
+
+            let store_dir = root.join(format!("store_{index_threads}_{shards}"));
+            let handle =
+                EngineHandle::create(&store_dir, ShardedD3l::index_lake(&DataLake::new(), cfg))
+                    .unwrap();
+            for (_, table) in lake.iter() {
+                handle.add_table(table).unwrap();
+            }
+            assert!(handle.compact().unwrap() > 0, "adds left segments");
+            assert!(
+                shard_bytes(&handle.snapshot().engine) == from_lake,
+                "one-by-one build differs {ctx}"
+            );
+            drop(handle);
+            let reopened = EngineHandle::open(&store_dir).unwrap();
+            assert!(
+                shard_bytes(&reopened.snapshot().engine) == from_lake,
+                "reopened one-by-one build differs {ctx}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
 /// Continuous ingestion is deterministic: two watchers fed the same
 /// sequence of file adds, overwrites and deletes (with identical poll
 /// interleavings) produce byte-identical engines, and reopening

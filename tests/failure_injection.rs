@@ -30,6 +30,73 @@ fn loading_missing_directory_errors() {
     ));
 }
 
+/// A lake directory with a file that cannot be parsed or read fails
+/// the streamed build with exactly the error loading the directory
+/// fails with — the one of the first bad file in id order, whatever
+/// the worker count — and a directory that stops existing is an I/O
+/// error, not a panic.
+#[test]
+fn streamed_build_reports_the_error_load_dir_reports() {
+    let root = std::env::temp_dir().join(format!("d3l_stream_fail_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    type Bad = (&'static str, &'static [u8]);
+    let cases: [(&str, &[Bad]); 4] = [
+        ("malformed", &[("m.csv", b"a,b\n\"unterminated")]),
+        ("ragged", &[("m.csv", b"a,b\n1\n")]),
+        ("unreadable", &[("m.csv", b"a,b\n\xff\xfe,1\n")]),
+        (
+            "first of two",
+            &[("c.csv", b"a,b\n1\n"), ("x.csv", b"a\n\"open")],
+        ),
+    ];
+    for (what, bad) in cases {
+        let dir = root.join(what.replace(' ', "_"));
+        std::fs::create_dir_all(&dir).unwrap();
+        for i in 0..12 {
+            let name = format!("{}.csv", (b'a' + 2 * i) as char);
+            std::fs::write(dir.join(name), format!("Practice,City\np{i},Salford\n")).unwrap();
+        }
+        assert!(D3l::index_dir(&dir, D3lConfig::fast()).is_ok());
+        for (name, bytes) in bad {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        let want = DataLake::load_dir(&dir).unwrap_err();
+        for index_threads in [1usize, 2, 8] {
+            let cfg = D3lConfig {
+                index_threads,
+                ..D3lConfig::fast()
+            };
+            let got = D3l::index_dir(&dir, cfg.clone()).unwrap_err();
+            assert_eq!(
+                std::mem::discriminant(&got),
+                std::mem::discriminant(&want),
+                "{what} @{index_threads}: {got} vs {want}"
+            );
+            assert_eq!(got.to_string(), want.to_string(), "{what} @{index_threads}");
+            assert!(ShardedD3l::index_dir(&dir, cfg).is_err());
+        }
+    }
+    // Two file names that are one table name once made printable.
+    #[cfg(unix)]
+    {
+        use std::os::unix::ffi::OsStrExt;
+        let dir = root.join("twice");
+        std::fs::create_dir_all(&dir).unwrap();
+        for raw in [&b"\xff.csv"[..], &b"\xfe.csv"[..]] {
+            std::fs::write(dir.join(std::ffi::OsStr::from_bytes(raw)), "a\n1\n").unwrap();
+        }
+        let want = DataLake::load_dir(&dir).unwrap_err();
+        let got = D3l::index_dir(&dir, D3lConfig::fast()).unwrap_err();
+        assert!(matches!(got, TableError::DuplicateTable(_)), "{got}");
+        assert_eq!(got.to_string(), want.to_string());
+    }
+    std::fs::remove_dir_all(&root).ok();
+    assert!(matches!(
+        D3l::index_dir(&root, D3lConfig::fast()),
+        Err(TableError::Io(_))
+    ));
+}
+
 #[test]
 fn empty_lake_answers_empty() {
     let d3l = D3l::index_lake(&DataLake::new(), D3lConfig::fast());
