@@ -87,8 +87,9 @@ pub(crate) struct AttrSignatures {
 
 /// Borrowed view of one attribute's stored signatures as raw arena
 /// word slices — the stage-2 scoring hot path resolves every
-/// candidate through this instead of cloning ~6 KB of signature data
-/// per scored pair ([`D3l::stored_signatures`] stays for the cold
+/// candidate through this instead of cloning ~3 KB of signature data
+/// per scored pair (three packed MinHash signatures of 1 KB and a
+/// 32-byte bit signature; [`D3l::stored_signatures`] stays for the cold
 /// paths that need ownership). The target side of a scored pair is
 /// always an owned signature, so similarity runs through its
 /// `*_words` kernels directly against the forest arenas.
@@ -336,7 +337,9 @@ impl D3l {
 
     /// Incrementally index one more table (data lakes grow; Goods-style
     /// systems reindex continuously). The forests are re-committed
-    /// before returning, so queries keep taking `&self`. Returns the
+    /// before returning (each tree sorts the table's few new entries
+    /// and merges them into what is already sorted), so queries keep
+    /// taking `&self`. Returns the
     /// id the table would have in a lake extended by it; the caller
     /// keeps the authoritative lake.
     pub fn add_table(&mut self, table: &Table) -> TableId {

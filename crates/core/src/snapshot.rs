@@ -1133,11 +1133,11 @@ mod tests {
         }
     }
 
-    /// A store written by format version 1 is named as such — by
+    /// A store written by format version 1 or 2 is named as such — by
     /// `open` as by the byte-slice decoder — and nothing of it is
     /// decoded.
     #[test]
-    fn version_1_store_is_a_typed_unsupported_version() {
+    fn older_stores_are_a_typed_unsupported_version() {
         // Version 1 opened with: magic, version, kind, section count,
         // then the section table.
         let mut v1 = Encoder::new();
@@ -1146,24 +1146,27 @@ mod tests {
         v1.put_u32(KIND_SNAPSHOT);
         v1.put_u32(0);
         v1.put_raw(&[0u8; 64]);
-        let is_v1 = |err: &StoreError| {
-            matches!(
-                err,
-                StoreError::UnsupportedVersion {
-                    found: 1,
-                    supported: 2
-                }
-            )
-        };
-        let err = D3l::from_snapshot_bytes(v1.as_bytes()).unwrap_err();
-        assert!(is_v1(&err), "{err}");
-        let dir = std::env::temp_dir().join(format!("d3l_store_v1_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(BASE_FILE), v1.as_bytes()).unwrap();
-        let err = IndexStore::open(&dir).unwrap_err();
-        assert!(is_v1(&err), "{err}");
-        assert!(err.to_string().contains("re-index"), "{err}");
+        // Version 2 had today's container around forests of 64-bit
+        // MinHash values: a whole, checksummed file with that header.
+        let mut v2 = engine().to_snapshot_bytes();
+        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let dir = std::env::temp_dir().join(format!("d3l_store_old_{}", std::process::id()));
+        for (version, bytes) in [(1u32, v1.as_bytes()), (2, &v2[..])] {
+            let is_old = |err: &StoreError| {
+                matches!(
+                    err,
+                    StoreError::UnsupportedVersion { found, supported: 3 } if *found == version
+                )
+            };
+            let err = D3l::from_snapshot_bytes(bytes).unwrap_err();
+            assert!(is_old(&err), "{err}");
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(BASE_FILE), bytes).unwrap();
+            let err = IndexStore::open(&dir).unwrap_err();
+            assert!(is_old(&err), "{err}");
+            assert!(err.to_string().contains("re-index"), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

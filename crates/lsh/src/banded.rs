@@ -33,8 +33,8 @@ pub trait Signature: Clone {
     /// signature of one provenance has the same word count, and
     /// `(words, meta)` reconstructs the signature exactly.
     fn words(&self) -> &[u64];
-    /// Shape metadata the words alone cannot carry (bit count for bit
-    /// signatures; unused, `0`, for MinHash).
+    /// Shape metadata the words alone cannot carry: the position count
+    /// (bits of a bit signature, 32-bit values of a MinHash one).
     fn meta(&self) -> u64;
     /// Rebuild a signature from arena words and shape metadata.
     /// Panics when the word count does not match the metadata — arena
@@ -65,25 +65,26 @@ impl Signature for MinHashSignature {
         MinHashSignature::byte_size(self)
     }
     fn words(&self) -> &[u64] {
-        &self.0
+        MinHashSignature::words(self)
     }
     fn meta(&self) -> u64 {
-        0
+        self.len() as u64
     }
-    fn from_words(words: Vec<u64>, _meta: u64) -> Self {
-        MinHashSignature(words)
+    fn from_words(words: Vec<u64>, meta: u64) -> Self {
+        MinHashSignature::from_packed(words, meta as usize)
     }
-    fn similarity_words(&self, words: &[u64], _meta: u64) -> f64 {
+    fn similarity_words(&self, words: &[u64], meta: u64) -> f64 {
+        debug_assert_eq!(meta as usize, self.len(), "signature length mismatch");
         self.jaccard_words(words)
     }
-    fn shape_is_valid(_words: usize, meta: u64) -> bool {
-        meta == 0
+    fn shape_is_valid(words: usize, meta: u64) -> bool {
+        meta.div_ceil(2) == words as u64
     }
-    fn lsh_len_words(words: &[u64], _meta: u64) -> usize {
-        words.len()
+    fn lsh_len_words(_words: &[u64], meta: u64) -> usize {
+        meta as usize
     }
     fn lsh_hash_words(words: &[u64], _meta: u64, i: usize) -> u64 {
-        words[i]
+        u64::from(crate::minhash::position(words, i))
     }
 }
 

@@ -38,12 +38,15 @@ use crate::{top_k, Hit, ItemId};
 /// Default number of trees.
 pub const DEFAULT_TREES: usize = 16;
 
+/// Longest label [`FlatTree::sort`] reads as one integer key.
+const KEY_BYTES: usize = 16;
+
 /// One tree's sorted `(label, item)` entries in cache-flat form:
 /// entry `i`'s label occupies `labels[i*k .. (i+1)*k]` and its item id
 /// is `ids[i]`. Sorted order is lexicographic on `(label, id)`,
 /// exactly the order the historical `Vec<(Box<[u8]>, ItemId)>`
 /// representation sorted into.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FlatTree {
     /// Label stride in bytes (the tree depth).
     k: usize,
@@ -51,7 +54,22 @@ pub struct FlatTree {
     labels: Vec<u8>,
     /// Item ids, parallel to the label arena.
     ids: Vec<ItemId>,
+    /// Entries `[0, sorted_len)` are known to be in `(label, id)`
+    /// order: what [`FlatTree::sort`] left, less what was removed
+    /// since. Pushes land behind it, so a sort after a few of them
+    /// sorts those few and merges. A lower bound, not content — two
+    /// trees holding the same entries are equal whatever is known
+    /// about their order.
+    sorted_len: usize,
 }
+
+impl PartialEq for FlatTree {
+    fn eq(&self, other: &Self) -> bool {
+        (self.k, &self.labels, &self.ids) == (other.k, &other.labels, &other.ids)
+    }
+}
+
+impl Eq for FlatTree {}
 
 impl FlatTree {
     /// An empty tree with label stride `k`.
@@ -60,14 +78,24 @@ impl FlatTree {
             k,
             labels: Vec::new(),
             ids: Vec::new(),
+            sorted_len: 0,
         }
     }
 
     /// A tree over already-laid-out arenas (the snapshot decoder's
-    /// constructor). Panics unless there is one `k`-byte label per id.
+    /// constructor), its sorted prefix found by one scan. Panics
+    /// unless there is one `k`-byte label per id.
     pub fn from_parts(k: usize, labels: Vec<u8>, ids: Vec<ItemId>) -> Self {
         assert_eq!(labels.len(), ids.len() * k, "one k-byte label per id");
-        FlatTree { k, labels, ids }
+        let mut tree = FlatTree {
+            k,
+            labels,
+            ids,
+            sorted_len: 0,
+        };
+        let in_order = (1..tree.len()).take_while(|&i| tree.in_order(i)).count();
+        tree.sorted_len = (in_order + 1).min(tree.len());
+        tree
     }
 
     /// Number of entries.
@@ -134,44 +162,114 @@ impl FlatTree {
         self.ids.push(id);
     }
 
-    /// Sort entries by `(label, id)` — a permutation sort: indices are
-    /// sorted comparing arena slices, then both arrays are gathered
-    /// through the permutation in one pass. Entries are unique per
-    /// tree (one per item), so this is a total order and the result is
+    /// Sort entries by `(label, id)`. Entries are unique per tree (one
+    /// per item), so this is a total order and the result is
     /// independent of the starting arrangement.
+    ///
+    /// Only the entries pushed since the last sort are sorted; they
+    /// are then merged into the sorted prefix from the back, each one
+    /// found by binary search and the prefix entries above it moved up
+    /// as one block — a commit after one table's inserts costs a few
+    /// searches and block moves, not a sort of the tree.
     pub fn sort(&mut self) {
-        let n = self.ids.len();
-        assert!(n <= u32::MAX as usize, "tree too large for u32 permutation");
+        let (n, k, prefix) = (self.len(), self.k, self.sorted_len);
+        if prefix == n {
+            return;
+        }
+        let (tail_labels, tail_ids) = if k <= KEY_BYTES {
+            self.sorted_tail_by_key()
+        } else {
+            self.sorted_tail_by_slice()
+        };
+        self.sorted_len = n;
+        if prefix == 0 {
+            self.labels = tail_labels;
+            self.ids = tail_ids;
+            return;
+        }
+        // Prefix entries `[0, end)` are still where they were; tail
+        // entry `j` ends up `j + 1` places above the last prefix entry
+        // below it.
+        let mut end = prefix;
+        for (j, &id) in tail_ids.iter().enumerate().rev() {
+            let label = &tail_labels[j * k..(j + 1) * k];
+            let (mut lo, mut hi) = (0usize, end);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if (self.label_at(mid), self.ids[mid]) < (label, id) {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            self.ids.copy_within(lo..end, lo + j + 1);
+            self.labels.copy_within(lo * k..end * k, (lo + j + 1) * k);
+            self.ids[lo + j] = id;
+            self.labels[(lo + j) * k..(lo + j + 1) * k].copy_from_slice(label);
+            end = lo;
+        }
+    }
+
+    /// The entries behind the sorted prefix, sorted: labels of up to
+    /// [`KEY_BYTES`] bytes are read as one big-endian integer, whose
+    /// order is the byte order, so `(label, id)` pairs sort as plain
+    /// keys with no indirection.
+    fn sorted_tail_by_key(&self) -> (Vec<u8>, Vec<ItemId>) {
         let k = self.k;
-        let mut perm: Vec<u32> = (0..n as u32).collect();
+        let mut keys: Vec<(u128, ItemId)> = (self.sorted_len..self.len())
+            .map(|i| {
+                let mut be = [0u8; KEY_BYTES];
+                be[..k].copy_from_slice(self.label_at(i));
+                (u128::from_be_bytes(be), self.ids[i])
+            })
+            .collect();
+        keys.sort_unstable();
+        let mut labels = Vec::with_capacity(keys.len() * k);
+        let mut ids = Vec::with_capacity(keys.len());
+        for (key, id) in keys {
+            labels.extend_from_slice(&key.to_be_bytes()[..k]);
+            ids.push(id);
+        }
+        (labels, ids)
+    }
+
+    /// [`FlatTree::sorted_tail_by_key`] for labels too long for a key:
+    /// indices are sorted comparing arena slices, then both arrays are
+    /// gathered through the permutation.
+    fn sorted_tail_by_slice(&self) -> (Vec<u8>, Vec<ItemId>) {
+        assert!(
+            self.len() <= u32::MAX as usize,
+            "tree too large for u32 permutation"
+        );
+        let mut perm: Vec<u32> = (self.sorted_len as u32..self.len() as u32).collect();
         perm.sort_unstable_by(|&a, &b| {
             let (a, b) = (a as usize, b as usize);
-            self.labels[a * k..(a + 1) * k]
-                .cmp(&self.labels[b * k..(b + 1) * k])
-                .then_with(|| self.ids[a].cmp(&self.ids[b]))
+            (self.label_at(a), self.ids[a]).cmp(&(self.label_at(b), self.ids[b]))
         });
-        let mut labels = Vec::with_capacity(self.labels.len());
-        let mut ids = Vec::with_capacity(n);
+        let mut labels = Vec::with_capacity(perm.len() * self.k);
+        let mut ids = Vec::with_capacity(perm.len());
         for &p in &perm {
-            let p = p as usize;
-            labels.extend_from_slice(&self.labels[p * k..(p + 1) * k]);
-            ids.push(self.ids[p]);
+            labels.extend_from_slice(self.label_at(p as usize));
+            ids.push(self.ids[p as usize]);
         }
-        self.labels = labels;
-        self.ids = ids;
+        (labels, ids)
+    }
+
+    /// Whether entry `i` sorts at or after the entry before it.
+    fn in_order(&self, i: usize) -> bool {
+        (self.label_at(i - 1), self.ids[i - 1]) <= (self.label_at(i), self.ids[i])
     }
 
     /// Whether entries are in `(label, id)` sorted order.
     pub fn is_sorted(&self) -> bool {
-        (1..self.len())
-            .all(|i| (self.label_at(i - 1), self.ids[i - 1]) <= (self.label_at(i), self.ids[i]))
+        (self.sorted_len.max(1)..self.len()).all(|i| self.in_order(i))
     }
 
     /// Drop every entry with the given id, in place (one forward
     /// compaction pass over both arrays). Preserves order, so a sorted
     /// tree stays sorted.
     pub fn remove_id(&mut self, id: ItemId) {
-        let k = self.k;
+        let (k, prefix) = (self.k, self.sorted_len);
         let mut w = 0usize;
         for r in 0..self.ids.len() {
             if self.ids[r] != id {
@@ -180,6 +278,8 @@ impl FlatTree {
                     self.labels.copy_within(r * k..(r + 1) * k, w * k);
                 }
                 w += 1;
+            } else if r < prefix {
+                self.sorted_len -= 1;
             }
         }
         self.ids.truncate(w);
@@ -262,7 +362,7 @@ impl FlatTree {
 /// in address order — one sequential, prefetch-friendly pass instead
 /// of a dependent hash-probe plus heap-pointer chase per candidate
 /// (the historical `HashMap<ItemId, S>` cost two cache misses per
-/// ~2 KB signature read).
+/// signature read).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LshForest<S> {
     /// Number of trees (`l`).
@@ -277,7 +377,7 @@ pub struct LshForest<S> {
     /// first insert).
     sig_stride: usize,
     /// Shape metadata shared by all stored signatures
-    /// ([`Signature::meta`]; bit count for bit signatures).
+    /// ([`Signature::meta`]: their position count).
     sig_meta: u64,
     /// Slot-major signature word arena: slot `s` occupies
     /// `sig_words[s*stride .. (s+1)*stride]`.
@@ -352,12 +452,12 @@ impl<S: Signature> LshForest<S> {
     /// arena slot — `shape` is the `(words, meta)` of the hasher's
     /// output (`MinHasher::sig_shape`, `RandomProjector::sig_shape`),
     /// and `fill` must overwrite all `words` words. New ids append a
-    /// slot; re-inserted ids overwrite theirs in place. The tree
-    /// labels are read back from the slot, so a signature is written
-    /// once and never exists outside the arena. Panics when the shape
-    /// differs from what the forest stores (one forest holds one
-    /// hasher's output). The forest must be (re-)committed before the
-    /// next query.
+    /// slot; re-inserted ids overwrite theirs in place and lose their
+    /// old tree entries. The tree labels are read back from the slot,
+    /// so a signature is written once and never exists outside the
+    /// arena. Panics when the shape differs from what the forest
+    /// stores (one forest holds one hasher's output). The forest must
+    /// be (re-)committed before the next query.
     pub fn insert_with(
         &mut self,
         id: ItemId,
@@ -372,7 +472,14 @@ impl<S: Signature> LshForest<S> {
             debug_assert_eq!(meta, self.sig_meta, "signature shape mismatch");
         }
         let slot = match self.slot_of.get(&id) {
-            Some(&slot) => slot as usize,
+            Some(&slot) => {
+                // The labels of the signature being overwritten go
+                // with it: a tree holds one entry per stored item.
+                for tree in &mut self.trees {
+                    tree.remove_id(id);
+                }
+                slot as usize
+            }
             None => {
                 let slot = self.slot_ids.len();
                 assert!(slot <= u32::MAX as usize, "forest too large for u32 slots");
@@ -644,7 +751,7 @@ impl<S: Signature> LshForest<S> {
         // Score in arena order: map candidate ids to slots, sort, and
         // scan the word arena sequentially — candidates' signatures
         // stream through the cache in address order instead of one
-        // random 2 KB read per hash probe.
+        // random read per hash probe.
         let mut slots: Vec<u32> = candidates.iter().map(|id| self.slot_of[id]).collect();
         slots.sort_unstable();
         let hits: Vec<Hit> = slots
@@ -719,7 +826,7 @@ impl<S: Signature> LshForest<S> {
 /// build, snapshot load) comes from here, which is what lets a
 /// snapshot leave them out.
 #[inline]
-fn write_labels<S: Signature>(
+pub(crate) fn write_labels<S: Signature>(
     words: &[u64],
     meta: u64,
     positions: std::ops::Range<usize>,
@@ -919,6 +1026,108 @@ mod tests {
             t,
             "from_parts is the arenas verbatim"
         );
+    }
+
+    /// A sort after pushes onto a sorted tree — what a commit after
+    /// one table's inserts is — leaves exactly what sorting everything
+    /// from scratch leaves, at key-sized and longer labels, through
+    /// removals from either side of the sorted prefix.
+    #[test]
+    fn sort_after_pushes_merges_into_the_sorted_prefix() {
+        for k in [1usize, 3, 16, 17, 20] {
+            let mut state = 0x50f7_u64 + k as u64;
+            let mut label = move || -> Vec<u8> {
+                (0..k)
+                    .map(|_| {
+                        state = crate::hash::splitmix64(state);
+                        (state % 3) as u8 * 100
+                    })
+                    .collect()
+            };
+            let mut grown = FlatTree::new(k);
+            let mut entries: Vec<(Vec<u8>, ItemId)> = Vec::new();
+            let mut next_id = 0u64;
+            for round in 0..12 {
+                // 0, 1, 2 and many pushes between sorts.
+                for _ in 0..[0usize, 1, 2, 40][round % 4] {
+                    let l = label();
+                    grown.push(&l, next_id);
+                    entries.push((l, next_id));
+                    next_id += 1;
+                }
+                if round % 3 == 1 {
+                    // One id from the sorted prefix, one pushed since.
+                    for gone in [grown.id_at(0), next_id - 1] {
+                        grown.remove_id(gone);
+                        entries.retain(|e| e.1 != gone);
+                    }
+                }
+                grown.sort();
+                assert!(grown.is_sorted(), "k={k} round {round}");
+                let mut scratch = FlatTree::new(k);
+                for (l, id) in &entries {
+                    scratch.push(l, *id);
+                }
+                scratch.sort();
+                assert_eq!(grown, scratch, "k={k} round {round}");
+                entries.sort();
+                let expected: Vec<(&[u8], ItemId)> =
+                    entries.iter().map(|(l, id)| (&l[..], *id)).collect();
+                assert_eq!(grown.entries().collect::<Vec<_>>(), expected);
+                // What a reload knows about the order is what a sort left.
+                let reloaded = FlatTree::from_parts(k, grown.labels.clone(), grown.ids.clone());
+                assert_eq!(reloaded.sorted_len, grown.len());
+            }
+        }
+        let unsorted = FlatTree::from_parts(1, vec![1, 2, 0, 3], vec![7, 8, 9, 10]);
+        assert_eq!(unsorted.sorted_len, 2);
+        assert!(!unsorted.is_sorted());
+        assert_eq!(FlatTree::from_parts(4, vec![], vec![]).sorted_len, 0);
+    }
+
+    /// Regression: re-inserting a stored id overwrote its arena slot
+    /// but left its old label in every tree beside the new one — the
+    /// old signature still found it, and `write_to` died on "a tree
+    /// holds one entry per stored item".
+    #[test]
+    fn reinsert_replaces_the_tree_entries() {
+        let mh = MinHasher::new(128, 31);
+        let mut f = LshForest::new(128, 8);
+        let old = sign(&mh, &tokens("old", 0..40));
+        let new = sign(&mh, &tokens("new", 0..40));
+        for i in 0..50u64 {
+            f.insert(
+                i,
+                sign(&mh, &tokens("fill", i as usize * 50..i as usize * 50 + 40)),
+            );
+        }
+        f.insert(7, old.clone());
+        f.commit();
+        assert_eq!(f.query(&old, 1)[0].id, 7);
+        f.insert(7, new.clone());
+        f.commit();
+        assert_eq!(f.len(), 50);
+        for tree in f.tree_arrays() {
+            assert_eq!(tree.len(), f.len());
+            assert!(tree.is_sorted());
+            assert_eq!(tree.ids().iter().filter(|&&id| id == 7).count(), 1);
+        }
+        let hit = f.query(&new, 1)[0];
+        assert_eq!((hit.id, hit.similarity), (7, 1.0));
+        // No tree still files the item under its old labels.
+        let old_labels = f.query_labels(&old);
+        for (t, tree) in f.tree_arrays().iter().enumerate() {
+            let (lo, hi) = tree.prefix_range(&old_labels[t * 16..(t + 1) * 16]);
+            assert!(!tree.ids()[lo..hi].contains(&7), "tree {t}");
+        }
+        assert_eq!(f.signature(7), Some(new));
+        // The forest is the one that only ever saw the new signature.
+        let mut fresh = LshForest::new(128, 8);
+        for id in f.ids().collect::<Vec<_>>() {
+            fresh.insert(id, f.signature(id).unwrap());
+        }
+        fresh.commit();
+        assert_eq!(f.trees, fresh.trees);
     }
 
     #[test]

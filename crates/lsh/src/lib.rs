@@ -11,16 +11,12 @@
 //!   tuned from a similarity threshold;
 //! * [`forest`] — LSH Forest (Bawa et al., WWW 2005), the self-tuning
 //!   variant the paper configures with threshold 0.7 and MinHash size
-//!   256, whose top-k search time varies little with repository size;
-//! * [`ensemble`] — LSH Ensemble (Zhu et al., PVLDB 2016), the
-//!   skew-robust containment index the paper cites as a compatible
-//!   improvement (§II).
+//!   256, whose top-k search time varies little with repository size.
 //!
 //! Items are identified by an opaque `u64` [`ItemId`]; callers map
 //! their attribute identifiers onto it.
 
 pub mod banded;
-pub mod ensemble;
 pub mod forest;
 pub mod hash;
 pub mod kernels;

@@ -1,55 +1,108 @@
 //! MinHash (Broder 1997): fixed-length signatures whose per-position
 //! collision probability equals the Jaccard similarity of the
 //! underlying sets.
+//!
+//! # Stored width
+//!
+//! A position's value is the minimum, over the set's tokens, of a
+//! 64-bit mix — and the signature keeps the **low 32 bits** of that
+//! minimum, two positions to a `u64` word: position `i` is half
+//! `i & 1` (0 = low) of word `i / 2`, and an odd position count leaves
+//! the last high half zero. A 256-permutation signature is 128 words,
+//! 1 024 bytes. Nothing downstream needs the other half:
+//!
+//! * the forest's tree labels read the **low byte** of a position
+//!   (`forest::write_labels`), which is the low byte of the low half —
+//!   the same byte the full minimum has, so every tree, candidate set
+//!   and descent is what 64-bit storage gives;
+//! * similarity only asks whether two positions are *equal*. Equal
+//!   minima have equal low halves; unequal minima agree in the low
+//!   half with probability 2⁻³² per position, i.e. the Jaccard
+//!   estimate is biased upward by at most 2⁻³² — eight orders of
+//!   magnitude under the estimator's own standard error (up to 2⁻⁵
+//!   at 256 positions).
+//!
+//! This module owns that decision: [`MinHasher::sign_into`] packs,
+//! `position` unpacks, and [`MinHashSignature::jaccard_words`]
+//! counts agreeing halves ([`crate::kernels::agreement_count`]). The
+//! forest, its arena and the store move `(words, meta)` without
+//! knowing what a word holds; `meta` is the position count.
 
 use serde::{Deserialize, Serialize};
 
 use crate::hash::{hash_str, splitmix64, UniversalHasher};
+use crate::kernels::agreement_count;
 use crate::tokenset::TokenSet;
 
-/// A MinHash signature: `num_perm` 64-bit minimum hash values.
+/// Position `i` of a packed signature: half `i & 1` of word `i / 2`.
+#[inline]
+pub(crate) fn position(words: &[u64], i: usize) -> u32 {
+    (words[i / 2] >> (32 * (i & 1))) as u32
+}
+
+/// A MinHash signature: `len` 32-bit minimum hash values, packed two
+/// to a word (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MinHashSignature(pub Vec<u64>);
+pub struct MinHashSignature {
+    /// `len.div_ceil(2)` packed words.
+    words: Vec<u64>,
+    /// Number of positions.
+    len: usize,
+}
 
 impl MinHashSignature {
-    /// Signature length.
+    /// A signature of `len` positions over its packed words. Panics
+    /// unless there are exactly `len.div_ceil(2)` of them.
+    pub(crate) fn from_packed(words: Vec<u64>, len: usize) -> Self {
+        assert_eq!(words.len(), len.div_ceil(2), "two positions to a word");
+        MinHashSignature { words, len }
+    }
+
+    /// Signature length in positions.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.len
     }
 
     /// True for the degenerate zero-length signature.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.len == 0
     }
 
     /// Estimate Jaccard similarity as the fraction of agreeing
     /// positions. Panics if lengths differ (signatures must come from
     /// the same [`MinHasher`]).
     pub fn jaccard(&self, other: &MinHashSignature) -> f64 {
-        self.jaccard_words(&other.0)
+        assert_eq!(self.len, other.len, "signature length mismatch");
+        self.jaccard_words(&other.words)
     }
 
     /// [`MinHashSignature::jaccard`] against a signature given as its
-    /// raw hash words — the forest's flat signature arena scores
+    /// packed words — the forest's flat signature arena scores
     /// candidates through this without materializing a signature per
     /// slot.
     pub fn jaccard_words(&self, other: &[u64]) -> f64 {
-        assert_eq!(self.len(), other.len(), "signature length mismatch");
-        if self.is_empty() {
+        assert_eq!(self.words.len(), other.len(), "signature length mismatch");
+        if self.len == 0 {
             return 0.0;
         }
-        let agree = crate::kernels::agreement_count(&self.0, other);
-        agree as f64 / self.len() as f64
+        // Words whose halves are both positions; an odd count leaves
+        // one more word whose high half is padding and is not counted.
+        let full = self.len / 2;
+        let mut agree = agreement_count(&self.words[..full], &other[..full]);
+        if self.len % 2 == 1 {
+            agree += usize::from(self.words[full] as u32 == other[full] as u32);
+        }
+        agree as f64 / self.len as f64
     }
 
-    /// The backing hash words (flat-storage layout).
+    /// The packed words (flat-storage layout).
     pub fn words(&self) -> &[u64] {
-        &self.0
+        &self.words
     }
 
-    /// Approximate serialized footprint in bytes (space accounting).
+    /// Stored footprint in bytes (space accounting).
     pub fn byte_size(&self) -> usize {
-        self.0.len() * 8
+        self.words.len() * 8
     }
 }
 
@@ -77,7 +130,7 @@ impl MinHasher {
     }
 
     /// Signature of a set of string tokens. The empty set gets a
-    /// signature of all `u64::MAX`, which collides only with other
+    /// signature of all `u32::MAX`, which collides only with other
     /// empty sets.
     pub fn sign_strs<'a, I: IntoIterator<Item = &'a str>>(&self, items: I) -> MinHashSignature {
         self.sign_hashes(items.into_iter().map(hash_str))
@@ -101,56 +154,81 @@ impl MinHasher {
     /// Signature of a slice of pre-hashed tokens: allocate, then
     /// [`MinHasher::sign_into`].
     pub fn sign_hashed(&self, hashes: &[u64]) -> MinHashSignature {
-        let mut sig = vec![0u64; self.family.len()];
+        let (words, len) = self.sig_shape();
+        let mut sig = vec![0u64; words];
         self.sign_into(hashes, &mut sig);
-        MinHashSignature(sig)
+        MinHashSignature::from_packed(sig, len as usize)
     }
 
     /// `(words, meta)` of every signature this hasher writes — the
     /// shape [`crate::forest::LshForest::insert_with`] reserves a
-    /// slot of.
+    /// slot of: two positions to a word, `meta` the position count.
     pub fn sig_shape(&self) -> (usize, u64) {
-        (self.family.len(), 0)
+        let num_perm = self.family.len();
+        (num_perm.div_ceil(2), num_perm as u64)
     }
 
-    /// Write the signature of a slice of pre-hashed tokens into `out`
-    /// (exactly `num_perm` words) — the index build signs straight
-    /// into a forest's signature arena through this.
-    ///
-    /// Produces bit-identical output to the historical per-token ×
-    /// per-permutation formulation (`min_x splitmix64(a_i·x + b_i)`),
-    /// but iterates permutation-major: each permutation's `(a, b)`
-    /// pair stays in registers, the running minimum is a register
-    /// `min` (a branchless conditional move) instead of a
-    /// read-modify-write per signature slot, and the token hashes are
-    /// one contiguous scan. Duplicate hashes are harmless (minimums
-    /// ignore multiplicity).
-    /// The inner scan runs four independent running minimums over
-    /// token lanes (`chunks_exact` windows, one minimum per in-chunk
-    /// position) and folds them as `min(min(m0, m1), min(m2, m3),
-    /// tail)` — `min` is associative and commutative, so the result
-    /// is bit-identical to the single sequential minimum while the
-    /// mix/compare work runs as packed vector lanes instead of one
-    /// serial chain (fixed-width windows are what the auto-vectorizer
-    /// recognizes; manual `i`, `i + 1`, … indexing is not).
+    /// Write the packed signature of a slice of pre-hashed tokens into
+    /// `out` (exactly `num_perm.div_ceil(2)` words, overwritten) — the
+    /// index build signs straight into a forest's signature arena
+    /// through this. Each position is the low 32 bits of
+    /// `min_x splitmix64(a_i·x + b_i)`; the mix and the running
+    /// minimum stay 64 bits wide, so a position is exactly the
+    /// truncation of the value a one-word-per-position signature
+    /// would hold. Duplicate hashes are harmless (minimums ignore
+    /// multiplicity).
     pub fn sign_into(&self, hashes: &[u64], out: &mut [u64]) {
-        assert_eq!(out.len(), self.family.len(), "signature length mismatch");
-        for (slot, &(a, b)) in out.iter_mut().zip(self.family.params()) {
-            let mix = |h: u64| splitmix64(a.wrapping_mul(h).wrapping_add(b));
-            let mut m = [u64::MAX; 4];
-            let mut ch = hashes.chunks_exact(4);
-            for c in &mut ch {
-                for l in 0..4 {
-                    m[l] = m[l].min(mix(c[l]));
-                }
-            }
-            let mut min = m[0].min(m[1]).min(m[2].min(m[3]));
-            for &h in ch.remainder() {
-                min = min.min(mix(h));
-            }
-            *slot = min;
+        assert_eq!(
+            out.len(),
+            self.family.len().div_ceil(2),
+            "signature length mismatch"
+        );
+        for (word, pair) in out.iter_mut().zip(self.family.params().chunks(2)) {
+            let lo = min_mix(pair[0], hashes) as u32;
+            let hi = pair.get(1).map_or(0, |&perm| min_mix(perm, hashes) as u32);
+            *word = u64::from(lo) | u64::from(hi) << 32;
         }
     }
+
+    /// The one-word-per-position signature [`MinHasher::sign_into`]
+    /// wrote before positions were packed: the full 64-bit minimum of
+    /// every permutation. The oracle the packed layout is tested
+    /// against.
+    #[cfg(test)]
+    pub(crate) fn sign_into_oracle(&self, hashes: &[u64], out: &mut [u64]) {
+        assert_eq!(out.len(), self.family.len(), "signature length mismatch");
+        for (slot, &perm) in out.iter_mut().zip(self.family.params()) {
+            *slot = min_mix(perm, hashes);
+        }
+    }
+}
+
+/// `min_x splitmix64(a·x + b)` over the token hashes, `u64::MAX` for
+/// none. Permutation-major: `(a, b)` stays in registers and the token
+/// hashes are one contiguous scan. The scan runs four independent
+/// running minimums over token lanes (`chunks_exact` windows, one
+/// minimum per in-chunk position) and folds them as
+/// `min(min(m0, m1), min(m2, m3), tail)` — `min` is associative and
+/// commutative, so the result is bit-identical to the single
+/// sequential minimum while the mix/compare work runs as packed
+/// vector lanes instead of one serial chain (fixed-width windows are
+/// what the auto-vectorizer recognizes; manual `i`, `i + 1`, …
+/// indexing is not).
+#[inline]
+fn min_mix((a, b): (u64, u64), hashes: &[u64]) -> u64 {
+    let mix = |h: u64| splitmix64(a.wrapping_mul(h).wrapping_add(b));
+    let mut m = [u64::MAX; 4];
+    let mut ch = hashes.chunks_exact(4);
+    for c in &mut ch {
+        for l in 0..4 {
+            m[l] = m[l].min(mix(c[l]));
+        }
+    }
+    let mut min = m[0].min(m[1]).min(m[2].min(m[3]));
+    for &h in ch.remainder() {
+        min = min.min(mix(h));
+    }
+    min
 }
 
 /// Exact Jaccard similarity of two hashed token sets: a linear
@@ -207,7 +285,7 @@ mod tests {
         let a = mh.sign_strs(["x"]);
         assert!((e1.jaccard(&e2) - 1.0).abs() < 1e-12);
         assert!(e1.jaccard(&a) < 1e-12);
-        assert_eq!(e1.byte_size(), 16 * 8);
+        assert_eq!(e1.byte_size(), 16 * 4);
     }
 
     #[test]
@@ -235,8 +313,9 @@ mod tests {
     }
 
     /// `sign_into` overwrites a dirty slot with exactly the signature
-    /// `sign_hashed` returns, which is the per-token × per-permutation
-    /// definition, on random token sets of every tail length.
+    /// `sign_hashed` returns, and the oracle it is the truncation of is
+    /// the per-token × per-permutation definition, on random token
+    /// sets of every tail length.
     #[test]
     fn sign_into_matches_sign_hashed_and_the_definition() {
         let mh = MinHasher::new(48, 13);
@@ -248,9 +327,11 @@ mod tests {
                     state
                 })
                 .collect();
-            let mut slot = vec![0xdead_beef_u64; 48];
+            let mut slot = vec![0xdead_beef_u64; 24];
             mh.sign_into(&hashes, &mut slot);
-            assert_eq!(slot, mh.sign_hashed(&hashes).0, "{n} tokens");
+            assert_eq!(slot, mh.sign_hashed(&hashes).words(), "{n} tokens");
+            let mut oracle = vec![0xdead_beef_u64; 48];
+            mh.sign_into_oracle(&hashes, &mut oracle);
             let naive: Vec<u64> = mh
                 .family
                 .params()
@@ -263,16 +344,160 @@ mod tests {
                         .unwrap_or(u64::MAX)
                 })
                 .collect();
-            assert_eq!(slot, naive, "{n} tokens");
+            assert_eq!(oracle, naive, "{n} tokens");
         }
-        assert_eq!(mh.sig_shape(), (48, 0));
+        assert_eq!(mh.sig_shape(), (24, 48));
+    }
+
+    /// Token sets the packed layout is compared with its oracle on:
+    /// empty, singleton, with repeated tokens, beyond 1 000 tokens, and
+    /// — so that pairs of them agree in some positions and not in
+    /// others — drawn from a universe small enough to overlap.
+    fn generated_token_sets(count: usize) -> Vec<Vec<u64>> {
+        let mut state = 0x0dd5_e751_u64;
+        let mut next = move |below: u64| {
+            state = splitmix64(state);
+            state % below
+        };
+        (0..count)
+            .map(|i| {
+                let len = match i % 100 {
+                    0 => 0,
+                    1 => 1,
+                    2 => 1001 + next(200) as usize,
+                    _ => 2 + next(60) as usize,
+                };
+                let universe = if len > 1000 { 1500 } else { 80 };
+                let mut set: Vec<u64> = (0..len)
+                    .map(|_| splitmix64(next(universe) ^ 0x70_6b))
+                    .collect();
+                if i % 3 == 0 && len > 1 {
+                    set.extend_from_within(..len / 2);
+                }
+                set
+            })
+            .collect()
+    }
+
+    /// The packed layout against one full-width word per position, at
+    /// even, odd and single-position lengths: every position is the
+    /// truncation of the oracle's, every label byte is the oracle's,
+    /// and no pair of signatures agrees anywhere the oracle's do not.
+    #[test]
+    fn packed_signatures_match_the_one_word_oracle() {
+        use crate::banded::Signature;
+        use crate::forest::write_labels;
+        use crate::kernels::agreement_count_u64;
+
+        let sets = generated_token_sets(2000);
+        assert!(sets.iter().any(Vec::is_empty) && sets.iter().any(|s| s.len() > 1000));
+        for num_perm in [1usize, 2, 63, 64, 65, 255, 256] {
+            let mh = MinHasher::new(num_perm, 41);
+            let mut previous: Option<(MinHashSignature, Vec<u64>)> = None;
+            let mut agreeing_pairs = 0usize;
+            for set in &sets {
+                let packed = mh.sign_hashed(set);
+                let mut oracle = vec![0u64; num_perm];
+                mh.sign_into_oracle(set, &mut oracle);
+                assert_eq!(packed.len(), num_perm);
+                assert_eq!(packed.words().len(), num_perm.div_ceil(2));
+                for (i, &full) in oracle.iter().enumerate() {
+                    assert_eq!(
+                        position(packed.words(), i),
+                        full as u32,
+                        "position {i}/{num_perm}"
+                    );
+                }
+                if num_perm % 2 == 1 {
+                    assert_eq!(packed.words()[num_perm / 2] >> 32, 0, "zero padding");
+                }
+                if set.is_empty() {
+                    assert!((0..num_perm).all(|i| position(packed.words(), i) == u32::MAX));
+                }
+                // Labels, past the signature's end included.
+                let mut labels = Vec::new();
+                let positions = 0..num_perm + 3;
+                write_labels::<MinHashSignature>(
+                    packed.words(),
+                    packed.meta(),
+                    positions.clone(),
+                    &mut labels,
+                );
+                let expected: Vec<u8> = positions
+                    .map(|i| oracle.get(i).map_or(0, |&full| full as u8))
+                    .collect();
+                assert_eq!(labels, expected, "labels @{num_perm}");
+                // Agreement with the set before.
+                assert!((packed.jaccard(&packed) - 1.0).abs() < 1e-15);
+                if let Some((before, before_oracle)) = &previous {
+                    let agree = agreement_count_u64(&oracle, before_oracle);
+                    agreeing_pairs += usize::from(agree > 0 && agree < num_perm);
+                    let estimate = packed.jaccard_words(before.words());
+                    assert_eq!(estimate, agree as f64 / num_perm as f64, "@{num_perm}");
+                    // Whatever the padding holds, it is not a position.
+                    if num_perm % 2 == 1 {
+                        let mut stained = before.words().to_vec();
+                        *stained.last_mut().unwrap() |= 0xdead_beef << 32;
+                        assert_eq!(packed.jaccard_words(&stained), estimate);
+                    }
+                }
+                previous = Some((packed, oracle));
+            }
+            assert!(
+                num_perm < 63 || agreeing_pairs > sets.len() / 2,
+                "pairs that partly agree @{num_perm}: {agreeing_pairs}"
+            );
+        }
+    }
+
+    /// The same-run ratio gate (CI runs it in release): over the same
+    /// 256-position signatures, counting agreeing halves of packed
+    /// words takes at most 1/1.2 of the time of comparing one word per
+    /// position (expected: 1/1.45).
+    #[test]
+    #[ignore = "timing: cargo test --release -p d3l-lsh agreement_beats_oracle -- --ignored"]
+    fn agreement_beats_oracle() {
+        use crate::kernels::agreement_count_u64;
+        use std::hint::black_box;
+        use std::time::Instant;
+
+        let mh = MinHasher::new(DEFAULT_NUM_PERM, 41);
+        let (packed, oracle): (Vec<_>, Vec<_>) = generated_token_sets(64)
+            .iter()
+            .map(|set| {
+                let mut full = vec![0u64; DEFAULT_NUM_PERM];
+                mh.sign_into_oracle(set, &mut full);
+                (mh.sign_hashed(set).words().to_vec(), full)
+            })
+            .unzip();
+        let time = |sigs: &[Vec<u64>], count: fn(&[u64], &[u64]) -> usize| {
+            (0..7)
+                .map(|_| {
+                    let start = Instant::now();
+                    let mut agree = 0usize;
+                    for _ in 0..2000 {
+                        for pair in sigs.windows(2) {
+                            agree += count(black_box(&pair[0]), black_box(&pair[1]));
+                        }
+                    }
+                    black_box(agree);
+                    start.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let one_word = time(&oracle, agreement_count_u64);
+        let halves = time(&packed, agreement_count);
+        let ratio = one_word.as_secs_f64() / halves.as_secs_f64();
+        println!("one word per position {one_word:?}, packed {halves:?}: {ratio:.2}x");
+        assert!(ratio >= 1.2, "packed agreement only {ratio:.2}x the oracle");
     }
 
     #[test]
     #[should_panic(expected = "signature length mismatch")]
     fn mismatched_lengths_panic() {
-        let a = MinHashSignature(vec![1, 2]);
-        let b = MinHashSignature(vec![1]);
+        let a = MinHashSignature::from_packed(vec![1], 2);
+        let b = MinHashSignature::from_packed(vec![1], 1);
         a.jaccard(&b);
     }
 }

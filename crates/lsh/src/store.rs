@@ -7,7 +7,7 @@
 //! re-sorting.
 //!
 //! Wire layout (one streamed `d3l-store` container section, format
-//! version 2 — all fixed-width little-endian, no per-item framing):
+//! version 3 — all fixed-width little-endian, no per-item framing):
 //!
 //! ```text
 //! header   u32 l, u32 k, u8 committed, u64 n, u32 stride, u64 meta
@@ -16,6 +16,14 @@
 //! l × tree n × u32            entry j of the tree is the item with
 //!                             rank perm[j] in the id table
 //! ```
+//!
+//! `stride` counts `u64` words per signature and `meta` hash
+//! positions per signature; what a word holds is the signature type's
+//! business ([`Signature::shape_is_valid`] says which pairs it
+//! writes). A bit signature packs 64 positions to a word; a MinHash
+//! signature two, as 32-bit values (`crate::minhash`), so the paper's
+//! 256 permutations are `stride` 128, `meta` 256 — where format 2
+//! held one 64-bit value to a word, `stride` 256, `meta` 0.
 //!
 //! The signature slab is the forest's arena: when slot order is
 //! already id order — after every bulk build and every reopen — it is
@@ -36,8 +44,9 @@
 //! committed flag is set — so a corrupt section becomes a typed
 //! [`StoreError`], never a panicking or silently-wrong forest.
 //!
-//! Format version 1 (per-item varint framing, stored labels) is not
-//! read; the container rejects such files by version.
+//! Format versions 1 (per-item varint framing, stored labels) and 2
+//! (64-bit MinHash values) are not read; the container rejects such
+//! files by version and the lake is re-indexed.
 
 use std::io::{self, Read, Write};
 
@@ -289,6 +298,47 @@ mod tests {
         assert_eq!(loaded.query(&q, 5), f.query(&q, 5));
     }
 
+    /// An odd position count pads its last word; the shape and the
+    /// padding survive the file.
+    #[test]
+    fn odd_length_minhash_forest_round_trips() {
+        let mh = MinHasher::new(67, 7);
+        assert_eq!(mh.sig_shape(), (34, 67));
+        let mut f = LshForest::new(67, 8);
+        for i in 0..12u64 {
+            f.insert(i, minhash_sig(&mh, i));
+        }
+        f.commit();
+        let loaded: LshForest<MinHashSignature> = from_bytes(&to_bytes(&f)).unwrap();
+        assert_eq!(loaded.sig_meta(), 67);
+        assert_eq!(loaded.tree_arrays(), f.tree_arrays());
+        let q = minhash_sig(&mh, 4);
+        assert_eq!(loaded.query(&q, 5), f.query(&q, 5));
+        assert_eq!(loaded.query(&q, 1)[0].similarity, 1.0);
+    }
+
+    /// Regression: a re-inserted id used to leave two entries in every
+    /// tree, and `write_to` panicked on the count.
+    #[test]
+    fn reinserted_item_round_trips_under_its_new_signature() {
+        let mh = MinHasher::new(64, 7);
+        let mut f = minhash_forest();
+        f.insert(9, minhash_sig(&mh, 500));
+        f.commit();
+        let loaded: LshForest<MinHashSignature> = from_bytes(&to_bytes(&f)).unwrap();
+        assert_eq!(loaded.len(), 12);
+        assert_eq!(loaded.tree_arrays(), f.tree_arrays());
+        assert_eq!(loaded.signature(9), Some(minhash_sig(&mh, 500)));
+        let hit = loaded.query(&minhash_sig(&mh, 500), 1)[0];
+        assert_eq!((hit.id, hit.similarity), (9, 1.0));
+        // Item 9 was signed from tokens 3..23; that signature finds
+        // its neighbours now, not item 9 at similarity 1.
+        assert!(loaded
+            .query(&minhash_sig(&mh, 3), 12)
+            .iter()
+            .all(|h| h.id != 9 || h.similarity < 0.1));
+    }
+
     #[test]
     fn bit_forest_round_trips() {
         let f = bit_forest();
@@ -433,13 +483,15 @@ mod tests {
             from_bytes::<BitSignature>(&bytes),
             Err(StoreError::Corrupt(_))
         ));
-        // MinHash carries no meta.
-        let mut bytes = to_bytes(&minhash_forest());
-        bytes[21..29].copy_from_slice(&1u64.to_le_bytes());
-        assert!(matches!(
-            from_bytes::<MinHashSignature>(&bytes),
-            Err(StoreError::Corrupt(_))
-        ));
+        // 64 positions are 32 words; neither 65 nor format 2's 0 are.
+        for meta in [65u64, 62, 0] {
+            let mut bytes = to_bytes(&minhash_forest());
+            bytes[21..29].copy_from_slice(&meta.to_le_bytes());
+            assert!(matches!(
+                from_bytes::<MinHashSignature>(&bytes),
+                Err(StoreError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]
@@ -468,7 +520,7 @@ mod tests {
     #[test]
     fn a_tree_that_is_not_a_sorted_permutation_is_rejected() {
         let f = minhash_forest();
-        let (n, stride) = (f.len(), 64);
+        let (n, stride) = (f.len(), 32);
         let good = to_bytes(&f);
         let rank_at =
             |payload: &[u8], at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap());

@@ -1,11 +1,11 @@
 //! The container format shared by base snapshots and delta segments
-//! (format version 2): a fixed header, section payloads back to back,
+//! (format version 3): a fixed header, section payloads back to back,
 //! then a checksummed section table the reader finds from the end.
 //!
 //! ```text
 //! offset  field
 //! 0       magic              "D3LSTORE" (8 bytes)
-//! 8       format version     u32 LE (2)
+//! 8       format version     u32 LE (3)
 //! 12      container kind     u32 LE (1 = snapshot, 2 = delta)
 //! 16      payloads           section bytes, back to back
 //! T       section table      count × { tag: 4 bytes, offset: u64,
@@ -31,9 +31,14 @@
 //! bit flip surfaces as a typed [`StoreError`] naming the section
 //! rather than a garbled decode downstream.
 //!
-//! Version 1 files (table up front, FNV-1a checksums, per-item forest
-//! sections) are not read: opening one is
-//! [`StoreError::UnsupportedVersion`], and the lake must be re-indexed.
+//! The version counts changes to what any section holds, not only to
+//! the container: version 3 is version 2's container around forest
+//! sections whose MinHash values are 32 bits wide, two to a word
+//! (`d3l-lsh`'s `store` module). Older files — version 1 (table up
+//! front, FNV-1a checksums, per-item forest sections) and version 2
+//! (one 64-bit MinHash value to a word) — are not read: opening one
+//! is [`StoreError::UnsupportedVersion`], and the lake must be
+//! re-indexed.
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
@@ -46,7 +51,7 @@ use crate::error::StoreError;
 pub const MAGIC: &[u8; 8] = b"D3LSTORE";
 
 /// The container format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Container kind of a full base snapshot.
 pub const KIND_SNAPSHOT: u32 = 1;
@@ -643,8 +648,8 @@ mod tests {
     #[test]
     fn other_versions_are_rejected() {
         // Newer and older alike: there is one read path, and a
-        // version 1 store must be re-indexed.
-        for version in [FORMAT_VERSION + 1, 1, 0] {
+        // version 1 or 2 store must be re-indexed.
+        for version in [FORMAT_VERSION + 1, 2, 1, 0] {
             let mut bytes = two_section_container();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
@@ -657,7 +662,7 @@ mod tests {
 
     /// A file as format version 1 laid it out (header, section count,
     /// table, payloads) is named by its version, not misread as a
-    /// torn version 2 file.
+    /// torn file of this version.
     #[test]
     fn a_version_1_file_is_an_unsupported_version() {
         let mut v1 = Encoder::new();
@@ -677,6 +682,26 @@ mod tests {
                 StoreError::UnsupportedVersion {
                     found: 1,
                     supported: FORMAT_VERSION
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("re-index"), "{err}");
+    }
+
+    /// A version 2 file has this version's container and other forest
+    /// sections; it is refused by its header before any is read.
+    #[test]
+    fn a_version_2_file_is_an_unsupported_version() {
+        let mut v2 = two_section_container();
+        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let err = ContainerReader::parse(&v2, KIND_SNAPSHOT).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::UnsupportedVersion {
+                    found: 2,
+                    supported: 3
                 }
             ),
             "{err}"

@@ -154,14 +154,14 @@ mod tests {
             (
                 StoreError::UnsupportedVersion {
                     found: 9,
-                    supported: 2,
+                    supported: 3,
                 },
                 "version 9 is newer",
             ),
             (
                 StoreError::UnsupportedVersion {
-                    found: 1,
-                    supported: 2,
+                    found: 2,
+                    supported: 3,
                 },
                 "re-index the lake",
             ),

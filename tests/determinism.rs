@@ -732,17 +732,116 @@ fn dirty_lake(tables: usize) -> DataLake {
     .lake
 }
 
-/// The index of a fixed lake is pinned to the bytes the parent of the
-/// one-pass profiler (commit 498514b: three-pass profiling, owned
-/// signatures through `build_from`) wrote for it. Profiling and
-/// signing may get faster; what they produce may not move.
+/// The index of a fixed lake is pinned to its bytes. Format 2 wrote
+/// 1 129 460 of them (checksum `0x87fd_e201_fea9_baa8`, computed on
+/// commit 498514b before the one-pass profiler); format 3 stores each
+/// of the lake's 467 MinHash signatures in 1 024 bytes instead of
+/// 2 048 and nothing else differently, which is the 478 208 bytes
+/// between the two. Profiling and signing may get faster; what they
+/// produce may not move.
 #[test]
 fn dirty_lake_snapshot_checksum_is_pinned() {
     let lake = dirty_lake(40);
     assert_eq!(lake.total_attributes(), 178);
     let bytes = D3l::index_lake(&lake, D3lConfig::default()).to_snapshot_bytes();
-    assert_eq!(bytes.len(), 1_129_460);
-    assert_eq!(d3l::store::checksum(&bytes), 0x87fd_e201_fea9_baa8);
+    assert_eq!(bytes.len(), 651_252);
+    assert_eq!(bytes.len(), 1_129_460 - 467 * 1024);
+    assert_eq!(d3l::store::checksum(&bytes), 0x2829_27e2_ac45_366c);
+}
+
+/// What the index of that lake *answers* is pinned too, to the values
+/// commit 270011b (one 64-bit word per MinHash position) printed
+/// before positions were packed two to a word: every table queried
+/// against the rest, the ordered top-5 names of every eighth one
+/// spelled out and the names, distances and evidence vectors of all 40
+/// folded into one FNV-1a digest. A moved label changes a candidate
+/// set and a moved agreement count changes a distance bit; either
+/// changes the digest.
+#[test]
+fn dirty_lake_probe_rankings_are_pinned() {
+    const PROBES: [(&str, [&str; 5]); 5] = [
+        (
+            "health_registry_00000",
+            [
+                "health_funding_00001",
+                "health_inspections_00002",
+                "health_registry_00032",
+                "health_activity_00035",
+                "health_activity_00003",
+            ],
+        ),
+        (
+            "transport_registry_00008",
+            [
+                "transport_activity_00011",
+                "transport_funding_00009",
+                "health_registry_00032",
+                "transport_inspections_00010",
+                "business_funding_00037",
+            ],
+        ),
+        (
+            "environment_registry_00016",
+            [
+                "business_registry_00004",
+                "business_registry_00036",
+                "culture_registry_00028",
+                "environment_funding_00017",
+                "environment_inspections_00018",
+            ],
+        ),
+        (
+            "crime_registry_00024",
+            [
+                "crime_activity_00027",
+                "education_registry_00012",
+                "crime_inspections_00026",
+                "culture_registry_00028",
+                "business_registry_00004",
+            ],
+        ),
+        (
+            "health_registry_00032",
+            [
+                "health_activity_00035",
+                "health_funding_00001",
+                "health_inspections_00034",
+                "health_funding_00033",
+                "health_registry_00000",
+            ],
+        ),
+    ];
+    let lake = dirty_lake(40);
+    let d3l = D3l::index_lake(&lake, D3lConfig::default());
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            digest = (digest ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    let mut probes = PROBES.iter();
+    for (id, table) in lake.iter() {
+        let opts = QueryOptions {
+            exclude: Some(id),
+            ..Default::default()
+        };
+        let top = d3l.query_with(table, 5, &opts);
+        if id.0 % 8 == 0 {
+            let (probe, expected) = probes.next().expect("one pin per eighth table");
+            assert_eq!(table.name(), *probe);
+            let names: Vec<&str> = top.iter().map(|m| d3l.table_name(m.table)).collect();
+            assert_eq!(names, expected, "top-5 of {probe}");
+        }
+        for m in &top {
+            eat(d3l.table_name(m.table).as_bytes());
+            eat(&m.distance.to_bits().to_le_bytes());
+            for d in &m.vector.0 {
+                eat(&d.to_bits().to_le_bytes());
+            }
+        }
+    }
+    assert!(probes.next().is_none());
+    assert_eq!(digest, 0x292c_b935_33ff_6f15);
 }
 
 /// There is one build path: streaming a lake directory, indexing the

@@ -363,19 +363,23 @@ proptest! {
         );
     }
 
-    /// Lane-chunked MinHash agreement equals the scalar zip count at
-    /// every length, including the `len % 8` tails.
+    /// MinHash agreement counts the equal 32-bit halves of its words
+    /// at every length — halves that differ in one bit at either end
+    /// included.
     #[test]
-    fn kernel_agreement_matches_scalar(
-        pairs in prop::collection::vec((0u64..8, 0u64..8), 0..300)
+    fn kernel_agreement_counts_equal_halves(
+        pairs in prop::collection::vec((0usize..25, 0usize..25), 0..300)
     ) {
         use d3l::lsh::kernels;
-        let a: Vec<u64> = pairs.iter().map(|p| p.0).collect();
-        let b: Vec<u64> = pairs.iter().map(|p| p.1).collect();
-        prop_assert_eq!(
-            kernels::agreement_count(&a, &b),
-            kernels::agreement_count_scalar(&a, &b)
-        );
+        const HALVES: [u64; 5] = [0, 1, 0x7fff_ffff, 0x8000_0000, 0xffff_ffff];
+        let word = |i: usize| HALVES[i / 5] << 32 | HALVES[i % 5];
+        let a: Vec<u64> = pairs.iter().map(|p| word(p.0)).collect();
+        let b: Vec<u64> = pairs.iter().map(|p| word(p.1)).collect();
+        let equal_halves: usize = pairs
+            .iter()
+            .map(|&(x, y)| usize::from(x / 5 == y / 5) + usize::from(x % 5 == y % 5))
+            .sum();
+        prop_assert_eq!(kernels::agreement_count(&a, &b), equal_halves);
     }
 
     /// Chunked Hamming popcount equals the scalar word loop.
