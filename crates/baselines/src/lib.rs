@@ -11,7 +11,7 @@
 //!   max-score aggregation. The paper notes the implementation is not
 //!   public, "so we have implemented it ourselves using information
 //!   from the paper" — as do we. YAGO is replaced by
-//!   [`d3l_benchgen::SyntheticKb`] (DESIGN.md §4).
+//!   [`d3l_benchgen::SyntheticKb`].
 //! * [`aurum`] — **Aurum** (Castro Fernandez et al. — ICDE 2018): a
 //!   two-step profile-then-graph system; discovery is a graph
 //!   neighbour lookup ranked by the *certainty* strategy (maximum

@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the LSH substrate, including the LSH Forest vs
-//! banded-LSH ablation (DESIGN.md §6).
+//! banded-LSH ablation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

@@ -1,7 +1,5 @@
-//! The experiment implementations — one function per paper artifact
-//! (see DESIGN.md §3 for the full index). Each prints the same
-//! rows/series the paper reports; EXPERIMENTS.md records the
-//! paper-vs-measured comparison.
+//! The experiment implementations — one function per paper artifact.
+//! Each prints the same rows/series the paper reports.
 
 use std::collections::HashSet;
 use std::time::Instant;
@@ -531,9 +529,9 @@ pub fn subject(setting: &Setting) {
 }
 
 /// Ablation: Eq. 3 trained weights vs uniform weights vs a
-/// max-score-style single-best-evidence ranking (DESIGN.md §6).
+/// max-score-style single-best-evidence ranking.
 pub fn ablation_weights(setting: &Setting) {
-    header("Ablation: weighting schemes (DESIGN.md §6)");
+    header("Ablation: weighting schemes");
     let bench = d3l_benchgen::smaller_real(setting.smaller_tables, setting.seed ^ 1);
     let avg = bench.truth.avg_answer_size();
     let systems = Systems::build(bench, false);
@@ -579,7 +577,7 @@ pub fn ablation_weights(setting: &Setting) {
 /// Ablation: fine-grained tokens vs whole values on dirty data —
 /// separability of related vs unrelated attribute pairs.
 pub fn ablation_granularity(setting: &Setting) {
-    header("Ablation: fine-grained tokens vs whole values (DESIGN.md §6)");
+    header("Ablation: fine-grained tokens vs whole values");
     let bench = d3l_benchgen::smaller_real(setting.smaller_tables.min(96), setting.seed ^ 1);
     let d3l = D3l::index_lake_with(&bench.lake, D3lConfig::default(), embedder(64));
     let mut rel_tok = Vec::new();

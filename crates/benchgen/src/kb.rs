@@ -1,5 +1,5 @@
 //! Synthetic knowledge base — the YAGO stand-in used by the TUS
-//! baseline (DESIGN.md §4, substitution 2).
+//! baseline.
 //!
 //! TUS's semantic unionability maps every instance-value token to
 //! knowledge-base classes, both at indexing and at query time; the

@@ -2,8 +2,7 @@
 //!
 //! The paper evaluates on three repositories we cannot ship
 //! (Canadian/UK open-government data and NHS archives), so this crate
-//! generates structurally equivalent ones (DESIGN.md §4, substitution
-//! 3):
+//! generates structurally equivalent ones:
 //!
 //! * [`derive::synthetic`] mirrors the TUS benchmark construction —
 //!   32 base tables, each derived into many tables by random column

@@ -32,7 +32,7 @@ use d3l_embedding::{CachedEmbedder, Lexicon, SemanticEmbedder};
 use d3l_lsh::forest::LshForest;
 use d3l_lsh::minhash::{MinHashSignature, MinHasher};
 use d3l_lsh::randproj::{BitSignature, RandomProjector};
-use d3l_lsh::ItemId;
+use d3l_lsh::{ItemId, TokenSet};
 use d3l_table::lake::{csv_files, load_csv, table_name_of};
 use d3l_table::{DataLake, Table, TableError, TableId};
 
@@ -73,6 +73,42 @@ impl AttrRef {
             table: TableId((key >> 24) as u32),
             column: (key & Self::MAX_COLUMN as u64) as u32,
         }
+    }
+}
+
+/// The three MinHash indexes, each by the profile field it signs —
+/// the one statement of "which hashed token set feeds which forest"
+/// that the build, `add_table`, delta replay, target signing and the
+/// snapshot's derived arenas all read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SetIndex {
+    /// `IN` signs the attribute name's q-grams.
+    Name,
+    /// `IV` signs the extent's informative tokens.
+    Value,
+    /// `IF` signs the extent's format patterns.
+    Format,
+}
+
+impl SetIndex {
+    /// The hashed token set this index's signatures are MinHashes of.
+    pub(crate) fn tokens(self, profile: &AttributeProfile) -> &TokenSet {
+        match self {
+            SetIndex::Name => &profile.qset,
+            SetIndex::Value => &profile.tset,
+            SetIndex::Format => &profile.rset,
+        }
+    }
+
+    /// Sign `profile`'s set for this index into an arena slot of
+    /// `minhasher.sig_shape().0` words.
+    pub(crate) fn sign_into(
+        self,
+        minhasher: &MinHasher,
+        profile: &AttributeProfile,
+        slot: &mut [u64],
+    ) {
+        minhasher.sign_into(self.tokens(profile).as_slice(), slot)
     }
 }
 
@@ -386,15 +422,14 @@ impl D3l {
                 column: col as u32,
             }
             .key();
-            let sign =
-                |set: &d3l_lsh::TokenSet, slot: &mut [u64]| mh.sign_into(set.as_slice(), slot);
+            let sign = |index: SetIndex| move |slot: &mut [u64]| index.sign_into(mh, p, slot);
             self.i_n
-                .insert_with(key, mh.sig_shape(), |slot| sign(&p.qset, slot));
+                .insert_with(key, mh.sig_shape(), sign(SetIndex::Name));
             self.i_f
-                .insert_with(key, mh.sig_shape(), |slot| sign(&p.rset, slot));
+                .insert_with(key, mh.sig_shape(), sign(SetIndex::Format));
             if !p.is_numeric {
                 self.i_v
-                    .insert_with(key, mh.sig_shape(), |slot| sign(&p.tset, slot));
+                    .insert_with(key, mh.sig_shape(), sign(SetIndex::Value));
                 self.i_e
                     .insert_with(key, rp.sig_shape(), |slot| rp.sign_into(&p.embedding, slot));
             }
@@ -746,10 +781,11 @@ pub(crate) fn sign_profile(
     minhasher: &MinHasher,
     projector: &RandomProjector,
 ) -> AttrSignatures {
+    let sign = |index: SetIndex| minhasher.sign_token_set(index.tokens(profile));
     AttrSignatures {
-        name: minhasher.sign_token_set(&profile.qset),
-        value: minhasher.sign_token_set(&profile.tset),
-        format: minhasher.sign_token_set(&profile.rset),
+        name: sign(SetIndex::Name),
+        value: sign(SetIndex::Value),
+        format: sign(SetIndex::Format),
         embedding: projector.sign(&profile.embedding),
     }
 }

@@ -4,7 +4,7 @@
 //! **E** evidence type. Shipping (or downloading) multi-gigabyte
 //! fastText vectors is not possible here, so this crate provides a
 //! deterministic stand-in that reproduces the two properties D3L
-//! actually relies on (documented in DESIGN.md §4):
+//! actually relies on:
 //!
 //! 1. **semantic geometry** — tokens from the same domain concept
 //!    (street/road/avenue, doctor/GP/practice, …) land close in cosine

@@ -193,21 +193,28 @@ impl FlatTree {
         let mut end = prefix;
         for (j, &id) in tail_ids.iter().enumerate().rev() {
             let label = &tail_labels[j * k..(j + 1) * k];
-            let (mut lo, mut hi) = (0usize, end);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if (self.label_at(mid), self.ids[mid]) < (label, id) {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
+            let lo = self.lower_bound(end, label, id);
             self.ids.copy_within(lo..end, lo + j + 1);
             self.labels.copy_within(lo * k..end * k, (lo + j + 1) * k);
             self.ids[lo + j] = id;
             self.labels[(lo + j) * k..(lo + j + 1) * k].copy_from_slice(label);
             end = lo;
         }
+    }
+
+    /// First of the entries `[0, end)` — which must be in order — that
+    /// does not sort below `(label, id)`.
+    fn lower_bound(&self, end: usize, label: &[u8], id: ItemId) -> usize {
+        let (mut lo, mut hi) = (0usize, end);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if (self.label_at(mid), self.ids[mid]) < (label, id) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
     /// The entries behind the sorted prefix, sorted: labels of up to
@@ -265,25 +272,29 @@ impl FlatTree {
         (self.sorted_len.max(1)..self.len()).all(|i| self.in_order(i))
     }
 
-    /// Drop every entry with the given id, in place (one forward
-    /// compaction pass over both arrays). Preserves order, so a sorted
-    /// tree stays sorted.
-    pub fn remove_id(&mut self, id: ItemId) {
-        let (k, prefix) = (self.k, self.sorted_len);
-        let mut w = 0usize;
-        for r in 0..self.ids.len() {
-            if self.ids[r] != id {
-                if w != r {
-                    self.ids[w] = self.ids[r];
-                    self.labels.copy_within(r * k..(r + 1) * k, w * k);
-                }
-                w += 1;
-            } else if r < prefix {
-                self.sorted_len -= 1;
+    /// Drop the entry `(label, id)` — a tree holds at most one per
+    /// item — moving the entries above it down one place, so a sorted
+    /// tree stays sorted. Inside the sorted prefix the entry is found
+    /// by binary search; only entries pushed since the last sort are
+    /// scanned. Returns whether the entry was there.
+    pub fn remove_entry(&mut self, label: &[u8], id: ItemId) -> bool {
+        debug_assert_eq!(label.len(), self.k, "label width is the tree depth");
+        let (n, k, prefix) = (self.len(), self.k, self.sorted_len);
+        let lo = self.lower_bound(prefix, label, id);
+        let at = if lo < prefix && self.ids[lo] == id && self.label_at(lo) == label {
+            self.sorted_len -= 1;
+            lo
+        } else {
+            match (prefix..n).find(|&i| self.ids[i] == id && self.label_at(i) == label) {
+                Some(i) => i,
+                None => return false,
             }
-        }
-        self.ids.truncate(w);
-        self.labels.truncate(w * k);
+        };
+        self.ids.copy_within(at + 1..n, at);
+        self.labels.copy_within((at + 1) * k..n * k, at * k);
+        self.ids.truncate(n - 1);
+        self.labels.truncate((n - 1) * k);
+        true
     }
 
     /// Index range `[lo, hi)` of entries whose label starts with
@@ -475,9 +486,7 @@ impl<S: Signature> LshForest<S> {
             Some(&slot) => {
                 // The labels of the signature being overwritten go
                 // with it: a tree holds one entry per stored item.
-                for tree in &mut self.trees {
-                    tree.remove_id(id);
-                }
+                self.remove_tree_entries(id, slot);
                 slot as usize
             }
             None => {
@@ -595,6 +604,7 @@ impl<S: Signature> LshForest<S> {
         let Some(slot) = self.slot_of.remove(&id) else {
             return false;
         };
+        self.remove_tree_entries(id, slot);
         // Swap-remove the arena slot: move the last slot's words and
         // id into the vacated position, then truncate.
         let s = slot as usize;
@@ -609,10 +619,26 @@ impl<S: Signature> LshForest<S> {
         }
         self.slot_ids.truncate(last);
         self.sig_words.truncate(last * self.sig_stride);
-        for tree in &mut self.trees {
-            tree.remove_id(id);
-        }
         true
+    }
+
+    /// Drop item `id`'s entry from every tree. Its labels are a
+    /// function of the signature still in arena slot `slot`, so each
+    /// tree is told which entry to find instead of scanning for the
+    /// id — call this before the slot is overwritten or vacated.
+    fn remove_tree_entries(&mut self, id: ItemId, slot: u32) {
+        let k = self.k;
+        let mut labels = Vec::with_capacity(self.l * k);
+        write_labels::<S>(
+            self.slot_words(slot),
+            self.sig_meta,
+            0..self.l * k,
+            &mut labels,
+        );
+        for (tree, label) in self.trees.iter_mut().zip(labels.chunks_exact(k)) {
+            let found = tree.remove_entry(label, id);
+            debug_assert!(found, "a tree holds one entry per stored item");
+        }
     }
 
     /// The per-tree sorted label arenas. The persistence layer stores
@@ -1017,7 +1043,8 @@ mod tests {
             t.entries().collect::<Vec<_>>(),
             vec![(&[1u8, 2][..], 5), (&[1u8, 2][..], 20), (&[3u8, 1][..], 10)]
         );
-        t.remove_id(20);
+        assert!(!t.remove_entry(&[1, 3], 20), "no such entry");
+        assert!(t.remove_entry(&[1, 2], 20));
         assert_eq!(t.len(), 2);
         assert!(t.is_sorted());
         assert_eq!(t.ids(), &[5, 10]);
@@ -1056,10 +1083,15 @@ mod tests {
                     next_id += 1;
                 }
                 if round % 3 == 1 {
-                    // One id from the sorted prefix, one pushed since.
+                    // One id from the sorted prefix, one pushed since
+                    // (the same one when nothing was sorted yet).
                     for gone in [grown.id_at(0), next_id - 1] {
-                        grown.remove_id(gone);
-                        entries.retain(|e| e.1 != gone);
+                        let Some(at) = entries.iter().position(|e| e.1 == gone) else {
+                            continue;
+                        };
+                        let (label, _) = entries.remove(at);
+                        assert!(grown.remove_entry(&label, gone));
+                        assert!(!grown.remove_entry(&label, gone), "gone is gone");
                     }
                 }
                 grown.sort();
@@ -1306,6 +1338,13 @@ mod tests {
         // Removal leaves exactly the forest that never saw the item.
         assert_eq!(with.trees, without.trees);
         let q = sign(&mh, &tokens("r", 3..15));
+        assert_eq!(with.query(&q, 5), without.query(&q, 5));
+        // So does removing an item inserted since the last commit,
+        // whose entries are still behind the trees' sorted prefixes.
+        with.insert(77, sign(&mh, &tokens("late", 0..12)));
+        assert!(with.remove(77));
+        with.commit();
+        assert_eq!(with.trees, without.trees);
         assert_eq!(with.query(&q, 5), without.query(&q, 5));
     }
 

@@ -1,18 +1,25 @@
 //! Binary persistence for LSH forests.
 //!
 //! A committed [`LshForest`] is the product of the expensive indexing
-//! pass (signature generation + per-tree sorts); serializing its
-//! signatures *and* its tree orders means a cold start deserializes
-//! straight into a query-ready structure with no re-hashing and no
-//! re-sorting.
+//! pass (signature generation + per-tree sorts). A forest section
+//! always carries the tree orders — no cold start re-sorts — and
+//! states where its signature arena comes from: **stored**, the words
+//! themselves, read back with no re-hashing; or **derived**, nothing,
+//! because the caller holds what the signatures were computed from
+//! and signing it again costs less than the bytes would. Which of the
+//! two a forest gets is the caller's decision (`d3l-core`'s snapshot
+//! module makes it, next to the measurement behind it); this module
+//! is one codec with the two arena sources.
 //!
 //! Wire layout (one streamed `d3l-store` container section, format
-//! version 3 — all fixed-width little-endian, no per-item framing):
+//! version 4 — all fixed-width little-endian, no per-item framing):
 //!
 //! ```text
-//! header   u32 l, u32 k, u8 committed, u64 n, u32 stride, u64 meta
+//! header   u32 l, u32 k, u8 committed, u8 arena source,
+//!          u64 n, u32 stride, u64 meta
 //! ids      n × u64            item ids, strictly ascending
 //! slab     n × stride × u64   signature words, in id order
+//!                             (arena source 0, stored, only)
 //! l × tree n × u32            entry j of the tree is the item with
 //!                             rank perm[j] in the id table
 //! ```
@@ -22,31 +29,38 @@
 //! business ([`Signature::shape_is_valid`] says which pairs it
 //! writes). A bit signature packs 64 positions to a word; a MinHash
 //! signature two, as 32-bit values (`crate::minhash`), so the paper's
-//! 256 permutations are `stride` 128, `meta` 256 — where format 2
-//! held one 64-bit value to a word, `stride` 256, `meta` 0.
+//! 256 permutations are `stride` 128, `meta` 256. A derived section
+//! (arena source 1) states the same shape and leaves the slab out.
 //!
 //! The signature slab is the forest's arena: when slot order is
 //! already id order — after every bulk build and every reopen — it is
 //! written with one bulk copy, otherwise gathered a chunk at a time,
 //! so the bytes are a function of the forest's contents, not of its
 //! insertion and removal history. On load the slab *becomes* the
-//! arena; nothing is copied per signature.
+//! arena; nothing is copied per signature. A derived arena is built
+//! by the reader's caller, from the id table, in the same id order.
 //!
 //! Tree labels are not stored. A label is a pure function of the
-//! stored signature (one byte per consumed hash position, see
+//! signature (one byte per consumed hash position, see
 //! `forest::write_labels`), so a tree is fully described by its order:
 //! the decoder regenerates the labels with one sequential pass over
-//! the slab and a gather per tree, and *checks* the stored order
-//! against them. Decoding validates every structural invariant the
-//! query paths rely on — the expected shape, a signature shape the
-//! type accepts, unique ascending ids, each tree a permutation of the
-//! id table (every rank in range, none repeated) and sorted when the
-//! committed flag is set — so a corrupt section becomes a typed
-//! [`StoreError`], never a panicking or silently-wrong forest.
+//! the arena and a gather per tree, and *checks* the stored order
+//! against them. For a stored arena that is a check of the section
+//! against itself; for a derived one it is an end-to-end check of the
+//! section against whatever the caller signed — a source that no
+//! longer yields the signatures the trees were sorted by is a typed
+//! error, never a forest that answers differently. Decoding validates
+//! every structural invariant the query paths rely on — the expected
+//! shape and arena source, a signature shape the type accepts, unique
+//! ascending ids, each tree a permutation of the id table (every rank
+//! in range, none repeated) and sorted when the committed flag is set
+//! — so a corrupt section becomes a typed [`StoreError`], never a
+//! panicking or silently-wrong forest.
 //!
-//! Format versions 1 (per-item varint framing, stored labels) and 2
-//! (64-bit MinHash values) are not read; the container rejects such
-//! files by version and the lake is re-indexed.
+//! Format versions 1 (per-item varint framing, stored labels), 2
+//! (64-bit MinHash values) and 3 (no arena source byte: every slab
+//! stored) are not read; the container rejects such files by version
+//! and the lake is re-indexed.
 
 use std::io::{self, Read, Write};
 
@@ -57,7 +71,13 @@ use crate::forest::{FlatTree, LshForest};
 use crate::ItemId;
 
 /// Encoded size of the fixed forest header.
-const HEADER_LEN: usize = 4 + 4 + 1 + 8 + 4 + 8;
+const HEADER_LEN: usize = 4 + 4 + 1 + 1 + 8 + 4 + 8;
+
+/// Arena source byte: the signature slab follows the ids.
+const ARENA_STORED: u8 = 0;
+
+/// Arena source byte: no slab; the reader's caller signs the arena.
+const ARENA_DERIVED: u8 = 1;
 
 /// Signatures gathered per write when slot order is not id order.
 const GATHER_ITEMS: usize = 64;
@@ -67,17 +87,34 @@ impl<S: Signature> LshForest<S> {
     /// snapshot section. Signatures go from the arena to the sink and
     /// nowhere else.
     pub fn write_to<W: Write>(&self, sec: &mut SectionWriter<'_, W>) -> io::Result<()> {
+        self.write_section(sec, ARENA_STORED)
+    }
+
+    /// Stream the forest without its signatures (ids + tree orders):
+    /// for a forest whose reader can sign every item again
+    /// ([`LshForest::read_derived_from`]).
+    pub fn write_derived_to<W: Write>(&self, sec: &mut SectionWriter<'_, W>) -> io::Result<()> {
+        self.write_section(sec, ARENA_DERIVED)
+    }
+
+    fn write_section<W: Write>(
+        &self,
+        sec: &mut SectionWriter<'_, W>,
+        source: u8,
+    ) -> io::Result<()> {
         let (l, k) = self.shape();
         let (slot_ids, sig_words, stride, meta) = self.arena();
         let n = slot_ids.len();
         // An emptied forest keeps the shape of its last signature;
         // the encoding is of the contents.
         let (stride, meta) = if n == 0 { (0, 0) } else { (stride, meta) };
+        let stored = source == ARENA_STORED;
 
         let mut head = Encoder::with_capacity(HEADER_LEN);
         head.put_u32(l as u32);
         head.put_u32(k as u32);
         head.put_u8(self.is_committed() as u8);
+        head.put_u8(source);
         head.put_u64(n as u64);
         head.put_u32(u32::try_from(stride).expect("signature stride fits u32"));
         head.put_u64(meta);
@@ -87,20 +124,24 @@ impl<S: Signature> LshForest<S> {
         let mut rank_of_slot: Vec<u32> = (0..n as u32).collect();
         if slot_ids.windows(2).all(|w| w[0] < w[1]) {
             sec.put_u64_slab(slot_ids)?;
-            sec.put_u64_slab(sig_words)?;
+            if stored {
+                sec.put_u64_slab(sig_words)?;
+            }
         } else {
             let mut by_id = rank_of_slot.clone();
             by_id.sort_unstable_by_key(|&s| slot_ids[s as usize]);
             let ids: Vec<ItemId> = by_id.iter().map(|&s| slot_ids[s as usize]).collect();
             sec.put_u64_slab(&ids)?;
-            let mut gathered = Vec::with_capacity(GATHER_ITEMS * stride);
-            for slots in by_id.chunks(GATHER_ITEMS) {
-                gathered.clear();
-                for &s in slots {
-                    let at = s as usize * stride;
-                    gathered.extend_from_slice(&sig_words[at..at + stride]);
+            if stored {
+                let mut gathered = Vec::with_capacity(GATHER_ITEMS * stride);
+                for slots in by_id.chunks(GATHER_ITEMS) {
+                    gathered.clear();
+                    for &s in slots {
+                        let at = s as usize * stride;
+                        gathered.extend_from_slice(&sig_words[at..at + stride]);
+                    }
+                    sec.put_u64_slab(&gathered)?;
                 }
-                sec.put_u64_slab(&gathered)?;
             }
             for (rank, &s) in by_id.iter().enumerate() {
                 rank_of_slot[s as usize] = rank as u32;
@@ -129,6 +170,64 @@ impl<S: Signature> LshForest<S> {
         sec: &mut SectionReader<'_, R>,
         shape: (usize, usize),
     ) -> Result<Self, StoreError> {
+        Self::read_section(sec, shape, ARENA_STORED, |sec, ids, stride, _| {
+            let words = ids
+                .len()
+                .checked_mul(stride)
+                .ok_or_else(|| StoreError::corrupt("forest signature slab size overflows"))?;
+            sec.get_u64_slab(words, "forest signatures")
+        })
+    }
+
+    /// Decode a forest of shape `(l, k)` streamed by
+    /// [`LshForest::write_derived_to`]. `derive` is handed the
+    /// section's id table (strictly ascending) and returns the arena:
+    /// `sig_shape.0` words per id, in that order, signed as the saved
+    /// forest's were — or an error, if it cannot sign one of the ids;
+    /// it has seen every id before it allocates or signs anything. The
+    /// trees are then checked against the labels of what it returned,
+    /// exactly as a stored slab's are, so a `derive` that signs
+    /// something other than what the trees were sorted by is
+    /// [`StoreError::Corrupt`]. `sig_shape` is the hasher's
+    /// `(words, positions)`; a section stating another is corrupt.
+    pub fn read_derived_from<R: Read>(
+        sec: &mut SectionReader<'_, R>,
+        shape: (usize, usize),
+        sig_shape: (usize, u64),
+        derive: impl FnOnce(&[ItemId]) -> Result<Vec<u64>, StoreError>,
+    ) -> Result<Self, StoreError> {
+        Self::read_section(sec, shape, ARENA_DERIVED, |_, ids, stride, meta| {
+            if !ids.is_empty() && (stride, meta) != sig_shape {
+                return Err(StoreError::corrupt(format!(
+                    "forest signature shape ({stride} words, meta {meta}) is not the \
+                     {sig_shape:?} its source is signed to"
+                )));
+            }
+            let arena = derive(ids)?;
+            assert_eq!(
+                arena.len(),
+                ids.len() * stride,
+                "a derived arena holds one signature per id"
+            );
+            Ok(arena)
+        })
+    }
+
+    /// The one section decoder: header, ids, the arena from wherever
+    /// `source` says it comes (`arena` reads or builds it, given the
+    /// id table and the header's signature shape), then the trees,
+    /// checked against the arena's labels.
+    fn read_section<R: Read>(
+        sec: &mut SectionReader<'_, R>,
+        shape: (usize, usize),
+        source: u8,
+        arena: impl FnOnce(
+            &mut SectionReader<'_, R>,
+            &[ItemId],
+            usize,
+            u64,
+        ) -> Result<Vec<u64>, StoreError>,
+    ) -> Result<Self, StoreError> {
         let mut head = [0u8; HEADER_LEN];
         sec.get_raw(&mut head, "forest header")?;
         let mut dec = Decoder::new(&head);
@@ -148,6 +247,12 @@ impl<S: Signature> LshForest<S> {
                 )))
             }
         };
+        let found = dec.get_u8()?;
+        if found != source {
+            return Err(StoreError::corrupt(format!(
+                "forest arena source {found} where {source} was expected"
+            )));
+        }
         let n = usize::try_from(dec.get_u64()?)
             .ok()
             .filter(|&n| n <= u32::MAX as usize)
@@ -170,10 +275,7 @@ impl<S: Signature> LshForest<S> {
                 w[0], w[1]
             )));
         }
-        let slab_words = n
-            .checked_mul(stride)
-            .ok_or_else(|| StoreError::corrupt("forest signature slab size overflows"))?;
-        let sig_words = sec.get_u64_slab(slab_words, "forest signatures")?;
+        let sig_words = arena(sec, &ids, stride, meta)?;
 
         let labels = Self::label_matrix(shape, n, &sig_words, stride, meta);
         let row = l * k;
@@ -225,10 +327,17 @@ mod tests {
     const TAG: [u8; 4] = *b"TEST";
     const SHAPE: (usize, usize) = (8, 8);
 
-    /// The forest's section payload.
-    fn to_bytes<S: Signature>(f: &LshForest<S>) -> Vec<u8> {
+    /// Header offsets: `l, k, committed, arena source, n, stride, meta`.
+    const SOURCE_AT: usize = 9;
+    const N_AT: usize = 10;
+    const META_AT: usize = 22;
+
+    /// The section payload `write` streams.
+    fn payload_of(
+        write: impl FnOnce(&mut SectionWriter<'_, Vec<u8>>) -> io::Result<()>,
+    ) -> Vec<u8> {
         let mut w = ContainerWriter::new(Vec::new(), KIND_SNAPSHOT).unwrap();
-        w.stream_section(TAG, |sec| f.write_to(sec)).unwrap();
+        w.stream_section(TAG, write).unwrap();
         let file = w.finish().unwrap();
         ContainerReader::parse(&file, KIND_SNAPSHOT)
             .unwrap()
@@ -236,14 +345,48 @@ mod tests {
             .unwrap()
     }
 
-    /// Decode a section payload (wrapped intact, so what fails is the
-    /// forest's own validation, not the container's checksum).
-    fn from_bytes<S: Signature>(payload: &[u8]) -> Result<LshForest<S>, StoreError> {
+    /// Decode a section payload with `read` (wrapped intact, so what
+    /// fails is the forest's own validation, not the container's
+    /// checksum).
+    fn decode<T>(
+        payload: &[u8],
+        read: impl FnOnce(&mut SectionReader<'_, io::Cursor<&[u8]>>) -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
         let mut w = ContainerWriter::new(Vec::new(), KIND_SNAPSHOT).unwrap();
         w.add_section(TAG, payload).unwrap();
         let file = w.finish().unwrap();
-        ContainerReader::parse(&file, KIND_SNAPSHOT)?
-            .stream_section(TAG, |sec| LshForest::read_from(sec, SHAPE))
+        ContainerReader::parse(&file, KIND_SNAPSHOT)?.stream_section(TAG, read)
+    }
+
+    /// The forest's section payload, arena stored.
+    fn to_bytes<S: Signature>(f: &LshForest<S>) -> Vec<u8> {
+        payload_of(|sec| f.write_to(sec))
+    }
+
+    fn from_bytes<S: Signature>(payload: &[u8]) -> Result<LshForest<S>, StoreError> {
+        decode(payload, |sec| LshForest::read_from(sec, SHAPE))
+    }
+
+    /// The forest's section payload, arena left out.
+    fn to_derived_bytes<S: Signature>(f: &LshForest<S>) -> Vec<u8> {
+        payload_of(|sec| f.write_derived_to(sec))
+    }
+
+    /// Decode a derived payload of `mh`-signed items, item `id` signed
+    /// from the tokens `tokens_of(id)` names (see [`minhash_sig`]).
+    fn from_derived_bytes(
+        payload: &[u8],
+        mh: &MinHasher,
+        tokens_of: impl Fn(ItemId) -> u64,
+    ) -> Result<LshForest<MinHashSignature>, StoreError> {
+        decode(payload, |sec| {
+            LshForest::read_derived_from(sec, SHAPE, mh.sig_shape(), |ids| {
+                Ok(ids
+                    .iter()
+                    .flat_map(|&id| minhash_sig(mh, tokens_of(id)).words().to_vec())
+                    .collect())
+            })
+        })
     }
 
     fn minhash_sig(mh: &MinHasher, i: u64) -> MinHashSignature {
@@ -272,7 +415,8 @@ mod tests {
         f
     }
 
-    /// Offset of tree `t`'s permutation inside a section payload.
+    /// Offset of tree `t`'s permutation inside a section payload
+    /// (`stride` 0 for a derived one: no slab).
     fn perm_at(n: usize, stride: usize, t: usize) -> usize {
         HEADER_LEN + n * 8 + n * stride * 8 + t * n * 4
     }
@@ -337,6 +481,149 @@ mod tests {
             .query(&minhash_sig(&mh, 3), 12)
             .iter()
             .all(|h| h.id != 9 || h.similarity < 0.1));
+    }
+
+    /// The derived form: the section is the stored one less its slab,
+    /// and reading it with a `derive` that signs what the writer's
+    /// items were signed from gives back the forest, arena included.
+    #[test]
+    fn derived_minhash_forest_round_trips() {
+        let mh = MinHasher::new(64, 7);
+        let f = minhash_forest();
+        let (stored, derived) = (to_bytes(&f), to_derived_bytes(&f));
+        let slab = f.len() * mh.sig_shape().0 * 8;
+        assert_eq!(derived.len(), stored.len() - slab);
+        let ids_end = HEADER_LEN + f.len() * 8;
+        assert_eq!(derived[..SOURCE_AT], stored[..SOURCE_AT]);
+        assert_eq!((stored[SOURCE_AT], derived[SOURCE_AT]), (0, 1));
+        assert_eq!(derived[N_AT..ids_end], stored[N_AT..ids_end]);
+        assert_eq!(derived[ids_end..], stored[ids_end + slab..]);
+
+        // `minhash_forest` signs item `3 i` from tokens `i..i + 20`.
+        let loaded = from_derived_bytes(&derived, &mh, |id| id / 3).unwrap();
+        assert!(loaded.is_committed());
+        assert_eq!(loaded.tree_arrays(), f.tree_arrays());
+        assert_eq!(loaded.arena(), f.arena());
+        assert_eq!(to_bytes(&loaded), stored);
+        assert_eq!(to_derived_bytes(&loaded), derived);
+        let q = minhash_sig(&mh, 4);
+        assert_eq!(loaded.query(&q, 5), f.query(&q, 5));
+    }
+
+    /// An odd position count, a re-inserted id, a scrambled slot order
+    /// and an emptied forest go through the derived form as they go
+    /// through the stored one.
+    #[test]
+    fn derived_form_covers_odd_lengths_reinserts_and_emptied_forests() {
+        let odd = MinHasher::new(67, 7);
+        let mut f = LshForest::new(67, 8);
+        for i in (0..12u64).rev() {
+            f.insert(i, minhash_sig(&odd, i));
+        }
+        f.commit();
+        let loaded = from_derived_bytes(&to_derived_bytes(&f), &odd, |id| id).unwrap();
+        assert_eq!(loaded.sig_meta(), 67);
+        assert_eq!(loaded.tree_arrays(), f.tree_arrays());
+        assert!(loaded.ids().eq(0..12), "a reload is in id order");
+        assert_eq!(to_bytes(&loaded), to_bytes(&f));
+
+        let mh = MinHasher::new(64, 7);
+        let mut f = minhash_forest();
+        f.insert(9, minhash_sig(&mh, 500));
+        f.commit();
+        let tokens_of = |id| if id == 9 { 500 } else { id / 3 };
+        let loaded = from_derived_bytes(&to_derived_bytes(&f), &mh, tokens_of).unwrap();
+        assert_eq!(loaded.len(), 12);
+        assert_eq!(loaded.tree_arrays(), f.tree_arrays());
+        assert_eq!(loaded.signature(9), Some(minhash_sig(&mh, 500)));
+
+        let mut emptied = minhash_forest();
+        for id in emptied.ids().collect::<Vec<_>>() {
+            emptied.remove(id);
+        }
+        let fresh: LshForest<MinHashSignature> = LshForest::new(64, 8);
+        assert_eq!(to_derived_bytes(&emptied), to_derived_bytes(&fresh));
+        assert_eq!(to_derived_bytes(&fresh).len(), HEADER_LEN);
+        let loaded = from_derived_bytes(&to_derived_bytes(&emptied), &mh, |id| id).unwrap();
+        assert!(loaded.is_empty() && loaded.is_committed());
+    }
+
+    /// Each reader reads its own arena source and names the other's;
+    /// a derived section of another hasher's shape is refused before
+    /// `derive` runs.
+    #[test]
+    fn wrong_arena_source_or_shape_is_rejected() {
+        let mh = MinHasher::new(64, 7);
+        let f = minhash_forest();
+        let source_error =
+            |err: StoreError| matches!(&err, StoreError::Corrupt(m) if m.contains("arena source"));
+        assert!(source_error(
+            from_derived_bytes(&to_bytes(&f), &mh, |id| id / 3).unwrap_err()
+        ));
+        assert!(source_error(
+            from_bytes::<MinHashSignature>(&to_derived_bytes(&f)).unwrap_err()
+        ));
+        let mut bad = to_bytes(&f);
+        bad[SOURCE_AT] = 2;
+        assert!(source_error(
+            from_bytes::<MinHashSignature>(&bad).unwrap_err()
+        ));
+
+        // 66 positions are 33 words, a shape the type has — but not
+        // the one this reader's hasher signs.
+        let mut bad = to_derived_bytes(&f);
+        bad[N_AT + 8..N_AT + 12].copy_from_slice(&33u32.to_le_bytes());
+        bad[META_AT..META_AT + 8].copy_from_slice(&66u64.to_le_bytes());
+        let err = decode(&bad, |sec| {
+            LshForest::<MinHashSignature>::read_derived_from(sec, SHAPE, mh.sig_shape(), |_| {
+                panic!("derive must not run on a section of another shape")
+            })
+        })
+        .unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
+    }
+
+    /// The tree check of a derived section is a check against what
+    /// `derive` signed: a source that changed since the save, or a
+    /// `derive` that refuses an id, is a typed error — and every cut
+    /// and every damaged rank of the section is one too.
+    #[test]
+    fn derived_trees_are_checked_against_what_derive_signs() {
+        let mh = MinHasher::new(64, 7);
+        let f = minhash_forest();
+        let good = to_derived_bytes(&f);
+        // Item 9 now yields another signature than the trees filed it under.
+        let err =
+            from_derived_bytes(&good, &mh, |id| if id == 9 { 77 } else { id / 3 }).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corrupt(m) if m.contains("not sorted")),
+            "{err}"
+        );
+        // A `derive` that cannot resolve an id has its error passed on.
+        let err = decode(&good, |sec| {
+            LshForest::<MinHashSignature>::read_derived_from(sec, SHAPE, mh.sig_shape(), |ids| {
+                Err(StoreError::corrupt(format!("no source for {}", ids[3])))
+            })
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corrupt(m) if m == "no source for 9"),
+            "{err}"
+        );
+        for cut in 0..good.len() {
+            match from_derived_bytes(&good[..cut], &mh, |id| id / 3) {
+                Err(StoreError::Truncated { .. } | StoreError::Corrupt(_)) => {}
+                Err(other) => panic!("cut {cut}: unexpected error {other}"),
+                Ok(_) => panic!("cut {cut}: truncated forest decoded"),
+            }
+        }
+        let at = perm_at(f.len(), 0, 2);
+        let mut bad = good.clone();
+        patch_rank(&mut bad, at + 4, f.len() as u32);
+        assert!(matches!(
+            from_derived_bytes(&bad, &mh, |id| id / 3),
+            Err(StoreError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -462,12 +749,12 @@ mod tests {
         ));
         // An item count no section could hold.
         let mut bad = bytes.clone();
-        bad[9..17].copy_from_slice(&(u32::MAX as u64).to_le_bytes());
+        bad[N_AT..N_AT + 8].copy_from_slice(&(u32::MAX as u64).to_le_bytes());
         assert!(matches!(
             from_bytes::<MinHashSignature>(&bad),
             Err(StoreError::Truncated { .. })
         ));
-        bad[9..17].copy_from_slice(&u64::MAX.to_le_bytes());
+        bad[N_AT..N_AT + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
             from_bytes::<MinHashSignature>(&bad),
             Err(StoreError::Corrupt(_))
@@ -478,7 +765,7 @@ mod tests {
     fn signature_shape_the_type_refuses_is_rejected() {
         // 64 bits are one word; claim 65.
         let mut bytes = to_bytes(&bit_forest());
-        bytes[21..29].copy_from_slice(&65u64.to_le_bytes());
+        bytes[META_AT..META_AT + 8].copy_from_slice(&65u64.to_le_bytes());
         assert!(matches!(
             from_bytes::<BitSignature>(&bytes),
             Err(StoreError::Corrupt(_))
@@ -486,7 +773,7 @@ mod tests {
         // 64 positions are 32 words; neither 65 nor format 2's 0 are.
         for meta in [65u64, 62, 0] {
             let mut bytes = to_bytes(&minhash_forest());
-            bytes[21..29].copy_from_slice(&meta.to_le_bytes());
+            bytes[META_AT..META_AT + 8].copy_from_slice(&meta.to_le_bytes());
             assert!(matches!(
                 from_bytes::<MinHashSignature>(&bytes),
                 Err(StoreError::Corrupt(_))

@@ -11,7 +11,7 @@
 //! data.gov.uk at ~89% accuracy. Here the same feature set feeds a
 //! [`LogisticRegression`]; a sensible default model is provided, and
 //! the experiment harness trains/validates one on generated labelled
-//! tables (DESIGN.md §4, substitution 4).
+//! tables.
 
 use d3l_table::{ColumnType, Table};
 use serde::{Deserialize, Serialize};

@@ -1,11 +1,11 @@
 //! The container format shared by base snapshots and delta segments
-//! (format version 3): a fixed header, section payloads back to back,
+//! (format version 4): a fixed header, section payloads back to back,
 //! then a checksummed section table the reader finds from the end.
 //!
 //! ```text
 //! offset  field
 //! 0       magic              "D3LSTORE" (8 bytes)
-//! 8       format version     u32 LE (3)
+//! 8       format version     u32 LE (4)
 //! 12      container kind     u32 LE (1 = snapshot, 2 = delta)
 //! 16      payloads           section bytes, back to back
 //! T       section table      count × { tag: 4 bytes, offset: u64,
@@ -32,18 +32,21 @@
 //! rather than a garbled decode downstream.
 //!
 //! The version counts changes to what any section holds, not only to
-//! the container: version 3 is version 2's container around forest
-//! sections whose MinHash values are 32 bits wide, two to a word
-//! (`d3l-lsh`'s `store` module). Older files — version 1 (table up
-//! front, FNV-1a checksums, per-item forest sections) and version 2
-//! (one 64-bit MinHash value to a word) — are not read: opening one
-//! is [`StoreError::UnsupportedVersion`], and the lake must be
-//! re-indexed.
+//! the container: version 4 is version 2's container around forest
+//! sections that state where their signature arena comes from, and
+//! leave it out when the reader can sign it again (`d3l-lsh`'s
+//! `store` module; `d3l-core`'s snapshot says which forests do).
+//! Older files — version 1 (table up front, FNV-1a checksums,
+//! per-item forest sections), version 2 (one 64-bit MinHash value to
+//! a word) and version 3 (every forest's arena stored) — are not
+//! read: opening one is [`StoreError::UnsupportedVersion`], and the
+//! lake must be re-indexed.
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
 use crate::codec::{
     extend_u32s_from_le, extend_u64s_from_le, u32s_to_le, u64s_to_le, Checksum, Decoder, Encoder,
+    MAX_VARINT_LEN,
 };
 use crate::error::StoreError;
 
@@ -51,7 +54,7 @@ use crate::error::StoreError;
 pub const MAGIC: &[u8; 8] = b"D3LSTORE";
 
 /// The container format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Container kind of a full base snapshot.
 pub const KIND_SNAPSHOT: u32 = 1;
@@ -201,6 +204,16 @@ impl<W: Write> SectionWriter<'_, W> {
         self.sum.update(bytes);
         self.len += bytes.len() as u64;
         self.out.write_all(bytes)
+    }
+
+    /// Raw bytes with a varint length prefix — [`Encoder::put_bytes`],
+    /// streamed: a section of many such blocks is written one block at
+    /// a time and is the bytes one encoder holding them all would be.
+    pub fn put_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
+        let mut len = Encoder::with_capacity(MAX_VARINT_LEN);
+        len.put_varint(bytes.len() as u64);
+        self.put_raw(len.as_bytes())?;
+        self.put_raw(bytes)
     }
 
     /// A slab of fixed-width words, no prefix: converted and moved to
@@ -456,6 +469,33 @@ impl<R: Read> SectionReader<'_, R> {
         Ok(())
     }
 
+    /// The next length-prefixed block ([`SectionWriter::put_bytes`]),
+    /// read into `buf` in place of what it held. The length is checked
+    /// against what the section has left before `buf` grows to it.
+    pub fn get_bytes(&mut self, buf: &mut Vec<u8>) -> Result<(), StoreError> {
+        let mut prefix = [0u8; MAX_VARINT_LEN];
+        let mut used = 0;
+        loop {
+            self.get_raw(&mut prefix[used..used + 1], "bytes length")?;
+            used += 1;
+            if prefix[used - 1] & 0x80 == 0 || used == MAX_VARINT_LEN {
+                break;
+            }
+        }
+        let len = Decoder::new(&prefix[..used]).get_varint()?;
+        if len > self.remaining {
+            return Err(StoreError::Truncated {
+                context: "bytes",
+                needed: usize::try_from(len).unwrap_or(usize::MAX),
+                remaining: usize::try_from(self.remaining).unwrap_or(usize::MAX),
+            });
+        }
+        let len = usize::try_from(len).map_err(|_| StoreError::corrupt("length exceeds usize"))?;
+        buf.clear();
+        buf.resize(len, 0);
+        self.get_raw(buf, "bytes")
+    }
+
     /// Everything the section has left.
     pub fn get_rest(&mut self) -> Result<Vec<u8>, StoreError> {
         let n = usize::try_from(self.remaining)
@@ -589,6 +629,53 @@ mod tests {
         assert_eq!(got_ranks, ranks);
     }
 
+    /// Length-prefixed blocks stream one at a time into the bytes one
+    /// encoder holding them all writes, and read back through one
+    /// reused buffer; a length past the section's end is truncation
+    /// before it is an allocation.
+    #[test]
+    fn length_prefixed_blocks_stream_both_ways() {
+        let blocks: [&[u8]; 4] = [b"one", b"", &[7u8; 300], b"last"];
+        let mut w = ContainerWriter::new(Vec::new(), KIND_SNAPSHOT).unwrap();
+        w.stream_section(*b"BLKS", |sec| {
+            blocks.iter().try_for_each(|b| sec.put_bytes(b))
+        })
+        .unwrap();
+        let bytes = w.finish().unwrap();
+        let mut enc = Encoder::new();
+        for b in blocks {
+            enc.put_bytes(b);
+        }
+        let mut r = ContainerReader::parse(&bytes, KIND_SNAPSHOT).unwrap();
+        assert_eq!(r.section(*b"BLKS").unwrap(), enc.as_bytes());
+        r.stream_section(*b"BLKS", |sec| {
+            let mut buf = vec![0xff; 9];
+            for b in blocks {
+                sec.get_bytes(&mut buf)?;
+                assert_eq!(buf, b);
+            }
+            Ok(())
+        })
+        .unwrap();
+
+        // "payload" is not a block: its first byte claims 112 more.
+        let bytes = two_section_container();
+        let mut r = ContainerReader::parse(&bytes, KIND_SNAPSHOT).unwrap();
+        let err = r
+            .stream_section(*b"BBBB", |sec| sec.get_bytes(&mut Vec::new()))
+            .unwrap_err();
+        assert!(matches!(err, StoreError::Truncated { .. }), "{err}");
+        // Ten continuation bytes are not a length.
+        let mut w = ContainerWriter::new(Vec::new(), KIND_SNAPSHOT).unwrap();
+        w.add_section(*b"LONG", &[0x80; 12]).unwrap();
+        let bytes = w.finish().unwrap();
+        let err = ContainerReader::parse(&bytes, KIND_SNAPSHOT)
+            .unwrap()
+            .stream_section(*b"LONG", |sec| sec.get_bytes(&mut Vec::new()))
+            .unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
+    }
+
     #[test]
     fn oversized_slab_count_is_truncation_not_allocation() {
         let bytes = two_section_container();
@@ -648,8 +735,8 @@ mod tests {
     #[test]
     fn other_versions_are_rejected() {
         // Newer and older alike: there is one read path, and a
-        // version 1 or 2 store must be re-indexed.
-        for version in [FORMAT_VERSION + 1, 2, 1, 0] {
+        // version 1, 2 or 3 store must be re-indexed.
+        for version in [FORMAT_VERSION + 1, 3, 2, 1, 0] {
             let mut bytes = two_section_container();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
@@ -689,24 +776,24 @@ mod tests {
         assert!(err.to_string().contains("re-index"), "{err}");
     }
 
-    /// A version 2 file has this version's container and other forest
-    /// sections; it is refused by its header before any is read.
+    /// Version 2 and 3 files have this version's container and other
+    /// forest sections; they are refused by their header before any is
+    /// read.
     #[test]
-    fn a_version_2_file_is_an_unsupported_version() {
-        let mut v2 = two_section_container();
-        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let err = ContainerReader::parse(&v2, KIND_SNAPSHOT).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                StoreError::UnsupportedVersion {
-                    found: 2,
-                    supported: 3
-                }
-            ),
-            "{err}"
-        );
-        assert!(err.to_string().contains("re-index"), "{err}");
+    fn version_2_and_3_files_are_an_unsupported_version() {
+        for version in [2u32, 3] {
+            let mut old = two_section_container();
+            old[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = ContainerReader::parse(&old, KIND_SNAPSHOT).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    StoreError::UnsupportedVersion { found, supported: 4 } if found == version
+                ),
+                "{err}"
+            );
+            assert!(err.to_string().contains("re-index"), "{err}");
+        }
     }
 
     #[test]

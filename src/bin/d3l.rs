@@ -97,6 +97,8 @@ fn load_engine(
                 if snap.engine.shard_count() == 1 { "" } else { "s" },
                 start.elapsed().as_secs_f64() * 1e3
             );
+            // Shards sit behind `Arc`: this copies pointers, not the
+            // engine the open just built.
             Ok(snap.engine.clone())
         }
         (Some(dir), None) => {

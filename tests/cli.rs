@@ -194,6 +194,20 @@ fn index_persists_and_query_cold_starts_from_it() {
         stderr_of(&out)
     );
 
+    // The opened index and the lake indexed on the fly print the same
+    // ranking: tables, distances, coverage and alignments.
+    let cold = d3l_cmd(&["query", "--index", &index_dir, lake.target(), "-k", "2"]);
+    let rebuilt = d3l_cmd(&["query", lake.dir(), lake.target(), "-k", "2"]);
+    assert_eq!(cold.status.code(), Some(0), "stderr: {}", stderr_of(&cold));
+    assert_eq!(
+        rebuilt.status.code(),
+        Some(0),
+        "stderr: {}",
+        stderr_of(&rebuilt)
+    );
+    assert!(stdout_of(&cold).contains("planets"), "two tables ranked");
+    assert_eq!(stdout_of(&cold), stdout_of(&rebuilt));
+
     // Stats over the index directory labels both footprints.
     let out = d3l_cmd(&["stats", "--index", &index_dir]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));

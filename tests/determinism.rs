@@ -734,19 +734,22 @@ fn dirty_lake(tables: usize) -> DataLake {
 
 /// The index of a fixed lake is pinned to its bytes. Format 2 wrote
 /// 1 129 460 of them (checksum `0x87fd_e201_fea9_baa8`, computed on
-/// commit 498514b before the one-pass profiler); format 3 stores each
+/// commit 498514b before the one-pass profiler); format 3 stored each
 /// of the lake's 467 MinHash signatures in 1 024 bytes instead of
-/// 2 048 and nothing else differently, which is the 478 208 bytes
-/// between the two. Profiling and signing may get faster; what they
-/// produce may not move.
+/// 2 048 and nothing else differently, 651 252 bytes (checksum
+/// `0x2829_27e2_ac45_366c`); format 4 leaves out the `IN` and `IF`
+/// signatures of the lake's 178 attributes — 2 × 178 × 1 024 bytes —
+/// and adds one byte, the arena source, to each of the four forest
+/// headers, and nothing else differently. Profiling and signing may
+/// get faster; what they produce may not move.
 #[test]
 fn dirty_lake_snapshot_checksum_is_pinned() {
     let lake = dirty_lake(40);
     assert_eq!(lake.total_attributes(), 178);
     let bytes = D3l::index_lake(&lake, D3lConfig::default()).to_snapshot_bytes();
-    assert_eq!(bytes.len(), 651_252);
-    assert_eq!(bytes.len(), 1_129_460 - 467 * 1024);
-    assert_eq!(d3l::store::checksum(&bytes), 0x2829_27e2_ac45_366c);
+    assert_eq!(bytes.len(), 286_712);
+    assert_eq!(bytes.len(), 651_252 - 2 * 178 * 1024 + 4);
+    assert_eq!(d3l::store::checksum(&bytes), 0x180c_e910_1718_1bf0);
 }
 
 /// What the index of that lake *answers* is pinned too, to the values
