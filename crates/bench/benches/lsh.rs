@@ -1,10 +1,8 @@
-//! Micro-benchmarks of the LSH substrate, including the LSH Forest vs
-//! banded-LSH ablation.
+//! Micro-benchmarks of the LSH substrate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use d3l_lsh::banded::BandedIndex;
 use d3l_lsh::forest::LshForest;
 use d3l_lsh::minhash::{MinHashSignature, MinHasher};
 
@@ -35,22 +33,14 @@ fn build_forest(items: usize, mh: &MinHasher) -> LshForest<MinHashSignature> {
     f
 }
 
-fn bench_forest_vs_banded(c: &mut Criterion) {
+fn bench_forest_query(c: &mut Criterion) {
     let mh = MinHasher::new(256, 2);
     let mut group = c.benchmark_group("lsh_query");
     for &n in &[1_000usize, 4_000] {
         let forest = build_forest(n, &mh);
-        let mut banded: BandedIndex<MinHashSignature> = BandedIndex::new(256, 0.7);
-        for i in 0..n {
-            let toks = token_set(i, 40);
-            banded.insert(i as u64, mh.sign_strs(toks.iter().map(String::as_str)));
-        }
         let q = mh.sign_strs(token_set(3, 40).iter().map(String::as_str));
         group.bench_with_input(BenchmarkId::new("forest_top50", n), &n, |b, _| {
             b.iter(|| black_box(forest.query(&q, 50)))
-        });
-        group.bench_with_input(BenchmarkId::new("banded_threshold", n), &n, |b, _| {
-            b.iter(|| black_box(banded.query(&q)))
         });
     }
     group.finish();
@@ -79,7 +69,7 @@ fn bench_forest_insert(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_minhash,
-    bench_forest_vs_banded,
+    bench_forest_query,
     bench_forest_insert
 );
 criterion_main!(benches);

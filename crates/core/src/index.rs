@@ -30,6 +30,7 @@ use std::path::Path;
 
 use d3l_embedding::{CachedEmbedder, Lexicon, SemanticEmbedder};
 use d3l_lsh::forest::LshForest;
+use d3l_lsh::kernels::SigningLanes;
 use d3l_lsh::minhash::{MinHashSignature, MinHasher};
 use d3l_lsh::randproj::{BitSignature, RandomProjector};
 use d3l_lsh::{ItemId, TokenSet};
@@ -38,6 +39,14 @@ use d3l_table::{DataLake, Table, TableError, TableId};
 
 use crate::config::D3lConfig;
 use crate::profile::{profile_table, AttributeProfile};
+
+/// Which compilation of the MinHash and hyperplane signing loops every
+/// engine in this process runs — `"avx512"` or `"portable"`, decided
+/// by the CPU ([`SigningLanes::detect`]), the same for every hasher and
+/// projector. What `d3l stats` and `GET /stats` report.
+pub fn signing_lanes() -> &'static str {
+    SigningLanes::detect().name()
+}
 
 /// A reference to one attribute of one table in the lake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

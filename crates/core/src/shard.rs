@@ -180,7 +180,7 @@ impl ShardedD3l {
     /// maps to shard `s`, rebuilt into a committed forest. Trees sort
     /// a total `(label, id)` order, so the result is independent of
     /// iteration order and identical to incremental insertion.
-    fn partition_forest<S: d3l_lsh::banded::Signature>(
+    fn partition_forest<S: d3l_lsh::signature::Signature>(
         full: &LshForest<S>,
         sig_len: usize,
         cfg: &D3lConfig,

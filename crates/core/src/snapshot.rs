@@ -78,10 +78,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use d3l_embedding::SemanticEmbedder;
-use d3l_lsh::banded::Signature;
 use d3l_lsh::forest::LshForest;
 use d3l_lsh::minhash::{MinHashSignature, MinHasher};
 use d3l_lsh::randproj::{BitSignature, RandomProjector};
+use d3l_lsh::signature::Signature;
 use d3l_lsh::{ItemId, TokenSet};
 use d3l_store::{
     layout, ContainerReader, ContainerWriter, Decoder, Encoder, SectionTag, StoreError, KIND_DELTA,

@@ -31,8 +31,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::banded::Signature;
 use crate::hash::{IdHashMap, IdHashSet};
+use crate::signature::Signature;
 use crate::{top_k, Hit, ItemId};
 
 /// Default number of trees.

@@ -5,11 +5,16 @@
 //! Jaccard/overlap over [`crate::TokenSet`]s), MinHash
 //! position-agreement scans, and XOR/popcount word scans. This module
 //! holds those loops in one place, in portable Rust only (no
-//! `std::simd`, no external crates, no intrinsics). The intersection
-//! and hamming kernels work in fixed-width windows with independent
-//! accumulators; the agreement scan is the plain loop, which over
-//! packed signatures is the fastest form measured (see
-//! [`agreement_count`]).
+//! `std::simd`, no external crates, no intrinsics). Two loops — the
+//! across-position MinHash signing loop below and the abreast
+//! projection in [`crate::randproj`] — are compiled a second time
+//! under `#[target_feature]` for the widest lanes a CPU may report;
+//! which compilation runs is decided once, when a hasher or projector
+//! is constructed ([`SigningLanes::detect`]), never per call. The
+//! source of both compilations is the same safe Rust. The hamming
+//! kernel works in fixed-width windows with independent accumulators;
+//! the agreement scan is the plain loop, which over packed signatures
+//! is the fastest form measured (see [`agreement_count`]).
 //!
 //! All kernels in this module are **exact integer computations**:
 //! they are bit-identical to their scalar references on every input,
@@ -23,12 +28,11 @@
 //!
 //! [`intersection_len`] picks between two strategies:
 //!
-//! * a **block-skip merge** for similarly sized sets: the classic
-//!   two-pointer merge, but each side skips ahead [`MERGE_BLOCK`]
-//!   entries at a time while its block maximum stays below the other
-//!   side's cursor, then finishes the block with branchless single
-//!   steps. Runs of non-intersecting keys cost `len/MERGE_BLOCK`
-//!   comparisons instead of `len`.
+//! * the plain branchless two-pointer **merge**
+//!   ([`intersection_len_scalar`]) for similarly sized sets. There
+//!   is no block-skipping variant: timed next to the plain merge in
+//!   the same run on near-balanced sets of 8 / 64 / 1 000 tokens it
+//!   measured 0.7–0.9× / 1.05–1.09× / 0.93–1.06× its speed.
 //! * a **galloping search** when one set is at least
 //!   [`GALLOP_CROSSOVER`]× larger than the other (measured on this
 //!   container: the gallop overtakes the merge between ~8× and ~16×
@@ -38,11 +42,8 @@
 //!   position followed by a binary search over the probed range —
 //!   `O(small · log(large/small))` instead of `O(small + large)`.
 
-/// Elements each merge side skips per block probe.
-pub const MERGE_BLOCK: usize = 8;
-
-/// Size ratio past which [`intersection_len`] switches from the
-/// block-skip merge to the galloping search.
+/// Size ratio past which [`intersection_len`] switches from the merge
+/// to the galloping search.
 pub const GALLOP_CROSSOVER: usize = 16;
 
 /// Size of the intersection of two sorted, deduplicated `u64` slices.
@@ -59,13 +60,13 @@ pub fn intersection_len(a: &[u64], b: &[u64]) -> usize {
     if large.len() / small.len() >= GALLOP_CROSSOVER {
         intersection_len_gallop(small, large)
     } else {
-        intersection_len_merge(a, b)
+        intersection_len_scalar(a, b)
     }
 }
 
-/// The scalar reference: a plain branchless two-pointer merge. This
-/// is the historical implementation, kept verbatim as the oracle the
-/// property suite compares every fast path against.
+/// The scalar reference: a plain branchless two-pointer merge — the
+/// merge [`intersection_len`] runs, and the oracle the property suite
+/// compares the dispatch (gallop included) against.
 pub fn intersection_len_scalar(a: &[u64], b: &[u64]) -> usize {
     let (mut i, mut j, mut inter) = (0usize, 0usize, 0usize);
     while i < a.len() && j < b.len() {
@@ -73,50 +74,6 @@ pub fn intersection_len_scalar(a: &[u64], b: &[u64]) -> usize {
         inter += usize::from(x == y);
         i += usize::from(x <= y);
         j += usize::from(y <= x);
-    }
-    inter
-}
-
-/// Block-skip merge: whole [`MERGE_BLOCK`]-entry blocks are skipped
-/// with one comparison against the block's last element while the
-/// sides are disjoint, falling back to branchless single steps when
-/// blocks overlap.
-fn intersection_len_merge(a: &[u64], b: &[u64]) -> usize {
-    let (mut i, mut j, mut inter) = (0usize, 0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        // Skip ahead block-wise: every element of a[i..i+B] is below
-        // b[j] iff the block maximum is, and vice versa.
-        while i + MERGE_BLOCK <= a.len() && a[i + MERGE_BLOCK - 1] < b[j] {
-            i += MERGE_BLOCK;
-        }
-        if i >= a.len() {
-            break;
-        }
-        while j + MERGE_BLOCK <= b.len() && b[j + MERGE_BLOCK - 1] < a[i] {
-            j += MERGE_BLOCK;
-        }
-        if j >= b.len() {
-            break;
-        }
-        // Within overlapping blocks: the branchless two-pointer step.
-        let (mut x, mut y) = (a[i], b[j]);
-        loop {
-            inter += usize::from(x == y);
-            i += usize::from(x <= y);
-            j += usize::from(y <= x);
-            if i >= a.len() || j >= b.len() {
-                break;
-            }
-            x = a[i];
-            y = b[j];
-            // Leave the inner loop once a side could block-skip again.
-            if i + MERGE_BLOCK <= a.len() && a[i + MERGE_BLOCK - 1] < y {
-                break;
-            }
-            if j + MERGE_BLOCK <= b.len() && b[j + MERGE_BLOCK - 1] < x {
-                break;
-            }
-        }
     }
     inter
 }
@@ -225,6 +182,118 @@ pub(crate) fn agreement_count_u64(a: &[u64], b: &[u64]) -> usize {
             .count()
 }
 
+/// Which compilation of the signing loops runs on this CPU. The only
+/// way to obtain the AVX-512 value is [`SigningLanes::detect`] seeing
+/// the features at run time — the `unsafe` calls into the
+/// `#[target_feature]` instantiations rest on that.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SigningLanes {
+    avx512: bool,
+}
+
+impl SigningLanes {
+    /// The baseline compilation, on any CPU.
+    #[cfg(test)]
+    pub(crate) const PORTABLE: SigningLanes = SigningLanes { avx512: false };
+
+    /// Ask the CPU. AVX-512 F + DQ (`vpmullq`) + VL, or the baseline.
+    /// There is no AVX2 tier: the MinHash loop compiled for it
+    /// measured 0.9–1.0× the portable path.
+    pub fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        let avx512 = std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+            && std::arch::is_x86_feature_detected!("avx512vl");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx512 = false;
+        SigningLanes { avx512 }
+    }
+
+    /// True only when [`SigningLanes::detect`] found AVX-512 F, DQ and
+    /// VL on the running CPU.
+    #[inline]
+    pub(crate) fn is_avx512(self) -> bool {
+        self.avx512
+    }
+
+    /// `"avx512"` or `"portable"` — what `d3l stats` reports.
+    pub fn name(self) -> &'static str {
+        if self.avx512 {
+            "avx512"
+        } else {
+            "portable"
+        }
+    }
+}
+
+/// Positions [`min_sign_across`] signs abreast; `a` and `b` are padded
+/// to a multiple of it.
+pub(crate) const SIGN_BLOCK: usize = 32;
+
+/// MinHash signing turned across positions: for each block of
+/// [`SIGN_BLOCK`] permutations, one pass over the token hashes keeps
+/// the block's running minimums `min_h splitmix64(a_l·h + b_l)` in
+/// lanes, and the low halves are packed two to a word into `out`
+/// (`num_perm.div_ceil(2)` words, overwritten; an odd count leaves the
+/// last high half zero). `a` and `b` hold one multiplier / offset per
+/// position, padded to whole blocks; what the padding lanes compute is
+/// not stored. `min` is exact, so every stored position equals the
+/// permutation-major `minhash::min_mix` for every input.
+///
+/// Compiled for the baseline target this loop is 1.5–2.5× *slower* than
+/// `min_mix` (SSE2 has no 64-bit multiply), which is why it is not the
+/// portable path; it ships as [`min_sign_across_avx512`] only.
+#[inline(always)]
+fn min_sign_across(a: &[u64], b: &[u64], num_perm: usize, hashes: &[u64], out: &mut [u64]) {
+    use crate::hash::splitmix64;
+    debug_assert!(a.len() == b.len() && a.len() == num_perm.next_multiple_of(SIGN_BLOCK));
+    debug_assert_eq!(out.len(), num_perm.div_ceil(2));
+    let blocks = a.chunks_exact(SIGN_BLOCK).zip(b.chunks_exact(SIGN_BLOCK));
+    for ((a, b), words) in blocks.zip(out.chunks_mut(SIGN_BLOCK / 2)) {
+        let mut m = [u64::MAX; SIGN_BLOCK];
+        for &h in hashes {
+            for l in 0..SIGN_BLOCK {
+                m[l] = m[l].min(splitmix64(a[l].wrapping_mul(h).wrapping_add(b[l])));
+            }
+        }
+        for (word, pair) in words.iter_mut().zip(m.chunks_exact(2)) {
+            *word = u64::from(pair[0] as u32) | u64::from(pair[1] as u32) << 32;
+        }
+    }
+    if num_perm % 2 == 1 {
+        out[num_perm / 2] &= u64::from(u32::MAX);
+    }
+}
+
+/// [`min_sign_across`] compiled for AVX-512 F/DQ/VL (`vpmullq`,
+/// `vpminuq` over eight positions a register). Calling it is `unsafe`
+/// unless [`SigningLanes::is_avx512`] holds.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+pub(crate) fn min_sign_across_avx512(
+    a: &[u64],
+    b: &[u64],
+    num_perm: usize,
+    hashes: &[u64],
+    out: &mut [u64],
+) {
+    min_sign_across(a, b, num_perm, hashes, out)
+}
+
+/// [`min_sign_across`] as the baseline target compiles it. Test-only:
+/// the equality suite runs it on every CPU, and the gate prints what
+/// it costs next to `min_mix`.
+#[cfg(test)]
+pub(crate) fn min_sign_across_baseline(
+    a: &[u64],
+    b: &[u64],
+    num_perm: usize,
+    hashes: &[u64],
+    out: &mut [u64],
+) {
+    min_sign_across(a, b, num_perm, hashes, out)
+}
+
 /// XOR-popcount over two equal-length word slices — the hamming
 /// kernel behind bit-signature cosine estimates. 4-word
 /// `chunks_exact` windows with per-chunk partial sums. Exact —
@@ -302,16 +371,9 @@ mod tests {
     }
 
     #[test]
-    fn intersection_lane_boundaries() {
-        // Sizes straddling the block width on both sides of the
-        // gallop crossover.
-        for n in [
-            MERGE_BLOCK - 1,
-            MERGE_BLOCK,
-            MERGE_BLOCK + 1,
-            2 * MERGE_BLOCK - 1,
-            2 * MERGE_BLOCK + 1,
-        ] {
+    fn intersection_crossover_boundaries() {
+        // Small sizes on both sides of the gallop crossover.
+        for n in [7usize, 8, 9, 15, 17] {
             for m in [n, n * GALLOP_CROSSOVER, n * GALLOP_CROSSOVER + 3] {
                 let a: Vec<u64> = (0..n as u64).map(|x| x * 3).collect();
                 let b: Vec<u64> = (0..m as u64).map(|x| x * 2).collect();
@@ -357,10 +419,135 @@ mod tests {
         }
     }
 
+    /// Best-of-seven wall time of `work`.
+    fn best_of_seven(mut work: impl FnMut()) -> std::time::Duration {
+        (0..7)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                work();
+                start.elapsed()
+            })
+            .min()
+            .unwrap()
+    }
+
+    /// The same-run ratio gate (CI runs it in release) for the signing
+    /// loops: each is timed next to the loop it replaced, on this
+    /// machine, in this process.
+    #[test]
+    #[ignore = "timing: cargo test --release -p d3l-lsh lane_signing_beats_oracle -- --ignored --nocapture"]
+    fn lane_signing_beats_oracle() {
+        use crate::minhash::{generated_token_sets, MinHasher, DEFAULT_NUM_PERM};
+        use crate::randproj::oracle::PerPlaneProjector;
+        use crate::randproj::{RandomProjector, DEFAULT_NBITS};
+        use std::hint::black_box;
+
+        // Sixteen planes abreast against one plane at a time, at the
+        // index's shape (64 dimensions, 256 planes).
+        let (dim, nbits) = (64, DEFAULT_NBITS);
+        let mut state = 0x9a7e_u64;
+        let vectors: Vec<Vec<f64>> = (0..256)
+            .map(|_| {
+                (0..dim)
+                    .map(|_| crate::randproj::oracle::unit(&mut state))
+                    .collect()
+            })
+            .collect();
+        let per_plane = PerPlaneProjector::new(dim, nbits, 5);
+        let detected = RandomProjector::new(dim, nbits, 5);
+        let portable = detected.clone().portable();
+        let mut out = vec![0u64; nbits.div_ceil(64)];
+        let mut project = |sign: &dyn Fn(&[f64], &mut [u64])| {
+            best_of_seven(|| {
+                for _ in 0..20 {
+                    for v in &vectors {
+                        sign(black_box(v), &mut out);
+                        black_box(&out);
+                    }
+                }
+            })
+            .as_secs_f64()
+                / (20 * vectors.len()) as f64
+                * 1e6
+        };
+        let oracle_us = project(&|v, out| per_plane.sign_into(v, out));
+        let portable_us = project(&|v, out| portable.sign_into(v, out));
+        let detected_us = project(&|v, out| detected.sign_into(v, out));
+        let tier = SigningLanes::detect();
+        println!(
+            "projection, us per vector: per-plane oracle {oracle_us:.2}, abreast portable \
+             {portable_us:.2} ({:.2}x), abreast {} {detected_us:.2} ({:.2}x)",
+            oracle_us / portable_us,
+            tier.name(),
+            oracle_us / detected_us,
+        );
+        assert!(
+            oracle_us / portable_us >= 1.5,
+            "portable abreast projection only {:.2}x the per-plane oracle",
+            oracle_us / portable_us
+        );
+        assert!(
+            oracle_us / detected_us >= 1.5,
+            "{} abreast projection only {:.2}x the per-plane oracle",
+            tier.name(),
+            oracle_us / detected_us
+        );
+
+        // Across positions against permutation-major, on the generated
+        // token sets (mostly 2-61 tokens, a few empty / single / >1000).
+        let sets = generated_token_sets(400);
+        let detected = MinHasher::new(DEFAULT_NUM_PERM, 41);
+        let portable = detected.clone().portable();
+        let mut out = vec![0u64; DEFAULT_NUM_PERM / 2];
+        let mut sign_all = |mh: &MinHasher| {
+            best_of_seven(|| {
+                for set in &sets {
+                    mh.sign_into(black_box(set), &mut out);
+                    black_box(&out);
+                }
+            })
+            .as_secs_f64()
+                / sets.len() as f64
+                * 1e6
+        };
+        let min_mix_us = sign_all(&portable);
+        let lanes_us = sign_all(&detected);
+        // What the across-position loop costs where a register cannot
+        // multiply 64-bit lanes: printed, not gated — it does not ship.
+        let baseline_us = best_of_seven(|| {
+            for set in &sets {
+                detected.sign_across_baseline(black_box(set), &mut out);
+                black_box(&out);
+            }
+        })
+        .as_secs_f64()
+            / sets.len() as f64
+            * 1e6;
+        println!(
+            "minhash, us per set: across positions compiled for the baseline target \
+             {baseline_us:.2} ({:.2}x min_mix)",
+            min_mix_us / baseline_us
+        );
+        if tier.is_avx512() {
+            println!(
+                "minhash, us per set: min_mix {min_mix_us:.2}, avx512 {lanes_us:.2} ({:.2}x)",
+                min_mix_us / lanes_us
+            );
+            assert!(
+                min_mix_us / lanes_us >= 2.0,
+                "avx512 signing only {:.2}x min_mix",
+                min_mix_us / lanes_us
+            );
+        } else {
+            println!("minhash, us per set: min_mix {min_mix_us:.2}");
+            println!("avx512 tier not available: not gated");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// kernel equivalence: chunked+galloping intersection is
+        /// kernel equivalence: the merge-or-gallop intersection is
         /// bit-identical to the scalar merge on random sorted sets,
         /// including heavily skewed size pairs.
         #[test]

@@ -7,21 +7,20 @@
 //!   similarity of sets;
 //! * [`randproj`] — random hyperplane projections (Charikar 2002)
 //!   estimating cosine similarity of dense vectors;
-//! * [`banded`] — the classic banded LSH index with `(bands, rows)`
-//!   tuned from a similarity threshold;
 //! * [`forest`] — LSH Forest (Bawa et al., WWW 2005), the self-tuning
 //!   variant the paper configures with threshold 0.7 and MinHash size
-//!   256, whose top-k search time varies little with repository size.
+//!   256, whose top-k search time varies little with repository size;
+//! * [`signature`] — what the forest asks of a signature type.
 //!
 //! Items are identified by an opaque `u64` [`ItemId`]; callers map
 //! their attribute identifiers onto it.
 
-pub mod banded;
 pub mod forest;
 pub mod hash;
 pub mod kernels;
 pub mod minhash;
 pub mod randproj;
+pub mod signature;
 pub mod store;
 pub mod tokenset;
 

@@ -27,11 +27,33 @@
 //! counts agreeing halves ([`crate::kernels::agreement_count`]). The
 //! forest, its arena and the store move `(words, meta)` without
 //! knowing what a word holds; `meta` is the position count.
+//!
+//! # Two loops, one signature
+//!
+//! A hasher keeps its multipliers `a_i` and offsets `b_i` as two
+//! arrays padded to a block of 32 positions, and signs with one of two
+//! loops that write the same words for every input (`min` is exact;
+//! `lane_signing_matches_min_mix` holds them word for word):
+//!
+//! * **permutation-major** (`min_mix`): one position at a time, its
+//!   `(a, b)` in registers, the token hashes one contiguous scan. The
+//!   portable path, bound by the scalar 64-bit multiplier.
+//! * **across positions** (`kernels::min_sign_across`): one token hash
+//!   at a time against 32 positions' running minimums. Worth it only
+//!   where a register multiplies eight 64-bit lanes, so it ships
+//!   compiled for AVX-512 F/DQ/VL alone (measured 2.9–4.8× `min_mix`
+//!   on generated sets at 256 positions): compiled for baseline x86-64
+//!   the same source is 1.5–2.5× *slower* than `min_mix` (SSE2 has no
+//!   64-bit multiply), and compiled for AVX2 it measured 0.9–1.0× —
+//!   so no third tier.
+//!
+//! Which one runs is decided once, in [`MinHasher::new`], by asking
+//! the CPU ([`SigningLanes::detect`]).
 
 use serde::{Deserialize, Serialize};
 
 use crate::hash::{hash_str, splitmix64, UniversalHasher};
-use crate::kernels::agreement_count;
+use crate::kernels::{agreement_count, SigningLanes, SIGN_BLOCK};
 use crate::tokenset::TokenSet;
 
 /// Position `i` of a packed signature: half `i & 1` of word `i / 2`.
@@ -110,7 +132,14 @@ impl MinHashSignature {
 /// family. The paper uses `num_perm = 256`.
 #[derive(Debug, Clone)]
 pub struct MinHasher {
-    family: UniversalHasher,
+    num_perm: usize,
+    /// Multiplier of each position's `h ↦ splitmix64(a·h + b)` (the
+    /// [`UniversalHasher`] family's), zero-padded to whole
+    /// [`SIGN_BLOCK`]s.
+    a: Vec<u64>,
+    /// The offsets, padded alike.
+    b: Vec<u64>,
+    lanes: SigningLanes,
 }
 
 /// Default signature size used across the reproduction (paper §V).
@@ -119,14 +148,44 @@ pub const DEFAULT_NUM_PERM: usize = 256;
 impl MinHasher {
     /// A hasher with `num_perm` simulated permutations.
     pub fn new(num_perm: usize, seed: u64) -> Self {
+        let family = UniversalHasher::new(num_perm, seed);
+        let padded = num_perm.next_multiple_of(SIGN_BLOCK);
+        let (mut a, mut b): (Vec<u64>, Vec<u64>) = family.params().iter().copied().unzip();
+        a.resize(padded, 0);
+        b.resize(padded, 0);
         MinHasher {
-            family: UniversalHasher::new(num_perm, seed),
+            num_perm,
+            a,
+            b,
+            lanes: SigningLanes::detect(),
         }
+    }
+
+    /// This hasher, signing with the portable loop whatever the CPU
+    /// has — how the tests reach both loops on one machine.
+    #[cfg(test)]
+    pub(crate) fn portable(mut self) -> Self {
+        self.lanes = SigningLanes::PORTABLE;
+        self
+    }
+
+    /// Sign with the across-position loop as the baseline target
+    /// compiles it — the compilation that does not ship, which the
+    /// equality suite still runs on every CPU and the gate prices.
+    #[cfg(test)]
+    pub(crate) fn sign_across_baseline(&self, hashes: &[u64], out: &mut [u64]) {
+        crate::kernels::min_sign_across_baseline(&self.a, &self.b, self.num_perm, hashes, out)
     }
 
     /// Number of permutations (signature length).
     pub fn num_perm(&self) -> usize {
-        self.family.len()
+        self.num_perm
+    }
+
+    /// The `(a_i, b_i)` of every position, in order.
+    fn params(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let n = self.num_perm;
+        self.a[..n].iter().copied().zip(self.b[..n].iter().copied())
     }
 
     /// Signature of a set of string tokens. The empty set gets a
@@ -164,8 +223,7 @@ impl MinHasher {
     /// shape [`crate::forest::LshForest::insert_with`] reserves a
     /// slot of: two positions to a word, `meta` the position count.
     pub fn sig_shape(&self) -> (usize, u64) {
-        let num_perm = self.family.len();
-        (num_perm.div_ceil(2), num_perm as u64)
+        (self.num_perm.div_ceil(2), self.num_perm as u64)
     }
 
     /// Write the packed signature of a slice of pre-hashed tokens into
@@ -180,12 +238,25 @@ impl MinHasher {
     pub fn sign_into(&self, hashes: &[u64], out: &mut [u64]) {
         assert_eq!(
             out.len(),
-            self.family.len().div_ceil(2),
+            self.num_perm.div_ceil(2),
             "signature length mismatch"
         );
-        for (word, pair) in out.iter_mut().zip(self.family.params().chunks(2)) {
-            let lo = min_mix(pair[0], hashes) as u32;
-            let hi = pair.get(1).map_or(0, |&perm| min_mix(perm, hashes) as u32);
+        #[cfg(target_arch = "x86_64")]
+        if self.lanes.is_avx512() {
+            // SAFETY: `is_avx512` is true only for the value
+            // `SigningLanes::detect` returns after
+            // `is_x86_feature_detected!` reported avx512f, avx512dq
+            // and avx512vl on this CPU — the features the callee is
+            // compiled for.
+            unsafe {
+                crate::kernels::min_sign_across_avx512(&self.a, &self.b, self.num_perm, hashes, out)
+            };
+            return;
+        }
+        let mut params = self.params();
+        for word in out.iter_mut() {
+            let lo = params.next().map_or(0, |perm| min_mix(perm, hashes) as u32);
+            let hi = params.next().map_or(0, |perm| min_mix(perm, hashes) as u32);
             *word = u64::from(lo) | u64::from(hi) << 32;
         }
     }
@@ -196,8 +267,8 @@ impl MinHasher {
     /// against.
     #[cfg(test)]
     pub(crate) fn sign_into_oracle(&self, hashes: &[u64], out: &mut [u64]) {
-        assert_eq!(out.len(), self.family.len(), "signature length mismatch");
-        for (slot, &perm) in out.iter_mut().zip(self.family.params()) {
+        assert_eq!(out.len(), self.num_perm, "signature length mismatch");
+        for (slot, perm) in out.iter_mut().zip(self.params()) {
             *slot = min_mix(perm, hashes);
         }
     }
@@ -236,6 +307,38 @@ fn min_mix((a, b): (u64, u64), hashes: &[u64]) -> u64 {
 /// paper's exact-distance formulas (§III-B).
 pub fn exact_jaccard(a: &TokenSet, b: &TokenSet) -> f64 {
     a.jaccard(b)
+}
+
+/// Token sets the signing loops and the packed layout are compared
+/// with their oracles on: empty, singleton, with repeated tokens,
+/// beyond 1 000 tokens, and — so that pairs of them agree in some
+/// positions and not in others — drawn from a universe small enough
+/// to overlap.
+#[cfg(test)]
+pub(crate) fn generated_token_sets(count: usize) -> Vec<Vec<u64>> {
+    let mut state = 0x0dd5_e751_u64;
+    let mut next = move |below: u64| {
+        state = splitmix64(state);
+        state % below
+    };
+    (0..count)
+        .map(|i| {
+            let len = match i % 100 {
+                0 => 0,
+                1 => 1,
+                2 => 1001 + next(200) as usize,
+                _ => 2 + next(60) as usize,
+            };
+            let universe = if len > 1000 { 1500 } else { 80 };
+            let mut set: Vec<u64> = (0..len)
+                .map(|_| splitmix64(next(universe) ^ 0x70_6b))
+                .collect();
+            if i % 3 == 0 && len > 1 {
+                set.extend_from_within(..len / 2);
+            }
+            set
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -333,10 +436,8 @@ mod tests {
             let mut oracle = vec![0xdead_beef_u64; 48];
             mh.sign_into_oracle(&hashes, &mut oracle);
             let naive: Vec<u64> = mh
-                .family
                 .params()
-                .iter()
-                .map(|&(a, b)| {
+                .map(|(a, b)| {
                     hashes
                         .iter()
                         .map(|&h| splitmix64(a.wrapping_mul(h).wrapping_add(b)))
@@ -349,45 +450,15 @@ mod tests {
         assert_eq!(mh.sig_shape(), (24, 48));
     }
 
-    /// Token sets the packed layout is compared with its oracle on:
-    /// empty, singleton, with repeated tokens, beyond 1 000 tokens, and
-    /// — so that pairs of them agree in some positions and not in
-    /// others — drawn from a universe small enough to overlap.
-    fn generated_token_sets(count: usize) -> Vec<Vec<u64>> {
-        let mut state = 0x0dd5_e751_u64;
-        let mut next = move |below: u64| {
-            state = splitmix64(state);
-            state % below
-        };
-        (0..count)
-            .map(|i| {
-                let len = match i % 100 {
-                    0 => 0,
-                    1 => 1,
-                    2 => 1001 + next(200) as usize,
-                    _ => 2 + next(60) as usize,
-                };
-                let universe = if len > 1000 { 1500 } else { 80 };
-                let mut set: Vec<u64> = (0..len)
-                    .map(|_| splitmix64(next(universe) ^ 0x70_6b))
-                    .collect();
-                if i % 3 == 0 && len > 1 {
-                    set.extend_from_within(..len / 2);
-                }
-                set
-            })
-            .collect()
-    }
-
     /// The packed layout against one full-width word per position, at
     /// even, odd and single-position lengths: every position is the
     /// truncation of the oracle's, every label byte is the oracle's,
     /// and no pair of signatures agrees anywhere the oracle's do not.
     #[test]
     fn packed_signatures_match_the_one_word_oracle() {
-        use crate::banded::Signature;
         use crate::forest::write_labels;
         use crate::kernels::agreement_count_u64;
+        use crate::signature::Signature;
 
         let sets = generated_token_sets(2000);
         assert!(sets.iter().any(Vec::is_empty) && sets.iter().any(|s| s.len() > 1000));
@@ -447,6 +518,62 @@ mod tests {
                 num_perm < 63 || agreeing_pairs > sets.len() / 2,
                 "pairs that partly agree @{num_perm}: {agreeing_pairs}"
             );
+        }
+    }
+
+    /// Every signing loop this CPU can run against `min_mix`, word for
+    /// word: the hasher as constructed (the AVX-512 compilation where
+    /// detected), the hasher forced portable, and the across-position
+    /// loop as the baseline target compiles it — at lengths around the
+    /// 32-position block and the two-to-a-word packing.
+    #[test]
+    fn lane_signing_matches_min_mix() {
+        let sets = generated_token_sets(2000);
+        assert!(sets.iter().any(Vec::is_empty) && sets.iter().any(|s| s.len() > 1000));
+        assert!(sets.iter().any(|s| s.len() == 1));
+        println!(
+            "tiers: {}, portable, across-positions@baseline",
+            SigningLanes::detect().name()
+        );
+        for num_perm in [1usize, 2, 31, 32, 33, 63, 64, 65, 255, 256] {
+            let detected = MinHasher::new(num_perm, 41);
+            let portable = detected.clone().portable();
+            assert_eq!(detected.lanes, SigningLanes::detect());
+            assert_eq!(portable.lanes.name(), "portable");
+            let words = num_perm.div_ceil(2);
+            for set in &sets {
+                let mut full = vec![0u64; num_perm];
+                detected.sign_into_oracle(set, &mut full);
+                let expected: Vec<u64> = full
+                    .chunks(2)
+                    .map(|p| {
+                        u64::from(p[0] as u32) | u64::from(*p.get(1).unwrap_or(&0) as u32) << 32
+                    })
+                    .collect();
+                let mut got = vec![0xdead_beef_dead_beef_u64; words];
+                detected.sign_into(set, &mut got);
+                assert_eq!(got, expected, "detected @{num_perm}, {} tokens", set.len());
+                got.fill(0xdead_beef_dead_beef);
+                portable.sign_into(set, &mut got);
+                assert_eq!(got, expected, "portable @{num_perm}, {} tokens", set.len());
+                got.fill(0xdead_beef_dead_beef);
+                detected.sign_across_baseline(set, &mut got);
+                assert_eq!(got, expected, "baseline @{num_perm}, {} tokens", set.len());
+                if num_perm % 2 == 1 {
+                    assert_eq!(got[num_perm / 2] >> 32, 0, "zero padding");
+                }
+            }
+        }
+    }
+
+    /// No positions: a hasher constructs, and signs nothing into
+    /// nothing.
+    #[test]
+    fn zero_permutations_sign_without_panicking() {
+        for mh in [MinHasher::new(0, 3), MinHasher::new(0, 3).portable()] {
+            assert_eq!(mh.sig_shape(), (0, 0));
+            mh.sign_into(&[1, 2, 3], &mut []);
+            assert!(mh.sign_hashed(&[]).is_empty());
         }
     }
 

@@ -66,8 +66,8 @@ use std::io::{self, Read, Write};
 
 use d3l_store::{Decoder, Encoder, SectionReader, SectionWriter, StoreError};
 
-use crate::banded::Signature;
 use crate::forest::{FlatTree, LshForest};
+use crate::signature::Signature;
 use crate::ItemId;
 
 /// Encoded size of the fixed forest header.

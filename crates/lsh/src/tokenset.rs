@@ -73,10 +73,9 @@ impl TokenSet {
         self.contains_hash(hash_str(token))
     }
 
-    /// Size of the intersection: a block-skip merge over the two
-    /// sorted vecs, switching to a galloping search when the sizes
-    /// are skewed past [`crate::kernels::GALLOP_CROSSOVER`]. Exact —
-    /// bit-identical to the historical linear merge (see
+    /// Size of the intersection: a linear merge over the two sorted
+    /// vecs, switching to a galloping search when the sizes are skewed
+    /// past [`crate::kernels::GALLOP_CROSSOVER`] (see
     /// [`crate::kernels`]).
     pub fn intersection_len(&self, other: &TokenSet) -> usize {
         crate::kernels::intersection_len(&self.0, &other.0)

@@ -1180,6 +1180,10 @@ impl Server {
                 "live_tables".to_string(),
                 Json::Num(snap.engine.live_table_count() as f64),
             ),
+            (
+                "signing_lanes".to_string(),
+                Json::str(d3l_core::index::signing_lanes()),
+            ),
             ("memory".to_string(), Json::Obj(memory)),
             ("disk".to_string(), disk),
             ("shards".to_string(), Json::Arr(shards_json)),

@@ -131,7 +131,10 @@ fn cmd_index(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let dir = dir.ok_or("missing lake directory")?;
     let out = out.ok_or("missing --out <index-dir>")?;
 
-    eprintln!("indexing the lake in {dir} ...");
+    eprintln!(
+        "indexing the lake in {dir} ({} signing lanes) ...",
+        d3l::core::index::signing_lanes()
+    );
     let build_start = Instant::now();
     let cfg = D3lConfig {
         shards,
@@ -726,6 +729,7 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
+    println!("signing lanes:  {}", d3l::core::index::signing_lanes());
     let fp = d3l.byte_size();
     println!("in-memory footprint (resident bytes):");
     println!(

@@ -50,7 +50,7 @@
 //! |---|---|---|
 //! | [`core`] | `d3l-core` | the paper's contribution: indexes, distances, Eq. 1–3, join paths |
 //! | [`table`] | `d3l-table` | tables, CSV, the in-memory lake |
-//! | [`lsh`] | `d3l-lsh` | MinHash, random projections, banded LSH, LSH Forest |
+//! | [`lsh`] | `d3l-lsh` | MinHash, random projections, LSH Forest |
 //! | [`features`] | `d3l-features` | q-grams, tokens, format patterns, KS |
 //! | [`embedding`] | `d3l-embedding` | the fastText stand-in word embedder |
 //! | [`store`] | `d3l-store` | binary snapshot codec + container for the persistent index store |

@@ -163,6 +163,11 @@ fn stats_reports_lake_shape() {
     assert!(stdout.contains("tables:         2"), "got: {stdout}");
     assert!(stdout.contains("attributes:     5"), "got: {stdout}");
     assert!(stdout.contains("index bytes:"), "got: {stdout}");
+    let lanes = d3l::core::index::signing_lanes();
+    assert!(
+        stdout.contains(&format!("signing lanes:  {lanes}")),
+        "got: {stdout}"
+    );
 }
 
 #[test]
@@ -177,6 +182,14 @@ fn index_persists_and_query_cold_starts_from_it() {
         stdout_of(&out).contains("snapshot"),
         "index must report the snapshot: {}",
         stdout_of(&out)
+    );
+    assert!(
+        stderr_of(&out).contains(&format!(
+            "({} signing lanes)",
+            d3l::core::index::signing_lanes()
+        )),
+        "index must say which kernel signs: {}",
+        stderr_of(&out)
     );
 
     // Cold-start query from the persisted index: same answer as the

@@ -332,7 +332,7 @@ fn dot_norms_reference(a: &[f64], b: &[f64]) -> (f64, f64, f64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Block-skip/galloping intersection equals the scalar merge on
+    /// Merge-or-gallop intersection equals the scalar merge on
     /// balanced sets.
     #[test]
     fn kernel_intersection_matches_scalar(a in set_draw(400), b in set_draw(400)) {
@@ -430,5 +430,69 @@ proptest! {
             prop_assert!((na - nas).abs() <= tol);
             prop_assert!((nb - nbs).abs() <= tol);
         }
+    }
+
+    /// Whichever signing loop this CPU runs (across positions on
+    /// AVX-512, permutation-major elsewhere), a packed MinHash
+    /// position is the low half of the definition
+    /// `min_x splitmix64(a_i·x + b_i)`, restated here over the public
+    /// hash family; a dirty slot is overwritten and odd-count padding
+    /// is zero.
+    #[test]
+    fn kernel_minhash_signing_matches_the_definition(
+        hashes in prop::collection::vec(0u64..u64::MAX, 0..70),
+        repeat in 0usize..3,
+        num_perm in prop_oneof![Just(0usize), Just(1), Just(31), Just(32), Just(33), Just(65), Just(256)],
+        seed in 0u64..1000,
+    ) {
+        use d3l::lsh::hash::UniversalHasher;
+        let mut hashes = hashes;
+        for _ in 0..repeat {
+            hashes.extend_from_within(..hashes.len() / 2);
+        }
+        let family = UniversalHasher::new(num_perm, seed);
+        let position = |i: usize| {
+            hashes.iter().map(|&h| family.hash(i, h)).min().unwrap_or(u64::MAX) as u32
+        };
+        let expected: Vec<u64> = (0..num_perm.div_ceil(2))
+            .map(|w| {
+                let hi = if 2 * w + 1 < num_perm { position(2 * w + 1) } else { 0 };
+                u64::from(position(2 * w)) | u64::from(hi) << 32
+            })
+            .collect();
+        let mh = MinHasher::new(num_perm, seed);
+        let mut out = vec![0xdead_beef_dead_beef_u64; num_perm.div_ceil(2)];
+        mh.sign_into(&hashes, &mut out);
+        prop_assert_eq!(&out, &expected);
+        prop_assert_eq!(mh.sign_hashed(&hashes).words(), &expected[..]);
+    }
+
+    /// The abreast projection sets bit `p` exactly when plane `p`'s
+    /// dot product, summed in the documented per-plane order (the
+    /// order `dot_norms_reference` restates), is `>= 0.0` — on
+    /// ordinary, zero, signed-zero, subnormal and huge coordinates,
+    /// at dimensions and bit counts around every window and block.
+    #[test]
+    fn kernel_projection_matches_the_per_plane_order(
+        v_seed in float_vec(70),
+        dim in prop_oneof![Just(0usize), Just(1), Just(3), Just(4), Just(5), Just(7), Just(32), Just(66)],
+        nbits in prop_oneof![Just(0usize), Just(1), Just(63), Just(64), Just(65), Just(100), Just(256)],
+        seed in 0u64..1000,
+    ) {
+        let v: Vec<f64> = (0..dim)
+            .map(|i| if v_seed.is_empty() { 0.0 } else { v_seed[i % v_seed.len()] })
+            .collect();
+        let rp = RandomProjector::new(dim, nbits, seed);
+        let mut out = vec![u64::MAX; nbits.div_ceil(64)];
+        rp.sign_into(&v, &mut out);
+        let mut expected = vec![0u64; nbits.div_ceil(64)];
+        for plane in 0..nbits {
+            let row: Vec<f64> = (0..dim).map(|c| rp.component(plane, c)).collect();
+            let (dot, _, _) = dot_norms_reference(&row, &v);
+            if dot >= 0.0 {
+                expected[plane / 64] |= 1 << (plane % 64);
+            }
+        }
+        prop_assert_eq!(out, expected);
     }
 }

@@ -469,6 +469,12 @@ fn endpoints_answer_and_mutations_are_read_your_writes() {
     assert_eq!(stats.get("engine_version").unwrap().as_usize(), Some(0));
     assert_eq!(stats.get("tables").unwrap().as_usize(), Some(6));
     assert_eq!(stats.get("live_tables").unwrap().as_usize(), Some(6));
+    let lanes = stats.get("signing_lanes").unwrap().as_str().unwrap();
+    assert!(["avx512", "portable"].contains(&lanes), "got: {lanes}");
+    assert_eq!(lanes, d3l::core::index::signing_lanes());
+    // Additive: clients that scan for the first `live_tables` still
+    // find the lake-wide one.
+    assert!(body.find("\"signing_lanes\"").unwrap() > body.find("\"live_tables\"").unwrap());
     assert!(
         stats
             .get("memory")
