@@ -8,7 +8,6 @@
 //! are related per Definition 1 (the basis of attribute precision in
 //! Experiments 9/11).
 
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Ground truth for one generated repository.
@@ -18,7 +17,7 @@ use std::collections::{HashMap, HashSet};
 /// slices, so a curator applying Definition 1 would record them as
 /// related (they can populate each other's attributes). The base
 /// table (*family*) is also retained for finer-grained analyses.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct GroundTruth {
     /// table name → family id (base table name).
     family: HashMap<String, String>,

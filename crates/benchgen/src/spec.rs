@@ -4,14 +4,13 @@
 //! from the same domain).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::vocab;
 
 /// The eight thematic domains of the generated lake (the paper's
 /// Smaller Real covers "business, health, transportation, public
 /// service, etc.").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Domain {
     Health,
     Business,
@@ -134,7 +133,7 @@ impl Domain {
 
 /// The value domain of one column — the unit of attribute-level
 /// ground truth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ColumnKind {
     /// Subject attribute: entity names of a domain.
     EntityName(Domain),
@@ -268,7 +267,7 @@ impl ColumnKind {
 }
 
 /// A base-table schema: name, domain, and named+kinded columns.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TableSpec {
     /// Base table name (also the ground-truth family id).
     pub name: String,

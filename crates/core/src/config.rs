@@ -1,10 +1,8 @@
 //! Configuration knobs. Defaults follow the paper's evaluation setup
 //! (§V, footnote 5): LSH Forest, threshold 0.7, MinHash size 256.
 
-use serde::{Deserialize, Serialize};
-
 /// D3L configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct D3lConfig {
     /// MinHash signature length (paper: 256).
     pub num_perm: usize,

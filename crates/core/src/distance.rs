@@ -5,8 +5,6 @@
 //! estimates used at query time operate on stored signatures. Both
 //! live in `[0, 1]` with 1 = maximally distant.
 
-use serde::{Deserialize, Serialize};
-
 use d3l_embedding::vecmath;
 use d3l_features::ks;
 use d3l_lsh::minhash::{exact_jaccard, MinHashSignature};
@@ -17,7 +15,7 @@ use crate::profile::AttributeProfile;
 
 /// The `[D_N, D_V, D_F, D_E, D_D]` distance vector of one attribute
 /// pair or one table pair (Eq. 1 output).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistanceVector(pub [f64; 5]);
 
 impl DistanceVector {
@@ -81,12 +79,14 @@ pub fn format_distance(a: &AttributeProfile, b: &AttributeProfile) -> f64 {
 }
 
 /// Exact embedding distance: cosine distance of attribute vectors; 1
-/// when either vector is zero.
+/// when either vector is zero. Defined on built profiles: an indexed
+/// one has given its vector up (panics — see `D3l::stored_signatures`
+/// for the estimate the query path uses).
 pub fn embedding_distance(a: &AttributeProfile, b: &AttributeProfile) -> f64 {
     if !a.has_embedding() || !b.has_embedding() {
         return 1.0;
     }
-    1.0 - vecmath::cosine(&a.embedding, &b.embedding)
+    1.0 - vecmath::cosine(a.vector(), b.vector())
 }
 
 /// Distribution distance: the two-sample KS statistic over numeric

@@ -1,9 +1,7 @@
 //! The five evidence types (§III-A).
 
-use serde::{Deserialize, Serialize};
-
 /// One of the paper's five relatedness evidence types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Evidence {
     /// Attribute **N**ame similarity (q-gram Jaccard).
     Name,

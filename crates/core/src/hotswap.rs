@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
 use d3l_store::layout::{shard_dir_name, shard_dirs};
-use d3l_store::{StoreError, BASE_FILE};
+use d3l_store::{SectionTag, StoreError, BASE_FILE};
 use d3l_table::{Table, TableId};
 use d3l_telemetry::{Histogram, Registry};
 
@@ -482,6 +482,21 @@ impl EngineHandle {
             out.push((base, deltas, store.delta_count()?));
         }
         Ok(out)
+    }
+
+    /// What the base snapshots are made of: `(section tag, payload
+    /// bytes)` in file order ([`IndexStore::base_sections`]), summed
+    /// across shards — every base holds the same sections in the same
+    /// order.
+    pub fn base_sections(&self) -> Result<Vec<(SectionTag, u64)>, MaintenanceError> {
+        let stores = self.lock_stores();
+        let mut total = stores[0].base_sections()?;
+        for store in &stores[1..] {
+            for (row, (_, len)) in total.iter_mut().zip(store.base_sections()?) {
+                row.1 += len;
+            }
+        }
+        Ok(total)
     }
 
     /// Publish `next` as the successor of `prev`, stamping shard

@@ -2,9 +2,9 @@
 //!
 //! [`D3l`] owns everything needed to answer discovery queries over a
 //! lake: the `IN`, `IV`, `IF` (MinHash) and `IE` (random projection)
-//! LSH Forests, the attribute profiles (kept for exact distances, the
-//! guarded KS computation and join-overlap checks), and each table's
-//! subject attribute.
+//! LSH Forests, the attribute profiles (token sets and numeric extents,
+//! kept for the guarded KS computation and join-overlap checks; not
+//! the embedding vectors), and each table's subject attribute.
 //!
 //! There is one build path. A worker takes a contiguous run of table
 //! ids and, table by table, obtains the table (borrowed from a
@@ -352,6 +352,7 @@ impl D3l {
                 table.name().to_string(),
                 subject,
                 profiles,
+                None,
             );
         }
         Ok(part)
@@ -391,23 +392,24 @@ impl D3l {
         let cached = CachedEmbedder::new(&self.embedder);
         let profiles = profile_table(table, self.cfg.q, &cached);
         let subject = d3l_ml::subject_attribute(table).map(|i| i as u32);
-        self.insert_profiled_table(table.name().to_string(), subject, profiles)
+        self.insert_profiled_table(table.name().to_string(), subject, profiles, None)
     }
 
     /// The shared tail of [`D3l::add_table`] and the delta-segment
     /// replay path: insert an already-profiled table and re-commit.
-    /// Signatures are derived from the profiles' stored token hashes,
-    /// so replaying a persisted delta (which carries the profiles)
-    /// patches the forests bit-identically to the original
-    /// `add_table` call.
+    /// The MinHash signatures are derived from the profiles' stored
+    /// token hashes and `stored_ie` is what a persisted delta carries
+    /// in the vectors' place, so replaying it patches the forests
+    /// bit-identically to the original `add_table` call.
     pub(crate) fn insert_profiled_table(
         &mut self,
         name: String,
         subject: Option<u32>,
         profiles: Vec<AttributeProfile>,
+        stored_ie: Option<&[u64]>,
     ) -> TableId {
         let id = TableId(self.profiles.len() as u32);
-        self.push_profiled_table(id, name, subject, profiles);
+        self.push_profiled_table(id, name, subject, profiles, stored_ie);
         self.commit(self.cfg.effective_threads());
         id
     }
@@ -417,15 +419,24 @@ impl D3l {
     /// lines 15–18, with the §III-C rule that numeric attributes skip
     /// `IV` and `IE`) and record the table. The forests are left
     /// uncommitted.
+    ///
+    /// This is where an embedding vector ends: `IE` is signed from it
+    /// and the profile is kept without it. A delta segment's profiles
+    /// arrive without vectors; `stored_ie` then holds the textual
+    /// columns' `IE` signatures, in column order, `sig_shape().0`
+    /// words each — the caller has checked the count.
     fn push_profiled_table(
         &mut self,
         id: TableId,
         name: String,
         subject: Option<u32>,
-        profiles: Vec<AttributeProfile>,
+        mut profiles: Vec<AttributeProfile>,
+        stored_ie: Option<&[u64]>,
     ) {
         let (mh, rp) = (&self.minhasher, &self.projector);
-        for (col, p) in profiles.iter().enumerate() {
+        let mut stored_ie = stored_ie.map(|words| words.chunks_exact(rp.sig_shape().0));
+        for (col, profile) in profiles.iter_mut().enumerate() {
+            let p = &*profile;
             let key = AttrRef {
                 table: id,
                 column: col as u32,
@@ -440,9 +451,14 @@ impl D3l {
                 self.i_v
                     .insert_with(key, mh.sig_shape(), sign(SetIndex::Value));
                 self.i_e
-                    .insert_with(key, rp.sig_shape(), |slot| rp.sign_into(&p.embedding, slot));
+                    .insert_with(key, rp.sig_shape(), |slot| match &mut stored_ie {
+                        Some(sigs) => slot.copy_from_slice(sigs.next().expect("IE word count")),
+                        None => rp.sign_into(p.vector(), slot),
+                    });
             }
+            profile.embedding = Vec::new();
         }
+        debug_assert!(stored_ie.is_none_or(|mut sigs| sigs.next().is_none()));
         self.names.push(name);
         self.arities.push(profiles.len());
         self.subjects.push(subject);
@@ -636,25 +652,16 @@ impl D3l {
 
     /// Stored signatures of an indexed attribute, cloned into an owned
     /// struct (every attribute is in `IN`/`IF`; numeric ones are
-    /// absent from `IV`/`IE`). Cold paths only — the scoring stages
-    /// use [`D3l::stored_signatures_ref`].
+    /// absent from `IV`/`IE` and get the [`SigFallbacks`]). Cold paths
+    /// only — the scoring stages use [`D3l::stored_signatures_ref`].
     pub(crate) fn stored_signatures(&self, attr: AttrRef) -> AttrSignatures {
         let key = attr.key();
-        let name = self.i_n.signature(key).expect("attribute not indexed");
-        let format = self.i_f.signature(key).expect("attribute not indexed");
-        let value = self
-            .i_v
-            .signature(key)
-            .unwrap_or_else(|| self.minhasher.sign_hashed(&[]));
-        let embedding = self
-            .i_e
-            .signature(key)
-            .unwrap_or_else(|| self.projector.sign(&vec![0.0; self.cfg.embed_dim]));
+        let (value, embedding) = (self.i_v.signature(key), self.i_e.signature(key));
         AttrSignatures {
-            name,
-            value,
-            format,
-            embedding,
+            name: self.i_n.signature(key).expect("attribute not indexed"),
+            value: value.unwrap_or_else(|| self.sig_fallbacks().empty_value),
+            format: self.i_f.signature(key).expect("attribute not indexed"),
+            embedding: embedding.unwrap_or_else(|| self.sig_fallbacks().zero_embedding),
         }
     }
 
@@ -781,10 +788,11 @@ impl MemoryFootprint {
     }
 }
 
-/// Generate the four signatures of a profile, straight from the
-/// hashed token sets — each token was hashed once at profile time and
-/// the MinHash fast path derives every permutation value from the
-/// stored hashes.
+/// Generate the four signatures of a built profile (a query target's),
+/// straight from the hashed token sets — each token was hashed once at
+/// profile time and the MinHash fast path derives every permutation
+/// value from the stored hashes — and from the embedding vector. A lake
+/// member's signatures are [`D3l::stored_signatures`].
 pub(crate) fn sign_profile(
     profile: &AttributeProfile,
     minhasher: &MinHasher,
@@ -795,7 +803,7 @@ pub(crate) fn sign_profile(
         name: sign(SetIndex::Name),
         value: sign(SetIndex::Value),
         format: sign(SetIndex::Format),
-        embedding: projector.sign(&profile.embedding),
+        embedding: projector.sign(profile.vector()),
     }
 }
 
@@ -977,10 +985,28 @@ mod tests {
             column: 0,
         };
         let sigs = d3l.stored_signatures(attr);
-        // Same profile signed fresh gives identical signatures.
-        let fresh = sign_profile(d3l.profile(attr), &d3l.minhasher, &d3l.projector);
+        // The same column profiled and signed fresh gives identical
+        // signatures (the indexed profile no longer holds a vector to
+        // sign).
+        let column = &lake.table(attr.table).columns()[attr.column as usize];
+        let built = AttributeProfile::build(column, d3l.cfg.q, &d3l.embedder);
+        let fresh = sign_profile(&built, &d3l.minhasher, &d3l.projector);
         assert_eq!(sigs.name, fresh.name);
         assert_eq!(sigs.value, fresh.value);
+        assert_eq!(sigs.format, fresh.format);
+        assert_eq!(sigs.embedding, fresh.embedding);
+    }
+
+    #[test]
+    #[should_panic(expected = "stored_signatures")]
+    fn signing_an_indexed_profile_names_the_stored_signatures() {
+        let d3l = D3l::index_lake(&figure1_lake(), D3lConfig::fast());
+        let indexed = d3l.profile(AttrRef {
+            table: TableId(0),
+            column: 0,
+        });
+        assert!(indexed.has_embedding() && indexed.embedding.is_empty());
+        sign_profile(indexed, &d3l.minhasher, &d3l.projector);
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub use populate::Population;
 pub use profile::AttributeProfile;
 pub use query::{Alignment, PreparedTarget, QueryOptions, TableMatch};
 pub use shard::{shard_of_name, ShardedD3l};
-pub use snapshot::{DeltaRecord, IndexStore};
+pub use snapshot::{AddedTable, DeltaRecord, IndexStore};
 pub use trace::{QueryTrace, StageTimer};
 pub use watch::{compact_if_due, Ingestor, WatchConfig, WatchStats, Watcher};
 pub use weights::EvidenceWeights;

@@ -22,6 +22,15 @@
 //! distinct frequent token) — and the embedding is accumulated from
 //! the embedder's cache in sorted token order. [`profile_table`]
 //! reuses one interner for all the columns of a table.
+//!
+//! The vector `⃗a` is an intermediate of signing, as the tokens are:
+//! `IE` is built from random projections *of* it (§III-B), and once
+//! that signature is written scoring reads it and asks the profile only
+//! [`AttributeProfile::has_embedding`]. So a profile holds its vector
+//! from [`AttributeProfile::build`] until the index signs it
+//! (`D3l::push_profiled_table`, which every lake-side profile passes
+//! through) and not after — 64 `f64`s per attribute, numeric ones
+//! included, that neither the resident index nor the store carries.
 
 use d3l_embedding::WordEmbedder;
 use d3l_features::histogram::TokenHistogram;
@@ -48,8 +57,15 @@ pub struct AttributeProfile {
     /// Hashed format pattern strings.
     pub rset: TokenSet,
     /// Mean embedding vector of frequent tokens (zero vector when no
-    /// textual content).
+    /// textual content) — on a profile as [`AttributeProfile::build`]
+    /// returns it, a query target's. Empty once indexed: indexing signs
+    /// `IE` from it and drops it, and a store never writes it. Not an
+    /// `Option`: callers outside the crate (the benchmark among them)
+    /// read `&p.embedding` of built profiles.
     pub embedding: Vec<f64>,
+    /// Whether the vector had a non-zero component when it was built:
+    /// [`AttributeProfile::has_embedding`], with or without the vector.
+    pub(crate) embedded: bool,
     /// Parsed numeric extent, sorted ascending (empty for textual
     /// attributes).
     pub numeric_extent: Vec<f64>,
@@ -130,6 +146,7 @@ impl AttributeProfile {
             qset,
             tset,
             rset,
+            embedded: embedding.iter().any(|&x| x != 0.0),
             embedding,
             numeric_extent,
             is_numeric,
@@ -142,13 +159,26 @@ impl AttributeProfile {
         !self.tset.is_empty()
     }
 
-    /// True when the embedding vector carries signal.
+    /// True when the embedding vector carries (or, on an indexed
+    /// profile, carried) signal.
     pub fn has_embedding(&self) -> bool {
-        self.embedding.iter().any(|&x| x != 0.0)
+        self.embedded
+    }
+
+    /// The embedding vector of a profile that still holds it. Panics on
+    /// an indexed one whose vector carried signal, rather than let the
+    /// empty vector answer 1.0 or trip a dimension check further down.
+    pub(crate) fn vector(&self) -> &[f64] {
+        assert!(
+            !(self.embedded && self.embedding.is_empty()),
+            "profile {:?} was indexed and holds no vector: use `D3l::stored_signatures`",
+            self.name
+        );
+        &self.embedding
     }
 
     /// Resident footprint in bytes: the three hashed token sets, the
-    /// embedding vector, the numeric extent and the name.
+    /// embedding vector (while held), the numeric extent and the name.
     pub fn byte_size(&self) -> usize {
         self.qset.byte_size()
             + self.tset.byte_size()
@@ -273,6 +303,7 @@ mod oracle {
             qset,
             tset: TokenSet::from_hashes(tset_hashes),
             rset: TokenSet::from_hashes(rset_hashes),
+            embedded: embedding.iter().any(|&x| x != 0.0),
             embedding,
             numeric_extent,
             is_numeric,
@@ -422,6 +453,7 @@ mod tests {
             assert_eq!(got.tset, want.tset, "{ctx}");
             assert_eq!(got.rset, want.rset, "{ctx}");
             assert_eq!(bits(&got.embedding), bits(&want.embedding), "{ctx}");
+            assert_eq!(got.embedded, want.embedded, "{ctx}");
             assert_eq!(
                 bits(&got.numeric_extent),
                 bits(&want.numeric_extent),

@@ -332,19 +332,19 @@ impl D3l {
     /// Prepare an already-indexed table as a query target, straight
     /// from its stored profiles — no raw rows needed, which is what
     /// lets a serving process answer "rank everything against lake
-    /// member X" without keeping the CSVs resident. Signatures are
-    /// re-derived from the stored token hashes with this index's
-    /// hashers, so the result is identical to profiling the original
-    /// table. `None` for out-of-range ids and removal tombstones.
+    /// member X" without keeping the CSVs resident. The signatures are
+    /// the forests' own words (with the numeric fallbacks), which are
+    /// what signing the original table's profiles yields, so the
+    /// result is identical to preparing the original table. `None` for
+    /// out-of-range ids and removal tombstones.
     pub fn prepare_indexed(&self, id: TableId) -> Option<PreparedTarget> {
         let idx = id.index();
         if idx >= self.profiles.len() || self.removed[idx] {
             return None;
         }
         let profiles = self.profiles[idx].clone();
-        let sigs = profiles
-            .iter()
-            .map(|p| crate::index::sign_profile(p, &self.minhasher, &self.projector))
+        let sigs = (0..profiles.len() as u32)
+            .map(|column| self.stored_signatures(AttrRef { table: id, column }))
             .collect();
         Some(PreparedTarget {
             profiles,

@@ -9,8 +9,6 @@
 //!   five evidence types, taken from the coefficients of a logistic
 //!   regression trained on related/unrelated table pairs.
 
-use serde::{Deserialize, Serialize};
-
 use d3l_ml::LogisticRegression;
 
 use crate::distance::DistanceVector;
@@ -51,7 +49,7 @@ pub fn aggregate_evidence(pairs: &[(f64, f64)]) -> f64 {
 }
 
 /// The evidence-type weights of Eq. 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvidenceWeights(pub [f64; 5]);
 
 impl EvidenceWeights {

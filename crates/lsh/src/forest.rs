@@ -29,8 +29,6 @@
 //! `(label, item)` pairs, the committed forest is byte-identical for
 //! every insertion order, worker count and thread count.
 
-use serde::{Deserialize, Serialize};
-
 use crate::hash::{IdHashMap, IdHashSet};
 use crate::signature::Signature;
 use crate::{top_k, Hit, ItemId};
@@ -46,7 +44,7 @@ const KEY_BYTES: usize = 16;
 /// is `ids[i]`. Sorted order is lexicographic on `(label, id)`,
 /// exactly the order the historical `Vec<(Box<[u8]>, ItemId)>`
 /// representation sorted into.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FlatTree {
     /// Label stride in bytes (the tree depth).
     k: usize,
@@ -374,7 +372,7 @@ impl FlatTree {
 /// of a dependent hash-probe plus heap-pointer chase per candidate
 /// (the historical `HashMap<ItemId, S>` cost two cache misses per
 /// signature read).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LshForest<S> {
     /// Number of trees (`l`).
     l: usize,

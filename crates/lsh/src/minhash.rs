@@ -50,8 +50,6 @@
 //! Which one runs is decided once, in [`MinHasher::new`], by asking
 //! the CPU ([`SigningLanes::detect`]).
 
-use serde::{Deserialize, Serialize};
-
 use crate::hash::{hash_str, splitmix64, UniversalHasher};
 use crate::kernels::{agreement_count, SigningLanes, SIGN_BLOCK};
 use crate::tokenset::TokenSet;
@@ -64,7 +62,7 @@ pub(crate) fn position(words: &[u64], i: usize) -> u32 {
 
 /// A MinHash signature: `len` 32-bit minimum hash values, packed two
 /// to a word (see the module docs).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MinHashSignature {
     /// `len.div_ceil(2)` packed words.
     words: Vec<u64>,

@@ -24,14 +24,12 @@
 //! target, and for AVX-512 (a block's sum is two registers); which
 //! runs is decided once, in [`RandomProjector::new`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::hash::splitmix64;
 use crate::kernels::SigningLanes;
 
 /// A bit signature produced by [`RandomProjector`]; packed into u64
 /// words.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitSignature {
     bits: Vec<u64>,
     nbits: usize,

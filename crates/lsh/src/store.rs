@@ -12,7 +12,7 @@
 //! is one codec with the two arena sources.
 //!
 //! Wire layout (one streamed `d3l-store` container section, format
-//! version 4 — all fixed-width little-endian, no per-item framing):
+//! versions 4 and 5 — all fixed-width little-endian, no per-item framing):
 //!
 //! ```text
 //! header   u32 l, u32 k, u8 committed, u8 arena source,

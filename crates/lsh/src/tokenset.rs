@@ -16,12 +16,10 @@
 //! collide, so set measures over a `TokenSet` agree with the
 //! string-set measures up to that (negligible) probability.
 
-use serde::{Deserialize, Serialize};
-
 use crate::hash::hash_str;
 
 /// A sorted, deduplicated set of 64-bit token hashes.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TokenSet(Vec<u64>);
 
 impl TokenSet {

@@ -1,10 +1,8 @@
 //! L2-regularized logistic regression trained by cyclic coordinate
 //! descent with per-coordinate Newton steps.
 
-use serde::{Deserialize, Serialize};
-
 /// A trained binary logistic regression model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LogisticRegression {
     weights: Vec<f64>,
     bias: f64,

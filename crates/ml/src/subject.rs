@@ -14,7 +14,6 @@
 //! tables.
 
 use d3l_table::{ColumnType, Table};
-use serde::{Deserialize, Serialize};
 
 use crate::logreg::LogisticRegression;
 
@@ -46,7 +45,7 @@ pub fn subject_features(table: &Table, idx: usize) -> [f64; SUBJECT_FEATURES] {
 }
 
 /// A trained (or default) subject-attribute classifier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SubjectClassifier {
     model: LogisticRegression,
 }

@@ -1,9 +1,9 @@
 //! Hand-rolled JSON: a value tree, a bounds-checked parser and a
 //! deterministic writer.
 //!
-//! The workspace builds against offline compat stand-ins (the `serde`
-//! stand-in is a marker trait with no codegen), so the wire codec is
-//! written out by hand, like the binary store codec before it. Two
+//! The workspace builds offline, with no serialization framework, so
+//! the wire codec is written out by hand, like the binary store codec
+//! before it. Two
 //! properties matter more than generality:
 //!
 //! * **Determinism** — objects keep insertion order and floats are

@@ -2,8 +2,8 @@
 //! little-endian scalars, length-prefixed byte/slice fields, bulk
 //! word slabs, and the section [`Checksum`].
 //!
-//! The workspace builds against offline compat stand-ins, so there is
-//! no serde registry to lean on; these primitives are the entire
+//! The workspace builds offline, with no serialization framework to
+//! lean on; these primitives are the entire
 //! wire vocabulary of the snapshot format. Every [`Decoder`] read is
 //! bounds-checked and returns a typed [`StoreError`] on truncation or
 //! overflow — on-disk bytes are untrusted input.

@@ -1,11 +1,11 @@
 //! The container format shared by base snapshots and delta segments
-//! (format version 4): a fixed header, section payloads back to back,
+//! (format version 5): a fixed header, section payloads back to back,
 //! then a checksummed section table the reader finds from the end.
 //!
 //! ```text
 //! offset  field
 //! 0       magic              "D3LSTORE" (8 bytes)
-//! 8       format version     u32 LE (4)
+//! 8       format version     u32 LE (5)
 //! 12      container kind     u32 LE (1 = snapshot, 2 = delta)
 //! 16      payloads           section bytes, back to back
 //! T       section table      count × { tag: 4 bytes, offset: u64,
@@ -32,15 +32,16 @@
 //! rather than a garbled decode downstream.
 //!
 //! The version counts changes to what any section holds, not only to
-//! the container: version 4 is version 2's container around forest
+//! the container: version 5 is version 2's container around forest
 //! sections that state where their signature arena comes from, and
 //! leave it out when the reader can sign it again (`d3l-lsh`'s
-//! `store` module; `d3l-core`'s snapshot says which forests do).
-//! Older files — version 1 (table up front, FNV-1a checksums,
-//! per-item forest sections), version 2 (one 64-bit MinHash value to
-//! a word) and version 3 (every forest's arena stored) — are not
-//! read: opening one is [`StoreError::UnsupportedVersion`], and the
-//! lake must be re-indexed.
+//! `store` module; `d3l-core`'s snapshot says which forests do), and
+//! around profiles without their embedding vectors. Older files —
+//! version 1 (table up front, FNV-1a checksums, per-item forest
+//! sections), version 2 (one 64-bit MinHash value to a word), version
+//! 3 (every forest's arena stored) and version 4 (a vector in every
+//! profile) — are not read: opening one is
+//! [`StoreError::UnsupportedVersion`], and the lake must be re-indexed.
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
@@ -54,7 +55,7 @@ use crate::error::StoreError;
 pub const MAGIC: &[u8; 8] = b"D3LSTORE";
 
 /// The container format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Container kind of a full base snapshot.
 pub const KIND_SNAPSHOT: u32 = 1;
@@ -368,9 +369,10 @@ impl<R: Read + Seek> ContainerReader<R> {
         self.kind
     }
 
-    /// Tags present, in file order.
-    pub fn tags(&self) -> Vec<SectionTag> {
-        self.entries.iter().map(|e| e.tag).collect()
+    /// The table of contents: tag and payload length of every section,
+    /// in file order.
+    pub fn sections(&self) -> Vec<(SectionTag, u64)> {
+        self.entries.iter().map(|e| (e.tag, e.len)).collect()
     }
 
     /// A required section's payload, read whole and checksum-verified.
@@ -578,7 +580,7 @@ mod tests {
         let bytes = two_section_container();
         let mut r = ContainerReader::parse(&bytes, KIND_SNAPSHOT).unwrap();
         assert_eq!(r.kind(), KIND_SNAPSHOT);
-        assert_eq!(r.tags(), vec![*b"AAAA", *b"BBBB"]);
+        assert_eq!(r.sections(), vec![(*b"AAAA", 3), (*b"BBBB", 7)]);
         // Any order, any number of times.
         assert_eq!(r.section(*b"BBBB").unwrap(), b"payload");
         assert_eq!(r.section(*b"AAAA").unwrap(), &[1, 2, 3]);
@@ -706,7 +708,7 @@ mod tests {
             .finish()
             .unwrap();
         let mut r = ContainerReader::parse(&bytes, KIND_DELTA).unwrap();
-        assert!(r.tags().is_empty());
+        assert!(r.sections().is_empty());
         assert!(matches!(
             r.section(*b"NOPE"),
             Err(StoreError::MissingSection { .. })
@@ -735,8 +737,8 @@ mod tests {
     #[test]
     fn other_versions_are_rejected() {
         // Newer and older alike: there is one read path, and a
-        // version 1, 2 or 3 store must be re-indexed.
-        for version in [FORMAT_VERSION + 1, 3, 2, 1, 0] {
+        // version 1 to 4 store must be re-indexed.
+        for version in [FORMAT_VERSION + 1, 4, 3, 2, 1, 0] {
             let mut bytes = two_section_container();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
@@ -776,19 +778,19 @@ mod tests {
         assert!(err.to_string().contains("re-index"), "{err}");
     }
 
-    /// Version 2 and 3 files have this version's container and other
-    /// forest sections; they are refused by their header before any is
-    /// read.
+    /// Version 2, 3 and 4 files have this version's container and other
+    /// forest or profile sections; they are refused by their header
+    /// before any is read.
     #[test]
-    fn version_2_and_3_files_are_an_unsupported_version() {
-        for version in [2u32, 3] {
+    fn version_2_3_and_4_files_are_an_unsupported_version() {
+        for version in [2u32, 3, 4] {
             let mut old = two_section_container();
             old[8..12].copy_from_slice(&version.to_le_bytes());
             let err = ContainerReader::parse(&old, KIND_SNAPSHOT).unwrap_err();
             assert!(
                 matches!(
                     err,
-                    StoreError::UnsupportedVersion { found, supported: 4 } if found == version
+                    StoreError::UnsupportedVersion { found, supported: 5 } if found == version
                 ),
                 "{err}"
             );

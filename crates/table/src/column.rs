@@ -1,11 +1,12 @@
 //! Columns: named vectors of string cells with an inferred type.
 
-use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 
 use crate::typing;
 
 /// Domain-independent column type, inferred from cell values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColumnType {
     /// All (or a clear majority of) non-null cells are whole numbers.
     Integer,
@@ -32,11 +33,35 @@ impl ColumnType {
 }
 
 /// A named column of string cells. The empty string is a null.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Column {
     name: String,
     values: Vec<String>,
     ty: ColumnType,
+}
+
+/// FNV-1a for the distinct-cell set of [`Column::cell_stats`], whose
+/// only product is a count: exact under any hasher. Fixed-seed, like
+/// the token interner over the same cells — a column built to collide
+/// costs time, never a result.
+struct CellHasher(u64);
+
+impl Default for CellHasher {
+    fn default() -> Self {
+        CellHasher(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl std::hash::Hasher for CellHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// What [`Column::cell_stats`] counts in its one pass; the ratios are
@@ -140,8 +165,8 @@ impl Column {
     /// Null count, distinct count and total length of the cells, in
     /// one pass over the column.
     pub fn cell_stats(&self) -> CellStats {
-        let mut distinct: std::collections::HashSet<&str> =
-            std::collections::HashSet::with_capacity(self.values.len());
+        let mut distinct: HashSet<&str, BuildHasherDefault<CellHasher>> =
+            HashSet::with_capacity_and_hasher(self.values.len(), Default::default());
         let mut chars = 0usize;
         let mut non_null = 0usize;
         for v in self.non_null() {
@@ -227,6 +252,25 @@ mod tests {
         assert!(ColumnType::Integer.is_numeric());
         assert!(!ColumnType::Text.is_numeric());
         assert!(ColumnType::Text.is_textual());
+    }
+
+    proptest::proptest! {
+        /// The cells `typing`'s proptests generate (numeric syntax,
+        /// blanks, a multi-byte letter), a column at a time: the
+        /// distinct count is the ordered set's.
+        #[test]
+        fn cell_stats_count_distinct_cells_exactly(
+            cells in proptest::collection::vec("[0-9eE.,+%a é-]{0,10}", 0..60)
+        ) {
+            let stats = Column::new("c", cells.clone()).cell_stats();
+            let distinct: std::collections::BTreeSet<&str> = cells
+                .iter()
+                .map(String::as_str)
+                .filter(|v| !v.trim().is_empty())
+                .collect();
+            proptest::prop_assert_eq!(stats.distinct, distinct.len());
+            proptest::prop_assert_eq!(stats.rows, cells.len());
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The data lake: a flat repository of tables, addressable by a dense
 //! [`TableId`] (used as the LSH item key throughout) or by name.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
@@ -10,7 +9,7 @@ use crate::error::TableError;
 use crate::table::Table;
 
 /// Dense identifier of a table within one [`DataLake`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TableId(pub u32);
 
 impl TableId {
@@ -28,7 +27,7 @@ impl std::fmt::Display for TableId {
 
 /// A repository of datasets with no relationship metadata — the
 /// paper's notion of a data lake (§I).
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct DataLake {
     tables: Vec<Table>,
     by_name: HashMap<String, TableId>,

@@ -2,14 +2,13 @@
 //! relational operators the benchmark generators and join-path
 //! evaluation need (projection, selection, hash join).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use crate::column::Column;
 use crate::error::TableError;
 
 /// A named table: columns in declaration order, all of equal length.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     name: String,
     columns: Vec<Column>,

@@ -678,12 +678,14 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     // On-disk accounting: the real store files when serving from an
     // index directory (monolithic or sharded), otherwise the snapshot
     // the lake would produce.
+    let mut sections = Vec::new();
     let (d3l, disk, shard_disk) = match (&dir, &index_dir) {
         (None, Some(index)) => {
             let handle = EngineHandle::open(index)?;
             let snap = handle.snapshot();
             let per_shard = handle.shard_disk_stats()?;
             let (base, deltas, pending) = handle.disk_stats()?;
+            sections = handle.base_sections()?;
             (snap.engine.clone(), (base, deltas, pending), per_shard)
         }
         (Some(dir), None) => {
@@ -760,6 +762,14 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 "delta segments", deltas
             );
             println!("  {:<16} {:>12}", "total", base + deltas);
+            // What the base is made of, from its table of contents.
+            println!("base snapshot sections (payload bytes, share):");
+            let payload: u64 = sections.iter().map(|s| s.1).sum();
+            for (tag, len) in sections {
+                let share = 100.0 * len as f64 / payload.max(1) as f64;
+                let tag = String::from_utf8_lossy(&tag);
+                println!("  {tag:<16} {len:>12} {share:>5.1}%");
+            }
         }
         None => println!(
             "  {:<16} {:>12} (if persisted with `d3l index`)",

@@ -229,6 +229,30 @@ fn index_persists_and_query_cold_starts_from_it() {
     assert!(stdout.contains("on-disk snapshot"), "got: {stdout}");
     assert!(stdout.contains("base snapshot"), "got: {stdout}");
 
+    // The section table accounts for the whole base file: the payloads
+    // of the nine sections, a 16-byte header, a 28-byte table row each
+    // and the 20-byte trailer.
+    let rows: Vec<(&str, u64)> = stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("base snapshot sections"))
+        .skip(1)
+        .map(|l| {
+            let mut fields = l.split_whitespace();
+            let tag = fields.next().unwrap();
+            (tag, fields.next().unwrap().parse().unwrap())
+        })
+        .collect();
+    let tags: Vec<&str> = rows.iter().map(|r| r.0).collect();
+    assert_eq!(
+        tags,
+        ["CONF", "EMBD", "TABL", "PROF", "F_IN", "F_IV", "F_IF", "F_IE", "SEQN"]
+    );
+    let base_len = std::fs::metadata(std::path::Path::new(&index_dir).join("base.d3ls"))
+        .unwrap()
+        .len();
+    let payload: u64 = rows.iter().map(|r| r.1).sum();
+    assert_eq!(payload, base_len - 16 - 28 * rows.len() as u64 - 20);
+
     std::fs::remove_dir_all(&index_dir).ok();
 }
 

@@ -740,16 +740,20 @@ fn dirty_lake(tables: usize) -> DataLake {
 /// `0x2829_27e2_ac45_366c`); format 4 leaves out the `IN` and `IF`
 /// signatures of the lake's 178 attributes — 2 × 178 × 1 024 bytes —
 /// and adds one byte, the arena source, to each of the four forest
-/// headers, and nothing else differently. Profiling and signing may
-/// get faster; what they produce may not move.
+/// headers, 286 712 bytes (checksum `0x180c_e910_1718_1bf0`); format 5
+/// leaves out each attribute's embedding vector — a length byte and
+/// 64 `f64`s, 513 bytes — turns the numeric byte that followed it into
+/// a flags byte, and nothing else differently. Profiling and signing
+/// may get faster; what they produce may not move.
 #[test]
 fn dirty_lake_snapshot_checksum_is_pinned() {
     let lake = dirty_lake(40);
     assert_eq!(lake.total_attributes(), 178);
     let bytes = D3l::index_lake(&lake, D3lConfig::default()).to_snapshot_bytes();
-    assert_eq!(bytes.len(), 286_712);
-    assert_eq!(bytes.len(), 651_252 - 2 * 178 * 1024 + 4);
-    assert_eq!(d3l::store::checksum(&bytes), 0x180c_e910_1718_1bf0);
+    assert_eq!(bytes.len(), 195_398);
+    assert_eq!(bytes.len(), 286_712 - 178 * 513);
+    assert_eq!(286_712, 651_252 - 2 * 178 * 1024 + 4);
+    assert_eq!(d3l::store::checksum(&bytes), 0x1fba_ca28_ab6f_87b8);
 }
 
 /// What the index of that lake *answers* is pinned too, to the values

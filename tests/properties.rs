@@ -152,7 +152,9 @@ proptest! {
     }
 
     /// Exact pairwise distances are symmetric and self-distance is
-    /// minimal for every evidence type that applies.
+    /// minimal for every evidence type that applies; a built profile
+    /// says it has an embedding exactly when its vector has a non-zero
+    /// component.
     #[test]
     fn distances_symmetric(vals_a in prop::collection::vec(cell(), 1..20),
                            vals_b in prop::collection::vec(cell(), 1..20)) {
@@ -161,6 +163,9 @@ proptest! {
         let cb = Column::new("B Col", vals_b);
         let pa = AttributeProfile::build(&ca, 4, &e);
         let pb = AttributeProfile::build(&cb, 4, &e);
+        for p in [&pa, &pb] {
+            prop_assert_eq!(p.has_embedding(), p.embedding.iter().any(|&x| x != 0.0));
+        }
         let ab = distance::exact_distances(&pa, &pb);
         let ba = distance::exact_distances(&pb, &pa);
         for (x, y) in ab.0.iter().zip(&ba.0) {
