@@ -1,7 +1,6 @@
 //! The experiment implementations — one function per paper artifact.
 //! Each prints the same rows/series the paper reports.
 
-use std::collections::HashSet;
 use std::time::Instant;
 
 use d3l_baselines::{Aurum, AurumConfig, Tus, TusConfig};
@@ -691,10 +690,4 @@ pub fn all(setting: &Setting) {
     subject(setting);
     ablation_weights(setting);
     ablation_granularity(setting);
-}
-
-/// Coverage helper exposed for integration tests: distinct target
-/// columns covered by ground truth between two tables.
-pub fn gt_coverage(bench: &Benchmark, target: &str, source: &str) -> HashSet<String> {
-    bench.truth.coverable_targets(target, source)
 }

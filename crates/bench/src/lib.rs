@@ -1,15 +1,13 @@
 //! # d3l-bench — experiment harness
 //!
-//! Machinery shared by the `experiments` binary (which regenerates
-//! every table and figure of the paper) and the Criterion benches:
-//! repository construction, system builders, and the evaluation loops
+//! What the `experiments` binary (which regenerates every table and
+//! figure of the paper) is made of: repository scale settings, the
+//! three systems built over one repository, and the evaluation loops
 //! that sweep the answer size `k` over 100 (or configurable) targets.
+//! Speed, size and answer quality of the system itself are measured
+//! by the benchmark package in `benchmark/`, not here.
 
 pub mod eval;
 pub mod experiments;
 pub mod runner;
 pub mod setup;
-
-pub use eval::{EvalPoint, JoinEvalPoint};
-pub use runner::Systems;
-pub use setup::Setting;

@@ -93,11 +93,6 @@ impl Systems {
         }
     }
 
-    /// The SA-join graph (built once at construction).
-    pub fn join_graph(&self) -> &d3l_core::SaJoinGraph {
-        &self.join_graph
-    }
-
     /// Query one system for many lake-member targets at once, each
     /// excluding itself from its answer. D3L modes go through
     /// [`D3l::query_batch_with`], which shares per-target profiling

@@ -77,12 +77,6 @@ impl Setting {
     }
 }
 
-impl Default for Setting {
-    fn default() -> Self {
-        Setting::standard()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,11 +100,5 @@ mod tests {
         }
         assert!(*ks.first().unwrap() == 5);
         assert!(*ks.last().unwrap() >= 55);
-    }
-
-    #[test]
-    fn env_default_is_standard() {
-        // (cannot mutate env safely in tests; just check the default)
-        assert_eq!(Setting::default(), Setting::standard());
     }
 }

@@ -1391,12 +1391,17 @@ mod tests {
     /// lake the snapshot is at most half the four-slab oracle's bytes
     /// — exactly its bytes less the `IN` and `IF` slabs — and opening
     /// it takes at most twice as long as opening the oracle's
-    /// (measured: 0.35× and 1.1×; the save it pays for is not timed here).
+    /// (measured: 0.35× and 1.1×; the save it pays for is not timed here)
+    /// — and less time than indexing the lake again, without which a
+    /// store would be pointless.
     #[test]
     #[ignore = "timing: cargo test --release -p d3l-core derived_store_beats_oracle -- --ignored"]
     fn derived_store_beats_oracle() {
         use std::time::Instant;
-        let d3l = D3l::index_lake(&dirty_lake(400), D3lConfig::default());
+        let lake = dirty_lake(400);
+        let start = Instant::now();
+        let d3l = D3l::index_lake(&lake, D3lConfig::default());
+        let rebuild = start.elapsed();
         let (bytes, stored) = (d3l.to_snapshot_bytes(), oracle::to_bytes(&d3l));
         let attributes = d3l.i_n.len();
         assert_eq!(d3l.i_f.len(), attributes);
@@ -1422,12 +1427,16 @@ mod tests {
         let ratio = derived.as_secs_f64() / oracle.as_secs_f64();
         println!(
             "{attributes} attributes: snapshot {} B vs oracle {} B ({:.3}x); \
-             open {derived:?} vs oracle {oracle:?} ({ratio:.2}x)",
+             open {derived:?} vs oracle {oracle:?} ({ratio:.2}x), rebuild {rebuild:?}",
             bytes.len(),
             stored.len(),
             bytes.len() as f64 / stored.len() as f64,
         );
         assert!(ratio <= 2.0, "derived open is {ratio:.2}x the oracle's");
+        assert!(
+            derived < rebuild,
+            "opening the store ({derived:?}) is no faster than rebuilding it ({rebuild:?})"
+        );
     }
 
     /// Rewrite one section of a snapshot and re-seal it: the result is

@@ -7,7 +7,9 @@
 //!
 //! * a **scanner** polls a directory of CSVs over plain `std::fs`
 //!   (no notification APIs, no dependencies), fingerprinting each
-//!   file by `(len, mtime)`;
+//!   file by `(len, mtime)` — and by a checksum of its bytes while
+//!   its mtime is too recent for those two to be trusted (within
+//!   `RACY_WINDOW`, 2 s, of the previous scan);
 //! * a change is only acted on after a **stability window** — the
 //!   fingerprint must hold across two consecutive polls — so a file
 //!   still being copied in is re-queued rather than half-ingested;
@@ -218,25 +220,54 @@ impl WatchStats {
     }
 }
 
-/// `(len, mtime)` identity of a file's content as far as a poll-based
-/// scanner can see it. Equality across two polls is the stability
-/// criterion; any change restarts the window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The coarsest timestamp step a filesystem is assumed to have (FAT's
+/// two seconds). A file modified within this much of the previous
+/// scan may be rewritten again without its mtime moving, so `(len,
+/// mtime)` alone cannot vouch for its content — git's "racily clean"
+/// rule.
+const RACY_WINDOW: Duration = Duration::from_secs(2);
+
+/// Identity of a file's content as far as a poll-based scanner can
+/// see it: `(len, mtime)`, plus the checksum of the bytes while the
+/// mtime lies inside [`RACY_WINDOW`] — an aged file costs one `stat`,
+/// a fresh one a read. [`Fingerprint::same_content`] across two polls
+/// is the stability criterion; any change restarts the window.
+#[derive(Debug, Clone, Copy)]
 struct Fingerprint {
     len: u64,
     mtime_ns: u128,
+    checksum: Option<u64>,
 }
 
-fn fingerprint(md: &std::fs::Metadata) -> Fingerprint {
-    let mtime_ns = md
-        .modified()
-        .ok()
-        .and_then(|t| t.duration_since(SystemTime::UNIX_EPOCH).ok())
-        .map(|d| d.as_nanos())
-        .unwrap_or(0);
+impl Fingerprint {
+    /// Whether two observations of one path saw the same content.
+    /// Checksums decide only when both observations took one: a file
+    /// ages out of the racy window without having changed.
+    fn same_content(&self, other: &Fingerprint) -> bool {
+        (self.len, self.mtime_ns) == (other.len, other.mtime_ns)
+            && match (self.checksum, other.checksum) {
+                (Some(a), Some(b)) => a == b,
+                _ => true,
+            }
+    }
+}
+
+/// Fingerprint `path`, reading it only if it was modified no earlier
+/// than `racy_since`. A fresh file that cannot be read (deleted or
+/// locked under the scanner) is fingerprinted by its metadata alone.
+fn fingerprint(path: &Path, md: &std::fs::Metadata, racy_since: SystemTime) -> Fingerprint {
+    let modified = md.modified().ok();
+    let checksum = match modified {
+        Some(t) if t < racy_since => None,
+        _ => std::fs::read(path).ok().map(|b| d3l_store::checksum(&b)),
+    };
     Fingerprint {
         len: md.len(),
-        mtime_ns,
+        mtime_ns: modified
+            .and_then(|t| t.duration_since(SystemTime::UNIX_EPOCH).ok())
+            .map(|d| d.as_nanos())
+            .unwrap_or(0),
+        checksum,
     }
 }
 
@@ -295,6 +326,9 @@ pub struct Ingestor {
     stats: Arc<WatchStats>,
     files: BTreeMap<String, TrackedFile>,
     queue: BTreeMap<String, QueuedChange>,
+    /// Wall-clock start of the previous directory scan: what a file's
+    /// mtime is held against to decide whether it is still racy.
+    last_scan: SystemTime,
 }
 
 impl Ingestor {
@@ -320,8 +354,9 @@ impl Ingestor {
             .keys()
             .map(|s| s.to_string())
             .collect();
+        let last_scan = SystemTime::now();
         let mut files = BTreeMap::new();
-        for (name, path, fp) in Self::list_csvs(&dir)? {
+        for (name, path, fp) in Self::list_csvs(&dir, last_scan)? {
             let state = if indexed.contains(&name) {
                 FileState::Ingested
             } else {
@@ -344,6 +379,7 @@ impl Ingestor {
             stats,
             files,
             queue: BTreeMap::new(),
+            last_scan,
         };
         ingestor
             .stats
@@ -358,8 +394,15 @@ impl Ingestor {
     }
 
     /// Every `*.csv` regular file in `dir` as
-    /// `(table name, path, fingerprint)`.
-    fn list_csvs(dir: &Path) -> std::io::Result<Vec<(String, PathBuf, Fingerprint)>> {
+    /// `(table name, path, fingerprint)`, `prev_scan` being when the
+    /// scan before this one began.
+    fn list_csvs(
+        dir: &Path,
+        prev_scan: SystemTime,
+    ) -> std::io::Result<Vec<(String, PathBuf, Fingerprint)>> {
+        let racy_since = prev_scan
+            .checked_sub(RACY_WINDOW)
+            .unwrap_or(SystemTime::UNIX_EPOCH);
         let mut out = Vec::new();
         for entry in std::fs::read_dir(dir)? {
             let entry = entry?;
@@ -378,7 +421,8 @@ impl Ingestor {
             if !md.is_file() {
                 continue;
             }
-            out.push((name.to_string(), path, fingerprint(&md)));
+            let fp = fingerprint(&path, &md, racy_since);
+            out.push((name.to_string(), path, fp));
         }
         Ok(out)
     }
@@ -398,8 +442,9 @@ impl Ingestor {
     fn scan(&mut self) -> std::io::Result<()> {
         self.stats.polls.inc();
         let now = Instant::now();
+        let prev_scan = std::mem::replace(&mut self.last_scan, SystemTime::now());
         let mut seen = BTreeSet::new();
-        for (name, path, fp) in Self::list_csvs(&self.dir)? {
+        for (name, path, fp) in Self::list_csvs(&self.dir, prev_scan)? {
             seen.insert(name.clone());
             match self.files.get_mut(&name) {
                 None => {
@@ -415,7 +460,7 @@ impl Ingestor {
                         },
                     );
                 }
-                Some(t) if t.fp != fp => {
+                Some(t) if !t.fp.same_content(&fp) => {
                     // Changed since the last poll. If it was mid-
                     // settle this is the same change episode still in
                     // flight (keep the lag clock); if it was queued

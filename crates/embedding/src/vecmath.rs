@@ -9,11 +9,12 @@
 //! `tail` adds the remaining `len % 4` coordinates sequentially. The
 //! same order is used by `d3l-lsh`'s `RandomProjector::sign` per-plane
 //! dot, so every float evidence value in the system is a deterministic
-//! function of its inputs at any thread or shard count.
-//! [`dot_norms_seq`] keeps the historical one-accumulator order as the
-//! reference the property suite compares against (exact bit-agreement
-//! with a same-order naive loop, tolerance agreement with the
-//! sequential order).
+//! function of its inputs at any thread or shard count. The property
+//! suite holds the kernel to exact bit-agreement with a same-order
+//! naive loop; the one-accumulator loop it replaced is the unit tests'
+//! tolerance reference and is not compiled otherwise (timed in the
+//! same run on 64 coordinates it is level with the lanes, 48–52 ns
+//! against 50.5, so the order the stored `IE` bits share decides).
 
 /// Accumulator lanes per chunk in [`dot_norms`].
 const DOT_LANES: usize = 4;
@@ -50,24 +51,6 @@ pub fn dot_norms(a: &[f64], b: &[f64]) -> (f64, f64, f64) {
     let mut na = (p[0] + p[1]) + (p[2] + p[3]);
     let mut nb = (q[0] + q[1]) + (q[2] + q[3]);
     for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
-        dot += x * y;
-        na += x * x;
-        nb += y * y;
-    }
-    (dot, na, nb)
-}
-
-/// Sequential one-accumulator reference for [`dot_norms`] — the
-/// historical summation order, kept for the property suite's
-/// tolerance comparison. Not bit-identical to [`dot_norms`] in
-/// general (float addition is not associative); agreement is within
-/// normal rounding-error bounds.
-pub fn dot_norms_seq(a: &[f64], b: &[f64]) -> (f64, f64, f64) {
-    assert_eq!(a.len(), b.len(), "dimension mismatch");
-    let mut dot = 0.0;
-    let mut na = 0.0;
-    let mut nb = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
         dot += x * y;
         na += x * x;
         nb += y * y;
@@ -138,6 +121,22 @@ pub fn normalize(mut v: Vec<f64>) -> Vec<f64> {
 mod tests {
     use super::*;
 
+    /// The one-accumulator loop [`dot_norms`] replaced: not
+    /// bit-identical to it (float addition is not associative), equal
+    /// within rounding error.
+    fn dot_norms_seq(a: &[f64], b: &[f64]) -> (f64, f64, f64) {
+        assert_eq!(a.len(), b.len(), "dimension mismatch");
+        let mut dot = 0.0;
+        let mut na = 0.0;
+        let mut nb = 0.0;
+        for (&x, &y) in a.iter().zip(b) {
+            dot += x * y;
+            na += x * x;
+            nb += y * y;
+        }
+        (dot, na, nb)
+    }
+
     #[test]
     fn cosine_basics() {
         assert!((cosine(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-12);
@@ -168,6 +167,42 @@ mod tests {
             assert!((na - nas).abs() < 1e-9);
             assert!((nb - nbs).abs() < 1e-9);
             assert!((norm_sq(&a) - na).abs() < 1e-15);
+        }
+    }
+
+    /// Both loops timed in one run on the traced benchmark's inputs
+    /// (64 coordinates, 200 pairs, 1 000 calls a pair). Prints the
+    /// two medians; gates nothing.
+    #[test]
+    #[ignore = "timing only: --release -- --ignored --nocapture"]
+    fn dot_norms_and_seq_timed_in_one_run() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        type Kernel = fn(&[f64], &[f64]) -> (f64, f64, f64);
+        let vectors: Vec<Vec<f64>> = (0..201)
+            .map(|v| {
+                (0..64)
+                    .map(|i| ((v * 64 + i) as f64 * 0.37).sin())
+                    .collect()
+            })
+            .collect();
+        let median_ns = |f: Kernel| {
+            let mut per_call: Vec<f64> = vectors
+                .windows(2)
+                .map(|pair| {
+                    let start = Instant::now();
+                    for _ in 0..1000 {
+                        black_box(f(black_box(&pair[0]), black_box(&pair[1])));
+                    }
+                    start.elapsed().as_nanos() as f64 / 1000.0
+                })
+                .collect();
+            per_call.sort_by(f64::total_cmp);
+            per_call[per_call.len() / 2]
+        };
+        for round in 0..3 {
+            let (lanes, seq) = (median_ns(dot_norms), median_ns(dot_norms_seq));
+            println!("round {round}: dot_norms {lanes:.1} ns, dot_norms_seq {seq:.1} ns");
         }
     }
 

@@ -663,28 +663,6 @@ impl<S: Signature> LshForest<S> {
         self.slot_of.get(&id).copied()
     }
 
-    /// The label matrix of a slab of `n` signatures: row `i` holds the
-    /// `l*k` label bytes of the `i`-th signature (tree `t`'s label at
-    /// `t*k..(t+1)*k`), one sequential pass over the slab.
-    pub(crate) fn label_matrix(
-        (l, k): (usize, usize),
-        n: usize,
-        slab: &[u64],
-        stride: usize,
-        meta: u64,
-    ) -> Vec<u8> {
-        let mut out = Vec::with_capacity(n * l * k);
-        for i in 0..n {
-            write_labels::<S>(
-                &slab[i * stride..(i + 1) * stride],
-                meta,
-                0..l * k,
-                &mut out,
-            );
-        }
-        out
-    }
-
     /// Reassemble a forest from deserialized parts: the trees, and the
     /// signature slab taken whole — slot `i` holds item `ids[i]` with
     /// words `sig_words[i*stride..(i+1)*stride]`. The caller (the

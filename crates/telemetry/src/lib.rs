@@ -175,9 +175,10 @@ impl HistogramSnapshot {
     }
 
     /// Subtract an earlier snapshot of the same histogram, yielding
-    /// the distribution of observations recorded in between (used by
-    /// scrape-delta consumers like `load_gen`). Saturates at zero if
-    /// the baseline ran ahead of a racing scrape.
+    /// the distribution of observations recorded in between (what the
+    /// benchmark's scraper does to two `/metrics` scrapes, here on the
+    /// snapshots themselves). Saturates at zero if the baseline ran
+    /// ahead of a racing scrape.
     pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
         let mut buckets = [0u64; NUM_BUCKETS];
         for (i, dst) in buckets.iter_mut().enumerate() {

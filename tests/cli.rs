@@ -392,68 +392,272 @@ fn stats_on_zero_length_delta_segment_names_the_corrupt_segment() {
     std::fs::remove_dir_all(&index_dir).ok();
 }
 
+/// A `d3l serve` child on an ephemeral port.
+#[cfg(unix)]
+struct Serving {
+    child: std::process::Child,
+    stdout: std::io::BufReader<std::process::ChildStdout>,
+    addr: std::net::SocketAddr,
+}
+
+#[cfg(unix)]
+impl Serving {
+    /// Spawn `d3l serve <args> --port 0 --threads 2` and read the
+    /// address the CLI announces on stdout.
+    fn spawn(args: &[&str]) -> Serving {
+        use std::io::BufRead;
+        let mut child = Command::new(env!("CARGO_BIN_EXE_d3l"))
+            .arg("serve")
+            .args(args)
+            .args(["--port", "0", "--threads", "2"])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn d3l serve");
+        let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+        let mut line = String::new();
+        stdout.read_line(&mut line).unwrap();
+        let addr = line
+            .split("http://")
+            .nth(1)
+            .and_then(|rest| rest.split(' ').next())
+            .unwrap_or_else(|| panic!("no address in {line:?}"))
+            .parse()
+            .unwrap_or_else(|e| panic!("bad address in {line:?}: {e}"));
+        Serving {
+            child,
+            stdout,
+            addr,
+        }
+    }
+
+    /// `GET /stats`, parsed.
+    fn stats(&self) -> d3l::server::Json {
+        let (status, body) = d3l::server::request_once(self.addr, "GET", "/stats", None).unwrap();
+        assert_eq!(status, 200, "{body}");
+        d3l::server::Json::parse(&body)
+            .unwrap_or_else(|e| panic!("/stats is not JSON ({e:?}): {body}"))
+    }
+
+    /// SIGINT: the server must drain, say so, and exit 0.
+    fn drain(mut self) {
+        use std::io::Read;
+        let kill = Command::new("kill")
+            .args(["-INT", &self.child.id().to_string()])
+            .output()
+            .expect("send SIGINT");
+        assert!(kill.status.success());
+        let status = self.child.wait().expect("wait for d3l serve");
+        assert!(status.success(), "serve must drain and exit cleanly");
+        let mut rest = String::new();
+        self.stdout.read_to_string(&mut rest).unwrap();
+        assert!(rest.contains("drained"), "stdout tail: {rest:?}");
+    }
+}
+
+/// The unsigned integer at `path` of a parsed `/stats` document.
+#[cfg(unix)]
+fn stat(doc: &d3l::server::Json, path: &[&str]) -> usize {
+    path.iter()
+        .try_fold(doc, |at, key| at.get(key))
+        .and_then(|v| v.as_usize())
+        .unwrap_or_else(|| panic!("/stats has no integer at {path:?}: {doc:?}"))
+}
+
+/// Twelve three-column tables `gp_00.csv` … `gp_11.csv` in a fresh
+/// directory (the lake the CI smoke steps used to generate).
+#[cfg(unix)]
+fn twelve_table_lake(tag: &str) -> PathBuf {
+    let base = std::env::temp_dir().join(format!("d3l_cli_test_{}_{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let dir = base.join("lake");
+    std::fs::create_dir_all(&dir).unwrap();
+    let cities = ["Salford", "Manchester", "Bolton", "Leeds", "York"];
+    for i in 0..12 {
+        let mut text = String::from("Practice,City,Patients\n");
+        for r in 0..6 {
+            let city = cities[(i * 7 + r * 3) % cities.len()];
+            text.push_str(&format!(
+                "Practice {i}-{r},{city},{}\n",
+                500 + 37 * i + 211 * r
+            ));
+        }
+        std::fs::write(dir.join(format!("gp_{i:02}.csv")), text).unwrap();
+    }
+    base
+}
+
 /// Boot `d3l serve` on an ephemeral port, query it over a socket,
 /// then send SIGINT and expect a graceful drain with exit code 0.
 #[cfg(unix)]
 #[test]
 fn serve_boots_answers_and_drains_on_sigint() {
-    use std::io::{BufRead, BufReader, Read, Write};
-    use std::net::TcpStream;
-
     let lake = TempLake::create("serve");
     let index_dir = format!("{}_index", lake.dir());
     let out = d3l_cmd(&["index", lake.dir(), "--out", &index_dir]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
 
-    let mut child = Command::new(env!("CARGO_BIN_EXE_d3l"))
-        .args([
-            "serve",
-            "--index",
-            &index_dir,
-            "--port",
-            "0",
-            "--threads",
-            "2",
-        ])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn d3l serve");
-
-    // The CLI announces the bound address on stdout.
-    let mut stdout = BufReader::new(child.stdout.take().unwrap());
-    let mut line = String::new();
-    stdout.read_line(&mut line).unwrap();
-    let addr = line
-        .split("http://")
-        .nth(1)
-        .and_then(|rest| rest.split(' ').next())
-        .unwrap_or_else(|| panic!("no address in {line:?}"))
-        .to_string();
-
-    // A socket round trip against the live server.
-    let mut stream = TcpStream::connect(&addr).expect("connect to served port");
-    stream
-        .write_all(b"GET /stats HTTP/1.1\r\nConnection: close\r\n\r\n")
-        .unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
-    assert!(response.contains("\"live_tables\":2"), "{response}");
-
-    // SIGINT: drain and exit 0.
-    let kill = Command::new("kill")
-        .args(["-INT", &child.id().to_string()])
-        .output()
-        .expect("send SIGINT");
-    assert!(kill.status.success());
-    let status = child.wait().expect("wait for d3l serve");
-    assert!(status.success(), "serve must drain and exit cleanly");
-    let mut rest = String::new();
-    stdout.read_to_string(&mut rest).unwrap();
-    assert!(rest.contains("drained"), "stdout tail: {rest:?}");
+    let serving = Serving::spawn(&["--index", &index_dir]);
+    assert_eq!(stat(&serving.stats(), &["live_tables"]), 2);
+    serving.drain();
 
     std::fs::remove_dir_all(&index_dir).ok();
+}
+
+/// `serve --watch` under live churn: one CSV dropped in, one
+/// overwritten, one deleted while the server answers; the watcher's
+/// counters follow in `/stats`, nothing errs, the drain is graceful
+/// and the store left behind agrees on what is live.
+#[cfg(unix)]
+#[test]
+fn serve_watch_applies_live_churn_and_drains() {
+    use d3l::server::request_once;
+    use std::time::{Duration, Instant};
+
+    let base = twelve_table_lake("churn");
+    let lake = base.join("lake");
+    let index = base.join("index");
+    let (lake_dir, index_dir) = (lake.to_str().unwrap(), index.to_str().unwrap());
+    let out = d3l_cmd(&["index", lake_dir, "--out", index_dir]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+
+    let serving = Serving::spawn(&[
+        "--index",
+        index_dir,
+        "--watch",
+        lake_dir,
+        "--poll-ms",
+        "50",
+        "--batch-ms",
+        "200",
+    ]);
+    assert_eq!(stat(&serving.stats(), &["live_tables"]), 12);
+
+    std::fs::write(
+        lake.join("fresh_arrival.csv"),
+        "Practice,City\nNew Practice,Salford\n",
+    )
+    .unwrap();
+    std::fs::write(
+        lake.join("gp_00.csv"),
+        "Practice,City,Patients\nRewritten,Leeds,123\n",
+    )
+    .unwrap();
+    std::fs::remove_file(lake.join("gp_01.csv")).unwrap();
+
+    // Queries stay available while the watcher works.
+    let probe = r#"{"table":{"name":"probe","columns":["Practice","City"],"rows":[["Practice 3-1","Salford"]]},"k":3}"#;
+    let (status, body) = request_once(serving.addr, "POST", "/query", Some(probe)).unwrap();
+    assert_eq!(status, 200, "{body}");
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let doc = loop {
+        let doc = serving.stats();
+        let applied = |op: &str| stat(&doc, &["watch", op]);
+        if applied("tables_added") >= 1
+            && applied("tables_replaced") >= 1
+            && applied("tables_removed") >= 1
+        {
+            break doc;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "watcher never applied the churn: {doc:?}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert_eq!(stat(&doc, &["watch", "errors"]), 0);
+    assert!(stat(&doc, &["watch", "batches"]) >= 1);
+    assert!(stat(&doc, &["watch", "ingest_lag_ms", "count"]) >= 3);
+    assert_eq!(
+        stat(&doc, &["live_tables"]),
+        12,
+        "12 seeded - 1 deleted + 1 added"
+    );
+    serving.drain();
+
+    let out = d3l_cmd(&["stats", "--index", index_dir]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    let stdout = stdout_of(&out);
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.starts_with("serving:") && l.split_whitespace().nth(1) == Some("12")),
+        "the store must hold the 12 live tables the server reported: {stdout}"
+    );
+
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// `index --shards 4` then `serve`: `/stats` has one row per shard
+/// that reconciles with the lake totals, and echoes the cache budget
+/// and queue bound it was started with.
+#[cfg(unix)]
+#[test]
+fn sharded_index_serves_per_shard_stats_and_echoes_its_limits() {
+    let base = twelve_table_lake("shards");
+    let index = base.join("index");
+    let index_dir = index.to_str().unwrap();
+    let out = d3l_cmd(&[
+        "index",
+        base.join("lake").to_str().unwrap(),
+        "--out",
+        index_dir,
+        "--shards",
+        "4",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+
+    let serving = Serving::spawn(&[
+        "--index",
+        index_dir,
+        "--cache-bytes",
+        "32m",
+        "--max-queue",
+        "256",
+    ]);
+    let doc = serving.stats();
+    assert_eq!(stat(&doc, &["live_tables"]), 12);
+    assert_eq!(stat(&doc, &["cache", "budget_bytes"]), 32 << 20);
+    assert_eq!(stat(&doc, &["server", "max_queue"]), 256);
+    // A freshly booted server: nothing cached, shed or queued, and it
+    // says what it was built as and how many CPUs it saw.
+    assert_eq!(stat(&doc, &["engine_version"]), 0);
+    for counter in [
+        "hits",
+        "misses",
+        "evictions",
+        "insertions",
+        "entries",
+        "bytes",
+    ] {
+        assert_eq!(stat(&doc, &["cache", counter]), 0, "cache.{counter}");
+    }
+    assert_eq!(stat(&doc, &["server", "shed_requests"]), 0);
+    assert_eq!(stat(&doc, &["server", "queue_depth"]), 0);
+    assert!(stat(&doc, &["server", "hw_threads"]) >= 1);
+    let build = |key| {
+        doc.get("build")
+            .and_then(|b| b.get(key))
+            .and_then(|v| v.as_str())
+    };
+    assert_eq!(build("version"), Some(env!("CARGO_PKG_VERSION")));
+    assert!(
+        matches!(build("profile"), Some("release" | "debug")),
+        "{doc:?}"
+    );
+    let shards = doc.get("shards").and_then(|s| s.as_arr()).expect("shards");
+    let numbers: Vec<usize> = shards.iter().map(|s| stat(s, &["shard"])).collect();
+    assert_eq!(numbers, [0, 1, 2, 3]);
+    let live: usize = shards.iter().map(|s| stat(s, &["live_tables"])).sum();
+    assert_eq!(live, 12, "per-shard live tables must sum to the lake's");
+    for shard in shards {
+        assert!(stat(shard, &["memory_bytes"]) > 0, "{shard:?}");
+        assert!(stat(shard, &["disk", "base_bytes"]) > 0, "{shard:?}");
+    }
+    serving.drain();
+
+    std::fs::remove_dir_all(&base).ok();
 }
 
 #[test]

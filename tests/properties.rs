@@ -428,7 +428,8 @@ proptest! {
         // sums stay finite (overflowed lanes are inf/NaN in an
         // order-dependent way; the fixed-order contract above is the
         // binding check there).
-        let (ds, nas, nbs) = vecmath::dot_norms_seq(&a, &b);
+        let seq = |x: &[f64], y: &[f64]| x.iter().zip(y).fold(0.0, |s, (p, q)| s + p * q);
+        let (ds, nas, nbs) = (seq(&a, &b), seq(&a, &a), seq(&b, &b));
         if [d, na, nb, ds, nas, nbs].iter().all(|x| x.is_finite()) {
             let tol = 1e-6 * (1.0 + nas.abs() + nbs.abs());
             prop_assert!((d - ds).abs() <= tol, "dot {d} vs seq {ds}");

@@ -1425,7 +1425,10 @@ fn stats_and_metrics_expose_watcher_state() {
         "\"files_skipped\":",
         "\"errors\":",
         "\"compactions\":",
-        "\"ingest_lag_ms\":",
+        "\"ingest_lag_ms\":{\"count\":",
+        "\"p50\":",
+        "\"p99\":",
+        "\"max\":",
     ] {
         assert!(body.contains(key), "/stats missing {key}: {body}");
     }
@@ -1436,6 +1439,8 @@ fn stats_and_metrics_expose_watcher_state() {
         "d3l_watch_files_tracked",
         "d3l_watch_batches_total",
         "d3l_watch_applied_total{op=\"add\"}",
+        "d3l_watch_applied_total{op=\"replace\"}",
+        "d3l_watch_applied_total{op=\"remove\"}",
         "d3l_watch_ingest_lag_seconds_bucket",
     ] {
         assert!(metrics.contains(series), "/metrics missing {series}");

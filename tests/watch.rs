@@ -175,6 +175,58 @@ fn changed_files_replace_and_deleted_files_remove() {
     );
 }
 
+/// Overwrite `file` with `content` and put `mtime` back on it — what a
+/// rewrite inside one tick of a coarse filesystem clock leaves behind.
+fn rewrite_keeping_mtime(fx: &Fixture, file: &str, content: &str, mtime: std::time::SystemTime) {
+    let path = fx.lake_dir.join(file);
+    let len = std::fs::metadata(&path).unwrap().len();
+    fx.write(file, content);
+    let f = std::fs::File::options().write(true).open(&path).unwrap();
+    f.set_modified(mtime).unwrap();
+    let md = std::fs::metadata(&path).unwrap();
+    assert_eq!((md.len(), md.modified().unwrap()), (len, mtime));
+}
+
+#[test]
+fn same_length_rewrite_inside_one_mtime_tick_is_replaced() {
+    let fx = Fixture::new("racy");
+    fx.write("a.csv", "City\nSalford\n");
+    let mut ing = fx.ingestor(eager(16));
+    assert_eq!(ing.poll().unwrap(), 1);
+    let mtime = std::fs::metadata(fx.lake_dir.join("a.csv"))
+        .unwrap()
+        .modified()
+        .unwrap();
+
+    // `(len, mtime)` is what it was; only the bytes tell. The file was
+    // modified inside the racy window, so the scanner reads them.
+    rewrite_keeping_mtime(&fx, "a.csv", "City\nBurnley\n", mtime);
+    assert_eq!(ing.poll().unwrap(), 0, "a changed file settles first");
+    assert_eq!(ing.poll().unwrap(), 1);
+    assert_eq!(ing.stats().replaced(), 1);
+    assert_eq!(ing.stats().errors(), 0);
+}
+
+#[test]
+fn a_file_older_than_the_racy_window_costs_a_stat_not_a_read() {
+    let fx = Fixture::new("aged");
+    fx.write("old.csv", "City\nSalford\n");
+    let hour_ago = std::time::SystemTime::now() - Duration::from_secs(3600);
+    rewrite_keeping_mtime(&fx, "old.csv", "City\nSalford\n", hour_ago);
+    let mut ing = fx.ingestor(eager(16));
+    assert_eq!(ing.poll().unwrap(), 1);
+
+    // Only a read could tell these bytes from the ingested ones, and
+    // an aged file is trusted on `(len, mtime)`: no poll reads it, so
+    // none sees a change.
+    rewrite_keeping_mtime(&fx, "old.csv", "City\nBurnley\n", hour_ago);
+    for _ in 0..3 {
+        assert_eq!(ing.poll().unwrap(), 0);
+    }
+    assert_eq!(ing.stats().replaced(), 0);
+    assert_eq!(ing.stats().queued(), 0);
+}
+
 #[test]
 fn batch_max_bounds_each_micro_batch_in_name_order() {
     let fx = Fixture::new("batchmax");
