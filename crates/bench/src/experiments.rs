@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use d3l_baselines::{Aurum, AurumConfig, Tus, TusConfig};
 use d3l_benchgen::{vocab, Benchmark, RepoStats, SyntheticKb};
-use d3l_core::{D3l, D3lConfig, DistanceVector, Evidence};
+use d3l_core::{D3lConfig, DistanceVector, Evidence, ShardedD3l};
 use d3l_embedding::SemanticEmbedder;
 use d3l_ml::{cross_validate, subject_features, LogisticRegression};
 
@@ -231,7 +231,7 @@ pub fn exp4(setting: &Setting) {
         let n = setting.larger_tables * i / steps;
         let bench = d3l_benchgen::larger_real(n, setting.seed ^ i as u64);
         let t0 = Instant::now();
-        let d3l = D3l::index_lake_with(&bench.lake, D3lConfig::default(), embedder(64));
+        let d3l = ShardedD3l::index_lake_with(&bench.lake, D3lConfig::default(), embedder(64));
         let d3l_t = secs(t0);
         let t0 = Instant::now();
         let tus = Tus::index_lake(
@@ -331,7 +331,7 @@ pub fn exp7(setting: &Setting) {
     );
     for (name, bench) in &repos {
         let lake_bytes = bench.lake.byte_size() as f64;
-        let d3l = D3l::index_lake_with(&bench.lake, D3lConfig::default(), embedder(64));
+        let d3l = ShardedD3l::index_lake_with(&bench.lake, D3lConfig::default(), embedder(64));
         let tus = Tus::index_lake(
             &bench.lake,
             SyntheticKb::from_vocab(),
@@ -454,7 +454,7 @@ pub fn pair_vectors(
     targets: usize,
     seed: u64,
 ) -> (Vec<DistanceVector>, Vec<bool>) {
-    let d3l = D3l::index_lake_with(&bench.lake, D3lConfig::default(), embedder(64));
+    let d3l = ShardedD3l::index_lake_with(&bench.lake, D3lConfig::default(), embedder(64));
     let mut xs = Vec::new();
     let mut ys = Vec::new();
     for tname in bench.pick_targets(targets, seed) {
@@ -578,7 +578,7 @@ pub fn ablation_weights(setting: &Setting) {
 pub fn ablation_granularity(setting: &Setting) {
     header("Ablation: fine-grained tokens vs whole values");
     let bench = d3l_benchgen::smaller_real(setting.smaller_tables.min(96), setting.seed ^ 1);
-    let d3l = D3l::index_lake_with(&bench.lake, D3lConfig::default(), embedder(64));
+    let d3l = ShardedD3l::index_lake_with(&bench.lake, D3lConfig::default(), embedder(64));
     let mut rel_tok = Vec::new();
     let mut unrel_tok = Vec::new();
     let mut rel_whole = Vec::new();
@@ -644,7 +644,7 @@ pub fn ablation_granularity(setting: &Setting) {
 pub fn diag(setting: &Setting) {
     header("Diagnostic: D3L top-10 on SmallerReal");
     let bench = d3l_benchgen::smaller_real(setting.smaller_tables, setting.seed ^ 1);
-    let d3l = D3l::index_lake_with(&bench.lake, D3lConfig::default(), embedder(64));
+    let d3l = ShardedD3l::index_lake_with(&bench.lake, D3lConfig::default(), embedder(64));
     for tname in bench.pick_targets(3, setting.seed) {
         let target = bench.lake.table_by_name(&tname).expect("member");
         let cols: Vec<&str> = target.columns().iter().map(|c| c.name()).collect();

@@ -5,7 +5,7 @@ use std::collections::{HashMap, HashSet};
 use d3l_baselines::{Aurum, AurumConfig, Tus, TusConfig};
 use d3l_benchgen::{vocab, Benchmark, SyntheticKb};
 use d3l_core::query::QueryOptions;
-use d3l_core::{D3l, D3lConfig, Evidence};
+use d3l_core::{D3lConfig, Evidence, ShardedD3l};
 use d3l_embedding::SemanticEmbedder;
 use d3l_table::TableId;
 
@@ -44,7 +44,7 @@ pub struct Systems {
     /// The repository and ground truth.
     pub bench: Benchmark,
     /// D3L state.
-    pub d3l: D3l,
+    pub d3l: ShardedD3l,
     /// TUS state.
     pub tus: Tus,
     /// Aurum state.
@@ -75,7 +75,8 @@ impl Systems {
         } else {
             AurumConfig::default()
         };
-        let d3l = D3l::index_lake_with(&bench.lake, d3l_cfg.clone(), embedder(d3l_cfg.embed_dim));
+        let d3l =
+            ShardedD3l::index_lake_with(&bench.lake, d3l_cfg.clone(), embedder(d3l_cfg.embed_dim));
         let tus = Tus::index_lake(
             &bench.lake,
             SyntheticKb::from_vocab(),
@@ -95,7 +96,7 @@ impl Systems {
 
     /// Query one system for many lake-member targets at once, each
     /// excluding itself from its answer. D3L modes go through
-    /// [`D3l::query_batch_with`], which shares per-target profiling
+    /// [`ShardedD3l::query_batch_with`], which shares per-target profiling
     /// and fans the batch out over the configured query threads; the
     /// baselines have no batch API and replay sequentially. Results
     /// are identical to per-target [`Systems::query`] calls.

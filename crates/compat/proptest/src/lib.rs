@@ -8,7 +8,7 @@
 //!   ranges/literals plus a `{lo,hi}` or `{n}` quantifier, sequences
 //!   thereof, and literal characters),
 //! * [`collection::vec`] with exact or ranged sizes,
-//! * tuple strategies up to arity 5, [`Just`], and [`prop_oneof!`],
+//! * tuple strategies up to arity 5, [`strategy::Just`], and [`prop_oneof!`],
 //! * the [`proptest!`] macro with `#![proptest_config(...)]`, and the
 //!   `prop_assert!`/`prop_assert_eq!` assertion forms.
 //!
@@ -306,7 +306,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Acceptable size arguments for [`vec`].
+    /// Acceptable size arguments for [`vec()`].
     pub trait IntoSizeRange {
         fn bounds(self) -> (usize, usize);
     }
@@ -330,7 +330,7 @@ pub mod collection {
         VecStrategy { element, lo, hi }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         lo: usize,

@@ -159,7 +159,10 @@ pub(crate) struct SigFallbacks {
     pub zero_embedding: BitSignature,
 }
 
-/// The indexed data lake: D3L's discovery state.
+/// An indexed set of tables — one shard of the engine
+/// ([`crate::ShardedD3l`]), or the whole lake when there is one shard.
+/// It builds, mutates and persists its four forests and profiles;
+/// queries run on the engine, over every shard at once.
 ///
 /// `Clone` is deliberate and cheap relative to a rebuild: the serving
 /// layer's copy-on-write hot-swap ([`crate::hotswap::EngineHandle`])
@@ -1067,7 +1070,7 @@ mod tests {
         let mut d3l = D3l::index_lake(&partial, D3lConfig::fast());
         d3l.add_table(lake.table(TableId(0))); // add S1 incrementally
         let target = lake.table(TableId(1)); // S2 as target
-        let matches = d3l.query(target, 2);
+        let matches = crate::ShardedD3l::from_monolith(d3l).query(target, 2);
         assert!(
             matches.iter().any(|m| m.table == TableId(1)),
             "incrementally added S1 must be found for the S2 target"

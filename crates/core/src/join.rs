@@ -10,10 +10,13 @@
 
 use std::collections::{HashMap, HashSet};
 
+use d3l_lsh::forest::{query_union, LshForest};
+use d3l_lsh::minhash::MinHashSignature;
 use d3l_lsh::TokenSet;
 use d3l_table::TableId;
 
-use crate::index::{AttrRef, D3l};
+use crate::index::AttrRef;
+use crate::shard::ShardedD3l;
 
 /// One SA-join edge: the attribute pair whose value overlap
 /// postulates the (partial) inclusion dependency.
@@ -108,28 +111,36 @@ pub fn overlap_lower_bound(len_a: usize, len_b: usize, tau: f64) -> f64 {
     (tau * (len_a + len_b) as f64 / ((1.0 + tau) * min as f64)).min(1.0)
 }
 
-impl D3l {
+impl ShardedD3l {
     /// Build the SA-join graph over the whole lake: for every table's
     /// subject attribute, `IV` lookups propose overlap partners; an
     /// edge is added when the estimated tset Jaccard clears
     /// `join_threshold` (condition (i)) — the queried side being a
-    /// subject attribute satisfies condition (ii).
+    /// subject attribute satisfies condition (ii). `IV` is read the
+    /// way the query pipeline reads it — every shard's forest in one
+    /// [`query_union`] — so the graph does not depend on the shard
+    /// count.
     pub fn build_join_graph(&self) -> SaJoinGraph {
         let mut graph = SaJoinGraph::default();
-        let width = self.cfg.lookup_width(32);
+        let cfg = self.config();
+        let width = cfg.lookup_width(32);
+        let i_v: Vec<&LshForest<MinHashSignature>> = self.shards().iter().map(|s| &s.i_v).collect();
         for t in 0..self.table_count() {
             let table = TableId(t as u32);
-            let Some(subject) = self.subject_of(table) else {
+            let Some(owner) = self.owner_of(table) else {
                 continue;
             };
-            let sp = self.profile(subject);
-            if !sp.has_text() {
+            let shard = &self.shards()[owner];
+            let Some(subject) = shard.subject_of(table) else {
+                continue;
+            };
+            if !shard.profile(subject).has_text() {
                 continue;
             }
-            let sig = self.stored_signatures(subject);
-            for hit in self.i_v.query(&sig.value, width) {
+            let sig = shard.stored_signatures(subject);
+            for hit in query_union(&i_v, &sig.value, width) {
                 let other = AttrRef::from_key(hit.id);
-                if other.table == table || hit.similarity < self.cfg.join_threshold {
+                if other.table == table || hit.similarity < cfg.join_threshold {
                     continue;
                 }
                 let edge = JoinEdge {
@@ -175,7 +186,7 @@ impl D3l {
         current: &mut Vec<TableId>,
         out: &mut Vec<JoinPath>,
     ) {
-        if current.len() > self.cfg.max_join_depth {
+        if current.len() > self.config().max_join_depth {
             return;
         }
         let last = *current.last().expect("path never empty");
@@ -242,7 +253,7 @@ mod tests {
     #[test]
     fn join_graph_links_overlapping_subjects() {
         let lake = chain_lake();
-        let d3l = D3l::index_lake(&lake, D3lConfig::fast());
+        let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
         let g = d3l.build_join_graph();
         let hub = lake.id_of("hub").unwrap();
         let mid = lake.id_of("mid").unwrap();
@@ -260,7 +271,7 @@ mod tests {
     #[test]
     fn algorithm3_finds_paths_outside_topk() {
         let lake = chain_lake();
-        let d3l = D3l::index_lake(&lake, D3lConfig::fast());
+        let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
         let g = d3l.build_join_graph();
         let hub = lake.id_of("hub").unwrap();
         let mid = lake.id_of("mid").unwrap();
@@ -288,7 +299,7 @@ mod tests {
     #[test]
     fn unrelated_nodes_are_pruned() {
         let lake = chain_lake();
-        let d3l = D3l::index_lake(&lake, D3lConfig::fast());
+        let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
         let g = d3l.build_join_graph();
         let hub = lake.id_of("hub").unwrap();
         let top_k: HashSet<TableId> = [hub].into_iter().collect();

@@ -20,10 +20,13 @@
 //!    pair, Algorithm 2 guarding the numeric KS case), and
 //!    (c) *CCDF-weighted aggregation* (Eq. 1–2 column-wise, Eq. 3
 //!    collapse). Stages (a) and (b) fan out over scoped threads
-//!    (`D3lConfig::query_threads`), and [`D3l::query_batch`] fans a
-//!    whole evaluation workload out over targets — profiling each
-//!    target exactly once — while guaranteeing results byte-identical
-//!    to the sequential path at every thread count;
+//!    (`D3lConfig::query_threads`), and [`ShardedD3l::query_batch`]
+//!    fans a whole evaluation workload out over targets — profiling
+//!    each target exactly once — while guaranteeing results
+//!    byte-identical to the sequential path at every thread count.
+//!    [`ShardedD3l`] ([`shard`]) is the engine that runs it: the lake
+//!    partitioned over `D3lConfig::shards` [`D3l`] shards, one shard
+//!    being the ordinary case;
 //! 4. [`join`] — Algorithm 3: extend the top-k with SA-join paths
 //!    that cover additional target attributes;
 //! 5. [`metrics`] — the paper's evaluation measures (precision,
@@ -31,14 +34,14 @@
 //!
 //! ```
 //! use d3l_table::{DataLake, Table};
-//! use d3l_core::{D3l, D3lConfig};
+//! use d3l_core::{D3lConfig, ShardedD3l};
 //!
 //! let mut lake = DataLake::new();
 //! lake.add(Table::from_rows("gp_funding",
 //!     &["Practice", "City"],
 //!     &[vec!["Blackfriars".into(), "Salford".into()]]).unwrap()).unwrap();
 //!
-//! let d3l = D3l::index_lake(&lake, D3lConfig::fast());
+//! let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
 //! let target = Table::from_rows("gps",
 //!     &["Practice", "City"],
 //!     &[vec!["Radclife".into(), "Manchester".into()]]).unwrap();

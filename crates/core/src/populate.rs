@@ -11,8 +11,8 @@ use std::collections::HashMap;
 
 use d3l_table::{Column, Table, TableError, TableId};
 
-use crate::index::D3l;
 use crate::query::TableMatch;
+use crate::shard::ShardedD3l;
 
 /// Result of populating a target from discovered tables.
 #[derive(Debug, Clone)]
@@ -46,7 +46,7 @@ impl Population {
 /// only the `C` format pattern — from injecting noise.
 const POPULATE_MAX_DISTANCE: f64 = 0.6;
 
-impl D3l {
+impl ShardedD3l {
     /// Populate `target`'s schema from the given matches: for every
     /// match, rows are projected through its alignments (unaligned
     /// target columns become nulls) and appended.
@@ -162,9 +162,9 @@ mod tests {
     }
 
     #[test]
-    fn populates_covered_columns_with_provenance() {
+    fn covered_columns_are_populated_with_provenance() {
         let lake = lake();
-        let d3l = D3l::index_lake(&lake, D3lConfig::fast());
+        let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
         let t = target();
         let matches = d3l.query(&t, 1);
         let pop = d3l.populate(&t, &matches, &lake).unwrap();
@@ -195,7 +195,7 @@ mod tests {
     #[test]
     fn weak_alignments_are_filtered() {
         let lake = lake();
-        let d3l = D3l::index_lake(&lake, D3lConfig::fast());
+        let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
         let t = target();
         // Force-include the decoy table in the matches.
         let all = d3l.rank_all(&t, 50, &Default::default());
@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn empty_matches_give_empty_population() {
         let lake = lake();
-        let d3l = D3l::index_lake(&lake, D3lConfig::fast());
+        let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
         let t = target();
         let pop = d3l.populate(&t, &[], &lake).unwrap();
         assert_eq!(pop.table.cardinality(), 0);

@@ -1,16 +1,21 @@
 //! Top-k discovery queries (§III-D) — an explicit three-stage
-//! pipeline.
+//! pipeline, run by [`ShardedD3l`] at every shard count.
 //!
 //! Given a target table, the query path runs:
 //!
 //! 1. **Candidate generation** — each target attribute is profiled
 //!    once into a [`PreparedTarget`] and looked up in the four LSH
-//!    Forests; per-attribute candidate sets are sorted by
-//!    [`AttrRef::key`] so later stages iterate them in a fixed order.
+//!    indexes. An index is one forest per shard, descended together by
+//!    [`d3l_lsh::forest::query_union`], whose widening stop is driven
+//!    by the lake-wide candidate count; per-attribute candidate sets
+//!    are sorted by [`AttrRef::key`] so later stages iterate them in a
+//!    fixed order.
 //! 2. **Pairwise evidence scoring** — every (target attribute,
 //!    candidate attribute) pair gets a full five-distance vector
 //!    (Algorithm 2 guards the numeric KS case with a precomputed
-//!    per-table subject guard).
+//!    per-table subject guard). A candidate's profile and stored
+//!    signatures are read from the shard that owns its table; the
+//!    scoring itself sees no index state.
 //! 3. **CCDF-weighted aggregation** — candidates are grouped by
 //!    source table, aggregated column-wise with CCDF weights
 //!    (Eq. 1–2) and collapsed to a scalar by the weighted Euclidean
@@ -19,22 +24,28 @@
 //! Stages 1 and 2 fan out over `std::thread::scope` workers
 //! (`D3lConfig::query_threads`, overridable per query via
 //! [`QueryOptions::threads`] and globally via the `D3L_QUERY_THREADS`
-//! environment variable); [`D3l::query_batch`] additionally fans out
-//! over targets. Work is split into contiguous chunks reassembled in
-//! input order and every reduction runs over key-sorted data, so
-//! results are **byte-identical at every thread count**.
+//! environment variable); [`ShardedD3l::query_batch`] additionally
+//! fans out over targets. Work is split into contiguous chunks
+//! reassembled in input order and every reduction runs over key-sorted
+//! data, and no stage depends on how tables are assigned to shards, so
+//! results are **byte-identical at every thread count and every shard
+//! count** — the determinism suite pins both axes at once.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use d3l_features::ks;
+use d3l_lsh::forest::{query_union, LshForest};
+use d3l_lsh::minhash::MinHashSignature;
+use d3l_lsh::randproj::BitSignature;
 use d3l_table::{Table, TableId};
 
 use crate::distance::{
     estimated_cosine_distance_words, estimated_jaccard_distance_words, DistanceVector,
 };
 use crate::evidence::Evidence;
-use crate::index::{AttrRef, AttrSignatures, AttrSigsRef, D3l, SigFallbacks};
+use crate::index::{AttrRef, AttrSignatures, AttrSigsRef, D3l};
 use crate::profile::AttributeProfile;
+use crate::shard::ShardedD3l;
 use crate::weights::{aggregate_evidence, ccdf_weight, EvidenceWeights};
 
 /// One aligned attribute pair within a [`TableMatch`].
@@ -105,9 +116,10 @@ pub struct QueryOptions {
 /// of small queries, so callers that query the same target repeatedly
 /// — `rank_all` plus `related_table_set` in the join workload, or the
 /// evaluation loop's many `k` values — should prepare once with
-/// [`D3l::prepare_target`] and pass the result to the `*_prepared`
-/// variants. A `PreparedTarget` is only meaningful for the `D3l`
-/// instance that produced it (signatures are bound to its hashers).
+/// [`ShardedD3l::prepare_target`] and pass the result to the
+/// `*_prepared` variants. A `PreparedTarget` is only meaningful for
+/// the engine that produced it (signatures are bound to its hashers,
+/// which every shard of one engine shares).
 pub struct PreparedTarget {
     pub(crate) profiles: Vec<AttributeProfile>,
     pub(crate) sigs: Vec<AttrSignatures>,
@@ -126,7 +138,7 @@ impl PreparedTarget {
 /// results are reassembled in spawn order, so the output — and every
 /// float reduction downstream of it — is independent of the thread
 /// count.
-pub(crate) fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
+fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -157,10 +169,9 @@ where
 /// Sequential; all grouping uses ordered maps over stage 2's sorted
 /// candidate lists.
 ///
-/// A free function reading no index state: it sees only the scored
-/// pair lists, so the sharded engine feeds it the gathered pairs from
-/// every shard and gets the monolith's ranking by construction.
-pub(crate) fn stage_aggregate(
+/// Reads no index state: it sees only the scored pair lists, so the
+/// ranking cannot depend on which shard a pair came from.
+fn stage_aggregate(
     scored: &[Vec<(AttrRef, DistanceVector)>],
     opts: &QueryOptions,
 ) -> Vec<TableMatch> {
@@ -250,10 +261,9 @@ pub(crate) fn stage_aggregate(
 /// The five estimated distances of a (target attr, lake attr) pair
 /// with the lake side already resolved — Algorithm 2 decides whether
 /// KS is computed. The resolution step (profile + stored-signature
-/// lookup by [`AttrRef`]) is the only part of pairwise scoring that
-/// touches index state, so both the monolith and the sharded engine
-/// route lookups their own way and share this scoring core.
-pub(crate) fn pair_distances_resolved(
+/// lookup by [`AttrRef`], routed to the owning shard) is the only part
+/// of pairwise scoring that touches index state.
+fn pair_distances_resolved(
     tp: &AttributeProfile,
     ts: &AttrSignatures,
     sp: &AttributeProfile,
@@ -298,7 +308,7 @@ pub(crate) fn pair_distances_resolved(
 /// resolved: are the subject attributes of the target and of a lake
 /// table related in any index (`i' ∈ I*.lookup(i)`)? `ss` is `None`
 /// when the lake table has no subject attribute.
-pub(crate) fn subjects_related_resolved(
+fn subjects_related_resolved(
     prepared: &PreparedTarget,
     ss: Option<AttrSigsRef<'_>>,
     threshold: f64,
@@ -352,6 +362,23 @@ impl D3l {
             subject: self.subjects[idx].map(|c| c as usize),
         })
     }
+}
+
+impl ShardedD3l {
+    /// Stage 1 entry point: profile and sign a target once for reuse
+    /// across queries (`query_prepared`, `rank_all_prepared`,
+    /// `related_table_set_prepared`). Every shard shares one set of
+    /// hashers, so shard 0's sign for all of them.
+    pub fn prepare_target(&self, target: &Table) -> PreparedTarget {
+        self.primary().prepare_target(target)
+    }
+
+    /// Prepare an already-indexed table as a query target
+    /// (owner-routed; see [`D3l::prepare_indexed`]).
+    pub fn prepare_indexed(&self, id: TableId) -> Option<PreparedTarget> {
+        let s = self.owner_of(id)?;
+        self.shards()[s].prepare_indexed(id)
+    }
 
     /// The k-most related lake tables to `target` with default
     /// options.
@@ -364,7 +391,7 @@ impl D3l {
         self.query_prepared(&self.prepare_target(target), k, opts)
     }
 
-    /// [`D3l::query_with`] over an already-prepared target.
+    /// [`ShardedD3l::query_with`] over an already-prepared target.
     pub fn query_prepared(
         &self,
         prepared: &PreparedTarget,
@@ -373,7 +400,7 @@ impl D3l {
     ) -> Vec<TableMatch> {
         let width = opts
             .lookup_width
-            .unwrap_or_else(|| self.cfg.lookup_width(k));
+            .unwrap_or_else(|| self.config().lookup_width(k));
         let mut all = self.rank_all_prepared(prepared, width, opts);
         all.truncate(k);
         all
@@ -386,29 +413,29 @@ impl D3l {
         self.rank_all_prepared(&self.prepare_target(target), width, opts)
     }
 
-    /// [`D3l::rank_all`] over an already-prepared target.
+    /// [`ShardedD3l::rank_all`] over an already-prepared target.
     pub fn rank_all_prepared(
         &self,
         prepared: &PreparedTarget,
         width: usize,
         opts: &QueryOptions,
     ) -> Vec<TableMatch> {
-        let threads = self.cfg.effective_query_threads(opts.threads);
+        let threads = self.config().effective_query_threads(opts.threads);
         self.rank_all_inner(prepared, width, opts, threads)
     }
 
     /// The top-k answers for many targets at once, fanning the
     /// batch out over the configured query threads. Each target is
     /// profiled exactly once and ranked with the same deterministic
-    /// pipeline as [`D3l::query`], so
-    /// `query_batch(ts, k)[i] == query(&ts[i], k)` at every thread
-    /// count.
+    /// pipeline as [`ShardedD3l::query`], so
+    /// `query_batch(ts, k)[i] == query(&ts[i], k)` at every shard and
+    /// thread count.
     pub fn query_batch(&self, targets: &[Table], k: usize) -> Vec<Vec<TableMatch>> {
         let opts = vec![QueryOptions::default(); targets.len()];
         self.query_batch_with(targets, k, &opts)
     }
 
-    /// [`D3l::query_batch`] with per-target options (one
+    /// [`ShardedD3l::query_batch`] with per-target options (one
     /// [`QueryOptions`] per target — the evaluation loop excludes
     /// each target itself from its own answer).
     ///
@@ -416,7 +443,7 @@ impl D3l {
     /// [`QueryOptions::threads`] is ignored in batch mode. When the
     /// batch is smaller than the thread budget, the leftover workers
     /// parallelize *within* each target instead, so a one-element
-    /// batch performs like [`D3l::query_with`].
+    /// batch performs like [`ShardedD3l::query_with`].
     pub fn query_batch_with(
         &self,
         targets: &[Table],
@@ -427,7 +454,9 @@ impl D3l {
         let work: Vec<(&Table, &QueryOptions)> = targets.iter().zip(opts).collect();
         let (outer, inner) = self.batch_threads(work.len());
         par_map(&work, outer, |&(target, opt)| {
-            let width = opt.lookup_width.unwrap_or_else(|| self.cfg.lookup_width(k));
+            let width = opt
+                .lookup_width
+                .unwrap_or_else(|| self.config().lookup_width(k));
             let prepared = self.prepare_target(target);
             let mut all = self.rank_all_inner(&prepared, width, opt, inner);
             all.truncate(k);
@@ -435,23 +464,30 @@ impl D3l {
         })
     }
 
-    /// [`D3l::rank_all`] for many targets at once, parallel over
-    /// targets (each worker runs the deterministic pipeline, so
-    /// batched and per-target results are identical; thread budget as
-    /// in [`D3l::query_batch_with`]).
-    pub fn rank_all_batch(
+    /// The set of lake tables related to `target` by at least one
+    /// evidence type — `I*.lookup(T)` in Algorithms 2 and 3.
+    pub fn related_table_set(&self, target: &Table, width: usize) -> HashSet<TableId> {
+        self.related_table_set_prepared(&self.prepare_target(target), width)
+    }
+
+    /// [`ShardedD3l::related_table_set`] over an already-prepared
+    /// target. Runs stage 1 only, without the ranking pipeline's
+    /// candidate sort — the output is an unordered set.
+    pub fn related_table_set_prepared(
         &self,
-        targets: &[Table],
+        prepared: &PreparedTarget,
         width: usize,
-        opts: &[QueryOptions],
-    ) -> Vec<Vec<TableMatch>> {
-        assert_eq!(targets.len(), opts.len(), "one QueryOptions per target");
-        let work: Vec<(&Table, &QueryOptions)> = targets.iter().zip(opts).collect();
-        let (outer, inner) = self.batch_threads(work.len());
-        par_map(&work, outer, |&(target, opt)| {
-            let prepared = self.prepare_target(target);
-            self.rank_all_inner(&prepared, width, opt, inner)
+    ) -> HashSet<TableId> {
+        let threads = self.config().effective_query_threads(None);
+        let work: Vec<(&AttributeProfile, &AttrSignatures)> =
+            prepared.profiles.iter().zip(&prepared.sigs).collect();
+        par_map(&work, threads, |&(tp, ts)| {
+            self.gather_candidates(tp, ts, width, None)
         })
+        .into_iter()
+        .flatten()
+        .map(|attr| attr.table)
+        .collect()
     }
 
     /// Split the thread budget between batch fan-out (outer) and the
@@ -459,7 +495,7 @@ impl D3l {
     /// target, small batches hand the spare workers to the pipeline
     /// stages.
     fn batch_threads(&self, batch_len: usize) -> (usize, usize) {
-        let budget = self.cfg.effective_query_threads(None);
+        let budget = self.config().effective_query_threads(None);
         let outer = budget.min(batch_len.max(1));
         let inner = (budget / outer.max(1)).max(1);
         (outer, inner)
@@ -478,7 +514,7 @@ impl D3l {
         let mut timer = crate::trace::StageTimer::start(opts.trace.as_deref());
         let candidates = self.stage_candidates(prepared, width, opts, threads);
         timer.candidates_done();
-        let scored = self.stage_score(prepared, &candidates, threads);
+        let scored = self.stage_score(prepared, &candidates, threads, opts.trace.as_deref());
         timer.score_done();
         let ranked = stage_aggregate(&scored, opts);
         timer.aggregate_done();
@@ -486,7 +522,7 @@ impl D3l {
     }
 
     /// Stage 1 — candidate generation: per target attribute, the
-    /// union of the four forests' lookups, filtered by `exclude` and
+    /// union of the four indexes' lookups, filtered by `exclude` and
     /// sorted by [`AttrRef::key`] so every downstream iteration order
     /// is thread-count-independent.
     fn stage_candidates(
@@ -509,75 +545,13 @@ impl D3l {
         })
     }
 
-    /// Stage 2 — pairwise evidence scoring: a five-distance vector
-    /// per (target attribute, candidate) pair, parallel over the
-    /// flattened pair list. Pairs without signal (all distances 1)
-    /// are dropped. Candidate order within each attribute is
-    /// preserved from stage 1.
-    fn stage_score(
-        &self,
-        prepared: &PreparedTarget,
-        candidates: &[Vec<AttrRef>],
-        threads: usize,
-    ) -> Vec<Vec<(AttrRef, DistanceVector)>> {
-        // Algorithm 2 line 4 is a per-candidate-table predicate;
-        // precompute it for every table that could face a KS
-        // measurement so the per-pair workers stay pure. Fallback
-        // signatures are likewise signed once, not once per pair.
-        let fallbacks = self.sig_fallbacks();
-        let guards = self.subject_guards(prepared, candidates, threads, &fallbacks);
-        let work: Vec<(usize, AttrRef)> = candidates
-            .iter()
-            .enumerate()
-            .flat_map(|(i, cands)| cands.iter().map(move |&attr| (i, attr)))
-            .collect();
-        let scored = par_map(&work, threads, |&(i, attr)| {
-            self.pair_distances(
-                &prepared.profiles[i],
-                &prepared.sigs[i],
-                attr,
-                &guards,
-                &fallbacks,
-            )
-        });
-        let mut out: Vec<Vec<(AttrRef, DistanceVector)>> = vec![Vec::new(); candidates.len()];
-        for (&(i, attr), dv) in work.iter().zip(scored) {
-            if dv.has_signal() {
-                out[i].push((attr, dv));
-            }
-        }
-        out
-    }
-
-    /// The set of lake tables related to `target` by at least one
-    /// evidence type — `I*.lookup(T)` in Algorithms 2 and 3.
-    pub fn related_table_set(&self, target: &Table, width: usize) -> HashSet<TableId> {
-        self.related_table_set_prepared(&self.prepare_target(target), width)
-    }
-
-    /// [`D3l::related_table_set`] over an already-prepared target.
-    /// Runs stage 1 only, without the ranking pipeline's candidate
-    /// sort — the output is an unordered set.
-    pub fn related_table_set_prepared(
-        &self,
-        prepared: &PreparedTarget,
-        width: usize,
-    ) -> HashSet<TableId> {
-        let threads = self.cfg.effective_query_threads(None);
-        let work: Vec<(&AttributeProfile, &AttrSignatures)> =
-            prepared.profiles.iter().zip(&prepared.sigs).collect();
-        par_map(&work, threads, |&(tp, ts)| {
-            self.gather_candidates(tp, ts, width, None)
-        })
-        .into_iter()
-        .flatten()
-        .map(|attr| attr.table)
-        .collect()
-    }
-
     /// Look up one target attribute in the indexes (restricted to one
     /// evidence type when `only` is set; `Distribution` uses the N/F
-    /// indexes as its blocking mechanism, mirroring Algorithm 2).
+    /// indexes as its blocking mechanism, mirroring Algorithm 2). An
+    /// index is one forest per shard, read together by
+    /// [`query_union`]: the widening stop and the fallback scan see
+    /// the whole lake's candidate count, so the hits do not depend on
+    /// the shard count.
     fn gather_candidates(
         &self,
         tp: &AttributeProfile,
@@ -585,30 +559,96 @@ impl D3l {
         width: usize,
         only: Option<Evidence>,
     ) -> HashSet<AttrRef> {
-        let mut out = HashSet::new();
         let want = |e: Evidence| match only {
             None => true,
             Some(Evidence::Distribution) => matches!(e, Evidence::Name | Evidence::Format),
             Some(x) => x == e,
         };
+        let mut out = HashSet::new();
         if want(Evidence::Name) && !tp.qset.is_empty() {
-            for h in self.i_n.query(&ts.name, width) {
+            let forests: Vec<&LshForest<MinHashSignature>> =
+                self.shards().iter().map(|s| &s.i_n).collect();
+            for h in query_union(&forests, &ts.name, width) {
                 out.insert(AttrRef::from_key(h.id));
             }
         }
         if want(Evidence::Format) && !tp.rset.is_empty() {
-            for h in self.i_f.query(&ts.format, width) {
+            let forests: Vec<&LshForest<MinHashSignature>> =
+                self.shards().iter().map(|s| &s.i_f).collect();
+            for h in query_union(&forests, &ts.format, width) {
                 out.insert(AttrRef::from_key(h.id));
             }
         }
         if want(Evidence::Value) && tp.has_text() {
-            for h in self.i_v.query(&ts.value, width) {
+            let forests: Vec<&LshForest<MinHashSignature>> =
+                self.shards().iter().map(|s| &s.i_v).collect();
+            for h in query_union(&forests, &ts.value, width) {
                 out.insert(AttrRef::from_key(h.id));
             }
         }
         if want(Evidence::Embedding) && tp.has_embedding() {
-            for h in self.i_e.query(&ts.embedding, width) {
+            let forests: Vec<&LshForest<BitSignature>> =
+                self.shards().iter().map(|s| &s.i_e).collect();
+            for h in query_union(&forests, &ts.embedding, width) {
                 out.insert(AttrRef::from_key(h.id));
+            }
+        }
+        out
+    }
+
+    /// Stage 2 — pairwise evidence scoring: a five-distance vector
+    /// per (target attribute, candidate) pair, parallel over the
+    /// flattened pair list, each candidate's profile and stored
+    /// signatures read from the shard that owns its table. Pairs
+    /// without signal (all distances 1) are dropped. Candidate order
+    /// within each attribute is preserved from stage 1.
+    fn stage_score(
+        &self,
+        prepared: &PreparedTarget,
+        candidates: &[Vec<AttrRef>],
+        threads: usize,
+        trace: Option<&crate::trace::QueryTrace>,
+    ) -> Vec<Vec<(AttrRef, DistanceVector)>> {
+        // Algorithm 2 line 4 is a per-candidate-table predicate;
+        // precompute it for every table that could face a KS
+        // measurement so the per-pair workers stay pure.
+        let guards = self.subject_guards(prepared, candidates, threads);
+        let work: Vec<(usize, AttrRef)> = candidates
+            .iter()
+            .enumerate()
+            .flat_map(|(i, cands)| cands.iter().map(move |&attr| (i, attr)))
+            .collect();
+        let threshold = self.config().threshold;
+        // Fallback signatures are signed once, not once per pair; they
+        // are seed-derived from the shared config, so one shard's are
+        // every shard's.
+        let fallbacks = self.primary().sig_fallbacks();
+        let scored = par_map(&work, threads, |&(i, attr)| {
+            let owner = self.owner_of(attr.table).expect("candidate has an owner");
+            let shard = &self.shards()[owner];
+            // Per-pair attribution only when traced: the scoring
+            // stage is the one place work belongs to a single shard.
+            let start = trace.map(|_| std::time::Instant::now());
+            let sp = shard.profile(attr);
+            let ss = shard.stored_signatures_ref(attr, &fallbacks);
+            let guard_subject = guards.get(&attr.table).copied().unwrap_or(false);
+            let dv = pair_distances_resolved(
+                &prepared.profiles[i],
+                &prepared.sigs[i],
+                sp,
+                ss,
+                guard_subject,
+                threshold,
+            );
+            if let (Some(t), Some(s)) = (trace, start) {
+                t.add_shard_ns(owner, s.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+            }
+            dv
+        });
+        let mut out: Vec<Vec<(AttrRef, DistanceVector)>> = vec![Vec::new(); candidates.len()];
+        for (&(i, attr), dv) in work.iter().zip(scored) {
+            if dv.has_signal() {
+                out[i].push((attr, dv));
             }
         }
         out
@@ -623,7 +663,6 @@ impl D3l {
         prepared: &PreparedTarget,
         candidates: &[Vec<AttrRef>],
         threads: usize,
-        fallbacks: &SigFallbacks,
     ) -> HashMap<TableId, bool> {
         let mut tables: BTreeSet<TableId> = BTreeSet::new();
         for (i, cands) in candidates.iter().enumerate() {
@@ -636,42 +675,17 @@ impl D3l {
                 }
             }
         }
+        let threshold = self.config().threshold;
+        let fallbacks = self.primary().sig_fallbacks();
         let tables: Vec<TableId> = tables.into_iter().collect();
         let guards = par_map(&tables, threads, |&t| {
-            self.subjects_related(prepared, t, fallbacks)
+            let shard = &self.shards()[self.owner_of(t).expect("candidate has an owner")];
+            let ss = shard
+                .subject_of(t)
+                .map(|s_attr| shard.stored_signatures_ref(s_attr, &fallbacks));
+            subjects_related_resolved(prepared, ss, threshold)
         });
         tables.into_iter().zip(guards).collect()
-    }
-
-    /// The five estimated distances of a (target attr, lake attr)
-    /// pair, with Algorithm 2 deciding whether KS is computed.
-    fn pair_distances(
-        &self,
-        tp: &AttributeProfile,
-        ts: &AttrSignatures,
-        attr: AttrRef,
-        subject_guards: &HashMap<TableId, bool>,
-        fallbacks: &SigFallbacks,
-    ) -> DistanceVector {
-        let sp = self.profile(attr);
-        let ss = self.stored_signatures_ref(attr, fallbacks);
-        let guard_subject = subject_guards.get(&attr.table).copied().unwrap_or(false);
-        pair_distances_resolved(tp, ts, sp, ss, guard_subject, self.cfg.threshold)
-    }
-
-    /// Algorithm 2 line 4: are the subject attributes of the target
-    /// and of lake table `s_table` related in any index
-    /// (`i' ∈ I*.lookup(i)`)?
-    fn subjects_related(
-        &self,
-        prepared: &PreparedTarget,
-        s_table: TableId,
-        fallbacks: &SigFallbacks,
-    ) -> bool {
-        let ss = self
-            .subject_of(s_table)
-            .map(|s_attr| self.stored_signatures_ref(s_attr, fallbacks));
-        subjects_related_resolved(prepared, ss, self.cfg.threshold)
     }
 }
 
@@ -791,7 +805,7 @@ mod tests {
 
     #[test]
     fn related_tables_rank_above_decoys() {
-        let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
+        let d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
         let matches = d3l.query(&target(), 3);
         assert!(matches.len() >= 2);
         let names: Vec<&str> = matches.iter().map(|m| d3l.table_name(m.table)).collect();
@@ -821,7 +835,7 @@ mod tests {
 
     #[test]
     fn alignments_cover_shared_attributes() {
-        let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
+        let d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
         let matches = d3l.query(&target(), 2);
         let s2 = matches
             .iter()
@@ -837,7 +851,7 @@ mod tests {
 
     #[test]
     fn exclude_removes_self_matches() {
-        let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
+        let d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
         let t = lake().table_by_name("s1_gp_practices").unwrap().clone();
         let opts = QueryOptions {
             exclude: Some(TableId(0)),
@@ -849,7 +863,7 @@ mod tests {
 
     #[test]
     fn single_evidence_mode_ranks_by_that_evidence() {
-        let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
+        let d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
         let opts = QueryOptions {
             evidence: Some(Evidence::Name),
             ..Default::default()
@@ -862,7 +876,7 @@ mod tests {
 
     #[test]
     fn related_table_set_includes_sources() {
-        let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
+        let d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
         let related = d3l.related_table_set(&target(), 50);
         assert!(related.contains(&TableId(0)));
         assert!(related.contains(&TableId(1)));
@@ -873,7 +887,7 @@ mod tests {
         // Patients (s1) vs Moons (decoy): both numeric, but no name,
         // format, or subject evidence links the pair's tables, so D
         // must stay at 1 for the decoy's numeric column.
-        let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
+        let d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
         let matches = d3l.rank_all(&target(), 50, &QueryOptions::default());
         if let Some(decoy) = matches
             .iter()
@@ -888,7 +902,7 @@ mod tests {
 
     #[test]
     fn query_zero_k() {
-        let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
+        let d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
         assert!(d3l.query(&target(), 0).is_empty());
     }
 
@@ -913,7 +927,7 @@ mod tests {
 
     #[test]
     fn thread_count_never_changes_results() {
-        let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
+        let d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
         let t = target();
         let at = |n: usize| {
             d3l.rank_all(
@@ -934,7 +948,7 @@ mod tests {
 
     #[test]
     fn prepared_target_reuse_matches_fresh_profiling() {
-        let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
+        let d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
         let t = target();
         let prepared = d3l.prepare_target(&t);
         assert_eq!(prepared.arity(), t.arity());
@@ -952,7 +966,7 @@ mod tests {
     #[test]
     fn batch_matches_per_target_queries() {
         let lake = lake();
-        let d3l = D3l::index_lake(&lake, D3lConfig::fast());
+        let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
         let targets: Vec<Table> = vec![
             target(),
             lake.table_by_name("s1_gp_practices").unwrap().clone(),
@@ -981,7 +995,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_empty() {
-        let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
+        let d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
         assert!(d3l.query_batch(&[], 5).is_empty());
     }
 }

@@ -1,8 +1,10 @@
-//! The partitioned engine: N shards, one lake, monolith-identical
-//! answers.
+//! The engine: one lake partitioned over N shards, and the routing
+//! that lets the query pipeline ([`crate::query`]) read them as one.
 //!
-//! [`ShardedD3l`] splits the lake across `D3lConfig::shards` complete
-//! [`D3l`] engines. Tables are assigned to shards by a stable
+//! [`ShardedD3l`] splits the lake across `D3lConfig::shards`
+//! partitions, each a [`D3l`]: four forests, profiles and a store of
+//! its own. One shard holding every table is the N = 1 case, not a
+//! separate implementation. Tables are assigned to shards by a stable
 //! fingerprint of the table name, and every shard keeps its slot
 //! vector *dense over global table ids* — the ids other shards own are
 //! holes (`D3l::push_hole`), so an `AttrRef` read out of any shard's
@@ -11,41 +13,24 @@
 //! rewrites only the owning shard — O(lake/N) work and snapshot bytes
 //! — while the other N−1 shards stay byte-for-byte untouched.
 //!
-//! Queries scatter and gather without approximation:
-//!
-//! 1. **Candidate generation** runs the *monolith* forest descent over
-//!    the shard set via [`d3l_lsh::forest::query_union`] — the union
-//!    of the shards' per-tree prefix ranges is exactly the monolith
-//!    range, and the widening stop is driven by the global candidate
-//!    count, so the candidate sets match the monolith's exactly.
-//! 2. **Pairwise scoring** routes each profile/signature lookup to the
-//!    owning shard and feeds the shared scoring core
-//!    (`pair_distances_resolved`), which never sees index state.
-//! 3. **Aggregation** is the shared `stage_aggregate`, which only sees
-//!    the scored pair lists.
-//!
-//! Nothing in the pipeline depends on N, so rankings are
-//! **byte-identical at every shard count** (and still at every thread
-//! count) — the determinism suite pins both axes at once.
+//! This module holds construction (build, split, assemble from
+//! loaded shards), the owner lookup and the owner-routed accessors.
+//! Queries, the SA-join graph and population are `impl ShardedD3l`
+//! blocks in [`crate::query`], [`crate::join`] and
+//! [`crate::populate`]; nothing in them depends on N, so answers are
+//! byte-identical at every shard count.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use d3l_embedding::SemanticEmbedder;
-use d3l_lsh::forest::{query_union, LshForest};
+use d3l_lsh::forest::LshForest;
 use d3l_lsh::hash::hash_str;
-use d3l_lsh::minhash::MinHashSignature;
-use d3l_lsh::randproj::BitSignature;
-use d3l_table::{DataLake, Table, TableId};
+use d3l_table::{DataLake, TableId};
 
 use crate::config::D3lConfig;
-use crate::evidence::Evidence;
-use crate::index::{AttrRef, AttrSignatures, D3l, MemoryFootprint};
+use crate::index::{AttrRef, D3l, MemoryFootprint};
 use crate::profile::AttributeProfile;
-use crate::query::{
-    pair_distances_resolved, par_map, stage_aggregate, subjects_related_resolved, PreparedTarget,
-    QueryOptions, TableMatch,
-};
 
 /// The shard that owns a table named `name` in an `n`-shard engine.
 /// Stable across processes and runs: FNV-1a of the name, mod `n`.
@@ -54,7 +39,8 @@ pub fn shard_of_name(name: &str, n: usize) -> usize {
     (hash_str(name) % n as u64) as usize
 }
 
-/// An N-shard [`D3l`] engine with monolith-identical query results.
+/// The discovery engine: the lake's tables partitioned over N
+/// [`D3l`] shards, queried as one index.
 ///
 /// Shards sit behind `Arc` so the copy-on-write maintenance path
 /// ([`crate::hotswap::EngineHandle`]) clones the engine cheaply (N
@@ -105,7 +91,7 @@ impl ShardedD3l {
         Ok(Self::split(D3l::index_dir(dir, cfg)?, shards))
     }
 
-    /// Wrap an existing monolithic engine as a one-shard engine.
+    /// The one-shard engine over a partition that holds every table.
     pub fn from_monolith(mut d3l: D3l) -> Self {
         d3l.cfg.shards = 1;
         ShardedD3l {
@@ -113,9 +99,9 @@ impl ShardedD3l {
         }
     }
 
-    /// Partition a monolithic engine into `n` shards. Each shard gets
-    /// the slots it owns (by [`shard_of_name`]), holes elsewhere, and
-    /// four forests rebuilt from the monolith's stored signatures —
+    /// Partition a [`D3l`] holding every table into `n` shards. Each
+    /// shard gets the slots it owns (by [`shard_of_name`]), holes
+    /// elsewhere, and four forests rebuilt from the stored signatures —
     /// bit-identical to having inserted only the owned attributes.
     /// Removal tombstones follow their name to the owning shard.
     pub fn split(d3l: D3l, n: usize) -> Self {
@@ -237,7 +223,7 @@ impl ShardedD3l {
     /// The shard used for target profiling and config access. All
     /// shards share identical hashers and configuration; shard 0 is
     /// the designated representative.
-    fn primary(&self) -> &D3l {
+    pub(crate) fn primary(&self) -> &D3l {
         &self.shards[0]
     }
 
@@ -362,306 +348,12 @@ impl ShardedD3l {
     pub fn shard_byte_sizes(&self) -> Vec<MemoryFootprint> {
         self.shards.iter().map(|s| s.byte_size()).collect()
     }
-
-    // -------------------------------------------------- query path
-
-    /// Stage 1 entry point; targets are profiled with shard 0's
-    /// hashers, which every shard shares.
-    pub fn prepare_target(&self, target: &Table) -> PreparedTarget {
-        self.primary().prepare_target(target)
-    }
-
-    /// Prepare an already-indexed table as a query target
-    /// (owner-routed; see [`D3l::prepare_indexed`]).
-    pub fn prepare_indexed(&self, id: TableId) -> Option<PreparedTarget> {
-        let s = self.owner_of(id)?;
-        self.shards[s].prepare_indexed(id)
-    }
-
-    /// The k-most related lake tables to `target` with default
-    /// options — byte-identical to the monolith's answer.
-    pub fn query(&self, target: &Table, k: usize) -> Vec<TableMatch> {
-        self.query_with(target, k, &QueryOptions::default())
-    }
-
-    /// The k-most related lake tables with explicit options.
-    pub fn query_with(&self, target: &Table, k: usize, opts: &QueryOptions) -> Vec<TableMatch> {
-        self.query_prepared(&self.prepare_target(target), k, opts)
-    }
-
-    /// [`ShardedD3l::query_with`] over an already-prepared target.
-    pub fn query_prepared(
-        &self,
-        prepared: &PreparedTarget,
-        k: usize,
-        opts: &QueryOptions,
-    ) -> Vec<TableMatch> {
-        let width = opts
-            .lookup_width
-            .unwrap_or_else(|| self.config().lookup_width(k));
-        let mut all = self.rank_all_prepared(prepared, width, opts);
-        all.truncate(k);
-        all
-    }
-
-    /// Rank every table with at least one related attribute, closest
-    /// first.
-    pub fn rank_all(&self, target: &Table, width: usize, opts: &QueryOptions) -> Vec<TableMatch> {
-        self.rank_all_prepared(&self.prepare_target(target), width, opts)
-    }
-
-    /// [`ShardedD3l::rank_all`] over an already-prepared target.
-    pub fn rank_all_prepared(
-        &self,
-        prepared: &PreparedTarget,
-        width: usize,
-        opts: &QueryOptions,
-    ) -> Vec<TableMatch> {
-        let threads = self.config().effective_query_threads(opts.threads);
-        self.rank_all_inner(prepared, width, opts, threads)
-    }
-
-    /// Top-k answers for many targets at once (see
-    /// [`D3l::query_batch`]); batched and per-target results are
-    /// identical at every shard and thread count.
-    pub fn query_batch(&self, targets: &[Table], k: usize) -> Vec<Vec<TableMatch>> {
-        let opts = vec![QueryOptions::default(); targets.len()];
-        self.query_batch_with(targets, k, &opts)
-    }
-
-    /// [`ShardedD3l::query_batch`] with per-target options.
-    pub fn query_batch_with(
-        &self,
-        targets: &[Table],
-        k: usize,
-        opts: &[QueryOptions],
-    ) -> Vec<Vec<TableMatch>> {
-        assert_eq!(targets.len(), opts.len(), "one QueryOptions per target");
-        let work: Vec<(&Table, &QueryOptions)> = targets.iter().zip(opts).collect();
-        let (outer, inner) = self.batch_threads(work.len());
-        par_map(&work, outer, |&(target, opt)| {
-            let width = opt
-                .lookup_width
-                .unwrap_or_else(|| self.config().lookup_width(k));
-            let prepared = self.prepare_target(target);
-            let mut all = self.rank_all_inner(&prepared, width, opt, inner);
-            all.truncate(k);
-            all
-        })
-    }
-
-    /// The set of lake tables related to `target` by at least one
-    /// evidence type, unioned across shards.
-    pub fn related_table_set(&self, target: &Table, width: usize) -> HashSet<TableId> {
-        self.related_table_set_prepared(&self.prepare_target(target), width)
-    }
-
-    /// [`ShardedD3l::related_table_set`] over a prepared target.
-    pub fn related_table_set_prepared(
-        &self,
-        prepared: &PreparedTarget,
-        width: usize,
-    ) -> HashSet<TableId> {
-        let threads = self.config().effective_query_threads(None);
-        let work: Vec<(&AttributeProfile, &AttrSignatures)> =
-            prepared.profiles.iter().zip(&prepared.sigs).collect();
-        par_map(&work, threads, |&(tp, ts)| {
-            self.gather_candidates(tp, ts, width, None)
-        })
-        .into_iter()
-        .flatten()
-        .map(|attr| attr.table)
-        .collect()
-    }
-
-    /// Same thread-budget split as [`D3l::query_batch_with`].
-    fn batch_threads(&self, batch_len: usize) -> (usize, usize) {
-        let budget = self.config().effective_query_threads(None);
-        let outer = budget.min(batch_len.max(1));
-        let inner = (budget / outer.max(1)).max(1);
-        (outer, inner)
-    }
-
-    /// The scatter-gather pipeline over one prepared target: shard-set
-    /// candidate generation, owner-routed scoring, shared aggregation.
-    fn rank_all_inner(
-        &self,
-        prepared: &PreparedTarget,
-        width: usize,
-        opts: &QueryOptions,
-        threads: usize,
-    ) -> Vec<TableMatch> {
-        let mut timer = crate::trace::StageTimer::start(opts.trace.as_deref());
-        let candidates = self.stage_candidates(prepared, width, opts, threads);
-        timer.candidates_done();
-        let scored = self.stage_score(prepared, &candidates, threads, opts.trace.as_deref());
-        timer.score_done();
-        let ranked = stage_aggregate(&scored, opts);
-        timer.aggregate_done();
-        ranked
-    }
-
-    /// Stage 1 over the shard set — the monolith's per-attribute
-    /// lookup with each forest read replaced by the shard-union
-    /// descent.
-    fn stage_candidates(
-        &self,
-        prepared: &PreparedTarget,
-        width: usize,
-        opts: &QueryOptions,
-        threads: usize,
-    ) -> Vec<Vec<AttrRef>> {
-        let work: Vec<(&AttributeProfile, &AttrSignatures)> =
-            prepared.profiles.iter().zip(&prepared.sigs).collect();
-        par_map(&work, threads, |&(tp, ts)| {
-            let mut cands: Vec<AttrRef> = self
-                .gather_candidates(tp, ts, width, opts.evidence)
-                .into_iter()
-                .filter(|attr| opts.exclude != Some(attr.table))
-                .collect();
-            cands.sort_unstable_by_key(|a| a.key());
-            cands
-        })
-    }
-
-    /// Look up one target attribute in every shard's indexes at once.
-    /// [`query_union`] runs the monolith descent over the union of the
-    /// shards' trees, so the result matches a single-forest lookup
-    /// over the whole lake exactly — including the candidate-count
-    /// widening stop and the fallback scan.
-    fn gather_candidates(
-        &self,
-        tp: &AttributeProfile,
-        ts: &AttrSignatures,
-        width: usize,
-        only: Option<Evidence>,
-    ) -> HashSet<AttrRef> {
-        let want = |e: Evidence| match only {
-            None => true,
-            Some(Evidence::Distribution) => matches!(e, Evidence::Name | Evidence::Format),
-            Some(x) => x == e,
-        };
-        let mut out = HashSet::new();
-        if want(Evidence::Name) && !tp.qset.is_empty() {
-            let forests: Vec<&LshForest<MinHashSignature>> =
-                self.shards.iter().map(|s| &s.i_n).collect();
-            for h in query_union(&forests, &ts.name, width) {
-                out.insert(AttrRef::from_key(h.id));
-            }
-        }
-        if want(Evidence::Format) && !tp.rset.is_empty() {
-            let forests: Vec<&LshForest<MinHashSignature>> =
-                self.shards.iter().map(|s| &s.i_f).collect();
-            for h in query_union(&forests, &ts.format, width) {
-                out.insert(AttrRef::from_key(h.id));
-            }
-        }
-        if want(Evidence::Value) && tp.has_text() {
-            let forests: Vec<&LshForest<MinHashSignature>> =
-                self.shards.iter().map(|s| &s.i_v).collect();
-            for h in query_union(&forests, &ts.value, width) {
-                out.insert(AttrRef::from_key(h.id));
-            }
-        }
-        if want(Evidence::Embedding) && tp.has_embedding() {
-            let forests: Vec<&LshForest<BitSignature>> =
-                self.shards.iter().map(|s| &s.i_e).collect();
-            for h in query_union(&forests, &ts.embedding, width) {
-                out.insert(AttrRef::from_key(h.id));
-            }
-        }
-        out
-    }
-
-    /// Stage 2 — the monolith's pairwise scoring with every index
-    /// lookup routed to the owning shard. Work lists, iteration
-    /// orders and the scoring core are the monolith's, so the scored
-    /// pairs are bit-identical.
-    fn stage_score(
-        &self,
-        prepared: &PreparedTarget,
-        candidates: &[Vec<AttrRef>],
-        threads: usize,
-        trace: Option<&crate::trace::QueryTrace>,
-    ) -> Vec<Vec<(AttrRef, crate::distance::DistanceVector)>> {
-        let guards = self.subject_guards(prepared, candidates, threads);
-        let work: Vec<(usize, AttrRef)> = candidates
-            .iter()
-            .enumerate()
-            .flat_map(|(i, cands)| cands.iter().map(move |&attr| (i, attr)))
-            .collect();
-        let threshold = self.config().threshold;
-        // Fallback signatures are seed-derived from the shared config,
-        // so one shard's are every shard's.
-        let fallbacks = self.shards[0].sig_fallbacks();
-        let scored = par_map(&work, threads, |&(i, attr)| {
-            let owner = self.owner_of(attr.table).expect("candidate has an owner");
-            let shard = &self.shards[owner];
-            // Per-pair attribution only when traced: the scoring
-            // stage is the one place work belongs to a single shard.
-            let start = trace.map(|_| std::time::Instant::now());
-            let sp = shard.profile(attr);
-            let ss = shard.stored_signatures_ref(attr, &fallbacks);
-            let guard_subject = guards.get(&attr.table).copied().unwrap_or(false);
-            let dv = pair_distances_resolved(
-                &prepared.profiles[i],
-                &prepared.sigs[i],
-                sp,
-                ss,
-                guard_subject,
-                threshold,
-            );
-            if let (Some(t), Some(s)) = (trace, start) {
-                t.add_shard_ns(owner, s.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            }
-            dv
-        });
-        let mut out: Vec<Vec<(AttrRef, crate::distance::DistanceVector)>> =
-            vec![Vec::new(); candidates.len()];
-        for (&(i, attr), dv) in work.iter().zip(scored) {
-            if dv.has_signal() {
-                out[i].push((attr, dv));
-            }
-        }
-        out
-    }
-
-    /// Algorithm 2 line 4 precomputation, owner-routed (see
-    /// `D3l::subject_guards`).
-    fn subject_guards(
-        &self,
-        prepared: &PreparedTarget,
-        candidates: &[Vec<AttrRef>],
-        threads: usize,
-    ) -> HashMap<TableId, bool> {
-        let mut tables: std::collections::BTreeSet<TableId> = Default::default();
-        for (i, cands) in candidates.iter().enumerate() {
-            if !prepared.profiles[i].is_numeric {
-                continue;
-            }
-            for attr in cands {
-                if self.profile(*attr).is_numeric {
-                    tables.insert(attr.table);
-                }
-            }
-        }
-        let threshold = self.config().threshold;
-        let fallbacks = self.shards[0].sig_fallbacks();
-        let tables: Vec<TableId> = tables.into_iter().collect();
-        let guards = par_map(&tables, threads, |&t| {
-            let shard = &self.shards[self.owner_of(t).expect("candidate has an owner")];
-            let ss = shard
-                .subject_of(t)
-                .map(|s_attr| shard.stored_signatures_ref(s_attr, &fallbacks));
-            subjects_related_resolved(prepared, ss, threshold)
-        });
-        tables.into_iter().zip(guards).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::{QueryOptions, TableMatch};
     use d3l_table::Table;
 
     fn lake(tables: usize) -> DataLake {
@@ -714,10 +406,11 @@ mod tests {
     fn every_shard_count_matches_the_monolith() {
         let lake = lake(12);
         let mono = D3l::index_lake(&lake, cfg());
+        let one = ShardedD3l::from_monolith(mono.clone());
         let target = lake.table(TableId(3)).clone();
-        let expect = mono.query(&target, 6);
-        let expect_all = mono.rank_all(&target, 30, &QueryOptions::default());
-        for n in [1usize, 2, 3, 8] {
+        let expect = one.query(&target, 6);
+        let expect_all = one.rank_all(&target, 30, &QueryOptions::default());
+        for n in [2usize, 3, 5, 8] {
             let sharded = ShardedD3l::split(mono.clone(), n);
             assert_eq!(sharded.shard_count(), n);
             assert_eq!(sharded.table_count(), mono.table_count());
@@ -728,7 +421,7 @@ mod tests {
                 &sharded.rank_all(&target, 30, &QueryOptions::default()),
             );
             assert_eq!(
-                mono.related_table_set(&target, 30),
+                one.related_table_set(&target, 30),
                 sharded.related_table_set(&target, 30)
             );
         }
@@ -771,7 +464,8 @@ mod tests {
         assert!(sharded.is_removed(victim));
         assert_eq!(sharded.live_table_count(), mono.live_table_count());
         let target = lake.table(TableId(1)).clone();
-        assert_matches_identical(&mono.query(&target, 5), &sharded.query(&target, 5));
+        let one = ShardedD3l::from_monolith(mono.clone());
+        assert_matches_identical(&one.query(&target, 5), &sharded.query(&target, 5));
     }
 
     #[test]
@@ -779,8 +473,8 @@ mod tests {
         let lake = lake(8);
         let mono = D3l::index_lake(&lake, cfg());
         let targets: Vec<Table> = (0..3).map(|i| lake.table(TableId(i)).clone()).collect();
-        let expect = mono.query_batch(&targets, 4);
-        for n in [2usize, 5] {
+        let expect = ShardedD3l::from_monolith(mono.clone()).query_batch(&targets, 4);
+        for n in [2usize, 3, 5, 8] {
             let sharded = ShardedD3l::split(mono.clone(), n);
             let got = sharded.query_batch(&targets, 4);
             assert_eq!(got.len(), expect.len());

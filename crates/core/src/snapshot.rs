@@ -1237,8 +1237,8 @@ mod tests {
             &[vec!["Blackfriars".into(), "Salford".into()]],
         )
         .unwrap();
-        let a = d3l.query(&target, 3);
-        let b = loaded.query(&target, 3);
+        let a = ShardedD3l::from_monolith(d3l).query(&target, 3);
+        let b = ShardedD3l::from_monolith(loaded.clone()).query(&target, 3);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.table, y.table);
@@ -1785,6 +1785,7 @@ mod tests {
         });
         assert!(ones.embedding.words().iter().all(|&w| w == u64::MAX));
 
+        let engine = ShardedD3l::from_monolith(d3l.clone());
         let (mut numeric, mut textual) = (0, 0);
         for (id, table) in lake.iter() {
             let from_rows = d3l.prepare_target(table);
@@ -1807,8 +1808,8 @@ mod tests {
                 exclude: Some(id),
                 ..Default::default()
             };
-            let a = d3l.query_prepared(&from_index, 10, &opts);
-            let b = d3l.query_prepared(&from_rows, 10, &opts);
+            let a = engine.query_prepared(&from_index, 10, &opts);
+            let b = engine.query_prepared(&from_rows, 10, &opts);
             assert_eq!(a.len(), b.len(), "{}", table.name());
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.table, y.table, "{}", table.name());
@@ -2025,7 +2026,7 @@ mod tests {
             &[vec!["Saturn".into(), "146".into()]],
         )
         .unwrap();
-        for m in compacted.query(&target, 5) {
+        for m in ShardedD3l::from_monolith(compacted).query(&target, 5) {
             assert_ne!(m.table, TableId(2), "tombstoned table surfaced");
         }
         std::fs::remove_dir_all(&dir).ok();

@@ -30,13 +30,13 @@ pub struct QueryTrace {
     pub score_ns: AtomicU64,
     /// Stage 3 — CCDF-weighted aggregation (Eq. 1–3).
     pub aggregate_ns: AtomicU64,
-    /// Scoring nanoseconds attributed to each owning shard (empty on
-    /// the monolith engine).
+    /// Scoring nanoseconds attributed to each owning shard (empty
+    /// unless built [`QueryTrace::with_shards`]).
     pub shard_score_ns: Vec<AtomicU64>,
 }
 
 impl QueryTrace {
-    /// A fresh trace with no per-shard slots (monolith engine).
+    /// A fresh trace with no per-shard slots: stage totals only.
     pub fn new() -> Arc<Self> {
         Arc::new(QueryTrace::default())
     }
@@ -68,7 +68,7 @@ impl QueryTrace {
         )
     }
 
-    /// Per-shard scoring nanoseconds (empty on the monolith).
+    /// Per-shard scoring nanoseconds (empty without per-shard slots).
     pub fn shard_ns(&self) -> Vec<u64> {
         self.shard_score_ns
             .iter()

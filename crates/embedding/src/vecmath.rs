@@ -23,7 +23,7 @@ const DOT_LANES: usize = 4;
 /// `(a·b, |a|², |b|²)` in one pass.
 ///
 /// Summation order (fixed, documented): each of the three sums runs
-/// [`DOT_LANES`] independent accumulators over coordinate lanes
+/// `DOT_LANES` independent accumulators over coordinate lanes
 /// `i % 4`, folded `((s0 + s1) + (s2 + s3))`, then the `len % 4` tail
 /// coordinates are added sequentially to the folded value.
 #[inline]

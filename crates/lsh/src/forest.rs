@@ -703,67 +703,12 @@ impl<S: Signature> LshForest<S> {
         }
     }
 
-    /// Top-`k` most similar items to `sig`. Panics unless the forest
-    /// is committed ([`LshForest::commit`]); taking `&self` keeps the
-    /// forest shareable lock-free across query workers.
-    ///
-    /// Descends each tree from the full depth, widening the prefix
-    /// until at least `k` distinct candidates are gathered (or depth
-    /// is exhausted), then ranks candidates by their estimated
-    /// similarity from the stored signatures.
+    /// Top-`k` most similar items to `sig`: [`query_union`] over this
+    /// one forest. Panics unless the forest is committed
+    /// ([`LshForest::commit`]); taking `&self` keeps the forest
+    /// shareable lock-free across query workers.
     pub fn query(&self, sig: &S, k: usize) -> Vec<Hit> {
-        assert!(self.sorted, "forest not committed; call commit() first");
-        if k == 0 || self.slot_ids.is_empty() {
-            return Vec::new();
-        }
-        let labels = self.query_labels(sig);
-        let mut candidates: IdHashSet<ItemId> = IdHashSet::default();
-        // Synchronous descent across trees, deepest first: one
-        // full-depth binary search per tree seeds a cursor, then each
-        // shallower level widens the cursors outward over the arena —
-        // every level sees exactly the prefix runs a per-level binary
-        // search would, but each entry is visited once per tree.
-        let mut cursors: Vec<(usize, usize)> = Vec::with_capacity(self.trees.len());
-        for (t, tree) in self.trees.iter().enumerate() {
-            let (lo, hi) = tree.prefix_range(&labels[t * self.k..(t + 1) * self.k]);
-            for &id in &tree.ids()[lo..hi] {
-                candidates.insert(id);
-            }
-            cursors.push((lo, hi));
-        }
-        let mut depth = self.k;
-        while candidates.len() < k && depth > 1 {
-            depth -= 1;
-            for (t, tree) in self.trees.iter().enumerate() {
-                let (lo, hi) = &mut cursors[t];
-                tree.widen_prefix_run(&labels[t * self.k..t * self.k + depth], lo, hi, |id| {
-                    candidates.insert(id);
-                });
-            }
-        }
-        // Fall back to scanning when the lake is tiny or prefixes are
-        // unlucky — keeps recall sensible for small k. The scan must
-        // pick a fixed id *set*: HashMap iteration order varies per
-        // map instance, and the query pipeline guarantees results that
-        // are byte-identical across runs and thread counts.
-        if candidates.len() < k && candidates.len() < self.slot_ids.len() {
-            let need = k.max(32) - candidates.len();
-            select_smallest_ids(self.slot_ids.iter().copied(), &mut candidates, need);
-        }
-        // Score in arena order: map candidate ids to slots, sort, and
-        // scan the word arena sequentially — candidates' signatures
-        // stream through the cache in address order instead of one
-        // random read per hash probe.
-        let mut slots: Vec<u32> = candidates.iter().map(|id| self.slot_of[id]).collect();
-        slots.sort_unstable();
-        let hits: Vec<Hit> = slots
-            .into_iter()
-            .map(|s| Hit {
-                id: self.slot_ids[s as usize],
-                similarity: sig.similarity_words(self.slot_words(s), self.sig_meta),
-            })
-            .collect();
-        top_k(hits, k)
+        query_union(&[self], sig, k)
     }
 
     /// Items whose estimated similarity clears `threshold`, best
@@ -875,29 +820,32 @@ fn select_smallest_ids(
     candidates.extend(heap);
 }
 
-/// Top-`k` query over the disjoint union of several forests — the
-/// scatter-gather primitive of a sharded index.
+/// Top-`k` most similar items to `sig` over the disjoint union of
+/// several forests — the one forest descent: [`LshForest::query`] is
+/// the single-forest case and a sharded index passes one forest per
+/// shard.
+///
+/// Descends every tree from the full depth, widening the prefix until
+/// at least `k` distinct candidates are gathered (or depth is
+/// exhausted), then ranks candidates by their estimated similarity
+/// from the stored signatures.
 ///
 /// All forests must share one shape (same `l`, same `k`) and index
-/// disjoint item sets; each shard's trees then hold exactly the
-/// monolith's entries for its items, in the same sorted order. This
-/// runs the *same* algorithm as [`LshForest::query`] with one extra
-/// inner loop over forests:
+/// disjoint item sets. The answer does not depend on how the items are
+/// partitioned:
 ///
-/// * per `(depth, tree)`, the union of the shards' prefix ranges has
-///   exactly the contents of the monolith's prefix range (a sorted
-///   tree partitions into sorted shard trees; a prefix range selects
-///   by label only);
+/// * a sorted tree partitions into sorted per-forest trees and a
+///   prefix range selects by label only, so per `(depth, tree)` the
+///   union of the forests' prefix ranges holds exactly the entries one
+///   forest holding every item would select;
 /// * the widening stop condition sees the *global* candidate count,
-///   not a per-shard one;
-/// * the small-lake fallback selects over the union of all stored
-///   ids, exactly the monolith's id set.
+///   not a per-forest one;
+/// * the small-lake fallback selects over the union of all stored ids.
 ///
-/// So the returned hits are byte-identical to querying one forest
-/// holding every item — by construction, not by post-hoc merging.
-/// Querying each shard separately and merging would *not* be: the
-/// descent could stop at a different depth per shard, and the
-/// fallback would select ids against per-shard counts.
+/// Querying each forest separately and merging would *not* be
+/// partition-independent: the descent could stop at a different depth
+/// per forest, and the fallback would select ids against per-forest
+/// counts.
 pub fn query_union<S: Signature>(forests: &[&LshForest<S>], sig: &S, k: usize) -> Vec<Hit> {
     assert!(!forests.is_empty(), "need at least one forest");
     let (l, depth_k) = forests[0].shape();
@@ -913,9 +861,11 @@ pub fn query_union<S: Signature>(forests: &[&LshForest<S>], sig: &S, k: usize) -
     // forest computes the same ones.
     let labels = forests[0].query_labels(sig);
     let mut candidates: IdHashSet<ItemId> = IdHashSet::default();
-    // Same cursor-widening descent as [`LshForest::query`], with one
-    // cursor per (forest, tree): the union still deepens level by
-    // level across every shard in lockstep.
+    // Synchronous descent across every forest's trees, deepest first:
+    // one full-depth binary search per (forest, tree) seeds a cursor,
+    // then each shallower level widens the cursors outward over the
+    // arena — every level sees exactly the prefix runs a per-level
+    // binary search would, but each entry is visited once per tree.
     let mut cursors: Vec<(usize, usize)> = Vec::with_capacity(forests.len() * l);
     for f in forests {
         for (t, tree) in f.trees.iter().enumerate() {
@@ -938,6 +888,11 @@ pub fn query_union<S: Signature>(forests: &[&LshForest<S>], sig: &S, k: usize) -
             }
         }
     }
+    // Fall back to scanning when the lake is tiny or prefixes are
+    // unlucky — keeps recall sensible for small k. The scan must pick
+    // a fixed id *set*: HashMap iteration order varies per map
+    // instance, and the query pipeline guarantees results that are
+    // byte-identical across runs and thread counts.
     if candidates.len() < k && candidates.len() < total {
         let need = k.max(32) - candidates.len();
         select_smallest_ids(
@@ -946,9 +901,10 @@ pub fn query_union<S: Signature>(forests: &[&LshForest<S>], sig: &S, k: usize) -
             need,
         );
     }
-    // Same arena-order scoring as the monolith: locate each candidate
-    // in its owning shard, sort by (shard, slot), and scan each
-    // shard's word arena sequentially.
+    // Score in arena order: locate each candidate in its owning
+    // forest, sort by (forest, slot), and scan each word arena
+    // sequentially — candidates' signatures stream through the cache
+    // in address order instead of one random read per hash probe.
     let mut located: Vec<(u32, u32)> = candidates
         .iter()
         .map(|&id| {

@@ -2,7 +2,7 @@
 //! set distance.
 //!
 //! A [`TokenSet`] is a sorted, deduplicated `Vec<u64>` of
-//! [`hash_str`](crate::hash::hash_str) token hashes. Compared to the
+//! [`hash_str`] token hashes. Compared to the
 //! `HashSet<String>` representation it replaces, it
 //!
 //! * hashes every token exactly once — MinHash signatures are then

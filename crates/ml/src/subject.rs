@@ -3,7 +3,7 @@
 //! "Given a dataset, a subject attribute identifies the entities the
 //! dataset is about. … Intuitively, this approach favours leftmost
 //! non-numeric attributes with fewer nulls and many distinct values.
-//! As in [15], we assume each dataset has only one subject attribute
+//! As in \[15\], we assume each dataset has only one subject attribute
 //! and that this attribute has non-numeric values."
 //!
 //! The paper builds a classification model (after Venetis et al.) and

@@ -3,7 +3,7 @@
 //! The response renderers are public and deterministic on purpose:
 //! the determinism suite proves that a server response body is
 //! **byte-identical** to rendering the in-process
-//! [`D3l::query_batch`] result with the same functions — the HTTP
+//! [`ShardedD3l::query_batch`] result with the same functions — the HTTP
 //! layer adds transport, never perturbation. Floats are written with
 //! shortest-round-trip precision, so a client parsing a distance gets
 //! the exact bits the engine computed.

@@ -3,7 +3,7 @@
 //! The paper positions D3L as an interactive discovery service over a
 //! live data lake; this crate is the long-lived process that makes it
 //! one. It is dependency-free (`std::net` + the workspace's own wire
-//! codecs) and serves a [`D3l`] engine cold-started from an
+//! codecs) and serves a [`ShardedD3l`] engine cold-started from an
 //! [`IndexStore`] directory behind a copy-on-write hot-swap
 //! ([`EngineHandle`]), so:
 //!
@@ -13,7 +13,7 @@
 //!   *before* the swapped-in engine answers, so a 2xx implies
 //!   read-your-writes and a crash never loses an acknowledged write;
 //! * results are **byte-identical** to in-process
-//!   [`D3l::query_batch`] at every worker-thread count — the
+//!   [`ShardedD3l::query_batch`] at every worker-thread count — the
 //!   determinism suite compares response bodies bit-for-bit;
 //! * repeated queries hit a versioned result cache
 //!   (`d3l_core::cache`) whose keys carry the hot-swap engine
@@ -53,8 +53,8 @@
 //! [`server`] (worker pool, routing, graceful shutdown, and the
 //! minimal [`Client`]).
 //!
-//! [`D3l`]: d3l_core::D3l
-//! [`D3l::query_batch`]: d3l_core::D3l::query_batch
+//! [`ShardedD3l`]: d3l_core::ShardedD3l
+//! [`ShardedD3l::query_batch`]: d3l_core::ShardedD3l::query_batch
 //! [`IndexStore`]: d3l_core::IndexStore
 //! [`EngineHandle`]: d3l_core::hotswap::EngineHandle
 

@@ -88,7 +88,7 @@ impl CellStats {
         }
     }
 
-    /// distinct / non-null count, in [0,1]; 0 for all-null columns.
+    /// distinct / non-null count, in `[0, 1]`; 0 for all-null columns.
     pub fn distinct_ratio(&self) -> f64 {
         if self.non_null == 0 {
             0.0
@@ -201,7 +201,7 @@ impl Column {
         self.cell_stats().distinct
     }
 
-    /// distinct / non-null count, in [0,1]; 0 for all-null columns.
+    /// distinct / non-null count, in `[0, 1]`; 0 for all-null columns.
     pub fn distinct_ratio(&self) -> f64 {
         self.cell_stats().distinct_ratio()
     }

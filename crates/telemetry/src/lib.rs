@@ -174,23 +174,6 @@ impl HistogramSnapshot {
         self.max_ns = self.max_ns.max(other.max_ns);
     }
 
-    /// Subtract an earlier snapshot of the same histogram, yielding
-    /// the distribution of observations recorded in between (what the
-    /// benchmark's scraper does to two `/metrics` scrapes, here on the
-    /// snapshots themselves). Saturates at zero if the baseline ran
-    /// ahead of a racing scrape.
-    pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets = [0u64; NUM_BUCKETS];
-        for (i, dst) in buckets.iter_mut().enumerate() {
-            *dst = self.buckets[i].saturating_sub(earlier.buckets[i]);
-        }
-        HistogramSnapshot {
-            buckets,
-            sum_ns: self.sum_ns.saturating_sub(earlier.sum_ns),
-            max_ns: self.max_ns,
-        }
-    }
-
     /// Quantile estimate in nanoseconds: the inclusive upper bound of
     /// the bucket holding the `ceil(q·count)`-th smallest sample
     /// (`u64::MAX` if it landed in the overflow bucket, 0 when
@@ -624,18 +607,6 @@ mod tests {
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged, u.snapshot());
-    }
-
-    #[test]
-    fn delta_since_isolates_the_window() {
-        let h = Histogram::new();
-        h.record_ns(2_000);
-        let before = h.snapshot();
-        h.record_ns(8_000);
-        h.record_ns(9_000);
-        let d = h.snapshot().delta_since(&before);
-        assert_eq!(d.count(), 2);
-        assert_eq!(d.sum_ns(), 17_000);
     }
 
     #[test]

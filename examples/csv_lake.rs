@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let build_start = Instant::now();
-    let d3l = D3l::index_lake(&lake, D3lConfig::default());
+    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::default());
     let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
     println!(
         "indexed in {build_ms:.1} ms; index footprint {} bytes ({:.0}% of the raw data)",
@@ -59,16 +59,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // good. A serving process cold-starts from the snapshot without
     // ever seeing the CSVs again.
     let index_dir = std::env::temp_dir().join(format!("d3l_csv_index_{}", std::process::id()));
-    let store = IndexStore::create(&index_dir, &d3l)?;
-    let (snapshot_bytes, _) = store.disk_bytes()?;
-    drop(d3l); // the in-memory engine is gone; only the snapshot remains
+    let (snapshot_bytes, _, _) = EngineHandle::create(&index_dir, d3l)?.disk_stats()?;
+    // The in-memory engine is gone; only the snapshot remains.
     println!(
         "\npersisted the index to {} ({snapshot_bytes} bytes)",
         index_dir.display()
     );
 
     let load_start = Instant::now();
-    let (_, cold) = IndexStore::open(&index_dir)?;
+    let cold = EngineHandle::open(&index_dir)?.snapshot();
+    let cold = &cold.engine;
     let load_ms = load_start.elapsed().as_secs_f64() * 1e3;
     println!(
         "cold start in {load_ms:.1} ms ({:.0}x faster than the {build_ms:.1} ms rebuild)",

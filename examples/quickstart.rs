@@ -66,7 +66,7 @@ fn main() {
     .expect("unique name");
 
     println!("indexing {} tables ...", lake.len());
-    let d3l = D3l::index_lake(&lake, D3lConfig::default());
+    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::default());
 
     // The target: Figure 1's T, with exemplar tuples.
     let target = Table::from_rows(
@@ -152,7 +152,7 @@ trait ColumnName {
     fn table(&self, attr: AttrRef) -> String;
 }
 
-impl ColumnName for D3l {
+impl ColumnName for ShardedD3l {
     fn table(&self, attr: AttrRef) -> String {
         self.profile(attr).name.clone()
     }

@@ -271,24 +271,13 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
 
     if joins {
-        // Algorithm 3 walks the SA-join graph, which is built over
-        // one complete engine; a shard only holds its own partition,
-        // so the graph is only available on a monolithic index.
-        if d3l.shard_count() > 1 {
-            return Err(format!(
-                "--joins needs a monolithic index; this one has {} shards (rebuild with `d3l index --shards 1`)",
-                d3l.shard_count()
-            )
-            .into());
-        }
-        let mono = &*d3l.shards()[0];
-        let graph = mono.build_join_graph();
+        let graph = d3l.build_join_graph();
         let top: HashSet<TableId> = matches.iter().map(|m| m.table).collect();
         let related = d3l.related_table_set_prepared(&prepared, d3l.config().lookup_width(k));
         println!("\njoin paths from the top-{k}:");
         let mut any = false;
         for m in &matches {
-            for path in mono.find_join_paths(&graph, m.table, &top, &related) {
+            for path in d3l.find_join_paths(&graph, m.table, &top, &related) {
                 let names: Vec<&str> = path.nodes.iter().map(|&t| d3l.table_name(t)).collect();
                 println!("  {}", names.join(" ⋈ "));
                 any = true;

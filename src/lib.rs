@@ -34,7 +34,7 @@
 //! ).unwrap()).unwrap();
 //!
 //! // Index once, query with a target.
-//! let d3l = D3l::index_lake(&lake, D3lConfig::fast());
+//! let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
 //! let target = Table::from_rows(
 //!     "gps",
 //!     &["Practice", "City"],

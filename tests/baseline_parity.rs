@@ -24,7 +24,7 @@ fn all_three_systems_find_related_tables_on_clean_data() {
         embed_dim: 32,
         ..D3lConfig::fast()
     };
-    let d3l = D3l::index_lake_with(&bench.lake, cfg, embedder());
+    let d3l = ShardedD3l::index_lake_with(&bench.lake, cfg, embedder());
     let tus = Tus::index_lake(
         &bench.lake,
         SyntheticKb::with_cost(0),
@@ -85,7 +85,7 @@ fn d3l_degrades_less_than_baselines_on_dirty_data() {
             embed_dim: 32,
             ..D3lConfig::fast()
         };
-        let d3l = D3l::index_lake_with(&bench.lake, cfg, embedder());
+        let d3l = ShardedD3l::index_lake_with(&bench.lake, cfg, embedder());
         let tus = Tus::index_lake(
             &bench.lake,
             SyntheticKb::with_cost(0),
@@ -184,6 +184,6 @@ fn tus_is_blind_to_numeric_only_targets() {
     assert!(tus.query(&target, 5, None).is_empty());
 
     // D3L still answers through N/F/D evidence.
-    let d3l = D3l::index_lake(&lake, D3lConfig::fast());
+    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
     assert!(!d3l.query(&target, 5).is_empty());
 }

@@ -660,6 +660,44 @@ fn sharded_index_serves_per_shard_stats_and_echoes_its_limits() {
     std::fs::remove_dir_all(&base).ok();
 }
 
+/// Algorithm 3 runs over the shard set: `query --joins` on a
+/// four-shard index prints what it prints on a one-shard index.
+#[cfg(unix)]
+#[test]
+fn joins_answer_identically_at_one_and_four_shards() {
+    let base = twelve_table_lake("joins");
+    let lake = base.join("lake");
+    let target = lake.join("gp_03.csv");
+    let answer = |shards: &str| {
+        let index = base.join(format!("index-{shards}"));
+        let index_dir = index.to_str().unwrap();
+        let out = d3l_cmd(&[
+            "index",
+            lake.to_str().unwrap(),
+            "--out",
+            index_dir,
+            "--shards",
+            shards,
+        ]);
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+        let out = d3l_cmd(&[
+            "query",
+            "--index",
+            index_dir,
+            target.to_str().unwrap(),
+            "-k",
+            "5",
+            "--joins",
+        ]);
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+        stdout_of(&out)
+    };
+    let one = answer("1");
+    assert!(one.contains("join paths from the top-5:"), "got: {one}");
+    assert_eq!(one, answer("4"));
+    std::fs::remove_dir_all(&base).ok();
+}
+
 #[test]
 fn demo_runs_end_to_end() {
     let out = d3l_cmd(&["demo"]);

@@ -11,18 +11,20 @@
 //! server response bodies are byte-identical to rendering the
 //! in-process results, at server worker counts {1, 8}.
 
+use std::collections::HashSet;
+
 use d3l::benchgen;
 use d3l::core::query::QueryOptions;
 use d3l::prelude::*;
 
-fn indexed(tables: usize, seed: u64) -> (benchgen::Benchmark, D3l) {
+fn indexed(tables: usize, seed: u64) -> (benchgen::Benchmark, ShardedD3l) {
     let bench = benchgen::smaller_real(tables, seed);
     let embedder = SemanticEmbedder::new(benchgen::vocab::domain_lexicon(32));
     let cfg = D3lConfig {
         embed_dim: 32,
         ..D3lConfig::fast()
     };
-    let d3l = D3l::index_lake_with(&bench.lake, cfg, embedder);
+    let d3l = ShardedD3l::index_lake_with(&bench.lake, cfg, embedder);
     (bench, d3l)
 }
 
@@ -165,7 +167,7 @@ fn separately_built_indexes_agree() {
             query_threads,
             ..D3lConfig::fast()
         };
-        D3l::index_lake_with(&bench.lake, cfg, embedder)
+        ShardedD3l::index_lake_with(&bench.lake, cfg, embedder)
     };
     let serial = build(1, 1);
     let parallel = build(8, 8);
@@ -195,8 +197,10 @@ fn snapshot_round_trip_is_query_identical() {
     // in-memory engine that wrote the snapshot, at query threads 1
     // and 8.
     let (bench, mut d3l) = indexed(48, 29);
-    let mut loaded = D3l::from_snapshot_bytes(&d3l.to_snapshot_bytes())
-        .expect("snapshot round trip must succeed");
+    let mut loaded = ShardedD3l::from_monolith(
+        D3l::from_snapshot_bytes(&d3l.shards()[0].to_snapshot_bytes())
+            .expect("snapshot round trip must succeed"),
+    );
 
     let names = bench.pick_targets(5, 7);
     let targets: Vec<Table> = names
@@ -253,7 +257,7 @@ fn server_responses_are_byte_identical_to_in_process_results() {
     let (bench, d3l) = indexed(48, 31);
     let dir = std::env::temp_dir().join(format!("d3l_det_srv_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    IndexStore::create(&dir, &d3l).unwrap();
+    IndexStore::create(&dir, &d3l.shards()[0]).unwrap();
 
     let names = bench.pick_targets(4, 8);
     let targets: Vec<Table> = names
@@ -376,7 +380,7 @@ fn cached_server_is_byte_identical_to_uncached_across_mutations() {
                 std::process::id()
             ));
             let _ = std::fs::remove_dir_all(&dir);
-            IndexStore::create(&dir, &d3l).unwrap();
+            IndexStore::create(&dir, &d3l.shards()[0]).unwrap();
             let engine = Arc::new(EngineHandle::open(&dir).unwrap());
             let srv = Server::bind(
                 ("127.0.0.1", 0),
@@ -494,10 +498,47 @@ fn sharded_engine_is_byte_identical_to_the_monolith_through_its_lifecycle() {
     probe_b.set_name("lifecycle_probe_b");
     let removed_name = names[2].clone();
 
+    // Algorithm 3's inputs and outputs: the SA-join graph's edges and
+    // the join paths from every top-k table of every target.
+    type Joins = (Vec<(AttrRef, AttrRef, u64)>, Vec<Vec<TableId>>);
+    let joins = |engine: &ShardedD3l| -> Joins {
+        let graph = engine.build_join_graph();
+        let mut edges = Vec::new();
+        for t in 0..engine.table_count() {
+            for (_, e) in graph.neighbours(TableId(t as u32)) {
+                edges.push((e.from_attr, e.to_attr, e.similarity.to_bits()));
+            }
+        }
+        edges.sort_unstable();
+        let mut paths = Vec::new();
+        for (name, target) in names.iter().zip(&targets) {
+            let opts = QueryOptions {
+                exclude: engine.name_to_id().get(name.as_str()).copied(),
+                ..Default::default()
+            };
+            let top = engine.query_with(target, 7, &opts);
+            let top_k: HashSet<TableId> = top.iter().map(|m| m.table).collect();
+            let related = engine.related_table_set(target, engine.config().lookup_width(7));
+            for m in &top {
+                for path in engine.find_join_paths(&graph, m.table, &top_k, &related) {
+                    paths.push(path.nodes);
+                }
+            }
+        }
+        (edges, paths)
+    };
+
     let compare = |stage: &str, shards: usize, mono: &EngineHandle, sharded: &EngineHandle| {
         let ms = mono.snapshot();
         let ss = sharded.snapshot();
         assert_eq!(ss.engine.shard_count(), shards, "{stage}: shard count");
+        let (edges, paths) = joins(&ms.engine);
+        assert!(!edges.is_empty() && !paths.is_empty(), "{stage}: no joins");
+        assert_eq!(
+            (edges, paths),
+            joins(&ss.engine),
+            "{stage}: join graph / paths @{shards} shards"
+        );
         for &threads in &[1usize, 8] {
             let opts: Vec<QueryOptions> = names
                 .iter()
@@ -679,9 +720,9 @@ fn index_build_is_thread_count_invariant() {
             query_threads: 1,
             ..D3lConfig::fast()
         };
-        D3l::index_lake_with(&bench.lake, cfg, embedder)
+        ShardedD3l::index_lake_with(&bench.lake, cfg, embedder)
     };
-    let builds: Vec<D3l> = THREAD_COUNTS.iter().map(|&n| build(n)).collect();
+    let builds: Vec<ShardedD3l> = THREAD_COUNTS.iter().map(|&n| build(n)).collect();
     for (d3l, &n) in builds.iter().zip(&THREAD_COUNTS).skip(1) {
         assert_eq!(
             builds[0].byte_size(),
@@ -819,7 +860,7 @@ fn dirty_lake_probe_rankings_are_pinned() {
         ),
     ];
     let lake = dirty_lake(40);
-    let d3l = D3l::index_lake(&lake, D3lConfig::default());
+    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::default());
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {

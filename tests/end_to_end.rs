@@ -8,7 +8,7 @@ use d3l::core::metrics::{precision_at_k, recall_at_k};
 use d3l::core::query::QueryOptions;
 use d3l::prelude::*;
 
-fn indexed(tables: usize, seed: u64, dirty: bool) -> (benchgen::Benchmark, D3l) {
+fn indexed(tables: usize, seed: u64, dirty: bool) -> (benchgen::Benchmark, ShardedD3l) {
     let bench = if dirty {
         benchgen::smaller_real(tables, seed)
     } else {
@@ -19,7 +19,7 @@ fn indexed(tables: usize, seed: u64, dirty: bool) -> (benchgen::Benchmark, D3l) 
         embed_dim: 32,
         ..D3lConfig::fast()
     };
-    let d3l = D3l::index_lake_with(&bench.lake, cfg, embedder);
+    let d3l = ShardedD3l::index_lake_with(&bench.lake, cfg, embedder);
     (bench, d3l)
 }
 
@@ -177,7 +177,7 @@ fn csv_round_trip_preserves_discovery() {
         embed_dim: 32,
         ..D3lConfig::fast()
     };
-    let d3l2 = D3l::index_lake_with(&reloaded, cfg, embedder);
+    let d3l2 = ShardedD3l::index_lake_with(&reloaded, cfg, embedder);
     let t = &bench.pick_targets(1, 6)[0];
     let target = bench.lake.table_by_name(t).unwrap();
     let a: Vec<String> = d3l

@@ -99,7 +99,7 @@ fn streamed_build_reports_the_error_load_dir_reports() {
 
 #[test]
 fn empty_lake_answers_empty() {
-    let d3l = D3l::index_lake(&DataLake::new(), D3lConfig::fast());
+    let d3l = ShardedD3l::index_lake(&DataLake::new(), D3lConfig::fast());
     let target = Table::from_rows("t", &["a"], &[vec!["x".into()]]).unwrap();
     assert!(d3l.query(&target, 10).is_empty());
     let graph = d3l.build_join_graph();
@@ -111,7 +111,7 @@ fn empty_target_answers_empty() {
     let mut lake = DataLake::new();
     lake.add(Table::from_rows("s", &["a"], &[vec!["x".into()]]).unwrap())
         .unwrap();
-    let d3l = D3l::index_lake(&lake, D3lConfig::fast());
+    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
     let empty_target = Table::from_rows("t", &[], &[]).unwrap();
     assert!(d3l.query(&empty_target, 5).is_empty());
 }
@@ -130,7 +130,7 @@ fn all_null_columns_survive_the_pipeline() {
     .unwrap();
     lake.add(Table::from_rows("real", &["City"], &[vec!["Salford".into()]]).unwrap())
         .unwrap();
-    let d3l = D3l::index_lake(&lake, D3lConfig::fast());
+    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
     let target = Table::from_rows("t", &["City"], &[vec!["Salford".into()]]).unwrap();
     let matches = d3l.query(&target, 2);
     // The ghost table carries no evidence; the real one must rank
@@ -153,7 +153,7 @@ fn single_row_and_single_column_tables() {
         .unwrap(),
     )
     .unwrap();
-    let d3l = D3l::index_lake(&lake, D3lConfig::fast());
+    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
     assert_eq!(d3l.table_count(), 2);
     let target = Table::from_rows("t", &["x"], &[vec!["42".into()]]).unwrap();
     // Must not panic; numeric one-value extents are fine for KS.
@@ -172,7 +172,7 @@ fn unicode_content_is_handled() {
         .unwrap(),
     )
     .unwrap();
-    let d3l = D3l::index_lake(&lake, D3lConfig::fast());
+    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
     let target = Table::from_rows(
         "t",
         &["Nom", "Ville"],
@@ -198,7 +198,7 @@ fn query_k_larger_than_lake_is_bounded() {
         )
         .unwrap();
     }
-    let d3l = D3l::index_lake(&lake, D3lConfig::fast());
+    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
     let target = Table::from_rows("q", &["City"], &[vec!["Salford".into()]]).unwrap();
     let matches = d3l.query(&target, 1000);
     assert!(matches.len() <= 3);
@@ -209,7 +209,7 @@ fn duplicate_column_names_do_not_crash() {
     let t = Table::from_rows("dups", &["x", "x"], &[vec!["a".into(), "b".into()]]).unwrap();
     let mut lake = DataLake::new();
     lake.add(t).unwrap();
-    let d3l = D3l::index_lake(&lake, D3lConfig::fast());
+    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
     assert_eq!(d3l.table_arity(TableId(0)), 2);
 }
 

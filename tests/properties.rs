@@ -217,7 +217,7 @@ proptest! {
         let bench = d3l::benchgen::synthetic(tables, seed);
         let embedder = SemanticEmbedder::new(d3l::benchgen::vocab::domain_lexicon(32));
         let cfg = D3lConfig { embed_dim: 32, ..D3lConfig::fast() };
-        let d3l = D3l::index_lake_with(&bench.lake, cfg, embedder);
+        let d3l = ShardedD3l::index_lake_with(&bench.lake, cfg, embedder);
         let tname = &bench.pick_targets(1, seed ^ 1)[0];
         let target = bench.lake.table_by_name(tname).unwrap();
         let res = d3l.query(target, k);
@@ -244,7 +244,7 @@ proptest! {
         let bench = d3l::benchgen::synthetic(tables, seed);
         let embedder = SemanticEmbedder::new(d3l::benchgen::vocab::domain_lexicon(32));
         let cfg = D3lConfig { embed_dim: 32, ..D3lConfig::fast() };
-        let d3l = D3l::index_lake_with(&bench.lake, cfg, embedder);
+        let d3l = ShardedD3l::index_lake_with(&bench.lake, cfg, embedder);
         let tname = &bench.pick_targets(1, seed ^ 3)[0];
         let target = bench.lake.table_by_name(tname).unwrap();
         let mut cols = target.columns().to_vec();

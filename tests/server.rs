@@ -1061,9 +1061,9 @@ fn stress_concurrent_queries_race_mutating_writer() {
     // (2) Rebuild oracle: the surviving live set answers
     // byte-identically to a from-scratch rebuild over the same lake
     // (tombstones must leave no residue in the rankings).
-    let rebuilt = D3l::index_lake(&lake, D3lConfig::fast());
+    let rebuilt = ShardedD3l::index_lake(&lake, D3lConfig::fast());
     let opts = d3l::core::query::QueryOptions::default();
-    let a = persisted.rank_all(&target(), 40, &opts);
+    let a = ShardedD3l::from_monolith(persisted).rank_all(&target(), 40, &opts);
     let b = rebuilt.rank_all(&target(), 40, &opts);
     assert_eq!(a.len(), b.len(), "ranking lengths diverged");
     assert!(!a.is_empty());

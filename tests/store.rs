@@ -38,6 +38,8 @@ fn assert_identical(a: &[TableMatch], b: &[TableMatch], ctx: &str) {
 
 fn assert_query_parity(bench: &benchgen::Benchmark, a: &D3l, b: &D3l, ctx: &str) {
     assert_eq!(a.byte_size(), b.byte_size(), "{ctx}: memory footprints");
+    let a = ShardedD3l::from_monolith(a.clone());
+    let b = ShardedD3l::from_monolith(b.clone());
     for tname in bench.pick_targets(4, 13) {
         let target = bench.lake.table_by_name(&tname).unwrap();
         let opts = QueryOptions {
@@ -147,6 +149,7 @@ fn removal_survives_replay_and_compaction() {
             "{ctx}: removed name resolves"
         );
         // The removed table never appears in any ranking.
+        let engine = ShardedD3l::from_monolith(engine);
         for tname in bench.pick_targets(4, 17) {
             let target = bench.lake.table_by_name(&tname).unwrap();
             let all = engine.rank_all(target, 40, &QueryOptions::default());
