@@ -48,6 +48,14 @@ impl Evidence {
         }
     }
 
+    /// The evidence type a single-letter tag names, in either case:
+    /// the inverse of [`Evidence::letter`], for flags and wire options.
+    pub fn from_letter(letter: &str) -> Option<Evidence> {
+        Evidence::ALL
+            .into_iter()
+            .find(|e| letter.eq_ignore_ascii_case(e.letter().encode_utf8(&mut [0; 4])))
+    }
+
     /// Evidence types backed by an LSH index (all but Distribution,
     /// §III-B: "no LSH hashing scheme … leads to analogous gains").
     pub fn is_indexed(self) -> bool {

@@ -329,7 +329,7 @@ impl EngineHandle {
     ) -> Result<(TableId, Arc<EngineSnapshot>), MaintenanceError> {
         let mut stores = self.lock_stores();
         let cur = self.snapshot();
-        if cur.engine.name_to_id().contains_key(table.name()) {
+        if cur.engine.table_id(table.name()).is_some() {
             return Err(MaintenanceError::DuplicateName(table.name().to_string()));
         }
         let s = cur.engine.shard_of(table.name());
@@ -356,7 +356,7 @@ impl EngineHandle {
     ) -> Result<(TableId, Arc<EngineSnapshot>), MaintenanceError> {
         let mut stores = self.lock_stores();
         let cur = self.snapshot();
-        let Some(id) = cur.engine.name_to_id().get(name).copied() else {
+        let Some(id) = cur.engine.table_id(name) else {
             return Err(MaintenanceError::UnknownTable(name.to_string()));
         };
         let s = cur
@@ -922,6 +922,36 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn table_id_is_the_name_to_id_lookup_through_add_remove_and_re_add() {
+        for shards in [1usize, 2, 8] {
+            let (handle, dir) = sharded_handle(&format!("tid{shards}"), shards);
+            let agree = |stage: &str| {
+                let snap = handle.snapshot();
+                let map = snap.engine.name_to_id();
+                for name in ["lake_table_00", "lake_table_05", "comeback", "nobody", ""] {
+                    assert_eq!(
+                        snap.engine.table_id(name),
+                        map.get(name).copied(),
+                        "{stage}: {name:?} at {shards} shards"
+                    );
+                }
+            };
+            agree("built");
+            let (first, _) = handle.add_table(&extra_table("comeback")).unwrap();
+            agree("added");
+            handle.remove_table("comeback").unwrap();
+            handle.remove_table("lake_table_05").unwrap();
+            agree("removed");
+            assert_eq!(handle.snapshot().engine.table_id("comeback"), None);
+            let (second, after) = handle.add_table(&extra_table("comeback")).unwrap();
+            agree("re-added");
+            assert_ne!(first, second, "the tombstone keeps its id");
+            assert_eq!(after.engine.table_id("comeback"), Some(second));
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -188,8 +188,6 @@ pub struct D3l {
     pub(crate) subjects: Vec<Option<u32>>,
     /// Table names, parallel to ids.
     pub(crate) names: Vec<String>,
-    /// Per-table arity, parallel to ids.
-    pub(crate) arities: Vec<usize>,
     /// Tombstones: ids stay stable across removals, so a removed
     /// table keeps its slot (emptied) and is skipped everywhere.
     pub(crate) removed: Vec<bool>,
@@ -318,7 +316,6 @@ impl D3l {
             profiles: Vec::new(),
             subjects: Vec::new(),
             names: Vec::new(),
-            arities: Vec::new(),
             removed: Vec::new(),
             cfg,
             embedder,
@@ -370,7 +367,6 @@ impl D3l {
         self.profiles.extend(part.profiles);
         self.subjects.extend(part.subjects);
         self.names.extend(part.names);
-        self.arities.extend(part.arities);
         self.removed.extend(part.removed);
     }
 
@@ -463,7 +459,6 @@ impl D3l {
         }
         debug_assert!(stored_ie.is_none_or(|mut sigs| sigs.next().is_none()));
         self.names.push(name);
-        self.arities.push(profiles.len());
         self.subjects.push(subject);
         self.profiles.push(profiles);
         self.removed.push(false);
@@ -481,7 +476,6 @@ impl D3l {
     /// name for display.
     pub(crate) fn push_hole(&mut self) {
         self.names.push(String::new());
-        self.arities.push(0);
         self.subjects.push(None);
         self.profiles.push(Vec::new());
         self.removed.push(true);
@@ -525,7 +519,7 @@ impl D3l {
         if idx >= self.profiles.len() || self.removed[idx] {
             return false;
         }
-        for col in 0..self.arities[idx] {
+        for col in 0..self.profiles[idx].len() {
             let key = AttrRef {
                 table: id,
                 column: col as u32,
@@ -537,7 +531,6 @@ impl D3l {
             self.i_e.remove(key);
         }
         self.profiles[idx] = Vec::new();
-        self.arities[idx] = 0;
         self.subjects[idx] = None;
         self.removed[idx] = true;
         true
@@ -577,7 +570,7 @@ impl D3l {
 
     /// Arity of an indexed table.
     pub fn table_arity(&self, id: TableId) -> usize {
-        self.arities[id.index()]
+        self.profiles[id.index()].len()
     }
 
     /// Profile of one attribute.
@@ -705,6 +698,15 @@ impl D3l {
             i_e: index_of(self.i_e.tree_byte_size(), self.i_e.signature_byte_size()),
             profile_bytes,
         }
+    }
+
+    /// The id of the live table named `name`: what
+    /// [`D3l::name_to_id`] maps it to, without building the map.
+    pub(crate) fn table_id(&self, name: &str) -> Option<TableId> {
+        (0..self.names.len())
+            .rev()
+            .find(|&i| !self.removed[i] && self.names[i] == name)
+            .map(|i| TableId(i as u32))
     }
 
     /// Map from table name to id for result post-processing. Removed

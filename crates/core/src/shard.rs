@@ -142,13 +142,11 @@ impl ShardedD3l {
                     profiles: Vec::with_capacity(slots),
                     subjects: Vec::with_capacity(slots),
                     names: Vec::with_capacity(slots),
-                    arities: Vec::with_capacity(slots),
                     removed: Vec::with_capacity(slots),
                 };
                 for (i, &slot_owner) in owner.iter().enumerate().take(slots) {
                     if slot_owner == Some(s) {
                         shard.names.push(d3l.names[i].clone());
-                        shard.arities.push(d3l.arities[i]);
                         shard.subjects.push(d3l.subjects[i]);
                         shard.profiles.push(d3l.profiles[i].clone());
                         shard.removed.push(d3l.removed[i]);
@@ -320,6 +318,14 @@ impl ShardedD3l {
         for shard in &mut self.shards {
             Arc::make_mut(shard).set_query_threads(threads);
         }
+    }
+
+    /// The id of the live table named `name`, if there is one: what
+    /// [`ShardedD3l::name_to_id`] maps it to. A name lives only in the
+    /// shard [`ShardedD3l::shard_of`] routes it to, so this reads that
+    /// shard's names and builds nothing.
+    pub fn table_id(&self, name: &str) -> Option<TableId> {
+        self.shards[self.shard_of(name)].table_id(name)
     }
 
     /// Map from table name to id across all shards (highest id wins

@@ -344,7 +344,7 @@ impl D3l {
         tabl.put_varint(self.names.len() as u64);
         for i in 0..self.names.len() {
             tabl.put_str(&self.names[i]);
-            tabl.put_varint(self.arities[i] as u64);
+            tabl.put_varint(self.profiles[i].len() as u64);
             match self.subjects[i] {
                 Some(c) => {
                     tabl.put_u8(1);
@@ -518,7 +518,6 @@ impl D3l {
             profiles,
             subjects,
             names,
-            arities,
             removed,
         };
         d3l.check_coverage()?;

@@ -1,38 +1,40 @@
-//! Continuous ingestion: poll-based lake watching with micro-batched
-//! deltas and background compaction.
+//! Continuous ingestion: one poll loop that keeps an index directory
+//! in step with a directory of CSVs.
 //!
 //! The paper's data-lake setting is not static — datasets arrive,
-//! change and disappear while discovery queries keep running. This
-//! module drives the store's append-only machinery continuously:
+//! change and disappear while discovery queries keep running. The
+//! whole module is one rule: **scan; apply, in file-name order, every
+//! change whose fingerprint held across two polls; compact if a
+//! threshold is crossed.**
 //!
-//! * a **scanner** polls a directory of CSVs over plain `std::fs`
-//!   (no notification APIs, no dependencies), fingerprinting each
-//!   file by `(len, mtime)` — and by a checksum of its bytes while
-//!   its mtime is too recent for those two to be trusted (within
-//!   `RACY_WINDOW`, 2 s, of the previous scan);
-//! * a change is only acted on after a **stability window** — the
-//!   fingerprint must hold across two consecutive polls — so a file
-//!   still being copied in is re-queued rather than half-ingested;
-//! * stable changes are **micro-batched**: applied when either
-//!   [`WatchConfig::batch_max`] changes are queued or the oldest has
-//!   waited [`WatchConfig::batch_window`], each as one delta segment
-//!   through [`EngineHandle`] (new file → add, changed file →
-//!   remove + add, deleted file → remove), in deterministic name
-//!   order within a batch;
-//! * a background **maintenance thread** folds accumulated delta
-//!   segments into a fresh base snapshot once the segment count or
-//!   the delta byte total crosses a threshold — queries keep running
-//!   on immutable snapshots throughout, and serving replicas follow
-//!   with [`EngineHandle::reload_latest`].
+//! * The **scan** polls the directory over plain `std::fs` (no
+//!   notification APIs, no dependencies), fingerprinting each file by
+//!   `(len, mtime)` — and by a checksum of its bytes while its mtime
+//!   is too recent for those two to be trusted (within `RACY_WINDOW`,
+//!   2 s, of the previous scan).
+//! * A change is acted on only after the **stability window** — the
+//!   fingerprint must hold across two consecutive polls, so
+//!   [`WatchConfig::poll_interval`] is the debounce — and a file still
+//!   being copied in keeps settling rather than being half-ingested.
+//! * Every change that settled is **applied the poll that finds it
+//!   settled**, through [`EngineHandle`] (new file → add, changed file
+//!   → remove + add, deleted file → remove), in name order. Each
+//!   change is its own delta segment, persisted before its own swap;
+//!   a change a store error interrupted is retried by the next poll.
+//! * After each poll the same thread folds the accumulated delta
+//!   segments into a fresh base snapshot once their count or byte
+//!   total crosses a threshold ([`compact_if_due`]) — queries keep
+//!   running on immutable snapshots throughout, and serving replicas
+//!   follow with [`EngineHandle::reload_latest`].
 //!
 //! The watcher is the store's **single writer**: exactly one watcher
 //! (or CLI mutator) per index directory. Replicas open the same
 //! directory read-only and poll `reload_latest`.
 //!
 //! [`Ingestor`] is the synchronous core (one `poll()` = one scan +
-//! due-batch flush) so tests can drive every interleaving without
-//! threads; [`Watcher`] wraps it in the two background threads and
-//! publishes [`WatchStats`] for `/stats` and `/metrics`.
+//! every settled change applied) so tests can drive every
+//! interleaving without threads; [`Watcher`] runs it on one background
+//! thread and publishes [`WatchStats`] for `/stats` and `/metrics`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -52,16 +54,11 @@ pub struct WatchConfig {
     /// Directory scan cadence; also the width of the stability
     /// window (a change must survive one full interval unchanged).
     pub poll_interval: Duration,
-    /// Debounce window: a queued change is applied no later than
-    /// this after it became stable (sooner if the batch fills).
-    pub batch_window: Duration,
-    /// Apply a batch as soon as this many changes are queued.
-    pub batch_max: usize,
     /// Auto-compact once this many delta segments accumulate.
     pub compact_segments: usize,
     /// Auto-compact once the delta segments total this many bytes.
     pub compact_bytes: u64,
-    /// Log each batch, skip and compaction to stderr (the CLI
+    /// Log each applying poll, skip and compaction to stderr (the CLI
     /// foreground mode; servers keep it off and expose stats
     /// instead).
     pub verbose: bool,
@@ -71,8 +68,6 @@ impl Default for WatchConfig {
     fn default() -> Self {
         WatchConfig {
             poll_interval: Duration::from_millis(200),
-            batch_window: Duration::from_millis(500),
-            batch_max: 16,
             compact_segments: 64,
             compact_bytes: 64 << 20,
             verbose: false,
@@ -119,7 +114,7 @@ impl WatchStats {
             ),
             queued: registry.gauge(
                 "d3l_watch_queued_changes",
-                "Stable changes waiting in the current micro-batch.",
+                "Settled changes not yet applied: in flight during a poll, held for retry after a store error.",
                 &[],
             ),
             polls: registry.counter(
@@ -129,7 +124,7 @@ impl WatchStats {
             ),
             batches: registry.counter(
                 "d3l_watch_batches_total",
-                "Micro-batches applied to the engine.",
+                "Polls that applied at least one change to the engine.",
                 &[],
             ),
             added: registry.counter(APPLIED, APPLIED_HELP, &[("op", "add")]),
@@ -147,7 +142,7 @@ impl WatchStats {
             ),
             compactions: registry.counter(
                 "d3l_watch_compactions_total",
-                "Background compactions triggered by the maintenance thread.",
+                "Compactions the watcher ran after a poll crossed a threshold.",
                 &[],
             ),
             ingest_lag: registry.histogram(
@@ -169,7 +164,9 @@ impl WatchStats {
         self.files_tracked.get()
     }
 
-    /// Stable changes waiting in the current micro-batch.
+    /// Settled changes not yet applied: the ones the running poll is
+    /// working through, and between polls the ones a store error
+    /// sent back for a retry.
     pub fn queued(&self) -> u64 {
         self.queued.get()
     }
@@ -179,7 +176,7 @@ impl WatchStats {
         self.polls.get()
     }
 
-    /// Micro-batches applied.
+    /// Polls that applied at least one change.
     pub fn batches(&self) -> u64 {
         self.batches.get()
     }
@@ -209,7 +206,7 @@ impl WatchStats {
         self.errors.get()
     }
 
-    /// Background compactions performed.
+    /// Compactions performed.
     pub fn compactions(&self) -> u64 {
         self.compactions.get()
     }
@@ -274,12 +271,10 @@ fn fingerprint(path: &Path, md: &std::fs::Metadata, racy_since: SystemTime) -> F
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FileState {
     /// Fingerprint observed, not yet confirmed stable: it must hold
-    /// across one full poll interval before the file may be batched.
+    /// across one full poll interval before the file may be applied.
     /// A half-copied CSV keeps changing its fingerprint and therefore
     /// keeps settling — it can never enter a delta segment.
     Settling,
-    /// Stable; an upsert sits in the batch queue.
-    Queued,
     /// Applied to the engine at this fingerprint (or intentionally
     /// skipped after a parse failure — retried only when the file
     /// changes again).
@@ -310,21 +305,20 @@ struct QueuedChange {
     op: QueuedOp,
     /// Lag clock start (first observation of the change).
     detected: Instant,
-    /// Debounce clock start (when the change became stable and
-    /// entered the queue).
-    queued_at: Instant,
 }
 
 /// The synchronous ingestion core: one [`Ingestor::poll`] scans the
-/// directory, promotes stable changes into the batch queue, and
-/// flushes the batch if it is due. The [`Watcher`] calls this on a
-/// timer; tests call it directly to drive exact interleavings.
+/// directory and applies every change that has settled. The
+/// [`Watcher`] calls this on a timer; tests call it directly to drive
+/// exact interleavings.
 pub struct Ingestor {
     engine: Arc<EngineHandle>,
     dir: PathBuf,
     cfg: WatchConfig,
     stats: Arc<WatchStats>,
     files: BTreeMap<String, TrackedFile>,
+    /// The changes this poll found settled, by name; empty between
+    /// polls unless a store error sent some back for the next one.
     queue: BTreeMap<String, QueuedChange>,
     /// Wall-clock start of the previous directory scan: what a file's
     /// mtime is held against to decide whether it is still racy.
@@ -427,16 +421,39 @@ impl Ingestor {
         Ok(out)
     }
 
-    /// One watcher tick: scan the directory, promote stable changes
-    /// into the batch queue, and apply the batch if it is due (full,
-    /// or its oldest change has waited a full batch window). Returns
-    /// the number of operations applied to the engine.
+    /// One watcher tick: scan the directory, then apply every change
+    /// whose fingerprint held since the previous scan, in name order
+    /// (deterministic — an interrupted watcher replayed from the
+    /// surviving files reproduces the same engine). Returns the number
+    /// of operations applied to the engine. On a store-level error the
+    /// failing change stays queued with everything after it, so
+    /// nothing is lost across a transient failure: the next poll
+    /// retries them.
     pub fn poll(&mut self) -> Result<usize, MaintenanceError> {
         self.scan().map_err(d3l_store::StoreError::from)?;
-        if !self.batch_due() {
-            return Ok(0);
+        let mut applied = 0usize;
+        let mut failed = None;
+        while let Some((name, change)) = self.queue.pop_first() {
+            match self.apply(&name, &change) {
+                Ok(mutated) => applied += usize::from(mutated),
+                Err(e) => {
+                    self.queue.insert(name, change);
+                    failed = Some(e);
+                    break;
+                }
+            }
         }
-        self.flush()
+        if applied > 0 {
+            self.stats.batches.inc();
+            if self.cfg.verbose {
+                eprintln!(
+                    "[watch] applied {applied} change{}",
+                    if applied == 1 { "" } else { "s" }
+                );
+            }
+        }
+        self.stats.queued.set(self.queue.len() as u64);
+        failed.map_or(Ok(applied), Err)
     }
 
     fn scan(&mut self) -> std::io::Result<()> {
@@ -463,11 +480,11 @@ impl Ingestor {
                 Some(t) if !t.fp.same_content(&fp) => {
                     // Changed since the last poll. If it was mid-
                     // settle this is the same change episode still in
-                    // flight (keep the lag clock); if it was queued
-                    // or ingested a new episode starts. Either way
-                    // the stability window restarts and any queued
-                    // upsert is withdrawn — a file observed changing
-                    // must never be batched.
+                    // flight (keep the lag clock); if it was ingested
+                    // a new episode starts. Either way the stability
+                    // window restarts and an upsert waiting for its
+                    // retry is withdrawn — a file observed changing
+                    // must never be applied.
                     if t.state != FileState::Settling {
                         t.detected = now;
                     }
@@ -478,13 +495,14 @@ impl Ingestor {
                 }
                 Some(t) if t.state == FileState::Settling => {
                     // Unchanged across a full poll interval: stable.
-                    t.state = FileState::Queued;
+                    // It stays `Settling` until applied, so an upsert
+                    // a store error interrupts is queued again by
+                    // the next scan.
                     self.queue.insert(
                         name,
                         QueuedChange {
                             op: QueuedOp::Upsert,
                             detected: t.detected,
-                            queued_at: now,
                         },
                     );
                 }
@@ -501,20 +519,20 @@ impl Ingestor {
             let t = self.files.remove(&name).expect("tracked");
             match t.state {
                 // An ingested table whose file vanished gets a
-                // tombstone (debounced like any other change).
+                // tombstone: a missing file cannot be half-written,
+                // so there is nothing to wait out.
                 FileState::Ingested => {
                     self.queue.insert(
                         name,
                         QueuedChange {
                             op: QueuedOp::Remove,
                             detected: now,
-                            queued_at: now,
                         },
                     );
                 }
                 // Appeared and vanished before ever being ingested:
-                // forget it (and withdraw any queued upsert).
-                FileState::Settling | FileState::Queued => {
+                // forget it (and withdraw any upsert awaiting retry).
+                FileState::Settling => {
                     self.queue.remove(&name);
                 }
             }
@@ -522,75 +540,6 @@ impl Ingestor {
         self.stats.files_tracked.set(self.files.len() as u64);
         self.stats.queued.set(self.queue.len() as u64);
         Ok(())
-    }
-
-    /// Whether the queued batch should be applied now.
-    fn batch_due(&self) -> bool {
-        if self.queue.is_empty() {
-            return false;
-        }
-        self.queue.len() >= self.cfg.batch_max.max(1)
-            || self
-                .queue
-                .values()
-                .map(|q| q.queued_at)
-                .min()
-                .is_some_and(|oldest| oldest.elapsed() >= self.cfg.batch_window)
-    }
-
-    /// Apply one micro-batch: up to [`WatchConfig::batch_max`] queued
-    /// changes, in name order (deterministic — an interrupted watcher
-    /// replayed from the surviving files reproduces the same engine).
-    /// Returns the number of operations applied. On a store-level
-    /// error the failing change is re-queued so nothing is lost
-    /// across a transient failure.
-    pub fn flush(&mut self) -> Result<usize, MaintenanceError> {
-        let take: Vec<String> = self
-            .queue
-            .keys()
-            .take(self.cfg.batch_max.max(1))
-            .cloned()
-            .collect();
-        let mut applied = 0usize;
-        for name in take {
-            let Some(change) = self.queue.remove(&name) else {
-                continue;
-            };
-            match self.apply(&name, &change) {
-                Ok(true) => applied += 1,
-                Ok(false) => {}
-                Err(e) => {
-                    self.queue.insert(name, change);
-                    self.stats.queued.set(self.queue.len() as u64);
-                    return Err(e);
-                }
-            }
-        }
-        if applied > 0 {
-            self.stats.batches.inc();
-            if self.cfg.verbose {
-                eprintln!(
-                    "[watch] applied batch of {applied} change{}",
-                    if applied == 1 { "" } else { "s" }
-                );
-            }
-        }
-        self.stats.queued.set(self.queue.len() as u64);
-        Ok(applied)
-    }
-
-    /// Drain the queue completely (shutdown path: settled changes
-    /// must not be stranded by a graceful stop).
-    pub fn drain(&mut self) -> Result<usize, MaintenanceError> {
-        let mut total = 0;
-        while !self.queue.is_empty() {
-            let applied = self.flush()?;
-            total += applied;
-            if applied == 0 {
-                break;
-            }
-        }
-        Ok(total)
     }
 
     /// Apply one change; `Ok(true)` when the engine was mutated.
@@ -638,12 +587,7 @@ impl Ingestor {
                         return Ok(false);
                     }
                 };
-                let replace = self
-                    .engine
-                    .snapshot()
-                    .engine
-                    .name_to_id()
-                    .contains_key(name);
+                let replace = self.engine.snapshot().engine.table_id(name).is_some();
                 if replace {
                     // Changed file: tombstone the old rows, then add
                     // the new ones — two delta segments, exactly what
@@ -668,8 +612,8 @@ impl Ingestor {
 
 /// Fold the delta segments into a fresh base snapshot if either
 /// threshold in `cfg` is crossed. Returns whether a compaction ran.
-/// The maintenance thread calls this on a timer; exposed so tests
-/// and embedders can drive the same policy synchronously.
+/// The [`Watcher`] calls this after each poll; exposed so tests and
+/// embedders can drive the same policy synchronously.
 pub fn compact_if_due(engine: &EngineHandle, cfg: &WatchConfig) -> Result<bool, MaintenanceError> {
     let (_base, delta_bytes, segments) = engine.disk_stats()?;
     if segments == 0 {
@@ -682,14 +626,14 @@ pub fn compact_if_due(engine: &EngineHandle, cfg: &WatchConfig) -> Result<bool, 
     Ok(false)
 }
 
-/// The continuous-ingestion driver: an ingest thread polling an
-/// [`Ingestor`] and a maintenance thread compacting past the
-/// configured thresholds. Queries on the shared [`EngineHandle`]
-/// keep running on immutable snapshots throughout.
+/// The continuous-ingestion driver: one thread that polls an
+/// [`Ingestor`] and then compacts past the configured thresholds.
+/// Queries on the shared [`EngineHandle`] keep running on immutable
+/// snapshots throughout.
 pub struct Watcher {
     stats: Arc<WatchStats>,
     stop: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    thread: JoinHandle<()>,
 }
 
 impl Watcher {
@@ -705,64 +649,36 @@ impl Watcher {
         let stats = Arc::new(WatchStats::new());
         let mut ingestor = Ingestor::new(engine.clone(), dir, cfg.clone(), stats.clone())?;
         let stop = Arc::new(AtomicBool::new(false));
-        let mut threads = Vec::with_capacity(2);
-
-        let ingest_stop = stop.clone();
-        let ingest_stats = stats.clone();
-        let poll = cfg.poll_interval;
-        let verbose = cfg.verbose;
-        threads.push(
-            std::thread::Builder::new()
-                .name("d3l-watch-ingest".into())
-                .spawn(move || {
-                    while !ingest_stop.load(Ordering::Relaxed) {
-                        if let Err(e) = ingestor.poll() {
-                            ingest_stats.errors.inc();
-                            eprintln!("[watch] ingest error: {e}");
-                        }
-                        sleep_until_stopped(&ingest_stop, poll);
+        let (loop_stop, loop_stats) = (stop.clone(), stats.clone());
+        let thread = std::thread::Builder::new()
+            .name("d3l-watch".into())
+            .spawn(move || {
+                while !loop_stop.load(Ordering::Relaxed) {
+                    if let Err(e) = ingestor.poll() {
+                        loop_stats.errors.inc();
+                        eprintln!("[watch] ingest error: {e}");
                     }
-                    // Graceful stop: apply what already settled.
-                    if let Err(e) = ingestor.drain() {
-                        ingest_stats.errors.inc();
-                        eprintln!("[watch] drain error: {e}");
-                    }
-                })
-                .expect("spawn watcher ingest thread"),
-        );
-
-        let maint_stop = stop.clone();
-        let maint_stats = stats.clone();
-        let maint_cfg = cfg.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name("d3l-watch-compact".into())
-                .spawn(move || {
-                    let cadence = maint_cfg.poll_interval.max(Duration::from_millis(250));
-                    while !maint_stop.load(Ordering::Relaxed) {
-                        match compact_if_due(&engine, &maint_cfg) {
-                            Ok(true) => {
-                                maint_stats.compactions.inc();
-                                if verbose {
-                                    eprintln!("[watch] compacted delta segments");
-                                }
-                            }
-                            Ok(false) => {}
-                            Err(e) => {
-                                maint_stats.errors.inc();
-                                eprintln!("[watch] compaction error: {e}");
+                    match compact_if_due(&engine, &cfg) {
+                        Ok(true) => {
+                            loop_stats.compactions.inc();
+                            if cfg.verbose {
+                                eprintln!("[watch] compacted delta segments");
                             }
                         }
-                        sleep_until_stopped(&maint_stop, cadence);
+                        Ok(false) => {}
+                        Err(e) => {
+                            loop_stats.errors.inc();
+                            eprintln!("[watch] compaction error: {e}");
+                        }
                     }
-                })
-                .expect("spawn watcher maintenance thread"),
-        );
-
+                    sleep_until_stopped(&loop_stop, cfg.poll_interval);
+                }
+            })
+            .expect("spawn watcher thread");
         Ok(Watcher {
             stats,
             stop,
-            threads,
+            thread,
         })
     }
 
@@ -772,13 +688,10 @@ impl Watcher {
         self.stats.clone()
     }
 
-    /// Stop both threads and drain the settled queue. Blocks until
-    /// the in-flight poll (and final drain) finish.
+    /// Stop the thread. Blocks until the in-flight poll finishes.
     pub fn shutdown(self) {
         self.stop.store(true, Ordering::Relaxed);
-        for t in self.threads {
-            let _ = t.join();
-        }
+        let _ = self.thread.join();
     }
 }
 

@@ -33,9 +33,6 @@ use crate::hash::{IdHashMap, IdHashSet};
 use crate::signature::Signature;
 use crate::{top_k, Hit, ItemId};
 
-/// Default number of trees.
-pub const DEFAULT_TREES: usize = 16;
-
 /// Longest label [`FlatTree::sort`] reads as one integer key.
 const KEY_BYTES: usize = 16;
 
@@ -420,11 +417,6 @@ impl<S: Signature> LshForest<S> {
         }
     }
 
-    /// Forest with the default tree count.
-    pub fn with_defaults(sig_len: usize) -> Self {
-        LshForest::new(sig_len, DEFAULT_TREES.min(sig_len.max(1)))
-    }
-
     /// `(trees, depth)` shape.
     pub fn shape(&self) -> (usize, usize) {
         (self.l, self.k)
@@ -709,15 +701,6 @@ impl<S: Signature> LshForest<S> {
     /// shareable lock-free across query workers.
     pub fn query(&self, sig: &S, k: usize) -> Vec<Hit> {
         query_union(&[self], sig, k)
-    }
-
-    /// Items whose estimated similarity clears `threshold`, best
-    /// first, bounded by `limit` candidates considered.
-    pub fn query_threshold(&self, sig: &S, threshold: f64, limit: usize) -> Vec<Hit> {
-        self.query(sig, limit)
-            .into_iter()
-            .filter(|h| h.similarity >= threshold)
-            .collect()
     }
 
     /// Stored signature of an item, rebuilt from its arena words.
@@ -1111,15 +1094,17 @@ mod tests {
     }
 
     #[test]
-    fn threshold_query_filters() {
+    fn query_similarities_separate_a_match_from_a_stranger() {
         let mh = MinHasher::new(256, 77);
         let mut f = LshForest::new(256, 16);
         f.insert(1, sign(&mh, &tokens("x", 0..100)));
         f.insert(2, sign(&mh, &tokens("z", 0..100)));
         f.commit();
-        let hits = f.query_threshold(&sign(&mh, &tokens("x", 0..100)), 0.7, 10);
-        assert_eq!(hits.len(), 1);
+        let hits = f.query(&sign(&mh, &tokens("x", 0..100)), 10);
+        assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].id, 1);
+        assert!(hits[0].similarity >= 0.7);
+        assert!(hits[1].similarity < 0.7);
     }
 
     #[test]

@@ -328,11 +328,6 @@ impl ShutdownHandle {
         self.0.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Whether shutdown was requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.0.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Slow queries captured so far (at or above the configured
     /// threshold), across the whole process lifetime.
     pub fn slow_query_count(&self) -> u64 {
@@ -929,17 +924,6 @@ impl Server {
         api::table_from_json(spec).map_err(|e| Response::error(400, &e.to_string()))
     }
 
-    fn parse_evidence(letter: &str) -> Option<Evidence> {
-        match letter {
-            "N" | "n" => Some(Evidence::Name),
-            "V" | "v" => Some(Evidence::Value),
-            "F" | "f" => Some(Evidence::Format),
-            "E" | "e" => Some(Evidence::Embedding),
-            "D" | "d" => Some(Evidence::Distribution),
-            _ => None,
-        }
-    }
-
     /// Shared option decoding for the query endpoints: `evidence`
     /// (single-evidence ranking) and `exclude` (a lake table name to
     /// drop from the answer).
@@ -950,7 +934,7 @@ impl Server {
                 .as_str()
                 .ok_or_else(|| Response::error(400, "\"evidence\" must be a string"))?;
             opts.evidence =
-                Some(Self::parse_evidence(letter).ok_or_else(|| {
+                Some(Evidence::from_letter(letter).ok_or_else(|| {
                     Response::error(400, &format!("unknown evidence {letter:?}"))
                 })?);
         }
@@ -958,10 +942,10 @@ impl Server {
             let name = x
                 .as_str()
                 .ok_or_else(|| Response::error(400, "\"exclude\" must be a table name"))?;
-            let id =
-                snap.engine.name_to_id().get(name).copied().ok_or_else(|| {
-                    Response::error(404, &format!("no indexed table named {name:?}"))
-                })?;
+            let id = snap
+                .engine
+                .table_id(name)
+                .ok_or_else(|| Response::error(404, &format!("no indexed table named {name:?}")))?;
             opts.exclude = Some(id);
         }
         Ok(opts)
@@ -1057,7 +1041,7 @@ impl Server {
             return Response::error(400, "missing ?target=<indexed table name>").into();
         };
         let snap = self.engine.snapshot();
-        let Some(id) = snap.engine.name_to_id().get(name).copied() else {
+        let Some(id) = snap.engine.table_id(name) else {
             return Response::error(404, &format!("no indexed table named {name:?}")).into();
         };
         let width = match req.query_param("width") {
@@ -1091,7 +1075,7 @@ impl Server {
         let prepared = snap
             .engine
             .prepare_indexed(id)
-            .expect("name_to_id only returns live tables");
+            .expect("table_id only returns live tables");
         let matches = snap.engine.rank_all_prepared(&prepared, width, &opts);
         let rendered = api::query_response(&snap, &matches);
         self.engine.cache().put(key, rendered.clone().into());
@@ -1099,6 +1083,46 @@ impl Server {
     }
 
     fn handle_stats(&self) -> Response {
+        // The watcher's counters are read before the snapshot is taken:
+        // a change they count as applied is in the engine the rest of
+        // the document describes, never ahead of it.
+        let watch = self.shared.watch.get().map(|ws| {
+            let lag = ws.ingest_lag();
+            let ms = |ns: u64| ns as f64 / 1e6;
+            (
+                "watch".to_string(),
+                Json::Obj(vec![
+                    (
+                        "files_tracked".to_string(),
+                        Json::Num(ws.files_tracked() as f64),
+                    ),
+                    ("queued_changes".to_string(), Json::Num(ws.queued() as f64)),
+                    ("polls".to_string(), Json::Num(ws.polls() as f64)),
+                    ("batches".to_string(), Json::Num(ws.batches() as f64)),
+                    ("tables_added".to_string(), Json::Num(ws.added() as f64)),
+                    (
+                        "tables_replaced".to_string(),
+                        Json::Num(ws.replaced() as f64),
+                    ),
+                    ("tables_removed".to_string(), Json::Num(ws.removed() as f64)),
+                    ("files_skipped".to_string(), Json::Num(ws.skipped() as f64)),
+                    ("errors".to_string(), Json::Num(ws.errors() as f64)),
+                    (
+                        "compactions".to_string(),
+                        Json::Num(ws.compactions() as f64),
+                    ),
+                    (
+                        "ingest_lag_ms".to_string(),
+                        Json::Obj(vec![
+                            ("count".to_string(), Json::Num(lag.count() as f64)),
+                            ("p50".to_string(), Json::Num(ms(lag.quantile_ns(0.50)))),
+                            ("p99".to_string(), Json::Num(ms(lag.quantile_ns(0.99)))),
+                            ("max".to_string(), Json::Num(ms(lag.max_ns()))),
+                        ]),
+                    ),
+                ]),
+            )
+        });
         let snap = self.engine.snapshot();
         // Footprints are computed once at swap time and cached on the
         // snapshot; a stats request does not re-walk the forests.
@@ -1263,43 +1287,7 @@ impl Server {
                 ]),
             ),
         ];
-        if let Some(ws) = self.shared.watch.get() {
-            let lag = ws.ingest_lag();
-            let ms = |ns: u64| ns as f64 / 1e6;
-            body.push((
-                "watch".to_string(),
-                Json::Obj(vec![
-                    (
-                        "files_tracked".to_string(),
-                        Json::Num(ws.files_tracked() as f64),
-                    ),
-                    ("queued_changes".to_string(), Json::Num(ws.queued() as f64)),
-                    ("polls".to_string(), Json::Num(ws.polls() as f64)),
-                    ("batches".to_string(), Json::Num(ws.batches() as f64)),
-                    ("tables_added".to_string(), Json::Num(ws.added() as f64)),
-                    (
-                        "tables_replaced".to_string(),
-                        Json::Num(ws.replaced() as f64),
-                    ),
-                    ("tables_removed".to_string(), Json::Num(ws.removed() as f64)),
-                    ("files_skipped".to_string(), Json::Num(ws.skipped() as f64)),
-                    ("errors".to_string(), Json::Num(ws.errors() as f64)),
-                    (
-                        "compactions".to_string(),
-                        Json::Num(ws.compactions() as f64),
-                    ),
-                    (
-                        "ingest_lag_ms".to_string(),
-                        Json::Obj(vec![
-                            ("count".to_string(), Json::Num(lag.count() as f64)),
-                            ("p50".to_string(), Json::Num(ms(lag.quantile_ns(0.50)))),
-                            ("p99".to_string(), Json::Num(ms(lag.quantile_ns(0.99)))),
-                            ("max".to_string(), Json::Num(ms(lag.max_ns()))),
-                        ]),
-                    ),
-                ]),
-            ));
-        }
+        body.extend(watch);
         Response::json(200, Json::Obj(body).to_string())
     }
 
@@ -1460,6 +1448,11 @@ impl Server {
             Ok(t) => t,
             Err(resp) => return resp,
         };
+        if table.name().is_empty() {
+            // `DELETE /tables/` could never name it again, and a
+            // tombstone without a name reads as a shard hole.
+            return Response::error(400, "table name must not be empty");
+        }
         match self.engine.add_table(&table) {
             Ok((id, snap)) => Response::json(
                 201,

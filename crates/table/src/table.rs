@@ -76,11 +76,6 @@ impl Table {
         &self.columns
     }
 
-    /// Mutable columns (for generators); lengths must stay equal.
-    pub fn columns_mut(&mut self) -> &mut Vec<Column> {
-        &mut self.columns
-    }
-
     /// Number of attributes (the paper's *arity*).
     pub fn arity(&self) -> usize {
         self.columns.len()

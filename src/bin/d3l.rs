@@ -4,7 +4,7 @@
 //! d3l index   <lake-dir> --out <index-dir> [--shards N]
 //! d3l query   <lake-dir>|--index <index-dir> <target.csv> [-k N] [--joins] [--evidence N|V|F|E|D] [--threads N]
 //! d3l serve   --index <index-dir> [--shards N] [--port P] [--host H] [--threads N] [--cache-bytes N[k|m|g]] [--max-queue N] [--slow-query-ms N] [--watch <lake-dir>] [--reload-ms N]
-//! d3l watch   <lake-dir> --index <index-dir> [--poll-ms N] [--batch-ms N] [--batch-max N] [--compact-segments N] [--compact-bytes N[k|m|g]]
+//! d3l watch   <lake-dir> --index <index-dir> [--poll-ms N] [--compact-segments N] [--compact-bytes N[k|m|g]]
 //! d3l stats   <lake-dir>|--index <index-dir>
 //! d3l add     <index-dir> <table.csv>
 //! d3l remove  <index-dir> <table-name>
@@ -24,8 +24,9 @@
 //! index into a long-lived concurrent HTTP service (see the README's
 //! "Serving" section for the endpoints); SIGINT drains in-flight
 //! requests before exiting. `watch` keeps an index continuously in
-//! sync with a lake directory (micro-batched deltas + background
-//! compaction; see the README's "Continuous ingestion" section);
+//! sync with a lake directory (one poll loop: every settled change
+//! applied, then compaction past a threshold; see the README's
+//! "Continuous ingestion" section);
 //! `serve --watch` runs the watcher inside the server process, and
 //! `serve --reload-ms` makes a read replica follow another process's
 //! writes.
@@ -38,7 +39,7 @@ use d3l::benchgen;
 use d3l::prelude::*;
 use d3l::table::csv;
 
-const USAGE: &str = "usage:\n  d3l index <lake-dir> --out <index-dir> [--shards N]\n  d3l query <lake-dir>|--index <index-dir> <target.csv> [-k N] [--joins] [--evidence N|V|F|E|D] [--threads N]\n  d3l serve --index <index-dir> [--shards N] [--port P] [--host H] [--threads N] [--cache-bytes N[k|m|g]] [--max-queue N] [--slow-query-ms N] [--watch <lake-dir> [watch flags]] [--reload-ms N]\n  d3l watch <lake-dir> --index <index-dir> [--poll-ms N] [--batch-ms N] [--batch-max N] [--compact-segments N] [--compact-bytes N[k|m|g]]\n  d3l stats <lake-dir>|--index <index-dir>\n  d3l add <index-dir> <table.csv>\n  d3l remove <index-dir> <table-name>\n  d3l compact <index-dir>\n  d3l demo";
+const USAGE: &str = "usage:\n  d3l index <lake-dir> --out <index-dir> [--shards N]\n  d3l query <lake-dir>|--index <index-dir> <target.csv> [-k N] [--joins] [--evidence N|V|F|E|D] [--threads N]\n  d3l serve --index <index-dir> [--shards N] [--port P] [--host H] [--threads N] [--cache-bytes N[k|m|g]] [--max-queue N] [--slow-query-ms N] [--watch <lake-dir> [watch flags]] [--reload-ms N]\n  d3l watch <lake-dir> --index <index-dir> [--poll-ms N] [--compact-segments N] [--compact-bytes N[k|m|g]]\n  d3l stats <lake-dir>|--index <index-dir>\n  d3l add <index-dir> <table.csv>\n  d3l remove <index-dir> <table-name>\n  d3l compact <index-dir>\n  d3l demo";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -63,17 +64,6 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
-    }
-}
-
-fn parse_evidence(s: &str) -> Option<Evidence> {
-    match s {
-        "N" | "n" => Some(Evidence::Name),
-        "V" | "v" => Some(Evidence::Value),
-        "F" | "f" => Some(Evidence::Format),
-        "E" | "e" => Some(Evidence::Embedding),
-        "D" | "d" => Some(Evidence::Distribution),
-        _ => None,
     }
 }
 
@@ -218,7 +208,8 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             "--joins" => joins = true,
             "--evidence" => {
                 let e = it.next().ok_or("missing value for --evidence")?;
-                evidence = Some(parse_evidence(e).ok_or_else(|| format!("unknown evidence {e}"))?);
+                evidence =
+                    Some(Evidence::from_letter(e).ok_or_else(|| format!("unknown evidence {e}"))?);
             }
             "--threads" => {
                 threads = Some(it.next().ok_or("missing value for --threads")?.parse()?);
@@ -355,16 +346,6 @@ fn parse_watch_flag(
             cfg.poll_interval =
                 Duration::from_millis(it.next().ok_or("missing value for --poll-ms")?.parse()?);
         }
-        "--batch-ms" => {
-            cfg.batch_window =
-                Duration::from_millis(it.next().ok_or("missing value for --batch-ms")?.parse()?);
-        }
-        "--batch-max" => {
-            cfg.batch_max = it.next().ok_or("missing value for --batch-max")?.parse()?;
-            if cfg.batch_max == 0 {
-                return Err("--batch-max must be at least 1".into());
-            }
-        }
         "--compact-segments" => {
             cfg.compact_segments = it
                 .next()
@@ -425,10 +406,8 @@ fn cmd_watch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let watcher = Watcher::start(engine, &lake_dir, cfg.clone())?;
     let stats = watcher.stats();
     println!(
-        "watching {lake_dir} -> {index_dir} (poll {} ms, batch {} ms / {} changes, compact at {} segments or {} delta bytes); Ctrl-C stops",
+        "watching {lake_dir} -> {index_dir} (poll {} ms, compact at {} segments or {} delta bytes); Ctrl-C stops",
         cfg.poll_interval.as_millis(),
-        cfg.batch_window.as_millis(),
-        cfg.batch_max,
         cfg.compact_segments,
         cfg.compact_bytes,
     );
@@ -439,7 +418,7 @@ fn cmd_watch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         while !sig::requested() {
             std::thread::sleep(std::time::Duration::from_millis(50));
         }
-        eprintln!("shutdown requested; draining settled changes ...");
+        eprintln!("shutdown requested; finishing the poll in flight ...");
     }
     #[cfg(not(unix))]
     loop {
@@ -449,7 +428,7 @@ fn cmd_watch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     watcher.shutdown();
     let lag = stats.ingest_lag();
     println!(
-        "watched {} files; {} batches ({} adds, {} replaces, {} removes, {} skipped), {} compactions; ingest lag p50 {:.1} ms p99 {:.1} ms; bye",
+        "watched {} files; {} polls applied changes ({} adds, {} replaces, {} removes, {} skipped), {} compactions; ingest lag p50 {:.1} ms p99 {:.1} ms; bye",
         stats.files_tracked(),
         stats.batches(),
         stats.added(),
@@ -576,16 +555,14 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
     // Single-process continuous ingestion: the watcher writes deltas
     // into the same handle the workers serve from; queries keep
-    // running on immutable snapshots while batches land.
+    // running on immutable snapshots while changes land.
     let mut watcher = None;
     if let Some(dir) = &watch_dir {
         let w = Watcher::start(engine.clone(), dir, watch_cfg.clone())?;
         server.attach_watch(w.stats());
         println!(
-            "watching {dir} (poll {} ms, batch {} ms / {} changes, compact at {} segments or {} delta bytes)",
+            "watching {dir} (poll {} ms, compact at {} segments or {} delta bytes)",
             watch_cfg.poll_interval.as_millis(),
-            watch_cfg.batch_window.as_millis(),
-            watch_cfg.batch_max,
             watch_cfg.compact_segments,
             watch_cfg.compact_bytes,
         );
@@ -637,7 +614,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         let _ = t.join();
     }
     if let Some(w) = watcher {
-        eprintln!("stopping watcher; draining settled changes ...");
+        eprintln!("stopping watcher; finishing the poll in flight ...");
         w.shutdown();
     }
     // Post-drain dump: whatever the slow-query ring held when the
@@ -807,8 +784,8 @@ mod tests {
             ("E", Evidence::Embedding),
             ("D", Evidence::Distribution),
         ] {
-            assert_eq!(parse_evidence(flag), Some(want));
-            assert_eq!(parse_evidence(&flag.to_lowercase()), Some(want));
+            assert_eq!(Evidence::from_letter(flag), Some(want));
+            assert_eq!(Evidence::from_letter(&flag.to_lowercase()), Some(want));
         }
     }
 
@@ -817,7 +794,7 @@ mod tests {
         for e in Evidence::ALL {
             let flag = format!("{e:?}").chars().next().unwrap().to_string();
             assert_eq!(
-                parse_evidence(&flag),
+                Evidence::from_letter(&flag),
                 Some(e),
                 "flag {flag} must map back to {e:?}"
             );
@@ -827,7 +804,7 @@ mod tests {
     #[test]
     fn unknown_evidence_flags_are_rejected() {
         for bad in ["X", "", "NV", "name", "0"] {
-            assert_eq!(parse_evidence(bad), None, "{bad:?} must not parse");
+            assert_eq!(Evidence::from_letter(bad), None, "{bad:?} must not parse");
         }
     }
 
@@ -943,14 +920,13 @@ mod tests {
             cmd_watch(&args(&["a", "--index", "idx", "--poll-ms", "soon"])).is_err(),
             "--poll-ms must parse"
         );
-        assert!(
-            cmd_watch(&args(&["a", "--index", "idx", "--batch-ms", "x"])).is_err(),
-            "--batch-ms must parse"
-        );
-        assert!(
-            cmd_watch(&args(&["a", "--index", "idx", "--batch-max", "0"])).is_err(),
-            "--batch-max 0 must fail"
-        );
+        // The watcher has no batching to tune: its former flags are
+        // arguments like any other it does not know.
+        for gone in ["ms", "max"] {
+            let flag = format!("--batch-{gone}");
+            let err = cmd_watch(&args(&["a", "--index", "idx", &flag, "5"])).unwrap_err();
+            assert_eq!(err.to_string(), format!("unexpected argument {flag}"));
+        }
         assert!(
             cmd_watch(&args(&["a", "--index", "idx", "--compact-segments", "0"])).is_err(),
             "--compact-segments 0 must fail"
@@ -1011,12 +987,18 @@ mod tests {
                 "idx",
                 "--watch",
                 "lake",
-                "--batch-max",
+                "--compact-segments",
                 "0"
             ]))
             .is_err(),
-            "serve --batch-max 0 must fail"
+            "serve takes the watch flags, validated alike"
         );
+        for gone in ["ms", "max"] {
+            let flag = format!("--batch-{gone}");
+            let err =
+                cmd_serve(&args(&["--index", "idx", "--watch", "lake", &flag, "5"])).unwrap_err();
+            assert_eq!(err.to_string(), format!("unexpected argument {flag}"));
+        }
     }
 
     #[test]

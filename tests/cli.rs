@@ -521,16 +521,7 @@ fn serve_watch_applies_live_churn_and_drains() {
     let out = d3l_cmd(&["index", lake_dir, "--out", index_dir]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
 
-    let serving = Serving::spawn(&[
-        "--index",
-        index_dir,
-        "--watch",
-        lake_dir,
-        "--poll-ms",
-        "50",
-        "--batch-ms",
-        "200",
-    ]);
+    let serving = Serving::spawn(&["--index", index_dir, "--watch", lake_dir, "--poll-ms", "50"]);
     assert_eq!(stat(&serving.stats(), &["live_tables"]), 12);
 
     std::fs::write(

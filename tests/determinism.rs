@@ -978,11 +978,7 @@ fn watch_churn_replay_is_deterministic() {
         let empty = D3l::index_lake(&DataLake::new(), D3lConfig::fast());
         let store = IndexStore::create(&index_dir, &empty).unwrap();
         let engine = Arc::new(d3l::core::EngineHandle::new(store, empty));
-        let cfg = WatchConfig {
-            batch_window: std::time::Duration::ZERO,
-            batch_max: 2,
-            ..Default::default()
-        };
+        let cfg = WatchConfig::default();
         let mut ing =
             Ingestor::new(engine.clone(), &lake_dir, cfg, Arc::new(WatchStats::new())).unwrap();
 

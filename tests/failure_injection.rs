@@ -495,11 +495,7 @@ fn watcher_killed_before_compaction_matches_a_from_scratch_rebuild() {
     let empty = D3l::index_lake(&DataLake::new(), D3lConfig::fast());
     let store = IndexStore::create(&watch_index, &empty).unwrap();
     let engine = std::sync::Arc::new(EngineHandle::new(store, empty));
-    let cfg = WatchConfig {
-        batch_window: std::time::Duration::ZERO,
-        batch_max: 1, // one segment per table, like a paced trickle
-        ..Default::default()
-    };
+    let cfg = WatchConfig::default();
     let mut ingestor = Ingestor::new(
         engine.clone(),
         &lake_dir,
@@ -511,7 +507,7 @@ fn watcher_killed_before_compaction_matches_a_from_scratch_rebuild() {
         ingestor.poll().unwrap();
     }
     let (_, _, segments) = engine.disk_stats().unwrap();
-    assert_eq!(segments, names.len(), "one delta segment per micro-batch");
+    assert_eq!(segments, names.len(), "one delta segment per table");
     // The "kill": drop watcher and engine with the segments unfolded.
     drop(ingestor);
     drop(engine);

@@ -308,6 +308,12 @@ fn routing_refusals_are_typed() {
     let dup = format!("{{\"table\":{}}}", table_to_json(lake.table(TableId(0))));
     let (status, body) = request_once(srv.addr, "POST", "/tables", Some(&dup)).unwrap();
     assert_eq!(status, 409, "{body}");
+    // A table no `DELETE /tables/<name>` could name is never indexed.
+    let nameless = "{\"name\":\"\",\"columns\":[\"a\"],\"rows\":[[\"1\"]]}";
+    let (status, body) = request_once(srv.addr, "POST", "/tables", Some(nameless)).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("name must not be empty"), "{body}");
+    assert_eq!(srv.engine.snapshot().engine.live_table_count(), 4);
 }
 
 #[test]
@@ -1400,7 +1406,6 @@ fn stats_and_metrics_expose_watcher_state() {
         &lake_dir,
         WatchConfig {
             poll_interval: Duration::from_millis(10),
-            batch_window: Duration::from_millis(20),
             ..Default::default()
         },
     )

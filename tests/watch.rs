@@ -1,12 +1,12 @@
 //! Continuous ingestion: the poll-based watcher's state machine,
 //! driven deterministically through [`Ingestor::poll`] (one call =
-//! one scan + due-batch flush), plus one threaded end-to-end pass
-//! through [`Watcher`].
+//! one scan + every settled change applied), plus one threaded
+//! end-to-end pass through [`Watcher`].
 //!
 //! The load-bearing property is the **stability window**: a file
 //! whose `(len, mtime)` fingerprint changed between two consecutive
-//! polls is re-queued, never batched, so a half-copied CSV can never
-//! enter a delta segment.
+//! polls keeps settling, never applied, so a half-copied CSV can
+//! never enter a delta segment.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -37,11 +37,11 @@ impl Fixture {
         }
     }
 
-    fn ingestor(&self, cfg: WatchConfig) -> Ingestor {
+    fn ingestor(&self) -> Ingestor {
         Ingestor::new(
             self.engine.clone(),
             &self.lake_dir,
-            cfg,
+            WatchConfig::default(),
             Arc::new(WatchStats::new()),
         )
         .unwrap()
@@ -52,11 +52,7 @@ impl Fixture {
     }
 
     fn has_table(&self, name: &str) -> bool {
-        self.engine
-            .snapshot()
-            .engine
-            .name_to_id()
-            .contains_key(name)
+        self.engine.snapshot().engine.table_id(name).is_some()
     }
 
     fn segments(&self) -> usize {
@@ -72,22 +68,12 @@ impl Drop for Fixture {
     }
 }
 
-/// Flush as soon as anything is stable (no debounce) — each poll is
-/// then exactly one stability-window step.
-fn eager(batch_max: usize) -> WatchConfig {
-    WatchConfig {
-        batch_window: Duration::ZERO,
-        batch_max,
-        ..Default::default()
-    }
-}
-
 #[test]
 fn new_files_ingest_only_after_the_stability_window() {
     let fx = Fixture::new("stable");
     fx.write("alpha.csv", "City\nSalford\n");
     fx.write("notes.txt", "not a csv");
-    let mut ing = fx.ingestor(eager(16));
+    let mut ing = fx.ingestor();
 
     // The baseline scan already saw alpha, so the first poll confirms
     // its fingerprint held for one interval and ingests it. The .txt
@@ -114,12 +100,12 @@ fn new_files_ingest_only_after_the_stability_window() {
 #[test]
 fn half_copied_csv_never_enters_a_delta_segment() {
     let fx = Fixture::new("slowwriter");
-    let mut ing = fx.ingestor(eager(16));
+    let mut ing = fx.ingestor();
     assert_eq!(fx.segments(), 0);
 
     // A slow writer streams the file in over several polls; every
     // observation differs from the last, so the watcher must keep
-    // re-settling and never batch the torn prefix.
+    // re-settling and never apply the torn prefix.
     let chunks = ["City,Patients\n", "Salf", "ord,120\nBol", "ton,80\n"];
     let mut so_far = String::new();
     for chunk in chunks {
@@ -150,7 +136,7 @@ fn changed_files_replace_and_deleted_files_remove() {
     let fx = Fixture::new("churn");
     fx.write("gp.csv", "City\nSalford\n");
     fx.write("doomed.csv", "City\nYork\n");
-    let mut ing = fx.ingestor(eager(16));
+    let mut ing = fx.ingestor();
     assert_eq!(ing.poll().unwrap(), 2);
     assert!(fx.has_table("gp") && fx.has_table("doomed"));
     let v_ingested = fx.engine.snapshot().version;
@@ -163,7 +149,8 @@ fn changed_files_replace_and_deleted_files_remove() {
     assert!(fx.has_table("gp"));
     assert_eq!(ing.stats().replaced(), 1);
 
-    // Delete: the tombstone goes through the same debounced queue.
+    // Delete: a missing file has nothing to settle, so the tombstone
+    // lands the poll that misses it.
     std::fs::remove_file(fx.lake_dir.join("doomed.csv")).unwrap();
     assert_eq!(ing.poll().unwrap(), 1);
     assert!(!fx.has_table("doomed"));
@@ -191,7 +178,7 @@ fn rewrite_keeping_mtime(fx: &Fixture, file: &str, content: &str, mtime: std::ti
 fn same_length_rewrite_inside_one_mtime_tick_is_replaced() {
     let fx = Fixture::new("racy");
     fx.write("a.csv", "City\nSalford\n");
-    let mut ing = fx.ingestor(eager(16));
+    let mut ing = fx.ingestor();
     assert_eq!(ing.poll().unwrap(), 1);
     let mtime = std::fs::metadata(fx.lake_dir.join("a.csv"))
         .unwrap()
@@ -213,7 +200,7 @@ fn a_file_older_than_the_racy_window_costs_a_stat_not_a_read() {
     fx.write("old.csv", "City\nSalford\n");
     let hour_ago = std::time::SystemTime::now() - Duration::from_secs(3600);
     rewrite_keeping_mtime(&fx, "old.csv", "City\nSalford\n", hour_ago);
-    let mut ing = fx.ingestor(eager(16));
+    let mut ing = fx.ingestor();
     assert_eq!(ing.poll().unwrap(), 1);
 
     // Only a read could tell these bytes from the ingested ones, and
@@ -228,61 +215,37 @@ fn a_file_older_than_the_racy_window_costs_a_stat_not_a_read() {
 }
 
 #[test]
-fn batch_max_bounds_each_micro_batch_in_name_order() {
-    let fx = Fixture::new("batchmax");
-    for name in ["e", "d", "c", "b", "a"] {
+fn stable_changes_all_apply_in_name_order_the_poll_they_settle() {
+    let fx = Fixture::new("settle");
+    let mut ing = fx.ingestor();
+    let names = ["a", "b", "c", "d", "e"];
+    for name in names.iter().rev() {
         fx.write(&format!("{name}.csv"), "City\nSalford\n");
     }
-    let mut ing = fx.ingestor(eager(2));
 
-    // All five are stable at the first poll, but a micro-batch takes
-    // at most batch_max of them, lowest name first.
-    assert_eq!(ing.poll().unwrap(), 2);
-    assert!(fx.has_table("a") && fx.has_table("b"));
-    assert!(!fx.has_table("c"));
-    assert_eq!(ing.stats().queued(), 3);
-    assert_eq!(ing.poll().unwrap(), 2);
-    assert_eq!(ing.poll().unwrap(), 1);
-    assert!(fx.has_table("e"));
-    assert_eq!(ing.stats().added(), 5);
-    assert_eq!(ing.stats().batches(), 3);
-}
+    assert_eq!(ing.poll().unwrap(), 0, "first sighting must only settle");
+    assert_eq!(fx.segments(), 0);
 
-#[test]
-fn debounce_holds_a_partial_batch_until_the_window_or_a_full_batch() {
-    let fx = Fixture::new("debounce");
-    fx.write("a.csv", "City\nSalford\n");
-    fx.write("b.csv", "City\nBolton\n");
-    // A week-long window: nothing flushes unless the batch fills.
-    let cfg = WatchConfig {
-        batch_window: Duration::from_secs(7 * 24 * 3600),
-        batch_max: 3,
-        ..Default::default()
-    };
-    let mut ing = fx.ingestor(cfg);
-
-    for _ in 0..5 {
-        assert_eq!(ing.poll().unwrap(), 0, "window open, batch not full");
+    // All five held their fingerprint: all five are queryable after
+    // this poll — nothing waits for a later one — each as its own
+    // segment, ids handed out lowest name first.
+    assert_eq!(ing.poll().unwrap(), 5);
+    let engine = &fx.engine.snapshot().engine;
+    for (i, name) in names.iter().enumerate() {
+        assert_eq!(engine.table_id(name), Some(TableId(i as u32)), "{name}");
     }
-    assert_eq!(ing.stats().queued(), 2);
-    assert!(!fx.has_table("a"));
-
-    // A third stable change fills the batch and forces the flush.
-    fx.write("c.csv", "City\nYork\n");
-    assert_eq!(ing.poll().unwrap(), 0, "c is settling");
-    assert_eq!(ing.poll().unwrap(), 3, "batch full: all three land");
-    assert!(fx.has_table("a") && fx.has_table("b") && fx.has_table("c"));
-
-    // Drain on demand (the shutdown path) with an empty queue is a
-    // no-op.
-    assert_eq!(ing.drain().unwrap(), 0);
+    assert_eq!(fx.segments(), 5);
+    assert_eq!(ing.stats().added(), 5);
+    assert_eq!(ing.stats().batches(), 1, "one poll applied changes");
+    assert_eq!(ing.stats().queued(), 0);
+    assert_eq!(ing.poll().unwrap(), 0);
 }
 
 #[test]
 fn unparsable_csv_is_skipped_until_it_changes() {
     let fx = Fixture::new("badcsv");
     fx.write("bad.csv", "a,b\n\"unterminated");
-    let mut ing = fx.ingestor(eager(16));
+    let mut ing = fx.ingestor();
 
     assert_eq!(ing.poll().unwrap(), 0, "parse failure applies nothing");
     assert!(!fx.has_table("bad"));
@@ -307,10 +270,8 @@ fn compaction_triggers_on_segment_and_byte_thresholds() {
     for name in ["a", "b", "c"] {
         fx.write(&format!("{name}.csv"), "City\nSalford\n");
     }
-    let mut ing = fx.ingestor(eager(1));
-    while fx.engine.snapshot().engine.live_table_count() < 3 {
-        ing.poll().unwrap();
-    }
+    let mut ing = fx.ingestor();
+    assert_eq!(ing.poll().unwrap(), 3);
     assert_eq!(fx.segments(), 3);
 
     // Below both thresholds: no compaction.
@@ -358,13 +319,13 @@ fn compaction_triggers_on_segment_and_byte_thresholds() {
 fn files_already_indexed_at_startup_are_not_reingested() {
     let fx = Fixture::new("restart");
     fx.write("alpha.csv", "City\nSalford\n");
-    let mut ing = fx.ingestor(eager(16));
+    let mut ing = fx.ingestor();
     assert_eq!(ing.poll().unwrap(), 1);
     drop(ing);
 
     // A fresh ingestor over the same engine treats the already-
     // indexed file as current instead of rewriting the lake on boot.
-    let mut ing = fx.ingestor(eager(16));
+    let mut ing = fx.ingestor();
     for _ in 0..3 {
         assert_eq!(ing.poll().unwrap(), 0);
     }
@@ -378,13 +339,24 @@ fn files_already_indexed_at_startup_are_not_reingested() {
     assert_eq!(ing.stats().replaced(), 1);
 }
 
+/// Live threads of this process named by [`Watcher`] (`d3l-watch…`).
+/// Only the threaded test below starts any.
+#[cfg(target_os = "linux")]
+fn watcher_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with("d3l-watch"))
+        .count()
+}
+
 #[test]
 fn threaded_watcher_ingests_and_shuts_down_cleanly() {
     let fx = Fixture::new("threaded");
     fx.write("first.csv", "City\nSalford\n");
     let cfg = WatchConfig {
         poll_interval: Duration::from_millis(10),
-        batch_window: Duration::from_millis(20),
+        compact_segments: 2,
         ..Default::default()
     };
     let watcher = Watcher::start(fx.engine.clone(), &fx.lake_dir, cfg).unwrap();
@@ -407,8 +379,23 @@ fn threaded_watcher_ingests_and_shuts_down_cleanly() {
         std::thread::sleep(Duration::from_millis(10));
     }
 
+    // The second segment crosses `compact_segments`: the thread that
+    // ingested it folds both into the base after the same poll.
+    while stats.compactions() == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "watcher never compacted"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(fx.segments(), 0, "segments folded into the base");
+    assert!(fx.has_table("first") && fx.has_table("second"));
+    #[cfg(target_os = "linux")]
+    assert_eq!(watcher_threads(), 1, "ingest and compaction share a thread");
+
     watcher.shutdown();
     assert!(stats.polls() > 0);
+    assert_eq!(stats.compactions(), 1);
     assert_eq!(stats.added(), 2);
     assert_eq!(stats.errors(), 0);
     let lag = stats.ingest_lag();
