@@ -14,14 +14,19 @@
 //! forests ([`LshForest::insert_with`] hands the hasher the arena
 //! slot; the tree labels are read back from it) — profiling and
 //! signature generation dominate, as the paper observes for all three
-//! compared systems (Experiment 4). The workers' forests are then
-//! appended in table-id order ([`LshForest::append`]; with one worker
-//! there is nothing to append) and committed. [`D3l::add_table`] is
-//! the same per-table step on the live forests. Profiles store hashed
-//! token sets, so signatures are derived from the stored hashes with
-//! no re-tokenization; every tree sorts a total order, so the built
-//! index is byte-identical at every thread count, from a directory or
-//! from a lake, in bulk or one table at a time.
+//! compared systems (Experiment 4). A forest indexes each distinct
+//! signature once, as a class with the attributes that carry it: a
+//! name, a format or a value set that recurs is signed like any other
+//! and found to be a class the forest already has. The workers'
+//! forests are then appended in table-id order ([`LshForest::append`],
+//! which merges classes by content; with one worker there is nothing
+//! to append) and committed. [`D3l::add_table`] is the same per-table
+//! step on the live forests. Profiles store hashed token sets, so
+//! signatures are derived from the stored hashes with no
+//! re-tokenization; a committed forest is a function of which
+//! attribute carries which signature, so the built index is
+//! byte-identical at every thread count, from a directory or from a
+//! lake, in bulk or one table at a time.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -662,7 +667,7 @@ impl D3l {
     }
 
     /// Total byte footprint of the four indexes (Table II accounting:
-    /// signatures + tree labels).
+    /// signatures + tree labels + postings).
     pub fn index_byte_size(&self) -> usize {
         self.i_n.byte_size() + self.i_v.byte_size() + self.i_f.byte_size() + self.i_e.byte_size()
     }
@@ -678,13 +683,16 @@ impl D3l {
     }
 
     /// Full memory accounting: per-index forest footprints split into
-    /// tree arrays and stored signature maps, plus the retained
-    /// attribute profiles.
+    /// tree arrays, the signature arena and the postings, plus the
+    /// retained attribute profiles.
     pub fn byte_size(&self) -> MemoryFootprint {
-        let index_of = |trees: usize, sigs: usize| IndexFootprint {
-            tree_bytes: trees,
-            signature_bytes: sigs,
-        };
+        fn index_of<S>(forest: &LshForest<S>) -> IndexFootprint {
+            IndexFootprint {
+                tree_bytes: forest.tree_byte_size(),
+                signature_bytes: forest.signature_byte_size(),
+                posting_bytes: forest.posting_byte_size(),
+            }
+        }
         let profile_bytes: usize = self
             .profiles
             .iter()
@@ -692,12 +700,30 @@ impl D3l {
             .map(AttributeProfile::byte_size)
             .sum();
         MemoryFootprint {
-            i_n: index_of(self.i_n.tree_byte_size(), self.i_n.signature_byte_size()),
-            i_v: index_of(self.i_v.tree_byte_size(), self.i_v.signature_byte_size()),
-            i_f: index_of(self.i_f.tree_byte_size(), self.i_f.signature_byte_size()),
-            i_e: index_of(self.i_e.tree_byte_size(), self.i_e.signature_byte_size()),
+            i_n: index_of(&self.i_n),
+            i_v: index_of(&self.i_v),
+            i_f: index_of(&self.i_f),
+            i_e: index_of(&self.i_e),
             profile_bytes,
         }
+    }
+
+    /// How far each index pools its attributes, `(IN, IV, IF, IE)` as
+    /// [`MemoryFootprint::indexes`] orders them.
+    pub fn class_stats(&self) -> [ClassStats; 4] {
+        fn stats_of<S>(forest: &LshForest<S>) -> ClassStats {
+            ClassStats {
+                attributes: forest.len(),
+                classes: forest.class_count(),
+                largest_class: forest.largest_class(),
+            }
+        }
+        [
+            stats_of(&self.i_n),
+            stats_of(&self.i_v),
+            stats_of(&self.i_f),
+            stats_of(&self.i_e),
+        ]
     }
 
     /// The id of the live table named `name`: what
@@ -721,19 +747,48 @@ impl D3l {
     }
 }
 
+/// How one index pools the attributes it holds: a class is a distinct
+/// signature, indexed once whatever the number of attributes that
+/// carry it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClassStats {
+    /// Attributes indexed.
+    pub attributes: usize,
+    /// Distinct signatures among them.
+    pub classes: usize,
+    /// Attributes in the most populous class.
+    pub largest_class: usize,
+}
+
+impl ClassStats {
+    /// Fold in another shard's share of the same index: attributes
+    /// and classes add up (one signature held in two shards is a class
+    /// in each), the largest class is the larger of the two.
+    pub(crate) fn add(&mut self, other: ClassStats) {
+        self.attributes += other.attributes;
+        self.classes += other.classes;
+        self.largest_class = self.largest_class.max(other.largest_class);
+    }
+}
+
 /// Byte footprint of one LSH forest, split by component.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexFootprint {
-    /// Sorted per-tree `(label, item)` arrays.
+    /// Sorted per-tree `(label, class)` arrays.
     pub tree_bytes: usize,
-    /// Stored full signatures (similarity refinement at query time).
+    /// Stored full signatures, one per class (similarity refinement at
+    /// query time).
     pub signature_bytes: usize,
+    /// What ties attributes to classes: posting lists and the id →
+    /// class and content → class tables, each at the bucket capacity
+    /// its entries need (`LshForest::posting_byte_size`).
+    pub posting_bytes: usize,
 }
 
 impl IndexFootprint {
-    /// Trees plus signatures.
+    /// Trees, signatures and postings.
     pub fn total(&self) -> usize {
-        self.tree_bytes + self.signature_bytes
+        self.tree_bytes + self.signature_bytes + self.posting_bytes
     }
 }
 
@@ -776,6 +831,7 @@ impl MemoryFootprint {
             ] {
                 acc.tree_bytes += add.tree_bytes;
                 acc.signature_bytes += add.signature_bytes;
+                acc.posting_bytes += add.posting_bytes;
             }
             total.profile_bytes += fp.profile_bytes;
         }
@@ -960,7 +1016,55 @@ mod tests {
             assert!(!name.is_empty());
             assert!(idx.tree_bytes > 0, "{name} has tree labels");
             assert!(idx.signature_bytes > 0, "{name} stores signatures");
+            assert!(idx.posting_bytes > 0, "{name} holds postings");
+            assert_eq!(
+                idx.total(),
+                idx.tree_bytes + idx.signature_bytes + idx.posting_bytes
+            );
         }
+        // One posting entry and one id-table entry per attribute, at
+        // the least.
+        assert!(fp.i_n.posting_bytes >= d3l.i_n.len() * (8 + 12));
+        // Shards' footprints add up field by field, postings included.
+        let sharded = crate::ShardedD3l::split(d3l.clone(), 2);
+        let parts = sharded.shard_byte_sizes();
+        let sum = MemoryFootprint::sum(&parts);
+        assert_eq!(sum, sharded.byte_size());
+        for (i, (_, idx)) in sum.indexes().iter().enumerate() {
+            let of = |fp: &MemoryFootprint| fp.indexes()[i].1;
+            assert_eq!(
+                idx.posting_bytes,
+                of(&parts[0]).posting_bytes + of(&parts[1]).posting_bytes
+            );
+            assert_eq!(idx.total(), of(&parts[0]).total() + of(&parts[1]).total());
+        }
+        assert_eq!(sum.total(), parts[0].total() + parts[1].total());
+        assert_eq!(MemoryFootprint::sum(&[]), MemoryFootprint::default());
+    }
+
+    /// Attributes that share a name, a format or their values share a
+    /// class: one signature and one entry per tree between them.
+    #[test]
+    fn repeated_names_and_formats_pool_into_classes() {
+        let d3l = D3l::index_lake(&figure1_lake(), D3lConfig::fast());
+        let [i_n, i_v, i_f, i_e] = d3l.class_stats();
+        assert_eq!((i_n.attributes, i_f.attributes), (12, 12));
+        assert_eq!((i_v.attributes, i_e.attributes), (10, 10));
+        // "City" and "Postcode" head two tables each.
+        assert_eq!((i_n.classes, i_n.largest_class), (10, 2));
+        assert!(i_f.classes < 12 && i_f.largest_class >= 2, "{i_f:?}");
+        for stats in [i_n, i_v, i_f, i_e] {
+            assert!(stats.classes <= stats.attributes);
+            assert!(stats.largest_class >= 1);
+        }
+        // A built index and one grown a table at a time pool alike.
+        let mut grown = D3l::index_lake(&DataLake::new(), D3lConfig::fast());
+        for (_, table) in figure1_lake().iter() {
+            grown.add_table(table);
+        }
+        assert_eq!(grown.class_stats(), d3l.class_stats());
+        assert!(grown.i_n == d3l.i_n && grown.i_v == d3l.i_v);
+        assert!(grown.i_f == d3l.i_f && grown.i_e == d3l.i_e);
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub use config::D3lConfig;
 pub use distance::DistanceVector;
 pub use evidence::Evidence;
 pub use hotswap::{EngineHandle, EngineSnapshot, EngineTelemetry, MaintenanceError};
-pub use index::{AttrRef, D3l, IndexFootprint, MemoryFootprint};
+pub use index::{AttrRef, ClassStats, D3l, IndexFootprint, MemoryFootprint};
 pub use join::{JoinPath, SaJoinGraph};
 pub use populate::Population;
 pub use profile::AttributeProfile;

@@ -37,6 +37,8 @@ use d3l_features::ks;
 use d3l_lsh::forest::{query_union, LshForest};
 use d3l_lsh::minhash::MinHashSignature;
 use d3l_lsh::randproj::BitSignature;
+use d3l_lsh::signature::Signature;
+use d3l_lsh::ItemId;
 use d3l_table::{Table, TableId};
 
 use crate::distance::{
@@ -326,6 +328,58 @@ fn subjects_related_resolved(
         || ts.embedding.cosine_words(ss.embedding) >= threshold
 }
 
+/// An engine's four indexes, each as one forest per shard.
+struct Indexes<'a> {
+    name: Vec<&'a LshForest<MinHashSignature>>,
+    value: Vec<&'a LshForest<MinHashSignature>>,
+    format: Vec<&'a LshForest<MinHashSignature>>,
+    embedding: Vec<&'a LshForest<BitSignature>>,
+}
+
+/// Look up one target attribute in the indexes (restricted to one
+/// evidence type when `only` is set; `Distribution` uses the N/F
+/// indexes as its blocking mechanism, mirroring Algorithm 2), and
+/// return the keys of every hit — one index's after another's, an
+/// attribute as often as indexes found it. An index is one forest per
+/// shard, read together by [`query_union`]: the widening stop and the
+/// fallback scan see the whole lake's candidate count, so the hits do
+/// not depend on the shard count.
+fn gather_candidates(
+    indexes: &Indexes<'_>,
+    tp: &AttributeProfile,
+    ts: &AttrSignatures,
+    width: usize,
+    only: Option<Evidence>,
+) -> Vec<ItemId> {
+    let want = |e: Evidence| match only {
+        None => true,
+        Some(Evidence::Distribution) => matches!(e, Evidence::Name | Evidence::Format),
+        Some(x) => x == e,
+    };
+    fn look_up<S: Signature>(
+        forests: &[&LshForest<S>],
+        sig: &S,
+        width: usize,
+        keys: &mut Vec<ItemId>,
+    ) {
+        keys.extend(query_union(forests, sig, width).iter().map(|h| h.id));
+    }
+    let mut keys = Vec::new();
+    if want(Evidence::Name) && !tp.qset.is_empty() {
+        look_up(&indexes.name, &ts.name, width, &mut keys);
+    }
+    if want(Evidence::Format) && !tp.rset.is_empty() {
+        look_up(&indexes.format, &ts.format, width, &mut keys);
+    }
+    if want(Evidence::Value) && tp.has_text() {
+        look_up(&indexes.value, &ts.value, width, &mut keys);
+    }
+    if want(Evidence::Embedding) && tp.has_embedding() {
+        look_up(&indexes.embedding, &ts.embedding, width, &mut keys);
+    }
+    keys
+}
+
 impl D3l {
     /// Stage 1 entry point: profile and sign a target once for reuse
     /// across queries (`query_prepared`, `rank_all_prepared`,
@@ -481,12 +535,13 @@ impl ShardedD3l {
         let threads = self.config().effective_query_threads(None);
         let work: Vec<(&AttributeProfile, &AttrSignatures)> =
             prepared.profiles.iter().zip(&prepared.sigs).collect();
+        let indexes = self.indexes();
         par_map(&work, threads, |&(tp, ts)| {
-            self.gather_candidates(tp, ts, width, None)
+            gather_candidates(&indexes, tp, ts, width, None)
         })
         .into_iter()
         .flatten()
-        .map(|attr| attr.table)
+        .map(|key| AttrRef::from_key(key).table)
         .collect()
     }
 
@@ -534,66 +589,28 @@ impl ShardedD3l {
     ) -> Vec<Vec<AttrRef>> {
         let work: Vec<(&AttributeProfile, &AttrSignatures)> =
             prepared.profiles.iter().zip(&prepared.sigs).collect();
+        let indexes = self.indexes();
         par_map(&work, threads, |&(tp, ts)| {
-            let mut cands: Vec<AttrRef> = self
-                .gather_candidates(tp, ts, width, opts.evidence)
-                .into_iter()
+            let mut keys = gather_candidates(&indexes, tp, ts, width, opts.evidence);
+            keys.sort_unstable();
+            keys.dedup();
+            keys.into_iter()
+                .map(AttrRef::from_key)
                 .filter(|attr| opts.exclude != Some(attr.table))
-                .collect();
-            cands.sort_unstable_by_key(|a| a.key());
-            cands
+                .collect()
         })
     }
 
-    /// Look up one target attribute in the indexes (restricted to one
-    /// evidence type when `only` is set; `Distribution` uses the N/F
-    /// indexes as its blocking mechanism, mirroring Algorithm 2). An
-    /// index is one forest per shard, read together by
-    /// [`query_union`]: the widening stop and the fallback scan see
-    /// the whole lake's candidate count, so the hits do not depend on
-    /// the shard count.
-    fn gather_candidates(
-        &self,
-        tp: &AttributeProfile,
-        ts: &AttrSignatures,
-        width: usize,
-        only: Option<Evidence>,
-    ) -> HashSet<AttrRef> {
-        let want = |e: Evidence| match only {
-            None => true,
-            Some(Evidence::Distribution) => matches!(e, Evidence::Name | Evidence::Format),
-            Some(x) => x == e,
-        };
-        let mut out = HashSet::new();
-        if want(Evidence::Name) && !tp.qset.is_empty() {
-            let forests: Vec<&LshForest<MinHashSignature>> =
-                self.shards().iter().map(|s| &s.i_n).collect();
-            for h in query_union(&forests, &ts.name, width) {
-                out.insert(AttrRef::from_key(h.id));
-            }
+    /// The four indexes as [`query_union`] reads them: one forest per
+    /// shard each. Built once per query, not once per target attribute.
+    fn indexes(&self) -> Indexes<'_> {
+        let shards = self.shards();
+        Indexes {
+            name: shards.iter().map(|s| &s.i_n).collect(),
+            value: shards.iter().map(|s| &s.i_v).collect(),
+            format: shards.iter().map(|s| &s.i_f).collect(),
+            embedding: shards.iter().map(|s| &s.i_e).collect(),
         }
-        if want(Evidence::Format) && !tp.rset.is_empty() {
-            let forests: Vec<&LshForest<MinHashSignature>> =
-                self.shards().iter().map(|s| &s.i_f).collect();
-            for h in query_union(&forests, &ts.format, width) {
-                out.insert(AttrRef::from_key(h.id));
-            }
-        }
-        if want(Evidence::Value) && tp.has_text() {
-            let forests: Vec<&LshForest<MinHashSignature>> =
-                self.shards().iter().map(|s| &s.i_v).collect();
-            for h in query_union(&forests, &ts.value, width) {
-                out.insert(AttrRef::from_key(h.id));
-            }
-        }
-        if want(Evidence::Embedding) && tp.has_embedding() {
-            let forests: Vec<&LshForest<BitSignature>> =
-                self.shards().iter().map(|s| &s.i_e).collect();
-            for h in query_union(&forests, &ts.embedding, width) {
-                out.insert(AttrRef::from_key(h.id));
-            }
-        }
-        out
     }
 
     /// Stage 2 — pairwise evidence scoring: a five-distance vector

@@ -29,7 +29,7 @@ use d3l_lsh::hash::hash_str;
 use d3l_table::{DataLake, TableId};
 
 use crate::config::D3lConfig;
-use crate::index::{AttrRef, D3l, MemoryFootprint};
+use crate::index::{AttrRef, ClassStats, D3l, MemoryFootprint};
 use crate::profile::AttributeProfile;
 
 /// The shard that owns a table named `name` in an `n`-shard engine.
@@ -162,8 +162,10 @@ impl ShardedD3l {
 
     /// One shard's slice of a forest: the items whose owning table
     /// maps to shard `s`, rebuilt into a committed forest. Trees sort
-    /// a total `(label, id)` order, so the result is independent of
-    /// iteration order and identical to incremental insertion.
+    /// the canonical `(label, signature words)` order over classes —
+    /// total, since two classes never hold the same words — so the
+    /// result is independent of iteration order and identical to
+    /// incremental insertion.
     fn partition_forest<S: d3l_lsh::signature::Signature>(
         full: &LshForest<S>,
         sig_len: usize,
@@ -348,6 +350,20 @@ impl ShardedD3l {
     /// Aggregate memory accounting across shards.
     pub fn byte_size(&self) -> MemoryFootprint {
         MemoryFootprint::sum(&self.shard_byte_sizes())
+    }
+
+    /// How far each index pools its attributes, `(IN, IV, IF, IE)`,
+    /// over all shards: attributes and classes summed (one signature
+    /// held in two shards is a class in each), the largest class the
+    /// largest of any shard.
+    pub fn class_stats(&self) -> [ClassStats; 4] {
+        let mut total = [ClassStats::default(); 4];
+        for shard in &self.shards {
+            for (acc, add) in total.iter_mut().zip(shard.class_stats()) {
+                acc.add(add);
+            }
+        }
+        total
     }
 
     /// Per-shard memory accounting, for diagnostics and `/stats`.

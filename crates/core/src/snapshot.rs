@@ -10,40 +10,56 @@
 //! **The store keeps only what it cannot re-derive.** Stored: the
 //! configuration (`CONF`), the embedder state (`EMBD`), the table list
 //! (`TABL`), every attribute profile (`PROF` — hashed token sets,
-//! numeric extent, a flags byte), the tree orders of all four
-//! committed forests, and the signature arenas of `IV` and `IE`.
-//! Derived at open: the hashers (from the config's seed), every tree
-//! label (from the arenas), and the signature arenas of `IN` and `IF`
-//! — pure functions of a profile's `qset` and `rset`, which `PROF`
-//! carries anyway, so opening signs them again through the call the
-//! build made (`SetIndex::sign_into`), as a delta's replay does. Each
-//! forest section says which of the two it is (`d3l-lsh`'s `store`
-//! module), and the stored tree orders are checked against the labels
-//! of whatever the arena turned out to be — for `IN`/`IF` an
-//! end-to-end check of `PROF` against the forests: a profile that no
-//! longer yields the signature its trees were sorted by is a typed
-//! error, never a different ranking. Never written (format 5): an
-//! attribute's embedding vector. `IE` is signed *from* it (§III-B) and
-//! nothing reads it afterwards, so the resident profile drops it
-//! (`profile` module) and `PROF` stores, of the 513 bytes it took — a
-//! length byte and 64 `f64`s, zeros for a numeric attribute — one bit
-//! of the flags byte: whether it carried signal. That was 60 % of
-//! `PROF`: 4.55 MB of the 15.46 MB store of the benchmark's 2 000-table
-//! lake (8 872 attributes), 7.09 of 28.52 MB on its 4 000-table one
-//! (13 814), the same share at 1 000.
+//! numeric extent, a flags byte), and of each of the four committed
+//! forests its class table — which attribute carries which distinct
+//! signature (`d3l-lsh`'s `forest` module: a signature is indexed
+//! once, as a class, whatever the number of attributes that carry it)
+//! — and its tree orders over those classes; of `IV` and `IE` also the
+//! signature arena, one signature per class. Derived at open: the
+//! hashers (from the config's seed), every tree label (from the
+//! arenas), and the signature arenas of `IN` and `IF` — pure functions
+//! of a profile's `qset` and `rset`, which `PROF` carries anyway, so
+//! opening signs them again through the call the build made
+//! (`SetIndex::sign_into`), as a delta's replay does: **once per
+//! class**, from its first member's set, every other member being
+//! checked to be of the class — to have that same token set or (two
+//! sets are free to collide on all 256 minima, and the build files
+//! them under the one signature they share) to sign to the same words.
+//! Each forest section says which of the two it is (`d3l-lsh`'s
+//! `store` module), and the stored tree orders are checked against the
+//! labels of whatever the arena turned out to be — for `IN`/`IF` that,
+//! with the membership check, is an end-to-end check of `PROF` against
+//! the forests: a profile that no longer yields the signature it is
+//! filed under is a typed error, never a different ranking. Never
+//! written (since format 5): an attribute's embedding vector. `IE` is
+//! signed *from* it (§III-B) and nothing reads it afterwards, so the
+//! resident profile drops it (`profile` module) and `PROF` stores, of
+//! the 513 bytes it took — a length byte and 64 `f64`s, zeros for a
+//! numeric attribute — one bit of the flags byte: whether it carried
+//! signal.
+//!
+//! What format 6 made of the benchmark's stores (`d3l stats --index`,
+//! payload bytes): the 4 000-table clean lake, 13 814 attributes in
+//! 22 `IN` / 13 `IF` / 3 850 `IV` / 2 085 `IE` classes, 21.44 →
+//! 10.79 MB (`F_IV` 12.47 → 4.33, `F_IN` and `F_IF` 0.99 → 0.17 each,
+//! `F_IE` 1.18 → 0.34; `PROF`, 5.68, is now the largest section); the
+//! 2 000-table dirty lake, 8 872 attributes in 56 / 942 / 5 147 /
+//! 4 465 classes, 10.91 → 9.28 MB.
 //!
 //! Why the line between stored and derived arenas is where it is
 //! (`DERIVED_ARENAS`; measured on the 2 000-table lake, 5 662 of its
 //! attributes textual, one pinned CPU): signing is 256 mixes, 0.3–0.5
-//! µs, per token. The `qset`s hold 40 708 tokens in all (11 at most in
-//! one) and the `rset`s 27 866 (at most 14), so signing all of `IN`
-//! and `IF` again is 17 + 14 ms at open, against 2 × 9 084 928 bytes
-//! that every save and compaction would write and every open read and
-//! checksum. The `tset`s hold 139 417 tokens (up to 83 in one,
-//! unbounded in real lakes) — 44 ms to sign against a few to read
-//! 5.8 MB — and an `IE` signature cannot be signed again at all once
-//! the vector is gone; both stay stored. The line is a constant, not a
-//! setting: nothing a user can pass moves it.
+//! µs, per token, and a class is signed once. The `qset`s hold at most
+//! 11 tokens and the `rset`s at most 14 — bounded by a name's length
+//! and by the alphabet of lexical classes — and `IN` and `IF` have 56
+//! and 942 classes there, so signing both again is well under a
+//! millisecond at open, against 1.0 MB that every save and compaction
+//! would write and every open read and checksum. The `tset`s hold up
+//! to 83 tokens (unbounded in real lakes) in 5 147 classes — tens of
+//! milliseconds to sign against a few to read 5.3 MB of slab — and an
+//! `IE` signature cannot be signed again at all once the vector is
+//! gone; both stay stored. The line is a constant, not a setting:
+//! nothing a user can pass moves it.
 //!
 //! The codec is streamed in both directions: saving writes each
 //! section to the sink as it is produced (profiles one table at a
@@ -482,17 +498,36 @@ impl D3l {
                     return LshForest::read_from(sec, minhash_shape);
                 }
                 let shape = minhasher.sig_shape();
-                LshForest::read_derived_from(sec, minhash_shape, shape, |ids| {
+                LshForest::read_derived_from(sec, minhash_shape, shape, |classes| {
                     // Every id resolves before anything is sized by
                     // their count or signed.
-                    let sources = ids
-                        .iter()
-                        .map(|&id| profile_of(&profiles, id).ok_or_else(|| outside(name, id)))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    let mut arena = vec![0u64; sources.len() * shape.0];
-                    for (profile, slot) in sources.into_iter().zip(arena.chunks_exact_mut(shape.0))
-                    {
-                        index.sign_into(&minhasher, profile, slot);
+                    let source = |id| profile_of(&profiles, id).ok_or_else(|| outside(name, id));
+                    let mut ids = classes.iter().flatten();
+                    ids.try_for_each(|&id| source(id).map(drop))?;
+                    let mut arena = vec![0u64; classes.len() * shape.0];
+                    let mut other = vec![0u64; shape.0];
+                    for (ids, slot) in classes.iter().zip(arena.chunks_exact_mut(shape.0)) {
+                        // One signing per class: its first member's.
+                        // Every other member must be of the class —
+                        // have that member's token set or, two sets
+                        // being free to collide, sign to the same words.
+                        let first = source(ids[0])?;
+                        index.sign_into(&minhasher, first, slot);
+                        for &id in &ids[1..] {
+                            let profile = source(id)?;
+                            if index.tokens(profile) == index.tokens(first) {
+                                continue;
+                            }
+                            index.sign_into(&minhasher, profile, &mut other);
+                            if other != slot {
+                                return Err(StoreError::corrupt(format!(
+                                    "forest {name} files attribute {:?} with {:?}, whose \
+                                     signature its profile does not sign to",
+                                    AttrRef::from_key(id),
+                                    AttrRef::from_key(ids[0]),
+                                )));
+                            }
+                        }
                     }
                     Ok(arena)
                 })
@@ -1210,10 +1245,10 @@ mod tests {
     fn assert_engines_identical(a: &D3l, b: &D3l) {
         assert_eq!(a.table_count(), b.table_count());
         assert_eq!(a.byte_size(), b.byte_size(), "memory footprints differ");
-        assert_eq!(a.i_n.tree_arrays(), b.i_n.tree_arrays());
-        assert_eq!(a.i_v.tree_arrays(), b.i_v.tree_arrays());
-        assert_eq!(a.i_f.tree_arrays(), b.i_f.tree_arrays());
-        assert_eq!(a.i_e.tree_arrays(), b.i_e.tree_arrays());
+        assert!(a.i_n == b.i_n, "IN forests differ");
+        assert!(a.i_v == b.i_v, "IV forests differ");
+        assert!(a.i_f == b.i_f, "IF forests differ");
+        assert!(a.i_e == b.i_e, "IE forests differ");
         for t in 0..a.table_count() {
             let id = TableId(t as u32);
             assert_eq!(a.table_name(id), b.table_name(id));
@@ -1288,9 +1323,9 @@ mod tests {
         }
     }
 
-    /// A store written by format version 1, 2, 3 or 4 is named as such
-    /// — by `open` as by the byte-slice decoder — and nothing of it is
-    /// decoded.
+    /// A store written by format version 1, 2, 3, 4 or 5 is named as
+    /// such — by `open` as by the byte-slice decoder — and nothing of it
+    /// is decoded.
     #[test]
     fn older_stores_are_a_typed_unsupported_version() {
         // Version 1 opened with: magic, version, kind, section count,
@@ -1312,18 +1347,23 @@ mod tests {
         // their embedding vectors.
         let mut v4 = engine().to_snapshot_bytes();
         v4[8..12].copy_from_slice(&4u32.to_le_bytes());
+        // Version 5 had them around forests that gave every attribute
+        // its own slab slot and tree entries.
+        let mut v5 = engine().to_snapshot_bytes();
+        v5[8..12].copy_from_slice(&5u32.to_le_bytes());
         let dir = std::env::temp_dir().join(format!("d3l_store_old_{}", std::process::id()));
         let old = [
             (1u32, v1.as_bytes()),
             (2, &v2[..]),
             (3, &v3[..]),
             (4, &v4[..]),
+            (5, &v5[..]),
         ];
         for (version, bytes) in old {
             let is_old = |err: &StoreError| {
                 matches!(
                     err,
-                    StoreError::UnsupportedVersion { found, supported: 5 } if *found == version
+                    StoreError::UnsupportedVersion { found, supported: 6 } if *found == version
                 )
             };
             let err = D3l::from_snapshot_bytes(bytes).unwrap_err();
@@ -1358,8 +1398,8 @@ mod tests {
                 for built in ShardedD3l::index_lake(&lake, cfg).shards() {
                     let bytes = built.to_snapshot_bytes();
                     let stored = oracle::to_bytes(built);
-                    let slabs =
-                        (built.i_n.len() + built.i_f.len()) * built.minhasher.sig_shape().0 * 8;
+                    let classes = built.i_n.class_count() + built.i_f.class_count();
+                    let slabs = classes * built.minhasher.sig_shape().0 * 8;
                     assert!(slabs > 0, "{ctx}");
                     assert_eq!(bytes.len(), stored.len() - slabs, "{ctx}");
 
@@ -1387,12 +1427,15 @@ mod tests {
     }
 
     /// The same-run gate (CI runs it in release): on the pinned dirty
-    /// lake the snapshot is at most half the four-slab oracle's bytes
-    /// — exactly its bytes less the `IN` and `IF` slabs — and opening
-    /// it takes at most twice as long as opening the oracle's
-    /// (measured: 0.35× and 1.1×; the save it pays for is not timed here)
-    /// — and less time than indexing the lake again, without which a
-    /// store would be pointless.
+    /// lake the snapshot is at most nine tenths of the four-slab
+    /// oracle's bytes — exactly its bytes less one signature per `IN`
+    /// and `IF` class — and opening it takes at most twice as long as
+    /// opening the oracle's (measured: 0.83× and 1.07×; the save it
+    /// pays for is not timed here) — and less time than indexing the
+    /// lake again, without which a store would be pointless. Both
+    /// snapshots store one signature per class, so what deriving saves
+    /// is the `IN`/`IF` classes of a dirty lake: a tenth is the line
+    /// under which the derived path is still worth its code.
     #[test]
     #[ignore = "timing: cargo test --release -p d3l-core derived_store_beats_oracle -- --ignored"]
     fn derived_store_beats_oracle() {
@@ -1404,10 +1447,11 @@ mod tests {
         let (bytes, stored) = (d3l.to_snapshot_bytes(), oracle::to_bytes(&d3l));
         let attributes = d3l.i_n.len();
         assert_eq!(d3l.i_f.len(), attributes);
-        assert_eq!(stored.len() - bytes.len(), 2 * attributes * 1024);
+        let classes = d3l.i_n.class_count() + d3l.i_f.class_count();
+        assert_eq!(stored.len() - bytes.len(), classes * 1024);
         assert!(
-            bytes.len() * 2 <= stored.len(),
-            "snapshot {} B is over half the oracle's {} B",
+            bytes.len() * 10 <= stored.len() * 9,
+            "snapshot {} B is over nine tenths of the oracle's {} B",
             bytes.len(),
             stored.len()
         );
@@ -1498,7 +1542,7 @@ mod tests {
             // The last id of the (ascending) id table: table 2 → 9.
             let bad = with_section(&bytes, tag, |mut payload| {
                 let n = u64::from_le_bytes(payload[10..18].try_into().unwrap()) as usize;
-                let last = 30 + (n - 1) * 8;
+                let last = 38 + (n - 1) * 8;
                 let id = u64::from_le_bytes(payload[last..last + 8].try_into().unwrap());
                 assert_eq!(AttrRef::from_key(id).table, TableId(2));
                 let moved = AttrRef {
@@ -1514,6 +1558,119 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    /// [`engine`] plus a table that repeats two of its attribute names
+    /// over other values: `IN` holds ten attributes in eight classes,
+    /// "Practice" and "City" of two members each, and a forest
+    /// section's class table reads `0 1 2 3 4 5 6 7 0 1`.
+    fn pooled_engine() -> D3l {
+        let mut d3l = engine();
+        let rows = [vec!["Radclife Care".to_string(), "Bolton".to_string()]];
+        d3l.add_table(&Table::from_rows("gp_cities", &["Practice", "City"], &rows).unwrap());
+        let [i_n, i_v, ..] = d3l.class_stats();
+        assert_eq!((i_n.attributes, i_n.classes, i_n.largest_class), (10, 8, 2));
+        assert_eq!((i_v.attributes, i_v.classes), (7, 7));
+        d3l
+    }
+
+    /// Byte offset of a forest section's class table, past the header
+    /// and the `n` ids.
+    fn class_table_at(n: usize) -> usize {
+        38 + n * 8
+    }
+
+    fn assert_corrupt(bytes: &[u8], what: &str) {
+        let err = D3l::from_snapshot_bytes(bytes).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corrupt(m) if m.contains(what)),
+            "{err}"
+        );
+    }
+
+    /// `IN` is signed once per class, from its first member's `qset`;
+    /// every other member is checked against it. A member whose `qset`
+    /// no longer is — nor signs to — what its class was filed under is
+    /// a typed error, as a first member's is by the tree check.
+    #[test]
+    fn member_with_another_qset_than_its_class_is_corrupt() {
+        let d3l = pooled_engine();
+        let bytes = d3l.to_snapshot_bytes();
+        let with_qset_altered = |table: usize| {
+            with_section(&bytes, SEC_PROFILES, |_| {
+                let mut enc = Encoder::new();
+                for (t, profiles) in d3l.profiles.iter().enumerate() {
+                    let mut profiles = profiles.clone();
+                    if t == table {
+                        let hashes = profiles[0].qset.as_slice().iter().map(|h| h ^ 1).collect();
+                        profiles[0].qset = TokenSet::from_hashes(hashes);
+                    }
+                    enc.put_bytes(&encode_profiles(&profiles));
+                }
+                enc.into_bytes()
+            })
+        };
+        // "Practice" of table 3 is the second member of table 0's class.
+        assert_corrupt(
+            &with_qset_altered(3),
+            "forest IN files attribute AttrRef { table: TableId(3), column: 0 } with \
+             AttrRef { table: TableId(0), column: 0 }",
+        );
+        // Altering the first member's instead moves the class's
+        // signature away from the same second member.
+        assert_corrupt(&with_qset_altered(0), "forest IN files attribute");
+    }
+
+    #[test]
+    fn class_number_outside_the_class_count_is_corrupt() {
+        let bytes = pooled_engine().to_snapshot_bytes();
+        for tag in [SEC_FOREST_N, SEC_FOREST_F] {
+            let bad = with_section(&bytes, tag, |mut payload| {
+                let c = u64::from_le_bytes(payload[18..26].try_into().unwrap()) as u32;
+                let last = class_table_at(10) + 9 * 4;
+                payload[last..last + 4].copy_from_slice(&c.to_le_bytes());
+                payload
+            });
+            assert_corrupt(&bad, "names class");
+        }
+    }
+
+    #[test]
+    fn class_without_a_member_is_corrupt() {
+        let bytes = pooled_engine().to_snapshot_bytes();
+        // "Moons", the one member of class 7, is filed under class 0.
+        let bad = with_section(&bytes, SEC_FOREST_N, |mut payload| {
+            let at = class_table_at(10) + 7 * 4;
+            assert_eq!(payload[at..at + 4], 7u32.to_le_bytes());
+            payload[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+            payload
+        });
+        assert_corrupt(&bad, "class 7 of 8 has no member");
+    }
+
+    #[test]
+    fn classes_out_of_first_appearance_order_are_corrupt() {
+        let bytes = pooled_engine().to_snapshot_bytes();
+        // Classes 4 and 5 trade numbers: 5 is met before 4.
+        let bad = with_section(&bytes, SEC_FOREST_N, |mut payload| {
+            let at = class_table_at(10) + 4 * 4;
+            payload[at..at + 4].copy_from_slice(&5u32.to_le_bytes());
+            payload[at + 4..at + 8].copy_from_slice(&4u32.to_le_bytes());
+            payload
+        });
+        assert_corrupt(&bad, "not ranked by first appearance");
+    }
+
+    #[test]
+    fn two_value_classes_with_one_signature_are_corrupt() {
+        let d3l = pooled_engine();
+        let (bytes, sig) = (d3l.to_snapshot_bytes(), d3l.minhasher.sig_shape().0 * 8);
+        let bad = with_section(&bytes, SEC_FOREST_V, |mut payload| {
+            let slab = class_table_at(7) + 7 * 4;
+            payload.copy_within(slab + sig..slab + 2 * sig, slab + 4 * sig);
+            payload
+        });
+        assert_corrupt(&bad, "classes 1 and 4 hold one signature");
     }
 
     fn section_of(bytes: &[u8], tag: SectionTag) -> Vec<u8> {

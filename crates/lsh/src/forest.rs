@@ -1,33 +1,59 @@
-//! LSH Forest (Bawa, Condie, Ganesan — WWW 2005).
+//! LSH Forest (Bawa, Condie, Ganesan — WWW 2005) over **classes**.
 //!
 //! The self-tuning LSH variant the paper uses for all three systems
 //! (§V, footnote 5: "LSH Forest configured with a threshold of 0.7 and
-//! a MinHash size of 256"). Each of `l` trees indexes items by a
+//! a MinHash size of 256"). Each of `l` trees indexes signatures by a
 //! fixed-depth label derived from `k` signature positions; querying
 //! descends from the deepest shared prefix, so the answer size — not
 //! the repository size — dominates search cost.
 //!
-//! This implementation follows the sorted-array formulation (as in
-//! `datasketch`), with each tree stored as a [`FlatTree`]: a
-//! contiguous label arena (`Vec<u8>` with a fixed `k`-byte stride)
-//! plus a parallel `Vec<ItemId>`. Compared to the per-entry
-//! `Box<[u8]>` representation it replaces, the binary searches and
-//! prefix-range scans walk one cache-resident byte array instead of
-//! chasing a heap pointer per entry, and candidate ids come out of a
-//! contiguous `&[ItemId]` slice.
+//! **Classes and postings.** A lake's attributes repeat their names,
+//! formats and — in a clean lake — their values, so most attributes
+//! carry a signature some other attribute already carries. The forest
+//! therefore indexes each *distinct signature* once: an arena slot is
+//! a **class** (one signature's words), every tree holds one
+//! `(label, slot)` entry per class, and a class keeps the id-sorted
+//! **posting list** of the items that carry its signature. An id → slot
+//! map answers point lookups; a content map (hash of the words → slot,
+//! equality by comparing the words, never by the hash alone) finds the
+//! class a new signature belongs to. A forest whose signatures are all
+//! distinct is the per-item forest plus one posting per item; there is
+//! no threshold and no second code path. A class is born with its
+//! first member and dies with its last: its `l` entries leave the
+//! trees and the last slot fills the hole.
+//!
+//! **Canonical order.** Each tree is a `FlatTree` — a contiguous
+//! label arena (`Vec<u8>`, fixed `k`-byte stride) beside a `Vec<u32>`
+//! of slots — and a committed tree is sorted by `(label, signature
+//! words)`: a total order over classes (no two hold the same words)
+//! that does not mention slot numbers, members, or the order anything
+//! was inserted or removed in. So the committed forest, and every byte
+//! the store writes of it, is a function of *which item carries which
+//! signature* alone — the same for every insertion order, worker count
+//! and thread count. Forest equality (`PartialEq`) compares exactly
+//! that content.
+//!
+//! **Why the query's stop counts members.** A label is a function of
+//! the signature, so an item is in a tree's prefix run iff its class
+//! is: gathering classes and counting their posting lengths sees the
+//! candidate count the per-item descent saw, stops at the same depth,
+//! and falls back to the same smallest ids. One similarity is computed
+//! per class, and the `(similarity desc, id asc)` top-`k` is cut from
+//! the expanded postings of the classes at or above the similarity at
+//! which `k` members are reached — the per-item answer exactly.
 //!
 //! Construction is a two-phase builder: [`LshForest::insert_with`]
-//! reserves an arena slot, lets the hasher sign straight into it and
-//! appends the labels read back from the slot to the per-tree arenas
-//! ([`LshForest::insert`] is the same for an already-built
-//! signature); an explicit [`LshForest::commit`] (or
+//! lets the hasher sign straight into a scratch slot at the arena
+//! tail, which is kept if the signature is new and dropped if a class
+//! already holds it ([`LshForest::insert`] is the same for an
+//! already-built signature); an explicit [`LshForest::commit`] (or
 //! [`LshForest::commit_parallel`]) sorts the trees. All query methods
 //! take `&self` and require a committed forest, so a built forest can
 //! be shared lock-free across query workers. A bulk build fills one
-//! forest per worker and joins them with [`LshForest::append`];
-//! because each sorted tree array is a total order over
-//! `(label, item)` pairs, the committed forest is byte-identical for
-//! every insertion order, worker count and thread count.
+//! forest per worker and joins them with [`LshForest::append`], which
+//! merges classes by content.
+
+use std::collections::hash_map::Entry;
 
 use crate::hash::{IdHashMap, IdHashSet};
 use crate::signature::Signature;
@@ -36,117 +62,95 @@ use crate::{top_k, Hit, ItemId};
 /// Longest label [`FlatTree::sort`] reads as one integer key.
 const KEY_BYTES: usize = 16;
 
-/// One tree's sorted `(label, item)` entries in cache-flat form:
-/// entry `i`'s label occupies `labels[i*k .. (i+1)*k]` and its item id
-/// is `ids[i]`. Sorted order is lexicographic on `(label, id)`,
-/// exactly the order the historical `Vec<(Box<[u8]>, ItemId)>`
-/// representation sorted into.
+/// The class arena as a tree sees it: slot `s` holds the words
+/// `words[s*stride .. (s+1)*stride]`. Trees order equal labels by
+/// these words, so every comparison a tree makes goes through one.
+#[derive(Clone, Copy)]
+pub(crate) struct Arena<'a> {
+    words: &'a [u64],
+    stride: usize,
+}
+
+impl<'a> Arena<'a> {
+    pub(crate) fn new(words: &'a [u64], stride: usize) -> Self {
+        Arena { words, stride }
+    }
+
+    #[inline]
+    pub(crate) fn slot(self, s: u32) -> &'a [u64] {
+        let at = s as usize * self.stride;
+        &self.words[at..at + self.stride]
+    }
+}
+
+/// One tree's `(label, slot)` entries in cache-flat form: entry `i`'s
+/// label occupies `labels[i*k .. (i+1)*k]` and names the class in
+/// arena slot `slots[i]`. Sorted order is lexicographic on `(label,
+/// the class's signature words)`.
 #[derive(Debug, Clone, Default)]
-pub struct FlatTree {
+pub(crate) struct FlatTree {
     /// Label stride in bytes (the tree depth).
     k: usize,
     /// Concatenated fixed-stride labels.
     labels: Vec<u8>,
-    /// Item ids, parallel to the label arena.
-    ids: Vec<ItemId>,
-    /// Entries `[0, sorted_len)` are known to be in `(label, id)`
-    /// order: what [`FlatTree::sort`] left, less what was removed
-    /// since. Pushes land behind it, so a sort after a few of them
-    /// sorts those few and merges. A lower bound, not content — two
-    /// trees holding the same entries are equal whatever is known
-    /// about their order.
+    /// Class slots, parallel to the label arena.
+    slots: Vec<u32>,
+    /// Entries `[0, sorted_len)` are known to be in order: what
+    /// [`FlatTree::sort`] left, less what was removed since. Pushes
+    /// land behind it, so a sort after a few of them sorts those few
+    /// and merges.
     sorted_len: usize,
 }
 
-impl PartialEq for FlatTree {
-    fn eq(&self, other: &Self) -> bool {
-        (self.k, &self.labels, &self.ids) == (other.k, &other.labels, &other.ids)
-    }
-}
-
-impl Eq for FlatTree {}
-
 impl FlatTree {
     /// An empty tree with label stride `k`.
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         FlatTree {
             k,
-            labels: Vec::new(),
-            ids: Vec::new(),
-            sorted_len: 0,
+            ..FlatTree::default()
         }
     }
 
-    /// A tree over already-laid-out arenas (the snapshot decoder's
+    /// A tree over already-laid-out arrays (the snapshot decoder's
     /// constructor), its sorted prefix found by one scan. Panics
-    /// unless there is one `k`-byte label per id.
-    pub fn from_parts(k: usize, labels: Vec<u8>, ids: Vec<ItemId>) -> Self {
-        assert_eq!(labels.len(), ids.len() * k, "one k-byte label per id");
+    /// unless there is one `k`-byte label per slot.
+    pub(crate) fn from_parts(k: usize, labels: Vec<u8>, slots: Vec<u32>, arena: Arena<'_>) -> Self {
+        assert_eq!(labels.len(), slots.len() * k, "one k-byte label per slot");
         let mut tree = FlatTree {
             k,
             labels,
-            ids,
+            slots,
             sorted_len: 0,
         };
-        let in_order = (1..tree.len()).take_while(|&i| tree.in_order(i)).count();
+        let in_order = (1..tree.len())
+            .take_while(|&i| tree.in_order(i, arena))
+            .count();
         tree.sorted_len = (in_order + 1).min(tree.len());
         tree
     }
 
     /// Number of entries.
     #[inline]
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// True when no entry has been pushed.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Label stride in bytes.
-    #[inline]
-    pub fn stride(&self) -> usize {
-        self.k
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
     }
 
     /// Entry `i`'s label.
     #[inline]
-    pub fn label_at(&self, i: usize) -> &[u8] {
+    pub(crate) fn label_at(&self, i: usize) -> &[u8] {
         &self.labels[i * self.k..(i + 1) * self.k]
     }
 
-    /// Entry `i`'s item id.
-    #[inline]
-    pub fn id_at(&self, i: usize) -> ItemId {
-        self.ids[i]
-    }
-
-    /// All item ids in entry order — prefix ranges slice this
+    /// All class slots in entry order — prefix ranges slice this
     /// directly.
     #[inline]
-    pub fn ids(&self) -> &[ItemId] {
-        &self.ids
-    }
-
-    /// Pre-allocate space for `n` entries.
-    pub fn reserve(&mut self, n: usize) {
-        self.labels.reserve(n * self.k);
-        self.ids.reserve(n);
-    }
-
-    /// Append an entry. Panics unless the label is exactly `k` bytes.
-    pub fn push(&mut self, label: &[u8], id: ItemId) {
-        assert_eq!(label.len(), self.k, "label width is the tree depth");
-        self.labels.extend_from_slice(label);
-        self.ids.push(id);
+    pub(crate) fn slots(&self) -> &[u32] {
+        &self.slots
     }
 
     /// Append an entry whose label bytes `fill` writes straight into
-    /// the arena (it must append exactly `k` bytes) — the insert path
-    /// uses this to avoid materializing labels in a side buffer.
-    pub fn push_with(&mut self, id: ItemId, fill: impl FnOnce(&mut Vec<u8>)) {
+    /// the arena (it must append exactly `k` bytes).
+    fn push_with(&mut self, slot: u32, fill: impl FnOnce(&mut Vec<u8>)) {
         let before = self.labels.len();
         fill(&mut self.labels);
         debug_assert_eq!(
@@ -154,56 +158,57 @@ impl FlatTree {
             before + self.k,
             "label fill must write exactly the stride"
         );
-        self.ids.push(id);
+        self.slots.push(slot);
     }
 
-    /// Sort entries by `(label, id)`. Entries are unique per tree (one
-    /// per item), so this is a total order and the result is
-    /// independent of the starting arrangement.
+    /// Sort entries by `(label, signature words)`. A tree holds one
+    /// entry per class and no two classes share their words, so this
+    /// is a total order and the result is independent of the starting
+    /// arrangement and of slot numbering.
     ///
     /// Only the entries pushed since the last sort are sorted; they
     /// are then merged into the sorted prefix from the back, each one
     /// found by binary search and the prefix entries above it moved up
     /// as one block — a commit after one table's inserts costs a few
     /// searches and block moves, not a sort of the tree.
-    pub fn sort(&mut self) {
+    fn sort(&mut self, arena: Arena<'_>) {
         let (n, k, prefix) = (self.len(), self.k, self.sorted_len);
         if prefix == n {
             return;
         }
-        let (tail_labels, tail_ids) = if k <= KEY_BYTES {
-            self.sorted_tail_by_key()
+        let (tail_labels, tail_slots) = if k <= KEY_BYTES {
+            self.sorted_tail_by_key(arena)
         } else {
-            self.sorted_tail_by_slice()
+            self.sorted_tail_by_slice(arena)
         };
         self.sorted_len = n;
         if prefix == 0 {
             self.labels = tail_labels;
-            self.ids = tail_ids;
+            self.slots = tail_slots;
             return;
         }
         // Prefix entries `[0, end)` are still where they were; tail
         // entry `j` ends up `j + 1` places above the last prefix entry
         // below it.
         let mut end = prefix;
-        for (j, &id) in tail_ids.iter().enumerate().rev() {
+        for (j, &slot) in tail_slots.iter().enumerate().rev() {
             let label = &tail_labels[j * k..(j + 1) * k];
-            let lo = self.lower_bound(end, label, id);
-            self.ids.copy_within(lo..end, lo + j + 1);
+            let lo = self.lower_bound(end, label, arena.slot(slot), arena);
+            self.slots.copy_within(lo..end, lo + j + 1);
             self.labels.copy_within(lo * k..end * k, (lo + j + 1) * k);
-            self.ids[lo + j] = id;
+            self.slots[lo + j] = slot;
             self.labels[(lo + j) * k..(lo + j + 1) * k].copy_from_slice(label);
             end = lo;
         }
     }
 
     /// First of the entries `[0, end)` — which must be in order — that
-    /// does not sort below `(label, id)`.
-    fn lower_bound(&self, end: usize, label: &[u8], id: ItemId) -> usize {
+    /// does not sort below `(label, words)`.
+    fn lower_bound(&self, end: usize, label: &[u8], words: &[u64], arena: Arena<'_>) -> usize {
         let (mut lo, mut hi) = (0usize, end);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if (self.label_at(mid), self.ids[mid]) < (label, id) {
+            if (self.label_at(mid), arena.slot(self.slots[mid])) < (label, words) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -214,88 +219,96 @@ impl FlatTree {
 
     /// The entries behind the sorted prefix, sorted: labels of up to
     /// [`KEY_BYTES`] bytes are read as one big-endian integer, whose
-    /// order is the byte order, so `(label, id)` pairs sort as plain
-    /// keys with no indirection.
-    fn sorted_tail_by_key(&self) -> (Vec<u8>, Vec<ItemId>) {
+    /// order is the byte order, so labels compare as plain keys and
+    /// the arena is read only where two labels tie.
+    fn sorted_tail_by_key(&self, arena: Arena<'_>) -> (Vec<u8>, Vec<u32>) {
         let k = self.k;
-        let mut keys: Vec<(u128, ItemId)> = (self.sorted_len..self.len())
+        let mut keys: Vec<(u128, u32)> = (self.sorted_len..self.len())
             .map(|i| {
                 let mut be = [0u8; KEY_BYTES];
                 be[..k].copy_from_slice(self.label_at(i));
-                (u128::from_be_bytes(be), self.ids[i])
+                (u128::from_be_bytes(be), self.slots[i])
             })
             .collect();
-        keys.sort_unstable();
+        keys.sort_unstable_by(|a, b| {
+            (a.0.cmp(&b.0)).then_with(|| arena.slot(a.1).cmp(arena.slot(b.1)))
+        });
         let mut labels = Vec::with_capacity(keys.len() * k);
-        let mut ids = Vec::with_capacity(keys.len());
-        for (key, id) in keys {
+        let mut slots = Vec::with_capacity(keys.len());
+        for (key, slot) in keys {
             labels.extend_from_slice(&key.to_be_bytes()[..k]);
-            ids.push(id);
+            slots.push(slot);
         }
-        (labels, ids)
+        (labels, slots)
     }
 
     /// [`FlatTree::sorted_tail_by_key`] for labels too long for a key:
     /// indices are sorted comparing arena slices, then both arrays are
     /// gathered through the permutation.
-    fn sorted_tail_by_slice(&self) -> (Vec<u8>, Vec<ItemId>) {
-        assert!(
-            self.len() <= u32::MAX as usize,
-            "tree too large for u32 permutation"
-        );
-        let mut perm: Vec<u32> = (self.sorted_len as u32..self.len() as u32).collect();
-        perm.sort_unstable_by(|&a, &b| {
-            let (a, b) = (a as usize, b as usize);
-            (self.label_at(a), self.ids[a]).cmp(&(self.label_at(b), self.ids[b]))
-        });
+    fn sorted_tail_by_slice(&self, arena: Arena<'_>) -> (Vec<u8>, Vec<u32>) {
+        let mut perm: Vec<usize> = (self.sorted_len..self.len()).collect();
+        let key = |i: usize| (self.label_at(i), arena.slot(self.slots[i]));
+        perm.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)));
         let mut labels = Vec::with_capacity(perm.len() * self.k);
-        let mut ids = Vec::with_capacity(perm.len());
+        let mut slots = Vec::with_capacity(perm.len());
         for &p in &perm {
-            labels.extend_from_slice(self.label_at(p as usize));
-            ids.push(self.ids[p as usize]);
+            labels.extend_from_slice(self.label_at(p));
+            slots.push(self.slots[p]);
         }
-        (labels, ids)
+        (labels, slots)
     }
 
     /// Whether entry `i` sorts at or after the entry before it.
-    fn in_order(&self, i: usize) -> bool {
-        (self.label_at(i - 1), self.ids[i - 1]) <= (self.label_at(i), self.ids[i])
+    fn in_order(&self, i: usize, arena: Arena<'_>) -> bool {
+        (self.label_at(i - 1), arena.slot(self.slots[i - 1]))
+            <= (self.label_at(i), arena.slot(self.slots[i]))
     }
 
-    /// Whether entries are in `(label, id)` sorted order.
-    pub fn is_sorted(&self) -> bool {
-        (self.sorted_len.max(1)..self.len()).all(|i| self.in_order(i))
+    /// Whether entries are in `(label, signature words)` order.
+    pub(crate) fn is_sorted(&self, arena: Arena<'_>) -> bool {
+        (self.sorted_len.max(1)..self.len()).all(|i| self.in_order(i, arena))
     }
 
-    /// Drop the entry `(label, id)` — a tree holds at most one per
-    /// item — moving the entries above it down one place, so a sorted
-    /// tree stays sorted. Inside the sorted prefix the entry is found
-    /// by binary search; only entries pushed since the last sort are
-    /// scanned. Returns whether the entry was there.
-    pub fn remove_entry(&mut self, label: &[u8], id: ItemId) -> bool {
-        debug_assert_eq!(label.len(), self.k, "label width is the tree depth");
-        let (n, k, prefix) = (self.len(), self.k, self.sorted_len);
-        let lo = self.lower_bound(prefix, label, id);
-        let at = if lo < prefix && self.ids[lo] == id && self.label_at(lo) == label {
-            self.sorted_len -= 1;
-            lo
-        } else {
-            match (prefix..n).find(|&i| self.ids[i] == id && self.label_at(i) == label) {
-                Some(i) => i,
-                None => return false,
-            }
+    /// Where the entry of class `slot` — whose label is `label` — is:
+    /// inside the sorted prefix it is found by binary search; only
+    /// entries pushed since the last sort are scanned.
+    fn position_of(&self, label: &[u8], slot: u32, arena: Arena<'_>) -> Option<usize> {
+        let prefix = self.sorted_len;
+        let lo = self.lower_bound(prefix, label, arena.slot(slot), arena);
+        if lo < prefix && self.slots[lo] == slot {
+            return Some(lo);
+        }
+        (prefix..self.len()).find(|&i| self.slots[i] == slot)
+    }
+
+    /// Drop the entry of class `slot`, moving the entries above it
+    /// down one place, so a sorted tree stays sorted. Returns whether
+    /// the entry was there.
+    fn remove_entry(&mut self, label: &[u8], slot: u32, arena: Arena<'_>) -> bool {
+        let Some(at) = self.position_of(label, slot, arena) else {
+            return false;
         };
-        self.ids.copy_within(at + 1..n, at);
+        let (n, k) = (self.len(), self.k);
+        self.sorted_len -= usize::from(at < self.sorted_len);
+        self.slots.copy_within(at + 1..n, at);
         self.labels.copy_within((at + 1) * k..n * k, at * k);
-        self.ids.truncate(n - 1);
+        self.slots.truncate(n - 1);
         self.labels.truncate((n - 1) * k);
         true
+    }
+
+    /// The class in slot `from` is about to move to slot `to`: name
+    /// it by its new slot. Order is by label and words, so the entry
+    /// stays where it is.
+    fn renumber(&mut self, label: &[u8], from: u32, to: u32, arena: Arena<'_>) {
+        let at = self.position_of(label, from, arena);
+        self.slots[at.expect("a tree holds one entry per class")] = to;
     }
 
     /// Index range `[lo, hi)` of entries whose label starts with
     /// `prefix` (requires sorted entries; prefix length must not
     /// exceed the stride).
-    pub fn prefix_range(&self, prefix: &[u8]) -> (usize, usize) {
+    fn prefix_range(&self, prefix: &[u8]) -> (usize, usize) {
         debug_assert!(prefix.len() <= self.k, "prefix deeper than the tree");
         let d = prefix.len();
         let lo = self.partition_point(|lbl| &lbl[..d] < prefix);
@@ -321,61 +334,137 @@ impl FlatTree {
 
     /// Widen `[lo, hi)` to the maximal run of entries whose labels
     /// start with `prefix`, calling `on_new` once per newly covered
-    /// id. The incoming range must lie inside the target run (which
-    /// holds both for the run at any deeper prefix of `prefix` and
-    /// for an empty insertion-point range at one): sorted order makes
-    /// every same-prefix run contiguous, so two outward linear scans
-    /// reach its edges. This is what makes the query descent
+    /// class slot. The incoming range must lie inside the target run
+    /// (which holds both for the run at any deeper prefix of `prefix`
+    /// and for an empty insertion-point range at one): sorted order
+    /// makes every same-prefix run contiguous, so two outward linear
+    /// scans reach its edges. This is what makes the query descent
     /// `O(log n + candidates)` per tree instead of one binary search
     /// per depth level.
-    pub fn widen_prefix_run(
+    fn widen_prefix_run(
         &self,
         prefix: &[u8],
         lo: &mut usize,
         hi: &mut usize,
-        mut on_new: impl FnMut(ItemId),
+        mut on_new: impl FnMut(u32),
     ) {
         let d = prefix.len();
         debug_assert!(d <= self.k, "prefix deeper than the tree");
         while *lo > 0 && &self.label_at(*lo - 1)[..d] == prefix {
             *lo -= 1;
-            on_new(self.ids[*lo]);
+            on_new(self.slots[*lo]);
         }
         while *hi < self.len() && &self.label_at(*hi)[..d] == prefix {
-            on_new(self.ids[*hi]);
+            on_new(self.slots[*hi]);
             *hi += 1;
         }
     }
 
-    /// Iterate `(label, id)` entries in order.
-    pub fn entries(&self) -> impl Iterator<Item = (&[u8], ItemId)> + '_ {
-        (0..self.len()).map(|i| (self.label_at(i), self.ids[i]))
+    /// Exact footprint in bytes (labels plus slots).
+    #[inline]
+    fn byte_size(&self) -> usize {
+        self.labels.len() + self.slots.len() * std::mem::size_of::<u32>()
+    }
+}
+
+/// Hash of a signature's words, the content map's key: a
+/// rotate-xor-multiply fold — one multiply per word, where a full
+/// mixer per word was half the cost of an insert — which the map's own
+/// hasher then avalanches.
+fn content_hash(words: &[u64]) -> u64 {
+    words.iter().fold(0, |h: u64, &w| {
+        (h.rotate_left(5) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    })
+}
+
+/// Content hash → class slot. A hash names at most one slot in
+/// `by_hash`; a class whose hash another class of different content
+/// already holds there — a 64-bit collision, so in practice never —
+/// waits in `collided`, which lookups scan. Callers decide equality by
+/// comparing words; the map only proposes slots.
+#[derive(Debug, Clone, Default)]
+struct ContentMap {
+    by_hash: IdHashMap<u64, u32>,
+    collided: Vec<(u64, u32)>,
+}
+
+impl ContentMap {
+    /// The class under `hash` that `is` accepts.
+    fn find(&self, hash: u64, is: impl Fn(u32) -> bool) -> Option<u32> {
+        let first = self.by_hash.get(&hash).copied().filter(|&s| is(s));
+        first.or_else(|| {
+            let others = self.collided.iter().filter(|e| e.0 == hash);
+            others.map(|e| e.1).find(|&s| is(s))
+        })
     }
 
-    /// Exact arena footprint in bytes (labels plus ids).
-    #[inline]
-    pub fn byte_size(&self) -> usize {
-        self.labels.len() + self.ids.len() * std::mem::size_of::<ItemId>()
+    fn insert(&mut self, hash: u64, slot: u32) {
+        match self.by_hash.entry(hash) {
+            Entry::Vacant(free) => {
+                free.insert(slot);
+            }
+            Entry::Occupied(_) => self.collided.push((hash, slot)),
+        }
+    }
+
+    fn remove(&mut self, hash: u64, slot: u32) {
+        if self.by_hash.get(&hash) == Some(&slot) {
+            match self.collided.iter().position(|e| e.0 == hash) {
+                Some(at) => self.by_hash.insert(hash, self.collided.swap_remove(at).1),
+                None => self.by_hash.remove(&hash),
+            };
+        } else {
+            let at = self.collided.iter().position(|&e| e == (hash, slot));
+            self.collided
+                .swap_remove(at.expect("every class is mapped"));
+        }
+    }
+
+    fn renumber(&mut self, hash: u64, from: u32, to: u32) {
+        match self.by_hash.get_mut(&hash) {
+            Some(slot) if *slot == from => *slot = to,
+            _ => {
+                let entry = self.collided.iter_mut().find(|e| **e == (hash, from));
+                entry.expect("every class is mapped").1 = to;
+            }
+        }
+    }
+
+    /// The table and the collision list, by [`table_bytes`].
+    fn byte_size(&self) -> usize {
+        let entry = std::mem::size_of::<(u64, u32)>();
+        table_bytes(self.by_hash.len(), entry) + self.collided.len() * entry
+    }
+}
+
+/// Bytes of the smallest table a std `HashMap` holds `entries` in:
+/// buckets are a power of two filled to at most 7/8, each an entry
+/// plus one control byte — the table a map that grew by inserts, or
+/// was reserved for `entries`, has. A function of the content, like
+/// every other footprint figure; a map that has since lost entries
+/// keeps the table it grew to.
+fn table_bytes(entries: usize, entry_size: usize) -> usize {
+    match entries {
+        0 => 0,
+        n => (n * 8).div_ceil(7).next_power_of_two().max(4) * (entry_size + 1),
     }
 }
 
 /// An LSH Forest over signatures of type `S`.
 ///
-/// Stored signatures live in a **flat arena**: one contiguous
-/// `Vec<u64>` of fixed-stride slots plus a parallel slot → id array,
-/// with an id → slot map only for point lookups. Candidate scoring
-/// maps candidate ids to slots, sorts the slots, and scans the arena
-/// in address order — one sequential, prefetch-friendly pass instead
-/// of a dependent hash-probe plus heap-pointer chase per candidate
-/// (the historical `HashMap<ItemId, S>` cost two cache misses per
-/// signature read).
+/// Distinct signatures live in a **flat arena**: one contiguous
+/// `Vec<u64>` of fixed-stride class slots, each with the posting list
+/// of the items that carry it, with an id → slot map for point
+/// lookups. Candidate scoring sorts the gathered slots and scans the
+/// arena in address order — one sequential, prefetch-friendly pass,
+/// one similarity per class.
 #[derive(Debug, Clone)]
 pub struct LshForest<S> {
     /// Number of trees (`l`).
     l: usize,
     /// Label depth per tree (`k` hash positions, one byte each).
     k: usize,
-    /// Per-tree sorted label arenas.
+    /// Per-tree sorted label arenas over class slots.
     trees: Vec<FlatTree>,
     sorted: bool,
     /// Words per stored signature — every signature in one forest
@@ -385,14 +474,172 @@ pub struct LshForest<S> {
     /// Shape metadata shared by all stored signatures
     /// ([`Signature::meta`]: their position count).
     sig_meta: u64,
-    /// Slot-major signature word arena: slot `s` occupies
+    /// Slot-major signature word arena: class `s` occupies
     /// `sig_words[s*stride .. (s+1)*stride]`.
     sig_words: Vec<u64>,
-    /// Item id of each slot.
-    slot_ids: Vec<ItemId>,
-    /// Id → arena slot, for point lookups and removal.
+    /// Members of each class, ascending; never empty.
+    postings: Vec<Vec<ItemId>>,
+    /// Signature content → class slot.
+    classes: ContentMap,
+    /// Item id → the slot of its class.
     slot_of: IdHashMap<ItemId, u32>,
     _sig: std::marker::PhantomData<S>,
+}
+
+/// Content, not layout: two forests are equal when they have one
+/// shape, hold the same items under the same signatures, and every
+/// tree lists the same classes in the same order — whatever slots the
+/// classes happen to occupy.
+impl<S> PartialEq for LshForest<S> {
+    fn eq(&self, other: &Self) -> bool {
+        let same_class = |a: u32, b: u32| {
+            self.arena().slot(a) == other.arena().slot(b)
+                && self.postings[a as usize] == other.postings[b as usize]
+        };
+        (self.l, self.k, self.sorted, self.len(), self.class_count())
+            == (
+                other.l,
+                other.k,
+                other.sorted,
+                other.len(),
+                other.class_count(),
+            )
+            && (self.is_empty()
+                || (self.sig_stride, self.sig_meta) == (other.sig_stride, other.sig_meta))
+            && self.trees.iter().zip(&other.trees).all(|(a, b)| {
+                a.len() == b.len()
+                    && a.slots()
+                        .iter()
+                        .zip(b.slots())
+                        .all(|(&a, &b)| same_class(a, b))
+            })
+    }
+}
+
+impl<S> LshForest<S> {
+    /// `(trees, depth)` shape.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.l, self.k)
+    }
+
+    /// Number of indexed items.
+    pub fn len(&self) -> usize {
+        self.slot_of.len()
+    }
+
+    /// True when nothing is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.slot_of.is_empty()
+    }
+
+    /// Number of classes: distinct signatures among the indexed items.
+    pub fn class_count(&self) -> usize {
+        self.postings.len()
+    }
+
+    /// Members of the largest class (0 for an empty forest).
+    pub fn largest_class(&self) -> usize {
+        self.postings.iter().map(Vec::len).max().unwrap_or(0)
+    }
+
+    /// The class arena as the trees read it.
+    pub(crate) fn arena(&self) -> Arena<'_> {
+        Arena::new(&self.sig_words, self.sig_stride)
+    }
+
+    /// What the persistence layer writes: each class's members
+    /// (ascending, slot order), the slot-major word arena, words per
+    /// slot, and the shared shape metadata.
+    pub(crate) fn stored_parts(&self) -> (&[Vec<ItemId>], &[u64], usize, u64) {
+        (
+            &self.postings,
+            &self.sig_words,
+            self.sig_stride,
+            self.sig_meta,
+        )
+    }
+
+    /// The per-tree label arenas. The persistence layer stores each
+    /// tree's class order (not its labels), so a loaded forest needs
+    /// no re-sort.
+    pub(crate) fn tree_arrays(&self) -> &[FlatTree] {
+        &self.trees
+    }
+
+    /// Whether all inserts have been committed (trees sorted).
+    pub fn is_committed(&self) -> bool {
+        self.sorted
+    }
+
+    /// Borrowed arena words of an item's stored signature — the
+    /// zero-copy lookup the pairwise scoring stages resolve candidates
+    /// through.
+    pub fn signature_words(&self, id: ItemId) -> Option<&[u64]> {
+        self.slot_of.get(&id).map(|&s| self.arena().slot(s))
+    }
+
+    /// Shape metadata shared by every stored signature
+    /// ([`Signature::meta`]).
+    pub fn sig_meta(&self) -> u64 {
+        self.sig_meta
+    }
+
+    /// Iterate all indexed item ids: class by class in slot order,
+    /// ascending within a class.
+    pub fn ids(&self) -> impl Iterator<Item = ItemId> + '_ {
+        self.postings.iter().flatten().copied()
+    }
+
+    /// Footprint of the tree arenas in bytes (labels plus class
+    /// slots) — O(trees), not O(entries): the arenas know their exact
+    /// sizes.
+    pub fn tree_byte_size(&self) -> usize {
+        self.trees.iter().map(FlatTree::byte_size).sum()
+    }
+
+    /// Footprint of the signature arena in bytes — exact and O(1).
+    pub fn signature_byte_size(&self) -> usize {
+        self.sig_words.len() * 8
+    }
+
+    /// Footprint of what ties items to classes, in bytes: the posting
+    /// lists (one id per item and one `Vec` header per class) and the
+    /// two hash tables — id → slot and content → slot — each counted
+    /// as the table its entries need (`table_bytes`: bucket capacity ×
+    /// entry size). Like the tree and signature figures it is what the
+    /// content needs, the same however the forest came to hold it —
+    /// a floor under what is allocated: a list that grew by pushes has
+    /// up to twice its ids' room until it is next cloned or loaded
+    /// (both allocate exactly), a list or table that lost entries
+    /// keeps the room it had, and the allocator's header per list is
+    /// not counted.
+    pub fn posting_byte_size(&self) -> usize {
+        self.len() * std::mem::size_of::<ItemId>()
+            + self.postings.len() * std::mem::size_of::<Vec<ItemId>>()
+            + table_bytes(self.len(), std::mem::size_of::<(ItemId, u32)>())
+            + self.classes.byte_size()
+    }
+
+    /// Approximate footprint in bytes: tree labels, stored signatures
+    /// and postings (Table II accounting).
+    pub fn byte_size(&self) -> usize {
+        self.tree_byte_size() + self.signature_byte_size() + self.posting_byte_size()
+    }
+
+    /// Record `id` as a member of class `slot`.
+    fn join(&mut self, id: ItemId, slot: u32) {
+        let members = &mut self.postings[slot as usize];
+        match members.last() {
+            Some(&last) if last >= id => {
+                let at = members
+                    .binary_search(&id)
+                    .expect_err("an id is stored once");
+                members.insert(at, id);
+            }
+            _ => members.push(id),
+        }
+        self.slot_of.insert(id, slot);
+    }
 }
 
 impl<S: Signature> LshForest<S> {
@@ -411,32 +658,18 @@ impl<S: Signature> LshForest<S> {
             sig_stride: 0,
             sig_meta: 0,
             sig_words: Vec::new(),
-            slot_ids: Vec::new(),
+            postings: Vec::new(),
+            classes: ContentMap::default(),
             slot_of: IdHashMap::default(),
             _sig: std::marker::PhantomData,
         }
     }
 
-    /// `(trees, depth)` shape.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.l, self.k)
-    }
-
-    /// Number of indexed items.
-    pub fn len(&self) -> usize {
-        self.slot_ids.len()
-    }
-
-    /// True when nothing has been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.slot_ids.is_empty()
-    }
-
-    /// All `l` tree labels of `sig`, concatenated (tree `t` at
-    /// `t*k..(t+1)*k`) — one allocation per query.
-    fn query_labels(&self, sig: &S) -> Vec<u8> {
+    /// All `l` tree labels of a signature given as its words,
+    /// concatenated (tree `t` at `t*k..(t+1)*k`).
+    fn labels_of(&self, words: &[u64], meta: u64) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.l * self.k);
-        write_labels::<S>(sig.words(), sig.meta(), 0..self.l * self.k, &mut buf);
+        write_labels::<S>(words, meta, 0..self.l * self.k, &mut buf);
         buf
     }
 
@@ -449,111 +682,108 @@ impl<S: Signature> LshForest<S> {
         });
     }
 
-    /// Insert an item whose signature `fill` writes straight into its
-    /// arena slot — `shape` is the `(words, meta)` of the hasher's
-    /// output (`MinHasher::sig_shape`, `RandomProjector::sig_shape`),
-    /// and `fill` must overwrite all `words` words. New ids append a
-    /// slot; re-inserted ids overwrite theirs in place and lose their
-    /// old tree entries. The tree labels are read back from the slot,
-    /// so a signature is written once and never exists outside the
-    /// arena. Panics when the shape differs from what the forest
-    /// stores (one forest holds one hasher's output). The forest must
-    /// be (re-)committed before the next query.
+    /// Insert an item whose signature `fill` writes straight into the
+    /// arena — `shape` is the `(words, meta)` of the hasher's output
+    /// (`MinHasher::sig_shape`, `RandomProjector::sig_shape`), and
+    /// `fill` must overwrite all `words` words. The signature is
+    /// signed into a scratch slot at the arena's tail: if a class
+    /// already holds those words the scratch slot is dropped and the
+    /// item joins that class's postings (the trees do not change and a
+    /// committed forest stays committed); if not, the slot is the new
+    /// class, and its tree labels are read back from it. A stored id
+    /// first leaves the class it was in. Panics when the shape differs
+    /// from what the forest stores (one forest holds one hasher's
+    /// output). The forest must be (re-)committed before the next
+    /// query.
     pub fn insert_with(
         &mut self,
         id: ItemId,
         (stride, meta): (usize, u64),
         fill: impl FnOnce(&mut [u64]),
     ) {
-        if self.slot_ids.is_empty() {
+        self.remove(id);
+        if self.postings.is_empty() {
             self.sig_stride = stride;
             self.sig_meta = meta;
         } else {
             assert_eq!(stride, self.sig_stride, "signature shape mismatch");
             debug_assert_eq!(meta, self.sig_meta, "signature shape mismatch");
         }
-        let slot = match self.slot_of.get(&id) {
-            Some(&slot) => {
-                // The labels of the signature being overwritten go
-                // with it: a tree holds one entry per stored item.
-                self.remove_tree_entries(id, slot);
-                slot as usize
+        let scratch = self.postings.len();
+        assert!(
+            scratch < u32::MAX as usize,
+            "forest too large for u32 slots"
+        );
+        self.sig_words.resize((scratch + 1) * stride, 0);
+        let words = &mut self.sig_words[scratch * stride..];
+        fill(words);
+        let hash = content_hash(words);
+        let words = &self.sig_words[scratch * stride..];
+        let arena = Arena::new(&self.sig_words[..scratch * stride], stride);
+        match self.classes.find(hash, |s| arena.slot(s) == words) {
+            Some(slot) => {
+                self.sig_words.truncate(scratch * stride);
+                self.join(id, slot);
             }
             None => {
-                let slot = self.slot_ids.len();
-                assert!(slot <= u32::MAX as usize, "forest too large for u32 slots");
-                self.slot_of.insert(id, slot as u32);
-                self.slot_ids.push(id);
-                self.sig_words.resize((slot + 1) * stride, 0);
-                slot
+                let k = self.k;
+                for (t, tree) in self.trees.iter_mut().enumerate() {
+                    tree.push_with(scratch as u32, |out| {
+                        write_labels::<S>(words, meta, t * k..(t + 1) * k, out)
+                    });
+                }
+                self.classes.insert(hash, scratch as u32);
+                self.postings.push(vec![id]);
+                self.slot_of.insert(id, scratch as u32);
+                self.sorted = false;
             }
-        };
-        let words = &mut self.sig_words[slot * stride..(slot + 1) * stride];
-        fill(words);
-        let k = self.k;
-        for (t, tree) in self.trees.iter_mut().enumerate() {
-            tree.push_with(id, |out| {
-                write_labels::<S>(words, meta, t * k..(t + 1) * k, out)
-            });
         }
-        self.sorted = false;
     }
 
     /// Move every item of `other` — a forest of the same shape over a
-    /// disjoint id set — into this one: arenas and tree arrays are
-    /// appended whole, nothing is re-signed or re-labelled. This is
-    /// how the index build joins its workers' forests; commit
-    /// afterwards.
+    /// disjoint id set — into this one, class by class: a class whose
+    /// words this forest already holds extends that class's postings,
+    /// any other arrives whole. Nothing is re-signed. This is how the
+    /// index build joins its workers' forests; commit afterwards.
     pub fn append(&mut self, other: LshForest<S>) {
         assert_eq!(self.shape(), other.shape(), "forests must share one shape");
-        if other.slot_ids.is_empty() {
+        if other.postings.is_empty() {
             return;
         }
-        if self.slot_ids.is_empty() {
-            // Nothing to append to: take the arenas as they are.
+        if self.postings.is_empty() {
+            // Nothing to merge into: take the arenas as they are.
             *self = other;
             return;
         }
+        let shape = (other.sig_stride, other.sig_meta);
         assert_eq!(
             (self.sig_stride, self.sig_meta),
-            (other.sig_stride, other.sig_meta),
+            shape,
             "signature shape mismatch"
         );
-        let base = self.slot_ids.len();
-        assert!(
-            base + other.slot_ids.len() <= u32::MAX as usize,
-            "forest too large for u32 slots"
-        );
-        for (i, &id) in other.slot_ids.iter().enumerate() {
-            let clash = self.slot_of.insert(id, (base + i) as u32);
-            assert!(clash.is_none(), "appended forests must hold disjoint ids");
+        for (members, words) in other
+            .postings
+            .into_iter()
+            .zip(other.sig_words.chunks_exact(shape.0))
+        {
+            for &id in &members {
+                assert!(
+                    !self.slot_of.contains_key(&id),
+                    "appended forests must hold disjoint ids"
+                );
+            }
+            // The first member finds the class or founds it; the
+            // rest follow it in.
+            self.insert_with(members[0], shape, |slot| slot.copy_from_slice(words));
+            let slot = self.slot_of[&members[0]];
+            members[1..].iter().for_each(|&id| self.join(id, slot));
         }
-        self.slot_ids.extend_from_slice(&other.slot_ids);
-        self.sig_words.extend_from_slice(&other.sig_words);
-        for (tree, more) in self.trees.iter_mut().zip(&other.trees) {
-            tree.labels.extend_from_slice(&more.labels);
-            tree.ids.extend_from_slice(&more.ids);
-        }
-        self.sorted = false;
-    }
-
-    /// Arena words of slot `s`.
-    #[inline]
-    fn slot_words(&self, s: u32) -> &[u64] {
-        let s = s as usize * self.sig_stride;
-        &self.sig_words[s..s + self.sig_stride]
     }
 
     /// Commit pending inserts by sorting all trees. Queries require a
     /// committed forest; committing twice is a no-op.
     pub fn commit(&mut self) {
-        if self.sorted {
-            return;
-        }
-        for tree in &mut self.trees {
-            tree.sort();
-        }
-        self.sorted = true;
+        self.commit_parallel(1);
     }
 
     /// [`LshForest::commit`] with the tree sorts fanned out over up
@@ -563,136 +793,124 @@ impl<S: Signature> LshForest<S> {
         if self.sorted {
             return;
         }
-        let threads = threads.clamp(1, self.trees.len().max(1));
+        let arena = Arena::new(&self.sig_words, self.sig_stride);
+        let threads = threads.clamp(1, self.trees.len());
         if threads == 1 {
-            return self.commit();
+            self.trees.iter_mut().for_each(|tree| tree.sort(arena));
+        } else {
+            let chunk = self.trees.len().div_ceil(threads);
+            std::thread::scope(|scope| {
+                for batch in self.trees.chunks_mut(chunk) {
+                    scope.spawn(move || batch.iter_mut().for_each(|tree| tree.sort(arena)));
+                }
+            });
         }
-        let chunk = self.trees.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for batch in self.trees.chunks_mut(chunk) {
-                scope.spawn(move || {
-                    for tree in batch {
-                        tree.sort();
-                    }
-                });
-            }
-        });
         self.sorted = true;
     }
 
-    /// Whether all inserts have been committed (trees sorted).
-    pub fn is_committed(&self) -> bool {
-        self.sorted
-    }
-
     /// Remove an item from the forest (the incremental-maintenance
-    /// counterpart of [`LshForest::insert`]). Dropping entries from a
-    /// sorted tree preserves its order, so no re-commit is needed and
-    /// a committed forest stays committed. Returns whether the item
-    /// was present.
+    /// counterpart of [`LshForest::insert`]): a posting-list delete. A
+    /// class dies with its last member — its entries leave the trees,
+    /// which preserves their order, so no re-commit is needed and a
+    /// committed forest stays committed. Returns whether the item was
+    /// present.
     pub fn remove(&mut self, id: ItemId) -> bool {
         let Some(slot) = self.slot_of.remove(&id) else {
             return false;
         };
-        self.remove_tree_entries(id, slot);
-        // Swap-remove the arena slot: move the last slot's words and
-        // id into the vacated position, then truncate.
-        let s = slot as usize;
-        let last = self.slot_ids.len() - 1;
-        if s != last {
-            let moved = self.slot_ids[last];
-            self.slot_ids[s] = moved;
-            let stride = self.sig_stride;
-            self.sig_words
-                .copy_within(last * stride..(last + 1) * stride, s * stride);
-            self.slot_of.insert(moved, slot);
+        let members = &mut self.postings[slot as usize];
+        let at = members.binary_search(&id);
+        members.remove(at.expect("an item is in its class's postings"));
+        if members.is_empty() {
+            self.drop_class(slot);
         }
-        self.slot_ids.truncate(last);
-        self.sig_words.truncate(last * self.sig_stride);
         true
     }
 
-    /// Drop item `id`'s entry from every tree. Its labels are a
-    /// function of the signature still in arena slot `slot`, so each
-    /// tree is told which entry to find instead of scanning for the
-    /// id — call this before the slot is overwritten or vacated.
-    fn remove_tree_entries(&mut self, id: ItemId, slot: u32) {
-        let k = self.k;
-        let mut labels = Vec::with_capacity(self.l * k);
-        write_labels::<S>(
-            self.slot_words(slot),
-            self.sig_meta,
-            0..self.l * k,
-            &mut labels,
-        );
-        for (tree, label) in self.trees.iter_mut().zip(labels.chunks_exact(k)) {
-            let found = tree.remove_entry(label, id);
-            debug_assert!(found, "a tree holds one entry per stored item");
+    /// Take the memberless class `slot` out of the trees, the content
+    /// map and the arena. The last class moves into the vacated slot:
+    /// its tree entries and its members' map entries are renumbered in
+    /// place. Labels are a function of the words still in the arena,
+    /// so each tree is told which entry to find instead of scanning.
+    fn drop_class(&mut self, slot: u32) {
+        let (stride, meta) = (self.sig_stride, self.sig_meta);
+        let last = (self.postings.len() - 1) as u32;
+        let gone = self.labels_of(self.arena().slot(slot), meta);
+        let moved = self.labels_of(self.arena().slot(last), meta);
+        let arena = Arena::new(&self.sig_words, stride);
+        for (t, tree) in self.trees.iter_mut().enumerate() {
+            let at = t * self.k..(t + 1) * self.k;
+            let found = tree.remove_entry(&gone[at.clone()], slot, arena);
+            debug_assert!(found, "a tree holds one entry per class");
+            if slot != last {
+                tree.renumber(&moved[at], last, slot, arena);
+            }
         }
+        self.classes.remove(content_hash(arena.slot(slot)), slot);
+        if slot != last {
+            self.classes
+                .renumber(content_hash(arena.slot(last)), last, slot);
+            for id in &self.postings[last as usize] {
+                self.slot_of.insert(*id, slot);
+            }
+            let (s, last) = (slot as usize, last as usize);
+            self.sig_words
+                .copy_within(last * stride..(last + 1) * stride, s * stride);
+        }
+        self.postings.swap_remove(slot as usize);
+        self.sig_words.truncate(last as usize * stride);
     }
 
-    /// The per-tree sorted label arenas. The persistence layer stores
-    /// each tree's entry order (not its labels), so a loaded forest
-    /// needs no re-sort.
-    pub fn tree_arrays(&self) -> &[FlatTree] {
-        &self.trees
-    }
-
-    /// The signature arena as the persistence layer sees it: item id
-    /// of each slot, the slot-major word arena, words per slot, and
-    /// the shared shape metadata.
-    pub(crate) fn arena(&self) -> (&[ItemId], &[u64], usize, u64) {
-        (
-            &self.slot_ids,
-            &self.sig_words,
-            self.sig_stride,
-            self.sig_meta,
-        )
-    }
-
-    /// Arena slot of an item.
-    pub(crate) fn slot_of(&self, id: ItemId) -> Option<u32> {
-        self.slot_of.get(&id).copied()
-    }
-
-    /// Reassemble a forest from deserialized parts: the trees, and the
-    /// signature slab taken whole — slot `i` holds item `ids[i]` with
-    /// words `sig_words[i*stride..(i+1)*stride]`. The caller (the
-    /// snapshot decoder) is responsible for having validated the
-    /// invariants: `k`-stride trees holding exactly the slab's ids,
-    /// unique ids, a `(stride, meta)` shape the signature type
-    /// accepts, and sorted trees whenever `sorted` is set.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_stored_parts(
+    /// Reassemble a forest from its deserialized classes — each one's
+    /// members, and the signature slab taken whole: class `s` holds the
+    /// words `sig_words[s*stride .. (s+1)*stride]` — with no tree
+    /// entries yet ([`LshForest::set_trees`] brings them). The caller
+    /// (the snapshot decoder) has validated ascending non-empty
+    /// postings over unique ids and a `(stride, meta)` shape the
+    /// signature type accepts. What is checked here, because the
+    /// content map being built is what finds it: two classes holding
+    /// the same words, returned as `Err`.
+    pub(crate) fn from_stored_classes(
         l: usize,
         k: usize,
-        trees: Vec<FlatTree>,
-        ids: Vec<ItemId>,
+        postings: Vec<Vec<ItemId>>,
         sig_words: Vec<u64>,
         sig_stride: usize,
         sig_meta: u64,
-        sorted: bool,
-    ) -> Self {
-        debug_assert_eq!(trees.len(), l, "one tree array per tree");
-        debug_assert_eq!(sig_words.len(), ids.len() * sig_stride, "one slot per id");
+    ) -> Result<Self, (u32, u32)> {
+        debug_assert_eq!(sig_words.len(), postings.len() * sig_stride);
         assert!(
-            ids.len() <= u32::MAX as usize,
+            postings.len() <= u32::MAX as usize,
             "forest too large for u32 slots"
         );
-        let mut slot_of = IdHashMap::with_capacity_and_hasher(ids.len(), Default::default());
-        slot_of.extend(ids.iter().enumerate().map(|(slot, &id)| (id, slot as u32)));
-        LshForest {
-            l,
-            k,
-            trees,
-            sorted,
-            sig_stride,
-            sig_meta,
-            sig_words,
-            slot_ids: ids,
-            slot_of,
-            _sig: std::marker::PhantomData,
+        let mut forest = Self::new(l * k, l);
+        let members = postings.iter().map(Vec::len).sum();
+        forest.slot_of.reserve(members);
+        forest.classes.by_hash.reserve(postings.len());
+        let arena = Arena::new(&sig_words, sig_stride);
+        for (slot, ids) in (0u32..).zip(&postings) {
+            forest.slot_of.extend(ids.iter().map(|&id| (id, slot)));
+            let (hash, words) = (content_hash(arena.slot(slot)), arena.slot(slot));
+            if let Some(twin) = forest.classes.find(hash, |s| arena.slot(s) == words) {
+                return Err((twin, slot));
+            }
+            forest.classes.insert(hash, slot);
         }
+        forest.sig_stride = sig_stride;
+        forest.sig_meta = sig_meta;
+        forest.sig_words = sig_words;
+        forest.postings = postings;
+        Ok(forest)
+    }
+
+    /// Give a forest of [`LshForest::from_stored_classes`] its trees:
+    /// `k`-stride, each holding every class once — sorted, whenever
+    /// `sorted` is set; the decoder has checked both.
+    pub(crate) fn set_trees(&mut self, trees: Vec<FlatTree>, sorted: bool) {
+        debug_assert_eq!(trees.len(), self.l, "one tree array per tree");
+        debug_assert!(trees.iter().all(|t| t.len() == self.postings.len()));
+        self.trees = trees;
+        self.sorted = sorted;
     }
 
     /// Top-`k` most similar items to `sig`: [`query_union`] over this
@@ -703,48 +921,13 @@ impl<S: Signature> LshForest<S> {
         query_union(&[self], sig, k)
     }
 
-    /// Stored signature of an item, rebuilt from its arena words.
-    /// Cold paths only (shard splitting, signature lookup) — the scoring
-    /// paths read arena words in place via [`LshForest::signature_words`].
+    /// Stored signature of an item, rebuilt from its class's arena
+    /// words. Cold paths only (shard splitting, signature lookup) —
+    /// the scoring paths read arena words in place via
+    /// [`LshForest::signature_words`].
     pub fn signature(&self, id: ItemId) -> Option<S> {
         self.signature_words(id)
             .map(|w| S::from_words(w.to_vec(), self.sig_meta))
-    }
-
-    /// Borrowed arena words of an item's stored signature — the
-    /// zero-copy lookup the pairwise scoring stages resolve candidates
-    /// through.
-    pub fn signature_words(&self, id: ItemId) -> Option<&[u64]> {
-        self.slot_of.get(&id).map(|&s| self.slot_words(s))
-    }
-
-    /// Shape metadata shared by every stored signature
-    /// ([`Signature::meta`]).
-    pub fn sig_meta(&self) -> u64 {
-        self.sig_meta
-    }
-
-    /// Iterate all indexed item ids (arena slot order — insertion
-    /// order until a removal swap-compacts a slot).
-    pub fn ids(&self) -> impl Iterator<Item = ItemId> + '_ {
-        self.slot_ids.iter().copied()
-    }
-
-    /// Footprint of the tree arenas in bytes (labels plus item ids) —
-    /// O(trees), not O(entries): the arenas know their exact sizes.
-    pub fn tree_byte_size(&self) -> usize {
-        self.trees.iter().map(FlatTree::byte_size).sum()
-    }
-
-    /// Footprint of the signature arena in bytes — exact and O(1).
-    pub fn signature_byte_size(&self) -> usize {
-        self.sig_words.len() * 8
-    }
-
-    /// Approximate footprint in bytes: tree labels plus stored
-    /// signatures (Table II accounting).
-    pub fn byte_size(&self) -> usize {
-        self.tree_byte_size() + self.signature_byte_size()
     }
 }
 
@@ -772,35 +955,68 @@ pub(crate) fn write_labels<S: Signature>(
     }));
 }
 
-/// Add the `need` smallest ids from `ids` that are not already in
-/// `candidates` — a bounded max-heap selection: O(n log need) time,
-/// O(need) extra space, instead of materializing every stored id just
-/// to pick a handful (the historical fallback allocated a `Vec` of
-/// the *entire* lake's ids per query). Ids are unique, so the
-/// resulting set is deterministic regardless of iteration order.
-fn select_smallest_ids(
-    ids: impl Iterator<Item = ItemId>,
-    candidates: &mut IdHashSet<ItemId>,
-    need: usize,
-) {
-    if need == 0 {
-        return;
+/// The classes a descent has gathered, as `(forest, slot)`, and how
+/// many items they hold between them.
+#[derive(Default)]
+struct Gathered {
+    seen: IdHashSet<u64>,
+    classes: Vec<(u32, u32)>,
+    members: usize,
+}
+
+impl Gathered {
+    /// One key for class `slot` of forest `fi`.
+    fn key(fi: usize, slot: u32) -> u64 {
+        (fi as u64) << 32 | slot as u64
     }
-    let mut heap = std::collections::BinaryHeap::with_capacity(need + 1);
-    for id in ids {
-        if candidates.contains(&id) {
-            continue;
+
+    fn add<S>(&mut self, forests: &[&LshForest<S>], fi: usize, slot: u32) {
+        if self.seen.insert(Self::key(fi, slot)) {
+            self.classes.push((fi as u32, slot));
+            self.members += forests[fi].postings[slot as usize].len();
         }
-        if heap.len() < need {
-            heap.push(id);
-        } else if let Some(&top) = heap.peek() {
-            if id < top {
-                heap.pop();
-                heap.push(id);
+    }
+}
+
+/// The `need` smallest ids among the members of the classes not in
+/// `gathered`, as `(forest, slot, count)`: a class's share of them is
+/// the first `count` of its postings. A bounded max-heap selection —
+/// O(n log need) time, O(need) space — that leaves a posting list at
+/// the first id too large to be selected. Ids are unique, so the
+/// selection is deterministic whatever the iteration order.
+fn select_smallest_ids<S>(
+    forests: &[&LshForest<S>],
+    gathered: &Gathered,
+    need: usize,
+) -> Vec<(u32, u32, usize)> {
+    let mut heap = std::collections::BinaryHeap::with_capacity(need + 1);
+    for (fi, f) in (0u32..).zip(forests) {
+        for (slot, members) in (0u32..).zip(&f.postings) {
+            if gathered.seen.contains(&Gathered::key(fi as usize, slot)) {
+                continue;
+            }
+            for &id in members {
+                if heap.len() < need {
+                    heap.push((id, fi, slot));
+                } else if heap.peek().is_some_and(|top| id < top.0) {
+                    heap.pop();
+                    heap.push((id, fi, slot));
+                } else {
+                    break;
+                }
             }
         }
     }
-    candidates.extend(heap);
+    let mut picked: Vec<(u32, u32)> = heap.into_iter().map(|(_, fi, slot)| (fi, slot)).collect();
+    picked.sort_unstable();
+    let mut shares: Vec<(u32, u32, usize)> = Vec::new();
+    for (fi, slot) in picked {
+        match shares.last_mut() {
+            Some(share) if (share.0, share.1) == (fi, slot) => share.2 += 1,
+            _ => shares.push((fi, slot, 1)),
+        }
+    }
+    shares
 }
 
 /// Top-`k` most similar items to `sig` over the disjoint union of
@@ -809,9 +1025,10 @@ fn select_smallest_ids(
 /// shard.
 ///
 /// Descends every tree from the full depth, widening the prefix until
-/// at least `k` distinct candidates are gathered (or depth is
-/// exhausted), then ranks candidates by their estimated similarity
-/// from the stored signatures.
+/// the gathered classes hold at least `k` items between them (or depth
+/// is exhausted), then ranks them by their estimated similarity from
+/// the stored signatures — one estimate per class, every member of a
+/// class being exactly as similar as the next.
 ///
 /// All forests must share one shape (same `l`, same `k`) and index
 /// disjoint item sets. The answer does not depend on how the items are
@@ -819,11 +1036,14 @@ fn select_smallest_ids(
 ///
 /// * a sorted tree partitions into sorted per-forest trees and a
 ///   prefix range selects by label only, so per `(depth, tree)` the
-///   union of the forests' prefix ranges holds exactly the entries one
-///   forest holding every item would select;
-/// * the widening stop condition sees the *global* candidate count,
-///   not a per-forest one;
-/// * the small-lake fallback selects over the union of all stored ids.
+///   union of the forests' prefix ranges holds exactly the classes —
+///   a signature held in two forests being a class in each — whose
+///   items one forest holding every item would select;
+/// * the widening stop condition sees the *global* item count, not a
+///   per-forest one;
+/// * the small-lake fallback selects over the union of all stored ids;
+/// * the final cut orders items by `(similarity desc, id asc)`, which
+///   mentions neither forest nor class.
 ///
 /// Querying each forest separately and merging would *not* be
 /// partition-independent: the descent could stop at a different depth
@@ -836,78 +1056,80 @@ pub fn query_union<S: Signature>(forests: &[&LshForest<S>], sig: &S, k: usize) -
         assert!(f.sorted, "forest not committed; call commit() first");
         debug_assert_eq!(f.shape(), (l, depth_k), "shards must share one shape");
     }
-    let total: usize = forests.iter().map(|f| f.slot_ids.len()).sum();
+    let total: usize = forests.iter().map(|f| f.len()).sum();
     if k == 0 || total == 0 {
         return Vec::new();
     }
     // Labels depend only on the shape and the query signature — any
     // forest computes the same ones.
-    let labels = forests[0].query_labels(sig);
-    let mut candidates: IdHashSet<ItemId> = IdHashSet::default();
+    let labels = forests[0].labels_of(sig.words(), sig.meta());
+    let mut gathered = Gathered::default();
     // Synchronous descent across every forest's trees, deepest first:
     // one full-depth binary search per (forest, tree) seeds a cursor,
     // then each shallower level widens the cursors outward over the
     // arena — every level sees exactly the prefix runs a per-level
     // binary search would, but each entry is visited once per tree.
     let mut cursors: Vec<(usize, usize)> = Vec::with_capacity(forests.len() * l);
-    for f in forests {
+    for (fi, f) in forests.iter().enumerate() {
         for (t, tree) in f.trees.iter().enumerate() {
             let (lo, hi) = tree.prefix_range(&labels[t * depth_k..(t + 1) * depth_k]);
-            for &id in &tree.ids()[lo..hi] {
-                candidates.insert(id);
+            for &slot in &tree.slots()[lo..hi] {
+                gathered.add(forests, fi, slot);
             }
             cursors.push((lo, hi));
         }
     }
     let mut depth = depth_k;
-    while candidates.len() < k && depth > 1 {
+    while gathered.members < k && depth > 1 {
         depth -= 1;
         for (fi, f) in forests.iter().enumerate() {
             for (t, tree) in f.trees.iter().enumerate() {
                 let (lo, hi) = &mut cursors[fi * l + t];
-                tree.widen_prefix_run(&labels[t * depth_k..t * depth_k + depth], lo, hi, |id| {
-                    candidates.insert(id);
-                });
+                let prefix = &labels[t * depth_k..t * depth_k + depth];
+                tree.widen_prefix_run(prefix, lo, hi, |slot| gathered.add(forests, fi, slot));
             }
         }
     }
     // Fall back to scanning when the lake is tiny or prefixes are
-    // unlucky — keeps recall sensible for small k. The scan must pick
-    // a fixed id *set*: HashMap iteration order varies per map
-    // instance, and the query pipeline guarantees results that are
-    // byte-identical across runs and thread counts.
-    if candidates.len() < k && candidates.len() < total {
-        let need = k.max(32) - candidates.len();
-        select_smallest_ids(
-            forests.iter().flat_map(|f| f.slot_ids.iter().copied()),
-            &mut candidates,
-            need,
-        );
+    // unlucky — keeps recall sensible for small k. The scan picks a
+    // fixed id *set* (the smallest ids not yet gathered): the query
+    // pipeline guarantees results that are byte-identical across runs,
+    // thread counts and shard counts.
+    let mut shares = Vec::new();
+    if gathered.members < k && gathered.members < total {
+        shares = select_smallest_ids(forests, &gathered, k.max(32) - gathered.members);
     }
-    // Score in arena order: locate each candidate in its owning
-    // forest, sort by (forest, slot), and scan each word arena
-    // sequentially — candidates' signatures stream through the cache
-    // in address order instead of one random read per hash probe.
-    let mut located: Vec<(u32, u32)> = candidates
-        .iter()
-        .map(|&id| {
-            forests
-                .iter()
-                .enumerate()
-                .find_map(|(fi, f)| f.slot_of.get(&id).map(|&s| (fi as u32, s)))
-                .expect("candidate came from one of the forests")
+    // Score in arena order: sort the classes by (forest, slot) and
+    // scan each word arena sequentially — signatures stream through
+    // the cache in address order, each read once.
+    gathered.classes.sort_unstable();
+    let whole = gathered.classes.iter().map(|&(fi, slot)| {
+        let len = forests[fi as usize].postings[slot as usize].len();
+        (fi, slot, len)
+    });
+    let mut runs: Vec<(f64, &[ItemId])> = whole
+        .chain(shares)
+        .map(|(fi, slot, len)| {
+            let f = forests[fi as usize];
+            let similarity = sig.similarity_words(f.arena().slot(slot), f.sig_meta);
+            // Ascending ids at one similarity: no more than the first
+            // `k` of a run can make the cut.
+            (similarity, &f.postings[slot as usize][..len.min(k)])
         })
         .collect();
-    located.sort_unstable();
-    let hits: Vec<Hit> = located
-        .into_iter()
-        .map(|(fi, s)| {
-            let f = &forests[fi as usize];
-            Hit {
-                id: f.slot_ids[s as usize],
-                similarity: sig.similarity_words(f.slot_words(s), f.sig_meta),
-            }
-        })
+    // Expand the runs at or above the similarity at which `k` items
+    // are reached; everything below it is below the cut.
+    runs.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
+    let mut reached = 0usize;
+    let floor = runs.iter().find(|run| {
+        reached += run.1.len();
+        reached >= k
+    });
+    let floor = floor.or(runs.last()).map_or(0.0, |run| run.0);
+    let hits = runs
+        .iter()
+        .take_while(|run| run.0.total_cmp(&floor).is_ge())
+        .flat_map(|&(similarity, ids)| ids.iter().map(move |&id| Hit { id, similarity }))
         .collect();
     top_k(hits, k)
 }
@@ -916,6 +1138,10 @@ pub fn query_union<S: Signature>(forests: &[&LshForest<S>], sig: &S, k: usize) -
 mod tests {
     use super::*;
     use crate::minhash::{MinHashSignature, MinHasher};
+    use crate::randproj::{BitSignature, RandomProjector};
+    use crate::store::tests::to_bytes;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn tokens(prefix: &str, range: std::ops::Range<usize>) -> Vec<String> {
         range.map(|i| format!("{prefix}{i}")).collect()
@@ -925,49 +1151,49 @@ mod tests {
         mh.sign_strs(toks.iter().map(String::as_str))
     }
 
+    /// A tree's `(label, slot)` entries, in order.
+    fn entries(t: &FlatTree) -> Vec<(&[u8], u32)> {
+        (0..t.len()).map(|i| (t.label_at(i), t.slots[i])).collect()
+    }
+
     #[test]
     fn shape_and_emptiness() {
         let f: LshForest<MinHashSignature> = LshForest::new(256, 16);
         assert_eq!(f.shape(), (16, 16));
         assert!(f.is_empty());
-        assert_eq!(f.len(), 0);
+        assert_eq!((f.len(), f.class_count(), f.largest_class()), (0, 0, 0));
     }
 
     #[test]
     fn flat_tree_basics() {
+        // One word per class; slots 0, 1, 2 hold 30, 10, 20.
+        let words = [30u64, 10, 20, 30];
+        let arena = Arena::new(&words, 1);
         let mut t = FlatTree::new(2);
-        assert!(t.is_empty());
-        t.push(&[3, 1], 10);
-        t.push(&[1, 2], 20);
-        t.push(&[1, 2], 5);
+        t.push_with(0, |out| out.extend([3, 1]));
+        t.push_with(1, |out| out.extend([1, 2]));
+        t.push_with(2, |out| out.extend([1, 2]));
         assert_eq!(t.len(), 3);
-        assert_eq!(t.stride(), 2);
-        t.sort();
-        assert!(t.is_sorted());
-        // (label, id) order: [1,2]/5, [1,2]/20, [3,1]/10.
-        assert_eq!(t.label_at(0), &[1, 2]);
-        assert_eq!(t.id_at(0), 5);
-        assert_eq!(t.id_at(1), 20);
-        assert_eq!(t.id_at(2), 10);
+        t.sort(arena);
+        assert!(t.is_sorted(arena));
+        // (label, words) order: [1,2]/10, [1,2]/20, [3,1]/30.
+        assert_eq!(
+            entries(&t),
+            vec![(&[1u8, 2][..], 1), (&[1u8, 2][..], 2), (&[3u8, 1][..], 0)]
+        );
         assert_eq!(t.prefix_range(&[1]), (0, 2));
         assert_eq!(t.prefix_range(&[1, 2]), (0, 2));
         assert_eq!(t.prefix_range(&[3]), (2, 3));
         assert_eq!(t.prefix_range(&[2]), (2, 2));
-        assert_eq!(t.byte_size(), 3 * 2 + 3 * 8);
-        assert_eq!(
-            t.entries().collect::<Vec<_>>(),
-            vec![(&[1u8, 2][..], 5), (&[1u8, 2][..], 20), (&[3u8, 1][..], 10)]
-        );
-        assert!(!t.remove_entry(&[1, 3], 20), "no such entry");
-        assert!(t.remove_entry(&[1, 2], 20));
-        assert_eq!(t.len(), 2);
-        assert!(t.is_sorted());
-        assert_eq!(t.ids(), &[5, 10]);
-        assert_eq!(
-            FlatTree::from_parts(2, vec![1, 2, 3, 1], vec![5, 10]),
-            t,
-            "from_parts is the arenas verbatim"
-        );
+        assert_eq!(t.byte_size(), 3 * 2 + 3 * 4);
+        assert!(!t.remove_entry(&[1, 3], 3, arena), "no such entry");
+        // Class 0 moves to slot 3 (same words); its entry follows.
+        t.renumber(&[3, 1], 0, 3, arena);
+        assert!(t.remove_entry(&[1, 2], 2, arena));
+        assert_eq!(t.slots(), &[1, 3]);
+        let reloaded = FlatTree::from_parts(2, t.labels.clone(), vec![1, 0], arena);
+        assert!(reloaded.is_sorted(arena));
+        assert_eq!(reloaded.sorted_len, 2, "from_parts is the arrays verbatim");
     }
 
     /// A sort after pushes onto a sorted tree — what a commit after
@@ -976,6 +1202,10 @@ mod tests {
     /// removals from either side of the sorted prefix.
     #[test]
     fn sort_after_pushes_merges_into_the_sorted_prefix() {
+        // Slot `s` holds the one word `words[s]`: distinct, and in no
+        // relation to slot order.
+        let words: Vec<u64> = (0..400u64).map(crate::hash::splitmix64).collect();
+        let arena = Arena::new(&words, 1);
         for k in [1usize, 3, 16, 17, 20] {
             let mut state = 0x50f7_u64 + k as u64;
             let mut label = move || -> Vec<u8> {
@@ -987,49 +1217,118 @@ mod tests {
                     .collect()
             };
             let mut grown = FlatTree::new(k);
-            let mut entries: Vec<(Vec<u8>, ItemId)> = Vec::new();
-            let mut next_id = 0u64;
+            let mut held: Vec<(Vec<u8>, u32)> = Vec::new();
+            let mut next = 0u32;
             for round in 0..12 {
                 // 0, 1, 2 and many pushes between sorts.
                 for _ in 0..[0usize, 1, 2, 40][round % 4] {
                     let l = label();
-                    grown.push(&l, next_id);
-                    entries.push((l, next_id));
-                    next_id += 1;
+                    grown.push_with(next, |out| out.extend_from_slice(&l));
+                    held.push((l, next));
+                    next += 1;
                 }
                 if round % 3 == 1 {
-                    // One id from the sorted prefix, one pushed since
-                    // (the same one when nothing was sorted yet).
-                    for gone in [grown.id_at(0), next_id - 1] {
-                        let Some(at) = entries.iter().position(|e| e.1 == gone) else {
+                    // One class from the sorted prefix, one pushed
+                    // since (the same one when nothing was sorted yet).
+                    for gone in [grown.slots[0], next - 1] {
+                        let Some(at) = held.iter().position(|e| e.1 == gone) else {
                             continue;
                         };
-                        let (label, _) = entries.remove(at);
-                        assert!(grown.remove_entry(&label, gone));
-                        assert!(!grown.remove_entry(&label, gone), "gone is gone");
+                        let (label, _) = held.remove(at);
+                        assert!(grown.remove_entry(&label, gone, arena));
+                        assert!(!grown.remove_entry(&label, gone, arena), "gone is gone");
                     }
                 }
-                grown.sort();
-                assert!(grown.is_sorted(), "k={k} round {round}");
-                let mut scratch = FlatTree::new(k);
-                for (l, id) in &entries {
-                    scratch.push(l, *id);
-                }
-                scratch.sort();
-                assert_eq!(grown, scratch, "k={k} round {round}");
-                entries.sort();
-                let expected: Vec<(&[u8], ItemId)> =
-                    entries.iter().map(|(l, id)| (&l[..], *id)).collect();
-                assert_eq!(grown.entries().collect::<Vec<_>>(), expected);
+                grown.sort(arena);
+                assert!(grown.is_sorted(arena), "k={k} round {round}");
+                held.sort_by(|a, b| (&a.0, words[a.1 as usize]).cmp(&(&b.0, words[b.1 as usize])));
+                let expected: Vec<(&[u8], u32)> = held.iter().map(|(l, s)| (&l[..], *s)).collect();
+                assert_eq!(entries(&grown), expected, "k={k} round {round}");
                 // What a reload knows about the order is what a sort left.
-                let reloaded = FlatTree::from_parts(k, grown.labels.clone(), grown.ids.clone());
+                let reloaded =
+                    FlatTree::from_parts(k, grown.labels.clone(), grown.slots.clone(), arena);
                 assert_eq!(reloaded.sorted_len, grown.len());
             }
         }
-        let unsorted = FlatTree::from_parts(1, vec![1, 2, 0, 3], vec![7, 8, 9, 10]);
+        let unsorted = FlatTree::from_parts(1, vec![1, 2, 0, 3], vec![7, 8, 9, 10], arena);
         assert_eq!(unsorted.sorted_len, 2);
-        assert!(!unsorted.is_sorted());
-        assert_eq!(FlatTree::from_parts(4, vec![], vec![]).sorted_len, 0);
+        assert!(!unsorted.is_sorted(arena));
+        assert_eq!(FlatTree::from_parts(4, vec![], vec![], arena).sorted_len, 0);
+    }
+
+    /// Two classes under one content hash stay two classes through
+    /// every operation of the map: equality is the caller's word
+    /// comparison, the hash only proposes.
+    #[test]
+    fn content_map_keeps_colliding_classes_apart() {
+        let mut map = ContentMap::default();
+        for slot in [0u32, 1, 2] {
+            map.insert(77, slot);
+        }
+        map.insert(5, 3);
+        assert_eq!(map.collided.len(), 2);
+        for slot in 0..4u32 {
+            let hash = if slot == 3 { 5 } else { 77 };
+            assert_eq!(map.find(hash, |s| s == slot), Some(slot));
+        }
+        assert_eq!(map.find(77, |s| s == 3), None);
+        assert_eq!(map.find(9, |_| true), None);
+        // The class `by_hash` names leaves: a collided one takes its place.
+        map.remove(77, 0);
+        assert_eq!(map.find(77, |s| s == 0), None);
+        assert_eq!(map.find(77, |s| s == 1), Some(1));
+        assert_eq!(map.find(77, |s| s == 2), Some(2));
+        map.renumber(77, 1, 8);
+        map.renumber(77, 2, 9);
+        assert_eq!(map.find(77, |s| s == 8), Some(8));
+        assert_eq!(map.find(77, |s| s == 9), Some(9));
+        map.remove(77, 9);
+        map.remove(77, 8);
+        map.remove(5, 3);
+        assert!(map.by_hash.is_empty() && map.collided.is_empty());
+    }
+
+    /// Equal signatures are one class: one arena slot and one entry
+    /// per tree whatever the member count, and an insert that joins a
+    /// class leaves a committed forest committed.
+    #[test]
+    fn equal_signatures_pool_into_one_class() {
+        let mh = MinHasher::new(128, 31);
+        let (a, b) = (
+            sign(&mh, &tokens("a", 0..30)),
+            sign(&mh, &tokens("b", 0..30)),
+        );
+        let mut f = LshForest::new(128, 8);
+        for id in [5u64, 9, 2] {
+            f.insert(id, a.clone());
+        }
+        f.insert(7, b.clone());
+        f.commit();
+        assert_eq!((f.len(), f.class_count(), f.largest_class()), (4, 2, 3));
+        assert_eq!(f.signature_byte_size(), 2 * 64 * 8);
+        assert!(f.tree_arrays().iter().all(|t| t.len() == 2));
+        assert_eq!(f.ids().collect::<Vec<_>>(), vec![2, 5, 9, 7]);
+        f.insert(1, b.clone());
+        f.insert(3, a.clone());
+        assert!(f.is_committed(), "joining a class changes no tree");
+        assert_eq!(f.signature(3), Some(a.clone()));
+        let hits = f.query(&a, 3);
+        assert_eq!(hits.iter().map(|h| h.id).collect::<Vec<_>>(), vec![2, 3, 5]);
+        assert!(hits.iter().all(|h| h.similarity == 1.0));
+        // The first class dies with its last member; the last class
+        // moves into its slot and is still found under every id.
+        for id in [5u64, 9, 2, 3] {
+            assert!(f.remove(id));
+        }
+        assert_eq!((f.len(), f.class_count()), (2, 1));
+        assert!(f.is_committed());
+        assert_eq!(f.signature(1), Some(b.clone()));
+        assert_eq!(f.query(&b, 5).len(), 2);
+        let mut fresh = LshForest::new(128, 8);
+        fresh.insert(7, b.clone());
+        fresh.insert(1, b);
+        fresh.commit();
+        assert!(f == fresh);
     }
 
     /// Regression: re-inserting a stored id overwrote its arena slot
@@ -1053,20 +1352,16 @@ mod tests {
         assert_eq!(f.query(&old, 1)[0].id, 7);
         f.insert(7, new.clone());
         f.commit();
-        assert_eq!(f.len(), 50);
+        assert_eq!((f.len(), f.class_count()), (50, 50));
+        let arena = f.arena();
         for tree in f.tree_arrays() {
             assert_eq!(tree.len(), f.len());
-            assert!(tree.is_sorted());
-            assert_eq!(tree.ids().iter().filter(|&&id| id == 7).count(), 1);
+            assert!(tree.is_sorted(arena));
         }
         let hit = f.query(&new, 1)[0];
         assert_eq!((hit.id, hit.similarity), (7, 1.0));
         // No tree still files the item under its old labels.
-        let old_labels = f.query_labels(&old);
-        for (t, tree) in f.tree_arrays().iter().enumerate() {
-            let (lo, hi) = tree.prefix_range(&old_labels[t * 16..(t + 1) * 16]);
-            assert!(!tree.ids()[lo..hi].contains(&7), "tree {t}");
-        }
+        assert!(f.query(&old, 50).iter().all(|h| h.similarity < 1.0));
         assert_eq!(f.signature(7), Some(new));
         // The forest is the one that only ever saw the new signature.
         let mut fresh = LshForest::new(128, 8);
@@ -1074,7 +1369,7 @@ mod tests {
             fresh.insert(id, f.signature(id).unwrap());
         }
         fresh.commit();
-        assert_eq!(f.trees, fresh.trees);
+        assert!(f == fresh);
     }
 
     #[test]
@@ -1118,25 +1413,27 @@ mod tests {
         assert_eq!(hits.len(), 2);
     }
 
-    /// The bounded-heap fallback must select exactly the smallest
-    /// non-candidate ids — the same set the historical
-    /// materialize-everything + `select_nth_unstable` picked.
+    /// The bounded-heap fallback selects exactly the smallest ids of
+    /// the classes not gathered, as a prefix of each class's postings.
     #[test]
     fn fallback_selection_picks_smallest_ids() {
-        let mut candidates: IdHashSet<ItemId> = IdHashSet::default();
-        candidates.insert(2);
-        select_smallest_ids([9u64, 2, 7, 1, 8, 4].into_iter(), &mut candidates, 3);
-        let mut got: Vec<ItemId> = candidates.into_iter().collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 2, 4, 7]);
-        // need larger than the pool: everything is taken.
-        let mut all: IdHashSet<ItemId> = IdHashSet::default();
-        select_smallest_ids([5u64, 3].into_iter(), &mut all, 10);
-        assert_eq!(all.len(), 2);
-        // need == 0 is a no-op.
-        let mut none: IdHashSet<ItemId> = IdHashSet::default();
-        select_smallest_ids([5u64].into_iter(), &mut none, 0);
-        assert!(none.is_empty());
+        let mh = MinHasher::new(64, 5);
+        let mut f = LshForest::new(64, 8);
+        for (class, ids) in [[9u64, 2, 30], [7, 1, 31], [8, 4, 32]].iter().enumerate() {
+            for &id in ids {
+                f.insert(id, sign(&mh, &tokens("c", class * 9..class * 9 + 5)));
+            }
+        }
+        let forests = [&f];
+        let mut gathered = Gathered::default();
+        gathered.add(&forests, 0, 0);
+        assert_eq!(gathered.members, 3);
+        // Not gathered: {1, 7, 31} in slot 1 and {4, 8, 32} in slot 2.
+        let picked = |need| select_smallest_ids(&forests, &gathered, need);
+        assert_eq!(picked(3), vec![(0, 1, 2), (0, 2, 1)]);
+        assert_eq!(picked(1), vec![(0, 1, 1)]);
+        assert_eq!(picked(10), vec![(0, 1, 3), (0, 2, 3)], "need over the pool");
+        assert!(picked(0).is_empty());
     }
 
     #[test]
@@ -1164,23 +1461,36 @@ mod tests {
         let empty = f.byte_size();
         f.insert(1, sign(&mh, &tokens("a", 0..5)));
         assert!(f.byte_size() > empty);
-        assert_eq!(f.byte_size(), f.tree_byte_size() + f.signature_byte_size());
-        assert!(f.ids().count() == 1);
+        assert!(f.posting_byte_size() > 0);
+        assert_eq!(
+            f.byte_size(),
+            f.tree_byte_size() + f.signature_byte_size() + f.posting_byte_size()
+        );
+        // A second member of the class costs postings, not signatures.
+        let (sigs, postings) = (f.signature_byte_size(), f.posting_byte_size());
+        for id in 2..40 {
+            f.insert(id, sign(&mh, &tokens("a", 0..5)));
+        }
+        assert_eq!(f.signature_byte_size(), sigs);
+        assert!(f.posting_byte_size() > postings);
+        assert!(f.ids().count() == 39);
         assert!(f.signature(1).is_some());
         assert!(!f.is_committed());
         f.commit();
         assert!(f.is_committed());
     }
 
-    /// Signing into the arena slot, and joining per-worker forests
-    /// with `append`, must both equal insert-then-commit byte for
-    /// byte, at every worker count.
+    /// Signing into the arena, and joining per-worker forests with
+    /// `append`, must both equal insert-then-commit, at every worker
+    /// count — with classes that span workers.
     #[test]
     fn insert_with_and_append_match_incremental_inserts() {
         let mh = MinHasher::new(128, 3);
         let sets: Vec<(u64, crate::TokenSet)> = (0..20)
             .map(|i| {
-                let toks = tokens("t", i as usize..i as usize + 30);
+                // Every third item repeats the first one's tokens.
+                let at = if i % 3 == 0 { 0 } else { i as usize };
+                let toks = tokens("t", at..at + 30);
                 (
                     i,
                     crate::TokenSet::from_strs(toks.iter().map(String::as_str)),
@@ -1192,6 +1502,7 @@ mod tests {
             incremental.insert(*id, mh.sign_token_set(set));
         }
         incremental.commit();
+        assert_eq!(incremental.class_count(), 14);
         let q = sign(&mh, &tokens("t", 5..35));
         for workers in [1usize, 2, 3, 20] {
             let mut joined: LshForest<MinHashSignature> = LshForest::new(128, 8);
@@ -1207,12 +1518,8 @@ mod tests {
             assert!(!joined.is_committed());
             joined.commit_parallel(workers);
             assert_eq!(joined.len(), incremental.len());
-            assert_eq!(joined.trees, incremental.trees, "trees @{workers} workers");
-            assert_eq!(
-                joined.arena(),
-                incremental.arena(),
-                "arena @{workers} workers"
-            );
+            assert!(joined == incremental, "@{workers} workers");
+            assert_eq!(to_bytes(&joined), to_bytes(&incremental));
             assert_eq!(joined.query(&q, 5), incremental.query(&q, 5));
         }
         // Appending an empty forest changes nothing, not even the
@@ -1253,7 +1560,7 @@ mod tests {
         assert_eq!(with.len(), 9);
         assert!(with.signature(4).is_none());
         // Removal leaves exactly the forest that never saw the item.
-        assert_eq!(with.trees, without.trees);
+        assert!(with == without);
         let q = sign(&mh, &tokens("r", 3..15));
         assert_eq!(with.query(&q, 5), without.query(&q, 5));
         // So does removing an item inserted since the last commit,
@@ -1261,7 +1568,7 @@ mod tests {
         with.insert(77, sign(&mh, &tokens("late", 0..12)));
         assert!(with.remove(77));
         with.commit();
-        assert_eq!(with.trees, without.trees);
+        assert!(with == without);
         assert_eq!(with.query(&q, 5), without.query(&q, 5));
     }
 
@@ -1269,11 +1576,12 @@ mod tests {
     /// union of disjoint sub-forests is byte-identical to querying
     /// one forest holding every item — at every shard count, for k
     /// values that exercise both the tree descent and the small-lake
-    /// fallback scan.
+    /// fallback scan, and that cut inside a tie class whose members
+    /// are spread over the shards.
     #[test]
     fn query_union_matches_monolith_at_every_shard_count() {
         let mh = MinHasher::new(128, 21);
-        let items: Vec<(u64, MinHashSignature)> = (0..30)
+        let mut items: Vec<(u64, MinHashSignature)> = (0..30)
             .map(|i| {
                 (
                     i * 7 + 1,
@@ -1281,15 +1589,29 @@ mod tests {
                 )
             })
             .collect();
+        // Twelve more items carry the signatures of items 4 and 5 —
+        // the first query's best matches — under consecutive ids, so
+        // `id % shards` spreads each tie class over every shard.
+        for i in 0..12u64 {
+            items.push((300 + i, items[4 + (i % 2) as usize].1.clone()));
+        }
         let mut monolith = LshForest::new(128, 8);
         for (id, sig) in &items {
             monolith.insert(*id, sig.clone());
         }
         monolith.commit();
+        assert_eq!((monolith.len(), monolith.class_count()), (42, 30));
         let queries = [
             sign(&mh, &tokens("u", 4..29)),
             sign(&mh, &tokens("v", 0..25)), // dissimilar: fallback path
         ];
+        // The first query's top 7 are one tie class, cut at 3 and 5.
+        let tied = monolith.query(&queries[0], 7);
+        assert!(tied.iter().all(|h| h.similarity == 1.0));
+        assert_eq!(
+            tied.iter().map(|h| h.id).collect::<Vec<_>>(),
+            vec![29, 300, 302, 304, 306, 308, 310]
+        );
         for shards in [1usize, 2, 3, 8] {
             let mut parts: Vec<LshForest<MinHashSignature>> =
                 (0..shards).map(|_| LshForest::new(128, 8)).collect();
@@ -1301,7 +1623,7 @@ mod tests {
             }
             let refs: Vec<&LshForest<MinHashSignature>> = parts.iter().collect();
             for q in &queries {
-                for k in [0usize, 1, 5, 29, 60] {
+                for k in [0usize, 1, 3, 5, 8, 29, 41, 60] {
                     assert_eq!(
                         query_union(&refs, q, k),
                         monolith.query(q, k),
@@ -1340,6 +1662,243 @@ mod tests {
         a.commit();
         b.commit_parallel(4);
         assert!(b.is_committed());
-        assert_eq!(a.trees, b.trees);
+        assert!(a == b);
+    }
+
+    // ------------------------------------------------------ the model
+
+    /// The forest as its specification reads, and nothing of how it is
+    /// built: one `(id, signature)` pair per item, every tree a sorted
+    /// list of `(label, id)` made when a query asks, no class, no
+    /// arena, no map. What `LshForest` answers is held to this.
+    struct Model<S> {
+        l: usize,
+        k: usize,
+        items: Vec<(ItemId, S)>,
+    }
+
+    impl<S: Signature> Model<S> {
+        fn insert(&mut self, id: ItemId, sig: S) {
+            self.remove(id);
+            self.items.push((id, sig));
+        }
+
+        fn remove(&mut self, id: ItemId) {
+            self.items.retain(|item| item.0 != id);
+        }
+
+        fn label(&self, sig: &S, t: usize) -> Vec<u8> {
+            let mut label = Vec::new();
+            let positions = t * self.k..(t + 1) * self.k;
+            write_labels::<S>(sig.words(), sig.meta(), positions, &mut label);
+            label
+        }
+
+        fn query(&self, q: &S, k: usize) -> Vec<Hit> {
+            if k == 0 {
+                return Vec::new();
+            }
+            let trees: Vec<Vec<(Vec<u8>, ItemId)>> = (0..self.l)
+                .map(|t| {
+                    let entries = self.items.iter().map(|(id, s)| (self.label(s, t), *id));
+                    let mut tree: Vec<_> = entries.collect();
+                    tree.sort();
+                    tree
+                })
+                .collect();
+            // Descend: the items sharing the query's label prefix in
+            // any tree, from the full depth up, until there are `k`.
+            let mut candidates: BTreeSet<ItemId> = BTreeSet::new();
+            for depth in (1..=self.k).rev() {
+                for (t, tree) in trees.iter().enumerate() {
+                    let prefix = &self.label(q, t)[..depth];
+                    let run = tree.iter().filter(|e| &e.0[..depth] == prefix);
+                    candidates.extend(run.map(|e| e.1));
+                }
+                if candidates.len() >= k {
+                    break;
+                }
+            }
+            // Fall back: top up to max(k, 32) with the smallest ids.
+            if candidates.len() < k && candidates.len() < self.items.len() {
+                let need = k.max(32) - candidates.len();
+                let mut rest: Vec<ItemId> = self.items.iter().map(|item| item.0).collect();
+                rest.retain(|id| !candidates.contains(id));
+                rest.sort_unstable();
+                candidates.extend(rest.into_iter().take(need));
+            }
+            // Cut: (similarity descending, id ascending), the first k.
+            let mut hits: Vec<Hit> = self
+                .items
+                .iter()
+                .filter(|item| candidates.contains(&item.0))
+                .map(|(id, s)| Hit {
+                    id: *id,
+                    similarity: q.similarity_words(s.words(), s.meta()),
+                })
+                .collect();
+            hits.sort_by(|a, b| {
+                (b.similarity.total_cmp(&a.similarity)).then_with(|| a.id.cmp(&b.id))
+            });
+            hits.truncate(k);
+            hits
+        }
+    }
+
+    /// One script step: `(operation, item id, signature number)`.
+    type Step = (u8, u64, u64);
+
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        prop::collection::vec((0u8..8, 0u64..24, 0u64..1000), 1..60)
+    }
+
+    /// Which signature a step's number names: (0) one of four, (1) its
+    /// own — no two steps share one — (2) either, by the number's
+    /// parity.
+    fn alphabet(kind: usize, step: usize, number: u64) -> u64 {
+        match kind {
+            0 => number % 4,
+            1 => 100 + step as u64 * 8,
+            _ if number.is_multiple_of(2) => number % 4,
+            _ => 100 + step as u64 * 8,
+        }
+    }
+
+    /// Drive a forest and the model with one script — `insert` (a
+    /// stored id is a re-insert), `remove`, `append` of a small forest
+    /// and `commit` — then hold the forest to the model's answers, and
+    /// its store bytes to those of every other way of arriving at the
+    /// same content.
+    fn check_script<S: Signature + PartialEq + std::fmt::Debug>(
+        script: &[Step],
+        kind: usize,
+        sig_len: usize,
+        sig: &dyn Fn(u64) -> S,
+    ) {
+        const L: usize = 8;
+        let fresh = || LshForest::<S>::new(sig_len, L);
+        let mut forest = fresh();
+        let mut model = Model {
+            l: L,
+            k: sig_len / L,
+            items: Vec::new(),
+        };
+        for (step, &(op, id, number)) in script.iter().enumerate() {
+            let s = alphabet(kind, step, number);
+            match op {
+                0..=3 => {
+                    forest.insert(id, sig(s));
+                    model.insert(id, sig(s));
+                }
+                4 | 5 => {
+                    assert_eq!(
+                        forest.remove(id),
+                        model.items.iter().any(|item| item.0 == id)
+                    );
+                    model.remove(id);
+                }
+                6 => {
+                    // Up to three items nobody holds, the first two
+                    // under one signature.
+                    let mut other = fresh();
+                    for (i, id) in (id..id + 3).enumerate() {
+                        if forest.signature_words(id).is_none() {
+                            other.insert(id, sig(s + i as u64 / 2));
+                            model.insert(id, sig(s + i as u64 / 2));
+                        }
+                    }
+                    forest.append(other);
+                }
+                _ => forest.commit(),
+            }
+        }
+        forest.commit();
+
+        let n = model.items.len();
+        assert_eq!(forest.len(), n);
+        let ids: BTreeSet<ItemId> = forest.ids().collect();
+        assert_eq!(ids.len(), n, "ids() names an item once");
+        assert!(model.items.iter().all(|item| ids.contains(&item.0)));
+        for (id, s) in &model.items {
+            assert_eq!(forest.signature_words(*id), Some(s.words()), "item {id}");
+        }
+        let distinct = model.items.iter().enumerate();
+        let distinct = distinct.filter(|(i, a)| model.items[..*i].iter().all(|b| b.1 != a.1));
+        assert_eq!(forest.class_count(), distinct.count());
+        for q in [
+            sig(0),
+            sig(1),
+            sig(3),
+            sig(104),
+            sig(100 + 8 * 7),
+            sig(5000),
+        ] {
+            for k in [0usize, 1, 5, 50, n + 7] {
+                assert_eq!(forest.query(&q, k), model.query(&q, k), "k={k} of {n}");
+            }
+        }
+
+        // Content, not history: the same items in any order, or among
+        // others that then leave, are the same forest and the same
+        // bytes, whatever sorted the trees.
+        let bytes = to_bytes(&forest);
+        let mut orders = [model.items.clone(), model.items.clone()];
+        orders[0].reverse();
+        orders[1].rotate_left(n / 2);
+        if n > 0 {
+            orders[1].swap(0, n - 1);
+        }
+        for (order, threads) in orders.iter().zip([2usize, 8]) {
+            let mut again = fresh();
+            for (id, s) in order {
+                again.insert(*id, s.clone());
+            }
+            again.commit_parallel(threads);
+            assert!(again == forest);
+            assert_eq!(to_bytes(&again), bytes, "@{threads} threads");
+        }
+        let mut crowded = fresh();
+        for i in 0..12u64 {
+            // Strangers under the script's signatures and their own.
+            crowded.insert(1000 + i, sig(if i % 2 == 0 { i % 4 } else { 7000 + i }));
+        }
+        for (id, s) in &model.items {
+            crowded.insert(*id, s.clone());
+        }
+        crowded.commit();
+        for i in 0..12u64 {
+            assert!(crowded.remove(1000 + i));
+        }
+        assert!(crowded.is_committed());
+        assert!(crowded == forest);
+        assert_eq!(to_bytes(&crowded), bytes, "build, then remove");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// MinHash signatures: number `s` signs tokens `s..s+20`, so
+        /// neighbouring numbers are similar and the descent stops at
+        /// every depth.
+        #[test]
+        fn minhash_forest_matches_the_model(script in steps(), kind in 0usize..3) {
+            let mh = MinHasher::new(64, 7);
+            check_script(&script, kind, 64, &|s| {
+                sign(&mh, &tokens("m", s as usize..s as usize + 20))
+            });
+        }
+
+        /// Bit signatures: number `s` signs its own pseudo-random
+        /// vector; one-bit labels make every prefix run long.
+        #[test]
+        fn bit_forest_matches_the_model(script in steps(), kind in 0usize..3) {
+            let rp = RandomProjector::new(8, 64, 3);
+            check_script::<BitSignature>(&script, kind, 64, &|s| {
+                let v: Vec<f64> = (0..8u64)
+                    .map(|d| ((s + d) * 2654435761 % 97) as f64 - 48.0)
+                    .collect();
+                rp.sign(&v)
+            });
+        }
     }
 }

@@ -137,9 +137,12 @@ const SEED_TAG: u64 = 0x6433_6c5f_6c73_6821; // "d3l_lsh!"
 /// attribute refs): one [`splitmix64`] round instead of SipHash's
 /// per-block permutation. The forests' signature maps and the query
 /// pipeline's candidate sets are probed once per candidate on the hot
-/// path, where the default hasher's setup cost dominates. DoS
-/// resistance is irrelevant here — keys are internally assigned ids,
-/// not attacker-controlled strings.
+/// path, where the default hasher's setup cost dominates. It is not
+/// keyed, so it resists no one who can choose the keys: they are
+/// internally assigned ids, or — the forests' content maps — a fold of
+/// a stored signature's words, which a lake's author reaches only
+/// through the seeded MinHash and projection signing (a collision
+/// there costs a scan of the map's collision list, never an answer).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IdHasher(u64);
 
@@ -178,7 +181,8 @@ impl std::hash::Hasher for IdHasher {
 /// `BuildHasher` for [`IdHasher`]-keyed maps and sets.
 pub type BuildIdHasher = std::hash::BuildHasherDefault<IdHasher>;
 
-/// A `HashMap` keyed by internally assigned integer ids.
+/// A `HashMap` keyed by internally assigned integer ids (or hashes
+/// computed from stored content — see [`IdHasher`]).
 pub type IdHashMap<K, V> = std::collections::HashMap<K, V, BuildIdHasher>;
 
 /// A `HashSet` of internally assigned integer ids.

@@ -12,17 +12,28 @@
 //! is one codec with the two arena sources.
 //!
 //! Wire layout (one streamed `d3l-store` container section, format
-//! versions 4 and 5 — all fixed-width little-endian, no per-item framing):
+//! version 6 — all fixed-width little-endian, no per-item framing):
 //!
 //! ```text
 //! header   u32 l, u32 k, u8 committed, u8 arena source,
-//!          u64 n, u32 stride, u64 meta
+//!          u64 n, u64 c, u32 stride, u64 meta
 //! ids      n × u64            item ids, strictly ascending
-//! slab     n × stride × u64   signature words, in id order
+//! classes  n × u32            the class of each id, by rank
+//! slab     c × stride × u64   signature words, one class after
+//!                             another in rank order
 //!                             (arena source 0, stored, only)
-//! l × tree n × u32            entry j of the tree is the item with
-//!                             rank perm[j] in the id table
+//! l × tree c × u32            entry j of the tree is the class of
+//!                             rank perm[j]
 //! ```
+//!
+//! A forest indexes each distinct signature once, as a **class**
+//! (`crate::forest`): `n` items in `c` classes. Classes are ranked by
+//! their smallest member — the order in which a walk up the id table
+//! first meets them — which, like everything else in the section, is
+//! a function of which item carries which signature and of nothing
+//! else: not of the arena slot a class happens to occupy, nor of the
+//! order items were inserted and removed in. A forest whose items all
+//! differ has `c = n` and the identity as its class table.
 //!
 //! `stride` counts `u64` words per signature and `meta` hash
 //! positions per signature; what a word holds is the signature type's
@@ -33,12 +44,11 @@
 //! (arena source 1) states the same shape and leaves the slab out.
 //!
 //! The signature slab is the forest's arena: when slot order is
-//! already id order — after every bulk build and every reopen — it is
-//! written with one bulk copy, otherwise gathered a chunk at a time,
-//! so the bytes are a function of the forest's contents, not of its
-//! insertion and removal history. On load the slab *becomes* the
-//! arena; nothing is copied per signature. A derived arena is built
-//! by the reader's caller, from the id table, in the same id order.
+//! already rank order — after every bulk build and every reopen — it
+//! is written with one bulk copy, otherwise gathered a chunk at a
+//! time. On load the slab *becomes* the arena; nothing is copied per
+//! signature. A derived arena is built by the reader's caller, one
+//! signature per class, in rank order, from the classes' members.
 //!
 //! Tree labels are not stored. A label is a pure function of the
 //! signature (one byte per consumed hash position, see
@@ -52,15 +62,19 @@
 //! error, never a forest that answers differently. Decoding validates
 //! every structural invariant the query paths rely on — the expected
 //! shape and arena source, a signature shape the type accepts, unique
-//! ascending ids, each tree a permutation of the id table (every rank
-//! in range, none repeated) and sorted when the committed flag is set
-//! — so a corrupt section becomes a typed [`StoreError`], never a
+//! ascending ids, a class table that names every class of `0..c` in
+//! order of first appearance (so no rank out of range, no class
+//! without a member, one ranking per content), no two classes with
+//! the same signature, each tree a permutation of the classes (every
+//! rank in range, none repeated) and sorted when the committed flag is
+//! set — so a corrupt section becomes a typed [`StoreError`], never a
 //! panicking or silently-wrong forest.
 //!
 //! Format versions 1 (per-item varint framing, stored labels), 2
-//! (64-bit MinHash values) and 3 (no arena source byte: every slab
-//! stored) are not read; the container rejects such files by version
-//! and the lake is re-indexed.
+//! (64-bit MinHash values), 3 (no arena source byte: every slab
+//! stored), 4 and 5 (one slab slot and one tree entry per item, no
+//! class table) are not read; the container rejects such files by
+//! version and the lake is re-indexed.
 
 use std::io::{self, Read, Write};
 
@@ -71,27 +85,27 @@ use crate::signature::Signature;
 use crate::ItemId;
 
 /// Encoded size of the fixed forest header.
-const HEADER_LEN: usize = 4 + 4 + 1 + 1 + 8 + 4 + 8;
+const HEADER_LEN: usize = 4 + 4 + 1 + 1 + 8 + 8 + 4 + 8;
 
-/// Arena source byte: the signature slab follows the ids.
+/// Arena source byte: the signature slab follows the class table.
 const ARENA_STORED: u8 = 0;
 
 /// Arena source byte: no slab; the reader's caller signs the arena.
 const ARENA_DERIVED: u8 = 1;
 
-/// Signatures gathered per write when slot order is not id order.
+/// Signatures gathered per write when slot order is not rank order.
 const GATHER_ITEMS: usize = 64;
 
 impl<S: Signature> LshForest<S> {
-    /// Stream the forest (signature slab + tree orders) into a
-    /// snapshot section. Signatures go from the arena to the sink and
-    /// nowhere else.
+    /// Stream the forest (class table, signature slab, tree orders)
+    /// into a snapshot section. Signatures go from the arena to the
+    /// sink and nowhere else.
     pub fn write_to<W: Write>(&self, sec: &mut SectionWriter<'_, W>) -> io::Result<()> {
         self.write_section(sec, ARENA_STORED)
     }
 
-    /// Stream the forest without its signatures (ids + tree orders):
-    /// for a forest whose reader can sign every item again
+    /// Stream the forest without its signatures (class table + tree
+    /// orders): for a forest whose reader can sign every class again
     /// ([`LshForest::read_derived_from`]).
     pub fn write_derived_to<W: Write>(&self, sec: &mut SectionWriter<'_, W>) -> io::Result<()> {
         self.write_section(sec, ARENA_DERIVED)
@@ -103,12 +117,11 @@ impl<S: Signature> LshForest<S> {
         source: u8,
     ) -> io::Result<()> {
         let (l, k) = self.shape();
-        let (slot_ids, sig_words, stride, meta) = self.arena();
-        let n = slot_ids.len();
+        let (postings, sig_words, stride, meta) = self.stored_parts();
+        let (n, c) = (self.len(), postings.len());
         // An emptied forest keeps the shape of its last signature;
         // the encoding is of the contents.
-        let (stride, meta) = if n == 0 { (0, 0) } else { (stride, meta) };
-        let stored = source == ARENA_STORED;
+        let (stride, meta) = if c == 0 { (0, 0) } else { (stride, meta) };
 
         let mut head = Encoder::with_capacity(HEADER_LEN);
         head.put_u32(l as u32);
@@ -116,46 +129,47 @@ impl<S: Signature> LshForest<S> {
         head.put_u8(self.is_committed() as u8);
         head.put_u8(source);
         head.put_u64(n as u64);
+        head.put_u64(c as u64);
         head.put_u32(u32::try_from(stride).expect("signature stride fits u32"));
         head.put_u64(meta);
         sec.put_raw(head.as_bytes())?;
 
-        // rank_of_slot[s]: position of slot s's item in the id table.
-        let mut rank_of_slot: Vec<u32> = (0..n as u32).collect();
-        if slot_ids.windows(2).all(|w| w[0] < w[1]) {
-            sec.put_u64_slab(slot_ids)?;
-            if stored {
-                sec.put_u64_slab(sig_words)?;
-            }
-        } else {
-            let mut by_id = rank_of_slot.clone();
-            by_id.sort_unstable_by_key(|&s| slot_ids[s as usize]);
-            let ids: Vec<ItemId> = by_id.iter().map(|&s| slot_ids[s as usize]).collect();
-            sec.put_u64_slab(&ids)?;
-            if stored {
-                let mut gathered = Vec::with_capacity(GATHER_ITEMS * stride);
-                for slots in by_id.chunks(GATHER_ITEMS) {
-                    gathered.clear();
-                    for &s in slots {
-                        let at = s as usize * stride;
-                        gathered.extend_from_slice(&sig_words[at..at + stride]);
-                    }
-                    sec.put_u64_slab(&gathered)?;
+        // Classes rank by their smallest member.
+        let mut by_rank: Vec<u32> = (0..c as u32).collect();
+        let in_rank_order = postings.windows(2).all(|w| w[0][0] < w[1][0]);
+        if !in_rank_order {
+            by_rank.sort_unstable_by_key(|&s| postings[s as usize][0]);
+        }
+        let mut rank_of_slot = vec![0u32; c];
+        let mut members: Vec<(ItemId, u32)> = Vec::with_capacity(n);
+        for (rank, &s) in (0u32..).zip(&by_rank) {
+            rank_of_slot[s as usize] = rank;
+            members.extend(postings[s as usize].iter().map(|&id| (id, rank)));
+        }
+        members.sort_unstable();
+        let (ids, ranks): (Vec<ItemId>, Vec<u32>) = members.into_iter().unzip();
+        sec.put_u64_slab(&ids)?;
+        sec.put_u32_slab(&ranks)?;
+        drop((ids, ranks));
+
+        if source == ARENA_STORED && in_rank_order {
+            sec.put_u64_slab(sig_words)?;
+        } else if source == ARENA_STORED {
+            let mut gathered = Vec::with_capacity(GATHER_ITEMS * stride);
+            for slots in by_rank.chunks(GATHER_ITEMS) {
+                gathered.clear();
+                for &s in slots {
+                    gathered.extend_from_slice(self.arena().slot(s));
                 }
-            }
-            for (rank, &s) in by_id.iter().enumerate() {
-                rank_of_slot[s as usize] = rank as u32;
+                sec.put_u64_slab(&gathered)?;
             }
         }
 
-        let mut perm: Vec<u32> = Vec::with_capacity(n);
+        let mut perm: Vec<u32> = Vec::with_capacity(c);
         for tree in self.tree_arrays() {
-            assert_eq!(tree.len(), n, "a tree holds one entry per stored item");
+            assert_eq!(tree.len(), c, "a tree holds one entry per class");
             perm.clear();
-            perm.extend(tree.ids().iter().map(|&id| {
-                let slot = self.slot_of(id).expect("tree entries name stored items");
-                rank_of_slot[slot as usize]
-            }));
+            perm.extend(tree.slots().iter().map(|&s| rank_of_slot[s as usize]));
             sec.put_u32_slab(&perm)?;
         }
         Ok(())
@@ -170,8 +184,8 @@ impl<S: Signature> LshForest<S> {
         sec: &mut SectionReader<'_, R>,
         shape: (usize, usize),
     ) -> Result<Self, StoreError> {
-        Self::read_section(sec, shape, ARENA_STORED, |sec, ids, stride, _| {
-            let words = ids
+        Self::read_section(sec, shape, ARENA_STORED, |sec, classes, stride, _| {
+            let words = classes
                 .len()
                 .checked_mul(stride)
                 .ok_or_else(|| StoreError::corrupt("forest signature slab size overflows"))?;
@@ -181,49 +195,51 @@ impl<S: Signature> LshForest<S> {
 
     /// Decode a forest of shape `(l, k)` streamed by
     /// [`LshForest::write_derived_to`]. `derive` is handed the
-    /// section's id table (strictly ascending) and returns the arena:
-    /// `sig_shape.0` words per id, in that order, signed as the saved
-    /// forest's were — or an error, if it cannot sign one of the ids;
-    /// it has seen every id before it allocates or signs anything. The
-    /// trees are then checked against the labels of what it returned,
-    /// exactly as a stored slab's are, so a `derive` that signs
-    /// something other than what the trees were sorted by is
-    /// [`StoreError::Corrupt`]. `sig_shape` is the hasher's
-    /// `(words, positions)`; a section stating another is corrupt.
+    /// section's classes — each one's members, ascending, classes in
+    /// rank order — and returns the arena: `sig_shape.0` words per
+    /// class, in that order, every class signed as the saved forest's
+    /// was — or an error, if it cannot sign one, or finds a member its
+    /// class's signature is not the signature of; it has seen every id
+    /// before it allocates or signs anything. The trees are then
+    /// checked against the labels of what it returned, exactly as a
+    /// stored slab's are, so a `derive` that signs something other
+    /// than what the trees were sorted by is [`StoreError::Corrupt`].
+    /// `sig_shape` is the hasher's `(words, positions)`; a section
+    /// stating another is corrupt.
     pub fn read_derived_from<R: Read>(
         sec: &mut SectionReader<'_, R>,
         shape: (usize, usize),
         sig_shape: (usize, u64),
-        derive: impl FnOnce(&[ItemId]) -> Result<Vec<u64>, StoreError>,
+        derive: impl FnOnce(&[Vec<ItemId>]) -> Result<Vec<u64>, StoreError>,
     ) -> Result<Self, StoreError> {
-        Self::read_section(sec, shape, ARENA_DERIVED, |_, ids, stride, meta| {
-            if !ids.is_empty() && (stride, meta) != sig_shape {
+        Self::read_section(sec, shape, ARENA_DERIVED, |_, classes, stride, meta| {
+            if !classes.is_empty() && (stride, meta) != sig_shape {
                 return Err(StoreError::corrupt(format!(
                     "forest signature shape ({stride} words, meta {meta}) is not the \
                      {sig_shape:?} its source is signed to"
                 )));
             }
-            let arena = derive(ids)?;
+            let arena = derive(classes)?;
             assert_eq!(
                 arena.len(),
-                ids.len() * stride,
-                "a derived arena holds one signature per id"
+                classes.len() * stride,
+                "a derived arena holds one signature per class"
             );
             Ok(arena)
         })
     }
 
-    /// The one section decoder: header, ids, the arena from wherever
-    /// `source` says it comes (`arena` reads or builds it, given the
-    /// id table and the header's signature shape), then the trees,
-    /// checked against the arena's labels.
+    /// The one section decoder: header, ids and their classes, the
+    /// arena from wherever `source` says it comes (`arena` reads or
+    /// builds it, given the classes and the header's signature shape),
+    /// then the trees, checked against the arena's labels.
     fn read_section<R: Read>(
         sec: &mut SectionReader<'_, R>,
         shape: (usize, usize),
         source: u8,
         arena: impl FnOnce(
             &mut SectionReader<'_, R>,
-            &[ItemId],
+            &[Vec<ItemId>],
             usize,
             u64,
         ) -> Result<Vec<u64>, StoreError>,
@@ -257,6 +273,15 @@ impl<S: Signature> LshForest<S> {
             .ok()
             .filter(|&n| n <= u32::MAX as usize)
             .ok_or_else(|| StoreError::corrupt("forest item count exceeds u32 slots"))?;
+        // Every class has a member, so no more classes than items —
+        // which bounds everything sized by `c` by the id table read
+        // below.
+        let c = usize::try_from(dec.get_u64()?)
+            .ok()
+            .filter(|&c| c <= n)
+            .ok_or_else(|| {
+                StoreError::corrupt(format!("forest has more classes than {n} items"))
+            })?;
         let stride = dec.get_u32()? as usize;
         let meta = dec.get_u64()?;
         // A shape the signature type would refuse to rebuild must not
@@ -275,72 +300,104 @@ impl<S: Signature> LshForest<S> {
                 w[0], w[1]
             )));
         }
-        let sig_words = arena(sec, &ids, stride, meta)?;
+        // Ranks are by smallest member: walking the ids upwards, each
+        // class is first met right after the classes ranked below it.
+        let ranks = sec.get_u32_slab(n, "forest classes")?;
+        let mut classes: Vec<Vec<ItemId>> = Vec::with_capacity(c);
+        for (&id, &rank) in ids.iter().zip(&ranks) {
+            let rank = rank as usize;
+            if rank >= c {
+                return Err(StoreError::corrupt(format!(
+                    "item {id} names class {rank} of {c}"
+                )));
+            }
+            match rank.cmp(&classes.len()) {
+                std::cmp::Ordering::Less => classes[rank].push(id),
+                std::cmp::Ordering::Equal => classes.push(vec![id]),
+                std::cmp::Ordering::Greater => {
+                    return Err(StoreError::corrupt(format!(
+                        "class {rank} is first met at item {id}, before class {}: \
+                         classes are not ranked by first appearance",
+                        classes.len()
+                    )))
+                }
+            }
+        }
+        if classes.len() < c {
+            return Err(StoreError::corrupt(format!(
+                "class {} of {c} has no member",
+                classes.len()
+            )));
+        }
+        drop((ids, ranks));
+        // Pushed lists hold up to twice their ids' room; a forest that
+        // serves for hours should hold what its footprint says.
+        classes.iter_mut().for_each(Vec::shrink_to_fit);
+        let sig_words = arena(sec, &classes, stride, meta)?;
+        let mut forest = LshForest::from_stored_classes(l, k, classes, sig_words, stride, meta)
+            .map_err(|(a, b)| {
+                StoreError::corrupt(format!("classes {a} and {b} hold one signature"))
+            })?;
 
-        // Every tree's order first — `place[t * n + rank]` is where
-        // tree `t` keeps the item of that rank — so that one sequential
-        // pass over the arena can put each signature's labels where
-        // each tree wants them. The orders are 4 bytes an entry where
-        // the labels they place are `k`: the forest's `n × l × k`
-        // labels are never held a second time, beside the trees made
-        // of them. (A buffer of one tree's labels, filled by a strided
-        // pass over the arena per tree, is smaller still and measured
-        // 10–20 % slower to open.)
+        // Every tree's order first — `place[t * c + rank]` is where
+        // tree `t` keeps the class of that rank — so that one
+        // sequential pass over the arena can put each signature's
+        // labels where each tree wants them. The orders are 4 bytes an
+        // entry where the labels they place are `k`: the forest's
+        // `c × l × k` labels are never held a second time, beside the
+        // trees made of them. (A buffer of one tree's labels, filled
+        // by a strided pass over the arena per tree, is smaller still
+        // and measured 10–20 % slower to open.)
         let mut place: Vec<u32> = Vec::new();
-        let mut parts: Vec<(Vec<u8>, Vec<ItemId>)> = Vec::with_capacity(l);
+        let mut parts: Vec<(Vec<u8>, Vec<u32>)> = Vec::with_capacity(l);
         for t in 0..l {
-            let perm = sec.get_u32_slab(n, "forest tree")?;
-            place.resize((t + 1) * n, u32::MAX);
-            let place = &mut place[t * n..];
-            let mut tree_ids = Vec::with_capacity(n);
+            let perm = sec.get_u32_slab(c, "forest tree")?;
+            place.resize((t + 1) * c, u32::MAX);
+            let place = &mut place[t * c..];
             for (at, &rank) in perm.iter().enumerate() {
                 let rank = rank as usize;
-                if rank >= n {
+                if rank >= c {
                     return Err(StoreError::corrupt(format!(
-                        "tree {t} names rank {rank} of {n} items"
+                        "tree {t} names class {rank} of {c}"
                     )));
                 }
-                // `at < n <= u32::MAX`: the sentinel is never a place.
+                // `at < c <= u32::MAX`: the sentinel is never a place.
                 if std::mem::replace(&mut place[rank], at as u32) != u32::MAX {
                     return Err(StoreError::corrupt(format!(
-                        "tree {t} holds item {} twice",
-                        ids[rank]
+                        "tree {t} holds class {rank} twice"
                     )));
                 }
-                tree_ids.push(ids[rank]);
             }
-            parts.push((vec![0u8; n * k], tree_ids));
+            parts.push((vec![0u8; c * k], perm));
         }
+        let arena = forest.arena();
         let mut row = Vec::with_capacity(l * k);
-        for slot in 0..n {
+        for slot in 0..c {
             row.clear();
-            let words = &sig_words[slot * stride..(slot + 1) * stride];
-            write_labels::<S>(words, meta, 0..l * k, &mut row);
+            write_labels::<S>(arena.slot(slot as u32), meta, 0..l * k, &mut row);
             for (t, (tree_labels, _)) in parts.iter_mut().enumerate() {
-                let at = place[t * n + slot] as usize * k;
+                let at = place[t * c + slot] as usize * k;
                 tree_labels[at..at + k].copy_from_slice(&row[t * k..(t + 1) * k]);
             }
         }
-        // Not beside the id map `from_stored_parts` is about to build.
         drop(place);
         let mut trees = Vec::with_capacity(l);
-        for (t, (tree_labels, tree_ids)) in parts.into_iter().enumerate() {
-            let tree = FlatTree::from_parts(k, tree_labels, tree_ids);
-            if sorted && !tree.is_sorted() {
+        for (t, (tree_labels, slots)) in parts.into_iter().enumerate() {
+            let tree = FlatTree::from_parts(k, tree_labels, slots, arena);
+            if sorted && !tree.is_sorted(arena) {
                 return Err(StoreError::corrupt(format!(
                     "tree {t} claims committed but is not sorted"
                 )));
             }
             trees.push(tree);
         }
-        Ok(LshForest::from_stored_parts(
-            l, k, trees, ids, sig_words, stride, meta, sorted,
-        ))
+        forest.set_trees(trees, sorted);
+        Ok(forest)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::minhash::{MinHashSignature, MinHasher};
     use crate::randproj::{BitSignature, RandomProjector};
@@ -349,10 +406,12 @@ mod tests {
     const TAG: [u8; 4] = *b"TEST";
     const SHAPE: (usize, usize) = (8, 8);
 
-    /// Header offsets: `l, k, committed, arena source, n, stride, meta`.
+    /// Header offsets: `l, k, committed, arena source, n, c, stride, meta`.
     const SOURCE_AT: usize = 9;
     const N_AT: usize = 10;
-    const META_AT: usize = 22;
+    const C_AT: usize = 18;
+    const STRIDE_AT: usize = 26;
+    const META_AT: usize = 30;
 
     /// The section payload `write` streams.
     fn payload_of(
@@ -381,7 +440,7 @@ mod tests {
     }
 
     /// The forest's section payload, arena stored.
-    fn to_bytes<S: Signature>(f: &LshForest<S>) -> Vec<u8> {
+    pub(crate) fn to_bytes<S: Signature>(f: &LshForest<S>) -> Vec<u8> {
         payload_of(|sec| f.write_to(sec))
     }
 
@@ -402,10 +461,10 @@ mod tests {
         tokens_of: impl Fn(ItemId) -> u64,
     ) -> Result<LshForest<MinHashSignature>, StoreError> {
         decode(payload, |sec| {
-            LshForest::read_derived_from(sec, SHAPE, mh.sig_shape(), |ids| {
-                Ok(ids
+            LshForest::read_derived_from(sec, SHAPE, mh.sig_shape(), |classes| {
+                Ok(classes
                     .iter()
-                    .flat_map(|&id| minhash_sig(mh, tokens_of(id)).words().to_vec())
+                    .flat_map(|ids| minhash_sig(mh, tokens_of(ids[0])).words().to_vec())
                     .collect())
             })
         })
@@ -437,10 +496,39 @@ mod tests {
         f
     }
 
-    /// Offset of tree `t`'s permutation inside a section payload
-    /// (`stride` 0 for a derived one: no slab).
-    fn perm_at(n: usize, stride: usize, t: usize) -> usize {
-        HEADER_LEN + n * 8 + n * stride * 8 + t * n * 4
+    /// Offset of the class table inside a section payload of `n` items.
+    fn ranks_at(n: usize) -> usize {
+        HEADER_LEN + n * 8
+    }
+
+    /// Offset of tree `t`'s permutation inside a section payload of
+    /// `n` items in `c` classes (`stride` 0 for a derived one: no
+    /// slab).
+    fn perm_at(n: usize, c: usize, stride: usize, t: usize) -> usize {
+        ranks_at(n) + n * 4 + c * stride * 8 + t * c * 4
+    }
+
+    /// [`minhash_forest`] with four more items under the signatures of
+    /// items 0 and 6: 16 items in 12 classes, classes 0 and 2 of three
+    /// members each.
+    fn pooled_forest() -> LshForest<MinHashSignature> {
+        let mh = MinHasher::new(64, 7);
+        let mut f = minhash_forest();
+        for (id, i) in [(100u64, 0u64), (101, 2), (102, 0), (103, 2)] {
+            f.insert(id, minhash_sig(&mh, i));
+        }
+        f.commit();
+        assert_eq!((f.len(), f.class_count()), (16, 12));
+        f
+    }
+
+    /// What [`pooled_forest`]'s item `id` was signed from.
+    fn pooled_tokens(id: ItemId) -> u64 {
+        match id {
+            100 | 102 => 0,
+            101 | 103 => 2,
+            id => id / 3,
+        }
     }
 
     fn patch_rank(payload: &mut [u8], at: usize, rank: u32) {
@@ -455,7 +543,10 @@ mod tests {
         assert_eq!(loaded.len(), f.len());
         assert!(loaded.is_committed());
         // The regenerated labels are the saved forest's labels.
-        assert_eq!(loaded.tree_arrays(), f.tree_arrays());
+        assert!(loaded == f);
+        for (a, b) in loaded.tree_arrays().iter().zip(f.tree_arrays()) {
+            assert!((0..a.len()).all(|i| a.label_at(i) == b.label_at(i)));
+        }
         for id in f.ids() {
             assert_eq!(loaded.signature(id), f.signature(id));
         }
@@ -477,7 +568,7 @@ mod tests {
         f.commit();
         let loaded: LshForest<MinHashSignature> = from_bytes(&to_bytes(&f)).unwrap();
         assert_eq!(loaded.sig_meta(), 67);
-        assert_eq!(loaded.tree_arrays(), f.tree_arrays());
+        assert!(loaded == f);
         let q = minhash_sig(&mh, 4);
         assert_eq!(loaded.query(&q, 5), f.query(&q, 5));
         assert_eq!(loaded.query(&q, 1)[0].similarity, 1.0);
@@ -493,7 +584,7 @@ mod tests {
         f.commit();
         let loaded: LshForest<MinHashSignature> = from_bytes(&to_bytes(&f)).unwrap();
         assert_eq!(loaded.len(), 12);
-        assert_eq!(loaded.tree_arrays(), f.tree_arrays());
+        assert!(loaded == f);
         assert_eq!(loaded.signature(9), Some(minhash_sig(&mh, 500)));
         let hit = loaded.query(&minhash_sig(&mh, 500), 1)[0];
         assert_eq!((hit.id, hit.similarity), (9, 1.0));
@@ -513,19 +604,18 @@ mod tests {
         let mh = MinHasher::new(64, 7);
         let f = minhash_forest();
         let (stored, derived) = (to_bytes(&f), to_derived_bytes(&f));
-        let slab = f.len() * mh.sig_shape().0 * 8;
+        let slab = f.class_count() * mh.sig_shape().0 * 8;
         assert_eq!(derived.len(), stored.len() - slab);
-        let ids_end = HEADER_LEN + f.len() * 8;
+        let table_end = ranks_at(f.len()) + f.len() * 4;
         assert_eq!(derived[..SOURCE_AT], stored[..SOURCE_AT]);
         assert_eq!((stored[SOURCE_AT], derived[SOURCE_AT]), (0, 1));
-        assert_eq!(derived[N_AT..ids_end], stored[N_AT..ids_end]);
-        assert_eq!(derived[ids_end..], stored[ids_end + slab..]);
+        assert_eq!(derived[N_AT..table_end], stored[N_AT..table_end]);
+        assert_eq!(derived[table_end..], stored[table_end + slab..]);
 
         // `minhash_forest` signs item `3 i` from tokens `i..i + 20`.
         let loaded = from_derived_bytes(&derived, &mh, |id| id / 3).unwrap();
         assert!(loaded.is_committed());
-        assert_eq!(loaded.tree_arrays(), f.tree_arrays());
-        assert_eq!(loaded.arena(), f.arena());
+        assert!(loaded == f);
         assert_eq!(to_bytes(&loaded), stored);
         assert_eq!(to_derived_bytes(&loaded), derived);
         let q = minhash_sig(&mh, 4);
@@ -545,7 +635,7 @@ mod tests {
         f.commit();
         let loaded = from_derived_bytes(&to_derived_bytes(&f), &odd, |id| id).unwrap();
         assert_eq!(loaded.sig_meta(), 67);
-        assert_eq!(loaded.tree_arrays(), f.tree_arrays());
+        assert!(loaded == f);
         assert!(loaded.ids().eq(0..12), "a reload is in id order");
         assert_eq!(to_bytes(&loaded), to_bytes(&f));
 
@@ -556,7 +646,7 @@ mod tests {
         let tokens_of = |id| if id == 9 { 500 } else { id / 3 };
         let loaded = from_derived_bytes(&to_derived_bytes(&f), &mh, tokens_of).unwrap();
         assert_eq!(loaded.len(), 12);
-        assert_eq!(loaded.tree_arrays(), f.tree_arrays());
+        assert!(loaded == f);
         assert_eq!(loaded.signature(9), Some(minhash_sig(&mh, 500)));
 
         let mut emptied = minhash_forest();
@@ -594,7 +684,7 @@ mod tests {
         // 66 positions are 33 words, a shape the type has — but not
         // the one this reader's hasher signs.
         let mut bad = to_derived_bytes(&f);
-        bad[N_AT + 8..N_AT + 12].copy_from_slice(&33u32.to_le_bytes());
+        bad[STRIDE_AT..STRIDE_AT + 4].copy_from_slice(&33u32.to_le_bytes());
         bad[META_AT..META_AT + 8].copy_from_slice(&66u64.to_le_bytes());
         let err = decode(&bad, |sec| {
             LshForest::<MinHashSignature>::read_derived_from(sec, SHAPE, mh.sig_shape(), |_| {
@@ -624,7 +714,7 @@ mod tests {
         // A `derive` that cannot resolve an id has its error passed on.
         let err = decode(&good, |sec| {
             LshForest::<MinHashSignature>::read_derived_from(sec, SHAPE, mh.sig_shape(), |ids| {
-                Err(StoreError::corrupt(format!("no source for {}", ids[3])))
+                Err(StoreError::corrupt(format!("no source for {}", ids[3][0])))
             })
         })
         .unwrap_err();
@@ -639,7 +729,7 @@ mod tests {
                 Ok(_) => panic!("cut {cut}: truncated forest decoded"),
             }
         }
-        let at = perm_at(f.len(), 0, 2);
+        let at = perm_at(f.len(), f.class_count(), 0, 2);
         let mut bad = good.clone();
         patch_rank(&mut bad, at + 4, f.len() as u32);
         assert!(matches!(
@@ -652,7 +742,7 @@ mod tests {
     fn bit_forest_round_trips() {
         let f = bit_forest();
         let loaded: LshForest<BitSignature> = from_bytes(&to_bytes(&f)).unwrap();
-        assert_eq!(loaded.tree_arrays(), f.tree_arrays());
+        assert!(loaded == f);
         assert_eq!(loaded.sig_meta(), 64);
         let q = f.signature(3).unwrap().clone();
         assert_eq!(loaded.query(&q, 4), f.query(&q, 4));
@@ -684,6 +774,7 @@ mod tests {
             !slot_order.windows(2).all(|w| w[0] < w[1]),
             "the history must actually scramble slot order"
         );
+        assert!(worn == minhash_forest(), "and nothing else");
         let fresh = minhash_forest();
         assert_eq!(to_bytes(&worn), to_bytes(&fresh));
         let reloaded: LshForest<MinHashSignature> = from_bytes(&to_bytes(&worn)).unwrap();
@@ -732,7 +823,14 @@ mod tests {
         }
         let loaded: LshForest<MinHashSignature> = from_bytes(&to_bytes(&f)).unwrap();
         assert!(!loaded.is_committed());
-        assert_eq!(loaded.tree_arrays(), f.tree_arrays());
+        // Entry order, class for class — not sorted order.
+        assert!(loaded == f);
+        let sorted = {
+            let mut f = f.clone();
+            f.commit();
+            f
+        };
+        assert!(loaded != sorted);
     }
 
     #[test]
@@ -768,6 +866,13 @@ mod tests {
         assert!(matches!(
             from_bytes::<MinHashSignature>(&bad),
             Err(StoreError::Corrupt(_))
+        ));
+        // More classes than items.
+        let mut bad = bytes.clone();
+        bad[C_AT..C_AT + 8].copy_from_slice(&13u64.to_le_bytes());
+        assert!(matches!(
+            from_bytes::<MinHashSignature>(&bad),
+            Err(StoreError::Corrupt(m)) if m.contains("more classes")
         ));
         // An item count no section could hold.
         let mut bad = bytes.clone();
@@ -828,16 +933,17 @@ mod tests {
 
     #[test]
     fn a_tree_that_is_not_a_sorted_permutation_is_rejected() {
-        let f = minhash_forest();
-        let (n, stride) = (f.len(), 32);
+        let f = pooled_forest();
+        let (n, c, stride) = (f.len(), f.class_count(), 32);
         let good = to_bytes(&f);
+        assert!(from_bytes::<MinHashSignature>(&good).unwrap() == f);
         let rank_at =
             |payload: &[u8], at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap());
         for t in [0usize, 3, 7] {
-            let at = perm_at(n, stride, t);
-            // Out of range.
+            let at = perm_at(n, c, stride, t);
+            // Out of range: classes, not items, are what a tree orders.
             let mut bad = good.clone();
-            patch_rank(&mut bad, at + 4, n as u32);
+            patch_rank(&mut bad, at + 4, c as u32);
             let err = from_bytes::<MinHashSignature>(&bad).unwrap_err();
             assert!(matches!(err, StoreError::Corrupt(_)), "tree {t}: {err}");
             // Repeated: entry 1 names entry 0's item (so another item
@@ -849,14 +955,108 @@ mod tests {
             assert!(matches!(err, StoreError::Corrupt(_)), "tree {t}: {err}");
             // Unsorted: a valid permutation in the wrong order.
             let mut bad = good.clone();
-            let (first, last) = (rank_at(&bad, at), rank_at(&bad, at + (n - 1) * 4));
+            let (first, last) = (rank_at(&bad, at), rank_at(&bad, at + (c - 1) * 4));
             patch_rank(&mut bad, at, last);
-            patch_rank(&mut bad, at + (n - 1) * 4, first);
+            patch_rank(&mut bad, at + (c - 1) * 4, first);
             let err = from_bytes::<MinHashSignature>(&bad).unwrap_err();
             assert!(
                 matches!(&err, StoreError::Corrupt(m) if m.contains("not sorted")),
                 "tree {t}: {err}"
             );
         }
+    }
+
+    /// Items under one signature are one class on the wire: one slab
+    /// slot and one entry per tree, ranked by its smallest member, and
+    /// both arena sources read it back — the derived one signing a
+    /// single member of each class.
+    #[test]
+    fn pooled_forest_round_trips_through_both_sources() {
+        let mh = MinHasher::new(64, 7);
+        let f = pooled_forest();
+        let (stored, derived) = (to_bytes(&f), to_derived_bytes(&f));
+        assert_eq!(
+            stored.len(),
+            HEADER_LEN + 16 * 12 + 12 * 32 * 8 + SHAPE.0 * 12 * 4
+        );
+        assert_eq!(derived.len(), stored.len() - 12 * 32 * 8);
+        let ranks: Vec<u32> = stored[ranks_at(16)..ranks_at(16) + 16 * 4]
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        // Ids 0, 3, .., 33 are classes 0..12; 100..104 join 0 and 2.
+        assert_eq!(ranks[..12], (0..12).collect::<Vec<u32>>()[..]);
+        assert_eq!(ranks[12..], [0, 2, 0, 2]);
+
+        let loaded: LshForest<MinHashSignature> = from_bytes(&stored).unwrap();
+        assert!(loaded == f);
+        assert_eq!(to_bytes(&loaded), stored);
+        let signed = std::cell::Cell::new(0);
+        let rederived = from_derived_bytes(&derived, &mh, |id| {
+            signed.set(signed.get() + 1);
+            pooled_tokens(id)
+        })
+        .unwrap();
+        assert_eq!(signed.get(), 12, "one signing per class");
+        assert!(rederived == f);
+        assert_eq!(to_bytes(&rederived), stored);
+        let q = minhash_sig(&mh, 0);
+        let hits = rederived.query(&q, 4);
+        assert_eq!(hits, f.query(&q, 4));
+        assert_eq!(
+            hits.iter().map(|h| h.id).collect::<Vec<_>>()[..3],
+            [0, 100, 102]
+        );
+    }
+
+    /// The class table names every class of `0..c`, in the order a
+    /// walk up the id table first meets them: a rank out of range, a
+    /// class nobody is in, and two classes met in the wrong order are
+    /// each a typed error, in either arena source.
+    #[test]
+    fn a_class_table_that_is_not_a_first_appearance_ranking_is_rejected() {
+        let mh = MinHasher::new(64, 7);
+        let f = pooled_forest();
+        let (n, c) = (f.len(), f.class_count());
+        let corrupt = |payload: &[u8], what: &str| {
+            let stored = from_bytes::<MinHashSignature>(payload).map(|_| ());
+            let derived = from_derived_bytes(payload, &mh, pooled_tokens).map(|_| ());
+            let good = payload[SOURCE_AT] == 0;
+            match if good { stored } else { derived } {
+                Err(StoreError::Corrupt(m)) => assert!(m.contains(what), "{m}"),
+                other => panic!("{what}: {other:?}"),
+            }
+        };
+        for good in [to_bytes(&f), to_derived_bytes(&f)] {
+            let at = ranks_at(n);
+            // Item 100's class: rank `c`, where `0..c` exist.
+            let mut bad = good.clone();
+            patch_rank(&mut bad, at + 12 * 4, c as u32);
+            corrupt(&bad, "names class 12 of 12");
+            // The last id-ordered class loses its only member to class 0.
+            let mut bad = good.clone();
+            patch_rank(&mut bad, at + 11 * 4, 0);
+            corrupt(&bad, "class 11 of 12 has no member");
+            // Classes 4 and 5 swap names: 5 is met before 4.
+            let mut bad = good.clone();
+            patch_rank(&mut bad, at + 4 * 4, 5);
+            patch_rank(&mut bad, at + 5 * 4, 4);
+            corrupt(&bad, "not ranked by first appearance");
+        }
+    }
+
+    /// Two classes are two signatures: a slab that repeats one is a
+    /// typed error before any tree is looked at.
+    #[test]
+    fn two_classes_with_one_signature_are_rejected() {
+        let f = pooled_forest();
+        let mut bad = to_bytes(&f);
+        let slab = ranks_at(f.len()) + f.len() * 4;
+        bad.copy_within(slab + 3 * 256..slab + 4 * 256, slab + 9 * 256);
+        let err = from_bytes::<MinHashSignature>(&bad).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corrupt(m) if m == "classes 3 and 9 hold one signature"),
+            "{err}"
+        );
     }
 }

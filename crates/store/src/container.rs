@@ -1,11 +1,11 @@
 //! The container format shared by base snapshots and delta segments
-//! (format version 5): a fixed header, section payloads back to back,
+//! (format version 6): a fixed header, section payloads back to back,
 //! then a checksummed section table the reader finds from the end.
 //!
 //! ```text
 //! offset  field
 //! 0       magic              "D3LSTORE" (8 bytes)
-//! 8       format version     u32 LE (5)
+//! 8       format version     u32 LE (6)
 //! 12      container kind     u32 LE (1 = snapshot, 2 = delta)
 //! 16      payloads           section bytes, back to back
 //! T       section table      count × { tag: 4 bytes, offset: u64,
@@ -32,15 +32,17 @@
 //! rather than a garbled decode downstream.
 //!
 //! The version counts changes to what any section holds, not only to
-//! the container: version 5 is version 2's container around forest
-//! sections that state where their signature arena comes from, and
-//! leave it out when the reader can sign it again (`d3l-lsh`'s
-//! `store` module; `d3l-core`'s snapshot says which forests do), and
-//! around profiles without their embedding vectors. Older files —
-//! version 1 (table up front, FNV-1a checksums, per-item forest
-//! sections), version 2 (one 64-bit MinHash value to a word), version
-//! 3 (every forest's arena stored) and version 4 (a vector in every
-//! profile) — are not read: opening one is
+//! the container: version 6 is version 2's container around forest
+//! sections that hold each distinct signature once, as a class with
+//! the items that carry it, state where their signature arena comes
+//! from, and leave it out when the reader can sign it again
+//! (`d3l-lsh`'s `store` module; `d3l-core`'s snapshot says which
+//! forests do), and around profiles without their embedding vectors.
+//! Older files — version 1 (table up front, FNV-1a checksums, per-item
+//! forest sections), version 2 (one 64-bit MinHash value to a word),
+//! version 3 (every forest's arena stored), version 4 (a vector in
+//! every profile) and version 5 (a signature and a tree entry per
+//! item) — are not read: opening one is
 //! [`StoreError::UnsupportedVersion`], and the lake must be re-indexed.
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -55,7 +57,7 @@ use crate::error::StoreError;
 pub const MAGIC: &[u8; 8] = b"D3LSTORE";
 
 /// The container format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Container kind of a full base snapshot.
 pub const KIND_SNAPSHOT: u32 = 1;
@@ -737,8 +739,8 @@ mod tests {
     #[test]
     fn other_versions_are_rejected() {
         // Newer and older alike: there is one read path, and a
-        // version 1 to 4 store must be re-indexed.
-        for version in [FORMAT_VERSION + 1, 4, 3, 2, 1, 0] {
+        // version 1 to 5 store must be re-indexed.
+        for version in [FORMAT_VERSION + 1, 5, 4, 3, 2, 1, 0] {
             let mut bytes = two_section_container();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
@@ -778,19 +780,19 @@ mod tests {
         assert!(err.to_string().contains("re-index"), "{err}");
     }
 
-    /// Version 2, 3 and 4 files have this version's container and other
+    /// Version 2 to 5 files have this version's container and other
     /// forest or profile sections; they are refused by their header
     /// before any is read.
     #[test]
-    fn version_2_3_and_4_files_are_an_unsupported_version() {
-        for version in [2u32, 3, 4] {
+    fn version_2_to_5_files_are_an_unsupported_version() {
+        for version in [2u32, 3, 4, 5] {
             let mut old = two_section_container();
             old[8..12].copy_from_slice(&version.to_le_bytes());
             let err = ContainerReader::parse(&old, KIND_SNAPSHOT).unwrap_err();
             assert!(
                 matches!(
                     err,
-                    StoreError::UnsupportedVersion { found, supported: 5 } if found == version
+                    StoreError::UnsupportedVersion { found, supported: 6 } if found == version
                 ),
                 "{err}"
             );

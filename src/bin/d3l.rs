@@ -699,25 +699,44 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("signing lanes:  {}", d3l::core::index::signing_lanes());
     let fp = d3l.byte_size();
-    println!("in-memory footprint (resident bytes):");
+    println!("in-memory footprint (bytes the content needs; allocator slack not counted):");
     println!(
-        "  {:<10} {:>12} {:>12} {:>12}",
-        "index", "trees", "signatures", "total"
+        "  {:<10} {:>12} {:>12} {:>12} {:>12}",
+        "index", "trees", "signatures", "postings", "total"
     );
     for (name, idx) in fp.indexes() {
         println!(
-            "  {:<10} {:>12} {:>12} {:>12}",
+            "  {:<10} {:>12} {:>12} {:>12} {:>12}",
             name,
             idx.tree_bytes,
             idx.signature_bytes,
+            idx.posting_bytes,
             idx.total()
         );
     }
     println!(
-        "  {:<10} {:>12} {:>12} {:>12}",
-        "profiles", "-", "-", fp.profile_bytes
+        "  {:<10} {:>12} {:>12} {:>12} {:>12}",
+        "profiles", "-", "-", "-", fp.profile_bytes
     );
-    println!("  {:<10} {:>12} {:>12} {:>12}", "total", "", "", fp.total());
+    println!(
+        "  {:<10} {:>12} {:>12} {:>12} {:>12}",
+        "total",
+        "",
+        "",
+        "",
+        fp.total()
+    );
+    println!("classes (distinct signatures; per-shard counts added, largest class of any shard):");
+    println!(
+        "  {:<10} {:>12} {:>12} {:>14}",
+        "index", "attributes", "classes", "largest class"
+    );
+    for ((name, _), stats) in fp.indexes().iter().zip(d3l.class_stats()) {
+        println!(
+            "  {:<10} {:>12} {:>12} {:>14}",
+            name, stats.attributes, stats.classes, stats.largest_class
+        );
+    }
     let (base, deltas, pending) = disk;
     println!("on-disk snapshot (serialized bytes):");
     match index_dir {

@@ -168,6 +168,44 @@ fn stats_reports_lake_shape() {
         stdout.contains(&format!("signing lanes:  {lanes}")),
         "got: {stdout}"
     );
+
+    // Under the footprint table, how far each index pools: every
+    // column is in IN and IF, the three textual ones in IV and IE —
+    // from the lake and, shard counts added, from a two-shard index.
+    let index_dir = format!("{}_index", lake.dir());
+    let out = d3l_cmd(&["index", lake.dir(), "--out", &index_dir, "--shards", "2"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    let indexed = d3l_cmd(&["stats", "--index", &index_dir]);
+    assert_eq!(indexed.status.code(), Some(0), "{}", stderr_of(&indexed));
+    for stdout in [stdout, stdout_of(&indexed)] {
+        assert!(stdout.contains("postings"), "got: {stdout}");
+        let rows: Vec<Vec<&str>> = stdout
+            .lines()
+            .skip_while(|l| !l.starts_with("classes (distinct signatures; per-shard counts added"))
+            .skip(2)
+            .take(4)
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        let number = |cell: &str| cell.parse::<usize>().expect("a count");
+        let names: Vec<&str> = rows.iter().map(|r| r[0]).collect();
+        assert_eq!(names, ["IN", "IV", "IF", "IE"], "got: {stdout}");
+        for row in &rows {
+            let (attributes, classes, largest) = (number(row[1]), number(row[2]), number(row[3]));
+            let live = if matches!(row[0], "IN" | "IF") { 5 } else { 3 };
+            assert_eq!(attributes, live, "{}: {stdout}", row[0]);
+            assert!(
+                1 <= classes && classes <= attributes,
+                "{}: {stdout}",
+                row[0]
+            );
+            assert!(
+                1 <= largest && largest <= attributes,
+                "{}: {stdout}",
+                row[0]
+            );
+        }
+    }
+    std::fs::remove_dir_all(&index_dir).ok();
 }
 
 #[test]

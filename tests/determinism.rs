@@ -784,17 +784,32 @@ fn dirty_lake(tables: usize) -> DataLake {
 /// headers, 286 712 bytes (checksum `0x180c_e910_1718_1bf0`); format 5
 /// leaves out each attribute's embedding vector — a length byte and
 /// 64 `f64`s, 513 bytes — turns the numeric byte that followed it into
-/// a flags byte, and nothing else differently. Profiling and signing
-/// may get faster; what they produce may not move.
+/// a flags byte, and nothing else differently, 195 398 bytes (checksum
+/// `0x1fba_ca28_ab6f_87b8`); format 6 indexes each distinct signature
+/// once — per forest of `n` attributes in `c` classes, `n − c` fewer
+/// stored signatures and, in each of the 16 trees, `n − c` fewer
+/// 4-byte entries, for a 4-byte class number per attribute and 8 more
+/// header bytes, the class count. Profiling and signing may get
+/// faster; what they produce may not move.
 #[test]
 fn dirty_lake_snapshot_checksum_is_pinned() {
     let lake = dirty_lake(40);
     assert_eq!(lake.total_attributes(), 178);
-    let bytes = D3l::index_lake(&lake, D3lConfig::default()).to_snapshot_bytes();
-    assert_eq!(bytes.len(), 195_398);
-    assert_eq!(bytes.len(), 286_712 - 178 * 513);
+    let built = D3l::index_lake(&lake, D3lConfig::default());
+    let bytes = built.to_snapshot_bytes();
+    assert_eq!(bytes.len(), 175_502);
+    // (attributes, classes, stored bytes of a signature) of IN, IV, IF, IE.
+    let forests = [(178, 44, 0), (111, 107, 1024), (178, 58, 0), (111, 94, 32)];
+    let classes = built.class_stats().map(|s| (s.attributes, s.classes));
+    assert_eq!(classes, forests.map(|(n, c, _)| (n, c)));
+    let saved = |(n, c, sig): (usize, usize, usize)| (n - c) * (16 * 4 + sig) - 4 * n - 8;
+    assert_eq!(
+        bytes.len(),
+        195_398 - forests.map(saved).iter().sum::<usize>()
+    );
+    assert_eq!(195_398, 286_712 - 178 * 513);
     assert_eq!(286_712, 651_252 - 2 * 178 * 1024 + 4);
-    assert_eq!(d3l::store::checksum(&bytes), 0x1fba_ca28_ab6f_87b8);
+    assert_eq!(d3l::store::checksum(&bytes), 0xb55e_dd25_a581_6ce3);
 }
 
 /// What the index of that lake *answers* is pinned too, to the values
