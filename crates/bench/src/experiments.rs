@@ -578,27 +578,32 @@ pub fn ablation_weights(setting: &Setting) {
 pub fn ablation_granularity(setting: &Setting) {
     header("Ablation: fine-grained tokens vs whole values");
     let bench = d3l_benchgen::smaller_real(setting.smaller_tables.min(96), setting.seed ^ 1);
-    let d3l = ShardedD3l::index_lake_with(&bench.lake, D3lConfig::default(), embedder(64));
     let mut rel_tok = Vec::new();
     let mut unrel_tok = Vec::new();
     let mut rel_whole = Vec::new();
     let mut unrel_whole = Vec::new();
-    let tables: Vec<_> = bench.lake.iter().take(40).collect();
-    for (i, (ia, ta)) in tables.iter().enumerate() {
-        for (ib, tb) in tables.iter().skip(i + 1).map(|x| (x.0, x.1)) {
-            for (ca, col_a) in ta.columns().iter().enumerate() {
-                for (cb, col_b) in tb.columns().iter().enumerate() {
+    // The exact token distance is defined on built profiles (an index
+    // keeps no token set), so the tables are profiled here, as `table1`
+    // does.
+    let e = embedder(64);
+    let tables: Vec<_> = bench
+        .lake
+        .iter()
+        .take(40)
+        .map(|(_, t)| {
+            (
+                t,
+                d3l_core::profile::profile_table(t, D3lConfig::default().q, &e),
+            )
+        })
+        .collect();
+    for (i, (ta, profiles_a)) in tables.iter().enumerate() {
+        for (tb, profiles_b) in tables.iter().skip(i + 1) {
+            for (col_a, pa) in ta.columns().iter().zip(profiles_a) {
+                for (col_b, pb) in tb.columns().iter().zip(profiles_b) {
                     if col_a.column_type().is_numeric() || col_b.column_type().is_numeric() {
                         continue;
                     }
-                    let pa = d3l.profile(d3l_core::AttrRef {
-                        table: *ia,
-                        column: ca as u32,
-                    });
-                    let pb = d3l.profile(d3l_core::AttrRef {
-                        table: ib,
-                        column: cb as u32,
-                    });
                     let tok = d3l_core::distance::value_distance(pa, pb);
                     let wa = d3l_baselines::common::whole_value_set(col_a);
                     let wb = d3l_baselines::common::whole_value_set(col_b);

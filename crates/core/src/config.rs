@@ -37,18 +37,17 @@ pub struct D3lConfig {
     /// Number of worker threads for the query pipeline (0 = number of
     /// available CPUs). Results are byte-identical at every thread
     /// count; this only trades latency for cores. The
-    /// `D3L_QUERY_THREADS` environment variable overrides both this
-    /// field when no explicit per-query override is given (CI uses it
-    /// to exercise the single- and multi-threaded paths on the same
-    /// test suite).
+    /// `D3L_QUERY_THREADS` environment variable overrides this field
+    /// when no explicit per-query override is given (CI uses it to
+    /// exercise the single- and multi-threaded paths on the same test
+    /// suite).
     pub query_threads: usize,
     /// Number of index shards (1 = the classic monolith). Tables are
     /// assigned to shards by a stable fingerprint of the table name;
     /// each shard owns its four forests and its own snapshot/delta
     /// chain, so a mutation rewrites O(lake/shards) state. Rankings
     /// are byte-identical at every shard count. Stored in the
-    /// snapshot config so a reopened index agrees with the writer;
-    /// pre-sharding snapshots decode as 1 (a monolith).
+    /// snapshot config so a reopened index agrees with the writer.
     pub shards: usize,
 }
 

@@ -79,14 +79,12 @@ pub fn format_distance(a: &AttributeProfile, b: &AttributeProfile) -> f64 {
 }
 
 /// Exact embedding distance: cosine distance of attribute vectors; 1
-/// when either vector is zero. Defined on built profiles: an indexed
-/// one has given its vector up (panics — see `D3l::stored_signatures`
-/// for the estimate the query path uses).
+/// when either vector is zero.
 pub fn embedding_distance(a: &AttributeProfile, b: &AttributeProfile) -> f64 {
     if !a.has_embedding() || !b.has_embedding() {
         return 1.0;
     }
-    1.0 - vecmath::cosine(a.vector(), b.vector())
+    1.0 - vecmath::cosine(&a.embedding, &b.embedding)
 }
 
 /// Distribution distance: the two-sample KS statistic over numeric

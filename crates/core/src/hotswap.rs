@@ -335,14 +335,8 @@ impl EngineHandle {
         let s = cur.engine.shard_of(table.name());
         let mut shard = (*cur.engine.shards()[s]).clone();
         let t0 = Instant::now();
-        let id = if cur.engine.shard_count() == 1 {
-            // The monolith layout keeps the classic local-id `Add`
-            // record, byte-compatible with pre-sharding stores.
-            stores[0].append_add(&mut shard, table)?
-        } else {
-            let id = cur.engine.next_table_id();
-            stores[s].append_add_at(&mut shard, table, id)?
-        };
+        let id = cur.engine.next_table_id();
+        stores[s].append_add_at(&mut shard, table, id)?;
         self.telemetry.append.record(t0.elapsed());
         let next = cur.engine.with_shard(s, shard);
         Ok((id, self.swap(&cur, next, s)))

@@ -2,9 +2,10 @@
 //!
 //! [`D3l`] owns everything needed to answer discovery queries over a
 //! lake: the `IN`, `IV`, `IF` (MinHash) and `IE` (random projection)
-//! LSH Forests, the attribute profiles (token sets and numeric extents,
-//! kept for the guarded KS computation and join-overlap checks; not
-//! the embedding vectors), and each table's subject attribute.
+//! LSH Forests, what is kept of each attribute beside its signatures
+//! ([`IndexedAttr`]: name, numeric extent for the guarded KS
+//! computation, evidence flags — no token set, no embedding vector),
+//! and each table's subject attribute.
 //!
 //! There is one build path. A worker takes a contiguous run of table
 //! ids and, table by table, obtains the table (borrowed from a
@@ -21,10 +22,11 @@
 //! forests are then appended in table-id order ([`LshForest::append`],
 //! which merges classes by content; with one worker there is nothing
 //! to append) and committed. [`D3l::add_table`] is the same per-table
-//! step on the live forests. Profiles store hashed token sets, so
-//! signatures are derived from the stored hashes with no
-//! re-tokenization; a committed forest is a function of which
-//! attribute carries which signature, so the built index is
+//! step on the live forests. A built profile holds hashed token sets,
+//! so its signatures are derived from the hashes with no
+//! re-tokenization, and it ends there: the engine keeps the
+//! [`IndexedAttr`] made of it. A committed forest is a function of
+//! which attribute carries which signature, so the built index is
 //! byte-identical at every thread count, from a directory or from a
 //! lake, in bulk or one table at a time.
 
@@ -43,7 +45,7 @@ use d3l_table::lake::{csv_files, load_csv, table_name_of};
 use d3l_table::{DataLake, Table, TableError, TableId};
 
 use crate::config::D3lConfig;
-use crate::profile::{profile_table, AttributeProfile};
+use crate::profile::{profile_table, AttributeProfile, IndexedAttr};
 
 /// Which compilation of the MinHash and hyperplane signing loops every
 /// engine in this process runs — `"avx512"` or `"portable"`, decided
@@ -92,8 +94,7 @@ impl AttrRef {
 
 /// The three MinHash indexes, each by the profile field it signs —
 /// the one statement of "which hashed token set feeds which forest"
-/// that the build, `add_table`, delta replay, target signing and the
-/// snapshot's derived arenas all read.
+/// that the build, `add_table` and target signing read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SetIndex {
     /// `IN` signs the attribute name's q-grams.
@@ -114,6 +115,12 @@ impl SetIndex {
         }
     }
 
+    /// This index's place in [`TableWords`] (the variants are declared
+    /// in that order).
+    pub(crate) fn at(self) -> usize {
+        self as usize
+    }
+
     /// Sign `profile`'s set for this index into an arena slot of
     /// `minhasher.sig_shape().0` words.
     pub(crate) fn sign_into(
@@ -124,6 +131,28 @@ impl SetIndex {
     ) {
         minhasher.sign_into(self.tokens(profile).as_slice(), slot)
     }
+}
+
+/// `IE`'s place in [`TableWords`] (the MinHash indexes' is
+/// `SetIndex::at`).
+const IE_AT: usize = 3;
+
+/// One table's signature words, per index — `IN`, `IV`, `IF`, `IE`, as
+/// [`MemoryFootprint::indexes`] orders them: the signatures of the
+/// columns the index covers (`IN`/`IF` every column, `IV`/`IE` the
+/// non-numeric ones), in column order, one hasher stride each.
+pub type TableWords = [Vec<u64>; 4];
+
+/// A table's columns on their way into the forests, and with them
+/// where their signatures come from — one choice for all four indexes.
+pub(crate) enum Columns<'a> {
+    /// Algorithm 1's output (the build, `add_table`): signed here,
+    /// straight into the arenas.
+    Built(Vec<AttributeProfile>),
+    /// A delta record's: what the live add kept of the columns and the
+    /// words it read back from the arenas, copied in — replay signs
+    /// nothing. The caller has checked the word counts.
+    Stored(Vec<IndexedAttr>, &'a TableWords),
 }
 
 /// Signatures of one attribute across the four indexes.
@@ -187,8 +216,8 @@ pub struct D3l {
     pub(crate) i_f: LshForest<MinHashSignature>,
     /// `IE` — embedding index.
     pub(crate) i_e: LshForest<BitSignature>,
-    /// Per-table attribute profiles.
-    pub(crate) profiles: Vec<Vec<AttributeProfile>>,
+    /// Per table, what is kept of each attribute beside its signatures.
+    pub(crate) profiles: Vec<Vec<IndexedAttr>>,
     /// Per-table subject attribute (None when no textual column).
     pub(crate) subjects: Vec<Option<u32>>,
     /// Table names, parallel to ids.
@@ -356,8 +385,7 @@ impl D3l {
                 TableId(i as u32),
                 table.name().to_string(),
                 subject,
-                profiles,
-                None,
+                Columns::Built(profiles),
             );
         }
         Ok(part)
@@ -393,79 +421,109 @@ impl D3l {
     /// id the table would have in a lake extended by it; the caller
     /// keeps the authoritative lake.
     pub fn add_table(&mut self, table: &Table) -> TableId {
+        self.add_table_at(table, TableId(self.table_count() as u32))
+    }
+
+    /// [`D3l::add_table`] at an explicit table id, at or above the
+    /// current slot count (panics below it). Shards add here: their
+    /// slot vectors are sparse views of the global id space, so the id
+    /// is chosen globally and lands past holes.
+    pub(crate) fn add_table_at(&mut self, table: &Table, id: TableId) -> TableId {
+        assert!(
+            id.index() >= self.table_count(),
+            "add_table_at id {id} collides with an existing slot"
+        );
         let cached = CachedEmbedder::new(&self.embedder);
         let profiles = profile_table(table, self.cfg.q, &cached);
         let subject = d3l_ml::subject_attribute(table).map(|i| i as u32);
-        self.insert_profiled_table(table.name().to_string(), subject, profiles, None)
-    }
-
-    /// The shared tail of [`D3l::add_table`] and the delta-segment
-    /// replay path: insert an already-profiled table and re-commit.
-    /// The MinHash signatures are derived from the profiles' stored
-    /// token hashes and `stored_ie` is what a persisted delta carries
-    /// in the vectors' place, so replaying it patches the forests
-    /// bit-identically to the original `add_table` call.
-    pub(crate) fn insert_profiled_table(
-        &mut self,
-        name: String,
-        subject: Option<u32>,
-        profiles: Vec<AttributeProfile>,
-        stored_ie: Option<&[u64]>,
-    ) -> TableId {
-        let id = TableId(self.profiles.len() as u32);
-        self.push_profiled_table(id, name, subject, profiles, stored_ie);
-        self.commit(self.cfg.effective_threads());
+        let name = table.name().to_string();
+        self.insert_profiled_table(id, name, subject, Columns::Built(profiles));
         id
     }
 
-    /// Append a profiled table as the next slot, `id`: sign every
-    /// attribute into the forests' signature arenas (Algorithm 1
-    /// lines 15–18, with the §III-C rule that numeric attributes skip
-    /// `IV` and `IE`) and record the table. The forests are left
-    /// uncommitted.
+    /// The shared tail of [`D3l::add_table_at`] and the delta-segment
+    /// replay path: pad holes up to `id` (which the caller has checked
+    /// is no used slot), insert the table there and re-commit. A
+    /// persisted delta carries the four signatures the live add wrote,
+    /// so replaying it patches the forests bit-identically.
+    pub(crate) fn insert_profiled_table(
+        &mut self,
+        id: TableId,
+        name: String,
+        subject: Option<u32>,
+        columns: Columns<'_>,
+    ) {
+        while self.table_count() < id.index() {
+            self.push_hole();
+        }
+        self.push_profiled_table(id, name, subject, columns);
+        self.commit(self.cfg.effective_threads());
+    }
+
+    /// Append a table as the next slot, `id`: write every attribute's
+    /// signatures into the forests' arenas (Algorithm 1 lines 15–18,
+    /// with the §III-C rule that numeric attributes skip `IV` and
+    /// `IE`) and record the table. The forests are left uncommitted.
     ///
-    /// This is where an embedding vector ends: `IE` is signed from it
-    /// and the profile is kept without it. A delta segment's profiles
-    /// arrive without vectors; `stored_ie` then holds the textual
-    /// columns' `IE` signatures, in column order, `sig_shape().0`
-    /// words each — the caller has checked the count.
+    /// This is where a built profile ends: its sets and its vector are
+    /// signed and what the engine keeps is the [`IndexedAttr`] made of
+    /// it.
     fn push_profiled_table(
         &mut self,
         id: TableId,
         name: String,
         subject: Option<u32>,
-        mut profiles: Vec<AttributeProfile>,
-        stored_ie: Option<&[u64]>,
+        columns: Columns<'_>,
     ) {
         let (mh, rp) = (&self.minhasher, &self.projector);
-        let mut stored_ie = stored_ie.map(|words| words.chunks_exact(rp.sig_shape().0));
-        for (col, profile) in profiles.iter_mut().enumerate() {
-            let p = &*profile;
+        fn copy_nth(words: &[u64], nth: usize, slot: &mut [u64]) {
+            slot.copy_from_slice(&words[nth * slot.len()..][..slot.len()]);
+        }
+        let arity = match &columns {
+            Columns::Built(profiles) => profiles.len(),
+            Columns::Stored(attrs, _) => attrs.len(),
+        };
+        // Columns so far that `IV` and `IE` cover.
+        let mut textual = 0;
+        for col in 0..arity {
             let key = AttrRef {
                 table: id,
                 column: col as u32,
             }
             .key();
-            let sign = |index: SetIndex| move |slot: &mut [u64]| index.sign_into(mh, p, slot);
+            let columns = &columns;
+            // `nth`: which of the columns `index` covers this one is.
+            let minhash = |index: SetIndex, nth: usize| {
+                move |slot: &mut [u64]| match columns {
+                    Columns::Built(profiles) => index.sign_into(mh, &profiles[col], slot),
+                    Columns::Stored(_, words) => copy_nth(&words[index.at()], nth, slot),
+                }
+            };
             self.i_n
-                .insert_with(key, mh.sig_shape(), sign(SetIndex::Name));
+                .insert_with(key, mh.sig_shape(), minhash(SetIndex::Name, col));
             self.i_f
-                .insert_with(key, mh.sig_shape(), sign(SetIndex::Format));
-            if !p.is_numeric {
+                .insert_with(key, mh.sig_shape(), minhash(SetIndex::Format, col));
+            let is_numeric = match columns {
+                Columns::Built(profiles) => profiles[col].is_numeric,
+                Columns::Stored(attrs, _) => attrs[col].is_numeric,
+            };
+            if !is_numeric {
                 self.i_v
-                    .insert_with(key, mh.sig_shape(), sign(SetIndex::Value));
+                    .insert_with(key, mh.sig_shape(), minhash(SetIndex::Value, textual));
                 self.i_e
-                    .insert_with(key, rp.sig_shape(), |slot| match &mut stored_ie {
-                        Some(sigs) => slot.copy_from_slice(sigs.next().expect("IE word count")),
-                        None => rp.sign_into(p.vector(), slot),
+                    .insert_with(key, rp.sig_shape(), |slot| match columns {
+                        Columns::Built(profiles) => rp.sign_into(&profiles[col].embedding, slot),
+                        Columns::Stored(_, words) => copy_nth(&words[IE_AT], textual, slot),
                     });
+                textual += 1;
             }
-            profile.embedding = Vec::new();
         }
-        debug_assert!(stored_ie.is_none_or(|mut sigs| sigs.next().is_none()));
         self.names.push(name);
         self.subjects.push(subject);
-        self.profiles.push(profiles);
+        self.profiles.push(match columns {
+            Columns::Built(profiles) => profiles.into_iter().map(IndexedAttr::from).collect(),
+            Columns::Stored(attrs, _) => attrs,
+        });
         self.removed.push(false);
     }
 
@@ -491,24 +549,6 @@ impl D3l {
     pub(crate) fn is_hole(&self, id: TableId) -> bool {
         let idx = id.index();
         idx < self.removed.len() && self.removed[idx] && self.names[idx].is_empty()
-    }
-
-    /// [`D3l::add_table`] at an explicit table id: pad holes up to
-    /// `id`, then insert. Used by shards, whose local slot vectors
-    /// are sparse views of the global id space — the id is chosen
-    /// globally and must land on a slot this engine has never used.
-    /// Panics if `id` is below the current slot count.
-    pub(crate) fn add_table_at(&mut self, table: &Table, id: TableId) -> TableId {
-        assert!(
-            id.index() >= self.table_count(),
-            "add_table_at id {id} collides with an existing slot"
-        );
-        while self.table_count() < id.index() {
-            self.push_hole();
-        }
-        let got = self.add_table(table);
-        debug_assert_eq!(got, id);
-        got
     }
 
     /// Drop a table from the index (the maintenance counterpart of
@@ -578,8 +618,8 @@ impl D3l {
         self.profiles[id.index()].len()
     }
 
-    /// Profile of one attribute.
-    pub fn profile(&self, attr: AttrRef) -> &AttributeProfile {
+    /// What the index keeps of one attribute beside its signatures.
+    pub fn profile(&self, attr: AttrRef) -> &IndexedAttr {
         &self.profiles[attr.table.index()][attr.column as usize]
     }
 
@@ -597,18 +637,21 @@ impl D3l {
         &self.embedder
     }
 
-    /// Profile and sign a query-side table with this index's hashers.
+    /// Profile and sign a query-side table with this index's hashers;
+    /// what is kept of each built profile is what the index keeps of a
+    /// member's.
     pub(crate) fn profile_and_sign(
         &self,
         table: &Table,
-    ) -> (Vec<AttributeProfile>, Vec<AttrSignatures>) {
+    ) -> (Vec<IndexedAttr>, Vec<AttrSignatures>) {
         let cached = CachedEmbedder::new(&self.embedder);
-        let profiles = profile_table(table, self.cfg.q, &cached);
-        let sigs = profiles
-            .iter()
-            .map(|p| sign_profile(p, &self.minhasher, &self.projector))
-            .collect();
-        (profiles, sigs)
+        profile_table(table, self.cfg.q, &cached)
+            .into_iter()
+            .map(|p| {
+                let sigs = sign_profile(&p, &self.minhasher, &self.projector);
+                (IndexedAttr::from(p), sigs)
+            })
+            .unzip()
     }
 
     /// The per-query fallback signatures ([`SigFallbacks`]); identical
@@ -684,7 +727,7 @@ impl D3l {
 
     /// Full memory accounting: per-index forest footprints split into
     /// tree arrays, the signature arena and the postings, plus the
-    /// retained attribute profiles.
+    /// retained attribute records.
     pub fn byte_size(&self) -> MemoryFootprint {
         fn index_of<S>(forest: &LshForest<S>) -> IndexFootprint {
             IndexFootprint {
@@ -697,7 +740,7 @@ impl D3l {
             .profiles
             .iter()
             .flat_map(|t| t.iter())
-            .map(AttributeProfile::byte_size)
+            .map(IndexedAttr::byte_size)
             .sum();
         MemoryFootprint {
             i_n: index_of(&self.i_n),
@@ -803,8 +846,8 @@ pub struct MemoryFootprint {
     pub i_f: IndexFootprint,
     /// `IE` — embedding index.
     pub i_e: IndexFootprint,
-    /// Retained attribute profiles (hashed token sets, embeddings,
-    /// numeric extents).
+    /// What is kept of the attributes beside their signatures: names
+    /// and numeric extents ([`IndexedAttr::byte_size`]).
     pub profile_bytes: usize,
 }
 
@@ -864,7 +907,7 @@ pub(crate) fn sign_profile(
         name: sign(SetIndex::Name),
         value: sign(SetIndex::Value),
         format: sign(SetIndex::Format),
-        embedding: projector.sign(profile.vector()),
+        embedding: projector.sign(&profile.embedding),
     }
 }
 
@@ -1010,7 +1053,7 @@ mod tests {
         assert_eq!(fp.i_v.total(), v);
         assert_eq!(fp.i_f.total(), f);
         assert_eq!(fp.i_e.total(), e);
-        assert!(fp.profile_bytes > 0, "profiles retain the token hashes");
+        assert!(fp.profile_bytes > 0, "names and numeric extents are kept");
         assert_eq!(fp.total(), d3l.index_byte_size() + fp.profile_bytes);
         for (name, idx) in fp.indexes() {
             assert!(!name.is_empty());
@@ -1095,8 +1138,7 @@ mod tests {
         };
         let sigs = d3l.stored_signatures(attr);
         // The same column profiled and signed fresh gives identical
-        // signatures (the indexed profile no longer holds a vector to
-        // sign).
+        // signatures.
         let column = &lake.table(attr.table).columns()[attr.column as usize];
         let built = AttributeProfile::build(column, d3l.cfg.q, &d3l.embedder);
         let fresh = sign_profile(&built, &d3l.minhasher, &d3l.projector);
@@ -1104,18 +1146,6 @@ mod tests {
         assert_eq!(sigs.value, fresh.value);
         assert_eq!(sigs.format, fresh.format);
         assert_eq!(sigs.embedding, fresh.embedding);
-    }
-
-    #[test]
-    #[should_panic(expected = "stored_signatures")]
-    fn signing_an_indexed_profile_names_the_stored_signatures() {
-        let d3l = D3l::index_lake(&figure1_lake(), D3lConfig::fast());
-        let indexed = d3l.profile(AttrRef {
-            table: TableId(0),
-            column: 0,
-        });
-        assert!(indexed.has_embedding() && indexed.embedding.is_empty());
-        sign_profile(indexed, &d3l.minhasher, &d3l.projector);
     }
 
     #[test]

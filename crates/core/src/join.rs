@@ -134,7 +134,7 @@ impl ShardedD3l {
             let Some(subject) = shard.subject_of(table) else {
                 continue;
             };
-            if !shard.profile(subject).has_text() {
+            if !shard.profile(subject).has_text {
                 continue;
             }
             let sig = shard.stored_signatures(subject);

@@ -71,10 +71,10 @@ pub use config::D3lConfig;
 pub use distance::DistanceVector;
 pub use evidence::Evidence;
 pub use hotswap::{EngineHandle, EngineSnapshot, EngineTelemetry, MaintenanceError};
-pub use index::{AttrRef, ClassStats, D3l, IndexFootprint, MemoryFootprint};
+pub use index::{AttrRef, ClassStats, D3l, IndexFootprint, MemoryFootprint, TableWords};
 pub use join::{JoinPath, SaJoinGraph};
 pub use populate::Population;
-pub use profile::AttributeProfile;
+pub use profile::{AttributeProfile, IndexedAttr};
 pub use query::{Alignment, PreparedTarget, QueryOptions, TableMatch};
 pub use shard::{shard_of_name, ShardedD3l};
 pub use snapshot::{AddedTable, DeltaRecord, IndexStore};

@@ -23,14 +23,18 @@
 //! the embedder's cache in sorted token order. [`profile_table`]
 //! reuses one interner for all the columns of a table.
 //!
-//! The vector `⃗a` is an intermediate of signing, as the tokens are:
-//! `IE` is built from random projections *of* it (§III-B), and once
-//! that signature is written scoring reads it and asks the profile only
-//! [`AttributeProfile::has_embedding`]. So a profile holds its vector
-//! from [`AttributeProfile::build`] until the index signs it
-//! (`D3l::push_profiled_table`, which every lake-side profile passes
-//! through) and not after — 64 `f64`s per attribute, numeric ones
-//! included, that neither the resident index nor the store carries.
+//! Two types live here. [`AttributeProfile`] is Algorithm 1's output:
+//! what [`profile_table`] returns and what a query target is, whole
+//! whenever it exists. [`IndexedAttr`] is what survives signing. The
+//! token sets and the vector `⃗a` are intermediates: Algorithm 1 builds
+//! them to be hashed into the four indexes (§III-B), and once an
+//! attribute's four signatures are written scoring reads those and
+//! asks of the sets only *were you empty*. So an engine keeps, per
+//! attribute, the name, the numeric extent (the guarded KS computation
+//! reads it, Algorithm 2) and four evidence flags — and neither the
+//! resident index nor the store carries a token or a vector
+//! component. A query target is converted the same way once it is
+//! signed, so both sides of a scored pair are read through one type.
 
 use d3l_embedding::WordEmbedder;
 use d3l_features::histogram::TokenHistogram;
@@ -40,12 +44,10 @@ use d3l_table::{typing, Column};
 
 /// The extracted set representations of one attribute.
 ///
-/// The three token sets are stored as sorted, deduplicated vecs of
-/// 64-bit token hashes ([`TokenSet`]): every token is hashed exactly
-/// once here, the MinHash signatures are derived from the stored
-/// hashes, and the exact distances are linear merge-intersections —
-/// the resident footprint is 8 bytes per token instead of an owned
-/// `String` per token held for the lifetime of the lake.
+/// The three token sets are sorted, deduplicated vecs of 64-bit token
+/// hashes ([`TokenSet`]): every token is hashed exactly once here, the
+/// MinHash signatures are derived from those hashes, and the exact
+/// distances are linear merge-intersections.
 #[derive(Debug, Clone)]
 pub struct AttributeProfile {
     /// Attribute name as it appears in the table.
@@ -57,15 +59,8 @@ pub struct AttributeProfile {
     /// Hashed format pattern strings.
     pub rset: TokenSet,
     /// Mean embedding vector of frequent tokens (zero vector when no
-    /// textual content) — on a profile as [`AttributeProfile::build`]
-    /// returns it, a query target's. Empty once indexed: indexing signs
-    /// `IE` from it and drops it, and a store never writes it. Not an
-    /// `Option`: callers outside the crate (the benchmark among them)
-    /// read `&p.embedding` of built profiles.
+    /// textual content).
     pub embedding: Vec<f64>,
-    /// Whether the vector had a non-zero component when it was built:
-    /// [`AttributeProfile::has_embedding`], with or without the vector.
-    pub(crate) embedded: bool,
     /// Parsed numeric extent, sorted ascending (empty for textual
     /// attributes).
     pub numeric_extent: Vec<f64>,
@@ -146,7 +141,6 @@ impl AttributeProfile {
             qset,
             tset,
             rset,
-            embedded: embedding.iter().any(|&x| x != 0.0),
             embedding,
             numeric_extent,
             is_numeric,
@@ -159,33 +153,56 @@ impl AttributeProfile {
         !self.tset.is_empty()
     }
 
-    /// True when the embedding vector carries (or, on an indexed
-    /// profile, carried) signal.
+    /// True when the embedding vector carries signal.
     pub fn has_embedding(&self) -> bool {
-        self.embedded
+        self.embedding.iter().any(|&x| x != 0.0)
     }
+}
 
-    /// The embedding vector of a profile that still holds it. Panics on
-    /// an indexed one whose vector carried signal, rather than let the
-    /// empty vector answer 1.0 or trip a dimension check further down.
-    pub(crate) fn vector(&self) -> &[f64] {
-        assert!(
-            !(self.embedded && self.embedding.is_empty()),
-            "profile {:?} was indexed and holds no vector: use `D3l::stored_signatures`",
-            self.name
-        );
-        &self.embedding
+/// What the index keeps of an attribute once its four signatures are
+/// written: everything scoring reads that a signature does not hold.
+/// An engine stores one per indexed attribute, `PROF` and a delta
+/// segment encode it, and a prepared query target is a list of them
+/// beside its signatures.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IndexedAttr {
+    /// Attribute name as it appears in the table.
+    pub name: String,
+    /// Parsed numeric extent, sorted ascending (empty for textual
+    /// attributes).
+    pub numeric_extent: Vec<f64>,
+    /// Whether the column was inferred numeric.
+    pub is_numeric: bool,
+    /// **N** evidence exists: the name had q-grams.
+    pub has_name: bool,
+    /// **V** evidence exists: the extent had informative tokens
+    /// ([`AttributeProfile::has_text`]).
+    pub has_text: bool,
+    /// **F** evidence exists: the extent had format patterns.
+    pub has_format: bool,
+    /// **E** evidence exists: the embedding vector carried signal
+    /// ([`AttributeProfile::has_embedding`]).
+    pub has_embedding: bool,
+}
+
+impl From<AttributeProfile> for IndexedAttr {
+    fn from(p: AttributeProfile) -> Self {
+        IndexedAttr {
+            is_numeric: p.is_numeric,
+            has_name: !p.qset.is_empty(),
+            has_text: p.has_text(),
+            has_format: !p.rset.is_empty(),
+            has_embedding: p.has_embedding(),
+            name: p.name,
+            numeric_extent: p.numeric_extent,
+        }
     }
+}
 
-    /// Resident footprint in bytes: the three hashed token sets, the
-    /// embedding vector (while held), the numeric extent and the name.
+impl IndexedAttr {
+    /// Resident footprint in bytes: the name and the numeric extent.
     pub fn byte_size(&self) -> usize {
-        self.qset.byte_size()
-            + self.tset.byte_size()
-            + self.rset.byte_size()
-            + self.embedding.len() * std::mem::size_of::<f64>()
-            + self.numeric_extent.len() * std::mem::size_of::<f64>()
-            + self.name.len()
+        self.name.len() + self.numeric_extent.len() * std::mem::size_of::<f64>()
     }
 }
 
@@ -303,7 +320,6 @@ mod oracle {
             qset,
             tset: TokenSet::from_hashes(tset_hashes),
             rset: TokenSet::from_hashes(rset_hashes),
-            embedded: embedding.iter().any(|&x| x != 0.0),
             embedding,
             numeric_extent,
             is_numeric,
@@ -453,7 +469,6 @@ mod tests {
             assert_eq!(got.tset, want.tset, "{ctx}");
             assert_eq!(got.rset, want.rset, "{ctx}");
             assert_eq!(bits(&got.embedding), bits(&want.embedding), "{ctx}");
-            assert_eq!(got.embedded, want.embedded, "{ctx}");
             assert_eq!(
                 bits(&got.numeric_extent),
                 bits(&want.numeric_extent),
@@ -589,7 +604,6 @@ mod tests {
         assert!(!p.is_numeric);
         assert!(p.numeric_extent.is_empty());
         assert!(p.has_text());
-        assert!(p.byte_size() > 0);
     }
 
     #[test]

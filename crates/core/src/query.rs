@@ -46,7 +46,7 @@ use crate::distance::{
 };
 use crate::evidence::Evidence;
 use crate::index::{AttrRef, AttrSignatures, AttrSigsRef, D3l};
-use crate::profile::AttributeProfile;
+use crate::profile::IndexedAttr;
 use crate::shard::ShardedD3l;
 use crate::weights::{aggregate_evidence, ccdf_weight, EvidenceWeights};
 
@@ -111,7 +111,9 @@ pub struct QueryOptions {
 }
 
 /// A target profiled and signed against one index's hashers — the
-/// output of the pipeline's first stage.
+/// output of the pipeline's first stage: per attribute its four
+/// signatures and, as of a lake member, the [`IndexedAttr`] beside
+/// them (a target's sets and vector end at its signatures too).
 ///
 /// Profiling a target (q-gram, token, pattern and embedding
 /// extraction plus four signatures per attribute) dominates the cost
@@ -123,7 +125,7 @@ pub struct QueryOptions {
 /// the engine that produced it (signatures are bound to its hashers,
 /// which every shard of one engine shares).
 pub struct PreparedTarget {
-    pub(crate) profiles: Vec<AttributeProfile>,
+    pub(crate) profiles: Vec<IndexedAttr>,
     pub(crate) sigs: Vec<AttrSignatures>,
     pub(crate) subject: Option<usize>,
 }
@@ -266,27 +268,22 @@ fn stage_aggregate(
 /// lookup by [`AttrRef`], routed to the owning shard) is the only part
 /// of pairwise scoring that touches index state.
 fn pair_distances_resolved(
-    tp: &AttributeProfile,
+    tp: &IndexedAttr,
     ts: &AttrSignatures,
-    sp: &AttributeProfile,
+    sp: &IndexedAttr,
     ss: AttrSigsRef<'_>,
     guard_subject: bool,
     threshold: f64,
 ) -> DistanceVector {
-    let d_n =
-        estimated_jaccard_distance_words(&ts.name, ss.name, tp.qset.is_empty(), sp.qset.is_empty());
-    let d_v = estimated_jaccard_distance_words(&ts.value, ss.value, !tp.has_text(), !sp.has_text());
-    let d_f = estimated_jaccard_distance_words(
-        &ts.format,
-        ss.format,
-        tp.rset.is_empty(),
-        sp.rset.is_empty(),
-    );
+    let d_n = estimated_jaccard_distance_words(&ts.name, ss.name, !tp.has_name, !sp.has_name);
+    let d_v = estimated_jaccard_distance_words(&ts.value, ss.value, !tp.has_text, !sp.has_text);
+    let d_f =
+        estimated_jaccard_distance_words(&ts.format, ss.format, !tp.has_format, !sp.has_format);
     let d_e = estimated_cosine_distance_words(
         &ts.embedding,
         ss.embedding,
-        !tp.has_embedding(),
-        !sp.has_embedding(),
+        !tp.has_embedding,
+        !sp.has_embedding,
     );
 
     // Algorithm 2: only both-numeric pairs get a KS measurement,
@@ -346,7 +343,7 @@ struct Indexes<'a> {
 /// not depend on the shard count.
 fn gather_candidates(
     indexes: &Indexes<'_>,
-    tp: &AttributeProfile,
+    tp: &IndexedAttr,
     ts: &AttrSignatures,
     width: usize,
     only: Option<Evidence>,
@@ -365,16 +362,16 @@ fn gather_candidates(
         keys.extend(query_union(forests, sig, width).iter().map(|h| h.id));
     }
     let mut keys = Vec::new();
-    if want(Evidence::Name) && !tp.qset.is_empty() {
+    if want(Evidence::Name) && tp.has_name {
         look_up(&indexes.name, &ts.name, width, &mut keys);
     }
-    if want(Evidence::Format) && !tp.rset.is_empty() {
+    if want(Evidence::Format) && tp.has_format {
         look_up(&indexes.format, &ts.format, width, &mut keys);
     }
-    if want(Evidence::Value) && tp.has_text() {
+    if want(Evidence::Value) && tp.has_text {
         look_up(&indexes.value, &ts.value, width, &mut keys);
     }
-    if want(Evidence::Embedding) && tp.has_embedding() {
+    if want(Evidence::Embedding) && tp.has_embedding {
         look_up(&indexes.embedding, &ts.embedding, width, &mut keys);
     }
     keys
@@ -394,7 +391,7 @@ impl D3l {
     }
 
     /// Prepare an already-indexed table as a query target, straight
-    /// from its stored profiles — no raw rows needed, which is what
+    /// from what the index holds of it — no raw rows needed, which is what
     /// lets a serving process answer "rank everything against lake
     /// member X" without keeping the CSVs resident. The signatures are
     /// the forests' own words (with the numeric fallbacks), which are
@@ -533,7 +530,7 @@ impl ShardedD3l {
         width: usize,
     ) -> HashSet<TableId> {
         let threads = self.config().effective_query_threads(None);
-        let work: Vec<(&AttributeProfile, &AttrSignatures)> =
+        let work: Vec<(&IndexedAttr, &AttrSignatures)> =
             prepared.profiles.iter().zip(&prepared.sigs).collect();
         let indexes = self.indexes();
         par_map(&work, threads, |&(tp, ts)| {
@@ -587,7 +584,7 @@ impl ShardedD3l {
         opts: &QueryOptions,
         threads: usize,
     ) -> Vec<Vec<AttrRef>> {
-        let work: Vec<(&AttributeProfile, &AttrSignatures)> =
+        let work: Vec<(&IndexedAttr, &AttrSignatures)> =
             prepared.profiles.iter().zip(&prepared.sigs).collect();
         let indexes = self.indexes();
         par_map(&work, threads, |&(tp, ts)| {

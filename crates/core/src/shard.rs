@@ -30,7 +30,7 @@ use d3l_table::{DataLake, TableId};
 
 use crate::config::D3lConfig;
 use crate::index::{AttrRef, ClassStats, D3l, MemoryFootprint};
-use crate::profile::AttributeProfile;
+use crate::profile::IndexedAttr;
 
 /// The shard that owns a table named `name` in an `n`-shard engine.
 /// Stable across processes and runs: FNV-1a of the name, mod `n`.
@@ -298,8 +298,9 @@ impl ShardedD3l {
         }
     }
 
-    /// Profile of one attribute (owner-routed).
-    pub fn profile(&self, attr: AttrRef) -> &AttributeProfile {
+    /// What the index keeps of one attribute beside its signatures
+    /// (owner-routed).
+    pub fn profile(&self, attr: AttrRef) -> &IndexedAttr {
         let s = self.owner_of(attr.table).expect("attr owned by no shard");
         self.shards[s].profile(attr)
     }

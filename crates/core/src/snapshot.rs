@@ -7,63 +7,49 @@
 //! ([`D3l::from_snapshot_bytes`]) into a query-ready engine with **no
 //! re-profiling and no re-sorting**.
 //!
-//! **The store keeps only what it cannot re-derive.** Stored: the
+//! **The store keeps what scoring reads and nothing else.** Stored: the
 //! configuration (`CONF`), the embedder state (`EMBD`), the table list
-//! (`TABL`), every attribute profile (`PROF` — hashed token sets,
-//! numeric extent, a flags byte), and of each of the four committed
-//! forests its class table — which attribute carries which distinct
-//! signature (`d3l-lsh`'s `forest` module: a signature is indexed
-//! once, as a class, whatever the number of attributes that carry it)
-//! — and its tree orders over those classes; of `IV` and `IE` also the
-//! signature arena, one signature per class. Derived at open: the
-//! hashers (from the config's seed), every tree label (from the
-//! arenas), and the signature arenas of `IN` and `IF` — pure functions
-//! of a profile's `qset` and `rset`, which `PROF` carries anyway, so
-//! opening signs them again through the call the build made
-//! (`SetIndex::sign_into`), as a delta's replay does: **once per
-//! class**, from its first member's set, every other member being
-//! checked to be of the class — to have that same token set or (two
-//! sets are free to collide on all 256 minima, and the build files
-//! them under the one signature they share) to sign to the same words.
-//! Each forest section says which of the two it is (`d3l-lsh`'s
-//! `store` module), and the stored tree orders are checked against the
-//! labels of whatever the arena turned out to be — for `IN`/`IF` that,
-//! with the membership check, is an end-to-end check of `PROF` against
-//! the forests: a profile that no longer yields the signature it is
-//! filed under is a typed error, never a different ranking. Never
-//! written (since format 5): an attribute's embedding vector. `IE` is
-//! signed *from* it (§III-B) and nothing reads it afterwards, so the
-//! resident profile drops it (`profile` module) and `PROF` stores, of
-//! the 513 bytes it took — a length byte and 64 `f64`s, zeros for a
-//! numeric attribute — one bit of the flags byte: whether it carried
-//! signal.
+//! (`TABL`), what the index keeps of every attribute (`PROF` — name,
+//! numeric extent, a flags byte: numeric, and which of the four
+//! evidence types it has), and each of the four committed forests whole
+//! — its class table (which attribute carries which distinct
+//! signature; `d3l-lsh`'s `forest` module: a signature is indexed once,
+//! as a class, whatever the number of attributes that carry it), its
+//! signature arena, one signature per class, and its tree orders over
+//! those classes — all four through one codec (`d3l-lsh`'s `store`
+//! module). Derived at open: the hashers (from the config's seed) and
+//! every tree label (from the arenas), against which the stored tree
+//! orders are checked. Never written: an attribute's token sets (since
+//! format 7) or its embedding vector (since format 5). Algorithm 1
+//! builds them to be hashed into the indexes; once the four signatures
+//! exist nothing reads them (`profile` module), so an open signs
+//! nothing and a profile record is a name, an extent and a byte.
 //!
-//! What format 6 made of the benchmark's stores (`d3l stats --index`,
-//! payload bytes): the 4 000-table clean lake, 13 814 attributes in
-//! 22 `IN` / 13 `IF` / 3 850 `IV` / 2 085 `IE` classes, 21.44 →
-//! 10.79 MB (`F_IV` 12.47 → 4.33, `F_IN` and `F_IF` 0.99 → 0.17 each,
-//! `F_IE` 1.18 → 0.34; `PROF`, 5.68, is now the largest section); the
-//! 2 000-table dirty lake, 8 872 attributes in 56 / 942 / 5 147 /
-//! 4 465 classes, 10.91 → 9.28 MB.
+//! What format 7 made of the benchmark's stores (`d3l stats --index`,
+//! payload bytes, format 6 → 7):
 //!
-//! Why the line between stored and derived arenas is where it is
-//! (`DERIVED_ARENAS`; measured on the 2 000-table lake, 5 662 of its
-//! attributes textual, one pinned CPU): signing is 256 mixes, 0.3–0.5
-//! µs, per token, and a class is signed once. The `qset`s hold at most
-//! 11 tokens and the `rset`s at most 14 — bounded by a name's length
-//! and by the alphabet of lexical classes — and `IN` and `IF` have 56
-//! and 942 classes there, so signing both again is well under a
-//! millisecond at open, against 1.0 MB that every save and compaction
-//! would write and every open read and checksum. The `tset`s hold up
-//! to 83 tokens (unbounded in real lakes) in 5 147 classes — tens of
-//! milliseconds to sign against a few to read 5.3 MB of slab — and an
-//! `IE` signature cannot be signed again at all once the vector is
-//! gone; both stay stored. The line is a constant, not a setting:
-//! nothing a user can pass moves it.
+//! | section | clean 4 000 tables | dirty 2 000 tables |
+//! |---|---|---|
+//! | `TABL` | 112 976 | 56 495 |
+//! | `PROF` | 5 676 416 → 1 905 845 | 2 778 112 → 1 087 189 |
+//! | `F_IN` | 167 214 → 189 741 | 110 086 → 167 429 |
+//! | `F_IV` | 4 325 422 → 4 325 421 | 5 667 918 → 5 667 917 |
+//! | `F_IF` | 166 638 → 179 949 | 166 790 → 1 131 397 |
+//! | `F_IE` | 336 782 → 336 781 | 496 622 → 496 621 |
+//! | `base.d3ls` | 10 785 794 → 7 051 059 | 9 276 369 → 8 607 394 |
+//!
+//! (13 814 attributes in 22 `IN` / 13 `IF` / 3 850 `IV` / 2 085 `IE`
+//! classes; 8 872 in 56 / 942 / 5 147 / 4 465.) `PROF` lost 8 bytes a
+//! token — 465 834 and 207 991 tokens — and three length bytes an
+//! attribute; `F_IN` + `F_IF` gained one 1 KiB signature per class,
+//! 35 and 998 of them, which format 6 signed again at every open from
+//! the `qset`s and `rset`s it kept in `PROF` for that purpose; every
+//! forest header lost its arena-source byte. `F_IV` is the largest
+//! section of both stores again.
 //!
 //! The codec is streamed in both directions: saving writes each
 //! section to the sink as it is produced (profiles one table at a
-//! time, the stored arenas straight from memory to the file) and
+//! time, the arenas straight from memory to the file) and
 //! loading decodes one section at a time (profiles one table at a
 //! time, the slabs straight from the file into the arenas), so
 //! neither holds a whole-snapshot — or whole-section — buffer. The
@@ -81,10 +67,11 @@
 //! Lake maintenance profiles **only the delta**: an added table's
 //! profiles are computed once, patched into the live forests
 //! (re-committing only the touched trees) and persisted as an
-//! append-only delta segment carrying the profiles as `PROF` would
-//! and the table's `IE` signatures ([`AddedTable`]) — so replaying the
-//! segment on the next cold start yields the identical signatures
-//! without re-reading the CSV. [`IndexStore::compact`] folds
+//! append-only delta segment carrying the attribute records as `PROF`
+//! would and the table's signatures in all four indexes, read back
+//! from the arenas ([`AddedTable`]) — so replaying the segment on the
+//! next cold start copies the identical signatures in, signing nothing
+//! and reading no CSV. [`IndexStore::compact`] folds
 //! accumulated deltas into a fresh base snapshot.
 //!
 //! Because `LshForest` inserts commute with [`LshForest::commit`]
@@ -103,7 +90,7 @@ use d3l_lsh::forest::LshForest;
 use d3l_lsh::minhash::{MinHashSignature, MinHasher};
 use d3l_lsh::randproj::{BitSignature, RandomProjector};
 use d3l_lsh::signature::Signature;
-use d3l_lsh::{ItemId, TokenSet};
+use d3l_lsh::ItemId;
 use d3l_store::{
     layout, ContainerReader, ContainerWriter, Decoder, Encoder, SectionTag, StoreError, KIND_DELTA,
     KIND_SNAPSHOT,
@@ -111,8 +98,8 @@ use d3l_store::{
 use d3l_table::{Table, TableId};
 
 use crate::config::D3lConfig;
-use crate::index::{AttrRef, D3l, SetIndex};
-use crate::profile::AttributeProfile;
+use crate::index::{AttrRef, Columns, D3l, TableWords};
+use crate::profile::IndexedAttr;
 
 /// Filename of the base snapshot inside an index directory
 /// (re-exported from the store layout, which owns the directory
@@ -134,12 +121,6 @@ const SEC_DELTA_RECORD: SectionTag = *b"DREC";
 /// interrupted between writing the new base and deleting the folded
 /// segments can never apply a delta twice.
 const SEC_APPLIED: SectionTag = *b"SEQN";
-
-/// The forests whose signature arenas a snapshot leaves out and
-/// `D3l::read_snapshot` signs again from `PROF` — `IN` from each
-/// profile's `qset`, `IF` from its `rset` (see the module header for
-/// the measurement that puts `IV` and `IE` on the other side).
-const DERIVED_ARENAS: &[SetIndex] = &[SetIndex::Name, SetIndex::Format];
 
 // ---------------------------------------------------------------- config
 
@@ -193,51 +174,54 @@ fn decode_config(dec: &mut Decoder<'_>) -> Result<D3lConfig, StoreError> {
 
 // --------------------------------------------------------------- profiles
 
-/// Bits of a stored profile's flags byte.
+/// Bits of a stored attribute record's flags byte.
 const FLAG_NUMERIC: u8 = 1;
 const FLAG_EMBEDDED: u8 = 2;
+const FLAG_NAME: u8 = 4;
+const FLAG_TEXT: u8 = 8;
+const FLAG_FORMAT: u8 = 16;
 
-/// A profile as the store keeps it: everything but the embedding
-/// vector, of which only "did it carry signal" survives, as a flag.
-fn encode_profile(p: &AttributeProfile, enc: &mut Encoder) {
+/// An attribute record as `PROF` and a delta segment hold it.
+fn encode_profile(p: &IndexedAttr, enc: &mut Encoder) {
     enc.put_str(&p.name);
-    enc.put_u64s(p.qset.as_slice());
-    enc.put_u64s(p.tset.as_slice());
-    enc.put_u64s(p.rset.as_slice());
     enc.put_f64s(&p.numeric_extent);
-    enc.put_u8((p.is_numeric as u8 * FLAG_NUMERIC) | (p.has_embedding() as u8 * FLAG_EMBEDDED));
+    let flag = |set: bool, bit: u8| set as u8 * bit;
+    enc.put_u8(
+        flag(p.is_numeric, FLAG_NUMERIC)
+            | flag(p.has_embedding, FLAG_EMBEDDED)
+            | flag(p.has_name, FLAG_NAME)
+            | flag(p.has_text, FLAG_TEXT)
+            | flag(p.has_format, FLAG_FORMAT),
+    );
 }
 
-fn decode_profile(dec: &mut Decoder<'_>) -> Result<AttributeProfile, StoreError> {
+fn decode_profile(dec: &mut Decoder<'_>) -> Result<IndexedAttr, StoreError> {
     let name = dec.get_str()?;
-    // The stored vecs are already sorted + deduplicated; from_hashes
-    // re-normalizes, which is idempotent on valid data and repairs
-    // (rather than trusts) corrupt orderings.
-    let qset = TokenSet::from_hashes(dec.get_u64s()?);
-    let tset = TokenSet::from_hashes(dec.get_u64s()?);
-    let rset = TokenSet::from_hashes(dec.get_u64s()?);
     let numeric_extent = dec.get_f64s()?;
-    // A numeric attribute is never embedded (§III-C), so both bits is
-    // as much not a profile as an unknown bit.
     let flags = dec.get_u8()?;
-    if flags > FLAG_EMBEDDED {
+    let has = |bit: u8| flags & bit != 0;
+    // A numeric attribute is in neither `IV` nor `IE` (§III-C), so one
+    // flagged textual or embedded is as much not a record as one with
+    // an unknown bit.
+    let known = FLAG_NUMERIC | FLAG_EMBEDDED | FLAG_NAME | FLAG_TEXT | FLAG_FORMAT;
+    if flags & !known != 0 || has(FLAG_NUMERIC) && (has(FLAG_TEXT) || has(FLAG_EMBEDDED)) {
         return Err(StoreError::corrupt(format!(
-            "profile {name:?} flags must be 0 (textual), 1 (numeric) or 2 (embedded), found {flags}"
+            "profile {name:?} flags {flags:#07b} have an unknown bit, or mark a numeric \
+             attribute textual or embedded"
         )));
     }
-    Ok(AttributeProfile {
+    Ok(IndexedAttr {
         name,
-        qset,
-        tset,
-        rset,
-        embedding: Vec::new(),
-        embedded: flags == FLAG_EMBEDDED,
         numeric_extent,
-        is_numeric: flags == FLAG_NUMERIC,
+        is_numeric: has(FLAG_NUMERIC),
+        has_name: has(FLAG_NAME),
+        has_text: has(FLAG_TEXT),
+        has_format: has(FLAG_FORMAT),
+        has_embedding: has(FLAG_EMBEDDED),
     })
 }
 
-fn encode_profiles(profiles: &[AttributeProfile]) -> Vec<u8> {
+fn encode_profiles(profiles: &[IndexedAttr]) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.put_varint(profiles.len() as u64);
     for p in profiles {
@@ -246,9 +230,10 @@ fn encode_profiles(profiles: &[AttributeProfile]) -> Vec<u8> {
     enc.into_bytes()
 }
 
-fn decode_profiles(bytes: &[u8]) -> Result<Vec<AttributeProfile>, StoreError> {
+fn decode_profiles(bytes: &[u8]) -> Result<Vec<IndexedAttr>, StoreError> {
     let mut dec = Decoder::new(bytes);
-    let n = dec.get_len(8, "profile list")?;
+    // A record is at least a name length, an extent count and flags.
+    let n = dec.get_len(3, "profile list")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(decode_profile(&mut dec)?);
@@ -258,20 +243,6 @@ fn decode_profiles(bytes: &[u8]) -> Result<Vec<AttributeProfile>, StoreError> {
 }
 
 // ---------------------------------------------------------------- forests
-
-/// The profile of the attribute an LSH item id names, if the table
-/// list has one.
-fn profile_of(profiles: &[Vec<AttributeProfile>], id: ItemId) -> Option<&AttributeProfile> {
-    let attr = AttrRef::from_key(id);
-    profiles.get(attr.table.index())?.get(attr.column as usize)
-}
-
-fn outside(forest: &str, id: ItemId) -> StoreError {
-    StoreError::corrupt(format!(
-        "forest {forest} indexes attribute {:?} outside the table list or its part of it",
-        AttrRef::from_key(id)
-    ))
-}
 
 /// `forest` is what the query paths assume: committed, and holding
 /// exactly the attributes its index covers — those of every table not
@@ -289,13 +260,18 @@ fn covers<S: Signature>(
             "forest {name} was snapshotted uncommitted"
         )));
     }
-    let wanted = |t: usize, p: &AttributeProfile| !(d3l.removed[t] || textual_only && p.is_numeric);
+    let wanted = |t: usize, p: &IndexedAttr| !(d3l.removed[t] || textual_only && p.is_numeric);
     let covered = |id: &ItemId| {
-        let table = AttrRef::from_key(*id).table.index();
-        profile_of(&d3l.profiles, *id).is_some_and(|p| wanted(table, p))
+        let attr = AttrRef::from_key(*id);
+        let table = d3l.profiles.get(attr.table.index());
+        let kept = table.and_then(|t| t.get(attr.column as usize));
+        kept.is_some_and(|p| wanted(attr.table.index(), p))
     };
     if let Some(id) = forest.ids().find(|id| !covered(id)) {
-        return Err(outside(name, id));
+        return Err(StoreError::corrupt(format!(
+            "forest {name} indexes attribute {:?} outside the table list or its part of it",
+            AttrRef::from_key(id)
+        )));
     }
     let mut attrs = d3l.profiles.iter().enumerate().flat_map(|(t, table)| {
         let indexed = (0u32..).zip(table).filter(move |(_, p)| wanted(t, p));
@@ -318,8 +294,8 @@ impl D3l {
     /// Every forest holds exactly the attributes its index covers. The
     /// query path assumes it and panics without it: a candidate drawn
     /// from one forest is resolved in all four
-    /// (`stored_signatures_ref`), `prepare_indexed` reads a member's
-    /// signatures back, and a delta its `IE` words.
+    /// (`stored_signatures_ref`), and `prepare_indexed` and a delta
+    /// read a member's signatures back.
     fn check_coverage(&self) -> Result<(), StoreError> {
         covers("IN", &self.i_n, self, false)?;
         covers("IV", &self.i_v, self, true)?;
@@ -337,18 +313,6 @@ impl D3l {
     /// passes the delta watermark its base file carries as one more
     /// section; a bare snapshot has none.
     fn write_snapshot<W: Write>(&self, out: W, applied_through: Option<u64>) -> io::Result<W> {
-        self.write_snapshot_deriving(DERIVED_ARENAS, out, applied_through)
-    }
-
-    /// [`D3l::write_snapshot`] with the forests of `derived` written
-    /// without their arenas (what [`D3l::read_snapshot_deriving`] must
-    /// then be told).
-    fn write_snapshot_deriving<W: Write>(
-        &self,
-        derived: &[SetIndex],
-        out: W,
-        applied_through: Option<u64>,
-    ) -> io::Result<W> {
         let mut w = ContainerWriter::new(out, KIND_SNAPSHOT)?;
 
         let mut conf = Encoder::new();
@@ -381,19 +345,9 @@ impl D3l {
                 .try_for_each(|table| sec.put_bytes(&encode_profiles(table)))
         })?;
 
-        for (tag, index, forest) in [
-            (SEC_FOREST_N, SetIndex::Name, &self.i_n),
-            (SEC_FOREST_V, SetIndex::Value, &self.i_v),
-            (SEC_FOREST_F, SetIndex::Format, &self.i_f),
-        ] {
-            w.stream_section(tag, |sec| {
-                if derived.contains(&index) {
-                    forest.write_derived_to(sec)
-                } else {
-                    forest.write_to(sec)
-                }
-            })?;
-        }
+        w.stream_section(SEC_FOREST_N, |sec| self.i_n.write_to(sec))?;
+        w.stream_section(SEC_FOREST_V, |sec| self.i_v.write_to(sec))?;
+        w.stream_section(SEC_FOREST_F, |sec| self.i_f.write_to(sec))?;
         w.stream_section(SEC_FOREST_E, |sec| self.i_e.write_to(sec))?;
 
         if let Some(seq) = applied_through {
@@ -405,10 +359,10 @@ impl D3l {
     }
 
     /// Load a query-ready engine from snapshot bytes. The hashers are
-    /// reconstructed deterministically from the persisted config, the
-    /// forests arrive committed (no re-sort) and the profiles carry
-    /// their token hashes — nothing is re-profiled, which is what
-    /// makes cold starts orders of magnitude cheaper than a rebuild.
+    /// reconstructed deterministically from the persisted config and
+    /// the forests arrive signed and committed — nothing is
+    /// re-profiled, signed or sorted, which is what makes cold starts
+    /// orders of magnitude cheaper than a rebuild.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
         Self::read_snapshot(&mut ContainerReader::parse(bytes, KIND_SNAPSHOT)?)
     }
@@ -416,16 +370,6 @@ impl D3l {
     /// Decode an engine from an opened snapshot container, one section
     /// at a time.
     fn read_snapshot<R: Read + Seek>(reader: &mut ContainerReader<R>) -> Result<Self, StoreError> {
-        Self::read_snapshot_deriving(DERIVED_ARENAS, reader)
-    }
-
-    /// [`D3l::read_snapshot`] of a container whose `derived` forests
-    /// were written without their arenas: each is signed again from
-    /// the decoded profiles, through the call the build made.
-    fn read_snapshot_deriving<R: Read + Seek>(
-        derived: &[SetIndex],
-        reader: &mut ContainerReader<R>,
-    ) -> Result<Self, StoreError> {
         let conf = reader.section(SEC_CONFIG)?;
         let mut conf_dec = Decoder::new(&conf);
         let cfg = decode_config(&mut conf_dec)?;
@@ -490,62 +434,24 @@ impl D3l {
             Ok(profiles)
         })?;
 
-        let minhasher = MinHasher::new(cfg.num_perm, cfg.seed);
         let minhash_shape = (cfg.trees, cfg.num_perm / cfg.trees);
-        let mut minhash_forest = |tag: SectionTag, name: &str, index: SetIndex| {
+        let mut minhash_forest = |tag: SectionTag| {
             reader.stream_section(tag, |sec| -> Result<LshForest<MinHashSignature>, _> {
-                if !derived.contains(&index) {
-                    return LshForest::read_from(sec, minhash_shape);
-                }
-                let shape = minhasher.sig_shape();
-                LshForest::read_derived_from(sec, minhash_shape, shape, |classes| {
-                    // Every id resolves before anything is sized by
-                    // their count or signed.
-                    let source = |id| profile_of(&profiles, id).ok_or_else(|| outside(name, id));
-                    let mut ids = classes.iter().flatten();
-                    ids.try_for_each(|&id| source(id).map(drop))?;
-                    let mut arena = vec![0u64; classes.len() * shape.0];
-                    let mut other = vec![0u64; shape.0];
-                    for (ids, slot) in classes.iter().zip(arena.chunks_exact_mut(shape.0)) {
-                        // One signing per class: its first member's.
-                        // Every other member must be of the class —
-                        // have that member's token set or, two sets
-                        // being free to collide, sign to the same words.
-                        let first = source(ids[0])?;
-                        index.sign_into(&minhasher, first, slot);
-                        for &id in &ids[1..] {
-                            let profile = source(id)?;
-                            if index.tokens(profile) == index.tokens(first) {
-                                continue;
-                            }
-                            index.sign_into(&minhasher, profile, &mut other);
-                            if other != slot {
-                                return Err(StoreError::corrupt(format!(
-                                    "forest {name} files attribute {:?} with {:?}, whose \
-                                     signature its profile does not sign to",
-                                    AttrRef::from_key(id),
-                                    AttrRef::from_key(ids[0]),
-                                )));
-                            }
-                        }
-                    }
-                    Ok(arena)
-                })
+                LshForest::read_from(sec, minhash_shape)
             })
         };
-        let i_n = minhash_forest(SEC_FOREST_N, "IN", SetIndex::Name)?;
-        let i_v = minhash_forest(SEC_FOREST_V, "IV", SetIndex::Value)?;
-        let i_f = minhash_forest(SEC_FOREST_F, "IF", SetIndex::Format)?;
+        let i_n = minhash_forest(SEC_FOREST_N)?;
+        let i_v = minhash_forest(SEC_FOREST_V)?;
+        let i_f = minhash_forest(SEC_FOREST_F)?;
         let embed_shape = (cfg.trees, cfg.embed_bits / cfg.trees);
         let i_e: LshForest<BitSignature> =
             reader.stream_section(SEC_FOREST_E, |sec| LshForest::read_from(sec, embed_shape))?;
 
-        let projector = RandomProjector::new(cfg.embed_dim, cfg.embed_bits, cfg.seed ^ 0xee);
         let d3l = D3l {
+            minhasher: MinHasher::new(cfg.num_perm, cfg.seed),
+            projector: RandomProjector::new(cfg.embed_dim, cfg.embed_bits, cfg.seed ^ 0xee),
             cfg,
             embedder,
-            minhasher,
-            projector,
             i_n,
             i_v,
             i_f,
@@ -562,38 +468,52 @@ impl D3l {
 
 // ----------------------------------------------------------------- deltas
 
-/// What an add persists of its table: what replay cannot re-derive
-/// and nothing else. Replay signs `IN`/`IV`/`IF` from the profiles'
-/// sets, as the live add did, and copies the `IE` words in.
+/// What an add persists of its table: what replay cannot re-derive —
+/// with the token sets and the vector gone, every signature. Replay
+/// signs nothing; it copies the words in.
 #[derive(Debug, Clone)]
 pub struct AddedTable {
     /// Table name.
     pub name: String,
     /// Subject-attribute column, if classified.
     pub subject: Option<u32>,
-    /// Per-column profiles as the store keeps them: no embedding
-    /// vectors.
-    pub profiles: Vec<AttributeProfile>,
-    /// Where the vectors were, what was signed from them: the `IE`
-    /// signatures of the non-numeric columns, read back from the
-    /// arena, in column order, `sig_shape().0` words each.
-    pub embedding_words: Vec<u64>,
+    /// What the index keeps of each column, as `PROF` would hold it.
+    pub attrs: Vec<IndexedAttr>,
+    /// The table's signatures in the four indexes, read back from the
+    /// arenas.
+    pub words: TableWords,
 }
 
 impl AddedTable {
     /// The record of table `id`, just added to `d3l`.
     fn of(d3l: &D3l, id: TableId) -> Self {
-        let profiles = d3l.profiles[id.index()].clone();
-        let mut embedding_words = Vec::new();
-        for (column, _) in (0u32..).zip(&profiles).filter(|(_, p)| !p.is_numeric) {
-            let words = d3l.i_e.signature_words(AttrRef { table: id, column }.key());
-            embedding_words.extend_from_slice(words.expect("a textual attribute is in IE"));
+        let attrs = d3l.profiles[id.index()].clone();
+        fn read_back<S: Signature>(
+            forest: &LshForest<S>,
+            id: TableId,
+            attrs: &[IndexedAttr],
+            textual_only: bool,
+        ) -> Vec<u64> {
+            let covered = (0u32..)
+                .zip(attrs)
+                .filter(|(_, a)| !(textual_only && a.is_numeric));
+            let mut words = Vec::new();
+            for (column, _) in covered {
+                let sig = forest.signature_words(AttrRef { table: id, column }.key());
+                words.extend_from_slice(sig.expect("an added attribute is in its indexes"));
+            }
+            words
         }
         AddedTable {
             name: d3l.table_name(id).to_string(),
             subject: d3l.subject_of(id).map(|a| a.column),
-            profiles,
-            embedding_words,
+            words: [
+                read_back(&d3l.i_n, id, &attrs, false),
+                read_back(&d3l.i_v, id, &attrs, true),
+                read_back(&d3l.i_f, id, &attrs, false),
+                read_back(&d3l.i_e, id, &attrs, true),
+            ],
+            attrs,
         }
     }
 
@@ -606,8 +526,10 @@ impl AddedTable {
             }
             None => enc.put_u8(0),
         }
-        enc.put_bytes(&encode_profiles(&self.profiles));
-        enc.put_u64s(&self.embedding_words);
+        enc.put_bytes(&encode_profiles(&self.attrs));
+        for words in &self.words {
+            enc.put_u64s(words);
+        }
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
@@ -621,20 +543,25 @@ impl AddedTable {
                 )))
             }
         };
-        let profiles = decode_profiles(dec.get_bytes()?)?;
+        let attrs = decode_profiles(dec.get_bytes()?)?;
         if let Some(c) = subject {
-            if c as usize >= profiles.len() {
+            if c as usize >= attrs.len() {
                 return Err(StoreError::corrupt(format!(
                     "delta subject column {c} outside arity {}",
-                    profiles.len()
+                    attrs.len()
                 )));
             }
         }
         Ok(AddedTable {
             name,
             subject,
-            profiles,
-            embedding_words: dec.get_u64s()?,
+            attrs,
+            words: [
+                dec.get_u64s()?,
+                dec.get_u64s()?,
+                dec.get_u64s()?,
+                dec.get_u64s()?,
+            ],
         })
     }
 }
@@ -642,23 +569,18 @@ impl AddedTable {
 /// One persisted maintenance operation.
 #[derive(Debug, Clone)]
 pub enum DeltaRecord {
-    /// A table added to the lake at the next id, carrying the profiles
-    /// computed when it was added live — replay re-derives signatures
-    /// from them instead of re-profiling the raw table.
-    Add(AddedTable),
     /// A table removed from the lake (its id becomes a tombstone).
     Remove {
         /// The removed table.
         table: TableId,
     },
-    /// A table added at an explicit id. Shard delta chains use this
-    /// instead of [`DeltaRecord::Add`]: ids are allocated globally
-    /// across the shard set, so a shard's next local slot index says
-    /// nothing about the id the table must land on. Replay pads the
-    /// gap with holes (see `D3l::push_hole`) and inserts at exactly
-    /// `table`.
+    /// A table added at an explicit id, carrying what the live add
+    /// kept of it. Ids are allocated globally across the shard set, so
+    /// a shard's next local slot index says nothing about the id the
+    /// table must land on: replay pads the gap with holes (see
+    /// `D3l::push_hole`) and inserts at exactly `table`.
     AddAt {
-        /// The globally-allocated table id.
+        /// The table's id.
         table: TableId,
         /// The table.
         added: AddedTable,
@@ -666,13 +588,11 @@ pub enum DeltaRecord {
 }
 
 impl DeltaRecord {
+    // Record type 1 was an add at the engine's next slot, retired with
+    // format 6.
     fn to_bytes(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
         match self {
-            DeltaRecord::Add(added) => {
-                enc.put_u8(1);
-                added.encode(&mut enc);
-            }
             DeltaRecord::Remove { table } => {
                 enc.put_u8(2);
                 enc.put_varint(table.0 as u64);
@@ -695,7 +615,6 @@ impl DeltaRecord {
     fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
         let mut dec = Decoder::new(bytes);
         let record = match dec.get_u8()? {
-            1 => DeltaRecord::Add(AddedTable::decode(&mut dec)?),
             2 => DeltaRecord::Remove {
                 table: Self::decode_table_id(&mut dec)?,
             },
@@ -724,7 +643,7 @@ impl D3l {
     /// Apply one replayed maintenance record, patching the forests
     /// exactly as the original live operation did.
     pub fn apply_delta(&mut self, record: DeltaRecord) -> Result<(), StoreError> {
-        let (at, added) = match record {
+        let (table, added) = match record {
             DeltaRecord::Remove { table } => {
                 if table.index() >= self.table_count() {
                     return Err(StoreError::corrupt(format!(
@@ -734,31 +653,35 @@ impl D3l {
                 self.remove_table(table);
                 return Ok(());
             }
-            DeltaRecord::Add(added) => (None, added),
-            DeltaRecord::AddAt { table, added } => (Some(table), added),
+            DeltaRecord::AddAt { table, added } => (table, added),
         };
-        let textual = added.profiles.iter().filter(|p| !p.is_numeric).count();
-        let stride = self.projector.sig_shape().0;
-        if added.embedding_words.len() != textual * stride {
-            return Err(StoreError::corrupt(format!(
-                "delta adds {:?} with {} IE words for {textual} textual columns of {stride}",
-                added.name,
-                added.embedding_words.len()
-            )));
-        }
-        if let Some(table) = at {
-            if table.index() < self.table_count() {
+        // Each index's words are its columns' signatures, whole —
+        // checked before anything is inserted.
+        let columns = added.attrs.len();
+        let textual = added.attrs.iter().filter(|a| !a.is_numeric).count();
+        let (mh, rp) = (self.minhasher.sig_shape().0, self.projector.sig_shape().0);
+        let expected = [
+            ("IN", columns, mh),
+            ("IV", textual, mh),
+            ("IF", columns, mh),
+            ("IE", textual, rp),
+        ];
+        for (words, (index, covered, stride)) in added.words.iter().zip(expected) {
+            if words.len() != covered * stride {
                 return Err(StoreError::corrupt(format!(
-                    "delta adds table {table} at an already-occupied slot"
+                    "delta adds {:?} with {} {index} words for {covered} columns of {stride}",
+                    added.name,
+                    words.len()
                 )));
             }
-            while self.table_count() < table.index() {
-                self.push_hole();
-            }
         }
-        let words = Some(&added.embedding_words[..]);
-        let got = self.insert_profiled_table(added.name, added.subject, added.profiles, words);
-        debug_assert!(at.is_none_or(|table| table == got));
+        if table.index() < self.table_count() {
+            return Err(StoreError::corrupt(format!(
+                "delta adds table {table} at an already-occupied slot"
+            )));
+        }
+        let columns = Columns::Stored(added.attrs, &added.words);
+        self.insert_profiled_table(table, added.name, added.subject, columns);
         Ok(())
     }
 }
@@ -885,13 +808,12 @@ impl IndexStore {
     /// delta segment. Only the added table is profiled — the rest of
     /// the engine is untouched apart from the forest patch.
     pub fn append_add(&mut self, d3l: &mut D3l, table: &Table) -> Result<TableId, StoreError> {
-        let id = d3l.add_table(table);
-        self.write_delta(&DeltaRecord::Add(AddedTable::of(d3l, id)))?;
-        Ok(id)
+        let next = TableId(d3l.table_count() as u32);
+        self.append_add_at(d3l, table, next)
     }
 
     /// [`IndexStore::append_add`] at an explicit, globally-allocated
-    /// table id (shard stores — see `DeltaRecord::AddAt`). Pads the
+    /// table id (shard stores — see [`DeltaRecord::AddAt`]). Pads the
     /// engine's slot vector with holes up to `id`, so `id` must be at
     /// or above the engine's current slot count.
     pub fn append_add_at(
@@ -1164,23 +1086,6 @@ mod tests {
     use crate::shard::ShardedD3l;
     use d3l_table::DataLake;
 
-    /// The snapshot this one replaced, kept as the reference a derived
-    /// open is tested (and, by `derived_store_beats_oracle`, sized and
-    /// timed) against: format 3's shape, all four arenas stored and
-    /// read back, nothing signed at open.
-    mod oracle {
-        use super::*;
-
-        pub fn to_bytes(d3l: &D3l) -> Vec<u8> {
-            d3l.write_snapshot_deriving(&[], Vec::new(), None)
-                .expect("writing to a Vec cannot fail")
-        }
-
-        pub fn from_bytes(bytes: &[u8]) -> Result<D3l, StoreError> {
-            D3l::read_snapshot_deriving(&[], &mut ContainerReader::parse(bytes, KIND_SNAPSHOT)?)
-        }
-    }
-
     /// `benchgen`'s dirty derivation at seed 11, drawn as the
     /// benchmark's `build-dirty2k` lake is (and as the lake
     /// `tests/determinism.rs` pins).
@@ -1194,13 +1099,6 @@ mod tests {
             ..Default::default()
         })
         .lake
-    }
-
-    /// Slot ids and arena words of a forest, in slot order.
-    fn arena_of(f: &LshForest<MinHashSignature>) -> Vec<(ItemId, &[u64])> {
-        f.ids()
-            .map(|id| (id, f.signature_words(id).expect("a stored id")))
-            .collect()
     }
 
     fn lake() -> DataLake {
@@ -1323,9 +1221,9 @@ mod tests {
         }
     }
 
-    /// A store written by format version 1, 2, 3, 4 or 5 is named as
-    /// such — by `open` as by the byte-slice decoder — and nothing of it
-    /// is decoded.
+    /// A store written by format version 1 to 6 is named as such — by
+    /// `open` as by the byte-slice decoder — and nothing of it is
+    /// decoded.
     #[test]
     fn older_stores_are_a_typed_unsupported_version() {
         // Version 1 opened with: magic, version, kind, section count,
@@ -1336,34 +1234,26 @@ mod tests {
         v1.put_u32(KIND_SNAPSHOT);
         v1.put_u32(0);
         v1.put_raw(&[0u8; 64]);
-        // Version 2 had today's container around forests of 64-bit
-        // MinHash values, version 3 around four stored arenas (the
-        // oracle's layout): whole, checksummed files with that header.
-        let mut v2 = engine().to_snapshot_bytes();
-        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let mut v3 = oracle::to_bytes(&engine());
-        v3[8..12].copy_from_slice(&3u32.to_le_bytes());
-        // Version 4 had today's sections around profiles that carried
-        // their embedding vectors.
-        let mut v4 = engine().to_snapshot_bytes();
-        v4[8..12].copy_from_slice(&4u32.to_le_bytes());
-        // Version 5 had them around forests that gave every attribute
-        // its own slab slot and tree entries.
-        let mut v5 = engine().to_snapshot_bytes();
-        v5[8..12].copy_from_slice(&5u32.to_le_bytes());
+        // Versions 2 to 6 had today's container around other sections
+        // (64-bit MinHash values; a slab slot per attribute; embedding
+        // vectors in `PROF`; no class tables; token sets in `PROF` and
+        // `IN`/`IF` signed again from them): whole, checksummed files
+        // with that header.
+        let newer: Vec<(u32, Vec<u8>)> = (2..=6u32)
+            .map(|version| {
+                let mut bytes = engine().to_snapshot_bytes();
+                bytes[8..12].copy_from_slice(&version.to_le_bytes());
+                (version, bytes)
+            })
+            .collect();
         let dir = std::env::temp_dir().join(format!("d3l_store_old_{}", std::process::id()));
-        let old = [
-            (1u32, v1.as_bytes()),
-            (2, &v2[..]),
-            (3, &v3[..]),
-            (4, &v4[..]),
-            (5, &v5[..]),
-        ];
+        let old = std::iter::once((1u32, v1.as_bytes()))
+            .chain(newer.iter().map(|(version, bytes)| (*version, &bytes[..])));
         for (version, bytes) in old {
             let is_old = |err: &StoreError| {
                 matches!(
                     err,
-                    StoreError::UnsupportedVersion { found, supported: 6 } if *found == version
+                    StoreError::UnsupportedVersion { found, supported: 7 } if *found == version
                 )
             };
             let err = D3l::from_snapshot_bytes(bytes).unwrap_err();
@@ -1378,107 +1268,37 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A derived open is the oracle's open: on the pinned dirty lake,
-    /// at index threads {1, 2, 8} × shards {1, 2}, the engine read
-    /// back from a snapshot without `IN`/`IF` arenas holds, word for
-    /// word, the arenas and trees of the one read back from a snapshot
-    /// with all four stored — and both write the bytes the built
-    /// engine writes.
+    /// The same-run gate (CI runs it in release): opening the store of
+    /// the 400-table pinned dirty lake — reading, checksumming and
+    /// checking four forests, regenerating their tree labels — takes
+    /// less time than profiling, signing and sorting the lake again,
+    /// without which a store would be pointless (measured: 8.0×).
     #[test]
-    fn derived_open_matches_the_stored_oracle() {
-        let lake = dirty_lake(40);
-        for index_threads in [1usize, 2, 8] {
-            for shards in [1usize, 2] {
-                let ctx = format!("@{index_threads} index threads / {shards} shards");
-                let cfg = D3lConfig {
-                    index_threads,
-                    shards,
-                    ..D3lConfig::fast()
-                };
-                for built in ShardedD3l::index_lake(&lake, cfg).shards() {
-                    let bytes = built.to_snapshot_bytes();
-                    let stored = oracle::to_bytes(built);
-                    let classes = built.i_n.class_count() + built.i_f.class_count();
-                    let slabs = classes * built.minhasher.sig_shape().0 * 8;
-                    assert!(slabs > 0, "{ctx}");
-                    assert_eq!(bytes.len(), stored.len() - slabs, "{ctx}");
-
-                    let derived = D3l::from_snapshot_bytes(&bytes).unwrap();
-                    let oracle = oracle::from_bytes(&stored).unwrap();
-                    assert_engines_identical(&oracle, &derived);
-                    assert_eq!(arena_of(&derived.i_n), arena_of(&oracle.i_n), "IN {ctx}");
-                    assert_eq!(arena_of(&derived.i_f), arena_of(&oracle.i_f), "IF {ctx}");
-                    assert_eq!(arena_of(&derived.i_v), arena_of(&oracle.i_v), "IV {ctx}");
-                    assert!(derived.to_snapshot_bytes() == bytes, "{ctx}");
-                    assert!(oracle.to_snapshot_bytes() == bytes, "{ctx}");
-                    assert!(oracle::to_bytes(&derived) == stored, "{ctx}");
-                    // Neither reader takes the other's file.
-                    assert!(matches!(
-                        oracle::from_bytes(&bytes),
-                        Err(StoreError::Corrupt(_))
-                    ));
-                    assert!(matches!(
-                        D3l::from_snapshot_bytes(&stored),
-                        Err(StoreError::Corrupt(_))
-                    ));
-                }
-            }
-        }
-    }
-
-    /// The same-run gate (CI runs it in release): on the pinned dirty
-    /// lake the snapshot is at most nine tenths of the four-slab
-    /// oracle's bytes — exactly its bytes less one signature per `IN`
-    /// and `IF` class — and opening it takes at most twice as long as
-    /// opening the oracle's (measured: 0.83× and 1.07×; the save it
-    /// pays for is not timed here) — and less time than indexing the
-    /// lake again, without which a store would be pointless. Both
-    /// snapshots store one signature per class, so what deriving saves
-    /// is the `IN`/`IF` classes of a dirty lake: a tenth is the line
-    /// under which the derived path is still worth its code.
-    #[test]
-    #[ignore = "timing: cargo test --release -p d3l-core derived_store_beats_oracle -- --ignored"]
-    fn derived_store_beats_oracle() {
+    #[ignore = "timing: cargo test --release -p d3l-core open_beats_rebuild -- --ignored"]
+    fn open_beats_rebuild() {
         use std::time::Instant;
         let lake = dirty_lake(400);
         let start = Instant::now();
         let d3l = D3l::index_lake(&lake, D3lConfig::default());
         let rebuild = start.elapsed();
-        let (bytes, stored) = (d3l.to_snapshot_bytes(), oracle::to_bytes(&d3l));
-        let attributes = d3l.i_n.len();
-        assert_eq!(d3l.i_f.len(), attributes);
-        let classes = d3l.i_n.class_count() + d3l.i_f.class_count();
-        assert_eq!(stored.len() - bytes.len(), classes * 1024);
-        assert!(
-            bytes.len() * 10 <= stored.len() * 9,
-            "snapshot {} B is over nine tenths of the oracle's {} B",
-            bytes.len(),
-            stored.len()
-        );
-        let time = |open: &dyn Fn() -> D3l| {
-            (0..7)
-                .map(|_| {
-                    let start = Instant::now();
-                    std::hint::black_box(open());
-                    start.elapsed()
-                })
-                .min()
-                .unwrap()
-        };
-        let oracle = time(&|| oracle::from_bytes(&stored).unwrap());
-        let derived = time(&|| D3l::from_snapshot_bytes(&bytes).unwrap());
-        let ratio = derived.as_secs_f64() / oracle.as_secs_f64();
+        let bytes = d3l.to_snapshot_bytes();
+        let open = (0..7)
+            .map(|_| {
+                let start = Instant::now();
+                std::hint::black_box(D3l::from_snapshot_bytes(&bytes).unwrap());
+                start.elapsed()
+            })
+            .min()
+            .unwrap();
         println!(
-            "{attributes} attributes: snapshot {} B vs oracle {} B ({:.3}x); \
-             open {derived:?} vs oracle {oracle:?} ({ratio:.2}x), rebuild {rebuild:?}",
+            "{} attributes, snapshot {} B: open {open:?}, rebuild {rebuild:?} ({:.1}x)",
+            d3l.i_n.len(),
             bytes.len(),
-            stored.len(),
-            bytes.len() as f64 / stored.len() as f64,
+            rebuild.as_secs_f64() / open.as_secs_f64()
         );
-        assert!(ratio <= 2.0, "derived open is {ratio:.2}x the oracle's");
         assert!(
-            derived < rebuild,
-            "opening the store ({derived:?}) is no faster than rebuilding it ({rebuild:?})"
+            open < rebuild,
+            "opening the store ({open:?}) is no faster than rebuilding it ({rebuild:?})"
         );
     }
 
@@ -1504,45 +1324,17 @@ mod tests {
         w.finish().unwrap()
     }
 
-    /// A base whose profiles no longer yield the signatures its trees
-    /// were sorted by — here one attribute's name q-grams, altered and
-    /// re-checksummed — fails the tree-order check of the forest it
-    /// feeds; it never opens into an engine that ranks differently.
+    /// A forest naming an attribute the table list does not have —
+    /// each of the four sections in turn, its last id moved to a table
+    /// past the end, the section otherwise whole — is refused at open.
     #[test]
-    fn altered_qset_fails_the_tree_check() {
-        let d3l = engine();
-        let bytes = d3l.to_snapshot_bytes();
-        assert!(D3l::from_snapshot_bytes(&with_section(&bytes, SEC_PROFILES, |p| p)).is_ok());
-        let altered = with_section(&bytes, SEC_PROFILES, |_| {
-            let mut enc = Encoder::new();
-            for (t, table) in d3l.profiles.iter().enumerate() {
-                let mut table = table.clone();
-                if t == 1 {
-                    let hashes = table[0].qset.as_slice().iter().map(|h| h ^ 1).collect();
-                    table[0].qset = TokenSet::from_hashes(hashes);
-                }
-                enc.put_bytes(&encode_profiles(&table));
-            }
-            enc.into_bytes()
-        });
-        let err = D3l::from_snapshot_bytes(&altered).unwrap_err();
-        assert!(
-            matches!(&err, StoreError::Corrupt(m) if m.contains("not sorted")),
-            "{err}"
-        );
-    }
-
-    /// A derived forest naming an attribute the table list does not
-    /// have is refused when its ids are resolved — before a slot is
-    /// allocated or signed for any of them.
-    #[test]
-    fn derived_forest_id_outside_the_table_list_is_corrupt() {
+    fn forest_id_outside_the_table_list_is_corrupt() {
         let bytes = engine().to_snapshot_bytes();
-        for tag in [SEC_FOREST_N, SEC_FOREST_F] {
+        for tag in [SEC_FOREST_N, SEC_FOREST_V, SEC_FOREST_F, SEC_FOREST_E] {
             // The last id of the (ascending) id table: table 2 → 9.
             let bad = with_section(&bytes, tag, |mut payload| {
-                let n = u64::from_le_bytes(payload[10..18].try_into().unwrap()) as usize;
-                let last = 38 + (n - 1) * 8;
+                let n = u64::from_le_bytes(payload[9..17].try_into().unwrap()) as usize;
+                let last = class_table_at(n) - 8;
                 let id = u64::from_le_bytes(payload[last..last + 8].try_into().unwrap());
                 assert_eq!(AttrRef::from_key(id).table, TableId(2));
                 let moved = AttrRef {
@@ -1552,11 +1344,7 @@ mod tests {
                 payload[last..last + 8].copy_from_slice(&moved.key().to_le_bytes());
                 payload
             });
-            let err = D3l::from_snapshot_bytes(&bad).unwrap_err();
-            assert!(
-                matches!(&err, StoreError::Corrupt(m) if m.contains("outside the table list")),
-                "{err}"
-            );
+            assert_corrupt(&bad, "outside the table list");
         }
     }
 
@@ -1577,7 +1365,7 @@ mod tests {
     /// Byte offset of a forest section's class table, past the header
     /// and the `n` ids.
     fn class_table_at(n: usize) -> usize {
-        38 + n * 8
+        37 + n * 8
     }
 
     fn assert_corrupt(bytes: &[u8], what: &str) {
@@ -1588,45 +1376,12 @@ mod tests {
         );
     }
 
-    /// `IN` is signed once per class, from its first member's `qset`;
-    /// every other member is checked against it. A member whose `qset`
-    /// no longer is — nor signs to — what its class was filed under is
-    /// a typed error, as a first member's is by the tree check.
-    #[test]
-    fn member_with_another_qset_than_its_class_is_corrupt() {
-        let d3l = pooled_engine();
-        let bytes = d3l.to_snapshot_bytes();
-        let with_qset_altered = |table: usize| {
-            with_section(&bytes, SEC_PROFILES, |_| {
-                let mut enc = Encoder::new();
-                for (t, profiles) in d3l.profiles.iter().enumerate() {
-                    let mut profiles = profiles.clone();
-                    if t == table {
-                        let hashes = profiles[0].qset.as_slice().iter().map(|h| h ^ 1).collect();
-                        profiles[0].qset = TokenSet::from_hashes(hashes);
-                    }
-                    enc.put_bytes(&encode_profiles(&profiles));
-                }
-                enc.into_bytes()
-            })
-        };
-        // "Practice" of table 3 is the second member of table 0's class.
-        assert_corrupt(
-            &with_qset_altered(3),
-            "forest IN files attribute AttrRef { table: TableId(3), column: 0 } with \
-             AttrRef { table: TableId(0), column: 0 }",
-        );
-        // Altering the first member's instead moves the class's
-        // signature away from the same second member.
-        assert_corrupt(&with_qset_altered(0), "forest IN files attribute");
-    }
-
     #[test]
     fn class_number_outside_the_class_count_is_corrupt() {
         let bytes = pooled_engine().to_snapshot_bytes();
         for tag in [SEC_FOREST_N, SEC_FOREST_F] {
             let bad = with_section(&bytes, tag, |mut payload| {
-                let c = u64::from_le_bytes(payload[18..26].try_into().unwrap()) as u32;
+                let c = u64::from_le_bytes(payload[17..25].try_into().unwrap()) as u32;
                 let last = class_table_at(10) + 9 * 4;
                 payload[last..last + 4].copy_from_slice(&c.to_le_bytes());
                 payload
@@ -1740,12 +1495,13 @@ mod tests {
         }
     }
 
-    /// A delta's `IE` words must be the textual columns' signatures,
-    /// whole: any other count is a typed error — from `apply_delta`,
-    /// and from `open` inside the `BadSegment` naming the file.
+    /// A delta's words must be, per index, the signatures of the
+    /// columns it covers, whole: any other count — in any of the four —
+    /// is a typed error, from `apply_delta` and from `open` inside the
+    /// `BadSegment` naming the file. So is the retired record type 1.
     #[test]
-    fn delta_with_a_wrong_ie_word_count_is_corrupt() {
-        let dir = std::env::temp_dir().join(format!("d3l_store_iewords_{}", std::process::id()));
+    fn delta_with_a_wrong_word_count_is_corrupt() {
+        let dir = std::env::temp_dir().join(format!("d3l_store_words_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let base = engine();
         let mut store = IndexStore::create(&dir, &base).unwrap();
@@ -1758,66 +1514,93 @@ mod tests {
         let mut added = base.clone();
         let id = added.add_table(&extra);
         let record = AddedTable::of(&added, id);
-        let stride = base.projector.sig_shape().0;
-        assert_eq!(
-            record.embedding_words.len(),
-            2 * stride,
-            "two textual columns"
-        );
-        let with_words = |n: usize| {
-            let mut record = record.clone();
-            record.embedding_words.resize(n, 0);
-            DeltaRecord::Add(record)
+        let (mh, rp) = (base.minhasher.sig_shape().0, base.projector.sig_shape().0);
+        // Three columns, two of them textual.
+        let strides = [mh, mh, mh, rp];
+        let whole = [3 * mh, 2 * mh, 3 * mh, 2 * rp];
+        assert_eq!(record.words.each_ref().map(Vec::len), whole);
+        let with_words = |index: usize, n: usize| {
+            let mut added = record.clone();
+            added.words[index].resize(n, 0);
+            DeltaRecord::AddAt { table: id, added }
         };
         // The record itself round-trips and replays into the engine
         // the live add built.
         let mut replayed = base.clone();
-        let decoded = DeltaRecord::from_bytes(&with_words(2 * stride).to_bytes()).unwrap();
-        replayed.apply_delta(decoded).unwrap();
+        let bytes = with_words(0, whole[0]).to_bytes();
+        replayed
+            .apply_delta(DeltaRecord::from_bytes(&bytes).unwrap())
+            .unwrap();
         assert_engines_identical(&added, &replayed);
         assert!(replayed.to_snapshot_bytes() == added.to_snapshot_bytes());
-        for n in [0, stride, 2 * stride - 1, 2 * stride + 1, 3 * stride] {
-            let decoded = DeltaRecord::from_bytes(&with_words(n).to_bytes()).unwrap();
-            let err = base.clone().apply_delta(decoded).unwrap_err();
-            assert!(
-                matches!(&err, StoreError::Corrupt(m) if m.contains("IE words")),
-                "{n} words: {err}"
-            );
+        let mut retired = bytes.clone();
+        retired[0] = 1;
+        let err = DeltaRecord::from_bytes(&retired).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corrupt(m) if m.contains("unknown delta record type 1")),
+            "{err}"
+        );
+        for (index, name) in ["IN", "IV", "IF", "IE"].iter().enumerate() {
+            let (stride, all) = (strides[index], whole[index]);
+            for n in [0, stride, all - 1, all + 1, all + stride] {
+                let decoded = DeltaRecord::from_bytes(&with_words(index, n).to_bytes()).unwrap();
+                let err = base.clone().apply_delta(decoded).unwrap_err();
+                assert!(
+                    matches!(&err, StoreError::Corrupt(m) if m.contains(&format!("{name} words"))),
+                    "{n} {name} words: {err}"
+                );
+            }
         }
-        store.write_delta(&with_words(stride)).unwrap();
+        store.write_delta(&with_words(1, mh)).unwrap();
         let err = IndexStore::open(&dir).unwrap_err();
         assert!(
             matches!(&err, StoreError::BadSegment { seq: 1, source }
-                if matches!(&**source, StoreError::Corrupt(m) if m.contains("IE words"))),
+                if matches!(&**source, StoreError::Corrupt(m) if m.contains("IV words"))),
             "{err}"
         );
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A stored profile's flags byte is 0 (textual, zero vector), 1
-    /// (numeric) or 2 (textual, embedded): numeric and embedded at
-    /// once, or any unknown bit, is a typed error in a delta as in a
-    /// base.
+    /// A stored attribute record's flags byte holds five known bits, and
+    /// a numeric attribute is neither textual nor embedded: an unknown
+    /// bit, or numeric with either, is a typed error in a delta as in a
+    /// base; every other byte decodes to the flags it spells.
     #[test]
-    fn profile_flags_outside_the_three_values_are_corrupt() {
+    fn profile_flags_that_are_no_attribute_are_corrupt() {
         let mut d3l = engine();
         let gp = Table::from_rows("local_gps", &["GP"], &[vec!["Blackfriars".into()]]).unwrap();
         let id = d3l.add_table(&gp);
-        let bytes = DeltaRecord::Add(AddedTable::of(&d3l, id)).to_bytes();
-        // The record ends: ... flags | word count (one byte) | words.
-        let flags_at = bytes.len() - 8 * d3l.projector.sig_shape().0 - 2;
-        assert_eq!(bytes[flags_at], FLAG_EMBEDDED);
+        let added = AddedTable::of(&d3l, id);
+        let bytes = DeltaRecord::AddAt { table: id, added }.to_bytes();
+        // The record ends: ... flags | four counted word lists.
+        let mut tail = Encoder::new();
+        let DeltaRecord::AddAt { added, .. } = DeltaRecord::from_bytes(&bytes).unwrap() else {
+            panic!("an add record");
+        };
+        added.words.iter().for_each(|w| tail.put_u64s(w));
+        let flags_at = bytes.len() - tail.as_bytes().len() - 1;
+        let all = FLAG_EMBEDDED | FLAG_NAME | FLAG_TEXT | FLAG_FORMAT;
+        assert_eq!(bytes[flags_at], all);
         let mut bad = bytes.clone();
         for flags in 0..=255u8 {
             bad[flags_at] = flags;
             let decoded = DeltaRecord::from_bytes(&bad);
-            if flags <= FLAG_EMBEDDED {
-                let Ok(DeltaRecord::Add(AddedTable { profiles, .. })) = decoded else {
+            let numeric = flags & FLAG_NUMERIC != 0;
+            let textual = flags & (FLAG_TEXT | FLAG_EMBEDDED) != 0;
+            if flags <= (all | FLAG_NUMERIC) && !(numeric && textual) {
+                let Ok(DeltaRecord::AddAt { added, .. }) = decoded else {
                     panic!("flags {flags}: {decoded:?}");
                 };
-                assert_eq!(profiles[0].is_numeric, flags == FLAG_NUMERIC);
-                assert_eq!(profiles[0].has_embedding(), flags == FLAG_EMBEDDED);
-                assert!(profiles[0].embedding.is_empty());
+                let a = &added.attrs[0];
+                let spelled = [
+                    (a.is_numeric, FLAG_NUMERIC),
+                    (a.has_embedding, FLAG_EMBEDDED),
+                    (a.has_name, FLAG_NAME),
+                    (a.has_text, FLAG_TEXT),
+                    (a.has_format, FLAG_FORMAT),
+                ];
+                let byte: u8 = spelled.iter().map(|&(set, bit)| set as u8 * bit).sum();
+                assert_eq!(byte, flags);
             } else {
                 let err = decoded.unwrap_err();
                 assert!(
@@ -1827,34 +1610,37 @@ mod tests {
             }
         }
         let snapshot = d3l.to_snapshot_bytes();
-        let bad = with_section(&snapshot, SEC_PROFILES, |mut prof| {
-            *prof.last_mut().unwrap() = FLAG_NUMERIC | FLAG_EMBEDDED;
-            prof
-        });
-        let err = D3l::from_snapshot_bytes(&bad).unwrap_err();
-        assert!(
-            matches!(&err, StoreError::Corrupt(m) if m.contains("flags")),
-            "{err}"
-        );
+        for flags in [
+            FLAG_NUMERIC | FLAG_TEXT,
+            FLAG_NUMERIC | FLAG_EMBEDDED,
+            32 | all,
+        ] {
+            let bad = with_section(&snapshot, SEC_PROFILES, |mut prof| {
+                *prof.last_mut().unwrap() = flags;
+                prof
+            });
+            assert_corrupt(&bad, "flags");
+        }
     }
 
-    /// The embedding vector ends at its `IE` signature. On every path a
-    /// profile takes into an engine — `index_lake`, `index_dir`,
-    /// `add_table`, delta replay, open, `ShardedD3l::split` at shards
-    /// {1, 2} — the resident profile holds no vector, answers
-    /// `has_embedding()` as the freshly built profile does, and weighs
-    /// `dim × 8` bytes less.
+    /// Nothing survives signing that scoring does not read. On every
+    /// path an attribute takes into an engine — `index_lake`,
+    /// `index_dir`, `add_table`, delta replay, `compact` + reopen,
+    /// `ShardedD3l::split` at shards {1, 2} — the engine holds of it a
+    /// name and a numeric extent, byte for byte (the accounting is
+    /// content-defined, so the equality is exact), and four flags that
+    /// say which sets of a freshly built profile are non-empty.
     #[test]
-    fn indexed_profiles_hold_no_vector() {
+    fn nothing_survives_signing_that_scoring_does_not_read() {
         use crate::profile::profile_table;
-        let root = std::env::temp_dir().join(format!("d3l_store_novec_{}", std::process::id()));
+        let root = std::env::temp_dir().join(format!("d3l_store_lean_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         dirty_lake(12).save_dir(root.join("lake")).unwrap();
         let lake = DataLake::load_dir(root.join("lake")).unwrap();
         let cfg = D3lConfig::fast();
 
         let check = |engine: &ShardedD3l, ctx: &str| {
-            let (mut embedded, mut zero) = (0, 0);
+            let (mut kept_bytes, mut flags_seen) = (0, [[0usize; 2]; 4]);
             let ids = engine.name_to_id();
             assert_eq!(ids.len(), lake.len(), "{ctx}");
             for (_, table) in lake.iter() {
@@ -1863,19 +1649,36 @@ mod tests {
                 for (column, built) in (0u32..).zip(&built) {
                     let held = engine.profile(AttrRef { table: id, column });
                     let ctx = format!("{ctx}: {}.{}", table.name(), built.name);
-                    assert_eq!(built.embedding.len(), cfg.embed_dim, "{ctx}");
-                    assert!(held.embedding.is_empty(), "{ctx}");
-                    assert_eq!(held.has_embedding(), built.has_embedding(), "{ctx}");
-                    assert_eq!(
-                        held.byte_size() + cfg.embed_dim * 8,
-                        built.byte_size(),
-                        "{ctx}"
-                    );
-                    embedded += built.has_embedding() as usize;
-                    zero += !built.has_embedding() as usize;
+                    assert_eq!(held.name, built.name, "{ctx}");
+                    assert_eq!(held.numeric_extent, built.numeric_extent, "{ctx}");
+                    assert_eq!(held.is_numeric, built.is_numeric, "{ctx}");
+                    let flags = [
+                        (held.has_name, !built.qset.is_empty()),
+                        (held.has_text, !built.tset.is_empty()),
+                        (held.has_format, !built.rset.is_empty()),
+                        (
+                            held.has_embedding,
+                            built.embedding.iter().any(|&x| x != 0.0),
+                        ),
+                    ];
+                    for ((held, fresh), seen) in flags.into_iter().zip(&mut flags_seen) {
+                        assert_eq!(held, fresh, "{ctx}");
+                        seen[fresh as usize] += 1;
+                    }
+                    kept_bytes += built.name.len() + 8 * built.numeric_extent.len();
                 }
             }
-            assert!(embedded > 0 && zero > 0, "{ctx}: {embedded} / {zero}");
+            assert_eq!(engine.byte_size().profile_bytes, kept_bytes, "{ctx}");
+            // Both values of the value and embedding flags occur (names
+            // and formats are never empty on this lake).
+            assert!(
+                flags_seen[1].iter().all(|&n| n > 0),
+                "{ctx}: {flags_seen:?}"
+            );
+            assert!(
+                flags_seen[3].iter().all(|&n| n > 0),
+                "{ctx}: {flags_seen:?}"
+            );
         };
 
         for shards in [1usize, 2] {
@@ -1934,7 +1737,7 @@ mod tests {
             table: codes_id,
             column: 0,
         });
-        assert!(!code.is_numeric && code.has_text() && !code.has_embedding());
+        assert!(!code.is_numeric && code.has_text && !code.has_embedding);
         let ones = d3l.stored_signatures(AttrRef {
             table: codes_id,
             column: 0,
@@ -1955,8 +1758,7 @@ mod tests {
                 assert_eq!(a.format, b.format, "{ctx}");
                 assert_eq!(a.embedding, b.embedding, "{ctx}");
                 let (pa, pb) = (&from_index.profiles[col], &from_rows.profiles[col]);
-                assert_eq!(pa.has_embedding(), pb.has_embedding(), "{ctx}");
-                assert!(pa.embedding.is_empty() && !pb.embedding.is_empty(), "{ctx}");
+                assert_eq!(pa, pb, "{ctx}");
                 numeric += pa.is_numeric as usize;
                 textual += !pa.is_numeric as usize;
             }
@@ -2028,7 +1830,7 @@ mod tests {
         let bytes = std::fs::read(dir.join(layout::delta_file_name(1))).unwrap();
         assert!(matches!(
             DeltaRecord::from_segment(&bytes),
-            Ok(DeltaRecord::Add(_))
+            Ok(DeltaRecord::AddAt { .. })
         ));
         for cut in 0..bytes.len() {
             match DeltaRecord::from_segment(&bytes[..cut]) {

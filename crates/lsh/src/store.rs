@@ -2,26 +2,21 @@
 //!
 //! A committed [`LshForest`] is the product of the expensive indexing
 //! pass (signature generation + per-tree sorts). A forest section
-//! always carries the tree orders — no cold start re-sorts — and
-//! states where its signature arena comes from: **stored**, the words
-//! themselves, read back with no re-hashing; or **derived**, nothing,
-//! because the caller holds what the signatures were computed from
-//! and signing it again costs less than the bytes would. Which of the
-//! two a forest gets is the caller's decision (`d3l-core`'s snapshot
-//! module makes it, next to the measurement behind it); this module
-//! is one codec with the two arena sources.
+//! carries the signature arena — the words themselves, read back with
+//! no re-hashing — and the tree orders, so no cold start signs or
+//! re-sorts anything. Every forest is written and read by this one
+//! codec.
 //!
 //! Wire layout (one streamed `d3l-store` container section, format
-//! version 6 — all fixed-width little-endian, no per-item framing):
+//! version 7 — all fixed-width little-endian, no per-item framing):
 //!
 //! ```text
-//! header   u32 l, u32 k, u8 committed, u8 arena source,
-//!          u64 n, u64 c, u32 stride, u64 meta
+//! header   u32 l, u32 k, u8 committed,
+//!          u64 n, u64 c, u32 stride, u64 meta        (37 bytes)
 //! ids      n × u64            item ids, strictly ascending
 //! classes  n × u32            the class of each id, by rank
 //! slab     c × stride × u64   signature words, one class after
 //!                             another in rank order
-//!                             (arena source 0, stored, only)
 //! l × tree c × u32            entry j of the tree is the class of
 //!                             rank perm[j]
 //! ```
@@ -40,41 +35,38 @@
 //! business ([`Signature::shape_is_valid`] says which pairs it
 //! writes). A bit signature packs 64 positions to a word; a MinHash
 //! signature two, as 32-bit values (`crate::minhash`), so the paper's
-//! 256 permutations are `stride` 128, `meta` 256. A derived section
-//! (arena source 1) states the same shape and leaves the slab out.
+//! 256 permutations are `stride` 128, `meta` 256.
 //!
 //! The signature slab is the forest's arena: when slot order is
 //! already rank order — after every bulk build and every reopen — it
 //! is written with one bulk copy, otherwise gathered a chunk at a
 //! time. On load the slab *becomes* the arena; nothing is copied per
-//! signature. A derived arena is built by the reader's caller, one
-//! signature per class, in rank order, from the classes' members.
+//! signature.
 //!
 //! Tree labels are not stored. A label is a pure function of the
 //! signature (one byte per consumed hash position, see
 //! `forest::write_labels`), so a tree is fully described by its order:
 //! the decoder regenerates the labels with one sequential pass over
 //! the arena and a gather per tree, and *checks* the stored order
-//! against them. For a stored arena that is a check of the section
-//! against itself; for a derived one it is an end-to-end check of the
-//! section against whatever the caller signed — a source that no
-//! longer yields the signatures the trees were sorted by is a typed
-//! error, never a forest that answers differently. Decoding validates
-//! every structural invariant the query paths rely on — the expected
-//! shape and arena source, a signature shape the type accepts, unique
-//! ascending ids, a class table that names every class of `0..c` in
-//! order of first appearance (so no rank out of range, no class
-//! without a member, one ranking per content), no two classes with
-//! the same signature, each tree a permutation of the classes (every
-//! rank in range, none repeated) and sorted when the committed flag is
-//! set — so a corrupt section becomes a typed [`StoreError`], never a
-//! panicking or silently-wrong forest.
+//! against them — a section whose slab no longer yields the labels its
+//! trees were sorted by is a typed error, never a forest that answers
+//! differently. Decoding validates every structural invariant the
+//! query paths rely on — the expected shape, a signature shape the
+//! type accepts, unique ascending ids, a class table that names every
+//! class of `0..c` in order of first appearance (so no rank out of
+//! range, no class without a member, one ranking per content), no two
+//! classes with the same signature, each tree a permutation of the
+//! classes (every rank in range, none repeated) and sorted when the
+//! committed flag is set — so a corrupt section becomes a typed
+//! [`StoreError`], never a panicking or silently-wrong forest.
 //!
 //! Format versions 1 (per-item varint framing, stored labels), 2
-//! (64-bit MinHash values), 3 (no arena source byte: every slab
-//! stored), 4 and 5 (one slab slot and one tree entry per item, no
-//! class table) are not read; the container rejects such files by
-//! version and the lake is re-indexed.
+//! (64-bit MinHash values), 3 (every slab stored, one slot per item),
+//! 4 and 5 (an arena-source byte; one slab slot and one tree entry per
+//! item, no class table) and 6 (the arena-source byte over classes:
+//! some forests written without their slab, signed again at open) are
+//! not read; the container rejects such files by version and the lake
+//! is re-indexed.
 
 use std::io::{self, Read, Write};
 
@@ -85,13 +77,7 @@ use crate::signature::Signature;
 use crate::ItemId;
 
 /// Encoded size of the fixed forest header.
-const HEADER_LEN: usize = 4 + 4 + 1 + 1 + 8 + 8 + 4 + 8;
-
-/// Arena source byte: the signature slab follows the class table.
-const ARENA_STORED: u8 = 0;
-
-/// Arena source byte: no slab; the reader's caller signs the arena.
-const ARENA_DERIVED: u8 = 1;
+const HEADER_LEN: usize = 4 + 4 + 1 + 8 + 8 + 4 + 8;
 
 /// Signatures gathered per write when slot order is not rank order.
 const GATHER_ITEMS: usize = 64;
@@ -101,21 +87,6 @@ impl<S: Signature> LshForest<S> {
     /// into a snapshot section. Signatures go from the arena to the
     /// sink and nowhere else.
     pub fn write_to<W: Write>(&self, sec: &mut SectionWriter<'_, W>) -> io::Result<()> {
-        self.write_section(sec, ARENA_STORED)
-    }
-
-    /// Stream the forest without its signatures (class table + tree
-    /// orders): for a forest whose reader can sign every class again
-    /// ([`LshForest::read_derived_from`]).
-    pub fn write_derived_to<W: Write>(&self, sec: &mut SectionWriter<'_, W>) -> io::Result<()> {
-        self.write_section(sec, ARENA_DERIVED)
-    }
-
-    fn write_section<W: Write>(
-        &self,
-        sec: &mut SectionWriter<'_, W>,
-        source: u8,
-    ) -> io::Result<()> {
         let (l, k) = self.shape();
         let (postings, sig_words, stride, meta) = self.stored_parts();
         let (n, c) = (self.len(), postings.len());
@@ -127,7 +98,6 @@ impl<S: Signature> LshForest<S> {
         head.put_u32(l as u32);
         head.put_u32(k as u32);
         head.put_u8(self.is_committed() as u8);
-        head.put_u8(source);
         head.put_u64(n as u64);
         head.put_u64(c as u64);
         head.put_u32(u32::try_from(stride).expect("signature stride fits u32"));
@@ -152,9 +122,9 @@ impl<S: Signature> LshForest<S> {
         sec.put_u32_slab(&ranks)?;
         drop((ids, ranks));
 
-        if source == ARENA_STORED && in_rank_order {
+        if in_rank_order {
             sec.put_u64_slab(sig_words)?;
-        } else if source == ARENA_STORED {
+        } else {
             let mut gathered = Vec::with_capacity(GATHER_ITEMS * stride);
             for slots in by_rank.chunks(GATHER_ITEMS) {
                 gathered.clear();
@@ -184,66 +154,6 @@ impl<S: Signature> LshForest<S> {
         sec: &mut SectionReader<'_, R>,
         shape: (usize, usize),
     ) -> Result<Self, StoreError> {
-        Self::read_section(sec, shape, ARENA_STORED, |sec, classes, stride, _| {
-            let words = classes
-                .len()
-                .checked_mul(stride)
-                .ok_or_else(|| StoreError::corrupt("forest signature slab size overflows"))?;
-            sec.get_u64_slab(words, "forest signatures")
-        })
-    }
-
-    /// Decode a forest of shape `(l, k)` streamed by
-    /// [`LshForest::write_derived_to`]. `derive` is handed the
-    /// section's classes — each one's members, ascending, classes in
-    /// rank order — and returns the arena: `sig_shape.0` words per
-    /// class, in that order, every class signed as the saved forest's
-    /// was — or an error, if it cannot sign one, or finds a member its
-    /// class's signature is not the signature of; it has seen every id
-    /// before it allocates or signs anything. The trees are then
-    /// checked against the labels of what it returned, exactly as a
-    /// stored slab's are, so a `derive` that signs something other
-    /// than what the trees were sorted by is [`StoreError::Corrupt`].
-    /// `sig_shape` is the hasher's `(words, positions)`; a section
-    /// stating another is corrupt.
-    pub fn read_derived_from<R: Read>(
-        sec: &mut SectionReader<'_, R>,
-        shape: (usize, usize),
-        sig_shape: (usize, u64),
-        derive: impl FnOnce(&[Vec<ItemId>]) -> Result<Vec<u64>, StoreError>,
-    ) -> Result<Self, StoreError> {
-        Self::read_section(sec, shape, ARENA_DERIVED, |_, classes, stride, meta| {
-            if !classes.is_empty() && (stride, meta) != sig_shape {
-                return Err(StoreError::corrupt(format!(
-                    "forest signature shape ({stride} words, meta {meta}) is not the \
-                     {sig_shape:?} its source is signed to"
-                )));
-            }
-            let arena = derive(classes)?;
-            assert_eq!(
-                arena.len(),
-                classes.len() * stride,
-                "a derived arena holds one signature per class"
-            );
-            Ok(arena)
-        })
-    }
-
-    /// The one section decoder: header, ids and their classes, the
-    /// arena from wherever `source` says it comes (`arena` reads or
-    /// builds it, given the classes and the header's signature shape),
-    /// then the trees, checked against the arena's labels.
-    fn read_section<R: Read>(
-        sec: &mut SectionReader<'_, R>,
-        shape: (usize, usize),
-        source: u8,
-        arena: impl FnOnce(
-            &mut SectionReader<'_, R>,
-            &[Vec<ItemId>],
-            usize,
-            u64,
-        ) -> Result<Vec<u64>, StoreError>,
-    ) -> Result<Self, StoreError> {
         let mut head = [0u8; HEADER_LEN];
         sec.get_raw(&mut head, "forest header")?;
         let mut dec = Decoder::new(&head);
@@ -263,12 +173,6 @@ impl<S: Signature> LshForest<S> {
                 )))
             }
         };
-        let found = dec.get_u8()?;
-        if found != source {
-            return Err(StoreError::corrupt(format!(
-                "forest arena source {found} where {source} was expected"
-            )));
-        }
         let n = usize::try_from(dec.get_u64()?)
             .ok()
             .filter(|&n| n <= u32::MAX as usize)
@@ -333,7 +237,10 @@ impl<S: Signature> LshForest<S> {
         // Pushed lists hold up to twice their ids' room; a forest that
         // serves for hours should hold what its footprint says.
         classes.iter_mut().for_each(Vec::shrink_to_fit);
-        let sig_words = arena(sec, &classes, stride, meta)?;
+        let words = c
+            .checked_mul(stride)
+            .ok_or_else(|| StoreError::corrupt("forest signature slab size overflows"))?;
+        let sig_words = sec.get_u64_slab(words, "forest signatures")?;
         let mut forest = LshForest::from_stored_classes(l, k, classes, sig_words, stride, meta)
             .map_err(|(a, b)| {
                 StoreError::corrupt(format!("classes {a} and {b} hold one signature"))
@@ -406,12 +313,10 @@ pub(crate) mod tests {
     const TAG: [u8; 4] = *b"TEST";
     const SHAPE: (usize, usize) = (8, 8);
 
-    /// Header offsets: `l, k, committed, arena source, n, c, stride, meta`.
-    const SOURCE_AT: usize = 9;
-    const N_AT: usize = 10;
-    const C_AT: usize = 18;
-    const STRIDE_AT: usize = 26;
-    const META_AT: usize = 30;
+    /// Header offsets: `l, k, committed, n, c, stride, meta`.
+    const N_AT: usize = 9;
+    const C_AT: usize = 17;
+    const META_AT: usize = 29;
 
     /// The section payload `write` streams.
     fn payload_of(
@@ -439,35 +344,13 @@ pub(crate) mod tests {
         ContainerReader::parse(&file, KIND_SNAPSHOT)?.stream_section(TAG, read)
     }
 
-    /// The forest's section payload, arena stored.
+    /// The forest's section payload.
     pub(crate) fn to_bytes<S: Signature>(f: &LshForest<S>) -> Vec<u8> {
         payload_of(|sec| f.write_to(sec))
     }
 
     fn from_bytes<S: Signature>(payload: &[u8]) -> Result<LshForest<S>, StoreError> {
         decode(payload, |sec| LshForest::read_from(sec, SHAPE))
-    }
-
-    /// The forest's section payload, arena left out.
-    fn to_derived_bytes<S: Signature>(f: &LshForest<S>) -> Vec<u8> {
-        payload_of(|sec| f.write_derived_to(sec))
-    }
-
-    /// Decode a derived payload of `mh`-signed items, item `id` signed
-    /// from the tokens `tokens_of(id)` names (see [`minhash_sig`]).
-    fn from_derived_bytes(
-        payload: &[u8],
-        mh: &MinHasher,
-        tokens_of: impl Fn(ItemId) -> u64,
-    ) -> Result<LshForest<MinHashSignature>, StoreError> {
-        decode(payload, |sec| {
-            LshForest::read_derived_from(sec, SHAPE, mh.sig_shape(), |classes| {
-                Ok(classes
-                    .iter()
-                    .flat_map(|ids| minhash_sig(mh, tokens_of(ids[0])).words().to_vec())
-                    .collect())
-            })
-        })
     }
 
     fn minhash_sig(mh: &MinHasher, i: u64) -> MinHashSignature {
@@ -502,8 +385,7 @@ pub(crate) mod tests {
     }
 
     /// Offset of tree `t`'s permutation inside a section payload of
-    /// `n` items in `c` classes (`stride` 0 for a derived one: no
-    /// slab).
+    /// `n` items in `c` classes.
     fn perm_at(n: usize, c: usize, stride: usize, t: usize) -> usize {
         ranks_at(n) + n * 4 + c * stride * 8 + t * c * 4
     }
@@ -520,15 +402,6 @@ pub(crate) mod tests {
         f.commit();
         assert_eq!((f.len(), f.class_count()), (16, 12));
         f
-    }
-
-    /// What [`pooled_forest`]'s item `id` was signed from.
-    fn pooled_tokens(id: ItemId) -> u64 {
-        match id {
-            100 | 102 => 0,
-            101 | 103 => 2,
-            id => id / 3,
-        }
     }
 
     fn patch_rank(payload: &mut [u8], at: usize, rank: u32) {
@@ -594,148 +467,6 @@ pub(crate) mod tests {
             .query(&minhash_sig(&mh, 3), 12)
             .iter()
             .all(|h| h.id != 9 || h.similarity < 0.1));
-    }
-
-    /// The derived form: the section is the stored one less its slab,
-    /// and reading it with a `derive` that signs what the writer's
-    /// items were signed from gives back the forest, arena included.
-    #[test]
-    fn derived_minhash_forest_round_trips() {
-        let mh = MinHasher::new(64, 7);
-        let f = minhash_forest();
-        let (stored, derived) = (to_bytes(&f), to_derived_bytes(&f));
-        let slab = f.class_count() * mh.sig_shape().0 * 8;
-        assert_eq!(derived.len(), stored.len() - slab);
-        let table_end = ranks_at(f.len()) + f.len() * 4;
-        assert_eq!(derived[..SOURCE_AT], stored[..SOURCE_AT]);
-        assert_eq!((stored[SOURCE_AT], derived[SOURCE_AT]), (0, 1));
-        assert_eq!(derived[N_AT..table_end], stored[N_AT..table_end]);
-        assert_eq!(derived[table_end..], stored[table_end + slab..]);
-
-        // `minhash_forest` signs item `3 i` from tokens `i..i + 20`.
-        let loaded = from_derived_bytes(&derived, &mh, |id| id / 3).unwrap();
-        assert!(loaded.is_committed());
-        assert!(loaded == f);
-        assert_eq!(to_bytes(&loaded), stored);
-        assert_eq!(to_derived_bytes(&loaded), derived);
-        let q = minhash_sig(&mh, 4);
-        assert_eq!(loaded.query(&q, 5), f.query(&q, 5));
-    }
-
-    /// An odd position count, a re-inserted id, a scrambled slot order
-    /// and an emptied forest go through the derived form as they go
-    /// through the stored one.
-    #[test]
-    fn derived_form_covers_odd_lengths_reinserts_and_emptied_forests() {
-        let odd = MinHasher::new(67, 7);
-        let mut f = LshForest::new(67, 8);
-        for i in (0..12u64).rev() {
-            f.insert(i, minhash_sig(&odd, i));
-        }
-        f.commit();
-        let loaded = from_derived_bytes(&to_derived_bytes(&f), &odd, |id| id).unwrap();
-        assert_eq!(loaded.sig_meta(), 67);
-        assert!(loaded == f);
-        assert!(loaded.ids().eq(0..12), "a reload is in id order");
-        assert_eq!(to_bytes(&loaded), to_bytes(&f));
-
-        let mh = MinHasher::new(64, 7);
-        let mut f = minhash_forest();
-        f.insert(9, minhash_sig(&mh, 500));
-        f.commit();
-        let tokens_of = |id| if id == 9 { 500 } else { id / 3 };
-        let loaded = from_derived_bytes(&to_derived_bytes(&f), &mh, tokens_of).unwrap();
-        assert_eq!(loaded.len(), 12);
-        assert!(loaded == f);
-        assert_eq!(loaded.signature(9), Some(minhash_sig(&mh, 500)));
-
-        let mut emptied = minhash_forest();
-        for id in emptied.ids().collect::<Vec<_>>() {
-            emptied.remove(id);
-        }
-        let fresh: LshForest<MinHashSignature> = LshForest::new(64, 8);
-        assert_eq!(to_derived_bytes(&emptied), to_derived_bytes(&fresh));
-        assert_eq!(to_derived_bytes(&fresh).len(), HEADER_LEN);
-        let loaded = from_derived_bytes(&to_derived_bytes(&emptied), &mh, |id| id).unwrap();
-        assert!(loaded.is_empty() && loaded.is_committed());
-    }
-
-    /// Each reader reads its own arena source and names the other's;
-    /// a derived section of another hasher's shape is refused before
-    /// `derive` runs.
-    #[test]
-    fn wrong_arena_source_or_shape_is_rejected() {
-        let mh = MinHasher::new(64, 7);
-        let f = minhash_forest();
-        let source_error =
-            |err: StoreError| matches!(&err, StoreError::Corrupt(m) if m.contains("arena source"));
-        assert!(source_error(
-            from_derived_bytes(&to_bytes(&f), &mh, |id| id / 3).unwrap_err()
-        ));
-        assert!(source_error(
-            from_bytes::<MinHashSignature>(&to_derived_bytes(&f)).unwrap_err()
-        ));
-        let mut bad = to_bytes(&f);
-        bad[SOURCE_AT] = 2;
-        assert!(source_error(
-            from_bytes::<MinHashSignature>(&bad).unwrap_err()
-        ));
-
-        // 66 positions are 33 words, a shape the type has — but not
-        // the one this reader's hasher signs.
-        let mut bad = to_derived_bytes(&f);
-        bad[STRIDE_AT..STRIDE_AT + 4].copy_from_slice(&33u32.to_le_bytes());
-        bad[META_AT..META_AT + 8].copy_from_slice(&66u64.to_le_bytes());
-        let err = decode(&bad, |sec| {
-            LshForest::<MinHashSignature>::read_derived_from(sec, SHAPE, mh.sig_shape(), |_| {
-                panic!("derive must not run on a section of another shape")
-            })
-        })
-        .unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
-    }
-
-    /// The tree check of a derived section is a check against what
-    /// `derive` signed: a source that changed since the save, or a
-    /// `derive` that refuses an id, is a typed error — and every cut
-    /// and every damaged rank of the section is one too.
-    #[test]
-    fn derived_trees_are_checked_against_what_derive_signs() {
-        let mh = MinHasher::new(64, 7);
-        let f = minhash_forest();
-        let good = to_derived_bytes(&f);
-        // Item 9 now yields another signature than the trees filed it under.
-        let err =
-            from_derived_bytes(&good, &mh, |id| if id == 9 { 77 } else { id / 3 }).unwrap_err();
-        assert!(
-            matches!(&err, StoreError::Corrupt(m) if m.contains("not sorted")),
-            "{err}"
-        );
-        // A `derive` that cannot resolve an id has its error passed on.
-        let err = decode(&good, |sec| {
-            LshForest::<MinHashSignature>::read_derived_from(sec, SHAPE, mh.sig_shape(), |ids| {
-                Err(StoreError::corrupt(format!("no source for {}", ids[3][0])))
-            })
-        })
-        .unwrap_err();
-        assert!(
-            matches!(&err, StoreError::Corrupt(m) if m == "no source for 9"),
-            "{err}"
-        );
-        for cut in 0..good.len() {
-            match from_derived_bytes(&good[..cut], &mh, |id| id / 3) {
-                Err(StoreError::Truncated { .. } | StoreError::Corrupt(_)) => {}
-                Err(other) => panic!("cut {cut}: unexpected error {other}"),
-                Ok(_) => panic!("cut {cut}: truncated forest decoded"),
-            }
-        }
-        let at = perm_at(f.len(), f.class_count(), 0, 2);
-        let mut bad = good.clone();
-        patch_rank(&mut bad, at + 4, f.len() as u32);
-        assert!(matches!(
-            from_derived_bytes(&bad, &mh, |id| id / 3),
-            Err(StoreError::Corrupt(_))
-        ));
     }
 
     #[test]
@@ -967,19 +698,16 @@ pub(crate) mod tests {
     }
 
     /// Items under one signature are one class on the wire: one slab
-    /// slot and one entry per tree, ranked by its smallest member, and
-    /// both arena sources read it back — the derived one signing a
-    /// single member of each class.
+    /// slot and one entry per tree, ranked by its smallest member.
     #[test]
-    fn pooled_forest_round_trips_through_both_sources() {
+    fn pooled_forest_round_trips() {
         let mh = MinHasher::new(64, 7);
         let f = pooled_forest();
-        let (stored, derived) = (to_bytes(&f), to_derived_bytes(&f));
+        let stored = to_bytes(&f);
         assert_eq!(
             stored.len(),
             HEADER_LEN + 16 * 12 + 12 * 32 * 8 + SHAPE.0 * 12 * 4
         );
-        assert_eq!(derived.len(), stored.len() - 12 * 32 * 8);
         let ranks: Vec<u32> = stored[ranks_at(16)..ranks_at(16) + 16 * 4]
             .chunks_exact(4)
             .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
@@ -991,17 +719,8 @@ pub(crate) mod tests {
         let loaded: LshForest<MinHashSignature> = from_bytes(&stored).unwrap();
         assert!(loaded == f);
         assert_eq!(to_bytes(&loaded), stored);
-        let signed = std::cell::Cell::new(0);
-        let rederived = from_derived_bytes(&derived, &mh, |id| {
-            signed.set(signed.get() + 1);
-            pooled_tokens(id)
-        })
-        .unwrap();
-        assert_eq!(signed.get(), 12, "one signing per class");
-        assert!(rederived == f);
-        assert_eq!(to_bytes(&rederived), stored);
         let q = minhash_sig(&mh, 0);
-        let hits = rederived.query(&q, 4);
+        let hits = loaded.query(&q, 4);
         assert_eq!(hits, f.query(&q, 4));
         assert_eq!(
             hits.iter().map(|h| h.id).collect::<Vec<_>>()[..3],
@@ -1012,37 +731,32 @@ pub(crate) mod tests {
     /// The class table names every class of `0..c`, in the order a
     /// walk up the id table first meets them: a rank out of range, a
     /// class nobody is in, and two classes met in the wrong order are
-    /// each a typed error, in either arena source.
+    /// each a typed error.
     #[test]
     fn a_class_table_that_is_not_a_first_appearance_ranking_is_rejected() {
-        let mh = MinHasher::new(64, 7);
         let f = pooled_forest();
         let (n, c) = (f.len(), f.class_count());
-        let corrupt = |payload: &[u8], what: &str| {
-            let stored = from_bytes::<MinHashSignature>(payload).map(|_| ());
-            let derived = from_derived_bytes(payload, &mh, pooled_tokens).map(|_| ());
-            let good = payload[SOURCE_AT] == 0;
-            match if good { stored } else { derived } {
-                Err(StoreError::Corrupt(m)) => assert!(m.contains(what), "{m}"),
-                other => panic!("{what}: {other:?}"),
-            }
+        let corrupt = |payload: &[u8], what: &str| match from_bytes::<MinHashSignature>(payload)
+            .map(|_| ())
+        {
+            Err(StoreError::Corrupt(m)) => assert!(m.contains(what), "{m}"),
+            other => panic!("{what}: {other:?}"),
         };
-        for good in [to_bytes(&f), to_derived_bytes(&f)] {
-            let at = ranks_at(n);
-            // Item 100's class: rank `c`, where `0..c` exist.
-            let mut bad = good.clone();
-            patch_rank(&mut bad, at + 12 * 4, c as u32);
-            corrupt(&bad, "names class 12 of 12");
-            // The last id-ordered class loses its only member to class 0.
-            let mut bad = good.clone();
-            patch_rank(&mut bad, at + 11 * 4, 0);
-            corrupt(&bad, "class 11 of 12 has no member");
-            // Classes 4 and 5 swap names: 5 is met before 4.
-            let mut bad = good.clone();
-            patch_rank(&mut bad, at + 4 * 4, 5);
-            patch_rank(&mut bad, at + 5 * 4, 4);
-            corrupt(&bad, "not ranked by first appearance");
-        }
+        let good = to_bytes(&f);
+        let at = ranks_at(n);
+        // Item 100's class: rank `c`, where `0..c` exist.
+        let mut bad = good.clone();
+        patch_rank(&mut bad, at + 12 * 4, c as u32);
+        corrupt(&bad, "names class 12 of 12");
+        // The last id-ordered class loses its only member to class 0.
+        let mut bad = good.clone();
+        patch_rank(&mut bad, at + 11 * 4, 0);
+        corrupt(&bad, "class 11 of 12 has no member");
+        // Classes 4 and 5 swap names: 5 is met before 4.
+        let mut bad = good.clone();
+        patch_rank(&mut bad, at + 4 * 4, 5);
+        patch_rank(&mut bad, at + 5 * 4, 4);
+        corrupt(&bad, "not ranked by first appearance");
     }
 
     /// Two classes are two signatures: a slab that repeats one is a

@@ -32,18 +32,19 @@
 //! rather than a garbled decode downstream.
 //!
 //! The version counts changes to what any section holds, not only to
-//! the container: version 6 is version 2's container around forest
+//! the container: version 7 is version 2's container around forest
 //! sections that hold each distinct signature once, as a class with
-//! the items that carry it, state where their signature arena comes
-//! from, and leave it out when the reader can sign it again
-//! (`d3l-lsh`'s `store` module; `d3l-core`'s snapshot says which
-//! forests do), and around profiles without their embedding vectors.
+//! the items that carry it, every one with its signature arena
+//! (`d3l-lsh`'s `store` module), and around attribute records without
+//! token sets or embedding vectors (`d3l-core`'s snapshot module).
 //! Older files — version 1 (table up front, FNV-1a checksums, per-item
 //! forest sections), version 2 (one 64-bit MinHash value to a word),
-//! version 3 (every forest's arena stored), version 4 (a vector in
-//! every profile) and version 5 (a signature and a tree entry per
-//! item) — are not read: opening one is
-//! [`StoreError::UnsupportedVersion`], and the lake must be re-indexed.
+//! version 3 (every forest's arena stored, a slot per item), version 4
+//! (a vector in every profile), version 5 (a signature and a tree
+//! entry per item) and version 6 (three token sets in every profile,
+//! two arenas signed again from them at open) — are not read: opening
+//! one is [`StoreError::UnsupportedVersion`], and the lake must be
+//! re-indexed.
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
@@ -57,7 +58,7 @@ use crate::error::StoreError;
 pub const MAGIC: &[u8; 8] = b"D3LSTORE";
 
 /// The container format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 6;
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Container kind of a full base snapshot.
 pub const KIND_SNAPSHOT: u32 = 1;
@@ -739,8 +740,8 @@ mod tests {
     #[test]
     fn other_versions_are_rejected() {
         // Newer and older alike: there is one read path, and a
-        // version 1 to 5 store must be re-indexed.
-        for version in [FORMAT_VERSION + 1, 5, 4, 3, 2, 1, 0] {
+        // version 1 to 6 store must be re-indexed.
+        for version in [FORMAT_VERSION + 1, 6, 5, 4, 3, 2, 1, 0] {
             let mut bytes = two_section_container();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
@@ -780,19 +781,20 @@ mod tests {
         assert!(err.to_string().contains("re-index"), "{err}");
     }
 
-    /// Version 2 to 5 files have this version's container and other
-    /// forest or profile sections; they are refused by their header
-    /// before any is read.
+    /// Files of version 2 up to the last have this version's container
+    /// and other forest or profile sections; they are refused by their
+    /// header before any is read.
     #[test]
-    fn version_2_to_5_files_are_an_unsupported_version() {
-        for version in [2u32, 3, 4, 5] {
+    fn older_files_of_this_container_are_an_unsupported_version() {
+        assert_eq!(FORMAT_VERSION, 7);
+        for version in 2..FORMAT_VERSION {
             let mut old = two_section_container();
             old[8..12].copy_from_slice(&version.to_le_bytes());
             let err = ContainerReader::parse(&old, KIND_SNAPSHOT).unwrap_err();
             assert!(
                 matches!(
                     err,
-                    StoreError::UnsupportedVersion { found, supported: 6 } if found == version
+                    StoreError::UnsupportedVersion { found, supported: 7 } if found == version
                 ),
                 "{err}"
             );

@@ -789,27 +789,51 @@ fn dirty_lake(tables: usize) -> DataLake {
 /// once — per forest of `n` attributes in `c` classes, `n − c` fewer
 /// stored signatures and, in each of the 16 trees, `n − c` fewer
 /// 4-byte entries, for a 4-byte class number per attribute and 8 more
-/// header bytes, the class count. Profiling and signing may get
-/// faster; what they produce may not move.
+/// header bytes, the class count, 175 502 bytes (checksum
+/// `0xb55e_dd25_a581_6ce3`); format 7 leaves out each attribute's
+/// three token sets — 8 bytes a token and three length bytes — stores
+/// the 1 024-byte signature of each `IN` and `IF` class and drops the
+/// arena-source byte of the four forest headers. Profiling and signing
+/// may get faster; what they produce may not move.
 #[test]
 fn dirty_lake_snapshot_checksum_is_pinned() {
     let lake = dirty_lake(40);
     assert_eq!(lake.total_attributes(), 178);
     let built = D3l::index_lake(&lake, D3lConfig::default());
     let bytes = built.to_snapshot_bytes();
-    assert_eq!(bytes.len(), 175_502);
-    // (attributes, classes, stored bytes of a signature) of IN, IV, IF, IE.
+    assert_eq!(bytes.len(), 256_363);
+    // (attributes, classes, the bytes format 6 stored of a signature) of
+    // IN, IV, IF, IE.
     let forests = [(178, 44, 0), (111, 107, 1024), (178, 58, 0), (111, 94, 32)];
     let classes = built.class_stats().map(|s| (s.attributes, s.classes));
     assert_eq!(classes, forests.map(|(n, c, _)| (n, c)));
-    let saved = |(n, c, sig): (usize, usize, usize)| (n - c) * (16 * 4 + sig) - 4 * n - 8;
+    // The tokens format 6 wrote are those of the lake's freshly built
+    // profiles. A table's `PROF` block is length-prefixed, in one byte
+    // while it is under 128 bytes: without their tokens the blocks of
+    // nine tables are (a count byte, then per attribute a counted name,
+    // a counted extent and a flags byte).
+    let profiles: Vec<_> = lake
+        .iter()
+        .map(|(_, t)| d3l::core::profile::profile_table(t, 4, built.embedder()))
+        .collect();
+    let tokens = |p: &d3l::core::AttributeProfile| p.qset.len() + p.tset.len() + p.rset.len();
+    let tokens: usize = profiles.iter().flatten().map(tokens).sum();
+    let block =
+        |p: &d3l::core::AttributeProfile| 1 + p.name.len() + 1 + 8 * p.numeric_extent.len() + 1;
+    let blocks = profiles
+        .iter()
+        .map(|t| 1 + t.iter().map(block).sum::<usize>());
+    let short_blocks = blocks.filter(|&b| b < 128).count();
+    assert_eq!((tokens, short_blocks), (2_880, 9));
     assert_eq!(
         bytes.len(),
-        195_398 - forests.map(saved).iter().sum::<usize>()
+        175_502 - 8 * tokens - 3 * 178 - short_blocks + (44 + 58) * 1024 - 4
     );
+    let saved = |(n, c, sig): (usize, usize, usize)| (n - c) * (16 * 4 + sig) - 4 * n - 8;
+    assert_eq!(175_502, 195_398 - forests.map(saved).iter().sum::<usize>());
     assert_eq!(195_398, 286_712 - 178 * 513);
     assert_eq!(286_712, 651_252 - 2 * 178 * 1024 + 4);
-    assert_eq!(d3l::store::checksum(&bytes), 0xb55e_dd25_a581_6ce3);
+    assert_eq!(d3l::store::checksum(&bytes), 0x1982_e109_36c5_7414);
 }
 
 /// What the index of that lake *answers* is pinned too, to the values

@@ -255,11 +255,12 @@ fn corrupt_snapshot_header_is_a_typed_error() {
 #[test]
 fn wrong_snapshot_version_is_a_typed_error() {
     let mut bytes = snapshot_engine().to_snapshot_bytes();
-    bytes[8..12].copy_from_slice(&7u32.to_le_bytes());
+    let future = d3l::store::FORMAT_VERSION + 1;
+    bytes[8..12].copy_from_slice(&future.to_le_bytes());
     match D3l::from_snapshot_bytes(&bytes) {
         Err(StoreError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, 7);
-            assert!(supported < 7);
+            assert_eq!(found, future);
+            assert!(supported < future);
         }
         Err(other) => panic!("expected UnsupportedVersion, got {other}"),
         Ok(_) => panic!("future-version snapshot decoded"),
