@@ -1,14 +1,13 @@
 //! Per-pair distance computation (§III-B) and the 5-dimensional
 //! distance vector.
 //!
-//! Exact formulas operate on the set representations; the LSH
-//! estimates used at query time operate on stored signatures. Both
-//! live in `[0, 1]` with 1 = maximally distant.
+//! The exact formulas here operate on the set representations; the
+//! LSH estimates used at query time operate on signature words
+//! (`query` module). Both live in `[0, 1]` with 1 = maximally distant.
 
 use d3l_embedding::vecmath;
 use d3l_features::ks;
-use d3l_lsh::minhash::{exact_jaccard, MinHashSignature};
-use d3l_lsh::randproj::BitSignature;
+use d3l_lsh::minhash::exact_jaccard;
 
 use crate::evidence::Evidence;
 use crate::profile::AttributeProfile;
@@ -109,61 +108,6 @@ pub fn exact_distances(a: &AttributeProfile, b: &AttributeProfile) -> DistanceVe
     ])
 }
 
-/// LSH-estimated Jaccard distance between two MinHash signatures,
-/// with the emptiness guard applied from profile knowledge.
-pub fn estimated_jaccard_distance(
-    a: &MinHashSignature,
-    b: &MinHashSignature,
-    a_empty: bool,
-    b_empty: bool,
-) -> f64 {
-    if a_empty || b_empty {
-        return 1.0;
-    }
-    1.0 - a.jaccard(b)
-}
-
-/// [`estimated_jaccard_distance`] with the lake-side signature given
-/// as its raw forest-arena words (zero-copy scoring hot path).
-pub fn estimated_jaccard_distance_words(
-    a: &MinHashSignature,
-    b_words: &[u64],
-    a_empty: bool,
-    b_empty: bool,
-) -> f64 {
-    if a_empty || b_empty {
-        return 1.0;
-    }
-    1.0 - a.jaccard_words(b_words)
-}
-
-/// [`estimated_cosine_distance`] with the lake-side signature given
-/// as its raw forest-arena words (zero-copy scoring hot path).
-pub fn estimated_cosine_distance_words(
-    a: &BitSignature,
-    b_words: &[u64],
-    a_zero: bool,
-    b_zero: bool,
-) -> f64 {
-    if a_zero || b_zero {
-        return 1.0;
-    }
-    1.0 - a.cosine_words(b_words)
-}
-
-/// LSH-estimated cosine distance between two bit signatures.
-pub fn estimated_cosine_distance(
-    a: &BitSignature,
-    b: &BitSignature,
-    a_zero: bool,
-    b_zero: bool,
-) -> f64 {
-    if a_zero || b_zero {
-        return 1.0;
-    }
-    1.0 - a.cosine(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,22 +178,5 @@ mod tests {
         assert!((v.mean() - (4.25 / 5.0)).abs() < 1e-12);
         v.set(Evidence::Name, 7.0); // clamps
         assert_eq!(v.get(Evidence::Name), 1.0);
-    }
-
-    #[test]
-    fn estimated_distances_respect_guards() {
-        use d3l_lsh::minhash::MinHasher;
-        let mh = MinHasher::new(64, 1);
-        let s = mh.sign_strs(["a", "b"]);
-        assert!((estimated_jaccard_distance(&s, &s, false, false)).abs() < 1e-12);
-        assert!((estimated_jaccard_distance(&s, &s, true, false) - 1.0).abs() < 1e-12);
-
-        use d3l_lsh::randproj::RandomProjector;
-        let rp = RandomProjector::new(4, 64, 1);
-        let e = HashEmbedder::new(4, 1);
-        let v = e.embed("hello");
-        let sig = rp.sign(&v);
-        assert!(estimated_cosine_distance(&sig, &sig, false, false) < 1e-12);
-        assert!((estimated_cosine_distance(&sig, &sig, true, false) - 1.0).abs() < 1e-12);
     }
 }

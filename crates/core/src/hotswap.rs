@@ -14,10 +14,10 @@
 //!   torn state to observe, by construction.
 //! * **Writers** serialize on the store mutex, deep-clone *only the
 //!   shard that owns the mutated table* — O(lake/shards) copy and
-//!   snapshot work; the other shards are shared by `Arc` — apply the
-//!   mutation to the clone, persist it through that shard's
-//!   [`IndexStore`] (delta append / compact) and only then swap the
-//!   new snapshot in under a brief write lock. A 2xx on a mutation
+//!   snapshot work; the other shards are shared by `Arc` — persist the
+//!   mutation through that shard's [`IndexStore`] (which writes the
+//!   delta segment, then applies it to the clone) and only then swap
+//!   the new snapshot in under a brief write lock. A 2xx on a mutation
 //!   therefore implies read-your-writes: the swap happened before the
 //!   response was written, so any later query observes it.
 //!
@@ -48,7 +48,7 @@ use d3l_table::{Table, TableId};
 use d3l_telemetry::{Histogram, Registry};
 
 use crate::cache::QueryCache;
-use crate::index::{D3l, MemoryFootprint};
+use crate::index::MemoryFootprint;
 use crate::shard::ShardedD3l;
 use crate::snapshot::IndexStore;
 
@@ -192,17 +192,12 @@ impl EngineTelemetry {
 }
 
 impl EngineHandle {
-    /// Wrap a monolithic engine and its open store (the classic
-    /// post-`create` path). The result cache starts at
+    /// Wrap an engine and its open per-shard stores (parallel vectors:
+    /// `stores[s]` persists `engine.shards()[s]`; a one-shard engine
+    /// has the one store). The result cache starts at
     /// [`crate::cache::DEFAULT_CACHE_BYTES`]; it holds nothing until
     /// a serving layer populates it, so non-serving users pay only
     /// the empty shards.
-    pub fn new(store: IndexStore, engine: D3l) -> Self {
-        Self::new_sharded(vec![store], ShardedD3l::from_monolith(engine))
-    }
-
-    /// Wrap a sharded engine and its per-shard stores (parallel
-    /// vectors: `stores[s]` persists `engine.shards()[s]`).
     pub fn new_sharded(stores: Vec<IndexStore>, engine: ShardedD3l) -> Self {
         assert_eq!(
             stores.len(),
@@ -258,25 +253,24 @@ impl EngineHandle {
 
     /// Cold-start a handle from an index directory (base snapshots
     /// plus delta replay — the millisecond load path). Auto-detects
-    /// the layout: a `base.d3ls` in the root is a monolith; otherwise
-    /// the `shard-NN/` subdirectories are opened as one store each
-    /// (ordinals must be contiguous from 0, and each shard's stored
-    /// config must agree on the shard count).
+    /// the layout: `shard-NN/` subdirectories beside no `base.d3ls` are
+    /// opened as one store each (ordinals must be contiguous from 0,
+    /// and each shard's stored config must agree on the shard count);
+    /// anything else is a monolith — or neither layout, and the
+    /// monolith open's error names the path the caller gave.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref();
-        if dir.join(BASE_FILE).exists() {
+        let found = if dir.join(BASE_FILE).exists() {
+            Vec::new()
+        } else {
+            shard_dirs(dir)?
+        };
+        if found.is_empty() {
             let t0 = Instant::now();
             let (store, engine) = IndexStore::open(dir)?;
-            let handle = Self::new(store, engine);
+            let handle = Self::new_sharded(vec![store], ShardedD3l::from_monolith(engine));
             handle.telemetry.load.record(t0.elapsed());
             return Ok(handle);
-        }
-        let found = shard_dirs(dir)?;
-        if found.is_empty() {
-            // Neither layout: surface the monolith open error (missing
-            // base snapshot), which names the path the caller gave.
-            let (store, engine) = IndexStore::open(dir)?;
-            return Ok(Self::new(store, engine));
         }
         for (expect, (ordinal, path)) in found.iter().enumerate() {
             if *ordinal != expect {
@@ -560,6 +554,7 @@ impl EngineHandle {
 mod tests {
     use super::*;
     use crate::config::D3lConfig;
+    use crate::index::D3l;
     use d3l_table::DataLake;
 
     fn handle(tag: &str) -> (EngineHandle, std::path::PathBuf) {
@@ -577,7 +572,8 @@ mod tests {
         .unwrap();
         let d3l = D3l::index_lake(&lake, D3lConfig::fast());
         let store = IndexStore::create(&dir, &d3l).unwrap();
-        (EngineHandle::new(store, d3l), dir)
+        let engine = ShardedD3l::from_monolith(d3l);
+        (EngineHandle::new_sharded(vec![store], engine), dir)
     }
 
     fn extra_table(name: &str) -> Table {

@@ -7,26 +7,34 @@
 //! computation, evidence flags — no token set, no embedding vector),
 //! and each table's subject attribute.
 //!
+//! **A table is signed once, into one record.** [`SignedTable`] is a
+//! table as the index takes it: name, subject column, an
+//! [`IndexedAttr`] per column and the columns' signature words, per
+//! index. Three functions move it, and every mover of tables is one or
+//! two of them: [`D3l::sign_table`] makes it (Algorithm 1 whole —
+//! profile, detect the subject, sign; the one place in this crate that
+//! calls a hasher on lake or target data), `D3l::push` puts it into the
+//! forests (copying its words into the arenas, where a name, a format
+//! or a value set that recurs is found to be a class the forest already
+//! has), and [`D3l::signed_table`] reads a live member back out as the
+//! same value. The bulk build and [`D3l::add_table`] sign and push; a
+//! delta segment is the record about to be pushed and replay pushes the
+//! decoded one; [`crate::ShardedD3l::split`] reads back and pushes into
+//! the owning shard; a query target is signed, a lake member queried as
+//! a target is read back.
+//!
 //! There is one build path. A worker takes a contiguous run of table
 //! ids and, table by table, obtains the table (borrowed from a
 //! [`DataLake`], or read and parsed from its CSV file and dropped
-//! again), profiles it, detects its subject attribute, and signs each
-//! attribute **straight into the signature arenas** of its own four
-//! forests ([`LshForest::insert_with`] hands the hasher the arena
-//! slot; the tree labels are read back from it) — profiling and
-//! signature generation dominate, as the paper observes for all three
-//! compared systems (Experiment 4). A forest indexes each distinct
-//! signature once, as a class with the attributes that carry it: a
-//! name, a format or a value set that recurs is signed like any other
-//! and found to be a class the forest already has. The workers'
-//! forests are then appended in table-id order ([`LshForest::append`],
-//! which merges classes by content; with one worker there is nothing
-//! to append) and committed. [`D3l::add_table`] is the same per-table
-//! step on the live forests. A built profile holds hashed token sets,
-//! so its signatures are derived from the hashes with no
-//! re-tokenization, and it ends there: the engine keeps the
-//! [`IndexedAttr`] made of it. A committed forest is a function of
-//! which attribute carries which signature, so the built index is
+//! again), signs it and pushes it into its own four forests — profiling
+//! and signature generation dominate, as the paper observes for all
+//! three compared systems (Experiment 4). The workers' forests are then
+//! appended in table-id order ([`LshForest::append`], which merges
+//! classes by content; with one worker there is nothing to append) and
+//! committed. A built profile holds hashed token sets, so its
+//! signatures are derived from the hashes with no re-tokenization, and
+//! it ends at its record. A committed forest is a function of which
+//! attribute carries which signature, so the built index is
 //! byte-identical at every thread count, from a directory or from a
 //! lake, in bulk or one table at a time.
 
@@ -35,17 +43,18 @@ use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
 use std::path::Path;
 
+use d3l_embedding::WordEmbedder;
 use d3l_embedding::{CachedEmbedder, Lexicon, SemanticEmbedder};
 use d3l_lsh::forest::LshForest;
 use d3l_lsh::kernels::SigningLanes;
 use d3l_lsh::minhash::{MinHashSignature, MinHasher};
 use d3l_lsh::randproj::{BitSignature, RandomProjector};
-use d3l_lsh::{ItemId, TokenSet};
+use d3l_lsh::ItemId;
 use d3l_table::lake::{csv_files, load_csv, table_name_of};
 use d3l_table::{DataLake, Table, TableError, TableId};
 
 use crate::config::D3lConfig;
-use crate::profile::{profile_table, AttributeProfile, IndexedAttr};
+use crate::profile::{profile_table, IndexedAttr};
 
 /// Which compilation of the MinHash and hyperplane signing loops every
 /// engine in this process runs — `"avx512"` or `"portable"`, decided
@@ -92,105 +101,85 @@ impl AttrRef {
     }
 }
 
-/// The three MinHash indexes, each by the profile field it signs —
-/// the one statement of "which hashed token set feeds which forest"
-/// that the build, `add_table` and target signing read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SetIndex {
-    /// `IN` signs the attribute name's q-grams.
-    Name,
-    /// `IV` signs the extent's informative tokens.
-    Value,
-    /// `IF` signs the extent's format patterns.
-    Format,
-}
-
-impl SetIndex {
-    /// The hashed token set this index's signatures are MinHashes of.
-    pub(crate) fn tokens(self, profile: &AttributeProfile) -> &TokenSet {
-        match self {
-            SetIndex::Name => &profile.qset,
-            SetIndex::Value => &profile.tset,
-            SetIndex::Format => &profile.rset,
-        }
-    }
-
-    /// This index's place in [`TableWords`] (the variants are declared
-    /// in that order).
-    pub(crate) fn at(self) -> usize {
-        self as usize
-    }
-
-    /// Sign `profile`'s set for this index into an arena slot of
-    /// `minhasher.sig_shape().0` words.
-    pub(crate) fn sign_into(
-        self,
-        minhasher: &MinHasher,
-        profile: &AttributeProfile,
-        slot: &mut [u64],
-    ) {
-        minhasher.sign_into(self.tokens(profile).as_slice(), slot)
-    }
-}
-
-/// `IE`'s place in [`TableWords`] (the MinHash indexes' is
-/// `SetIndex::at`).
-const IE_AT: usize = 3;
-
 /// One table's signature words, per index — `IN`, `IV`, `IF`, `IE`, as
 /// [`MemoryFootprint::indexes`] orders them: the signatures of the
 /// columns the index covers (`IN`/`IF` every column, `IV`/`IE` the
-/// non-numeric ones), in column order, one hasher stride each.
-pub type TableWords = [Vec<u64>; 4];
+/// non-numeric ones; §III-C), in column order, one hasher stride each.
+pub(crate) type TableWords = [Vec<u64>; 4];
 
-/// A table's columns on their way into the forests, and with them
-/// where their signatures come from — one choice for all four indexes.
-pub(crate) enum Columns<'a> {
-    /// Algorithm 1's output (the build, `add_table`): signed here,
-    /// straight into the arenas.
-    Built(Vec<AttributeProfile>),
-    /// A delta record's: what the live add kept of the columns and the
-    /// words it read back from the arenas, copied in — replay signs
-    /// nothing. The caller has checked the word counts.
-    Stored(Vec<IndexedAttr>, &'a TableWords),
+/// A table as the index takes it: Algorithm 1's product, whole. Made by
+/// [`D3l::sign_table`] (a table to add, a query target) or read back
+/// from the index by [`D3l::signed_table`] (a lake member as a query
+/// target, a shard split) — equal values for one table — and what a
+/// delta segment carries. Only meaningful for the engine that made it:
+/// the words are its hashers' output, which every shard of one engine
+/// shares.
+///
+/// Signing a target (q-gram, token, pattern and embedding extraction
+/// plus four signatures per attribute) dominates the cost of small
+/// queries, so callers that query one target repeatedly — `rank_all`
+/// plus `related_table_set` in the join workload, the evaluation loop's
+/// many `k` values — sign once ([`crate::ShardedD3l::prepare_target`])
+/// and pass the record to the `*_prepared` variants.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SignedTable {
+    /// Table name.
+    pub(crate) name: String,
+    /// Subject-attribute column, if classified. Never a numeric one.
+    pub(crate) subject: Option<u32>,
+    /// What the index keeps of each column beside its signatures, as
+    /// `PROF` holds it.
+    pub(crate) attrs: Vec<IndexedAttr>,
+    /// The columns' signatures in the four indexes.
+    pub(crate) words: TableWords,
 }
 
-/// Signatures of one attribute across the four indexes.
-#[derive(Debug, Clone)]
-pub(crate) struct AttrSignatures {
-    pub name: MinHashSignature,
-    pub value: MinHashSignature,
-    pub format: MinHashSignature,
-    pub embedding: BitSignature,
+impl SignedTable {
+    /// Number of attributes.
+    pub fn arity(&self) -> usize {
+        self.attrs.len()
+    }
+
+    /// The columns in order, each with its words in the indexes that
+    /// cover it — `of` is the engine whose hashers made them.
+    pub(crate) fn columns<'a>(
+        &'a self,
+        of: &D3l,
+    ) -> impl Iterator<Item = (&'a IndexedAttr, AttrSigsRef<'a>)> + 'a {
+        let (mh, rp) = (of.minhasher.sig_shape().0, of.projector.sig_shape().0);
+        let [i_n, i_v, i_f, i_e] = &self.words;
+        let nth = |words: &'a [u64], stride: usize, n: usize| &words[n * stride..][..stride];
+        // Columns so far that `IV` and `IE` cover.
+        let mut textual = 0;
+        self.attrs.iter().enumerate().map(move |(col, attr)| {
+            let covered = (!attr.is_numeric).then(|| {
+                textual += 1;
+                textual - 1
+            });
+            let sigs = AttrSigsRef {
+                name: nth(i_n, mh, col),
+                value: covered.map(|n| nth(i_v, mh, n)),
+                format: nth(i_f, mh, col),
+                embedding: covered.map(|n| nth(i_e, rp, n)),
+            };
+            (attr, sigs)
+        })
+    }
 }
 
-/// Borrowed view of one attribute's stored signatures as raw arena
-/// word slices — the stage-2 scoring hot path resolves every
-/// candidate through this instead of cloning ~3 KB of signature data
-/// per scored pair (three packed MinHash signatures of 1 KB and a
-/// 32-byte bit signature; [`D3l::stored_signatures`] stays for the cold
-/// paths that need ownership). The target side of a scored pair is
-/// always an owned signature, so similarity runs through its
-/// `*_words` kernels directly against the forest arenas.
+/// One attribute's signatures as word slices — of a [`SignedTable`]'s
+/// runs or of the forests' arenas, so both sides of a scored pair read
+/// alike and nothing is cloned per pair (three packed MinHash
+/// signatures of 1 KB and a 32-byte bit signature). `IV` and `IE` hold
+/// no numeric attribute (§III-C): its `value` and `embedding` are
+/// `None`, and its `has_text` / `has_embedding` flags, checked before
+/// every use, are false.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct AttrSigsRef<'a> {
     pub name: &'a [u64],
-    pub value: &'a [u64],
+    pub value: Option<&'a [u64]>,
     pub format: &'a [u64],
-    pub embedding: &'a [u64],
-}
-
-/// Stand-in signatures for attributes absent from `IV`/`IE` (numeric
-/// attributes store no value or embedding signature): the empty-set
-/// MinHash and the zero-vector projection. Deterministic functions of
-/// the hashers, computed **once per query** by the scoring stages —
-/// the historical per-pair fallback re-signed the zero vector (256
-/// hyperplanes × `embed_dim` multiplies) for every numeric candidate
-/// scored.
-#[derive(Debug, Clone)]
-pub(crate) struct SigFallbacks {
-    pub empty_value: MinHashSignature,
-    pub zero_embedding: BitSignature,
+    pub embedding: Option<&'a [u64]>,
 }
 
 /// An indexed set of tables — one shard of the engine
@@ -358,6 +347,16 @@ impl D3l {
         }
     }
 
+    /// An engine over no tables with this one's embedder and hashers.
+    pub(crate) fn empty_like(&self, cfg: D3lConfig) -> Self {
+        Self::empty(
+            cfg,
+            self.embedder.clone(),
+            self.minhasher.clone(),
+            self.projector.clone(),
+        )
+    }
+
     /// One worker's share of [`D3l::build`]: an engine of this one's
     /// configuration and hashers holding exactly the tables of `run`,
     /// uncommitted. Its slot vectors start at `run.start`, not at 0 —
@@ -367,26 +366,15 @@ impl D3l {
         run: std::ops::Range<usize>,
         table_at: &(impl Fn(usize) -> Result<Cow<'t, Table>, E> + Sync),
     ) -> Result<D3l, E> {
-        let mut part = Self::empty(
-            self.cfg.clone(),
-            self.embedder.clone(),
-            self.minhasher.clone(),
-            self.projector.clone(),
-        );
+        let mut part = self.empty_like(self.cfg.clone());
         // Per-worker embedding memo: domain vocabulary recurs across
         // a run's columns, and cached vectors are identical to fresh
         // ones, so results stay thread-count-invariant.
         let cached = CachedEmbedder::new(&self.embedder);
         for i in run {
             let table = table_at(i)?;
-            let profiles = profile_table(&table, self.cfg.q, &cached);
-            let subject = d3l_ml::subject_attribute(&table).map(|c| c as u32);
-            part.push_profiled_table(
-                TableId(i as u32),
-                table.name().to_string(),
-                subject,
-                Columns::Built(profiles),
-            );
+            let signed = part.sign_table_with(&table, &cached);
+            part.push(TableId(i as u32), signed);
         }
         Ok(part)
     }
@@ -406,7 +394,7 @@ impl D3l {
     /// Commit the four forests within a thread budget: each forest's
     /// tree sorts fan out in turn (results are identical at any
     /// thread count; see [`LshForest::commit_parallel`]).
-    fn commit(&mut self, threads: usize) {
+    pub(crate) fn commit(&mut self, threads: usize) {
         self.i_n.commit_parallel(threads);
         self.i_v.commit_parallel(threads);
         self.i_f.commit_parallel(threads);
@@ -414,117 +402,130 @@ impl D3l {
     }
 
     /// Incrementally index one more table (data lakes grow; Goods-style
-    /// systems reindex continuously). The forests are re-committed
-    /// before returning (each tree sorts the table's few new entries
-    /// and merges them into what is already sorted), so queries keep
-    /// taking `&self`. Returns the
-    /// id the table would have in a lake extended by it; the caller
-    /// keeps the authoritative lake.
+    /// systems reindex continuously): sign it, push it. The forests are
+    /// re-committed before returning (each tree sorts the table's few
+    /// new entries and merges them into what is already sorted), so
+    /// queries keep taking `&self`. Returns the id the table would have
+    /// in a lake extended by it; the caller keeps the authoritative
+    /// lake.
     pub fn add_table(&mut self, table: &Table) -> TableId {
-        self.add_table_at(table, TableId(self.table_count() as u32))
-    }
-
-    /// [`D3l::add_table`] at an explicit table id, at or above the
-    /// current slot count (panics below it). Shards add here: their
-    /// slot vectors are sparse views of the global id space, so the id
-    /// is chosen globally and lands past holes.
-    pub(crate) fn add_table_at(&mut self, table: &Table, id: TableId) -> TableId {
-        assert!(
-            id.index() >= self.table_count(),
-            "add_table_at id {id} collides with an existing slot"
-        );
-        let cached = CachedEmbedder::new(&self.embedder);
-        let profiles = profile_table(table, self.cfg.q, &cached);
-        let subject = d3l_ml::subject_attribute(table).map(|i| i as u32);
-        let name = table.name().to_string();
-        self.insert_profiled_table(id, name, subject, Columns::Built(profiles));
+        let id = TableId(self.table_count() as u32);
+        self.insert(id, self.sign_table(table));
         id
     }
 
-    /// The shared tail of [`D3l::add_table_at`] and the delta-segment
-    /// replay path: pad holes up to `id` (which the caller has checked
-    /// is no used slot), insert the table there and re-commit. A
-    /// persisted delta carries the four signatures the live add wrote,
-    /// so replaying it patches the forests bit-identically.
-    pub(crate) fn insert_profiled_table(
-        &mut self,
-        id: TableId,
-        name: String,
-        subject: Option<u32>,
-        columns: Columns<'_>,
-    ) {
+    /// Algorithm 1 on one table, with this index's hashers: profile
+    /// every column, detect the subject attribute, sign.
+    pub fn sign_table(&self, table: &Table) -> SignedTable {
+        self.sign_table_with(table, &CachedEmbedder::new(&self.embedder))
+    }
+
+    /// [`D3l::sign_table`] embedding through the caller's memo (a build
+    /// worker's, shared by the tables of its run). Each built profile
+    /// ends here: its sets and its vector are signed (lines 15–18, with
+    /// the §III-C rule that numeric attributes skip `IV` and `IE`) and
+    /// what is kept is the [`IndexedAttr`] made of it.
+    fn sign_table_with(&self, table: &Table, embedder: &impl WordEmbedder) -> SignedTable {
+        let (mh, rp) = (&self.minhasher, &self.projector);
+        let (mh_words, rp_words) = (mh.sig_shape().0, rp.sig_shape().0);
+        let profiles = profile_table(table, self.cfg.q, embedder);
+        let textual = || profiles.iter().filter(|p| !p.is_numeric);
+        let run = |covered: usize, stride: usize| vec![0u64; covered * stride];
+        let mut words = [
+            run(profiles.len(), mh_words),
+            run(textual().count(), mh_words),
+            run(profiles.len(), mh_words),
+            run(textual().count(), rp_words),
+        ];
+        let [i_n, i_v, i_f, i_e] = &mut words;
+        let every = i_n
+            .chunks_exact_mut(mh_words)
+            .zip(i_f.chunks_exact_mut(mh_words));
+        for (p, (name, format)) in profiles.iter().zip(every) {
+            mh.sign_into(p.qset.as_slice(), name);
+            mh.sign_into(p.rset.as_slice(), format);
+        }
+        let covered = i_v
+            .chunks_exact_mut(mh_words)
+            .zip(i_e.chunks_exact_mut(rp_words));
+        for (p, (value, embedding)) in textual().zip(covered) {
+            mh.sign_into(p.tset.as_slice(), value);
+            rp.sign_into(&p.embedding, embedding);
+        }
+        let attrs = profiles.into_iter().map(IndexedAttr::from).collect();
+        SignedTable {
+            name: table.name().to_string(),
+            subject: d3l_ml::subject_attribute(table).map(|c| c as u32),
+            attrs,
+            words,
+        }
+    }
+
+    /// Put a signed table into the index at `id`, at or above the slot
+    /// count (which the caller has checked): pad holes up to it — a
+    /// shard's slot vector is a sparse view of the global id space, so
+    /// the id is chosen globally and lands past holes — push, re-commit.
+    /// [`D3l::add_table`] and delta replay end here, so replaying a
+    /// segment patches the forests bit-identically.
+    pub(crate) fn insert(&mut self, id: TableId, table: SignedTable) {
         while self.table_count() < id.index() {
             self.push_hole();
         }
-        self.push_profiled_table(id, name, subject, columns);
+        self.push(id, table);
         self.commit(self.cfg.effective_threads());
     }
 
-    /// Append a table as the next slot, `id`: write every attribute's
-    /// signatures into the forests' arenas (Algorithm 1 lines 15–18,
-    /// with the §III-C rule that numeric attributes skip `IV` and
-    /// `IE`) and record the table. The forests are left uncommitted.
-    ///
-    /// This is where a built profile ends: its sets and its vector are
-    /// signed and what the engine keeps is the [`IndexedAttr`] made of
-    /// it.
-    fn push_profiled_table(
-        &mut self,
-        id: TableId,
-        name: String,
-        subject: Option<u32>,
-        columns: Columns<'_>,
-    ) {
-        let (mh, rp) = (&self.minhasher, &self.projector);
-        fn copy_nth(words: &[u64], nth: usize, slot: &mut [u64]) {
-            slot.copy_from_slice(&words[nth * slot.len()..][..slot.len()]);
+    /// Append a signed table as the next slot, `id`: copy every
+    /// attribute's words into the arenas of the forests that cover it
+    /// and record the table. The forests are left uncommitted.
+    pub(crate) fn push(&mut self, id: TableId, table: SignedTable) {
+        fn copy(words: &[u64]) -> impl FnOnce(&mut [u64]) + '_ {
+            move |slot| slot.copy_from_slice(words)
         }
-        let arity = match &columns {
-            Columns::Built(profiles) => profiles.len(),
-            Columns::Stored(attrs, _) => attrs.len(),
-        };
-        // Columns so far that `IV` and `IE` cover.
-        let mut textual = 0;
-        for col in 0..arity {
-            let key = AttrRef {
-                table: id,
-                column: col as u32,
+        let (mh, rp) = (self.minhasher.sig_shape(), self.projector.sig_shape());
+        for (column, (_, sigs)) in (0u32..).zip(table.columns(self)) {
+            let key = AttrRef { table: id, column }.key();
+            self.i_n.insert_with(key, mh, copy(sigs.name));
+            self.i_f.insert_with(key, mh, copy(sigs.format));
+            if let Some(value) = sigs.value {
+                self.i_v.insert_with(key, mh, copy(value));
             }
-            .key();
-            let columns = &columns;
-            // `nth`: which of the columns `index` covers this one is.
-            let minhash = |index: SetIndex, nth: usize| {
-                move |slot: &mut [u64]| match columns {
-                    Columns::Built(profiles) => index.sign_into(mh, &profiles[col], slot),
-                    Columns::Stored(_, words) => copy_nth(&words[index.at()], nth, slot),
-                }
-            };
-            self.i_n
-                .insert_with(key, mh.sig_shape(), minhash(SetIndex::Name, col));
-            self.i_f
-                .insert_with(key, mh.sig_shape(), minhash(SetIndex::Format, col));
-            let is_numeric = match columns {
-                Columns::Built(profiles) => profiles[col].is_numeric,
-                Columns::Stored(attrs, _) => attrs[col].is_numeric,
-            };
-            if !is_numeric {
-                self.i_v
-                    .insert_with(key, mh.sig_shape(), minhash(SetIndex::Value, textual));
-                self.i_e
-                    .insert_with(key, rp.sig_shape(), |slot| match columns {
-                        Columns::Built(profiles) => rp.sign_into(&profiles[col].embedding, slot),
-                        Columns::Stored(_, words) => copy_nth(&words[IE_AT], textual, slot),
-                    });
-                textual += 1;
+            if let Some(embedding) = sigs.embedding {
+                self.i_e.insert_with(key, rp, copy(embedding));
             }
         }
-        self.names.push(name);
-        self.subjects.push(subject);
-        self.profiles.push(match columns {
-            Columns::Built(profiles) => profiles.into_iter().map(IndexedAttr::from).collect(),
-            Columns::Stored(attrs, _) => attrs,
-        });
+        self.names.push(table.name);
+        self.subjects.push(table.subject);
+        self.profiles.push(table.attrs);
         self.removed.push(false);
+    }
+
+    /// Read a live member back out as the record it was pushed as: what
+    /// the index keeps of its columns and their words from the arenas —
+    /// no raw rows needed, which is what lets a serving process answer
+    /// "rank everything against lake member X" without keeping the CSVs
+    /// resident. Equal to signing the original table. `None` for
+    /// out-of-range ids, holes and removal tombstones.
+    pub fn signed_table(&self, id: TableId) -> Option<SignedTable> {
+        if !self.is_live(id) {
+            return None;
+        }
+        let attrs = self.profiles[id.index()].clone();
+        let mut words = TableWords::default();
+        let [i_n, i_v, i_f, i_e] = &mut words;
+        for column in 0..attrs.len() as u32 {
+            let sigs = self.stored_signatures_ref(AttrRef { table: id, column });
+            i_n.extend_from_slice(sigs.name);
+            i_v.extend_from_slice(sigs.value.unwrap_or_default());
+            i_f.extend_from_slice(sigs.format);
+            i_e.extend_from_slice(sigs.embedding.unwrap_or_default());
+        }
+        Some(SignedTable {
+            name: self.names[id.index()].clone(),
+            subject: self.subjects[id.index()],
+            attrs,
+            words,
+        })
     }
 
     /// Append an empty, permanently-tombstoned slot.
@@ -538,7 +539,13 @@ impl D3l {
     /// real removal tombstones because tombstones keep their table
     /// name for display.
     pub(crate) fn push_hole(&mut self) {
-        self.names.push(String::new());
+        self.push_tombstone("");
+    }
+
+    /// Append the slot [`D3l::remove_table`] leaves of a table named
+    /// `name`: emptied, removed, the name kept for display.
+    pub(crate) fn push_tombstone(&mut self, name: &str) {
+        self.names.push(name.to_string());
         self.subjects.push(None);
         self.profiles.push(Vec::new());
         self.removed.push(true);
@@ -561,7 +568,7 @@ impl D3l {
     /// whether the id named a live table.
     pub fn remove_table(&mut self, id: TableId) -> bool {
         let idx = id.index();
-        if idx >= self.profiles.len() || self.removed[idx] {
+        if !self.is_live(id) {
             return false;
         }
         for col in 0..self.profiles[idx].len() {
@@ -579,6 +586,12 @@ impl D3l {
         self.subjects[idx] = None;
         self.removed[idx] = true;
         true
+    }
+
+    /// Whether an id names a table still serving (no hole, no
+    /// tombstone, no id past the slots).
+    pub(crate) fn is_live(&self, id: TableId) -> bool {
+        self.removed.get(id.index()) == Some(&false)
     }
 
     /// Whether an id is a removal tombstone.
@@ -637,75 +650,24 @@ impl D3l {
         &self.embedder
     }
 
-    /// Profile and sign a query-side table with this index's hashers;
-    /// what is kept of each built profile is what the index keeps of a
-    /// member's.
-    pub(crate) fn profile_and_sign(
-        &self,
-        table: &Table,
-    ) -> (Vec<IndexedAttr>, Vec<AttrSignatures>) {
-        let cached = CachedEmbedder::new(&self.embedder);
-        profile_table(table, self.cfg.q, &cached)
-            .into_iter()
-            .map(|p| {
-                let sigs = sign_profile(&p, &self.minhasher, &self.projector);
-                (IndexedAttr::from(p), sigs)
-            })
-            .unzip()
-    }
-
-    /// The per-query fallback signatures ([`SigFallbacks`]); identical
-    /// across shards of one engine (the hashers are seed-derived from
-    /// the shared config).
-    pub(crate) fn sig_fallbacks(&self) -> SigFallbacks {
-        SigFallbacks {
-            empty_value: self.minhasher.sign_hashed(&[]),
-            zero_embedding: self.projector.sign(&vec![0.0; self.cfg.embed_dim]),
-        }
-    }
-
-    /// Borrowed stored signatures of an indexed attribute — the
-    /// zero-copy resolution the pairwise scoring stage uses (every
-    /// attribute is in `IN`/`IF`; numeric ones are absent from
-    /// `IV`/`IE` and resolve to the caller's precomputed fallbacks).
-    pub(crate) fn stored_signatures_ref<'a>(
-        &'a self,
-        attr: AttrRef,
-        fallbacks: &'a SigFallbacks,
-    ) -> AttrSigsRef<'a> {
+    /// The stored signatures of an indexed attribute, borrowed from the
+    /// arenas — the zero-copy resolution the pairwise scoring stage
+    /// uses. Every attribute is in `IN`/`IF` (`check_coverage` proves
+    /// it at every open and replay); numeric ones are in neither `IV`
+    /// nor `IE`.
+    pub(crate) fn stored_signatures_ref(&self, attr: AttrRef) -> AttrSigsRef<'_> {
         let key = attr.key();
         AttrSigsRef {
             name: self
                 .i_n
                 .signature_words(key)
                 .expect("attribute not indexed"),
+            value: self.i_v.signature_words(key),
             format: self
                 .i_f
                 .signature_words(key)
                 .expect("attribute not indexed"),
-            value: self
-                .i_v
-                .signature_words(key)
-                .unwrap_or_else(|| fallbacks.empty_value.words()),
-            embedding: self
-                .i_e
-                .signature_words(key)
-                .unwrap_or_else(|| fallbacks.zero_embedding.words()),
-        }
-    }
-
-    /// Stored signatures of an indexed attribute, cloned into an owned
-    /// struct (every attribute is in `IN`/`IF`; numeric ones are
-    /// absent from `IV`/`IE` and get the [`SigFallbacks`]). Cold paths
-    /// only — the scoring stages use [`D3l::stored_signatures_ref`].
-    pub(crate) fn stored_signatures(&self, attr: AttrRef) -> AttrSignatures {
-        let key = attr.key();
-        let (value, embedding) = (self.i_v.signature(key), self.i_e.signature(key));
-        AttrSignatures {
-            name: self.i_n.signature(key).expect("attribute not indexed"),
-            value: value.unwrap_or_else(|| self.sig_fallbacks().empty_value),
-            format: self.i_f.signature(key).expect("attribute not indexed"),
-            embedding: embedding.unwrap_or_else(|| self.sig_fallbacks().zero_embedding),
+            embedding: self.i_e.signature_words(key),
         }
     }
 
@@ -889,25 +851,6 @@ impl MemoryFootprint {
             ("IF", self.i_f),
             ("IE", self.i_e),
         ]
-    }
-}
-
-/// Generate the four signatures of a built profile (a query target's),
-/// straight from the hashed token sets — each token was hashed once at
-/// profile time and the MinHash fast path derives every permutation
-/// value from the stored hashes — and from the embedding vector. A lake
-/// member's signatures are [`D3l::stored_signatures`].
-pub(crate) fn sign_profile(
-    profile: &AttributeProfile,
-    minhasher: &MinHasher,
-    projector: &RandomProjector,
-) -> AttrSignatures {
-    let sign = |index: SetIndex| minhasher.sign_token_set(index.tokens(profile));
-    AttrSignatures {
-        name: sign(SetIndex::Name),
-        value: sign(SetIndex::Value),
-        format: sign(SetIndex::Format),
-        embedding: projector.sign(&profile.embedding),
     }
 }
 
@@ -1128,37 +1071,45 @@ mod tests {
         assert_eq!(d3l.subject_of(TableId(2)).unwrap().column, 0);
     }
 
+    /// The record read back from the index is the record signed fresh
+    /// from the same table, for every table of the lake.
     #[test]
     fn stored_signatures_round_trip() {
         let lake = figure1_lake();
         let d3l = D3l::index_lake(&lake, D3lConfig::fast());
-        let attr = AttrRef {
-            table: TableId(0),
-            column: 0,
-        };
-        let sigs = d3l.stored_signatures(attr);
-        // The same column profiled and signed fresh gives identical
-        // signatures.
-        let column = &lake.table(attr.table).columns()[attr.column as usize];
-        let built = AttributeProfile::build(column, d3l.cfg.q, &d3l.embedder);
-        let fresh = sign_profile(&built, &d3l.minhasher, &d3l.projector);
-        assert_eq!(sigs.name, fresh.name);
-        assert_eq!(sigs.value, fresh.value);
-        assert_eq!(sigs.format, fresh.format);
-        assert_eq!(sigs.embedding, fresh.embedding);
+        for (id, table) in lake.iter() {
+            let stored = d3l.signed_table(id).expect("a live table");
+            assert_eq!(stored, d3l.sign_table(table), "{}", table.name());
+            assert_eq!(stored.arity(), table.arity());
+        }
+        assert!(d3l.signed_table(TableId(3)).is_none(), "past the slots");
     }
 
+    /// A numeric attribute has no `IV` or `IE` words in its table's
+    /// record and is in neither forest (§III-C).
     #[test]
-    fn numeric_attr_gets_empty_value_signature() {
+    fn numeric_attr_has_no_value_or_embedding_words() {
         let lake = figure1_lake();
         let d3l = D3l::index_lake(&lake, D3lConfig::fast());
         let patients = AttrRef {
             table: TableId(0),
             column: 4,
         };
-        let sigs = d3l.stored_signatures(patients);
-        let empty = d3l.minhasher.sign_strs([]);
-        assert_eq!(sigs.value, empty);
+        assert!(d3l.profile(patients).is_numeric);
+        let stored = d3l.stored_signatures_ref(patients);
+        assert!(stored.value.is_none() && stored.embedding.is_none());
+        assert!(d3l.i_v.signature_words(patients.key()).is_none());
+        assert!(d3l.i_e.signature_words(patients.key()).is_none());
+        let record = d3l.signed_table(patients.table).unwrap();
+        let (mh, rp) = (d3l.minhasher.sig_shape().0, d3l.projector.sig_shape().0);
+        // Five columns, four of them textual.
+        let whole = [5 * mh, 4 * mh, 5 * mh, 4 * rp];
+        assert_eq!(record.words.each_ref().map(Vec::len), whole);
+        let (attr, sigs) = record.columns(&d3l).nth(4).unwrap();
+        assert!(attr.is_numeric && !attr.has_text && !attr.has_embedding);
+        assert!(sigs.value.is_none() && sigs.embedding.is_none());
+        assert_eq!(sigs.name, stored.name);
+        assert_eq!(sigs.format, stored.format);
     }
 
     #[test]
@@ -1189,8 +1140,8 @@ mod tests {
             column: 0,
         };
         assert_eq!(
-            incremental.stored_signatures(attr).name,
-            batch.stored_signatures(attr).name
+            incremental.stored_signatures_ref(attr).name,
+            batch.stored_signatures_ref(attr).name
         );
         assert_eq!(
             incremental.subject_of(TableId(2)),
@@ -1236,8 +1187,8 @@ mod tests {
             column: 2,
         };
         assert_eq!(
-            serial.stored_signatures(attr).name,
-            parallel.stored_signatures(attr).name
+            serial.stored_signatures_ref(attr).name,
+            parallel.stored_signatures_ref(attr).name
         );
     }
 }

@@ -137,8 +137,10 @@ impl ShardedD3l {
             if !shard.profile(subject).has_text {
                 continue;
             }
-            let sig = shard.stored_signatures(subject);
-            for hit in query_union(&i_v, &sig.value, width) {
+            let Some(tset_sig) = shard.i_v.signature_words(subject.key()) else {
+                continue;
+            };
+            for hit in query_union(&i_v, tset_sig, cfg.num_perm as u64, width) {
                 let other = AttrRef::from_key(hit.id);
                 if other.table == table || hit.similarity < cfg.join_threshold {
                     continue;

@@ -71,13 +71,13 @@ pub use config::D3lConfig;
 pub use distance::DistanceVector;
 pub use evidence::Evidence;
 pub use hotswap::{EngineHandle, EngineSnapshot, EngineTelemetry, MaintenanceError};
-pub use index::{AttrRef, ClassStats, D3l, IndexFootprint, MemoryFootprint, TableWords};
+pub use index::{AttrRef, ClassStats, D3l, IndexFootprint, MemoryFootprint, SignedTable};
 pub use join::{JoinPath, SaJoinGraph};
 pub use populate::Population;
 pub use profile::{AttributeProfile, IndexedAttr};
-pub use query::{Alignment, PreparedTarget, QueryOptions, TableMatch};
+pub use query::{Alignment, QueryOptions, TableMatch};
 pub use shard::{shard_of_name, ShardedD3l};
-pub use snapshot::{AddedTable, DeltaRecord, IndexStore};
+pub use snapshot::{DeltaRecord, IndexStore};
 pub use trace::{QueryTrace, StageTimer};
 pub use watch::{compact_if_due, Ingestor, WatchConfig, WatchStats, Watcher};
 pub use weights::EvidenceWeights;

@@ -162,8 +162,8 @@ impl AttributeProfile {
 /// What the index keeps of an attribute once its four signatures are
 /// written: everything scoring reads that a signature does not hold.
 /// An engine stores one per indexed attribute, `PROF` and a delta
-/// segment encode it, and a prepared query target is a list of them
-/// beside its signatures.
+/// segment encode it, and a signed table (`SignedTable` — one to add,
+/// a query target) is a list of them beside its signature words.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexedAttr {
     /// Attribute name as it appears in the table.

@@ -3,9 +3,11 @@
 //!
 //! Given a target table, the query path runs:
 //!
-//! 1. **Candidate generation** — each target attribute is profiled
-//!    once into a [`PreparedTarget`] and looked up in the four LSH
-//!    indexes. An index is one forest per shard, descended together by
+//! 1. **Candidate generation** — the target is signed once into a
+//!    [`SignedTable`] (or, a lake member, read back as one) and each of
+//!    its attributes is looked up in the four LSH indexes by its
+//!    signature words. An index is one forest per shard, descended
+//!    together by
 //!    [`d3l_lsh::forest::query_union`], whose widening stop is driven
 //!    by the lake-wide candidate count; per-attribute candidate sets
 //!    are sorted by [`AttrRef::key`] so later stages iterate them in a
@@ -13,9 +15,10 @@
 //! 2. **Pairwise evidence scoring** — every (target attribute,
 //!    candidate attribute) pair gets a full five-distance vector
 //!    (Algorithm 2 guards the numeric KS case with a precomputed
-//!    per-table subject guard). A candidate's profile and stored
-//!    signatures are read from the shard that owns its table; the
-//!    scoring itself sees no index state.
+//!    per-table subject guard). Both sides are read alike, as an
+//!    [`IndexedAttr`] and word slices: the target's from its record,
+//!    a candidate's from the shard that owns its table; the scoring
+//!    itself sees no index state.
 //! 3. **CCDF-weighted aggregation** — candidates are grouped by
 //!    source table, aggregated column-wise with CCDF weights
 //!    (Eq. 1–2) and collapsed to a scalar by the weighted Euclidean
@@ -38,14 +41,13 @@ use d3l_lsh::forest::{query_union, LshForest};
 use d3l_lsh::minhash::MinHashSignature;
 use d3l_lsh::randproj::BitSignature;
 use d3l_lsh::signature::Signature;
-use d3l_lsh::ItemId;
+use d3l_lsh::{Hit, ItemId};
 use d3l_table::{Table, TableId};
 
-use crate::distance::{
-    estimated_cosine_distance_words, estimated_jaccard_distance_words, DistanceVector,
-};
+use crate::config::D3lConfig;
+use crate::distance::DistanceVector;
 use crate::evidence::Evidence;
-use crate::index::{AttrRef, AttrSignatures, AttrSigsRef, D3l};
+use crate::index::{AttrRef, AttrSigsRef, SignedTable};
 use crate::profile::IndexedAttr;
 use crate::shard::ShardedD3l;
 use crate::weights::{aggregate_evidence, ccdf_weight, EvidenceWeights};
@@ -110,32 +112,10 @@ pub struct QueryOptions {
     pub trace: Option<std::sync::Arc<crate::trace::QueryTrace>>,
 }
 
-/// A target profiled and signed against one index's hashers — the
-/// output of the pipeline's first stage: per attribute its four
-/// signatures and, as of a lake member, the [`IndexedAttr`] beside
-/// them (a target's sets and vector end at its signatures too).
-///
-/// Profiling a target (q-gram, token, pattern and embedding
-/// extraction plus four signatures per attribute) dominates the cost
-/// of small queries, so callers that query the same target repeatedly
-/// — `rank_all` plus `related_table_set` in the join workload, or the
-/// evaluation loop's many `k` values — should prepare once with
-/// [`ShardedD3l::prepare_target`] and pass the result to the
-/// `*_prepared` variants. A `PreparedTarget` is only meaningful for
-/// the engine that produced it (signatures are bound to its hashers,
-/// which every shard of one engine shares).
-pub struct PreparedTarget {
-    pub(crate) profiles: Vec<IndexedAttr>,
-    pub(crate) sigs: Vec<AttrSignatures>,
-    pub(crate) subject: Option<usize>,
-}
-
-impl PreparedTarget {
-    /// Number of target attributes.
-    pub fn arity(&self) -> usize {
-        self.profiles.len()
-    }
-}
+/// One attribute of a scored pair: what the index keeps of it and its
+/// signature words — a target's from its [`SignedTable`], a lake
+/// member's from the arenas of the shard that owns it.
+type Attr<'a> = (&'a IndexedAttr, AttrSigsRef<'a>);
 
 /// Map `f` over `items` on up to `threads` scoped workers, returning
 /// results in input order. Work is split into contiguous chunks whose
@@ -262,35 +242,42 @@ fn stage_aggregate(
     matches
 }
 
+/// Estimated similarity of two signatures of one index, when both
+/// sides have one and the evidence (`has`: both sides' flag for it); 0
+/// otherwise. An attribute an index does not cover has no words there
+/// and a false flag.
+fn similarity<S: Signature>(has: bool, a: Option<&[u64]>, b: Option<&[u64]>, meta: usize) -> f64 {
+    match (a, b) {
+        (Some(a), Some(b)) if has => S::similarity_words(a, b, meta as u64),
+        _ => 0.0,
+    }
+}
+
 /// The five estimated distances of a (target attr, lake attr) pair
-/// with the lake side already resolved — Algorithm 2 decides whether
-/// KS is computed. The resolution step (profile + stored-signature
-/// lookup by [`AttrRef`], routed to the owning shard) is the only part
-/// of pairwise scoring that touches index state.
+/// with both sides already resolved — Algorithm 2 decides whether KS
+/// is computed. The resolution step (what the index keeps of the
+/// attribute and its stored signature words, by [`AttrRef`], routed to
+/// the owning shard) is the only part of pairwise scoring that touches
+/// index state.
 fn pair_distances_resolved(
-    tp: &IndexedAttr,
-    ts: &AttrSignatures,
-    sp: &IndexedAttr,
-    ss: AttrSigsRef<'_>,
+    cfg: &D3lConfig,
+    (tp, ts): Attr<'_>,
+    (sp, ss): Attr<'_>,
     guard_subject: bool,
-    threshold: f64,
 ) -> DistanceVector {
-    let d_n = estimated_jaccard_distance_words(&ts.name, ss.name, !tp.has_name, !sp.has_name);
-    let d_v = estimated_jaccard_distance_words(&ts.value, ss.value, !tp.has_text, !sp.has_text);
-    let d_f =
-        estimated_jaccard_distance_words(&ts.format, ss.format, !tp.has_format, !sp.has_format);
-    let d_e = estimated_cosine_distance_words(
-        &ts.embedding,
-        ss.embedding,
-        !tp.has_embedding,
-        !sp.has_embedding,
-    );
+    let jaccard = |has, a, b| similarity::<MinHashSignature>(has, a, b, cfg.num_perm);
+    let d_n = 1.0 - jaccard(tp.has_name && sp.has_name, Some(ts.name), Some(ss.name));
+    let d_v = 1.0 - jaccard(tp.has_text && sp.has_text, ts.value, ss.value);
+    let has_f = tp.has_format && sp.has_format;
+    let d_f = 1.0 - jaccard(has_f, Some(ts.format), Some(ss.format));
+    let has_e = tp.has_embedding && sp.has_embedding;
+    let d_e = 1.0 - similarity::<BitSignature>(has_e, ts.embedding, ss.embedding, cfg.embed_bits);
 
     // Algorithm 2: only both-numeric pairs get a KS measurement,
     // and only when blocked-in by existing evidence.
     let d_d = if tp.is_numeric && sp.is_numeric {
-        let guard_name = 1.0 - d_n >= threshold;
-        let guard_format = 1.0 - d_f >= threshold;
+        let guard_name = 1.0 - d_n >= cfg.threshold;
+        let guard_format = 1.0 - d_f >= cfg.threshold;
         if guard_subject || guard_name || guard_format {
             ks::ks_statistic_presorted(&tp.numeric_extent, &sp.numeric_extent)
         } else {
@@ -303,26 +290,25 @@ fn pair_distances_resolved(
     DistanceVector([d_n, d_v, d_f, d_e, d_d])
 }
 
-/// Algorithm 2 line 4 with the lake subject's signatures already
-/// resolved: are the subject attributes of the target and of a lake
-/// table related in any index (`i' ∈ I*.lookup(i)`)? `ss` is `None`
-/// when the lake table has no subject attribute.
+/// Algorithm 2 line 4 with both subjects' signatures already resolved:
+/// are the subject attributes of the target and of a lake table related
+/// in any index (`i' ∈ I*.lookup(i)`)? Either is `None` when its table
+/// has no subject attribute. A subject is a text column, so it has
+/// words in all four indexes.
 fn subjects_related_resolved(
-    prepared: &PreparedTarget,
+    cfg: &D3lConfig,
+    ts: Option<AttrSigsRef<'_>>,
     ss: Option<AttrSigsRef<'_>>,
-    threshold: f64,
 ) -> bool {
-    let (Some(ti), Some(ss)) = (prepared.subject, ss) else {
+    let (Some(ts), Some(ss)) = (ts, ss) else {
         return false;
     };
-    if ti >= prepared.sigs.len() {
-        return false;
-    }
-    let ts = &prepared.sigs[ti];
-    ts.name.jaccard_words(ss.name) >= threshold
-        || ts.value.jaccard_words(ss.value) >= threshold
-        || ts.format.jaccard_words(ss.format) >= threshold
-        || ts.embedding.cosine_words(ss.embedding) >= threshold
+    let jaccard = |a, b| similarity::<MinHashSignature>(true, a, b, cfg.num_perm);
+    jaccard(Some(ts.name), Some(ss.name)) >= cfg.threshold
+        || jaccard(ts.value, ss.value) >= cfg.threshold
+        || jaccard(Some(ts.format), Some(ss.format)) >= cfg.threshold
+        || similarity::<BitSignature>(true, ts.embedding, ss.embedding, cfg.embed_bits)
+            >= cfg.threshold
 }
 
 /// An engine's four indexes, each as one forest per shard.
@@ -342,9 +328,9 @@ struct Indexes<'a> {
 /// fallback scan see the whole lake's candidate count, so the hits do
 /// not depend on the shard count.
 fn gather_candidates(
+    cfg: &D3lConfig,
     indexes: &Indexes<'_>,
-    tp: &IndexedAttr,
-    ts: &AttrSignatures,
+    (tp, ts): Attr<'_>,
     width: usize,
     only: Option<Evidence>,
 ) -> Vec<ItemId> {
@@ -353,82 +339,44 @@ fn gather_candidates(
         Some(Evidence::Distribution) => matches!(e, Evidence::Name | Evidence::Format),
         Some(x) => x == e,
     };
-    fn look_up<S: Signature>(
-        forests: &[&LshForest<S>],
-        sig: &S,
-        width: usize,
-        keys: &mut Vec<ItemId>,
-    ) {
-        keys.extend(query_union(forests, sig, width).iter().map(|h| h.id));
-    }
     let mut keys = Vec::new();
+    let mut look_up = |hits: Vec<Hit>| keys.extend(hits.iter().map(|h| h.id));
+    let (perm, bits) = (cfg.num_perm as u64, cfg.embed_bits as u64);
     if want(Evidence::Name) && tp.has_name {
-        look_up(&indexes.name, &ts.name, width, &mut keys);
+        look_up(query_union(&indexes.name, ts.name, perm, width));
     }
     if want(Evidence::Format) && tp.has_format {
-        look_up(&indexes.format, &ts.format, width, &mut keys);
+        look_up(query_union(&indexes.format, ts.format, perm, width));
     }
-    if want(Evidence::Value) && tp.has_text {
-        look_up(&indexes.value, &ts.value, width, &mut keys);
+    if let Some(value) = ts.value.filter(|_| want(Evidence::Value) && tp.has_text) {
+        look_up(query_union(&indexes.value, value, perm, width));
     }
-    if want(Evidence::Embedding) && tp.has_embedding {
-        look_up(&indexes.embedding, &ts.embedding, width, &mut keys);
+    if let Some(embedding) = ts
+        .embedding
+        .filter(|_| want(Evidence::Embedding) && tp.has_embedding)
+    {
+        look_up(query_union(&indexes.embedding, embedding, bits, width));
     }
     keys
 }
 
-impl D3l {
-    /// Stage 1 entry point: profile and sign a target once for reuse
-    /// across queries (`query_prepared`, `rank_all_prepared`,
-    /// `related_table_set_prepared`).
-    pub fn prepare_target(&self, target: &Table) -> PreparedTarget {
-        let (profiles, sigs) = self.profile_and_sign(target);
-        PreparedTarget {
-            profiles,
-            sigs,
-            subject: d3l_ml::subject_attribute(target),
-        }
-    }
-
-    /// Prepare an already-indexed table as a query target, straight
-    /// from what the index holds of it — no raw rows needed, which is what
-    /// lets a serving process answer "rank everything against lake
-    /// member X" without keeping the CSVs resident. The signatures are
-    /// the forests' own words (with the numeric fallbacks), which are
-    /// what signing the original table's profiles yields, so the
-    /// result is identical to preparing the original table. `None` for
-    /// out-of-range ids and removal tombstones.
-    pub fn prepare_indexed(&self, id: TableId) -> Option<PreparedTarget> {
-        let idx = id.index();
-        if idx >= self.profiles.len() || self.removed[idx] {
-            return None;
-        }
-        let profiles = self.profiles[idx].clone();
-        let sigs = (0..profiles.len() as u32)
-            .map(|column| self.stored_signatures(AttrRef { table: id, column }))
-            .collect();
-        Some(PreparedTarget {
-            profiles,
-            sigs,
-            subject: self.subjects[idx].map(|c| c as usize),
-        })
-    }
-}
-
 impl ShardedD3l {
-    /// Stage 1 entry point: profile and sign a target once for reuse
-    /// across queries (`query_prepared`, `rank_all_prepared`,
+    /// Stage 1 entry point: sign a target once
+    /// ([`crate::D3l::sign_table`]) for reuse across queries
+    /// (`query_prepared`, `rank_all_prepared`,
     /// `related_table_set_prepared`). Every shard shares one set of
     /// hashers, so shard 0's sign for all of them.
-    pub fn prepare_target(&self, target: &Table) -> PreparedTarget {
-        self.primary().prepare_target(target)
+    pub fn prepare_target(&self, target: &Table) -> SignedTable {
+        self.primary().sign_table(target)
     }
 
-    /// Prepare an already-indexed table as a query target
-    /// (owner-routed; see [`D3l::prepare_indexed`]).
-    pub fn prepare_indexed(&self, id: TableId) -> Option<PreparedTarget> {
+    /// An already-indexed table as a query target: its record read back
+    /// from the shard that owns it ([`crate::D3l::signed_table`]), equal
+    /// to preparing the original table. `None` for ids no shard holds a
+    /// live table at.
+    pub fn prepare_indexed(&self, id: TableId) -> Option<SignedTable> {
         let s = self.owner_of(id)?;
-        self.shards()[s].prepare_indexed(id)
+        self.shards()[s].signed_table(id)
     }
 
     /// The k-most related lake tables to `target` with default
@@ -445,7 +393,7 @@ impl ShardedD3l {
     /// [`ShardedD3l::query_with`] over an already-prepared target.
     pub fn query_prepared(
         &self,
-        prepared: &PreparedTarget,
+        prepared: &SignedTable,
         k: usize,
         opts: &QueryOptions,
     ) -> Vec<TableMatch> {
@@ -467,7 +415,7 @@ impl ShardedD3l {
     /// [`ShardedD3l::rank_all`] over an already-prepared target.
     pub fn rank_all_prepared(
         &self,
-        prepared: &PreparedTarget,
+        prepared: &SignedTable,
         width: usize,
         opts: &QueryOptions,
     ) -> Vec<TableMatch> {
@@ -526,15 +474,14 @@ impl ShardedD3l {
     /// candidate sort — the output is an unordered set.
     pub fn related_table_set_prepared(
         &self,
-        prepared: &PreparedTarget,
+        prepared: &SignedTable,
         width: usize,
     ) -> HashSet<TableId> {
         let threads = self.config().effective_query_threads(None);
-        let work: Vec<(&IndexedAttr, &AttrSignatures)> =
-            prepared.profiles.iter().zip(&prepared.sigs).collect();
-        let indexes = self.indexes();
-        par_map(&work, threads, |&(tp, ts)| {
-            gather_candidates(&indexes, tp, ts, width, None)
+        let target: Vec<Attr<'_>> = prepared.columns(self.primary()).collect();
+        let (cfg, indexes) = (self.config(), self.indexes());
+        par_map(&target, threads, |&attr| {
+            gather_candidates(cfg, &indexes, attr, width, None)
         })
         .into_iter()
         .flatten()
@@ -558,15 +505,24 @@ impl ShardedD3l {
     /// budget — 1 for batches at least as large as the budget).
     fn rank_all_inner(
         &self,
-        prepared: &PreparedTarget,
+        prepared: &SignedTable,
         width: usize,
         opts: &QueryOptions,
         threads: usize,
     ) -> Vec<TableMatch> {
         let mut timer = crate::trace::StageTimer::start(opts.trace.as_deref());
-        let candidates = self.stage_candidates(prepared, width, opts, threads);
+        let target: Vec<Attr<'_>> = prepared.columns(self.primary()).collect();
+        let candidates = self.stage_candidates(&target, width, opts, threads);
         timer.candidates_done();
-        let scored = self.stage_score(prepared, &candidates, threads, opts.trace.as_deref());
+        let subject = prepared.subject.and_then(|c| target.get(c as usize));
+        let guards = self.subject_guards(&target, subject.map(|s| s.1), &candidates, threads);
+        let scored = self.stage_score(
+            &target,
+            &candidates,
+            &guards,
+            threads,
+            opts.trace.as_deref(),
+        );
         timer.score_done();
         let ranked = stage_aggregate(&scored, opts);
         timer.aggregate_done();
@@ -579,16 +535,14 @@ impl ShardedD3l {
     /// is thread-count-independent.
     fn stage_candidates(
         &self,
-        prepared: &PreparedTarget,
+        target: &[Attr<'_>],
         width: usize,
         opts: &QueryOptions,
         threads: usize,
     ) -> Vec<Vec<AttrRef>> {
-        let work: Vec<(&IndexedAttr, &AttrSignatures)> =
-            prepared.profiles.iter().zip(&prepared.sigs).collect();
-        let indexes = self.indexes();
-        par_map(&work, threads, |&(tp, ts)| {
-            let mut keys = gather_candidates(&indexes, tp, ts, width, opts.evidence);
+        let (cfg, indexes) = (self.config(), self.indexes());
+        par_map(target, threads, |&attr| {
+            let mut keys = gather_candidates(cfg, &indexes, attr, width, opts.evidence);
             keys.sort_unstable();
             keys.dedup();
             keys.into_iter()
@@ -612,48 +566,36 @@ impl ShardedD3l {
 
     /// Stage 2 — pairwise evidence scoring: a five-distance vector
     /// per (target attribute, candidate) pair, parallel over the
-    /// flattened pair list, each candidate's profile and stored
-    /// signatures read from the shard that owns its table. Pairs
-    /// without signal (all distances 1) are dropped. Candidate order
-    /// within each attribute is preserved from stage 1.
+    /// flattened pair list, each candidate's attribute record and stored
+    /// signature words read from the shard that owns its table. `guards`
+    /// is Algorithm 2 line 4, a per-candidate-table predicate,
+    /// precomputed ([`ShardedD3l::subject_guards`]) for every table that
+    /// could face a KS measurement so the per-pair workers stay pure.
+    /// Pairs without signal (all distances 1) are dropped. Candidate
+    /// order within each attribute is preserved from stage 1.
     fn stage_score(
         &self,
-        prepared: &PreparedTarget,
+        target: &[Attr<'_>],
         candidates: &[Vec<AttrRef>],
+        guards: &HashMap<TableId, bool>,
         threads: usize,
         trace: Option<&crate::trace::QueryTrace>,
     ) -> Vec<Vec<(AttrRef, DistanceVector)>> {
-        // Algorithm 2 line 4 is a per-candidate-table predicate;
-        // precompute it for every table that could face a KS
-        // measurement so the per-pair workers stay pure.
-        let guards = self.subject_guards(prepared, candidates, threads);
         let work: Vec<(usize, AttrRef)> = candidates
             .iter()
             .enumerate()
             .flat_map(|(i, cands)| cands.iter().map(move |&attr| (i, attr)))
             .collect();
-        let threshold = self.config().threshold;
-        // Fallback signatures are signed once, not once per pair; they
-        // are seed-derived from the shared config, so one shard's are
-        // every shard's.
-        let fallbacks = self.primary().sig_fallbacks();
+        let cfg = self.config();
         let scored = par_map(&work, threads, |&(i, attr)| {
             let owner = self.owner_of(attr.table).expect("candidate has an owner");
             let shard = &self.shards()[owner];
             // Per-pair attribution only when traced: the scoring
             // stage is the one place work belongs to a single shard.
             let start = trace.map(|_| std::time::Instant::now());
-            let sp = shard.profile(attr);
-            let ss = shard.stored_signatures_ref(attr, &fallbacks);
+            let source = (shard.profile(attr), shard.stored_signatures_ref(attr));
             let guard_subject = guards.get(&attr.table).copied().unwrap_or(false);
-            let dv = pair_distances_resolved(
-                &prepared.profiles[i],
-                &prepared.sigs[i],
-                sp,
-                ss,
-                guard_subject,
-                threshold,
-            );
+            let dv = pair_distances_resolved(cfg, target[i], source, guard_subject);
             if let (Some(t), Some(s)) = (trace, start) {
                 t.add_shard_ns(owner, s.elapsed().as_nanos().min(u64::MAX as u128) as u64);
             }
@@ -671,16 +613,17 @@ impl ShardedD3l {
     /// Algorithm 2 line 4 precomputation: for every candidate table
     /// that contains a numeric candidate attribute paired with a
     /// numeric target attribute, whether its subject attribute and
-    /// the target's are related in any index.
+    /// the target's (`subject`) are related in any index.
     fn subject_guards(
         &self,
-        prepared: &PreparedTarget,
+        target: &[Attr<'_>],
+        subject: Option<AttrSigsRef<'_>>,
         candidates: &[Vec<AttrRef>],
         threads: usize,
     ) -> HashMap<TableId, bool> {
         let mut tables: BTreeSet<TableId> = BTreeSet::new();
-        for (i, cands) in candidates.iter().enumerate() {
-            if !prepared.profiles[i].is_numeric {
+        for ((tp, _), cands) in target.iter().zip(candidates) {
+            if !tp.is_numeric {
                 continue;
             }
             for attr in cands {
@@ -689,15 +632,13 @@ impl ShardedD3l {
                 }
             }
         }
-        let threshold = self.config().threshold;
-        let fallbacks = self.primary().sig_fallbacks();
         let tables: Vec<TableId> = tables.into_iter().collect();
         let guards = par_map(&tables, threads, |&t| {
             let shard = &self.shards()[self.owner_of(t).expect("candidate has an owner")];
             let ss = shard
                 .subject_of(t)
-                .map(|s_attr| shard.stored_signatures_ref(s_attr, &fallbacks));
-            subjects_related_resolved(prepared, ss, threshold)
+                .map(|s_attr| shard.stored_signatures_ref(s_attr));
+            subjects_related_resolved(self.config(), subject, ss)
         });
         tables.into_iter().zip(guards).collect()
     }
@@ -912,6 +853,23 @@ mod tests {
                 "KS must be guarded off for the decoy"
             );
         }
+    }
+
+    /// An estimate needs the evidence on both sides and words on both
+    /// sides; without either the pair is maximally distant.
+    #[test]
+    fn similarity_respects_flags_and_coverage() {
+        use d3l_lsh::minhash::MinHasher;
+        use d3l_lsh::randproj::RandomProjector;
+        let s = MinHasher::new(64, 1).sign_strs(["a", "b"]);
+        let jaccard = |has, a, b| similarity::<MinHashSignature>(has, a, b, 64);
+        assert_eq!(jaccard(true, Some(s.words()), Some(s.words())), 1.0);
+        assert_eq!(jaccard(false, Some(s.words()), Some(s.words())), 0.0);
+        assert_eq!(jaccard(true, None, Some(s.words())), 0.0);
+        let e = RandomProjector::new(4, 64, 1).sign(&[0.5, -1.0, 0.25, 2.0]);
+        let cosine = |has, a, b| similarity::<BitSignature>(has, a, b, 64);
+        assert_eq!(cosine(true, Some(e.words()), Some(e.words())), 1.0);
+        assert_eq!(cosine(true, Some(e.words()), None), 0.0);
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! rewrites only the owning shard — O(lake/N) work and snapshot bytes
 //! — while the other N−1 shards stay byte-for-byte untouched.
 //!
-//! This module holds construction (build, split, assemble from
-//! loaded shards), the owner lookup and the owner-routed accessors.
+//! This module holds construction (build; [`ShardedD3l::split`], which
+//! reads every table of a whole index back as the record it was pushed
+//! as and pushes it into the shard that owns it; assemble from loaded
+//! shards), the owner lookup and the owner-routed accessors.
 //! Queries, the SA-join graph and population are `impl ShardedD3l`
 //! blocks in [`crate::query`], [`crate::join`] and
 //! [`crate::populate`]; nothing in them depends on N, so answers are
@@ -24,7 +26,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use d3l_embedding::SemanticEmbedder;
-use d3l_lsh::forest::LshForest;
 use d3l_lsh::hash::hash_str;
 use d3l_table::{DataLake, TableId};
 
@@ -99,94 +100,40 @@ impl ShardedD3l {
         }
     }
 
-    /// Partition a [`D3l`] holding every table into `n` shards. Each
-    /// shard gets the slots it owns (by [`shard_of_name`]), holes
-    /// elsewhere, and four forests rebuilt from the stored signatures —
-    /// bit-identical to having inserted only the owned attributes.
-    /// Removal tombstones follow their name to the owning shard.
+    /// Partition a [`D3l`] holding every table into `n` shards: each
+    /// table is read back as the record it was pushed as
+    /// ([`D3l::signed_table`]) and pushed into the shard that owns it
+    /// (by [`shard_of_name`]) at its id, holes in between — bit-identical
+    /// to having indexed only the owned tables. Removal tombstones
+    /// follow their name to the owning shard.
     pub fn split(d3l: D3l, n: usize) -> Self {
         assert!(n > 0, "shard count must be positive");
         if n == 1 {
             return Self::from_monolith(d3l);
         }
-        let owner: Vec<Option<usize>> = (0..d3l.table_count())
-            .map(|i| {
-                let id = TableId(i as u32);
-                if d3l.is_hole(id) {
-                    None
-                } else {
-                    Some(shard_of_name(&d3l.names[i], n))
-                }
-            })
-            .collect();
         let mut cfg = d3l.cfg.clone();
         cfg.shards = n;
-        let shards = (0..n)
-            .map(|s| {
-                // Dense over global ids up to this shard's last owned
-                // slot — shorter vectors mean adds elsewhere never
-                // touch this shard's snapshot.
-                let slots = owner
-                    .iter()
-                    .rposition(|&o| o == Some(s))
-                    .map_or(0, |i| i + 1);
-                let mut shard = D3l {
-                    cfg: cfg.clone(),
-                    embedder: d3l.embedder.clone(),
-                    minhasher: d3l.minhasher.clone(),
-                    projector: d3l.projector.clone(),
-                    i_n: Self::partition_forest(&d3l.i_n, cfg.num_perm, &cfg, &owner, s),
-                    i_v: Self::partition_forest(&d3l.i_v, cfg.num_perm, &cfg, &owner, s),
-                    i_f: Self::partition_forest(&d3l.i_f, cfg.num_perm, &cfg, &owner, s),
-                    i_e: Self::partition_forest(&d3l.i_e, cfg.embed_bits, &cfg, &owner, s),
-                    profiles: Vec::with_capacity(slots),
-                    subjects: Vec::with_capacity(slots),
-                    names: Vec::with_capacity(slots),
-                    removed: Vec::with_capacity(slots),
-                };
-                for (i, &slot_owner) in owner.iter().enumerate().take(slots) {
-                    if slot_owner == Some(s) {
-                        shard.names.push(d3l.names[i].clone());
-                        shard.subjects.push(d3l.subjects[i]);
-                        shard.profiles.push(d3l.profiles[i].clone());
-                        shard.removed.push(d3l.removed[i]);
-                    } else {
-                        shard.push_hole();
-                    }
-                }
-                Arc::new(shard)
-            })
-            .collect();
-        ShardedD3l { shards }
-    }
-
-    /// One shard's slice of a forest: the items whose owning table
-    /// maps to shard `s`, rebuilt into a committed forest. Trees sort
-    /// the canonical `(label, signature words)` order over classes —
-    /// total, since two classes never hold the same words — so the
-    /// result is independent of iteration order and identical to
-    /// incremental insertion.
-    fn partition_forest<S: d3l_lsh::signature::Signature>(
-        full: &LshForest<S>,
-        sig_len: usize,
-        cfg: &D3lConfig,
-        owner: &[Option<usize>],
-        s: usize,
-    ) -> LshForest<S> {
-        let mut part = LshForest::new(sig_len, cfg.trees);
-        for key in full.ids() {
-            if owner[AttrRef::from_key(key).table.index()] != Some(s) {
+        let mut shards: Vec<D3l> = (0..n).map(|_| d3l.empty_like(cfg.clone())).collect();
+        for i in 0..d3l.table_count() {
+            let id = TableId(i as u32);
+            if d3l.is_hole(id) {
                 continue;
             }
-            let words = full
-                .signature_words(key)
-                .expect("forest id without signature");
-            part.insert_with(key, (words.len(), full.sig_meta()), |slot| {
-                slot.copy_from_slice(words)
-            });
+            // Dense over global ids up to this shard's last owned slot
+            // — shorter vectors mean adds elsewhere never touch this
+            // shard's snapshot.
+            let shard = &mut shards[shard_of_name(d3l.table_name(id), n)];
+            while shard.table_count() < i {
+                shard.push_hole();
+            }
+            match d3l.signed_table(id) {
+                Some(table) => shard.push(id, table),
+                None => shard.push_tombstone(d3l.table_name(id)),
+            }
         }
-        part.commit_parallel(cfg.effective_threads());
-        part
+        let threads = cfg.effective_threads();
+        shards.iter_mut().for_each(|shard| shard.commit(threads));
+        Self::from_shards(shards)
     }
 
     /// Assemble an engine from per-shard instances (the loader path:

@@ -64,15 +64,16 @@
 //! <dir>/delta-000002.d3ld   ...
 //! ```
 //!
-//! Lake maintenance profiles **only the delta**: an added table's
-//! profiles are computed once, patched into the live forests
-//! (re-committing only the touched trees) and persisted as an
-//! append-only delta segment carrying the attribute records as `PROF`
-//! would and the table's signatures in all four indexes, read back
-//! from the arenas ([`AddedTable`]) — so replaying the segment on the
-//! next cold start copies the identical signatures in, signing nothing
-//! and reading no CSV. [`IndexStore::compact`] folds
-//! accumulated deltas into a fresh base snapshot.
+//! Lake maintenance signs **only the delta**, and persists before it
+//! applies: an added table is signed once into a [`SignedTable`] — the
+//! attribute records as `PROF` would hold them and the table's
+//! signatures in all four indexes — which is written as an append-only
+//! delta segment and then pushed into the live forests (re-committing
+//! only the touched trees). Replaying the segment on the next cold
+//! start pushes the same record, signing nothing and reading no CSV;
+//! a write that fails leaves the caller's engine as it was, and the
+//! store with it. [`IndexStore::compact`] folds accumulated deltas into
+//! a fresh base snapshot.
 //!
 //! Because `LshForest` inserts commute with [`LshForest::commit`]
 //! into a total order, an engine that adds tables incrementally —
@@ -98,7 +99,7 @@ use d3l_store::{
 use d3l_table::{Table, TableId};
 
 use crate::config::D3lConfig;
-use crate::index::{AttrRef, Columns, D3l, TableWords};
+use crate::index::{AttrRef, D3l, SignedTable};
 use crate::profile::IndexedAttr;
 
 /// Filename of the base snapshot inside an index directory
@@ -242,6 +243,43 @@ fn decode_profiles(bytes: &[u8]) -> Result<Vec<IndexedAttr>, StoreError> {
     Ok(out)
 }
 
+/// A table's subject column as `TABL` and a delta segment hold it.
+fn encode_subject(subject: Option<u32>, enc: &mut Encoder) {
+    match subject {
+        Some(c) => {
+            enc.put_u8(1);
+            enc.put_varint(c as u64);
+        }
+        None => enc.put_u8(0),
+    }
+}
+
+fn decode_subject(dec: &mut Decoder<'_>) -> Result<Option<u32>, StoreError> {
+    match dec.get_u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(dec.get_varint()? as u32)),
+        other => Err(StoreError::corrupt(format!(
+            "subject flag must be 0/1, found {other}"
+        ))),
+    }
+}
+
+/// A subject column is one of the table's text attributes
+/// (`d3l_ml::subject_attribute` considers no other), so it has words in
+/// all four indexes — which Algorithm 2's subject guard reads.
+fn check_subject(subject: Option<u32>, attrs: &[IndexedAttr]) -> Result<(), StoreError> {
+    let Some(c) = subject else {
+        return Ok(());
+    };
+    if attrs.get(c as usize).is_some_and(|a| !a.is_numeric) {
+        return Ok(());
+    }
+    Err(StoreError::corrupt(format!(
+        "subject column {c} is no text attribute of the table's {}",
+        attrs.len()
+    )))
+}
+
 // ---------------------------------------------------------------- forests
 
 /// `forest` is what the query paths assume: committed, and holding
@@ -294,8 +332,8 @@ impl D3l {
     /// Every forest holds exactly the attributes its index covers. The
     /// query path assumes it and panics without it: a candidate drawn
     /// from one forest is resolved in all four
-    /// (`stored_signatures_ref`), and `prepare_indexed` and a delta
-    /// read a member's signatures back.
+    /// (`stored_signatures_ref`), and `signed_table` reads a member's
+    /// signatures back.
     fn check_coverage(&self) -> Result<(), StoreError> {
         covers("IN", &self.i_n, self, false)?;
         covers("IV", &self.i_v, self, true)?;
@@ -325,13 +363,7 @@ impl D3l {
         for i in 0..self.names.len() {
             tabl.put_str(&self.names[i]);
             tabl.put_varint(self.profiles[i].len() as u64);
-            match self.subjects[i] {
-                Some(c) => {
-                    tabl.put_u8(1);
-                    tabl.put_varint(c as u64);
-                }
-                None => tabl.put_u8(0),
-            }
+            encode_subject(self.subjects[i], &mut tabl);
             tabl.put_u8(self.removed[i] as u8);
         }
         w.add_section(SEC_TABLES, tabl.as_bytes())?;
@@ -393,27 +425,9 @@ impl D3l {
         let mut removed = Vec::with_capacity(count);
         for _ in 0..count {
             names.push(tabl.get_str()?);
-            let arity = tabl.get_varint()? as usize;
-            let subject = match tabl.get_u8()? {
-                0 => None,
-                1 => Some(tabl.get_varint()? as u32),
-                other => {
-                    return Err(StoreError::corrupt(format!(
-                        "subject flag must be 0/1, found {other}"
-                    )))
-                }
-            };
-            if let Some(c) = subject {
-                if c as usize >= arity {
-                    return Err(StoreError::corrupt(format!(
-                        "subject column {c} outside arity {arity}"
-                    )));
-                }
-            }
-            let is_removed = tabl.get_u8()? != 0;
-            arities.push(arity);
-            subjects.push(subject);
-            removed.push(is_removed);
+            arities.push(tabl.get_varint()? as usize);
+            subjects.push(decode_subject(&mut tabl)?);
+            removed.push(tabl.get_u8()? != 0);
         }
         tabl.expect_exhausted("table list")?;
 
@@ -429,6 +443,7 @@ impl D3l {
                         table_profiles.len()
                     )));
                 }
+                check_subject(subjects[i], &table_profiles)?;
                 profiles.push(table_profiles);
             }
             Ok(profiles)
@@ -468,64 +483,13 @@ impl D3l {
 
 // ----------------------------------------------------------------- deltas
 
-/// What an add persists of its table: what replay cannot re-derive —
-/// with the token sets and the vector gone, every signature. Replay
-/// signs nothing; it copies the words in.
-#[derive(Debug, Clone)]
-pub struct AddedTable {
-    /// Table name.
-    pub name: String,
-    /// Subject-attribute column, if classified.
-    pub subject: Option<u32>,
-    /// What the index keeps of each column, as `PROF` would hold it.
-    pub attrs: Vec<IndexedAttr>,
-    /// The table's signatures in the four indexes, read back from the
-    /// arenas.
-    pub words: TableWords,
-}
-
-impl AddedTable {
-    /// The record of table `id`, just added to `d3l`.
-    fn of(d3l: &D3l, id: TableId) -> Self {
-        let attrs = d3l.profiles[id.index()].clone();
-        fn read_back<S: Signature>(
-            forest: &LshForest<S>,
-            id: TableId,
-            attrs: &[IndexedAttr],
-            textual_only: bool,
-        ) -> Vec<u64> {
-            let covered = (0u32..)
-                .zip(attrs)
-                .filter(|(_, a)| !(textual_only && a.is_numeric));
-            let mut words = Vec::new();
-            for (column, _) in covered {
-                let sig = forest.signature_words(AttrRef { table: id, column }.key());
-                words.extend_from_slice(sig.expect("an added attribute is in its indexes"));
-            }
-            words
-        }
-        AddedTable {
-            name: d3l.table_name(id).to_string(),
-            subject: d3l.subject_of(id).map(|a| a.column),
-            words: [
-                read_back(&d3l.i_n, id, &attrs, false),
-                read_back(&d3l.i_v, id, &attrs, true),
-                read_back(&d3l.i_f, id, &attrs, false),
-                read_back(&d3l.i_e, id, &attrs, true),
-            ],
-            attrs,
-        }
-    }
-
+/// A delta segment's add carries the table as it was pushed: with the
+/// token sets and the vector gone, that is what replay cannot
+/// re-derive. Replay signs nothing; it pushes the decoded record.
+impl SignedTable {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_str(&self.name);
-        match self.subject {
-            Some(c) => {
-                enc.put_u8(1);
-                enc.put_varint(c as u64);
-            }
-            None => enc.put_u8(0),
-        }
+        encode_subject(self.subject, enc);
         enc.put_bytes(&encode_profiles(&self.attrs));
         for words in &self.words {
             enc.put_u64s(words);
@@ -534,25 +498,10 @@ impl AddedTable {
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
         let name = dec.get_str()?;
-        let subject = match dec.get_u8()? {
-            0 => None,
-            1 => Some(dec.get_varint()? as u32),
-            other => {
-                return Err(StoreError::corrupt(format!(
-                    "delta subject flag must be 0/1, found {other}"
-                )))
-            }
-        };
+        let subject = decode_subject(dec)?;
         let attrs = decode_profiles(dec.get_bytes()?)?;
-        if let Some(c) = subject {
-            if c as usize >= attrs.len() {
-                return Err(StoreError::corrupt(format!(
-                    "delta subject column {c} outside arity {}",
-                    attrs.len()
-                )));
-            }
-        }
-        Ok(AddedTable {
+        check_subject(subject, &attrs)?;
+        Ok(SignedTable {
             name,
             subject,
             attrs,
@@ -574,8 +523,8 @@ pub enum DeltaRecord {
         /// The removed table.
         table: TableId,
     },
-    /// A table added at an explicit id, carrying what the live add
-    /// kept of it. Ids are allocated globally across the shard set, so
+    /// A table added at an explicit id, carrying the record the live
+    /// add pushed. Ids are allocated globally across the shard set, so
     /// a shard's next local slot index says nothing about the id the
     /// table must land on: replay pads the gap with holes (see
     /// `D3l::push_hole`) and inserts at exactly `table`.
@@ -583,7 +532,7 @@ pub enum DeltaRecord {
         /// The table's id.
         table: TableId,
         /// The table.
-        added: AddedTable,
+        added: SignedTable,
     },
 }
 
@@ -620,7 +569,7 @@ impl DeltaRecord {
             },
             3 => DeltaRecord::AddAt {
                 table: Self::decode_table_id(&mut dec)?,
-                added: AddedTable::decode(&mut dec)?,
+                added: SignedTable::decode(&mut dec)?,
             },
             other => {
                 return Err(StoreError::corrupt(format!(
@@ -640,8 +589,9 @@ impl DeltaRecord {
 }
 
 impl D3l {
-    /// Apply one replayed maintenance record, patching the forests
-    /// exactly as the original live operation did.
+    /// Apply one maintenance record — the live operation and its
+    /// replay alike, so both patch the forests the same way. Nothing is
+    /// touched unless the record fits the engine.
     pub fn apply_delta(&mut self, record: DeltaRecord) -> Result<(), StoreError> {
         let (table, added) = match record {
             DeltaRecord::Remove { table } => {
@@ -680,8 +630,7 @@ impl D3l {
                 "delta adds table {table} at an already-occupied slot"
             )));
         }
-        let columns = Columns::Stored(added.attrs, &added.words);
-        self.insert_profiled_table(table, added.name, added.subject, columns);
+        self.insert(table, added);
         Ok(())
     }
 }
@@ -804,9 +753,11 @@ impl IndexStore {
         }
     }
 
-    /// Profile and index one new table, persisting the operation as a
+    /// Sign and index one new table, persisting the operation as a
     /// delta segment. Only the added table is profiled — the rest of
-    /// the engine is untouched apart from the forest patch.
+    /// the engine is untouched apart from the forest patch — and the
+    /// segment is written before the engine is: on an error `d3l` is
+    /// as it was, as is the store.
     pub fn append_add(&mut self, d3l: &mut D3l, table: &Table) -> Result<TableId, StoreError> {
         let next = TableId(d3l.table_count() as u32);
         self.append_add_at(d3l, table, next)
@@ -815,28 +766,38 @@ impl IndexStore {
     /// [`IndexStore::append_add`] at an explicit, globally-allocated
     /// table id (shard stores — see [`DeltaRecord::AddAt`]). Pads the
     /// engine's slot vector with holes up to `id`, so `id` must be at
-    /// or above the engine's current slot count.
+    /// or above the engine's current slot count (panics below it).
     pub fn append_add_at(
         &mut self,
         d3l: &mut D3l,
         table: &Table,
         id: TableId,
     ) -> Result<TableId, StoreError> {
-        let id = d3l.add_table_at(table, id);
-        let added = AddedTable::of(d3l, id);
-        self.write_delta(&DeltaRecord::AddAt { table: id, added })?;
+        assert!(
+            id.index() >= d3l.table_count(),
+            "append_add_at id {id} collides with an existing slot"
+        );
+        let added = d3l.sign_table(table);
+        self.append(d3l, DeltaRecord::AddAt { table: id, added })?;
         Ok(id)
     }
 
-    /// Remove a table, persisting the tombstone as a delta segment.
-    /// Returns whether the id named a live table (nothing is written
-    /// otherwise).
+    /// Remove a table, persisting the tombstone as a delta segment
+    /// before the engine is touched. Returns whether the id named a
+    /// live table (nothing is written otherwise).
     pub fn append_remove(&mut self, d3l: &mut D3l, id: TableId) -> Result<bool, StoreError> {
-        if !d3l.remove_table(id) {
+        if !d3l.is_live(id) {
             return Ok(false);
         }
-        self.write_delta(&DeltaRecord::Remove { table: id })?;
+        self.append(d3l, DeltaRecord::Remove { table: id })?;
         Ok(true)
+    }
+
+    /// Persist, then apply: the segment replay will read is the record
+    /// the engine is about to take.
+    fn append(&mut self, d3l: &mut D3l, record: DeltaRecord) -> Result<(), StoreError> {
+        self.write_delta(&record)?;
+        d3l.apply_delta(record)
     }
 
     /// Fold the delta segments *this handle has observed* into a
@@ -1513,7 +1474,7 @@ mod tests {
         .unwrap();
         let mut added = base.clone();
         let id = added.add_table(&extra);
-        let record = AddedTable::of(&added, id);
+        let record = added.signed_table(id).unwrap();
         let (mh, rp) = (base.minhasher.sig_shape().0, base.projector.sig_shape().0);
         // Three columns, two of them textual.
         let strides = [mh, mh, mh, rp];
@@ -1564,13 +1525,16 @@ mod tests {
     /// A stored attribute record's flags byte holds five known bits, and
     /// a numeric attribute is neither textual nor embedded: an unknown
     /// bit, or numeric with either, is a typed error in a delta as in a
-    /// base; every other byte decodes to the flags it spells.
+    /// base; every other byte decodes to the flags it spells. Nor is a
+    /// numeric attribute a table's subject: no build makes one so, and
+    /// the subject guard reads a subject's words in all four indexes.
     #[test]
     fn profile_flags_that_are_no_attribute_are_corrupt() {
         let mut d3l = engine();
         let gp = Table::from_rows("local_gps", &["GP"], &[vec!["Blackfriars".into()]]).unwrap();
         let id = d3l.add_table(&gp);
-        let added = AddedTable::of(&d3l, id);
+        let added = d3l.signed_table(id).unwrap();
+        assert_eq!(added.subject, Some(0));
         let bytes = DeltaRecord::AddAt { table: id, added }.to_bytes();
         // The record ends: ... flags | four counted word lists.
         let mut tail = Encoder::new();
@@ -1587,7 +1551,14 @@ mod tests {
             let decoded = DeltaRecord::from_bytes(&bad);
             let numeric = flags & FLAG_NUMERIC != 0;
             let textual = flags & (FLAG_TEXT | FLAG_EMBEDDED) != 0;
-            if flags <= (all | FLAG_NUMERIC) && !(numeric && textual) {
+            if numeric && !textual && flags <= (all | FLAG_NUMERIC) {
+                // The record's one column is its subject.
+                let err = decoded.unwrap_err();
+                assert!(
+                    matches!(&err, StoreError::Corrupt(m) if m.contains("subject column 0")),
+                    "flags {flags}: {err}"
+                );
+            } else if !numeric && flags <= all {
                 let Ok(DeltaRecord::AddAt { added, .. }) = decoded else {
                     panic!("flags {flags}: {decoded:?}");
                 };
@@ -1610,16 +1581,33 @@ mod tests {
             }
         }
         let snapshot = d3l.to_snapshot_bytes();
-        for flags in [
-            FLAG_NUMERIC | FLAG_TEXT,
-            FLAG_NUMERIC | FLAG_EMBEDDED,
-            32 | all,
+        for (flags, what) in [
+            (FLAG_NUMERIC | FLAG_TEXT, "flags"),
+            (FLAG_NUMERIC | FLAG_EMBEDDED, "flags"),
+            (32 | all, "flags"),
+            (FLAG_NUMERIC | FLAG_NAME | FLAG_FORMAT, "subject column 0"),
         ] {
             let bad = with_section(&snapshot, SEC_PROFILES, |mut prof| {
                 *prof.last_mut().unwrap() = flags;
                 prof
             });
-            assert_corrupt(&bad, "flags");
+            assert_corrupt(&bad, what);
+        }
+        // As does a `TABL` row whose subject is one of the table's
+        // numeric columns, or none of its columns: "gp_funding"'s, moved
+        // from "Practice" to "Payment", then past the arity.
+        assert_eq!(d3l.subject_of(TableId(0)).map(|s| s.column), Some(0));
+        for column in [2u8, 3] {
+            let bad = with_section(&snapshot, SEC_TABLES, |mut tabl| {
+                // count | name length, "gp_funding" | arity | flag | column
+                assert_eq!(tabl[12..15], [3, 1, 0]);
+                tabl[14] = column;
+                tabl
+            });
+            assert_corrupt(
+                &bad,
+                &format!("subject column {column} is no text attribute"),
+            );
         }
     }
 
@@ -1716,9 +1704,9 @@ mod tests {
     /// A lake member prepared from the index is the member prepared
     /// from its rows: on every table of the pinned dirty lake — and one
     /// whose text column has no wordlike token, so a zero vector and an
-    /// all-ones `IE` signature — the four signatures of every column
-    /// agree word for word (the numeric fallbacks included) and so does
-    /// the top 10.
+    /// all-ones `IE` signature — the two records are equal (name,
+    /// subject, every column's attribute record and its words in every
+    /// index that covers it) and so is the top 10.
     #[test]
     fn prepare_indexed_equals_prepare_target() {
         let mut lake = dirty_lake(40);
@@ -1738,29 +1726,22 @@ mod tests {
             column: 0,
         });
         assert!(!code.is_numeric && code.has_text && !code.has_embedding);
-        let ones = d3l.stored_signatures(AttrRef {
+        let ones = d3l.stored_signatures_ref(AttrRef {
             table: codes_id,
             column: 0,
         });
-        assert!(ones.embedding.words().iter().all(|&w| w == u64::MAX));
+        assert!(ones.embedding.unwrap().iter().all(|&w| w == u64::MAX));
 
         let engine = ShardedD3l::from_monolith(d3l.clone());
         let (mut numeric, mut textual) = (0, 0);
         for (id, table) in lake.iter() {
-            let from_rows = d3l.prepare_target(table);
-            let from_index = d3l.prepare_indexed(id).unwrap();
-            assert_eq!(from_index.subject, from_rows.subject, "{}", table.name());
-            assert_eq!(from_index.arity(), from_rows.arity());
-            for (col, (a, b)) in from_index.sigs.iter().zip(&from_rows.sigs).enumerate() {
-                let ctx = format!("{} column {col}", table.name());
-                assert_eq!(a.name, b.name, "{ctx}");
-                assert_eq!(a.value, b.value, "{ctx}");
-                assert_eq!(a.format, b.format, "{ctx}");
-                assert_eq!(a.embedding, b.embedding, "{ctx}");
-                let (pa, pb) = (&from_index.profiles[col], &from_rows.profiles[col]);
-                assert_eq!(pa, pb, "{ctx}");
-                numeric += pa.is_numeric as usize;
-                textual += !pa.is_numeric as usize;
+            let from_rows = engine.prepare_target(table);
+            let from_index = engine.prepare_indexed(id).unwrap();
+            assert_eq!(from_index, from_rows, "{}", table.name());
+            assert_eq!(from_index.arity(), table.arity());
+            for attr in &from_index.attrs {
+                numeric += attr.is_numeric as usize;
+                textual += !attr.is_numeric as usize;
             }
             let opts = crate::query::QueryOptions {
                 exclude: Some(id),

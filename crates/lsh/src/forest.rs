@@ -918,12 +918,13 @@ impl<S: Signature> LshForest<S> {
     /// ([`LshForest::commit`]); taking `&self` keeps the forest
     /// shareable lock-free across query workers.
     pub fn query(&self, sig: &S, k: usize) -> Vec<Hit> {
-        query_union(&[self], sig, k)
+        query_union(&[self], sig.words(), sig.meta(), k)
     }
 
     /// Stored signature of an item, rebuilt from its class's arena
-    /// words. Cold paths only (shard splitting, signature lookup) —
-    /// the scoring paths read arena words in place via
+    /// words. Cold paths only — the scoring paths, and everything
+    /// that moves a signature between forests, read arena words in
+    /// place via
     /// [`LshForest::signature_words`].
     pub fn signature(&self, id: ItemId) -> Option<S> {
         self.signature_words(id)
@@ -1019,10 +1020,11 @@ fn select_smallest_ids<S>(
     shares
 }
 
-/// Top-`k` most similar items to `sig` over the disjoint union of
-/// several forests — the one forest descent: [`LshForest::query`] is
-/// the single-forest case and a sharded index passes one forest per
-/// shard.
+/// Top-`k` most similar items to a signature — given as its words and
+/// shape metadata, the way an arena or a signed table holds it — over
+/// the disjoint union of several forests: the one forest descent.
+/// [`LshForest::query`] is the single-forest case over a typed
+/// signature and a sharded index passes one forest per shard.
 ///
 /// Descends every tree from the full depth, widening the prefix until
 /// the gathered classes hold at least `k` items between them (or depth
@@ -1049,7 +1051,12 @@ fn select_smallest_ids<S>(
 /// partition-independent: the descent could stop at a different depth
 /// per forest, and the fallback would select ids against per-forest
 /// counts.
-pub fn query_union<S: Signature>(forests: &[&LshForest<S>], sig: &S, k: usize) -> Vec<Hit> {
+pub fn query_union<S: Signature>(
+    forests: &[&LshForest<S>],
+    words: &[u64],
+    meta: u64,
+    k: usize,
+) -> Vec<Hit> {
     assert!(!forests.is_empty(), "need at least one forest");
     let (l, depth_k) = forests[0].shape();
     for f in forests {
@@ -1062,7 +1069,7 @@ pub fn query_union<S: Signature>(forests: &[&LshForest<S>], sig: &S, k: usize) -
     }
     // Labels depend only on the shape and the query signature — any
     // forest computes the same ones.
-    let labels = forests[0].labels_of(sig.words(), sig.meta());
+    let labels = forests[0].labels_of(words, meta);
     let mut gathered = Gathered::default();
     // Synchronous descent across every forest's trees, deepest first:
     // one full-depth binary search per (forest, tree) seeds a cursor,
@@ -1111,7 +1118,8 @@ pub fn query_union<S: Signature>(forests: &[&LshForest<S>], sig: &S, k: usize) -
         .chain(shares)
         .map(|(fi, slot, len)| {
             let f = forests[fi as usize];
-            let similarity = sig.similarity_words(f.arena().slot(slot), f.sig_meta);
+            debug_assert_eq!(f.sig_meta, meta, "signature shape mismatch");
+            let similarity = S::similarity_words(words, f.arena().slot(slot), meta);
             // Ascending ids at one similarity: no more than the first
             // `k` of a run can make the cut.
             (similarity, &f.postings[slot as usize][..len.min(k)])
@@ -1625,7 +1633,7 @@ mod tests {
             for q in &queries {
                 for k in [0usize, 1, 3, 5, 8, 29, 41, 60] {
                     assert_eq!(
-                        query_union(&refs, q, k),
+                        query_union(&refs, q.words(), q.meta(), k),
                         monolith.query(q, k),
                         "shards={shards} k={k}"
                     );
@@ -1645,8 +1653,11 @@ mod tests {
         let mut empty = LshForest::new(128, 8);
         empty.commit();
         let q = sign(&mh, &tokens("e", 5..25));
-        assert_eq!(query_union(&[&empty, &a, &empty], &q, 5), a.query(&q, 5));
-        assert!(query_union(&[&empty, &empty], &q, 5).is_empty());
+        assert_eq!(
+            query_union(&[&empty, &a, &empty], q.words(), q.meta(), 5),
+            a.query(&q, 5)
+        );
+        assert!(query_union(&[&empty, &empty], q.words(), q.meta(), 5).is_empty());
     }
 
     #[test]
@@ -1734,7 +1745,7 @@ mod tests {
                 .filter(|item| candidates.contains(&item.0))
                 .map(|(id, s)| Hit {
                     id: *id,
-                    similarity: q.similarity_words(s.words(), s.meta()),
+                    similarity: S::similarity_words(q.words(), s.words(), s.meta()),
                 })
                 .collect();
             hits.sort_by(|a, b| {

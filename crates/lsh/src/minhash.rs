@@ -93,26 +93,27 @@ impl MinHashSignature {
     /// the same [`MinHasher`]).
     pub fn jaccard(&self, other: &MinHashSignature) -> f64 {
         assert_eq!(self.len, other.len, "signature length mismatch");
-        self.jaccard_words(&other.words)
+        Self::jaccard_words(&self.words, &other.words, self.len)
     }
 
-    /// [`MinHashSignature::jaccard`] against a signature given as its
-    /// packed words — the forest's flat signature arena scores
-    /// candidates through this without materializing a signature per
-    /// slot.
-    pub fn jaccard_words(&self, other: &[u64]) -> f64 {
-        assert_eq!(self.words.len(), other.len(), "signature length mismatch");
-        if self.len == 0 {
+    /// [`MinHashSignature::jaccard`] of two signatures of `len`
+    /// positions given as their packed words — the forest's flat
+    /// signature arena scores candidates through this without
+    /// materializing a signature on either side.
+    pub fn jaccard_words(a: &[u64], b: &[u64], len: usize) -> f64 {
+        debug_assert_eq!(a.len(), len.div_ceil(2), "two positions to a word");
+        assert_eq!(a.len(), b.len(), "signature length mismatch");
+        if len == 0 {
             return 0.0;
         }
         // Words whose halves are both positions; an odd count leaves
         // one more word whose high half is padding and is not counted.
-        let full = self.len / 2;
-        let mut agree = agreement_count(&self.words[..full], &other[..full]);
-        if self.len % 2 == 1 {
-            agree += usize::from(self.words[full] as u32 == other[full] as u32);
+        let full = len / 2;
+        let mut agree = agreement_count(&a[..full], &b[..full]);
+        if len % 2 == 1 {
+            agree += usize::from(a[full] as u32 == b[full] as u32);
         }
-        agree as f64 / self.len as f64
+        agree as f64 / len as f64
     }
 
     /// The packed words (flat-storage layout).
@@ -501,13 +502,17 @@ mod tests {
                 if let Some((before, before_oracle)) = &previous {
                     let agree = agreement_count_u64(&oracle, before_oracle);
                     agreeing_pairs += usize::from(agree > 0 && agree < num_perm);
-                    let estimate = packed.jaccard_words(before.words());
+                    let estimate =
+                        MinHashSignature::jaccard_words(packed.words(), before.words(), num_perm);
                     assert_eq!(estimate, agree as f64 / num_perm as f64, "@{num_perm}");
                     // Whatever the padding holds, it is not a position.
                     if num_perm % 2 == 1 {
                         let mut stained = before.words().to_vec();
                         *stained.last_mut().unwrap() |= 0xdead_beef << 32;
-                        assert_eq!(packed.jaccard_words(&stained), estimate);
+                        assert_eq!(
+                            MinHashSignature::jaccard_words(packed.words(), &stained, num_perm),
+                            estimate
+                        );
                     }
                 }
                 previous = Some((packed, oracle));

@@ -63,20 +63,21 @@ impl BitSignature {
     /// the unit interval, so negative cosine is treated as unrelated).
     pub fn cosine(&self, other: &BitSignature) -> f64 {
         assert_eq!(self.nbits, other.nbits, "signature length mismatch");
-        self.cosine_words(&other.bits)
+        Self::cosine_words(&self.bits, &other.bits, self.nbits)
     }
 
-    /// [`BitSignature::cosine`] against a signature given as its raw
-    /// packed words (same bit count) — the forest's flat signature
-    /// arena scores candidates through this without materializing a
-    /// signature per slot.
-    pub fn cosine_words(&self, other: &[u64]) -> f64 {
-        assert_eq!(self.bits.len(), other.len(), "signature length mismatch");
-        if self.nbits == 0 {
+    /// [`BitSignature::cosine`] of two signatures of `nbits` bits given
+    /// as their raw packed words — the forest's flat signature arena
+    /// scores candidates through this without materializing a
+    /// signature on either side.
+    pub fn cosine_words(a: &[u64], b: &[u64], nbits: usize) -> f64 {
+        debug_assert_eq!(a.len(), nbits.div_ceil(64), "64 bits to a word");
+        assert_eq!(a.len(), b.len(), "signature length mismatch");
+        if nbits == 0 {
             return 0.0;
         }
-        let h = crate::kernels::hamming_words(&self.bits, other);
-        let frac = h as f64 / self.nbits as f64;
+        let h = crate::kernels::hamming_words(a, b);
+        let frac = h as f64 / nbits as f64;
         (std::f64::consts::PI * frac).cos().max(0.0)
     }
 

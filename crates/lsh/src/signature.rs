@@ -23,11 +23,10 @@ pub trait Signature: Clone {
     /// slots are written by [`Signature::words`], so a mismatch is a
     /// caller bug, not data-dependent.
     fn from_words(words: Vec<u64>, meta: u64) -> Self;
-    /// Estimated similarity (Jaccard or cosine) with a stored
-    /// signature of the same provenance, given as its raw arena words
-    /// — bit-identical to materializing the stored signature first,
-    /// without the copy.
-    fn similarity_words(&self, words: &[u64], meta: u64) -> f64;
+    /// Estimated similarity (Jaccard or cosine) of two signatures of
+    /// one provenance, both given as their raw arena words —
+    /// bit-identical to materializing either first, without the copy.
+    fn similarity_words(a: &[u64], b: &[u64], meta: u64) -> f64;
     /// Whether a signature of `words` words can carry `meta` — what
     /// [`Signature::from_words`] would panic on. Shapes read from a
     /// store file are checked with this before anything is rebuilt.
@@ -50,9 +49,8 @@ impl Signature for MinHashSignature {
     fn from_words(words: Vec<u64>, meta: u64) -> Self {
         MinHashSignature::from_packed(words, meta as usize)
     }
-    fn similarity_words(&self, words: &[u64], meta: u64) -> f64 {
-        debug_assert_eq!(meta as usize, self.len(), "signature length mismatch");
-        self.jaccard_words(words)
+    fn similarity_words(a: &[u64], b: &[u64], meta: u64) -> f64 {
+        MinHashSignature::jaccard_words(a, b, meta as usize)
     }
     fn shape_is_valid(words: usize, meta: u64) -> bool {
         meta.div_ceil(2) == words as u64
@@ -76,9 +74,8 @@ impl Signature for BitSignature {
         BitSignature::from_words(words, meta as usize)
             .expect("arena word count matches the stored bit count")
     }
-    fn similarity_words(&self, words: &[u64], meta: u64) -> f64 {
-        debug_assert_eq!(meta as usize, self.len(), "signature length mismatch");
-        self.cosine_words(words)
+    fn similarity_words(a: &[u64], b: &[u64], meta: u64) -> f64 {
+        BitSignature::cosine_words(a, b, meta as usize)
     }
     fn shape_is_valid(words: usize, meta: u64) -> bool {
         meta.div_ceil(64) == words as u64

@@ -2,8 +2,8 @@
 //! dependency-free `std::net` client — the end-to-end shape of
 //! `d3l serve`, in-process:
 //!
-//! 1. index a small lake and persist it as an `IndexStore`;
-//! 2. cold-start an [`EngineHandle`] and bind the server on an
+//! 1. index a small lake;
+//! 2. persist it under an [`EngineHandle`] and bind the server on an
 //!    ephemeral port with a fixed worker pool;
 //! 3. query over a real socket, hot-add a table (persisted + swapped
 //!    before the 2xx — read-your-writes), query again, inspect
@@ -34,13 +34,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &["Planet", "Moons"],
         &[vec!["Saturn".into(), "146".into()]],
     )?)?;
-    let d3l = D3l::index_lake(&lake, D3lConfig::fast());
+    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
     let dir = std::env::temp_dir().join(format!("d3l_http_example_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let store = IndexStore::create(&dir, &d3l)?;
 
     // ---- serve it ----------------------------------------------------
-    let engine = Arc::new(EngineHandle::new(store, d3l));
+    let engine = Arc::new(EngineHandle::create(&dir, d3l)?);
     let server = Server::bind(
         ("127.0.0.1", 0),
         engine,

@@ -932,12 +932,14 @@ fn dirty_lake_probe_rankings_are_pinned() {
 }
 
 /// There is one build path: streaming a lake directory, indexing the
-/// loaded lake, and adding its tables one by one to an empty store and
+/// loaded lake, feeding empty shards the records read back from a built
+/// engine, and adding the tables one by one to an empty store and
 /// compacting all leave the same snapshot bytes in every shard, at
 /// index threads {1, 2, 8} × shards {1, 2}.
 #[test]
 fn every_build_path_writes_the_same_bytes() {
     use d3l::core::hotswap::EngineHandle;
+    use d3l::core::DeltaRecord;
 
     let root = std::env::temp_dir().join(format!("d3l_build_paths_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -970,6 +972,24 @@ fn every_build_path_writes_the_same_bytes() {
             assert!(
                 shard_bytes(&streamed) == from_lake,
                 "streamed directory build differs {ctx}"
+            );
+
+            // A table read back from an index is the table as it went
+            // in: every record of the built engine, in id order, applied
+            // to the shard that owns it.
+            let mut fed: Vec<D3l> = (0..shards)
+                .map(|_| D3l::index_lake(&DataLake::new(), cfg.clone()))
+                .collect();
+            for t in 0..streamed.table_count() {
+                let table = TableId(t as u32);
+                let added = streamed.prepare_indexed(table).unwrap();
+                fed[streamed.owner_of(table).unwrap()]
+                    .apply_delta(DeltaRecord::AddAt { table, added })
+                    .unwrap();
+            }
+            assert!(
+                shard_bytes(&ShardedD3l::from_shards(fed)) == from_lake,
+                "engine fed read-back records differs {ctx}"
             );
 
             let store_dir = root.join(format!("store_{index_threads}_{shards}"));
@@ -1016,7 +1036,10 @@ fn watch_churn_replay_is_deterministic() {
         std::fs::create_dir_all(&lake_dir).unwrap();
         let empty = D3l::index_lake(&DataLake::new(), D3lConfig::fast());
         let store = IndexStore::create(&index_dir, &empty).unwrap();
-        let engine = Arc::new(d3l::core::EngineHandle::new(store, empty));
+        let engine = Arc::new(d3l::core::EngineHandle::new_sharded(
+            vec![store],
+            ShardedD3l::from_monolith(empty),
+        ));
         let cfg = WatchConfig::default();
         let mut ing =
             Ingestor::new(engine.clone(), &lake_dir, cfg, Arc::new(WatchStats::new())).unwrap();

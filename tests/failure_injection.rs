@@ -388,6 +388,62 @@ fn zero_length_delta_segment_is_a_named_corrupt_segment() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A write that fails leaves the engine where it was: with the next
+/// segment's name already taken, `append_add` and `append_remove` return
+/// the no-clobber error and the caller's engine is byte for byte what it
+/// was before the call — the segment is written before the engine is
+/// touched. (The add indexed first and read its words back to build the
+/// segment, the remove tombstoned first: after the error the engine held
+/// an operation no segment recorded.) Once the obstruction is gone the
+/// same calls succeed, and a cold start reproduces a rebuild's bytes.
+#[test]
+fn failed_append_leaves_the_engine_where_it_was() {
+    let dir = std::env::temp_dir().join(format!("d3l_fi_planted_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut d3l = snapshot_engine();
+    let mut store = IndexStore::create(&dir, &d3l).unwrap();
+    let extra = Table::from_rows(
+        "late",
+        &["GP", "Payment"],
+        &[vec!["Blackfriars".into(), "15530".into()]],
+    )
+    .unwrap();
+    let refused = |result: Result<(), StoreError>, d3l: &D3l, before: &[u8]| {
+        let err = result.unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corrupt(m) if m.contains("another writer")),
+            "{err}"
+        );
+        assert!(d3l.to_snapshot_bytes() == before, "engine moved on {err}");
+    };
+
+    let planted = dir.join("delta-000001.d3ld");
+    std::fs::write(&planted, b"someone else's segment").unwrap();
+    let before = d3l.to_snapshot_bytes();
+    let added = store.append_add(&mut d3l, &extra).map(|_| ());
+    refused(added, &d3l, &before);
+    assert_eq!(store.delta_count().unwrap(), 1, "only the planted file");
+    std::fs::remove_file(&planted).unwrap();
+    let id = store.append_add(&mut d3l, &extra).unwrap();
+
+    let planted = dir.join("delta-000002.d3ld");
+    std::fs::write(&planted, b"someone else's segment").unwrap();
+    let before = d3l.to_snapshot_bytes();
+    let removed = store.append_remove(&mut d3l, TableId(0)).map(|_| ());
+    refused(removed, &d3l, &before);
+    assert!(!d3l.is_removed(TableId(0)));
+    std::fs::remove_file(&planted).unwrap();
+    assert!(store.append_remove(&mut d3l, TableId(0)).unwrap());
+
+    let mut rebuilt = snapshot_engine();
+    assert_eq!(rebuilt.add_table(&extra), id);
+    assert!(rebuilt.remove_table(TableId(0)));
+    let (_, reopened) = IndexStore::open(&dir).unwrap();
+    assert!(reopened.to_snapshot_bytes() == rebuilt.to_snapshot_bytes());
+    assert!(d3l.to_snapshot_bytes() == rebuilt.to_snapshot_bytes());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---- tmp-file sweeping vs. concurrent external writers --------------
 
 #[test]
@@ -495,7 +551,10 @@ fn watcher_killed_before_compaction_matches_a_from_scratch_rebuild() {
     let watch_index = root.join("watch_index");
     let empty = D3l::index_lake(&DataLake::new(), D3lConfig::fast());
     let store = IndexStore::create(&watch_index, &empty).unwrap();
-    let engine = std::sync::Arc::new(EngineHandle::new(store, empty));
+    let engine = std::sync::Arc::new(EngineHandle::new_sharded(
+        vec![store],
+        ShardedD3l::from_monolith(empty),
+    ));
     let cfg = WatchConfig::default();
     let mut ingestor = Ingestor::new(
         engine.clone(),

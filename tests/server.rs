@@ -109,7 +109,10 @@ fn boot_cfg(tag: &str, lake: &DataLake, cfg: ServerConfig) -> TestServer {
     let _ = std::fs::remove_dir_all(&dir);
     let d3l = D3l::index_lake(lake, D3lConfig::fast());
     let store = IndexStore::create(&dir, &d3l).unwrap();
-    let engine = Arc::new(EngineHandle::new(store, d3l));
+    let engine = Arc::new(EngineHandle::new_sharded(
+        vec![store],
+        ShardedD3l::from_monolith(d3l),
+    ));
     let server = Server::bind(("127.0.0.1", 0), engine.clone(), cfg).unwrap();
     let addr = server.local_addr().unwrap();
     let handle = server.shutdown_handle();
@@ -1389,7 +1392,10 @@ fn stats_and_metrics_expose_watcher_state() {
     std::fs::create_dir_all(&lake_dir).unwrap();
     let d3l = D3l::index_lake(&lake(2), D3lConfig::fast());
     let store = IndexStore::create(&index_dir, &d3l).unwrap();
-    let engine = Arc::new(EngineHandle::new(store, d3l));
+    let engine = Arc::new(EngineHandle::new_sharded(
+        vec![store],
+        ShardedD3l::from_monolith(d3l),
+    ));
 
     let server = Server::bind(
         ("127.0.0.1", 0),

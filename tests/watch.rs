@@ -33,7 +33,10 @@ impl Fixture {
         let store = IndexStore::create(&index_dir, &d3l).unwrap();
         Fixture {
             lake_dir,
-            engine: Arc::new(EngineHandle::new(store, d3l)),
+            engine: Arc::new(EngineHandle::new_sharded(
+                vec![store],
+                ShardedD3l::from_monolith(d3l),
+            )),
         }
     }
 
