@@ -672,7 +672,7 @@ impl D3l {
     }
 
     /// Total byte footprint of the four indexes (Table II accounting:
-    /// signatures + tree labels + postings).
+    /// signatures + tree entries + postings).
     pub fn index_byte_size(&self) -> usize {
         self.i_n.byte_size() + self.i_v.byte_size() + self.i_f.byte_size() + self.i_e.byte_size()
     }
@@ -779,7 +779,8 @@ impl ClassStats {
 /// Byte footprint of one LSH forest, split by component.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexFootprint {
-    /// Sorted per-tree `(label, class)` arrays.
+    /// The trees: per tree, one 8-byte entry per class — the first four
+    /// bytes of its label and its arena slot — so `8 × trees × classes`.
     pub tree_bytes: usize,
     /// Stored full signatures, one per class (similarity refinement at
     /// query time).
@@ -998,9 +999,17 @@ mod tests {
         assert_eq!(fp.i_e.total(), e);
         assert!(fp.profile_bytes > 0, "names and numeric extents are kept");
         assert_eq!(fp.total(), d3l.index_byte_size() + fp.profile_bytes);
+        // A tree entry is a 4-byte key and a 4-byte class slot, one
+        // per class in each of the `trees` trees.
+        let trees = D3lConfig::fast().trees;
+        let tree_bytes = |fp: &MemoryFootprint, stats: [ClassStats; 4]| {
+            for ((name, idx), stats) in fp.indexes().into_iter().zip(stats) {
+                assert_eq!(idx.tree_bytes, 8 * trees * stats.classes, "{name}");
+            }
+        };
+        tree_bytes(&fp, d3l.class_stats());
         for (name, idx) in fp.indexes() {
             assert!(!name.is_empty());
-            assert!(idx.tree_bytes > 0, "{name} has tree labels");
             assert!(idx.signature_bytes > 0, "{name} stores signatures");
             assert!(idx.posting_bytes > 0, "{name} holds postings");
             assert_eq!(
@@ -1016,6 +1025,7 @@ mod tests {
         let parts = sharded.shard_byte_sizes();
         let sum = MemoryFootprint::sum(&parts);
         assert_eq!(sum, sharded.byte_size());
+        tree_bytes(&sum, sharded.class_stats());
         for (i, (_, idx)) in sum.indexes().iter().enumerate() {
             let of = |fp: &MemoryFootprint| fp.indexes()[i].1;
             assert_eq!(

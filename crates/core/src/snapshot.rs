@@ -18,8 +18,9 @@
 //! signature arena, one signature per class, and its tree orders over
 //! those classes — all four through one codec (`d3l-lsh`'s `store`
 //! module). Derived at open: the hashers (from the config's seed) and
-//! every tree label (from the arenas), against which the stored tree
-//! orders are checked. Never written: an attribute's token sets (since
+//! every tree entry's key, the first four bytes of its label (from the
+//! arenas); the stored tree orders are checked against the labels.
+//! Never written: an attribute's token sets (since
 //! format 7) or its embedding vector (since format 5). Algorithm 1
 //! builds them to be hashed into the indexes; once the four signatures
 //! exist nothing reads them (`profile` module), so an open signs
@@ -1231,9 +1232,9 @@ mod tests {
 
     /// The same-run gate (CI runs it in release): opening the store of
     /// the 400-table pinned dirty lake — reading, checksumming and
-    /// checking four forests, regenerating their tree labels — takes
+    /// checking four forests, regenerating their tree keys — takes
     /// less time than profiling, signing and sorting the lake again,
-    /// without which a store would be pointless (measured: 8.0×).
+    /// without which a store would be pointless (measured: 10.6×).
     #[test]
     #[ignore = "timing: cargo test --release -p d3l-core open_beats_rebuild -- --ignored"]
     fn open_beats_rebuild() {

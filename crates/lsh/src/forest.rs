@@ -11,8 +11,8 @@
 //! formats and — in a clean lake — their values, so most attributes
 //! carry a signature some other attribute already carries. The forest
 //! therefore indexes each *distinct signature* once: an arena slot is
-//! a **class** (one signature's words), every tree holds one
-//! `(label, slot)` entry per class, and a class keeps the id-sorted
+//! a **class** (one signature's words), every tree holds one entry
+//! per class, and a class keeps the id-sorted
 //! **posting list** of the items that carry its signature. An id → slot
 //! map answers point lookups; a content map (hash of the words → slot,
 //! equality by comparing the words, never by the hash alone) finds the
@@ -22,16 +22,25 @@
 //! first member and dies with its last: its `l` entries leave the
 //! trees and the last slot fills the hole.
 //!
-//! **Canonical order.** Each tree is a `FlatTree` — a contiguous
-//! label arena (`Vec<u8>`, fixed `k`-byte stride) beside a `Vec<u32>`
-//! of slots — and a committed tree is sorted by `(label, signature
-//! words)`: a total order over classes (no two hold the same words)
-//! that does not mention slot numbers, members, or the order anything
-//! was inserted or removed in. So the committed forest, and every byte
-//! the store writes of it, is a function of *which item carries which
-//! signature* alone — the same for every insertion order, worker count
-//! and thread count. Forest equality (`PartialEq`) compares exactly
-//! that content.
+//! **Canonical order.** Each tree is a `FlatTree` — two parallel
+//! `Vec<u32>`s, an 8-byte entry per class: the first four bytes of its
+//! label (the *key*) and its slot — and a committed tree is sorted by
+//! `(label, signature words)`: a total order over classes (no two hold
+//! the same words) that does not mention slot numbers, members, or the
+//! order anything was inserted or removed in. So the committed forest,
+//! and every byte the store writes of it, is a function of *which item
+//! carries which signature* alone — the same for every insertion order,
+//! worker count and thread count. Forest equality (`PartialEq`)
+//! compares exactly that content.
+//!
+//! **A label is read, not kept, past its key.** A label is a pure
+//! function of the class's words (`write_labels`), so a tree keeps only
+//! what its searches touch most: entries compare by key, and only two
+//! entries whose keys are equal read the rest of their labels — and
+//! then their words — from the arena. A binary search walks the key
+//! array alone until it meets the query's key, and a descent reads the
+//! arena once per entry whose key is the query's — an entry in or
+//! beside the run it gathers, scored from that same slot anyway.
 //!
 //! **Why the query's stop counts members.** A label is a function of
 //! the signature, so an item is in a tree's prefix run iff its class
@@ -53,27 +62,49 @@
 //! forest per worker and joins them with [`LshForest::append`], which
 //! merges classes by content.
 
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
+use std::ops::Range;
 
 use crate::hash::{IdHashMap, IdHashSet};
 use crate::signature::Signature;
 use crate::{top_k, Hit, ItemId};
 
-/// Longest label [`FlatTree::sort`] reads as one integer key.
+/// Label bytes a tree entry keeps beside its slot: a `u32` key next to
+/// a `u32` slot is an aligned 8-byte entry.
+const KEPT: usize = 4;
+
+/// Label bytes [`FlatTree::sort`] reads into one integer sort key.
 const KEY_BYTES: usize = 16;
 
 /// The class arena as a tree sees it: slot `s` holds the words
-/// `words[s*stride .. (s+1)*stride]`. Trees order equal labels by
-/// these words, so every comparison a tree makes goes through one.
-#[derive(Clone, Copy)]
-pub(crate) struct Arena<'a> {
+/// `words[s*stride .. (s+1)*stride]` of a signature of shape `meta`.
+/// A tree reads a class's label bytes past its key, and orders equal
+/// labels by these words, so every comparison that looks past a key
+/// goes through one.
+pub(crate) struct Arena<'a, S> {
     words: &'a [u64],
     stride: usize,
+    meta: u64,
+    _sig: std::marker::PhantomData<fn() -> S>,
 }
 
-impl<'a> Arena<'a> {
-    pub(crate) fn new(words: &'a [u64], stride: usize) -> Self {
-        Arena { words, stride }
+impl<S> Clone for Arena<'_, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S> Copy for Arena<'_, S> {}
+
+impl<'a, S> Arena<'a, S> {
+    pub(crate) fn new(words: &'a [u64], stride: usize, meta: u64) -> Self {
+        Arena {
+            words,
+            stride,
+            meta,
+            _sig: std::marker::PhantomData,
+        }
     }
 
     #[inline]
@@ -83,17 +114,89 @@ impl<'a> Arena<'a> {
     }
 }
 
-/// One tree's `(label, slot)` entries in cache-flat form: entry `i`'s
-/// label occupies `labels[i*k .. (i+1)*k]` and names the class in
-/// arena slot `slots[i]`. Sorted order is lexicographic on `(label,
-/// the class's signature words)`.
+impl<S: Signature> Arena<'_, S> {
+    /// The key of class `s`'s label at positions `first..first + k`.
+    #[inline]
+    pub(crate) fn key(self, s: u32, first: usize, k: usize) -> u32 {
+        let words = self.slot(s);
+        let mut be = [0u8; KEPT];
+        for (i, b) in be.iter_mut().enumerate().take(k) {
+            *b = label_byte::<S>(words, self.meta, first + i);
+        }
+        u32::from_be_bytes(be)
+    }
+
+    /// How class `a` orders against class `b` when their labels agree
+    /// before `positions`: by the label bytes there, then by words.
+    fn cmp_from(self, a: u32, b: u32, positions: Range<usize>) -> Ordering {
+        let (wa, wb) = (self.slot(a), self.slot(b));
+        let byte = |w, pos| label_byte::<S>(w, self.meta, pos);
+        positions
+            .map(|pos| byte(wa, pos).cmp(&byte(wb, pos)))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| wa.cmp(wb))
+    }
+
+    /// How class `s`'s label bytes at `positions` order against
+    /// `bytes`.
+    fn cmp_label(self, s: u32, positions: Range<usize>, bytes: &[u8]) -> Ordering {
+        let words = self.slot(s);
+        let own = positions.map(|pos| label_byte::<S>(words, self.meta, pos));
+        own.cmp(bytes.iter().copied())
+    }
+}
+
+/// The key of a label: its first [`KEPT`] bytes, big-endian — whose
+/// order is the bytes' order — and zero past its end.
+fn key_of(label: &[u8]) -> u32 {
+    let mut be = [0u8; KEPT];
+    let n = label.len().min(KEPT);
+    be[..n].copy_from_slice(&label[..n]);
+    u32::from_be_bytes(be)
+}
+
+/// First index of `lo..hi` that is not `below` (indices that are must
+/// precede those that are not — the `slice::partition_point` contract,
+/// over entry indices).
+fn search(Range { mut start, mut end }: Range<usize>, below: impl Fn(usize) -> bool) -> usize {
+    while start < end {
+        let mid = start + (end - start) / 2;
+        if below(mid) {
+            start = mid + 1;
+        } else {
+            end = mid;
+        }
+    }
+    start
+}
+
+/// Where a query descent is in one tree: the run `[lo, hi)` of entries
+/// whose labels share the query's prefix at the current depth, and how
+/// many leading label bytes the entries just outside it — `lo - 1` and
+/// `hi` — share with the query's label (0 where there is no entry).
+#[derive(Clone, Copy)]
+struct Cursor {
+    lo: usize,
+    hi: usize,
+    below: usize,
+    above: usize,
+}
+
+/// One tree's `(key, slot)` entries in cache-flat form: entry `i` names
+/// the class in arena slot `slots[i]`, whose label — positions
+/// `first..first + k` of its signature — begins with the bytes of
+/// `keys[i]`. Sorted order is lexicographic on `(label, the class's
+/// signature words)`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FlatTree {
-    /// Label stride in bytes (the tree depth).
+    /// First signature position of this tree's labels.
+    first: usize,
+    /// Label length in bytes (the tree depth).
     k: usize,
-    /// Concatenated fixed-stride labels.
-    labels: Vec<u8>,
-    /// Class slots, parallel to the label arena.
+    /// Each entry's key: its label's first [`KEPT`] bytes.
+    keys: Vec<u32>,
+    /// Class slots, parallel to the keys.
     slots: Vec<u32>,
     /// Entries `[0, sorted_len)` are known to be in order: what
     /// [`FlatTree::sort`] left, less what was removed since. Pushes
@@ -103,9 +206,10 @@ pub(crate) struct FlatTree {
 }
 
 impl FlatTree {
-    /// An empty tree with label stride `k`.
-    pub(crate) fn new(k: usize) -> Self {
+    /// An empty tree over label positions `first..first + k`.
+    pub(crate) fn new(first: usize, k: usize) -> Self {
         FlatTree {
+            first,
             k,
             ..FlatTree::default()
         }
@@ -113,12 +217,18 @@ impl FlatTree {
 
     /// A tree over already-laid-out arrays (the snapshot decoder's
     /// constructor), its sorted prefix found by one scan. Panics
-    /// unless there is one `k`-byte label per slot.
-    pub(crate) fn from_parts(k: usize, labels: Vec<u8>, slots: Vec<u32>, arena: Arena<'_>) -> Self {
-        assert_eq!(labels.len(), slots.len() * k, "one k-byte label per slot");
+    /// unless there is one key per slot.
+    pub(crate) fn from_parts<S: Signature>(
+        (first, k): (usize, usize),
+        keys: Vec<u32>,
+        slots: Vec<u32>,
+        arena: Arena<'_, S>,
+    ) -> Self {
+        assert_eq!(keys.len(), slots.len(), "one key per slot");
         let mut tree = FlatTree {
+            first,
             k,
-            labels,
+            keys,
             slots,
             sorted_len: 0,
         };
@@ -135,12 +245,6 @@ impl FlatTree {
         self.slots.len()
     }
 
-    /// Entry `i`'s label.
-    #[inline]
-    pub(crate) fn label_at(&self, i: usize) -> &[u8] {
-        &self.labels[i * self.k..(i + 1) * self.k]
-    }
-
     /// All class slots in entry order — prefix ranges slice this
     /// directly.
     #[inline]
@@ -148,17 +252,34 @@ impl FlatTree {
         &self.slots
     }
 
-    /// Append an entry whose label bytes `fill` writes straight into
-    /// the arena (it must append exactly `k` bytes).
-    fn push_with(&mut self, slot: u32, fill: impl FnOnce(&mut Vec<u8>)) {
-        let before = self.labels.len();
-        fill(&mut self.labels);
-        debug_assert_eq!(
-            self.labels.len(),
-            before + self.k,
-            "label fill must write exactly the stride"
-        );
+    /// Each entry's key, in entry order.
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> &[u32] {
+        &self.keys
+    }
+
+    /// Label positions past the key.
+    #[inline]
+    fn tail(&self) -> Range<usize> {
+        self.first + KEPT.min(self.k)..self.first + self.k
+    }
+
+    /// Append the entry of class `slot`, its key read from the arena.
+    fn push<S: Signature>(&mut self, slot: u32, arena: Arena<'_, S>) {
+        self.keys.push(arena.key(slot, self.first, self.k));
         self.slots.push(slot);
+    }
+
+    /// How entry `i` orders against class `slot`, whose key is `key`.
+    #[inline]
+    fn cmp_entry<S: Signature>(
+        &self,
+        i: usize,
+        (key, slot): (u32, u32),
+        arena: Arena<'_, S>,
+    ) -> Ordering {
+        let by_key = self.keys[i].cmp(&key);
+        by_key.then_with(|| arena.cmp_from(self.slots[i], slot, self.tail()))
     }
 
     /// Sort entries by `(label, signature words)`. A tree holds one
@@ -171,19 +292,15 @@ impl FlatTree {
     /// found by binary search and the prefix entries above it moved up
     /// as one block — a commit after one table's inserts costs a few
     /// searches and block moves, not a sort of the tree.
-    fn sort(&mut self, arena: Arena<'_>) {
-        let (n, k, prefix) = (self.len(), self.k, self.sorted_len);
+    fn sort<S: Signature>(&mut self, arena: Arena<'_, S>) {
+        let (n, prefix) = (self.len(), self.sorted_len);
         if prefix == n {
             return;
         }
-        let (tail_labels, tail_slots) = if k <= KEY_BYTES {
-            self.sorted_tail_by_key(arena)
-        } else {
-            self.sorted_tail_by_slice(arena)
-        };
+        let (tail_keys, tail_slots) = self.sorted_tail(arena);
         self.sorted_len = n;
         if prefix == 0 {
-            self.labels = tail_labels;
+            self.keys = tail_keys;
             self.slots = tail_slots;
             return;
         }
@@ -191,90 +308,65 @@ impl FlatTree {
         // entry `j` ends up `j + 1` places above the last prefix entry
         // below it.
         let mut end = prefix;
-        for (j, &slot) in tail_slots.iter().enumerate().rev() {
-            let label = &tail_labels[j * k..(j + 1) * k];
-            let lo = self.lower_bound(end, label, arena.slot(slot), arena);
+        for (j, entry) in tail_keys.into_iter().zip(tail_slots).enumerate().rev() {
+            let lo = search(0..end, |i| self.cmp_entry(i, entry, arena).is_lt());
+            self.keys.copy_within(lo..end, lo + j + 1);
             self.slots.copy_within(lo..end, lo + j + 1);
-            self.labels.copy_within(lo * k..end * k, (lo + j + 1) * k);
-            self.slots[lo + j] = slot;
-            self.labels[(lo + j) * k..(lo + j + 1) * k].copy_from_slice(label);
+            (self.keys[lo + j], self.slots[lo + j]) = entry;
             end = lo;
         }
     }
 
-    /// First of the entries `[0, end)` — which must be in order — that
-    /// does not sort below `(label, words)`.
-    fn lower_bound(&self, end: usize, label: &[u8], words: &[u64], arena: Arena<'_>) -> usize {
-        let (mut lo, mut hi) = (0usize, end);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if (self.label_at(mid), arena.slot(self.slots[mid])) < (label, words) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// The entries behind the sorted prefix, sorted: labels of up to
-    /// [`KEY_BYTES`] bytes are read as one big-endian integer, whose
-    /// order is the byte order, so labels compare as plain keys and
-    /// the arena is read only where two labels tie.
-    fn sorted_tail_by_key(&self, arena: Arena<'_>) -> (Vec<u8>, Vec<u32>) {
-        let k = self.k;
-        let mut keys: Vec<(u128, u32)> = (self.sorted_len..self.len())
+    /// The entries behind the sorted prefix, sorted, as `(keys,
+    /// slots)`. Each is read as one big-endian integer of its first
+    /// [`KEY_BYTES`] label bytes — its key, and the bytes after it
+    /// from the arena — whose order is the bytes' order, so entries
+    /// compare as plain integers and the arena is read again only
+    /// where two of those tie.
+    fn sorted_tail<S: Signature>(&self, arena: Arena<'_, S>) -> (Vec<u32>, Vec<u32>) {
+        let (first, k) = (self.first, self.k);
+        let wide = first + KEPT.min(k)..first + k.min(KEY_BYTES);
+        let mut entries: Vec<(u128, u32)> = (self.sorted_len..self.len())
             .map(|i| {
+                let slot = self.slots[i];
+                let words = arena.slot(slot);
                 let mut be = [0u8; KEY_BYTES];
-                be[..k].copy_from_slice(self.label_at(i));
-                (u128::from_be_bytes(be), self.slots[i])
+                be[..KEPT].copy_from_slice(&self.keys[i].to_be_bytes());
+                for (b, pos) in be[KEPT..].iter_mut().zip(wide.clone()) {
+                    *b = label_byte::<S>(words, arena.meta, pos);
+                }
+                (u128::from_be_bytes(be), slot)
             })
             .collect();
-        keys.sort_unstable_by(|a, b| {
-            (a.0.cmp(&b.0)).then_with(|| arena.slot(a.1).cmp(arena.slot(b.1)))
+        let rest = first + k.min(KEY_BYTES)..first + k;
+        entries.sort_unstable_by(|a, b| {
+            (a.0.cmp(&b.0)).then_with(|| arena.cmp_from(a.1, b.1, rest.clone()))
         });
-        let mut labels = Vec::with_capacity(keys.len() * k);
-        let mut slots = Vec::with_capacity(keys.len());
-        for (key, slot) in keys {
-            labels.extend_from_slice(&key.to_be_bytes()[..k]);
-            slots.push(slot);
-        }
-        (labels, slots)
-    }
-
-    /// [`FlatTree::sorted_tail_by_key`] for labels too long for a key:
-    /// indices are sorted comparing arena slices, then both arrays are
-    /// gathered through the permutation.
-    fn sorted_tail_by_slice(&self, arena: Arena<'_>) -> (Vec<u8>, Vec<u32>) {
-        let mut perm: Vec<usize> = (self.sorted_len..self.len()).collect();
-        let key = |i: usize| (self.label_at(i), arena.slot(self.slots[i]));
-        perm.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)));
-        let mut labels = Vec::with_capacity(perm.len() * self.k);
-        let mut slots = Vec::with_capacity(perm.len());
-        for &p in &perm {
-            labels.extend_from_slice(self.label_at(p));
-            slots.push(self.slots[p]);
-        }
-        (labels, slots)
+        let shift = 8 * (KEY_BYTES - KEPT);
+        entries
+            .into_iter()
+            .map(|(wide, slot)| ((wide >> shift) as u32, slot))
+            .unzip()
     }
 
     /// Whether entry `i` sorts at or after the entry before it.
-    fn in_order(&self, i: usize, arena: Arena<'_>) -> bool {
-        (self.label_at(i - 1), arena.slot(self.slots[i - 1]))
-            <= (self.label_at(i), arena.slot(self.slots[i]))
+    fn in_order<S: Signature>(&self, i: usize, arena: Arena<'_, S>) -> bool {
+        let entry = (self.keys[i], self.slots[i]);
+        self.cmp_entry(i - 1, entry, arena).is_le()
     }
 
     /// Whether entries are in `(label, signature words)` order.
-    pub(crate) fn is_sorted(&self, arena: Arena<'_>) -> bool {
+    pub(crate) fn is_sorted<S: Signature>(&self, arena: Arena<'_, S>) -> bool {
         (self.sorted_len.max(1)..self.len()).all(|i| self.in_order(i, arena))
     }
 
-    /// Where the entry of class `slot` — whose label is `label` — is:
-    /// inside the sorted prefix it is found by binary search; only
+    /// Where the entry of class `slot` is: inside the sorted prefix it
+    /// is found by binary search on its key, read from the arena; only
     /// entries pushed since the last sort are scanned.
-    fn position_of(&self, label: &[u8], slot: u32, arena: Arena<'_>) -> Option<usize> {
+    fn position_of<S: Signature>(&self, slot: u32, arena: Arena<'_, S>) -> Option<usize> {
         let prefix = self.sorted_len;
-        let lo = self.lower_bound(prefix, label, arena.slot(slot), arena);
+        let entry = (arena.key(slot, self.first, self.k), slot);
+        let lo = search(0..prefix, |i| self.cmp_entry(i, entry, arena).is_lt());
         if lo < prefix && self.slots[lo] == slot {
             return Some(lo);
         }
@@ -284,86 +376,111 @@ impl FlatTree {
     /// Drop the entry of class `slot`, moving the entries above it
     /// down one place, so a sorted tree stays sorted. Returns whether
     /// the entry was there.
-    fn remove_entry(&mut self, label: &[u8], slot: u32, arena: Arena<'_>) -> bool {
-        let Some(at) = self.position_of(label, slot, arena) else {
+    fn remove_entry<S: Signature>(&mut self, slot: u32, arena: Arena<'_, S>) -> bool {
+        let Some(at) = self.position_of(slot, arena) else {
             return false;
         };
-        let (n, k) = (self.len(), self.k);
         self.sorted_len -= usize::from(at < self.sorted_len);
-        self.slots.copy_within(at + 1..n, at);
-        self.labels.copy_within((at + 1) * k..n * k, at * k);
-        self.slots.truncate(n - 1);
-        self.labels.truncate((n - 1) * k);
+        self.keys.remove(at);
+        self.slots.remove(at);
         true
     }
 
     /// The class in slot `from` is about to move to slot `to`: name
     /// it by its new slot. Order is by label and words, so the entry
     /// stays where it is.
-    fn renumber(&mut self, label: &[u8], from: u32, to: u32, arena: Arena<'_>) {
-        let at = self.position_of(label, from, arena);
+    fn renumber<S: Signature>(&mut self, from: u32, to: u32, arena: Arena<'_, S>) {
+        let at = self.position_of(from, arena);
         self.slots[at.expect("a tree holds one entry per class")] = to;
     }
 
-    /// Index range `[lo, hi)` of entries whose label starts with
-    /// `prefix` (requires sorted entries; prefix length must not
-    /// exceed the stride).
-    fn prefix_range(&self, prefix: &[u8]) -> (usize, usize) {
-        debug_assert!(prefix.len() <= self.k, "prefix deeper than the tree");
-        let d = prefix.len();
-        let lo = self.partition_point(|lbl| &lbl[..d] < prefix);
-        let hi = self.partition_point(|lbl| &lbl[..d] <= prefix);
-        (lo, hi)
-    }
-
-    /// First index whose label fails `pred` (entries satisfying `pred`
-    /// must precede those that do not — the `slice::partition_point`
-    /// contract, over arena slices).
-    fn partition_point(&self, pred: impl Fn(&[u8]) -> bool) -> usize {
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if pred(self.label_at(mid)) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// Widen `[lo, hi)` to the maximal run of entries whose labels
-    /// start with `prefix`, calling `on_new` once per newly covered
-    /// class slot. The incoming range must lie inside the target run
-    /// (which holds both for the run at any deeper prefix of `prefix`
-    /// and for an empty insertion-point range at one): sorted order
-    /// makes every same-prefix run contiguous, so two outward linear
-    /// scans reach its edges. This is what makes the query descent
-    /// `O(log n + candidates)` per tree instead of one binary search
-    /// per depth level.
-    fn widen_prefix_run(
+    /// How many leading bytes entry `i`'s label shares with `label`,
+    /// whose key is `key`: read off the keys, and — when those are
+    /// equal — on from the arena.
+    #[inline]
+    fn shared_bytes<S: Signature>(
         &self,
-        prefix: &[u8],
-        lo: &mut usize,
-        hi: &mut usize,
+        i: usize,
+        (key, label): (u32, &[u8]),
+        arena: Arena<'_, S>,
+    ) -> usize {
+        let by_key = (self.keys[i] ^ key).leading_zeros() as usize / 8;
+        if by_key < KEPT || self.k <= KEPT {
+            return by_key.min(self.k);
+        }
+        let words = arena.slot(self.slots[i]);
+        let past = self.tail().zip(&label[KEPT..]);
+        KEPT + past
+            .take_while(|&(pos, &b)| label_byte::<S>(words, arena.meta, pos) == b)
+            .count()
+    }
+
+    /// The run of entries whose label is `label`, whose key is `key` —
+    /// the tree's full depth — where a descent starts (requires sorted
+    /// entries). Two binary searches over the keys, which read the
+    /// arena only among entries whose key is `key`.
+    fn seek<S: Signature>(&self, (key, label): (u32, &[u8]), arena: Arena<'_, S>) -> Cursor {
+        debug_assert_eq!(label.len(), self.k, "a label is the tree's depth");
+        let cmp = |i: usize| {
+            let by_key = self.keys[i].cmp(&key);
+            by_key.then_with(|| {
+                arena.cmp_label(self.slots[i], self.tail(), &label[KEPT.min(self.k)..])
+            })
+        };
+        let lo = search(0..self.len(), |i| cmp(i).is_lt());
+        let hi = search(lo..self.len(), |i| cmp(i).is_le());
+        let shared = |i: usize| self.shared_bytes(i, (key, label), arena);
+        Cursor {
+            lo,
+            hi,
+            below: if lo > 0 { shared(lo - 1) } else { 0 },
+            above: if hi < self.len() { shared(hi) } else { 0 },
+        }
+    }
+
+    /// Widen `cursor` to the maximal run of entries whose labels share
+    /// their first `depth` bytes with `label` — its run at a greater
+    /// depth — calling `on_new` once per newly covered class slot.
+    /// Sorted order makes every same-prefix run contiguous, so two
+    /// outward linear scans reach its edges, and each entry a scan
+    /// meets has its shared byte count taken once, however many depths
+    /// it takes to be let in. This is what makes the query descent
+    /// `O(log n + candidates)` per tree instead of one binary search
+    /// per depth level, and what reads the arena once per entry whose
+    /// key is the query's.
+    fn widen<S: Signature>(
+        &self,
+        cursor: &mut Cursor,
+        (depth, key, label): (usize, u32, &[u8]),
+        arena: Arena<'_, S>,
         mut on_new: impl FnMut(u32),
     ) {
-        let d = prefix.len();
-        debug_assert!(d <= self.k, "prefix deeper than the tree");
-        while *lo > 0 && &self.label_at(*lo - 1)[..d] == prefix {
-            *lo -= 1;
-            on_new(self.slots[*lo]);
+        debug_assert!((1..=self.k).contains(&depth), "a depth within the tree");
+        let shared = |i: usize| self.shared_bytes(i, (key, label), arena);
+        while cursor.below >= depth {
+            cursor.lo -= 1;
+            on_new(self.slots[cursor.lo]);
+            cursor.below = if cursor.lo > 0 {
+                shared(cursor.lo - 1)
+            } else {
+                0
+            };
         }
-        while *hi < self.len() && &self.label_at(*hi)[..d] == prefix {
-            on_new(self.slots[*hi]);
-            *hi += 1;
+        while cursor.above >= depth {
+            on_new(self.slots[cursor.hi]);
+            cursor.hi += 1;
+            cursor.above = if cursor.hi < self.len() {
+                shared(cursor.hi)
+            } else {
+                0
+            };
         }
     }
 
-    /// Exact footprint in bytes (labels plus slots).
+    /// Exact footprint in bytes: 8 an entry, key plus slot.
     #[inline]
     fn byte_size(&self) -> usize {
-        self.labels.len() + self.slots.len() * std::mem::size_of::<u32>()
+        (self.keys.len() + self.slots.len()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -464,7 +581,7 @@ pub struct LshForest<S> {
     l: usize,
     /// Label depth per tree (`k` hash positions, one byte each).
     k: usize,
-    /// Per-tree sorted label arenas over class slots.
+    /// Per-tree sorted `(key, slot)` entries, one per class.
     trees: Vec<FlatTree>,
     sorted: bool,
     /// Words per stored signature — every signature in one forest
@@ -543,8 +660,8 @@ impl<S> LshForest<S> {
     }
 
     /// The class arena as the trees read it.
-    pub(crate) fn arena(&self) -> Arena<'_> {
-        Arena::new(&self.sig_words, self.sig_stride)
+    pub(crate) fn arena(&self) -> Arena<'_, S> {
+        Arena::new(&self.sig_words, self.sig_stride, self.sig_meta)
     }
 
     /// What the persistence layer writes: each class's members
@@ -559,9 +676,8 @@ impl<S> LshForest<S> {
         )
     }
 
-    /// The per-tree label arenas. The persistence layer stores each
-    /// tree's class order (not its labels), so a loaded forest needs
-    /// no re-sort.
+    /// The trees. The persistence layer stores each tree's class order
+    /// (not its keys), so a loaded forest needs no re-sort.
     pub(crate) fn tree_arrays(&self) -> &[FlatTree] {
         &self.trees
     }
@@ -590,9 +706,8 @@ impl<S> LshForest<S> {
         self.postings.iter().flatten().copied()
     }
 
-    /// Footprint of the tree arenas in bytes (labels plus class
-    /// slots) — O(trees), not O(entries): the arenas know their exact
-    /// sizes.
+    /// Footprint of the trees in bytes: 8 an entry (a key and a class
+    /// slot), one entry per class in each tree.
     pub fn tree_byte_size(&self) -> usize {
         self.trees.iter().map(FlatTree::byte_size).sum()
     }
@@ -620,7 +735,7 @@ impl<S> LshForest<S> {
             + self.classes.byte_size()
     }
 
-    /// Approximate footprint in bytes: tree labels, stored signatures
+    /// Approximate footprint in bytes: tree entries, stored signatures
     /// and postings (Table II accounting).
     pub fn byte_size(&self) -> usize {
         self.tree_byte_size() + self.signature_byte_size() + self.posting_byte_size()
@@ -653,7 +768,7 @@ impl<S: Signature> LshForest<S> {
         LshForest {
             l,
             k,
-            trees: (0..l).map(|_| FlatTree::new(k)).collect(),
+            trees: (0..l).map(|t| FlatTree::new(t * k, k)).collect(),
             sorted: true,
             sig_stride: 0,
             sig_meta: 0,
@@ -690,7 +805,7 @@ impl<S: Signature> LshForest<S> {
     /// already holds those words the scratch slot is dropped and the
     /// item joins that class's postings (the trees do not change and a
     /// committed forest stays committed); if not, the slot is the new
-    /// class, and its tree labels are read back from it. A stored id
+    /// class, and its tree keys are read back from it. A stored id
     /// first leaves the class it was in. Panics when the shape differs
     /// from what the forest stores (one forest holds one hasher's
     /// output). The forest must be (re-)committed before the next
@@ -718,19 +833,16 @@ impl<S: Signature> LshForest<S> {
         let words = &mut self.sig_words[scratch * stride..];
         fill(words);
         let hash = content_hash(words);
-        let words = &self.sig_words[scratch * stride..];
-        let arena = Arena::new(&self.sig_words[..scratch * stride], stride);
+        let arena = Arena::<S>::new(&self.sig_words, stride, meta);
+        let words = arena.slot(scratch as u32);
         match self.classes.find(hash, |s| arena.slot(s) == words) {
             Some(slot) => {
                 self.sig_words.truncate(scratch * stride);
                 self.join(id, slot);
             }
             None => {
-                let k = self.k;
-                for (t, tree) in self.trees.iter_mut().enumerate() {
-                    tree.push_with(scratch as u32, |out| {
-                        write_labels::<S>(words, meta, t * k..(t + 1) * k, out)
-                    });
+                for tree in &mut self.trees {
+                    tree.push(scratch as u32, arena);
                 }
                 self.classes.insert(hash, scratch as u32);
                 self.postings.push(vec![id]);
@@ -793,7 +905,7 @@ impl<S: Signature> LshForest<S> {
         if self.sorted {
             return;
         }
-        let arena = Arena::new(&self.sig_words, self.sig_stride);
+        let arena = Arena::<S>::new(&self.sig_words, self.sig_stride, self.sig_meta);
         let threads = threads.clamp(1, self.trees.len());
         if threads == 1 {
             self.trees.iter_mut().for_each(|tree| tree.sort(arena));
@@ -831,19 +943,17 @@ impl<S: Signature> LshForest<S> {
     /// map and the arena. The last class moves into the vacated slot:
     /// its tree entries and its members' map entries are renumbered in
     /// place. Labels are a function of the words still in the arena,
-    /// so each tree is told which entry to find instead of scanning.
+    /// so each tree finds the entry by binary search instead of
+    /// scanning.
     fn drop_class(&mut self, slot: u32) {
-        let (stride, meta) = (self.sig_stride, self.sig_meta);
+        let stride = self.sig_stride;
         let last = (self.postings.len() - 1) as u32;
-        let gone = self.labels_of(self.arena().slot(slot), meta);
-        let moved = self.labels_of(self.arena().slot(last), meta);
-        let arena = Arena::new(&self.sig_words, stride);
-        for (t, tree) in self.trees.iter_mut().enumerate() {
-            let at = t * self.k..(t + 1) * self.k;
-            let found = tree.remove_entry(&gone[at.clone()], slot, arena);
+        let arena = Arena::<S>::new(&self.sig_words, stride, self.sig_meta);
+        for tree in &mut self.trees {
+            let found = tree.remove_entry(slot, arena);
             debug_assert!(found, "a tree holds one entry per class");
             if slot != last {
-                tree.renumber(&moved[at], last, slot, arena);
+                tree.renumber(last, slot, arena);
             }
         }
         self.classes.remove(content_hash(arena.slot(slot)), slot);
@@ -887,7 +997,7 @@ impl<S: Signature> LshForest<S> {
         let members = postings.iter().map(Vec::len).sum();
         forest.slot_of.reserve(members);
         forest.classes.by_hash.reserve(postings.len());
-        let arena = Arena::new(&sig_words, sig_stride);
+        let arena = Arena::<S>::new(&sig_words, sig_stride, sig_meta);
         for (slot, ids) in (0u32..).zip(&postings) {
             forest.slot_of.extend(ids.iter().map(|&id| (id, slot)));
             let (hash, words) = (content_hash(arena.slot(slot)), arena.slot(slot));
@@ -932,28 +1042,31 @@ impl<S: Signature> LshForest<S> {
     }
 }
 
-/// Append the label bytes of signature positions `positions` to
-/// `out`: one byte per position, the low byte of its hash value, `0`
-/// past the signature's end. Tree `t` of a depth-`k` forest owns
-/// positions `t*k..(t+1)*k`. Labels are a pure function of the stored
-/// `(words, meta)` — every label in the crate (insert, query, bulk
-/// build, snapshot load) comes from here, which is what lets a
-/// snapshot leave them out.
+/// The label byte of signature position `pos`: the low byte of its
+/// hash value, `0` past the signature's end. Tree `t` of a depth-`k`
+/// forest owns positions `t*k..(t+1)*k`. Labels are a pure function of
+/// the stored `(words, meta)` — every label byte in the crate (a tree
+/// key, a byte read past one, a query's labels) comes from here, which
+/// is what lets a tree keep four bytes of a label and a snapshot none.
+#[inline]
+pub(crate) fn label_byte<S: Signature>(words: &[u64], meta: u64, pos: usize) -> u8 {
+    if pos < S::lsh_len_words(words, meta) {
+        (S::lsh_hash_words(words, meta, pos) & 0xff) as u8
+    } else {
+        0
+    }
+}
+
+/// Append the label bytes of signature positions `positions` to `out`
+/// ([`label_byte`] each).
 #[inline]
 pub(crate) fn write_labels<S: Signature>(
     words: &[u64],
     meta: u64,
-    positions: std::ops::Range<usize>,
+    positions: Range<usize>,
     out: &mut Vec<u8>,
 ) {
-    let len = S::lsh_len_words(words, meta);
-    out.extend(positions.map(|pos| {
-        if pos < len {
-            (S::lsh_hash_words(words, meta, pos) & 0xff) as u8
-        } else {
-            0
-        }
-    }));
+    out.extend(positions.map(|pos| label_byte::<S>(words, meta, pos)));
 }
 
 /// The classes a descent has gathered, as `(forest, slot)`, and how
@@ -1070,20 +1183,22 @@ pub fn query_union<S: Signature>(
     // Labels depend only on the shape and the query signature — any
     // forest computes the same ones.
     let labels = forests[0].labels_of(words, meta);
+    let label = |t: usize| &labels[t * depth_k..(t + 1) * depth_k];
+    let keys: Vec<u32> = (0..l).map(|t| key_of(label(t))).collect();
     let mut gathered = Gathered::default();
     // Synchronous descent across every forest's trees, deepest first:
     // one full-depth binary search per (forest, tree) seeds a cursor,
     // then each shallower level widens the cursors outward over the
-    // arena — every level sees exactly the prefix runs a per-level
+    // entries — every level sees exactly the prefix runs a per-level
     // binary search would, but each entry is visited once per tree.
-    let mut cursors: Vec<(usize, usize)> = Vec::with_capacity(forests.len() * l);
+    let mut cursors: Vec<Cursor> = Vec::with_capacity(forests.len() * l);
     for (fi, f) in forests.iter().enumerate() {
         for (t, tree) in f.trees.iter().enumerate() {
-            let (lo, hi) = tree.prefix_range(&labels[t * depth_k..(t + 1) * depth_k]);
-            for &slot in &tree.slots()[lo..hi] {
+            let cursor = tree.seek((keys[t], label(t)), f.arena());
+            for &slot in &tree.slots()[cursor.lo..cursor.hi] {
                 gathered.add(forests, fi, slot);
             }
-            cursors.push((lo, hi));
+            cursors.push(cursor);
         }
     }
     let mut depth = depth_k;
@@ -1091,9 +1206,10 @@ pub fn query_union<S: Signature>(
         depth -= 1;
         for (fi, f) in forests.iter().enumerate() {
             for (t, tree) in f.trees.iter().enumerate() {
-                let (lo, hi) = &mut cursors[fi * l + t];
-                let prefix = &labels[t * depth_k..t * depth_k + depth];
-                tree.widen_prefix_run(prefix, lo, hi, |slot| gathered.add(forests, fi, slot));
+                let cursor = &mut cursors[fi * l + t];
+                tree.widen(cursor, (depth, keys[t], label(t)), f.arena(), |slot| {
+                    gathered.add(forests, fi, slot)
+                });
             }
         }
     }
@@ -1147,7 +1263,7 @@ mod tests {
     use super::*;
     use crate::minhash::{MinHashSignature, MinHasher};
     use crate::randproj::{BitSignature, RandomProjector};
-    use crate::store::tests::to_bytes;
+    use crate::store::tests::{from_bytes_at, to_bytes};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -1159,9 +1275,27 @@ mod tests {
         mh.sign_strs(toks.iter().map(String::as_str))
     }
 
-    /// A tree's `(label, slot)` entries, in order.
-    fn entries(t: &FlatTree) -> Vec<(&[u8], u32)> {
-        (0..t.len()).map(|i| (t.label_at(i), t.slots[i])).collect()
+    /// A tree's `(key, slot)` entries, in order.
+    fn entries(t: &FlatTree) -> Vec<(u32, u32)> {
+        t.keys
+            .iter()
+            .copied()
+            .zip(t.slots.iter().copied())
+            .collect()
+    }
+
+    /// A one-word bit signature whose label at positions `0..k` is
+    /// `label` (one bit a byte) and whose bits past it are `rest`.
+    fn bits(label: &[u8], rest: u64) -> u64 {
+        let low = label.iter().rev().fold(0u64, |w, &b| w << 1 | u64::from(b));
+        low | rest << label.len()
+    }
+
+    /// The label at positions `0..k` of a one-word bit signature.
+    fn label_of(word: u64, k: usize) -> Vec<u8> {
+        let mut label = Vec::new();
+        write_labels::<BitSignature>(&[word], 64, 0..k, &mut label);
+        label
     }
 
     #[test]
@@ -1172,96 +1306,191 @@ mod tests {
         assert_eq!((f.len(), f.class_count(), f.largest_class()), (0, 0, 0));
     }
 
+    /// A tree over real labels — one-word bit signatures, whose label
+    /// bytes are their low bits — with three classes under one key,
+    /// two of them under one label: searches that stop at the key,
+    /// searches that read past it, and a sortedness check that only
+    /// the bytes past the key can fail.
     #[test]
     fn flat_tree_basics() {
-        // One word per class; slots 0, 1, 2 hold 30, 10, 20.
-        let words = [30u64, 10, 20, 30];
-        let arena = Arena::new(&words, 1);
-        let mut t = FlatTree::new(2);
-        t.push_with(0, |out| out.extend([3, 1]));
-        t.push_with(1, |out| out.extend([1, 2]));
-        t.push_with(2, |out| out.extend([1, 2]));
-        assert_eq!(t.len(), 3);
+        let words = [
+            bits(&[1, 0, 0, 0, 0, 0], 1),
+            bits(&[0, 1, 1, 0, 1, 0], 0),
+            bits(&[0, 1, 1, 0, 0, 1], 0),
+            bits(&[0, 1, 1, 0, 0, 1], 5),
+            bits(&[0, 1, 1, 0, 1, 1], 0), // never in the tree
+            bits(&[1, 0, 0, 0, 0, 0], 1), // slot 0's words, moved
+        ];
+        let arena = Arena::<BitSignature>::new(&words, 1, 64);
+        let mut t = FlatTree::new(0, 6);
+        for slot in 0..4 {
+            t.push(slot, arena);
+        }
+        assert_eq!(t.len(), 4);
         t.sort(arena);
         assert!(t.is_sorted(arena));
-        // (label, words) order: [1,2]/10, [1,2]/20, [3,1]/30.
+        // (label, words) order: 011001/0, 011001/5, 011010/0, 100000/1.
+        let (k0110, k1000) = (key_of(&[0, 1, 1, 0]), key_of(&[1, 0, 0, 0]));
         assert_eq!(
             entries(&t),
-            vec![(&[1u8, 2][..], 1), (&[1u8, 2][..], 2), (&[3u8, 1][..], 0)]
+            vec![(k0110, 2), (k0110, 3), (k0110, 1), (k1000, 0)]
         );
-        assert_eq!(t.prefix_range(&[1]), (0, 2));
-        assert_eq!(t.prefix_range(&[1, 2]), (0, 2));
-        assert_eq!(t.prefix_range(&[3]), (2, 3));
-        assert_eq!(t.prefix_range(&[2]), (2, 2));
-        assert_eq!(t.byte_size(), 3 * 2 + 3 * 4);
-        assert!(!t.remove_entry(&[1, 3], 3, arena), "no such entry");
-        // Class 0 moves to slot 3 (same words); its entry follows.
-        t.renumber(&[3, 1], 0, 3, arena);
-        assert!(t.remove_entry(&[1, 2], 2, arena));
-        assert_eq!(t.slots(), &[1, 3]);
-        let reloaded = FlatTree::from_parts(2, t.labels.clone(), vec![1, 0], arena);
+        // A descent: the run of the full label, then, depth by depth,
+        // the slots each shorter prefix lets in, and the run it ends at.
+        let descend = |label: &[u8; 6], steps: &[(usize, &[u32])], ends: (usize, usize)| {
+            let mut cursor = t.seek((key_of(label), label), arena);
+            for &(depth, new) in steps {
+                let mut added = Vec::new();
+                t.widen(&mut cursor, (depth, key_of(label), label), arena, |s| {
+                    added.push(s)
+                });
+                assert_eq!(added, new, "{label:?} at depth {depth}");
+            }
+            assert_eq!((cursor.lo, cursor.hi), ends, "{label:?}");
+        };
+        descend(&[0, 1, 1, 0, 0, 1], &[], (0, 2));
+        // One byte past the key splits 0110 from 01101; the key alone
+        // does not.
+        descend(
+            &[0, 1, 1, 0, 0, 1],
+            &[(5, &[]), (4, &[1]), (1, &[])],
+            (0, 3),
+        );
+        // From the insertion point of 011011: 01101 lets in slot 1,
+        // 0110 slots 3 and 2.
+        descend(&[0, 1, 1, 0, 1, 1], &[], (3, 3));
+        descend(
+            &[0, 1, 1, 0, 1, 1],
+            &[(5, &[1]), (4, &[3, 2]), (2, &[])],
+            (0, 3),
+        );
+        descend(&[1, 0, 0, 0, 0, 0], &[(1, &[])], (3, 4));
+        descend(&[0, 0, 0, 0, 0, 0], &[(2, &[]), (1, &[2, 3, 1])], (0, 3));
+        assert_eq!(t.byte_size(), 4 * 8);
+        assert!(!t.remove_entry(4, arena), "no such entry");
+        // Class 0 moves to slot 5 (same words); its entry follows.
+        t.renumber(0, 5, arena);
+        assert!(t.remove_entry(2, arena));
+        assert_eq!(t.slots(), &[3, 1, 5]);
+        let reloaded = FlatTree::from_parts((0, 6), t.keys.clone(), t.slots.clone(), arena);
         assert!(reloaded.is_sorted(arena));
-        assert_eq!(reloaded.sorted_len, 2, "from_parts is the arrays verbatim");
+        assert_eq!(reloaded.sorted_len, 3, "from_parts is the arrays verbatim");
+        // Slots 1 and 3 share a key: only their fifth label bytes say
+        // that this order is wrong.
+        let swapped = FlatTree::from_parts((0, 6), t.keys.clone(), vec![1, 3, 5], arena);
+        assert_eq!(swapped.sorted_len, 1);
+        assert!(!swapped.is_sorted(arena));
     }
 
     /// A sort after pushes onto a sorted tree — what a commit after
     /// one table's inserts is — leaves exactly what sorting everything
-    /// from scratch leaves, at key-sized and longer labels, through
-    /// removals from either side of the sorted prefix.
+    /// from scratch leaves: at labels the key covers, pads or cuts, and
+    /// past the 16 bytes read as one sort integer, through removals
+    /// and renumbering on either side of the sorted prefix.
     #[test]
     fn sort_after_pushes_merges_into_the_sorted_prefix() {
-        // Slot `s` holds the one word `words[s]`: distinct, and in no
-        // relation to slot order.
-        let words: Vec<u64> = (0..400u64).map(crate::hash::splitmix64).collect();
-        let arena = Arena::new(&words, 1);
-        for k in [1usize, 3, 16, 17, 20] {
+        for k in [1usize, 3, 4, 5, 16, 17, 20] {
+            // Slot `s < 200` holds a bit signature whose label is one
+            // of eight: positions 0..4, 4..16 and 16.. each carry a
+            // pattern or none — so keys tie with tails that differ,
+            // labels tie past 16 bytes, and whole labels tie — and
+            // whose other bits are in no relation to slot order. Slot
+            // `s + 200` holds the same words, for renumbering.
             let mut state = 0x50f7_u64 + k as u64;
-            let mut label = move || -> Vec<u8> {
-                (0..k)
-                    .map(|_| {
-                        state = crate::hash::splitmix64(state);
-                        (state % 3) as u8 * 100
-                    })
-                    .collect()
+            let mut draw = move || {
+                state = crate::hash::splitmix64(state);
+                state
             };
-            let mut grown = FlatTree::new(k);
-            let mut held: Vec<(Vec<u8>, u32)> = Vec::new();
+            let mut words: Vec<u64> = (0..200)
+                .map(|_| {
+                    let pick = draw();
+                    let region = |i: usize| usize::from(i >= 4) + usize::from(i >= 16);
+                    let label: Vec<u8> = (0..k)
+                        .map(|i| (pick >> region(i)) as u8 & u8::from(i % 3 != 2) & 1)
+                        .collect();
+                    bits(&label, draw())
+                })
+                .collect();
+            words.extend_from_within(..);
+            let distinct: BTreeSet<u64> = words[..200].iter().copied().collect();
+            assert_eq!(distinct.len(), 200, "one class a slot");
+            let arena = Arena::<BitSignature>::new(&words, 1, 64);
+            let mut grown = FlatTree::new(0, k);
+            let mut held: Vec<u32> = Vec::new();
             let mut next = 0u32;
             for round in 0..12 {
                 // 0, 1, 2 and many pushes between sorts.
                 for _ in 0..[0usize, 1, 2, 40][round % 4] {
-                    let l = label();
-                    grown.push_with(next, |out| out.extend_from_slice(&l));
-                    held.push((l, next));
+                    grown.push(next, arena);
+                    held.push(next);
                     next += 1;
                 }
                 if round % 3 == 1 {
                     // One class from the sorted prefix, one pushed
                     // since (the same one when nothing was sorted yet).
                     for gone in [grown.slots[0], next - 1] {
-                        let Some(at) = held.iter().position(|e| e.1 == gone) else {
+                        let Some(at) = held.iter().position(|&s| s == gone) else {
                             continue;
                         };
-                        let (label, _) = held.remove(at);
-                        assert!(grown.remove_entry(&label, gone, arena));
-                        assert!(!grown.remove_entry(&label, gone, arena), "gone is gone");
+                        held.remove(at);
+                        assert!(grown.remove_entry(gone, arena));
+                        assert!(!grown.remove_entry(gone, arena), "gone is gone");
+                    }
+                }
+                if round % 3 == 2 {
+                    // The same two sides, moved to their second slots.
+                    for from in [grown.slots[grown.len() / 2], next - 1] {
+                        let Some(at) = held.iter().position(|&s| s == from && s < 200) else {
+                            continue;
+                        };
+                        held[at] = from + 200;
+                        grown.renumber(from, from + 200, arena);
                     }
                 }
                 grown.sort(arena);
                 assert!(grown.is_sorted(arena), "k={k} round {round}");
-                held.sort_by(|a, b| (&a.0, words[a.1 as usize]).cmp(&(&b.0, words[b.1 as usize])));
-                let expected: Vec<(&[u8], u32)> = held.iter().map(|(l, s)| (&l[..], *s)).collect();
+                held.sort_by_key(|&s| (label_of(words[s as usize], k), words[s as usize]));
+                let expected: Vec<(u32, u32)> = held
+                    .iter()
+                    .map(|&s| (key_of(&label_of(words[s as usize], k)), s))
+                    .collect();
                 assert_eq!(entries(&grown), expected, "k={k} round {round}");
                 // What a reload knows about the order is what a sort left.
-                let reloaded =
-                    FlatTree::from_parts(k, grown.labels.clone(), grown.slots.clone(), arena);
+                let (keys, slots) = (grown.keys.clone(), grown.slots.clone());
+                let reloaded = FlatTree::from_parts((0, k), keys, slots, arena);
                 assert_eq!(reloaded.sorted_len, grown.len());
             }
+            let (by_key, by_sort_integer) = ties(&grown, &words, k);
+            assert!(k <= KEPT || by_key > 0, "k={k}: keys tie, tails differ");
+            assert!(
+                k <= KEY_BYTES || by_sort_integer > 0,
+                "k={k}: ties past 16 bytes"
+            );
         }
-        let unsorted = FlatTree::from_parts(1, vec![1, 2, 0, 3], vec![7, 8, 9, 10], arena);
+        // Labels 1, 1, 0, 1: sorted up to the 0.
+        let words = [bits(&[1], 3), bits(&[1], 5), bits(&[0], 1), bits(&[1], 9)];
+        let arena = Arena::<BitSignature>::new(&words, 1, 64);
+        let keys = (0..4).map(|s| arena.key(s, 0, 1)).collect();
+        let unsorted = FlatTree::from_parts((0, 1), keys, vec![0, 1, 2, 3], arena);
         assert_eq!(unsorted.sorted_len, 2);
         assert!(!unsorted.is_sorted(arena));
-        assert_eq!(FlatTree::from_parts(4, vec![], vec![], arena).sorted_len, 0);
+        let empty = FlatTree::from_parts((0, 4), vec![], vec![], arena);
+        assert_eq!(empty.sorted_len, 0);
+    }
+
+    /// Of a tree's neighbouring entries over one-word bit signatures:
+    /// how many share a key but not a label, and how many share their
+    /// first [`KEY_BYTES`] label bytes but not the rest.
+    fn ties(t: &FlatTree, words: &[u64], k: usize) -> (usize, usize) {
+        let label = |i: usize| label_of(words[t.slots[i] as usize], k);
+        let (mut by_key, mut by_sort_integer) = (0, 0);
+        for i in 1..t.len() {
+            let (a, b) = (label(i - 1), label(i));
+            let tie_to = |n: usize| a[..n.min(k)] == b[..n.min(k)] && a != b;
+            by_key += usize::from(tie_to(KEPT));
+            by_sort_integer += usize::from(tie_to(KEY_BYTES));
+        }
+        (by_key, by_sort_integer)
     }
 
     /// Two classes under one content hash stay two classes through
@@ -1783,15 +2012,14 @@ mod tests {
     fn check_script<S: Signature + PartialEq + std::fmt::Debug>(
         script: &[Step],
         kind: usize,
-        sig_len: usize,
+        (sig_len, l): (usize, usize),
         sig: &dyn Fn(u64) -> S,
     ) {
-        const L: usize = 8;
-        let fresh = || LshForest::<S>::new(sig_len, L);
+        let fresh = || LshForest::<S>::new(sig_len, l);
         let mut forest = fresh();
         let mut model = Model {
-            l: L,
-            k: sig_len / L,
+            l,
+            k: sig_len / l,
             items: Vec::new(),
         };
         for (step, &(op, id, number)) in script.iter().enumerate() {
@@ -1851,8 +2079,14 @@ mod tests {
 
         // Content, not history: the same items in any order, or among
         // others that then leave, are the same forest and the same
-        // bytes, whatever sorted the trees.
+        // bytes, whatever sorted the trees — and a reload of those
+        // bytes, its keys regenerated, answers as the model does.
         let bytes = to_bytes(&forest);
+        let reloaded = from_bytes_at::<S>(&bytes, forest.shape()).unwrap();
+        assert!(reloaded == forest);
+        for q in [sig(1), sig(104)] {
+            assert_eq!(reloaded.query(&q, 5), model.query(&q, 5), "reloaded");
+        }
         let mut orders = [model.items.clone(), model.items.clone()];
         orders[0].reverse();
         orders[1].rotate_left(n / 2);
@@ -1885,6 +2119,11 @@ mod tests {
         assert_eq!(to_bytes(&crowded), bytes, "build, then remove");
     }
 
+    /// Every script runs at three `(positions, trees)` shapes: depth 8,
+    /// a key and four bytes past it; the default depth 16; and depth 4,
+    /// where the key is the whole label.
+    const SHAPES: [(usize, usize); 3] = [(64, 8), (256, 16), (32, 8)];
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -1893,23 +2132,28 @@ mod tests {
         /// every depth.
         #[test]
         fn minhash_forest_matches_the_model(script in steps(), kind in 0usize..3) {
-            let mh = MinHasher::new(64, 7);
-            check_script(&script, kind, 64, &|s| {
-                sign(&mh, &tokens("m", s as usize..s as usize + 20))
-            });
+            for shape in SHAPES {
+                let mh = MinHasher::new(shape.0, 7);
+                check_script(&script, kind, shape, &|s| {
+                    sign(&mh, &tokens("m", s as usize..s as usize + 20))
+                });
+            }
         }
 
         /// Bit signatures: number `s` signs its own pseudo-random
-        /// vector; one-bit labels make every prefix run long.
+        /// vector; one-bit labels make every prefix run long, and keys
+        /// — four bits — tie as a rule.
         #[test]
         fn bit_forest_matches_the_model(script in steps(), kind in 0usize..3) {
-            let rp = RandomProjector::new(8, 64, 3);
-            check_script::<BitSignature>(&script, kind, 64, &|s| {
-                let v: Vec<f64> = (0..8u64)
-                    .map(|d| ((s + d) * 2654435761 % 97) as f64 - 48.0)
-                    .collect();
-                rp.sign(&v)
-            });
+            for shape in SHAPES {
+                let rp = RandomProjector::new(8, shape.0, 3);
+                check_script::<BitSignature>(&script, kind, shape, &|s| {
+                    let v: Vec<f64> = (0..8u64)
+                        .map(|d| ((s + d) * 2654435761 % 97) as f64 - 48.0)
+                        .collect();
+                    rp.sign(&v)
+                });
+            }
         }
     }
 }

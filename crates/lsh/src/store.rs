@@ -45,14 +45,16 @@
 //!
 //! Tree labels are not stored. A label is a pure function of the
 //! signature (one byte per consumed hash position, see
-//! `forest::write_labels`), so a tree is fully described by its order:
-//! the decoder regenerates the labels with one sequential pass over
-//! the arena and a gather per tree, and *checks* the stored order
-//! against them — a section whose slab no longer yields the labels its
-//! trees were sorted by is a typed error, never a forest that answers
-//! differently. Decoding validates every structural invariant the
-//! query paths rely on — the expected shape, a signature shape the
-//! type accepts, unique ascending ids, a class table that names every
+//! `forest::label_byte`), so a tree is fully described by its order:
+//! the decoder regenerates each entry's key — the first four label
+//! bytes, all a resident tree keeps — with one sequential pass over
+//! the arena and a scatter per tree, and *checks* the stored order
+//! against the labels, reading the bytes past a key from the arena
+//! where two keys tie — a section whose slab no longer yields the
+//! labels its trees were sorted by is a typed error, never a forest
+//! that answers differently. Decoding validates every structural
+//! invariant the query paths rely on — the expected shape, a signature
+//! shape the type accepts, unique ascending ids, a class table that names every
 //! class of `0..c` in order of first appearance (so no rank out of
 //! range, no class without a member, one ranking per content), no two
 //! classes with the same signature, each tree a permutation of the
@@ -72,7 +74,7 @@ use std::io::{self, Read, Write};
 
 use d3l_store::{Decoder, Encoder, SectionReader, SectionWriter, StoreError};
 
-use crate::forest::{write_labels, FlatTree, LshForest};
+use crate::forest::{FlatTree, LshForest};
 use crate::signature::Signature;
 use crate::ItemId;
 
@@ -248,15 +250,11 @@ impl<S: Signature> LshForest<S> {
 
         // Every tree's order first — `place[t * c + rank]` is where
         // tree `t` keeps the class of that rank — so that one
-        // sequential pass over the arena can put each signature's
-        // labels where each tree wants them. The orders are 4 bytes an
-        // entry where the labels they place are `k`: the forest's
-        // `c × l × k` labels are never held a second time, beside the
-        // trees made of them. (A buffer of one tree's labels, filled
-        // by a strided pass over the arena per tree, is smaller still
-        // and measured 10–20 % slower to open.)
+        // sequential pass over the arena can put each signature's tree
+        // keys where each tree wants them, rather than a walk of the
+        // arena in each tree's order.
         let mut place: Vec<u32> = Vec::new();
-        let mut parts: Vec<(Vec<u8>, Vec<u32>)> = Vec::with_capacity(l);
+        let mut parts: Vec<(Vec<u32>, Vec<u32>)> = Vec::with_capacity(l);
         for t in 0..l {
             let perm = sec.get_u32_slab(c, "forest tree")?;
             place.resize((t + 1) * c, u32::MAX);
@@ -275,22 +273,18 @@ impl<S: Signature> LshForest<S> {
                     )));
                 }
             }
-            parts.push((vec![0u8; c * k], perm));
+            parts.push((vec![0u32; c], perm));
         }
         let arena = forest.arena();
-        let mut row = Vec::with_capacity(l * k);
         for slot in 0..c {
-            row.clear();
-            write_labels::<S>(arena.slot(slot as u32), meta, 0..l * k, &mut row);
-            for (t, (tree_labels, _)) in parts.iter_mut().enumerate() {
-                let at = place[t * c + slot] as usize * k;
-                tree_labels[at..at + k].copy_from_slice(&row[t * k..(t + 1) * k]);
+            for (t, (keys, _)) in parts.iter_mut().enumerate() {
+                keys[place[t * c + slot] as usize] = arena.key(slot as u32, t * k, k);
             }
         }
         drop(place);
         let mut trees = Vec::with_capacity(l);
-        for (t, (tree_labels, slots)) in parts.into_iter().enumerate() {
-            let tree = FlatTree::from_parts(k, tree_labels, slots, arena);
+        for (t, (keys, slots)) in parts.into_iter().enumerate() {
+            let tree = FlatTree::from_parts((t * k, k), keys, slots, arena);
             if sorted && !tree.is_sorted(arena) {
                 return Err(StoreError::corrupt(format!(
                     "tree {t} claims committed but is not sorted"
@@ -306,6 +300,7 @@ impl<S: Signature> LshForest<S> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::forest::write_labels;
     use crate::minhash::{MinHashSignature, MinHasher};
     use crate::randproj::{BitSignature, RandomProjector};
     use d3l_store::{ContainerReader, ContainerWriter, KIND_SNAPSHOT};
@@ -349,8 +344,16 @@ pub(crate) mod tests {
         payload_of(|sec| f.write_to(sec))
     }
 
+    /// The forest of shape `shape` a section payload holds.
+    pub(crate) fn from_bytes_at<S: Signature>(
+        payload: &[u8],
+        shape: (usize, usize),
+    ) -> Result<LshForest<S>, StoreError> {
+        decode(payload, |sec| LshForest::read_from(sec, shape))
+    }
+
     fn from_bytes<S: Signature>(payload: &[u8]) -> Result<LshForest<S>, StoreError> {
-        decode(payload, |sec| LshForest::read_from(sec, SHAPE))
+        from_bytes_at(payload, SHAPE)
     }
 
     fn minhash_sig(mh: &MinHasher, i: u64) -> MinHashSignature {
@@ -415,10 +418,10 @@ pub(crate) mod tests {
         assert_eq!(loaded.shape(), f.shape());
         assert_eq!(loaded.len(), f.len());
         assert!(loaded.is_committed());
-        // The regenerated labels are the saved forest's labels.
+        // The regenerated keys are the saved forest's keys.
         assert!(loaded == f);
         for (a, b) in loaded.tree_arrays().iter().zip(f.tree_arrays()) {
-            assert!((0..a.len()).all(|i| a.label_at(i) == b.label_at(i)));
+            assert_eq!(a.keys(), b.keys());
         }
         for id in f.ids() {
             assert_eq!(loaded.signature(id), f.signature(id));
@@ -695,6 +698,67 @@ pub(crate) mod tests {
                 "tree {t}: {err}"
             );
         }
+    }
+
+    /// The open-time order check reads past the keys: two neighbours
+    /// of a tree whose labels share their first four bytes and differ
+    /// in the fifth, their ranks swapped in that tree's stored order,
+    /// are a typed error — although by their keys alone the tree is
+    /// still sorted.
+    #[test]
+    fn a_tree_out_of_order_past_its_keys_is_rejected() {
+        let mh = MinHasher::new(64, 7);
+        // Near-duplicates: twenty shared tokens and one of their own,
+        // so two labels agree at most bytes and differ at a few.
+        let sigs: Vec<MinHashSignature> = (0..40)
+            .map(|i| {
+                let own = std::iter::once(format!("own{i}"));
+                let toks: Vec<String> = (0..20).map(|j| format!("tok{j}")).chain(own).collect();
+                mh.sign_strs(toks.iter().map(String::as_str))
+            })
+            .collect();
+        let mut f = LshForest::new(64, 8);
+        for (id, sig) in (0u64..).zip(&sigs) {
+            f.insert(id, sig.clone());
+        }
+        f.commit();
+        let (n, c, k) = (f.len(), f.class_count(), SHAPE.1);
+        let good = to_bytes(&f);
+        let rank_at = |at: usize| u32::from_le_bytes(good[at..at + 4].try_into().unwrap());
+        // A class's signature is its smallest member's; ids are 0..n.
+        let mut of_rank: Vec<&MinHashSignature> = Vec::new();
+        for (id, sig) in sigs.iter().enumerate() {
+            if rank_at(ranks_at(n) + id * 4) as usize == of_rank.len() {
+                of_rank.push(sig);
+            }
+        }
+        let label = |rank: u32, t: usize| {
+            let sig = of_rank[rank as usize];
+            let mut label = Vec::new();
+            write_labels::<MinHashSignature>(
+                sig.words(),
+                sig.meta(),
+                t * k..(t + 1) * k,
+                &mut label,
+            );
+            label
+        };
+        let (t, at) = (0..SHAPE.0)
+            .flat_map(|t| (1..c).map(move |j| (t, perm_at(n, c, 32, t) + j * 4)))
+            .find(|&(t, at)| {
+                let (a, b) = (label(rank_at(at - 4), t), label(rank_at(at), t));
+                a[..4] == b[..4] && a[4] != b[4]
+            })
+            .expect("near-duplicates share a key somewhere");
+        let mut bad = good.clone();
+        patch_rank(&mut bad, at - 4, rank_at(at));
+        patch_rank(&mut bad, at, rank_at(at - 4));
+        let err = from_bytes::<MinHashSignature>(&bad).unwrap_err();
+        let expected = format!("tree {t} claims committed but is not sorted");
+        assert!(
+            matches!(&err, StoreError::Corrupt(m) if *m == expected),
+            "{err}"
+        );
     }
 
     /// Items under one signature are one class on the wire: one slab

@@ -179,16 +179,23 @@ fn stats_reports_lake_shape() {
     assert_eq!(indexed.status.code(), Some(0), "{}", stderr_of(&indexed));
     for stdout in [stdout, stdout_of(&indexed)] {
         assert!(stdout.contains("postings"), "got: {stdout}");
-        let rows: Vec<Vec<&str>> = stdout
-            .lines()
-            .skip_while(|l| !l.starts_with("classes (distinct signatures; per-shard counts added"))
-            .skip(2)
-            .take(4)
-            .map(|l| l.split_whitespace().collect())
-            .collect();
+        let table = |title: &str| -> Vec<Vec<&str>> {
+            let rows = stdout.lines().skip_while(|l| !l.starts_with(title));
+            rows.skip(2)
+                .take(4)
+                .map(|l| l.split_whitespace().collect())
+                .collect()
+        };
+        let rows = table("classes (distinct signatures; per-shard counts added");
+        let footprint = table("in-memory footprint");
         let number = |cell: &str| cell.parse::<usize>().expect("a count");
         let names: Vec<&str> = rows.iter().map(|r| r[0]).collect();
         assert_eq!(names, ["IN", "IV", "IF", "IE"], "got: {stdout}");
+        for (row, bytes) in rows.iter().zip(&footprint) {
+            // The "trees" column: 16 trees, an 8-byte entry per class.
+            assert_eq!(bytes[0], row[0], "got: {stdout}");
+            assert_eq!(number(bytes[1]), 8 * 16 * number(row[2]), "got: {stdout}");
+        }
         for row in &rows {
             let (attributes, classes, largest) = (number(row[1]), number(row[2]), number(row[3]));
             let live = if matches!(row[0], "IN" | "IF") { 5 } else { 3 };
