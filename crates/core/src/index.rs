@@ -997,8 +997,17 @@ mod tests {
         assert_eq!(fp.i_v.total(), v);
         assert_eq!(fp.i_f.total(), f);
         assert_eq!(fp.i_e.total(), e);
-        assert!(fp.profile_bytes > 0, "names and numeric extents are kept");
         assert_eq!(fp.total(), d3l.index_byte_size() + fp.profile_bytes);
+        // Profiles are the names and the encoded extents: `Patients`
+        // (1202, 3572) is a count, a scale, zig-zag 2404 and delta 2370
+        // — six bytes, where 8 bytes a value were sixteen — and
+        // `Payment` (15530, 73648) eight.
+        let names: usize = lake
+            .iter()
+            .flat_map(|(_, t)| t.columns())
+            .map(|c| c.name().len())
+            .sum();
+        assert_eq!(fp.profile_bytes, names + 6 + 8);
         // A tree entry is a 4-byte key and a 4-byte class slot, one
         // per class in each of the `trees` trees.
         let trees = D3lConfig::fast().trees;

@@ -33,12 +33,15 @@
 //! attribute, the name, the numeric extent (the guarded KS computation
 //! reads it, Algorithm 2) and four evidence flags — and neither the
 //! resident index nor the store carries a token or a vector
-//! component. A query target is converted the same way once it is
-//! signed, so both sides of a scored pair are read through one type.
+//! component. The extent itself is kept in its one encoding,
+//! [`NumericExtent`] (exact scaled-integer deltas), which the store
+//! writes as it is and KS reads without decoding to a `Vec<f64>`. A
+//! query target is converted the same way once it is signed, so both
+//! sides of a scored pair are read through one type.
 
 use d3l_embedding::WordEmbedder;
 use d3l_features::histogram::TokenHistogram;
-use d3l_features::{qgrams, regex_format};
+use d3l_features::{qgrams, regex_format, NumericExtent};
 use d3l_lsh::TokenSet;
 use d3l_table::{typing, Column};
 
@@ -103,10 +106,11 @@ impl AttributeProfile {
         }
         let rset = TokenSet::from_hashes(rset_hashes);
         // Sorted ascending so KS at query time is a linear merge
-        // rather than a per-pair sort. total_cmp, not partial_cmp: a
-        // column whose cells parse to NaN ("nan", "-nan") would
-        // otherwise hand the sort a comparator that violates strict
-        // weak ordering.
+        // rather than a per-pair sort. total_cmp, not partial_cmp: no
+        // cell parses to NaN, but "-0" parses to −0.0 and "1e999" to
+        // +∞, and total_cmp gives every value one place (−0.0 before
+        // +0.0) — so the extent, and its encoding, is a function of the
+        // column's values whatever their row order.
         numeric_extent.sort_by(f64::total_cmp);
 
         // Per part, the infrequent word joins the tset and the
@@ -168,9 +172,9 @@ impl AttributeProfile {
 pub struct IndexedAttr {
     /// Attribute name as it appears in the table.
     pub name: String,
-    /// Parsed numeric extent, sorted ascending (empty for textual
-    /// attributes).
-    pub numeric_extent: Vec<f64>,
+    /// The numeric extent, sorted, as exact scaled-integer deltas — the
+    /// bytes `PROF` holds (empty for textual attributes).
+    pub numeric_extent: NumericExtent,
     /// Whether the column was inferred numeric.
     pub is_numeric: bool,
     /// **N** evidence exists: the name had q-grams.
@@ -193,16 +197,17 @@ impl From<AttributeProfile> for IndexedAttr {
             has_text: p.has_text(),
             has_format: !p.rset.is_empty(),
             has_embedding: p.has_embedding(),
+            numeric_extent: NumericExtent::from_sorted(&p.numeric_extent),
             name: p.name,
-            numeric_extent: p.numeric_extent,
         }
     }
 }
 
 impl IndexedAttr {
-    /// Resident footprint in bytes: the name and the numeric extent.
+    /// Resident footprint in bytes: the name and the encoded numeric
+    /// extent.
     pub fn byte_size(&self) -> usize {
-        self.name.len() + self.numeric_extent.len() * std::mem::size_of::<f64>()
+        self.name.len() + self.numeric_extent.byte_size()
     }
 }
 

@@ -36,7 +36,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use d3l_features::ks;
 use d3l_lsh::forest::{query_union, LshForest};
 use d3l_lsh::minhash::MinHashSignature;
 use d3l_lsh::randproj::BitSignature;
@@ -279,7 +278,7 @@ fn pair_distances_resolved(
         let guard_name = 1.0 - d_n >= cfg.threshold;
         let guard_format = 1.0 - d_f >= cfg.threshold;
         if guard_subject || guard_name || guard_format {
-            ks::ks_statistic_presorted(&tp.numeric_extent, &sp.numeric_extent)
+            tp.numeric_extent.ks_statistic(&sp.numeric_extent)
         } else {
             1.0
         }

@@ -10,8 +10,10 @@
 //! **The store keeps what scoring reads and nothing else.** Stored: the
 //! configuration (`CONF`), the embedder state (`EMBD`), the table list
 //! (`TABL`), what the index keeps of every attribute (`PROF` — name,
-//! numeric extent, a flags byte: numeric, and which of the four
-//! evidence types it has), and each of the four committed forests whole
+//! numeric extent as the bytes of its one encoding, exact
+//! scaled-integer deltas (`d3l-features`' `extent` module), a flags
+//! byte: numeric, and which of the four evidence types it has), and
+//! each of the four committed forests whole
 //! — its class table (which attribute carries which distinct
 //! signature; `d3l-lsh`'s `forest` module: a signature is indexed once,
 //! as a class, whatever the number of attributes that carry it), its
@@ -26,27 +28,33 @@
 //! exist nothing reads them (`profile` module), so an open signs
 //! nothing and a profile record is a name, an extent and a byte.
 //!
-//! What format 7 made of the benchmark's stores (`d3l stats --index`,
-//! payload bytes, format 6 → 7):
+//! What formats 7 and 8 made of the benchmark's stores (`d3l stats
+//! --index`, payload bytes, format 6 → 7 → 8):
 //!
 //! | section | clean 4 000 tables | dirty 2 000 tables |
 //! |---|---|---|
 //! | `TABL` | 112 976 | 56 495 |
-//! | `PROF` | 5 676 416 → 1 905 845 | 2 778 112 → 1 087 189 |
+//! | `PROF` | 5 676 416 → 1 905 845 → 515 200 | 2 778 112 → 1 087 189 → 333 488 |
 //! | `F_IN` | 167 214 → 189 741 | 110 086 → 167 429 |
 //! | `F_IV` | 4 325 422 → 4 325 421 | 5 667 918 → 5 667 917 |
 //! | `F_IF` | 166 638 → 179 949 | 166 790 → 1 131 397 |
 //! | `F_IE` | 336 782 → 336 781 | 496 622 → 496 621 |
-//! | `base.d3ls` | 10 785 794 → 7 051 059 | 9 276 369 → 8 607 394 |
+//! | `base.d3ls` | 10 785 794 → 7 051 059 → 5 660 414 | 9 276 369 → 8 607 394 → 7 853 693 |
 //!
 //! (13 814 attributes in 22 `IN` / 13 `IF` / 3 850 `IV` / 2 085 `IE`
-//! classes; 8 872 in 56 / 942 / 5 147 / 4 465.) `PROF` lost 8 bytes a
-//! token — 465 834 and 207 991 tokens — and three length bytes an
-//! attribute; `F_IN` + `F_IF` gained one 1 KiB signature per class,
-//! 35 and 998 of them, which format 6 signed again at every open from
-//! the `qset`s and `rset`s it kept in `PROF` for that purpose; every
-//! forest header lost its arena-source byte. `F_IV` is the largest
-//! section of both stores again.
+//! classes; 8 872 in 56 / 942 / 5 147 / 4 465.) Format 7: `PROF` lost
+//! 8 bytes a token — 465 834 and 207 991 tokens — and three length
+//! bytes an attribute; `F_IN` + `F_IF` gained one 1 KiB signature per
+//! class, 35 and 998 of them, which format 6 signed again at every open
+//! from the `qset`s and `rset`s it kept in `PROF` for that purpose;
+//! every forest header lost its arena-source byte. `F_IV` is the
+//! largest section of both stores again. Format 8: the numeric
+//! extents — 217 411 values in 2 432 attributes and 122 957 in 3 210,
+//! every one an integer (1 814 and 2 894 attributes) or a decimal of
+//! two places (618 and 316) — went from 8 bytes a value to a scale
+//! byte and one varint a value, 1 741 890 → 351 523 and 986 866 →
+//! 233 561 bytes with their counts, and 278 and 396 table blocks fit a
+//! shorter length prefix.
 //!
 //! The codec is streamed in both directions: saving writes each
 //! section to the sink as it is produced (profiles one table at a
@@ -88,6 +96,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use d3l_embedding::SemanticEmbedder;
+use d3l_features::NumericExtent;
 use d3l_lsh::forest::LshForest;
 use d3l_lsh::minhash::{MinHashSignature, MinHasher};
 use d3l_lsh::randproj::{BitSignature, RandomProjector};
@@ -186,7 +195,7 @@ const FLAG_FORMAT: u8 = 16;
 /// An attribute record as `PROF` and a delta segment hold it.
 fn encode_profile(p: &IndexedAttr, enc: &mut Encoder) {
     enc.put_str(&p.name);
-    enc.put_f64s(&p.numeric_extent);
+    enc.put_raw(p.numeric_extent.as_bytes());
     let flag = |set: bool, bit: u8| set as u8 * bit;
     enc.put_u8(
         flag(p.is_numeric, FLAG_NUMERIC)
@@ -199,7 +208,9 @@ fn encode_profile(p: &IndexedAttr, enc: &mut Encoder) {
 
 fn decode_profile(dec: &mut Decoder<'_>) -> Result<IndexedAttr, StoreError> {
     let name = dec.get_str()?;
-    let numeric_extent = dec.get_f64s()?;
+    let (numeric_extent, used) = NumericExtent::read(dec.rest())
+        .map_err(|e| StoreError::corrupt(format!("profile {name:?}: {e}")))?;
+    dec.get_raw(used, "numeric extent")?;
     let flags = dec.get_u8()?;
     let has = |bit: u8| flags & bit != 0;
     // A numeric attribute is in neither `IV` nor `IE` (§III-C), so one
@@ -1183,7 +1194,7 @@ mod tests {
         }
     }
 
-    /// A store written by format version 1 to 6 is named as such — by
+    /// A store written by format version 1 to 7 is named as such — by
     /// `open` as by the byte-slice decoder — and nothing of it is
     /// decoded.
     #[test]
@@ -1196,12 +1207,12 @@ mod tests {
         v1.put_u32(KIND_SNAPSHOT);
         v1.put_u32(0);
         v1.put_raw(&[0u8; 64]);
-        // Versions 2 to 6 had today's container around other sections
+        // Versions 2 to 7 had today's container around other sections
         // (64-bit MinHash values; a slab slot per attribute; embedding
         // vectors in `PROF`; no class tables; token sets in `PROF` and
-        // `IN`/`IF` signed again from them): whole, checksummed files
-        // with that header.
-        let newer: Vec<(u32, Vec<u8>)> = (2..=6u32)
+        // `IN`/`IF` signed again from them; 8-byte extent values):
+        // whole, checksummed files with that header.
+        let newer: Vec<(u32, Vec<u8>)> = (2..=7u32)
             .map(|version| {
                 let mut bytes = engine().to_snapshot_bytes();
                 bytes[8..12].copy_from_slice(&version.to_le_bytes());
@@ -1215,7 +1226,7 @@ mod tests {
             let is_old = |err: &StoreError| {
                 matches!(
                     err,
-                    StoreError::UnsupportedVersion { found, supported: 7 } if *found == version
+                    StoreError::UnsupportedVersion { found, supported: 8 } if *found == version
                 )
             };
             let err = D3l::from_snapshot_bytes(bytes).unwrap_err();
@@ -1227,6 +1238,22 @@ mod tests {
             assert!(is_old(&err), "{err}");
             assert!(err.to_string().contains("re-index"), "{err}");
         }
+        // A version 7 delta segment beside a current base is named too,
+        // as the segment it is.
+        let mut d3l = engine();
+        let mut store = IndexStore::create(&dir, &d3l).unwrap();
+        let gp = Table::from_rows("local_gps", &["GP"], &[vec!["Blackfriars".into()]]).unwrap();
+        store.append_add(&mut d3l, &gp).unwrap();
+        let segment = dir.join(layout::delta_file_name(1));
+        let mut bytes = std::fs::read(&segment).unwrap();
+        bytes[8..12].copy_from_slice(&7u32.to_le_bytes());
+        std::fs::write(&segment, bytes).unwrap();
+        let err = IndexStore::open(&dir).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::BadSegment { seq: 1, source }
+                if matches!(**source, StoreError::UnsupportedVersion { found: 7, supported: 8 })),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1234,7 +1261,7 @@ mod tests {
     /// the 400-table pinned dirty lake — reading, checksumming and
     /// checking four forests, regenerating their tree keys — takes
     /// less time than profiling, signing and sorting the lake again,
-    /// without which a store would be pointless (measured: 10.6×).
+    /// without which a store would be pointless (measured: 7.6–12.1×).
     #[test]
     #[ignore = "timing: cargo test --release -p d3l-core open_beats_rebuild -- --ignored"]
     fn open_beats_rebuild() {
@@ -1612,12 +1639,96 @@ mod tests {
         }
     }
 
+    /// A numeric extent that is no sorted extent of numbers — a NaN, an
+    /// unsorted raw form, an unknown scale, a scaled value out of range
+    /// — is a typed error in a base, opened as bytes or as a store, and
+    /// in a delta. (A NaN extent used to open, and KS over two of them
+    /// never returned.)
+    #[test]
+    fn extent_that_is_no_sorted_extent_is_corrupt() {
+        let d3l = engine();
+        let payment = AttrRef {
+            table: TableId(0),
+            column: 2,
+        };
+        let good = d3l.profile(payment).numeric_extent.as_bytes().to_vec();
+        assert_eq!(good[..2], [2, 0], "two integers, scale 0");
+        let raw = |vs: [f64; 2]| {
+            let mut enc = Encoder::new();
+            enc.put_raw(&[2, 0xff]);
+            vs.iter().for_each(|&v| enc.put_f64(v));
+            enc.into_bytes()
+        };
+        let mut scale_23 = good.clone();
+        scale_23[1] = 23;
+        // A first value of 2⁵², zig-zagged.
+        let mut past = Encoder::new();
+        past.put_raw(&[2, 0]);
+        past.put_varint(1 << 53);
+        past.put_varint(0);
+        let cases = [
+            (raw([15530.0, f64::NAN]), "holds NaN"),
+            (raw([73648.0, 15530.0]), "not sorted"),
+            (scale_23, "unknown scale 23"),
+            (past.into_bytes(), "outside ±2^52"),
+        ];
+        let splice = |block: &[u8], bad: &[u8]| {
+            let at = block.windows(good.len()).position(|w| w == good);
+            let at = at.expect("the extent is in the block");
+            [&block[..at], bad, &block[at + good.len()..]].concat()
+        };
+        // `PROF` is one length-prefixed block per table; "gp_funding"'s
+        // holds the extent.
+        let prof_with = |prof: Vec<u8>, bad: &[u8]| {
+            let mut dec = Decoder::new(&prof);
+            let mut out = Encoder::new();
+            out.put_bytes(&splice(dec.get_bytes().unwrap(), bad));
+            out.put_raw(dec.rest());
+            out.into_bytes()
+        };
+        // A delta adding "gp_funding" again, laid out as `to_bytes` does.
+        let added = d3l.signed_table(TableId(0)).unwrap();
+        let delta_with = |bad: &[u8]| {
+            let mut enc = Encoder::new();
+            enc.put_u8(3);
+            enc.put_varint(3);
+            enc.put_str(&added.name);
+            encode_subject(added.subject, &mut enc);
+            enc.put_bytes(&splice(&encode_profiles(&added.attrs), bad));
+            added.words.iter().for_each(|w| enc.put_u64s(w));
+            enc.into_bytes()
+        };
+        let bytes = d3l.to_snapshot_bytes();
+        assert!(with_section(&bytes, SEC_PROFILES, |p| prof_with(p, &good)) == bytes);
+        let record = DeltaRecord::AddAt {
+            table: TableId(3),
+            added: added.clone(),
+        };
+        assert_eq!(delta_with(&good), record.to_bytes());
+        let dir = std::env::temp_dir().join(format!("d3l_store_nan_{}", std::process::id()));
+        for (bad, what) in &cases {
+            let corrupt =
+                |err: &StoreError| matches!(err, StoreError::Corrupt(m) if m.contains(what));
+            let base = with_section(&bytes, SEC_PROFILES, |p| prof_with(p, bad));
+            assert_corrupt(&base, what);
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join(BASE_FILE), &base).unwrap();
+            let err = IndexStore::open(&dir).unwrap_err();
+            assert!(corrupt(&err), "{err}");
+            let err = DeltaRecord::from_bytes(&delta_with(bad)).unwrap_err();
+            assert!(corrupt(&err), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// Nothing survives signing that scoring does not read. On every
     /// path an attribute takes into an engine — `index_lake`,
     /// `index_dir`, `add_table`, delta replay, `compact` + reopen,
     /// `ShardedD3l::split` at shards {1, 2} — the engine holds of it a
-    /// name and a numeric extent, byte for byte (the accounting is
-    /// content-defined, so the equality is exact), and four flags that
+    /// name and the encoding of its numeric extent, byte for byte (the
+    /// accounting is content-defined, so the equality is exact), whose
+    /// values are the built profile's bit for bit, and four flags that
     /// say which sets of a freshly built profile are non-empty.
     #[test]
     fn nothing_survives_signing_that_scoring_does_not_read() {
@@ -1639,7 +1750,17 @@ mod tests {
                     let held = engine.profile(AttrRef { table: id, column });
                     let ctx = format!("{ctx}: {}.{}", table.name(), built.name);
                     assert_eq!(held.name, built.name, "{ctx}");
-                    assert_eq!(held.numeric_extent, built.numeric_extent, "{ctx}");
+                    let extent = NumericExtent::from_sorted(&built.numeric_extent);
+                    assert_eq!(held.numeric_extent, extent, "{ctx}");
+                    let bits = |v: f64| v.to_bits();
+                    assert!(
+                        held.numeric_extent.values().map(bits).eq(built
+                            .numeric_extent
+                            .iter()
+                            .copied()
+                            .map(bits)),
+                        "{ctx}"
+                    );
                     assert_eq!(held.is_numeric, built.is_numeric, "{ctx}");
                     let flags = [
                         (held.has_name, !built.qset.is_empty()),
@@ -1654,7 +1775,10 @@ mod tests {
                         assert_eq!(held, fresh, "{ctx}");
                         seen[fresh as usize] += 1;
                     }
-                    kept_bytes += built.name.len() + 8 * built.numeric_extent.len();
+                    // The name and the extent's encoding (an empty
+                    // extent's one zero byte is not held).
+                    let encoded = extent.as_bytes().len();
+                    kept_bytes += built.name.len() + if extent.is_empty() { 0 } else { encoded };
                 }
             }
             assert_eq!(engine.byte_size().profile_bytes, kept_bytes, "{ctx}");

@@ -16,14 +16,17 @@ pub fn ks_statistic(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// [`ks_statistic`] over samples the caller has already sorted
-/// ascending — the hot path at query time, where extents are sorted
-/// once at profiling and compared against many candidates.
+/// ascending. An index compares its extents with
+/// [`crate::NumericExtent::ks_statistic`], which returns what this
+/// returns on the decoded values. A NaN has no place in a distribution;
+/// the merge stops where both samples reach one.
 pub fn ks_statistic_presorted(xs: &[f64], ys: &[f64]) -> f64 {
     if xs.is_empty() || ys.is_empty() {
         return 1.0;
     }
-    debug_assert!(xs.windows(2).all(|w| w[0] <= w[1]), "xs must be sorted");
-    debug_assert!(ys.windows(2).all(|w| w[0] <= w[1]), "ys must be sorted");
+    let sorted = |s: &[f64]| s.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le());
+    debug_assert!(sorted(xs), "xs must be sorted");
+    debug_assert!(sorted(ys), "ys must be sorted");
     let (n, m) = (xs.len() as f64, ys.len() as f64);
     let mut i = 0usize;
     let mut j = 0usize;
@@ -32,6 +35,11 @@ pub fn ks_statistic_presorted(xs: &[f64], ys: &[f64]) -> f64 {
         let x = xs[i];
         let y = ys[j];
         let t = x.min(y);
+        if t.is_nan() {
+            // Both cursors are at a NaN, which no `<=` passes: neither
+            // would move again.
+            break;
+        }
         while i < xs.len() && xs[i] <= t {
             i += 1;
         }
@@ -107,6 +115,15 @@ mod tests {
         let a = [1i32, 2, 3];
         let b = [1i32, 2, 3];
         assert!(ks_statistic_of(&a, &b) < 1e-12);
+    }
+
+    /// Two NaN-tailed samples: both cursors came to rest on a NaN, and
+    /// the merge looped there for ever.
+    #[test]
+    fn nan_tails_end_the_merge() {
+        let d = ks_statistic_presorted(&[1.0, f64::NAN], &[2.0, f64::NAN]);
+        assert_eq!(d, 0.5);
+        assert_eq!(ks_statistic_presorted(&[f64::NAN], &[f64::NAN]), 0.0);
     }
 
     #[test]

@@ -13,14 +13,18 @@
 //! * [`regex_format`] — format-describing pattern strings over the
 //!   primitive lexical classes `C U L N A P` (**F** evidence);
 //! * [`ks`] — the two-sample Kolmogorov–Smirnov statistic (**D**
-//!   evidence for numeric attributes).
+//!   evidence for numeric attributes);
+//! * [`extent`] — the numeric extent as an index keeps it: exact
+//!   scaled-integer deltas, and the KS statistic over two of them.
 
+pub mod extent;
 pub mod histogram;
 pub mod ks;
 pub mod qgrams;
 pub mod regex_format;
 pub mod tokenize;
 
+pub use extent::NumericExtent;
 pub use histogram::TokenHistogram;
 pub use ks::ks_statistic;
 pub use qgrams::{qgram_hash_set, qgram_set};

@@ -8,7 +8,8 @@
 //! codec.
 //!
 //! Wire layout (one streamed `d3l-store` container section, format
-//! version 7 — all fixed-width little-endian, no per-item framing):
+//! versions 7 and 8 — all fixed-width little-endian, no per-item
+//! framing):
 //!
 //! ```text
 //! header   u32 l, u32 k, u8 committed,

@@ -109,16 +109,6 @@ impl Encoder {
         self.put_u64_slab(vs);
     }
 
-    /// `f64` slice: varint count, then bit patterns.
-    pub fn put_f64s(&mut self, vs: &[f64]) {
-        self.put_varint(vs.len() as u64);
-        let start = self.buf.len();
-        self.buf.resize(start + vs.len() * 8, 0);
-        for (dst, v) in self.buf[start..].chunks_exact_mut(8).zip(vs) {
-            dst.copy_from_slice(&v.to_bits().to_le_bytes());
-        }
-    }
-
     /// `u64` slab with no prefix (caller carries the count): one bulk
     /// little-endian copy, not a push per word.
     pub fn put_u64_slab(&mut self, vs: &[u64]) {
@@ -291,6 +281,13 @@ impl<'a> Decoder<'a> {
         self.take(n, context)
     }
 
+    /// The bytes not yet consumed, left unconsumed: for a field that
+    /// knows its own length, read by its own decoder and then taken
+    /// with [`Decoder::get_raw`].
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
     /// Length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, StoreError> {
         let b = self.get_bytes()?;
@@ -304,16 +301,6 @@ impl<'a> Decoder<'a> {
         let mut out = Vec::with_capacity(n);
         extend_u64s_from_le(&mut out, raw);
         Ok(out)
-    }
-
-    /// `f64` slice written by [`Encoder::put_f64s`].
-    pub fn get_f64s(&mut self) -> Result<Vec<f64>, StoreError> {
-        let n = self.get_len(8, "f64 slice")?;
-        let raw = self.take(n * 8, "f64 slice")?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
-            .collect())
     }
 }
 
@@ -682,21 +669,17 @@ mod tests {
         fn composite_round_trip(
             s in "[ -~]{0,24}",
             hashes in prop::collection::vec(0u64..u64::MAX, 0..32),
-            floats in prop::collection::vec(-1.0e12f64..1.0e12, 0..16),
         ) {
             let mut enc = Encoder::new();
             enc.put_str(&s);
             enc.put_u64s(&hashes);
-            enc.put_f64s(&floats);
+            enc.put_u8(7);
             let bytes = enc.into_bytes();
             let mut dec = Decoder::new(&bytes);
             prop_assert_eq!(dec.get_str().unwrap(), s);
             prop_assert_eq!(dec.get_u64s().unwrap(), hashes);
-            let out = dec.get_f64s().unwrap();
-            prop_assert_eq!(out.len(), floats.len());
-            for (a, b) in out.iter().zip(&floats) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
+            prop_assert_eq!(dec.rest(), &[7u8][..]);
+            prop_assert_eq!(dec.get_u8().unwrap(), 7);
             prop_assert!(dec.is_exhausted());
         }
 

@@ -32,6 +32,7 @@
 //! writes.
 
 use std::collections::HashSet;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -40,6 +41,28 @@ use d3l::prelude::*;
 use d3l::table::csv;
 
 const USAGE: &str = "usage:\n  d3l index <lake-dir> --out <index-dir> [--shards N]\n  d3l query <lake-dir>|--index <index-dir> <target.csv> [-k N] [--joins] [--evidence N|V|F|E|D] [--threads N]\n  d3l serve --index <index-dir> [--shards N] [--port P] [--host H] [--threads N] [--cache-bytes N[k|m|g]] [--max-queue N] [--slow-query-ms N] [--watch <lake-dir> [watch flags]] [--reload-ms N]\n  d3l watch <lake-dir> --index <index-dir> [--poll-ms N] [--compact-segments N] [--compact-bytes N[k|m|g]]\n  d3l stats <lake-dir>|--index <index-dir>\n  d3l add <index-dir> <table.csv>\n  d3l remove <index-dir> <table-name>\n  d3l compact <index-dir>\n  d3l demo";
+
+/// A line of command output. Every command writes through here, not
+/// `println!`, which panics when stdout is gone: a failed write is the
+/// command's error, and a closed pipe (`d3l stats --index dir | head -1`)
+/// ends the command quietly (see `main`).
+macro_rules! out {
+    ($($arg:tt)*) => {
+        writeln!(io::stdout(), $($arg)*).map_err(StdoutError)?
+    };
+}
+
+/// A write to stdout failed.
+#[derive(Debug)]
+struct StdoutError(io::Error);
+
+impl std::fmt::Display for StdoutError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "writing to stdout: {}", self.0)
+    }
+}
+
+impl std::error::Error for StdoutError {}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,8 +81,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let closed_pipe = |e: &(dyn std::error::Error + 'static)| {
+        e.downcast_ref::<StdoutError>()
+            .is_some_and(|StdoutError(e)| e.kind() == io::ErrorKind::BrokenPipe)
+    };
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader has what it wanted.
+        Err(e) if closed_pipe(&*e) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -142,7 +171,7 @@ fn cmd_index(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     // without being told.
     let handle = EngineHandle::create(&out, engine)?;
     let (base_bytes, _, _) = handle.disk_stats()?;
-    println!(
+    out!(
         "indexed {tables} tables into {shards} shard{} in {build_ms:.1} ms; snapshot {base_bytes} bytes written to {out} in {:.1} ms",
         if shards == 1 { "" } else { "s" },
         save_start.elapsed().as_secs_f64() * 1e3
@@ -160,7 +189,7 @@ fn cmd_add(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let (id, snap) = engine.add_table(&table)?;
     let shard = snap.engine.shard_of(table.name());
     let (_, _, segments) = engine.disk_stats()?;
-    println!(
+    out!(
         "added {} as {id} (shard {shard}) in {:.1} ms ({segments} delta segments pending; run `d3l compact` to fold)",
         table.name(),
         start.elapsed().as_secs_f64() * 1e3,
@@ -174,7 +203,7 @@ fn cmd_remove(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     };
     let engine = EngineHandle::open(index_dir)?;
     let (id, snap) = engine.remove_table(table_name)?;
-    println!(
+    out!(
         "removed {table_name} ({id}); {} of {} tables still serving",
         snap.engine.live_table_count(),
         snap.engine.table_count()
@@ -189,7 +218,7 @@ fn cmd_compact(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let engine = EngineHandle::open(index_dir)?;
     let folded = engine.compact()?;
     let (base_bytes, _, _) = engine.disk_stats()?;
-    println!("folded {folded} delta segments; base snapshot now {base_bytes} bytes");
+    out!("folded {folded} delta segments; base snapshot now {base_bytes} bytes");
     Ok(())
 }
 
@@ -240,12 +269,12 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let prepared = d3l.prepare_target(&target);
     let matches = d3l.query_prepared(&prepared, k, &opts);
     if matches.is_empty() {
-        println!("no related tables found");
+        out!("no related tables found");
         return Ok(());
     }
-    println!("{:<40} {:>9} {:>9}", "table", "distance", "covered");
+    out!("{:<40} {:>9} {:>9}", "table", "distance", "covered");
     for m in &matches {
-        println!(
+        out!(
             "{:<40} {:>9.4} {:>6}/{}",
             d3l.table_name(m.table),
             m.distance,
@@ -253,7 +282,7 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             target.arity()
         );
         for a in &m.alignments {
-            println!(
+            out!(
                 "    target.{} ← {}",
                 target.columns()[a.target_column].name(),
                 d3l.profile(a.source).name
@@ -265,17 +294,17 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         let graph = d3l.build_join_graph();
         let top: HashSet<TableId> = matches.iter().map(|m| m.table).collect();
         let related = d3l.related_table_set_prepared(&prepared, d3l.config().lookup_width(k));
-        println!("\njoin paths from the top-{k}:");
+        out!("\njoin paths from the top-{k}:");
         let mut any = false;
         for m in &matches {
             for path in d3l.find_join_paths(&graph, m.table, &top, &related) {
                 let names: Vec<&str> = path.nodes.iter().map(|&t| d3l.table_name(t)).collect();
-                println!("  {}", names.join(" ⋈ "));
+                out!("  {}", names.join(" ⋈ "));
                 any = true;
             }
         }
         if !any {
-            println!("  (none)");
+            out!("  (none)");
         }
     }
     Ok(())
@@ -405,7 +434,7 @@ fn cmd_watch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     );
     let watcher = Watcher::start(engine, &lake_dir, cfg.clone())?;
     let stats = watcher.stats();
-    println!(
+    out!(
         "watching {lake_dir} -> {index_dir} (poll {} ms, compact at {} segments or {} delta bytes); Ctrl-C stops",
         cfg.poll_interval.as_millis(),
         cfg.compact_segments,
@@ -427,7 +456,7 @@ fn cmd_watch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
     watcher.shutdown();
     let lag = stats.ingest_lag();
-    println!(
+    out!(
         "watched {} files; {} polls applied changes ({} adds, {} replaces, {} removes, {} skipped), {} compactions; ingest lag p50 {:.1} ms p99 {:.1} ms; bye",
         stats.files_tracked(),
         stats.batches(),
@@ -546,11 +575,11 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let workers = server.effective_threads();
     // The CLI tests parse this line to learn the ephemeral port, so
     // keep the "listening on" prefix stable.
-    println!("listening on http://{addr} ({workers} workers); Ctrl-C drains and exits");
+    out!("listening on http://{addr} ({workers} workers); Ctrl-C drains and exits");
     if cache_bytes == 0 {
-        println!("result cache: disabled");
+        out!("result cache: disabled");
     } else {
-        println!("result cache: {cache_bytes} bytes; pending-connection queue: {max_queue}");
+        out!("result cache: {cache_bytes} bytes; pending-connection queue: {max_queue}");
     }
 
     // Single-process continuous ingestion: the watcher writes deltas
@@ -560,7 +589,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(dir) = &watch_dir {
         let w = Watcher::start(engine.clone(), dir, watch_cfg.clone())?;
         server.attach_watch(w.stats());
-        println!(
+        out!(
             "watching {dir} (poll {} ms, compact at {} segments or {} delta bytes)",
             watch_cfg.poll_interval.as_millis(),
             watch_cfg.compact_segments,
@@ -575,7 +604,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let reload_stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let mut reload_thread = None;
     if let Some(ms) = reload_ms {
-        println!("replica mode: following the index store every {ms} ms");
+        out!("replica mode: following the index store every {ms} ms");
         let stop = reload_stop.clone();
         let eng = engine.clone();
         reload_thread = Some(std::thread::spawn(move || {
@@ -624,7 +653,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("slow queries captured (threshold {slow_query_ms} ms):");
         eprintln!("{}", slow_handle.slow_queries_json());
     }
-    println!("drained; bye");
+    out!("drained; bye");
     Ok(())
 }
 
@@ -657,14 +686,14 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         (Some(dir), None) => {
             let lake = DataLake::load_dir(dir)?;
             let stats = benchgen::RepoStats::compute(&lake);
-            println!("tables:         {}", stats.tables);
-            println!("attributes:     {}", stats.attributes);
-            println!("mean arity:     {:.1}", stats.mean_arity());
-            println!("mean rows:      {:.1}", stats.mean_cardinality());
-            println!("numeric ratio:  {:.1}%", stats.numeric_ratio * 100.0);
-            println!("raw bytes:      {}", stats.bytes);
+            out!("tables:         {}", stats.tables);
+            out!("attributes:     {}", stats.attributes);
+            out!("mean arity:     {:.1}", stats.mean_arity());
+            out!("mean rows:      {:.1}", stats.mean_cardinality());
+            out!("numeric ratio:  {:.1}%", stats.numeric_ratio * 100.0);
+            out!("raw bytes:      {}", stats.bytes);
             let mono = D3l::index_lake(&lake, D3lConfig::default());
-            println!(
+            out!(
                 "index bytes:    {} ({:.0}% overhead, in-memory)",
                 mono.index_byte_size(),
                 100.0 * mono.index_byte_size() as f64 / stats.bytes.max(1) as f64
@@ -680,32 +709,36 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     };
 
     if index_dir.is_some() {
-        println!("tables:         {}", d3l.table_count());
+        out!("tables:         {}", d3l.table_count());
         if d3l.live_table_count() != d3l.table_count() {
-            println!(
+            out!(
                 "serving:        {} (rest tombstoned)",
                 d3l.live_table_count()
             );
         }
         if d3l.shard_count() > 1 {
-            println!("shards:         {}", d3l.shard_count());
+            out!("shards:         {}", d3l.shard_count());
             for (s, (base, deltas, segments)) in shard_disk.iter().enumerate() {
-                println!(
+                out!(
                     "  shard-{s:02}: {} live tables, {base} base + {deltas} delta bytes ({segments} segments)",
                     d3l.shards()[s].live_table_count(),
                 );
             }
         }
     }
-    println!("signing lanes:  {}", d3l::core::index::signing_lanes());
+    out!("signing lanes:  {}", d3l::core::index::signing_lanes());
     let fp = d3l.byte_size();
-    println!("in-memory footprint (bytes the content needs; allocator slack not counted):");
-    println!(
+    out!("in-memory footprint (bytes the content needs; allocator slack not counted):");
+    out!(
         "  {:<10} {:>12} {:>12} {:>12} {:>12}",
-        "index", "trees", "signatures", "postings", "total"
+        "index",
+        "trees",
+        "signatures",
+        "postings",
+        "total"
     );
     for (name, idx) in fp.indexes() {
-        println!(
+        out!(
             "  {:<10} {:>12} {:>12} {:>12} {:>12}",
             name,
             idx.tree_bytes,
@@ -714,11 +747,15 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             idx.total()
         );
     }
-    println!(
+    out!(
         "  {:<10} {:>12} {:>12} {:>12} {:>12}",
-        "profiles", "-", "-", "-", fp.profile_bytes
+        "profiles",
+        "-",
+        "-",
+        "-",
+        fp.profile_bytes
     );
-    println!(
+    out!(
         "  {:<10} {:>12} {:>12} {:>12} {:>12}",
         "total",
         "",
@@ -726,39 +763,47 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         "",
         fp.total()
     );
-    println!("classes (distinct signatures; per-shard counts added, largest class of any shard):");
-    println!(
+    out!("classes (distinct signatures; per-shard counts added, largest class of any shard):");
+    out!(
         "  {:<10} {:>12} {:>12} {:>14}",
-        "index", "attributes", "classes", "largest class"
+        "index",
+        "attributes",
+        "classes",
+        "largest class"
     );
     for ((name, _), stats) in fp.indexes().iter().zip(d3l.class_stats()) {
-        println!(
+        out!(
             "  {:<10} {:>12} {:>12} {:>14}",
-            name, stats.attributes, stats.classes, stats.largest_class
+            name,
+            stats.attributes,
+            stats.classes,
+            stats.largest_class
         );
     }
     let (base, deltas, pending) = disk;
-    println!("on-disk snapshot (serialized bytes):");
+    out!("on-disk snapshot (serialized bytes):");
     match index_dir {
         Some(_) => {
-            println!("  {:<16} {:>12}", "base snapshot", base);
-            println!(
+            out!("  {:<16} {:>12}", "base snapshot", base);
+            out!(
                 "  {:<16} {:>12} ({pending} segments)",
-                "delta segments", deltas
+                "delta segments",
+                deltas
             );
-            println!("  {:<16} {:>12}", "total", base + deltas);
+            out!("  {:<16} {:>12}", "total", base + deltas);
             // What the base is made of, from its table of contents.
-            println!("base snapshot sections (payload bytes, share):");
+            out!("base snapshot sections (payload bytes, share):");
             let payload: u64 = sections.iter().map(|s| s.1).sum();
             for (tag, len) in sections {
                 let share = 100.0 * len as f64 / payload.max(1) as f64;
                 let tag = String::from_utf8_lossy(&tag);
-                println!("  {tag:<16} {len:>12} {share:>5.1}%");
+                out!("  {tag:<16} {len:>12} {share:>5.1}%");
             }
         }
-        None => println!(
+        None => out!(
             "  {:<16} {:>12} (if persisted with `d3l index`)",
-            "base snapshot", base
+            "base snapshot",
+            base
         ),
     }
     Ok(())
@@ -777,7 +822,7 @@ fn cmd_demo() -> Result<(), Box<dyn std::error::Error>> {
     let tname = bench.pick_targets(1, 1)[0].clone();
     let target = bench.lake.table_by_name(&tname).expect("member");
     std::fs::write(&target_path, csv::to_csv(target))?;
-    println!("demo lake: {} tables; target: {tname}", bench.lake.len());
+    out!("demo lake: {} tables; target: {tname}", bench.lake.len());
     cmd_query(&[
         dir.to_string_lossy().into_owned(),
         target_path.to_string_lossy().into_owned(),

@@ -301,6 +301,46 @@ fn index_persists_and_query_cold_starts_from_it() {
     std::fs::remove_dir_all(&index_dir).ok();
 }
 
+/// A reader that stops early — `d3l stats --index dir | head -1` — ends
+/// the command quietly: the write that finds the pipe closed used to
+/// panic ("failed printing to stdout", exit 101). The pipe is dropped
+/// after one line, and before any.
+#[test]
+fn a_closed_stdout_pipe_ends_the_command_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let lake = TempLake::create("closed_pipe");
+    let index_dir = format!("{}_index", lake.dir());
+    let out = d3l_cmd(&["index", lake.dir(), "--out", &index_dir]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    let commands = [
+        vec!["stats", "--index", &index_dir],
+        vec!["query", "--index", &index_dir, lake.target()],
+    ];
+    for read_a_line in [true, false] {
+        for args in &commands {
+            let mut child = Command::new(env!("CARGO_BIN_EXE_d3l"))
+                .args(args)
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("failed to spawn the d3l binary");
+            let stdout = child.stdout.take().unwrap();
+            if read_a_line {
+                let mut line = String::new();
+                BufReader::new(stdout).read_line(&mut line).unwrap();
+                assert!(!line.is_empty(), "{args:?}");
+            }
+            let out = child.wait_with_output().unwrap();
+            let stderr = stderr_of(&out);
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+            assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        }
+    }
+    std::fs::remove_dir_all(&index_dir).ok();
+}
+
 #[test]
 fn index_of_a_lake_with_a_bad_csv_leaves_no_index_directory() {
     let lake = TempLake::create("bad_csv");

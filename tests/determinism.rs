@@ -15,6 +15,7 @@ use std::collections::HashSet;
 
 use d3l::benchgen;
 use d3l::core::query::QueryOptions;
+use d3l::features::NumericExtent;
 use d3l::prelude::*;
 
 fn indexed(tables: usize, seed: u64) -> (benchgen::Benchmark, ShardedD3l) {
@@ -793,15 +794,20 @@ fn dirty_lake(tables: usize) -> DataLake {
 /// `0xb55e_dd25_a581_6ce3`); format 7 leaves out each attribute's
 /// three token sets — 8 bytes a token and three length bytes — stores
 /// the 1 024-byte signature of each `IN` and `IF` class and drops the
-/// arena-source byte of the four forest headers. Profiling and signing
-/// may get faster; what they produce may not move.
+/// arena-source byte of the four forest headers, 256 363 bytes
+/// (checksum `0x1982_e109_36c5_7414`); format 8 writes each numeric
+/// extent as exact scaled-integer deltas — the lake's 1 169 values
+/// were 8 bytes each after the count, and are now a scale byte and
+/// varints per extent, 2 205 bytes in all — and the blocks of 28 tables
+/// fit a one-byte length where 9 did. Profiling and signing may get
+/// faster; what they produce may not move.
 #[test]
 fn dirty_lake_snapshot_checksum_is_pinned() {
     let lake = dirty_lake(40);
     assert_eq!(lake.total_attributes(), 178);
     let built = D3l::index_lake(&lake, D3lConfig::default());
     let bytes = built.to_snapshot_bytes();
-    assert_eq!(bytes.len(), 256_363);
+    assert_eq!(bytes.len(), 249_197);
     // (attributes, classes, the bytes format 6 stored of a signature) of
     // IN, IV, IF, IE.
     let forests = [(178, 44, 0), (111, 107, 1024), (178, 58, 0), (111, 94, 32)];
@@ -809,31 +815,50 @@ fn dirty_lake_snapshot_checksum_is_pinned() {
     assert_eq!(classes, forests.map(|(n, c, _)| (n, c)));
     // The tokens format 6 wrote are those of the lake's freshly built
     // profiles. A table's `PROF` block is length-prefixed, in one byte
-    // while it is under 128 bytes: without their tokens the blocks of
-    // nine tables are (a count byte, then per attribute a counted name,
-    // a counted extent and a flags byte).
+    // while it is under 128 bytes: a block is a count byte, then per
+    // attribute a counted name, an extent and a flags byte.
     let profiles: Vec<_> = lake
         .iter()
         .map(|(_, t)| d3l::core::profile::profile_table(t, 4, built.embedder()))
         .collect();
     let tokens = |p: &d3l::core::AttributeProfile| p.qset.len() + p.tset.len() + p.rset.len();
     let tokens: usize = profiles.iter().flatten().map(tokens).sum();
-    let block =
-        |p: &d3l::core::AttributeProfile| 1 + p.name.len() + 1 + 8 * p.numeric_extent.len() + 1;
-    let blocks = profiles
-        .iter()
-        .map(|t| 1 + t.iter().map(block).sum::<usize>());
-    let short_blocks = blocks.filter(|&b| b < 128).count();
-    assert_eq!((tokens, short_blocks), (2_880, 9));
+    // Format 7 wrote an extent as a count byte and 8 bytes a value;
+    // format 8 writes its encoding — the count byte, then a scale byte
+    // and the varints.
+    let encoded = |p: &d3l::core::AttributeProfile| {
+        NumericExtent::from_sorted(&p.numeric_extent)
+            .as_bytes()
+            .len()
+    };
+    let short_blocks = |extent: &dyn Fn(&d3l::core::AttributeProfile) -> usize| {
+        let block = |p: &d3l::core::AttributeProfile| 1 + p.name.len() + extent(p) + 1;
+        let blocks = profiles
+            .iter()
+            .map(|t| 1 + t.iter().map(block).sum::<usize>());
+        blocks.filter(|&b| b < 128).count()
+    };
+    let short_7 = short_blocks(&|p| 1 + 8 * p.numeric_extent.len());
+    let short_8 = short_blocks(&encoded);
+    let numeric = profiles.iter().flatten().filter(|p| p.is_numeric);
+    let (values, scaled): (usize, usize) = numeric
+        .map(|p| (p.numeric_extent.len(), encoded(p) - 1))
+        .fold((0, 0), |(n, b), (pn, pb)| (n + pn, b + pb));
+    assert_eq!((tokens, short_7), (2_880, 9));
+    assert_eq!((values, scaled, short_8), (1_169, 2_205, 28));
+    assert_eq!(
+        256_363,
+        175_502 - 8 * tokens - 3 * 178 - short_7 + (44 + 58) * 1024 - 4
+    );
     assert_eq!(
         bytes.len(),
-        175_502 - 8 * tokens - 3 * 178 - short_blocks + (44 + 58) * 1024 - 4
+        256_363 - 8 * values + scaled - (short_8 - short_7)
     );
     let saved = |(n, c, sig): (usize, usize, usize)| (n - c) * (16 * 4 + sig) - 4 * n - 8;
     assert_eq!(175_502, 195_398 - forests.map(saved).iter().sum::<usize>());
     assert_eq!(195_398, 286_712 - 178 * 513);
     assert_eq!(286_712, 651_252 - 2 * 178 * 1024 + 4);
-    assert_eq!(d3l::store::checksum(&bytes), 0x1982_e109_36c5_7414);
+    assert_eq!(d3l::store::checksum(&bytes), 0x4f37_0c15_df7c_681a);
 }
 
 /// What the index of that lake *answers* is pinned too, to the values

@@ -502,3 +502,248 @@ proptest! {
         prop_assert_eq!(out, expected);
     }
 }
+
+// --------------------------------------------------------- numeric extents
+//
+// An index keeps each numeric extent as exact scaled-integer deltas
+// (`NumericExtent`), and KS reads that encoding without decoding it to
+// a slice. Both must be exact in the build that ships: every value
+// decodes to its own bits, and KS returns the slice statistic's bits.
+
+use d3l::features::extent::{ExtentError, MAX_SCALE};
+use d3l::features::ks::ks_statistic_presorted;
+use d3l::features::NumericExtent;
+use d3l::lsh::hash::splitmix64;
+
+/// Values an extent must carry exactly: signed zeros, infinities,
+/// subnormals, integers at and past ±2⁵² and ±2⁵³, and what the typer
+/// makes of the cells lakes hold ("1e999" is +∞, "-0" is −0.0, and
+/// 35835171729153.84 · 100 rounds to one past its integer).
+fn special_values() -> Vec<f64> {
+    let mut values = vec![
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        f64::MIN_POSITIVE / 8.0,
+        -f64::MIN_POSITIVE / 3.0,
+        f64::MAX,
+        f64::MIN,
+        f64::EPSILON,
+        0.1 + 0.2,
+    ];
+    for bits in [52, 53] {
+        let x = (1u64 << bits) as f64;
+        values.extend([x - 1.0, x, x + 2.0, 1.0 - x, -x, -x - 2.0]);
+    }
+    for cell in [
+        "12.5",
+        "1,200",
+        "45%",
+        "0.07%",
+        "1e3",
+        "1e999",
+        "-0",
+        "-3.25",
+        "19.99",
+        "0.5%",
+        "2.5E-3",
+        "35835171729153.84",
+    ] {
+        values.push(d3l::table::typing::parse_numeric(cell).expect("a numeric cell"));
+    }
+    values
+}
+
+/// A deterministic stream of generated sorted extents: integers with
+/// repeats, money (up to 2⁵² cents), percentages, decimals of up to six
+/// places, huge integers, special values mixed into any of them, and
+/// arbitrary bit patterns (no NaN).
+struct Extents {
+    state: u64,
+    specials: Vec<f64>,
+}
+
+impl Extents {
+    fn new(seed: u64) -> Self {
+        Extents {
+            state: seed,
+            specials: special_values(),
+        }
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.state = splitmix64(self.state);
+        (self.state >> 11) % n
+    }
+
+    fn next_extent(&mut self) -> Vec<f64> {
+        let len = [0, 1, 2, 3, 7, 20, 60, 150][self.below(8) as usize];
+        let kind = self.below(8);
+        let mut values: Vec<f64> = (0..len)
+            .map(|_| {
+                if self.below(12) == 0 {
+                    let i = self.below(self.specials.len() as u64) as usize;
+                    return self.specials[i];
+                }
+                let n = self.below(40_000) as i64 - 5_000;
+                match kind {
+                    0 => (n % 300) as f64,
+                    1 => n as f64 / 100.0,
+                    2 => n as f64 / 100.0 / 100.0,
+                    3 => n as f64 / 10f64.powi(self.below(7) as i32),
+                    4 => (n * 1_000_003 * 1_000_000) as f64,
+                    5 => f64::from_bits(self.below(u64::MAX)),
+                    6 => (n % 50) as f64 * 0.25,
+                    _ => ((1u64 << 51) + self.below(1 << 51)) as f64 / 100.0,
+                }
+            })
+            .filter(|v: &f64| !v.is_nan())
+            .collect();
+        values.sort_by(f64::total_cmp);
+        values
+    }
+}
+
+/// Does some `D`, `|D| < 2⁵²`, decode to `v` at scale `s`? A wider
+/// window around `v · 10ˢ` than the encoder searches, and `10ˢ` parsed.
+fn has_scaled_form(v: f64, s: u8) -> bool {
+    let pow: f64 = format!("1e{s}").parse().unwrap();
+    let r = (v * pow).round();
+    (-2..=2).any(|k| {
+        let d = r + k as f64;
+        d.abs() < (1u64 << 52) as f64 && (d / pow).to_bits() == v.to_bits()
+    })
+}
+
+fn bits(values: impl IntoIterator<Item = f64>) -> Vec<u64> {
+    values.into_iter().map(f64::to_bits).collect()
+}
+
+/// Every generated extent comes back bit for bit, through its values
+/// and through its bytes; its encoding is canonical — the smallest
+/// scale at which every value has an integer, the raw form only where
+/// none has, the same bytes whatever order the values were gathered in
+/// — and each of its strict prefixes is a typed error.
+#[test]
+fn extent_round_trip_is_bitwise_canonical_and_prefix_safe() {
+    let mut gen = Extents::new(0x0e_7e47);
+    let (mut raw, mut scaled, mut empty) = (0, [0usize; MAX_SCALE as usize + 1], 0);
+    let mut cases: Vec<Vec<f64>> = special_values().into_iter().map(|v| vec![v]).collect();
+    cases.extend((0..3_000).map(|_| gen.next_extent()));
+    for values in &cases {
+        let extent = NumericExtent::from_sorted(values);
+        let ctx = format!("{values:?}");
+        assert_eq!(bits(extent.values()), bits(values.iter().copied()), "{ctx}");
+        assert_eq!(extent.len(), values.len(), "{ctx}");
+        let bytes = extent.as_bytes();
+        let read = NumericExtent::from_bytes(bytes).unwrap();
+        assert_eq!(read, extent, "{ctx}");
+        assert_eq!(bits(read.values()), bits(values.iter().copied()), "{ctx}");
+
+        let mut shuffled = values.clone();
+        shuffled.reverse();
+        shuffled.rotate_left(values.len() / 3);
+        shuffled.sort_by(f64::total_cmp);
+        assert_eq!(
+            NumericExtent::from_sorted(&shuffled).as_bytes(),
+            bytes,
+            "{ctx}"
+        );
+
+        let fits = |s: u8| values.iter().all(|&v| has_scaled_form(v, s));
+        match extent.scale() {
+            Some(s) => {
+                assert!(fits(s), "{ctx}");
+                assert!((0..s).all(|smaller| !fits(smaller)), "{ctx}: scale {s}");
+                scaled[s as usize] += 1;
+            }
+            None if values.is_empty() => {
+                assert_eq!(bytes, [0]);
+                empty += 1;
+            }
+            None => {
+                // The count, the raw form's scale byte, 8 bytes a value.
+                let scale_at = bytes.len() - 8 * values.len() - 1;
+                assert_eq!(bytes[scale_at], 0xff, "{ctx}");
+                assert!((0..=MAX_SCALE).all(|s| !fits(s)), "{ctx}");
+                raw += 1;
+            }
+        }
+
+        for cut in 0..bytes.len() {
+            let prefix = &bytes[..cut];
+            assert_eq!(
+                NumericExtent::from_bytes(prefix),
+                Err(ExtentError::Truncated),
+                "{ctx}: cut {cut}"
+            );
+            assert!(NumericExtent::read(prefix).is_err(), "{ctx}: cut {cut}");
+        }
+    }
+    // The stream reaches every form it is there to reach.
+    assert!(raw > 300 && empty > 100, "raw {raw}, empty {empty}");
+    assert!(
+        scaled[0] > 100 && scaled[2] > 100 && scaled[4] > 50,
+        "{scaled:?}"
+    );
+}
+
+/// KS over two extents is the slice statistic over their values, bit
+/// for bit, on every ordered pair of 320 generated extents: same scale
+/// (compared as integers), other scales, raw forms with signed zeros
+/// and infinities, empty ones.
+#[test]
+fn extent_ks_equals_the_slice_statistic_on_generated_extents() {
+    let mut gen = Extents::new(0x5ca1e);
+    let slices: Vec<Vec<f64>> = (0..320).map(|_| gen.next_extent()).collect();
+    let extents: Vec<NumericExtent> = slices
+        .iter()
+        .map(|s| NumericExtent::from_sorted(s))
+        .collect();
+    let mut same_scale = 0;
+    for (a, ea) in slices.iter().zip(&extents) {
+        for (b, eb) in slices.iter().zip(&extents) {
+            let want = ks_statistic_presorted(a, b);
+            assert_eq!(ea.ks_statistic(eb).to_bits(), want.to_bits(), "{a:?} {b:?}");
+            same_scale += usize::from(ea.scale().is_some() && ea.scale() == eb.scale());
+        }
+    }
+    assert!(
+        same_scale > 2_000 && same_scale < 320 * 320 / 2,
+        "{same_scale}"
+    );
+}
+
+/// The same on the pinned dirty lake, on every ordered pair of its
+/// numeric columns, each extent as the index keeps it.
+#[test]
+fn extent_ks_equals_the_slice_statistic_on_the_dirty_lake() {
+    let lake = d3l::benchgen::derive::derive(&d3l::benchgen::DeriveConfig {
+        tables: 40,
+        base_rows: 60,
+        seed: 11,
+        dirty: Some(d3l::benchgen::DirtConfig::default()),
+        row_keep: (0.15, 0.5),
+        ..Default::default()
+    })
+    .lake;
+    let embedder = HashEmbedder::new(16, 1);
+    let numeric: Vec<AttributeProfile> = lake
+        .iter()
+        .flat_map(|(_, t)| d3l::core::profile::profile_table(t, 4, &embedder))
+        .filter(|p| p.is_numeric)
+        .collect();
+    let kept: Vec<NumericExtent> = numeric
+        .iter()
+        .map(|p| d3l::core::IndexedAttr::from(p.clone()).numeric_extent)
+        .collect();
+    assert!(numeric.len() > 50, "{}", numeric.len());
+    for (a, ka) in numeric.iter().zip(&kept) {
+        for (b, kb) in numeric.iter().zip(&kept) {
+            let want = ks_statistic_presorted(&a.numeric_extent, &b.numeric_extent);
+            assert_eq!(ka.ks_statistic(kb).to_bits(), want.to_bits());
+        }
+    }
+}
