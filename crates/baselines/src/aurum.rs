@@ -129,6 +129,8 @@ impl Aurum {
         let mut textual: HashSet<u64> = HashSet::new();
         let mut value_sizes: HashMap<u64, usize> = HashMap::new();
         let mut name_sizes: HashMap<u64, usize> = HashMap::new();
+        // Every column's three signatures, for the graph pass.
+        let mut signed = Vec::new();
 
         // Step 1: profile + index.
         for (id, table) in lake.iter() {
@@ -143,9 +145,10 @@ impl Aurum {
                 if !col.column_type().is_numeric() {
                     textual.insert(key);
                 }
-                content_index.insert(key, content);
-                name_index.insert(key, name_sig);
-                embed_index.insert(key, emb);
+                content_index.insert(key, content.clone());
+                name_index.insert(key, name_sig.clone());
+                embed_index.insert(key, emb.clone());
+                signed.push((key, content, name_sig, emb));
             }
         }
         content_index.commit();
@@ -153,13 +156,12 @@ impl Aurum {
         embed_index.commit();
 
         // Step 2: build the graph by querying each index once per
-        // column.
+        // column. Edges keep their best score and PK/FK pairs are a
+        // set, so the order columns are visited in does not matter.
         let mut graph: HashMap<u64, HashMap<u64, f64>> = HashMap::new();
         let mut pkfk: HashMap<TableId, HashSet<TableId>> = HashMap::new();
-        let keys: Vec<u64> = content_index.ids().collect();
-        for &key in &keys {
+        for (key, content_sig, name_sig, emb_sig) in signed {
             let (table, _) = attr_of_key(key);
-            let content_sig = content_index.signature(key).expect("indexed").clone();
             let add_edge =
                 |a: u64, b: u64, score: f64, graph: &mut HashMap<u64, HashMap<u64, f64>>| {
                     let e = graph.entry(a).or_default().entry(b).or_insert(0.0);
@@ -187,7 +189,6 @@ impl Aurum {
                     }
                 }
             }
-            let name_sig = name_index.signature(key).expect("indexed").clone();
             for hit in name_index.query(&name_sig, cfg.build_width) {
                 let (other_table, _) = attr_of_key(hit.id);
                 let score =
@@ -198,7 +199,6 @@ impl Aurum {
                 add_edge(key, hit.id, score, &mut graph);
                 add_edge(hit.id, key, score, &mut graph);
             }
-            let emb_sig = embed_index.signature(key).expect("indexed").clone();
             for hit in embed_index.query(&emb_sig, cfg.build_width) {
                 let (other_table, _) = attr_of_key(hit.id);
                 let score = hit.similarity

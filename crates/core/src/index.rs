@@ -3,9 +3,19 @@
 //! [`D3l`] owns everything needed to answer discovery queries over a
 //! lake: the `IN`, `IV`, `IF` (MinHash) and `IE` (random projection)
 //! LSH Forests, what is kept of each attribute beside its signatures
-//! ([`IndexedAttr`]: name, numeric extent for the guarded KS
-//! computation, evidence flags — no token set, no embedding vector),
-//! and each table's subject attribute.
+//! (name, numeric extent for the guarded KS computation, evidence
+//! flags — no token set, no embedding vector), and each table's
+//! subject attribute.
+//!
+//! **An attribute is a row.** What is kept of the attributes is one
+//! struct-of-arrays table (`attrs` module) with a row per attribute:
+//! its name, extent and flags, and its class in each of the four
+//! forests. The forests keep no id → class map — an insert returns the
+//! slot, a removal is told it, a class that moves says so and its
+//! members' rows are re-pointed — so resolving a candidate's signatures
+//! is four array reads, and [`D3l::profile`] hands out a row as an
+//! [`AttrView`], the type an [`IndexedAttr`] of a signed table is read
+//! through too.
 //!
 //! **A table is signed once, into one record.** [`SignedTable`] is a
 //! table as the index takes it: name, subject column, an
@@ -53,8 +63,9 @@ use d3l_lsh::ItemId;
 use d3l_table::lake::{csv_files, load_csv, table_name_of};
 use d3l_table::{DataLake, Table, TableError, TableId};
 
+use crate::attrs::{AttrTable, NONE};
 use crate::config::D3lConfig;
-use crate::profile::{profile_table, IndexedAttr};
+use crate::profile::{profile_table, AttrView, IndexedAttr};
 
 /// Which compilation of the MinHash and hyperplane signing loops every
 /// engine in this process runs — `"avx512"` or `"portable"`, decided
@@ -145,7 +156,7 @@ impl SignedTable {
     pub(crate) fn columns<'a>(
         &'a self,
         of: &D3l,
-    ) -> impl Iterator<Item = (&'a IndexedAttr, AttrSigsRef<'a>)> + 'a {
+    ) -> impl Iterator<Item = (AttrView<'a>, AttrSigsRef<'a>)> + 'a {
         let (mh, rp) = (of.minhasher.sig_shape().0, of.projector.sig_shape().0);
         let [i_n, i_v, i_f, i_e] = &self.words;
         let nth = |words: &'a [u64], stride: usize, n: usize| &words[n * stride..][..stride];
@@ -162,7 +173,7 @@ impl SignedTable {
                 format: nth(i_f, mh, col),
                 embedding: covered.map(|n| nth(i_e, rp, n)),
             };
-            (attr, sigs)
+            (attr.view(), sigs)
         })
     }
 }
@@ -205,8 +216,9 @@ pub struct D3l {
     pub(crate) i_f: LshForest<MinHashSignature>,
     /// `IE` — embedding index.
     pub(crate) i_e: LshForest<BitSignature>,
-    /// Per table, what is kept of each attribute beside its signatures.
-    pub(crate) profiles: Vec<Vec<IndexedAttr>>,
+    /// Every attribute's row: what is kept of it beside its signatures,
+    /// and its class in each forest.
+    pub(crate) attrs: AttrTable,
     /// Per-table subject attribute (None when no textual column).
     pub(crate) subjects: Vec<Option<u32>>,
     /// Table names, parallel to ids.
@@ -336,7 +348,7 @@ impl D3l {
             i_v: LshForest::new(cfg.num_perm, cfg.trees),
             i_f: LshForest::new(cfg.num_perm, cfg.trees),
             i_e: LshForest::new(cfg.embed_bits, cfg.trees),
-            profiles: Vec::new(),
+            attrs: AttrTable::default(),
             subjects: Vec::new(),
             names: Vec::new(),
             removed: Vec::new(),
@@ -379,13 +391,16 @@ impl D3l {
         Ok(part)
     }
 
-    /// Take over the tables of a later run of the same build.
+    /// Take over the tables of a later run of the same build, their
+    /// rows re-pointed to where their classes went.
     fn absorb(&mut self, part: D3l) {
-        self.i_n.append(part.i_n);
-        self.i_v.append(part.i_v);
-        self.i_f.append(part.i_f);
-        self.i_e.append(part.i_e);
-        self.profiles.extend(part.profiles);
+        let moved = [
+            self.i_n.append(part.i_n),
+            self.i_v.append(part.i_v),
+            self.i_f.append(part.i_f),
+            self.i_e.append(part.i_e),
+        ];
+        self.attrs.append(part.attrs, &moved);
         self.subjects.extend(part.subjects);
         self.names.extend(part.names);
         self.removed.extend(part.removed);
@@ -477,26 +492,29 @@ impl D3l {
 
     /// Append a signed table as the next slot, `id`: copy every
     /// attribute's words into the arenas of the forests that cover it
-    /// and record the table. The forests are left uncommitted.
+    /// and record the table, a row per attribute holding the classes
+    /// the inserts returned. The forests are left uncommitted.
     pub(crate) fn push(&mut self, id: TableId, table: SignedTable) {
         fn copy(words: &[u64]) -> impl FnOnce(&mut [u64]) + '_ {
             move |slot| slot.copy_from_slice(words)
         }
         let (mh, rp) = (self.minhasher.sig_shape(), self.projector.sig_shape());
-        for (column, (_, sigs)) in (0u32..).zip(table.columns(self)) {
+        for (column, (attr, sigs)) in (0u32..).zip(table.columns(self)) {
             let key = AttrRef { table: id, column }.key();
-            self.i_n.insert_with(key, mh, copy(sigs.name));
-            self.i_f.insert_with(key, mh, copy(sigs.format));
+            let mut class = [NONE; 4];
+            class[0] = self.i_n.insert_with(key, mh, copy(sigs.name));
+            class[2] = self.i_f.insert_with(key, mh, copy(sigs.format));
             if let Some(value) = sigs.value {
-                self.i_v.insert_with(key, mh, copy(value));
+                class[1] = self.i_v.insert_with(key, mh, copy(value));
             }
             if let Some(embedding) = sigs.embedding {
-                self.i_e.insert_with(key, rp, copy(embedding));
+                class[3] = self.i_e.insert_with(key, rp, copy(embedding));
             }
+            self.attrs.push(attr, class);
         }
+        self.attrs.end_table();
         self.names.push(table.name);
         self.subjects.push(table.subject);
-        self.profiles.push(table.attrs);
         self.removed.push(false);
     }
 
@@ -510,11 +528,11 @@ impl D3l {
         if !self.is_live(id) {
             return None;
         }
-        let attrs = self.profiles[id.index()].clone();
+        let rows = self.attrs.rows(id.index());
         let mut words = TableWords::default();
         let [i_n, i_v, i_f, i_e] = &mut words;
-        for column in 0..attrs.len() as u32 {
-            let sigs = self.stored_signatures_ref(AttrRef { table: id, column });
+        for row in rows.clone() {
+            let sigs = self.signatures_at(row);
             i_n.extend_from_slice(sigs.name);
             i_v.extend_from_slice(sigs.value.unwrap_or_default());
             i_f.extend_from_slice(sigs.format);
@@ -523,7 +541,7 @@ impl D3l {
         Some(SignedTable {
             name: self.names[id.index()].clone(),
             subject: self.subjects[id.index()],
-            attrs,
+            attrs: rows.map(|row| self.attrs.attr(row).into()).collect(),
             words,
         })
     }
@@ -547,7 +565,7 @@ impl D3l {
     pub(crate) fn push_tombstone(&mut self, name: &str) {
         self.names.push(name.to_string());
         self.subjects.push(None);
-        self.profiles.push(Vec::new());
+        self.attrs.end_table();
         self.removed.push(true);
     }
 
@@ -559,30 +577,43 @@ impl D3l {
     }
 
     /// Drop a table from the index (the maintenance counterpart of
-    /// [`D3l::add_table`]). Its attributes leave all four forests —
-    /// dropping entries preserves each tree's sort, so no re-commit is
-    /// needed — and the id becomes a tombstone: ids of other tables
-    /// never shift, the slot keeps its name for display, and
-    /// [`D3l::table_count`] still counts it (use
+    /// [`D3l::add_table`]). Its attributes leave all four forests, each
+    /// from the class its row names — dropping entries preserves each
+    /// tree's sort, so no re-commit is needed — and its rows leave the
+    /// attribute table. The id becomes a tombstone: ids of other tables
+    /// never shift, the slot keeps its name for display (with arity 0),
+    /// and [`D3l::table_count`] still counts it (use
     /// [`D3l::live_table_count`] for the serving population). Returns
     /// whether the id named a live table.
     pub fn remove_table(&mut self, id: TableId) -> bool {
+        /// Take `key` out of class `slot` of forest `index`, and re-point
+        /// the rows of a class the removal moved into `slot`.
+        fn leave<S: d3l_lsh::signature::Signature>(
+            forest: &mut LshForest<S>,
+            attrs: &mut AttrTable,
+            (index, key, slot): (usize, ItemId, u32),
+        ) {
+            if slot == NONE || forest.remove(key, slot).is_none() {
+                return;
+            }
+            for &member in forest.class_members(slot) {
+                let row = attrs.row(AttrRef::from_key(member));
+                attrs.set_class(row.expect("a member has a row"), index, slot);
+            }
+        }
         let idx = id.index();
         if !self.is_live(id) {
             return false;
         }
-        for col in 0..self.profiles[idx].len() {
-            let key = AttrRef {
-                table: id,
-                column: col as u32,
-            }
-            .key();
-            self.i_n.remove(key);
-            self.i_v.remove(key);
-            self.i_f.remove(key);
-            self.i_e.remove(key);
+        for (column, row) in (0u32..).zip(self.attrs.rows(idx)) {
+            let key = AttrRef { table: id, column }.key();
+            let [n, v, f, e] = self.attrs.class(row);
+            leave(&mut self.i_n, &mut self.attrs, (0, key, n));
+            leave(&mut self.i_v, &mut self.attrs, (1, key, v));
+            leave(&mut self.i_f, &mut self.attrs, (2, key, f));
+            leave(&mut self.i_e, &mut self.attrs, (3, key, e));
         }
-        self.profiles[idx] = Vec::new();
+        self.attrs.clear_table(idx);
         self.subjects[idx] = None;
         self.removed[idx] = true;
         true
@@ -618,7 +649,7 @@ impl D3l {
 
     /// Number of indexed tables.
     pub fn table_count(&self) -> usize {
-        self.profiles.len()
+        self.attrs.tables()
     }
 
     /// Name of an indexed table.
@@ -628,12 +659,18 @@ impl D3l {
 
     /// Arity of an indexed table.
     pub fn table_arity(&self, id: TableId) -> usize {
-        self.profiles[id.index()].len()
+        self.attrs.rows(id.index()).len()
     }
 
     /// What the index keeps of one attribute beside its signatures.
-    pub fn profile(&self, attr: AttrRef) -> &IndexedAttr {
-        &self.profiles[attr.table.index()][attr.column as usize]
+    /// Panics unless the attribute is a column of an indexed table.
+    pub fn profile(&self, attr: AttrRef) -> AttrView<'_> {
+        self.attrs.attr(self.row(attr))
+    }
+
+    /// The row of an attribute the caller knows is indexed.
+    fn row(&self, attr: AttrRef) -> usize {
+        self.attrs.row(attr).expect("attribute not indexed")
     }
 
     /// Subject attribute of an indexed table, if any.
@@ -651,23 +688,36 @@ impl D3l {
     }
 
     /// The stored signatures of an indexed attribute, borrowed from the
-    /// arenas — the zero-copy resolution the pairwise scoring stage
-    /// uses. Every attribute is in `IN`/`IF` (`check_coverage` proves
-    /// it at every open and replay); numeric ones are in neither `IV`
-    /// nor `IE`.
+    /// arenas by the classes its row names — the zero-copy resolution
+    /// the pairwise scoring stage uses, four array reads. Numeric
+    /// attributes are in neither `IV` nor `IE` (their classes there are
+    /// `NONE`). Panics unless the attribute is a column of an indexed
+    /// table.
     pub(crate) fn stored_signatures_ref(&self, attr: AttrRef) -> AttrSigsRef<'_> {
-        let key = attr.key();
+        self.signatures_at(self.row(attr))
+    }
+
+    /// [`D3l::stored_signatures_ref`] of row `row`.
+    ///
+    /// A row's `IN` and `IF` classes are never `NONE`, so the two reads
+    /// that take them as slots cannot fail. A row is made two ways.
+    /// `push` (a build, an add, a delta replay, a split) gives it the
+    /// slots `IN` and `IF` returned, and `absorb` maps them through
+    /// `LshForest::append`'s report of where each class went. An open
+    /// makes it with no class and fills the classes from the forest
+    /// sections, refusing a store whose forest leaves a row its index
+    /// covers without a class ("lacks attribute") — `IN` and `IF` cover
+    /// every row — or holds an attribute with no row ("outside the table
+    /// list"). After that a slot changes only when a removal moves a
+    /// class, and the removal re-points that class's rows; a removed
+    /// table has no row left to read (`TABL` may not give it one).
+    fn signatures_at(&self, row: usize) -> AttrSigsRef<'_> {
+        let [n, v, f, e] = self.attrs.class(row);
         AttrSigsRef {
-            name: self
-                .i_n
-                .signature_words(key)
-                .expect("attribute not indexed"),
-            value: self.i_v.signature_words(key),
-            format: self
-                .i_f
-                .signature_words(key)
-                .expect("attribute not indexed"),
-            embedding: self.i_e.signature_words(key),
+            name: self.i_n.class_words(n),
+            value: (v != NONE).then(|| self.i_v.class_words(v)),
+            format: self.i_f.class_words(f),
+            embedding: (e != NONE).then(|| self.i_e.class_words(e)),
         }
     }
 
@@ -687,9 +737,10 @@ impl D3l {
         )
     }
 
-    /// Full memory accounting: per-index forest footprints split into
-    /// tree arrays, the signature arena and the postings, plus the
-    /// retained attribute records.
+    /// Full memory accounting, every array the engine holds: per-index
+    /// forest footprints split into tree arrays, the signature arena and
+    /// the postings, then the attribute table, the table list and the
+    /// hashers.
     pub fn byte_size(&self) -> MemoryFootprint {
         fn index_of<S>(forest: &LshForest<S>) -> IndexFootprint {
             IndexFootprint {
@@ -698,18 +749,18 @@ impl D3l {
                 posting_bytes: forest.posting_byte_size(),
             }
         }
-        let profile_bytes: usize = self
-            .profiles
-            .iter()
-            .flat_map(|t| t.iter())
-            .map(IndexedAttr::byte_size)
-            .sum();
+        let names: usize = self.names.iter().map(String::len).sum();
+        let per_table = std::mem::size_of::<String>()
+            + std::mem::size_of::<Option<u32>>()
+            + std::mem::size_of::<bool>();
         MemoryFootprint {
             i_n: index_of(&self.i_n),
             i_v: index_of(&self.i_v),
             i_f: index_of(&self.i_f),
             i_e: index_of(&self.i_e),
-            profile_bytes,
+            profile_bytes: self.attrs.byte_size(),
+            table_bytes: names + self.names.len() * per_table,
+            hasher_bytes: self.minhasher.byte_size() + self.projector.byte_size(),
         }
     }
 
@@ -729,6 +780,72 @@ impl D3l {
             stats_of(&self.i_f),
             stats_of(&self.i_e),
         ]
+    }
+
+    /// The class column against the forests, both ways: a removed table
+    /// has no row, every row's class in an index that covers it
+    /// (`IN`/`IF` every row, `IV`/`IE` the non-numeric ones) names a
+    /// class whose postings hold the row's key, a row an index does not
+    /// cover has no class there, and every posting member's row names
+    /// the member's class. What every
+    /// mutation, open and replay must leave; the tests check it after
+    /// each (an integration test cannot reach a `cfg(test)` item, hence
+    /// a hidden public one). `Err` says the first break.
+    #[doc(hidden)]
+    pub fn check_class_column(&self) -> Result<(), String> {
+        fn check<S>(
+            d3l: &D3l,
+            (index, name): (usize, &str),
+            forest: &LshForest<S>,
+            covers: impl Fn(AttrView<'_>) -> bool,
+        ) -> Result<(), String> {
+            for slot in 0..forest.class_count() as u32 {
+                for &key in forest.class_members(slot) {
+                    let attr = AttrRef::from_key(key);
+                    let Some(row) = d3l.attrs.row(attr) else {
+                        return Err(format!(
+                            "{name} class {slot} holds {attr:?}, which has no row"
+                        ));
+                    };
+                    let held = d3l.attrs.class(row)[index];
+                    if held != slot {
+                        return Err(format!(
+                            "{name} class {slot} holds {attr:?}, whose row says {held}"
+                        ));
+                    }
+                }
+            }
+            for t in 0..d3l.table_count() {
+                let rows = d3l.attrs.rows(t);
+                if d3l.removed[t] && !rows.is_empty() {
+                    return Err(format!("removed table {t} keeps {} rows", rows.len()));
+                }
+                for (column, row) in (0u32..).zip(rows) {
+                    let attr = AttrRef {
+                        table: TableId(t as u32),
+                        column,
+                    };
+                    let slot = d3l.attrs.class(row)[index];
+                    let wanted = covers(d3l.attrs.attr(row));
+                    let holds = (slot as usize) < forest.class_count()
+                        && forest
+                            .class_members(slot)
+                            .binary_search(&attr.key())
+                            .is_ok();
+                    if wanted != holds || !wanted && slot != NONE {
+                        return Err(format!(
+                            "{attr:?} is in {name} class {slot}: covered {wanted}, held {holds}"
+                        ));
+                    }
+                }
+            }
+            Ok(())
+        }
+        let textual = |a: AttrView<'_>| !a.is_numeric;
+        check(self, (0, "IN"), &self.i_n, |_| true)?;
+        check(self, (1, "IV"), &self.i_v, textual)?;
+        check(self, (2, "IF"), &self.i_f, |_| true)?;
+        check(self, (3, "IE"), &self.i_e, textual)
     }
 
     /// The id of the live table named `name`: what
@@ -785,9 +902,10 @@ pub struct IndexFootprint {
     /// Stored full signatures, one per class (similarity refinement at
     /// query time).
     pub signature_bytes: usize,
-    /// What ties attributes to classes: posting lists and the id →
-    /// class and content → class tables, each at the bucket capacity
-    /// its entries need (`LshForest::posting_byte_size`).
+    /// What ties attributes to classes: posting lists and the content →
+    /// class table at the bucket capacity its entries need
+    /// (`LshForest::posting_byte_size`). Which class an attribute is in
+    /// is its row's, counted in [`MemoryFootprint::profile_bytes`].
     pub posting_bytes: usize,
 }
 
@@ -798,7 +916,10 @@ impl IndexFootprint {
     }
 }
 
-/// Memory accounting of a [`D3l`] instance ([`D3l::byte_size`]).
+/// Memory accounting of a [`D3l`] instance ([`D3l::byte_size`]): every
+/// array it holds, each counted as the bytes its content needs —
+/// lengths, not capacities — so a figure is equal across build, reopen
+/// and replay and a floor under what the allocator holds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryFootprint {
     /// `IN` — attribute-name q-gram index.
@@ -809,19 +930,28 @@ pub struct MemoryFootprint {
     pub i_f: IndexFootprint,
     /// `IE` — embedding index.
     pub i_e: IndexFootprint,
-    /// What is kept of the attributes beside their signatures: names
-    /// and numeric extents ([`IndexedAttr::byte_size`]).
+    /// The attribute table, a row per attribute: its name and numeric
+    /// extent bytes and where each ends, its flags byte, its class slot
+    /// in each of the four indexes, and where each table's rows start.
     pub profile_bytes: usize,
+    /// The table list: per table its name (a `String`), subject column
+    /// and tombstone flag.
+    pub table_bytes: usize,
+    /// The hashers: MinHash parameters and the projector's hyperplanes.
+    pub hasher_bytes: usize,
 }
 
 impl MemoryFootprint {
-    /// Everything: the four indexes plus the profiles.
+    /// Everything: the four indexes, the attribute table, the table
+    /// list and the hashers.
     pub fn total(&self) -> usize {
         self.i_n.total()
             + self.i_v.total()
             + self.i_f.total()
             + self.i_e.total()
             + self.profile_bytes
+            + self.table_bytes
+            + self.hasher_bytes
     }
 
     /// Element-wise sum of per-shard footprints. An empty slice is an
@@ -840,6 +970,8 @@ impl MemoryFootprint {
                 acc.posting_bytes += add.posting_bytes;
             }
             total.profile_bytes += fp.profile_bytes;
+            total.table_bytes += fp.table_bytes;
+            total.hasher_bytes += fp.hasher_bytes;
         }
         total
     }
@@ -997,17 +1129,30 @@ mod tests {
         assert_eq!(fp.i_v.total(), v);
         assert_eq!(fp.i_f.total(), f);
         assert_eq!(fp.i_e.total(), e);
-        assert_eq!(fp.total(), d3l.index_byte_size() + fp.profile_bytes);
-        // Profiles are the names and the encoded extents: `Patients`
-        // (1202, 3572) is a count, a scale, zig-zag 2404 and delta 2370
-        // — six bytes, where 8 bytes a value were sixteen — and
-        // `Payment` (15530, 73648) eight.
+        let rest = fp.profile_bytes + fp.table_bytes + fp.hasher_bytes;
+        assert_eq!(fp.total(), d3l.index_byte_size() + rest);
+        // The attribute table holds the names and the encoded extents —
+        // `Patients` (1202, 3572) is a count, a scale, zig-zag 2404 and
+        // delta 2370, six bytes, where 8 bytes a value were sixteen, and
+        // `Payment` (15530, 73648) eight — and per attribute where its
+        // name and extent end, a flags byte and four class slots, and
+        // where each of the three tables' rows start, and one end.
         let names: usize = lake
             .iter()
             .flat_map(|(_, t)| t.columns())
             .map(|c| c.name().len())
             .sum();
-        assert_eq!(fp.profile_bytes, names + 6 + 8);
+        assert_eq!(
+            fp.profile_bytes,
+            names + 6 + 8 + 12 * (4 + 4 + 1 + 16) + 4 * 4
+        );
+        // The table list: per table a `String` and its bytes, a subject
+        // column and a tombstone flag.
+        let table_names: usize = lake.iter().map(|(_, t)| t.name().len()).sum();
+        assert_eq!(fp.table_bytes, table_names + 3 * (24 + 8 + 1));
+        // The hashers: two parameters of each of 64 positions, and 64
+        // planes of 32 components.
+        assert_eq!(fp.hasher_bytes, 2 * 64 * 8 + 64 * 32 * 8);
         // A tree entry is a 4-byte key and a 4-byte class slot, one
         // per class in each of the `trees` trees.
         let trees = D3lConfig::fast().trees;
@@ -1026,9 +1171,10 @@ mod tests {
                 idx.tree_bytes + idx.signature_bytes + idx.posting_bytes
             );
         }
-        // One posting entry and one id-table entry per attribute, at
-        // the least.
-        assert!(fp.i_n.posting_bytes >= d3l.i_n.len() * (8 + 12));
+        // One posting entry per attribute and a list per class, at the
+        // least.
+        let lists = d3l.i_n.len() * 8 + d3l.i_n.class_count() * 24;
+        assert!(fp.i_n.posting_bytes > lists);
         // Shards' footprints add up field by field, postings included.
         let sharded = crate::ShardedD3l::split(d3l.clone(), 2);
         let parts = sharded.shard_byte_sizes();
@@ -1117,8 +1263,10 @@ mod tests {
         assert!(d3l.profile(patients).is_numeric);
         let stored = d3l.stored_signatures_ref(patients);
         assert!(stored.value.is_none() && stored.embedding.is_none());
-        assert!(d3l.i_v.signature_words(patients.key()).is_none());
-        assert!(d3l.i_e.signature_words(patients.key()).is_none());
+        assert!(!d3l.i_v.ids().any(|id| id == patients.key()));
+        assert!(!d3l.i_e.ids().any(|id| id == patients.key()));
+        let [_, v, _, e] = d3l.attrs.class(d3l.attrs.row(patients).unwrap());
+        assert_eq!((v, e), (NONE, NONE));
         let record = d3l.signed_table(patients.table).unwrap();
         let (mh, rp) = (d3l.minhasher.sig_shape().0, d3l.projector.sig_shape().0);
         // Five columns, four of them textual.

@@ -137,7 +137,7 @@ impl ShardedD3l {
             if !shard.profile(subject).has_text {
                 continue;
             }
-            let Some(tset_sig) = shard.i_v.signature_words(subject.key()) else {
+            let Some(tset_sig) = shard.stored_signatures_ref(subject).value else {
                 continue;
             };
             for hit in query_union(&i_v, tset_sig, cfg.num_perm as u64, width) {

@@ -49,6 +49,7 @@
 //! assert_eq!(matches.len(), 1);
 //! ```
 
+mod attrs;
 pub mod cache;
 pub mod config;
 pub mod distance;
@@ -74,7 +75,7 @@ pub use hotswap::{EngineHandle, EngineSnapshot, EngineTelemetry, MaintenanceErro
 pub use index::{AttrRef, ClassStats, D3l, IndexFootprint, MemoryFootprint, SignedTable};
 pub use join::{JoinPath, SaJoinGraph};
 pub use populate::Population;
-pub use profile::{AttributeProfile, IndexedAttr};
+pub use profile::{AttrView, AttributeProfile, IndexedAttr};
 pub use query::{Alignment, QueryOptions, TableMatch};
 pub use shard::{shard_of_name, ShardedD3l};
 pub use snapshot::{DeltaRecord, IndexStore};

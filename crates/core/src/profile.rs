@@ -36,12 +36,15 @@
 //! component. The extent itself is kept in its one encoding,
 //! [`NumericExtent`] (exact scaled-integer deltas), which the store
 //! writes as it is and KS reads without decoding to a `Vec<f64>`. A
-//! query target is converted the same way once it is signed, so both
-//! sides of a scored pair are read through one type.
+//! query target is converted the same way once it is signed. An engine
+//! keeps no `IndexedAttr`: its attributes are rows of one table, and
+//! what it hands out of one is an [`AttrView`] — borrowed, as an
+//! `IndexedAttr` is viewed too — so both sides of a scored pair are
+//! read through one type.
 
 use d3l_embedding::WordEmbedder;
 use d3l_features::histogram::TokenHistogram;
-use d3l_features::{qgrams, regex_format, NumericExtent};
+use d3l_features::{qgrams, regex_format, Extent, NumericExtent};
 use d3l_lsh::TokenSet;
 use d3l_table::{typing, Column};
 
@@ -165,9 +168,10 @@ impl AttributeProfile {
 
 /// What the index keeps of an attribute once its four signatures are
 /// written: everything scoring reads that a signature does not hold.
-/// An engine stores one per indexed attribute, `PROF` and a delta
-/// segment encode it, and a signed table (`SignedTable` — one to add,
-/// a query target) is a list of them beside its signature words.
+/// A signed table (`SignedTable` — one to add, a query target, what a
+/// delta segment carries) is a list of them beside its signature words;
+/// an engine keeps the same fields as a row of its attribute table, and
+/// `PROF` and a delta segment encode them alike.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexedAttr {
     /// Attribute name as it appears in the table.
@@ -204,10 +208,87 @@ impl From<AttributeProfile> for IndexedAttr {
 }
 
 impl IndexedAttr {
-    /// Resident footprint in bytes: the name and the encoded numeric
-    /// extent.
-    pub fn byte_size(&self) -> usize {
-        self.name.len() + self.numeric_extent.byte_size()
+    /// The attribute, borrowed.
+    pub fn view(&self) -> AttrView<'_> {
+        AttrView {
+            name: &self.name,
+            numeric_extent: &self.numeric_extent,
+            is_numeric: self.is_numeric,
+            has_name: self.has_name,
+            has_text: self.has_text,
+            has_format: self.has_format,
+            has_embedding: self.has_embedding,
+        }
+    }
+}
+
+impl From<AttrView<'_>> for IndexedAttr {
+    fn from(a: AttrView<'_>) -> Self {
+        IndexedAttr {
+            name: a.name.to_string(),
+            numeric_extent: a.numeric_extent.to_owned(),
+            is_numeric: a.is_numeric,
+            has_name: a.has_name,
+            has_text: a.has_text,
+            has_format: a.has_format,
+            has_embedding: a.has_embedding,
+        }
+    }
+}
+
+/// An [`IndexedAttr`], borrowed: what an engine hands out of one of its
+/// attributes ([`crate::D3l::profile`]) and what scoring reads of both
+/// sides of a pair.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AttrView<'a> {
+    /// Attribute name as it appears in the table.
+    pub name: &'a str,
+    /// The numeric extent (empty for textual attributes).
+    pub numeric_extent: &'a Extent,
+    /// Whether the column was inferred numeric.
+    pub is_numeric: bool,
+    /// **N** evidence exists.
+    pub has_name: bool,
+    /// **V** evidence exists.
+    pub has_text: bool,
+    /// **F** evidence exists.
+    pub has_format: bool,
+    /// **E** evidence exists.
+    pub has_embedding: bool,
+}
+
+/// Bits of an attribute's flags byte — as `PROF`, a delta segment and
+/// an engine's attribute table hold them.
+pub(crate) const FLAG_NUMERIC: u8 = 1;
+pub(crate) const FLAG_EMBEDDED: u8 = 2;
+pub(crate) const FLAG_NAME: u8 = 4;
+pub(crate) const FLAG_TEXT: u8 = 8;
+pub(crate) const FLAG_FORMAT: u8 = 16;
+
+impl<'a> AttrView<'a> {
+    /// The attribute whose flags byte is `flags` (the bits above are
+    /// the caller's to have checked).
+    pub(crate) fn with_flags(name: &'a str, numeric_extent: &'a Extent, flags: u8) -> Self {
+        let has = |bit: u8| flags & bit != 0;
+        AttrView {
+            name,
+            numeric_extent,
+            is_numeric: has(FLAG_NUMERIC),
+            has_name: has(FLAG_NAME),
+            has_text: has(FLAG_TEXT),
+            has_format: has(FLAG_FORMAT),
+            has_embedding: has(FLAG_EMBEDDED),
+        }
+    }
+
+    /// The flags byte.
+    pub(crate) fn flags(&self) -> u8 {
+        let flag = |set: bool, bit: u8| set as u8 * bit;
+        flag(self.is_numeric, FLAG_NUMERIC)
+            | flag(self.has_embedding, FLAG_EMBEDDED)
+            | flag(self.has_name, FLAG_NAME)
+            | flag(self.has_text, FLAG_TEXT)
+            | flag(self.has_format, FLAG_FORMAT)
     }
 }
 

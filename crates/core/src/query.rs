@@ -16,9 +16,10 @@
 //!    candidate attribute) pair gets a full five-distance vector
 //!    (Algorithm 2 guards the numeric KS case with a precomputed
 //!    per-table subject guard). Both sides are read alike, as an
-//!    [`IndexedAttr`] and word slices: the target's from its record,
-//!    a candidate's from the shard that owns its table; the scoring
-//!    itself sees no index state.
+//!    [`AttrView`] and word slices: the target's from its record, a
+//!    candidate's from its row in the shard that owns its table (the
+//!    row names its class in each forest, so resolving it is array
+//!    reads); the scoring itself sees no index state.
 //! 3. **CCDF-weighted aggregation** — candidates are grouped by
 //!    source table, aggregated column-wise with CCDF weights
 //!    (Eq. 1–2) and collapsed to a scalar by the weighted Euclidean
@@ -47,7 +48,7 @@ use crate::config::D3lConfig;
 use crate::distance::DistanceVector;
 use crate::evidence::Evidence;
 use crate::index::{AttrRef, AttrSigsRef, SignedTable};
-use crate::profile::IndexedAttr;
+use crate::profile::AttrView;
 use crate::shard::ShardedD3l;
 use crate::weights::{aggregate_evidence, ccdf_weight, EvidenceWeights};
 
@@ -113,8 +114,8 @@ pub struct QueryOptions {
 
 /// One attribute of a scored pair: what the index keeps of it and its
 /// signature words — a target's from its [`SignedTable`], a lake
-/// member's from the arenas of the shard that owns it.
-type Attr<'a> = (&'a IndexedAttr, AttrSigsRef<'a>);
+/// member's from its row and the arenas of the shard that owns it.
+type Attr<'a> = (AttrView<'a>, AttrSigsRef<'a>);
 
 /// Map `f` over `items` on up to `threads` scoped workers, returning
 /// results in input order. Work is split into contiguous chunks whose
@@ -278,7 +279,7 @@ fn pair_distances_resolved(
         let guard_name = 1.0 - d_n >= cfg.threshold;
         let guard_format = 1.0 - d_f >= cfg.threshold;
         if guard_subject || guard_name || guard_format {
-            tp.numeric_extent.ks_statistic(&sp.numeric_extent)
+            tp.numeric_extent.ks_statistic(sp.numeric_extent)
         } else {
             1.0
         }

@@ -2,8 +2,8 @@
 //! that lets the query pipeline ([`crate::query`]) read them as one.
 //!
 //! [`ShardedD3l`] splits the lake across `D3lConfig::shards`
-//! partitions, each a [`D3l`]: four forests, profiles and a store of
-//! its own. One shard holding every table is the N = 1 case, not a
+//! partitions, each a [`D3l`]: four forests, an attribute table and a
+//! store of its own. One shard holding every table is the N = 1 case, not a
 //! separate implementation. Tables are assigned to shards by a stable
 //! fingerprint of the table name, and every shard keeps its slot
 //! vector *dense over global table ids* — the ids other shards own are
@@ -31,7 +31,7 @@ use d3l_table::{DataLake, TableId};
 
 use crate::config::D3lConfig;
 use crate::index::{AttrRef, ClassStats, D3l, MemoryFootprint};
-use crate::profile::IndexedAttr;
+use crate::profile::AttrView;
 
 /// The shard that owns a table named `name` in an `n`-shard engine.
 /// Stable across processes and runs: FNV-1a of the name, mod `n`.
@@ -247,7 +247,7 @@ impl ShardedD3l {
 
     /// What the index keeps of one attribute beside its signatures
     /// (owner-routed).
-    pub fn profile(&self, attr: AttrRef) -> &IndexedAttr {
+    pub fn profile(&self, attr: AttrRef) -> AttrView<'_> {
         let s = self.owner_of(attr.table).expect("attr owned by no shard");
         self.shards[s].profile(attr)
     }
@@ -414,10 +414,8 @@ mod tests {
         assert_eq!(sharded.name_to_id(), mono.name_to_id());
         assert_eq!(sharded.index_byte_size(), {
             let sizes = sharded.shard_byte_sizes();
-            sizes
-                .iter()
-                .map(|f| f.total() - f.profile_bytes)
-                .sum::<usize>()
+            let indexes = sizes.iter().flat_map(|f| f.indexes());
+            indexes.map(|(_, index)| index.total()).sum::<usize>()
         });
     }
 

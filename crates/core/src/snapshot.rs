@@ -22,6 +22,13 @@
 //! module). Derived at open: the hashers (from the config's seed) and
 //! every tree entry's key, the first four bytes of its label (from the
 //! arenas); the stored tree orders are checked against the labels.
+//! A class table is kept in one place only: `PROF` is decoded into the
+//! engine's attribute table, a row per attribute, and each forest's
+//! `(id, class)` pairs are written into the rows' class column as the
+//! section is read — an id outside the table list (or outside the part
+//! its index covers) is refused right there, and a row the forest
+//! leaves without a class after it (an attribute it lacks) right after
+//! — and the forest keeps its postings, no id → class map.
 //! Never written: an attribute's token sets (since
 //! format 7) or its embedding vector (since format 5). Algorithm 1
 //! builds them to be hashed into the indexes; once the four signatures
@@ -60,7 +67,8 @@
 //! section to the sink as it is produced (profiles one table at a
 //! time, the arenas straight from memory to the file) and
 //! loading decodes one section at a time (profiles one table at a
-//! time, the slabs straight from the file into the arenas), so
+//! time into the attribute table's rows, the slabs straight from the
+//! file into the arenas), so
 //! neither holds a whole-snapshot — or whole-section — buffer. The
 //! byte-slice entry points are the same code over a `Vec` and a
 //! cursor.
@@ -96,21 +104,23 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use d3l_embedding::SemanticEmbedder;
-use d3l_features::NumericExtent;
+use d3l_features::Extent;
 use d3l_lsh::forest::LshForest;
-use d3l_lsh::minhash::{MinHashSignature, MinHasher};
-use d3l_lsh::randproj::{BitSignature, RandomProjector};
+use d3l_lsh::minhash::MinHasher;
+use d3l_lsh::randproj::RandomProjector;
 use d3l_lsh::signature::Signature;
-use d3l_lsh::ItemId;
 use d3l_store::{
-    layout, ContainerReader, ContainerWriter, Decoder, Encoder, SectionTag, StoreError, KIND_DELTA,
-    KIND_SNAPSHOT,
+    layout, ContainerReader, ContainerWriter, Decoder, Encoder, SectionReader, SectionTag,
+    StoreError, KIND_DELTA, KIND_SNAPSHOT,
 };
 use d3l_table::{Table, TableId};
 
+use crate::attrs::{AttrTable, NONE};
 use crate::config::D3lConfig;
 use crate::index::{AttrRef, D3l, SignedTable};
-use crate::profile::IndexedAttr;
+use crate::profile::{
+    AttrView, IndexedAttr, FLAG_EMBEDDED, FLAG_FORMAT, FLAG_NAME, FLAG_NUMERIC, FLAG_TEXT,
+};
 
 /// Filename of the base snapshot inside an index directory
 /// (re-exported from the store layout, which owns the directory
@@ -185,30 +195,17 @@ fn decode_config(dec: &mut Decoder<'_>) -> Result<D3lConfig, StoreError> {
 
 // --------------------------------------------------------------- profiles
 
-/// Bits of a stored attribute record's flags byte.
-const FLAG_NUMERIC: u8 = 1;
-const FLAG_EMBEDDED: u8 = 2;
-const FLAG_NAME: u8 = 4;
-const FLAG_TEXT: u8 = 8;
-const FLAG_FORMAT: u8 = 16;
-
 /// An attribute record as `PROF` and a delta segment hold it.
-fn encode_profile(p: &IndexedAttr, enc: &mut Encoder) {
-    enc.put_str(&p.name);
+fn encode_profile(p: AttrView<'_>, enc: &mut Encoder) {
+    enc.put_str(p.name);
     enc.put_raw(p.numeric_extent.as_bytes());
-    let flag = |set: bool, bit: u8| set as u8 * bit;
-    enc.put_u8(
-        flag(p.is_numeric, FLAG_NUMERIC)
-            | flag(p.has_embedding, FLAG_EMBEDDED)
-            | flag(p.has_name, FLAG_NAME)
-            | flag(p.has_text, FLAG_TEXT)
-            | flag(p.has_format, FLAG_FORMAT),
-    );
+    enc.put_u8(p.flags());
 }
 
-fn decode_profile(dec: &mut Decoder<'_>) -> Result<IndexedAttr, StoreError> {
-    let name = dec.get_str()?;
-    let (numeric_extent, used) = NumericExtent::read(dec.rest())
+/// One attribute record, borrowed from the bytes it is decoded from.
+fn decode_profile<'a>(dec: &mut Decoder<'a>) -> Result<AttrView<'a>, StoreError> {
+    let name = dec.get_str_ref()?;
+    let (numeric_extent, used) = Extent::read(dec.rest())
         .map_err(|e| StoreError::corrupt(format!("profile {name:?}: {e}")))?;
     dec.get_raw(used, "numeric extent")?;
     let flags = dec.get_u8()?;
@@ -223,18 +220,11 @@ fn decode_profile(dec: &mut Decoder<'_>) -> Result<IndexedAttr, StoreError> {
              attribute textual or embedded"
         )));
     }
-    Ok(IndexedAttr {
-        name,
-        numeric_extent,
-        is_numeric: has(FLAG_NUMERIC),
-        has_name: has(FLAG_NAME),
-        has_text: has(FLAG_TEXT),
-        has_format: has(FLAG_FORMAT),
-        has_embedding: has(FLAG_EMBEDDED),
-    })
+    Ok(AttrView::with_flags(name, numeric_extent, flags))
 }
 
-fn encode_profiles(profiles: &[IndexedAttr]) -> Vec<u8> {
+/// A table's attribute records, counted, as one block.
+fn encode_profiles<'a>(profiles: impl ExactSizeIterator<Item = AttrView<'a>>) -> Vec<u8> {
     let mut enc = Encoder::new();
     enc.put_varint(profiles.len() as u64);
     for p in profiles {
@@ -243,16 +233,20 @@ fn encode_profiles(profiles: &[IndexedAttr]) -> Vec<u8> {
     enc.into_bytes()
 }
 
-fn decode_profiles(bytes: &[u8]) -> Result<Vec<IndexedAttr>, StoreError> {
+/// Decode a block of [`encode_profiles`], handing each record to `take`.
+/// Returns the record count.
+fn decode_profiles<'a>(
+    bytes: &'a [u8],
+    mut take: impl FnMut(AttrView<'a>),
+) -> Result<usize, StoreError> {
     let mut dec = Decoder::new(bytes);
     // A record is at least a name length, an extent count and flags.
     let n = dec.get_len(3, "profile list")?;
-    let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(decode_profile(&mut dec)?);
+        take(decode_profile(&mut dec)?);
     }
     dec.expect_exhausted("profile list")?;
-    Ok(out)
+    Ok(n)
 }
 
 /// A table's subject column as `TABL` and a delta segment hold it.
@@ -278,81 +272,75 @@ fn decode_subject(dec: &mut Decoder<'_>) -> Result<Option<u32>, StoreError> {
 
 /// A subject column is one of the table's text attributes
 /// (`d3l_ml::subject_attribute` considers no other), so it has words in
-/// all four indexes — which Algorithm 2's subject guard reads.
-fn check_subject(subject: Option<u32>, attrs: &[IndexedAttr]) -> Result<(), StoreError> {
-    let Some(c) = subject else {
-        return Ok(());
-    };
-    if attrs.get(c as usize).is_some_and(|a| !a.is_numeric) {
-        return Ok(());
+/// all four indexes — which Algorithm 2's subject guard reads. `numeric`
+/// says which of the table's `arity` columns are numeric.
+fn check_subject(
+    subject: Option<u32>,
+    arity: usize,
+    numeric: impl Fn(usize) -> bool,
+) -> Result<(), StoreError> {
+    match subject {
+        Some(c) if c as usize >= arity || numeric(c as usize) => Err(StoreError::corrupt(format!(
+            "subject column {c} is no text attribute of the table's {arity}"
+        ))),
+        _ => Ok(()),
     }
-    Err(StoreError::corrupt(format!(
-        "subject column {c} is no text attribute of the table's {}",
-        attrs.len()
-    )))
 }
 
 // ---------------------------------------------------------------- forests
 
-/// `forest` is what the query paths assume: committed, and holding
-/// exactly the attributes its index covers — those of every table not
-/// removed, only the non-numeric ones when `textual_only` (`IV`, `IE`;
-/// §III-C). Anything else would decode fine and panic on the first
-/// query to draw or resolve the attribute.
-fn covers<S: Signature>(
-    name: &str,
-    forest: &LshForest<S>,
-    d3l: &D3l,
-    textual_only: bool,
-) -> Result<(), StoreError> {
+/// One forest section decoded into an engine whose attribute table is
+/// read: the forest, and column `index` of the rows' classes filled from
+/// its `(id, class)` table. What the query paths assume of it is checked
+/// here — committed, and holding exactly the attributes its index covers:
+/// every row (a removed table has none), only the non-numeric ones when
+/// `textual_only` (`IV`, `IE`; §III-C). Anything else would decode fine
+/// and panic on the first query to draw or resolve the attribute.
+fn read_forest<S: Signature, R: Read>(
+    sec: &mut SectionReader<'_, R>,
+    shape: (usize, usize),
+    (index, name, textual_only): (usize, &str, bool),
+    attrs: &mut AttrTable,
+) -> Result<LshForest<S>, StoreError> {
+    let covered = |attrs: &AttrTable, row: usize| !(textual_only && attrs.attr(row).is_numeric);
+    let forest = LshForest::read_from(sec, shape, |id, slot| {
+        // An id whose bits past the packing are not zero would name the
+        // row of another id, which the forest holds apart from it.
+        let attr = AttrRef::from_key(id);
+        match attrs.row(attr).filter(|_| attr.key() == id) {
+            Some(row) if covered(attrs, row) => {
+                attrs.set_class(row, index, slot);
+                Ok(())
+            }
+            _ => Err(StoreError::corrupt(format!(
+                "forest {name} indexes attribute {attr:?} outside the table list or its part of it"
+            ))),
+        }
+    })?;
     if !forest.is_committed() {
         return Err(StoreError::corrupt(format!(
             "forest {name} was snapshotted uncommitted"
         )));
     }
-    let wanted = |t: usize, p: &IndexedAttr| !(d3l.removed[t] || textual_only && p.is_numeric);
-    let covered = |id: &ItemId| {
-        let attr = AttrRef::from_key(*id);
-        let table = d3l.profiles.get(attr.table.index());
-        let kept = table.and_then(|t| t.get(attr.column as usize));
-        kept.is_some_and(|p| wanted(attr.table.index(), p))
-    };
-    if let Some(id) = forest.ids().find(|id| !covered(id)) {
-        return Err(StoreError::corrupt(format!(
-            "forest {name} indexes attribute {:?} outside the table list or its part of it",
-            AttrRef::from_key(id)
-        )));
+    for t in 0..attrs.tables() {
+        for (column, row) in (0u32..).zip(attrs.rows(t)) {
+            if attrs.class(row)[index] == NONE && covered(attrs, row) {
+                let attr = AttrRef {
+                    table: TableId(t as u32),
+                    column,
+                };
+                return Err(StoreError::corrupt(format!(
+                    "forest {name} lacks attribute {attr:?}"
+                )));
+            }
+        }
     }
-    let mut attrs = d3l.profiles.iter().enumerate().flat_map(|(t, table)| {
-        let indexed = (0u32..).zip(table).filter(move |(_, p)| wanted(t, p));
-        indexed.map(move |(column, _)| AttrRef {
-            table: TableId(t as u32),
-            column,
-        })
-    });
-    match attrs.find(|a| forest.signature_words(a.key()).is_none()) {
-        Some(attr) => Err(StoreError::corrupt(format!(
-            "forest {name} lacks attribute {attr:?}"
-        ))),
-        None => Ok(()),
-    }
+    Ok(forest)
 }
 
 // --------------------------------------------------------------- snapshot
 
 impl D3l {
-    /// Every forest holds exactly the attributes its index covers. The
-    /// query path assumes it and panics without it: a candidate drawn
-    /// from one forest is resolved in all four
-    /// (`stored_signatures_ref`), and `signed_table` reads a member's
-    /// signatures back.
-    fn check_coverage(&self) -> Result<(), StoreError> {
-        covers("IN", &self.i_n, self, false)?;
-        covers("IV", &self.i_v, self, true)?;
-        covers("IF", &self.i_f, self, false)?;
-        covers("IE", &self.i_e, self, true)
-    }
-
     /// Serialize the full engine state into one snapshot container.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         self.write_snapshot(Vec::new(), None)
@@ -374,7 +362,7 @@ impl D3l {
         tabl.put_varint(self.names.len() as u64);
         for i in 0..self.names.len() {
             tabl.put_str(&self.names[i]);
-            tabl.put_varint(self.profiles[i].len() as u64);
+            tabl.put_varint(self.attrs.rows(i).len() as u64);
             encode_subject(self.subjects[i], &mut tabl);
             tabl.put_u8(self.removed[i] as u8);
         }
@@ -384,9 +372,10 @@ impl D3l {
         // One length-prefixed block per table, each encoded and sent
         // on before the next.
         w.stream_section(SEC_PROFILES, |sec| {
-            self.profiles
-                .iter()
-                .try_for_each(|table| sec.put_bytes(&encode_profiles(table)))
+            (0..self.table_count()).try_for_each(|t| {
+                let rows = self.attrs.rows(t).map(|row| self.attrs.attr(row));
+                sec.put_bytes(&encode_profiles(rows))
+            })
         })?;
 
         w.stream_section(SEC_FOREST_N, |sec| self.i_n.write_to(sec))?;
@@ -435,46 +424,61 @@ impl D3l {
         let mut arities = Vec::with_capacity(count);
         let mut subjects = Vec::with_capacity(count);
         let mut removed = Vec::with_capacity(count);
-        for _ in 0..count {
+        for i in 0..count {
             names.push(tabl.get_str()?);
-            arities.push(tabl.get_varint()? as usize);
-            subjects.push(decode_subject(&mut tabl)?);
-            removed.push(tabl.get_u8()? != 0);
+            let (arity, subject) = (tabl.get_varint()? as usize, decode_subject(&mut tabl)?);
+            let gone = tabl.get_u8()? != 0;
+            // A removal and a hole leave a table no attribute and no
+            // subject, so no forest can hold, and nothing resolves, an
+            // attribute of a removed table.
+            if gone && (arity > 0 || subject.is_some()) {
+                return Err(StoreError::corrupt(format!(
+                    "removed table {i} keeps {arity} attributes or a subject"
+                )));
+            }
+            arities.push(arity);
+            subjects.push(subject);
+            removed.push(gone);
         }
         tabl.expect_exhausted("table list")?;
 
-        let profiles = reader.stream_section(SEC_PROFILES, |sec| {
-            let mut profiles = Vec::with_capacity(count);
+        let mut attrs = reader.stream_section(SEC_PROFILES, |sec| {
+            let mut attrs = AttrTable::default();
             let mut block = Vec::new();
             for (i, &arity) in arities.iter().enumerate() {
                 sec.get_bytes(&mut block)?;
-                let table_profiles = decode_profiles(&block)?;
-                if table_profiles.len() != arity {
+                let n = decode_profiles(&block, |attr| attrs.push(attr, [NONE; 4]))?;
+                attrs.end_table();
+                if n != arity {
                     return Err(StoreError::corrupt(format!(
-                        "table {i} has {} profiles for arity {arity}",
-                        table_profiles.len()
+                        "table {i} has {n} profiles for arity {arity}"
                     )));
                 }
-                check_subject(subjects[i], &table_profiles)?;
-                profiles.push(table_profiles);
+                let first = attrs.rows(i).start;
+                check_subject(subjects[i], n, |c| attrs.attr(first + c).is_numeric)?;
             }
-            Ok(profiles)
+            attrs.shrink_to_fit();
+            Ok(attrs)
         })?;
 
+        // Each forest fills its column of the rows' classes as it is
+        // read.
         let minhash_shape = (cfg.trees, cfg.num_perm / cfg.trees);
-        let mut minhash_forest = |tag: SectionTag| {
-            reader.stream_section(tag, |sec| -> Result<LshForest<MinHashSignature>, _> {
-                LshForest::read_from(sec, minhash_shape)
-            })
-        };
-        let i_n = minhash_forest(SEC_FOREST_N)?;
-        let i_v = minhash_forest(SEC_FOREST_V)?;
-        let i_f = minhash_forest(SEC_FOREST_F)?;
+        let i_n = reader.stream_section(SEC_FOREST_N, |sec| {
+            read_forest(sec, minhash_shape, (0, "IN", false), &mut attrs)
+        })?;
+        let i_v = reader.stream_section(SEC_FOREST_V, |sec| {
+            read_forest(sec, minhash_shape, (1, "IV", true), &mut attrs)
+        })?;
+        let i_f = reader.stream_section(SEC_FOREST_F, |sec| {
+            read_forest(sec, minhash_shape, (2, "IF", false), &mut attrs)
+        })?;
         let embed_shape = (cfg.trees, cfg.embed_bits / cfg.trees);
-        let i_e: LshForest<BitSignature> =
-            reader.stream_section(SEC_FOREST_E, |sec| LshForest::read_from(sec, embed_shape))?;
+        let i_e = reader.stream_section(SEC_FOREST_E, |sec| {
+            read_forest(sec, embed_shape, (3, "IE", true), &mut attrs)
+        })?;
 
-        let d3l = D3l {
+        Ok(D3l {
             minhasher: MinHasher::new(cfg.num_perm, cfg.seed),
             projector: RandomProjector::new(cfg.embed_dim, cfg.embed_bits, cfg.seed ^ 0xee),
             cfg,
@@ -483,13 +487,11 @@ impl D3l {
             i_v,
             i_f,
             i_e,
-            profiles,
+            attrs,
             subjects,
             names,
             removed,
-        };
-        d3l.check_coverage()?;
-        Ok(d3l)
+        })
     }
 }
 
@@ -502,7 +504,7 @@ impl SignedTable {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_str(&self.name);
         encode_subject(self.subject, enc);
-        enc.put_bytes(&encode_profiles(&self.attrs));
+        enc.put_bytes(&encode_profiles(self.attrs.iter().map(IndexedAttr::view)));
         for words in &self.words {
             enc.put_u64s(words);
         }
@@ -511,8 +513,9 @@ impl SignedTable {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
         let name = dec.get_str()?;
         let subject = decode_subject(dec)?;
-        let attrs = decode_profiles(dec.get_bytes()?)?;
-        check_subject(subject, &attrs)?;
+        let mut attrs = Vec::new();
+        decode_profiles(dec.get_bytes()?, |attr| attrs.push(IndexedAttr::from(attr)))?;
+        check_subject(subject, attrs.len(), |c| attrs[c].is_numeric)?;
         Ok(SignedTable {
             name,
             subject,
@@ -747,7 +750,7 @@ impl IndexStore {
             applied += 1;
         }
         self.next_delta_seq = through + 1;
-        debug_assert!(applied == 0 || d3l.check_coverage().is_ok());
+        debug_assert_eq!(d3l.check_class_column(), Ok(()));
         Ok(applied)
     }
 
@@ -1259,9 +1262,10 @@ mod tests {
 
     /// The same-run gate (CI runs it in release): opening the store of
     /// the 400-table pinned dirty lake — reading, checksumming and
-    /// checking four forests, regenerating their tree keys — takes
-    /// less time than profiling, signing and sorting the lake again,
-    /// without which a store would be pointless (measured: 7.6–12.1×).
+    /// checking four forests, regenerating their tree keys, filling the
+    /// attribute rows' classes — takes less time than profiling,
+    /// signing and sorting the lake again, without which a store would
+    /// be pointless (measured: 11.2–18.1×).
     #[test]
     #[ignore = "timing: cargo test --release -p d3l-core open_beats_rebuild -- --ignored"]
     fn open_beats_rebuild() {
@@ -1335,6 +1339,21 @@ mod tests {
             });
             assert_corrupt(&bad, "outside the table list");
         }
+    }
+
+    /// An id is an attribute's key exactly: one with bits set past the
+    /// packing — which names its row all the same — is refused too.
+    #[test]
+    fn forest_id_past_the_key_packing_is_corrupt() {
+        let bytes = engine().to_snapshot_bytes();
+        let bad = with_section(&bytes, SEC_FOREST_N, |mut payload| {
+            let n = u64::from_le_bytes(payload[9..17].try_into().unwrap()) as usize;
+            let last = class_table_at(n) - 8;
+            let id = u64::from_le_bytes(payload[last..last + 8].try_into().unwrap());
+            payload[last..last + 8].copy_from_slice(&(id | 1 << 60).to_le_bytes());
+            payload
+        });
+        assert_corrupt(&bad, "outside the table list");
     }
 
     /// [`engine`] plus a table that repeats two of its attribute names
@@ -1637,6 +1656,14 @@ mod tests {
                 &format!("subject column {column} is no text attribute"),
             );
         }
+        // Nor does a removed table keep attributes or a subject: a
+        // removal leaves it none, and nothing resolves them.
+        let bad = with_section(&snapshot, SEC_TABLES, |mut tabl| {
+            assert_eq!(tabl[15], 0, "gp_funding is live");
+            tabl[15] = 1;
+            tabl
+        });
+        assert_corrupt(&bad, "removed table 0 keeps 3 attributes or a subject");
     }
 
     /// A numeric extent that is no sorted extent of numbers — a NaN, an
@@ -1694,7 +1721,8 @@ mod tests {
             enc.put_varint(3);
             enc.put_str(&added.name);
             encode_subject(added.subject, &mut enc);
-            enc.put_bytes(&splice(&encode_profiles(&added.attrs), bad));
+            let block = encode_profiles(added.attrs.iter().map(IndexedAttr::view));
+            enc.put_bytes(&splice(&block, bad));
             added.words.iter().for_each(|w| enc.put_u64s(w));
             enc.into_bytes()
         };
@@ -1741,6 +1769,9 @@ mod tests {
 
         let check = |engine: &ShardedD3l, ctx: &str| {
             let (mut kept_bytes, mut flags_seen) = (0, [[0usize; 2]; 4]);
+            for shard in engine.shards() {
+                assert_eq!(shard.check_class_column(), Ok(()), "{ctx}");
+            }
             let ids = engine.name_to_id();
             assert_eq!(ids.len(), lake.len(), "{ctx}");
             for (_, table) in lake.iter() {
@@ -1750,8 +1781,8 @@ mod tests {
                     let held = engine.profile(AttrRef { table: id, column });
                     let ctx = format!("{ctx}: {}.{}", table.name(), built.name);
                     assert_eq!(held.name, built.name, "{ctx}");
-                    let extent = NumericExtent::from_sorted(&built.numeric_extent);
-                    assert_eq!(held.numeric_extent, extent, "{ctx}");
+                    let extent = d3l_features::NumericExtent::from_sorted(&built.numeric_extent);
+                    assert_eq!(held.numeric_extent, &*extent, "{ctx}");
                     let bits = |v: f64| v.to_bits();
                     assert!(
                         held.numeric_extent.values().map(bits).eq(built
@@ -1781,7 +1812,17 @@ mod tests {
                     kept_bytes += built.name.len() + if extent.is_empty() { 0 } else { encoded };
                 }
             }
-            assert_eq!(engine.byte_size().profile_bytes, kept_bytes, "{ctx}");
+            // Beside them a row holds where its name and extent end, a
+            // flags byte and four class slots, and every table (holes
+            // included) where its rows start, with one end per shard.
+            let rows = lake.total_attributes() * (4 + 4 + 1 + 16);
+            let tables: usize = engine
+                .shards()
+                .iter()
+                .map(|s| 4 * (s.table_count() + 1))
+                .sum();
+            let profile_bytes = engine.byte_size().profile_bytes;
+            assert_eq!(profile_bytes, kept_bytes + rows + tables, "{ctx}");
             // Both values of the value and embedding flags occur (names
             // and formats are never empty on this lake).
             assert!(
@@ -2069,12 +2110,18 @@ mod tests {
         assert_eq!(d3l.table_count(), 3, "ids stay stable");
         assert!(!d3l.name_to_id().contains_key("planets"));
 
-        // The removed table's attributes left every forest.
+        // The removed table's attributes left every forest, and its rows
+        // the attribute table.
         let gone = AttrRef {
             table: TableId(2),
             column: 0,
         };
-        assert!(d3l.i_n.signature(gone.key()).is_none());
+        assert!(!d3l.i_n.ids().any(|id| id == gone.key()));
+        assert_eq!(
+            (d3l.table_arity(TableId(2)), d3l.attrs.row(gone)),
+            (0, None)
+        );
+        assert_eq!(d3l.check_class_column(), Ok(()));
 
         // Replay and compaction both preserve the tombstone.
         let (_, reopened) = IndexStore::open(&dir).unwrap();

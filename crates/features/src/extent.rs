@@ -6,9 +6,11 @@
 //! counts, money, percentages — so a sorted extent is kept as scaled
 //! integers `Dᵢ = vᵢ · 10ˢ` (the *pseudodecimals* of BtrBlocks,
 //! Kuschewski et al., SIGMOD 2023), delta-coded, resident and on disk
-//! alike. [`NumericExtent`] is that encoding and nothing else: an engine
-//! holds one per attribute, the store writes the bytes it holds, and
-//! opening a store validates them and keeps them.
+//! alike. [`Extent`] is that encoding and nothing else, borrowed — as
+//! `str` is to `String` — and [`NumericExtent`] owns one; [`Extents`]
+//! keeps many end to end in one allocation. An engine holds one per
+//! attribute, the store writes the bytes it holds, and opening a store
+//! validates them and keeps them.
 //!
 //! ```text
 //! count   varint n                      (an empty extent is this byte, 0)
@@ -30,11 +32,13 @@
 //! below it, consecutive integers divided by `10ˢ` are more than a unit
 //! in the last place apart at every scale, so `D ↦ D / 10ˢ` is strictly
 //! increasing and comparing two `D` of one scale *is* comparing their
-//! values — which [`NumericExtent::ks_statistic`] does, without
-//! decoding, for any two extents a decoder accepts, not only those this
-//! encoder wrote.
+//! values — which [`Extent::ks_statistic`] does, without decoding, for
+//! any two extents a decoder accepts, not only those this encoder
+//! wrote.
 
+use std::borrow::Borrow;
 use std::fmt;
+use std::ops::{Deref, Range};
 
 /// The largest scale: `10²²` is the largest power of ten a double holds
 /// exactly. A format constant — the store's bytes depend on it.
@@ -52,15 +56,36 @@ const POW10: [f64; MAX_SCALE as usize + 1] = [
     1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 ];
 
-/// A sorted numeric extent in its one encoding (see the module docs).
-/// Equality is equality of the encodings, which for extents built by
-/// [`NumericExtent::from_sorted`] is equality of the values, bit for
-/// bit.
+/// A sorted numeric extent in its one encoding (see the module docs),
+/// borrowed: what a [`NumericExtent`] derefs to and an [`Extents`]
+/// hands out. Equality is equality of the encodings, which for extents
+/// built by [`NumericExtent::from_sorted`] is equality of the values,
+/// bit for bit.
+#[derive(PartialEq, Eq, Hash)]
+#[repr(transparent)]
+pub struct Extent {
+    /// The encoding, count first — one this module wrote or
+    /// [`Extent::read`] checked; empty for the empty extent, whose
+    /// encoding is one zero byte that is not worth holding.
+    bytes: [u8],
+}
+
+/// An owned [`Extent`].
 #[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct NumericExtent {
-    /// The encoding, count first; empty for the empty extent, whose
-    /// encoding is one zero byte that is not worth an allocation.
+    /// The encoding, as [`Extent::bytes`] holds it.
     bytes: Box<[u8]>,
+}
+
+/// Extents end to end in one allocation: extent `i` is the bytes from
+/// the end of extent `i − 1` to `ends[i]`. What an engine keeps of its
+/// attributes' extents, one per attribute, with no allocation of its
+/// own.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Extents {
+    /// The encodings, each as [`Extent::bytes`] holds it.
+    bytes: Vec<u8>,
+    ends: Vec<u32>,
 }
 
 /// Why bytes are not an encoded [`NumericExtent`].
@@ -144,14 +169,57 @@ impl NumericExtent {
         }
     }
 
+    /// [`Extent::read`], owned.
+    pub fn read(bytes: &[u8]) -> Result<(Self, usize), ExtentError> {
+        Extent::read(bytes).map(|(extent, used)| (extent.to_owned(), used))
+    }
+}
+
+impl Deref for NumericExtent {
+    type Target = Extent;
+
+    fn deref(&self) -> &Extent {
+        Extent::of(&self.bytes)
+    }
+}
+
+impl Borrow<Extent> for NumericExtent {
+    fn borrow(&self) -> &Extent {
+        self
+    }
+}
+
+impl ToOwned for Extent {
+    type Owned = NumericExtent;
+
+    fn to_owned(&self) -> NumericExtent {
+        NumericExtent {
+            bytes: self.bytes.into(),
+        }
+    }
+}
+
+impl Extent {
+    /// The empty extent.
+    const EMPTY: &'static Extent = Extent::of(&[]);
+
+    /// `bytes` — an encoding this module wrote or checked, or none —
+    /// as an extent.
+    const fn of(bytes: &[u8]) -> &Extent {
+        // SAFETY: `Extent` is `repr(transparent)` over `[u8]`, so a
+        // pointer to one is a pointer to the other, with the same length
+        // metadata, and the borrow keeps `bytes`' lifetime.
+        unsafe { &*(bytes as *const [u8] as *const Extent) }
+    }
+
     /// Decode the extent at the start of `bytes`, returning it and the
     /// number of bytes it took. Every field is checked; the bytes are
-    /// kept as they are, with no value decoded into memory.
-    pub fn read(bytes: &[u8]) -> Result<(Self, usize), ExtentError> {
+    /// borrowed as they are, with no value decoded into memory.
+    pub fn read(bytes: &[u8]) -> Result<(&Extent, usize), ExtentError> {
         let mut pos = 0;
         let n = get_varint(bytes, &mut pos)?;
         if n == 0 {
-            return Ok((Self::default(), pos));
+            return Ok((Extent::EMPTY, pos));
         }
         let scale = *bytes.get(pos).ok_or(ExtentError::Truncated)?;
         pos += 1;
@@ -184,10 +252,7 @@ impl NumericExtent {
             }
             other => return Err(ExtentError::UnknownScale(other)),
         }
-        let extent = NumericExtent {
-            bytes: bytes[..pos].into(),
-        };
-        Ok((extent, pos))
+        Ok((Extent::of(&bytes[..pos]), pos))
     }
 
     /// The encoding, as the store writes it.
@@ -233,7 +298,7 @@ impl NumericExtent {
     /// values, with no value buffer. Extents of one scale are compared
     /// as their integers `D`, which order as their values do (module
     /// docs); any other pair is compared as decoded values.
-    pub fn ks_statistic(&self, other: &NumericExtent) -> f64 {
+    pub fn ks_statistic(&self, other: &Extent) -> f64 {
         let (Some(a), Some(b)) = (self.body(), other.body()) else {
             return 1.0;
         };
@@ -259,9 +324,76 @@ impl NumericExtent {
     }
 }
 
-impl fmt::Debug for NumericExtent {
+impl fmt::Debug for Extent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.values()).finish()
+    }
+}
+
+impl fmt::Debug for NumericExtent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
+impl Extents {
+    /// Number of extents.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when there is no extent.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Extent `i`.
+    pub fn get(&self, i: usize) -> &Extent {
+        Extent::of(&self.bytes[self.start(i)..self.ends[i] as usize])
+    }
+
+    /// Append an extent.
+    pub fn push(&mut self, extent: &Extent) {
+        self.bytes.extend_from_slice(&extent.bytes);
+        let end = u32::try_from(self.bytes.len()).expect("extent bytes fit u32 offsets");
+        self.ends.push(end);
+    }
+
+    /// Remove extents `range`; those after it move down.
+    pub fn remove(&mut self, range: Range<usize>) {
+        let (from, to) = (self.start(range.start), self.start(range.end));
+        self.bytes.drain(from..to);
+        self.ends.drain(range.clone());
+        let gone = (to - from) as u32;
+        self.ends[range.start..].iter_mut().for_each(|e| *e -= gone);
+    }
+
+    /// Bytes held: the encodings and one `u32` end each.
+    pub fn byte_size(&self) -> usize {
+        self.bytes.len() + self.ends.len() * std::mem::size_of::<u32>()
+    }
+
+    /// Release spare capacity.
+    pub fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
+    /// Where extent `i` starts (the end of the bytes when `i` is the
+    /// count).
+    fn start(&self, i: usize) -> usize {
+        match i {
+            0 => 0,
+            i => self.ends[i - 1] as usize,
+        }
+    }
+}
+
+impl fmt::Debug for Extents {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries((0..self.len()).map(|i| self.get(i)))
+            .finish()
     }
 }
 
@@ -312,7 +444,7 @@ impl Iterator for Scaled<'_> {
 }
 
 /// The values of a [`NumericExtent`], ascending
-/// ([`NumericExtent::values`]).
+/// ([`Extent::values`]).
 pub struct Values<'a>(Form<'a>);
 
 enum Form<'a> {
@@ -536,6 +668,41 @@ mod tests {
         assert_eq!(round_trip(&[4_503_599_627_370_495.0]).scale(), Some(0));
         let empty = round_trip(&[]);
         assert_eq!((empty.as_bytes(), empty.byte_size()), (&[0u8][..], 0));
+    }
+
+    /// An arena hands back each extent it was given, empty ones
+    /// included — owned or read from bytes — through removals on
+    /// either side.
+    #[test]
+    fn extents_keep_each_extent_apart() {
+        let owned: Vec<NumericExtent> = [&[1.0, 2.0][..], &[], &[0.5], &[-0.0, 0.0], &[7.0]]
+            .iter()
+            .map(|v| NumericExtent::from_sorted(v))
+            .collect();
+        let mut arena = Extents::default();
+        for (i, e) in owned.iter().enumerate() {
+            if i % 2 == 0 {
+                arena.push(e);
+            } else {
+                let bytes = [e.as_bytes(), &[9, 9]].concat();
+                let (read, used) = Extent::read(&bytes).unwrap();
+                assert_eq!(used, e.as_bytes().len());
+                arena.push(read);
+            }
+        }
+        let held = |a: &Extents| {
+            (0..a.len())
+                .map(|i| a.get(i).to_owned())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(held(&arena), owned);
+        let encoded: usize = owned.iter().map(|e| e.byte_size()).sum();
+        assert_eq!(arena.byte_size(), encoded + 5 * 4);
+        arena.remove(1..3);
+        assert_eq!(held(&arena), [&owned[..1], &owned[3..]].concat());
+        arena.remove(0..1);
+        arena.remove(1..2);
+        assert_eq!(held(&arena), owned[3..4]);
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub fn ks_statistic(a: &[f64], b: &[f64]) -> f64 {
 
 /// [`ks_statistic`] over samples the caller has already sorted
 /// ascending. An index compares its extents with
-/// [`crate::NumericExtent::ks_statistic`], which returns what this
+/// [`crate::Extent::ks_statistic`], which returns what this
 /// returns on the decoded values. A NaN has no place in a distribution;
 /// the merge stops where both samples reach one.
 pub fn ks_statistic_presorted(xs: &[f64], ys: &[f64]) -> f64 {

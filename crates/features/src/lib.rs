@@ -15,7 +15,8 @@
 //! * [`ks`] — the two-sample Kolmogorov–Smirnov statistic (**D**
 //!   evidence for numeric attributes);
 //! * [`extent`] — the numeric extent as an index keeps it: exact
-//!   scaled-integer deltas, and the KS statistic over two of them.
+//!   scaled-integer deltas, borrowed, owned or many in one arena, and
+//!   the KS statistic over two of them.
 
 pub mod extent;
 pub mod histogram;
@@ -24,7 +25,7 @@ pub mod qgrams;
 pub mod regex_format;
 pub mod tokenize;
 
-pub use extent::NumericExtent;
+pub use extent::{Extent, Extents, NumericExtent};
 pub use histogram::TokenHistogram;
 pub use ks::ks_statistic;
 pub use qgrams::{qgram_hash_set, qgram_set};

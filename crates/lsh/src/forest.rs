@@ -13,14 +13,22 @@
 //! therefore indexes each *distinct signature* once: an arena slot is
 //! a **class** (one signature's words), every tree holds one entry
 //! per class, and a class keeps the id-sorted
-//! **posting list** of the items that carry its signature. An id → slot
-//! map answers point lookups; a content map (hash of the words → slot,
-//! equality by comparing the words, never by the hash alone) finds the
-//! class a new signature belongs to. A forest whose signatures are all
-//! distinct is the per-item forest plus one posting per item; there is
-//! no threshold and no second code path. A class is born with its
-//! first member and dies with its last: its `l` entries leave the
-//! trees and the last slot fills the hole.
+//! **posting list** of the items that carry its signature. A content
+//! map (hash of the words → slot, equality by comparing the words, never
+//! by the hash alone) finds the class a new signature belongs to. A
+//! forest whose signatures are all distinct is the per-item forest plus
+//! one posting per item; there is no threshold and no second code path.
+//! A class is born with its first member and dies with its last: its
+//! `l` entries leave the trees and the last slot fills the hole.
+//!
+//! **Slots are the caller's.** The forest keeps no item → slot map: an
+//! insert returns the slot its item joined, a removal names the slot
+//! the caller was given, and whatever moves a class — a removal that
+//! fills a dead class's slot with the last one, an [`LshForest::append`]
+//! — says where it went, so the caller can keep each item's slot beside
+//! whatever else it keeps of the item (an engine: one row per attribute,
+//! its class in each of four forests). The store's `(id, class)` table
+//! reaches the caller the same way ([`LshForest::read_from`]).
 //!
 //! **Canonical order.** Each tree is a `FlatTree` — two parallel
 //! `Vec<u32>`s, an 8-byte entry per class: the first four bytes of its
@@ -54,8 +62,9 @@
 //! Construction is a two-phase builder: [`LshForest::insert_with`]
 //! lets the hasher sign straight into a scratch slot at the arena
 //! tail, which is kept if the signature is new and dropped if a class
-//! already holds it ([`LshForest::insert`] is the same for an
-//! already-built signature); an explicit [`LshForest::commit`] (or
+//! already holds it, and returns the class's slot ([`LshForest::insert`]
+//! is the same for an already-built signature); an explicit
+//! [`LshForest::commit`] (or
 //! [`LshForest::commit_parallel`]) sorts the trees. All query methods
 //! take `&self` and require a committed forest, so a built forest can
 //! be shared lock-free across query workers. A bulk build fills one
@@ -571,10 +580,10 @@ fn table_bytes(entries: usize, entry_size: usize) -> usize {
 ///
 /// Distinct signatures live in a **flat arena**: one contiguous
 /// `Vec<u64>` of fixed-stride class slots, each with the posting list
-/// of the items that carry it, with an id → slot map for point
-/// lookups. Candidate scoring sorts the gathered slots and scans the
-/// arena in address order — one sequential, prefetch-friendly pass,
-/// one similarity per class.
+/// of the items that carry it; an item's slot is its caller's to keep
+/// (module docs). Candidate scoring sorts the gathered slots and scans
+/// the arena in address order — one sequential, prefetch-friendly
+/// pass, one similarity per class.
 #[derive(Debug, Clone)]
 pub struct LshForest<S> {
     /// Number of trees (`l`).
@@ -598,8 +607,8 @@ pub struct LshForest<S> {
     postings: Vec<Vec<ItemId>>,
     /// Signature content → class slot.
     classes: ContentMap,
-    /// Item id → the slot of its class.
-    slot_of: IdHashMap<ItemId, u32>,
+    /// Items held: the postings' lengths, summed.
+    members: usize,
     _sig: std::marker::PhantomData<S>,
 }
 
@@ -639,14 +648,15 @@ impl<S> LshForest<S> {
         (self.l, self.k)
     }
 
-    /// Number of indexed items.
+    /// Number of indexed items: class members, counted over all
+    /// classes.
     pub fn len(&self) -> usize {
-        self.slot_of.len()
+        self.members
     }
 
     /// True when nothing is indexed.
     pub fn is_empty(&self) -> bool {
-        self.slot_of.is_empty()
+        self.members == 0
     }
 
     /// Number of classes: distinct signatures among the indexed items.
@@ -687,11 +697,16 @@ impl<S> LshForest<S> {
         self.sorted
     }
 
-    /// Borrowed arena words of an item's stored signature — the
-    /// zero-copy lookup the pairwise scoring stages resolve candidates
-    /// through.
-    pub fn signature_words(&self, id: ItemId) -> Option<&[u64]> {
-        self.slot_of.get(&id).map(|&s| self.arena().slot(s))
+    /// Borrowed arena words of class `slot`'s signature — the zero-copy
+    /// lookup the pairwise scoring stages resolve candidates through,
+    /// by the slot their caller keeps. Panics past the classes.
+    pub fn class_words(&self, slot: u32) -> &[u64] {
+        self.arena().slot(slot)
+    }
+
+    /// The members of class `slot`, ascending. Panics past the classes.
+    pub fn class_members(&self, slot: u32) -> &[ItemId] {
+        &self.postings[slot as usize]
     }
 
     /// Shape metadata shared by every stored signature
@@ -719,19 +734,17 @@ impl<S> LshForest<S> {
 
     /// Footprint of what ties items to classes, in bytes: the posting
     /// lists (one id per item and one `Vec` header per class) and the
-    /// two hash tables — id → slot and content → slot — each counted
-    /// as the table its entries need (`table_bytes`: bucket capacity ×
-    /// entry size). Like the tree and signature figures it is what the
-    /// content needs, the same however the forest came to hold it —
-    /// a floor under what is allocated: a list that grew by pushes has
-    /// up to twice its ids' room until it is next cloned or loaded
-    /// (both allocate exactly), a list or table that lost entries
-    /// keeps the room it had, and the allocator's header per list is
-    /// not counted.
+    /// content → slot hash table, counted as the table its entries need
+    /// (`table_bytes`: bucket capacity × entry size). Like the tree and
+    /// signature figures it is what the content needs, the same however
+    /// the forest came to hold it — a floor under what is allocated: a
+    /// list that grew by pushes has up to twice its ids' room until it
+    /// is next cloned or loaded (both allocate exactly), a list or table
+    /// that lost entries keeps the room it had, and the allocator's
+    /// header per list is not counted.
     pub fn posting_byte_size(&self) -> usize {
         self.len() * std::mem::size_of::<ItemId>()
             + self.postings.len() * std::mem::size_of::<Vec<ItemId>>()
-            + table_bytes(self.len(), std::mem::size_of::<(ItemId, u32)>())
             + self.classes.byte_size()
     }
 
@@ -753,7 +766,7 @@ impl<S> LshForest<S> {
             }
             _ => members.push(id),
         }
-        self.slot_of.insert(id, slot);
+        self.members += 1;
     }
 }
 
@@ -775,7 +788,7 @@ impl<S: Signature> LshForest<S> {
             sig_words: Vec::new(),
             postings: Vec::new(),
             classes: ContentMap::default(),
-            slot_of: IdHashMap::default(),
+            members: 0,
             _sig: std::marker::PhantomData,
         }
     }
@@ -788,8 +801,9 @@ impl<S: Signature> LshForest<S> {
         buf
     }
 
-    /// Insert an item. The forest must be (re-)committed before the
-    /// next query.
+    /// Insert an item the forest does not hold
+    /// ([`LshForest::insert_with`], for a signature already built). The
+    /// forest must be (re-)committed before the next query.
     pub fn insert(&mut self, id: ItemId, sig: S) {
         let words = sig.words();
         self.insert_with(id, (words.len(), sig.meta()), |slot| {
@@ -797,26 +811,27 @@ impl<S: Signature> LshForest<S> {
         });
     }
 
-    /// Insert an item whose signature `fill` writes straight into the
-    /// arena — `shape` is the `(words, meta)` of the hasher's output
+    /// Insert an item the forest does not hold, whose signature `fill`
+    /// writes straight into the arena, and return the slot of the class
+    /// it joined — `shape` is the `(words, meta)` of the hasher's output
     /// (`MinHasher::sig_shape`, `RandomProjector::sig_shape`), and
     /// `fill` must overwrite all `words` words. The signature is
     /// signed into a scratch slot at the arena's tail: if a class
     /// already holds those words the scratch slot is dropped and the
     /// item joins that class's postings (the trees do not change and a
     /// committed forest stays committed); if not, the slot is the new
-    /// class, and its tree keys are read back from it. A stored id
-    /// first leaves the class it was in. Panics when the shape differs
-    /// from what the forest stores (one forest holds one hasher's
-    /// output). The forest must be (re-)committed before the next
-    /// query.
+    /// class, and its tree keys are read back from it. No other class
+    /// moves. To give a stored item another signature, remove it first.
+    /// Panics when the shape differs from what the forest stores (one
+    /// forest holds one hasher's output), and when the item is already
+    /// in the class it joins. The forest must be (re-)committed before
+    /// the next query.
     pub fn insert_with(
         &mut self,
         id: ItemId,
         (stride, meta): (usize, u64),
         fill: impl FnOnce(&mut [u64]),
-    ) {
-        self.remove(id);
+    ) -> u32 {
         if self.postings.is_empty() {
             self.sig_stride = stride;
             self.sig_meta = meta;
@@ -839,15 +854,18 @@ impl<S: Signature> LshForest<S> {
             Some(slot) => {
                 self.sig_words.truncate(scratch * stride);
                 self.join(id, slot);
+                slot
             }
             None => {
+                let slot = scratch as u32;
                 for tree in &mut self.trees {
-                    tree.push(scratch as u32, arena);
+                    tree.push(slot, arena);
                 }
-                self.classes.insert(hash, scratch as u32);
+                self.classes.insert(hash, slot);
                 self.postings.push(vec![id]);
-                self.slot_of.insert(id, scratch as u32);
+                self.members += 1;
                 self.sorted = false;
+                slot
             }
         }
     }
@@ -855,17 +873,20 @@ impl<S: Signature> LshForest<S> {
     /// Move every item of `other` — a forest of the same shape over a
     /// disjoint id set — into this one, class by class: a class whose
     /// words this forest already holds extends that class's postings,
-    /// any other arrives whole. Nothing is re-signed. This is how the
-    /// index build joins its workers' forests; commit afterwards.
-    pub fn append(&mut self, other: LshForest<S>) {
+    /// any other arrives whole. Nothing is re-signed. Returns where each
+    /// of `other`'s classes went: entry `s` is the slot here of what
+    /// was `other`'s slot `s`. This is how the index build joins its
+    /// workers' forests; commit afterwards.
+    pub fn append(&mut self, other: LshForest<S>) -> Vec<u32> {
         assert_eq!(self.shape(), other.shape(), "forests must share one shape");
         if other.postings.is_empty() {
-            return;
+            return Vec::new();
         }
         if self.postings.is_empty() {
             // Nothing to merge into: take the arenas as they are.
+            let moved = (0..other.postings.len() as u32).collect();
             *self = other;
-            return;
+            return moved;
         }
         let shape = (other.sig_stride, other.sig_meta);
         assert_eq!(
@@ -873,23 +894,26 @@ impl<S: Signature> LshForest<S> {
             shape,
             "signature shape mismatch"
         );
+        debug_assert!(
+            {
+                let theirs: IdHashSet<ItemId> = other.ids().collect();
+                self.ids().all(|id| !theirs.contains(&id))
+            },
+            "appended forests must hold disjoint ids"
+        );
+        let mut moved = Vec::with_capacity(other.postings.len());
         for (members, words) in other
             .postings
             .into_iter()
             .zip(other.sig_words.chunks_exact(shape.0))
         {
-            for &id in &members {
-                assert!(
-                    !self.slot_of.contains_key(&id),
-                    "appended forests must hold disjoint ids"
-                );
-            }
             // The first member finds the class or founds it; the
             // rest follow it in.
-            self.insert_with(members[0], shape, |slot| slot.copy_from_slice(words));
-            let slot = self.slot_of[&members[0]];
+            let slot = self.insert_with(members[0], shape, |slot| slot.copy_from_slice(words));
             members[1..].iter().for_each(|&id| self.join(id, slot));
+            moved.push(slot);
         }
+        moved
     }
 
     /// Commit pending inserts by sorting all trees. Queries require a
@@ -920,32 +944,34 @@ impl<S: Signature> LshForest<S> {
         self.sorted = true;
     }
 
-    /// Remove an item from the forest (the incremental-maintenance
-    /// counterpart of [`LshForest::insert`]): a posting-list delete. A
-    /// class dies with its last member — its entries leave the trees,
-    /// which preserves their order, so no re-commit is needed and a
-    /// committed forest stays committed. Returns whether the item was
-    /// present.
-    pub fn remove(&mut self, id: ItemId) -> bool {
-        let Some(slot) = self.slot_of.remove(&id) else {
-            return false;
-        };
+    /// Remove item `id` from class `slot`, the slot its caller was
+    /// given for it (the incremental-maintenance counterpart of
+    /// [`LshForest::insert_with`]): a posting-list delete. A class dies
+    /// with its last member — its entries leave the trees, which
+    /// preserves their order, so no re-commit is needed and a committed
+    /// forest stays committed — and the last class moves into its slot:
+    /// then the slot that class had is returned, and every member of
+    /// class `slot` now is one whose caller must learn its new slot.
+    /// Panics unless `id` is a member of class `slot`.
+    pub fn remove(&mut self, id: ItemId, slot: u32) -> Option<u32> {
         let members = &mut self.postings[slot as usize];
         let at = members.binary_search(&id);
-        members.remove(at.expect("an item is in its class's postings"));
+        members.remove(at.expect("an item is in the class its caller names"));
+        self.members -= 1;
         if members.is_empty() {
-            self.drop_class(slot);
+            self.drop_class(slot)
+        } else {
+            None
         }
-        true
     }
 
     /// Take the memberless class `slot` out of the trees, the content
-    /// map and the arena. The last class moves into the vacated slot:
-    /// its tree entries and its members' map entries are renumbered in
-    /// place. Labels are a function of the words still in the arena,
-    /// so each tree finds the entry by binary search instead of
-    /// scanning.
-    fn drop_class(&mut self, slot: u32) {
+    /// map and the arena. The last class moves into the vacated slot —
+    /// its tree entries are renumbered in place — and the slot it left
+    /// is returned, if it was another. Labels are a function of the
+    /// words still in the arena, so each tree finds the entry by binary
+    /// search instead of scanning.
+    fn drop_class(&mut self, slot: u32) -> Option<u32> {
         let stride = self.sig_stride;
         let last = (self.postings.len() - 1) as u32;
         let arena = Arena::<S>::new(&self.sig_words, stride, self.sig_meta);
@@ -960,15 +986,13 @@ impl<S: Signature> LshForest<S> {
         if slot != last {
             self.classes
                 .renumber(content_hash(arena.slot(last)), last, slot);
-            for id in &self.postings[last as usize] {
-                self.slot_of.insert(*id, slot);
-            }
             let (s, last) = (slot as usize, last as usize);
             self.sig_words
                 .copy_within(last * stride..(last + 1) * stride, s * stride);
         }
         self.postings.swap_remove(slot as usize);
         self.sig_words.truncate(last as usize * stride);
+        (slot != last).then_some(last)
     }
 
     /// Reassemble a forest from its deserialized classes — each one's
@@ -994,12 +1018,10 @@ impl<S: Signature> LshForest<S> {
             "forest too large for u32 slots"
         );
         let mut forest = Self::new(l * k, l);
-        let members = postings.iter().map(Vec::len).sum();
-        forest.slot_of.reserve(members);
+        forest.members = postings.iter().map(Vec::len).sum();
         forest.classes.by_hash.reserve(postings.len());
         let arena = Arena::<S>::new(&sig_words, sig_stride, sig_meta);
-        for (slot, ids) in (0u32..).zip(&postings) {
-            forest.slot_of.extend(ids.iter().map(|&id| (id, slot)));
+        for slot in 0..postings.len() as u32 {
             let (hash, words) = (content_hash(arena.slot(slot)), arena.slot(slot));
             if let Some(twin) = forest.classes.find(hash, |s| arena.slot(s) == words) {
                 return Err((twin, slot));
@@ -1029,16 +1051,6 @@ impl<S: Signature> LshForest<S> {
     /// shareable lock-free across query workers.
     pub fn query(&self, sig: &S, k: usize) -> Vec<Hit> {
         query_union(&[self], sig.words(), sig.meta(), k)
-    }
-
-    /// Stored signature of an item, rebuilt from its class's arena
-    /// words. Cold paths only — the scoring paths, and everything
-    /// that moves a signature between forests, read arena words in
-    /// place via
-    /// [`LshForest::signature_words`].
-    pub fn signature(&self, id: ItemId) -> Option<S> {
-        self.signature_words(id)
-            .map(|w| S::from_words(w.to_vec(), self.sig_meta))
     }
 }
 
@@ -1259,13 +1271,13 @@ pub fn query_union<S: Signature>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::minhash::{MinHashSignature, MinHasher};
     use crate::randproj::{BitSignature, RandomProjector};
     use crate::store::tests::{from_bytes_at, to_bytes};
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn tokens(prefix: &str, range: std::ops::Range<usize>) -> Vec<String> {
         range.map(|i| format!("{prefix}{i}")).collect()
@@ -1273,6 +1285,68 @@ mod tests {
 
     fn sign(mh: &MinHasher, toks: &[String]) -> MinHashSignature {
         mh.sign_strs(toks.iter().map(String::as_str))
+    }
+
+    /// Where each item is, read off the postings — what a caller keeps
+    /// as it inserts and removes, and the forest does not.
+    pub(crate) fn slots_of<S>(f: &LshForest<S>) -> BTreeMap<ItemId, u32> {
+        let classes = 0..f.class_count() as u32;
+        let mut slots = BTreeMap::new();
+        for slot in classes {
+            for &id in f.class_members(slot) {
+                assert!(slots.insert(id, slot).is_none(), "item {id} held twice");
+            }
+        }
+        slots
+    }
+
+    /// Class `slot`'s signature, rebuilt from its arena words.
+    fn class_signature<S: Signature>(f: &LshForest<S>, slot: u32) -> S {
+        S::from_words(f.class_words(slot).to_vec(), f.sig_meta())
+    }
+
+    /// The stored signature of item `id`, if the forest holds it.
+    pub(crate) fn signature_of<S: Signature>(f: &LshForest<S>, id: ItemId) -> Option<S> {
+        slots_of(f).get(&id).map(|&slot| class_signature(f, slot))
+    }
+
+    /// Remove item `id` from wherever it is; whether it was held.
+    pub(crate) fn take<S: Signature>(f: &mut LshForest<S>, id: ItemId) -> bool {
+        let slot = slots_of(f).get(&id).copied();
+        slot.map(|slot| f.remove(id, slot)).is_some()
+    }
+
+    /// Give item `id` the signature `sig`, held or not.
+    pub(crate) fn put<S: Signature>(f: &mut LshForest<S>, id: ItemId, sig: S) {
+        take(f, id);
+        f.insert(id, sig);
+    }
+
+    /// [`LshForest::insert`], returning the slot.
+    fn insert_sig<S: Signature>(f: &mut LshForest<S>, id: ItemId, sig: &S) -> u32 {
+        let words = sig.words();
+        f.insert_with(id, (words.len(), sig.meta()), |slot| {
+            slot.copy_from_slice(words)
+        })
+    }
+
+    /// Remove item `id` from the slot `slots` keeps for it, and move
+    /// the members of a class the removal moved — as an engine keeps
+    /// its class column. Whether the item was held.
+    fn leave<S: Signature>(
+        f: &mut LshForest<S>,
+        slots: &mut BTreeMap<ItemId, u32>,
+        id: ItemId,
+    ) -> bool {
+        let Some(slot) = slots.remove(&id) else {
+            return false;
+        };
+        if f.remove(id, slot).is_some() {
+            for &member in f.class_members(slot) {
+                slots.insert(member, slot);
+            }
+        }
+        true
     }
 
     /// A tree's `(key, slot)` entries, in order.
@@ -1548,18 +1622,21 @@ mod tests {
         f.insert(1, b.clone());
         f.insert(3, a.clone());
         assert!(f.is_committed(), "joining a class changes no tree");
-        assert_eq!(f.signature(3), Some(a.clone()));
+        assert_eq!(signature_of(&f, 3), Some(a.clone()));
         let hits = f.query(&a, 3);
         assert_eq!(hits.iter().map(|h| h.id).collect::<Vec<_>>(), vec![2, 3, 5]);
         assert!(hits.iter().all(|h| h.similarity == 1.0));
         // The first class dies with its last member; the last class
-        // moves into its slot and is still found under every id.
-        for id in [5u64, 9, 2, 3] {
-            assert!(f.remove(id));
+        // moves into its slot, which the last removal reports, and is
+        // still found under every id.
+        for id in [5u64, 9, 2] {
+            assert_eq!(f.remove(id, 0), None, "class 0 keeps a member");
         }
+        assert_eq!(f.remove(3, 0), Some(1), "class 1 moves into slot 0");
+        assert_eq!(f.class_members(0), [1, 7]);
         assert_eq!((f.len(), f.class_count()), (2, 1));
         assert!(f.is_committed());
-        assert_eq!(f.signature(1), Some(b.clone()));
+        assert_eq!(class_signature(&f, 0), b);
         assert_eq!(f.query(&b, 5).len(), 2);
         let mut fresh = LshForest::new(128, 8);
         fresh.insert(7, b.clone());
@@ -1568,10 +1645,12 @@ mod tests {
         assert!(f == fresh);
     }
 
-    /// Regression: re-inserting a stored id overwrote its arena slot
-    /// but left its old label in every tree beside the new one — the
-    /// old signature still found it, and `write_to` died on "a tree
-    /// holds one entry per stored item".
+    /// Giving a stored item another signature — a removal from the
+    /// slot it is in, then an insert — leaves no old label in any tree.
+    /// (When the forest re-inserted a stored id itself, it once
+    /// overwrote the arena slot but kept the old label beside the new
+    /// one: the old signature still found the item, and `write_to` died
+    /// on "a tree holds one entry per stored item".)
     #[test]
     fn reinsert_replaces_the_tree_entries() {
         let mh = MinHasher::new(128, 31);
@@ -1584,10 +1663,10 @@ mod tests {
                 sign(&mh, &tokens("fill", i as usize * 50..i as usize * 50 + 40)),
             );
         }
-        f.insert(7, old.clone());
+        put(&mut f, 7, old.clone());
         f.commit();
         assert_eq!(f.query(&old, 1)[0].id, 7);
-        f.insert(7, new.clone());
+        put(&mut f, 7, new.clone());
         f.commit();
         assert_eq!((f.len(), f.class_count()), (50, 50));
         let arena = f.arena();
@@ -1599,11 +1678,11 @@ mod tests {
         assert_eq!((hit.id, hit.similarity), (7, 1.0));
         // No tree still files the item under its old labels.
         assert!(f.query(&old, 50).iter().all(|h| h.similarity < 1.0));
-        assert_eq!(f.signature(7), Some(new));
+        assert_eq!(signature_of(&f, 7), Some(new));
         // The forest is the one that only ever saw the new signature.
         let mut fresh = LshForest::new(128, 8);
         for id in f.ids().collect::<Vec<_>>() {
-            fresh.insert(id, f.signature(id).unwrap());
+            fresh.insert(id, signature_of(&f, id).unwrap());
         }
         fresh.commit();
         assert!(f == fresh);
@@ -1711,7 +1790,7 @@ mod tests {
         assert_eq!(f.signature_byte_size(), sigs);
         assert!(f.posting_byte_size() > postings);
         assert!(f.ids().count() == 39);
-        assert!(f.signature(1).is_some());
+        assert!(signature_of(&f, 1).is_some());
         assert!(!f.is_committed());
         f.commit();
         assert!(f.is_committed());
@@ -1745,12 +1824,18 @@ mod tests {
             let mut joined: LshForest<MinHashSignature> = LshForest::new(128, 8);
             for batch in sets.chunks(sets.len().div_ceil(workers)) {
                 let mut part = LshForest::new(128, 8);
-                for (id, set) in batch {
-                    part.insert_with(*id, mh.sig_shape(), |slot| {
-                        mh.sign_into(set.as_slice(), slot)
-                    });
+                let slots: Vec<(u64, u32)> = batch
+                    .iter()
+                    .map(|(id, set)| {
+                        let fill = |slot: &mut [u64]| mh.sign_into(set.as_slice(), slot);
+                        (*id, part.insert_with(*id, mh.sig_shape(), fill))
+                    })
+                    .collect();
+                // Where each part's class went, and so each member.
+                let moved = joined.append(part);
+                for (id, slot) in slots {
+                    assert!(joined.class_members(moved[slot as usize]).contains(&id));
                 }
-                joined.append(part);
             }
             assert!(!joined.is_committed());
             joined.commit_parallel(workers);
@@ -1761,11 +1846,13 @@ mod tests {
         }
         // Appending an empty forest changes nothing, not even the
         // committed flag.
-        incremental.append(LshForest::new(128, 8));
+        assert!(incremental.append(LshForest::new(128, 8)).is_empty());
         assert!(incremental.is_committed());
     }
 
+    /// A shared id is a caller's mistake that debug builds catch.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "disjoint ids")]
     fn append_rejects_a_shared_id() {
         let mh = MinHasher::new(64, 5);
@@ -1790,20 +1877,19 @@ mod tests {
         }
         with.commit();
         without.commit();
-        assert!(with.remove(4));
-        assert!(!with.remove(4), "second removal is a no-op");
-        assert!(!with.remove(999));
+        assert!(take(&mut with, 4));
+        assert!(!take(&mut with, 4), "gone is gone");
         assert!(with.is_committed(), "removal never uncommits");
         assert_eq!(with.len(), 9);
-        assert!(with.signature(4).is_none());
+        assert!(signature_of(&with, 4).is_none());
         // Removal leaves exactly the forest that never saw the item.
         assert!(with == without);
         let q = sign(&mh, &tokens("r", 3..15));
         assert_eq!(with.query(&q, 5), without.query(&q, 5));
         // So does removing an item inserted since the last commit,
         // whose entries are still behind the trees' sorted prefixes.
-        with.insert(77, sign(&mh, &tokens("late", 0..12)));
-        assert!(with.remove(77));
+        let slot = insert_sig(&mut with, 77, &sign(&mh, &tokens("late", 0..12)));
+        assert_eq!(with.remove(77, slot), None);
         with.commit();
         assert!(with == without);
         assert_eq!(with.query(&q, 5), without.query(&q, 5));
@@ -2005,10 +2091,12 @@ mod tests {
     }
 
     /// Drive a forest and the model with one script — `insert` (a
-    /// stored id is a re-insert), `remove`, `append` of a small forest
-    /// and `commit` — then hold the forest to the model's answers, and
-    /// its store bytes to those of every other way of arriving at the
-    /// same content.
+    /// stored id is a removal, then an insert), `remove`, `append` of a
+    /// small forest and `commit` — keeping every item's slot from what
+    /// each step returned, as an engine does; then hold the kept slots
+    /// to the postings, the forest to the model's answers, and its store
+    /// bytes to those of every other way of arriving at the same
+    /// content.
     fn check_script<S: Signature + PartialEq + std::fmt::Debug>(
         script: &[Step],
         kind: usize,
@@ -2017,6 +2105,7 @@ mod tests {
     ) {
         let fresh = || LshForest::<S>::new(sig_len, l);
         let mut forest = fresh();
+        let mut slots: BTreeMap<ItemId, u32> = BTreeMap::new();
         let mut model = Model {
             l,
             k: sig_len / l,
@@ -2026,12 +2115,13 @@ mod tests {
             let s = alphabet(kind, step, number);
             match op {
                 0..=3 => {
-                    forest.insert(id, sig(s));
+                    leave(&mut forest, &mut slots, id);
+                    slots.insert(id, insert_sig(&mut forest, id, &sig(s)));
                     model.insert(id, sig(s));
                 }
                 4 | 5 => {
                     assert_eq!(
-                        forest.remove(id),
+                        leave(&mut forest, &mut slots, id),
                         model.items.iter().any(|item| item.0 == id)
                     );
                     model.remove(id);
@@ -2040,16 +2130,22 @@ mod tests {
                     // Up to three items nobody holds, the first two
                     // under one signature.
                     let mut other = fresh();
+                    let mut theirs = Vec::new();
                     for (i, id) in (id..id + 3).enumerate() {
-                        if forest.signature_words(id).is_none() {
-                            other.insert(id, sig(s + i as u64 / 2));
-                            model.insert(id, sig(s + i as u64 / 2));
+                        if !slots.contains_key(&id) {
+                            let s = sig(s + i as u64 / 2);
+                            theirs.push((id, insert_sig(&mut other, id, &s)));
+                            model.insert(id, s);
                         }
                     }
-                    forest.append(other);
+                    let moved = forest.append(other);
+                    for (id, slot) in theirs {
+                        slots.insert(id, moved[slot as usize]);
+                    }
                 }
                 _ => forest.commit(),
             }
+            assert_eq!(slots, slots_of(&forest), "step {step}");
         }
         forest.commit();
 
@@ -2059,7 +2155,7 @@ mod tests {
         assert_eq!(ids.len(), n, "ids() names an item once");
         assert!(model.items.iter().all(|item| ids.contains(&item.0)));
         for (id, s) in &model.items {
-            assert_eq!(forest.signature_words(*id), Some(s.words()), "item {id}");
+            assert_eq!(forest.class_words(slots[id]), s.words(), "item {id}");
         }
         let distinct = model.items.iter().enumerate();
         let distinct = distinct.filter(|(i, a)| model.items[..*i].iter().all(|b| b.1 != a.1));
@@ -2112,7 +2208,7 @@ mod tests {
         }
         crowded.commit();
         for i in 0..12u64 {
-            assert!(crowded.remove(1000 + i));
+            assert!(take(&mut crowded, 1000 + i));
         }
         assert!(crowded.is_committed());
         assert!(crowded == forest);

@@ -181,6 +181,11 @@ impl MinHasher {
         self.num_perm
     }
 
+    /// Bytes held: the padded multipliers and offsets.
+    pub fn byte_size(&self) -> usize {
+        (self.a.len() + self.b.len()) * std::mem::size_of::<u64>()
+    }
+
     /// The `(a_i, b_i)` of every position, in order.
     fn params(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         let n = self.num_perm;

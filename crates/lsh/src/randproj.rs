@@ -175,6 +175,11 @@ impl RandomProjector {
         self.nbits
     }
 
+    /// Bytes held: the padded hyperplane components.
+    pub fn byte_size(&self) -> usize {
+        self.planes.len() * std::mem::size_of::<f64>()
+    }
+
     /// Gaussian component (plane, coordinate), deterministic in the
     /// seed.
     #[inline]

@@ -29,7 +29,10 @@
 //! a function of which item carries which signature and of nothing
 //! else: not of the arena slot a class happens to occupy, nor of the
 //! order items were inserted and removed in. A forest whose items all
-//! differ has `c = n` and the identity as its class table.
+//! differ has `c = n` and the identity as its class table. A loaded
+//! forest's slots are the ranks, and the forest keeps no item → slot
+//! map (`crate::forest`): the decoder hands each `(id, class)` pair to
+//! its caller as it reads the class table, and keeps only the postings.
 //!
 //! `stride` counts `u64` words per signature and `meta` hash
 //! positions per signature; what a word holds is the signature type's
@@ -153,9 +156,16 @@ impl<S: Signature> LshForest<S> {
     /// the query paths rely on. The shape is the caller's to state — a
     /// forest of any other shape is of no use to it, and stating it
     /// bounds everything the decoder allocates by the section's size.
+    ///
+    /// Slots are the caller's (`crate::forest`): `place` is told each
+    /// item's slot as the class table is read — `(id, slot)` in id
+    /// order, each id once, after the id table has been found strictly
+    /// ascending and the slot in range — and may refuse an item with
+    /// an error, which ends the decode.
     pub fn read_from<R: Read>(
         sec: &mut SectionReader<'_, R>,
         shape: (usize, usize),
+        mut place: impl FnMut(ItemId, u32) -> Result<(), StoreError>,
     ) -> Result<Self, StoreError> {
         let mut head = [0u8; HEADER_LEN];
         sec.get_raw(&mut head, "forest header")?;
@@ -229,6 +239,8 @@ impl<S: Signature> LshForest<S> {
                     )))
                 }
             }
+            // A loaded forest's slots are the ranks.
+            place(id, rank as u32)?;
         }
         if classes.len() < c {
             return Err(StoreError::corrupt(format!(
@@ -301,6 +313,7 @@ impl<S: Signature> LshForest<S> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::forest::tests::{put, signature_of, slots_of, take};
     use crate::forest::write_labels;
     use crate::minhash::{MinHashSignature, MinHasher};
     use crate::randproj::{BitSignature, RandomProjector};
@@ -345,12 +358,22 @@ pub(crate) mod tests {
         payload_of(|sec| f.write_to(sec))
     }
 
-    /// The forest of shape `shape` a section payload holds.
+    /// The forest of shape `shape` a section payload holds — whose
+    /// items were each placed once, in id order, in the slot the
+    /// loaded forest holds them in.
     pub(crate) fn from_bytes_at<S: Signature>(
         payload: &[u8],
         shape: (usize, usize),
     ) -> Result<LshForest<S>, StoreError> {
-        decode(payload, |sec| LshForest::read_from(sec, shape))
+        let mut placed = Vec::new();
+        let forest = decode(payload, |sec| {
+            LshForest::read_from(sec, shape, |id, slot| {
+                placed.push((id, slot));
+                Ok(())
+            })
+        })?;
+        assert!(placed.iter().copied().eq(slots_of(&forest)));
+        Ok(forest)
     }
 
     fn from_bytes<S: Signature>(payload: &[u8]) -> Result<LshForest<S>, StoreError> {
@@ -425,10 +448,10 @@ pub(crate) mod tests {
             assert_eq!(a.keys(), b.keys());
         }
         for id in f.ids() {
-            assert_eq!(loaded.signature(id), f.signature(id));
+            assert_eq!(signature_of(&loaded, id), signature_of(&f, id));
         }
         // Identical query behaviour.
-        let q = f.signature(0).unwrap().clone();
+        let q = signature_of(&f, 0).unwrap();
         assert_eq!(loaded.query(&q, 5), f.query(&q, 5));
     }
 
@@ -457,12 +480,12 @@ pub(crate) mod tests {
     fn reinserted_item_round_trips_under_its_new_signature() {
         let mh = MinHasher::new(64, 7);
         let mut f = minhash_forest();
-        f.insert(9, minhash_sig(&mh, 500));
+        put(&mut f, 9, minhash_sig(&mh, 500));
         f.commit();
         let loaded: LshForest<MinHashSignature> = from_bytes(&to_bytes(&f)).unwrap();
         assert_eq!(loaded.len(), 12);
         assert!(loaded == f);
-        assert_eq!(loaded.signature(9), Some(minhash_sig(&mh, 500)));
+        assert_eq!(signature_of(&loaded, 9), Some(minhash_sig(&mh, 500)));
         let hit = loaded.query(&minhash_sig(&mh, 500), 1)[0];
         assert_eq!((hit.id, hit.similarity), (9, 1.0));
         // Item 9 was signed from tokens 3..23; that signature finds
@@ -479,7 +502,7 @@ pub(crate) mod tests {
         let loaded: LshForest<BitSignature> = from_bytes(&to_bytes(&f)).unwrap();
         assert!(loaded == f);
         assert_eq!(loaded.sig_meta(), 64);
-        let q = f.signature(3).unwrap().clone();
+        let q = signature_of(&f, 3).unwrap();
         assert_eq!(loaded.query(&q, 4), f.query(&q, 4));
     }
 
@@ -498,7 +521,7 @@ pub(crate) mod tests {
         let mh = MinHasher::new(64, 7);
         let mut worn = minhash_forest();
         for i in [2u64, 0, 7] {
-            assert!(worn.remove(i * 3));
+            assert!(take(&mut worn, i * 3));
         }
         for i in [7u64, 2, 0] {
             worn.insert(i * 3, minhash_sig(&mh, i));
@@ -544,7 +567,7 @@ pub(crate) mod tests {
         assert_eq!(loaded.shape(), (8, 8));
         let mut emptied = minhash_forest();
         for id in emptied.ids().collect::<Vec<_>>() {
-            emptied.remove(id);
+            assert!(take(&mut emptied, id));
         }
         assert_eq!(to_bytes(&emptied), to_bytes(&f));
     }

@@ -133,7 +133,7 @@ pub fn match_to_json(engine: &ShardedD3l, m: &TableMatch) -> Json {
                             ),
                             (
                                 "source_name".to_string(),
-                                Json::str(&engine.profile(a.source).name),
+                                Json::str(engine.profile(a.source).name),
                             ),
                             (
                                 "distances".to_string(),

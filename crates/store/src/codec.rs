@@ -290,8 +290,13 @@ impl<'a> Decoder<'a> {
 
     /// Length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, StoreError> {
+        self.get_str_ref().map(str::to_string)
+    }
+
+    /// Length-prefixed UTF-8 string, borrowed from the buffer.
+    pub fn get_str_ref(&mut self) -> Result<&'a str, StoreError> {
         let b = self.get_bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|_| StoreError::corrupt("invalid utf-8 string"))
+        std::str::from_utf8(b).map_err(|_| StoreError::corrupt("invalid utf-8 string"))
     }
 
     /// `u64` slice written by [`Encoder::put_u64s`].

@@ -154,6 +154,6 @@ trait ColumnName {
 
 impl ColumnName for ShardedD3l {
     fn table(&self, attr: AttrRef) -> String {
-        self.profile(attr).name.clone()
+        self.profile(attr).name.to_string()
     }
 }

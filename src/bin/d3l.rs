@@ -728,7 +728,7 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     out!("signing lanes:  {}", d3l::core::index::signing_lanes());
     let fp = d3l.byte_size();
-    out!("in-memory footprint (bytes the content needs; allocator slack not counted):");
+    out!("in-memory footprint (every array the engine holds, at the bytes its content needs):");
     out!(
         "  {:<10} {:>12} {:>12} {:>12} {:>12}",
         "index",
@@ -747,14 +747,20 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             idx.total()
         );
     }
-    out!(
-        "  {:<10} {:>12} {:>12} {:>12} {:>12}",
-        "profiles",
-        "-",
-        "-",
-        "-",
-        fp.profile_bytes
-    );
+    for (name, bytes) in [
+        ("attributes", fp.profile_bytes),
+        ("tables", fp.table_bytes),
+        ("hashers", fp.hasher_bytes),
+    ] {
+        out!(
+            "  {:<10} {:>12} {:>12} {:>12} {:>12}",
+            name,
+            "-",
+            "-",
+            "-",
+            bytes
+        );
+    }
     out!(
         "  {:<10} {:>12} {:>12} {:>12} {:>12}",
         "total",

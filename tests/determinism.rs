@@ -29,6 +29,15 @@ fn indexed(tables: usize, seed: u64) -> (benchgen::Benchmark, ShardedD3l) {
     (bench, d3l)
 }
 
+/// Every shard's class column names, per attribute and index, the
+/// class whose postings hold the attribute, and every posting its row
+/// (`D3l::check_class_column`).
+fn assert_class_columns(engine: &ShardedD3l, ctx: &str) {
+    for (s, shard) in engine.shards().iter().enumerate() {
+        assert_eq!(shard.check_class_column(), Ok(()), "{ctx}: shard {s}");
+    }
+}
+
 /// Bitwise equality of two rankings: ids, f64 bits, alignments and
 /// their ordering.
 fn assert_identical(a: &[TableMatch], b: &[TableMatch], ctx: &str) {
@@ -533,6 +542,8 @@ fn sharded_engine_is_byte_identical_to_the_monolith_through_its_lifecycle() {
         let ms = mono.snapshot();
         let ss = sharded.snapshot();
         assert_eq!(ss.engine.shard_count(), shards, "{stage}: shard count");
+        assert_class_columns(&ms.engine, stage);
+        assert_class_columns(&ss.engine, &format!("{stage} @{shards} shards"));
         let (edges, paths) = joins(&ms.engine);
         assert!(!edges.is_empty() && !paths.is_empty(), "{stage}: no joins");
         assert_eq!(
@@ -724,6 +735,9 @@ fn index_build_is_thread_count_invariant() {
         ShardedD3l::index_lake_with(&bench.lake, cfg, embedder)
     };
     let builds: Vec<ShardedD3l> = THREAD_COUNTS.iter().map(|&n| build(n)).collect();
+    for (d3l, &n) in builds.iter().zip(&THREAD_COUNTS) {
+        assert_class_columns(d3l, &format!("@{n} index threads"));
+    }
     for (d3l, &n) in builds.iter().zip(&THREAD_COUNTS).skip(1) {
         assert_eq!(
             builds[0].byte_size(),
@@ -976,6 +990,7 @@ fn every_build_path_writes_the_same_bytes() {
     assert_eq!(lake.len(), 24);
 
     let shard_bytes = |engine: &ShardedD3l| -> Vec<Vec<u8>> {
+        assert_class_columns(engine, "a build path");
         engine
             .shards()
             .iter()
@@ -1024,6 +1039,7 @@ fn every_build_path_writes_the_same_bytes() {
             for (_, table) in lake.iter() {
                 handle.add_table(table).unwrap();
             }
+            assert_class_columns(&handle.snapshot().engine, &format!("adds {ctx}"));
             assert!(handle.compact().unwrap() > 0, "adds left segments");
             assert!(
                 shard_bytes(&handle.snapshot().engine) == from_lake,
@@ -1110,6 +1126,7 @@ fn watch_churn_replay_is_deterministic() {
     // exact in-memory state the watcher left behind.
     let (_, reopened_a) = IndexStore::open(&index_a).unwrap();
     assert_eq!(reopened_a.to_snapshot_bytes(), bytes_a);
+    assert_eq!(reopened_a.check_class_column(), Ok(()), "replayed");
     let (_, reopened_b) = IndexStore::open(&index_b).unwrap();
     assert_eq!(reopened_b.to_snapshot_bytes(), bytes_b);
     std::fs::remove_dir_all(&root).ok();
