@@ -1,9 +1,13 @@
-//! The attribute table: every attribute an engine indexes is a row of
-//! one struct-of-arrays table, not an allocation of its own.
+//! The attribute table: every table an engine indexes, and every
+//! attribute of one, is a row of one struct-of-arrays table, not an
+//! allocation of its own.
 //!
-//! Table `t` owns rows `first[t]..first[t + 1]`; its column `c` is row
-//! `first[t] + c`. A row is the attribute's name (its bytes in one
-//! arena), its numeric extent (in another, [`Extents`]), its flags byte
+//! Table `t` is its name (its bytes in one arena), its subject column
+//! ([`NONE`] where it has none) and whether it is removed — a removal
+//! tombstone, or a hole a shard keeps at an id another shard owns —
+//! and it owns rows `first[t]..first[t + 1]`; its column `c` is row
+//! `first[t] + c`. A row is the attribute's name (its bytes in another
+//! arena), its numeric extent (in a third, [`Extents`]), its flags byte
 //! (`profile`'s `FLAG_*` bits), and its **class** in each of the four
 //! forests — the slot of the class that `IN`, `IV`, `IF` and `IE` hold
 //! it in, in that order, or [`NONE`] where the index does not hold it (a
@@ -11,6 +15,11 @@
 //! item → slot map (`d3l_lsh::forest`): this column is the one place an
 //! attribute's classes are written down, so resolving a candidate's
 //! four signatures is four array reads.
+//!
+//! A signed table (`SignedTable`: one to add, a query target, what a
+//! delta segment carries) is the same table holding that one table,
+//! with no class anywhere — so `PROF` and a delta segment encode a
+//! table's rows through one function, and decode them through another.
 
 use std::ops::Range;
 
@@ -19,18 +28,79 @@ use d3l_features::Extents;
 use crate::index::AttrRef;
 use crate::profile::AttrView;
 
-/// The class of an attribute in an index that does not hold it.
+/// The class of an attribute in an index that does not hold it, and
+/// the subject column of a table that has none.
 pub(crate) const NONE: u32 = u32::MAX;
 
-/// Every attribute of an engine, one row each (module docs).
-#[derive(Debug, Clone)]
+/// `n` as a `u32` offset.
+fn offset(n: usize) -> u32 {
+    u32::try_from(n).expect("an attribute table fits u32 offsets")
+}
+
+/// Strings end to end in one arena, each found by where it ends.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Strings {
+    text: String,
+    ends: Vec<u32>,
+}
+
+impl Strings {
+    fn get(&self, i: usize) -> &str {
+        &self.text[self.start(i)..self.ends[i] as usize]
+    }
+
+    fn push(&mut self, s: &str) {
+        self.text.push_str(s);
+        self.ends.push(offset(self.text.len()));
+    }
+
+    /// Remove strings `range`; those after it move down.
+    fn remove(&mut self, range: Range<usize>) {
+        let (from, to) = (self.start(range.start), self.start(range.end));
+        self.text.drain(from..to);
+        self.ends.drain(range.clone());
+        let gone = offset(to - from);
+        self.ends[range.start..].iter_mut().for_each(|e| *e -= gone);
+    }
+
+    fn append(&mut self, other: &Strings) {
+        let bytes = self.text.len();
+        self.text.push_str(&other.text);
+        let ends = other.ends.iter();
+        self.ends.extend(ends.map(|&e| offset(bytes + e as usize)));
+    }
+
+    /// The bytes and one `u32` end each.
+    fn byte_size(&self) -> usize {
+        self.text.len() + self.ends.len() * std::mem::size_of::<u32>()
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.text.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
+    /// Where string `i` starts (the end of the text when `i` is the
+    /// count).
+    fn start(&self, i: usize) -> usize {
+        match i {
+            0 => 0,
+            i => self.ends[i - 1] as usize,
+        }
+    }
+}
+
+/// Every table of an engine, and every attribute of one, a row each
+/// (module docs).
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct AttrTable {
     /// Table `t`'s first row, and one past the last table's last row.
     first: Vec<u32>,
-    /// Every row's name, end to end.
-    names: String,
-    /// Where each row's name ends in `names`.
-    name_ends: Vec<u32>,
+    table_names: Strings,
+    /// Each table's subject column, or [`NONE`].
+    subject: Vec<u32>,
+    removed: Vec<bool>,
+    names: Strings,
     extents: Extents,
     flags: Vec<u8>,
     /// Each row's class slot in `IN`, `IV`, `IF`, `IE`.
@@ -41,8 +111,10 @@ impl Default for AttrTable {
     fn default() -> Self {
         AttrTable {
             first: vec![0],
-            names: String::new(),
-            name_ends: Vec::new(),
+            table_names: Strings::default(),
+            subject: Vec::new(),
+            removed: Vec::new(),
+            names: Strings::default(),
             extents: Extents::default(),
             flags: Vec::new(),
             class: Vec::new(),
@@ -50,15 +122,25 @@ impl Default for AttrTable {
     }
 }
 
-/// `n` as a `u32` offset.
-fn offset(n: usize) -> u32 {
-    u32::try_from(n).expect("an attribute table fits u32 offsets")
-}
-
 impl AttrTable {
     /// Number of tables.
     pub(crate) fn tables(&self) -> usize {
         self.first.len() - 1
+    }
+
+    /// Table `t`'s name (a hole's is empty).
+    pub(crate) fn table_name(&self, t: usize) -> &str {
+        self.table_names.get(t)
+    }
+
+    /// Table `t`'s subject column, if it has one.
+    pub(crate) fn subject(&self, t: usize) -> Option<u32> {
+        Some(self.subject[t]).filter(|&c| c != NONE)
+    }
+
+    /// Whether table `t` is removed (a tombstone or a hole).
+    pub(crate) fn is_removed(&self, t: usize) -> bool {
+        self.removed[t]
     }
 
     /// Table `t`'s rows.
@@ -79,8 +161,7 @@ impl AttrTable {
 
     /// Row `row`'s attribute.
     pub(crate) fn attr(&self, row: usize) -> AttrView<'_> {
-        let name = &self.names[self.name_start(row)..self.name_ends[row] as usize];
-        AttrView::with_flags(name, self.extents.get(row), self.flags[row])
+        AttrView::with_flags(self.names.get(row), self.extents.get(row), self.flags[row])
     }
 
     /// Row `row`'s class in each index.
@@ -95,34 +176,32 @@ impl AttrTable {
 
     /// Append a row to the table [`AttrTable::end_table`] closes next.
     pub(crate) fn push(&mut self, attr: AttrView<'_>, class: [u32; 4]) {
-        self.names.push_str(attr.name);
-        self.name_ends.push(offset(self.names.len()));
+        self.names.push(attr.name);
         self.extents.push(attr.numeric_extent);
         self.flags.push(attr.flags());
         self.class.push(class);
     }
 
     /// Close a table: the rows pushed since the last close are its.
-    pub(crate) fn end_table(&mut self) {
+    pub(crate) fn end_table(&mut self, name: &str, subject: Option<u32>, removed: bool) {
         self.first.push(offset(self.class.len()));
+        self.table_names.push(name);
+        self.subject.push(subject.unwrap_or(NONE));
+        self.removed.push(removed);
     }
 
-    /// Take table `t`'s rows out: the table keeps its place, with no
-    /// row, and the rows of the tables after it move down.
+    /// Remove table `t`: it keeps its place and its name, with no row
+    /// and no subject, and the rows of the tables after it move down.
     pub(crate) fn clear_table(&mut self, t: usize) {
         let rows = self.rows(t);
-        let (from, to) = (self.name_start(rows.start), self.name_start(rows.end));
-        self.names.drain(from..to);
-        self.name_ends.drain(rows.clone());
-        let gone = offset(to - from);
-        self.name_ends[rows.start..]
-            .iter_mut()
-            .for_each(|e| *e -= gone);
+        self.names.remove(rows.clone());
         self.extents.remove(rows.clone());
         self.flags.drain(rows.clone());
         self.class.drain(rows.clone());
         let gone = offset(rows.len());
         self.first[t + 1..].iter_mut().for_each(|f| *f -= gone);
+        self.subject[t] = NONE;
+        self.removed[t] = true;
     }
 
     /// Append `other`'s tables, whose forests were appended to this
@@ -134,13 +213,13 @@ impl AttrTable {
             *self = other;
             return;
         }
-        let (rows, bytes) = (self.class.len(), self.names.len());
+        let rows = self.class.len();
         let first = other.first[1..].iter();
         self.first.extend(first.map(|&f| offset(rows + f as usize)));
-        self.names.push_str(&other.names);
-        let ends = other.name_ends.iter();
-        self.name_ends
-            .extend(ends.map(|&e| offset(bytes + e as usize)));
+        self.table_names.append(&other.table_names);
+        self.subject.extend_from_slice(&other.subject);
+        self.removed.extend_from_slice(&other.removed);
+        self.names.append(&other.names);
         (0..other.extents.len()).for_each(|row| self.extents.push(other.extents.get(row)));
         self.flags.extend_from_slice(&other.flags);
         self.class.extend(other.class.iter().map(|class| {
@@ -151,33 +230,34 @@ impl AttrTable {
         }));
     }
 
-    /// Bytes held: every column, the offsets included.
-    pub(crate) fn byte_size(&self) -> usize {
-        let u32s = self.first.len() + self.name_ends.len();
-        u32s * std::mem::size_of::<u32>()
-            + self.names.len()
+    /// Bytes the rows hold: every row column, the offsets included, and
+    /// where each table's rows start.
+    pub(crate) fn row_byte_size(&self) -> usize {
+        self.first.len() * std::mem::size_of::<u32>()
+            + self.names.byte_size()
             + self.extents.byte_size()
             + self.flags.len()
             + self.class.len() * std::mem::size_of::<[u32; 4]>()
     }
 
+    /// Bytes the tables hold: their names and where each ends, subject
+    /// columns and removed flags.
+    pub(crate) fn table_byte_size(&self) -> usize {
+        self.table_names.byte_size()
+            + self.subject.len() * std::mem::size_of::<u32>()
+            + self.removed.len()
+    }
+
     /// Release spare capacity.
     pub(crate) fn shrink_to_fit(&mut self) {
         self.first.shrink_to_fit();
+        self.table_names.shrink_to_fit();
+        self.subject.shrink_to_fit();
+        self.removed.shrink_to_fit();
         self.names.shrink_to_fit();
-        self.name_ends.shrink_to_fit();
         self.extents.shrink_to_fit();
         self.flags.shrink_to_fit();
         self.class.shrink_to_fit();
-    }
-
-    /// Where row `row`'s name starts (the end of the names when `row`
-    /// is the row count).
-    fn name_start(&self, row: usize) -> usize {
-        match row {
-            0 => 0,
-            row => self.name_ends[row - 1] as usize,
-        }
     }
 }
 
@@ -200,7 +280,7 @@ mod tests {
 
     /// Rows are found by table and column, read back as pushed, and
     /// stay so through a cleared table and an appended table whose
-    /// classes move.
+    /// classes move; so do the tables' names, subjects and flags.
     #[test]
     fn rows_survive_clearing_and_appending() {
         let (none, ints) = (
@@ -210,10 +290,10 @@ mod tests {
         let mut t = AttrTable::default();
         t.push(attr("City", &none), [0, 0, 0, 0]);
         t.push(attr("Patients", &ints), [1, NONE, 1, NONE]);
-        t.end_table();
-        t.end_table();
+        t.end_table("gp", Some(0), false);
+        t.end_table("", None, true);
         t.push(attr("Práctica", &none), [2, 1, 0, 1]);
-        t.end_table();
+        t.end_table("médicos", None, false);
         assert_eq!(t.tables(), 3);
         assert_eq!((t.rows(0), t.rows(1), t.rows(2)), (0..2, 2..2, 2..3));
         assert_eq!(t.row(at(0, 1)), Some(1));
@@ -226,26 +306,36 @@ mod tests {
         assert!(patients.is_numeric && patients.has_name);
         assert_eq!(patients.numeric_extent, &*ints);
         assert_eq!(t.class(1), [1, NONE, 1, NONE]);
+        fn table(t: &AttrTable, i: usize) -> (&str, Option<u32>, bool) {
+            (t.table_name(i), t.subject(i), t.is_removed(i))
+        }
+        assert_eq!(table(&t, 0), ("gp", Some(0), false));
+        assert_eq!(table(&t, 1), ("", None, true));
+        assert_eq!(table(&t, 2), ("médicos", None, false));
 
         let mut other = AttrTable::default();
         other.push(attr("Moons", &ints), [0, NONE, 1, NONE]);
-        other.end_table();
+        other.end_table("planets", None, false);
         let moved = [vec![7], vec![], vec![5, 6], vec![]];
         t.append(other, &moved);
         assert_eq!(t.tables(), 4);
         assert_eq!(t.attr(t.row(at(3, 0)).unwrap()).name, "Moons");
         assert_eq!(t.class(3), [7, NONE, 6, NONE]);
+        assert_eq!(table(&t, 3), ("planets", None, false));
 
         t.clear_table(0);
         assert_eq!((t.rows(0), t.rows(2), t.rows(3)), (0..0, 0..1, 1..2));
         assert_eq!(t.row(at(0, 0)), None);
+        assert_eq!(table(&t, 0), ("gp", None, true));
         let kept: Vec<(&str, [u32; 4])> = (0..2).map(|r| (t.attr(r).name, t.class(r))).collect();
         assert_eq!(
             kept,
             [("Práctica", [2, 1, 0, 1]), ("Moons", [7, NONE, 6, NONE])]
         );
         assert_eq!(t.attr(1).numeric_extent, &*ints);
-        let bytes = 5 * 4 + 2 * 4 + "PrácticaMoons".len() + (ints.byte_size() + 2 * 4) + 2 + 2 * 16;
-        assert_eq!(t.byte_size(), bytes);
+        let rows = 5 * 4 + 2 * 4 + "PrácticaMoons".len() + (ints.byte_size() + 2 * 4) + 2 + 2 * 16;
+        assert_eq!(t.row_byte_size(), rows);
+        let tables = "gpmédicosplanets".len() + 4 * 4 + 4 * 4 + 4;
+        assert_eq!(t.table_byte_size(), tables);
     }
 }

@@ -124,7 +124,7 @@ impl D3lConfig {
 
     /// Per-attribute lookup width for a table answer size `k`.
     pub fn lookup_width(&self, k: usize) -> usize {
-        (self.lookup_factor * k).max(self.min_lookup)
+        self.lookup_factor.saturating_mul(k).max(self.min_lookup)
     }
 }
 
@@ -145,6 +145,8 @@ mod tests {
         let c = D3lConfig::default();
         assert_eq!(c.lookup_width(5), 50); // floor
         assert_eq!(c.lookup_width(100), 300);
+        // Any `k` a caller passes has a width, not an overflow.
+        assert_eq!(c.lookup_width(usize::MAX), usize::MAX);
     }
 
     #[test]

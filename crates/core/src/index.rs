@@ -7,31 +7,33 @@
 //! flags — no token set, no embedding vector), and each table's
 //! subject attribute.
 //!
-//! **An attribute is a row.** What is kept of the attributes is one
-//! struct-of-arrays table (`attrs` module) with a row per attribute:
-//! its name, extent and flags, and its class in each of the four
-//! forests. The forests keep no id → class map — an insert returns the
-//! slot, a removal is told it, a class that moves says so and its
+//! **A table and an attribute are rows.** What is kept of the tables
+//! and their attributes is one struct-of-arrays table (`attrs` module):
+//! per table its name, subject column and removed flag, and a row per
+//! attribute — its name, extent and flags, and its class in each of the
+//! four forests. The forests keep no id → class map — an insert returns
+//! the slot, a removal is told it, a class that moves says so and its
 //! members' rows are re-pointed — so resolving a candidate's signatures
 //! is four array reads, and [`D3l::profile`] hands out a row as an
-//! [`AttrView`], the type an [`IndexedAttr`] of a signed table is read
-//! through too.
+//! [`AttrView`], the type a signed table's rows are read through too.
 //!
 //! **A table is signed once, into one record.** [`SignedTable`] is a
-//! table as the index takes it: name, subject column, an
-//! [`IndexedAttr`] per column and the columns' signature words, per
-//! index. Three functions move it, and every mover of tables is one or
-//! two of them: [`D3l::sign_table`] makes it (Algorithm 1 whole —
-//! profile, detect the subject, sign; the one place in this crate that
-//! calls a hasher on lake or target data), `D3l::push` puts it into the
-//! forests (copying its words into the arenas, where a name, a format
-//! or a value set that recurs is found to be a class the forest already
-//! has), and [`D3l::signed_table`] reads a live member back out as the
-//! same value. The bulk build and [`D3l::add_table`] sign and push; a
-//! delta segment is the record about to be pushed and replay pushes the
-//! decoded one; [`crate::ShardedD3l::split`] reads back and pushes into
-//! the owning shard; a query target is signed, a lake member queried as
-//! a target is read back.
+//! table as the index takes it: the same attribute table, holding that
+//! one table (name, subject column, a row per column, no class
+//! anywhere), and the columns' signature words, per index. Three
+//! functions move it, and every mover of tables is one or two of them:
+//! [`D3l::sign_table`] makes it (Algorithm 1 whole — profile, detect
+//! the subject, sign; the one place in this crate that calls a hasher
+//! on lake or target data, and the one place a profile becomes a row),
+//! `D3l::push` puts it into the forests (copying its words into the
+//! arenas, where a name, a format or a value set that recurs is found
+//! to be a class the forest already has, and its rows into the
+//! engine's table), and [`D3l::signed_table`] reads a live member back
+//! out as the same value. The bulk build and [`D3l::add_table`] sign
+//! and push; a delta segment is the record about to be pushed and
+//! replay pushes the decoded one; [`crate::ShardedD3l::split`] reads
+//! back and pushes into the owning shard; a query target is signed, a
+//! lake member queried as a target is read back.
 //!
 //! There is one build path. A worker takes a contiguous run of table
 //! ids and, table by table, obtains the table (borrowed from a
@@ -55,6 +57,7 @@ use std::path::Path;
 
 use d3l_embedding::WordEmbedder;
 use d3l_embedding::{CachedEmbedder, Lexicon, SemanticEmbedder};
+use d3l_features::NumericExtent;
 use d3l_lsh::forest::LshForest;
 use d3l_lsh::kernels::SigningLanes;
 use d3l_lsh::minhash::{MinHashSignature, MinHasher};
@@ -65,7 +68,7 @@ use d3l_table::{DataLake, Table, TableError, TableId};
 
 use crate::attrs::{AttrTable, NONE};
 use crate::config::D3lConfig;
-use crate::profile::{profile_table, AttrView, IndexedAttr};
+use crate::profile::{profile_table, AttrView};
 
 /// Which compilation of the MinHash and hyperplane signing loops every
 /// engine in this process runs — `"avx512"` or `"portable"`, decided
@@ -134,13 +137,10 @@ pub(crate) type TableWords = [Vec<u64>; 4];
 /// and pass the record to the `*_prepared` variants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SignedTable {
-    /// Table name.
-    pub(crate) name: String,
-    /// Subject-attribute column, if classified. Never a numeric one.
-    pub(crate) subject: Option<u32>,
-    /// What the index keeps of each column beside its signatures, as
-    /// `PROF` holds it.
-    pub(crate) attrs: Vec<IndexedAttr>,
+    /// The table as an attribute table holding it alone: its name, its
+    /// subject column (never a numeric one) and a row per column, as
+    /// `TABL` and `PROF` hold them, in no class of any index.
+    pub(crate) attrs: AttrTable,
     /// The columns' signatures in the four indexes.
     pub(crate) words: TableWords,
 }
@@ -148,7 +148,17 @@ pub struct SignedTable {
 impl SignedTable {
     /// Number of attributes.
     pub fn arity(&self) -> usize {
-        self.attrs.len()
+        self.attrs.rows(0).len()
+    }
+
+    /// Table name.
+    pub(crate) fn name(&self) -> &str {
+        self.attrs.table_name(0)
+    }
+
+    /// Subject-attribute column, if classified.
+    pub(crate) fn subject(&self) -> Option<u32> {
+        self.attrs.subject(0)
     }
 
     /// The columns in order, each with its words in the indexes that
@@ -162,7 +172,8 @@ impl SignedTable {
         let nth = |words: &'a [u64], stride: usize, n: usize| &words[n * stride..][..stride];
         // Columns so far that `IV` and `IE` cover.
         let mut textual = 0;
-        self.attrs.iter().enumerate().map(move |(col, attr)| {
+        self.attrs.rows(0).map(move |col| {
+            let attr = self.attrs.attr(col);
             let covered = (!attr.is_numeric).then(|| {
                 textual += 1;
                 textual - 1
@@ -173,7 +184,7 @@ impl SignedTable {
                 format: nth(i_f, mh, col),
                 embedding: covered.map(|n| nth(i_e, rp, n)),
             };
-            (attr.view(), sigs)
+            (attr, sigs)
         })
     }
 }
@@ -216,16 +227,12 @@ pub struct D3l {
     pub(crate) i_f: LshForest<MinHashSignature>,
     /// `IE` — embedding index.
     pub(crate) i_e: LshForest<BitSignature>,
-    /// Every attribute's row: what is kept of it beside its signatures,
-    /// and its class in each forest.
+    /// Every table's name, subject column and removed flag — ids stay
+    /// stable across removals, so a removed table keeps its slot
+    /// (emptied) and is skipped everywhere — and every attribute's row:
+    /// what is kept of it beside its signatures, and its class in each
+    /// forest.
     pub(crate) attrs: AttrTable,
-    /// Per-table subject attribute (None when no textual column).
-    pub(crate) subjects: Vec<Option<u32>>,
-    /// Table names, parallel to ids.
-    pub(crate) names: Vec<String>,
-    /// Tombstones: ids stay stable across removals, so a removed
-    /// table keeps its slot (emptied) and is skipped everywhere.
-    pub(crate) removed: Vec<bool>,
 }
 
 impl std::fmt::Debug for D3l {
@@ -349,9 +356,6 @@ impl D3l {
             i_f: LshForest::new(cfg.num_perm, cfg.trees),
             i_e: LshForest::new(cfg.embed_bits, cfg.trees),
             attrs: AttrTable::default(),
-            subjects: Vec::new(),
-            names: Vec::new(),
-            removed: Vec::new(),
             cfg,
             embedder,
             minhasher,
@@ -401,9 +405,6 @@ impl D3l {
             self.i_e.append(part.i_e),
         ];
         self.attrs.append(part.attrs, &moved);
-        self.subjects.extend(part.subjects);
-        self.names.extend(part.names);
-        self.removed.extend(part.removed);
     }
 
     /// Commit the four forests within a thread budget: each forest's
@@ -438,8 +439,9 @@ impl D3l {
     /// [`D3l::sign_table`] embedding through the caller's memo (a build
     /// worker's, shared by the tables of its run). Each built profile
     /// ends here: its sets and its vector are signed (lines 15–18, with
-    /// the §III-C rule that numeric attributes skip `IV` and `IE`) and
-    /// what is kept is the [`IndexedAttr`] made of it.
+    /// the §III-C rule that numeric attributes skip `IV` and `IE`), and
+    /// what is kept of it is its row — name, extent, and whether each
+    /// set, and the vector, held anything.
     fn sign_table_with(&self, table: &Table, embedder: &impl WordEmbedder) -> SignedTable {
         let (mh, rp) = (&self.minhasher, &self.projector);
         let (mh_words, rp_words) = (mh.sig_shape().0, rp.sig_shape().0);
@@ -456,9 +458,21 @@ impl D3l {
         let every = i_n
             .chunks_exact_mut(mh_words)
             .zip(i_f.chunks_exact_mut(mh_words));
+        let mut attrs = AttrTable::default();
         for (p, (name, format)) in profiles.iter().zip(every) {
             mh.sign_into(p.qset.as_slice(), name);
             mh.sign_into(p.rset.as_slice(), format);
+            let extent = NumericExtent::from_sorted(&p.numeric_extent);
+            let attr = AttrView {
+                name: &p.name,
+                numeric_extent: &extent,
+                is_numeric: p.is_numeric,
+                has_name: !p.qset.is_empty(),
+                has_text: p.has_text(),
+                has_format: !p.rset.is_empty(),
+                has_embedding: p.has_embedding(),
+            };
+            attrs.push(attr, [NONE; 4]);
         }
         let covered = i_v
             .chunks_exact_mut(mh_words)
@@ -467,13 +481,9 @@ impl D3l {
             mh.sign_into(p.tset.as_slice(), value);
             rp.sign_into(&p.embedding, embedding);
         }
-        let attrs = profiles.into_iter().map(IndexedAttr::from).collect();
-        SignedTable {
-            name: table.name().to_string(),
-            subject: d3l_ml::subject_attribute(table).map(|c| c as u32),
-            attrs,
-            words,
-        }
+        let subject = d3l_ml::subject_attribute(table).map(|c| c as u32);
+        attrs.end_table(table.name(), subject, false);
+        SignedTable { attrs, words }
     }
 
     /// Put a signed table into the index at `id`, at or above the slot
@@ -512,10 +522,7 @@ impl D3l {
             }
             self.attrs.push(attr, class);
         }
-        self.attrs.end_table();
-        self.names.push(table.name);
-        self.subjects.push(table.subject);
-        self.removed.push(false);
+        self.attrs.end_table(table.name(), table.subject(), false);
     }
 
     /// Read a live member back out as the record it was pushed as: what
@@ -528,22 +535,19 @@ impl D3l {
         if !self.is_live(id) {
             return None;
         }
-        let rows = self.attrs.rows(id.index());
+        let mut attrs = AttrTable::default();
         let mut words = TableWords::default();
         let [i_n, i_v, i_f, i_e] = &mut words;
-        for row in rows.clone() {
+        for row in self.attrs.rows(id.index()) {
+            attrs.push(self.attrs.attr(row), [NONE; 4]);
             let sigs = self.signatures_at(row);
             i_n.extend_from_slice(sigs.name);
             i_v.extend_from_slice(sigs.value.unwrap_or_default());
             i_f.extend_from_slice(sigs.format);
             i_e.extend_from_slice(sigs.embedding.unwrap_or_default());
         }
-        Some(SignedTable {
-            name: self.names[id.index()].clone(),
-            subject: self.subjects[id.index()],
-            attrs: rows.map(|row| self.attrs.attr(row).into()).collect(),
-            words,
-        })
+        attrs.end_table(self.table_name(id), self.attrs.subject(id.index()), false);
+        Some(SignedTable { attrs, words })
     }
 
     /// Append an empty, permanently-tombstoned slot.
@@ -563,17 +567,13 @@ impl D3l {
     /// Append the slot [`D3l::remove_table`] leaves of a table named
     /// `name`: emptied, removed, the name kept for display.
     pub(crate) fn push_tombstone(&mut self, name: &str) {
-        self.names.push(name.to_string());
-        self.subjects.push(None);
-        self.attrs.end_table();
-        self.removed.push(true);
+        self.attrs.end_table(name, None, true);
     }
 
     /// Whether a slot is a non-owned hole (see [`D3l::push_hole`]) as
     /// opposed to a live table or a real removal tombstone.
     pub(crate) fn is_hole(&self, id: TableId) -> bool {
-        let idx = id.index();
-        idx < self.removed.len() && self.removed[idx] && self.names[idx].is_empty()
+        self.is_removed(id) && self.table_name(id).is_empty()
     }
 
     /// Drop a table from the index (the maintenance counterpart of
@@ -614,25 +614,23 @@ impl D3l {
             leave(&mut self.i_e, &mut self.attrs, (3, key, e));
         }
         self.attrs.clear_table(idx);
-        self.subjects[idx] = None;
-        self.removed[idx] = true;
         true
     }
 
     /// Whether an id names a table still serving (no hole, no
     /// tombstone, no id past the slots).
     pub(crate) fn is_live(&self, id: TableId) -> bool {
-        self.removed.get(id.index()) == Some(&false)
+        id.index() < self.table_count() && !self.attrs.is_removed(id.index())
     }
 
     /// Whether an id is a removal tombstone.
     pub fn is_removed(&self, id: TableId) -> bool {
-        self.removed.get(id.index()).copied().unwrap_or(false)
+        id.index() < self.table_count() && self.attrs.is_removed(id.index())
     }
 
     /// Number of tables still serving (total slots minus tombstones).
     pub fn live_table_count(&self) -> usize {
-        self.removed.iter().filter(|&&r| !r).count()
+        self.live_ids().count()
     }
 
     /// The configuration in effect.
@@ -654,7 +652,7 @@ impl D3l {
 
     /// Name of an indexed table.
     pub fn table_name(&self, id: TableId) -> &str {
-        &self.names[id.index()]
+        self.attrs.table_name(id.index())
     }
 
     /// Arity of an indexed table.
@@ -675,7 +673,7 @@ impl D3l {
 
     /// Subject attribute of an indexed table, if any.
     pub fn subject_of(&self, id: TableId) -> Option<AttrRef> {
-        self.subjects[id.index()].map(|c| AttrRef {
+        self.attrs.subject(id.index()).map(|c| AttrRef {
             table: id,
             column: c,
         })
@@ -749,17 +747,13 @@ impl D3l {
                 posting_bytes: forest.posting_byte_size(),
             }
         }
-        let names: usize = self.names.iter().map(String::len).sum();
-        let per_table = std::mem::size_of::<String>()
-            + std::mem::size_of::<Option<u32>>()
-            + std::mem::size_of::<bool>();
         MemoryFootprint {
             i_n: index_of(&self.i_n),
             i_v: index_of(&self.i_v),
             i_f: index_of(&self.i_f),
             i_e: index_of(&self.i_e),
-            profile_bytes: self.attrs.byte_size(),
-            table_bytes: names + self.names.len() * per_table,
+            profile_bytes: self.attrs.row_byte_size(),
+            table_bytes: self.attrs.table_byte_size(),
             hasher_bytes: self.minhasher.byte_size() + self.projector.byte_size(),
         }
     }
@@ -817,7 +811,7 @@ impl D3l {
             }
             for t in 0..d3l.table_count() {
                 let rows = d3l.attrs.rows(t);
-                if d3l.removed[t] && !rows.is_empty() {
+                if d3l.attrs.is_removed(t) && !rows.is_empty() {
                     return Err(format!("removed table {t} keeps {} rows", rows.len()));
                 }
                 for (column, row) in (0u32..).zip(rows) {
@@ -851,21 +845,23 @@ impl D3l {
     /// The id of the live table named `name`: what
     /// [`D3l::name_to_id`] maps it to, without building the map.
     pub(crate) fn table_id(&self, name: &str) -> Option<TableId> {
-        (0..self.names.len())
+        self.live_ids()
             .rev()
-            .find(|&i| !self.removed[i] && self.names[i] == name)
-            .map(|i| TableId(i as u32))
+            .find(|&id| self.table_name(id) == name)
     }
 
     /// Map from table name to id for result post-processing. Removed
     /// tables are excluded — their tombstoned ids must not resolve.
     pub fn name_to_id(&self) -> HashMap<&str, TableId> {
-        self.names
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.removed[*i])
-            .map(|(i, n)| (n.as_str(), TableId(i as u32)))
+        self.live_ids()
+            .map(|id| (self.table_name(id), id))
             .collect()
+    }
+
+    /// The ids of the live tables, ascending.
+    fn live_ids(&self) -> impl DoubleEndedIterator<Item = TableId> + '_ {
+        let ids = (0..self.table_count()).map(|t| TableId(t as u32));
+        ids.filter(|&id| self.is_live(id))
     }
 }
 
@@ -930,12 +926,14 @@ pub struct MemoryFootprint {
     pub i_f: IndexFootprint,
     /// `IE` — embedding index.
     pub i_e: IndexFootprint,
-    /// The attribute table, a row per attribute: its name and numeric
-    /// extent bytes and where each ends, its flags byte, its class slot
-    /// in each of the four indexes, and where each table's rows start.
+    /// The attribute table's rows, one per attribute: its name and
+    /// numeric extent bytes and where each ends, its flags byte, its
+    /// class slot in each of the four indexes, and where each table's
+    /// rows start.
     pub profile_bytes: usize,
-    /// The table list: per table its name (a `String`), subject column
-    /// and tombstone flag.
+    /// The attribute table's table columns: per table its name's bytes
+    /// and where they end, its subject column (4 bytes) and its removed
+    /// flag.
     pub table_bytes: usize,
     /// The hashers: MinHash parameters and the projector's hyperplanes.
     pub hasher_bytes: usize,
@@ -1146,10 +1144,10 @@ mod tests {
             fp.profile_bytes,
             names + 6 + 8 + 12 * (4 + 4 + 1 + 16) + 4 * 4
         );
-        // The table list: per table a `String` and its bytes, a subject
-        // column and a tombstone flag.
+        // The table list: per table its name's bytes and where they end,
+        // a subject column and a removed flag.
         let table_names: usize = lake.iter().map(|(_, t)| t.name().len()).sum();
-        assert_eq!(fp.table_bytes, table_names + 3 * (24 + 8 + 1));
+        assert_eq!(fp.table_bytes, table_names + 3 * (4 + 4 + 1));
         // The hashers: two parameters of each of 64 positions, and 64
         // planes of 32 components.
         assert_eq!(fp.hasher_bytes, 2 * 64 * 8 + 64 * 32 * 8);

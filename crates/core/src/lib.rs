@@ -75,7 +75,7 @@ pub use hotswap::{EngineHandle, EngineSnapshot, EngineTelemetry, MaintenanceErro
 pub use index::{AttrRef, ClassStats, D3l, IndexFootprint, MemoryFootprint, SignedTable};
 pub use join::{JoinPath, SaJoinGraph};
 pub use populate::Population;
-pub use profile::{AttrView, AttributeProfile, IndexedAttr};
+pub use profile::{AttrView, AttributeProfile};
 pub use query::{Alignment, QueryOptions, TableMatch};
 pub use shard::{shard_of_name, ShardedD3l};
 pub use snapshot::{DeltaRecord, IndexStore};

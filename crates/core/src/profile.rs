@@ -23,28 +23,27 @@
 //! the embedder's cache in sorted token order. [`profile_table`]
 //! reuses one interner for all the columns of a table.
 //!
-//! Two types live here. [`AttributeProfile`] is Algorithm 1's output:
-//! what [`profile_table`] returns and what a query target is, whole
-//! whenever it exists. [`IndexedAttr`] is what survives signing. The
-//! token sets and the vector `⃗a` are intermediates: Algorithm 1 builds
-//! them to be hashed into the four indexes (§III-B), and once an
-//! attribute's four signatures are written scoring reads those and
-//! asks of the sets only *were you empty*. So an engine keeps, per
-//! attribute, the name, the numeric extent (the guarded KS computation
-//! reads it, Algorithm 2) and four evidence flags — and neither the
-//! resident index nor the store carries a token or a vector
-//! component. The extent itself is kept in its one encoding,
-//! [`NumericExtent`] (exact scaled-integer deltas), which the store
-//! writes as it is and KS reads without decoding to a `Vec<f64>`. A
-//! query target is converted the same way once it is signed. An engine
-//! keeps no `IndexedAttr`: its attributes are rows of one table, and
-//! what it hands out of one is an [`AttrView`] — borrowed, as an
-//! `IndexedAttr` is viewed too — so both sides of a scored pair are
-//! read through one type.
+//! One type lives here: [`AttributeProfile`], Algorithm 1's output —
+//! what [`profile_table`] returns and what a query target is until it
+//! is signed. The token sets and the vector `⃗a` are intermediates:
+//! Algorithm 1 builds them to be hashed into the four indexes (§III-B),
+//! and once an attribute's four signatures are written scoring reads
+//! those and asks of the sets only *were you empty*. So what survives
+//! signing is, per attribute, the name, the numeric extent (the guarded
+//! KS computation reads it, Algorithm 2) and four evidence flags — a
+//! row of an attribute table (`attrs` module; signing a table pushes
+//! one per profile, for a target as for a table to index), read
+//! through an [`AttrView`] — and neither the resident index nor the
+//! store carries a token or a vector component. The extent itself is
+//! kept in its one encoding, [`NumericExtent`] (exact scaled-integer
+//! deltas), which the store writes as it is and KS reads without
+//! decoding to a `Vec<f64>`.
+//!
+//! [`NumericExtent`]: d3l_features::NumericExtent
 
 use d3l_embedding::WordEmbedder;
 use d3l_features::histogram::TokenHistogram;
-use d3l_features::{qgrams, regex_format, Extent, NumericExtent};
+use d3l_features::{qgrams, regex_format, Extent};
 use d3l_lsh::TokenSet;
 use d3l_table::{typing, Column};
 
@@ -167,18 +166,18 @@ impl AttributeProfile {
 }
 
 /// What the index keeps of an attribute once its four signatures are
-/// written: everything scoring reads that a signature does not hold.
-/// A signed table (`SignedTable` — one to add, a query target, what a
-/// delta segment carries) is a list of them beside its signature words;
-/// an engine keeps the same fields as a row of its attribute table, and
-/// `PROF` and a delta segment encode them alike.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndexedAttr {
+/// written — everything scoring reads that a signature does not hold —
+/// borrowed from the attribute's row: of an engine's attribute table
+/// ([`crate::D3l::profile`]) or of a signed table's (a target's, what a
+/// delta segment carries). What scoring reads of both sides of a pair,
+/// and what `PROF` and a delta segment encode.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AttrView<'a> {
     /// Attribute name as it appears in the table.
-    pub name: String,
+    pub name: &'a str,
     /// The numeric extent, sorted, as exact scaled-integer deltas — the
     /// bytes `PROF` holds (empty for textual attributes).
-    pub numeric_extent: NumericExtent,
+    pub numeric_extent: &'a Extent,
     /// Whether the column was inferred numeric.
     pub is_numeric: bool,
     /// **N** evidence exists: the name had q-grams.
@@ -190,70 +189,6 @@ pub struct IndexedAttr {
     pub has_format: bool,
     /// **E** evidence exists: the embedding vector carried signal
     /// ([`AttributeProfile::has_embedding`]).
-    pub has_embedding: bool,
-}
-
-impl From<AttributeProfile> for IndexedAttr {
-    fn from(p: AttributeProfile) -> Self {
-        IndexedAttr {
-            is_numeric: p.is_numeric,
-            has_name: !p.qset.is_empty(),
-            has_text: p.has_text(),
-            has_format: !p.rset.is_empty(),
-            has_embedding: p.has_embedding(),
-            numeric_extent: NumericExtent::from_sorted(&p.numeric_extent),
-            name: p.name,
-        }
-    }
-}
-
-impl IndexedAttr {
-    /// The attribute, borrowed.
-    pub fn view(&self) -> AttrView<'_> {
-        AttrView {
-            name: &self.name,
-            numeric_extent: &self.numeric_extent,
-            is_numeric: self.is_numeric,
-            has_name: self.has_name,
-            has_text: self.has_text,
-            has_format: self.has_format,
-            has_embedding: self.has_embedding,
-        }
-    }
-}
-
-impl From<AttrView<'_>> for IndexedAttr {
-    fn from(a: AttrView<'_>) -> Self {
-        IndexedAttr {
-            name: a.name.to_string(),
-            numeric_extent: a.numeric_extent.to_owned(),
-            is_numeric: a.is_numeric,
-            has_name: a.has_name,
-            has_text: a.has_text,
-            has_format: a.has_format,
-            has_embedding: a.has_embedding,
-        }
-    }
-}
-
-/// An [`IndexedAttr`], borrowed: what an engine hands out of one of its
-/// attributes ([`crate::D3l::profile`]) and what scoring reads of both
-/// sides of a pair.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AttrView<'a> {
-    /// Attribute name as it appears in the table.
-    pub name: &'a str,
-    /// The numeric extent (empty for textual attributes).
-    pub numeric_extent: &'a Extent,
-    /// Whether the column was inferred numeric.
-    pub is_numeric: bool,
-    /// **N** evidence exists.
-    pub has_name: bool,
-    /// **V** evidence exists.
-    pub has_text: bool,
-    /// **F** evidence exists.
-    pub has_format: bool,
-    /// **E** evidence exists.
     pub has_embedding: bool,
 }
 

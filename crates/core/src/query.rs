@@ -514,7 +514,7 @@ impl ShardedD3l {
         let target: Vec<Attr<'_>> = prepared.columns(self.primary()).collect();
         let candidates = self.stage_candidates(&target, width, opts, threads);
         timer.candidates_done();
-        let subject = prepared.subject.and_then(|c| target.get(c as usize));
+        let subject = prepared.subject().and_then(|c| target.get(c as usize));
         let guards = self.subject_guards(&target, subject.map(|s| s.1), &candidates, threads);
         let scored = self.stage_score(
             &target,

@@ -22,13 +22,17 @@
 //! module). Derived at open: the hashers (from the config's seed) and
 //! every tree entry's key, the first four bytes of its label (from the
 //! arenas); the stored tree orders are checked against the labels.
-//! A class table is kept in one place only: `PROF` is decoded into the
-//! engine's attribute table, a row per attribute, and each forest's
-//! `(id, class)` pairs are written into the rows' class column as the
-//! section is read — an id outside the table list (or outside the part
-//! its index covers) is refused right there, and a row the forest
-//! leaves without a class after it (an attribute it lacks) right after
-//! — and the forest keeps its postings, no id → class map.
+//! `TABL` and `PROF` decode into one table, the engine's attribute
+//! table: `TABL`'s name, subject and removed flag of a table and
+//! `PROF`'s block of its attribute records become that table and its
+//! rows, through the decoder a delta segment's added table goes through
+//! too (and one encoder writes both). A class table is kept in one
+//! place only: each forest's `(id, class)` pairs are written into the
+//! rows' class column as the section is read — an id outside the table
+//! list (or outside the part its index covers) is refused right there,
+//! and a row the forest leaves without a class after it (an attribute
+//! it lacks) right after — and the forest keeps its postings, no id →
+//! class map.
 //! Never written: an attribute's token sets (since
 //! format 7) or its embedding vector (since format 5). Algorithm 1
 //! builds them to be hashed into the indexes; once the four signatures
@@ -118,9 +122,7 @@ use d3l_table::{Table, TableId};
 use crate::attrs::{AttrTable, NONE};
 use crate::config::D3lConfig;
 use crate::index::{AttrRef, D3l, SignedTable};
-use crate::profile::{
-    AttrView, IndexedAttr, FLAG_EMBEDDED, FLAG_FORMAT, FLAG_NAME, FLAG_NUMERIC, FLAG_TEXT,
-};
+use crate::profile::{AttrView, FLAG_EMBEDDED, FLAG_FORMAT, FLAG_NAME, FLAG_NUMERIC, FLAG_TEXT};
 
 /// Filename of the base snapshot inside an index directory
 /// (re-exported from the store layout, which owns the directory
@@ -223,17 +225,34 @@ fn decode_profile<'a>(dec: &mut Decoder<'a>) -> Result<AttrView<'a>, StoreError>
     Ok(AttrView::with_flags(name, numeric_extent, flags))
 }
 
-/// A table's attribute records, counted, as one block.
-fn encode_profiles<'a>(profiles: impl ExactSizeIterator<Item = AttrView<'a>>) -> Vec<u8> {
+/// Table `t`'s attribute records, counted, as one block: a `PROF` block
+/// of an engine's table, or a delta's of a signed table's one.
+fn encode_rows(attrs: &AttrTable, t: usize) -> Vec<u8> {
+    let rows = attrs.rows(t);
     let mut enc = Encoder::new();
-    enc.put_varint(profiles.len() as u64);
-    for p in profiles {
-        encode_profile(p, &mut enc);
+    enc.put_varint(rows.len() as u64);
+    for row in rows {
+        encode_profile(attrs.attr(row), &mut enc);
     }
     enc.into_bytes()
 }
 
-/// Decode a block of [`encode_profiles`], handing each record to `take`.
+/// Decode a block of [`encode_rows`] into `attrs` as its next table —
+/// named `name`, of subject column `subject`, removed or not — whose
+/// subject is checked against the rows. Returns the row count.
+fn decode_table(
+    bytes: &[u8],
+    attrs: &mut AttrTable,
+    (name, subject, removed): (&str, Option<u32>, bool),
+) -> Result<usize, StoreError> {
+    let n = decode_profiles(bytes, |attr| attrs.push(attr, [NONE; 4]))?;
+    attrs.end_table(name, subject, removed);
+    let first = attrs.rows(attrs.tables() - 1).start;
+    check_subject(subject, n, |c| attrs.attr(first + c).is_numeric)?;
+    Ok(n)
+}
+
+/// Decode a block of [`encode_rows`], handing each record to `take`.
 /// Returns the record count.
 fn decode_profiles<'a>(
     bytes: &'a [u8],
@@ -263,7 +282,12 @@ fn encode_subject(subject: Option<u32>, enc: &mut Encoder) {
 fn decode_subject(dec: &mut Decoder<'_>) -> Result<Option<u32>, StoreError> {
     match dec.get_u8()? {
         0 => Ok(None),
-        1 => Ok(Some(dec.get_varint()? as u32)),
+        1 => {
+            let c = dec.get_varint()?;
+            let c = u32::try_from(c)
+                .map_err(|_| StoreError::corrupt(format!("subject column {c} exceeds u32")))?;
+            Ok(Some(c))
+        }
         other => Err(StoreError::corrupt(format!(
             "subject flag must be 0/1, found {other}"
         ))),
@@ -358,13 +382,13 @@ impl D3l {
         w.add_section(SEC_CONFIG, conf.as_bytes())?;
         w.add_section(SEC_EMBEDDER, &self.embedder.to_bytes())?;
 
-        let mut tabl = Encoder::new();
-        tabl.put_varint(self.names.len() as u64);
-        for i in 0..self.names.len() {
-            tabl.put_str(&self.names[i]);
-            tabl.put_varint(self.attrs.rows(i).len() as u64);
-            encode_subject(self.subjects[i], &mut tabl);
-            tabl.put_u8(self.removed[i] as u8);
+        let (attrs, mut tabl) = (&self.attrs, Encoder::new());
+        tabl.put_varint(attrs.tables() as u64);
+        for t in 0..attrs.tables() {
+            tabl.put_str(attrs.table_name(t));
+            tabl.put_varint(attrs.rows(t).len() as u64);
+            encode_subject(attrs.subject(t), &mut tabl);
+            tabl.put_u8(attrs.is_removed(t) as u8);
         }
         w.add_section(SEC_TABLES, tabl.as_bytes())?;
         drop(tabl);
@@ -372,10 +396,7 @@ impl D3l {
         // One length-prefixed block per table, each encoded and sent
         // on before the next.
         w.stream_section(SEC_PROFILES, |sec| {
-            (0..self.table_count()).try_for_each(|t| {
-                let rows = self.attrs.rows(t).map(|row| self.attrs.attr(row));
-                sec.put_bytes(&encode_profiles(rows))
-            })
+            (0..attrs.tables()).try_for_each(|t| sec.put_bytes(&encode_rows(attrs, t)))
         })?;
 
         w.stream_section(SEC_FOREST_N, |sec| self.i_n.write_to(sec))?;
@@ -420,12 +441,9 @@ impl D3l {
         let tabl_bytes = reader.section(SEC_TABLES)?;
         let mut tabl = Decoder::new(&tabl_bytes);
         let count = tabl.get_len(3, "table list")?;
-        let mut names = Vec::with_capacity(count);
-        let mut arities = Vec::with_capacity(count);
-        let mut subjects = Vec::with_capacity(count);
-        let mut removed = Vec::with_capacity(count);
+        let mut tables = Vec::with_capacity(count);
         for i in 0..count {
-            names.push(tabl.get_str()?);
+            let name = tabl.get_str_ref()?;
             let (arity, subject) = (tabl.get_varint()? as usize, decode_subject(&mut tabl)?);
             let gone = tabl.get_u8()? != 0;
             // A removal and a hole leave a table no attribute and no
@@ -436,26 +454,21 @@ impl D3l {
                     "removed table {i} keeps {arity} attributes or a subject"
                 )));
             }
-            arities.push(arity);
-            subjects.push(subject);
-            removed.push(gone);
+            tables.push((arity, (name, subject, gone)));
         }
         tabl.expect_exhausted("table list")?;
 
         let mut attrs = reader.stream_section(SEC_PROFILES, |sec| {
             let mut attrs = AttrTable::default();
             let mut block = Vec::new();
-            for (i, &arity) in arities.iter().enumerate() {
+            for (i, &(arity, table)) in tables.iter().enumerate() {
                 sec.get_bytes(&mut block)?;
-                let n = decode_profiles(&block, |attr| attrs.push(attr, [NONE; 4]))?;
-                attrs.end_table();
+                let n = decode_table(&block, &mut attrs, table)?;
                 if n != arity {
                     return Err(StoreError::corrupt(format!(
                         "table {i} has {n} profiles for arity {arity}"
                     )));
                 }
-                let first = attrs.rows(i).start;
-                check_subject(subjects[i], n, |c| attrs.attr(first + c).is_numeric)?;
             }
             attrs.shrink_to_fit();
             Ok(attrs)
@@ -488,9 +501,6 @@ impl D3l {
             i_f,
             i_e,
             attrs,
-            subjects,
-            names,
-            removed,
         })
     }
 }
@@ -502,23 +512,20 @@ impl D3l {
 /// re-derive. Replay signs nothing; it pushes the decoded record.
 impl SignedTable {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_str(&self.name);
-        encode_subject(self.subject, enc);
-        enc.put_bytes(&encode_profiles(self.attrs.iter().map(IndexedAttr::view)));
+        enc.put_str(self.name());
+        encode_subject(self.subject(), enc);
+        enc.put_bytes(&encode_rows(&self.attrs, 0));
         for words in &self.words {
             enc.put_u64s(words);
         }
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
-        let name = dec.get_str()?;
+        let name = dec.get_str_ref()?;
         let subject = decode_subject(dec)?;
-        let mut attrs = Vec::new();
-        decode_profiles(dec.get_bytes()?, |attr| attrs.push(IndexedAttr::from(attr)))?;
-        check_subject(subject, attrs.len(), |c| attrs[c].is_numeric)?;
+        let mut attrs = AttrTable::default();
+        decode_table(dec.get_bytes()?, &mut attrs, (name, subject, false))?;
         Ok(SignedTable {
-            name,
-            subject,
             attrs,
             words: [
                 dec.get_u64s()?,
@@ -531,6 +538,9 @@ impl SignedTable {
 }
 
 /// One persisted maintenance operation.
+// A record is made, written and applied one at a time, never held in
+// bulk: the headers of an add's table are no cost worth a box.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum DeltaRecord {
     /// A table removed from the lake (its id becomes a tombstone).
@@ -622,8 +632,11 @@ impl D3l {
         };
         // Each index's words are its columns' signatures, whole —
         // checked before anything is inserted.
-        let columns = added.attrs.len();
-        let textual = added.attrs.iter().filter(|a| !a.is_numeric).count();
+        let rows = added.attrs.rows(0);
+        let textual = rows
+            .clone()
+            .filter(|&row| !added.attrs.attr(row).is_numeric);
+        let (columns, textual) = (rows.len(), textual.count());
         let (mh, rp) = (self.minhasher.sig_shape().0, self.projector.sig_shape().0);
         let expected = [
             ("IN", columns, mh),
@@ -635,7 +648,7 @@ impl D3l {
             if words.len() != covered * stride {
                 return Err(StoreError::corrupt(format!(
                     "delta adds {:?} with {} {index} words for {covered} columns of {stride}",
-                    added.name,
+                    added.name(),
                     words.len()
                 )));
             }
@@ -1581,7 +1594,7 @@ mod tests {
         let gp = Table::from_rows("local_gps", &["GP"], &[vec!["Blackfriars".into()]]).unwrap();
         let id = d3l.add_table(&gp);
         let added = d3l.signed_table(id).unwrap();
-        assert_eq!(added.subject, Some(0));
+        assert_eq!(added.subject(), Some(0));
         let bytes = DeltaRecord::AddAt { table: id, added }.to_bytes();
         // The record ends: ... flags | four counted word lists.
         let mut tail = Encoder::new();
@@ -1609,7 +1622,7 @@ mod tests {
                 let Ok(DeltaRecord::AddAt { added, .. }) = decoded else {
                     panic!("flags {flags}: {decoded:?}");
                 };
-                let a = &added.attrs[0];
+                let a = added.attrs.attr(0);
                 let spelled = [
                     (a.is_numeric, FLAG_NUMERIC),
                     (a.has_embedding, FLAG_EMBEDDED),
@@ -1666,6 +1679,47 @@ mod tests {
         assert_corrupt(&bad, "removed table 0 keeps 3 attributes or a subject");
     }
 
+    /// A varint past `u32` where the store means a `u32` is refused, not
+    /// truncated: a `TABL` subject column of 2³² (which read as column
+    /// 0, "gp_funding"'s text column "Practice"), and an `EMBD` lexicon
+    /// word's concept of 2³² + 1 (which read as concept 1 of 2).
+    #[test]
+    fn store_varints_past_u32_are_corrupt() {
+        let snapshot = engine().to_snapshot_bytes();
+        let bad = with_section(&snapshot, SEC_TABLES, |tabl| {
+            // count | name length, "gp_funding" | arity | flag | column
+            assert_eq!(tabl[12..15], [3, 1, 0]);
+            let mut column = Encoder::new();
+            column.put_varint(1 << 32);
+            [&tabl[..14], column.as_bytes(), &tabl[15..]].concat()
+        });
+        assert_corrupt(&bad, "subject column 4294967296 exceeds u32");
+
+        let cfg = D3lConfig::fast();
+        let groups: &[&[&str]] = &[&["street", "road"], &["salford"]];
+        let lexicon = d3l_embedding::Lexicon::with_groups(cfg.embed_dim, groups);
+        let d3l = D3l::index_lake_with(&lake(), cfg, SemanticEmbedder::new(lexicon));
+        let bad = with_section(&d3l.to_snapshot_bytes(), SEC_EMBEDDER, |embd| {
+            // The lexicon block (dim | concept count | entries), then the
+            // subword seed and the blend weight.
+            let mut dec = Decoder::new(&embd);
+            let mut lexicon = Decoder::new(dec.get_bytes().unwrap());
+            let (dim, concepts) = (lexicon.get_varint().unwrap(), lexicon.get_varint().unwrap());
+            assert_eq!(concepts, 2);
+            let mut planted = Encoder::new();
+            planted.put_varint(dim);
+            planted.put_varint(concepts);
+            planted.put_varint(1);
+            planted.put_str("road");
+            planted.put_varint((1 << 32) + 1);
+            let mut out = Encoder::new();
+            out.put_bytes(planted.as_bytes());
+            out.put_raw(dec.rest());
+            out.into_bytes()
+        });
+        assert_corrupt(&bad, "concept 4294967297, which exceeds u32");
+    }
+
     /// A numeric extent that is no sorted extent of numbers — a NaN, an
     /// unsorted raw form, an unknown scale, a scaled value out of range
     /// — is a typed error in a base, opened as bytes or as a store, and
@@ -1719,9 +1773,9 @@ mod tests {
             let mut enc = Encoder::new();
             enc.put_u8(3);
             enc.put_varint(3);
-            enc.put_str(&added.name);
-            encode_subject(added.subject, &mut enc);
-            let block = encode_profiles(added.attrs.iter().map(IndexedAttr::view));
+            enc.put_str(added.name());
+            encode_subject(added.subject(), &mut enc);
+            let block = encode_rows(&added.attrs, 0);
             enc.put_bytes(&splice(&block, bad));
             added.words.iter().for_each(|w| enc.put_u64s(w));
             enc.into_bytes()
@@ -1905,7 +1959,11 @@ mod tests {
             let from_index = engine.prepare_indexed(id).unwrap();
             assert_eq!(from_index, from_rows, "{}", table.name());
             assert_eq!(from_index.arity(), table.arity());
-            for attr in &from_index.attrs {
+            for attr in from_index
+                .attrs
+                .rows(0)
+                .map(|row| from_index.attrs.attr(row))
+            {
                 numeric += attr.is_numeric as usize;
                 textual += !attr.is_numeric as usize;
             }

@@ -131,7 +131,12 @@ impl Lexicon {
         let mut word_to_concept = HashMap::with_capacity(words);
         for _ in 0..words {
             let word = dec.get_str()?;
-            let concept = dec.get_varint()? as u32;
+            let concept = dec.get_varint()?;
+            let concept = u32::try_from(concept).map_err(|_| {
+                d3l_store::StoreError::corrupt(format!(
+                    "word {word:?} maps to concept {concept}, which exceeds u32"
+                ))
+            })?;
             if concept >= concept_count {
                 return Err(d3l_store::StoreError::corrupt(format!(
                     "word {word:?} maps to concept {concept} of {concept_count}"

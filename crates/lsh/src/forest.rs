@@ -1232,7 +1232,10 @@ pub fn query_union<S: Signature>(
     // thread counts and shard counts.
     let mut shares = Vec::new();
     if gathered.members < k && gathered.members < total {
-        shares = select_smallest_ids(forests, &gathered, k.max(32) - gathered.members);
+        // No more ids than the ungathered ones exist to select: `k` is
+        // the caller's, and may be any `usize`.
+        let need = (k.max(32) - gathered.members).min(total - gathered.members);
+        shares = select_smallest_ids(forests, &gathered, need);
     }
     // Score in arena order: sort the classes by (forest, slot) and
     // scan each word arena sequentially — signatures stream through
@@ -1973,6 +1976,34 @@ pub(crate) mod tests {
             a.query(&q, 5)
         );
         assert!(query_union(&[&empty, &empty], q.words(), q.meta(), 5).is_empty());
+    }
+
+    /// A `k` past any lake — the caller's, up to `usize::MAX` — answers
+    /// every item, as `k` = the item count does, over one forest or
+    /// several. (The fallback sized its selection heap by `k` and
+    /// aborted the process on the allocation.)
+    #[test]
+    fn a_k_past_every_item_answers_every_item() {
+        let mh = MinHasher::new(128, 9);
+        let (mut a, mut b) = (LshForest::new(128, 8), LshForest::new(128, 8));
+        for id in 0..40u64 {
+            // Four items a signature: ten classes.
+            let from = id as usize / 4 * 7;
+            let sig = sign(&mh, &tokens("k", from..from + 12));
+            a.insert(id, sig.clone());
+            [&mut b, &mut a][(id % 2) as usize].insert(100 + id, sig);
+        }
+        a.commit();
+        b.commit();
+        let q = sign(&mh, &tokens("k", 0..12));
+        let every = a.query(&q, a.len());
+        assert_eq!(every.len(), a.len());
+        let union = query_union(&[&a, &b], q.words(), q.meta(), a.len() + b.len());
+        assert_eq!(union.len(), a.len() + b.len());
+        for k in [1 << 40, usize::MAX] {
+            assert_eq!(a.query(&q, k), every, "k = {k}");
+            assert_eq!(query_union(&[&a, &b], q.words(), q.meta(), k), union);
+        }
     }
 
     #[test]

@@ -737,7 +737,7 @@ fn extent_ks_equals_the_slice_statistic_on_the_dirty_lake() {
         .collect();
     let kept: Vec<NumericExtent> = numeric
         .iter()
-        .map(|p| d3l::core::IndexedAttr::from(p.clone()).numeric_extent)
+        .map(|p| NumericExtent::from_sorted(&p.numeric_extent))
         .collect();
     assert!(numeric.len() > 50, "{}", numeric.len());
     for (a, ka) in numeric.iter().zip(&kept) {

@@ -319,6 +319,27 @@ fn routing_refusals_are_typed() {
     assert_eq!(srv.engine.snapshot().engine.live_table_count(), 4);
 }
 
+/// The widest lookups a request can ask for answer: the largest `"k"`
+/// a `/query` body can carry (`u32::MAX`) and a `/rank_all` width of
+/// 2⁴⁰ each answer 200, and the server answers afterwards. (Either
+/// aborted the process: the lookups' fallback sized its selection heap
+/// by the width.)
+#[test]
+fn huge_k_and_width_answer_and_the_server_survives() {
+    let lake = lake(12);
+    let srv = boot("huge_k", &lake, 2, Duration::from_secs(10));
+    let huge_k = format!(
+        "{{\"table\":{},\"k\":4294967295}}",
+        table_to_json(&target())
+    );
+    let (status, body) = request_once(srv.addr, "POST", "/query", Some(&huge_k)).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let wide = "/rank_all?target=gp_03&width=1099511627776";
+    let (status, body) = request_once(srv.addr, "GET", wide, None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_alive(srv.addr);
+}
+
 #[test]
 fn stalled_and_truncated_clients_cannot_park_a_worker() {
     let lake = lake(3);
