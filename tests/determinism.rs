@@ -970,6 +970,52 @@ fn dirty_lake_probe_rankings_are_pinned() {
     assert_eq!(digest, 0x292c_b935_33ff_6f15);
 }
 
+/// What stage 3 decides on that lake is pinned as well: every table
+/// queried against the rest under the default Eq. 3 ranking and under
+/// each single-evidence mode, the top-10 names, distances, evidence
+/// vectors and every alignment — which source column won its target
+/// column (a tie goes to the lowest key) and its five distances —
+/// folded into one FNV-1a digest. A moved tie or a moved CCDF weight
+/// changes it.
+#[test]
+fn dirty_lake_alignments_are_pinned() {
+    let lake = dirty_lake(40);
+    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::default());
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            digest = (digest ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    let modes = std::iter::once(None).chain(Evidence::ALL.map(Some));
+    let mut alignments = 0;
+    for evidence in modes {
+        for (id, table) in lake.iter() {
+            let opts = QueryOptions {
+                exclude: Some(id),
+                evidence,
+                ..Default::default()
+            };
+            for m in d3l.query_with(table, 10, &opts) {
+                eat(d3l.table_name(m.table).as_bytes());
+                eat(&m.distance.to_bits().to_le_bytes());
+                for d in &m.vector.0 {
+                    eat(&d.to_bits().to_le_bytes());
+                }
+                for a in &m.alignments {
+                    eat(&(a.target_column as u64).to_le_bytes());
+                    eat(&a.source.key().to_le_bytes());
+                    for d in &a.distances.0 {
+                        eat(&d.to_bits().to_le_bytes());
+                    }
+                }
+                alignments += m.alignments.len();
+            }
+        }
+    }
+    assert_eq!((alignments, digest), (6_860, 0x1123_a0b6_0a68_f612));
+}
+
 /// There is one build path: streaming a lake directory, indexing the
 /// loaded lake, feeding empty shards the records read back from a built
 /// engine, and adding the tables one by one to an empty store and
