@@ -396,8 +396,8 @@ pub fn table_fingerprint(table: &Table) -> [u64; 2] {
 }
 
 /// Fingerprint of every [`QueryOptions`] member that can change the
-/// rendered result: `exclude`, `evidence`, `weights` and
-/// `lookup_width`. `threads` and `trace` are excluded on purpose —
+/// rendered result: `exclude`, `evidence` and `weights`. `threads` and
+/// `trace` are excluded on purpose —
 /// results are byte-identical at every thread count and tracing is
 /// pure observation, so latency/observability knobs must not split
 /// cache entries.
@@ -424,13 +424,6 @@ pub fn options_fingerprint(opts: &QueryOptions) -> u64 {
             for component in w.0 {
                 h.write(&component.to_bits().to_le_bytes());
             }
-        }
-    }
-    match opts.lookup_width {
-        None => h.write_byte(0),
-        Some(w) => {
-            h.write_byte(1);
-            h.write(&(w as u64).to_le_bytes());
         }
     }
     h.finish()
@@ -658,13 +651,6 @@ mod tests {
             fp,
             options_fingerprint(&QueryOptions {
                 evidence: Some(Evidence::Value),
-                ..Default::default()
-            })
-        );
-        assert_ne!(
-            fp,
-            options_fingerprint(&QueryOptions {
-                lookup_width: Some(40),
                 ..Default::default()
             })
         );

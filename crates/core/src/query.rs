@@ -20,10 +20,11 @@
 //!    candidate's from its row in the shard that owns its table (the
 //!    row names its class in each forest, so resolving it is array
 //!    reads); the scoring itself sees no index state.
-//! 3. **CCDF-weighted aggregation** — candidates are grouped by
-//!    source table, aggregated column-wise with CCDF weights
-//!    (Eq. 1–2) and collapsed to a scalar by the weighted Euclidean
-//!    norm (Eq. 3). Tables are returned closest-first.
+//! 3. **CCDF-weighted aggregation** — the scored pairs are sorted once
+//!    by source table and grouped in one pass, aggregated column-wise
+//!    with CCDF weights (Eq. 1–2, counted in sorted populations) and
+//!    collapsed to a scalar by the weighted Euclidean norm (Eq. 3).
+//!    Tables are returned closest-first.
 //!
 //! Stages 1 and 2 fan out over `std::thread::scope` workers
 //! (`D3lConfig::query_threads`, overridable per query via
@@ -35,7 +36,7 @@
 //! results are **byte-identical at every thread count and every shard
 //! count** — the determinism suite pins both axes at once.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use d3l_lsh::forest::{query_union, LshForest};
 use d3l_lsh::minhash::MinHashSignature;
@@ -95,8 +96,6 @@ pub struct QueryOptions {
     pub evidence: Option<Evidence>,
     /// Evidence weights for Eq. 3; `None` uses the trained defaults.
     pub weights: Option<EvidenceWeights>,
-    /// Override the per-attribute lookup width.
-    pub lookup_width: Option<usize>,
     /// Per-query worker-thread override (`None` = the
     /// `D3L_QUERY_THREADS` env var, then the config's
     /// `query_threads`; `Some(0)` = all available CPUs). Ignored by
@@ -147,78 +146,76 @@ where
     out
 }
 
-/// Stage 3 — CCDF-weighted aggregation (Eq. 1–3): build the distance
-/// populations `R_t`, keep the best pair per (source table, target
-/// attribute), aggregate column-wise and collapse to the ranking.
-/// Sequential; all grouping uses ordered maps over stage 2's sorted
-/// candidate lists.
+/// Stage 3 — CCDF-weighted aggregation (Eq. 1–3) over stage 2's
+/// `(target column, candidate, distances)` pairs of a target with
+/// `columns` attributes: build the distance populations `R_t`, keep the
+/// best pair per (source table, target attribute), aggregate
+/// column-wise and collapse to the ranking. Sequential: each population
+/// is sorted once, then the pairs are sorted in place by (table, target
+/// column, key) and read in one pass — a table is a run of them, and
+/// within it a target column is a run whose first lowest pick wins.
 ///
-/// Reads no index state: it sees only the scored pair lists, so the
-/// ranking cannot depend on which shard a pair came from.
+/// Reads no index state: it sees only the scored pairs, so the ranking
+/// cannot depend on which shard a pair came from.
 fn stage_aggregate(
-    scored: &[Vec<(AttrRef, DistanceVector)>],
+    mut scored: Vec<(usize, AttrRef, DistanceVector)>,
+    columns: usize,
     opts: &QueryOptions,
 ) -> Vec<TableMatch> {
     // ---- Distance populations R_t per target attribute --------
-    let populations: Vec<[Vec<f64>; 5]> = scored
-        .iter()
-        .map(|cands| {
-            let mut pops: [Vec<f64>; 5] = Default::default();
-            for (_, dv) in cands {
-                for (t, pop) in pops.iter_mut().enumerate() {
-                    if dv.0[t] < 1.0 {
-                        pop.push(dv.0[t]);
-                    }
-                }
+    let mut populations = vec![<[Vec<f64>; 5]>::default(); columns];
+    for (i, _, dv) in &scored {
+        for (pop, &d) in populations[*i].iter_mut().zip(&dv.0) {
+            if d < 1.0 {
+                pop.push(d);
             }
-            pops
-        })
-        .collect();
+        }
+    }
+    for pop in populations.iter_mut().flatten() {
+        pop.sort_unstable_by(f64::total_cmp);
+    }
 
     // ---- Group by table: best pair per target attribute -------
     let pick = |dv: &DistanceVector| match opts.evidence {
         Some(e) => dv.get(e),
         None => dv.mean(),
     };
-    let mut by_table: BTreeMap<TableId, Vec<Alignment>> = BTreeMap::new();
-    for (i, cands) in scored.iter().enumerate() {
-        let mut best: BTreeMap<TableId, (AttrRef, DistanceVector)> = BTreeMap::new();
-        // Candidates arrive sorted by key, so ties keep the
-        // lowest-key attribute deterministically.
-        for &(attr, dv) in cands {
-            match best.get(&attr.table) {
-                Some((_, cur)) if pick(cur) <= pick(&dv) => {}
-                _ => {
-                    best.insert(attr.table, (attr, dv));
-                }
-            }
-        }
-        for (table, (attr, dv)) in best {
-            by_table.entry(table).or_default().push(Alignment {
-                target_column: i,
-                source: attr,
-                distances: dv,
-            });
-        }
-    }
-
-    // ---- Eq. 1 + Eq. 3 per table -------------------------------
+    scored.sort_unstable_by_key(|&(i, attr, _)| (attr.table, i, attr.column));
     let weights = opts.weights.unwrap_or_default();
-    let mut matches: Vec<TableMatch> = by_table
-        .into_iter()
-        .map(|(table, mut alignments)| {
-            alignments.sort_by_key(|a| (a.target_column, a.source));
+    let mut pairs: Vec<(f64, f64)> = Vec::new();
+    let mut matches: Vec<TableMatch> = scored
+        .chunk_by(|a, b| a.1.table == b.1.table)
+        .map(|run| {
+            // A column's pairs are in key order, so a tie keeps the
+            // lowest-key attribute.
+            let alignments: Vec<Alignment> = run
+                .chunk_by(|a, b| a.0 == b.0)
+                .map(|column| {
+                    let best = column[1..].iter().fold(&column[0], |best, pair| {
+                        if pick(&best.2) <= pick(&pair.2) {
+                            best
+                        } else {
+                            pair
+                        }
+                    });
+                    let &(target_column, source, distances) = best;
+                    Alignment {
+                        target_column,
+                        source,
+                        distances,
+                    }
+                })
+                .collect();
+
+            // ---- Eq. 1 + Eq. 3 ------------------------------------
             let mut vector = DistanceVector::max_distant();
             for e in Evidence::ALL {
                 let t = e.index();
-                let pairs: Vec<(f64, f64)> = alignments
-                    .iter()
-                    .filter(|a| a.distances.0[t] < 1.0)
-                    .map(|a| {
-                        let d = a.distances.0[t];
-                        (d, ccdf_weight(d, &populations[a.target_column][t]))
-                    })
-                    .collect();
+                pairs.clear();
+                pairs.extend(alignments.iter().filter_map(|a| {
+                    let d = a.distances.0[t];
+                    (d < 1.0).then(|| (d, ccdf_weight(d, &populations[a.target_column][t])))
+                }));
                 vector.0[t] = aggregate_evidence(&pairs);
             }
             let distance = match opts.evidence {
@@ -226,7 +223,7 @@ fn stage_aggregate(
                 None => weights.combined_distance(&vector),
             };
             TableMatch {
-                table,
+                table: run[0].1.table,
                 distance,
                 vector,
                 alignments,
@@ -397,9 +394,7 @@ impl ShardedD3l {
         k: usize,
         opts: &QueryOptions,
     ) -> Vec<TableMatch> {
-        let width = opts
-            .lookup_width
-            .unwrap_or_else(|| self.config().lookup_width(k));
+        let width = self.config().lookup_width(k);
         let mut all = self.rank_all_prepared(prepared, width, opts);
         all.truncate(k);
         all
@@ -452,10 +447,8 @@ impl ShardedD3l {
         assert_eq!(targets.len(), opts.len(), "one QueryOptions per target");
         let work: Vec<(&Table, &QueryOptions)> = targets.iter().zip(opts).collect();
         let (outer, inner) = self.batch_threads(work.len());
+        let width = self.config().lookup_width(k);
         par_map(&work, outer, |&(target, opt)| {
-            let width = opt
-                .lookup_width
-                .unwrap_or_else(|| self.config().lookup_width(k));
             let prepared = self.prepare_target(target);
             let mut all = self.rank_all_inner(&prepared, width, opt, inner);
             all.truncate(k);
@@ -524,7 +517,7 @@ impl ShardedD3l {
             opts.trace.as_deref(),
         );
         timer.score_done();
-        let ranked = stage_aggregate(&scored, opts);
+        let ranked = stage_aggregate(scored, target.len(), opts);
         timer.aggregate_done();
         ranked
     }
@@ -571,8 +564,9 @@ impl ShardedD3l {
     /// is Algorithm 2 line 4, a per-candidate-table predicate,
     /// precomputed ([`ShardedD3l::subject_guards`]) for every table that
     /// could face a KS measurement so the per-pair workers stay pure.
-    /// Pairs without signal (all distances 1) are dropped. Candidate
-    /// order within each attribute is preserved from stage 1.
+    /// Returns one flat `(target column, candidate, distances)` list in
+    /// (column, key) order, without the pairs that carry no signal (all
+    /// distances 1).
     fn stage_score(
         &self,
         target: &[Attr<'_>],
@@ -580,14 +574,14 @@ impl ShardedD3l {
         guards: &HashMap<TableId, bool>,
         threads: usize,
         trace: Option<&crate::trace::QueryTrace>,
-    ) -> Vec<Vec<(AttrRef, DistanceVector)>> {
+    ) -> Vec<(usize, AttrRef, DistanceVector)> {
         let work: Vec<(usize, AttrRef)> = candidates
             .iter()
             .enumerate()
             .flat_map(|(i, cands)| cands.iter().map(move |&attr| (i, attr)))
             .collect();
         let cfg = self.config();
-        let scored = par_map(&work, threads, |&(i, attr)| {
+        let mut scored = par_map(&work, threads, |&(i, attr)| {
             let owner = self.owner_of(attr.table).expect("candidate has an owner");
             let shard = &self.shards()[owner];
             // Per-pair attribution only when traced: the scoring
@@ -599,15 +593,10 @@ impl ShardedD3l {
             if let (Some(t), Some(s)) = (trace, start) {
                 t.add_shard_ns(owner, s.elapsed().as_nanos().min(u64::MAX as u128) as u64);
             }
-            dv
+            (i, attr, dv)
         });
-        let mut out: Vec<Vec<(AttrRef, DistanceVector)>> = vec![Vec::new(); candidates.len()];
-        for (&(i, attr), dv) in work.iter().zip(scored) {
-            if dv.has_signal() {
-                out[i].push((attr, dv));
-            }
-        }
-        out
+        scored.retain(|(_, _, dv)| dv.has_signal());
+        scored
     }
 
     /// Algorithm 2 line 4 precomputation: for every candidate table

@@ -4,7 +4,9 @@
 //!   the weight is the complementary cumulative distribution function
 //!   of the distance population `R_t` (all distances of type `t`
 //!   between the target attribute and the lake) evaluated at `D_i^t`:
-//!   the probability that the observed distance is the smallest.
+//!   the probability that the observed distance is the smallest. A
+//!   query sorts each population once and counts in it by binary
+//!   search.
 //! * **Evidence weights (Eq. 3)** — the relative importance of the
 //!   five evidence types, taken from the coefficients of a logistic
 //!   regression trained on related/unrelated table pairs.
@@ -17,11 +19,18 @@ use crate::distance::DistanceVector;
 /// (Eq. 2): `w = 1 - P(d <= D)`, computed with a `+1` smoothing so the
 /// single-element population still yields a usable weight and ties do
 /// not collapse the Eq. 1 denominator to zero.
+///
+/// `population` must be sorted by [`f64::total_cmp`] and hold no NaN.
+/// Then the distances `<= observed` are a prefix of it (`total_cmp`
+/// puts −0.0 right before +0.0, which `<=` calls equal), and a binary
+/// search counts them.
 pub fn ccdf_weight(observed: f64, population: &[f64]) -> f64 {
-    if population.is_empty() {
-        return 1.0;
-    }
-    let le = population.iter().filter(|&&d| d <= observed).count();
+    debug_assert!(
+        population.is_sorted_by(|a, b| a.total_cmp(b).is_le())
+            && !population.iter().any(|d| d.is_nan()),
+        "a population is sorted by f64::total_cmp and holds no NaN"
+    );
+    let le = population.partition_point(|&d| d <= observed);
     1.0 - le as f64 / (population.len() + 1) as f64
 }
 
@@ -58,12 +67,13 @@ impl EvidenceWeights {
         EvidenceWeights([1.0; 5])
     }
 
-    /// The default trained weights shipped with the library, obtained
-    /// by running `experiments weights` (logistic regression over the
-    /// synthetic benchmark's ground truth, as §III-D prescribes):
-    /// value and embedding evidence dominate, format is weakest —
-    /// matching the paper's Experiment 1 observation that format alone
-    /// "is not sufficiently discriminating".
+    /// The default weights shipped with the library: five fixed
+    /// literals, not the output of any training run in this tree
+    /// (§III-D trains them by logistic regression; see
+    /// [`train_evidence_weights`]). They rank value and embedding
+    /// evidence highest and format lowest — the paper's Experiment 1
+    /// observation that format alone "is not sufficiently
+    /// discriminating".
     pub fn trained_default() -> Self {
         EvidenceWeights([0.85, 1.55, 0.35, 1.10, 0.55])
     }

@@ -1134,6 +1134,10 @@ impl Server {
                     "signature_bytes".to_string(),
                     Json::Num(idx.signature_bytes as f64),
                 ),
+                (
+                    "posting_bytes".to_string(),
+                    Json::Num(idx.posting_bytes as f64),
+                ),
             ])
         };
         let mut memory: Vec<(String, Json)> = fp
@@ -1141,11 +1145,14 @@ impl Server {
             .iter()
             .map(|(name, idx)| (name.to_lowercase(), index_json(*idx)))
             .collect();
-        memory.push((
-            "profile_bytes".to_string(),
-            Json::Num(fp.profile_bytes as f64),
-        ));
-        memory.push(("total_bytes".to_string(), Json::Num(fp.total() as f64)));
+        for (key, bytes) in [
+            ("profile_bytes", fp.profile_bytes),
+            ("table_bytes", fp.table_bytes),
+            ("hasher_bytes", fp.hasher_bytes),
+            ("total_bytes", fp.total()),
+        ] {
+            memory.push((key.to_string(), Json::Num(bytes as f64)));
+        }
         let disk = match self.engine.disk_stats() {
             Ok((base, deltas, segments)) => Json::Obj(vec![
                 ("base_bytes".to_string(), Json::Num(base as f64)),

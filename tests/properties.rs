@@ -22,6 +22,13 @@ fn cell() -> impl Strategy<Value = String> {
     prop_oneof!["[A-Za-z0-9 ,._-]{0,24}", "[0-9]{1,6}", Just(String::new()),]
 }
 
+/// A distance below 1, drawn often from a few fixed values so that
+/// populations repeat them and tie with the observed distance, and
+/// −0.0 meets 0.0.
+fn distance_with_ties() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(-0.0), Just(0.0), Just(0.5), 0.0f64..1.0]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -121,14 +128,33 @@ proptest! {
     /// CCDF weights are monotone non-increasing in the observed
     /// distance and bounded in [0, 1].
     #[test]
-    fn ccdf_weight_properties(pop in prop::collection::vec(0.0f64..1.0, 1..30),
+    fn ccdf_weight_properties(mut pop in prop::collection::vec(0.0f64..1.0, 1..30),
                               d1 in 0.0f64..1.0, d2 in 0.0f64..1.0) {
+        pop.sort_unstable_by(f64::total_cmp);
         let (lo, hi) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
         let w_lo = ccdf_weight(lo, &pop);
         let w_hi = ccdf_weight(hi, &pop);
         prop_assert!(w_lo >= w_hi);
         prop_assert!((0.0..=1.0).contains(&w_lo));
         prop_assert!((0.0..=1.0).contains(&w_hi));
+    }
+
+    /// Eq. 2's binary search over a `total_cmp`-sorted population
+    /// gives the weight its definition does, bit for bit: on repeats,
+    /// on ties with the observed distance, on −0.0 beside 0.0 and on
+    /// every prefix down to the empty population.
+    #[test]
+    fn ccdf_weight_counts_like_its_definition(
+        mut pop in prop::collection::vec(distance_with_ties(), 1..30),
+        observed in distance_with_ties(),
+    ) {
+        pop.sort_unstable_by(f64::total_cmp);
+        for n in 0..=pop.len() {
+            let pop = &pop[..n];
+            let le = pop.iter().filter(|&&d| d <= observed).count();
+            let weight = 1.0 - le as f64 / (n + 1) as f64;
+            prop_assert_eq!(ccdf_weight(observed, pop).to_bits(), weight.to_bits());
+        }
     }
 
     /// Eq. 1 aggregation stays within the distance bounds.

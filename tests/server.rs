@@ -505,16 +505,26 @@ fn endpoints_answer_and_mutations_are_read_your_writes() {
     // Additive: clients that scan for the first `live_tables` still
     // find the lake-wide one.
     assert!(body.find("\"signing_lanes\"").unwrap() > body.find("\"live_tables\"").unwrap());
-    assert!(
-        stats
-            .get("memory")
-            .unwrap()
-            .get("total_bytes")
-            .unwrap()
-            .as_f64()
-            .unwrap()
-            > 0.0
-    );
+    let memory = stats.get("memory").unwrap();
+    let bytes = |obj: &Json, key: &str| {
+        let value = obj.get(key).and_then(Json::as_usize);
+        value.unwrap_or_else(|| panic!("memory.{key} missing from /stats"))
+    };
+    let total = bytes(memory, "total_bytes");
+    assert!(total > 0);
+    // The parts add up to the total: per index its trees, signatures
+    // and postings, then the attribute rows, the table columns and
+    // the hashers.
+    let indexes: usize = ["in", "iv", "if", "ie"]
+        .iter()
+        .map(|name| memory.get(name).unwrap())
+        .flat_map(|idx| ["tree_bytes", "signature_bytes", "posting_bytes"].map(|k| bytes(idx, k)))
+        .sum();
+    let rest: usize = ["profile_bytes", "table_bytes", "hasher_bytes"]
+        .iter()
+        .map(|k| bytes(memory, k))
+        .sum();
+    assert_eq!(indexes + rest, total);
     assert_eq!(
         stats
             .get("disk")
