@@ -19,6 +19,7 @@
 //!   byte-for-byte and answers byte-identically to a from-scratch
 //!   rebuild.
 
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -1294,6 +1295,283 @@ fn metrics_exposition_is_valid_and_covers_the_pipeline() {
         );
     }
 }
+
+/// `/metrics` as two sets: each `# TYPE` family with its kind, and each
+/// series as its family and label set (`le` dropped, so a histogram is
+/// one series however many buckets it fills).
+fn metrics_surface(text: &str) -> (BTreeSet<String>, BTreeSet<String>) {
+    let mut families = BTreeSet::new();
+    let mut histograms = BTreeSet::new();
+    let mut series = BTreeSet::new();
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').expect("TYPE line carries a kind");
+            families.insert(format!("{name} {kind}"));
+            if kind == "histogram" {
+                histograms.insert(name.to_string());
+            }
+            continue;
+        }
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let (sample, _) = line.rsplit_once(' ').expect("series line carries a value");
+        let (name, labels) = match sample.split_once('{') {
+            Some((name, rest)) => (name, rest.strip_suffix('}').expect("labels close")),
+            None => (sample, ""),
+        };
+        let family = ["_bucket", "_sum", "_count"]
+            .iter()
+            .find_map(|suffix| {
+                name.strip_suffix(suffix)
+                    .filter(|base| histograms.contains(*base))
+            })
+            .unwrap_or(name);
+        let labels: Vec<&str> = labels
+            .split(',')
+            .filter(|kv| !kv.is_empty() && !kv.starts_with("le="))
+            .collect();
+        series.insert(format!("{family}{{{}}}", labels.join(",")));
+    }
+    (families, series)
+}
+
+/// Every key path of a JSON document (`a.b`, arrays as `a[].b`).
+fn key_paths(prefix: &str, doc: &Json, out: &mut BTreeSet<String>) {
+    match doc {
+        Json::Obj(members) => {
+            for (key, value) in members {
+                let path = if prefix.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{prefix}.{key}")
+                };
+                key_paths(&path, value, out);
+                out.insert(path);
+            }
+        }
+        Json::Arr(items) => {
+            for item in items {
+                key_paths(&format!("{prefix}[]"), item, out);
+            }
+        }
+        _ => {}
+    }
+}
+
+fn assert_pinned(what: &str, actual: &BTreeSet<String>, pinned: &[&str]) {
+    let pinned: BTreeSet<String> = pinned.iter().map(|s| s.to_string()).collect();
+    let missing: Vec<&String> = pinned.difference(actual).collect();
+    let extra: Vec<&String> = actual.difference(&pinned).collect();
+    assert!(
+        missing.is_empty() && extra.is_empty(),
+        "{what} moved: missing {missing:#?}, unexpected {extra:#?}"
+    );
+}
+
+/// The serving surface monitoring reads: which `/metrics` families
+/// exist and of which kind, which label sets they carry, and which
+/// `/stats` keys exist, after one fixed request sequence that touches
+/// every endpoint class. Series order and values are free to change;
+/// names, labels and kinds are not.
+#[test]
+fn serving_surface_is_pinned() {
+    let lake = lake(6);
+    let srv = boot("surface", &lake, 2, Duration::from_secs(10));
+    let mut c = Client::connect(srv.addr).unwrap();
+    let query = query_body(&target(), 5);
+    let batch = Json::Obj(vec![
+        (
+            "targets".to_string(),
+            Json::Arr(vec![table_to_json(&target())]),
+        ),
+        ("k".to_string(), Json::Num(2.0)),
+    ])
+    .to_string();
+    let fresh = Table::from_rows(
+        "fresh",
+        &["Practice", "City"],
+        &[vec!["Practice 3-1".into(), "Salford".into()]],
+    )
+    .unwrap();
+    let add = format!("{{\"table\":{}}}", table_to_json(&fresh));
+    for (method, path, body, want) in [
+        ("POST", "/query", Some(query.as_str()), 200),
+        ("POST", "/query", Some(query.as_str()), 200),
+        ("GET", "/rank_all", None, 400),
+        ("GET", "/nowhere", None, 404),
+        ("DELETE", "/query", None, 405),
+        ("POST", "/query_batch", Some(batch.as_str()), 200),
+        ("POST", "/tables", Some(add.as_str()), 201),
+        ("DELETE", "/tables/fresh", None, 200),
+        ("POST", "/admin/compact", Some(""), 200),
+        ("GET", "/rank_all?target=gp_02", None, 200),
+        ("GET", "/debug/slow_queries", None, 200),
+    ] {
+        let (status, text) = c.request(method, path, body).unwrap();
+        assert_eq!(status, want, "{method} {path}: {text}");
+    }
+    let (status, stats) = c.request("GET", "/stats", None).unwrap();
+    assert_eq!(status, 200);
+    let (status, metrics) = c.request("GET", "/metrics", None).unwrap();
+    assert_eq!(status, 200);
+
+    let (families, series) = metrics_surface(&metrics);
+    let stats = Json::parse(&stats).unwrap();
+    let mut stat_keys = BTreeSet::new();
+    key_paths("", &stats, &mut stat_keys);
+    // Both surfaces read the same cache counters (nothing touched the
+    // cache between the two scrapes).
+    for (key, family, want) in [
+        ("hits", "d3l_cache_hits_total", 1),
+        ("misses", "d3l_cache_misses_total", 2),
+        ("insertions", "d3l_cache_insertions_total", 2),
+        ("evictions", "d3l_cache_evictions_total", 0),
+    ] {
+        let line = format!("\n{family} {want}\n");
+        assert!(metrics.contains(&line), "/metrics lacks {line:?}");
+        let stat = stats.get("cache").and_then(|c| c.get(key));
+        assert_eq!(stat.and_then(Json::as_usize), Some(want), "cache.{key}");
+    }
+    assert_pinned("/metrics families", &families, PINNED_FAMILIES);
+    assert_pinned("/metrics series", &series, PINNED_SERIES);
+    assert_pinned("/stats keys", &stat_keys, PINNED_STATS_KEYS);
+}
+
+const PINNED_FAMILIES: &[&str] = &[
+    "d3l_cache_budget_bytes gauge",
+    "d3l_cache_bytes gauge",
+    "d3l_cache_entries gauge",
+    "d3l_cache_evictions_total counter",
+    "d3l_cache_hits_total counter",
+    "d3l_cache_insertions_total counter",
+    "d3l_cache_misses_total counter",
+    "d3l_engine_live_tables gauge",
+    "d3l_engine_memory_bytes gauge",
+    "d3l_engine_shards gauge",
+    "d3l_engine_tables gauge",
+    "d3l_engine_version gauge",
+    "d3l_http_request_seconds histogram",
+    "d3l_http_requests_total counter",
+    "d3l_http_responses_total counter",
+    "d3l_http_shed_total counter",
+    "d3l_query_stage_seconds histogram",
+    "d3l_queue_depth gauge",
+    "d3l_queue_limit gauge",
+    "d3l_shard_score_seconds histogram",
+    "d3l_shard_slowest_seconds histogram",
+    "d3l_slow_queries_total counter",
+    "d3l_store_op_seconds histogram",
+    "d3l_uptime_seconds gauge",
+];
+
+const PINNED_SERIES: &[&str] = &[
+    "d3l_cache_budget_bytes{}",
+    "d3l_cache_bytes{}",
+    "d3l_cache_entries{}",
+    "d3l_cache_evictions_total{}",
+    "d3l_cache_hits_total{}",
+    "d3l_cache_insertions_total{}",
+    "d3l_cache_misses_total{}",
+    "d3l_engine_live_tables{}",
+    "d3l_engine_memory_bytes{}",
+    "d3l_engine_shards{}",
+    "d3l_engine_tables{}",
+    "d3l_engine_version{}",
+    "d3l_http_request_seconds{endpoint=\"/admin\",result=\"ok\"}",
+    "d3l_http_request_seconds{endpoint=\"/debug/slow_queries\",result=\"ok\"}",
+    "d3l_http_request_seconds{endpoint=\"/query\",result=\"error\"}",
+    "d3l_http_request_seconds{endpoint=\"/query\",result=\"hit\"}",
+    "d3l_http_request_seconds{endpoint=\"/query\",result=\"miss\"}",
+    "d3l_http_request_seconds{endpoint=\"/query_batch\",result=\"ok\"}",
+    "d3l_http_request_seconds{endpoint=\"/rank_all\",result=\"error\"}",
+    "d3l_http_request_seconds{endpoint=\"/rank_all\",result=\"miss\"}",
+    "d3l_http_request_seconds{endpoint=\"/stats\",result=\"ok\"}",
+    "d3l_http_request_seconds{endpoint=\"/tables\",result=\"ok\"}",
+    "d3l_http_request_seconds{endpoint=\"/tables/{name}\",result=\"ok\"}",
+    "d3l_http_request_seconds{endpoint=\"other\",result=\"error\"}",
+    "d3l_http_requests_total{}",
+    "d3l_http_responses_total{class=\"2xx\"}",
+    "d3l_http_responses_total{class=\"4xx\"}",
+    "d3l_http_responses_total{class=\"5xx\"}",
+    "d3l_http_shed_total{}",
+    "d3l_query_stage_seconds{stage=\"aggregate\"}",
+    "d3l_query_stage_seconds{stage=\"candidates\"}",
+    "d3l_query_stage_seconds{stage=\"score\"}",
+    "d3l_queue_depth{}",
+    "d3l_queue_limit{}",
+    "d3l_shard_score_seconds{shard=\"0\"}",
+    "d3l_shard_slowest_seconds{}",
+    "d3l_slow_queries_total{}",
+    "d3l_store_op_seconds{op=\"append\"}",
+    "d3l_store_op_seconds{op=\"compact\"}",
+    "d3l_store_op_seconds{op=\"load\"}",
+    "d3l_uptime_seconds{}",
+];
+
+const PINNED_STATS_KEYS: &[&str] = &[
+    "build",
+    "build.profile",
+    "build.version",
+    "cache",
+    "cache.budget_bytes",
+    "cache.bytes",
+    "cache.entries",
+    "cache.evictions",
+    "cache.hits",
+    "cache.insertions",
+    "cache.misses",
+    "disk",
+    "disk.base_bytes",
+    "disk.delta_bytes",
+    "disk.delta_segments",
+    "engine_version",
+    "live_tables",
+    "memory",
+    "memory.hasher_bytes",
+    "memory.ie",
+    "memory.ie.posting_bytes",
+    "memory.ie.signature_bytes",
+    "memory.ie.tree_bytes",
+    "memory.if",
+    "memory.if.posting_bytes",
+    "memory.if.signature_bytes",
+    "memory.if.tree_bytes",
+    "memory.in",
+    "memory.in.posting_bytes",
+    "memory.in.signature_bytes",
+    "memory.in.tree_bytes",
+    "memory.iv",
+    "memory.iv.posting_bytes",
+    "memory.iv.signature_bytes",
+    "memory.iv.tree_bytes",
+    "memory.profile_bytes",
+    "memory.table_bytes",
+    "memory.total_bytes",
+    "server",
+    "server.hw_threads",
+    "server.max_queue",
+    "server.queue_depth",
+    "server.requests",
+    "server.responses_2xx",
+    "server.responses_4xx",
+    "server.responses_5xx",
+    "server.shed_requests",
+    "server.threads",
+    "server.uptime_ms",
+    "server.uptime_seconds",
+    "shards",
+    "shards[].disk",
+    "shards[].disk.base_bytes",
+    "shards[].disk.delta_bytes",
+    "shards[].disk.delta_segments",
+    "shards[].live_tables",
+    "shards[].memory_bytes",
+    "shards[].shard",
+    "shards[].version",
+    "signing_lanes",
+    "tables",
+];
 
 #[test]
 fn request_ids_and_engine_version_are_stamped_on_every_response() {
