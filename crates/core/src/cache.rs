@@ -26,31 +26,37 @@
 //! thread count (the determinism suite proves it), so thread settings
 //! changing between requests must share entries.
 //!
-//! Concurrency: the cache is split into [`SHARDS`] independently
-//! locked shards, so readers on different keys do not contend.
-//! Eviction is CLOCK (second-chance) under a configurable byte
-//! budget: each shard keeps its keys on a ring, a hit sets the
-//! entry's referenced bit (O(1), no reordering), and an insert that
-//! pushes the shard over its slice of the budget sweeps the ring —
-//! giving referenced entries a second chance (bit cleared, entry
-//! rotated to the back) and evicting the first unreferenced one.
-//! Every sweep step either evicts an entry or retires a referenced
-//! bit some hit set, so eviction work is amortized O(1) per cache
-//! operation — never a scan of the shard per evicted entry.
+//! Concurrency: one `Mutex` guards one map, one CLOCK ring, the byte
+//! budget and the live version, so a body up to the whole budget can
+//! be cached and a put checks the version under the same lock that
+//! `purge_stale` moves it under. A get holds the lock for one map
+//! lookup and a put for one insert plus the sweep it triggers; only a
+//! purge or a budget change scans, and the mutation or operator
+//! action behind it costs far more than the scan. Eviction is CLOCK
+//! (second-chance): the keys sit on a ring, a hit sets the entry's
+//! referenced bit (O(1), no reordering), and an insert that pushes the
+//! cache over its budget sweeps the ring — giving referenced entries
+//! a second chance (bit cleared, entry rotated to the back) and
+//! evicting the first unreferenced one. Every sweep step either
+//! evicts an entry or retires a referenced bit some hit set, so
+//! eviction work is amortized O(1) per cache operation — never a scan
+//! of the map per evicted entry.
+//!
+//! The hit, miss, eviction and insertion counts are
+//! [`d3l_telemetry::Counter`]s in the cache's own [`Registry`]: a
+//! serving layer renders [`QueryCache::registry`] into `/metrics`,
+//! and [`QueryCache::stats`] reads the same counters.
 //!
 //! [`QueryOptions`]: crate::query::QueryOptions
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use d3l_lsh::hash::Fnv1a;
 use d3l_table::Table;
+use d3l_telemetry::{Counter, Registry};
 
 use crate::query::QueryOptions;
-
-/// Number of independently locked cache shards.
-pub const SHARDS: usize = 16;
 
 /// Default byte budget a serving process starts with (the CLI's
 /// `--cache-bytes` and `ServerConfig::cache_bytes` override it).
@@ -76,26 +82,8 @@ pub struct CacheKey {
     pub version: u64,
 }
 
-impl CacheKey {
-    fn shard(&self) -> usize {
-        // Mix every member so keys differing only in `k`/`opts` still
-        // spread; FNV over the raw words is cheap and good enough.
-        let mut h = Fnv1a::new();
-        for w in [
-            self.target[0],
-            self.target[1],
-            self.k,
-            self.opts,
-            self.version,
-        ] {
-            h.write(&w.to_le_bytes());
-        }
-        (h.finish() % SHARDS as u64) as usize
-    }
-}
-
 struct Entry {
-    body: std::sync::Arc<str>,
+    body: Arc<str>,
     bytes: u64,
     /// Second-chance bit: set by every hit, cleared (once) by the
     /// clock sweep before the entry becomes evictable.
@@ -103,25 +91,31 @@ struct Entry {
 }
 
 #[derive(Default)]
-struct Shard {
+struct State {
     map: HashMap<CacheKey, Entry>,
     /// Clock ring: every live key occurs exactly once, in insertion
-    /// order, rotated by the sweep. Keys whose entries were purged
-    /// out-of-band may linger briefly; the sweep skips them for free.
-    ring: std::collections::VecDeque<CacheKey>,
+    /// order, rotated by the sweep.
+    ring: VecDeque<CacheKey>,
     bytes: u64,
+    /// Byte budget (0 = disabled).
+    budget: u64,
+    /// The engine version mutations have advanced to; entries keyed
+    /// at any other version are garbage and inserts at a stale
+    /// version are refused (closes the race where a slow query
+    /// renders against a snapshot that was swapped out mid-flight).
+    live_version: u64,
     /// Total sweep steps taken by `evict_to` — the cost meter the
     /// amortized-work unit test bounds.
     scanned: u64,
 }
 
-impl Shard {
+impl State {
     /// Clock sweep: evict until at most `budget` bytes remain.
     /// Returns the number of entries evicted. Each step pops the ring
-    /// head and either (a) drops a stale slot, (b) clears a
-    /// referenced bit and rotates the entry to the back, or
-    /// (c) evicts — so total work is bounded by evictions plus the
-    /// referenced bits hits have set, not by `entries × evictions`.
+    /// head and either clears a referenced bit and rotates the entry
+    /// to the back, or evicts — so total work is bounded by evictions
+    /// plus the referenced bits hits have set, not by
+    /// `entries × evictions`.
     fn evict_to(&mut self, budget: u64) -> u64 {
         let mut evicted = 0;
         while self.bytes > budget {
@@ -129,18 +123,14 @@ impl Shard {
                 break;
             };
             self.scanned += 1;
-            match self.map.get_mut(&key) {
-                // Stale ring slot (entry purged out-of-band).
-                None => {}
-                Some(entry) if entry.referenced => {
-                    entry.referenced = false;
-                    self.ring.push_back(key);
-                }
-                Some(_) => {
-                    let old = self.map.remove(&key).expect("entry checked above");
-                    self.bytes -= old.bytes;
-                    evicted += 1;
-                }
+            let entry = self.map.get_mut(&key).expect("the ring holds live keys");
+            if entry.referenced {
+                entry.referenced = false;
+                self.ring.push_back(key);
+            } else {
+                self.bytes -= entry.bytes;
+                self.map.remove(&key);
+                evicted += 1;
             }
         }
         evicted
@@ -166,111 +156,105 @@ pub struct CacheStats {
     pub budget_bytes: u64,
 }
 
-/// Bounded, sharded, version-keyed result cache. See the module docs
-/// for the invalidation contract.
+/// Bounded, version-keyed result cache. See the module docs for the
+/// invalidation contract.
 pub struct QueryCache {
-    shards: Vec<Mutex<Shard>>,
-    budget: AtomicU64,
-    /// The engine version mutations have advanced to; entries keyed
-    /// at any other version are garbage and inserts at a stale
-    /// version are refused (closes the race where a slow query
-    /// renders against a snapshot that was swapped out mid-flight).
-    live_version: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    insertions: AtomicU64,
+    state: Mutex<State>,
+    registry: Registry,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
+    insertions: Arc<Counter>,
 }
 
 impl QueryCache {
     /// A cache with the given byte budget (0 disables caching: gets
     /// miss silently, puts are dropped, counters stay at zero).
     pub fn new(budget_bytes: u64) -> Self {
+        let registry = Registry::new();
         QueryCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            budget: AtomicU64::new(budget_bytes),
-            live_version: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
+            state: Mutex::new(State {
+                budget: budget_bytes,
+                ..State::default()
+            }),
+            hits: registry.counter("d3l_cache_hits_total", "Query-result cache hits.", &[]),
+            misses: registry.counter("d3l_cache_misses_total", "Query-result cache misses.", &[]),
+            evictions: registry.counter(
+                "d3l_cache_evictions_total",
+                "Query-result cache evictions.",
+                &[],
+            ),
+            insertions: registry.counter(
+                "d3l_cache_insertions_total",
+                "Query-result cache insertions.",
+                &[],
+            ),
+            registry,
         }
+    }
+
+    /// The registry holding the cache's counters, for `/metrics`.
+    pub fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     /// Whether caching is enabled at all.
     pub fn enabled(&self) -> bool {
-        self.budget.load(Ordering::Relaxed) > 0
+        self.lock().budget > 0
     }
 
-    fn shard_budget(&self) -> u64 {
-        self.budget.load(Ordering::Relaxed) / SHARDS as u64
-    }
-
-    fn lock(&self, idx: usize) -> std::sync::MutexGuard<'_, Shard> {
-        // Shard state is always internally consistent between
-        // operations; a poisoning panic cannot leave a torn map.
-        self.shards[idx].lock().unwrap_or_else(|p| p.into_inner())
+    fn lock(&self) -> MutexGuard<'_, State> {
+        // The state is consistent between operations; a poisoning
+        // panic cannot leave a torn map.
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Look a rendered body up. Counts a hit or a miss unless the
     /// cache is disabled (disabled lookups are silent, so hit-rate
     /// arithmetic stays meaningful).
-    pub fn get(&self, key: &CacheKey) -> Option<std::sync::Arc<str>> {
-        if !self.enabled() {
+    pub fn get(&self, key: &CacheKey) -> Option<Arc<str>> {
+        let mut state = self.lock();
+        if state.budget == 0 {
             return None;
         }
-        let mut shard = self.lock(key.shard());
-        match shard.map.get_mut(key) {
-            Some(entry) => {
-                entry.referenced = true;
-                let body = entry.body.clone();
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(body)
-            }
-            None => {
-                drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let body = state.map.get_mut(key).map(|entry| {
+            entry.referenced = true;
+            entry.body.clone()
+        });
+        drop(state);
+        match body {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
         }
+        body
     }
 
     /// Store a rendered body. Dropped when the cache is disabled,
     /// when the key's version is no longer live, or when the body
-    /// alone exceeds a whole shard's budget slice (an entry that
-    /// would immediately evict everything else is not worth keeping).
-    pub fn put(&self, key: CacheKey, body: std::sync::Arc<str>) {
-        let shard_budget = self.shard_budget();
-        if shard_budget == 0 || key.version != self.live_version.load(Ordering::Acquire) {
-            return;
-        }
+    /// alone exceeds the whole budget.
+    pub fn put(&self, key: CacheKey, body: Arc<str>) {
         let bytes = body.len() as u64 + ENTRY_OVERHEAD;
-        if bytes > shard_budget {
+        let mut state = self.lock();
+        if key.version != state.live_version || bytes > state.budget {
             return;
         }
-        let mut shard = self.lock(key.shard());
         // A fresh key earns a ring slot; an overwrite reuses the slot
         // the key already holds (the ring never carries duplicates).
-        if let Some(old) = shard.map.insert(
-            key,
-            Entry {
-                body,
-                bytes,
-                referenced: false,
-            },
-        ) {
-            shard.bytes -= old.bytes;
-        } else {
-            shard.ring.push_back(key);
+        let entry = Entry {
+            body,
+            bytes,
+            referenced: false,
+        };
+        match state.map.insert(key, entry) {
+            Some(old) => state.bytes -= old.bytes,
+            None => state.ring.push_back(key),
         }
-        shard.bytes += bytes;
-        let evicted = shard.evict_to(shard_budget);
-        drop(shard);
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
+        state.bytes += bytes;
+        let budget = state.budget;
+        let evicted = state.evict_to(budget);
+        drop(state);
+        self.insertions.inc();
+        self.evictions.add(evicted);
     }
 
     /// Advance the live version and drop every entry keyed at any
@@ -278,67 +262,50 @@ impl QueryCache {
     /// scan is over whatever the byte budget holds, which a mutation
     /// (an engine clone plus a durable write) dwarfs.
     pub fn purge_stale(&self, live_version: u64) {
-        self.live_version.store(live_version, Ordering::Release);
-        for idx in 0..SHARDS {
-            let mut shard = self.lock(idx);
-            let mut freed = 0u64;
-            shard.map.retain(|key, entry| {
-                let keep = key.version == live_version;
-                if !keep {
-                    freed += entry.bytes;
-                }
-                keep
-            });
-            shard.bytes -= freed;
-            // Keep the ring tight: stale slots would otherwise be
-            // skipped lazily by the next sweep, which is correct but
-            // lets the ring hold dead keys between mutations.
-            shard.ring.retain(|key| key.version == live_version);
-        }
+        let mut state = self.lock();
+        state.live_version = live_version;
+        let mut freed = 0;
+        state.map.retain(|key, entry| {
+            let keep = key.version == live_version;
+            if !keep {
+                freed += entry.bytes;
+            }
+            keep
+        });
+        state.bytes -= freed;
+        state.ring.retain(|key| key.version == live_version);
     }
 
     /// Change the byte budget at runtime; shrinking evicts down to
     /// the new budget immediately, 0 disables and clears.
     pub fn set_budget(&self, budget_bytes: u64) {
-        self.budget.store(budget_bytes, Ordering::Relaxed);
-        let per_shard = budget_bytes / SHARDS as u64;
-        let mut evicted = 0;
-        for idx in 0..SHARDS {
-            evicted += self.lock(idx).evict_to(per_shard);
-        }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
+        let mut state = self.lock();
+        state.budget = budget_bytes;
+        let evicted = state.evict_to(budget_bytes);
+        drop(state);
+        self.evictions.add(evicted);
     }
 
     /// Drop every entry (counters are kept; an explicit clear is an
     /// operator action, not an eviction).
     pub fn clear(&self) {
-        for idx in 0..SHARDS {
-            let mut shard = self.lock(idx);
-            shard.map.clear();
-            shard.ring.clear();
-            shard.bytes = 0;
-        }
+        let mut state = self.lock();
+        state.map.clear();
+        state.ring.clear();
+        state.bytes = 0;
     }
 
     /// Current counters and occupancy.
     pub fn stats(&self) -> CacheStats {
-        let mut entries = 0u64;
-        let mut bytes = 0u64;
-        for idx in 0..SHARDS {
-            let shard = self.lock(idx);
-            entries += shard.map.len() as u64;
-            bytes += shard.bytes;
-        }
+        let state = self.lock();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            entries,
-            bytes,
-            budget_bytes: self.budget.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+            insertions: self.insertions.get(),
+            entries: state.map.len() as u64,
+            bytes: state.bytes,
+            budget_bytes: state.budget,
         }
     }
 }
@@ -444,7 +411,7 @@ mod tests {
         }
     }
 
-    fn body(len: usize) -> std::sync::Arc<str> {
+    fn body(len: usize) -> Arc<str> {
         "x".repeat(len).into()
     }
 
@@ -485,48 +452,38 @@ mod tests {
 
     #[test]
     fn eviction_respects_budget_and_recency() {
-        // One shard's slice is budget/SHARDS; craft keys that land in
-        // the same shard by brute force so the clock sweep is
-        // observable: the touched entry's referenced bit buys it a
-        // second chance, so the untouched one goes first.
-        let cache = QueryCache::new((ENTRY_OVERHEAD + 200) * SHARDS as u64 * 3);
-        let shard0: Vec<CacheKey> = (0..10_000u64)
-            .map(|n| key(n, 0))
-            .filter(|k| k.shard() == 0)
-            .take(4)
-            .collect();
-        assert_eq!(shard0.len(), 4);
-        for k in &shard0[..3] {
-            cache.put(*k, body(200));
+        // Room for three entries: the touched entry's referenced bit
+        // buys it a second chance, so the oldest untouched one goes
+        // first.
+        let per_entry = ENTRY_OVERHEAD + 200;
+        let cache = QueryCache::new(per_entry * 3);
+        for n in 0..3 {
+            cache.put(key(n, 0), body(200));
         }
         assert_eq!(cache.stats().entries, 3);
-        // Touch the first so the second is now least recently used.
-        assert!(cache.get(&shard0[0]).is_some());
-        cache.put(shard0[3], body(200));
-        assert!(cache.stats().evictions >= 1);
-        assert!(cache.get(&shard0[1]).is_none(), "LRU entry evicted");
-        assert!(cache.get(&shard0[0]).is_some(), "recently used survives");
-        assert!(cache.get(&shard0[3]).is_some(), "new entry present");
-        // Bytes never exceed the shard budget after inserts.
-        let per_shard = (ENTRY_OVERHEAD + 200) * 3;
-        assert!(cache.stats().bytes <= per_shard * SHARDS as u64);
+        assert!(cache.get(&key(0, 0)).is_some());
+        cache.put(key(3, 0), body(200));
+        assert_eq!(cache.stats().evictions, 1);
+        assert!(
+            cache.get(&key(1, 0)).is_none(),
+            "oldest untouched entry evicted"
+        );
+        assert!(cache.get(&key(0, 0)).is_some(), "touched entry survives");
+        assert!(cache.get(&key(2, 0)).is_some());
+        assert!(cache.get(&key(3, 0)).is_some(), "new entry present");
+        assert!(cache.stats().bytes <= per_entry * 3);
     }
 
     #[test]
     fn eviction_work_is_amortized_constant() {
-        // The old eviction rescanned the whole shard per evicted
-        // entry (O(entries × evictions)); the clock sweep's total
-        // steps are bounded by insertions plus the referenced bits
-        // hits set, plus the entries each sweep actually evicts —
-        // amortized O(1) per operation. Hammer one shard far past its
-        // budget with interleaved hits and bound the meter.
-        let cache = QueryCache::new((ENTRY_OVERHEAD + 200) * SHARDS as u64 * 4);
-        let keys: Vec<CacheKey> = (0..100_000u64)
-            .map(|n| key(n, 0))
-            .filter(|k| k.shard() == 0)
-            .take(256)
-            .collect();
-        assert_eq!(keys.len(), 256, "need 256 same-shard keys");
+        // A sweep that rescanned the map per evicted entry would cost
+        // O(entries × evictions); the clock sweep's total steps are
+        // bounded by insertions plus the referenced bits hits set,
+        // plus the entries each sweep actually evicts — amortized
+        // O(1) per operation. Drive the cache far past its budget with
+        // interleaved hits and bound the meter.
+        let cache = QueryCache::new((ENTRY_OVERHEAD + 200) * 4);
+        let keys: Vec<CacheKey> = (0..256).map(|n| key(n, 0)).collect();
         let mut hits = 0u64;
         for (i, k) in keys.iter().enumerate() {
             cache.put(*k, body(200));
@@ -541,7 +498,7 @@ mod tests {
             "workload must actually churn: {} evictions",
             stats.evictions
         );
-        let scanned = cache.lock(0).scanned;
+        let scanned = cache.lock().scanned;
         let bound = keys.len() as u64 + hits + stats.evictions;
         assert!(
             scanned <= bound,
@@ -552,9 +509,21 @@ mod tests {
 
     #[test]
     fn oversized_bodies_are_not_cached() {
-        let cache = QueryCache::new(SHARDS as u64 * 64);
-        cache.put(key(1, 0), body(4096));
-        assert_eq!(cache.stats().entries, 0);
+        let cache = QueryCache::new(1024);
+        cache.put(key(1, 0), body(1024));
+        assert_eq!(cache.stats().entries, 0, "one byte over the whole budget");
+        cache.put(key(2, 0), body(1024 - ENTRY_OVERHEAD as usize));
+        assert_eq!(cache.stats().entries, 1, "exactly the whole budget");
+    }
+
+    #[test]
+    fn a_body_up_to_the_whole_budget_is_cached() {
+        // 600 KiB of a 1 MiB budget: only a body above the whole
+        // budget is refused.
+        let cache = QueryCache::new(1 << 20);
+        cache.put(key(1, 0), body(600 << 10));
+        assert_eq!(cache.get(&key(1, 0)).map(|b| b.len()), Some(600 << 10));
+        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]

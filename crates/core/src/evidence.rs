@@ -55,12 +55,6 @@ impl Evidence {
             .into_iter()
             .find(|e| letter.eq_ignore_ascii_case(e.letter().encode_utf8(&mut [0; 4])))
     }
-
-    /// Evidence types backed by an LSH index (all but Distribution,
-    /// §III-B: "no LSH hashing scheme … leads to analogous gains").
-    pub fn is_indexed(self) -> bool {
-        self != Evidence::Distribution
-    }
 }
 
 impl std::fmt::Display for Evidence {
@@ -85,14 +79,5 @@ mod tests {
         let s: String = Evidence::ALL.iter().map(|e| e.letter()).collect();
         assert_eq!(s, "NVFED");
         assert_eq!(Evidence::Name.to_string(), "N");
-    }
-
-    #[test]
-    fn only_distribution_is_unindexed() {
-        assert!(Evidence::Name.is_indexed());
-        assert!(Evidence::Value.is_indexed());
-        assert!(Evidence::Format.is_indexed());
-        assert!(Evidence::Embedding.is_indexed());
-        assert!(!Evidence::Distribution.is_indexed());
     }
 }

@@ -197,7 +197,7 @@ impl EngineHandle {
     /// has the one store). The result cache starts at
     /// [`crate::cache::DEFAULT_CACHE_BYTES`]; it holds nothing until
     /// a serving layer populates it, so non-serving users pay only
-    /// the empty shards.
+    /// an empty map.
     pub fn new_sharded(stores: Vec<IndexStore>, engine: ShardedD3l) -> Self {
         assert_eq!(
             stores.len(),

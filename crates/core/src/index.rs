@@ -725,16 +725,6 @@ impl D3l {
         self.i_n.byte_size() + self.i_v.byte_size() + self.i_f.byte_size() + self.i_e.byte_size()
     }
 
-    /// Per-index byte footprints `(IN, IV, IF, IE)`.
-    pub fn index_byte_sizes(&self) -> (usize, usize, usize, usize) {
-        (
-            self.i_n.byte_size(),
-            self.i_v.byte_size(),
-            self.i_f.byte_size(),
-            self.i_e.byte_size(),
-        )
-    }
-
     /// Full memory accounting, every array the engine holds: per-index
     /// forest footprints split into tree arrays, the signature arena and
     /// the postings, then the attribute table, the table list and the
@@ -1113,8 +1103,9 @@ mod tests {
         assert_eq!(d3l.i_v.len(), 10, "Patients and Payment are numeric");
         assert_eq!(d3l.i_e.len(), 10);
         assert!(d3l.index_byte_size() > 0);
-        let (n, v, f, e) = d3l.index_byte_sizes();
-        assert_eq!(n + v + f + e, d3l.index_byte_size());
+        let indexes = d3l.byte_size().indexes();
+        let per_index: usize = indexes.iter().map(|(_, idx)| idx.total()).sum();
+        assert_eq!(per_index, d3l.index_byte_size());
     }
 
     #[test]
@@ -1122,11 +1113,10 @@ mod tests {
         let lake = figure1_lake();
         let d3l = D3l::index_lake(&lake, D3lConfig::fast());
         let fp = d3l.byte_size();
-        let (n, v, f, e) = d3l.index_byte_sizes();
-        assert_eq!(fp.i_n.total(), n);
-        assert_eq!(fp.i_v.total(), v);
-        assert_eq!(fp.i_f.total(), f);
-        assert_eq!(fp.i_e.total(), e);
+        assert_eq!(fp.i_n.total(), d3l.i_n.byte_size());
+        assert_eq!(fp.i_v.total(), d3l.i_v.byte_size());
+        assert_eq!(fp.i_f.total(), d3l.i_f.byte_size());
+        assert_eq!(fp.i_e.total(), d3l.i_e.byte_size());
         let rest = fp.profile_bytes + fp.table_bytes + fp.hasher_bytes;
         assert_eq!(fp.total(), d3l.index_byte_size() + rest);
         // The attribute table holds the names and the encoded extents —

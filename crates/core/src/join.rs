@@ -12,7 +12,6 @@ use std::collections::{HashMap, HashSet};
 
 use d3l_lsh::forest::{query_union, LshForest};
 use d3l_lsh::minhash::MinHashSignature;
-use d3l_lsh::TokenSet;
 use d3l_table::TableId;
 
 use crate::index::AttrRef;
@@ -92,23 +91,6 @@ impl JoinPath {
     pub fn is_empty(&self) -> bool {
         self.nodes.len() <= 1
     }
-}
-
-/// The overlap coefficient `ov(T(a), T(a'))` of §IV — a linear
-/// merge-intersection over the sorted hashed tsets.
-pub fn overlap_coefficient(a: &TokenSet, b: &TokenSet) -> f64 {
-    a.overlap_coefficient(b)
-}
-
-/// The paper's lower bound on the overlap coefficient implied by
-/// V-relatedness at LSH threshold `tau` (§IV, inclusion–exclusion):
-/// `τ(|A|+|B|) / ((1+τ)·min(|A|,|B|))`.
-pub fn overlap_lower_bound(len_a: usize, len_b: usize, tau: f64) -> f64 {
-    let min = len_a.min(len_b);
-    if min == 0 {
-        return 0.0;
-    }
-    (tau * (len_a + len_b) as f64 / ((1.0 + tau) * min as f64)).min(1.0)
 }
 
 impl ShardedD3l {
@@ -308,32 +290,6 @@ mod tests {
         // Nothing is marked related to the target → no paths at all.
         let related = HashSet::new();
         assert!(d3l.find_join_paths(&g, hub, &top_k, &related).is_empty());
-    }
-
-    #[test]
-    fn overlap_coefficient_basics() {
-        let set = |items: &[&str]| TokenSet::from_strs(items.iter().copied());
-        let a = set(&["x", "y", "z"]);
-        let b = set(&["y", "z"]);
-        assert!((overlap_coefficient(&a, &b) - 1.0).abs() < 1e-12, "b ⊆ a");
-        let c = set(&["q"]);
-        assert!(overlap_coefficient(&a, &c).abs() < 1e-12);
-        assert!(overlap_coefficient(&a, &TokenSet::new()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn overlap_bound_is_a_lower_bound() {
-        // For sets with Jaccard ≥ τ the bound must not exceed the
-        // actual overlap coefficient.
-        let strs_a: Vec<String> = (0..100).map(|i| format!("t{i}")).collect();
-        let strs_b: Vec<String> = (15..100).map(|i| format!("t{i}")).collect();
-        let a = TokenSet::from_strs(strs_a.iter().map(String::as_str));
-        let b = TokenSet::from_strs(strs_b.iter().map(String::as_str));
-        // J = 85/100 = 0.85, ov = 85/85 = 1.0
-        let bound = overlap_lower_bound(a.len(), b.len(), 0.85);
-        let ov = overlap_coefficient(&a, &b);
-        assert!(bound <= ov + 1e-9, "bound {bound} vs ov {ov}");
-        assert!(bound > 0.9);
     }
 
     #[test]

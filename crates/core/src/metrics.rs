@@ -1,21 +1,11 @@
-//! The paper's evaluation measures (§V-A, §V-E).
-//!
-//! * **precision / recall at k** over returned tables, with the
-//!   paper's true-positive interpretation: a returned table counts as
-//!   a TP if *at least one* of its attributes is related to the
-//!   target in the ground truth;
-//! * **coverage** (Eq. 4/5): the fraction of target attributes
-//!   covered by a match's alignments (or by the union of a join-path
-//!   set's alignments);
-//! * **attribute precision**: the fraction of proposed attribute
-//!   alignments that the ground truth confirms.
-//!
-//! Ground truth is supplied as closures so the generators (or a
-//! human-curated truth) can plug in without a dependency cycle.
-
-use std::collections::HashSet;
-
-use crate::query::TableMatch;
+//! The paper's retrieval measures (§V-A): **precision / recall at k**
+//! over returned tables, with the paper's true-positive
+//! interpretation: a returned table counts as a TP if *at least one*
+//! of its attributes is related to the target in the ground truth.
+//! Relevance is supplied by the caller, so the generators (or a
+//! human-curated truth) plug in without a dependency cycle. Coverage
+//! (Eq. 4/5) and attribute precision are computed for every system
+//! alike by the evaluation harness (`d3l_bench::eval`).
 
 /// Precision at k: `TP / (TP + FP)` over the returned list, where
 /// `relevant[i]` says whether the i-th returned table is related in
@@ -36,95 +26,9 @@ pub fn recall_at_k(relevant: &[bool], total_relevant: usize) -> f64 {
     relevant.iter().filter(|&&r| r).count() as f64 / total_relevant as f64
 }
 
-/// Eq. 4: coverage of one source table on the target — the fraction
-/// of target attributes its alignments touch.
-pub fn coverage_of_match(m: &TableMatch, target_arity: usize) -> f64 {
-    if target_arity == 0 {
-        return 0.0;
-    }
-    m.covered_targets().len() as f64 / target_arity as f64
-}
-
-/// Eq. 5: combined coverage of a set of covered-target-column sets
-/// (one per join-path result or per table), as a fraction of the
-/// target arity.
-pub fn combined_coverage(covered_sets: &[HashSet<usize>], target_arity: usize) -> f64 {
-    if target_arity == 0 {
-        return 0.0;
-    }
-    let mut union: HashSet<usize> = HashSet::new();
-    for s in covered_sets {
-        union.extend(s.iter().copied());
-    }
-    union.len() as f64 / target_arity as f64
-}
-
-/// Attribute precision of one match: each alignment is a TP when the
-/// ground-truth closure confirms the (target column, source table,
-/// source column) triple. Matches with no alignments score 0.
-pub fn attribute_precision<F>(m: &TableMatch, mut related: F) -> f64
-where
-    F: FnMut(usize, &TableMatch, u32) -> bool,
-{
-    if m.alignments.is_empty() {
-        return 0.0;
-    }
-    let tp = m
-        .alignments
-        .iter()
-        .filter(|a| related(a.target_column, m, a.source.column))
-        .count();
-    tp as f64 / m.alignments.len() as f64
-}
-
-/// Attribute precision over a *group* of matches (the join-path
-/// variant, §V-E): alignments touching the same target column are
-/// pooled; the pool is a TP if at least one member is confirmed.
-pub fn grouped_attribute_precision<F>(matches: &[&TableMatch], mut related: F) -> f64
-where
-    F: FnMut(usize, &TableMatch, u32) -> bool,
-{
-    use std::collections::HashMap;
-    let mut pools: HashMap<usize, bool> = HashMap::new();
-    for m in matches {
-        for a in &m.alignments {
-            let confirmed = related(a.target_column, m, a.source.column);
-            let slot = pools.entry(a.target_column).or_insert(false);
-            *slot = *slot || confirmed;
-        }
-    }
-    if pools.is_empty() {
-        return 0.0;
-    }
-    pools.values().filter(|&&v| v).count() as f64 / pools.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::DistanceVector;
-    use crate::index::AttrRef;
-    use crate::query::Alignment;
-    use d3l_table::TableId;
-
-    fn mk_match(table: u32, targets: &[usize]) -> TableMatch {
-        TableMatch {
-            table: TableId(table),
-            distance: 0.1,
-            vector: DistanceVector::max_distant(),
-            alignments: targets
-                .iter()
-                .map(|&t| Alignment {
-                    target_column: t,
-                    source: AttrRef {
-                        table: TableId(table),
-                        column: t as u32,
-                    },
-                    distances: DistanceVector::max_distant(),
-                })
-                .collect(),
-        }
-    }
 
     #[test]
     fn precision_recall_basics() {
@@ -132,41 +36,5 @@ mod tests {
         assert_eq!(precision_at_k(&[]), 0.0);
         assert!((recall_at_k(&[true, false], 4) - 0.25).abs() < 1e-12);
         assert_eq!(recall_at_k(&[true], 0), 0.0);
-    }
-
-    #[test]
-    fn coverage_eq4() {
-        let m = mk_match(1, &[0, 2, 2]); // duplicate target columns collapse
-        assert!((coverage_of_match(&m, 4) - 0.5).abs() < 1e-12);
-        assert_eq!(coverage_of_match(&m, 0), 0.0);
-    }
-
-    #[test]
-    fn combined_coverage_eq5() {
-        let a: HashSet<usize> = [0, 1].into_iter().collect();
-        let b: HashSet<usize> = [1, 2].into_iter().collect();
-        assert!((combined_coverage(&[a, b], 4) - 0.75).abs() < 1e-12);
-        assert_eq!(combined_coverage(&[], 4), 0.0);
-    }
-
-    #[test]
-    fn attribute_precision_counts_confirmed() {
-        let m = mk_match(1, &[0, 1, 2, 3]);
-        // confirm only even target columns
-        let p = attribute_precision(&m, |t, _, _| t % 2 == 0);
-        assert!((p - 0.5).abs() < 1e-12);
-        let empty = mk_match(1, &[]);
-        assert_eq!(attribute_precision(&empty, |_, _, _| true), 0.0);
-    }
-
-    #[test]
-    fn grouped_attribute_precision_pools_by_target() {
-        let a = mk_match(1, &[0, 1]);
-        let b = mk_match(2, &[1, 2]);
-        // only table 2's alignments are confirmed
-        let p = grouped_attribute_precision(&[&a, &b], |_, m, _| m.table == TableId(2));
-        // pools: 0 (no), 1 (yes via table 2), 2 (yes) → 2/3
-        assert!((p - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(grouped_attribute_precision(&[], |_, _, _| true), 0.0);
     }
 }

@@ -310,18 +310,6 @@ impl TokenHistogram {
         let word = |(_, start, end): (u32, usize, usize)| lower[start..end].to_string();
         Some((word(infrequent), word(frequent)))
     }
-
-    /// Within one part, the word with the *fewest* occurrences in the
-    /// extent. Ties break lexicographically for determinism.
-    pub fn infrequent_word_of_part(&self, part: &str) -> Option<String> {
-        self.split_of_part(part).map(|(infrequent, _)| infrequent)
-    }
-
-    /// Within one part, the word with the *most* occurrences in the
-    /// extent. Ties break lexicographically.
-    pub fn frequent_word_of_part(&self, part: &str) -> Option<String> {
-        self.split_of_part(part).map(|(_, frequent)| frequent)
-    }
 }
 
 #[cfg(test)]
@@ -356,28 +344,27 @@ mod tests {
         let h = address_histogram();
         // In "18 Portland Street", 'street' is the frequent word and
         // 'portland'/'18' the infrequent signal carriers.
-        assert_eq!(
-            h.frequent_word_of_part("18 Portland Street").unwrap(),
-            "street"
-        );
-        let inf = h.infrequent_word_of_part("18 Portland Street").unwrap();
-        assert_ne!(inf, "street");
+        let (infrequent, frequent) = h.split_of_part("18 Portland Street").unwrap();
+        assert_eq!(frequent, "street");
+        assert_ne!(infrequent, "street");
     }
 
     #[test]
     fn empty_part_yields_none() {
         let h = address_histogram();
-        assert!(h.infrequent_word_of_part("").is_none());
-        assert!(h.frequent_word_of_part("  ").is_none());
+        assert!(h.split_of_part("").is_none());
+        assert!(h.split_of_part("  ").is_none());
     }
 
     #[test]
     fn deterministic_tie_breaks() {
         let mut h = TokenHistogram::new();
         h.insert_value("alpha beta");
-        // both count 1 → infrequent picks lexicographic min
-        assert_eq!(h.infrequent_word_of_part("alpha beta").unwrap(), "alpha");
-        assert_eq!(h.frequent_word_of_part("alpha beta").unwrap(), "alpha");
+        // both count 1 → either side picks the lexicographic min
+        assert_eq!(
+            h.split_of_part("alpha beta").unwrap(),
+            ("alpha".to_string(), "alpha".to_string())
+        );
         // a word the extent never saw counts 0: rarest, never commonest
         assert_eq!(
             h.split_of_part("Beta zulu").unwrap(),

@@ -56,13 +56,6 @@ pub fn ks_statistic_presorted(xs: &[f64], ys: &[f64]) -> f64 {
     d.min(1.0)
 }
 
-/// Convenience: KS over integer-ish samples.
-pub fn ks_statistic_of<T: Copy + Into<f64>>(a: &[T], b: &[T]) -> f64 {
-    let av: Vec<f64> = a.iter().map(|&x| x.into()).collect();
-    let bv: Vec<f64> = b.iter().map(|&x| x.into()).collect();
-    ks_statistic(&av, &bv)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,13 +101,6 @@ mod tests {
         let b_small: Vec<f64> = (0..100).map(|i| i as f64 + 5.0).collect();
         let b_big: Vec<f64> = (0..100).map(|i| i as f64 + 50.0).collect();
         assert!(ks_statistic(&a, &b_small) < ks_statistic(&a, &b_big));
-    }
-
-    #[test]
-    fn integer_convenience() {
-        let a = [1i32, 2, 3];
-        let b = [1i32, 2, 3];
-        assert!(ks_statistic_of(&a, &b) < 1e-12);
     }
 
     /// Two NaN-tailed samples: both cursors came to rest on a NaN, and

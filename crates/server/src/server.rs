@@ -29,12 +29,12 @@ use std::time::{Duration, Instant};
 
 use d3l_core::cache::{options_fingerprint, table_fingerprint, CacheKey, DEFAULT_CACHE_BYTES};
 use d3l_core::hotswap::{EngineHandle, EngineSnapshot, MaintenanceError};
-use d3l_core::query::QueryOptions;
+use d3l_core::query::{QueryOptions, TableMatch};
 use d3l_core::trace::QueryTrace;
 use d3l_core::watch::WatchStats;
 use d3l_core::Evidence;
 use d3l_table::Table;
-use d3l_telemetry::{Histogram, PromWriter, Registry, PROM_CONTENT_TYPE};
+use d3l_telemetry::{Counter, Histogram, PromWriter, Registry, PROM_CONTENT_TYPE};
 
 use crate::api;
 use crate::http::{read_request, Method, Request, Response, DEFAULT_MAX_BODY};
@@ -91,34 +91,6 @@ impl Default for ServerConfig {
             fair_batch: 32,
             slow_query_ms: 250,
         }
-    }
-}
-
-/// Request counters, exposed by `GET /stats`.
-#[derive(Debug, Default)]
-pub struct Counters {
-    /// Requests that parsed far enough to be routed.
-    pub requests: AtomicU64,
-    /// 2xx responses.
-    pub ok_2xx: AtomicU64,
-    /// 4xx responses (routing refusals and protocol violations).
-    pub client_4xx: AtomicU64,
-    /// 5xx responses.
-    pub server_5xx: AtomicU64,
-    /// Connections refused at the door with a 503 because the
-    /// pending-connection queue was at its bound. Kept separate from
-    /// `server_5xx`, which counts routed requests.
-    pub shed: AtomicU64,
-}
-
-impl Counters {
-    fn record(&self, status: u16) {
-        match status {
-            200..=299 => &self.ok_2xx,
-            400..=499 => &self.client_4xx,
-            _ => &self.server_5xx,
-        }
-        .fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -179,17 +151,26 @@ impl SlowQuery {
 }
 
 /// Server-owned instruments: the registry rendered by `/metrics`
-/// plus pre-registered `Arc`s for the hot-path histograms (stage and
-/// per-shard series are fixed at bind; per-endpoint request series
-/// register on first use, off the query hot path).
+/// (and read by `/stats`) plus pre-registered `Arc`s for the counters
+/// and hot-path histograms (stage and per-shard series are fixed at
+/// bind; per-endpoint request series register on first use, off the
+/// query hot path).
 struct ServerMetrics {
     registry: Registry,
+    /// Requests that parsed far enough to be routed.
+    requests: Arc<Counter>,
+    /// Responses by status class: 2xx, 4xx, then everything else.
+    responses: [Arc<Counter>; 3],
+    /// Connections refused at the door with a 503 because the
+    /// pending-connection queue was at its bound. Not in `responses`,
+    /// which counts routed requests.
+    shed: Arc<Counter>,
     stage_candidates: Arc<Histogram>,
     stage_score: Arc<Histogram>,
     stage_aggregate: Arc<Histogram>,
     shard_score: Vec<Arc<Histogram>>,
     shard_slowest: Arc<Histogram>,
-    slow_queries_total: Arc<d3l_telemetry::Counter>,
+    slow_queries_total: Arc<Counter>,
 }
 
 const REQUEST_HIST: &str = "d3l_http_request_seconds";
@@ -199,6 +180,10 @@ const REQUEST_HELP: &str =
 impl ServerMetrics {
     fn new(shards: usize) -> Self {
         let registry = Registry::new();
+        const RESPONSES: &str = "d3l_http_responses_total";
+        let responses = ["2xx", "4xx", "5xx"].map(|class| {
+            registry.counter(RESPONSES, "Responses by status class.", &[("class", class)])
+        });
         const STAGE: &str = "d3l_query_stage_seconds";
         const STAGE_HELP: &str =
             "Query pipeline stage latency: candidate generation, evidence scoring, CCDF aggregation (the scatter-gather merge).";
@@ -222,6 +207,17 @@ impl ServerMetrics {
             &[],
         );
         ServerMetrics {
+            requests: registry.counter(
+                "d3l_http_requests_total",
+                "Accepted HTTP requests (sheds excluded).",
+                &[],
+            ),
+            responses,
+            shed: registry.counter(
+                "d3l_http_shed_total",
+                "Connections shed at the admission gate.",
+                &[],
+            ),
             registry,
             stage_candidates,
             stage_score,
@@ -230,6 +226,16 @@ impl ServerMetrics {
             shard_slowest,
             slow_queries_total,
         }
+    }
+
+    /// Count one response by its status class.
+    fn record_status(&self, status: u16) {
+        let class = match status {
+            200..=299 => 0,
+            400..=499 => 1,
+            _ => 2,
+        };
+        self.responses[class].inc();
     }
 
     fn request_histogram(&self, endpoint: &'static str, result: &'static str) -> Arc<Histogram> {
@@ -263,7 +269,6 @@ impl ServerMetrics {
 
 struct Shared {
     shutdown: AtomicBool,
-    counters: Counters,
     started: Instant,
     queue: ConnQueue,
     metrics: ServerMetrics,
@@ -509,22 +514,64 @@ impl From<Response> for Routed {
     }
 }
 
-/// Bounded-cardinality endpoint label for the request histogram
-/// (dynamic path segments collapse, unknown paths become `other`).
-fn endpoint_class(path: &str) -> &'static str {
-    match path {
-        "/query" => "/query",
-        "/query_batch" => "/query_batch",
-        "/rank_all" => "/rank_all",
-        "/stats" => "/stats",
-        "/metrics" => "/metrics",
-        "/debug/slow_queries" => "/debug/slow_queries",
-        "/tables" => "/tables",
-        p if p.starts_with("/tables/") => "/tables/{name}",
-        p if p.starts_with("/admin/") => "/admin",
-        _ => "other",
-    }
-}
+/// An endpoint's handler: the routed response, or the refusal it
+/// answers with.
+type Handler = fn(&Server, &Request) -> Result<Routed, Response>;
+
+/// Every endpoint: the method it answers, its path (one ending in `/`
+/// names every path under it), the bounded-cardinality `endpoint`
+/// label its requests are metered under, and its handler. Routing,
+/// the 405-versus-404 decision and the label all read this one list.
+const ENDPOINTS: &[(Method, &str, &str, Handler)] = &[
+    (Method::Post, "/query", "/query", Server::handle_query),
+    (
+        Method::Post,
+        "/query_batch",
+        "/query_batch",
+        Server::handle_query_batch,
+    ),
+    (
+        Method::Get,
+        "/rank_all",
+        "/rank_all",
+        Server::handle_rank_all,
+    ),
+    (Method::Get, "/stats", "/stats", |s, _| {
+        Ok(s.handle_stats().into())
+    }),
+    (Method::Get, "/metrics", "/metrics", |s, _| {
+        Ok(s.handle_metrics().into())
+    }),
+    (
+        Method::Get,
+        "/debug/slow_queries",
+        "/debug/slow_queries",
+        |s, _| Ok(Response::json(200, s.shared.slow_queries_json()).into()),
+    ),
+    (Method::Post, "/tables", "/tables", Server::handle_add_table),
+    (
+        Method::Delete,
+        "/tables/",
+        "/tables/{name}",
+        Server::handle_remove_table,
+    ),
+    (
+        Method::Post,
+        "/admin/compact",
+        "/admin",
+        Server::handle_compact,
+    ),
+    (
+        Method::Post,
+        "/admin/reload",
+        "/admin",
+        Server::handle_reload,
+    ),
+    (Method::Post, "/admin/shutdown", "/admin", |s, _| {
+        s.shared.shutdown.store(true, Ordering::SeqCst);
+        Ok(Response::json(200, "{\"shutting_down\":true}").into())
+    }),
+];
 
 /// The HTTP server. Bind, then [`Server::run`] (blocking until
 /// shutdown).
@@ -556,7 +603,6 @@ impl Server {
         Ok(Server {
             shared: Arc::new(Shared {
                 shutdown: AtomicBool::new(false),
-                counters: Counters::default(),
                 started: Instant::now(),
                 queue: ConnQueue::new(),
                 metrics: ServerMetrics::new(shards),
@@ -650,7 +696,7 @@ impl Server {
     /// response is not worth stalling admission for.
     fn shed(&self, mut stream: TcpStream) {
         let t0 = Instant::now();
-        self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
+        self.shared.metrics.shed.inc();
         let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
         let _ = stream.set_nodelay(true);
         let response = self
@@ -758,20 +804,17 @@ impl Server {
             };
             match read_request(&mut carry_reader, self.cfg.max_body_bytes) {
                 Ok(req) => {
-                    self.shared
-                        .counters
-                        .requests
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.shared.metrics.requests.inc();
                     let request_id = req
                         .request_id
                         .clone()
                         .unwrap_or_else(|| self.shared.next_request_id());
                     let t0 = Instant::now();
-                    let routed = self.route(&req);
+                    let (endpoint, routed) = self.route(&req);
                     let elapsed = t0.elapsed();
-                    self.observe(&req, &request_id, &routed, elapsed);
+                    self.observe(endpoint, &req, &request_id, &routed, elapsed);
                     let response = self.stamp(routed.response, request_id);
-                    self.shared.counters.record(response.status);
+                    self.shared.metrics.record_status(response.status);
                     let draining = self.shared.shutdown.load(Ordering::SeqCst);
                     let keep = req.keep_alive && !draining;
                     if response.write_to(&mut write_half, keep).is_err() || !keep {
@@ -800,7 +843,7 @@ impl Server {
                     // expiry) close silently; everything else answers
                     // with its typed 4xx/5xx before closing.
                     if let Some(status) = err.status() {
-                        self.shared.counters.record(status);
+                        self.shared.metrics.record_status(status);
                         let _ = self
                             .stamp(
                                 Response::error(status, &err.to_string()),
@@ -830,8 +873,14 @@ impl Server {
     /// fold its pipeline trace into the stage/shard histograms, and
     /// capture it in the slow-query ring when it crossed the
     /// threshold.
-    fn observe(&self, req: &Request, request_id: &str, routed: &Routed, elapsed: Duration) {
-        let endpoint = endpoint_class(&req.path);
+    fn observe(
+        &self,
+        endpoint: &'static str,
+        req: &Request,
+        request_id: &str,
+        routed: &Routed,
+        elapsed: Duration,
+    ) {
         self.shared
             .metrics
             .request_histogram(endpoint, routed.result())
@@ -866,49 +915,28 @@ impl Server {
         }
     }
 
-    fn route(&self, req: &Request) -> Routed {
-        match (req.method, req.path.as_str()) {
-            (Method::Post, "/query") => self.handle_query(req),
-            (Method::Post, "/query_batch") => self.handle_query_batch(req),
-            (Method::Get, "/rank_all") => self.handle_rank_all(req),
-            (Method::Get, "/stats") => self.handle_stats().into(),
-            (Method::Get, "/metrics") => self.handle_metrics().into(),
-            (Method::Get, "/debug/slow_queries") => {
-                Response::json(200, self.shared.slow_queries_json()).into()
-            }
-            (Method::Post, "/tables") => self.handle_add_table(req).into(),
-            (Method::Delete, path) if path.starts_with("/tables/") => {
-                self.handle_remove_table(&path["/tables/".len()..]).into()
-            }
-            (Method::Post, "/admin/compact") => self.handle_compact().into(),
-            (Method::Post, "/admin/reload") => self.handle_reload().into(),
-            (Method::Post, "/admin/shutdown") => {
-                self.shared.shutdown.store(true, Ordering::SeqCst);
-                Response::json(200, "{\"shutting_down\":true}").into()
-            }
-            (_, path) if Self::known_path(path) => Response::error(
-                405,
-                &format!("{} not allowed on {path}", req.method.as_str()),
-            )
-            .into(),
-            (_, path) => Response::error(404, &format!("no endpoint at {path}")).into(),
+    /// Route a request through [`ENDPOINTS`]: the endpoint label and
+    /// what its handler answered. A path no endpoint names is a 404
+    /// labelled `other`; a method its endpoints do not answer, a 405.
+    fn route(&self, req: &Request) -> (&'static str, Routed) {
+        let named = || {
+            ENDPOINTS.iter().filter(|(_, path, ..)| {
+                req.path == *path || (path.ends_with('/') && req.path.starts_with(path))
+            })
+        };
+        if let Some(&(_, _, label, handle)) = named().find(|(method, ..)| *method == req.method) {
+            return (label, handle(self, req).unwrap_or_else(Routed::from));
         }
-    }
-
-    fn known_path(path: &str) -> bool {
-        matches!(
-            path,
-            "/query"
-                | "/query_batch"
-                | "/rank_all"
-                | "/stats"
-                | "/metrics"
-                | "/debug/slow_queries"
-                | "/tables"
-                | "/admin/compact"
-                | "/admin/reload"
-                | "/admin/shutdown"
-        ) || path.starts_with("/tables/")
+        match named().next() {
+            Some(&(_, _, label, _)) => {
+                let message = format!("{} not allowed on {}", req.method.as_str(), req.path);
+                (label, Response::error(405, &message).into())
+            }
+            None => {
+                let message = format!("no endpoint at {}", req.path);
+                ("other", Response::error(404, &message).into())
+            }
+        }
     }
 
     fn body_json(req: &Request) -> Result<Json, Response> {
@@ -924,9 +952,22 @@ impl Server {
         api::table_from_json(spec).map_err(|e| Response::error(400, &e.to_string()))
     }
 
-    /// Shared option decoding for the query endpoints: `evidence`
-    /// (single-evidence ranking) and `exclude` (a lake table name to
-    /// drop from the answer).
+    /// A query body and its `"k"` (10 when absent): what `/query` and
+    /// `/query_batch` both decode first.
+    fn query_body(req: &Request) -> Result<(Json, usize), Response> {
+        let body = Self::body_json(req)?;
+        let k = match body.get("k") {
+            None => 10,
+            Some(v) => v
+                .as_usize()
+                .ok_or_else(|| Response::error(400, "\"k\" must be a non-negative integer"))?,
+        };
+        Ok((body, k))
+    }
+
+    /// Option decoding for `/query`: `evidence` (single-evidence
+    /// ranking) and `exclude` (a lake table name to drop from the
+    /// answer).
     fn query_options(body: &Json, snap: &EngineSnapshot) -> Result<QueryOptions, Response> {
         let mut opts = QueryOptions::default();
         if let Some(e) = body.get("evidence") {
@@ -951,36 +992,23 @@ impl Server {
         Ok(opts)
     }
 
-    fn handle_query(&self, req: &Request) -> Routed {
-        let body = match Self::body_json(req) {
-            Ok(v) => v,
-            Err(resp) => return resp.into(),
-        };
-        let target = match Self::body_table(&body) {
-            Ok(t) => t,
-            Err(resp) => return resp.into(),
-        };
-        let k = match body.get("k") {
-            None => 10,
-            Some(v) => match v.as_usize() {
-                Some(k) => k,
-                None => return Response::error(400, "\"k\" must be a non-negative integer").into(),
-            },
-        };
-        let snap = self.engine.snapshot();
-        let mut opts = match Self::query_options(&body, &snap) {
-            Ok(o) => o,
-            Err(resp) => return resp.into(),
-        };
-        // The serving fast path: everything the rendering depends on
-        // is pinned in the key (the snapshot version makes mutations
-        // invalidate exactly), so a hit skips profiling, the four
-        // forest lookups and scoring entirely and returns the
-        // previously rendered bytes. The trace is attached only on
-        // the miss path (a hit runs no pipeline) and never splits the
-        // key — `options_fingerprint` excludes it.
+    /// The serving fast path `/query` and `/rank_all` share:
+    /// everything the rendering depends on is pinned in the key (the
+    /// snapshot version makes mutations invalidate exactly), so a hit
+    /// returns the previously rendered bytes without running the
+    /// pipeline. A miss runs `run` with a trace attached, renders,
+    /// and stores the body; the trace never splits the key —
+    /// `options_fingerprint` excludes it.
+    fn serve_cached(
+        &self,
+        snap: &EngineSnapshot,
+        target: [u64; 2],
+        k: usize,
+        mut opts: QueryOptions,
+        run: impl FnOnce(&QueryOptions) -> Vec<TableMatch>,
+    ) -> Routed {
         let key = CacheKey {
-            target: table_fingerprint(&target),
+            target,
             k: k as u64,
             opts: options_fingerprint(&opts),
             version: snap.version,
@@ -990,68 +1018,69 @@ impl Server {
         }
         let trace = QueryTrace::with_shards(snap.engine.shard_count());
         opts.trace = Some(Arc::clone(&trace));
-        let matches = snap.engine.query_with(&target, k, &opts);
-        let rendered = api::query_response(&snap, &matches);
+        let rendered = api::query_response(snap, &run(&opts));
         self.engine.cache().put(key, rendered.clone().into());
         Routed::miss(Response::json(200, rendered), trace)
     }
 
-    fn handle_query_batch(&self, req: &Request) -> Routed {
-        let body = match Self::body_json(req) {
-            Ok(v) => v,
-            Err(resp) => return resp.into(),
-        };
-        let Some(specs) = body.get("targets").and_then(Json::as_arr) else {
-            return Response::error(400, "\"targets\" must be an array of tables").into();
-        };
-        let mut targets = Vec::with_capacity(specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            match api::table_from_json(spec) {
-                Ok(t) => targets.push(t),
-                Err(e) => return Response::error(400, &format!("target {i}: {e}")).into(),
-            }
-        }
-        let k = match body.get("k") {
-            None => 10,
-            Some(v) => match v.as_usize() {
-                Some(k) => k,
-                None => return Response::error(400, "\"k\" must be a non-negative integer").into(),
-            },
-        };
+    fn handle_query(&self, req: &Request) -> Result<Routed, Response> {
+        let (body, k) = Self::query_body(req)?;
+        let target = Self::body_table(&body)?;
+        let snap = self.engine.snapshot();
+        let opts = Self::query_options(&body, &snap)?;
+        let fingerprint = table_fingerprint(&target);
+        Ok(self.serve_cached(&snap, fingerprint, k, opts, |opts| {
+            snap.engine.query_with(&target, k, opts)
+        }))
+    }
+
+    fn handle_query_batch(&self, req: &Request) -> Result<Routed, Response> {
+        let (body, k) = Self::query_body(req)?;
+        let specs = body
+            .get("targets")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| Response::error(400, "\"targets\" must be an array of tables"))?;
+        let targets = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                api::table_from_json(spec)
+                    .map_err(|e| Response::error(400, &format!("target {i}: {e}")))
+            })
+            .collect::<Result<Vec<Table>, Response>>()?;
         let snap = self.engine.snapshot();
         // One trace across the whole batch: stage times sum over the
         // targets, which is exactly the per-request cost breakdown.
         let trace = QueryTrace::with_shards(snap.engine.shard_count());
-        let opts: Vec<QueryOptions> = targets
-            .iter()
-            .map(|_| QueryOptions {
-                trace: Some(Arc::clone(&trace)),
-                ..Default::default()
-            })
-            .collect();
-        let results = snap.engine.query_batch_with(&targets, k, &opts);
-        Routed::traced(
-            Response::json(200, api::batch_response(&snap, &results)),
-            trace,
-        )
+        let opts = QueryOptions {
+            trace: Some(Arc::clone(&trace)),
+            ..Default::default()
+        };
+        let results = snap
+            .engine
+            .query_batch_with(&targets, k, &vec![opts; targets.len()]);
+        let response = Response::json(200, api::batch_response(&snap, &results));
+        Ok(Routed::traced(response, trace))
     }
 
-    fn handle_rank_all(&self, req: &Request) -> Routed {
-        let Some(name) = req.query_param("target") else {
-            return Response::error(400, "missing ?target=<indexed table name>").into();
-        };
+    fn handle_rank_all(&self, req: &Request) -> Result<Routed, Response> {
+        let name = req
+            .query_param("target")
+            .ok_or_else(|| Response::error(400, "missing ?target=<indexed table name>"))?;
         let snap = self.engine.snapshot();
-        let Some(id) = snap.engine.table_id(name) else {
-            return Response::error(404, &format!("no indexed table named {name:?}")).into();
-        };
+        let id = snap
+            .engine
+            .table_id(name)
+            .ok_or_else(|| Response::error(404, &format!("no indexed table named {name:?}")))?;
         let width = match req.query_param("width") {
             None => snap.engine.config().lookup_width(10),
-            Some(raw) => match raw.parse::<usize>() {
-                Ok(w) if w > 0 => w,
-                _ => return Response::error(400, "\"width\" must be a positive integer").into(),
-            },
+            Some(raw) => raw
+                .parse::<usize>()
+                .ok()
+                .filter(|&w| w > 0)
+                .ok_or_else(|| Response::error(400, "\"width\" must be a positive integer"))?,
         };
-        let mut opts = QueryOptions {
+        let opts = QueryOptions {
             // Ranking a lake member against the lake: the member
             // itself would trivially win, so it is excluded unless
             // asked for.
@@ -1061,25 +1090,14 @@ impl Server {
         // rank_all targets are indexed members, so their identity is
         // `(tag, id)` — no content hashing needed; the version in the
         // key covers both id reuse and profile changes.
-        let key = CacheKey {
-            target: [RANK_ALL_TAG, id.0 as u64],
-            k: width as u64,
-            opts: options_fingerprint(&opts),
-            version: snap.version,
-        };
-        if let Some(hit) = self.engine.cache().get(&key) {
-            return Routed::hit(Response::json(200, hit.as_bytes().to_vec()));
-        }
-        let trace = QueryTrace::with_shards(snap.engine.shard_count());
-        opts.trace = Some(Arc::clone(&trace));
-        let prepared = snap
-            .engine
-            .prepare_indexed(id)
-            .expect("table_id only returns live tables");
-        let matches = snap.engine.rank_all_prepared(&prepared, width, &opts);
-        let rendered = api::query_response(&snap, &matches);
-        self.engine.cache().put(key, rendered.clone().into());
-        Routed::miss(Response::json(200, rendered), trace)
+        let target = [RANK_ALL_TAG, id.0 as u64];
+        Ok(self.serve_cached(&snap, target, width, opts, |opts| {
+            let prepared = snap
+                .engine
+                .prepare_indexed(id)
+                .expect("table_id only returns live tables");
+            snap.engine.rank_all_prepared(&prepared, width, opts)
+        }))
     }
 
     fn handle_stats(&self) -> Response {
@@ -1199,7 +1217,7 @@ impl Server {
                 Json::Obj(obj)
             })
             .collect();
-        let c = &self.shared.counters;
+        let m = &self.shared.metrics;
         let cache = self.engine.cache().stats();
         let mut body = vec![
             ("engine_version".to_string(), Json::Num(snap.version as f64)),
@@ -1249,26 +1267,20 @@ impl Server {
                         Json::Num(self.shared.started.elapsed().as_secs_f64()),
                     ),
                     ("hw_threads".to_string(), Json::Num(hw_threads() as f64)),
-                    (
-                        "requests".to_string(),
-                        Json::Num(c.requests.load(Ordering::Relaxed) as f64),
-                    ),
+                    ("requests".to_string(), Json::Num(m.requests.get() as f64)),
                     (
                         "responses_2xx".to_string(),
-                        Json::Num(c.ok_2xx.load(Ordering::Relaxed) as f64),
+                        Json::Num(m.responses[0].get() as f64),
                     ),
                     (
                         "responses_4xx".to_string(),
-                        Json::Num(c.client_4xx.load(Ordering::Relaxed) as f64),
+                        Json::Num(m.responses[1].get() as f64),
                     ),
                     (
                         "responses_5xx".to_string(),
-                        Json::Num(c.server_5xx.load(Ordering::Relaxed) as f64),
+                        Json::Num(m.responses[2].get() as f64),
                     ),
-                    (
-                        "shed_requests".to_string(),
-                        Json::Num(c.shed.load(Ordering::Relaxed) as f64),
-                    ),
+                    ("shed_requests".to_string(), Json::Num(m.shed.get() as f64)),
                     (
                         "queue_depth".to_string(),
                         Json::Num(self.shared.queue.len() as f64),
@@ -1300,51 +1312,21 @@ impl Server {
 
     /// `GET /metrics` — Prometheus text exposition 0.0.4, hand-rolled.
     ///
-    /// Two histogram registries (server request/stage timings and the
-    /// engine's store-op timings) are rendered first, then the cheap
-    /// point-in-time counters and gauges that `/stats` also reports, so
-    /// a scraper needs only this one endpoint.
+    /// The registries (server counters and request/stage timings, the
+    /// engine's store-op timings, the cache's counters and, when
+    /// attached, the watcher's series) are rendered first, then the
+    /// point-in-time gauges read at scrape time, so a scraper needs
+    /// only this one endpoint.
     fn handle_metrics(&self) -> Response {
         let snap = self.engine.snapshot();
         let cache = self.engine.cache().stats();
-        let c = &self.shared.counters;
         let mut w = PromWriter::new();
         self.shared.metrics.registry.render(&mut w);
         self.engine.telemetry().registry().render(&mut w);
+        self.engine.cache().registry().render(&mut w);
         if let Some(ws) = self.shared.watch.get() {
             ws.registry().render(&mut w);
         }
-        w.counter(
-            "d3l_http_requests_total",
-            "Accepted HTTP requests (sheds excluded).",
-            &[],
-            c.requests.load(Ordering::Relaxed),
-        );
-        const RESP_HELP: &str = "Responses by status class.";
-        w.counter(
-            "d3l_http_responses_total",
-            RESP_HELP,
-            &[("class", "2xx")],
-            c.ok_2xx.load(Ordering::Relaxed),
-        );
-        w.counter(
-            "d3l_http_responses_total",
-            RESP_HELP,
-            &[("class", "4xx")],
-            c.client_4xx.load(Ordering::Relaxed),
-        );
-        w.counter(
-            "d3l_http_responses_total",
-            RESP_HELP,
-            &[("class", "5xx")],
-            c.server_5xx.load(Ordering::Relaxed),
-        );
-        w.counter(
-            "d3l_http_shed_total",
-            "Connections shed at the admission gate.",
-            &[],
-            c.shed.load(Ordering::Relaxed),
-        );
         w.gauge_u64(
             "d3l_queue_depth",
             "Connections currently queued for a worker.",
@@ -1356,30 +1338,6 @@ impl Server {
             "Admission-gate queue capacity.",
             &[],
             self.cfg.max_queue as u64,
-        );
-        w.counter(
-            "d3l_cache_hits_total",
-            "Query-result cache hits.",
-            &[],
-            cache.hits,
-        );
-        w.counter(
-            "d3l_cache_misses_total",
-            "Query-result cache misses.",
-            &[],
-            cache.misses,
-        );
-        w.counter(
-            "d3l_cache_evictions_total",
-            "Query-result cache evictions.",
-            &[],
-            cache.evictions,
-        );
-        w.counter(
-            "d3l_cache_insertions_total",
-            "Query-result cache insertions.",
-            &[],
-            cache.insertions,
         );
         w.gauge_u64(
             "d3l_cache_entries",
@@ -1446,82 +1404,55 @@ impl Server {
         }
     }
 
-    fn handle_add_table(&self, req: &Request) -> Response {
-        let body = match Self::body_json(req) {
-            Ok(v) => v,
-            Err(resp) => return resp,
-        };
-        let table = match Self::body_table(&body) {
-            Ok(t) => t,
-            Err(resp) => return resp,
-        };
+    fn handle_add_table(&self, req: &Request) -> Result<Routed, Response> {
+        let table = Self::body_table(&Self::body_json(req)?)?;
         if table.name().is_empty() {
             // `DELETE /tables/` could never name it again, and a
             // tombstone without a name reads as a shard hole.
-            return Response::error(400, "table name must not be empty");
+            return Err(Response::error(400, "table name must not be empty"));
         }
-        match self.engine.add_table(&table) {
-            Ok((id, snap)) => Response::json(
-                201,
-                api::mutation_response(
-                    &snap,
-                    vec![
-                        ("added".to_string(), Json::str(table.name())),
-                        ("id".to_string(), Json::Num(id.0 as f64)),
-                    ],
-                ),
-            ),
-            Err(e) => Self::maintenance_error(e),
-        }
+        let (id, snap) = self
+            .engine
+            .add_table(&table)
+            .map_err(Self::maintenance_error)?;
+        let ack = vec![
+            ("added".to_string(), Json::str(table.name())),
+            ("id".to_string(), Json::Num(id.0 as f64)),
+        ];
+        Ok(Response::json(201, api::mutation_response(&snap, ack)).into())
     }
 
-    fn handle_remove_table(&self, name: &str) -> Response {
+    fn handle_remove_table(&self, req: &Request) -> Result<Routed, Response> {
+        let name = &req.path["/tables/".len()..];
         if name.is_empty() {
-            return Response::error(400, "missing table name");
+            return Err(Response::error(400, "missing table name"));
         }
-        match self.engine.remove_table(name) {
-            Ok((id, snap)) => Response::json(
-                200,
-                api::mutation_response(
-                    &snap,
-                    vec![
-                        ("removed".to_string(), Json::str(name)),
-                        ("id".to_string(), Json::Num(id.0 as f64)),
-                    ],
-                ),
-            ),
-            Err(e) => Self::maintenance_error(e),
-        }
+        let (id, snap) = self
+            .engine
+            .remove_table(name)
+            .map_err(Self::maintenance_error)?;
+        let ack = vec![
+            ("removed".to_string(), Json::str(name)),
+            ("id".to_string(), Json::Num(id.0 as f64)),
+        ];
+        Ok(Response::json(200, api::mutation_response(&snap, ack)).into())
     }
 
-    fn handle_compact(&self) -> Response {
-        match self.engine.compact() {
-            Ok(folded) => Response::json(
-                200,
-                api::mutation_response(
-                    &self.engine.snapshot(),
-                    vec![("folded_segments".to_string(), Json::Num(folded as f64))],
-                ),
-            ),
-            Err(e) => Self::maintenance_error(e),
-        }
+    fn handle_compact(&self, _: &Request) -> Result<Routed, Response> {
+        let folded = self.engine.compact().map_err(Self::maintenance_error)?;
+        let ack = vec![("folded_segments".to_string(), Json::Num(folded as f64))];
+        let body = api::mutation_response(&self.engine.snapshot(), ack);
+        Ok(Response::json(200, body).into())
     }
 
-    fn handle_reload(&self) -> Response {
-        match self.engine.reload_latest() {
-            Ok(Some(snap)) => Response::json(
-                200,
-                api::mutation_response(&snap, vec![("reloaded".to_string(), Json::Bool(true))]),
-            ),
-            Ok(None) => Response::json(
-                200,
-                api::mutation_response(
-                    &self.engine.snapshot(),
-                    vec![("reloaded".to_string(), Json::Bool(false))],
-                ),
-            ),
-            Err(e) => Self::maintenance_error(e),
-        }
+    fn handle_reload(&self, _: &Request) -> Result<Routed, Response> {
+        let reloaded = self
+            .engine
+            .reload_latest()
+            .map_err(Self::maintenance_error)?;
+        let ack = vec![("reloaded".to_string(), Json::Bool(reloaded.is_some()))];
+        let snap = reloaded.unwrap_or_else(|| self.engine.snapshot());
+        Ok(Response::json(200, api::mutation_response(&snap, ack)).into())
     }
 }
 

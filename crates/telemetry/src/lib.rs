@@ -154,16 +154,6 @@ impl HistogramSnapshot {
         self.sum_ns
     }
 
-    /// Mean in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / n as f64
-        }
-    }
-
     /// Fold `other` into `self`; the result is identical to having
     /// recorded the union of both sample streams into one histogram.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
@@ -566,7 +556,6 @@ mod tests {
         let s = Histogram::new().snapshot();
         assert_eq!(s.quantile_ns(0.5), 0);
         assert_eq!(s.max_ns(), 0);
-        assert_eq!(s.mean_ns(), 0.0);
     }
 
     #[test]

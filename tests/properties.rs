@@ -773,3 +773,49 @@ fn extent_ks_equals_the_slice_statistic_on_the_dirty_lake() {
         }
     }
 }
+
+// ------------------------------------------------------------ result cache
+
+use d3l::core::cache::{CacheKey, QueryCache};
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The cache never holds more than its one budget, whatever the
+    /// interleaving of puts (fresh, overwritten, stale-versioned, up to
+    /// past the whole budget), gets, purges and budget changes.
+    #[test]
+    fn cache_bytes_never_exceed_the_budget(
+        script in prop::collection::vec((0u8..4, 0u64..24, 0usize..3000), 1..200),
+    ) {
+        let cache = QueryCache::new(8 << 10);
+        let mut version = 0u64;
+        for (op, n, size) in script {
+            // Every third key is at the version before the live one.
+            let key = CacheKey {
+                target: [n, 0],
+                k: 10,
+                opts: 0,
+                version: version.saturating_sub(u64::from(n % 3 == 0)),
+            };
+            match op {
+                0 => cache.put(key, "x".repeat(size).into()),
+                1 => {
+                    cache.get(&key);
+                }
+                2 => {
+                    version += n % 2;
+                    cache.purge_stale(version);
+                }
+                _ => cache.set_budget(size as u64 * 4),
+            }
+            let stats = cache.stats();
+            prop_assert!(
+                stats.bytes <= stats.budget_bytes,
+                "{} bytes held over a {}-byte budget",
+                stats.bytes,
+                stats.budget_bytes
+            );
+        }
+    }
+}

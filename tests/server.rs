@@ -883,12 +883,24 @@ fn overload_sheds_with_typed_503_and_recovers() {
 
 #[test]
 fn pipelining_client_cannot_starve_the_pool() {
-    // One worker. A pipelines a long burst of requests in a single
-    // write; B arrives mid-burst with one request. With the fairness
-    // quantum (2 responses per turn here), the worker must rotate A
-    // back into the queue and answer B long before A's burst is done
-    // — and A must still receive every one of its responses.
-    const BURST: usize = 100;
+    // One worker. A pipelines a long burst of requests; B arrives
+    // mid-burst with one request. With the fairness quantum (2
+    // responses per turn here), the worker must rotate A back into the
+    // queue and answer B before A's burst is done — and A must still
+    // receive every one of its responses.
+    //
+    // B is queued while the burst is provably still being served: A
+    // reads its first response before B connects, and A sends its
+    // burst as CHUNKS pipelined writes PACE apart, so its last request
+    // leaves A at least (CHUNKS - 1) × PACE after its first, however
+    // fast the worker answers — far longer than the accept loop's
+    // 2 ms poll takes to queue B. Without the rotation the worker
+    // would stay on A, waiting for each next chunk, until the burst
+    // ended.
+    const CHUNKS: usize = 20;
+    const PER_CHUNK: usize = 5;
+    const PACE: Duration = Duration::from_millis(10);
+    const BURST: usize = CHUNKS * PER_CHUNK;
     let lake = lake(6);
     let srv = boot_cfg(
         "fairness",
@@ -896,7 +908,7 @@ fn pipelining_client_cannot_starve_the_pool() {
         ServerConfig {
             threads: 1,
             fair_batch: 2,
-            cache_bytes: 0, // keep every query on the engine path (slow)
+            cache_bytes: 0, // keep every query on the engine path
             max_queue: 64,
             io_timeout: Duration::from_secs(10),
             max_body_bytes: 256 * 1024,
@@ -909,14 +921,22 @@ fn pipelining_client_cannot_starve_the_pool() {
         "POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     );
-    let pipelined = keep_req.repeat(BURST);
+    let chunk = keep_req.repeat(PER_CHUNK);
 
     let addr = srv.addr;
+    let a = TcpStream::connect(addr).unwrap();
+    a.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut a_writer = a.try_clone().unwrap();
+    let (first_tx, first_rx) = std::sync::mpsc::channel();
     let (t_b, t_a) = std::thread::scope(|scope| {
+        scope.spawn(move || {
+            for _ in 0..CHUNKS {
+                a_writer.write_all(chunk.as_bytes()).unwrap();
+                std::thread::sleep(PACE);
+            }
+        });
         let reader = scope.spawn(move || {
-            let mut a = TcpStream::connect(addr).unwrap();
-            a.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-            a.write_all(pipelined.as_bytes()).unwrap();
+            let mut a = a;
             // Drain until all BURST responses arrived; counting status
             // lines is enough — bodies carry no "HTTP/1.1" text.
             let mut out = String::new();
@@ -927,6 +947,9 @@ fn pipelining_client_cannot_starve_the_pool() {
                     Ok(n) => out.push_str(&String::from_utf8_lossy(&buf[..n])),
                     Err(e) => panic!("pipelining client starved mid-burst: {e}"),
                 }
+                if out.contains("HTTP/1.1 200") {
+                    let _ = first_tx.send(());
+                }
             }
             assert_eq!(
                 out.matches("HTTP/1.1 200").count(),
@@ -936,10 +959,9 @@ fn pipelining_client_cannot_starve_the_pool() {
             Instant::now()
         });
 
-        // Let the worker sink its teeth into A's burst, then show up
-        // as the disadvantaged second client.
-        std::thread::sleep(Duration::from_millis(30));
-        let body = query_body(&target(), 5);
+        // The worker is into A's burst: show up as the disadvantaged
+        // second client.
+        first_rx.recv().expect("A is answered at all");
         let close_req = format!(
             "POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
             body.len()
