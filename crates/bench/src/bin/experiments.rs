@@ -1,22 +1,37 @@
-//! Regenerate the paper's tables and figures.
+//! Regenerate the paper's tables and figures on the benchmark's lake.
 //!
 //! ```text
 //! experiments <id> [<id> ...]
-//!   ids: table1 fig2 exp1 exp2 exp3 exp4 exp5 exp6 exp7 (=table2)
-//!        exp8 exp9 exp10 exp11 weights subject
+//!   ids: exp1 exp2 exp4 exp5 exp7 exp8 weights subject
 //!        ablation-weights ablation-granularity all
-//! Scale via D3L_SCALE=quick|standard|paper (default standard).
 //! ```
 
 use d3l_bench::experiments as ex;
-use d3l_bench::setup::Setting;
+use d3l_bench::lake;
+use d3l_bench::runner::Systems;
+
+/// An experiment's id and what it runs.
+type Experiment = (&'static str, fn(&Systems));
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [Experiment; 10] = [
+    ("exp1", ex::exp1),
+    ("exp2", ex::exp2),
+    ("exp4", ex::exp4),
+    ("exp5", ex::exp5),
+    ("exp7", ex::exp7),
+    ("exp8", ex::exp8),
+    ("weights", ex::weights),
+    ("subject", ex::subject),
+    ("ablation-weights", ex::ablation_weights),
+    ("ablation-granularity", ex::ablation_granularity),
+];
 
 fn usage() -> ! {
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
     eprintln!(
-        "usage: experiments <id> [<id> ...]\n\
-         ids: table1 fig2 exp1 exp2 exp3 exp4 exp5 exp6 exp7 exp8 exp9 exp10 exp11\n\
-              weights subject ablation-weights ablation-granularity all\n\
-         scale: D3L_SCALE=quick|standard|paper"
+        "usage: experiments <id> [<id> ...]\n       ids: {} all",
+        ids.join(" ")
     );
     std::process::exit(2);
 }
@@ -26,34 +41,27 @@ fn main() {
     if args.is_empty() {
         usage();
     }
-    let setting = Setting::from_env();
-    println!(
-        "scale: {} tables synthetic / {} smaller-real / {} targets",
-        setting.synthetic_tables, setting.smaller_tables, setting.targets
-    );
-    for id in &args {
-        match id.as_str() {
-            "table1" => ex::table1(),
-            "fig2" => ex::fig2(&setting),
-            "exp1" | "fig3" => ex::exp1(&setting),
-            "exp2" | "fig4" => ex::comparative_effectiveness(&setting, false),
-            "exp3" | "fig5" => ex::comparative_effectiveness(&setting, true),
-            "exp4" | "fig6a" => ex::exp4(&setting),
-            "exp5" | "fig6b" => ex::search_time(&setting, false),
-            "exp6" | "fig6c" => ex::search_time(&setting, true),
-            "exp7" | "table2" => ex::exp7(&setting),
-            "exp8" | "exp9" | "fig7" => ex::join_experiments(&setting, false),
-            "exp10" | "exp11" | "fig8" => ex::join_experiments(&setting, true),
-            "weights" => ex::weights(&setting),
-            "subject" => ex::subject(&setting),
-            "ablation-weights" => ex::ablation_weights(&setting),
-            "ablation-granularity" => ex::ablation_granularity(&setting),
-            "diag" => ex::diag(&setting),
-            "all" => ex::all(&setting),
-            other => {
-                eprintln!("unknown experiment id: {other}");
+    let mut runs: Vec<fn(&Systems)> = Vec::new();
+    for arg in &args {
+        match EXPERIMENTS.iter().find(|(id, _)| id == arg) {
+            Some(&(_, run)) => runs.push(run),
+            None if arg == "all" => runs.extend(EXPERIMENTS.iter().map(|&(_, run)| run)),
+            None => {
+                eprintln!("unknown experiment id: {arg}");
                 usage();
             }
         }
+    }
+    let systems = Systems::build(lake::pinned());
+    println!(
+        "lake: {} tables (smaller_real({}, {})), {} probes, mean answer size {:.1}",
+        systems.bench.lake.len(),
+        lake::TABLES,
+        lake::SEED,
+        lake::PROBES,
+        systems.bench.truth.avg_answer_size()
+    );
+    for run in runs {
+        run(&systems);
     }
 }

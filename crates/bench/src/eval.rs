@@ -32,6 +32,20 @@ pub struct JoinEvalPoint {
     pub attr_precision_j: f64,
 }
 
+/// The answer sizes a precision/recall curve is drawn at, for a lake
+/// whose mean answer size is `avg_answer`: 5, then seven even steps up
+/// to about twice the mean.
+pub fn k_sweep(avg_answer: f64) -> Vec<usize> {
+    let top = ((avg_answer * 2.0) as usize).max(10);
+    let step = (top / 7).max(1);
+    let mut ks: Vec<usize> = (1..=7).map(|i| (i * step).max(5)).collect();
+    ks.dedup();
+    if ks.first() != Some(&5) {
+        ks.insert(0, 5);
+    }
+    ks
+}
+
 /// Precision/recall of one system at one k, averaged over targets
 /// (the paper's TP definition: a returned table is a TP iff related
 /// in the ground truth).
@@ -39,8 +53,7 @@ pub fn prf_at_k(systems: &Systems, kind: SystemKind, targets: &[String], k: usiz
     let truth = &systems.bench.truth;
     let mut p_sum = 0.0;
     let mut r_sum = 0.0;
-    for t in targets {
-        let res = systems.query(kind, t, k);
+    for (t, res) in targets.iter().zip(systems.query_batch(kind, targets, k)) {
         let relevant: Vec<bool> = res
             .iter()
             .map(|r| truth.tables_related(t, &r.name))
@@ -192,7 +205,18 @@ mod tests {
     use crate::runner::Systems;
 
     fn systems() -> Systems {
-        Systems::build(d3l_benchgen::synthetic(64, 17), true)
+        Systems::build(crate::lake::reloaded(d3l_benchgen::synthetic(64, 17)))
+    }
+
+    #[test]
+    fn k_sweep_is_monotone_and_bounded() {
+        let ks = k_sweep(30.0);
+        assert!(ks.len() >= 5);
+        for w in ks.windows(2) {
+            assert!(w[0] < w[1], "{ks:?}");
+        }
+        assert!(*ks.first().unwrap() == 5);
+        assert!(*ks.last().unwrap() >= 55);
     }
 
     #[test]

@@ -1,379 +1,164 @@
-//! The experiment implementations — one function per paper artifact.
-//! Each prints the same rows/series the paper reports.
+//! The experiment implementations — one function per paper artifact,
+//! all on the one lake of [`crate::lake`]. Each prints the rows or
+//! series the paper reports.
 
 use std::time::Instant;
 
-use d3l_baselines::{Aurum, AurumConfig, Tus, TusConfig};
-use d3l_benchgen::{vocab, Benchmark, RepoStats, SyntheticKb};
+use d3l_benchgen::Benchmark;
 use d3l_core::{D3lConfig, DistanceVector, Evidence, ShardedD3l};
-use d3l_embedding::SemanticEmbedder;
-use d3l_ml::{cross_validate, subject_features, LogisticRegression};
 
-use crate::eval::{join_eval_at_k, plain_eval_at_k, prf_at_k};
+use crate::eval::{join_eval_at_k, k_sweep, plain_eval_at_k, prf_at_k};
+use crate::lake;
 use crate::runner::{SystemKind, Systems};
-use crate::setup::Setting;
 
-fn embedder(dim: usize) -> SemanticEmbedder {
-    SemanticEmbedder::new(vocab::domain_lexicon(dim))
-}
+/// Probes timed per answer size (Experiment 5) and followed along join
+/// paths (Experiments 8/9): the first this-many of [`lake::probes`].
+const SAMPLED_PROBES: usize = 10;
 
-fn secs(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64()
-}
+/// Answer sizes of Experiments 8/9. Algorithm 3 walks every SA-join
+/// path of up to four tables from each top-k table, and the subject
+/// columns of this lake join most tables of a domain, so a walk costs
+/// ≈ 0.15 s a table here: k stays small.
+const JOIN_KS: [usize; 3] = [5, 10, 20];
 
 fn header(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// Table I: example distances between the Figure 1 target `T` and
-/// source `S2`, computed with the exact §III-B formulas over the
-/// attribute profiles.
-pub fn table1() {
-    header("Table I: example distances for T and S2 (Figure 1)");
-    use d3l_core::profile::AttributeProfile;
-    use d3l_table::Table;
-    let s2 = Table::from_rows(
-        "S2",
-        &["Practice", "City", "Postcode", "Payment"],
-        &[
-            vec![
-                "The London Clinic".into(),
-                "London".into(),
-                "W1G 6BW".into(),
-                "73648".into(),
-            ],
-            vec![
-                "Blackfriars".into(),
-                "Salford".into(),
-                "M3 6AF".into(),
-                "15530".into(),
-            ],
-        ],
-    )
-    .unwrap();
-    let t = Table::from_rows(
-        "T",
-        &["Practice", "Street", "City", "Postcode", "Hours"],
-        &[
-            vec![
-                "Radclife".into(),
-                "69 Church St".into(),
-                "Manchester".into(),
-                "M26 2SP".into(),
-                "07:00-20:00".into(),
-            ],
-            vec![
-                "Bolton Medical".into(),
-                "21 Rupert St".into(),
-                "Bolton".into(),
-                "BL3 6PY".into(),
-                "08:00-16:00".into(),
-            ],
-            // The paper's Table I uses hypothetical distances; one
-            // overlapping exemplar tuple (Fig. 1's Blackfriars) makes
-            // the computed V/E distances informative too.
-            vec![
-                "Blackfriars".into(),
-                "1a Chapel St".into(),
-                "Salford".into(),
-                "M3 6AF".into(),
-                "08:00-18:00".into(),
-            ],
-        ],
-    )
-    .unwrap();
-    let e = embedder(64);
-    let profile = |table: &Table, col: &str| {
-        let c = table.column(col).expect("column exists");
-        AttributeProfile::build(c, 4, &e)
-    };
-    println!(
-        "{:<28} {:>6} {:>6} {:>6} {:>6} {:>6}",
-        "Pair", "DN", "DV", "DF", "DE", "DD"
-    );
-    for (tc, sc) in [
-        ("Practice", "Practice"),
-        ("City", "City"),
-        ("Postcode", "Postcode"),
-    ] {
-        let dv = d3l_core::distance::exact_distances(&profile(&t, tc), &profile(&s2, sc));
-        println!(
-            "(T.{tc}, S2.{sc}){:>width$} {:>6.2} {:>6.2} {:>6.2} {:>6.2} {:>6.2}",
-            "",
-            dv.0[0],
-            dv.0[1],
-            dv.0[2],
-            dv.0[3],
-            dv.0[4],
-            width = 28usize.saturating_sub(8 + tc.len() + sc.len())
-        );
-    }
-    println!("(paper shows DN=0 on shared names, DV/DE<1, DD=1 for textual pairs)");
-}
-
-/// Figure 2: arity, cardinality and data-type statistics of the two
-/// effectiveness repositories.
-pub fn fig2(setting: &Setting) {
-    header("Figure 2: repository statistics");
-    let synth = d3l_benchgen::synthetic(setting.synthetic_tables, setting.seed);
-    let real = d3l_benchgen::smaller_real(setting.smaller_tables, setting.seed ^ 1);
-    for (name, bench) in [("Synthetic", &synth), ("SmallerReal", &real)] {
-        let s = RepoStats::compute(&bench.lake);
-        let arity_h = RepoStats::histogram(&s.arities, &[3, 5, 7]);
-        let card_h = RepoStats::histogram(&s.cardinalities, &[25, 50, 100]);
-        println!(
-            "{name}: tables={} attrs={} avg_arity={:.1} avg_card={:.1} numeric={:.1}% bytes={}",
-            s.tables,
-            s.attributes,
-            s.mean_arity(),
-            s.mean_cardinality(),
-            s.numeric_ratio * 100.0,
-            s.bytes
-        );
-        println!("  arity buckets [<3, 3-4, 5-6, 7+]      = {arity_h:?}");
-        println!("  cardinality buckets [<25,25-49,50-99,100+] = {card_h:?}");
-        println!(
-            "  avg ground-truth answer size = {:.1}",
-            bench.truth.avg_answer_size()
-        );
-    }
-    println!("(paper: SmallerReal has a higher numeric ratio than Synthetic — Fig. 2c)");
-}
-
-/// Experiment 1 / Figure 3: per-evidence precision and recall vs k on
-/// Smaller Real, against the aggregated framework.
-pub fn exp1(setting: &Setting) {
-    header("Experiment 1 (Fig. 3): individual evidence P/R on SmallerReal");
-    let bench = d3l_benchgen::smaller_real(setting.smaller_tables, setting.seed ^ 1);
-    let avg = bench.truth.avg_answer_size();
-    let systems = Systems::build(bench, false);
-    let targets = systems.bench.pick_targets(setting.targets, setting.seed);
-    let ks = Setting::k_sweep(avg);
-    let modes: Vec<(&str, SystemKind)> = vec![
-        ("N(name)", SystemKind::D3lSingle(Evidence::Name)),
-        ("V(value)", SystemKind::D3lSingle(Evidence::Value)),
-        ("F(format)", SystemKind::D3lSingle(Evidence::Format)),
-        ("E(embed)", SystemKind::D3lSingle(Evidence::Embedding)),
-        ("D(dist)", SystemKind::D3lSingle(Evidence::Distribution)),
-        ("ALL", SystemKind::D3l),
-    ];
+/// Precision and recall rows of each series over the k sweep, averaged
+/// over the probes.
+fn pr_curves(systems: &Systems, series: &[(&str, SystemKind)]) {
+    let probes = lake::probes(&systems.bench);
+    let ks = k_sweep(systems.bench.truth.avg_answer_size());
     println!(
         "{:<10} {}",
         "series",
         ks.iter().map(|k| format!("{k:>6}")).collect::<String>()
     );
-    for (label, kind) in modes {
+    for &(label, kind) in series {
         let mut p_row = String::new();
         let mut r_row = String::new();
         for &k in &ks {
-            let pt = prf_at_k(&systems, kind, &targets, k);
+            let pt = prf_at_k(systems, kind, &probes, k);
             p_row.push_str(&format!("{:>6.2}", pt.precision));
             r_row.push_str(&format!("{:>6.2}", pt.recall));
         }
         println!("{label:<10} P {p_row}");
         println!("{:<10} R {r_row}", "");
     }
+}
+
+/// Experiment 1 / Figure 3: per-evidence precision and recall vs k,
+/// against the aggregated framework.
+pub fn exp1(systems: &Systems) {
+    header("Experiment 1 (Fig. 3): individual evidence P/R");
+    pr_curves(
+        systems,
+        &[
+            ("N(name)", SystemKind::D3lSingle(Evidence::Name)),
+            ("V(value)", SystemKind::D3lSingle(Evidence::Value)),
+            ("F(format)", SystemKind::D3lSingle(Evidence::Format)),
+            ("E(embed)", SystemKind::D3lSingle(Evidence::Embedding)),
+            ("D(dist)", SystemKind::D3lSingle(Evidence::Distribution)),
+            ("ALL", SystemKind::D3l),
+        ],
+    );
     println!("(paper: format alone is weakest; values strongest; ALL beats every single type)");
 }
 
-/// Experiments 2/3 / Figures 4/5: comparative precision and recall vs
-/// k for D3L, TUS and Aurum.
-pub fn comparative_effectiveness(setting: &Setting, smaller: bool) {
-    let (name, bench) = if smaller {
-        (
-            "Experiment 3 (Fig. 5): P/R on SmallerReal",
-            d3l_benchgen::smaller_real(setting.smaller_tables, setting.seed ^ 1),
-        )
-    } else {
-        (
-            "Experiment 2 (Fig. 4): P/R on Synthetic",
-            d3l_benchgen::synthetic(setting.synthetic_tables, setting.seed),
-        )
-    };
-    header(name);
-    let avg = bench.truth.avg_answer_size();
-    let systems = Systems::build(bench, false);
-    let targets = systems.bench.pick_targets(setting.targets, setting.seed);
-    let ks = Setting::k_sweep(avg);
-    println!("avg answer size = {avg:.1}");
-    println!(
-        "{:<8} {}",
-        "series",
-        ks.iter().map(|k| format!("{k:>6}")).collect::<String>()
+/// Experiment 2 / Figure 4: comparative precision and recall vs k for
+/// D3L, TUS and Aurum.
+pub fn exp2(systems: &Systems) {
+    header("Experiment 2 (Fig. 4): P/R of D3L, TUS and Aurum");
+    pr_curves(
+        systems,
+        &[
+            ("D3L", SystemKind::D3l),
+            ("TUS", SystemKind::Tus),
+            ("Aurum", SystemKind::Aurum),
+        ],
     );
-    for (label, kind) in [
-        ("D3L", SystemKind::D3l),
-        ("TUS", SystemKind::Tus),
-        ("Aurum", SystemKind::Aurum),
-    ] {
-        let mut p_row = String::new();
-        let mut r_row = String::new();
-        for &k in &ks {
-            let pt = prf_at_k(&systems, kind, &targets, k);
-            p_row.push_str(&format!("{:>6.2}", pt.precision));
-            r_row.push_str(&format!("{:>6.2}", pt.recall));
-        }
-        println!("{label:<8} P {p_row}");
-        println!("{:<8} R {r_row}", "");
-    }
-    println!("(paper: D3L dominates both baselines; the gap widens on SmallerReal)");
+    println!("(paper: D3L dominates both baselines, most on dirty data)");
 }
 
-/// Experiment 4 / Figure 6a: indexing time as the lake grows.
-pub fn exp4(setting: &Setting) {
-    header("Experiment 4 (Fig. 6a): indexing time vs lake size (LargerReal samples)");
-    let steps = 5usize;
+/// Experiment 4 / Figure 6a: the time each system took to index the
+/// lake. One point: a curve over lake sizes is the benchmark's to draw.
+pub fn exp4(systems: &Systems) {
+    header("Experiment 4 (Fig. 6a): indexing time");
+    let d3l = systems.d3l_index_secs;
+    let [tus, aurum] = systems.baselines().index_secs;
     println!(
         "{:>8} {:>10} {:>10} {:>10}  (seconds)",
         "tables", "D3L", "TUS", "Aurum"
     );
-    for i in 1..=steps {
-        let n = setting.larger_tables * i / steps;
-        let bench = d3l_benchgen::larger_real(n, setting.seed ^ i as u64);
-        let t0 = Instant::now();
-        let d3l = ShardedD3l::index_lake_with(&bench.lake, D3lConfig::default(), embedder(64));
-        let d3l_t = secs(t0);
-        let t0 = Instant::now();
-        let tus = Tus::index_lake(
-            &bench.lake,
-            SyntheticKb::from_vocab(),
-            embedder(64),
-            TusConfig::default(),
-        );
-        let tus_t = secs(t0);
-        let t0 = Instant::now();
-        let aurum = Aurum::index_lake(&bench.lake, embedder(64), AurumConfig::default());
-        let aurum_t = secs(t0);
-        println!("{n:>8} {d3l_t:>10.2} {tus_t:>10.2} {aurum_t:>10.2}");
-        std::hint::black_box((d3l.table_count(), tus.attr_count(), aurum.edge_count()));
-    }
+    println!(
+        "{:>8} {d3l:>10.2} {tus:>10.2} {aurum:>10.2}",
+        systems.bench.lake.len()
+    );
     println!("(paper: D3L indexes 4-6x faster than TUS; Aurum fastest on small lakes)");
 }
 
-/// Experiments 5/6 / Figures 6b/6c: search time vs answer size.
-pub fn search_time(setting: &Setting, smaller: bool) {
-    let (name, bench) = if smaller {
-        (
-            "Experiment 6 (Fig. 6c): search time on SmallerReal",
-            d3l_benchgen::smaller_real(setting.smaller_tables, setting.seed ^ 1),
-        )
-    } else {
-        (
-            "Experiment 5 (Fig. 6b): search time on Synthetic",
-            d3l_benchgen::synthetic(setting.synthetic_tables, setting.seed),
-        )
-    };
-    header(name);
-    let avg = bench.truth.avg_answer_size();
-    let systems = Systems::build(bench, false);
-    let targets = systems
-        .bench
-        .pick_targets(setting.targets.min(15), setting.seed);
-    let ks = Setting::k_sweep(avg);
+/// Mean seconds one system takes to answer each of `probes` at `k`.
+fn secs_per_query(systems: &Systems, kind: SystemKind, probes: &[String], k: usize) -> f64 {
+    let t0 = Instant::now();
+    for t in probes {
+        std::hint::black_box(systems.query(kind, t, k));
+    }
+    t0.elapsed().as_secs_f64() / probes.len() as f64
+}
+
+/// Experiment 5 / Figure 6b: search time vs answer size.
+pub fn exp5(systems: &Systems) {
+    header("Experiment 5 (Fig. 6b): search time vs answer size");
+    let mut probes = lake::probes(&systems.bench);
+    probes.truncate(SAMPLED_PROBES);
+    let ks = k_sweep(systems.bench.truth.avg_answer_size());
     println!(
-        "{:>6} {:>12} {:>12} {:>12}  (avg seconds per query)",
-        "k", "D3L", "D3L(batch)", "TUS"
+        "{:>6} {:>12} {:>12}  (avg seconds per query)",
+        "k", "D3L", "TUS"
     );
     for &k in &ks {
-        let t0 = Instant::now();
-        for t in &targets {
-            std::hint::black_box(systems.query(SystemKind::D3l, t, k));
-        }
-        let d3l_t = secs(t0) / targets.len() as f64;
-        // The batched API answers the same workload with one call,
-        // fanned out over the configured query threads.
-        let t0 = Instant::now();
-        std::hint::black_box(systems.query_batch(SystemKind::D3l, &targets, k));
-        let d3l_batch_t = secs(t0) / targets.len() as f64;
-        let t0 = Instant::now();
-        for t in &targets {
-            std::hint::black_box(systems.query(SystemKind::Tus, t, k));
-        }
-        let tus_t = secs(t0) / targets.len() as f64;
-        println!("{k:>6} {d3l_t:>12.4} {d3l_batch_t:>12.4} {tus_t:>12.4}");
+        let d3l = secs_per_query(systems, SystemKind::D3l, &probes, k);
+        let tus = secs_per_query(systems, SystemKind::Tus, &probes, k);
+        println!("{k:>6} {d3l:>12.4} {tus:>12.4}");
     }
     // Aurum's query model is k-independent; report the average alone,
     // as the paper does.
-    let t0 = Instant::now();
-    for t in &targets {
-        std::hint::black_box(systems.query(SystemKind::Aurum, t, *ks.last().unwrap()));
-    }
-    println!(
-        "Aurum avg search time (k-independent): {:.4}s",
-        secs(t0) / targets.len() as f64
-    );
-    println!(
-        "(paper: D3L beats TUS; gap narrows on SmallerReal where numeric columns are free for TUS)"
-    );
+    let aurum = secs_per_query(systems, SystemKind::Aurum, &probes, ks[ks.len() - 1]);
+    println!("Aurum avg search time (k-independent): {aurum:.4}s");
+    println!("(paper: D3L beats TUS)");
 }
 
 /// Experiment 7 / Table II: index space overhead relative to raw lake
 /// size.
-pub fn exp7(setting: &Setting) {
+pub fn exp7(systems: &Systems) {
     header("Experiment 7 (Table II): index space overhead (% of repository size)");
-    let repos: Vec<(&str, Benchmark)> = vec![
-        (
-            "Synthetic",
-            d3l_benchgen::synthetic(setting.synthetic_tables, setting.seed),
-        ),
-        (
-            "SmallerReal",
-            d3l_benchgen::smaller_real(setting.smaller_tables, setting.seed ^ 1),
-        ),
-        (
-            "LargerReal(sample)",
-            d3l_benchgen::larger_real(setting.larger_tables / 3, setting.seed ^ 2),
-        ),
-    ];
+    let lake_bytes = systems.bench.lake.byte_size() as f64;
+    let baselines = systems.baselines();
+    let pct = |bytes: usize| bytes as f64 / lake_bytes * 100.0;
+    println!("{:>8} {:>8} {:>8}", "D3L", "TUS", "Aurum");
     println!(
-        "{:<20} {:>8} {:>8} {:>8}",
-        "repository", "D3L", "TUS", "Aurum"
+        "{:>7.0}% {:>7.0}% {:>7.0}%",
+        pct(systems.d3l.index_byte_size()),
+        pct(baselines.tus.index_byte_size()),
+        pct(baselines.aurum.index_byte_size())
     );
-    for (name, bench) in &repos {
-        let lake_bytes = bench.lake.byte_size() as f64;
-        let d3l = ShardedD3l::index_lake_with(&bench.lake, D3lConfig::default(), embedder(64));
-        let tus = Tus::index_lake(
-            &bench.lake,
-            SyntheticKb::from_vocab(),
-            embedder(64),
-            TusConfig::default(),
-        );
-        let aurum = Aurum::index_lake(&bench.lake, embedder(64), AurumConfig::default());
-        println!(
-            "{name:<20} {:>7.0}% {:>7.0}% {:>7.0}%",
-            d3l.index_byte_size() as f64 / lake_bytes * 100.0,
-            tus.index_byte_size() as f64 / lake_bytes * 100.0,
-            aurum.index_byte_size() as f64 / lake_bytes * 100.0
-        );
-    }
     println!("(paper: D3L occupies more than TUS/Aurum — four indexes vs three)");
 }
 
-/// Experiments 8–11 / Figures 7–8: target coverage and attribute
-/// precision with and without join paths.
-pub fn join_experiments(setting: &Setting, smaller: bool) {
-    let (name, bench) = if smaller {
-        (
-            "Experiments 10/11 (Fig. 8): coverage & attribute precision on SmallerReal",
-            d3l_benchgen::smaller_real(setting.smaller_tables, setting.seed ^ 1),
-        )
-    } else {
-        (
-            "Experiments 8/9 (Fig. 7): coverage & attribute precision on Synthetic",
-            d3l_benchgen::synthetic(setting.synthetic_tables, setting.seed),
-        )
-    };
-    header(name);
-    let avg = bench.truth.avg_answer_size();
-    let systems = Systems::build(bench, false);
-    let targets = systems
-        .bench
-        .pick_targets(setting.targets.min(20), setting.seed);
-    let ks = Setting::k_sweep(avg);
+/// Experiments 8/9 / Figure 7: target coverage and attribute precision
+/// with and without join paths.
+pub fn exp8(systems: &Systems) {
+    header("Experiments 8/9 (Fig. 7): coverage & attribute precision");
+    let mut probes = lake::probes(&systems.bench);
+    probes.truncate(SAMPLED_PROBES);
     println!(
         "{:<10} {}",
         "series",
-        ks.iter().map(|k| format!("{k:>7}")).collect::<String>()
+        JOIN_KS
+            .iter()
+            .map(|k| format!("{k:>7}"))
+            .collect::<String>()
     );
     let mut rows: Vec<(String, Vec<f64>)> = vec![
         ("D3L cov".into(), vec![]),
@@ -387,10 +172,10 @@ pub fn join_experiments(setting: &Setting, smaller: bool) {
         ("TUS cov".into(), vec![]),
         ("TUS ap".into(), vec![]),
     ];
-    for &k in &ks {
-        let d = join_eval_at_k(&systems, false, &targets, k);
-        let a = join_eval_at_k(&systems, true, &targets, k);
-        let t = plain_eval_at_k(&systems, SystemKind::Tus, &targets, k);
+    for k in JOIN_KS {
+        let d = join_eval_at_k(systems, false, &probes, k);
+        let a = join_eval_at_k(systems, true, &probes, k);
+        let t = plain_eval_at_k(systems, SystemKind::Tus, &probes, k);
         let vals = [
             d.coverage,
             d.coverage_j,
@@ -419,13 +204,16 @@ pub fn join_experiments(setting: &Setting, smaller: bool) {
 }
 
 /// §III-D: train the Eq. 3 evidence weights by logistic regression on
-/// Synthetic ground truth, test on SmallerReal (paper: ~89% accuracy).
-pub fn weights(setting: &Setting) {
+/// a clean lake disjoint from the evaluation lake (`synthetic(300,
+/// 11)`), test on the probes' pairs (paper: ~89% accuracy).
+pub fn weights(systems: &Systems) {
     header("Evidence-weight training (§III-D)");
-    let train_bench = d3l_benchgen::synthetic(setting.synthetic_tables.min(300), setting.seed);
-    let test_bench = d3l_benchgen::smaller_real(setting.smaller_tables, setting.seed ^ 1);
-    let (train_x, train_y) = pair_vectors(&train_bench, setting.targets.min(20), setting.seed);
-    let (test_x, test_y) = pair_vectors(&test_bench, setting.targets.min(20), setting.seed ^ 9);
+    let train = d3l_benchgen::synthetic(300, lake::SEED);
+    let train_d3l = ShardedD3l::index_lake(&train.lake, D3lConfig::default());
+    let train_targets = train.pick_targets(20, lake::SEED);
+    let (train_x, train_y) = pair_vectors(&train_d3l, &train, &train_targets);
+    let probes = lake::probes(&systems.bench);
+    let (test_x, test_y) = pair_vectors(&systems.d3l, &systems.bench, &probes);
     let (w, model) = d3l_core::weights::train_evidence_weights(&train_x, &train_y);
     let correct = test_x
         .iter()
@@ -437,7 +225,7 @@ pub fn weights(setting: &Setting) {
         w.0.map(|x| (x * 100.0).round() / 100.0)
     );
     println!(
-        "test accuracy on SmallerReal pairs: {:.1}% over {} pairs (paper: ~89%)",
+        "test accuracy on the probes' pairs: {:.1}% over {} pairs (paper: ~89%)",
         100.0 * correct as f64 / test_x.len().max(1) as f64,
         test_x.len()
     );
@@ -447,105 +235,66 @@ pub fn weights(setting: &Setting) {
     );
 }
 
-/// Build labelled (distance-vector, related) pairs from a benchmark
-/// by querying D3L widely and labelling with the ground truth.
-pub fn pair_vectors(
+/// Labelled (distance-vector, related) pairs: each target's wide D3L
+/// ranking, labelled with the ground truth.
+fn pair_vectors(
+    d3l: &ShardedD3l,
     bench: &Benchmark,
-    targets: usize,
-    seed: u64,
+    targets: &[String],
 ) -> (Vec<DistanceVector>, Vec<bool>) {
-    let d3l = ShardedD3l::index_lake_with(&bench.lake, D3lConfig::default(), embedder(64));
     let mut xs = Vec::new();
     let mut ys = Vec::new();
-    for tname in bench.pick_targets(targets, seed) {
-        let target = bench.lake.table_by_name(&tname).expect("member");
-        let exclude = bench.lake.id_of(&tname);
+    for tname in targets {
+        let target = bench.lake.table_by_name(tname).expect("member");
         let opts = d3l_core::query::QueryOptions {
-            exclude,
+            exclude: bench.lake.id_of(tname),
             ..Default::default()
         };
         for m in d3l.rank_all(target, 100, &opts) {
             xs.push(m.vector);
-            ys.push(bench.truth.tables_related(&tname, d3l.table_name(m.table)));
+            ys.push(bench.truth.tables_related(tname, d3l.table_name(m.table)));
         }
     }
     (xs, ys)
 }
 
-/// §III-C footnote 2: the subject-attribute classifier, 10-fold
-/// cross-validated on 350 labelled tables (paper: ~89% accuracy).
-pub fn subject(setting: &Setting) {
-    header("Subject-attribute classifier (§III-C)");
-    let bench = d3l_benchgen::smaller_real(350, setting.seed ^ 7);
-    let mut xs: Vec<Vec<f64>> = Vec::new();
-    let mut ys: Vec<bool> = Vec::new();
-    for (_, table) in bench.lake.iter() {
-        // Ground-truth subject: the entity-name column, when the
-        // projection kept it.
-        let subject_col = (0..table.arity()).find(|&i| {
-            bench
-                .truth
-                .kind_of(table.name(), table.columns()[i].name())
-                .is_some_and(|k| k.starts_with("entity:"))
-        });
-        let Some(subject_col) = subject_col else {
-            continue;
-        };
-        for i in 0..table.arity() {
-            xs.push(subject_features(table, i).to_vec());
-            ys.push(i == subject_col);
-        }
-    }
-    let metrics = cross_validate(&xs, &ys, 10, setting.seed);
-    println!(
-        "10-fold CV over {} column labels from {} tables: accuracy {:.1}% (paper: ~89%)",
-        xs.len(),
-        bench.lake.len(),
-        metrics.accuracy() * 100.0
-    );
-    // Also report argmax-per-table accuracy with a freshly trained
-    // classifier, the deployment condition.
-    let model = LogisticRegression::train(&xs, &ys);
-    let clf = d3l_ml::SubjectClassifier::new(model);
+/// §III-C: how often the shipped subject-attribute model — the one
+/// Algorithm 2's guards and SA-join discovery run — picks the entity
+/// column, over the tables whose projection kept one.
+pub fn subject(systems: &Systems) {
+    let bench = &systems.bench;
+    header("Subject-attribute detection (§III-C)");
     let (mut right, mut total) = (0usize, 0usize);
     for (_, table) in bench.lake.iter() {
-        let truth_col = (0..table.arity()).find(|&i| {
+        let entity = (0..table.arity()).find(|&i| {
             bench
                 .truth
                 .kind_of(table.name(), table.columns()[i].name())
                 .is_some_and(|k| k.starts_with("entity:"))
         });
-        let Some(truth_col) = truth_col else { continue };
+        let Some(entity) = entity else { continue };
         total += 1;
-        if clf.subject_of(table) == Some(truth_col) {
-            right += 1;
-        }
+        right += usize::from(d3l_ml::subject_attribute(table) == Some(entity));
     }
     println!(
-        "argmax-per-table subject accuracy: {:.1}% over {total} tables",
+        "default model: subject is the entity column in {:.1}% of {total} tables (paper: ~89%)",
         100.0 * right as f64 / total.max(1) as f64
     );
 }
 
 /// Ablation: Eq. 3 trained weights vs uniform weights vs a
-/// max-score-style single-best-evidence ranking.
-pub fn ablation_weights(setting: &Setting) {
+/// max-score-style single-best-evidence ranking, at the benchmark's k.
+pub fn ablation_weights(systems: &Systems) {
     header("Ablation: weighting schemes");
-    let bench = d3l_benchgen::smaller_real(setting.smaller_tables, setting.seed ^ 1);
-    let avg = bench.truth.avg_answer_size();
-    let systems = Systems::build(bench, false);
-    let targets = systems
-        .bench
-        .pick_targets(setting.targets.min(20), setting.seed);
-    let k = avg as usize;
+    let probes = lake::probes(&systems.bench);
+    let k = lake::K;
     let truth = &systems.bench.truth;
     let run = |weights: Option<d3l_core::EvidenceWeights>, evidence: Option<Evidence>| {
         let mut p = 0.0;
-        for t in &targets {
+        for t in &probes {
             let target = systems.bench.lake.table_by_name(t).expect("member");
-            let exclude = systems.bench.lake.id_of(t);
             let opts = d3l_core::query::QueryOptions {
-                exclude,
+                exclude: systems.bench.lake.id_of(t),
                 weights,
                 evidence,
                 ..Default::default()
@@ -557,44 +306,43 @@ pub fn ablation_weights(setting: &Setting) {
                 .collect();
             p += d3l_core::metrics::precision_at_k(&rel);
         }
-        p / targets.len() as f64
+        p / probes.len() as f64
     };
     println!(
-        "precision@{k} with trained weights : {:.3}",
+        "precision@{k} with trained weights : {:.4}",
         run(None, None)
     );
     println!(
-        "precision@{k} with uniform weights : {:.3}",
+        "precision@{k} with uniform weights : {:.4}",
         run(Some(d3l_core::EvidenceWeights::uniform()), None)
     );
     println!(
-        "precision@{k} value-evidence only  : {:.3} (max-score-style single signal)",
+        "precision@{k} value-evidence only  : {:.4} (max-score-style single signal)",
         run(None, Some(Evidence::Value))
     );
 }
 
 /// Ablation: fine-grained tokens vs whole values on dirty data —
-/// separability of related vs unrelated attribute pairs.
-pub fn ablation_granularity(setting: &Setting) {
+/// separability of related vs unrelated attribute pairs among the
+/// first 40 probes' tables.
+pub fn ablation_granularity(systems: &Systems) {
+    let bench = &systems.bench;
     header("Ablation: fine-grained tokens vs whole values");
-    let bench = d3l_benchgen::smaller_real(setting.smaller_tables.min(96), setting.seed ^ 1);
     let mut rel_tok = Vec::new();
     let mut unrel_tok = Vec::new();
     let mut rel_whole = Vec::new();
     let mut unrel_whole = Vec::new();
     // The exact token distance is defined on built profiles (an index
-    // keeps no token set), so the tables are profiled here, as `table1`
-    // does.
-    let e = embedder(64);
-    let tables: Vec<_> = bench
-        .lake
+    // keeps no token set), so the tables are profiled here, with the
+    // engine's own embedder.
+    let q = systems.d3l.config().q;
+    let e = systems.d3l.shards()[0].embedder();
+    let tables: Vec<_> = lake::probes(bench)
         .iter()
         .take(40)
-        .map(|(_, t)| {
-            (
-                t,
-                d3l_core::profile::profile_table(t, D3lConfig::default().q, &e),
-            )
+        .map(|name| {
+            let t = bench.lake.table_by_name(name).expect("member");
+            (t, d3l_core::profile::profile_table(t, q, e))
         })
         .collect();
     for (i, (ta, profiles_a)) in tables.iter().enumerate() {
@@ -642,57 +390,4 @@ pub fn ablation_granularity(setting: &Setting) {
         "separability (unrelated - related): tokens {sep_tok:.3} vs whole values {sep_whole:.3}"
     );
     println!("(paper §III-A: finer-grained evidence reduces the impact of dirty data)");
-}
-
-/// Diagnostic: dump D3L's top-k for a few SmallerReal targets with
-/// per-evidence vectors and ground-truth labels.
-pub fn diag(setting: &Setting) {
-    header("Diagnostic: D3L top-10 on SmallerReal");
-    let bench = d3l_benchgen::smaller_real(setting.smaller_tables, setting.seed ^ 1);
-    let d3l = ShardedD3l::index_lake_with(&bench.lake, D3lConfig::default(), embedder(64));
-    for tname in bench.pick_targets(3, setting.seed) {
-        let target = bench.lake.table_by_name(&tname).expect("member");
-        let cols: Vec<&str> = target.columns().iter().map(|c| c.name()).collect();
-        println!("\ntarget {tname} (arity {}): {:?}", target.arity(), cols);
-        let exclude = bench.lake.id_of(&tname);
-        let opts = d3l_core::query::QueryOptions {
-            exclude,
-            ..Default::default()
-        };
-        for m in d3l.query_with(target, 10, &opts) {
-            let name = d3l.table_name(m.table);
-            let related = bench.truth.tables_related(&tname, name);
-            println!(
-                "  {:<32} d={:.3} v=[{:.2} {:.2} {:.2} {:.2} {:.2}] rows={} {}",
-                name,
-                m.distance,
-                m.vector.0[0],
-                m.vector.0[1],
-                m.vector.0[2],
-                m.vector.0[3],
-                m.vector.0[4],
-                m.alignments.len(),
-                if related { "REL" } else { "FP" }
-            );
-        }
-    }
-}
-
-/// Run every experiment in sequence.
-pub fn all(setting: &Setting) {
-    table1();
-    fig2(setting);
-    exp1(setting);
-    comparative_effectiveness(setting, false);
-    comparative_effectiveness(setting, true);
-    exp4(setting);
-    search_time(setting, false);
-    search_time(setting, true);
-    exp7(setting);
-    join_experiments(setting, false);
-    join_experiments(setting, true);
-    weights(setting);
-    subject(setting);
-    ablation_weights(setting);
-    ablation_granularity(setting);
 }

@@ -1,12 +1,13 @@
-//! System construction and uniform query wrappers.
+//! The three systems over one lake, and uniform query wrappers.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::OnceLock;
+use std::time::Instant;
 
 use d3l_baselines::{Aurum, AurumConfig, Tus, TusConfig};
-use d3l_benchgen::{vocab, Benchmark, SyntheticKb};
+use d3l_benchgen::{Benchmark, SyntheticKb};
 use d3l_core::query::QueryOptions;
 use d3l_core::{D3lConfig, Evidence, ShardedD3l};
-use d3l_embedding::SemanticEmbedder;
 use d3l_table::TableId;
 
 /// One ranked table in system-independent form: the table name plus
@@ -39,67 +40,82 @@ pub enum SystemKind {
     Aurum,
 }
 
-/// All three systems indexed over one benchmark repository.
+/// The three systems over one benchmark repository: D3L, indexed up
+/// front, and what only some experiments read (D3L's SA-join graph,
+/// the two baselines), built on first use.
 pub struct Systems {
     /// The repository and ground truth.
     pub bench: Benchmark,
     /// D3L state.
     pub d3l: ShardedD3l,
+    /// Seconds D3L took to index the lake.
+    pub d3l_index_secs: f64,
+    join_graph: OnceLock<d3l_core::SaJoinGraph>,
+    baselines: OnceLock<Baselines>,
+}
+
+/// TUS and Aurum over the same lake.
+pub struct Baselines {
     /// TUS state.
     pub tus: Tus,
     /// Aurum state.
     pub aurum: Aurum,
-    join_graph: d3l_core::SaJoinGraph,
+    /// Seconds TUS and Aurum took to index the lake.
+    pub index_secs: [f64; 2],
 }
 
-fn embedder(dim: usize) -> SemanticEmbedder {
-    SemanticEmbedder::new(vocab::domain_lexicon(dim))
+/// `f`'s value and the seconds it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t0 = Instant::now();
+    let value = f();
+    (value, t0.elapsed().as_secs_f64())
 }
 
 impl Systems {
-    /// Index a benchmark with all three systems. `fast` selects the
-    /// small LSH configuration (tests/smoke runs).
-    pub fn build(bench: Benchmark, fast: bool) -> Self {
-        let d3l_cfg = if fast {
-            D3lConfig::fast()
-        } else {
-            D3lConfig::default()
-        };
-        let tus_cfg = if fast {
-            TusConfig::fast()
-        } else {
-            TusConfig::default()
-        };
-        let aurum_cfg = if fast {
-            AurumConfig::fast()
-        } else {
-            AurumConfig::default()
-        };
-        let d3l =
-            ShardedD3l::index_lake_with(&bench.lake, d3l_cfg.clone(), embedder(d3l_cfg.embed_dim));
-        let tus = Tus::index_lake(
-            &bench.lake,
-            SyntheticKb::from_vocab(),
-            embedder(tus_cfg.embed_dim),
-            tus_cfg,
-        );
-        let aurum = Aurum::index_lake(&bench.lake, embedder(aurum_cfg.embed_dim), aurum_cfg);
-        let join_graph = d3l.build_join_graph();
+    /// Index a benchmark's lake with D3L as `d3l index` does: the
+    /// default configuration and the shipped lexicon-free embedder.
+    pub fn build(bench: Benchmark) -> Self {
+        let (d3l, d3l_index_secs) =
+            timed(|| ShardedD3l::index_lake(&bench.lake, D3lConfig::default()));
         Systems {
             bench,
             d3l,
-            tus,
-            aurum,
-            join_graph,
+            d3l_index_secs,
+            join_graph: OnceLock::new(),
+            baselines: OnceLock::new(),
         }
+    }
+
+    /// TUS and Aurum at their default configurations, indexed on the
+    /// first call with a copy of D3L's embedder, so no system sees the
+    /// generator's synonym lexicon.
+    pub fn baselines(&self) -> &Baselines {
+        self.baselines.get_or_init(|| {
+            let lake = &self.bench.lake;
+            let embedder = self.d3l.shards()[0].embedder();
+            let (tus, tus_s) = timed(|| {
+                Tus::index_lake(
+                    lake,
+                    SyntheticKb::from_vocab(),
+                    embedder.clone(),
+                    TusConfig::default(),
+                )
+            });
+            let (aurum, aurum_s) =
+                timed(|| Aurum::index_lake(lake, embedder.clone(), AurumConfig::default()));
+            Baselines {
+                tus,
+                aurum,
+                index_secs: [tus_s, aurum_s],
+            }
+        })
     }
 
     /// Query one system for many lake-member targets at once, each
     /// excluding itself from its answer. D3L modes go through
-    /// [`ShardedD3l::query_batch_with`], which shares per-target profiling
-    /// and fans the batch out over the configured query threads; the
-    /// baselines have no batch API and replay sequentially. Results
-    /// are identical to per-target [`Systems::query`] calls.
+    /// [`ShardedD3l::query_batch_with`], which fans the batch out over
+    /// the configured query threads; the baselines have no batch API
+    /// and answer one target after another.
     pub fn query_batch(
         &self,
         kind: SystemKind,
@@ -112,7 +128,7 @@ impl Systems {
             SystemKind::Tus | SystemKind::Aurum => {
                 return target_names
                     .iter()
-                    .map(|t| self.query(kind, t, k))
+                    .map(|t| self.query_baseline(kind, t, k))
                     .collect()
             }
         };
@@ -148,53 +164,31 @@ impl Systems {
     }
 
     /// Query one system for a lake-member target, excluding the
-    /// target itself from the answer.
+    /// target itself from the answer: a batch of one.
     pub fn query(&self, kind: SystemKind, target_name: &str, k: usize) -> Vec<RankedTable> {
+        let mut one = self.query_batch(kind, &[target_name.to_string()], k);
+        one.pop().expect("one answer per target")
+    }
+
+    /// TUS's answer for [`SystemKind::Tus`], Aurum's for any other kind.
+    fn query_baseline(&self, kind: SystemKind, target_name: &str, k: usize) -> Vec<RankedTable> {
         let target = self
             .bench
             .lake
             .table_by_name(target_name)
             .expect("target must be a lake member");
         let exclude = self.bench.lake.id_of(target_name);
-        match kind {
-            SystemKind::D3l => {
-                let opts = QueryOptions {
-                    exclude,
-                    ..Default::default()
-                };
-                self.d3l
-                    .query_with(target, k, &opts)
-                    .into_iter()
-                    .map(|m| self.ranked_of_d3l_match(target_name, &m))
-                    .collect()
-            }
-            SystemKind::D3lSingle(e) => {
-                let opts = QueryOptions {
-                    exclude,
-                    evidence: Some(e),
-                    ..Default::default()
-                };
-                self.d3l
-                    .query_with(target, k, &opts)
-                    .into_iter()
-                    .map(|m| self.ranked_of_d3l_match(target_name, &m))
-                    .collect()
-            }
-            SystemKind::Tus => self
-                .tus
-                .query(target, k, exclude)
-                .into_iter()
-                .map(|m| self.ranked_of_baseline_match(target_name, m.table, &m.alignments))
-                .collect(),
-            SystemKind::Aurum => {
+        let matches = match kind {
+            SystemKind::Tus => self.baselines().tus.query(target, k, exclude),
+            _ => {
                 let id = exclude.expect("member target");
-                self.aurum
-                    .query_member(id, target.arity(), k)
-                    .into_iter()
-                    .map(|m| self.ranked_of_baseline_match(target_name, m.table, &m.alignments))
-                    .collect()
+                self.baselines().aurum.query_member(id, target.arity(), k)
             }
-        }
+        };
+        matches
+            .into_iter()
+            .map(|m| self.ranked_of_baseline_match(target_name, m.table, &m.alignments))
+            .collect()
     }
 
     /// D3L join-path extension: for each top-k table, the tables its
@@ -227,6 +221,7 @@ impl Systems {
         let top_set: HashSet<TableId> = top.iter().map(|m| m.table).collect();
         let mut related = self.d3l.related_table_set_prepared(&prepared, width);
         related.remove(&exclude.unwrap_or(TableId(u32::MAX)));
+        let join_graph = self.join_graph.get_or_init(|| self.d3l.build_join_graph());
 
         top.iter()
             .map(|m| {
@@ -235,7 +230,7 @@ impl Systems {
                 let mut joined = Vec::new();
                 for path in self
                     .d3l
-                    .find_join_paths(&self.join_graph, m.table, &top_set, &related)
+                    .find_join_paths(join_graph, m.table, &top_set, &related)
                 {
                     for &node in path.extensions() {
                         if seen.insert(node) {
@@ -258,13 +253,14 @@ impl Systems {
     ) -> Vec<(RankedTable, Vec<RankedTable>)> {
         let id = self.bench.lake.id_of(target_name).expect("member target");
         let arity = self.bench.lake.table(id).arity();
-        let top = self.aurum.query_member(id, arity, k);
+        let aurum = &self.baselines().aurum;
+        let top = aurum.query_member(id, arity, k);
         let top_ids: Vec<TableId> = top.iter().map(|m| m.table).collect();
         // Alignments for join tables come from a wide ranking.
-        let wide = self.aurum.query_member(id, arity, usize::MAX);
+        let wide = aurum.query_member(id, arity, usize::MAX);
         let wide_map: HashMap<TableId, &d3l_baselines::BaselineMatch> =
             wide.iter().map(|m| (m.table, m)).collect();
-        let ext = self.aurum.join_extensions(&top_ids);
+        let ext = aurum.join_extensions(&top_ids);
         top.iter()
             .map(|m| {
                 let ranked = self.ranked_of_baseline_match(target_name, m.table, &m.alignments);
@@ -332,16 +328,14 @@ mod tests {
     use super::*;
 
     fn systems() -> Systems {
-        Systems::build(d3l_benchgen::synthetic(64, 31), true)
+        Systems::build(crate::lake::reloaded(d3l_benchgen::synthetic(64, 31)))
     }
 
     #[test]
     fn all_systems_answer() {
         let s = systems();
-        // Target seed 1 picks a table whose Aurum graph neighbourhood
-        // is empty at the fast edge threshold (a legitimate graph-miss
-        // for that one table); seed 2 exercises the same path with a
-        // target every system answers.
+        // A target every system answers: Aurum's graph lookup can
+        // legitimately miss a table whose neighbourhood is empty.
         let t = &s.bench.pick_targets(1, 2)[0];
         for kind in [SystemKind::D3l, SystemKind::Tus, SystemKind::Aurum] {
             let res = s.query(kind, t, 5);

@@ -3,14 +3,13 @@
 
 use std::process::Command;
 
-/// `experiments ablation-granularity` at the smoke scale computes exact
+/// `experiments ablation-granularity` on the pinned lake computes exact
 /// token distances — defined on built profiles — and prints its
 /// separability line.
 #[test]
-fn ablation_granularity_runs_at_quick_scale() {
+fn ablation_granularity_runs_on_the_pinned_lake() {
     let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
         .arg("ablation-granularity")
-        .env("D3L_SCALE", "quick")
         .output()
         .expect("experiments binary runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -32,4 +31,20 @@ fn ablation_granularity_runs_at_quick_scale() {
         .unwrap_or_else(|| panic!("unparsable: {line}"));
     assert!(token_distance < 1.0, "{line}");
     assert!(stdout.contains("separability (unrelated - related)"));
+}
+
+/// An id the binary does not know ends the run before any lake is
+/// built: exit 2 and the usage, which lists every id.
+#[test]
+fn an_unknown_id_exits_2_with_the_usage() {
+    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["exp1", "table1"])
+        .output()
+        .expect("experiments binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown experiment id: table1"), "{stderr}");
+    assert!(stderr.contains("usage: experiments <id>"), "{stderr}");
+    assert!(stderr.contains("ablation-granularity all"), "{stderr}");
 }

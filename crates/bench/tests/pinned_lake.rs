@@ -6,10 +6,10 @@
 //! for that workload at seed 11; if one moves, the two evaluators no
 //! longer judge the same thing.
 
-use d3l_benchgen::smaller_real;
-use d3l_core::query::QueryOptions;
-use d3l_core::{D3lConfig, ShardedD3l};
-use d3l_table::{csv, DataLake};
+use d3l_bench::eval::prf_at_k;
+use d3l_bench::lake;
+use d3l_bench::runner::{SystemKind, Systems};
+use d3l_table::csv;
 
 /// FNV-1a, 64 bit, length-delimited writes: the benchmark's digest.
 struct Fnv(u64);
@@ -29,11 +29,9 @@ impl Fnv {
 
 #[test]
 fn the_pinned_lake_scores_what_the_benchmark_gates() {
-    let generated = smaller_real(2000, 11);
-    let dir = std::env::temp_dir().join(format!("d3l_pinned_lake_{}", std::process::id()));
-    generated.lake.save_dir(&dir).expect("lake written");
-    let lake = DataLake::load_dir(&dir).expect("lake read back");
-    std::fs::remove_dir_all(&dir).ok();
+    let generated = lake::generated();
+    let systems = Systems::build(lake::reloaded(generated.clone()));
+    let lake = &systems.bench.lake;
 
     // The benchmark's lake digest: generation order, names and CSV text.
     let mut digest = Fnv::new();
@@ -44,49 +42,34 @@ fn the_pinned_lake_scores_what_the_benchmark_gates() {
     }
     assert_eq!(digest.0, 0x205a_83ac_4653_f087, "lake digest");
 
-    let engine = ShardedD3l::index_lake(&lake, D3lConfig::default());
     for (_, t) in lake.iter() {
         assert_eq!(
             lake.id_of(t.name()),
-            engine.table_id(t.name()),
+            systems.d3l.table_id(t.name()),
             "{}",
             t.name()
         );
     }
 
-    let probes = generated.pick_targets(100, 11);
-    let (mut precision, mut recall) = (0.0, 0.0);
+    let probes = lake::probes(&systems.bench);
+    let point = prf_at_k(&systems, SystemKind::D3l, &probes, 60);
+    assert!(
+        (point.precision - 0.7735).abs() < 1e-12,
+        "precision {}",
+        point.precision
+    );
+    assert!(
+        (point.recall - 0.18656047873284196).abs() < 1e-12,
+        "recall {}",
+        point.recall
+    );
     let mut ranking = Fnv::new();
-    for p in &probes {
-        let opts = QueryOptions {
-            exclude: lake.id_of(p),
-            ..Default::default()
-        };
-        let target = lake.table_by_name(p).expect("probe is a lake member");
-        let relevant: Vec<bool> = engine
-            .query_with(target, 60, &opts)
-            .iter()
-            .map(|m| {
-                let name = engine.table_name(m.table);
-                ranking.write(name.as_bytes());
-                generated.truth.tables_related(p, name)
-            })
-            .collect();
-        precision += d3l_core::metrics::precision_at_k(&relevant);
-        recall += d3l_core::metrics::recall_at_k(&relevant, generated.truth.answer_set(p).len());
+    for answer in systems.query_batch(SystemKind::D3l, &probes, 60) {
+        for r in &answer {
+            ranking.write(r.name.as_bytes());
+        }
         ranking.write(b"|");
     }
-    let n = probes.len() as f64;
-    assert!(
-        (precision / n - 0.7735).abs() < 1e-12,
-        "precision {}",
-        precision / n
-    );
-    assert!(
-        (recall / n - 0.18656047873284196).abs() < 1e-12,
-        "recall {}",
-        recall / n
-    );
     assert_eq!(
         ranking.0 & ((1 << 48) - 1),
         108540996872531,

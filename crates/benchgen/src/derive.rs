@@ -215,22 +215,6 @@ pub fn smaller_real(tables: usize, seed: u64) -> Benchmark {
     })
 }
 
-/// The *Larger Real* profile for efficiency experiments: many
-/// lightly-dirty tables with moderate cardinality (paper: ~43,000 NHS
-/// tables; scale via `tables`).
-pub fn larger_real(tables: usize, seed: u64) -> Benchmark {
-    derive(&DeriveConfig {
-        tables,
-        seed,
-        dirty: Some(DirtConfig {
-            extra_numeric_max: 1,
-            ..DirtConfig::default()
-        }),
-        base_rows: 80,
-        ..Default::default()
-    })
-}
-
 fn maybe_rename<R: Rng>(rng: &mut R, canonical: &str, dirt: &DirtConfig) -> String {
     // Subject columns ("Practice Name", "Company Name", …) share a
     // generic synonym family.
@@ -450,12 +434,5 @@ mod tests {
         };
         let v2 = perturb_value(&mut rng, "Salford", &dirt_case);
         assert!(v2 == "SALFORD" || v2 == "salford");
-    }
-
-    #[test]
-    fn larger_real_scales() {
-        let b = larger_real(128, 2);
-        assert_eq!(b.lake.len(), 128);
-        assert!(b.lake.total_attributes() > 256);
     }
 }

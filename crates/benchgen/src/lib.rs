@@ -12,9 +12,9 @@
 //!   the same derivation plus heavy *dirtiness*: attribute-name
 //!   synonyms, value format perturbation (case, abbreviations,
 //!   typos, punctuation), extra numeric noise columns (Fig. 2c shows
-//!   a higher numeric ratio) and smaller row overlaps.
-//! * [`derive::larger_real`] scales table counts for the efficiency
-//!   experiments (Experiment 4).
+//!   a higher numeric ratio) and smaller row overlaps. The benchmark's
+//!   `build-dirty2k` lake, on which `d3l-bench` runs every experiment,
+//!   is `smaller_real(2000, 11)`.
 //!
 //! [`GroundTruth`] captures both granularities the paper's metrics
 //! need: table-level relatedness (same base family) and
@@ -29,7 +29,7 @@ pub mod spec;
 pub mod stats;
 pub mod vocab;
 
-pub use derive::{larger_real, smaller_real, synthetic, Benchmark, DeriveConfig, DirtConfig};
+pub use derive::{smaller_real, synthetic, Benchmark, DeriveConfig, DirtConfig};
 pub use ground_truth::GroundTruth;
 pub use kb::SyntheticKb;
 pub use spec::{ColumnKind, Domain, TableSpec};

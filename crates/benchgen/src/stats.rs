@@ -1,5 +1,5 @@
-//! Repository statistics — the data behind Figure 2 (arity,
-//! cardinality, and data-type distribution of the repositories).
+//! Repository statistics (arity, cardinality and data-type mix, the
+//! measures of the paper's Figure 2), as `d3l stats` prints them.
 
 use d3l_table::DataLake;
 
@@ -51,19 +51,6 @@ impl RepoStats {
         }
     }
 
-    /// Histogram of a value list over fixed bucket boundaries:
-    /// returns per-bucket counts, where bucket `i` holds values in
-    /// `[bounds[i-1], bounds[i])` (first bucket starts at 0, last is
-    /// open-ended).
-    pub fn histogram(values: &[usize], bounds: &[usize]) -> Vec<usize> {
-        let mut counts = vec![0usize; bounds.len() + 1];
-        for &v in values {
-            let b = bounds.iter().position(|&b| v < b).unwrap_or(bounds.len());
-            counts[b] += 1;
-        }
-        counts
-    }
-
     /// Mean of per-table arities.
     pub fn mean_arity(&self) -> f64 {
         mean(&self.arities)
@@ -105,14 +92,6 @@ mod tests {
         let syn = RepoStats::compute(&synthetic(48, 2).lake);
         let real = RepoStats::compute(&smaller_real(48, 2).lake);
         assert!(real.numeric_ratio > syn.numeric_ratio, "Fig. 2c shape");
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let h = RepoStats::histogram(&[1, 2, 5, 9, 20], &[3, 10]);
-        assert_eq!(h, vec![2, 2, 1]);
-        let empty = RepoStats::histogram(&[], &[3]);
-        assert_eq!(empty, vec![0, 0]);
     }
 
     #[test]

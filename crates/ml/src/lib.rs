@@ -13,16 +13,12 @@
 //!   discovery (§IV). "Favours leftmost non-numeric attributes with
 //!   fewer nulls and many distinct values" (§III-C).
 //!
-//! [`cv`] provides the seeded k-fold cross-validation used to report
-//! both models' ~89% accuracies, and [`metrics`] the usual binary
-//! classification measures.
+//! The experiment harness (`d3l-bench`) reports how often the default
+//! subject model picks the entity column of the benchmark's lake, and
+//! trains the evidence weights on a lake disjoint from it.
 
-pub mod cv;
 pub mod logreg;
-pub mod metrics;
 pub mod subject;
 
-pub use cv::{cross_validate, kfold_indices};
 pub use logreg::LogisticRegression;
-pub use metrics::BinaryMetrics;
 pub use subject::{subject_attribute, subject_features, SubjectClassifier, SUBJECT_FEATURES};

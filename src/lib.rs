@@ -55,7 +55,7 @@
 //! | [`embedding`] | `d3l-embedding` | the fastText stand-in word embedder |
 //! | [`store`] | `d3l-store` | binary snapshot codec + container for the persistent index store |
 //! | [`server`] | `d3l-server` | concurrent HTTP serving layer over the store (`d3l serve`) |
-//! | [`ml`] | `d3l-ml` | logistic regression, CV, the subject-attribute classifier |
+//! | [`ml`] | `d3l-ml` | logistic regression, the subject-attribute classifier |
 //! | [`baselines`] | `d3l-baselines` | TUS and Aurum reimplementations |
 //! | [`benchgen`] | `d3l-benchgen` | benchmark repositories with ground truth |
 
