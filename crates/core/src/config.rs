@@ -32,7 +32,8 @@ pub struct D3lConfig {
     /// Deterministic seed for hashing and projections.
     pub seed: u64,
     /// Number of worker threads for index construction (0 = number of
-    /// available CPUs).
+    /// available CPUs). A setting of the process, not of the index: a
+    /// store does not keep it.
     pub index_threads: usize,
     /// Number of worker threads for the query pipeline (0 = number of
     /// available CPUs). Results are byte-identical at every thread
@@ -40,7 +41,7 @@ pub struct D3lConfig {
     /// `D3L_QUERY_THREADS` environment variable overrides this field
     /// when no explicit per-query override is given (CI uses it to
     /// exercise the single- and multi-threaded paths on the same test
-    /// suite).
+    /// suite). Like `index_threads`, a store does not keep it.
     pub query_threads: usize,
     /// Number of index shards (1 = the classic monolith). Tables are
     /// assigned to shards by a stable fingerprint of the table name;
@@ -126,6 +127,44 @@ impl D3lConfig {
     pub fn lookup_width(&self, k: usize) -> usize {
         self.lookup_factor.saturating_mul(k).max(self.min_lookup)
     }
+
+    /// Why this configuration cannot shape an index, if it cannot: a
+    /// signature, projection or tree count of zero, a signature length
+    /// or embedding dimension past [`D3lConfig::MAX_SHAPE`], fewer
+    /// signature positions than trees, q-grams of no character, or no
+    /// shard. A build asserts it and an open refuses a stored
+    /// configuration with it, so no build writes a store its own open
+    /// refuses.
+    pub fn shape_error(&self) -> Option<String> {
+        let sizes = [
+            ("num_perm", self.num_perm),
+            ("embed_bits", self.embed_bits),
+            ("embed_dim", self.embed_dim),
+        ];
+        if let Some((name, n)) = sizes
+            .iter()
+            .find(|(_, n)| !(1..=Self::MAX_SHAPE).contains(n))
+        {
+            return Some(format!(
+                "config {name} {n} is outside 1..={}",
+                Self::MAX_SHAPE
+            ));
+        }
+        if self.trees == 0 || self.num_perm < self.trees || self.embed_bits < self.trees {
+            return Some(format!(
+                "config of {} trees over {} and {} signature positions",
+                self.trees, self.num_perm, self.embed_bits
+            ));
+        }
+        let zero = [("q", self.q), ("shards", self.shards)];
+        let zero = zero.iter().find(|(_, n)| *n == 0);
+        zero.map(|(name, _)| format!("config with zero {name}"))
+    }
+
+    /// Bound on `num_perm`, `embed_bits` and `embed_dim`: 16× the
+    /// default signature lengths, so the largest projector an open
+    /// builds is 128 MiB.
+    pub const MAX_SHAPE: usize = 4096;
 }
 
 #[cfg(test)]

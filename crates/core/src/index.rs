@@ -167,7 +167,7 @@ impl SignedTable {
         &'a self,
         of: &D3l,
     ) -> impl Iterator<Item = (AttrView<'a>, AttrSigsRef<'a>)> + 'a {
-        let (mh, rp) = (of.minhasher.sig_shape().0, of.projector.sig_shape().0);
+        let (mh, rp) = of.strides();
         let [i_n, i_v, i_f, i_e] = &self.words;
         let nth = |words: &'a [u64], stride: usize, n: usize| &words[n * stride..][..stride];
         // Columns so far that `IV` and `IE` cover.
@@ -272,15 +272,6 @@ impl D3l {
     /// parses, indexes and drops one table at a time.
     pub fn index_dir(dir: impl AsRef<Path>, cfg: D3lConfig) -> Result<Self, TableError> {
         let embedder = SemanticEmbedder::new(Lexicon::new(cfg.embed_dim));
-        Self::index_dir_with(dir, cfg, embedder)
-    }
-
-    /// [`D3l::index_dir`] with the supplied word-embedding model.
-    pub fn index_dir_with(
-        dir: impl AsRef<Path>,
-        cfg: D3lConfig,
-        embedder: SemanticEmbedder,
-    ) -> Result<Self, TableError> {
         let files = csv_files(dir)?;
         // Lossy stems can collide; a lake refuses the second of two
         // tables of one name, and so does this.
@@ -299,21 +290,25 @@ impl D3l {
     /// The one index build: tables `0..count`, obtained one at a time
     /// through `table_at`, indexed by up to `cfg.index_threads`
     /// workers over contiguous id runs. Fails with the error of the
-    /// lowest-numbered table `table_at` failed on.
+    /// lowest-numbered table `table_at` failed on. Panics on a
+    /// configuration that cannot shape an index
+    /// ([`D3lConfig::shape_error`]) or an embedder of another
+    /// dimension.
     fn build<'t, E: Send>(
         count: usize,
         cfg: D3lConfig,
         embedder: SemanticEmbedder,
         table_at: impl Fn(usize) -> Result<Cow<'t, Table>, E> + Sync,
     ) -> Result<Self, E> {
+        if let Some(error) = cfg.shape_error() {
+            panic!("{error}");
+        }
         assert_eq!(
-            embedder.lexicon().dim(),
+            embedder.dim(),
             cfg.embed_dim,
             "embedder/config dim mismatch"
         );
-        let minhasher = MinHasher::new(cfg.num_perm, cfg.seed);
-        let projector = RandomProjector::new(cfg.embed_dim, cfg.embed_bits, cfg.seed ^ 0xee);
-        let mut d3l = Self::empty(cfg, embedder, minhasher, projector);
+        let mut d3l = Self::empty(cfg, embedder);
         let threads = d3l.cfg.effective_threads();
         let workers = threads.min(count.max(1));
         let run = count.div_ceil(workers).max(1);
@@ -343,34 +338,26 @@ impl D3l {
         Ok(d3l)
     }
 
-    /// An engine over no tables.
-    fn empty(
-        cfg: D3lConfig,
-        embedder: SemanticEmbedder,
-        minhasher: MinHasher,
-        projector: RandomProjector,
-    ) -> Self {
+    /// An engine over no tables, its hashers derived from the
+    /// configuration's seed.
+    pub(crate) fn empty(cfg: D3lConfig, embedder: SemanticEmbedder) -> Self {
         D3l {
             i_n: LshForest::new(cfg.num_perm, cfg.trees),
             i_v: LshForest::new(cfg.num_perm, cfg.trees),
             i_f: LshForest::new(cfg.num_perm, cfg.trees),
             i_e: LshForest::new(cfg.embed_bits, cfg.trees),
             attrs: AttrTable::default(),
+            minhasher: MinHasher::new(cfg.num_perm, cfg.seed),
+            projector: RandomProjector::new(cfg.embed_dim, cfg.embed_bits, cfg.seed ^ 0xee),
             cfg,
             embedder,
-            minhasher,
-            projector,
         }
     }
 
-    /// An engine over no tables with this one's embedder and hashers.
+    /// An engine over no tables with this one's embedder (and so, of
+    /// `cfg` with this one's shapes and seed, its hashers).
     pub(crate) fn empty_like(&self, cfg: D3lConfig) -> Self {
-        Self::empty(
-            cfg,
-            self.embedder.clone(),
-            self.minhasher.clone(),
-            self.projector.clone(),
-        )
+        Self::empty(cfg, self.embedder.clone())
     }
 
     /// One worker's share of [`D3l::build`]: an engine of this one's
@@ -444,7 +431,7 @@ impl D3l {
     /// set, and the vector, held anything.
     fn sign_table_with(&self, table: &Table, embedder: &impl WordEmbedder) -> SignedTable {
         let (mh, rp) = (&self.minhasher, &self.projector);
-        let (mh_words, rp_words) = (mh.sig_shape().0, rp.sig_shape().0);
+        let (mh_words, rp_words) = self.strides();
         let profiles = profile_table(table, self.cfg.q, embedder);
         let textual = || profiles.iter().filter(|p| !p.is_numeric);
         let run = |covered: usize, stride: usize| vec![0u64; covered * stride];
@@ -633,6 +620,12 @@ impl D3l {
         self.live_ids().count()
     }
 
+    /// Words per signature in the MinHash indexes and in `IE`: what a
+    /// column's signature is, in each index that covers it.
+    pub(crate) fn strides(&self) -> (usize, usize) {
+        (self.minhasher.sig_shape().0, self.projector.sig_shape().0)
+    }
+
     /// The configuration in effect.
     pub fn config(&self) -> &D3lConfig {
         &self.cfg
@@ -703,12 +696,11 @@ impl D3l {
     /// slots `IN` and `IF` returned, and `absorb` maps them through
     /// `LshForest::append`'s report of where each class went. An open
     /// makes it with no class and fills the classes from the forest
-    /// sections, refusing a store whose forest leaves a row its index
-    /// covers without a class ("lacks attribute") — `IN` and `IF` cover
-    /// every row — or holds an attribute with no row ("outside the table
-    /// list"). After that a slot changes only when a removal moves a
-    /// class, and the removal re-points that class's rows; a removed
-    /// table has no row left to read (`TABL` may not give it one).
+    /// sections, whose items are the rows each index covers — `IN` and
+    /// `IF` every row — so every such row gets a class. After that a
+    /// slot changes only when a removal moves a class, and the removal
+    /// re-points that class's rows; a removed table has no row left to
+    /// read (its `PROF` block must be empty).
     fn signatures_at(&self, row: usize) -> AttrSigsRef<'_> {
         let [n, v, f, e] = self.attrs.class(row);
         AttrSigsRef {

@@ -7,50 +7,65 @@
 //! ([`D3l::from_snapshot_bytes`]) into a query-ready engine with **no
 //! re-profiling and no re-sorting**.
 //!
-//! **The store keeps what scoring reads and nothing else.** Stored: the
-//! configuration (`CONF`), the embedder state (`EMBD`), the table list
-//! (`TABL`), what the index keeps of every attribute (`PROF` — name,
-//! numeric extent as the bytes of its one encoding, exact
-//! scaled-integer deltas (`d3l-features`' `extent` module), a flags
-//! byte: numeric, and which of the four evidence types it has), and
-//! each of the four committed forests whole
-//! — its class table (which attribute carries which distinct
-//! signature; `d3l-lsh`'s `forest` module: a signature is indexed once,
-//! as a class, whatever the number of attributes that carry it), its
-//! signature arena, one signature per class, and its tree orders over
-//! those classes — all four through one codec (`d3l-lsh`'s `store`
-//! module). Derived at open: the hashers (from the config's seed) and
-//! every tree entry's key, the first four bytes of its label (from the
-//! arenas); the stored tree orders are checked against the labels.
+//! **The store keeps what scoring reads and nothing else, once.**
+//! Stored, one section each:
+//!
+//! - `CONF`: the configuration that shapes the index — signature and
+//!   projection lengths, embedding dimension, trees, the query knobs,
+//!   the seed and the shard count. Not the thread counts: a setting of
+//!   the process, not of the index, which the opening process sets.
+//! - `EMBD`: the embedder's lexicon, its word → concept map and concept
+//!   count. Its dimension is `CONF`'s, and the subword seed and the
+//!   blend weight are constants of `d3l-embedding`.
+//! - `TABL`: per table its name, subject column and removed flag.
+//! - `PROF`: per table one block of the records of its attributes —
+//!   name, numeric extent as the bytes of its one encoding, exact
+//!   scaled-integer deltas (`d3l-features`' `extent` module), and a
+//!   flags byte: numeric, and which of the four evidence types it has.
+//!   A block's count is the table's arity; a removed table's is empty.
+//! - `F_IN`, `F_IV`, `F_IF`, `F_IE`: each committed forest whole — its
+//!   class table (which attribute carries which distinct signature;
+//!   `d3l-lsh`'s `forest` module: a signature is indexed once, as a
+//!   class, whatever the number of attributes that carry it), its
+//!   signature arena, one signature per class, and its tree orders over
+//!   those classes — all four through one codec (`d3l-lsh`'s `store`
+//!   module).
+//!
+//! Derived at open, never stored: the hashers (from the config's shapes
+//! and seed); each forest's tree shape and signature shape, from the
+//! config and those hashers, so a forest cannot disagree with the
+//! hashers that query it; each forest's items, the keys of the rows its
+//! index covers (`IN` and `IF` every row, `IV` and `IE` the non-numeric
+//! ones; §III-C), ascending, so a forest holds exactly those attributes;
+//! and every tree entry's key, the first four bytes of its label (from
+//! the arenas), against which the stored tree orders are checked.
 //! `TABL` and `PROF` decode into one table, the engine's attribute
 //! table: `TABL`'s name, subject and removed flag of a table and
 //! `PROF`'s block of its attribute records become that table and its
 //! rows, through the decoder a delta segment's added table goes through
 //! too (and one encoder writes both). A class table is kept in one
-//! place only: each forest's `(id, class)` pairs are written into the
-//! rows' class column as the section is read — an id outside the table
-//! list (or outside the part its index covers) is refused right there,
-//! and a row the forest leaves without a class after it (an attribute
-//! it lacks) right after — and the forest keeps its postings, no id →
-//! class map.
-//! Never written: an attribute's token sets (since
+//! place only: each forest's ranks are written into the rows' class
+//! column as the section is read, and the forest keeps its postings, no
+//! id → class map. Never written: an attribute's token sets (since
 //! format 7) or its embedding vector (since format 5). Algorithm 1
 //! builds them to be hashed into the indexes; once the four signatures
 //! exist nothing reads them (`profile` module), so an open signs
 //! nothing and a profile record is a name, an extent and a byte.
 //!
-//! What formats 7 and 8 made of the benchmark's stores (`d3l stats
-//! --index`, payload bytes, format 6 → 7 → 8):
+//! What formats 7, 8 and 9 made of the benchmark's stores (`d3l stats
+//! --index`, payload bytes, format 6 → 7 → 8 → 9):
 //!
 //! | section | clean 4 000 tables | dirty 2 000 tables |
 //! |---|---|---|
-//! | `TABL` | 112 976 | 56 495 |
+//! | `CONF` | 37 → 35 | 37 → 35 |
+//! | `EMBD` | 20 → 2 | 20 → 2 |
+//! | `TABL` | 112 976 → 108 976 | 56 495 → 54 495 |
 //! | `PROF` | 5 676 416 → 1 905 845 → 515 200 | 2 778 112 → 1 087 189 → 333 488 |
-//! | `F_IN` | 167 214 → 189 741 | 110 086 → 167 429 |
-//! | `F_IV` | 4 325 422 → 4 325 421 | 5 667 918 → 5 667 917 |
-//! | `F_IF` | 166 638 → 179 949 | 166 790 → 1 131 397 |
-//! | `F_IE` | 336 782 → 336 781 | 496 622 → 496 621 |
-//! | `base.d3ls` | 10 785 794 → 7 051 059 → 5 660 414 | 9 276 369 → 8 607 394 → 7 853 693 |
+//! | `F_IN` | 167 214 → 189 741 → 79 192 | 110 086 → 167 429 → 96 416 |
+//! | `F_IV` | 4 325 422 → 4 325 421 → 4 234 328 | 5 667 918 → 5 667 917 → 5 622 584 |
+//! | `F_IF` | 166 638 → 179 949 → 69 400 | 166 790 → 1 131 397 → 1 060 384 |
+//! | `F_IE` | 336 782 → 336 781 → 245 688 | 496 622 → 496 621 → 451 288 |
+//! | `base.d3ls` | 10 785 794 → 7 051 059 → 5 660 414 → 5 253 110 | 9 276 369 → 8 607 394 → 7 853 693 → 7 618 981 |
 //!
 //! (13 814 attributes in 22 `IN` / 13 `IF` / 3 850 `IV` / 2 085 `IE`
 //! classes; 8 872 in 56 / 942 / 5 147 / 4 465.) Format 7: `PROF` lost
@@ -65,7 +80,13 @@
 //! two places (618 and 316) — went from 8 bytes a value to a scale
 //! byte and one varint a value, 1 741 890 → 351 523 and 986 866 →
 //! 233 561 bytes with their counts, and 278 and 396 table blocks fit a
-//! shorter length prefix.
+//! shorter length prefix. Format 9: each forest lost its 37-byte header
+//! and its id table, 8 bytes per attribute it covers (13 814 / 11 382
+//! and 8 872 / 5 662 attributes in `IN` and `IF` / `IV` and `IE`) — in
+//! the clean store's `IN` and `IF`, whose attributes share 22 and 13
+//! signatures, 58 % and 61 % of the section; `TABL` lost each table's
+//! one-byte arity, `CONF` the two thread counts and `EMBD` its
+//! dimension, subword seed, blend weight and a length prefix.
 //!
 //! The codec is streamed in both directions: saving writes each
 //! section to the sink as it is produced (profiles one table at a
@@ -107,7 +128,7 @@ use std::io::{self, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use d3l_embedding::SemanticEmbedder;
+use d3l_embedding::{Lexicon, SemanticEmbedder};
 use d3l_features::Extent;
 use d3l_lsh::forest::LshForest;
 use d3l_lsh::minhash::MinHasher;
@@ -159,8 +180,6 @@ fn encode_config(cfg: &D3lConfig, enc: &mut Encoder) {
     enc.put_f64(cfg.join_threshold);
     enc.put_varint(cfg.max_join_depth as u64);
     enc.put_u64(cfg.seed);
-    enc.put_varint(cfg.index_threads as u64);
-    enc.put_varint(cfg.query_threads as u64);
     enc.put_varint(cfg.shards as u64);
 }
 
@@ -177,22 +196,14 @@ fn decode_config(dec: &mut Decoder<'_>) -> Result<D3lConfig, StoreError> {
         join_threshold: dec.get_f64()?,
         max_join_depth: dec.get_varint()? as usize,
         seed: dec.get_u64()?,
-        index_threads: dec.get_varint()? as usize,
-        query_threads: dec.get_varint()? as usize,
         shards: dec.get_varint()? as usize,
+        // The opening process sets its own.
+        ..D3lConfig::default()
     };
-    if cfg.num_perm == 0 || cfg.embed_bits == 0 || cfg.embed_dim == 0 || cfg.trees == 0 {
-        return Err(StoreError::corrupt("config with zero-sized index shape"));
+    match cfg.shape_error() {
+        Some(error) => Err(StoreError::corrupt(error)),
+        None => Ok(cfg),
     }
-    if cfg.shards == 0 {
-        return Err(StoreError::corrupt("config with zero shards"));
-    }
-    if cfg.num_perm < cfg.trees || cfg.embed_bits < cfg.trees {
-        return Err(StoreError::corrupt(
-            "config signature lengths shorter than the tree count",
-        ));
-    }
-    Ok(cfg)
 }
 
 // --------------------------------------------------------------- profiles
@@ -239,17 +250,32 @@ fn encode_rows(attrs: &AttrTable, t: usize) -> Vec<u8> {
 
 /// Decode a block of [`encode_rows`] into `attrs` as its next table —
 /// named `name`, of subject column `subject`, removed or not — whose
-/// subject is checked against the rows. Returns the row count.
+/// subject is checked against the rows. A table has as many attributes
+/// as its block has records (a removed table none), and no more than an
+/// attribute key can tell apart.
 fn decode_table(
     bytes: &[u8],
     attrs: &mut AttrTable,
     (name, subject, removed): (&str, Option<u32>, bool),
-) -> Result<usize, StoreError> {
+) -> Result<(), StoreError> {
     let n = decode_profiles(bytes, |attr| attrs.push(attr, [NONE; 4]))?;
     attrs.end_table(name, subject, removed);
-    let first = attrs.rows(attrs.tables() - 1).start;
-    check_subject(subject, n, |c| attrs.attr(first + c).is_numeric)?;
-    Ok(n)
+    let t = attrs.tables() - 1;
+    if n > AttrRef::MAX_COLUMN as usize + 1 {
+        return Err(StoreError::corrupt(format!(
+            "table {name:?} has {n} attributes, more than a key can name"
+        )));
+    }
+    // A removal and a hole leave a table no attribute and no subject,
+    // so no forest can hold, and nothing resolves, an attribute of a
+    // removed table.
+    if removed && (n > 0 || subject.is_some()) {
+        return Err(StoreError::corrupt(format!(
+            "removed table {t} keeps {n} attributes or a subject"
+        )));
+    }
+    let first = attrs.rows(t).start;
+    check_subject(subject, n, |c| attrs.attr(first + c).is_numeric)
 }
 
 /// Decode a block of [`encode_rows`], handing each record to `take`.
@@ -314,52 +340,33 @@ fn check_subject(
 // ---------------------------------------------------------------- forests
 
 /// One forest section decoded into an engine whose attribute table is
-/// read: the forest, and column `index` of the rows' classes filled from
-/// its `(id, class)` table. What the query paths assume of it is checked
-/// here — committed, and holding exactly the attributes its index covers:
-/// every row (a removed table has none), only the non-numeric ones when
-/// `textual_only` (`IV`, `IE`; §III-C). Anything else would decode fine
-/// and panic on the first query to draw or resolve the attribute.
+/// read, at the engine's tree shape `shape` and signature shape
+/// `sig_shape`: the forest, and column `index` of the rows' classes. Its
+/// items are the rows its index covers — every row, or only the
+/// non-numeric ones when `textual_only` (`IV`, `IE`; §III-C) — so a
+/// forest holds exactly those attributes, by construction.
 fn read_forest<S: Signature, R: Read>(
     sec: &mut SectionReader<'_, R>,
-    shape: (usize, usize),
-    (index, name, textual_only): (usize, &str, bool),
+    (shape, sig_shape): ((usize, usize), (usize, u64)),
+    (index, textual_only): (usize, bool),
     attrs: &mut AttrTable,
 ) -> Result<LshForest<S>, StoreError> {
     let covered = |attrs: &AttrTable, row: usize| !(textual_only && attrs.attr(row).is_numeric);
-    let forest = LshForest::read_from(sec, shape, |id, slot| {
-        // An id whose bits past the packing are not zero would name the
-        // row of another id, which the forest holds apart from it.
-        let attr = AttrRef::from_key(id);
-        match attrs.row(attr).filter(|_| attr.key() == id) {
-            Some(row) if covered(attrs, row) => {
-                attrs.set_class(row, index, slot);
-                Ok(())
-            }
-            _ => Err(StoreError::corrupt(format!(
-                "forest {name} indexes attribute {attr:?} outside the table list or its part of it"
-            ))),
-        }
-    })?;
-    if !forest.is_committed() {
-        return Err(StoreError::corrupt(format!(
-            "forest {name} was snapshotted uncommitted"
-        )));
-    }
-    for t in 0..attrs.tables() {
+    let tables = 0..attrs.tables();
+    let rows = tables.clone().flat_map(|t| attrs.rows(t));
+    let mut ids = Vec::with_capacity(rows.filter(|&row| covered(attrs, row)).count());
+    for t in tables {
+        let table = TableId(t as u32);
         for (column, row) in (0u32..).zip(attrs.rows(t)) {
-            if attrs.class(row)[index] == NONE && covered(attrs, row) {
-                let attr = AttrRef {
-                    table: TableId(t as u32),
-                    column,
-                };
-                return Err(StoreError::corrupt(format!(
-                    "forest {name} lacks attribute {attr:?}"
-                )));
+            if covered(attrs, row) {
+                ids.push(AttrRef { table, column }.key());
             }
         }
     }
-    Ok(forest)
+    LshForest::read_from(sec, shape, sig_shape, ids, |id, slot| {
+        let row = attrs.row(AttrRef::from_key(id)).expect("an item is a row");
+        attrs.set_class(row, index, slot);
+    })
 }
 
 // --------------------------------------------------------------- snapshot
@@ -380,13 +387,12 @@ impl D3l {
         let mut conf = Encoder::new();
         encode_config(&self.cfg, &mut conf);
         w.add_section(SEC_CONFIG, conf.as_bytes())?;
-        w.add_section(SEC_EMBEDDER, &self.embedder.to_bytes())?;
+        w.add_section(SEC_EMBEDDER, &self.embedder.lexicon().to_bytes())?;
 
         let (attrs, mut tabl) = (&self.attrs, Encoder::new());
         tabl.put_varint(attrs.tables() as u64);
         for t in 0..attrs.tables() {
             tabl.put_str(attrs.table_name(t));
-            tabl.put_varint(attrs.rows(t).len() as u64);
             encode_subject(attrs.subject(t), &mut tabl);
             tabl.put_u8(attrs.is_removed(t) as u8);
         }
@@ -428,79 +434,61 @@ impl D3l {
         let mut conf_dec = Decoder::new(&conf);
         let cfg = decode_config(&mut conf_dec)?;
         conf_dec.expect_exhausted("config")?;
-
-        let embedder = SemanticEmbedder::from_bytes(&reader.section(SEC_EMBEDDER)?)?;
-        if embedder.lexicon().dim() != cfg.embed_dim {
-            return Err(StoreError::corrupt(format!(
-                "embedder dim {} does not match config dim {}",
-                embedder.lexicon().dim(),
-                cfg.embed_dim
-            )));
-        }
+        let lexicon = Lexicon::from_bytes(&reader.section(SEC_EMBEDDER)?, cfg.embed_dim)?;
 
         let tabl_bytes = reader.section(SEC_TABLES)?;
         let mut tabl = Decoder::new(&tabl_bytes);
         let count = tabl.get_len(3, "table list")?;
         let mut tables = Vec::with_capacity(count);
-        for i in 0..count {
+        for _ in 0..count {
             let name = tabl.get_str_ref()?;
-            let (arity, subject) = (tabl.get_varint()? as usize, decode_subject(&mut tabl)?);
-            let gone = tabl.get_u8()? != 0;
-            // A removal and a hole leave a table no attribute and no
-            // subject, so no forest can hold, and nothing resolves, an
-            // attribute of a removed table.
-            if gone && (arity > 0 || subject.is_some()) {
-                return Err(StoreError::corrupt(format!(
-                    "removed table {i} keeps {arity} attributes or a subject"
-                )));
-            }
-            tables.push((arity, (name, subject, gone)));
+            let subject = decode_subject(&mut tabl)?;
+            tables.push((name, subject, tabl.get_u8()? != 0));
         }
         tabl.expect_exhausted("table list")?;
 
         let mut attrs = reader.stream_section(SEC_PROFILES, |sec| {
             let mut attrs = AttrTable::default();
             let mut block = Vec::new();
-            for (i, &(arity, table)) in tables.iter().enumerate() {
+            for &table in &tables {
                 sec.get_bytes(&mut block)?;
-                let n = decode_table(&block, &mut attrs, table)?;
-                if n != arity {
-                    return Err(StoreError::corrupt(format!(
-                        "table {i} has {n} profiles for arity {arity}"
-                    )));
-                }
+                decode_table(&block, &mut attrs, table)?;
             }
             attrs.shrink_to_fit();
             Ok(attrs)
         })?;
 
         // Each forest fills its column of the rows' classes as it is
-        // read.
-        let minhash_shape = (cfg.trees, cfg.num_perm / cfg.trees);
+        // read, at the shapes of the hashers that will query it — built
+        // once the forests are read, off the peak of an open.
+        let trees = cfg.trees;
+        let minhash = (
+            (trees, cfg.num_perm / trees),
+            MinHasher::sig_shape_of(cfg.num_perm),
+        );
+        let embed = (
+            (trees, cfg.embed_bits / trees),
+            RandomProjector::sig_shape_of(cfg.embed_bits),
+        );
         let i_n = reader.stream_section(SEC_FOREST_N, |sec| {
-            read_forest(sec, minhash_shape, (0, "IN", false), &mut attrs)
+            read_forest(sec, minhash, (0, false), &mut attrs)
         })?;
         let i_v = reader.stream_section(SEC_FOREST_V, |sec| {
-            read_forest(sec, minhash_shape, (1, "IV", true), &mut attrs)
+            read_forest(sec, minhash, (1, true), &mut attrs)
         })?;
         let i_f = reader.stream_section(SEC_FOREST_F, |sec| {
-            read_forest(sec, minhash_shape, (2, "IF", false), &mut attrs)
+            read_forest(sec, minhash, (2, false), &mut attrs)
         })?;
-        let embed_shape = (cfg.trees, cfg.embed_bits / cfg.trees);
         let i_e = reader.stream_section(SEC_FOREST_E, |sec| {
-            read_forest(sec, embed_shape, (3, "IE", true), &mut attrs)
+            read_forest(sec, embed, (3, true), &mut attrs)
         })?;
-
         Ok(D3l {
-            minhasher: MinHasher::new(cfg.num_perm, cfg.seed),
-            projector: RandomProjector::new(cfg.embed_dim, cfg.embed_bits, cfg.seed ^ 0xee),
-            cfg,
-            embedder,
             i_n,
             i_v,
             i_f,
             i_e,
             attrs,
+            ..D3l::empty(cfg, SemanticEmbedder::new(lexicon))
         })
     }
 }
@@ -509,30 +497,31 @@ impl D3l {
 
 /// A delta segment's add carries the table as it was pushed: with the
 /// token sets and the vector gone, that is what replay cannot
-/// re-derive. Replay signs nothing; it pushes the decoded record.
+/// re-derive. Replay signs nothing; it pushes the decoded record. The
+/// words are uncounted: per index, the columns it covers times the
+/// stride of the replaying engine's hasher, `strides` (the MinHash and
+/// the `IE` one).
 impl SignedTable {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_str(self.name());
         encode_subject(self.subject(), enc);
         enc.put_bytes(&encode_rows(&self.attrs, 0));
-        for words in &self.words {
-            enc.put_u64s(words);
-        }
+        self.words.iter().for_each(|words| enc.put_u64_slab(words));
     }
 
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
+    fn decode(dec: &mut Decoder<'_>, (mh, rp): (usize, usize)) -> Result<Self, StoreError> {
         let name = dec.get_str_ref()?;
         let subject = decode_subject(dec)?;
         let mut attrs = AttrTable::default();
         decode_table(dec.get_bytes()?, &mut attrs, (name, subject, false))?;
+        let rows = attrs.rows(0);
+        let textual = rows.clone().filter(|&row| !attrs.attr(row).is_numeric);
+        let (columns, textual) = (rows.len(), textual.count());
+        let [i_n, i_v, i_f, i_e] =
+            [columns * mh, textual * mh, columns * mh, textual * rp].map(|n| dec.get_u64_slab(n));
         Ok(SignedTable {
             attrs,
-            words: [
-                dec.get_u64s()?,
-                dec.get_u64s()?,
-                dec.get_u64s()?,
-                dec.get_u64s()?,
-            ],
+            words: [i_n?, i_v?, i_f?, i_e?],
         })
     }
 }
@@ -580,13 +569,14 @@ impl DeltaRecord {
         enc.into_bytes()
     }
 
-    /// Decode a whole delta segment file.
-    fn from_segment(segment: &[u8]) -> Result<Self, StoreError> {
+    /// Decode a whole delta segment file, for an engine of signature
+    /// strides `strides` ([`SignedTable`]'s decoder).
+    fn from_segment(segment: &[u8], strides: (usize, usize)) -> Result<Self, StoreError> {
         let mut reader = ContainerReader::parse(segment, KIND_DELTA)?;
-        Self::from_bytes(&reader.section(SEC_DELTA_RECORD)?)
+        Self::from_bytes(&reader.section(SEC_DELTA_RECORD)?, strides)
     }
 
-    fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
+    fn from_bytes(bytes: &[u8], strides: (usize, usize)) -> Result<Self, StoreError> {
         let mut dec = Decoder::new(bytes);
         let record = match dec.get_u8()? {
             2 => DeltaRecord::Remove {
@@ -594,7 +584,7 @@ impl DeltaRecord {
             },
             3 => DeltaRecord::AddAt {
                 table: Self::decode_table_id(&mut dec)?,
-                added: SignedTable::decode(&mut dec)?,
+                added: SignedTable::decode(&mut dec, strides)?,
             },
             other => {
                 return Err(StoreError::corrupt(format!(
@@ -630,29 +620,6 @@ impl D3l {
             }
             DeltaRecord::AddAt { table, added } => (table, added),
         };
-        // Each index's words are its columns' signatures, whole —
-        // checked before anything is inserted.
-        let rows = added.attrs.rows(0);
-        let textual = rows
-            .clone()
-            .filter(|&row| !added.attrs.attr(row).is_numeric);
-        let (columns, textual) = (rows.len(), textual.count());
-        let (mh, rp) = (self.minhasher.sig_shape().0, self.projector.sig_shape().0);
-        let expected = [
-            ("IN", columns, mh),
-            ("IV", textual, mh),
-            ("IF", columns, mh),
-            ("IE", textual, rp),
-        ];
-        for (words, (index, covered, stride)) in added.words.iter().zip(expected) {
-            if words.len() != covered * stride {
-                return Err(StoreError::corrupt(format!(
-                    "delta adds {:?} with {} {index} words for {covered} columns of {stride}",
-                    added.name(),
-                    words.len()
-                )));
-            }
-        }
         if table.index() < self.table_count() {
             return Err(StoreError::corrupt(format!(
                 "delta adds table {table} at an already-occupied slot"
@@ -756,7 +723,7 @@ impl IndexStore {
         for (seq, path) in pending {
             let replay = |d3l: &mut D3l| -> Result<(), StoreError> {
                 let segment = std::fs::read(&path)?;
-                d3l.apply_delta(DeltaRecord::from_segment(&segment)?)
+                d3l.apply_delta(DeltaRecord::from_segment(&segment, d3l.strides())?)
             };
             replay(d3l).map_err(|e| StoreError::bad_segment(seq, e))?;
             through = seq;
@@ -1210,7 +1177,7 @@ mod tests {
         }
     }
 
-    /// A store written by format version 1 to 7 is named as such — by
+    /// A store written by format version 1 to 8 is named as such — by
     /// `open` as by the byte-slice decoder — and nothing of it is
     /// decoded.
     #[test]
@@ -1223,12 +1190,13 @@ mod tests {
         v1.put_u32(KIND_SNAPSHOT);
         v1.put_u32(0);
         v1.put_raw(&[0u8; 64]);
-        // Versions 2 to 7 had today's container around other sections
+        // Versions 2 to 8 had today's container around other sections
         // (64-bit MinHash values; a slab slot per attribute; embedding
         // vectors in `PROF`; no class tables; token sets in `PROF` and
-        // `IN`/`IF` signed again from them; 8-byte extent values):
-        // whole, checksummed files with that header.
-        let newer: Vec<(u32, Vec<u8>)> = (2..=7u32)
+        // `IN`/`IF` signed again from them; 8-byte extent values; forest
+        // headers and id tables): whole, checksummed files with that
+        // header.
+        let newer: Vec<(u32, Vec<u8>)> = (2..=8u32)
             .map(|version| {
                 let mut bytes = engine().to_snapshot_bytes();
                 bytes[8..12].copy_from_slice(&version.to_le_bytes());
@@ -1242,7 +1210,7 @@ mod tests {
             let is_old = |err: &StoreError| {
                 matches!(
                     err,
-                    StoreError::UnsupportedVersion { found, supported: 8 } if *found == version
+                    StoreError::UnsupportedVersion { found, supported: 9 } if *found == version
                 )
             };
             let err = D3l::from_snapshot_bytes(bytes).unwrap_err();
@@ -1254,7 +1222,7 @@ mod tests {
             assert!(is_old(&err), "{err}");
             assert!(err.to_string().contains("re-index"), "{err}");
         }
-        // A version 7 delta segment beside a current base is named too,
+        // A version 8 delta segment beside a current base is named too,
         // as the segment it is.
         let mut d3l = engine();
         let mut store = IndexStore::create(&dir, &d3l).unwrap();
@@ -1262,14 +1230,15 @@ mod tests {
         store.append_add(&mut d3l, &gp).unwrap();
         let segment = dir.join(layout::delta_file_name(1));
         let mut bytes = std::fs::read(&segment).unwrap();
-        bytes[8..12].copy_from_slice(&7u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&8u32.to_le_bytes());
         std::fs::write(&segment, bytes).unwrap();
         let err = IndexStore::open(&dir).unwrap_err();
         assert!(
             matches!(&err, StoreError::BadSegment { seq: 1, source }
-                if matches!(**source, StoreError::UnsupportedVersion { found: 7, supported: 8 })),
+                if matches!(**source, StoreError::UnsupportedVersion { found: 8, supported: 9 })),
             "{err}"
         );
+        assert!(err.to_string().contains("re-index"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1330,45 +1299,6 @@ mod tests {
         w.finish().unwrap()
     }
 
-    /// A forest naming an attribute the table list does not have —
-    /// each of the four sections in turn, its last id moved to a table
-    /// past the end, the section otherwise whole — is refused at open.
-    #[test]
-    fn forest_id_outside_the_table_list_is_corrupt() {
-        let bytes = engine().to_snapshot_bytes();
-        for tag in [SEC_FOREST_N, SEC_FOREST_V, SEC_FOREST_F, SEC_FOREST_E] {
-            // The last id of the (ascending) id table: table 2 → 9.
-            let bad = with_section(&bytes, tag, |mut payload| {
-                let n = u64::from_le_bytes(payload[9..17].try_into().unwrap()) as usize;
-                let last = class_table_at(n) - 8;
-                let id = u64::from_le_bytes(payload[last..last + 8].try_into().unwrap());
-                assert_eq!(AttrRef::from_key(id).table, TableId(2));
-                let moved = AttrRef {
-                    table: TableId(9),
-                    column: 0,
-                };
-                payload[last..last + 8].copy_from_slice(&moved.key().to_le_bytes());
-                payload
-            });
-            assert_corrupt(&bad, "outside the table list");
-        }
-    }
-
-    /// An id is an attribute's key exactly: one with bits set past the
-    /// packing — which names its row all the same — is refused too.
-    #[test]
-    fn forest_id_past_the_key_packing_is_corrupt() {
-        let bytes = engine().to_snapshot_bytes();
-        let bad = with_section(&bytes, SEC_FOREST_N, |mut payload| {
-            let n = u64::from_le_bytes(payload[9..17].try_into().unwrap()) as usize;
-            let last = class_table_at(n) - 8;
-            let id = u64::from_le_bytes(payload[last..last + 8].try_into().unwrap());
-            payload[last..last + 8].copy_from_slice(&(id | 1 << 60).to_le_bytes());
-            payload
-        });
-        assert_corrupt(&bad, "outside the table list");
-    }
-
     /// [`engine`] plus a table that repeats two of its attribute names
     /// over other values: `IN` holds ten attributes in eight classes,
     /// "Practice" and "City" of two members each, and a forest
@@ -1383,12 +1313,6 @@ mod tests {
         d3l
     }
 
-    /// Byte offset of a forest section's class table, past the header
-    /// and the `n` ids.
-    fn class_table_at(n: usize) -> usize {
-        37 + n * 8
-    }
-
     fn assert_corrupt(bytes: &[u8], what: &str) {
         let err = D3l::from_snapshot_bytes(bytes).unwrap_err();
         assert!(
@@ -1397,31 +1321,37 @@ mod tests {
         );
     }
 
+    /// A forest section read at the engine's shapes and over its rows,
+    /// but not of them, fails as the section it is: a typed error, never
+    /// a forest.
+    fn assert_refused(bytes: &[u8]) {
+        let err = D3l::from_snapshot_bytes(bytes).unwrap_err();
+        assert!(
+            matches!(err, StoreError::Corrupt(_) | StoreError::Truncated { .. }),
+            "{err}"
+        );
+    }
+
+    /// The class table names no class the slab and the trees do not
+    /// hold: one more class (the last attribute of `IN` and `IF` in a
+    /// class of its own) or one fewer ("Moons", the one member of class
+    /// 7, filed under class 0) is a typed error.
     #[test]
-    fn class_number_outside_the_class_count_is_corrupt() {
+    fn class_table_naming_other_classes_than_the_section_holds_is_corrupt() {
         let bytes = pooled_engine().to_snapshot_bytes();
         for tag in [SEC_FOREST_N, SEC_FOREST_F] {
             let bad = with_section(&bytes, tag, |mut payload| {
-                let c = u64::from_le_bytes(payload[17..25].try_into().unwrap()) as u32;
-                let last = class_table_at(10) + 9 * 4;
-                payload[last..last + 4].copy_from_slice(&c.to_le_bytes());
+                payload[9 * 4..10 * 4].copy_from_slice(&8u32.to_le_bytes());
                 payload
             });
-            assert_corrupt(&bad, "names class");
+            assert_refused(&bad);
         }
-    }
-
-    #[test]
-    fn class_without_a_member_is_corrupt() {
-        let bytes = pooled_engine().to_snapshot_bytes();
-        // "Moons", the one member of class 7, is filed under class 0.
         let bad = with_section(&bytes, SEC_FOREST_N, |mut payload| {
-            let at = class_table_at(10) + 7 * 4;
-            assert_eq!(payload[at..at + 4], 7u32.to_le_bytes());
-            payload[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
+            assert_eq!(payload[7 * 4..8 * 4], 7u32.to_le_bytes());
+            payload[7 * 4..8 * 4].copy_from_slice(&0u32.to_le_bytes());
             payload
         });
-        assert_corrupt(&bad, "class 7 of 8 has no member");
+        assert_refused(&bad);
     }
 
     #[test]
@@ -1429,9 +1359,8 @@ mod tests {
         let bytes = pooled_engine().to_snapshot_bytes();
         // Classes 4 and 5 trade numbers: 5 is met before 4.
         let bad = with_section(&bytes, SEC_FOREST_N, |mut payload| {
-            let at = class_table_at(10) + 4 * 4;
-            payload[at..at + 4].copy_from_slice(&5u32.to_le_bytes());
-            payload[at + 4..at + 8].copy_from_slice(&4u32.to_le_bytes());
+            payload[4 * 4..5 * 4].copy_from_slice(&5u32.to_le_bytes());
+            payload[5 * 4..6 * 4].copy_from_slice(&4u32.to_le_bytes());
             payload
         });
         assert_corrupt(&bad, "not ranked by first appearance");
@@ -1440,9 +1369,9 @@ mod tests {
     #[test]
     fn two_value_classes_with_one_signature_are_corrupt() {
         let d3l = pooled_engine();
-        let (bytes, sig) = (d3l.to_snapshot_bytes(), d3l.minhasher.sig_shape().0 * 8);
+        let (bytes, sig) = (d3l.to_snapshot_bytes(), d3l.strides().0 * 8);
         let bad = with_section(&bytes, SEC_FOREST_V, |mut payload| {
-            let slab = class_table_at(7) + 7 * 4;
+            let slab = 7 * 4;
             payload.copy_within(slab + sig..slab + 2 * sig, slab + 4 * sig);
             payload
         });
@@ -1454,35 +1383,26 @@ mod tests {
         reader.section(tag).unwrap()
     }
 
-    /// A forest that lacks the attributes of a live table — each forest
-    /// section in turn taken from an engine that removed table 1, in a
-    /// re-sealed snapshot of the full engine — is refused at open. (It
-    /// opened, and the first query to score one of table 1's
-    /// attributes died in a query worker on "attribute not indexed".)
+    /// A forest section of another table list — each in turn taken from
+    /// an engine that removed table 1, in a re-sealed snapshot of the
+    /// full engine — is refused at open. (Before a forest's items were
+    /// its reader's rows, such a store opened, and the first query to
+    /// score one of table 1's attributes died in a query worker on
+    /// "attribute not indexed".)
     #[test]
-    fn forest_lacking_a_live_attribute_is_corrupt() {
+    fn forest_of_another_table_list_is_corrupt() {
         let full = engine();
         let mut short = full.clone();
         assert!(short.remove_table(TableId(1)));
         let (bytes, short_bytes) = (full.to_snapshot_bytes(), short.to_snapshot_bytes());
-        for (tag, name) in [
-            (SEC_FOREST_N, "IN"),
-            (SEC_FOREST_V, "IV"),
-            (SEC_FOREST_F, "IF"),
-            (SEC_FOREST_E, "IE"),
-        ] {
+        for tag in [SEC_FOREST_N, SEC_FOREST_V, SEC_FOREST_F, SEC_FOREST_E] {
             let bad = with_section(&bytes, tag, |_| section_of(&short_bytes, tag));
-            let err = D3l::from_snapshot_bytes(&bad).unwrap_err();
-            let lacks = format!("forest {name} lacks attribute AttrRef {{ table: TableId(1)");
-            assert!(
-                matches!(&err, StoreError::Corrupt(m) if m.contains(&lacks)),
-                "{err}"
-            );
+            assert_refused(&bad);
         }
     }
 
-    /// The mirror case: a numeric attribute in `IV` or `IE`, which
-    /// index no numeric attribute (§III-C).
+    /// The mirror case: an `IV` or `IE` section that holds a numeric
+    /// attribute, which those indexes do not (§III-C), is refused too.
     #[test]
     fn forest_holding_a_numeric_attribute_is_corrupt() {
         let payment = AttrRef {
@@ -1505,23 +1425,19 @@ mod tests {
             d3l.to_snapshot_bytes()
         };
         for forest in ["IV", "IE"] {
-            let err = D3l::from_snapshot_bytes(&with_payment_in(forest)).unwrap_err();
-            let holds = format!(
-                "forest {forest} indexes attribute AttrRef {{ table: TableId(0), column: 2 }}"
-            );
-            assert!(
-                matches!(&err, StoreError::Corrupt(m) if m.contains(&holds)),
-                "{err}"
-            );
+            assert_refused(&with_payment_in(forest));
         }
     }
 
-    /// A delta's words must be, per index, the signatures of the
-    /// columns it covers, whole: any other count — in any of the four —
-    /// is a typed error, from `apply_delta` and from `open` inside the
-    /// `BadSegment` naming the file. So is the retired record type 1.
+    /// A delta's add round-trips and replays into the engine the live
+    /// add built. Its words are, per index, the signatures of the
+    /// columns the index covers at the engine's strides, uncounted: a
+    /// record written with a word more or less in any of the four reads
+    /// as another record, which is a typed error — from the decoder and
+    /// from `open`, inside the `BadSegment` naming the file. So is the
+    /// retired record type 1.
     #[test]
-    fn delta_with_a_wrong_word_count_is_corrupt() {
+    fn delta_record_round_trips_and_one_of_other_lengths_is_corrupt() {
         let dir = std::env::temp_dir().join(format!("d3l_store_words_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let base = engine();
@@ -1535,9 +1451,8 @@ mod tests {
         let mut added = base.clone();
         let id = added.add_table(&extra);
         let record = added.signed_table(id).unwrap();
-        let (mh, rp) = (base.minhasher.sig_shape().0, base.projector.sig_shape().0);
+        let (mh, rp) = base.strides();
         // Three columns, two of them textual.
-        let strides = [mh, mh, mh, rp];
         let whole = [3 * mh, 2 * mh, 3 * mh, 2 * rp];
         assert_eq!(record.words.each_ref().map(Vec::len), whole);
         let with_words = |index: usize, n: usize| {
@@ -1550,25 +1465,24 @@ mod tests {
         let mut replayed = base.clone();
         let bytes = with_words(0, whole[0]).to_bytes();
         replayed
-            .apply_delta(DeltaRecord::from_bytes(&bytes).unwrap())
+            .apply_delta(DeltaRecord::from_bytes(&bytes, base.strides()).unwrap())
             .unwrap();
         assert_engines_identical(&added, &replayed);
         assert!(replayed.to_snapshot_bytes() == added.to_snapshot_bytes());
         let mut retired = bytes.clone();
         retired[0] = 1;
-        let err = DeltaRecord::from_bytes(&retired).unwrap_err();
+        let err = DeltaRecord::from_bytes(&retired, base.strides()).unwrap_err();
         assert!(
             matches!(&err, StoreError::Corrupt(m) if m.contains("unknown delta record type 1")),
             "{err}"
         );
-        for (index, name) in ["IN", "IV", "IF", "IE"].iter().enumerate() {
-            let (stride, all) = (strides[index], whole[index]);
-            for n in [0, stride, all - 1, all + 1, all + stride] {
-                let decoded = DeltaRecord::from_bytes(&with_words(index, n).to_bytes()).unwrap();
-                let err = base.clone().apply_delta(decoded).unwrap_err();
+        for (index, all) in whole.into_iter().enumerate() {
+            for n in [all - 1, all + 1] {
+                let bytes = with_words(index, n).to_bytes();
+                let err = DeltaRecord::from_bytes(&bytes, base.strides()).unwrap_err();
                 assert!(
-                    matches!(&err, StoreError::Corrupt(m) if m.contains(&format!("{name} words"))),
-                    "{n} {name} words: {err}"
+                    matches!(&err, StoreError::Truncated { .. } | StoreError::Corrupt(_)),
+                    "{n} words in index {index}: {err}"
                 );
             }
         }
@@ -1576,7 +1490,7 @@ mod tests {
         let err = IndexStore::open(&dir).unwrap_err();
         assert!(
             matches!(&err, StoreError::BadSegment { seq: 1, source }
-                if matches!(&**source, StoreError::Corrupt(m) if m.contains("IV words"))),
+                if matches!(&**source, StoreError::Truncated { .. } | StoreError::Corrupt(_))),
             "{err}"
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -1596,19 +1510,20 @@ mod tests {
         let added = d3l.signed_table(id).unwrap();
         assert_eq!(added.subject(), Some(0));
         let bytes = DeltaRecord::AddAt { table: id, added }.to_bytes();
-        // The record ends: ... flags | four counted word lists.
-        let mut tail = Encoder::new();
-        let DeltaRecord::AddAt { added, .. } = DeltaRecord::from_bytes(&bytes).unwrap() else {
+        // The record ends: ... flags | four word lists.
+        let DeltaRecord::AddAt { added, .. } =
+            DeltaRecord::from_bytes(&bytes, d3l.strides()).unwrap()
+        else {
             panic!("an add record");
         };
-        added.words.iter().for_each(|w| tail.put_u64s(w));
-        let flags_at = bytes.len() - tail.as_bytes().len() - 1;
+        let words: usize = added.words.iter().map(Vec::len).sum();
+        let flags_at = bytes.len() - 8 * words - 1;
         let all = FLAG_EMBEDDED | FLAG_NAME | FLAG_TEXT | FLAG_FORMAT;
         assert_eq!(bytes[flags_at], all);
         let mut bad = bytes.clone();
         for flags in 0..=255u8 {
             bad[flags_at] = flags;
-            let decoded = DeltaRecord::from_bytes(&bad);
+            let decoded = DeltaRecord::from_bytes(&bad, d3l.strides());
             let numeric = flags & FLAG_NUMERIC != 0;
             let textual = flags & (FLAG_TEXT | FLAG_EMBEDDED) != 0;
             if numeric && !textual && flags <= (all | FLAG_NUMERIC) {
@@ -1659,9 +1574,9 @@ mod tests {
         assert_eq!(d3l.subject_of(TableId(0)).map(|s| s.column), Some(0));
         for column in [2u8, 3] {
             let bad = with_section(&snapshot, SEC_TABLES, |mut tabl| {
-                // count | name length, "gp_funding" | arity | flag | column
-                assert_eq!(tabl[12..15], [3, 1, 0]);
-                tabl[14] = column;
+                // count | name length, "gp_funding" | flag | column
+                assert_eq!(tabl[12..14], [1, 0]);
+                tabl[13] = column;
                 tabl
             });
             assert_corrupt(
@@ -1672,8 +1587,8 @@ mod tests {
         // Nor does a removed table keep attributes or a subject: a
         // removal leaves it none, and nothing resolves them.
         let bad = with_section(&snapshot, SEC_TABLES, |mut tabl| {
-            assert_eq!(tabl[15], 0, "gp_funding is live");
-            tabl[15] = 1;
+            assert_eq!(tabl[14], 0, "gp_funding is live");
+            tabl[14] = 1;
             tabl
         });
         assert_corrupt(&bad, "removed table 0 keeps 3 attributes or a subject");
@@ -1687,11 +1602,11 @@ mod tests {
     fn store_varints_past_u32_are_corrupt() {
         let snapshot = engine().to_snapshot_bytes();
         let bad = with_section(&snapshot, SEC_TABLES, |tabl| {
-            // count | name length, "gp_funding" | arity | flag | column
-            assert_eq!(tabl[12..15], [3, 1, 0]);
+            // count | name length, "gp_funding" | flag | column
+            assert_eq!(tabl[12..14], [1, 0]);
             let mut column = Encoder::new();
             column.put_varint(1 << 32);
-            [&tabl[..14], column.as_bytes(), &tabl[15..]].concat()
+            [&tabl[..13], column.as_bytes(), &tabl[14..]].concat()
         });
         assert_corrupt(&bad, "subject column 4294967296 exceeds u32");
 
@@ -1700,22 +1615,14 @@ mod tests {
         let lexicon = d3l_embedding::Lexicon::with_groups(cfg.embed_dim, groups);
         let d3l = D3l::index_lake_with(&lake(), cfg, SemanticEmbedder::new(lexicon));
         let bad = with_section(&d3l.to_snapshot_bytes(), SEC_EMBEDDER, |embd| {
-            // The lexicon block (dim | concept count | entries), then the
-            // subword seed and the blend weight.
-            let mut dec = Decoder::new(&embd);
-            let mut lexicon = Decoder::new(dec.get_bytes().unwrap());
-            let (dim, concepts) = (lexicon.get_varint().unwrap(), lexicon.get_varint().unwrap());
-            assert_eq!(concepts, 2);
+            // The lexicon: concept count | entries.
+            assert_eq!(embd[0], 2);
             let mut planted = Encoder::new();
-            planted.put_varint(dim);
-            planted.put_varint(concepts);
+            planted.put_varint(2);
             planted.put_varint(1);
             planted.put_str("road");
             planted.put_varint((1 << 32) + 1);
-            let mut out = Encoder::new();
-            out.put_bytes(planted.as_bytes());
-            out.put_raw(dec.rest());
-            out.into_bytes()
+            planted.into_bytes()
         });
         assert_corrupt(&bad, "concept 4294967297, which exceeds u32");
     }
@@ -1777,7 +1684,7 @@ mod tests {
             encode_subject(added.subject(), &mut enc);
             let block = encode_rows(&added.attrs, 0);
             enc.put_bytes(&splice(&block, bad));
-            added.words.iter().for_each(|w| enc.put_u64s(w));
+            added.words.iter().for_each(|w| enc.put_u64_slab(w));
             enc.into_bytes()
         };
         let bytes = d3l.to_snapshot_bytes();
@@ -1798,7 +1705,7 @@ mod tests {
             std::fs::write(dir.join(BASE_FILE), &base).unwrap();
             let err = IndexStore::open(&dir).unwrap_err();
             assert!(corrupt(&err), "{err}");
-            let err = DeltaRecord::from_bytes(&delta_with(bad)).unwrap_err();
+            let err = DeltaRecord::from_bytes(&delta_with(bad), d3l.strides()).unwrap_err();
             assert!(corrupt(&err), "{err}");
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -2033,12 +1940,13 @@ mod tests {
         .unwrap();
         store.append_add(&mut d3l, &extra).unwrap();
         let bytes = std::fs::read(dir.join(layout::delta_file_name(1))).unwrap();
+        let strides = d3l.strides();
         assert!(matches!(
-            DeltaRecord::from_segment(&bytes),
+            DeltaRecord::from_segment(&bytes, strides),
             Ok(DeltaRecord::AddAt { .. })
         ));
         for cut in 0..bytes.len() {
-            match DeltaRecord::from_segment(&bytes[..cut]) {
+            match DeltaRecord::from_segment(&bytes[..cut], strides) {
                 Err(e) => assert!(typed_decode_failure(&e), "cut {cut}: {e}"),
                 Ok(_) => panic!("cut {cut}: truncated segment decoded"),
             }
@@ -2046,7 +1954,7 @@ mod tests {
         let mut bad = bytes.clone();
         for pos in 0..bytes.len() {
             bad[pos] ^= 1 << (pos % 8);
-            match DeltaRecord::from_segment(&bad) {
+            match DeltaRecord::from_segment(&bad, strides) {
                 Err(e) => assert!(typed_decode_failure(&e), "flip {pos}: {e}"),
                 Ok(_) => panic!("flip {pos}: damaged segment decoded"),
             }

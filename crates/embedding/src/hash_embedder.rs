@@ -13,8 +13,10 @@ pub struct HashEmbedder {
     seed: u64,
 }
 
+/// splitmix64: the avalanche mixer every pseudorandom direction (an
+/// n-gram's, a concept's) derives from.
 #[inline]
-fn splitmix64(mut x: u64) -> u64 {
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
@@ -60,12 +62,6 @@ impl HashEmbedder {
     /// Vector dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// The seed every n-gram direction derives from (persisted so a
-    /// reloaded engine reproduces the same subword geometry).
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Character n-grams of a word with boundary markers, n ∈ 3..=5,

@@ -6,15 +6,8 @@
 
 use std::collections::HashMap;
 
+use crate::hash_embedder::splitmix64;
 use crate::vecmath::normalize;
-
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
 
 /// A word → concept mapping with deterministic concept vectors.
 #[derive(Debug, Clone, Default)]
@@ -98,12 +91,12 @@ impl Lexicon {
         self.concept_of(word).map(|c| self.vector_for_concept(c))
     }
 
-    /// Serialize the word → concept state for a snapshot section.
-    /// Entries are written in sorted word order, so equal lexicons
-    /// encode identically regardless of map iteration order.
+    /// Serialize the word → concept state for a snapshot section: the
+    /// concept count and the entries, in sorted word order, so equal
+    /// lexicons encode identically regardless of map iteration order.
+    /// The dimension is not written; its reader knows it.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut enc = d3l_store::Encoder::new();
-        enc.put_varint(self.dim as u64);
         enc.put_varint(self.concept_count as u64);
         let mut entries: Vec<(&String, &u32)> = self.word_to_concept.iter().collect();
         entries.sort();
@@ -115,20 +108,21 @@ impl Lexicon {
         enc.into_bytes()
     }
 
-    /// Deserialize a lexicon written by [`Lexicon::to_bytes`]. Concept
-    /// vectors are pure functions of the concept id, so only the
-    /// mapping needs to survive for every embedding to reproduce
-    /// bit-identically.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, d3l_store::StoreError> {
+    /// Deserialize a lexicon of dimension `dim` written by
+    /// [`Lexicon::to_bytes`]. Concept vectors are pure functions of the
+    /// concept id and the dimension, so only the mapping needs to
+    /// survive for every embedding to reproduce bit-identically.
+    /// Panics if `dim` is zero.
+    pub fn from_bytes(bytes: &[u8], dim: usize) -> Result<Self, d3l_store::StoreError> {
         let mut dec = d3l_store::Decoder::new(bytes);
-        let dim = dec.get_varint()? as usize;
-        if dim == 0 {
-            return Err(d3l_store::StoreError::corrupt("lexicon dimension zero"));
-        }
         let concept_count = u32::try_from(dec.get_varint()?)
             .map_err(|_| d3l_store::StoreError::corrupt("concept count exceeds u32"))?;
+        let mut lexicon = Lexicon {
+            concept_count,
+            ..Lexicon::new(dim)
+        };
         let words = dec.get_len(2, "lexicon entries")?;
-        let mut word_to_concept = HashMap::with_capacity(words);
+        lexicon.word_to_concept.reserve(words);
         for _ in 0..words {
             let word = dec.get_str()?;
             let concept = dec.get_varint()?;
@@ -142,16 +136,12 @@ impl Lexicon {
                     "word {word:?} maps to concept {concept} of {concept_count}"
                 )));
             }
-            if word_to_concept.insert(word, concept).is_some() {
+            if lexicon.word_to_concept.insert(word, concept).is_some() {
                 return Err(d3l_store::StoreError::corrupt("duplicate lexicon word"));
             }
         }
         dec.expect_exhausted("lexicon")?;
-        Ok(Lexicon {
-            dim,
-            word_to_concept,
-            concept_count,
-        })
+        Ok(lexicon)
     }
 }
 

@@ -151,80 +151,35 @@ impl<E: WordEmbedder> WordEmbedder for CachedEmbedder<'_, E> {
     }
 }
 
-/// The blended embedder: lexicon concept vector (weight `alpha`) +
-/// subword hash vector (weight `1 - alpha`). Words absent from the
-/// lexicon fall back to pure subword hashing.
+/// The blended embedder: lexicon concept vector (weight 0.85) +
+/// subword hash vector (weight 0.15). Words absent from the lexicon fall
+/// back to pure subword hashing. The lexicon is its only state: the
+/// subword seed and the blend weight are constants, so an engine
+/// reloaded with the same lexicon embeds every word bit-identically to
+/// the one that built its index.
 #[derive(Debug, Clone)]
 pub struct SemanticEmbedder {
     lexicon: Lexicon,
     subword: HashEmbedder,
-    alpha: f64,
 }
 
 impl SemanticEmbedder {
-    /// Build from a lexicon; `alpha = 0.85` gives concept geometry
-    /// dominance while keeping subword robustness.
-    pub fn new(lexicon: Lexicon) -> Self {
-        let dim = lexicon.dim();
-        SemanticEmbedder {
-            lexicon,
-            subword: HashEmbedder::new(dim, 0xd3ee),
-            alpha: 0.85,
-        }
-    }
+    /// Weight of the concept vector in the blend: concept geometry
+    /// dominates while subword robustness stays.
+    const ALPHA: f64 = 0.85;
 
-    /// Override the blend weight (clamped to `[0, 1]`).
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha.clamp(0.0, 1.0);
-        self
+    /// Seed of the subword half of the blend.
+    const SUBWORD_SEED: u64 = 0xd3ee;
+
+    /// Build from a lexicon, of its dimensionality.
+    pub fn new(lexicon: Lexicon) -> Self {
+        let subword = HashEmbedder::new(lexicon.dim(), Self::SUBWORD_SEED);
+        SemanticEmbedder { lexicon, subword }
     }
 
     /// The wrapped lexicon.
     pub fn lexicon(&self) -> &Lexicon {
         &self.lexicon
-    }
-
-    /// The concept/subword blend weight.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// The subword embedder half of the blend.
-    pub fn subword(&self) -> &HashEmbedder {
-        &self.subword
-    }
-
-    /// Serialize the full embedder state (lexicon mapping, subword
-    /// seed, blend weight) for a snapshot section. An engine reloaded
-    /// from these bytes embeds every word bit-identically to the one
-    /// that built the index — the property the stored `IE` signatures
-    /// and profile embeddings depend on.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = d3l_store::Encoder::new();
-        enc.put_bytes(&self.lexicon.to_bytes());
-        enc.put_u64(self.subword.seed());
-        enc.put_f64(self.alpha);
-        enc.into_bytes()
-    }
-
-    /// Deserialize an embedder written by [`SemanticEmbedder::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, d3l_store::StoreError> {
-        let mut dec = d3l_store::Decoder::new(bytes);
-        let lexicon = Lexicon::from_bytes(dec.get_bytes()?)?;
-        let seed = dec.get_u64()?;
-        let alpha = dec.get_f64()?;
-        if !(0.0..=1.0).contains(&alpha) {
-            return Err(d3l_store::StoreError::corrupt(format!(
-                "blend weight {alpha} outside [0, 1]"
-            )));
-        }
-        dec.expect_exhausted("embedder")?;
-        let dim = lexicon.dim();
-        Ok(SemanticEmbedder {
-            lexicon,
-            subword: HashEmbedder::new(dim, seed),
-            alpha,
-        })
     }
 }
 
@@ -248,7 +203,7 @@ impl WordEmbedder for SemanticEmbedder {
                 let blended: Vec<f64> = concept
                     .iter()
                     .zip(&sub)
-                    .map(|(c, s)| self.alpha * c + (1.0 - self.alpha) * s)
+                    .map(|(c, s)| Self::ALPHA * c + (1.0 - Self::ALPHA) * s)
                     .collect();
                 normalize(blended)
             }
@@ -321,45 +276,34 @@ mod tests {
         assert!((cosine(&e.embed("Street"), &e.embed("street")) - 1.0).abs() < 1e-9);
     }
 
+    /// The lexicon is the embedder's whole state: one read back from
+    /// its bytes at the same dimension embeds every word bit-identically.
     #[test]
     fn embedder_state_round_trips_bit_identically() {
-        let e = embedder().with_alpha(0.6);
-        let loaded = SemanticEmbedder::from_bytes(&e.to_bytes()).unwrap();
+        let e = embedder();
+        let lexicon = Lexicon::from_bytes(&e.lexicon().to_bytes(), DEFAULT_DIM).unwrap();
+        let loaded = SemanticEmbedder::new(lexicon);
         assert_eq!(loaded.dim(), e.dim());
-        assert_eq!(loaded.alpha(), 0.6);
-        assert_eq!(loaded.subword().seed(), e.subword().seed());
         assert_eq!(loaded.lexicon().words(), e.lexicon().words());
         assert_eq!(loaded.lexicon().concepts(), e.lexicon().concepts());
         for word in ["street", "road", "blackfriars", "zzz", "café"] {
             assert_eq!(loaded.embed(word), e.embed(word), "vector for {word}");
         }
-        // Equal embedders encode identically (map order independent).
-        assert_eq!(e.to_bytes(), embedder().with_alpha(0.6).to_bytes());
+        // Equal lexicons encode identically (map order independent).
+        assert_eq!(e.lexicon().to_bytes(), embedder().lexicon().to_bytes());
     }
 
     #[test]
-    fn corrupt_embedder_bytes_are_typed_errors() {
-        let bytes = embedder().to_bytes();
+    fn corrupt_lexicon_bytes_are_typed_errors() {
+        let bytes = embedder().lexicon().to_bytes();
         for cut in 0..bytes.len() {
             assert!(
-                SemanticEmbedder::from_bytes(&bytes[..cut]).is_err(),
+                Lexicon::from_bytes(&bytes[..cut], DEFAULT_DIM).is_err(),
                 "cut {cut} must fail"
             );
         }
-        // Out-of-range alpha.
-        let mut enc = d3l_store::Encoder::new();
-        enc.put_bytes(&Lexicon::new(8).to_bytes());
-        enc.put_u64(1);
-        enc.put_f64(3.5);
-        assert!(SemanticEmbedder::from_bytes(&enc.into_bytes()).is_err());
-    }
-
-    #[test]
-    fn alpha_extremes() {
-        let lex = Lexicon::with_groups(16, &[&["a", "b"]]);
-        let pure_concept = SemanticEmbedder::new(lex.clone()).with_alpha(1.0);
-        assert!((cosine(&pure_concept.embed("a"), &pure_concept.embed("b")) - 1.0).abs() < 1e-9);
-        let pure_subword = SemanticEmbedder::new(lex).with_alpha(0.0);
-        assert!(cosine(&pure_subword.embed("a"), &pure_subword.embed("b")) < 0.9);
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(Lexicon::from_bytes(&long, DEFAULT_DIM).is_err());
     }
 }

@@ -27,8 +27,8 @@
 //! fills a dead class's slot with the last one, an [`LshForest::append`]
 //! — says where it went, so the caller can keep each item's slot beside
 //! whatever else it keeps of the item (an engine: one row per attribute,
-//! its class in each of four forests). The store's `(id, class)` table
-//! reaches the caller the same way ([`LshForest::read_from`]).
+//! its class in each of four forests). The store's class table reaches
+//! the caller the same way ([`LshForest::read_from`]).
 //!
 //! **Canonical order.** Each tree is a `FlatTree` — two parallel
 //! `Vec<u32>`s, an 8-byte entry per class: the first four bytes of its
@@ -675,15 +675,10 @@ impl<S> LshForest<S> {
     }
 
     /// What the persistence layer writes: each class's members
-    /// (ascending, slot order), the slot-major word arena, words per
-    /// slot, and the shared shape metadata.
-    pub(crate) fn stored_parts(&self) -> (&[Vec<ItemId>], &[u64], usize, u64) {
-        (
-            &self.postings,
-            &self.sig_words,
-            self.sig_stride,
-            self.sig_meta,
-        )
+    /// (ascending, slot order), the slot-major word arena, and words
+    /// per slot.
+    pub(crate) fn stored_parts(&self) -> (&[Vec<ItemId>], &[u64], usize) {
+        (&self.postings, &self.sig_words, self.sig_stride)
     }
 
     /// The trees. The persistence layer stores each tree's class order
@@ -999,9 +994,9 @@ impl<S: Signature> LshForest<S> {
     /// members, and the signature slab taken whole: class `s` holds the
     /// words `sig_words[s*stride .. (s+1)*stride]` — with no tree
     /// entries yet ([`LshForest::set_trees`] brings them). The caller
-    /// (the snapshot decoder) has validated ascending non-empty
-    /// postings over unique ids and a `(stride, meta)` shape the
-    /// signature type accepts. What is checked here, because the
+    /// (the snapshot decoder) passes ascending non-empty postings over
+    /// unique ids and the `(stride, meta)` shape of the hasher the
+    /// forest answers. What is checked here, because the
     /// content map being built is what finds it: two classes holding
     /// the same words, returned as `Err`.
     pub(crate) fn from_stored_classes(
@@ -1036,13 +1031,13 @@ impl<S: Signature> LshForest<S> {
     }
 
     /// Give a forest of [`LshForest::from_stored_classes`] its trees:
-    /// `k`-stride, each holding every class once — sorted, whenever
-    /// `sorted` is set; the decoder has checked both.
-    pub(crate) fn set_trees(&mut self, trees: Vec<FlatTree>, sorted: bool) {
+    /// `k`-stride, each holding every class once, sorted; the decoder
+    /// has checked both.
+    pub(crate) fn set_trees(&mut self, trees: Vec<FlatTree>) {
         debug_assert_eq!(trees.len(), self.l, "one tree array per tree");
         debug_assert!(trees.iter().all(|t| t.len() == self.postings.len()));
         self.trees = trees;
-        self.sorted = sorted;
+        self.sorted = true;
     }
 
     /// Top-`k` most similar items to `sig`: [`query_union`] over this
@@ -1278,7 +1273,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::minhash::{MinHashSignature, MinHasher};
     use crate::randproj::{BitSignature, RandomProjector};
-    use crate::store::tests::{from_bytes_at, to_bytes};
+    use crate::store::tests::{from_bytes_like, to_bytes};
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
 
@@ -2209,7 +2204,7 @@ pub(crate) mod tests {
         // bytes, whatever sorted the trees — and a reload of those
         // bytes, its keys regenerated, answers as the model does.
         let bytes = to_bytes(&forest);
-        let reloaded = from_bytes_at::<S>(&bytes, forest.shape()).unwrap();
+        let reloaded = from_bytes_like(&bytes, &forest).unwrap();
         assert!(reloaded == forest);
         for q in [sig(1), sig(104)] {
             assert_eq!(reloaded.query(&q, 5), model.query(&q, 5), "reloaded");

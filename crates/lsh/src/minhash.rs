@@ -227,7 +227,13 @@ impl MinHasher {
     /// shape [`crate::forest::LshForest::insert_with`] reserves a
     /// slot of: two positions to a word, `meta` the position count.
     pub fn sig_shape(&self) -> (usize, u64) {
-        (self.num_perm.div_ceil(2), self.num_perm as u64)
+        Self::sig_shape_of(self.num_perm)
+    }
+
+    /// [`MinHasher::sig_shape`] of a hasher of `num_perm` positions,
+    /// without building one.
+    pub fn sig_shape_of(num_perm: usize) -> (usize, u64) {
+        (num_perm.div_ceil(2), num_perm as u64)
     }
 
     /// Write the packed signature of a slice of pre-hashed tokens into

@@ -209,7 +209,13 @@ impl RandomProjector {
     /// shape [`crate::forest::LshForest::insert_with`] reserves a
     /// slot of.
     pub fn sig_shape(&self) -> (usize, u64) {
-        (self.nbits.div_ceil(64), self.nbits as u64)
+        Self::sig_shape_of(self.nbits)
+    }
+
+    /// [`RandomProjector::sig_shape`] of a projector of `nbits` bits,
+    /// without building one.
+    pub fn sig_shape_of(nbits: usize) -> (usize, u64) {
+        (nbits.div_ceil(64), nbits as u64)
     }
 
     /// Write the packed bit signature of a dense vector into `out`

@@ -27,10 +27,6 @@ pub trait Signature: Clone {
     /// one provenance, both given as their raw arena words —
     /// bit-identical to materializing either first, without the copy.
     fn similarity_words(a: &[u64], b: &[u64], meta: u64) -> f64;
-    /// Whether a signature of `words` words can carry `meta` — what
-    /// [`Signature::from_words`] would panic on. Shapes read from a
-    /// store file are checked with this before anything is rebuilt.
-    fn shape_is_valid(words: usize, meta: u64) -> bool;
     /// Number of hash positions of a signature given as its raw arena
     /// words — positions are a function of `(words, meta)` alone.
     fn lsh_len_words(words: &[u64], meta: u64) -> usize;
@@ -51,9 +47,6 @@ impl Signature for MinHashSignature {
     }
     fn similarity_words(a: &[u64], b: &[u64], meta: u64) -> f64 {
         MinHashSignature::jaccard_words(a, b, meta as usize)
-    }
-    fn shape_is_valid(words: usize, meta: u64) -> bool {
-        meta.div_ceil(2) == words as u64
     }
     fn lsh_len_words(_words: &[u64], meta: u64) -> usize {
         meta as usize
@@ -76,9 +69,6 @@ impl Signature for BitSignature {
     }
     fn similarity_words(a: &[u64], b: &[u64], meta: u64) -> f64 {
         BitSignature::cosine_words(a, b, meta as usize)
-    }
-    fn shape_is_valid(words: usize, meta: u64) -> bool {
-        meta.div_ceil(64) == words as u64
     }
     fn lsh_len_words(_words: &[u64], meta: u64) -> usize {
         meta as usize

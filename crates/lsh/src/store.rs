@@ -8,36 +8,39 @@
 //! codec.
 //!
 //! Wire layout (one streamed `d3l-store` container section, format
-//! versions 7 and 8 — all fixed-width little-endian, no per-item
+//! version 9 — all fixed-width little-endian, no header, no per-item
 //! framing):
 //!
 //! ```text
-//! header   u32 l, u32 k, u8 committed,
-//!          u64 n, u64 c, u32 stride, u64 meta        (37 bytes)
-//! ids      n × u64            item ids, strictly ascending
-//! classes  n × u32            the class of each id, by rank
+//! classes  n × u32            the class of each item, by rank, in
+//!                             ascending item order
 //! slab     c × stride × u64   signature words, one class after
 //!                             another in rank order
 //! l × tree c × u32            entry j of the tree is the class of
 //!                             rank perm[j]
 //! ```
 //!
+//! A section holds only what no one else knows. Its reader states the
+//! rest, from what it already holds: the tree shape `(l, k)`, the
+//! signature shape `(stride, meta)` of the hasher whose queries the
+//! forest will answer ([`Signature`]'s words and positions per
+//! signature: `MinHasher::sig_shape`, `RandomProjector::sig_shape`), and
+//! the `n` item ids, ascending (an engine: the keys of the attribute
+//! rows the index covers). So a forest cannot disagree with the hashers
+//! that query it, nor hold an item its reader has no row for.
+//!
 //! A forest indexes each distinct signature once, as a **class**
 //! (`crate::forest`): `n` items in `c` classes. Classes are ranked by
-//! their smallest member — the order in which a walk up the id table
-//! first meets them — which, like everything else in the section, is
-//! a function of which item carries which signature and of nothing
-//! else: not of the arena slot a class happens to occupy, nor of the
-//! order items were inserted and removed in. A forest whose items all
-//! differ has `c = n` and the identity as its class table. A loaded
-//! forest's slots are the ranks, and the forest keeps no item → slot
-//! map (`crate::forest`): the decoder hands each `(id, class)` pair to
-//! its caller as it reads the class table, and keeps only the postings.
-//!
-//! `stride` counts `u64` words per signature and `meta` hash
-//! positions per signature; what a word holds is the signature type's
-//! business ([`Signature::shape_is_valid`] says which pairs it
-//! writes). A bit signature packs 64 positions to a word; a MinHash
+//! their smallest member — the order in which a walk up the items first
+//! meets them — which, like everything else in the section, is a
+//! function of which item carries which signature and of nothing else:
+//! not of the arena slot a class happens to occupy, nor of the order
+//! items were inserted and removed in. `c` is the number of classes the
+//! ranks name. A forest whose items all differ has `c = n` and the
+//! identity as its class table. A loaded forest's slots are the ranks,
+//! and the forest keeps no item → slot map (`crate::forest`): the
+//! decoder hands the class table back to its caller and keeps only the
+//! postings. A bit signature packs 64 positions to a word; a MinHash
 //! signature two, as 32-bit values (`crate::minhash`), so the paper's
 //! 256 permutations are `stride` 128, `meta` 256.
 //!
@@ -56,59 +59,44 @@
 //! against the labels, reading the bytes past a key from the arena
 //! where two keys tie — a section whose slab no longer yields the
 //! labels its trees were sorted by is a typed error, never a forest
-//! that answers differently. Decoding validates every structural
-//! invariant the query paths rely on — the expected shape, a signature
-//! shape the type accepts, unique ascending ids, a class table that names every
-//! class of `0..c` in order of first appearance (so no rank out of
-//! range, no class without a member, one ranking per content), no two
-//! classes with the same signature, each tree a permutation of the
-//! classes (every rank in range, none repeated) and sorted when the
-//! committed flag is set — so a corrupt section becomes a typed
-//! [`StoreError`], never a panicking or silently-wrong forest.
+//! that answers differently. Only committed forests are written, so
+//! every decoded tree must be sorted. Decoding validates every
+//! structural invariant the query paths rely on — a class table that
+//! names every class of `0..c` in order of first appearance (so no
+//! class without a member, one ranking per content), no two classes
+//! with the same signature, each tree a permutation of the classes
+//! (every rank in range, none repeated) in sorted order, and no byte
+//! left over — so a corrupt section becomes a typed [`StoreError`],
+//! never a panicking or silently-wrong forest.
 //!
 //! Format versions 1 (per-item varint framing, stored labels), 2
 //! (64-bit MinHash values), 3 (every slab stored, one slot per item),
 //! 4 and 5 (an arena-source byte; one slab slot and one tree entry per
-//! item, no class table) and 6 (the arena-source byte over classes:
-//! some forests written without their slab, signed again at open) are
-//! not read; the container rejects such files by version and the lake
-//! is re-indexed.
+//! item, no class table), 6 (the arena-source byte over classes: some
+//! forests written without their slab, signed again at open) and 7 and
+//! 8 (a header of both shapes, the counts and a committed flag, and an
+//! id table) are not read; the container rejects such files by version
+//! and the lake is re-indexed.
 
 use std::io::{self, Read, Write};
 
-use d3l_store::{Decoder, Encoder, SectionReader, SectionWriter, StoreError};
+use d3l_store::{SectionReader, SectionWriter, StoreError};
 
 use crate::forest::{FlatTree, LshForest};
 use crate::signature::Signature;
 use crate::ItemId;
 
-/// Encoded size of the fixed forest header.
-const HEADER_LEN: usize = 4 + 4 + 1 + 8 + 8 + 4 + 8;
-
 /// Signatures gathered per write when slot order is not rank order.
 const GATHER_ITEMS: usize = 64;
 
 impl<S: Signature> LshForest<S> {
-    /// Stream the forest (class table, signature slab, tree orders)
-    /// into a snapshot section. Signatures go from the arena to the
-    /// sink and nowhere else.
+    /// Stream the committed forest (class table, signature slab, tree
+    /// orders) into a snapshot section. Signatures go from the arena to
+    /// the sink and nowhere else. Panics on an uncommitted forest.
     pub fn write_to<W: Write>(&self, sec: &mut SectionWriter<'_, W>) -> io::Result<()> {
-        let (l, k) = self.shape();
-        let (postings, sig_words, stride, meta) = self.stored_parts();
-        let (n, c) = (self.len(), postings.len());
-        // An emptied forest keeps the shape of its last signature;
-        // the encoding is of the contents.
-        let (stride, meta) = if c == 0 { (0, 0) } else { (stride, meta) };
-
-        let mut head = Encoder::with_capacity(HEADER_LEN);
-        head.put_u32(l as u32);
-        head.put_u32(k as u32);
-        head.put_u8(self.is_committed() as u8);
-        head.put_u64(n as u64);
-        head.put_u64(c as u64);
-        head.put_u32(u32::try_from(stride).expect("signature stride fits u32"));
-        head.put_u64(meta);
-        sec.put_raw(head.as_bytes())?;
+        assert!(self.is_committed(), "only a committed forest is stored");
+        let (postings, sig_words, stride) = self.stored_parts();
+        let c = postings.len();
 
         // Classes rank by their smallest member.
         let mut by_rank: Vec<u32> = (0..c as u32).collect();
@@ -117,16 +105,15 @@ impl<S: Signature> LshForest<S> {
             by_rank.sort_unstable_by_key(|&s| postings[s as usize][0]);
         }
         let mut rank_of_slot = vec![0u32; c];
-        let mut members: Vec<(ItemId, u32)> = Vec::with_capacity(n);
+        let mut members: Vec<(ItemId, u32)> = Vec::with_capacity(self.len());
         for (rank, &s) in (0u32..).zip(&by_rank) {
             rank_of_slot[s as usize] = rank;
             members.extend(postings[s as usize].iter().map(|&id| (id, rank)));
         }
         members.sort_unstable();
-        let (ids, ranks): (Vec<ItemId>, Vec<u32>) = members.into_iter().unzip();
-        sec.put_u64_slab(&ids)?;
+        let ranks: Vec<u32> = members.into_iter().map(|(_, rank)| rank).collect();
         sec.put_u32_slab(&ranks)?;
-        drop((ids, ranks));
+        drop(ranks);
 
         if in_rank_order {
             sec.put_u64_slab(sig_words)?;
@@ -151,107 +138,51 @@ impl<S: Signature> LshForest<S> {
         Ok(())
     }
 
-    /// Decode a forest of shape `(l, k)` streamed by
-    /// [`LshForest::write_to`], validating every structural invariant
-    /// the query paths rely on. The shape is the caller's to state — a
-    /// forest of any other shape is of no use to it, and stating it
-    /// bounds everything the decoder allocates by the section's size.
+    /// Decode a forest streamed by [`LshForest::write_to`], validating
+    /// every structural invariant the query paths rely on. The caller
+    /// states what the section does not hold (module docs): the tree
+    /// shape `(l, k)`, the signature shape `(stride, meta)` of its
+    /// hasher, and the item ids, ascending — which also bounds
+    /// everything the decoder allocates by the section's size.
     ///
     /// Slots are the caller's (`crate::forest`): `place` is told each
     /// item's slot as the class table is read — `(id, slot)` in id
-    /// order, each id once, after the id table has been found strictly
-    /// ascending and the slot in range — and may refuse an item with
-    /// an error, which ends the decode.
+    /// order, each id once.
     pub fn read_from<R: Read>(
         sec: &mut SectionReader<'_, R>,
-        shape: (usize, usize),
-        mut place: impl FnMut(ItemId, u32) -> Result<(), StoreError>,
+        (l, k): (usize, usize),
+        (stride, meta): (usize, u64),
+        ids: Vec<ItemId>,
+        mut place: impl FnMut(ItemId, u32),
     ) -> Result<Self, StoreError> {
-        let mut head = [0u8; HEADER_LEN];
-        sec.get_raw(&mut head, "forest header")?;
-        let mut dec = Decoder::new(&head);
-        let (l, k) = (dec.get_u32()? as usize, dec.get_u32()? as usize);
-        if (l, k) != shape || l == 0 {
-            return Err(StoreError::corrupt(format!(
-                "forest shape {:?} where {shape:?} was expected",
-                (l, k)
-            )));
-        }
-        let sorted = match dec.get_u8()? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(StoreError::corrupt(format!(
-                    "forest committed flag must be 0/1, found {other}"
-                )))
-            }
-        };
-        let n = usize::try_from(dec.get_u64()?)
-            .ok()
-            .filter(|&n| n <= u32::MAX as usize)
-            .ok_or_else(|| StoreError::corrupt("forest item count exceeds u32 slots"))?;
-        // Every class has a member, so no more classes than items —
-        // which bounds everything sized by `c` by the id table read
-        // below.
-        let c = usize::try_from(dec.get_u64()?)
-            .ok()
-            .filter(|&c| c <= n)
-            .ok_or_else(|| {
-                StoreError::corrupt(format!("forest has more classes than {n} items"))
-            })?;
-        let stride = dec.get_u32()? as usize;
-        let meta = dec.get_u64()?;
-        // A shape the signature type would refuse to rebuild must not
-        // reach the arena: it would decode fine and panic at the first
-        // query that materializes a stored signature.
-        if !S::shape_is_valid(stride, meta) {
-            return Err(StoreError::corrupt(format!(
-                "forest signature shape ({stride} words, meta {meta}) is not one its type has"
-            )));
-        }
-
-        let ids = sec.get_u64_slab(n, "forest ids")?;
-        if let Some(w) = ids.windows(2).find(|w| w[0] >= w[1]) {
-            return Err(StoreError::corrupt(format!(
-                "forest ids not strictly ascending at {} → {}",
-                w[0], w[1]
-            )));
-        }
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids ascend");
         // Ranks are by smallest member: walking the ids upwards, each
-        // class is first met right after the classes ranked below it.
-        let ranks = sec.get_u32_slab(n, "forest classes")?;
-        let mut classes: Vec<Vec<ItemId>> = Vec::with_capacity(c);
+        // class is first met right after the classes ranked below it,
+        // so the ranks name `0..c`.
+        let ranks = sec.get_u32_slab(ids.len(), "forest classes")?;
+        // Room for the classes the ranks name, no more than there are items.
+        let named = ranks.iter().max().map_or(0, |&rank| rank as usize + 1);
+        let mut classes: Vec<Vec<ItemId>> = Vec::with_capacity(named.min(ids.len()));
         for (&id, &rank) in ids.iter().zip(&ranks) {
-            let rank = rank as usize;
-            if rank >= c {
-                return Err(StoreError::corrupt(format!(
-                    "item {id} names class {rank} of {c}"
-                )));
-            }
-            match rank.cmp(&classes.len()) {
-                std::cmp::Ordering::Less => classes[rank].push(id),
-                std::cmp::Ordering::Equal => classes.push(vec![id]),
-                std::cmp::Ordering::Greater => {
+            let met = classes.len();
+            match classes.get_mut(rank as usize) {
+                Some(class) => class.push(id),
+                None if rank as usize == met => classes.push(vec![id]),
+                None => {
                     return Err(StoreError::corrupt(format!(
-                        "class {rank} is first met at item {id}, before class {}: \
-                         classes are not ranked by first appearance",
-                        classes.len()
+                        "class {rank} is first met at item {id}, before class {met}: \
+                         classes are not ranked by first appearance"
                     )))
                 }
             }
             // A loaded forest's slots are the ranks.
-            place(id, rank as u32)?;
-        }
-        if classes.len() < c {
-            return Err(StoreError::corrupt(format!(
-                "class {} of {c} has no member",
-                classes.len()
-            )));
+            place(id, rank);
         }
         drop((ids, ranks));
         // Pushed lists hold up to twice their ids' room; a forest that
         // serves for hours should hold what its footprint says.
         classes.iter_mut().for_each(Vec::shrink_to_fit);
+        let c = classes.len();
         let words = c
             .checked_mul(stride)
             .ok_or_else(|| StoreError::corrupt("forest signature slab size overflows"))?;
@@ -298,14 +229,12 @@ impl<S: Signature> LshForest<S> {
         let mut trees = Vec::with_capacity(l);
         for (t, (keys, slots)) in parts.into_iter().enumerate() {
             let tree = FlatTree::from_parts((t * k, k), keys, slots, arena);
-            if sorted && !tree.is_sorted(arena) {
-                return Err(StoreError::corrupt(format!(
-                    "tree {t} claims committed but is not sorted"
-                )));
+            if !tree.is_sorted(arena) {
+                return Err(StoreError::corrupt(format!("tree {t} is not sorted")));
             }
             trees.push(tree);
         }
-        forest.set_trees(trees, sorted);
+        forest.set_trees(trees);
         Ok(forest)
     }
 }
@@ -321,11 +250,6 @@ pub(crate) mod tests {
 
     const TAG: [u8; 4] = *b"TEST";
     const SHAPE: (usize, usize) = (8, 8);
-
-    /// Header offsets: `l, k, committed, n, c, stride, meta`.
-    const N_AT: usize = 9;
-    const C_AT: usize = 17;
-    const META_AT: usize = 29;
 
     /// The section payload `write` streams.
     fn payload_of(
@@ -358,26 +282,23 @@ pub(crate) mod tests {
         payload_of(|sec| f.write_to(sec))
     }
 
-    /// The forest of shape `shape` a section payload holds — whose
-    /// items were each placed once, in id order, in the slot the
-    /// loaded forest holds them in.
-    pub(crate) fn from_bytes_at<S: Signature>(
+    /// The forest a section payload holds, read as the reader of `like`
+    /// would read it — `like`'s tree and signature shapes, its items —
+    /// each of whose items is in the slot its reader was told.
+    pub(crate) fn from_bytes_like<S: Signature>(
         payload: &[u8],
-        shape: (usize, usize),
+        like: &LshForest<S>,
     ) -> Result<LshForest<S>, StoreError> {
+        let mut ids: Vec<ItemId> = like.ids().collect();
+        ids.sort_unstable();
+        let sig_shape = (like.stored_parts().2, like.sig_meta());
         let mut placed = Vec::new();
         let forest = decode(payload, |sec| {
-            LshForest::read_from(sec, shape, |id, slot| {
-                placed.push((id, slot));
-                Ok(())
-            })
+            let place = |id, slot| placed.push((id, slot));
+            LshForest::read_from(sec, like.shape(), sig_shape, ids, place)
         })?;
-        assert!(placed.iter().copied().eq(slots_of(&forest)));
+        assert!(placed.into_iter().eq(slots_of(&forest)));
         Ok(forest)
-    }
-
-    fn from_bytes<S: Signature>(payload: &[u8]) -> Result<LshForest<S>, StoreError> {
-        from_bytes_at(payload, SHAPE)
     }
 
     fn minhash_sig(mh: &MinHasher, i: u64) -> MinHashSignature {
@@ -406,15 +327,10 @@ pub(crate) mod tests {
         f
     }
 
-    /// Offset of the class table inside a section payload of `n` items.
-    fn ranks_at(n: usize) -> usize {
-        HEADER_LEN + n * 8
-    }
-
     /// Offset of tree `t`'s permutation inside a section payload of
     /// `n` items in `c` classes.
     fn perm_at(n: usize, c: usize, stride: usize, t: usize) -> usize {
-        ranks_at(n) + n * 4 + c * stride * 8 + t * c * 4
+        n * 4 + c * stride * 8 + t * c * 4
     }
 
     /// [`minhash_forest`] with four more items under the signatures of
@@ -438,7 +354,7 @@ pub(crate) mod tests {
     #[test]
     fn minhash_forest_round_trips() {
         let f = minhash_forest();
-        let loaded: LshForest<MinHashSignature> = from_bytes(&to_bytes(&f)).unwrap();
+        let loaded = from_bytes_like(&to_bytes(&f), &f).unwrap();
         assert_eq!(loaded.shape(), f.shape());
         assert_eq!(loaded.len(), f.len());
         assert!(loaded.is_committed());
@@ -455,8 +371,8 @@ pub(crate) mod tests {
         assert_eq!(loaded.query(&q, 5), f.query(&q, 5));
     }
 
-    /// An odd position count pads its last word; the shape and the
-    /// padding survive the file.
+    /// An odd position count pads its last word; the padding survives
+    /// the file.
     #[test]
     fn odd_length_minhash_forest_round_trips() {
         let mh = MinHasher::new(67, 7);
@@ -466,7 +382,7 @@ pub(crate) mod tests {
             f.insert(i, minhash_sig(&mh, i));
         }
         f.commit();
-        let loaded: LshForest<MinHashSignature> = from_bytes(&to_bytes(&f)).unwrap();
+        let loaded = from_bytes_like(&to_bytes(&f), &f).unwrap();
         assert_eq!(loaded.sig_meta(), 67);
         assert!(loaded == f);
         let q = minhash_sig(&mh, 4);
@@ -482,7 +398,7 @@ pub(crate) mod tests {
         let mut f = minhash_forest();
         put(&mut f, 9, minhash_sig(&mh, 500));
         f.commit();
-        let loaded: LshForest<MinHashSignature> = from_bytes(&to_bytes(&f)).unwrap();
+        let loaded = from_bytes_like(&to_bytes(&f), &f).unwrap();
         assert_eq!(loaded.len(), 12);
         assert!(loaded == f);
         assert_eq!(signature_of(&loaded, 9), Some(minhash_sig(&mh, 500)));
@@ -499,7 +415,7 @@ pub(crate) mod tests {
     #[test]
     fn bit_forest_round_trips() {
         let f = bit_forest();
-        let loaded: LshForest<BitSignature> = from_bytes(&to_bytes(&f)).unwrap();
+        let loaded = from_bytes_like(&to_bytes(&f), &f).unwrap();
         assert!(loaded == f);
         assert_eq!(loaded.sig_meta(), 64);
         let q = signature_of(&f, 3).unwrap();
@@ -535,7 +451,7 @@ pub(crate) mod tests {
         assert!(worn == minhash_forest(), "and nothing else");
         let fresh = minhash_forest();
         assert_eq!(to_bytes(&worn), to_bytes(&fresh));
-        let reloaded: LshForest<MinHashSignature> = from_bytes(&to_bytes(&worn)).unwrap();
+        let reloaded = from_bytes_like(&to_bytes(&worn), &worn).unwrap();
         assert!(
             reloaded.ids().eq(fresh.ids()),
             "a reload is in id order, like a build"
@@ -562,7 +478,8 @@ pub(crate) mod tests {
     #[test]
     fn empty_and_emptied_forests_round_trip() {
         let f: LshForest<MinHashSignature> = LshForest::new(64, 8);
-        let loaded: LshForest<MinHashSignature> = from_bytes(&to_bytes(&f)).unwrap();
+        assert!(to_bytes(&f).is_empty());
+        let loaded = from_bytes_like(&to_bytes(&f), &f).unwrap();
         assert!(loaded.is_empty());
         assert_eq!(loaded.shape(), (8, 8));
         let mut emptied = minhash_forest();
@@ -572,121 +489,44 @@ pub(crate) mod tests {
         assert_eq!(to_bytes(&emptied), to_bytes(&f));
     }
 
-    #[test]
-    fn uncommitted_forest_keeps_its_entry_order() {
-        let mh = MinHasher::new(64, 7);
-        let mut f = LshForest::new(64, 8);
-        for i in [5u64, 1, 9] {
-            f.insert(i, minhash_sig(&mh, i));
-        }
-        let loaded: LshForest<MinHashSignature> = from_bytes(&to_bytes(&f)).unwrap();
-        assert!(!loaded.is_committed());
-        // Entry order, class for class — not sorted order.
-        assert!(loaded == f);
-        let sorted = {
-            let mut f = f.clone();
-            f.commit();
-            f
-        };
-        assert!(loaded != sorted);
-    }
-
+    /// A section is read at its reader's shapes, so one written at
+    /// others — a tree shape or a signature stride that is not the
+    /// writer's — is a typed error, never a forest whose signatures
+    /// disagree with the hasher that queries it.
     #[test]
     fn truncation_and_corruption_are_typed_errors() {
-        let bytes = to_bytes(&minhash_forest());
+        let f = minhash_forest();
+        let bytes = to_bytes(&f);
+        let typed = |got: Result<LshForest<MinHashSignature>, StoreError>, what: &str| match got {
+            Err(StoreError::Truncated { .. } | StoreError::Corrupt(_)) => {}
+            Err(other) => panic!("{what}: unexpected error {other}"),
+            Ok(_) => panic!("{what}: decoded"),
+        };
         for cut in 0..bytes.len() {
-            match from_bytes::<MinHashSignature>(&bytes[..cut]) {
-                Err(StoreError::Truncated { .. } | StoreError::Corrupt(_)) => {}
-                Err(other) => panic!("cut {cut}: unexpected error {other}"),
-                Ok(_) => panic!("cut {cut}: truncated forest decoded"),
-            }
+            typed(from_bytes_like(&bytes[..cut], &f), &format!("cut {cut}"));
         }
         // Trailing bytes.
         let mut long = bytes.clone();
         long.push(0);
-        assert!(matches!(
-            from_bytes::<MinHashSignature>(&long),
-            Err(StoreError::Corrupt(_))
-        ));
-        // Another shape than the caller's, zero trees included.
-        for (l, k) in [(0u32, 8u32), (8, 4), (4, 16)] {
-            let mut bad = bytes.clone();
-            bad[..4].copy_from_slice(&l.to_le_bytes());
-            bad[4..8].copy_from_slice(&k.to_le_bytes());
-            assert!(matches!(
-                from_bytes::<MinHashSignature>(&bad),
-                Err(StoreError::Corrupt(_))
-            ));
-        }
-        // A committed flag that is neither.
-        let mut bad = bytes.clone();
-        bad[8] = 2;
-        assert!(matches!(
-            from_bytes::<MinHashSignature>(&bad),
-            Err(StoreError::Corrupt(_))
-        ));
-        // More classes than items.
-        let mut bad = bytes.clone();
-        bad[C_AT..C_AT + 8].copy_from_slice(&13u64.to_le_bytes());
-        assert!(matches!(
-            from_bytes::<MinHashSignature>(&bad),
-            Err(StoreError::Corrupt(m)) if m.contains("more classes")
-        ));
-        // An item count no section could hold.
-        let mut bad = bytes.clone();
-        bad[N_AT..N_AT + 8].copy_from_slice(&(u32::MAX as u64).to_le_bytes());
-        assert!(matches!(
-            from_bytes::<MinHashSignature>(&bad),
-            Err(StoreError::Truncated { .. })
-        ));
-        bad[N_AT..N_AT + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            from_bytes::<MinHashSignature>(&bad),
-            Err(StoreError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn signature_shape_the_type_refuses_is_rejected() {
-        // 64 bits are one word; claim 65.
-        let mut bytes = to_bytes(&bit_forest());
-        bytes[META_AT..META_AT + 8].copy_from_slice(&65u64.to_le_bytes());
-        assert!(matches!(
-            from_bytes::<BitSignature>(&bytes),
-            Err(StoreError::Corrupt(_))
-        ));
-        // 64 positions are 32 words; neither 65 nor format 2's 0 are.
-        for meta in [65u64, 62, 0] {
-            let mut bytes = to_bytes(&minhash_forest());
-            bytes[META_AT..META_AT + 8].copy_from_slice(&meta.to_le_bytes());
-            assert!(matches!(
-                from_bytes::<MinHashSignature>(&bytes),
-                Err(StoreError::Corrupt(_))
-            ));
+        typed(from_bytes_like(&long, &f), "trailing byte");
+        // Other shapes than the writer's.
+        for (shape, sig_shape) in [((8, 8), (35, 70)), ((8, 8), (31, 62)), ((4, 16), (32, 64))] {
+            let read = |sec: &mut SectionReader<'_, io::Cursor<&[u8]>>| {
+                LshForest::read_from(sec, shape, sig_shape, f.ids().collect(), |_, _| {})
+            };
+            typed(decode(&bytes, read), &format!("{shape:?} {sig_shape:?}"));
         }
     }
 
+    /// Only a committed forest is written: what a reader makes of a
+    /// section is a committed forest.
     #[test]
-    fn unsorted_or_duplicate_ids_are_rejected() {
-        let f = minhash_forest();
-        let good = to_bytes(&f);
-        // Swap the first two ids: unsorted.
-        let mut bad = good.clone();
-        let (a, b) = (HEADER_LEN, HEADER_LEN + 8);
-        let first: [u8; 8] = bad[a..b].try_into().unwrap();
-        bad.copy_within(b..b + 8, a);
-        bad[b..b + 8].copy_from_slice(&first);
-        assert!(matches!(
-            from_bytes::<MinHashSignature>(&bad),
-            Err(StoreError::Corrupt(_))
-        ));
-        // Repeat the first id: duplicate.
-        let mut bad = good.clone();
-        bad.copy_within(a..b, b);
-        assert!(matches!(
-            from_bytes::<MinHashSignature>(&bad),
-            Err(StoreError::Corrupt(_))
-        ));
+    #[should_panic(expected = "only a committed forest is stored")]
+    fn an_uncommitted_forest_is_not_written() {
+        let mh = MinHasher::new(64, 7);
+        let mut f = LshForest::new(64, 8);
+        f.insert(5, minhash_sig(&mh, 5));
+        to_bytes(&f);
     }
 
     #[test]
@@ -694,7 +534,7 @@ pub(crate) mod tests {
         let f = pooled_forest();
         let (n, c, stride) = (f.len(), f.class_count(), 32);
         let good = to_bytes(&f);
-        assert!(from_bytes::<MinHashSignature>(&good).unwrap() == f);
+        assert!(from_bytes_like(&good, &f).unwrap() == f);
         let rank_at =
             |payload: &[u8], at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap());
         for t in [0usize, 3, 7] {
@@ -702,21 +542,21 @@ pub(crate) mod tests {
             // Out of range: classes, not items, are what a tree orders.
             let mut bad = good.clone();
             patch_rank(&mut bad, at + 4, c as u32);
-            let err = from_bytes::<MinHashSignature>(&bad).unwrap_err();
+            let err = from_bytes_like(&bad, &f).unwrap_err();
             assert!(matches!(err, StoreError::Corrupt(_)), "tree {t}: {err}");
             // Repeated: entry 1 names entry 0's item (so another item
             // has no entry — the orphan case of the old layout).
             let mut bad = good.clone();
             let first = rank_at(&bad, at);
             patch_rank(&mut bad, at + 4, first);
-            let err = from_bytes::<MinHashSignature>(&bad).unwrap_err();
+            let err = from_bytes_like(&bad, &f).unwrap_err();
             assert!(matches!(err, StoreError::Corrupt(_)), "tree {t}: {err}");
             // Unsorted: a valid permutation in the wrong order.
             let mut bad = good.clone();
             let (first, last) = (rank_at(&bad, at), rank_at(&bad, at + (c - 1) * 4));
             patch_rank(&mut bad, at, last);
             patch_rank(&mut bad, at + (c - 1) * 4, first);
-            let err = from_bytes::<MinHashSignature>(&bad).unwrap_err();
+            let err = from_bytes_like(&bad, &f).unwrap_err();
             assert!(
                 matches!(&err, StoreError::Corrupt(m) if m.contains("not sorted")),
                 "tree {t}: {err}"
@@ -752,7 +592,7 @@ pub(crate) mod tests {
         // A class's signature is its smallest member's; ids are 0..n.
         let mut of_rank: Vec<&MinHashSignature> = Vec::new();
         for (id, sig) in sigs.iter().enumerate() {
-            if rank_at(ranks_at(n) + id * 4) as usize == of_rank.len() {
+            if rank_at(id * 4) as usize == of_rank.len() {
                 of_rank.push(sig);
             }
         }
@@ -777,8 +617,8 @@ pub(crate) mod tests {
         let mut bad = good.clone();
         patch_rank(&mut bad, at - 4, rank_at(at));
         patch_rank(&mut bad, at, rank_at(at - 4));
-        let err = from_bytes::<MinHashSignature>(&bad).unwrap_err();
-        let expected = format!("tree {t} claims committed but is not sorted");
+        let err = from_bytes_like(&bad, &f).unwrap_err();
+        let expected = format!("tree {t} is not sorted");
         assert!(
             matches!(&err, StoreError::Corrupt(m) if *m == expected),
             "{err}"
@@ -792,11 +632,8 @@ pub(crate) mod tests {
         let mh = MinHasher::new(64, 7);
         let f = pooled_forest();
         let stored = to_bytes(&f);
-        assert_eq!(
-            stored.len(),
-            HEADER_LEN + 16 * 12 + 12 * 32 * 8 + SHAPE.0 * 12 * 4
-        );
-        let ranks: Vec<u32> = stored[ranks_at(16)..ranks_at(16) + 16 * 4]
+        assert_eq!(stored.len(), 16 * 4 + 12 * 32 * 8 + SHAPE.0 * 12 * 4);
+        let ranks: Vec<u32> = stored[..16 * 4]
             .chunks_exact(4)
             .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
             .collect();
@@ -804,7 +641,7 @@ pub(crate) mod tests {
         assert_eq!(ranks[..12], (0..12).collect::<Vec<u32>>()[..]);
         assert_eq!(ranks[12..], [0, 2, 0, 2]);
 
-        let loaded: LshForest<MinHashSignature> = from_bytes(&stored).unwrap();
+        let loaded = from_bytes_like(&stored, &f).unwrap();
         assert!(loaded == f);
         assert_eq!(to_bytes(&loaded), stored);
         let q = minhash_sig(&mh, 0);
@@ -816,35 +653,39 @@ pub(crate) mod tests {
         );
     }
 
-    /// The class table names every class of `0..c`, in the order a
-    /// walk up the id table first meets them: a rank out of range, a
-    /// class nobody is in, and two classes met in the wrong order are
-    /// each a typed error.
+    /// The class table names the classes `0..c` in the order a walk up
+    /// the items first meets them: a class met before one ranked below
+    /// it is a typed error, and so is a table that names more or fewer
+    /// classes than the slab and the trees hold.
     #[test]
     fn a_class_table_that_is_not_a_first_appearance_ranking_is_rejected() {
         let f = pooled_forest();
-        let (n, c) = (f.len(), f.class_count());
-        let corrupt = |payload: &[u8], what: &str| match from_bytes::<MinHashSignature>(payload)
-            .map(|_| ())
-        {
+        let corrupt = |payload: &[u8], what: &str| match from_bytes_like(payload, &f).map(|_| ()) {
             Err(StoreError::Corrupt(m)) => assert!(m.contains(what), "{m}"),
             other => panic!("{what}: {other:?}"),
         };
+        let typed = |payload: &[u8], what: &str| match from_bytes_like(payload, &f).map(|_| ()) {
+            Err(StoreError::Corrupt(_) | StoreError::Truncated { .. }) => {}
+            other => panic!("{what}: {other:?}"),
+        };
         let good = to_bytes(&f);
-        let at = ranks_at(n);
-        // Item 100's class: rank `c`, where `0..c` exist.
-        let mut bad = good.clone();
-        patch_rank(&mut bad, at + 12 * 4, c as u32);
-        corrupt(&bad, "names class 12 of 12");
-        // The last id-ordered class loses its only member to class 0.
-        let mut bad = good.clone();
-        patch_rank(&mut bad, at + 11 * 4, 0);
-        corrupt(&bad, "class 11 of 12 has no member");
         // Classes 4 and 5 swap names: 5 is met before 4.
         let mut bad = good.clone();
-        patch_rank(&mut bad, at + 4 * 4, 5);
-        patch_rank(&mut bad, at + 5 * 4, 4);
+        patch_rank(&mut bad, 4 * 4, 5);
+        patch_rank(&mut bad, 5 * 4, 4);
         corrupt(&bad, "not ranked by first appearance");
+        // Item 100 names class 13 when 12 are known.
+        let mut bad = good.clone();
+        patch_rank(&mut bad, 12 * 4, 13);
+        corrupt(&bad, "not ranked by first appearance");
+        // Item 100 founds a thirteenth class.
+        let mut bad = good.clone();
+        patch_rank(&mut bad, 12 * 4, 12);
+        typed(&bad, "one class more");
+        // The last id-ordered class loses its only member to class 0.
+        let mut bad = good.clone();
+        patch_rank(&mut bad, 11 * 4, 0);
+        typed(&bad, "one class fewer");
     }
 
     /// Two classes are two signatures: a slab that repeats one is a
@@ -853,9 +694,9 @@ pub(crate) mod tests {
     fn two_classes_with_one_signature_are_rejected() {
         let f = pooled_forest();
         let mut bad = to_bytes(&f);
-        let slab = ranks_at(f.len()) + f.len() * 4;
+        let slab = f.len() * 4;
         bad.copy_within(slab + 3 * 256..slab + 4 * 256, slab + 9 * 256);
-        let err = from_bytes::<MinHashSignature>(&bad).unwrap_err();
+        let err = from_bytes_like(&bad, &f).unwrap_err();
         assert!(
             matches!(&err, StoreError::Corrupt(m) if m == "classes 3 and 9 hold one signature"),
             "{err}"

@@ -101,14 +101,6 @@ impl Encoder {
         self.put_bytes(s.as_bytes());
     }
 
-    /// `u64` slice: varint count, then fixed-width values (the hot
-    /// layout for token-hash sets and MinHash signatures — decoding is
-    /// a straight chunked copy).
-    pub fn put_u64s(&mut self, vs: &[u64]) {
-        self.put_varint(vs.len() as u64);
-        self.put_u64_slab(vs);
-    }
-
     /// `u64` slab with no prefix (caller carries the count): one bulk
     /// little-endian copy, not a push per word.
     pub fn put_u64_slab(&mut self, vs: &[u64]) {
@@ -299,10 +291,10 @@ impl<'a> Decoder<'a> {
         std::str::from_utf8(b).map_err(|_| StoreError::corrupt("invalid utf-8 string"))
     }
 
-    /// `u64` slice written by [`Encoder::put_u64s`].
-    pub fn get_u64s(&mut self) -> Result<Vec<u64>, StoreError> {
-        let n = self.get_len(8, "u64 slice")?;
-        let raw = self.take(n * 8, "u64 slice")?;
+    /// `n` `u64` words written by [`Encoder::put_u64_slab`] (the caller
+    /// carries the count): a straight chunked copy.
+    pub fn get_u64_slab(&mut self, n: usize) -> Result<Vec<u64>, StoreError> {
+        let raw = self.take(n.saturating_mul(8), "u64 slab")?;
         let mut out = Vec::with_capacity(n);
         extend_u64s_from_le(&mut out, raw);
         Ok(out)
@@ -492,27 +484,25 @@ mod tests {
     #[test]
     fn truncation_is_a_typed_error_not_a_panic() {
         let mut enc = Encoder::new();
-        enc.put_u64s(&[1, 2, 3]);
+        enc.put_u64_slab(&[1, 2, 3]);
         let bytes = enc.into_bytes();
         for cut in 0..bytes.len() {
             let mut dec = Decoder::new(&bytes[..cut]);
             assert!(
-                matches!(dec.get_u64s(), Err(StoreError::Truncated { .. })),
+                matches!(dec.get_u64_slab(3), Err(StoreError::Truncated { .. })),
                 "cut at {cut} must be Truncated"
             );
         }
     }
 
     #[test]
-    fn oversized_length_prefix_cannot_allocate() {
-        // Claims u64::MAX elements with 2 bytes of payload behind it.
-        let mut enc = Encoder::new();
-        enc.put_varint(u64::MAX);
-        enc.put_u8(0);
-        enc.put_u8(0);
-        let bytes = enc.into_bytes();
-        let mut dec = Decoder::new(&bytes);
-        assert!(matches!(dec.get_u64s(), Err(StoreError::Truncated { .. })));
+    fn oversized_count_cannot_allocate() {
+        // Asks for usize::MAX words with 2 bytes of payload left.
+        let mut dec = Decoder::new(&[0, 0]);
+        assert!(matches!(
+            dec.get_u64_slab(usize::MAX),
+            Err(StoreError::Truncated { .. })
+        ));
     }
 
     #[test]
@@ -668,7 +658,7 @@ mod tests {
             prop_assert!(dec.is_exhausted());
         }
 
-        /// Length-prefixed strings and slices round trip through a
+        /// Length-prefixed strings and counted slabs round trip through a
         /// shared buffer in order.
         #[test]
         fn composite_round_trip(
@@ -677,12 +667,12 @@ mod tests {
         ) {
             let mut enc = Encoder::new();
             enc.put_str(&s);
-            enc.put_u64s(&hashes);
+            enc.put_u64_slab(&hashes);
             enc.put_u8(7);
             let bytes = enc.into_bytes();
             let mut dec = Decoder::new(&bytes);
             prop_assert_eq!(dec.get_str().unwrap(), s);
-            prop_assert_eq!(dec.get_u64s().unwrap(), hashes);
+            prop_assert_eq!(dec.get_u64_slab(hashes.len()).unwrap(), hashes);
             prop_assert_eq!(dec.rest(), &[7u8][..]);
             prop_assert_eq!(dec.get_u8().unwrap(), 7);
             prop_assert!(dec.is_exhausted());
@@ -696,11 +686,11 @@ mod tests {
             cut_frac in 0.0f64..1.0,
         ) {
             let mut enc = Encoder::new();
-            enc.put_u64s(&hashes);
+            enc.put_u64_slab(&hashes);
             let bytes = enc.into_bytes();
             let cut = ((bytes.len() as f64) * cut_frac) as usize;
             let mut dec = Decoder::new(&bytes[..cut.min(bytes.len())]);
-            let _ = dec.get_u64s(); // must not panic
+            let _ = dec.get_u64_slab(hashes.len()); // must not panic
         }
     }
 }

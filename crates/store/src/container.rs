@@ -1,11 +1,11 @@
 //! The container format shared by base snapshots and delta segments
-//! (format version 8): a fixed header, section payloads back to back,
+//! (format version 9): a fixed header, section payloads back to back,
 //! then a checksummed section table the reader finds from the end.
 //!
 //! ```text
 //! offset  field
 //! 0       magic              "D3LSTORE" (8 bytes)
-//! 8       format version     u32 LE (8)
+//! 8       format version     u32 LE (9)
 //! 12      container kind     u32 LE (1 = snapshot, 2 = delta)
 //! 16      payloads           section bytes, back to back
 //! T       section table      count × { tag: 4 bytes, offset: u64,
@@ -32,22 +32,25 @@
 //! rather than a garbled decode downstream.
 //!
 //! The version counts changes to what any section holds, not only to
-//! the container: version 8 is version 2's container around forest
+//! the container: version 9 is version 2's container around forest
 //! sections that hold each distinct signature once, as a class with
-//! the items that carry it, every one with its signature arena
-//! (`d3l-lsh`'s `store` module), and around attribute records without
-//! token sets or embedding vectors whose numeric extent is exact
-//! scaled-integer deltas — a scale byte and varints where version 7
-//! wrote 8 bytes a value (`d3l-core`'s snapshot module,
+//! the items that carry it, every one with its signature arena, and
+//! nothing their reader already knows — no shape, no count, no item
+//! id (`d3l-lsh`'s `store` module) — and around attribute records
+//! without token sets or embedding vectors whose numeric extent is
+//! exact scaled-integer deltas (`d3l-core`'s snapshot module,
 //! `d3l-features`' `extent` module). Older files — version 1 (table up
 //! front, FNV-1a checksums, per-item forest sections), version 2 (one
 //! 64-bit MinHash value to a word), version 3 (every forest's arena
 //! stored, a slot per item), version 4 (a vector in every profile),
 //! version 5 (a signature and a tree entry per item), version 6 (three
 //! token sets in every profile, two arenas signed again from them at
-//! open) and version 7 (every extent value as its 8-byte bit pattern)
-//! — are not read: opening one is [`StoreError::UnsupportedVersion`],
-//! and the lake must be re-indexed.
+//! open), version 7 (every extent value as its 8-byte bit pattern) and
+//! version 8 (a header and an id table in every forest section, and
+//! copies of other facts: thread counts in the configuration, an arity
+//! per table, the embedder's dimension, seed and blend weight, a count
+//! per word list of an added table) — are not read: opening one is
+//! [`StoreError::UnsupportedVersion`], and the lake must be re-indexed.
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
@@ -61,7 +64,7 @@ use crate::error::StoreError;
 pub const MAGIC: &[u8; 8] = b"D3LSTORE";
 
 /// The container format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 8;
+pub const FORMAT_VERSION: u32 = 9;
 
 /// Container kind of a full base snapshot.
 pub const KIND_SNAPSHOT: u32 = 1;
@@ -743,8 +746,8 @@ mod tests {
     #[test]
     fn other_versions_are_rejected() {
         // Newer and older alike: there is one read path, and a
-        // version 1 to 7 store must be re-indexed.
-        for version in [FORMAT_VERSION + 1, 7, 6, 5, 4, 3, 2, 1, 0] {
+        // version 1 to 8 store must be re-indexed.
+        for version in [FORMAT_VERSION + 1, 8, 7, 6, 5, 4, 3, 2, 1, 0] {
             let mut bytes = two_section_container();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
@@ -789,7 +792,7 @@ mod tests {
     /// header before any is read.
     #[test]
     fn older_files_of_this_container_are_an_unsupported_version() {
-        assert_eq!(FORMAT_VERSION, 8);
+        assert_eq!(FORMAT_VERSION, 9);
         for version in 2..FORMAT_VERSION {
             let mut old = two_section_container();
             old[8..12].copy_from_slice(&version.to_le_bytes());
@@ -797,7 +800,7 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    StoreError::UnsupportedVersion { found, supported: 8 } if found == version
+                    StoreError::UnsupportedVersion { found, supported: 9 } if found == version
                 ),
                 "{err}"
             );

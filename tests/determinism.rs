@@ -813,20 +813,31 @@ fn dirty_lake(tables: usize) -> DataLake {
 /// extent as exact scaled-integer deltas — the lake's 1 169 values
 /// were 8 bytes each after the count, and are now a scale byte and
 /// varints per extent, 2 205 bytes in all — and the blocks of 28 tables
-/// fit a one-byte length where 9 did. Profiling and signing may get
-/// faster; what they produce may not move.
+/// fit a one-byte length where 9 did, 249 197 bytes (checksum
+/// `0x4f37_0c15_df7c_681a`); format 9 leaves out what another section or
+/// the engine's hashers already say — each forest's 37-byte header and
+/// its 8-byte id per attribute, each table's one-byte arity, the two
+/// one-byte thread counts of `CONF`, and of `EMBD` all but the lexicon's
+/// concept count and entries: its dimension, the subword seed, the blend
+/// weight and the block's length, 18 bytes. Profiling and signing may
+/// get faster; what they produce may not move.
 #[test]
 fn dirty_lake_snapshot_checksum_is_pinned() {
     let lake = dirty_lake(40);
     assert_eq!(lake.total_attributes(), 178);
     let built = D3l::index_lake(&lake, D3lConfig::default());
     let bytes = built.to_snapshot_bytes();
-    assert_eq!(bytes.len(), 249_197);
+    assert_eq!(bytes.len(), 244_365);
     // (attributes, classes, the bytes format 6 stored of a signature) of
     // IN, IV, IF, IE.
     let forests = [(178, 44, 0), (111, 107, 1024), (178, 58, 0), (111, 94, 32)];
     let classes = built.class_stats().map(|s| (s.attributes, s.classes));
     assert_eq!(classes, forests.map(|(n, c, _)| (n, c)));
+    let attributes: usize = forests.iter().map(|(n, _, _)| n).sum();
+    assert_eq!(
+        bytes.len(),
+        249_197 - 4 * 37 - 8 * attributes - lake.len() - 2 - 18
+    );
     // The tokens format 6 wrote are those of the lake's freshly built
     // profiles. A table's `PROF` block is length-prefixed, in one byte
     // while it is under 128 bytes: a block is a count byte, then per
@@ -864,15 +875,12 @@ fn dirty_lake_snapshot_checksum_is_pinned() {
         256_363,
         175_502 - 8 * tokens - 3 * 178 - short_7 + (44 + 58) * 1024 - 4
     );
-    assert_eq!(
-        bytes.len(),
-        256_363 - 8 * values + scaled - (short_8 - short_7)
-    );
+    assert_eq!(249_197, 256_363 - 8 * values + scaled - (short_8 - short_7));
     let saved = |(n, c, sig): (usize, usize, usize)| (n - c) * (16 * 4 + sig) - 4 * n - 8;
     assert_eq!(175_502, 195_398 - forests.map(saved).iter().sum::<usize>());
     assert_eq!(195_398, 286_712 - 178 * 513);
     assert_eq!(286_712, 651_252 - 2 * 178 * 1024 + 4);
-    assert_eq!(d3l::store::checksum(&bytes), 0x4f37_0c15_df7c_681a);
+    assert_eq!(d3l::store::checksum(&bytes), 0xd251_3a6b_ccbc_c2cf);
 }
 
 /// What the index of that lake *answers* is pinned too, to the values

@@ -4,7 +4,10 @@
 use d3l::core::watch::{Ingestor, WatchConfig, WatchStats};
 use d3l::core::IndexStore;
 use d3l::prelude::*;
-use d3l::store::StoreError;
+use d3l::store::{
+    ContainerReader, ContainerWriter, Decoder, Encoder, SectionTag, StoreError, KIND_DELTA,
+    KIND_SNAPSHOT,
+};
 use d3l::table::{csv, TableError};
 
 #[test]
@@ -215,7 +218,7 @@ fn duplicate_column_names_do_not_crash() {
 
 // ---- persistent store failure modes --------------------------------
 
-fn snapshot_engine() -> D3l {
+fn snapshot_lake() -> DataLake {
     let mut lake = DataLake::new();
     lake.add(
         Table::from_rows(
@@ -229,7 +232,99 @@ fn snapshot_engine() -> D3l {
         .unwrap(),
     )
     .unwrap();
-    D3l::index_lake(&lake, D3lConfig::fast())
+    lake
+}
+
+fn snapshot_engine() -> D3l {
+    D3l::index_lake(&snapshot_lake(), D3lConfig::fast())
+}
+
+/// Section `tag` of a snapshot.
+fn section_of(bytes: &[u8], tag: SectionTag) -> Vec<u8> {
+    let mut reader = ContainerReader::parse(bytes, KIND_SNAPSHOT).unwrap();
+    reader.section(tag).unwrap()
+}
+
+/// A store file of kind `kind` with section `tag` rewritten by `edit`,
+/// re-sealed: a whole container whose checksums hold, so what an open
+/// makes of it is the decoder's doing, not the container's.
+fn with_section(
+    bytes: &[u8],
+    (kind, tag): (u32, SectionTag),
+    edit: impl FnOnce(Vec<u8>) -> Vec<u8>,
+) -> Vec<u8> {
+    let mut reader = ContainerReader::parse(bytes, kind).unwrap();
+    let mut edit = Some(edit);
+    let mut w = ContainerWriter::new(Vec::new(), kind).unwrap();
+    for (t, _) in reader.sections() {
+        let mut payload = reader.section(t).unwrap();
+        if t == tag {
+            payload = edit.take().expect("tags are unique")(payload);
+        }
+        w.add_section(t, &payload).unwrap();
+    }
+    assert!(edit.is_none(), "no such section");
+    w.finish().unwrap()
+}
+
+/// MinHash forests of 70 positions spliced into the snapshot of the
+/// same lake indexed at 64 — at 8 trees both are 8 positions deep, so
+/// only the signature stride tells them apart — are refused at open.
+/// (They opened, and the first `rank_all` panicked a query worker on
+/// "signature length mismatch".)
+#[test]
+fn forests_of_another_signature_length_are_refused_at_open() {
+    let lake = snapshot_lake();
+    let at = |num_perm| {
+        let cfg = D3lConfig {
+            num_perm,
+            trees: 8,
+            ..D3lConfig::fast()
+        };
+        D3l::index_lake(&lake, cfg).to_snapshot_bytes()
+    };
+    let (mut bad, donor) = (at(64), at(70));
+    for tag in [*b"F_IN", *b"F_IV", *b"F_IF"] {
+        bad = with_section(&bad, (KIND_SNAPSHOT, tag), |_| section_of(&donor, tag));
+    }
+    match D3l::from_snapshot_bytes(&bad) {
+        Err(StoreError::Corrupt(_)) => {}
+        Err(other) => panic!("expected Corrupt, got {other}"),
+        Ok(d3l) => {
+            let engine = ShardedD3l::from_monolith(d3l);
+            let target = lake.table(TableId(0));
+            let opts = d3l::core::QueryOptions::default();
+            let ranked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.rank_all(target, 10, &opts)
+            }));
+            let what = if ranked.is_ok() {
+                "answered"
+            } else {
+                "panicked"
+            };
+            panic!("the spliced store opened, and rank_all {what}");
+        }
+    }
+}
+
+/// A `CONF` whose embedding dimension is 2⁴⁰ is refused at open. (Its
+/// open aborted the process: the projector built from it would have
+/// been 2⁴⁹ bytes.)
+#[test]
+fn a_config_shape_past_the_bound_is_refused_at_open() {
+    let bytes = snapshot_engine().to_snapshot_bytes();
+    let bad = with_section(&bytes, (KIND_SNAPSHOT, *b"CONF"), |conf| {
+        // num_perm, embed_bits, embed_dim: three one-byte varints.
+        assert_eq!(conf[..3], [64, 64, 32]);
+        let mut dim = Encoder::new();
+        dim.put_varint(1 << 40);
+        [&conf[..2], dim.as_bytes(), &conf[3..]].concat()
+    });
+    let err = D3l::from_snapshot_bytes(&bad).unwrap_err();
+    assert!(
+        matches!(&err, StoreError::Corrupt(m) if m.contains("embed_dim 1099511627776")),
+        "{err}"
+    );
 }
 
 #[test]
@@ -520,6 +615,178 @@ fn opening_a_store_sweeps_stale_tmp_files_even_of_live_pids() {
         !stale.exists(),
         "a stale tmp file must be swept even while its pid is live"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// How a numeric store field is written.
+#[derive(Debug, Clone, Copy)]
+enum Width {
+    Varint,
+    U8,
+    U32,
+    U64,
+    F64,
+}
+
+impl Width {
+    /// `v` in this encoding, if it holds the value.
+    fn encode(self, v: u64) -> Option<Vec<u8>> {
+        match self {
+            Width::Varint => {
+                let mut enc = Encoder::new();
+                enc.put_varint(v);
+                Some(enc.into_bytes())
+            }
+            Width::U8 => u8::try_from(v).ok().map(|b| vec![b]),
+            Width::U32 => u32::try_from(v).ok().map(|w| w.to_le_bytes().to_vec()),
+            Width::U64 => Some(v.to_le_bytes().to_vec()),
+            Width::F64 => Some((v as f64).to_le_bytes().to_vec()),
+        }
+    }
+}
+
+/// A walk over a section payload that records where each numeric field
+/// it takes lies.
+struct Fields<'a> {
+    dec: Decoder<'a>,
+    len: usize,
+    found: Vec<(std::ops::Range<usize>, Width)>,
+}
+
+impl<'a> Fields<'a> {
+    fn of(payload: &'a [u8]) -> Self {
+        let (dec, len) = (Decoder::new(payload), payload.len());
+        Fields {
+            dec,
+            len,
+            found: Vec::new(),
+        }
+    }
+
+    fn take(&mut self, width: Width) -> u64 {
+        let start = self.len - self.dec.remaining();
+        let value = match width {
+            Width::Varint => self.dec.get_varint().unwrap(),
+            Width::U8 => self.dec.get_u8().unwrap().into(),
+            Width::U32 => self.dec.get_u32().unwrap().into(),
+            Width::U64 | Width::F64 => self.dec.get_u64().unwrap(),
+        };
+        self.found
+            .push((start..self.len - self.dec.remaining(), width));
+        value
+    }
+}
+
+/// Every numeric field an open or a replay reads — each of `CONF`'s and
+/// `TABL`'s, the count of `PROF`'s first block, the first class rank of
+/// each forest, the table id of a delta's add and of its remove —
+/// re-sealed at 0, 1, 2³² and `u64::MAX` where its encoding holds the
+/// value: the open, or the replay, returns a typed error or an engine
+/// that answers a query, never a panic or an abort. (A q-gram size of
+/// 0 opened, and the query panicked.)
+#[test]
+fn every_numeric_store_field_at_its_extremes_opens_or_is_refused() {
+    use Width::*;
+    const VALUES: [u64; 4] = [0, 1, 1 << 32, u64::MAX];
+    let dir = std::env::temp_dir().join(format!("d3l_fi_sweep_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut d3l = snapshot_engine();
+    let base = d3l.to_snapshot_bytes();
+    let mut store = IndexStore::create(&dir, &d3l).unwrap();
+    let extra = Table::from_rows("late", &["GP", "Payment"], &[vec!["a".into(), "7".into()]]);
+    store.append_add(&mut d3l, &extra.unwrap()).unwrap();
+    store.append_remove(&mut d3l, TableId(1)).unwrap();
+    let segments = [1, 2].map(|seq| {
+        let path = dir.join(d3l::store::layout::delta_file_name(seq));
+        (path.clone(), std::fs::read(path).unwrap())
+    });
+
+    // Where each field is: the base (`None`) or segment `i`, the
+    // section, the bytes.
+    let mut fields: Vec<(Option<usize>, SectionTag, std::ops::Range<usize>, Width)> = Vec::new();
+    let mut found = |file, tag, walk: Fields<'_>| {
+        let at = walk.found.into_iter();
+        fields.extend(at.map(|(range, width)| (file, tag, range, width)));
+    };
+    let conf = section_of(&base, *b"CONF");
+    let mut walk = Fields::of(&conf);
+    // num_perm, embed_bits, embed_dim, trees, threshold, q,
+    // lookup_factor, min_lookup, join_threshold, max_join_depth, seed,
+    // shards.
+    for width in [
+        Varint, Varint, Varint, Varint, F64, Varint, Varint, Varint, F64, Varint, U64, Varint,
+    ] {
+        walk.take(width);
+    }
+    assert!(walk.dec.is_exhausted());
+    found(None, *b"CONF", walk);
+    let tabl = section_of(&base, *b"TABL");
+    let mut walk = Fields::of(&tabl);
+    for _ in 0..walk.take(Varint) {
+        walk.dec.get_str_ref().unwrap();
+        if walk.take(U8) == 1 {
+            walk.take(Varint);
+        }
+        walk.take(U8);
+    }
+    assert!(walk.dec.is_exhausted());
+    found(None, *b"TABL", walk);
+    let prof = section_of(&base, *b"PROF");
+    let mut walk = Fields::of(&prof);
+    walk.dec.get_varint().unwrap();
+    walk.take(Varint);
+    found(None, *b"PROF", walk);
+    for tag in [*b"F_IN", *b"F_IV", *b"F_IF", *b"F_IE"] {
+        let forest = section_of(&base, tag);
+        let mut walk = Fields::of(&forest);
+        walk.take(U32);
+        found(None, tag, walk);
+    }
+    for (i, (_, segment)) in segments.iter().enumerate() {
+        let mut reader = ContainerReader::parse(segment, KIND_DELTA).unwrap();
+        let record = reader.section(*b"DREC").unwrap();
+        let mut walk = Fields::of(&record);
+        walk.dec.get_u8().unwrap();
+        walk.take(Varint);
+        found(Some(i), *b"DREC", walk);
+    }
+
+    let target = snapshot_lake().table(TableId(0)).clone();
+    let (mut cases, mut refused) = (0, 0);
+    for (file, tag, range, width) in &fields {
+        for value in VALUES {
+            let Some(encoded) = width.encode(value) else {
+                continue;
+            };
+            cases += 1;
+            let splice = |payload: Vec<u8>| {
+                [&payload[..range.start], &encoded, &payload[range.end..]].concat()
+            };
+            let ctx = format!("{file:?} {tag:?} {range:?} = {value}");
+            let opened = match *file {
+                None => {
+                    D3l::from_snapshot_bytes(&with_section(&base, (KIND_SNAPSHOT, *tag), splice))
+                }
+                Some(i) => {
+                    let (path, segment) = &segments[i];
+                    let bad = with_section(segment, (KIND_DELTA, *tag), splice);
+                    std::fs::write(path, bad).unwrap();
+                    let opened = IndexStore::open(&dir).map(|(_, d3l)| d3l);
+                    std::fs::write(path, segment).unwrap();
+                    opened
+                }
+            };
+            match opened {
+                Ok(d3l) => {
+                    let answer = ShardedD3l::from_monolith(d3l).query(&target, 3);
+                    assert!(answer.len() <= 3, "{ctx}");
+                }
+                Err(_) => refused += 1,
+            }
+        }
+    }
+    assert_eq!(cases, 80);
+    println!("{cases} cases, {refused} refused");
     std::fs::remove_dir_all(&dir).ok();
 }
 
