@@ -36,7 +36,11 @@ use crate::common::{
     rank_and_truncate, significance, whole_value_set, BaselineAlignment, BaselineMatch,
 };
 
-/// Aurum configuration.
+/// Aurum configuration: the shapes and the build width
+/// [`AurumConfig::fast`] sets smaller. The edge threshold (0.5), the
+/// PK uniqueness floor (0.6) and the hashing seed are constants of
+/// this module, which [`Aurum::index_lake`] builds the graph with and
+/// an external target's lookups filter by.
 #[derive(Debug, Clone)]
 pub struct AurumConfig {
     /// MinHash signature length.
@@ -47,15 +51,18 @@ pub struct AurumConfig {
     pub embed_bits: usize,
     /// LSH Forest trees.
     pub trees: usize,
-    /// Graph edges require at least this estimated similarity.
-    pub edge_threshold: f64,
     /// Neighbour width consulted per column at graph-build time.
     pub build_width: usize,
-    /// Distinct-ratio floor for a column to be a PK candidate.
-    pub pk_uniqueness: f64,
-    /// Seed.
-    pub seed: u64,
 }
+
+/// Graph edges require at least this estimated similarity.
+const EDGE_THRESHOLD: f64 = 0.5;
+
+/// Distinct-ratio floor for a column to be a PK candidate.
+const PK_UNIQUENESS: f64 = 0.6;
+
+/// Seed of Aurum's MinHash permutations and projection planes.
+const SEED: u64 = 0xa97;
 
 impl Default for AurumConfig {
     fn default() -> Self {
@@ -64,10 +71,7 @@ impl Default for AurumConfig {
             embed_dim: 64,
             embed_bits: 256,
             trees: 16,
-            edge_threshold: 0.5,
             build_width: 64,
-            pk_uniqueness: 0.6,
-            seed: 0xa97,
         }
     }
 }
@@ -81,7 +85,6 @@ impl AurumConfig {
             embed_bits: 64,
             trees: 8,
             build_width: 32,
-            ..Default::default()
         }
     }
 }
@@ -119,8 +122,8 @@ pub struct Aurum {
 impl Aurum {
     /// Profile a lake and build the knowledge graph.
     pub fn index_lake(lake: &DataLake, embedder: SemanticEmbedder, cfg: AurumConfig) -> Self {
-        let minhasher = MinHasher::new(cfg.num_perm, cfg.seed);
-        let projector = RandomProjector::new(cfg.embed_dim, cfg.embed_bits, cfg.seed ^ 0xa0);
+        let minhasher = MinHasher::new(cfg.num_perm, SEED);
+        let projector = RandomProjector::new(cfg.embed_dim, cfg.embed_bits, SEED ^ 0xa0);
         let mut content_index = LshForest::new(cfg.num_perm, cfg.trees);
         let mut name_index = LshForest::new(cfg.num_perm, cfg.trees);
         let mut embed_index = LshForest::new(cfg.embed_bits, cfg.trees);
@@ -171,7 +174,7 @@ impl Aurum {
                 let (other_table, _) = attr_of_key(hit.id);
                 let score = hit.similarity
                     * significance(value_sizes[&key].min(value_sizes[&hit.id]), 15.0);
-                if other_table == table || score < cfg.edge_threshold {
+                if other_table == table || score < EDGE_THRESHOLD {
                     continue;
                 }
                 // Content edges only make sense between textual
@@ -181,9 +184,7 @@ impl Aurum {
                     add_edge(hit.id, key, score, &mut graph);
                     // PK/FK candidate: content overlap + one side
                     // nearly unique.
-                    if uniqueness[&key] >= cfg.pk_uniqueness
-                        || uniqueness[&hit.id] >= cfg.pk_uniqueness
-                    {
+                    if uniqueness[&key] >= PK_UNIQUENESS || uniqueness[&hit.id] >= PK_UNIQUENESS {
                         pkfk.entry(table).or_default().insert(other_table);
                         pkfk.entry(other_table).or_default().insert(table);
                     }
@@ -193,7 +194,7 @@ impl Aurum {
                 let (other_table, _) = attr_of_key(hit.id);
                 let score =
                     hit.similarity * significance(name_sizes[&key].min(name_sizes[&hit.id]), 8.0);
-                if other_table == table || score < cfg.edge_threshold {
+                if other_table == table || score < EDGE_THRESHOLD {
                     continue;
                 }
                 add_edge(key, hit.id, score, &mut graph);
@@ -203,7 +204,7 @@ impl Aurum {
                 let (other_table, _) = attr_of_key(hit.id);
                 let score = hit.similarity
                     * significance(value_sizes[&key].min(value_sizes[&hit.id]), 15.0);
-                if other_table == table || score < cfg.edge_threshold {
+                if other_table == table || score < EDGE_THRESHOLD {
                     continue;
                 }
                 if textual.contains(&key) && textual.contains(&hit.id) {
@@ -335,7 +336,7 @@ impl Aurum {
                 |key: u64,
                  score: f64,
                  best: &mut HashMap<TableId, HashMap<usize, BaselineAlignment>>| {
-                    if score < self.cfg.edge_threshold {
+                    if score < EDGE_THRESHOLD {
                         return;
                     }
                     let (table, column) = attr_of_key(key);

@@ -35,7 +35,9 @@ use crate::common::{
 };
 
 /// TUS configuration (LSH settings mirror the shared evaluation
-/// setup: threshold 0.7, MinHash 256).
+/// setup: MinHash 256, 16 trees): the shapes [`TusConfig::fast`] sets
+/// smaller. The lookup width's multiple of `k` (3, as D3L's) and the
+/// hashing seed are constants of [`Tus::query`] and [`Tus::index_lake`].
 #[derive(Debug, Clone)]
 pub struct TusConfig {
     /// MinHash signature length.
@@ -46,13 +48,15 @@ pub struct TusConfig {
     pub embed_bits: usize,
     /// LSH Forest trees.
     pub trees: usize,
-    /// Per-attribute lookup width multiplier.
-    pub lookup_factor: usize,
     /// Minimum lookup width.
     pub min_lookup: usize,
-    /// Seed.
-    pub seed: u64,
 }
+
+/// Per-attribute lookup width as a multiple of the answer size `k`.
+const LOOKUP_FACTOR: usize = 3;
+
+/// Seed of TUS's MinHash permutations and projection planes.
+const SEED: u64 = 0x705;
 
 impl Default for TusConfig {
     fn default() -> Self {
@@ -61,9 +65,7 @@ impl Default for TusConfig {
             embed_dim: 64,
             embed_bits: 256,
             trees: 16,
-            lookup_factor: 3,
             min_lookup: 50,
-            seed: 0x705,
         }
     }
 }
@@ -77,7 +79,6 @@ impl TusConfig {
             embed_bits: 64,
             trees: 8,
             min_lookup: 20,
-            ..Default::default()
         }
     }
 }
@@ -121,8 +122,8 @@ impl Tus {
         embedder: SemanticEmbedder,
         cfg: TusConfig,
     ) -> Self {
-        let minhasher = MinHasher::new(cfg.num_perm, cfg.seed);
-        let projector = RandomProjector::new(cfg.embed_dim, cfg.embed_bits, cfg.seed ^ 0x7e);
+        let minhasher = MinHasher::new(cfg.num_perm, SEED);
+        let projector = RandomProjector::new(cfg.embed_dim, cfg.embed_bits, SEED ^ 0x7e);
         let mut set_index = LshForest::new(cfg.num_perm, cfg.trees);
         let mut class_index = LshForest::new(cfg.num_perm, cfg.trees);
         let mut nl_index = LshForest::new(cfg.embed_bits, cfg.trees);
@@ -221,7 +222,7 @@ impl Tus {
     /// mapped through the KB afresh (the query-time cost the paper
     /// measures in Experiment 5).
     pub fn query(&self, target: &Table, k: usize, exclude: Option<TableId>) -> Vec<BaselineMatch> {
-        let width = (self.cfg.lookup_factor * k).max(self.cfg.min_lookup);
+        let width = LOOKUP_FACTOR.saturating_mul(k).max(self.cfg.min_lookup);
         // candidate attr → (target col, ensemble score) best per table
         let mut best: HashMap<TableId, HashMap<usize, BaselineAlignment>> = HashMap::new();
 

@@ -75,15 +75,10 @@ pub struct EngineSnapshot {
 
 impl EngineSnapshot {
     /// A snapshot at `version` with every shard stamped at that same
-    /// version (the cold-load shape; mutations diverge the stamps).
+    /// version (the cold-load shape; mutations diverge the stamps),
+    /// sizing the engine once up front.
     pub fn at_version(version: u64, engine: ShardedD3l) -> Self {
         let shard_versions = vec![version; engine.shard_count()];
-        EngineSnapshot::with_versions(version, shard_versions, engine)
-    }
-
-    /// Build a snapshot with explicit per-shard stamps, sizing the
-    /// engine once up front.
-    pub fn with_versions(version: u64, shard_versions: Vec<u64>, engine: ShardedD3l) -> Self {
         let shard_footprints = engine.shard_byte_sizes();
         let footprint = MemoryFootprint::sum(&shard_footprints);
         EngineSnapshot {
@@ -393,7 +388,7 @@ impl EngineHandle {
     /// and replay (or to a shard the scan judged current) was
     /// silently deferred to a later poll — the regression tests
     /// inject exactly that interleaving via
-    /// [`EngineHandle::reload_latest_paced`].
+    /// `reload_latest_paced`.
     pub fn reload_latest(&self) -> Result<Option<Arc<EngineSnapshot>>, MaintenanceError> {
         self.reload_latest_paced(|| {})
     }
@@ -404,8 +399,7 @@ impl EngineHandle {
     /// implementation: segments an external writer appends inside it
     /// must still be observed by this very reload. Exposed for the
     /// mid-reload-append regression tests.
-    #[doc(hidden)]
-    pub fn reload_latest_paced(
+    fn reload_latest_paced(
         &self,
         before_replay: impl FnOnce(),
     ) -> Result<Option<Arc<EngineSnapshot>>, MaintenanceError> {

@@ -17,6 +17,13 @@ use d3l_table::TableId;
 use crate::index::AttrRef;
 use crate::shard::ShardedD3l;
 
+/// Jaccard threshold on tset overlap for postulating an SA-join edge
+/// (§IV, condition (i)).
+const JOIN_THRESHOLD: f64 = 0.5;
+
+/// Maximum SA-join path length, in edges, Algorithm 3 explores.
+pub const MAX_JOIN_DEPTH: usize = 3;
+
 /// One SA-join edge: the attribute pair whose value overlap
 /// postulates the (partial) inclusion dependency.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,7 +104,7 @@ impl ShardedD3l {
     /// Build the SA-join graph over the whole lake: for every table's
     /// subject attribute, `IV` lookups propose overlap partners; an
     /// edge is added when the estimated tset Jaccard clears
-    /// `join_threshold` (condition (i)) — the queried side being a
+    /// `JOIN_THRESHOLD`, 0.5 (condition (i)) — the queried side being a
     /// subject attribute satisfies condition (ii). `IV` is read the
     /// way the query pipeline reads it — every shard's forest in one
     /// [`query_union`] — so the graph does not depend on the shard
@@ -124,7 +131,7 @@ impl ShardedD3l {
             };
             for hit in query_union(&i_v, tset_sig, cfg.num_perm as u64, width) {
                 let other = AttrRef::from_key(hit.id);
-                if other.table == table || hit.similarity < cfg.join_threshold {
+                if other.table == table || hit.similarity < JOIN_THRESHOLD {
                     continue;
                 }
                 let edge = JoinEdge {
@@ -148,7 +155,7 @@ impl ShardedD3l {
     /// whose interior nodes are outside the top-k, acyclic, and
     /// related to the target by at least one index
     /// (`related_to_target`, i.e. `I*.lookup(T)`). Depth is bounded
-    /// by `max_join_depth`.
+    /// by [`MAX_JOIN_DEPTH`].
     pub fn find_join_paths(
         &self,
         graph: &SaJoinGraph,
@@ -170,7 +177,7 @@ impl ShardedD3l {
         current: &mut Vec<TableId>,
         out: &mut Vec<JoinPath>,
     ) {
-        if current.len() > self.config().max_join_depth {
+        if current.len() > MAX_JOIN_DEPTH {
             return;
         }
         let last = *current.last().expect("path never empty");
@@ -274,7 +281,7 @@ mod tests {
                 assert!(related.contains(n));
             }
             assert!(!p.is_empty());
-            assert!(p.len() <= d3l.config().max_join_depth);
+            assert!(p.len() <= MAX_JOIN_DEPTH);
         }
         // mid is reachable.
         assert!(paths.iter().any(|p| p.extensions().contains(&mid)));

@@ -58,7 +58,6 @@ pub mod hotswap;
 pub mod index;
 pub mod join;
 pub mod metrics;
-pub mod populate;
 pub mod profile;
 pub mod query;
 pub mod shard;
@@ -74,7 +73,6 @@ pub use evidence::Evidence;
 pub use hotswap::{EngineHandle, EngineSnapshot, EngineTelemetry, MaintenanceError};
 pub use index::{AttrRef, ClassStats, D3l, IndexFootprint, MemoryFootprint, SignedTable};
 pub use join::{JoinPath, SaJoinGraph};
-pub use populate::Population;
 pub use profile::{AttrView, AttributeProfile};
 pub use query::{Alignment, QueryOptions, TableMatch};
 pub use shard::{shard_of_name, ShardedD3l};

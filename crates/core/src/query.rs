@@ -28,8 +28,8 @@
 //!
 //! Stages 1 and 2 fan out over `std::thread::scope` workers
 //! (`D3lConfig::query_threads`, overridable per query via
-//! [`QueryOptions::threads`] and globally via the `D3L_QUERY_THREADS`
-//! environment variable); [`ShardedD3l::query_batch`] additionally
+//! [`QueryOptions::threads`]; the `D3L_QUERY_THREADS` environment
+//! variable stands in for the automatic count, 0); [`ShardedD3l::query_batch`] additionally
 //! fans out over targets. Work is split into contiguous chunks
 //! reassembled in input order and every reduction runs over key-sorted
 //! data, and no stage depends on how tables are assigned to shards, so
@@ -96,9 +96,9 @@ pub struct QueryOptions {
     pub evidence: Option<Evidence>,
     /// Evidence weights for Eq. 3; `None` uses the trained defaults.
     pub weights: Option<EvidenceWeights>,
-    /// Per-query worker-thread override (`None` = the
-    /// `D3L_QUERY_THREADS` env var, then the config's
-    /// `query_threads`; `Some(0)` = all available CPUs). Ignored by
+    /// Per-query worker-thread override (`None` = the config's
+    /// `query_threads`, or where that is 0 the `D3L_QUERY_THREADS` env
+    /// var; `Some(0)` = all available CPUs). Ignored by
     /// the batch APIs, which split the config/env budget across
     /// targets themselves. Thread count never changes results, only
     /// latency.
@@ -250,6 +250,10 @@ fn similarity<S: Signature>(has: bool, a: Option<&[u64]>, b: Option<&[u64]>, met
     }
 }
 
+/// The LSH similarity threshold (paper: 0.7, §V footnote 5) at which
+/// Algorithm 2's guards count two attributes related.
+const LSH_THRESHOLD: f64 = 0.7;
+
 /// The five estimated distances of a (target attr, lake attr) pair
 /// with both sides already resolved — Algorithm 2 decides whether KS
 /// is computed. The resolution step (what the index keeps of the
@@ -273,8 +277,8 @@ fn pair_distances_resolved(
     // Algorithm 2: only both-numeric pairs get a KS measurement,
     // and only when blocked-in by existing evidence.
     let d_d = if tp.is_numeric && sp.is_numeric {
-        let guard_name = 1.0 - d_n >= cfg.threshold;
-        let guard_format = 1.0 - d_f >= cfg.threshold;
+        let guard_name = 1.0 - d_n >= LSH_THRESHOLD;
+        let guard_format = 1.0 - d_f >= LSH_THRESHOLD;
         if guard_subject || guard_name || guard_format {
             tp.numeric_extent.ks_statistic(sp.numeric_extent)
         } else {
@@ -301,11 +305,11 @@ fn subjects_related_resolved(
         return false;
     };
     let jaccard = |a, b| similarity::<MinHashSignature>(true, a, b, cfg.num_perm);
-    jaccard(Some(ts.name), Some(ss.name)) >= cfg.threshold
-        || jaccard(ts.value, ss.value) >= cfg.threshold
-        || jaccard(Some(ts.format), Some(ss.format)) >= cfg.threshold
+    jaccard(Some(ts.name), Some(ss.name)) >= LSH_THRESHOLD
+        || jaccard(ts.value, ss.value) >= LSH_THRESHOLD
+        || jaccard(Some(ts.format), Some(ss.format)) >= LSH_THRESHOLD
         || similarity::<BitSignature>(true, ts.embedding, ss.embedding, cfg.embed_bits)
-            >= cfg.threshold
+            >= LSH_THRESHOLD
 }
 
 /// An engine's four indexes, each as one forest per shard.

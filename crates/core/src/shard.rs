@@ -17,10 +17,9 @@
 //! reads every table of a whole index back as the record it was pushed
 //! as and pushes it into the shard that owns it; assemble from loaded
 //! shards), the owner lookup and the owner-routed accessors.
-//! Queries, the SA-join graph and population are `impl ShardedD3l`
-//! blocks in [`crate::query`], [`crate::join`] and
-//! [`crate::populate`]; nothing in them depends on N, so answers are
-//! byte-identical at every shard count.
+//! Queries and the SA-join graph are `impl ShardedD3l` blocks in
+//! [`crate::query`] and [`crate::join`]; nothing in them depends on N,
+//! so answers are byte-identical at every shard count.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -10,10 +10,13 @@
 //! **The store keeps what scoring reads and nothing else, once.**
 //! Stored, one section each:
 //!
-//! - `CONF`: the configuration that shapes the index — signature and
-//!   projection lengths, embedding dimension, trees, the query knobs,
-//!   the seed and the shard count. Not the thread counts: a setting of
-//!   the process, not of the index, which the opening process sets.
+//! - `CONF`: the configuration that shapes the index, eight fields —
+//!   `num_perm`, `embed_bits`, `embed_dim`, `trees`, `q` and
+//!   `min_lookup` as varints, `seed` as a `u64`, `shards` as a varint.
+//!   Not the thread counts, settings of the process, which the opening
+//!   process sets; not the paper's fixed thresholds, lookup factor and
+//!   join path length, constants of the code that reads them
+//!   ([`D3lConfig`]).
 //! - `EMBD`: the embedder's lexicon, its word → concept map and concept
 //!   count. Its dimension is `CONF`'s, and the subword seed and the
 //!   blend weight are constants of `d3l-embedding`.
@@ -52,12 +55,12 @@
 //! exist nothing reads them (`profile` module), so an open signs
 //! nothing and a profile record is a name, an extent and a byte.
 //!
-//! What formats 7, 8 and 9 made of the benchmark's stores (`d3l stats
-//! --index`, payload bytes, format 6 → 7 → 8 → 9):
+//! What formats 7 to 10 made of the benchmark's stores (`d3l stats
+//! --index`, payload bytes, format 6 → 7 → 8 → 9 → 10):
 //!
 //! | section | clean 4 000 tables | dirty 2 000 tables |
 //! |---|---|---|
-//! | `CONF` | 37 → 35 | 37 → 35 |
+//! | `CONF` | 37 → 35 → 17 | 37 → 35 → 17 |
 //! | `EMBD` | 20 → 2 | 20 → 2 |
 //! | `TABL` | 112 976 → 108 976 | 56 495 → 54 495 |
 //! | `PROF` | 5 676 416 → 1 905 845 → 515 200 | 2 778 112 → 1 087 189 → 333 488 |
@@ -65,7 +68,7 @@
 //! | `F_IV` | 4 325 422 → 4 325 421 → 4 234 328 | 5 667 918 → 5 667 917 → 5 622 584 |
 //! | `F_IF` | 166 638 → 179 949 → 69 400 | 166 790 → 1 131 397 → 1 060 384 |
 //! | `F_IE` | 336 782 → 336 781 → 245 688 | 496 622 → 496 621 → 451 288 |
-//! | `base.d3ls` | 10 785 794 → 7 051 059 → 5 660 414 → 5 253 110 | 9 276 369 → 8 607 394 → 7 853 693 → 7 618 981 |
+//! | `base.d3ls` | 10 785 794 → 7 051 059 → 5 660 414 → 5 253 110 → 5 253 092 | 9 276 369 → 8 607 394 → 7 853 693 → 7 618 981 → 7 618 963 |
 //!
 //! (13 814 attributes in 22 `IN` / 13 `IF` / 3 850 `IV` / 2 085 `IE`
 //! classes; 8 872 in 56 / 942 / 5 147 / 4 465.) Format 7: `PROF` lost
@@ -86,7 +89,10 @@
 //! the clean store's `IN` and `IF`, whose attributes share 22 and 13
 //! signatures, 58 % and 61 % of the section; `TABL` lost each table's
 //! one-byte arity, `CONF` the two thread counts and `EMBD` its
-//! dimension, subword seed, blend weight and a length prefix.
+//! dimension, subword seed, blend weight and a length prefix. Format
+//! 10: `CONF` lost the four values no caller set — the LSH threshold
+//! and the join threshold (`f64`s), the lookup factor and the join path
+//! length (one-byte varints) — 18 bytes a base file.
 //!
 //! The codec is streamed in both directions: saving writes each
 //! section to the sink as it is produced (profiles one table at a
@@ -173,12 +179,8 @@ fn encode_config(cfg: &D3lConfig, enc: &mut Encoder) {
     enc.put_varint(cfg.embed_bits as u64);
     enc.put_varint(cfg.embed_dim as u64);
     enc.put_varint(cfg.trees as u64);
-    enc.put_f64(cfg.threshold);
     enc.put_varint(cfg.q as u64);
-    enc.put_varint(cfg.lookup_factor as u64);
     enc.put_varint(cfg.min_lookup as u64);
-    enc.put_f64(cfg.join_threshold);
-    enc.put_varint(cfg.max_join_depth as u64);
     enc.put_u64(cfg.seed);
     enc.put_varint(cfg.shards as u64);
 }
@@ -189,12 +191,8 @@ fn decode_config(dec: &mut Decoder<'_>) -> Result<D3lConfig, StoreError> {
         embed_bits: dec.get_varint()? as usize,
         embed_dim: dec.get_varint()? as usize,
         trees: dec.get_varint()? as usize,
-        threshold: dec.get_f64()?,
         q: dec.get_varint()? as usize,
-        lookup_factor: dec.get_varint()? as usize,
         min_lookup: dec.get_varint()? as usize,
-        join_threshold: dec.get_f64()?,
-        max_join_depth: dec.get_varint()? as usize,
         seed: dec.get_u64()?,
         shards: dec.get_varint()? as usize,
         // The opening process sets its own.
@@ -997,22 +995,6 @@ impl IndexStore {
     /// for that long; this also collects leftovers whose pid was
     /// recycled by an unrelated live process).
     fn sweep_tmp(dir: &Path) -> Result<(), StoreError> {
-        Self::sweep_tmp_older_than(dir, Self::STALE_TMP_AGE)
-    }
-
-    /// Age beyond which an atomic-write tmp file cannot still be in
-    /// flight: persist() writes, fsyncs and renames in one call, so
-    /// minutes-old tmp files are orphans regardless of pid liveness.
-    pub const STALE_TMP_AGE: std::time::Duration = std::time::Duration::from_secs(600);
-
-    /// [`IndexStore::sweep_tmp`] with an explicit staleness horizon
-    /// (exposed for failure-injection tests; `open`/`create` use
-    /// [`IndexStore::STALE_TMP_AGE`]).
-    #[doc(hidden)]
-    pub fn sweep_tmp_older_than(
-        dir: &Path,
-        stale_after: std::time::Duration,
-    ) -> Result<(), StoreError> {
         for entry in std::fs::read_dir(dir)?.collect::<Result<Vec<_>, _>>()? {
             let path = entry.path();
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
@@ -1027,13 +1009,18 @@ impl IndexStore {
                 .and_then(|m| m.modified())
                 .ok()
                 .and_then(|m| m.elapsed().ok())
-                .is_some_and(|age| age >= stale_after);
+                .is_some_and(|age| age >= Self::STALE_TMP_AGE);
             if dead_writer || stale {
                 std::fs::remove_file(path)?;
             }
         }
         Ok(())
     }
+
+    /// Age beyond which an atomic-write tmp file cannot still be in
+    /// flight: persist() writes, fsyncs and renames in one call, so
+    /// minutes-old tmp files are orphans regardless of pid liveness.
+    pub const STALE_TMP_AGE: std::time::Duration = std::time::Duration::from_secs(600);
 }
 
 #[cfg(test)]
@@ -1112,6 +1099,47 @@ mod tests {
         }
     }
 
+    /// `CONF` is the index's shape and nothing else: the eight fields
+    /// an open needs to rebuild the hashers and read the forests,
+    /// in order, and no byte after them. The thread counts are the
+    /// opening process's own.
+    #[test]
+    fn conf_holds_the_eight_shape_fields_and_nothing_else() {
+        let cfg = D3lConfig {
+            num_perm: 96,
+            embed_bits: 80,
+            embed_dim: 24,
+            trees: 6,
+            q: 3,
+            min_lookup: 17,
+            seed: 0x0123_4567_89ab_cdef,
+            shards: 5,
+            index_threads: 7,
+            query_threads: 9,
+        };
+        let mut enc = Encoder::new();
+        encode_config(&cfg, &mut enc);
+        let mut expect = Encoder::new();
+        for n in [96, 80, 24, 6, 3, 17] {
+            expect.put_varint(n);
+        }
+        expect.put_u64(0x0123_4567_89ab_cdef);
+        expect.put_varint(5);
+        assert_eq!(enc.as_bytes(), expect.as_bytes());
+
+        let mut dec = Decoder::new(enc.as_bytes());
+        let back = decode_config(&mut dec).unwrap();
+        dec.expect_exhausted("config").unwrap();
+        let shape = |c: &D3lConfig| {
+            let sizes = [c.num_perm, c.embed_bits, c.embed_dim, c.trees, c.q];
+            (sizes, c.min_lookup, c.seed, c.shards)
+        };
+        assert_eq!(shape(&back), shape(&cfg));
+        let process = D3lConfig::default();
+        assert_eq!(back.index_threads, process.index_threads);
+        assert_eq!(back.query_threads, process.query_threads);
+    }
+
     #[test]
     fn snapshot_round_trip_restores_the_engine() {
         let d3l = engine();
@@ -1177,7 +1205,7 @@ mod tests {
         }
     }
 
-    /// A store written by format version 1 to 8 is named as such — by
+    /// A store written by format version 1 to 9 is named as such — by
     /// `open` as by the byte-slice decoder — and nothing of it is
     /// decoded.
     #[test]
@@ -1190,13 +1218,13 @@ mod tests {
         v1.put_u32(KIND_SNAPSHOT);
         v1.put_u32(0);
         v1.put_raw(&[0u8; 64]);
-        // Versions 2 to 8 had today's container around other sections
+        // Versions 2 to 9 had today's container around other sections
         // (64-bit MinHash values; a slab slot per attribute; embedding
         // vectors in `PROF`; no class tables; token sets in `PROF` and
         // `IN`/`IF` signed again from them; 8-byte extent values; forest
-        // headers and id tables): whole, checksummed files with that
-        // header.
-        let newer: Vec<(u32, Vec<u8>)> = (2..=8u32)
+        // headers and id tables; query knobs in `CONF`): whole,
+        // checksummed files with that header.
+        let newer: Vec<(u32, Vec<u8>)> = (2..=9u32)
             .map(|version| {
                 let mut bytes = engine().to_snapshot_bytes();
                 bytes[8..12].copy_from_slice(&version.to_le_bytes());
@@ -1210,7 +1238,7 @@ mod tests {
             let is_old = |err: &StoreError| {
                 matches!(
                     err,
-                    StoreError::UnsupportedVersion { found, supported: 9 } if *found == version
+                    StoreError::UnsupportedVersion { found, supported: 10 } if *found == version
                 )
             };
             let err = D3l::from_snapshot_bytes(bytes).unwrap_err();
@@ -1222,7 +1250,7 @@ mod tests {
             assert!(is_old(&err), "{err}");
             assert!(err.to_string().contains("re-index"), "{err}");
         }
-        // A version 8 delta segment beside a current base is named too,
+        // A version 9 delta segment beside a current base is named too,
         // as the segment it is.
         let mut d3l = engine();
         let mut store = IndexStore::create(&dir, &d3l).unwrap();
@@ -1230,12 +1258,12 @@ mod tests {
         store.append_add(&mut d3l, &gp).unwrap();
         let segment = dir.join(layout::delta_file_name(1));
         let mut bytes = std::fs::read(&segment).unwrap();
-        bytes[8..12].copy_from_slice(&8u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&9u32.to_le_bytes());
         std::fs::write(&segment, bytes).unwrap();
         let err = IndexStore::open(&dir).unwrap_err();
         assert!(
             matches!(&err, StoreError::BadSegment { seq: 1, source }
-                if matches!(**source, StoreError::UnsupportedVersion { found: 8, supported: 9 })),
+                if matches!(**source, StoreError::UnsupportedVersion { found: 9, supported: 10 })),
             "{err}"
         );
         assert!(err.to_string().contains("re-index"), "{err}");

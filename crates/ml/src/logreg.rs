@@ -69,7 +69,8 @@ impl LogisticRegression {
     }
 
     /// Mean log-loss of the model on a dataset.
-    pub fn log_loss(&self, xs: &[Vec<f64>], ys: &[bool]) -> f64 {
+    #[cfg(test)]
+    fn log_loss(&self, xs: &[Vec<f64>], ys: &[bool]) -> f64 {
         assert_eq!(xs.len(), ys.len());
         if xs.is_empty() {
             return 0.0;

@@ -53,7 +53,8 @@ const RANK_ALL_TAG: u64 = 0x5241_4e4b_5f41_4c4c; // "RANK_ALL"
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker thread count (0 = number of available CPUs).
+    /// Worker thread count (0 = number of available CPUs; at most
+    /// 1 024, or [`Server::bind`] refuses it).
     pub threads: usize,
     /// Cap on request bodies.
     pub max_body_bytes: usize,
@@ -93,6 +94,12 @@ impl Default for ServerConfig {
         }
     }
 }
+
+/// Bound on [`ServerConfig::threads`]: each worker is an OS thread
+/// spawned at [`Server::run`], so a count past what any machine
+/// schedules is refused at bind instead of spawning until the process
+/// runs out of memory or threads.
+const MAX_THREADS: usize = 1024;
 
 /// Most recent slow queries kept for `GET /debug/slow_queries`.
 const SLOW_RING_CAP: usize = 64;
@@ -584,12 +591,20 @@ pub struct Server {
 
 impl Server {
     /// Bind a listener (use port 0 for an ephemeral port and read it
-    /// back with [`Server::local_addr`]).
+    /// back with [`Server::local_addr`]). A worker count past 1 024 is
+    /// refused, before anything is bound, as `InvalidInput`.
     pub fn bind(
         addr: impl ToSocketAddrs,
         engine: Arc<EngineHandle>,
         cfg: ServerConfig,
     ) -> std::io::Result<Server> {
+        if cfg.threads > MAX_THREADS {
+            let error = format!(
+                "{} worker threads is past the bound of {MAX_THREADS}",
+                cfg.threads
+            );
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, error));
+        }
         let listener = TcpListener::bind(addr)?;
         // The cache lives in the engine handle (so CLI tools sharing
         // the handle see the same entries); the serving config owns

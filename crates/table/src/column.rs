@@ -24,12 +24,6 @@ impl ColumnType {
     pub fn is_numeric(self) -> bool {
         matches!(self, ColumnType::Integer | ColumnType::Float)
     }
-
-    /// Textual columns participate in value-token and embedding
-    /// evidence.
-    pub fn is_textual(self) -> bool {
-        matches!(self, ColumnType::Text)
-    }
 }
 
 /// A named column of string cells. The empty string is a null.
@@ -116,12 +110,6 @@ impl Column {
             values,
             ty,
         }
-    }
-
-    /// Build a column from anything displayable (convenience for
-    /// generators and tests).
-    pub fn from_display<T: std::fmt::Display>(name: impl Into<String>, values: &[T]) -> Self {
-        Column::new(name, values.iter().map(|v| v.to_string()).collect())
     }
 
     /// Attribute name.
@@ -222,17 +210,6 @@ impl Column {
     pub fn byte_size(&self) -> usize {
         self.name.len() + self.values.iter().map(|v| v.len() + 1).sum::<usize>()
     }
-
-    /// Re-run type inference (after mutation by generators).
-    pub fn refresh_type(&mut self) {
-        self.ty = typing::infer_type(self.values.iter().map(String::as_str));
-    }
-
-    /// Mutable access to cells for in-place perturbation; callers
-    /// should `refresh_type` afterwards.
-    pub fn values_mut(&mut self) -> &mut Vec<String> {
-        &mut self.values
-    }
 }
 
 #[cfg(test)]
@@ -251,7 +228,6 @@ mod tests {
         assert_eq!(col(&["", ""]).column_type(), ColumnType::Empty);
         assert!(ColumnType::Integer.is_numeric());
         assert!(!ColumnType::Text.is_numeric());
-        assert!(ColumnType::Text.is_textual());
     }
 
     proptest::proptest! {
@@ -308,21 +284,5 @@ mod tests {
         let c = col(&["ab", "abcd", ""]);
         assert!((c.avg_len() - 3.0).abs() < 1e-12);
         assert!(c.byte_size() > 6);
-    }
-
-    #[test]
-    fn refresh_after_mutation() {
-        let mut c = col(&["1", "2"]);
-        c.values_mut()[0] = "hello".into();
-        c.values_mut()[1] = "world".into();
-        c.refresh_type();
-        assert_eq!(c.column_type(), ColumnType::Text);
-    }
-
-    #[test]
-    fn from_display_works() {
-        let c = Column::from_display("n", &[1, 2, 3]);
-        assert_eq!(c.values(), &["1", "2", "3"]);
-        assert_eq!(c.column_type(), ColumnType::Integer);
     }
 }

@@ -137,28 +137,26 @@ fn cmd_index(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--out" => out = Some(it.next().ok_or("missing value for --out")?.to_string()),
-            "--shards" => {
-                shards = it.next().ok_or("missing value for --shards")?.parse()?;
-                if shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
+            "--shards" => shards = it.next().ok_or("missing value for --shards")?.parse()?,
             other if dir.is_none() => dir = Some(other.to_string()),
             other => return Err(format!("unexpected argument {other}").into()),
         }
     }
     let dir = dir.ok_or("missing lake directory")?;
     let out = out.ok_or("missing --out <index-dir>")?;
+    let cfg = D3lConfig {
+        shards,
+        ..Default::default()
+    };
+    if let Some(error) = cfg.shape_error() {
+        return Err(format!("--shards {shards}: {error}").into());
+    }
 
     eprintln!(
         "indexing the lake in {dir} ({} signing lanes) ...",
         d3l::core::index::signing_lanes()
     );
     let build_start = Instant::now();
-    let cfg = D3lConfig {
-        shards,
-        ..Default::default()
-    };
     // Streamed: each table is read, parsed, indexed and dropped in
     // turn, and nothing is created under `out` unless all of them
     // load.
@@ -434,6 +432,10 @@ fn cmd_watch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     );
     let watcher = Watcher::start(engine, &lake_dir, cfg.clone())?;
     let stats = watcher.stats();
+    // Before the line that says Ctrl-C stops, so a Ctrl-C after it
+    // does.
+    #[cfg(unix)]
+    sig::install();
     out!(
         "watching {lake_dir} -> {index_dir} (poll {} ms, compact at {} segments or {} delta bytes); Ctrl-C stops",
         cfg.poll_interval.as_millis(),
@@ -443,7 +445,6 @@ fn cmd_watch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
     #[cfg(unix)]
     {
-        sig::install();
         while !sig::requested() {
             std::thread::sleep(std::time::Duration::from_millis(50));
         }
@@ -573,6 +574,10 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let server = d3l::server::Server::bind((host.as_str(), port), engine.clone(), cfg)?;
     let addr = server.local_addr()?;
     let workers = server.effective_threads();
+    // Before the line that says Ctrl-C drains, so a Ctrl-C after it
+    // does (`run` drains at once when the flag is already up).
+    #[cfg(unix)]
+    sig::install();
     // The CLI tests parse this line to learn the ephemeral port, so
     // keep the "listening on" prefix stable.
     out!("listening on http://{addr} ({workers} workers); Ctrl-C drains and exits");
@@ -625,7 +630,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
     #[cfg(unix)]
     {
-        sig::install();
         let handle = server.shutdown_handle();
         std::thread::spawn(move || {
             while !sig::requested() {
@@ -1119,6 +1123,10 @@ mod tests {
         assert!(
             cmd_index(&args(&["a", "--out", "b", "--shards", "0"])).is_err(),
             "zero shards must fail"
+        );
+        assert!(
+            cmd_index(&args(&["a", "--out", "b", "--shards", "257"])).is_err(),
+            "shards past the bound must fail"
         );
         assert!(
             cmd_index(&args(&["a", "--out", "b", "--shards", "x"])).is_err(),

@@ -774,6 +774,136 @@ fn joins_answer_identically_at_one_and_four_shards() {
     std::fs::remove_dir_all(&base).ok();
 }
 
+/// One run of the numeric-flag sweep, or why it did not end as it
+/// should: exit 0, or exit 1 with an `error:` line, and no panic on
+/// stderr. A run whose first stdout line says it is serving
+/// (`listening on`) or watching (`watching`) is sent SIGINT and must
+/// then drain and exit 0. Nothing may take 30 s to say what it does
+/// or to exit.
+#[cfg(unix)]
+fn sweep_run(args: &[&str]) -> Result<(), String> {
+    use std::io::{BufRead, Read};
+    use std::time::{Duration, Instant};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_d3l"))
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn d3l");
+    // Stdout is read on its own thread, so a child that prints and
+    // does not exit (or neither) cannot stall the sweep.
+    let (first_line, lines) = std::sync::mpsc::channel();
+    let mut stdout = std::io::BufReader::new(child.stdout.take().unwrap());
+    std::thread::spawn(move || {
+        let mut line = String::new();
+        let _ = stdout.read_line(&mut line);
+        let _ = first_line.send(line);
+        let _ = stdout.read_to_string(&mut String::new());
+    });
+    let limit = Duration::from_secs(30);
+    let Ok(line) = lines.recv_timeout(limit) else {
+        let _ = child.kill();
+        let _ = child.wait();
+        return Err("no output in 30 s".into());
+    };
+    let long_running = line.starts_with("listening on") || line.starts_with("watching");
+    if long_running {
+        let pid = child.id().to_string();
+        let kill = Command::new("kill").args(["-INT", &pid]).output();
+        assert!(kill.expect("send SIGINT").status.success());
+    }
+    let deadline = Instant::now() + limit;
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            return Err("still running 30 s on".into());
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    let refused = status.code() == Some(1) && !long_running && stderr.contains("error: ");
+    if stderr.contains("panicked") || !(status.success() || refused) {
+        return Err(format!("{status}; stderr: {stderr}"));
+    }
+    Ok(())
+}
+
+/// Every numeric flag of `index`, `query`, `serve` and `watch` at 0, 1,
+/// 2³² and `u64::MAX`: each run exits 0, or exits 1 with a message;
+/// none panics, aborts or hangs, and `serve` and `watch` either refuse
+/// at once or boot and drain on SIGINT. (`index --shards 4294967296`
+/// aborted on allocating the shard list, `serve --threads
+/// 18446744073709551615` panicked on sizing its worker list.)
+#[cfg(unix)]
+#[test]
+fn every_numeric_flag_at_its_extremes_runs_or_is_refused() {
+    let lake = TempLake::create("sweep");
+    let index_dir = format!("{}_index", lake.dir());
+    let out = d3l_cmd(&["index", lake.dir(), "--out", &index_dir]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    let fresh_out = format!("{}_sweep_out", lake.dir());
+    let serve = [
+        "serve",
+        "--index",
+        &index_dir,
+        "--port",
+        "0",
+        "--threads",
+        "2",
+    ];
+    let serve_watch = [&serve[..], &["--watch", lake.dir()]].concat();
+    let watch = ["watch", lake.dir(), "--index", &index_dir];
+    let query = ["query", "--index", &index_dir, lake.target()];
+    let mut runs: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["index", lake.dir(), "--out", &fresh_out], "--shards"),
+        ([&query[..], &["--joins"]].concat(), "-k"),
+        (query.to_vec(), "--threads"),
+    ];
+    for flag in [
+        "--shards",
+        "--port",
+        "--threads",
+        "--cache-bytes",
+        "--max-queue",
+        "--slow-query-ms",
+        "--reload-ms",
+    ] {
+        runs.push((serve.to_vec(), flag));
+    }
+    for flag in ["--poll-ms", "--compact-segments", "--compact-bytes"] {
+        runs.push((serve_watch.clone(), flag));
+        runs.push((watch.to_vec(), flag));
+    }
+
+    let start = std::time::Instant::now();
+    let mut failures = Vec::new();
+    let values = ["0", "1", "4294967296", "18446744073709551615"];
+    for (command, flag) in &runs {
+        for value in values {
+            let args = [&command[..], &[flag, value]].concat();
+            if let Err(why) = sweep_run(&args) {
+                failures.push(format!("d3l {}: {why}", args.join(" ")));
+            }
+            std::fs::remove_dir_all(&fresh_out).ok();
+        }
+    }
+    let cases = runs.len() * values.len();
+    println!("{cases} cases in {:.1} s", start.elapsed().as_secs_f64());
+    assert_eq!(cases, 64);
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    std::fs::remove_dir_all(&index_dir).ok();
+}
+
 #[test]
 fn demo_runs_end_to_end() {
     let out = d3l_cmd(&["demo"]);

@@ -137,13 +137,13 @@ fn query_batch_is_thread_count_invariant_and_matches_query() {
         .collect();
 
     // Batch fan-out is controlled by the config knob; flip it between
-    // runs on the same index. (Under a forced D3L_QUERY_THREADS env —
-    // the CI matrix — the three runs collapse to one thread count,
-    // but the batch-vs-per-target equality below still bites; the
-    // plain CI step exercises the full 1/2/8 comparison.)
+    // runs on the same index. A count set here beats a forced
+    // D3L_QUERY_THREADS env (the CI matrix), so every run is at the
+    // count it names.
     let mut runs = Vec::new();
     for &n in &THREAD_COUNTS {
         d3l.set_query_threads(n);
+        assert_eq!(d3l.config().effective_query_threads(None), n);
         runs.push(d3l.query_batch_with(&targets, 7, &opts));
     }
     for (run, &n) in runs.iter().zip(&THREAD_COUNTS).skip(1) {
@@ -156,6 +156,7 @@ fn query_batch_is_thread_count_invariant_and_matches_query() {
     // Batched output equals per-target queries at every thread count.
     for &n in &THREAD_COUNTS {
         d3l.set_query_threads(n);
+        assert_eq!(d3l.config().effective_query_threads(None), n);
         for ((target, opt), batched) in targets.iter().zip(&opts).zip(&runs[0]) {
             let seq = d3l.query_with(target, 7, opt);
             assert_identical(&seq, batched, &format!("batch vs query @{n} threads"));
@@ -243,7 +244,9 @@ fn snapshot_round_trip_is_query_identical() {
             );
         }
         d3l.set_query_threads(n);
+        assert_eq!(d3l.config().effective_query_threads(None), n);
         loaded.set_query_threads(n);
+        assert_eq!(loaded.config().effective_query_threads(None), n);
         let a = d3l.query_batch_with(&targets, 7, &opts);
         let b = loaded.query_batch_with(&targets, 7, &opts);
         assert_eq!(a.len(), b.len());
@@ -819,23 +822,27 @@ fn dirty_lake(tables: usize) -> DataLake {
 /// its 8-byte id per attribute, each table's one-byte arity, the two
 /// one-byte thread counts of `CONF`, and of `EMBD` all but the lexicon's
 /// concept count and entries: its dimension, the subword seed, the blend
-/// weight and the block's length, 18 bytes. Profiling and signing may
-/// get faster; what they produce may not move.
+/// weight and the block's length, 18 bytes, 244 365 bytes (checksum
+/// `0xd251_3a6b_ccbc_c2cf`); format 10 leaves out the four query
+/// constants `CONF` held — two `f64` thresholds and two one-byte
+/// varints, 18 bytes. Profiling and signing may get faster; what they
+/// produce may not move.
 #[test]
 fn dirty_lake_snapshot_checksum_is_pinned() {
     let lake = dirty_lake(40);
     assert_eq!(lake.total_attributes(), 178);
     let built = D3l::index_lake(&lake, D3lConfig::default());
     let bytes = built.to_snapshot_bytes();
-    assert_eq!(bytes.len(), 244_365);
+    assert_eq!(bytes.len(), 244_347);
     // (attributes, classes, the bytes format 6 stored of a signature) of
     // IN, IV, IF, IE.
     let forests = [(178, 44, 0), (111, 107, 1024), (178, 58, 0), (111, 94, 32)];
     let classes = built.class_stats().map(|s| (s.attributes, s.classes));
     assert_eq!(classes, forests.map(|(n, c, _)| (n, c)));
     let attributes: usize = forests.iter().map(|(n, _, _)| n).sum();
+    assert_eq!(bytes.len(), 244_365 - 2 * 8 - 2);
     assert_eq!(
-        bytes.len(),
+        244_365,
         249_197 - 4 * 37 - 8 * attributes - lake.len() - 2 - 18
     );
     // The tokens format 6 wrote are those of the lake's freshly built
@@ -880,7 +887,7 @@ fn dirty_lake_snapshot_checksum_is_pinned() {
     assert_eq!(175_502, 195_398 - forests.map(saved).iter().sum::<usize>());
     assert_eq!(195_398, 286_712 - 178 * 513);
     assert_eq!(286_712, 651_252 - 2 * 178 * 1024 + 4);
-    assert_eq!(d3l::store::checksum(&bytes), 0xd251_3a6b_ccbc_c2cf);
+    assert_eq!(d3l::store::checksum(&bytes), 0xce81_2ebb_7690_1be2);
 }
 
 /// What the index of that lake *answers* is pinned too, to the values

@@ -147,7 +147,7 @@ fn join_paths_respect_algorithm3_invariants() {
             assert_eq!(path.nodes[0], start);
             let distinct: HashSet<_> = path.nodes.iter().collect();
             assert_eq!(distinct.len(), path.nodes.len(), "paths are acyclic");
-            assert!(path.len() <= d3l.config().max_join_depth);
+            assert!(path.len() <= d3l::core::join::MAX_JOIN_DEPTH);
             for node in path.extensions() {
                 assert!(!top.contains(node), "interior nodes leave the top-k");
                 assert!(
