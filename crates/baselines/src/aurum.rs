@@ -25,7 +25,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use d3l_embedding::{SemanticEmbedder, WordEmbedder};
+use d3l_embedding::{CachedEmbedder, SemanticEmbedder, WordEmbedder};
 use d3l_features::qgrams;
 use d3l_lsh::forest::LshForest;
 use d3l_lsh::minhash::{MinHashSignature, MinHasher};
@@ -33,7 +33,8 @@ use d3l_lsh::randproj::{BitSignature, RandomProjector};
 use d3l_table::{Column, DataLake, Table, TableId};
 
 use crate::common::{
-    rank_and_truncate, significance, whole_value_set, BaselineAlignment, BaselineMatch,
+    embed_value_words, rank_and_truncate, significance, whole_value_set, BaselineAlignment,
+    BaselineMatch,
 };
 
 /// Aurum configuration: the shapes and the build width
@@ -136,12 +137,13 @@ impl Aurum {
         let mut signed = Vec::new();
 
         // Step 1: profile + index.
+        let cached = CachedEmbedder::new(&embedder);
         for (id, table) in lake.iter() {
             names.push(table.name().to_string());
             for (ci, col) in table.columns().iter().enumerate() {
                 let key = attr_key(id, ci as u32);
                 let (content, name_sig, emb) =
-                    Self::profile_column(col, &minhasher, &projector, &embedder);
+                    Self::profile_column(col, &minhasher, &projector, &cached);
                 uniqueness.insert(key, col.distinct_ratio());
                 value_sizes.insert(key, col.distinct_count());
                 name_sizes.insert(key, qgrams::qgram_set(col.name()).len());
@@ -154,6 +156,7 @@ impl Aurum {
                 signed.push((key, content, name_sig, emb));
             }
         }
+        drop(cached);
         content_index.commit();
         name_index.commit();
         embed_index.commit();
@@ -237,30 +240,28 @@ impl Aurum {
         }
     }
 
+    /// Content, name and embedding signatures of one column.
     fn profile_column(
         col: &Column,
         minhasher: &MinHasher,
         projector: &RandomProjector,
-        embedder: &SemanticEmbedder,
+        embedder: &impl WordEmbedder,
     ) -> (MinHashSignature, MinHashSignature, BitSignature) {
         let values = whole_value_set(col);
         let content = minhasher.sign_strs(values.iter().map(String::as_str));
         let name_grams = qgrams::qgram_set(col.name());
         let name_sig = minhasher.sign_strs(name_grams.iter().map(String::as_str));
-        let mut words: HashSet<String> = HashSet::new();
-        if !col.column_type().is_numeric() {
-            for v in &values {
-                for w in v.split_whitespace() {
-                    words.insert(w.to_string());
-                }
-            }
-        }
-        let emb = if words.is_empty() {
-            projector.sign(&vec![0.0; embedder.dim()])
-        } else {
-            projector.sign(&embedder.embed_all(words.iter().map(String::as_str)))
-        };
+        let emb = projector.sign(&Self::embedding(col, &values, embedder));
         (content, name_sig, emb)
+    }
+
+    /// The mean embedding of a textual column's value words; zero for
+    /// a numeric column.
+    fn embedding(col: &Column, values: &HashSet<String>, embedder: &impl WordEmbedder) -> Vec<f64> {
+        if col.column_type().is_numeric() {
+            return vec![0.0; embedder.dim()];
+        }
+        embed_value_words(values, embedder).1
     }
 
     /// Table name by id.
@@ -493,6 +494,22 @@ mod tests {
         let res = a.query_member(id, b.lake.table(id).arity(), 20);
         for w in res.windows(2) {
             assert!(w[0].score >= w[1].score);
+        }
+    }
+
+    /// A column's embedding is a function of the column: its words are
+    /// embedded in one order, whatever seed a hash set draws.
+    #[test]
+    fn profiling_a_column_twice_gives_the_same_bits() {
+        let (col, e) = (crate::common::wordy_column(), embedder());
+        let bits = || -> Vec<u64> {
+            let values = whole_value_set(&col);
+            let embedding = Aurum::embedding(&col, &values, &e);
+            embedding.into_iter().map(f64::to_bits).collect()
+        };
+        let first = bits();
+        for _ in 0..4 {
+            assert_eq!(bits(), first);
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Shared result and profile types for the baselines.
 
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
+use d3l_embedding::WordEmbedder;
 use d3l_table::TableId;
 
 /// One proposed attribute alignment of a baseline result.
@@ -66,6 +67,29 @@ pub fn significance(n: usize, scale: f64) -> f64 {
 /// Experiment 3).
 pub fn whole_value_set(col: &d3l_table::Column) -> HashSet<String> {
     col.non_null().map(|v| v.trim().to_lowercase()).collect()
+}
+
+/// The number of distinct whitespace-separated words in a column's
+/// values, and their mean embedding (zero when there are none). The
+/// words are embedded in sorted order: a float sum depends on its
+/// order, and a hash set's order would give one column different bits
+/// in every build.
+pub(crate) fn embed_value_words(
+    values: &HashSet<String>,
+    embedder: &impl WordEmbedder,
+) -> (usize, Vec<f64>) {
+    let words: BTreeSet<&str> = values.iter().flat_map(|v| v.split_whitespace()).collect();
+    (words.len(), embedder.embed_all(words))
+}
+
+/// A column of 60 address-like values over ≈ 90 distinct words — a
+/// bag whose sum, taken in a hash set's order, varies in its low bits.
+#[cfg(test)]
+pub(crate) fn wordy_column() -> d3l_table::Column {
+    let values = (0..60)
+        .map(|i| format!("{} Mill{} Lane Oakfield{} Ward{}", i * 7, i % 13, i % 11, i))
+        .collect();
+    d3l_table::Column::new("address", values)
 }
 
 #[cfg(test)]

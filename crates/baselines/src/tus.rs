@@ -24,14 +24,15 @@
 use std::collections::{HashMap, HashSet};
 
 use d3l_benchgen::SyntheticKb;
-use d3l_embedding::{SemanticEmbedder, WordEmbedder};
+use d3l_embedding::{CachedEmbedder, SemanticEmbedder, WordEmbedder};
 use d3l_lsh::forest::LshForest;
 use d3l_lsh::minhash::{MinHashSignature, MinHasher};
 use d3l_lsh::randproj::{BitSignature, RandomProjector};
 use d3l_table::{Column, DataLake, Table, TableId};
 
 use crate::common::{
-    rank_and_truncate, significance, whole_value_set, BaselineAlignment, BaselineMatch,
+    embed_value_words, rank_and_truncate, significance, whole_value_set, BaselineAlignment,
+    BaselineMatch,
 };
 
 /// TUS configuration (LSH settings mirror the shared evaluation
@@ -130,6 +131,7 @@ impl Tus {
         let mut profiles = HashMap::new();
         let mut names = Vec::with_capacity(lake.len());
         let mut textual_attrs = 0usize;
+        let cached = CachedEmbedder::new(&embedder);
 
         for (id, table) in lake.iter() {
             names.push(table.name().to_string());
@@ -139,7 +141,7 @@ impl Tus {
                 }
                 textual_attrs += 1;
                 let key = attr_key(id, ci as u32);
-                let (values, classes, words, embedding) = Self::profile_column(col, &kb, &embedder);
+                let (values, classes, words, embedding) = Self::profile_column(col, &kb, &cached);
                 set_index.insert(key, minhasher.sign_strs(values.iter().map(String::as_str)));
                 class_index.insert(
                     key,
@@ -158,6 +160,7 @@ impl Tus {
                 );
             }
         }
+        drop(cached);
         set_index.commit();
         class_index.commit();
         nl_index.commit();
@@ -182,25 +185,12 @@ impl Tus {
     fn profile_column(
         col: &Column,
         kb: &SyntheticKb,
-        embedder: &SemanticEmbedder,
+        embedder: &impl WordEmbedder,
     ) -> (HashSet<String>, HashSet<u32>, usize, Vec<f64>) {
         let values = whole_value_set(col);
-        let mut classes = HashSet::new();
-        let mut words: HashSet<String> = HashSet::new();
-        for v in &values {
-            for c in kb.classes_of_value(v) {
-                classes.insert(c);
-            }
-            for w in v.split_whitespace() {
-                words.insert(w.to_string());
-            }
-        }
-        let embedding = if words.is_empty() {
-            vec![0.0; embedder.dim()]
-        } else {
-            embedder.embed_all(words.iter().map(String::as_str))
-        };
-        (values, classes, words.len(), embedding)
+        let classes = values.iter().flat_map(|v| kb.classes_of_value(v)).collect();
+        let (words, embedding) = embed_value_words(&values, embedder);
+        (values, classes, words, embedding)
     }
 
     /// Number of indexed (textual) attributes.
@@ -408,6 +398,25 @@ mod tests {
         for m in &res {
             assert!((0.0..=1.0).contains(&m.score));
             assert!(!m.alignments.is_empty());
+        }
+    }
+
+    /// A column's embedding is a function of the column: its words are
+    /// embedded in one order, whatever seed a hash set draws.
+    #[test]
+    fn profiling_a_column_twice_gives_the_same_bits() {
+        let (col, kb, e) = (
+            crate::common::wordy_column(),
+            SyntheticKb::with_cost(0),
+            embedder(),
+        );
+        let bits = || -> Vec<u64> {
+            let (.., embedding) = Tus::profile_column(&col, &kb, &e);
+            embedding.into_iter().map(f64::to_bits).collect()
+        };
+        let first = bits();
+        for _ in 0..4 {
+            assert_eq!(bits(), first);
         }
     }
 }

@@ -70,10 +70,11 @@ use crate::attrs::{AttrTable, NONE};
 use crate::config::D3lConfig;
 use crate::profile::{profile_table, AttrView};
 
-/// Which compilation of the MinHash and hyperplane signing loops every
-/// engine in this process runs — `"avx512"` or `"portable"`, decided
-/// by the CPU ([`SigningLanes::detect`]), the same for every hasher and
-/// projector. What `d3l stats` and `GET /stats` report.
+/// Which compilation of the lane loops — MinHash and hyperplane
+/// signing, and the embedder's n-gram sign sums — every engine in this
+/// process runs: `"avx512"` or `"portable"`, decided by the CPU
+/// ([`SigningLanes::detect`]), the same for every hasher, projector and
+/// embedder. What `d3l stats` and `GET /stats` report.
 pub fn signing_lanes() -> &'static str {
     SigningLanes::detect().name()
 }

@@ -6,8 +6,8 @@
 
 use std::collections::HashMap;
 
-use crate::hash_embedder::splitmix64;
 use crate::vecmath::normalize;
+use d3l_lsh::hash::splitmix64;
 
 /// A word → concept mapping with deterministic concept vectors.
 #[derive(Debug, Clone, Default)]

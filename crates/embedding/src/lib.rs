@@ -23,32 +23,55 @@ pub mod vecmath;
 
 pub use hash_embedder::HashEmbedder;
 pub use lexicon::Lexicon;
+use vecmath::norm_sq;
 pub use vecmath::{cosine, mean_vector, normalize};
 
 #[cfg(test)]
 mod cached_tests {
     use super::*;
 
+    fn bits(v: Vec<f64>) -> Vec<u64> {
+        v.into_iter().map(f64::to_bits).collect()
+    }
+
     #[test]
     fn cached_embedder_is_transparent() {
-        let inner = HashEmbedder::new(16, 3);
+        let lexicon = Lexicon::with_groups(16, &[&["street", "road"]]);
+        let inner = SemanticEmbedder::new(lexicon);
         let cached = CachedEmbedder::new(&inner);
         assert_eq!(cached.dim(), 16);
-        assert_eq!(cached.embed("street"), inner.embed("street"));
-        assert_eq!(cached.embed("street"), inner.embed("street")); // hit
-        assert_eq!(cached.cached_words(), 1);
+        for word in ["street", "Street", "blackfriars", "", "café"] {
+            let want = bits(inner.embed(word));
+            assert_eq!(bits(cached.embed(word)), want, "miss {word:?}");
+            assert_eq!(bits(cached.embed(word)), want, "hit {word:?}");
+        }
+        assert_eq!(cached.cached_words(), 5);
         assert_eq!(
-            cached.embed_all(["street", "road"]),
-            inner.embed_all(["street", "road"])
+            bits(cached.embed_all(["street", "road"])),
+            bits(inner.embed_all(["street", "road"]))
         );
-        assert_eq!(cached.cached_words(), 2);
+        assert_eq!(cached.cached_words(), 6);
         // Bit for bit, hits and misses mixed, and the empty bag.
         let words: Vec<String> = (0..40).map(|i| format!("word{}", i % 23)).collect();
         let bag = || words.iter().map(String::as_str);
-        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
         assert_eq!(bits(cached.embed_all(bag())), bits(inner.embed_all(bag())));
-        assert_eq!(cached.cached_words(), 2 + 23);
+        assert_eq!(cached.cached_words(), 6 + 23);
         assert_eq!(cached.embed_all([]), vec![0.0; 16]);
+    }
+
+    /// A word whose sums overflow `i16` is embedded on every use and
+    /// never stored; the words around it are.
+    #[test]
+    fn words_past_i16_sums_are_not_stored() {
+        let inner = SemanticEmbedder::new(Lexicon::new(8));
+        let cached = CachedEmbedder::new(&inner);
+        let long = "a".repeat(20_000);
+        for _ in 0..2 {
+            let bag = ["x", long.as_str(), "y"];
+            assert_eq!(bits(cached.embed(&long)), bits(inner.embed(&long)));
+            assert_eq!(bits(cached.embed_all(bag)), bits(inner.embed_all(bag)));
+        }
+        assert_eq!(cached.cached_words(), 2);
     }
 }
 
@@ -76,70 +99,141 @@ pub trait WordEmbedder {
     }
 }
 
-/// A memoizing [`WordEmbedder`] adapter: caches `embed` results by
-/// word so repeated tokens (domain vocabulary recurring across the
-/// columns of a profiling batch) are embedded once. Embedders are
-/// pure functions of the word, so cached results are identical to
-/// fresh ones — wrapping never changes any vector, only the cost.
+/// A memoizing [`SemanticEmbedder`]: each distinct word is embedded
+/// once and kept as its subword half's integer sign sums — `dim`
+/// `i16`s in one flat slab — beside their `f64` norm and whether the
+/// word is in the lexicon. A hit rebuilds the vector: `sum / norm`, the
+/// division [`normalize`] makes, and a lexicon word is then blended
+/// with its concept vector exactly as [`SemanticEmbedder::embed`]
+/// blends it. So every vector is bit for bit the embedder's own;
+/// wrapping changes only the cost. A word whose sums do not fit `i16`
+/// (≈ 10 900 characters or more) is embedded on every use and never
+/// stored.
 ///
 /// Intended per profiling worker (it is `!Sync` by design: each
-/// worker owns its cache, so no locks sit on the hot path).
-pub struct CachedEmbedder<'a, E: WordEmbedder> {
-    inner: &'a E,
-    cache: std::cell::RefCell<std::collections::HashMap<String, Vec<f64>>>,
+/// worker owns its memo, so no locks sit on the hot path).
+pub struct CachedEmbedder<'a> {
+    inner: &'a SemanticEmbedder,
+    memo: std::cell::RefCell<Memo>,
 }
 
-impl<'a, E: WordEmbedder> CachedEmbedder<'a, E> {
-    /// Wrap an embedder with an empty cache.
-    pub fn new(inner: &'a E) -> Self {
+/// The memo's rows: one per stored word, its `dim` sign sums at
+/// `sums[row * dim..]`.
+#[derive(Default)]
+struct Memo {
+    rows: std::collections::HashMap<Box<str>, u32>,
+    sums: Vec<i16>,
+    norms: Vec<f64>,
+    lexical: Vec<bool>,
+}
+
+/// A word as the memo finds it.
+enum Found {
+    /// Stored at this row.
+    Row(usize),
+    /// Embedded just now (and stored, if its sums fit).
+    Fresh(Vec<f64>),
+}
+
+impl Memo {
+    /// The unit subword vector of `row`, coordinate by coordinate.
+    #[inline]
+    fn unit(&self, row: usize, dim: usize) -> impl Iterator<Item = f64> + '_ {
+        let norm = self.norms[row];
+        self.sums[row * dim..][..dim].iter().map(move |&c| {
+            let x = f64::from(c);
+            if norm > 0.0 {
+                x / norm
+            } else {
+                x
+            }
+        })
+    }
+}
+
+impl<'a> CachedEmbedder<'a> {
+    /// Wrap an embedder with an empty memo.
+    pub fn new(inner: &'a SemanticEmbedder) -> Self {
         CachedEmbedder {
             inner,
-            cache: std::cell::RefCell::new(std::collections::HashMap::new()),
+            memo: Default::default(),
         }
     }
 
-    /// Number of distinct words embedded so far.
-    pub fn cached_words(&self) -> usize {
-        self.cache.borrow().len()
+    /// Number of distinct words stored so far.
+    #[cfg(test)]
+    fn cached_words(&self) -> usize {
+        self.memo.borrow().rows.len()
+    }
+
+    /// Find `word`, embedding (and storing) it on a miss.
+    fn find(&self, memo: &mut Memo, word: &str) -> Found {
+        if let Some(&row) = memo.rows.get(word) {
+            return Found::Row(row as usize);
+        }
+        let lw = fold(word);
+        let mut sums = vec![0; self.dim()];
+        self.inner.subword.sign_sums(&lw, &mut sums);
+        let sub: Vec<f64> = sums.iter().map(|&c| f64::from(c)).collect();
+        let norm = norm_sq(&sub).sqrt();
+        let sub = normalize(sub);
+        let concept = self.inner.lexicon.concept_vector(&lw);
+        if sums.iter().all(|&c| i16::try_from(c).is_ok()) {
+            let row = u32::try_from(memo.norms.len()).expect("memo rows fit u32");
+            memo.sums.extend(sums.iter().map(|&c| c as i16));
+            memo.norms.push(norm);
+            memo.lexical.push(concept.is_some());
+            memo.rows.insert(word.into(), row);
+        }
+        Found::Fresh(SemanticEmbedder::blend(concept, sub))
+    }
+
+    /// The vector of a stored row: its subword half, blended when the
+    /// word is in the lexicon.
+    fn row_vector(&self, memo: &Memo, row: usize, word: &str) -> Vec<f64> {
+        let sub = memo.unit(row, self.dim()).collect();
+        if !memo.lexical[row] {
+            return sub;
+        }
+        let concept = self.inner.lexicon.concept_vector(&fold(word));
+        SemanticEmbedder::blend(concept, sub)
     }
 }
 
-impl<E: WordEmbedder> WordEmbedder for CachedEmbedder<'_, E> {
+impl WordEmbedder for CachedEmbedder<'_> {
     fn dim(&self) -> usize {
         self.inner.dim()
     }
 
     fn embed(&self, word: &str) -> Vec<f64> {
-        if let Some(v) = self.cache.borrow().get(word) {
-            return v.clone();
+        let mut memo = self.memo.borrow_mut();
+        match self.find(&mut memo, word) {
+            Found::Row(row) => self.row_vector(&memo, row, word),
+            Found::Fresh(v) => v,
         }
-        let v = self.inner.embed(word);
-        self.cache.borrow_mut().insert(word.to_string(), v.clone());
-        v
     }
 
-    /// The trait's `normalize(mean_vector(..))` accumulated straight
-    /// from borrowed cache entries — the same additions in the same
-    /// order, so the same bits, without cloning a vector per word.
-    fn embed_all<'a, I: IntoIterator<Item = &'a str>>(&self, words: I) -> Vec<f64> {
-        let mut cache = self.cache.borrow_mut();
-        let mut sum = vec![0.0; self.dim()];
+    /// The trait's `normalize(mean_vector(..))`, a word's coordinates
+    /// added straight from its memo row where it has no concept — the
+    /// same additions in the same order, so the same bits, without a
+    /// vector per word.
+    fn embed_all<'w, I: IntoIterator<Item = &'w str>>(&self, words: I) -> Vec<f64> {
+        let mut memo = self.memo.borrow_mut();
+        let dim = self.dim();
+        let mut sum = vec![0.0; dim];
         let mut n = 0usize;
-        let mut add = |v: &[f64]| {
-            assert_eq!(v.len(), sum.len(), "dimension mismatch");
+        fn add(sum: &mut [f64], v: impl IntoIterator<Item = f64>) {
             for (s, x) in sum.iter_mut().zip(v) {
                 *s += x;
             }
-            n += 1;
-        };
+        }
         for word in words {
-            if let Some(v) = cache.get(word) {
-                add(v);
-            } else {
-                let v = self.inner.embed(word);
-                add(&v);
-                cache.insert(word.to_string(), v);
+            match self.find(&mut memo, word) {
+                Found::Row(row) if !memo.lexical[row] => add(&mut sum, memo.unit(row, dim)),
+                Found::Row(row) => add(&mut sum, self.row_vector(&memo, row, word)),
+                Found::Fresh(v) => add(&mut sum, v),
             }
+            n += 1;
         }
         if n == 0 {
             return sum;
@@ -148,6 +242,16 @@ impl<E: WordEmbedder> WordEmbedder for CachedEmbedder<'_, E> {
             *s /= n as f64;
         }
         normalize(sum)
+    }
+}
+
+/// A word as the embedders look it up: tokenized words arrive already
+/// lowercase, so this only allocates when there is something to fold.
+fn fold(word: &str) -> std::borrow::Cow<'_, str> {
+    if word.bytes().any(|b| b.is_ascii_uppercase()) || !word.is_ascii() {
+        std::borrow::Cow::Owned(word.to_lowercase())
+    } else {
+        std::borrow::Cow::Borrowed(word)
     }
 }
 
@@ -181,6 +285,21 @@ impl SemanticEmbedder {
     pub fn lexicon(&self) -> &Lexicon {
         &self.lexicon
     }
+
+    /// A word's vector from its concept vector, if it has one, and its
+    /// unit subword vector.
+    fn blend(concept: Option<Vec<f64>>, sub: Vec<f64>) -> Vec<f64> {
+        match concept {
+            Some(concept) => normalize(
+                concept
+                    .iter()
+                    .zip(&sub)
+                    .map(|(c, s)| Self::ALPHA * c + (1.0 - Self::ALPHA) * s)
+                    .collect(),
+            ),
+            None => sub,
+        }
+    }
 }
 
 impl WordEmbedder for SemanticEmbedder {
@@ -189,26 +308,8 @@ impl WordEmbedder for SemanticEmbedder {
     }
 
     fn embed(&self, word: &str) -> Vec<f64> {
-        // Tokenized words arrive already lowercase; only allocate
-        // when there is actually something to fold.
-        let lw: std::borrow::Cow<'_, str> =
-            if word.bytes().any(|b| b.is_ascii_uppercase()) || !word.is_ascii() {
-                std::borrow::Cow::Owned(word.to_lowercase())
-            } else {
-                std::borrow::Cow::Borrowed(word)
-            };
-        let sub = self.subword.embed(&lw);
-        match self.lexicon.concept_vector(&lw) {
-            Some(concept) => {
-                let blended: Vec<f64> = concept
-                    .iter()
-                    .zip(&sub)
-                    .map(|(c, s)| Self::ALPHA * c + (1.0 - Self::ALPHA) * s)
-                    .collect();
-                normalize(blended)
-            }
-            None => sub,
-        }
+        let lw = fold(word);
+        Self::blend(self.lexicon.concept_vector(&lw), self.subword.embed(&lw))
     }
 }
 

@@ -193,8 +193,7 @@ pub struct SigningLanes {
 
 impl SigningLanes {
     /// The baseline compilation, on any CPU.
-    #[cfg(test)]
-    pub(crate) const PORTABLE: SigningLanes = SigningLanes { avx512: false };
+    pub const PORTABLE: SigningLanes = SigningLanes { avx512: false };
 
     /// Ask the CPU. AVX-512 F + DQ (`vpmullq`) + VL, or the baseline.
     /// There is no AVX2 tier: the MinHash loop compiled for it
@@ -210,9 +209,10 @@ impl SigningLanes {
     }
 
     /// True only when [`SigningLanes::detect`] found AVX-512 F, DQ and
-    /// VL on the running CPU.
+    /// VL on the running CPU — what an `unsafe` call into a
+    /// `#[target_feature]` compilation rests on.
     #[inline]
-    pub(crate) fn is_avx512(self) -> bool {
+    pub fn is_avx512(self) -> bool {
         self.avx512
     }
 

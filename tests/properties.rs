@@ -529,6 +529,138 @@ proptest! {
     }
 }
 
+// --------------------------------------------------------- word embedding
+//
+// A subword vector is computed as integer sign sums, eight dimensions a
+// step, compiled twice (baseline and AVX-512), then divided by the
+// norm; the embedding memo keeps those sums as `i16`s and divides again
+// on every hit. Both must give the bits of the definition: the sum of
+// every n-gram's ±1 direction, taken as `f64`, normalized.
+
+use d3l::embedding::CachedEmbedder;
+
+/// The definition of `HashEmbedder::embed`, restated: the n-grams are
+/// the 3-, 4- and 5-char windows of `<word>` and `<word>` itself;
+/// n-gram `g` points +1 along dimension `i` when
+/// `splitmix64(splitmix64(fnv1a(g) ^ seed) ^ i·0x2545f4914f6cdd1d)` is
+/// odd and −1 otherwise; the vector is their sum, normalized. The
+/// empty word has no n-grams.
+fn subword_definition(dim: usize, seed: u64, word: &str) -> Vec<f64> {
+    let bounded: Vec<char> = format!("<{word}>").chars().collect();
+    let mut grams: Vec<String> = (3..=5)
+        .flat_map(|n| bounded.windows(n).map(|w| w.iter().collect()))
+        .collect();
+    if !word.is_empty() {
+        grams.push(bounded.iter().collect());
+    }
+    let bases: Vec<u64> = grams
+        .iter()
+        .map(|g| splitmix64(d3l::lsh::hash::fnv1a(g.as_bytes()) ^ seed))
+        .collect();
+    let sum: Vec<f64> = (0..dim as u64)
+        .map(|i| {
+            let mix = |b: &u64| splitmix64(b ^ i.wrapping_mul(0x2545f4914f6cdd1d));
+            let sign = |b: &u64| [-1.0, 1.0][(mix(b) & 1) as usize];
+            bases.iter().map(sign).fold(0.0, |s, x| s + x)
+        })
+        .collect();
+    d3l::embedding::normalize(sum)
+}
+
+fn f64_bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Words at the edges of the n-gram construction and of the memo: no
+/// n-grams, one, mixed case, multi-byte and case-folding characters,
+/// and 20 000 characters, whose sums overflow `i16`.
+fn edge_words() -> Vec<String> {
+    let mut words: Vec<String> = ["", "a", "Salford", "İ", "ß", "ς", "日本", "street", "Road"]
+        .map(String::from)
+        .to_vec();
+    words.push("a".repeat(20_000));
+    words
+}
+
+/// The lanes this CPU runs give the definition's bits, at dimensions
+/// around the eight-lane step and at the largest an index allows
+/// (there without the 20 000-character word, 2.5 · 10⁸ mixes). The
+/// crate's own tests hold both compilations to its oracle.
+#[test]
+fn embedding_lanes_equal_the_definition() {
+    println!(
+        "lanes: {}",
+        d3l::lsh::kernels::SigningLanes::detect().name()
+    );
+    for dim in [1usize, 7, 8, 9, 63, 64, 65, 4096] {
+        let embedder = HashEmbedder::new(dim, 0xd3ee);
+        for word in edge_words() {
+            if dim == 4096 && word.len() > 100 {
+                continue;
+            }
+            let want = f64_bits(&subword_definition(dim, 0xd3ee, &word));
+            let ctx = format!("{} chars at dim {dim}", word.chars().count());
+            assert_eq!(f64_bits(&embedder.embed(&word)), want, "{ctx}");
+        }
+    }
+}
+
+/// An embedder with the empty lexicon or the generator's.
+fn lexicon_embedder(lexical: bool) -> SemanticEmbedder {
+    SemanticEmbedder::new(if lexical {
+        d3l::benchgen::vocab::domain_lexicon(64)
+    } else {
+        Lexicon::new(64)
+    })
+}
+
+/// `memo` answers `words`, one by one and as a bag, with `embedder`'s
+/// bits.
+fn assert_memo_bits(memo: &CachedEmbedder, embedder: &SemanticEmbedder, words: &[&str]) {
+    let bag = || words.iter().copied();
+    assert_eq!(
+        f64_bits(&memo.embed_all(bag())),
+        f64_bits(&embedder.embed_all(bag())),
+        "{words:?}"
+    );
+    for w in bag() {
+        assert_eq!(
+            f64_bits(&memo.embed(w)),
+            f64_bits(&embedder.embed(w)),
+            "{w:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The memo answers every bag with the embedder's bits — misses,
+    /// hits in a memo that has seen earlier bags, and the word past
+    /// `i16` that it embeds afresh on every use — with the empty
+    /// lexicon and with the generator's. The long word joins the first
+    /// bag of a quarter of the cases (it costs 3.8 · 10⁶ mixes a use).
+    #[test]
+    fn embedding_memo_equals_the_embedder(
+        bags in prop::collection::vec(prop::collection::vec(0usize..15, 0..12), 1..6),
+        lexical in 0u8..2,
+        long in 0u8..4,
+    ) {
+        let embedder = lexicon_embedder(lexical == 1);
+        let memo = CachedEmbedder::new(&embedder);
+        let mut pool = edge_words();
+        let long_word = pool.pop().unwrap();
+        pool.extend(["Practice", "clinic", "GP", "blackfriars", "oakfield", "Ward7"].map(String::from));
+        for (b, bag) in bags.iter().enumerate() {
+            let mut words: Vec<&str> = bag.iter().map(|&i| pool[i].as_str()).collect();
+            if long == 0 && b == 0 {
+                words.insert(words.len() / 2, &long_word);
+            }
+            assert_memo_bits(&memo, &embedder, &words);
+        }
+    }
+}
+
 // --------------------------------------------------------- numeric extents
 //
 // An index keeps each numeric extent as exact scaled-integer deltas
