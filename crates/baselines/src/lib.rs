@@ -10,8 +10,10 @@
 //!   class overlap, natural-language embedding similarity), with
 //!   max-score aggregation. The paper notes the implementation is not
 //!   public, "so we have implemented it ourselves using information
-//!   from the paper" — as do we. YAGO is replaced by
-//!   [`d3l_benchgen::SyntheticKb`].
+//!   from the paper" — as do we. YAGO is not available offline: the
+//!   knowledge base is a token → class map the caller passes, empty in
+//!   the experiment harness, so the semantic measure contributes only
+//!   where a caller supplies classes.
 //! * [`aurum`] — **Aurum** (Castro Fernandez et al. — ICDE 2018): a
 //!   two-step profile-then-graph system; discovery is a graph
 //!   neighbour lookup ranked by the *certainty* strategy (maximum

@@ -7,8 +7,10 @@
 //! 1. **set unionability** — overlap of the raw (whole, lowercased)
 //!    value sets, estimated by MinHash;
 //! 2. **semantic unionability** — overlap of the knowledge-base class
-//!    sets of the values (YAGO in the original; the synthetic KB
-//!    here), estimated by MinHash over class ids;
+//!    sets of the values, estimated by MinHash over class ids. The
+//!    original maps tokens to YAGO classes; here the knowledge base is
+//!    whatever token → class map the caller passes, and an empty map
+//!    turns the measure off;
 //! 3. **natural-language unionability** — cosine similarity of mean
 //!    word-embedding vectors of the values.
 //!
@@ -18,12 +20,12 @@
 //! Numeric attributes are ignored entirely ("they are completely
 //! ignored by TUS", Experiment 6).
 //!
-//! The KB mapping runs over **every token of every value**, at both
-//! indexing and query time — the cost profile behind Figures 6a/6b.
+//! The knowledge base is consulted for every token of every value, at
+//! both indexing and query time, at the cost of one hash-map lookup: a
+//! real KB's entity-resolution cost is not modelled.
 
 use std::collections::{HashMap, HashSet};
 
-use d3l_benchgen::SyntheticKb;
 use d3l_embedding::{CachedEmbedder, SemanticEmbedder, WordEmbedder};
 use d3l_lsh::forest::LshForest;
 use d3l_lsh::minhash::{MinHashSignature, MinHasher};
@@ -95,7 +97,7 @@ struct TusProfile {
 /// The indexed TUS state.
 pub struct Tus {
     cfg: TusConfig,
-    kb: SyntheticKb,
+    kb: HashMap<String, u32>,
     embedder: SemanticEmbedder,
     minhasher: MinHasher,
     projector: RandomProjector,
@@ -116,10 +118,11 @@ fn attr_of_key(key: u64) -> (TableId, u32) {
 }
 
 impl Tus {
-    /// Profile and index a lake.
+    /// Profile and index a lake, with `kb` (lowercase token → class
+    /// id) as the knowledge base of the semantic measure.
     pub fn index_lake(
         lake: &DataLake,
-        kb: SyntheticKb,
+        kb: HashMap<String, u32>,
         embedder: SemanticEmbedder,
         cfg: TusConfig,
     ) -> Self {
@@ -180,15 +183,17 @@ impl Tus {
     }
 
     /// Whole-value set, KB class set, distinct word count, and mean
-    /// value embedding of one column. The KB is consulted per token —
-    /// the expensive step.
+    /// value embedding of one column.
     fn profile_column(
         col: &Column,
-        kb: &SyntheticKb,
+        kb: &HashMap<String, u32>,
         embedder: &impl WordEmbedder,
     ) -> (HashSet<String>, HashSet<u32>, usize, Vec<f64>) {
         let values = whole_value_set(col);
-        let classes = values.iter().flat_map(|v| kb.classes_of_value(v)).collect();
+        let classes = values
+            .iter()
+            .flat_map(|v| classes_of_value(kb, v))
+            .collect();
         let (words, embedding) = embed_value_words(&values, embedder);
         (values, classes, words, embedding)
     }
@@ -209,8 +214,7 @@ impl Tus {
     }
 
     /// Top-k unionable tables for a target. The target's values are
-    /// mapped through the KB afresh (the query-time cost the paper
-    /// measures in Experiment 5).
+    /// mapped through the KB afresh.
     pub fn query(&self, target: &Table, k: usize, exclude: Option<TableId>) -> Vec<BaselineMatch> {
         let width = LOOKUP_FACTOR.saturating_mul(k).max(self.cfg.min_lookup);
         // candidate attr → (target col, ensemble score) best per table
@@ -307,6 +311,18 @@ impl Tus {
     }
 }
 
+/// The KB classes of a value's whitespace-split, lowercased tokens,
+/// sorted and deduplicated.
+fn classes_of_value(kb: &HashMap<String, u32>, value: &str) -> Vec<u32> {
+    let mut out: Vec<u32> = value
+        .split_whitespace()
+        .filter_map(|t| kb.get(&t.to_lowercase()).copied())
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,12 +339,7 @@ mod tests {
     #[test]
     fn finds_same_family_tables() {
         let b = small_bench();
-        let tus = Tus::index_lake(
-            &b.lake,
-            SyntheticKb::with_cost(0),
-            embedder(),
-            TusConfig::fast(),
-        );
+        let tus = Tus::index_lake(&b.lake, vocab::kb_classes(), embedder(), TusConfig::fast());
         let targets = b.pick_targets(5, 1);
         let mut hits = 0;
         for tname in &targets {
@@ -351,12 +362,7 @@ mod tests {
     #[test]
     fn numeric_attributes_are_ignored() {
         let b = small_bench();
-        let tus = Tus::index_lake(
-            &b.lake,
-            SyntheticKb::with_cost(0),
-            embedder(),
-            TusConfig::fast(),
-        );
+        let tus = Tus::index_lake(&b.lake, vocab::kb_classes(), embedder(), TusConfig::fast());
         let total_attrs = b.lake.total_attributes();
         assert!(
             tus.attr_count() < total_attrs,
@@ -368,12 +374,7 @@ mod tests {
     #[test]
     fn exclude_works() {
         let b = small_bench();
-        let tus = Tus::index_lake(
-            &b.lake,
-            SyntheticKb::with_cost(0),
-            embedder(),
-            TusConfig::fast(),
-        );
+        let tus = Tus::index_lake(&b.lake, vocab::kb_classes(), embedder(), TusConfig::fast());
         let tname = &b.pick_targets(1, 2)[0];
         let t = b.lake.table_by_name(tname).unwrap();
         let id = b.lake.id_of(tname).unwrap();
@@ -383,12 +384,7 @@ mod tests {
     #[test]
     fn scores_are_descending_and_bounded() {
         let b = small_bench();
-        let tus = Tus::index_lake(
-            &b.lake,
-            SyntheticKb::with_cost(0),
-            embedder(),
-            TusConfig::fast(),
-        );
+        let tus = Tus::index_lake(&b.lake, vocab::kb_classes(), embedder(), TusConfig::fast());
         let tname = &b.pick_targets(1, 3)[0];
         let t = b.lake.table_by_name(tname).unwrap();
         let res = tus.query(t, 10, b.lake.id_of(tname));
@@ -407,7 +403,7 @@ mod tests {
     fn profiling_a_column_twice_gives_the_same_bits() {
         let (col, kb, e) = (
             crate::common::wordy_column(),
-            SyntheticKb::with_cost(0),
+            vocab::kb_classes(),
             embedder(),
         );
         let bits = || -> Vec<u64> {
@@ -418,5 +414,15 @@ mod tests {
         for _ in 0..4 {
             assert_eq!(bits(), first);
         }
+    }
+
+    #[test]
+    fn value_classes_are_sorted_and_deduped() {
+        let kb = vocab::kb_classes();
+        let cls = classes_of_value(&kb, "Cullen Medical Centre Salford Cullen");
+        assert_eq!(cls.len(), 3, "person, health suffix, city: {cls:?}");
+        assert!(cls.windows(2).all(|w| w[0] < w[1]));
+        assert!(classes_of_value(&kb, "1202 73648").is_empty());
+        assert!(classes_of_value(&HashMap::new(), "Cullen Salford").is_empty());
     }
 }

@@ -5,7 +5,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use d3l_baselines::{Aurum, AurumConfig, Tus, TusConfig};
-use d3l_benchgen::{Benchmark, SyntheticKb};
+use d3l_benchgen::{vocab, Benchmark};
 use d3l_core::query::QueryOptions;
 use d3l_core::{D3lConfig, Evidence, ShardedD3l};
 use d3l_table::TableId;
@@ -34,15 +34,18 @@ pub enum SystemKind {
     D3l,
     /// D3L restricted to one evidence type (Experiment 1).
     D3lSingle(Evidence),
-    /// The TUS baseline.
+    /// The TUS baseline, with an empty knowledge base.
     Tus,
+    /// TUS with [`vocab::kb_classes`], the generator's answer key, as
+    /// its knowledge base: an oracle row, not a baseline.
+    TusKbOracle,
     /// The Aurum baseline (graph lookup for lake members).
     Aurum,
 }
 
 /// The three systems over one benchmark repository: D3L, indexed up
 /// front, and what only some experiments read (D3L's SA-join graph,
-/// the two baselines), built on first use.
+/// the two baselines, the TUS oracle), built on first use.
 pub struct Systems {
     /// The repository and ground truth.
     pub bench: Benchmark,
@@ -52,6 +55,7 @@ pub struct Systems {
     pub d3l_index_secs: f64,
     join_graph: OnceLock<d3l_core::SaJoinGraph>,
     baselines: OnceLock<Baselines>,
+    tus_kb_oracle: OnceLock<Tus>,
 }
 
 /// TUS and Aurum over the same lake.
@@ -83,23 +87,19 @@ impl Systems {
             d3l_index_secs,
             join_graph: OnceLock::new(),
             baselines: OnceLock::new(),
+            tus_kb_oracle: OnceLock::new(),
         }
     }
 
     /// TUS and Aurum at their default configurations, indexed on the
-    /// first call with a copy of D3L's embedder, so no system sees the
-    /// generator's synonym lexicon.
+    /// first call with a copy of D3L's embedder and TUS with an empty
+    /// knowledge base, so no system sees the generator's vocabulary.
     pub fn baselines(&self) -> &Baselines {
         self.baselines.get_or_init(|| {
             let lake = &self.bench.lake;
             let embedder = self.d3l.shards()[0].embedder();
             let (tus, tus_s) = timed(|| {
-                Tus::index_lake(
-                    lake,
-                    SyntheticKb::from_vocab(),
-                    embedder.clone(),
-                    TusConfig::default(),
-                )
+                Tus::index_lake(lake, HashMap::new(), embedder.clone(), TusConfig::default())
             });
             let (aurum, aurum_s) =
                 timed(|| Aurum::index_lake(lake, embedder.clone(), AurumConfig::default()));
@@ -108,6 +108,19 @@ impl Systems {
                 aurum,
                 index_secs: [tus_s, aurum_s],
             }
+        })
+    }
+
+    /// [`SystemKind::TusKbOracle`]'s TUS, indexed on the first call as
+    /// [`Systems::baselines`] indexes TUS, but with the KB.
+    fn tus_kb_oracle(&self) -> &Tus {
+        self.tus_kb_oracle.get_or_init(|| {
+            Tus::index_lake(
+                &self.bench.lake,
+                vocab::kb_classes(),
+                self.d3l.shards()[0].embedder().clone(),
+                TusConfig::default(),
+            )
         })
     }
 
@@ -125,7 +138,7 @@ impl Systems {
         let evidence = match kind {
             SystemKind::D3l => None,
             SystemKind::D3lSingle(e) => Some(e),
-            SystemKind::Tus | SystemKind::Aurum => {
+            SystemKind::Tus | SystemKind::TusKbOracle | SystemKind::Aurum => {
                 return target_names
                     .iter()
                     .map(|t| self.query_baseline(kind, t, k))
@@ -170,7 +183,7 @@ impl Systems {
         one.pop().expect("one answer per target")
     }
 
-    /// TUS's answer for [`SystemKind::Tus`], Aurum's for any other kind.
+    /// TUS's answer for the two TUS kinds, Aurum's for any other kind.
     fn query_baseline(&self, kind: SystemKind, target_name: &str, k: usize) -> Vec<RankedTable> {
         let target = self
             .bench
@@ -180,6 +193,7 @@ impl Systems {
         let exclude = self.bench.lake.id_of(target_name);
         let matches = match kind {
             SystemKind::Tus => self.baselines().tus.query(target, k, exclude),
+            SystemKind::TusKbOracle => self.tus_kb_oracle().query(target, k, exclude),
             _ => {
                 let id = exclude.expect("member target");
                 self.baselines().aurum.query_member(id, target.arity(), k)
@@ -337,7 +351,12 @@ mod tests {
         // A target every system answers: Aurum's graph lookup can
         // legitimately miss a table whose neighbourhood is empty.
         let t = &s.bench.pick_targets(1, 2)[0];
-        for kind in [SystemKind::D3l, SystemKind::Tus, SystemKind::Aurum] {
+        for kind in [
+            SystemKind::D3l,
+            SystemKind::Tus,
+            SystemKind::TusKbOracle,
+            SystemKind::Aurum,
+        ] {
             let res = s.query(kind, t, 5);
             assert!(!res.is_empty(), "{kind:?} returned nothing");
             assert!(res.len() <= 5);

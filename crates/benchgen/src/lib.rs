@@ -19,18 +19,21 @@
 //! [`GroundTruth`] captures both granularities the paper's metrics
 //! need: table-level relatedness (same base family) and
 //! attribute-level relatedness (same value domain, per Definition 1).
-//! [`kb::SyntheticKb`] is the YAGO stand-in used by the TUS baseline.
+//! [`vocab`] holds the word pools values are drawn from, and two
+//! answer-key oracles built from them: [`vocab::domain_lexicon`] (a
+//! synonym lexicon for the embedder) and [`vocab::kb_classes`] (a
+//! token → class knowledge base for TUS). No shipped system reads
+//! either: tests do, and `d3l-bench`'s Experiment 2 prints TUS with
+//! the knowledge base as a labelled oracle row.
 
 pub mod base;
 pub mod derive;
 pub mod ground_truth;
-pub mod kb;
 pub mod spec;
 pub mod stats;
 pub mod vocab;
 
 pub use derive::{smaller_real, synthetic, Benchmark, DeriveConfig, DirtConfig};
 pub use ground_truth::GroundTruth;
-pub use kb::SyntheticKb;
 pub use spec::{ColumnKind, Domain, TableSpec};
 pub use stats::RepoStats;

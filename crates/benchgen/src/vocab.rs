@@ -2,6 +2,10 @@
 //! attribute-name synonym groups used by the dirty generator, and the
 //! synonym groups exported to build the embedding lexicon.
 
+use std::collections::HashMap;
+
+use crate::spec::Domain;
+
 /// UK-style city/town names.
 pub const CITIES: &[&str] = &[
     "Manchester",
@@ -339,6 +343,44 @@ pub fn domain_lexicon(dim: usize) -> d3l_embedding::Lexicon {
     lex
 }
 
+/// Each domain's facility suffixes, in the order [`kb_classes`] reads
+/// them.
+const DOMAIN_SUFFIXES: [(Domain, &[&str]); 8] = [
+    (Domain::Health, HEALTH_SUFFIXES),
+    (Domain::Business, BUSINESS_SUFFIXES),
+    (Domain::Education, SCHOOL_SUFFIXES),
+    (Domain::Transport, STATION_SUFFIXES),
+    (Domain::Environment, SITE_SUFFIXES),
+    (Domain::Culture, VENUE_SUFFIXES),
+    (Domain::Housing, ESTATE_SUFFIXES),
+    (Domain::Crime, AREA_SUFFIXES),
+];
+
+/// A knowledge base for TUS's semantic measure, built from the word
+/// pools above: lowercase token → class id (1 places, 2 persons,
+/// 3 streets, 10 organization words, 11 + the domain for each domain's
+/// facility suffixes; a token in two pools keeps the first one's).
+/// It is an **answer-key oracle**, not a stand-in for YAGO: each class
+/// is a pool the generator draws cell values from, as
+/// [`domain_lexicon`]'s groups are. No shipped system reads it.
+pub fn kb_classes() -> HashMap<String, u32> {
+    let pools = [
+        (CITIES, 1),
+        (SURNAMES, 2),
+        (STREET_NAMES, 3),
+        (STREET_TYPES, 3),
+        (ORG_WORDS, 10),
+    ];
+    let suffix_pools = DOMAIN_SUFFIXES.map(|(d, words)| (words, 11 + d as u32));
+    let mut classes = HashMap::new();
+    for (words, class) in pools.into_iter().chain(suffix_pools) {
+        for token in words.iter().flat_map(|w| w.split_whitespace()) {
+            classes.entry(token.to_lowercase()).or_insert(class);
+        }
+    }
+    classes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,5 +418,33 @@ mod tests {
         assert_ne!(lex.concept_of("city"), Some(street));
         // cities share a concept
         assert_eq!(lex.concept_of("manchester"), lex.concept_of("salford"));
+    }
+
+    #[test]
+    fn kb_maps_vocabulary_tokens() {
+        let kb = kb_classes();
+        assert!(kb.len() > 100);
+        let (city, person, street) = (kb["salford"], kb["cullen"], kb["portland"]);
+        assert_eq!(kb["manchester"], city);
+        assert_eq!(kb["holloway"], person);
+        assert_eq!(kb["road"], street);
+        assert!(city != person && person != street && street != city);
+        assert!(!kb.contains_key("notaword"));
+    }
+
+    /// Each domain's suffixes form a class of their own, apart from
+    /// the generic organization words: `Domain::Health` is
+    /// discriminant 0, so base id + discriminant would merge the two.
+    #[test]
+    fn kb_domain_classes_are_distinct() {
+        let kb = kb_classes();
+        let class_of =
+            |words: &[&str]| kb[&words[0].split_whitespace().next().unwrap().to_lowercase()];
+        let domains: std::collections::HashSet<u32> = DOMAIN_SUFFIXES
+            .iter()
+            .map(|(_, words)| class_of(words))
+            .collect();
+        assert_eq!(domains.len(), Domain::ALL.len());
+        assert!(!domains.contains(&class_of(ORG_WORDS)));
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! A from-scratch Rust implementation of **D3L** (Bogatu, Fernandes,
 //! Paton, Konstantinou — *Dataset Discovery in Data Lakes*, ICDE
-//! 2020), together with every substrate it needs and the two systems
-//! it is evaluated against.
+//! 2020), together with every substrate it needs. The two systems it
+//! is evaluated against, TUS and Aurum, are the workspace's
+//! `d3l-baselines` crate, which the facade does not ship.
 //!
 //! Given a *data lake* (a pile of tables with no relationship
 //! metadata) and a *target* table with exemplar tuples, D3L returns
@@ -56,10 +57,8 @@
 //! | [`store`] | `d3l-store` | binary snapshot codec + container for the persistent index store |
 //! | [`server`] | `d3l-server` | concurrent HTTP serving layer over the store (`d3l serve`) |
 //! | [`ml`] | `d3l-ml` | logistic regression, the subject-attribute classifier |
-//! | [`baselines`] | `d3l-baselines` | TUS and Aurum reimplementations |
 //! | [`benchgen`] | `d3l-benchgen` | benchmark repositories with ground truth |
 
-pub use d3l_baselines as baselines;
 pub use d3l_benchgen as benchgen;
 pub use d3l_core as core;
 pub use d3l_embedding as embedding;

@@ -1,10 +1,10 @@
 //! Cross-system integration: the three systems answer the same
 //! queries and exhibit the relative behaviours the paper reports.
 
-use d3l::baselines::{Aurum, AurumConfig, Tus, TusConfig};
-use d3l::benchgen::{self, SyntheticKb};
+use d3l::benchgen;
 use d3l::core::query::QueryOptions;
 use d3l::prelude::*;
+use d3l_baselines::{Aurum, AurumConfig, Tus, TusConfig};
 
 fn embedder() -> SemanticEmbedder {
     SemanticEmbedder::new(benchgen::vocab::domain_lexicon(32))
@@ -27,7 +27,7 @@ fn all_three_systems_find_related_tables_on_clean_data() {
     let d3l = ShardedD3l::index_lake_with(&bench.lake, cfg, embedder());
     let tus = Tus::index_lake(
         &bench.lake,
-        SyntheticKb::with_cost(0),
+        benchgen::vocab::kb_classes(),
         embedder(),
         TusConfig::fast(),
     );
@@ -88,7 +88,7 @@ fn d3l_degrades_less_than_baselines_on_dirty_data() {
         let d3l = ShardedD3l::index_lake_with(&bench.lake, cfg, embedder());
         let tus = Tus::index_lake(
             &bench.lake,
-            SyntheticKb::with_cost(0),
+            benchgen::vocab::kb_classes(),
             embedder(),
             TusConfig::fast(),
         );
@@ -170,7 +170,7 @@ fn tus_is_blind_to_numeric_only_targets() {
     .unwrap();
     let tus = Tus::index_lake(
         &lake,
-        SyntheticKb::with_cost(0),
+        benchgen::vocab::kb_classes(),
         embedder(),
         TusConfig::fast(),
     );
