@@ -144,8 +144,9 @@ impl Aurum {
                 let key = attr_key(id, ci as u32);
                 let (content, name_sig, emb) =
                     Self::profile_column(col, &minhasher, &projector, &cached);
-                uniqueness.insert(key, col.distinct_ratio());
-                value_sizes.insert(key, col.distinct_count());
+                let cells = col.cell_stats();
+                uniqueness.insert(key, cells.distinct_ratio());
+                value_sizes.insert(key, cells.distinct);
                 name_sizes.insert(key, qgrams::qgram_set(col.name()).len());
                 if !col.column_type().is_numeric() {
                     textual.insert(key);
@@ -331,7 +332,7 @@ impl Aurum {
             let (content, name_sig, emb) =
                 Self::profile_column(col, &self.minhasher, &self.projector, &self.embedder);
             let textual = !col.column_type().is_numeric();
-            let t_values = col.distinct_count();
+            let t_values = col.cell_stats().distinct;
             let t_grams = qgrams::qgram_set(col.name()).len();
             let consider =
                 |key: u64,

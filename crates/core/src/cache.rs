@@ -363,11 +363,9 @@ pub fn table_fingerprint(table: &Table) -> [u64; 2] {
 }
 
 /// Fingerprint of every [`QueryOptions`] member that can change the
-/// rendered result: `exclude`, `evidence` and `weights`. `threads` and
-/// `trace` are excluded on purpose —
-/// results are byte-identical at every thread count and tracing is
-/// pure observation, so latency/observability knobs must not split
-/// cache entries.
+/// rendered result: `exclude`, `evidence` and `weights`. `trace` is
+/// excluded on purpose — tracing is pure observation, so an
+/// observability knob must not split cache entries.
 pub fn options_fingerprint(opts: &QueryOptions) -> u64 {
     let mut h = Fnv1a::new();
     match opts.exclude {
@@ -592,16 +590,8 @@ mod tests {
         let base = QueryOptions::default();
         let fp = options_fingerprint(&base);
         assert_eq!(fp, options_fingerprint(&QueryOptions::default()));
-        // Threads must NOT split entries.
-        assert_eq!(
-            fp,
-            options_fingerprint(&QueryOptions {
-                threads: Some(8),
-                ..Default::default()
-            })
-        );
-        // Neither must an attached stage trace: tracing is pure
-        // observation, so traced and untraced runs share entries.
+        // An attached stage trace must NOT split entries: tracing is
+        // pure observation, so traced and untraced runs share entries.
         assert_eq!(
             fp,
             options_fingerprint(&QueryOptions {

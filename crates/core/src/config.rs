@@ -87,23 +87,21 @@ impl D3lConfig {
         Self::auto_threads(self.index_threads)
     }
 
-    /// Effective thread count for the query pipeline. Precedence: an
-    /// explicit `per_query` override
-    /// ([`crate::query::QueryOptions::threads`]), then a
-    /// [`D3lConfig::query_threads`] a caller set — both meant
-    /// literally, so the determinism tests comparing thread counts get
-    /// the counts they ask for — then the `D3L_QUERY_THREADS`
-    /// environment variable, which replaces only the automatic 0 (CI
-    /// forces the suite through the single- and fully-parallel paths
-    /// with it); 0 at any level means "use every available CPU".
-    pub fn effective_query_threads(&self, per_query: Option<usize>) -> usize {
-        let n = match per_query {
-            Some(n) => n,
-            None if self.query_threads > 0 => self.query_threads,
-            None => std::env::var("D3L_QUERY_THREADS")
+    /// Effective thread count for the query pipeline. Precedence: a
+    /// [`D3lConfig::query_threads`] a caller set — meant literally, so
+    /// the determinism tests comparing thread counts get the counts
+    /// they ask for — then the `D3L_QUERY_THREADS` environment
+    /// variable, which replaces only the automatic 0 (CI forces the
+    /// suite through the single- and fully-parallel paths with it); 0
+    /// at either level means "use every available CPU".
+    pub fn effective_query_threads(&self) -> usize {
+        let n = if self.query_threads > 0 {
+            self.query_threads
+        } else {
+            std::env::var("D3L_QUERY_THREADS")
                 .ok()
                 .and_then(|v| v.trim().parse::<usize>().ok())
-                .unwrap_or(0),
+                .unwrap_or(0)
         };
         Self::auto_threads(n)
     }
@@ -200,12 +198,10 @@ mod tests {
             query_threads: 2,
             ..Default::default()
         };
-        // Explicit per-query overrides always win, then a count the
-        // caller set, whatever `D3L_QUERY_THREADS` says.
-        assert_eq!(c.effective_query_threads(Some(5)), 5);
-        assert!(c.effective_query_threads(Some(0)) >= 1);
-        assert_eq!(c.effective_query_threads(None), 2);
-        assert!(D3lConfig::default().effective_query_threads(None) >= 1);
+        // A count the caller set wins, whatever `D3L_QUERY_THREADS`
+        // says.
+        assert_eq!(c.effective_query_threads(), 2);
+        assert!(D3lConfig::default().effective_query_threads() >= 1);
     }
 
     #[test]

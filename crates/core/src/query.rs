@@ -27,12 +27,13 @@
 //!    Tables are returned closest-first.
 //!
 //! Stages 1 and 2 fan out over `std::thread::scope` workers
-//! (`D3lConfig::query_threads`, overridable per query via
-//! [`QueryOptions::threads`]; the `D3L_QUERY_THREADS` environment
-//! variable stands in for the automatic count, 0); [`ShardedD3l::query_batch`] additionally
-//! fans out over targets. Work is split into contiguous chunks
-//! reassembled in input order and every reduction runs over key-sorted
-//! data, and no stage depends on how tables are assigned to shards, so
+//! (`D3lConfig::query_threads`, set on a built engine with
+//! [`ShardedD3l::set_query_threads`]; the `D3L_QUERY_THREADS`
+//! environment variable stands in for the automatic count, 0);
+//! [`ShardedD3l::query_batch`] additionally fans out over targets.
+//! Work is split into contiguous chunks reassembled in input order and
+//! every reduction runs over key-sorted data, and no stage depends on
+//! how tables are assigned to shards, so
 //! results are **byte-identical at every thread count and every shard
 //! count** — the determinism suite pins both axes at once.
 
@@ -96,15 +97,8 @@ pub struct QueryOptions {
     pub evidence: Option<Evidence>,
     /// Evidence weights for Eq. 3; `None` uses the trained defaults.
     pub weights: Option<EvidenceWeights>,
-    /// Per-query worker-thread override (`None` = the config's
-    /// `query_threads`, or where that is 0 the `D3L_QUERY_THREADS` env
-    /// var; `Some(0)` = all available CPUs). Ignored by
-    /// the batch APIs, which split the config/env budget across
-    /// targets themselves. Thread count never changes results, only
-    /// latency.
-    pub threads: Option<usize>,
-    /// Optional stage-timing sink (see [`crate::trace`]). Like
-    /// `threads`, tracing never affects results — it is excluded from
+    /// Optional stage-timing sink (see [`crate::trace`]). Tracing
+    /// never affects results — it is excluded from
     /// [`crate::options_fingerprint`] so traced and untraced runs
     /// share cache entries — and when `None` the pipeline reads no
     /// clocks at all.
@@ -418,7 +412,7 @@ impl ShardedD3l {
         width: usize,
         opts: &QueryOptions,
     ) -> Vec<TableMatch> {
-        let threads = self.config().effective_query_threads(opts.threads);
+        let threads = self.config().effective_query_threads();
         self.rank_all_inner(prepared, width, opts, threads)
     }
 
@@ -437,8 +431,7 @@ impl ShardedD3l {
     /// [`QueryOptions`] per target — the evaluation loop excludes
     /// each target itself from its own answer).
     ///
-    /// The batch fans out over the config/env thread count;
-    /// [`QueryOptions::threads`] is ignored in batch mode. When the
+    /// The batch fans out over the config/env thread count. When the
     /// batch is smaller than the thread budget, the leftover workers
     /// parallelize *within* each target instead, so a one-element
     /// batch performs like [`ShardedD3l::query_with`].
@@ -474,7 +467,7 @@ impl ShardedD3l {
         prepared: &SignedTable,
         width: usize,
     ) -> HashSet<TableId> {
-        let threads = self.config().effective_query_threads(None);
+        let threads = self.config().effective_query_threads();
         let target: Vec<Attr<'_>> = prepared.columns(self.primary()).collect();
         let (cfg, indexes) = (self.config(), self.indexes());
         par_map(&target, threads, |&attr| {
@@ -491,7 +484,7 @@ impl ShardedD3l {
     /// target, small batches hand the spare workers to the pipeline
     /// stages.
     fn batch_threads(&self, batch_len: usize) -> (usize, usize) {
-        let budget = self.config().effective_query_threads(None);
+        let budget = self.config().effective_query_threads();
         let outer = budget.min(batch_len.max(1));
         let inner = (budget / outer.max(1)).max(1);
         (outer, inner)
@@ -892,17 +885,11 @@ mod tests {
 
     #[test]
     fn thread_count_never_changes_results() {
-        let d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
+        let mut d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
         let t = target();
-        let at = |n: usize| {
-            d3l.rank_all(
-                &t,
-                50,
-                &QueryOptions {
-                    threads: Some(n),
-                    ..Default::default()
-                },
-            )
+        let mut at = |n: usize| {
+            d3l.set_query_threads(n);
+            d3l.rank_all(&t, 50, &QueryOptions::default())
         };
         let base = at(1);
         assert!(!base.is_empty());

@@ -4,22 +4,13 @@
 //! CDFs of two numeric extents, in `[0, 1]`: small when the extents
 //! look drawn from the same distribution.
 
-/// The two-sample KS statistic. Returns 1.0 (maximally distant) when
-/// either sample is empty — matching the paper's convention that a
-/// missing distribution measurement is set to the maximum distance.
-pub fn ks_statistic(a: &[f64], b: &[f64]) -> f64 {
-    let mut xs: Vec<f64> = a.to_vec();
-    let mut ys: Vec<f64> = b.to_vec();
-    xs.sort_by(f64::total_cmp);
-    ys.sort_by(f64::total_cmp);
-    ks_statistic_presorted(&xs, &ys)
-}
-
-/// [`ks_statistic`] over samples the caller has already sorted
-/// ascending. An index compares its extents with
-/// [`crate::Extent::ks_statistic`], which returns what this
-/// returns on the decoded values. A NaN has no place in a distribution;
-/// the merge stops where both samples reach one.
+/// The two-sample KS statistic over samples the caller has already
+/// sorted ascending. Returns 1.0 (maximally distant) when either
+/// sample is empty — matching the paper's convention that a missing
+/// distribution measurement is set to the maximum distance. An index
+/// compares its extents with [`crate::Extent::ks_statistic`], which
+/// returns what this returns on the decoded values. A NaN has no place
+/// in a distribution; the merge stops where both samples reach one.
 pub fn ks_statistic_presorted(xs: &[f64], ys: &[f64]) -> f64 {
     if xs.is_empty() || ys.is_empty() {
         return 1.0;
@@ -63,28 +54,28 @@ mod tests {
     #[test]
     fn identical_samples_are_zero() {
         let s = [1.0, 2.0, 3.0, 4.0];
-        assert!(ks_statistic(&s, &s) < 1e-12);
+        assert!(ks_statistic_presorted(&s, &s) < 1e-12);
     }
 
     #[test]
     fn disjoint_ranges_are_one() {
         let a = [1.0, 2.0, 3.0];
         let b = [100.0, 200.0, 300.0];
-        assert!((ks_statistic(&a, &b) - 1.0).abs() < 1e-12);
+        assert!((ks_statistic_presorted(&a, &b) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_sample_is_maximal() {
-        assert!((ks_statistic(&[], &[1.0]) - 1.0).abs() < 1e-12);
-        assert!((ks_statistic(&[1.0], &[]) - 1.0).abs() < 1e-12);
-        assert!((ks_statistic(&[], &[]) - 1.0).abs() < 1e-12);
+        assert!((ks_statistic_presorted(&[], &[1.0]) - 1.0).abs() < 1e-12);
+        assert!((ks_statistic_presorted(&[1.0], &[]) - 1.0).abs() < 1e-12);
+        assert!((ks_statistic_presorted(&[], &[]) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn symmetric() {
         let a = [1.0, 5.0, 9.0, 12.0];
         let b = [2.0, 5.0, 8.0];
-        assert!((ks_statistic(&a, &b) - ks_statistic(&b, &a)).abs() < 1e-12);
+        assert!((ks_statistic_presorted(&a, &b) - ks_statistic_presorted(&b, &a)).abs() < 1e-12);
     }
 
     #[test]
@@ -92,7 +83,7 @@ mod tests {
         // a = {1,2}, b = {1.5}: ECDF_a jumps 0.5 at 1, 1.0 at 2;
         // ECDF_b jumps 1.0 at 1.5. At t=1: |0.5-0|=0.5; at t=1.5:
         // |0.5-1.0|=0.5; at t=2: |1-1|=0. KS = 0.5.
-        assert!((ks_statistic(&[1.0, 2.0], &[1.5]) - 0.5).abs() < 1e-12);
+        assert!((ks_statistic_presorted(&[1.0, 2.0], &[1.5]) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -100,7 +91,7 @@ mod tests {
         let a: Vec<f64> = (0..100).map(|i| i as f64).collect();
         let b_small: Vec<f64> = (0..100).map(|i| i as f64 + 5.0).collect();
         let b_big: Vec<f64> = (0..100).map(|i| i as f64 + 50.0).collect();
-        assert!(ks_statistic(&a, &b_small) < ks_statistic(&a, &b_big));
+        assert!(ks_statistic_presorted(&a, &b_small) < ks_statistic_presorted(&a, &b_big));
     }
 
     /// Two NaN-tailed samples: both cursors came to rest on a NaN, and
@@ -114,9 +105,9 @@ mod tests {
 
     #[test]
     fn bounded_in_unit_interval() {
-        let a = [3.0, 1.0, 4.0, 1.0, 5.0];
-        let b = [2.0, 7.0, 1.0];
-        let d = ks_statistic(&a, &b);
+        let a = [1.0, 1.0, 3.0, 4.0, 5.0];
+        let b = [1.0, 2.0, 7.0];
+        let d = ks_statistic_presorted(&a, &b);
         assert!((0.0..=1.0).contains(&d));
     }
 }

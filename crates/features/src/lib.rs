@@ -27,7 +27,6 @@ pub mod tokenize;
 
 pub use extent::{Extent, Extents, NumericExtent};
 pub use histogram::TokenHistogram;
-pub use ks::ks_statistic;
 pub use qgrams::{qgram_hash_set, qgram_set};
 pub use regex_format::{format_pattern, format_pattern_hash};
 pub use tokenize::{parts, words};

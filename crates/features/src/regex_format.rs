@@ -155,16 +155,6 @@ pub fn format_pattern_hash(value: &str) -> u64 {
     h.finish()
 }
 
-/// The rset of an extent: distinct format patterns of its values
-/// (empty values produce no pattern).
-pub fn rset<'a, I: IntoIterator<Item = &'a str>>(values: I) -> std::collections::HashSet<String> {
-    values
-        .into_iter()
-        .filter(|v| !v.trim().is_empty())
-        .map(format_pattern)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,12 +185,6 @@ mod tests {
         // UK postcodes share the A+ or 'A A' shape.
         assert_eq!(format_pattern("M3 6AF"), format_pattern("W1G 6BW"));
         assert_eq!(format_pattern("BT7 1JL"), format_pattern("M26 2SP"));
-    }
-
-    #[test]
-    fn rset_deduplicates() {
-        let r = rset(["M3 6AF", "W1G 6BW", "Salford", ""]);
-        assert_eq!(r.len(), 2);
     }
 
     #[test]

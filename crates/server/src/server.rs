@@ -21,7 +21,7 @@
 //! [`IndexStore`]: d3l_core::IndexStore
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -67,7 +67,8 @@ pub struct ServerConfig {
     pub cache_bytes: u64,
     /// Admission bound: connections arriving while this many are
     /// already waiting for a worker are shed with a typed 503 +
-    /// `Retry-After` instead of queueing without bound.
+    /// `Retry-After` instead of queueing without bound. At least 1, or
+    /// [`Server::bind`] refuses it.
     pub max_queue: usize,
     /// Fairness quantum: after serving this many consecutive
     /// requests on one keep-alive connection while other connections
@@ -104,9 +105,10 @@ const MAX_THREADS: usize = 1024;
 /// Most recent slow queries kept for `GET /debug/slow_queries`.
 const SLOW_RING_CAP: usize = 64;
 
-/// One captured slow request: identity, outcome, and the per-stage /
-/// per-shard breakdown from its [`QueryTrace`] (zeros for endpoints
-/// that never entered the query pipeline).
+/// One captured slow request: identity, outcome, and its
+/// [`QueryTrace`], read for the per-stage / per-shard breakdown when
+/// the ring is rendered (zeros for endpoints that never entered the
+/// query pipeline).
 #[derive(Debug, Clone)]
 struct SlowQuery {
     request_id: String,
@@ -116,14 +118,14 @@ struct SlowQuery {
     result: &'static str,
     engine_version: u64,
     total_ms: f64,
-    candidates_ms: f64,
-    score_ms: f64,
-    aggregate_ms: f64,
-    shard_score_ms: Vec<f64>,
+    trace: Option<Arc<QueryTrace>>,
 }
 
 impl SlowQuery {
     fn to_json(&self) -> Json {
+        let ms = |ns: u64| Json::Num(ns as f64 / 1e6);
+        let trace = self.trace.as_deref();
+        let (c, s, a) = trace.map(QueryTrace::stages_ns).unwrap_or((0, 0, 0));
         let mut obj = vec![
             ("request_id".to_string(), Json::str(&self.request_id)),
             ("endpoint".to_string(), Json::str(self.endpoint)),
@@ -137,21 +139,15 @@ impl SlowQuery {
             ("total_ms".to_string(), Json::Num(self.total_ms)),
         ];
         let stages = Json::Obj(vec![
-            ("candidates_ms".to_string(), Json::Num(self.candidates_ms)),
-            ("score_ms".to_string(), Json::Num(self.score_ms)),
-            ("aggregate_ms".to_string(), Json::Num(self.aggregate_ms)),
+            ("candidates_ms".to_string(), ms(c)),
+            ("score_ms".to_string(), ms(s)),
+            ("aggregate_ms".to_string(), ms(a)),
         ]);
         obj.push(("stages".to_string(), stages));
-        if !self.shard_score_ms.is_empty() {
-            obj.push((
-                "shard_score_ms".to_string(),
-                Json::Arr(
-                    self.shard_score_ms
-                        .iter()
-                        .map(|&ms| Json::Num(ms))
-                        .collect(),
-                ),
-            ));
+        let shard_ns = trace.map(QueryTrace::shard_ns).unwrap_or_default();
+        if !shard_ns.is_empty() {
+            let shards = shard_ns.into_iter().map(ms).collect();
+            obj.push(("shard_score_ms".to_string(), Json::Arr(shards)));
         }
         Json::Obj(obj)
     }
@@ -423,43 +419,6 @@ impl ConnQueue {
     }
 }
 
-/// `BufRead` over a fairness rotation's carried-over bytes followed
-/// by the connection's buffered reader. `consume` applies to
-/// whichever source the last `fill_buf` came from, per the `BufRead`
-/// contract.
-struct CarryReader<'a> {
-    carry: &'a [u8],
-    pos: &'a mut usize,
-    sock: &'a mut BufReader<TcpStream>,
-}
-
-impl Read for CarryReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let available = self.fill_buf()?;
-        let n = available.len().min(buf.len());
-        buf[..n].copy_from_slice(&available[..n]);
-        self.consume(n);
-        Ok(n)
-    }
-}
-
-impl BufRead for CarryReader<'_> {
-    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-        if *self.pos < self.carry.len() {
-            return Ok(&self.carry[*self.pos..]);
-        }
-        self.sock.fill_buf()
-    }
-
-    fn consume(&mut self, amt: usize) {
-        if *self.pos < self.carry.len() {
-            *self.pos = (*self.pos + amt).min(self.carry.len());
-        } else {
-            self.sock.consume(amt);
-        }
-    }
-}
-
 /// A routed response plus what observability needs to label it: the
 /// cache outcome (query endpoints only) and the pipeline trace (set
 /// when the query actually ran).
@@ -591,19 +550,25 @@ pub struct Server {
 
 impl Server {
     /// Bind a listener (use port 0 for an ephemeral port and read it
-    /// back with [`Server::local_addr`]). A worker count past 1 024 is
-    /// refused, before anything is bound, as `InvalidInput`.
+    /// back with [`Server::local_addr`]). A worker count past 1 024,
+    /// or a pending-connection queue of 0 (which would shed every
+    /// connection), is refused, before anything is bound, as
+    /// `InvalidInput`.
     pub fn bind(
         addr: impl ToSocketAddrs,
         engine: Arc<EngineHandle>,
         cfg: ServerConfig,
     ) -> std::io::Result<Server> {
+        let invalid =
+            |error: String| Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, error));
         if cfg.threads > MAX_THREADS {
-            let error = format!(
-                "{} worker threads is past the bound of {MAX_THREADS}",
-                cfg.threads
-            );
-            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, error));
+            let n = cfg.threads;
+            return invalid(format!(
+                "{n} worker threads is past the bound of {MAX_THREADS}"
+            ));
+        }
+        if cfg.max_queue == 0 {
+            return invalid("a pending-connection queue of 0 would shed every connection".into());
         }
         let listener = TcpListener::bind(addr)?;
         // The cache lives in the engine handle (so CLI tools sharing
@@ -788,8 +753,11 @@ impl Server {
     }
 
     fn serve_connection(&self, conn: Conn) {
-        let Conn { stream, mut carry } = conn;
-        let mut carry_pos = 0usize;
+        let Conn { stream, carry } = conn;
+        // A fairness rotation's carried-over bytes, read before the
+        // socket; what is left of them travels on with the next
+        // rotation.
+        let mut carried: &[u8] = &carry;
         let _ = stream.set_read_timeout(Some(self.cfg.io_timeout));
         let _ = stream.set_write_timeout(Some(self.cfg.io_timeout));
         // Interactive request/response traffic: never wait for a
@@ -806,18 +774,14 @@ impl Server {
             // blocked between keep-alive requests still observes
             // shutdown within ~100 ms (pipelined bytes already
             // buffered — carried or in the reader — skip the wait).
-            if carry_pos >= carry.len()
+            if carried.is_empty()
                 && reader.buffer().is_empty()
                 && !self.await_next_request(&write_half)
             {
                 return;
             }
-            let mut carry_reader = CarryReader {
-                carry: &carry,
-                pos: &mut carry_pos,
-                sock: &mut reader,
-            };
-            match read_request(&mut carry_reader, self.cfg.max_body_bytes) {
+            let mut input = (&mut carried).chain(&mut reader);
+            match read_request(&mut input, self.cfg.max_body_bytes) {
                 Ok(req) => {
                     self.shared.metrics.requests.inc();
                     let request_id = req
@@ -844,7 +808,7 @@ impl Server {
                         && served_this_turn >= self.cfg.fair_batch
                         && self.shared.queue.len() > 0
                     {
-                        let mut residue = carry.split_off(carry_pos.min(carry.len()));
+                        let mut residue = carried.to_vec();
                         residue.extend_from_slice(reader.buffer());
                         self.shared.queue.push(Conn {
                             stream: write_half,
@@ -904,12 +868,6 @@ impl Server {
             self.shared.metrics.record_trace(trace);
         }
         if elapsed.as_millis() as u64 >= self.shared.slow_query_ms {
-            let ms = |ns: u64| ns as f64 / 1e6;
-            let (c, s, a) = routed
-                .trace
-                .as_deref()
-                .map(QueryTrace::stages_ns)
-                .unwrap_or((0, 0, 0));
             self.shared.capture_slow(SlowQuery {
                 request_id: request_id.to_string(),
                 endpoint,
@@ -918,14 +876,7 @@ impl Server {
                 result: routed.result(),
                 engine_version: self.engine.snapshot().version,
                 total_ms: elapsed.as_nanos() as f64 / 1e6,
-                candidates_ms: ms(c),
-                score_ms: ms(s),
-                aggregate_ms: ms(a),
-                shard_score_ms: routed
-                    .trace
-                    .as_deref()
-                    .map(|t| t.shard_ns().into_iter().map(ms).collect())
-                    .unwrap_or_default(),
+                trace: routed.trace.clone(),
             });
         }
     }

@@ -170,35 +170,6 @@ impl Column {
         }
     }
 
-    /// Count of null cells.
-    pub fn null_count(&self) -> usize {
-        self.values.iter().filter(|v| v.trim().is_empty()).count()
-    }
-
-    /// Fraction of cells that are null; 0 for an empty column.
-    pub fn null_ratio(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.null_count() as f64 / self.values.len() as f64
-        }
-    }
-
-    /// Number of distinct non-null cell values.
-    pub fn distinct_count(&self) -> usize {
-        self.cell_stats().distinct
-    }
-
-    /// distinct / non-null count, in `[0, 1]`; 0 for all-null columns.
-    pub fn distinct_ratio(&self) -> f64 {
-        self.cell_stats().distinct_ratio()
-    }
-
-    /// Mean character length of non-null cells.
-    pub fn avg_len(&self) -> f64 {
-        self.cell_stats().avg_len()
-    }
-
     /// Parse the extent as numbers (for D-relatedness). Non-numeric
     /// and null cells are skipped.
     pub fn numeric_extent(&self) -> Vec<f64> {
@@ -253,12 +224,13 @@ mod tests {
     fn null_and_distinct_accounting() {
         let c = col(&["a", "", "a", "b", " "]);
         assert_eq!(c.len(), 5);
-        assert_eq!(c.null_count(), 2);
-        assert!((c.null_ratio() - 0.4).abs() < 1e-12);
-        assert_eq!(c.distinct_count(), 2);
-        assert!((c.distinct_ratio() - 2.0 / 3.0).abs() < 1e-12);
+        let stats = c.cell_stats();
+        assert_eq!(stats.rows - stats.non_null, 2);
+        assert!((stats.null_ratio() - 0.4).abs() < 1e-12);
+        assert_eq!(stats.distinct, 2);
+        assert!((stats.distinct_ratio() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(
-            c.cell_stats(),
+            stats,
             CellStats {
                 rows: 5,
                 non_null: 3,
@@ -282,7 +254,7 @@ mod tests {
     #[test]
     fn avg_len_and_bytes() {
         let c = col(&["ab", "abcd", ""]);
-        assert!((c.avg_len() - 3.0).abs() < 1e-12);
+        assert!((c.cell_stats().avg_len() - 3.0).abs() < 1e-12);
         assert!(c.byte_size() > 6);
     }
 }

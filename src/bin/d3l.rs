@@ -250,16 +250,19 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let target_path = target_path.ok_or("missing target csv")?;
-    let d3l = load_engine(dir.as_deref(), index_dir.as_deref())?;
+    let mut d3l = load_engine(dir.as_deref(), index_dir.as_deref())?;
+    // An explicit --threads beats D3L_QUERY_THREADS, which replaces
+    // only the automatic count, so 0 is spelled out as every CPU.
+    if let Some(n) = threads {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        d3l.set_query_threads(if n == 0 { cpus } else { n });
+    }
 
     let text = std::fs::read_to_string(&target_path)?;
     let target = csv::parse_csv("target", &text)?;
 
-    // An explicit --threads flag beats the D3L_QUERY_THREADS env var,
-    // so it goes through the per-query override.
     let opts = d3l::core::query::QueryOptions {
         evidence,
-        threads,
         ..Default::default()
     };
     // Profile the target once; the ranking and the join-path

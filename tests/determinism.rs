@@ -81,15 +81,15 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 #[test]
 fn rank_all_is_thread_count_invariant() {
-    let (bench, d3l) = indexed(48, 17);
+    let (bench, mut d3l) = indexed(48, 17);
     for tname in bench.pick_targets(5, 3) {
         let target = bench.lake.table_by_name(&tname).unwrap();
-        let rank = |n: usize| {
+        let mut rank = |n: usize| {
             let opts = QueryOptions {
                 exclude: bench.lake.id_of(&tname),
-                threads: Some(n),
                 ..Default::default()
             };
+            d3l.set_query_threads(n);
             d3l.rank_all(target, 40, &opts)
         };
         let base = rank(THREAD_COUNTS[0]);
@@ -102,15 +102,15 @@ fn rank_all_is_thread_count_invariant() {
 
 #[test]
 fn query_is_thread_count_invariant() {
-    let (bench, d3l) = indexed(48, 18);
+    let (bench, mut d3l) = indexed(48, 18);
     for tname in bench.pick_targets(5, 4) {
         let target = bench.lake.table_by_name(&tname).unwrap();
-        let run = |n: usize| {
+        let mut run = |n: usize| {
             let opts = QueryOptions {
                 exclude: bench.lake.id_of(&tname),
-                threads: Some(n),
                 ..Default::default()
             };
+            d3l.set_query_threads(n);
             d3l.query_with(target, 7, &opts)
         };
         let base = run(THREAD_COUNTS[0]);
@@ -143,7 +143,7 @@ fn query_batch_is_thread_count_invariant_and_matches_query() {
     let mut runs = Vec::new();
     for &n in &THREAD_COUNTS {
         d3l.set_query_threads(n);
-        assert_eq!(d3l.config().effective_query_threads(None), n);
+        assert_eq!(d3l.config().effective_query_threads(), n);
         runs.push(d3l.query_batch_with(&targets, 7, &opts));
     }
     for (run, &n) in runs.iter().zip(&THREAD_COUNTS).skip(1) {
@@ -156,7 +156,7 @@ fn query_batch_is_thread_count_invariant_and_matches_query() {
     // Batched output equals per-target queries at every thread count.
     for &n in &THREAD_COUNTS {
         d3l.set_query_threads(n);
-        assert_eq!(d3l.config().effective_query_threads(None), n);
+        assert_eq!(d3l.config().effective_query_threads(), n);
         for ((target, opt), batched) in targets.iter().zip(&opts).zip(&runs[0]) {
             let seq = d3l.query_with(target, 7, opt);
             assert_identical(&seq, batched, &format!("batch vs query @{n} threads"));
@@ -227,26 +227,22 @@ fn snapshot_round_trip_is_query_identical() {
         .collect();
 
     for &n in &[1usize, 8] {
+        d3l.set_query_threads(n);
+        assert_eq!(d3l.config().effective_query_threads(), n);
+        loaded.set_query_threads(n);
+        assert_eq!(loaded.config().effective_query_threads(), n);
         for ((tname, target), opt) in names.iter().zip(&targets).zip(&opts) {
-            let threaded = QueryOptions {
-                threads: Some(n),
-                ..opt.clone()
-            };
             assert_identical(
-                &d3l.query_with(target, 7, &threaded),
-                &loaded.query_with(target, 7, &threaded),
+                &d3l.query_with(target, 7, opt),
+                &loaded.query_with(target, 7, opt),
                 &format!("{tname} snapshot query @{n} threads"),
             );
             assert_identical(
-                &d3l.rank_all(target, 40, &threaded),
-                &loaded.rank_all(target, 40, &threaded),
+                &d3l.rank_all(target, 40, opt),
+                &loaded.rank_all(target, 40, opt),
                 &format!("{tname} snapshot rank_all @{n} threads"),
             );
         }
-        d3l.set_query_threads(n);
-        assert_eq!(d3l.config().effective_query_threads(None), n);
-        loaded.set_query_threads(n);
-        assert_eq!(loaded.config().effective_query_threads(None), n);
         let a = d3l.query_batch_with(&targets, 7, &opts);
         let b = loaded.query_batch_with(&targets, 7, &opts);
         assert_eq!(a.len(), b.len());
@@ -554,30 +550,34 @@ fn sharded_engine_is_byte_identical_to_the_monolith_through_its_lifecycle() {
             joins(&ss.engine),
             "{stage}: join graph / paths @{shards} shards"
         );
+        let opts: Vec<QueryOptions> = names
+            .iter()
+            .map(|t| QueryOptions {
+                exclude: ms.engine.name_to_id().get(t.as_str()).copied(),
+                ..Default::default()
+            })
+            .collect();
         for &threads in &[1usize, 8] {
-            let opts: Vec<QueryOptions> = names
-                .iter()
-                .map(|t| QueryOptions {
-                    exclude: ms.engine.name_to_id().get(t.as_str()).copied(),
-                    threads: Some(threads),
-                    ..Default::default()
-                })
-                .collect();
+            // Copies of the served engines, so the thread count is set
+            // on these and not on what the handles serve.
+            let (mut mono, mut sharded) = (ms.engine.clone(), ss.engine.clone());
+            mono.set_query_threads(threads);
+            sharded.set_query_threads(threads);
             for ((name, target), opt) in names.iter().zip(&targets).zip(&opts) {
                 let ctx = format!("{stage}: {name} @{shards} shards / {threads} threads");
                 assert_identical(
-                    &ms.engine.query_with(target, 7, opt),
-                    &ss.engine.query_with(target, 7, opt),
+                    &mono.query_with(target, 7, opt),
+                    &sharded.query_with(target, 7, opt),
                     &format!("{ctx} (query)"),
                 );
                 assert_identical(
-                    &ms.engine.rank_all(target, 40, opt),
-                    &ss.engine.rank_all(target, 40, opt),
+                    &mono.rank_all(target, 40, opt),
+                    &sharded.rank_all(target, 40, opt),
                     &format!("{ctx} (rank_all)"),
                 );
             }
-            let a = ms.engine.query_batch_with(&targets, 7, &opts);
-            let b = ss.engine.query_batch_with(&targets, 7, &opts);
+            let a = mono.query_batch_with(&targets, 7, &opts);
+            let b = sharded.query_batch_with(&targets, 7, &opts);
             assert_eq!(a.len(), b.len());
             for (i, (x, y)) in a.iter().zip(&b).enumerate() {
                 assert_identical(
@@ -680,18 +680,18 @@ fn adversarial_value_domains_are_shard_and_thread_invariant() {
         };
         ShardedD3l::index_lake_with(&bench.lake, cfg, embedder)
     };
-    let opts_for = |name: &str, threads: usize| QueryOptions {
+    let opts_for = |name: &str| QueryOptions {
         exclude: bench.lake.id_of(name),
-        threads: Some(threads),
         ..Default::default()
     };
 
-    let baseline_engine = build(1);
+    let mut baseline_engine = build(1);
+    baseline_engine.set_query_threads(1);
     let baselines: Vec<(Vec<TableMatch>, Vec<TableMatch>)> = adversarial
         .iter()
         .map(|name| {
             let target = bench.lake.table_by_name(name).unwrap();
-            let opts = opts_for(name, 1);
+            let opts = opts_for(name);
             let rank = baseline_engine.rank_all(target, 40, &opts);
             assert!(!rank.is_empty(), "{name}: adversarial target must rank");
             (baseline_engine.query_with(target, 7, &opts), rank)
@@ -699,11 +699,12 @@ fn adversarial_value_domains_are_shard_and_thread_invariant() {
         .collect();
 
     for shards in [1usize, 2, 8] {
-        let engine = build(shards);
+        let mut engine = build(shards);
         for &threads in &[1usize, 2, 8] {
+            engine.set_query_threads(threads);
             for (name, (base_query, base_rank)) in adversarial.iter().zip(&baselines) {
                 let target = bench.lake.table_by_name(name).unwrap();
-                let opts = opts_for(name, threads);
+                let opts = opts_for(name);
                 let ctx = format!("{name} @{shards} shards / {threads} threads");
                 assert_identical(
                     base_query,
@@ -737,7 +738,7 @@ fn index_build_is_thread_count_invariant() {
         };
         ShardedD3l::index_lake_with(&bench.lake, cfg, embedder)
     };
-    let builds: Vec<ShardedD3l> = THREAD_COUNTS.iter().map(|&n| build(n)).collect();
+    let mut builds: Vec<ShardedD3l> = THREAD_COUNTS.iter().map(|&n| build(n)).collect();
     for (d3l, &n) in builds.iter().zip(&THREAD_COUNTS) {
         assert_class_columns(d3l, &format!("@{n} index threads"));
     }
@@ -750,22 +751,16 @@ fn index_build_is_thread_count_invariant() {
     }
     for tname in bench.pick_targets(3, 9) {
         let target = bench.lake.table_by_name(&tname).unwrap();
-        let base = {
-            let opts = QueryOptions {
-                exclude: bench.lake.id_of(&tname),
-                threads: Some(1),
-                ..Default::default()
-            };
-            builds[0].rank_all(target, 40, &opts)
+        let opts = QueryOptions {
+            exclude: bench.lake.id_of(&tname),
+            ..Default::default()
         };
+        builds[0].set_query_threads(1);
+        let base = builds[0].rank_all(target, 40, &opts);
         assert!(!base.is_empty(), "{tname}: empty ranking");
-        for (d3l, &index_n) in builds.iter().zip(&THREAD_COUNTS) {
+        for (d3l, &index_n) in builds.iter_mut().zip(&THREAD_COUNTS) {
             for &query_n in &THREAD_COUNTS {
-                let opts = QueryOptions {
-                    exclude: bench.lake.id_of(&tname),
-                    threads: Some(query_n),
-                    ..Default::default()
-                };
+                d3l.set_query_threads(query_n);
                 assert_identical(
                     &base,
                     &d3l.rank_all(target, 40, &opts),

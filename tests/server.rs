@@ -341,6 +341,104 @@ fn huge_k_and_width_answer_and_the_server_survives() {
     assert_alive(srv.addr);
 }
 
+/// Every numeric request field at 0, 1, the lake size, 2³² and
+/// `u64::MAX` (and `k` also at −1, 1.5 and 1e300): `k` on `/query` and
+/// `/query_batch`, `width` on `/rank_all`, and the number of
+/// `/query_batch` targets. Each request answers 200 with at most the
+/// lake's tables per ranking, or a typed 4xx; the server answers
+/// afterwards.
+#[test]
+fn every_numeric_request_field_at_its_extremes_answers_or_is_refused() {
+    const TABLES: usize = 12;
+    let lake = lake(TABLES);
+    let srv = boot("numeric_fields", &lake, 2, Duration::from_secs(10));
+    let extremes = ["0", "1", "12", "4294967296", "18446744073709551615"];
+    let ks = extremes.iter().chain(&["-1", "1.5", "1e300"]);
+    let target = table_to_json(&target()).to_string();
+    // The rankings an answer carries: `matches`, or each of a batch's
+    // `results`.
+    let rankings = |status: u16, body: &str, what: &str| -> Vec<usize> {
+        if status != 200 {
+            assert!((400..500).contains(&status), "{what}: {status} {body}");
+            return Vec::new();
+        }
+        let doc = Json::parse(body).unwrap();
+        let lens: Vec<usize> = match doc.get("results") {
+            Some(batch) => batch
+                .as_arr()
+                .unwrap()
+                .iter()
+                .map(|r| r.as_arr().unwrap().len())
+                .collect(),
+            None => vec![doc.get("matches").unwrap().as_arr().unwrap().len()],
+        };
+        assert!(lens.iter().all(|&n| n <= TABLES), "{what}: {lens:?}");
+        lens
+    };
+    for k in ks {
+        let body = format!("{{\"table\":{target},\"k\":{k}}}");
+        let (status, text) = request_once(srv.addr, "POST", "/query", Some(&body)).unwrap();
+        rankings(status, &text, &format!("/query k {k}"));
+        let body = format!("{{\"targets\":[{target},{target}],\"k\":{k}}}");
+        let (status, text) = request_once(srv.addr, "POST", "/query_batch", Some(&body)).unwrap();
+        let lens = rankings(status, &text, &format!("/query_batch k {k}"));
+        assert!(
+            status != 200 || lens.len() == 2,
+            "/query_batch k {k}: {lens:?}"
+        );
+    }
+    for width in extremes {
+        let path = format!("/rank_all?target=gp_03&width={width}");
+        let (status, text) = request_once(srv.addr, "GET", &path, None).unwrap();
+        rankings(status, &text, &format!("/rank_all width {width}"));
+    }
+    // Bytes a target takes in the array, its comma included.
+    let per_target = target.len() as u128 + 1;
+    for count in extremes {
+        let n: u128 = count.parse().unwrap();
+        if n <= TABLES as u128 {
+            let targets = vec![target.as_str(); n as usize].join(",");
+            let body = format!("{{\"targets\":[{targets}],\"k\":5}}");
+            let (status, text) =
+                request_once(srv.addr, "POST", "/query_batch", Some(&body)).unwrap();
+            let lens = rankings(status, &text, &format!("{n} batch targets"));
+            assert_eq!((status, lens.len() as u128), (200, n), "{n} batch targets");
+        } else {
+            // No body holds that many targets: the length it would
+            // need is declared, and refused before any of it is read.
+            let head = format!(
+                "POST /query_batch HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+                n * per_target
+            );
+            let status = status_of(&raw_exchange(srv.addr, head.as_bytes(), false));
+            assert!(
+                status.is_some_and(|s| (400..500).contains(&s)),
+                "{n} batch targets: {status:?}"
+            );
+        }
+    }
+    assert_alive(srv.addr);
+}
+
+/// A pending-connection queue of 0 would shed every connection with a
+/// 503, so it is refused at bind, beside the worker-count bound.
+#[test]
+fn a_zero_max_queue_is_refused_at_bind() {
+    let dir = std::env::temp_dir().join(format!("d3l_srv_zero_queue_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let d3l = ShardedD3l::index_lake(&lake(2), D3lConfig::fast());
+    let engine = Arc::new(EngineHandle::create(&dir, d3l).unwrap());
+    let cfg = ServerConfig {
+        max_queue: 0,
+        ..Default::default()
+    };
+    let error = Server::bind(("127.0.0.1", 0), engine, cfg)
+        .err()
+        .expect("a zero max_queue is refused");
+    assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn stalled_and_truncated_clients_cannot_park_a_worker() {
     let lake = lake(3);
