@@ -32,6 +32,9 @@
 //! version stamp *per shard*, advanced only when that shard is
 //! rewritten: a mutation's blast radius is visible — and testable —
 //! as "every other shard's stamp (and snapshot bytes) unchanged".
+//! A snapshot holds the stamps and the engine and nothing derived
+//! from them: memory accounting ([`ShardedD3l::byte_size`]) sums
+//! stored lengths, so `/stats` computes it when it is read.
 //!
 //! On disk, a one-shard engine keeps the classic monolith layout
 //! (`<dir>/base.d3ls` + deltas); an N-shard engine nests one complete
@@ -48,7 +51,6 @@ use d3l_table::{Table, TableId};
 use d3l_telemetry::{Histogram, Registry};
 
 use crate::cache::QueryCache;
-use crate::index::MemoryFootprint;
 use crate::shard::ShardedD3l;
 use crate::snapshot::IndexStore;
 
@@ -65,30 +67,26 @@ pub struct EngineSnapshot {
     /// The query-ready engine. Immutable — mutations build a new
     /// snapshot.
     pub engine: ShardedD3l,
-    /// Aggregate memory accounting, computed once when the snapshot
-    /// is built: the engine is immutable afterwards, so `/stats` can
-    /// read this instead of re-walking every forest per request.
-    pub footprint: MemoryFootprint,
-    /// Per-shard memory accounting, parallel to `shard_versions`.
-    pub shard_footprints: Vec<MemoryFootprint>,
 }
 
 impl EngineSnapshot {
     /// A snapshot at `version` with every shard stamped at that same
-    /// version (the cold-load shape; mutations diverge the stamps),
-    /// sizing the engine once up front.
+    /// version (the cold-load shape; mutations diverge the stamps).
     pub fn at_version(version: u64, engine: ShardedD3l) -> Self {
-        let shard_versions = vec![version; engine.shard_count()];
-        let shard_footprints = engine.shard_byte_sizes();
-        let footprint = MemoryFootprint::sum(&shard_footprints);
         EngineSnapshot {
             version,
-            shard_versions,
+            shard_versions: vec![version; engine.shard_count()],
             engine,
-            footprint,
-            shard_footprints,
         }
     }
+}
+
+/// Lake-wide `(base bytes, delta bytes, pending delta segments)`:
+/// the per-shard [`EngineHandle::shard_disk_stats`] summed.
+pub fn sum_disk_stats(shards: &[(u64, u64, usize)]) -> (u64, u64, usize) {
+    shards
+        .iter()
+        .fold((0, 0, 0), |acc, s| (acc.0 + s.0, acc.1 + s.1, acc.2 + s.2))
 }
 
 /// A maintenance request the serving layer can refuse without
@@ -328,7 +326,7 @@ impl EngineHandle {
         stores[s].append_add_at(&mut shard, table, id)?;
         self.telemetry.append.record(t0.elapsed());
         let next = cur.engine.with_shard(s, shard);
-        Ok((id, self.swap(&cur, next, s)))
+        Ok((id, self.swap(&cur, next, &[s])))
     }
 
     /// Tombstone a table by name, persist the removal in the owning
@@ -351,7 +349,7 @@ impl EngineHandle {
         stores[s].append_remove(&mut shard, id)?;
         self.telemetry.append.record(t0.elapsed());
         let next = cur.engine.with_shard(s, shard);
-        Ok((id, self.swap(&cur, next, s)))
+        Ok((id, self.swap(&cur, next, &[s])))
     }
 
     /// Fold every shard's observed delta segments into fresh base
@@ -443,27 +441,21 @@ impl EngineHandle {
             return Ok(None);
         }
         let shards: Vec<usize> = touched.iter().map(|&(s, _)| s).collect();
-        Ok(Some(self.swap_many(&cur, next, &shards)))
+        Ok(Some(self.swap(&cur, next, &shards)))
     }
 
     /// On-disk footprint: `(base bytes, delta bytes, pending delta
     /// segments)` summed across shards.
     pub fn disk_stats(&self) -> Result<(u64, u64, usize), MaintenanceError> {
-        Ok(self
-            .shard_disk_stats()?
-            .into_iter()
-            .fold((0, 0, 0), |acc, s| (acc.0 + s.0, acc.1 + s.1, acc.2 + s.2)))
+        Ok(sum_disk_stats(&self.shard_disk_stats()?))
     }
 
-    /// Per-shard on-disk footprints, parallel to `engine.shards()`.
+    /// Per-shard on-disk footprints, parallel to `engine.shards()`:
+    /// one directory listing per shard ([`IndexStore::disk_usage`]).
     pub fn shard_disk_stats(&self) -> Result<Vec<(u64, u64, usize)>, MaintenanceError> {
         let stores = self.lock_stores();
-        let mut out = Vec::with_capacity(stores.len());
-        for store in stores.iter() {
-            let (base, deltas) = store.disk_bytes()?;
-            out.push((base, deltas, store.delta_count()?));
-        }
-        Ok(out)
+        let usage = stores.iter().map(IndexStore::disk_usage);
+        Ok(usage.collect::<Result<_, _>>()?)
     }
 
     /// What the base snapshots are made of: `(section tag, payload
@@ -481,16 +473,11 @@ impl EngineHandle {
         Ok(total)
     }
 
-    /// Publish `next` as the successor of `prev`, stamping shard
-    /// `touched` with the new version.
-    fn swap(&self, prev: &EngineSnapshot, next: ShardedD3l, touched: usize) -> Arc<EngineSnapshot> {
-        self.swap_many(prev, next, &[touched])
-    }
-
-    /// Publish `next` as the successor of `prev` and return the new
+    /// Publish `next` as the successor of `prev`, stamping the
+    /// `touched` shards with the new version, and return the new
     /// snapshot. Callers hold the store lock, so versions move one
     /// writer at a time.
-    fn swap_many(
+    fn swap(
         &self,
         prev: &EngineSnapshot,
         next: ShardedD3l,
@@ -498,21 +485,13 @@ impl EngineHandle {
     ) -> Arc<EngineSnapshot> {
         let version = prev.version + 1;
         let mut shard_versions = prev.shard_versions.clone();
-        // Untouched shards are byte-identical to the previous
-        // snapshot, so their cached footprints carry over; only the
-        // rewritten shards are re-walked.
-        let mut shard_footprints = prev.shard_footprints.clone();
         for &s in touched {
             shard_versions[s] = version;
-            shard_footprints[s] = next.shards()[s].byte_size();
         }
-        let footprint = MemoryFootprint::sum(&shard_footprints);
         let swapped = Arc::new(EngineSnapshot {
             version,
             shard_versions,
             engine: next,
-            footprint,
-            shard_footprints,
         });
         *self
             .current
@@ -610,29 +589,6 @@ mod tests {
             reopened.snapshot().engine.shards()[0].to_snapshot_bytes(),
             handle.snapshot().engine.shards()[0].to_snapshot_bytes()
         );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn cached_footprints_track_every_swap() {
-        let (handle, dir) = handle("footprint");
-        let check = |snap: &EngineSnapshot| {
-            assert_eq!(snap.footprint, snap.engine.byte_size());
-            assert_eq!(snap.shard_footprints, snap.engine.shard_byte_sizes());
-            assert_eq!(snap.footprint, MemoryFootprint::sum(&snap.shard_footprints));
-        };
-        check(&handle.snapshot());
-
-        let (_, after_add) = handle.add_table(&extra_table("local_gps")).unwrap();
-        check(&after_add);
-        assert!(after_add.footprint.total() > 0);
-
-        let (_, after_remove) = handle.remove_table("local_gps").unwrap();
-        check(&after_remove);
-
-        // A cold reopen computes the same accounting from scratch.
-        let reopened = EngineHandle::open(&dir).unwrap();
-        check(&reopened.snapshot());
         std::fs::remove_dir_all(&dir).ok();
     }
 

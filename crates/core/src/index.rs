@@ -1158,7 +1158,7 @@ mod tests {
         assert!(fp.i_n.posting_bytes > lists);
         // Shards' footprints add up field by field, postings included.
         let sharded = crate::ShardedD3l::split(d3l.clone(), 2);
-        let parts = sharded.shard_byte_sizes();
+        let parts: Vec<_> = sharded.shards().iter().map(|s| s.byte_size()).collect();
         let sum = MemoryFootprint::sum(&parts);
         assert_eq!(sum, sharded.byte_size());
         tree_bytes(&sum, sharded.class_stats());

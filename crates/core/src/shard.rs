@@ -296,7 +296,8 @@ impl ShardedD3l {
 
     /// Aggregate memory accounting across shards.
     pub fn byte_size(&self) -> MemoryFootprint {
-        MemoryFootprint::sum(&self.shard_byte_sizes())
+        let shards: Vec<MemoryFootprint> = self.shards.iter().map(|s| s.byte_size()).collect();
+        MemoryFootprint::sum(&shards)
     }
 
     /// How far each index pools its attributes, `(IN, IV, IF, IE)`,
@@ -311,11 +312,6 @@ impl ShardedD3l {
             }
         }
         total
-    }
-
-    /// Per-shard memory accounting, for diagnostics and `/stats`.
-    pub fn shard_byte_sizes(&self) -> Vec<MemoryFootprint> {
-        self.shards.iter().map(|s| s.byte_size()).collect()
     }
 }
 
@@ -412,7 +408,7 @@ mod tests {
         }
         assert_eq!(sharded.name_to_id(), mono.name_to_id());
         assert_eq!(sharded.index_byte_size(), {
-            let sizes = sharded.shard_byte_sizes();
+            let sizes: Vec<_> = sharded.shards().iter().map(|s| s.byte_size()).collect();
             let indexes = sizes.iter().flat_map(|f| f.indexes());
             indexes.map(|(_, index)| index.total()).sum::<usize>()
         });

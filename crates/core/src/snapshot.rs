@@ -660,7 +660,7 @@ impl IndexStore {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         Self::sweep_tmp(&dir)?;
-        for path in Self::delta_paths(&dir)? {
+        for (_, path, _) in layout::scan(&dir)?.deltas {
             std::fs::remove_file(path)?;
         }
         let mut store = IndexStore {
@@ -715,10 +715,14 @@ impl IndexStore {
     /// silently deferred. Returns the number of segments applied; on
     /// error `d3l` may hold a partial replay and must be discarded.
     pub fn replay_newer(&mut self, d3l: &mut D3l) -> Result<usize, StoreError> {
-        let pending = Self::pending_deltas(&self.dir, self.replayed_through())?;
+        let from = self.replayed_through();
         let mut applied = 0usize;
-        let mut through = self.replayed_through();
-        for (seq, path) in pending {
+        let mut through = from;
+        // `scan` lists segments by parsed sequence number: replay order.
+        for (seq, path, _) in layout::scan(&self.dir)?.deltas {
+            if seq <= from {
+                continue;
+            }
             let replay = |d3l: &mut D3l| -> Result<(), StoreError> {
                 let segment = std::fs::read(&path)?;
                 d3l.apply_delta(DeltaRecord::from_segment(&segment, d3l.strides())?)
@@ -868,18 +872,23 @@ impl IndexStore {
     /// below the folded watermark are leftovers of an interrupted
     /// compact and do not count — replay skips them).
     pub fn delta_count(&self) -> Result<usize, StoreError> {
-        Ok(Self::pending_deltas(&self.dir, self.applied_through)?.len())
+        Ok(self.disk_usage()?.2)
     }
 
-    /// On-disk footprint in bytes: `(base snapshot, pending delta
-    /// segments)`.
-    pub fn disk_bytes(&self) -> Result<(u64, u64), StoreError> {
-        let base = std::fs::metadata(self.dir.join(BASE_FILE))?.len();
-        let mut deltas = 0;
-        for (_, path) in Self::pending_deltas(&self.dir, self.applied_through)? {
-            deltas += std::fs::metadata(path)?.len();
-        }
-        Ok((base, deltas))
+    /// On-disk footprint: `(base snapshot bytes, pending delta segment
+    /// bytes, pending delta segments)`, from one directory listing
+    /// ([`layout::scan`]), which records every size it lists.
+    pub fn disk_usage(&self) -> Result<(u64, u64, usize), StoreError> {
+        let scan = layout::scan(&self.dir)?;
+        let base = scan
+            .base_bytes
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("no {BASE_FILE}")))?;
+        let pending = scan
+            .deltas
+            .iter()
+            .filter(|(seq, ..)| *seq > self.applied_through);
+        let (deltas, count) = pending.fold((0, 0), |(b, n), (_, _, bytes)| (b + bytes, n + 1));
+        Ok((base, deltas, count))
     }
 
     /// The base snapshot's table of contents — `(tag, payload bytes)`
@@ -957,30 +966,6 @@ impl IndexStore {
         published?;
         std::fs::File::open(&self.dir)?.sync_all()?;
         Ok(())
-    }
-
-    /// All delta segment paths, in replay order (by parsed sequence
-    /// number — a lexicographic path sort would misorder segments
-    /// once sequences outgrow the 6-digit zero padding).
-    fn delta_paths(dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
-        Ok(layout::scan(dir)?
-            .deltas
-            .into_iter()
-            .map(|(_, path, _)| path)
-            .collect())
-    }
-
-    /// Delta segments still awaiting replay/compaction: those above
-    /// the folded watermark, `(seq, path)` in replay order. Only
-    /// well-formed segment names this store's layout wrote get
-    /// replayed.
-    fn pending_deltas(dir: &Path, applied_through: u64) -> Result<Vec<(u64, PathBuf)>, StoreError> {
-        Ok(layout::scan(dir)?
-            .deltas
-            .into_iter()
-            .filter(|(seq, ..)| *seq > applied_through)
-            .map(|(seq, path, _)| (seq, path))
-            .collect())
     }
 
     /// Remove orphaned `*.tmp.<pid>` files left by a writer that
@@ -2082,7 +2067,7 @@ mod tests {
         let rebuilt = D3l::index_lake(&full, D3lConfig::fast());
         assert_engines_identical(&rebuilt, &compacted);
 
-        let (base, deltas) = store.disk_bytes().unwrap();
+        let (base, deltas, _) = store.disk_usage().unwrap();
         assert!(base > 0);
         assert_eq!(deltas, 0);
         std::fs::remove_dir_all(&dir).ok();

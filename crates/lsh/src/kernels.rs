@@ -1,9 +1,9 @@
 //! Exact integer kernels for the evidence hot paths.
 //!
-//! Every per-query cost in the reproduction bottoms out in one of a
-//! handful of inner loops: sorted-set merge-intersections (exact
-//! Jaccard/overlap over [`crate::TokenSet`]s), MinHash
-//! position-agreement scans, and XOR/popcount word scans. This module
+//! The evidence computations bottom out in a handful of inner loops:
+//! MinHash position-agreement scans, XOR/popcount word scans, the
+//! signing loops, and the sorted-set merge-intersection behind exact
+//! Jaccard/overlap over [`crate::TokenSet`]s. This module
 //! holds those loops in one place, in portable Rust only (no
 //! `std::simd`, no external crates, no intrinsics). Two loops — the
 //! across-position MinHash signing loop below and the abreast
@@ -17,101 +17,28 @@
 //! and [`agreement_count`]).
 //!
 //! All kernels in this module are **exact integer computations**:
-//! they are bit-identical to their scalar references on every input,
-//! which the property tests in `tests/properties.rs` (and the unit
-//! proptests below) assert on adversarial shapes — empty, disjoint,
-//! identical, length-1-vs-10k skew, and sizes straddling the chunk
-//! width. Float kernels (dot/norm) live in `d3l-embedding`'s
-//! `vecmath`, where the summation order is part of the contract.
-//!
-//! # Merge vs gallop
-//!
-//! [`intersection_len`] picks between two strategies:
-//!
-//! * the plain branchless two-pointer **merge**
-//!   ([`intersection_len_scalar`]) for similarly sized sets. There
-//!   is no block-skipping variant: timed next to the plain merge in
-//!   the same run on near-balanced sets of 8 / 64 / 1 000 tokens it
-//!   measured 0.7–0.9× / 1.05–1.09× / 0.93–1.06× its speed.
-//! * a **galloping search** when one set is at least
-//!   [`GALLOP_CROSSOVER`]× larger than the other (measured on this
-//!   container: the gallop overtakes the merge between ~8× and ~16×
-//!   skew; 16 is used so the merge keeps the near-balanced cases
-//!   where it wins): each element of the small set is located in the
-//!   large one by exponential probing from the previous match
-//!   position followed by a binary search over the probed range —
-//!   `O(small · log(large/small))` instead of `O(small + large)`.
+//! the property tests in `tests/properties.rs` (and the unit proptests
+//! below) compare each with its definition or the loop it replaced on
+//! adversarial shapes — empty, disjoint, identical, length-1-vs-10k
+//! skew, and sizes straddling the chunk width. Float kernels
+//! (dot/norm) live in `d3l-embedding`'s `vecmath`, where the summation
+//! order is part of the contract.
 
-/// Size ratio past which [`intersection_len`] switches from the merge
-/// to the galloping search.
-pub const GALLOP_CROSSOVER: usize = 16;
-
-/// Size of the intersection of two sorted, deduplicated `u64` slices.
-///
-/// Dispatches on skew: merge for comparable sizes, gallop when one
-/// side is ≥ [`GALLOP_CROSSOVER`]× the other. Exact — bit-identical
-/// to [`intersection_len_scalar`] on every input.
+/// Size of the intersection of two sorted, deduplicated `u64` slices:
+/// one branchless two-pointer merge. Only exact set distances call it
+/// (`TokenSet::jaccard` / `overlap_coefficient`, behind the
+/// granularity ablation); the engine estimates every set distance from
+/// signatures. There is no galloping path: it pays only on sets 16× or
+/// more apart in size, and none of 200 adjacent textual token-set
+/// pairs of the dirty 2 000-table lake is more than 10× apart.
 #[inline]
 pub fn intersection_len(a: &[u64], b: &[u64]) -> usize {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if small.is_empty() {
-        return 0;
-    }
-    if large.len() / small.len() >= GALLOP_CROSSOVER {
-        intersection_len_gallop(small, large)
-    } else {
-        intersection_len_scalar(a, b)
-    }
-}
-
-/// The scalar reference: a plain branchless two-pointer merge — the
-/// merge [`intersection_len`] runs, and the oracle the property suite
-/// compares the dispatch (gallop included) against.
-pub fn intersection_len_scalar(a: &[u64], b: &[u64]) -> usize {
     let (mut i, mut j, mut inter) = (0usize, 0usize, 0usize);
     while i < a.len() && j < b.len() {
         let (x, y) = (a[i], b[j]);
         inter += usize::from(x == y);
         i += usize::from(x <= y);
         j += usize::from(y <= x);
-    }
-    inter
-}
-
-/// Galloping path for skewed sizes: every element of `small` is
-/// located in `large` by exponential probing from the previous match
-/// position, then a binary search over the bracketed range. The search
-/// base only moves forward, so the total work is
-/// `O(|small| · log(|large| / |small|))`.
-fn intersection_len_gallop(small: &[u64], large: &[u64]) -> usize {
-    let mut base = 0usize;
-    let mut inter = 0usize;
-    for &x in small {
-        if base >= large.len() {
-            break;
-        }
-        // Exponential probe: find the first stride where large
-        // overtakes x. After the loop the match (if any) lies in
-        // (previous probe, current probe], both of which the window
-        // below covers.
-        let mut step = 1usize;
-        let mut probe = base;
-        while probe < large.len() && large[probe] < x {
-            probe += step;
-            step <<= 1;
-        }
-        let lo = probe.saturating_sub(step >> 1).max(base).min(large.len());
-        let hi = (probe + 1).min(large.len());
-        // Binary search the bracketed window.
-        match large[lo..hi].binary_search(&x) {
-            Ok(off) => {
-                inter += 1;
-                base = lo + off + 1;
-            }
-            Err(off) => {
-                base = lo + off;
-            }
-        }
     }
     inter
 }
@@ -322,6 +249,12 @@ mod tests {
         v
     }
 
+    /// The definition [`intersection_len`] computes: the elements of
+    /// `a` that `b` holds, counted one at a time.
+    fn shared(a: &[u64], b: &[u64]) -> usize {
+        a.iter().filter(|x| b.contains(x)).count()
+    }
+
     #[test]
     fn intersection_adversarial_shapes() {
         let empty: Vec<u64> = vec![];
@@ -340,7 +273,7 @@ mod tests {
         ] {
             assert_eq!(
                 intersection_len(a, b),
-                intersection_len_scalar(a, b),
+                shared(a, b),
                 "shapes {}x{}",
                 a.len(),
                 b.len()
@@ -352,17 +285,13 @@ mod tests {
     }
 
     #[test]
-    fn intersection_crossover_boundaries() {
-        // Small sizes on both sides of the gallop crossover.
+    fn intersection_skewed_sizes() {
+        // Small sets against ones 1×, 16× and 16× + 3 their size.
         for n in [7usize, 8, 9, 15, 17] {
-            for m in [n, n * GALLOP_CROSSOVER, n * GALLOP_CROSSOVER + 3] {
+            for m in [n, n * 16, n * 16 + 3] {
                 let a: Vec<u64> = (0..n as u64).map(|x| x * 3).collect();
                 let b: Vec<u64> = (0..m as u64).map(|x| x * 2).collect();
-                assert_eq!(
-                    intersection_len(&a, &b),
-                    intersection_len_scalar(&a, &b),
-                    "n={n} m={m}"
-                );
+                assert_eq!(intersection_len(&a, &b), shared(&a, &b), "n={n} m={m}");
             }
         }
     }
@@ -537,17 +466,16 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// kernel equivalence: the merge-or-gallop intersection is
-        /// bit-identical to the scalar merge on random sorted sets,
-        /// including heavily skewed size pairs.
+        /// kernel equivalence: the merge counts the shared elements
+        /// of random sorted sets, including heavily skewed size pairs.
         #[test]
         fn kernel_intersection_matches_scalar(
             a in prop::collection::vec(0u64..512, 0..80),
             b in prop::collection::vec(0u64..512, 0..1200),
         ) {
             let (a, b) = (sorted_set(a), sorted_set(b));
-            prop_assert_eq!(intersection_len(&a, &b), intersection_len_scalar(&a, &b));
-            prop_assert_eq!(intersection_len(&b, &a), intersection_len_scalar(&a, &b));
+            prop_assert_eq!(intersection_len(&a, &b), shared(&a, &b));
+            prop_assert_eq!(intersection_len(&b, &a), shared(&a, &b));
         }
 
         /// kernel equivalence: the agreement count is the number of

@@ -72,9 +72,7 @@ impl TokenSet {
     }
 
     /// Size of the intersection: a linear merge over the two sorted
-    /// vecs, switching to a galloping search when the sizes are skewed
-    /// past [`crate::kernels::GALLOP_CROSSOVER`] (see
-    /// [`crate::kernels`]).
+    /// vecs ([`crate::kernels::intersection_len`]).
     pub fn intersection_len(&self, other: &TokenSet) -> usize {
         crate::kernels::intersection_len(&self.0, &other.0)
     }

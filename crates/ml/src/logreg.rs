@@ -41,7 +41,7 @@ fn sigmoid(z: f64) -> f64 {
 
 impl LogisticRegression {
     /// A model with explicit coefficients (used to seed the
-    /// subject-attribute classifier's default and for tests).
+    /// subject score and for tests).
     pub fn from_coefficients(weights: Vec<f64>, bias: f64) -> Self {
         LogisticRegression { weights, bias }
     }

@@ -8,10 +8,12 @@
 //!
 //! The paper builds a classification model (after Venetis et al.) and
 //! 10-fold cross-validates it on 350 manually labelled tables from
-//! data.gov.uk at ~89% accuracy. Here the same feature set feeds a
-//! [`LogisticRegression`] with fixed default coefficients, and the
-//! experiment harness reports that default model's per-table accuracy
-//! against generated ground truth.
+//! data.gov.uk at ~89% accuracy. Here the same feature set is scored
+//! by one fixed [`LogisticRegression`] whose five coefficients and
+//! intercept encode that intuition, and the experiment harness reports
+//! its per-table accuracy against generated ground truth. Nothing
+//! swaps the model: every stored table carries its subject column, so
+//! the subject attribute is a function of the table.
 
 use d3l_table::{ColumnType, Table};
 
@@ -44,70 +46,40 @@ pub fn subject_features(table: &Table, idx: usize) -> [f64; SUBJECT_FEATURES] {
     [leftness, non_numeric, cells.distinct_ratio(), fill, avg_len]
 }
 
-/// A trained (or default) subject-attribute classifier.
-#[derive(Debug, Clone)]
-pub struct SubjectClassifier {
-    model: LogisticRegression,
+/// Coefficients of the [`subject_features`], in order: leftness,
+/// non-numeric, distinct ratio, fill ratio, length.
+const SUBJECT_WEIGHTS: [f64; SUBJECT_FEATURES] = [2.5, 3.0, 2.0, 1.5, 1.0];
+
+/// Intercept of the subject score.
+const SUBJECT_BIAS: f64 = -5.5;
+
+/// Score of column `idx` being the subject attribute of `table`: the
+/// fixed model's `P(subject | features)`.
+fn subject_score(table: &Table, idx: usize) -> f64 {
+    static MODEL: std::sync::OnceLock<LogisticRegression> = std::sync::OnceLock::new();
+    MODEL
+        .get_or_init(|| {
+            LogisticRegression::from_coefficients(SUBJECT_WEIGHTS.to_vec(), SUBJECT_BIAS)
+        })
+        .predict_proba(&subject_features(table, idx))
 }
 
-impl SubjectClassifier {
-    /// Wrap a trained model (feature dimension must be
-    /// [`SUBJECT_FEATURES`]).
-    pub fn new(model: LogisticRegression) -> Self {
-        assert_eq!(model.weights().len(), SUBJECT_FEATURES);
-        SubjectClassifier { model }
-    }
-
-    /// The built-in default: coefficients encoding the paper's stated
-    /// intuition, usable without a training corpus.
-    pub fn default_model() -> Self {
-        SubjectClassifier {
-            model: LogisticRegression::from_coefficients(vec![2.5, 3.0, 2.0, 1.5, 1.0], -5.5),
-        }
-    }
-
-    /// Access the underlying model.
-    pub fn model(&self) -> &LogisticRegression {
-        &self.model
-    }
-
-    /// Score of one column being the subject attribute.
-    pub fn score(&self, table: &Table, idx: usize) -> f64 {
-        self.model.predict_proba(&subject_features(table, idx))
-    }
-
-    /// The subject attribute of a table: the highest-scoring
-    /// *non-numeric* column (the paper assumes non-numeric subjects).
-    /// `None` for tables with no textual column.
-    pub fn subject_of(&self, table: &Table) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, col) in table.columns().iter().enumerate() {
-            if col.column_type() != ColumnType::Text {
-                continue;
-            }
-            let s = self.score(table, i);
-            if best.is_none_or(|(_, bs)| s > bs) {
-                best = Some((i, s));
-            }
-        }
-        best.map(|(i, _)| i)
-    }
-}
-
-impl Default for SubjectClassifier {
-    fn default() -> Self {
-        SubjectClassifier::default_model()
-    }
-}
-
-/// Convenience: subject attribute with the default classifier —
-/// `get_subject_attribute(T)` in Algorithm 2. The model is built once
-/// per process, not per table.
+/// The subject attribute of a table — `get_subject_attribute(T)` in
+/// Algorithm 2: the highest-scoring *non-numeric* column (the paper
+/// assumes non-numeric subjects), the leftmost on a tie. `None` for
+/// tables with no textual column.
 pub fn subject_attribute(table: &Table) -> Option<usize> {
-    static DEFAULT: std::sync::OnceLock<SubjectClassifier> = std::sync::OnceLock::new();
-    DEFAULT
-        .get_or_init(SubjectClassifier::default_model)
-        .subject_of(table)
+    let mut best: Option<(usize, f64)> = None;
+    for (i, col) in table.columns().iter().enumerate() {
+        if col.column_type() != ColumnType::Text {
+            continue;
+        }
+        let s = subject_score(table, i);
+        if best.is_none_or(|(_, bs)| s > bs) {
+            best = Some((i, s));
+        }
+    }
+    best.map(|(i, _)| i)
 }
 
 #[cfg(test)]
@@ -175,8 +147,7 @@ mod tests {
             .map(|i| vec!["Salford".to_string(), format!("Practice {i} Health Centre")])
             .collect();
         let t = Table::from_rows("t", &["City", "Name"], &rows).unwrap();
-        let c = SubjectClassifier::default_model();
-        assert!(c.score(&t, 1) > c.score(&t, 0));
+        assert!(subject_score(&t, 1) > subject_score(&t, 0));
     }
 
     #[test]
@@ -204,23 +175,7 @@ mod tests {
             })
             .collect();
         let t = Table::from_rows("t", &["sparse", "dense"], &mostly_null).unwrap();
-        let c = SubjectClassifier::default_model();
-        assert!(c.score(&t, 1) > c.score(&t, 0));
-        assert_eq!(c.subject_of(&t), Some(1));
-    }
-
-    #[test]
-    fn trained_classifier_roundtrip() {
-        // Train on simple synthetic features and wrap.
-        let xs = vec![
-            vec![1.0, 1.0, 1.0, 1.0, 0.8],
-            vec![0.2, 0.0, 0.1, 1.0, 0.1],
-            vec![0.9, 1.0, 0.9, 0.9, 0.7],
-            vec![0.4, 0.0, 0.2, 0.8, 0.05],
-        ];
-        let ys = vec![true, false, true, false];
-        let m = LogisticRegression::train(&xs, &ys);
-        let c = SubjectClassifier::new(m);
-        assert!(c.model().weights().len() == SUBJECT_FEATURES);
+        assert!(subject_score(&t, 1) > subject_score(&t, 0));
+        assert_eq!(subject_attribute(&t), Some(1));
     }
 }

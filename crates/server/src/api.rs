@@ -14,6 +14,17 @@ use d3l_table::Table;
 
 use crate::json::Json;
 
+/// Most attributes (columns) the tables of one request may hold in
+/// total: a `/query` target, the `/query_batch` targets together, or a
+/// `POST /tables` table. Preparing an attribute takes about 3.9 KB
+/// whatever its content — a `/query` target of 50 000 empty-named
+/// columns, a 150 KB body, raised a server's peak RSS by 186 MiB — so
+/// a request refused at decode above this bound can make the server
+/// sign no more than about 16 MiB, the default body cap, however few
+/// bytes it spends a column. The benchmark lakes' widest table has 8
+/// columns. A constant, not a setting.
+pub const MAX_REQUEST_ATTRIBUTES: usize = 4096;
+
 /// A request body the API refuses, with the human-readable reason.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ApiError(pub String);

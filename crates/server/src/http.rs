@@ -3,7 +3,11 @@
 //! The parser reads from untrusted sockets, so every dimension of a
 //! request is bounded — request-line length, header count, cumulative
 //! header bytes, body size — and every violation maps to a *typed*
-//! error that renders as a specific 4xx/5xx status. Nothing in this
+//! error that renders as a specific 4xx/5xx status. A body is framed
+//! by `Content-Length` alone: differing repeated values are a 400 and
+//! any `Transfer-Encoding` a 501 (RFC 9112 §6.3, §6.1), both refused
+//! before a body byte is read, so no guess about where a body ends can
+//! make its bytes parse as the next pipelined request. Nothing in this
 //! module panics on wire input, and nothing reads without the
 //! caller-supplied socket timeout, so a stalled or malicious client
 //! can never park a worker thread forever.
@@ -101,6 +105,18 @@ pub enum HttpError {
     HeadersTooLarge,
     /// `Content-Length` is present but not a decimal number (400).
     BadContentLength,
+    /// Two `Content-Length` headers disagree (400, RFC 9112 §6.3):
+    /// which one frames the body is ambiguous, so neither does.
+    ConflictingContentLength {
+        /// The value seen first.
+        first: usize,
+        /// The value that differs from it.
+        then: usize,
+    },
+    /// A `Transfer-Encoding` header (501, RFC 9112 §6.1): this server
+    /// implements no transfer coding, so it cannot find where such a
+    /// body ends.
+    UnsupportedTransferEncoding(String),
     /// A body-carrying method arrived without `Content-Length` (411).
     LengthRequired,
     /// The declared body exceeds the configured cap (413).
@@ -136,6 +152,12 @@ impl std::fmt::Display for HttpError {
                 "headers exceed {MAX_HEADERS} lines or {MAX_HEADER_LINE} bytes per line"
             ),
             HttpError::BadContentLength => write!(f, "Content-Length is not a number"),
+            HttpError::ConflictingContentLength { first, then } => {
+                write!(f, "differing Content-Length values {first} and {then}")
+            }
+            HttpError::UnsupportedTransferEncoding(coding) => {
+                write!(f, "Transfer-Encoding {coding:?} not implemented")
+            }
             HttpError::LengthRequired => write!(f, "Content-Length required"),
             HttpError::BodyTooLarge { declared, limit } => {
                 write!(f, "body of {declared} bytes exceeds the {limit}-byte limit")
@@ -162,7 +184,9 @@ impl HttpError {
             HttpError::BadRequestLine(_)
             | HttpError::BadHeader
             | HttpError::BadContentLength
+            | HttpError::ConflictingContentLength { .. }
             | HttpError::TruncatedBody { .. } => Some(400),
+            HttpError::UnsupportedTransferEncoding(_) => Some(501),
             HttpError::UriTooLong => Some(414),
             HttpError::UnsupportedMethod(_) => Some(405),
             HttpError::UnsupportedVersion(_) => Some(505),
@@ -357,11 +381,15 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> Result<Reque
         }
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = Some(
-                value
-                    .parse::<usize>()
-                    .map_err(|_| HttpError::BadContentLength)?,
-            );
+            let len = value
+                .parse::<usize>()
+                .map_err(|_| HttpError::BadContentLength)?;
+            if let Some(first) = content_length.filter(|&first| first != len) {
+                return Err(HttpError::ConflictingContentLength { first, then: len });
+            }
+            content_length = Some(len);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err(HttpError::UnsupportedTransferEncoding(value.to_string()));
         } else if name.eq_ignore_ascii_case("connection") {
             if value.eq_ignore_ascii_case("close") {
                 keep_alive = false;
@@ -422,6 +450,7 @@ pub fn reason(status: u16) -> &'static str {
         414 => "URI Too Long",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         505 => "HTTP Version Not Supported",
         _ => "Unknown",

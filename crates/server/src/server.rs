@@ -28,7 +28,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use d3l_core::cache::{options_fingerprint, table_fingerprint, CacheKey, DEFAULT_CACHE_BYTES};
-use d3l_core::hotswap::{EngineHandle, EngineSnapshot, MaintenanceError};
+use d3l_core::hotswap::{sum_disk_stats, EngineHandle, EngineSnapshot, MaintenanceError};
 use d3l_core::query::{QueryOptions, TableMatch};
 use d3l_core::trace::QueryTrace;
 use d3l_core::watch::WatchStats;
@@ -915,7 +915,28 @@ impl Server {
     /// table.
     fn body_table(body: &Json) -> Result<Table, Response> {
         let spec = body.get("table").unwrap_or(body);
+        Self::bound_attributes([spec])?;
         api::table_from_json(spec).map_err(|e| Response::error(400, &e.to_string()))
+    }
+
+    /// Refuse with a typed 413, before any table is decoded, tables
+    /// whose `"columns"` hold more than [`api::MAX_REQUEST_ATTRIBUTES`]
+    /// attributes in total.
+    fn bound_attributes<'a>(specs: impl IntoIterator<Item = &'a Json>) -> Result<(), Response> {
+        let columns = |spec: &Json| {
+            spec.get("columns")
+                .and_then(Json::as_arr)
+                .map_or(0, <[Json]>::len)
+        };
+        let total: usize = specs.into_iter().map(columns).sum();
+        if total > api::MAX_REQUEST_ATTRIBUTES {
+            let message = format!(
+                "the request's tables hold {total} attributes; at most {} are accepted",
+                api::MAX_REQUEST_ATTRIBUTES
+            );
+            return Err(Response::error(413, &message));
+        }
+        Ok(())
     }
 
     /// A query body and its `"k"` (10 when absent): what `/query` and
@@ -1006,6 +1027,7 @@ impl Server {
             .get("targets")
             .and_then(Json::as_arr)
             .ok_or_else(|| Response::error(400, "\"targets\" must be an array of tables"))?;
+        Self::bound_attributes(specs)?;
         let targets = specs
             .iter()
             .enumerate()
@@ -1108,9 +1130,7 @@ impl Server {
             )
         });
         let snap = self.engine.snapshot();
-        // Footprints are computed once at swap time and cached on the
-        // snapshot; a stats request does not re-walk the forests.
-        let fp = snap.footprint;
+        let fp = snap.engine.byte_size();
         let index_json = |idx: d3l_core::IndexFootprint| {
             Json::Obj(vec![
                 ("tree_bytes".to_string(), Json::Num(idx.tree_bytes as f64)),
@@ -1137,23 +1157,21 @@ impl Server {
         ] {
             memory.push((key.to_string(), Json::Num(bytes as f64)));
         }
-        let disk = match self.engine.disk_stats() {
-            Ok((base, deltas, segments)) => Json::Obj(vec![
-                ("base_bytes".to_string(), Json::Num(base as f64)),
-                ("delta_bytes".to_string(), Json::Num(deltas as f64)),
-                ("delta_segments".to_string(), Json::Num(segments as f64)),
-            ]),
-            Err(_) => Json::Null,
-        };
+        // Each store lists its directory once; the lake-wide figures
+        // are the per-shard ones summed.
+        let shard_disks = self.engine.shard_disk_stats().ok();
+        let disk = shard_disks
+            .as_deref()
+            .map_or(Json::Null, |d| disk_json(sum_disk_stats(d)));
         // Per-shard breakdown: which partitions hold the bytes, and
         // which version last touched each (a mutation stamps only its
         // owning shard, so these diverge under partitioned load).
-        let shard_disks = self.engine.shard_disk_stats().ok();
         let shards_json: Vec<Json> = snap
-            .shard_footprints
+            .engine
+            .shards()
             .iter()
             .enumerate()
-            .map(|(s, shard_fp)| {
+            .map(|(s, shard)| {
                 let mut obj = vec![
                     ("shard".to_string(), Json::Num(s as f64)),
                     (
@@ -1162,23 +1180,15 @@ impl Server {
                     ),
                     (
                         "live_tables".to_string(),
-                        Json::Num(snap.engine.shards()[s].live_table_count() as f64),
+                        Json::Num(shard.live_table_count() as f64),
                     ),
                     (
                         "memory_bytes".to_string(),
-                        Json::Num(shard_fp.total() as f64),
+                        Json::Num(shard.byte_size().total() as f64),
                     ),
                 ];
                 if let Some(disks) = &shard_disks {
-                    let (base, deltas, segments) = disks[s];
-                    obj.push((
-                        "disk".to_string(),
-                        Json::Obj(vec![
-                            ("base_bytes".to_string(), Json::Num(base as f64)),
-                            ("delta_bytes".to_string(), Json::Num(deltas as f64)),
-                            ("delta_segments".to_string(), Json::Num(segments as f64)),
-                        ]),
-                    ));
+                    obj.push(("disk".to_string(), disk_json(disks[s])));
                 }
                 Json::Obj(obj)
             })
@@ -1345,7 +1355,7 @@ impl Server {
             "d3l_engine_memory_bytes",
             "In-memory index footprint.",
             &[],
-            snap.footprint.total() as u64,
+            snap.engine.byte_size().total() as u64,
         );
         w.gauge_u64(
             "d3l_engine_shards",
@@ -1518,6 +1528,16 @@ impl Client {
             .map(|text| (status, headers, text))
             .map_err(|_| bad("non-UTF-8 body"))
     }
+}
+
+/// A `/stats` `disk` object: `(base bytes, delta bytes, pending
+/// delta segments)`.
+fn disk_json((base, deltas, segments): (u64, u64, usize)) -> Json {
+    Json::Obj(vec![
+        ("base_bytes".to_string(), Json::Num(base as f64)),
+        ("delta_bytes".to_string(), Json::Num(deltas as f64)),
+        ("delta_segments".to_string(), Json::Num(segments as f64)),
+    ])
 }
 
 /// Hardware parallelism, with a floor of one.

@@ -30,6 +30,7 @@ use std::time::{Duration, Instant};
 use d3l::core::hotswap::EngineHandle;
 use d3l::core::IndexStore;
 use d3l::prelude::*;
+use d3l::server::api::MAX_REQUEST_ATTRIBUTES;
 use d3l::server::{
     request_once, table_to_json, Client, Json, Server, ServerConfig, ShutdownHandle,
 };
@@ -344,9 +345,10 @@ fn huge_k_and_width_answer_and_the_server_survives() {
 /// Every numeric request field at 0, 1, the lake size, 2³² and
 /// `u64::MAX` (and `k` also at −1, 1.5 and 1e300): `k` on `/query` and
 /// `/query_batch`, `width` on `/rank_all`, and the number of
-/// `/query_batch` targets. Each request answers 200 with at most the
-/// lake's tables per ranking, or a typed 4xx; the server answers
-/// afterwards.
+/// `/query_batch` targets; and a table's column and row counts on
+/// `/query`, `/query_batch` and `POST /tables`. Each request answers
+/// 2xx with at most the lake's tables per ranking, or a typed 4xx; the
+/// server answers afterwards.
 #[test]
 fn every_numeric_request_field_at_its_extremes_answers_or_is_refused() {
     const TABLES: usize = 12;
@@ -417,6 +419,122 @@ fn every_numeric_request_field_at_its_extremes_answers_or_is_refused() {
             );
         }
     }
+
+    // Table sizes on the wire: a table's column count at 0, 1, the
+    // attribute bound and one past it (one row each), and the
+    // 2-column target's row count at 0, 1 and the most rows the
+    // 256 KiB body cap holds, on `/query`, `/query_batch` and
+    // `POST /tables` (last: it grows the lake). One past the bound is
+    // a 413.
+    let bound = MAX_REQUEST_ATTRIBUTES;
+    // `(n, "columns")`: `c0`, `c1`, ... over one row of "v"s (none
+    // without columns); `(n, "rows")`: the target's two columns, n
+    // rows of its first row.
+    let sized = |name: &str, (n, unit): (usize, &str)| {
+        let table = if unit == "columns" {
+            let names: Vec<String> = (0..n).map(|c| format!("c{c}")).collect();
+            let names: Vec<&str> = names.iter().map(String::as_str).collect();
+            let rows = vec![vec!["v".to_string(); n]; usize::from(n > 0)];
+            Table::from_rows(name, &names, &rows)
+        } else {
+            let rows = vec![vec!["Practice 3-1".to_string(), "Salford".to_string()]; n];
+            Table::from_rows(name, &["Practice", "City"], &rows)
+        };
+        table_to_json(&table.unwrap()).to_string()
+    };
+    let body_of = |path: &str, table: &str| match path {
+        "/query" => format!("{{\"table\":{table},\"k\":5}}"),
+        "/query_batch" => format!("{{\"targets\":[{table}],\"k\":5}}"),
+        _ => format!("{{\"table\":{table}}}"),
+    };
+    let cap = 256 * 1024;
+    let mut slowest = (Duration::ZERO, String::new());
+    for path in ["/query", "/query_batch", "/tables"] {
+        // Rows after the first cost their bytes plus a comma.
+        let rows = |n| body_of(path, &sized("sized_0", (n, "rows"))).len();
+        let most_rows = 1 + (cap - rows(1)) / (rows(2) - rows(1));
+        assert!(rows(most_rows) <= cap && rows(most_rows + 1) > cap);
+        let columns = [0, 1, bound, bound + 1].map(|n| (n, "columns"));
+        let sizes = columns
+            .into_iter()
+            .chain([0, 1, most_rows].map(|n| (n, "rows")));
+        // Each added table needs a name of its own.
+        for (i, size) in sizes.enumerate() {
+            let body = body_of(path, &sized(&format!("sized_{i}"), size));
+            let what = format!("POST {path} with {} {}", size.0, size.1);
+            let start = Instant::now();
+            let (status, text) = request_once(srv.addr, "POST", path, Some(&body)).unwrap();
+            if start.elapsed() > slowest.0 {
+                slowest = (start.elapsed(), what.clone());
+            }
+            if path == "/tables" {
+                assert!(
+                    status == 201 || (400..500).contains(&status),
+                    "{what}: {status} {text}"
+                );
+            } else {
+                rankings(status, &text, &what);
+            }
+            if size == (bound + 1, "columns") {
+                assert_eq!(status, 413, "{what}: {text}");
+            }
+        }
+    }
+    println!(
+        "slowest table-size request: {} ms ({})",
+        slowest.0.as_millis(),
+        slowest.1
+    );
+    assert_alive(srv.addr);
+}
+
+/// A request whose tables hold more than [`MAX_REQUEST_ATTRIBUTES`]
+/// attributes in total is refused with a typed 413 before anything is
+/// signed: a `/query` target one past the bound, two `/query_batch`
+/// targets that pass it together, and a `POST /tables` table one past
+/// it. A target at the bound answers 200.
+#[test]
+fn a_request_past_the_attribute_bound_is_refused_at_decode() {
+    let lake = lake(3);
+    let srv = boot("attribute_bound", &lake, 2, Duration::from_secs(10));
+    let table = |name: &str, columns: usize| {
+        let names = vec![""; columns];
+        table_to_json(&Table::from_rows(name, &names, &[]).unwrap()).to_string()
+    };
+    let bound = MAX_REQUEST_ATTRIBUTES;
+    for (path, body, want) in [
+        (
+            "/query",
+            format!("{{\"table\":{}}}", table("t", bound)),
+            200,
+        ),
+        (
+            "/query",
+            format!("{{\"table\":{}}}", table("t", bound + 1)),
+            413,
+        ),
+        (
+            "/query_batch",
+            format!(
+                "{{\"targets\":[{},{}]}}",
+                table("a", bound / 2),
+                table("b", bound / 2 + 1)
+            ),
+            413,
+        ),
+        (
+            "/tables",
+            format!("{{\"table\":{}}}", table("t", bound + 1)),
+            413,
+        ),
+    ] {
+        let (status, text) = request_once(srv.addr, "POST", path, Some(&body)).unwrap();
+        assert_eq!(status, want, "{path}: {text}");
+        if want == 413 {
+            assert!(text.contains(&format!("at most {bound}")), "{text}");
+        }
+    }
+    assert_eq!(srv.engine.snapshot().engine.live_table_count(), 3);
     assert_alive(srv.addr);
 }
 
@@ -514,6 +632,63 @@ fn pipelined_requests_and_pipelined_garbage() {
     // First answer: the 7-byte body is valid JSON but not a table;
     // second: the overflow bytes are not a request.
     assert_eq!(response.matches("HTTP/1.1 400").count(), 2, "{response}");
+    assert_alive(srv.addr);
+}
+
+/// A body is framed by one `Content-Length` or not at all (RFC 9112
+/// §6.1, §6.3): differing lengths answer 400 and any
+/// `Transfer-Encoding` 501, each before a body byte is read and as the
+/// connection's only answer, so no byte of the body is parsed as a
+/// request. Equal repeated lengths frame the body as usual.
+#[test]
+fn ambiguous_body_framing_is_refused_and_closes() {
+    let lake = lake(3);
+    let srv = boot("framing", &lake, 2, Duration::from_secs(5));
+    let query = query_body(&target(), 3);
+    let cases: Vec<(Vec<u8>, u16, &str)> = vec![
+        // The longer length would swallow the start of the pipelined
+        // request.
+        (
+            b"POST /query HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\n{}GET /stats HTTP/1.1\r\n\r\n"
+                .to_vec(),
+            400,
+            "differing Content-Length values 2 and 5",
+        ),
+        // Chunk bytes that must not be parsed as a request.
+        (
+            b"GET /stats HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n".to_vec(),
+            501,
+            r#"chunked\" not implemented"#,
+        ),
+        // A coding and a length: neither frames the body.
+        (
+            format!(
+                "POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Length: {}\r\n\r\n{query}",
+                query.len()
+            )
+            .into_bytes(),
+            501,
+            "not implemented",
+        ),
+    ];
+    for (input, status, needle) in cases {
+        let response = raw_exchange(srv.addr, &input, false);
+        let what = String::from_utf8_lossy(&input).into_owned();
+        assert_eq!(status_of(&response), Some(status), "{what:?}: {response}");
+        assert_eq!(
+            response.matches("HTTP/1.1 ").count(),
+            1,
+            "{what:?}: {response}"
+        );
+        assert!(response.contains(needle), "{what:?}: {response}");
+        assert!(response.contains("Connection: close"), "{response}");
+    }
+    let repeated = format!(
+        "POST /query HTTP/1.1\r\nContent-Length: {n}\r\ncontent-length: {n}\r\nConnection: close\r\n\r\n{query}",
+        n = query.len()
+    );
+    let response = raw_exchange(srv.addr, repeated.as_bytes(), false);
+    assert_eq!(status_of(&response), Some(200), "{response}");
     assert_alive(srv.addr);
 }
 

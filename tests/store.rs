@@ -66,7 +66,7 @@ fn snapshot_cold_start_serves_identically_at_benchmark_scale() {
     let d3l = build(&bench.lake);
     let dir = temp_dir("cold");
     let store = IndexStore::create(&dir, &d3l).unwrap();
-    let (base_bytes, delta_bytes) = store.disk_bytes().unwrap();
+    let (base_bytes, delta_bytes, _) = store.disk_usage().unwrap();
     assert!(base_bytes > 0);
     assert_eq!(delta_bytes, 0);
 
