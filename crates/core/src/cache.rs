@@ -16,7 +16,7 @@
 //!   answer.
 //!
 //! The version stamp makes invalidation *exact and free*: every
-//! accepted mutation (add, remove, reload) bumps the version, so a
+//! accepted mutation (add, remove) bumps the version, so a
 //! stale entry simply can never be keyed again — there is no TTL, no
 //! heuristic invalidation, and a hit is byte-identical to what the
 //! engine would render, by construction. Compaction reorganizes disk

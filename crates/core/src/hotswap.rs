@@ -58,7 +58,7 @@ use crate::snapshot::IndexStore;
 #[derive(Debug)]
 pub struct EngineSnapshot {
     /// Monotonic swap counter: the base load is version 0 and every
-    /// accepted mutation (add, remove, reload) increments it.
+    /// accepted mutation (add, remove) increments it.
     pub version: u64,
     /// Per-shard version stamps: entry `s` is the global version of
     /// the last swap that rewrote shard `s`. A mutation bumps exactly
@@ -352,12 +352,12 @@ impl EngineHandle {
         Ok((id, self.swap(&cur, next, &[s])))
     }
 
-    /// Fold every shard's observed delta segments into fresh base
-    /// snapshots. The engine state is unchanged (compaction
-    /// reorganizes disk, not the index), so no version moves;
-    /// segments appended by an external writer and not yet reloaded
-    /// survive untouched (see [`IndexStore::compact`]). Returns the
-    /// total number of folded segments.
+    /// Fold every shard's delta segments into fresh base snapshots.
+    /// The engine state is unchanged (compaction reorganizes disk, not
+    /// the index), so no version moves; a segment this handle did not
+    /// write or replay survives untouched (see
+    /// [`IndexStore::compact`]). Returns the total number of folded
+    /// segments.
     pub fn compact(&self) -> Result<usize, MaintenanceError> {
         let mut stores = self.lock_stores();
         let cur = self.snapshot();
@@ -368,80 +368,6 @@ impl EngineHandle {
             self.telemetry.compact.record(t0.elapsed());
         }
         Ok(folded)
-    }
-
-    /// Pick up delta segments appended by another writer (a CLI
-    /// `d3l add` or a `d3l watch` process next to a serving replica):
-    /// every shard directory holding segments this handle has not
-    /// replayed gets them applied incrementally onto a clone of the
-    /// live shard, and only those shards are swapped. `None` when the
-    /// handle is already at the latest state everywhere.
-    ///
-    /// Staleness is decided and replayed **under one store lock**,
-    /// and the replay re-scans the directory rather than trusting an
-    /// earlier inventory: [`IndexStore::replay_newer`] applies
-    /// everything above the shard's replayed-through watermark at the
-    /// moment it runs. An earlier version scanned first and then
-    /// replayed the scanned set, so a writer appending between scan
-    /// and replay (or to a shard the scan judged current) was
-    /// silently deferred to a later poll — the regression tests
-    /// inject exactly that interleaving via
-    /// `reload_latest_paced`.
-    pub fn reload_latest(&self) -> Result<Option<Arc<EngineSnapshot>>, MaintenanceError> {
-        self.reload_latest_paced(|| {})
-    }
-
-    /// [`EngineHandle::reload_latest`] with a hook that runs after the
-    /// reload has begun (store lock held) and before the authoritative
-    /// scan-and-replay. The hook is the TOCTOU window of the pre-fix
-    /// implementation: segments an external writer appends inside it
-    /// must still be observed by this very reload. Exposed for the
-    /// mid-reload-append regression tests.
-    fn reload_latest_paced(
-        &self,
-        before_replay: impl FnOnce(),
-    ) -> Result<Option<Arc<EngineSnapshot>>, MaintenanceError> {
-        let mut stores = self.lock_stores();
-        before_replay();
-        let cur = self.snapshot();
-        let mut next = cur.engine.clone();
-        // (shard, watermark before replay) — the rollback set: if a
-        // later shard's replay fails, no swap happens, so the shards
-        // already replayed must rewind their store watermarks or
-        // their segments would count as replayed without ever
-        // reaching the served engine.
-        let mut touched: Vec<(usize, u64)> = Vec::new();
-        let mut replay_all = || -> Result<(), MaintenanceError> {
-            for (s, store) in stores.iter_mut().enumerate() {
-                if !store.has_newer_segments()? {
-                    continue;
-                }
-                // Incremental replay: clone the live shard and apply
-                // only the segments above its watermark — no base
-                // re-read, and `replay_newer`'s own directory scan
-                // (not the staleness check above) decides what gets
-                // applied.
-                let mut shard = (*cur.engine.shards()[s]).clone();
-                let prev = store.replayed_through();
-                let t0 = Instant::now();
-                store.replay_newer(&mut shard)?;
-                self.telemetry.load.record(t0.elapsed());
-                next = next.with_shard(s, shard);
-                touched.push((s, prev));
-            }
-            Ok(())
-        };
-        if let Err(e) = replay_all() {
-            for &(s, prev) in &touched {
-                stores[s].rewind_replayed_through(prev);
-            }
-            return Err(e);
-        }
-        if touched.is_empty() {
-            return Ok(None);
-        }
-        let shards: Vec<usize> = touched.iter().map(|&(s, _)| s).collect();
-        Ok(Some(self.swap(&cur, next, &shards)))
     }
 
     /// On-disk footprint: `(base bytes, delta bytes, pending delta
@@ -636,146 +562,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[test]
-    fn reload_observes_appends_that_race_the_scan() {
-        // Regression for the scan-then-replay TOCTOU: a writer
-        // appending after the reload began (the pre-fix code had
-        // already decided "nothing is stale" by then) must still be
-        // observed by this very reload, not deferred to a later poll.
-        let (handle, dir) = handle("toctou");
-        let snap = handle
-            .reload_latest_paced(|| {
-                let (mut store, mut engine) = IndexStore::open(&dir).unwrap();
-                store
-                    .append_add(&mut engine, &extra_table("mid_reload"))
-                    .unwrap();
-            })
-            .unwrap()
-            .expect("the mid-reload append must be observed, not deferred");
-        assert_eq!(snap.version, 1);
-        assert!(snap.engine.name_to_id().contains_key("mid_reload"));
-        assert!(handle.reload_latest().unwrap().is_none(), "caught up");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sharded_reload_observes_appends_to_shards_the_scan_judged_current() {
-        // The sharded flavor of the TOCTOU: shard A already has an
-        // external segment when the reload begins; mid-reload a
-        // writer appends to shard B. The pre-fix code replayed only
-        // the scanned-stale set {A}, silently deferring B's
-        // acknowledged segment. One reload must pick up both.
-        let (handle, dir) = sharded_handle("toctou", 2);
-        let cur = handle.snapshot();
-        // Two names owned by different shards.
-        let mut names = Vec::new();
-        for i in 0..64 {
-            let name = format!("race_{i}");
-            if names.is_empty() || cur.engine.shard_of(&name) != cur.engine.shard_of(names[0]) {
-                names.push(Box::leak(name.into_boxed_str()) as &str);
-            }
-            if names.len() == 2 {
-                break;
-            }
-        }
-        let [first, second] = names[..] else {
-            panic!("no shard split found")
-        };
-        let append = |name: &str, id| {
-            let owner = cur.engine.shard_of(name);
-            let (mut store, mut engine) =
-                IndexStore::open(dir.join(shard_dir_name(owner))).unwrap();
-            store
-                .append_add_at(&mut engine, &extra_table(name), id)
-                .unwrap();
-        };
-        append(first, cur.engine.next_table_id());
-        let second_id = TableId(cur.engine.next_table_id().0 + 1);
-        let snap = handle
-            .reload_latest_paced(|| append(second, second_id))
-            .unwrap()
-            .expect("must observe");
-        assert!(
-            snap.engine.name_to_id().contains_key(first),
-            "pre-scan append applied"
-        );
-        assert!(
-            snap.engine.name_to_id().contains_key(second),
-            "mid-reload append to the other shard applied in the same reload"
-        );
-        assert_eq!(snap.version, 1, "one reload, one swap");
-        assert!(handle.reload_latest().unwrap().is_none(), "caught up");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn failed_reload_rewinds_watermarks_so_nothing_is_lost() {
-        // Shard replay order is shard 0 first; make shard 0's segment
-        // valid and shard 1's corrupt, confirm the error, repair, and
-        // assert a retry still applies shard 0's segment.
-        let (handle, dir) = sharded_handle("rewind", 2);
-        let cur = handle.snapshot();
-        let mut by_shard: [Option<&str>; 2] = [None, None];
-        for i in 0..64 {
-            let name = format!("rewind_{i}");
-            let owner = cur.engine.shard_of(&name);
-            if by_shard[owner].is_none() {
-                by_shard[owner] = Some(Box::leak(name.into_boxed_str()));
-            }
-            if by_shard.iter().all(|n| n.is_some()) {
-                break;
-            }
-        }
-        let (zero, one) = (by_shard[0].unwrap(), by_shard[1].unwrap());
-        let id0 = cur.engine.next_table_id();
-        let id1 = TableId(id0.0 + 1);
-        let append = |name: &str, id| {
-            let owner = cur.engine.shard_of(name);
-            let (mut store, mut engine) =
-                IndexStore::open(dir.join(shard_dir_name(owner))).unwrap();
-            store
-                .append_add_at(&mut engine, &extra_table(name), id)
-                .unwrap();
-        };
-        append(zero, id0);
-        append(one, id1);
-        // Corrupt shard 1's new segment.
-        let seg1 = dir
-            .join(shard_dir_name(1))
-            .join(d3l_store::layout::delta_file_name(1));
-        let good = std::fs::read(&seg1).unwrap();
-        std::fs::write(&seg1, b"garbage").unwrap();
-        assert!(handle.reload_latest().is_err(), "corrupt segment surfaces");
-        // Repair and retry: shard 0's segment must not have been
-        // swallowed by the failed attempt.
-        std::fs::write(&seg1, good).unwrap();
-        let snap = handle.reload_latest().unwrap().expect("retry succeeds");
-        assert!(snap.engine.name_to_id().contains_key(zero));
-        assert!(snap.engine.name_to_id().contains_key(one));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn reload_latest_picks_up_external_segments() {
-        let (handle, dir) = handle("reload");
-        assert!(handle.reload_latest().unwrap().is_none(), "nothing new");
-
-        // A second writer (the CLI next to a server) appends a delta.
-        let (mut other_store, mut other_engine) = IndexStore::open(&dir).unwrap();
-        other_store
-            .append_add(&mut other_engine, &extra_table("late"))
-            .unwrap();
-
-        let snap = handle
-            .reload_latest()
-            .unwrap()
-            .expect("new segment must be observed");
-        assert_eq!(snap.version, 1);
-        assert!(snap.engine.name_to_id().contains_key("late"));
-        assert!(handle.reload_latest().unwrap().is_none(), "caught up");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     // ------------------------------------------------ sharded layout
 
     fn sharded_lake(tables: usize) -> DataLake {
@@ -922,37 +708,6 @@ mod tests {
                 "shard {s} compacted base must reproduce the live engine"
             );
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sharded_reload_picks_up_external_shard_segments() {
-        let (handle, dir) = sharded_handle("ext", 2);
-        assert!(handle.reload_latest().unwrap().is_none());
-
-        // A second writer appends straight into one shard's store.
-        let cur = handle.snapshot();
-        let name = "externally_added";
-        let owner = cur.engine.shard_of(name);
-        let id = cur.engine.next_table_id();
-        let (mut store, mut engine) = IndexStore::open(dir.join(shard_dir_name(owner))).unwrap();
-        store
-            .append_add_at(&mut engine, &extra_table(name), id)
-            .unwrap();
-
-        let snap = handle.reload_latest().unwrap().expect("must observe");
-        assert!(snap.engine.name_to_id().contains_key(name));
-        assert_eq!(snap.engine.owner_of(id), Some(owner));
-        for s in 0..2 {
-            if s != owner {
-                assert!(Arc::ptr_eq(
-                    &cur.engine.shards()[s],
-                    &snap.engine.shards()[s]
-                ));
-                assert_eq!(snap.shard_versions[s], 0);
-            }
-        }
-        assert!(handle.reload_latest().unwrap().is_none(), "caught up");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -633,13 +633,14 @@ impl D3l {
 /// A directory-backed persistent index: one base snapshot plus
 /// append-only delta segments, with explicit compaction.
 ///
-/// The store assumes a **single writer** per directory (the usual
+/// One process at a time writes a store directory (the usual
 /// embedded-store contract): `append_add`/`append_remove`/`compact`
-/// from two handles at once are not coordinated. Publishing a delta
-/// segment never replaces an existing one — the name is claimed
-/// atomically — so a seq collision with a second writer surfaces as
-/// an error for exactly one of them rather than silently dropping the
-/// other's acknowledged operation.
+/// from two handles at once are not coordinated, and a handle never
+/// learns of segments another one writes after its open. Publishing a
+/// delta segment never replaces an existing one — the name is claimed
+/// atomically — so a second writer's collision surfaces as
+/// [`StoreError::AnotherWriter`] for exactly one of them rather than
+/// silently dropping the other's acknowledged operation.
 #[derive(Debug)]
 pub struct IndexStore {
     dir: PathBuf,
@@ -694,46 +695,26 @@ impl IndexStore {
         let applied_through = Self::applied_through(&mut reader)?;
         let mut d3l = D3l::read_snapshot(&mut reader)?;
         drop(reader);
-        let mut store = IndexStore {
-            dir,
-            next_delta_seq: applied_through + 1,
-            applied_through,
-        };
-        store.replay_newer(&mut d3l)?;
-        Ok((store, d3l))
-    }
-
-    /// Re-scan the directory and apply every delta segment above this
-    /// handle's replayed-through watermark to `d3l`, in sequence
-    /// order, advancing the watermark only when the whole pass
-    /// succeeds. Idempotent over repeated calls: segments at or below
-    /// the watermark are never re-read, so calling this on a live
-    /// engine applies exactly the operations another writer appended
-    /// since the last call. This is the replay half of reload-latest;
-    /// callers decide staleness *and* replay under one store lock so a
-    /// writer appending between the two is picked up here rather than
-    /// silently deferred. Returns the number of segments applied; on
-    /// error `d3l` may hold a partial replay and must be discarded.
-    pub fn replay_newer(&mut self, d3l: &mut D3l) -> Result<usize, StoreError> {
-        let from = self.replayed_through();
-        let mut applied = 0usize;
-        let mut through = from;
+        let mut through = applied_through;
         // `scan` lists segments by parsed sequence number: replay order.
-        for (seq, path, _) in layout::scan(&self.dir)?.deltas {
-            if seq <= from {
+        for (seq, path, _) in layout::scan(&dir)?.deltas {
+            if seq <= applied_through {
                 continue;
             }
             let replay = |d3l: &mut D3l| -> Result<(), StoreError> {
                 let segment = std::fs::read(&path)?;
                 d3l.apply_delta(DeltaRecord::from_segment(&segment, d3l.strides())?)
             };
-            replay(d3l).map_err(|e| StoreError::bad_segment(seq, e))?;
+            replay(&mut d3l).map_err(|e| StoreError::bad_segment(seq, e))?;
             through = seq;
-            applied += 1;
         }
-        self.next_delta_seq = through + 1;
         debug_assert_eq!(d3l.check_class_column(), Ok(()));
-        Ok(applied)
+        let store = IndexStore {
+            dir,
+            next_delta_seq: through + 1,
+            applied_through,
+        };
+        Ok((store, d3l))
     }
 
     /// The applied-through watermark of a base snapshot (0 when the
@@ -797,22 +778,21 @@ impl IndexStore {
         d3l.apply_delta(record)
     }
 
-    /// Fold the delta segments *this handle has observed* into a
-    /// fresh base snapshot of the current engine state, then delete
-    /// them. Cold starts after a compact load one file and replay
-    /// nothing (of the folded range). The new base records the folded
-    /// watermark *before* the segments are deleted, so a crash (or a
-    /// failed delete) between the two steps leaves stale segments
-    /// that the next open skips rather than re-applies; sequence
-    /// numbers are never reused.
+    /// Fold the delta segments *this handle has observed* (replayed on
+    /// open or appended since) into a fresh base snapshot of the
+    /// current engine state, then delete them. Cold starts after a
+    /// compact load one file and replay nothing (of the folded range).
+    /// The new base records the folded watermark *before* the segments
+    /// are deleted, so a crash (or a failed delete) between the two
+    /// steps leaves stale segments that the next open skips rather
+    /// than re-applies; sequence numbers are never reused.
     ///
-    /// Segments **above** the watermark — appended by another writer
-    /// (a CLI `d3l add` beside a serving process) and not yet
-    /// replayed into this engine — are *not* part of this engine's
-    /// state, so they are left on disk for a later replay or
-    /// reload-latest rather than deleted: compacting must never
-    /// discard an acknowledged write this handle has not folded in.
-    /// Returns the number of segments actually folded.
+    /// Segments **above** the watermark — written by another process
+    /// against the one-writer rule — are *not* part of this engine's
+    /// state, so they are left on disk for the next open rather than
+    /// deleted: compacting must never discard an acknowledged write
+    /// this handle has not folded in. Returns the number of segments
+    /// actually folded.
     pub fn compact(&mut self, d3l: &D3l) -> Result<usize, StoreError> {
         let through = self.next_delta_seq - 1;
         let mut folded = 0usize;
@@ -837,35 +817,6 @@ impl IndexStore {
     /// The store directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Highest delta sequence this handle has observed: segments it
-    /// replayed on open plus segments it appended since.
-    pub fn replayed_through(&self) -> u64 {
-        self.next_delta_seq - 1
-    }
-
-    /// Roll the replayed-through watermark back to `through` — the
-    /// reload path's recovery when a *later* shard's replay fails and
-    /// the already-replayed shards never get swapped in: their
-    /// segments must count as unreplayed again or they would be
-    /// invisible to every future reload.
-    pub(crate) fn rewind_replayed_through(&mut self, through: u64) {
-        debug_assert!(
-            through <= self.replayed_through(),
-            "rewind must not advance the watermark"
-        );
-        self.next_delta_seq = through + 1;
-    }
-
-    /// Whether the directory holds delta segments this handle has not
-    /// replayed — i.e. another writer (a CLI `d3l add` next to a
-    /// serving process) appended to the store since it was opened. A
-    /// cheap directory scan; no file is opened. The serving layer
-    /// polls this to decide whether a reload-latest would observe
-    /// anything new.
-    pub fn has_newer_segments(&self) -> Result<bool, StoreError> {
-        Ok(layout::scan(&self.dir)?.latest_seq() > self.replayed_through())
     }
 
     /// Number of delta segments awaiting compaction (stale segments
@@ -909,8 +860,17 @@ impl IndexStore {
         let mut w = ContainerWriter::new(Vec::new(), KIND_DELTA)?;
         w.add_section(SEC_DELTA_RECORD, &record.to_bytes())?;
         let bytes = w.finish()?;
-        let name = layout::delta_file_name(self.next_delta_seq);
-        self.persist(&name, false, |file| file.write_all(&bytes))?;
+        let seq = self.next_delta_seq;
+        let name = layout::delta_file_name(seq);
+        // No-clobber publication fails only on a name another process
+        // took.
+        self.persist(&name, false, |file| file.write_all(&bytes))
+            .map_err(|e| match e {
+                StoreError::Io(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+                    StoreError::AnotherWriter { seq }
+                }
+                e => e,
+            })?;
         self.next_delta_seq += 1;
         Ok(())
     }
@@ -922,11 +882,11 @@ impl IndexStore {
     /// With `overwrite` (the base snapshot) publishing is a rename
     /// over the old file. Without it (delta segments, append-only)
     /// publishing is `hard_link` + unlink of the tmp name: linking
-    /// fails atomically when the target exists, so of two writers
-    /// racing for one sequence number exactly one publishes and the
-    /// other gets an error — a check-then-rename would let both pass
-    /// the check and the second silently replace the first's
-    /// acknowledged segment.
+    /// fails atomically (`AlreadyExists`) when the target exists, so
+    /// of two writers racing for one sequence number exactly one
+    /// publishes and the other gets an error — a check-then-rename
+    /// would let both pass the check and the second silently replace
+    /// the first's acknowledged segment.
     fn persist(
         &self,
         name: &str,
@@ -950,12 +910,7 @@ impl IndexStore {
             if overwrite {
                 return Ok(std::fs::rename(&tmp, &target)?);
             }
-            match std::fs::hard_link(&tmp, &target) {
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Err(StoreError::corrupt(
-                    format!("{name} already exists — another writer is using this store"),
-                )),
-                linked => Ok(linked?),
-            }
+            Ok(std::fs::hard_link(&tmp, &target)?)
         };
         let published = publish();
         // A rename consumed the tmp name; in every other case it is
@@ -2011,7 +1966,7 @@ mod tests {
                 (Err(a), Err(b)) => panic!("round {round}: no append won: {a}; {b}"),
             };
             assert!(
-                matches!(&loser, StoreError::Corrupt(m) if m.contains("another writer")),
+                matches!(&loser, StoreError::AnotherWriter { seq: 1 }),
                 "round {round}: {loser}"
             );
             let scan = layout::scan(&dir).unwrap();
@@ -2168,11 +2123,11 @@ mod tests {
 
     #[test]
     fn compact_preserves_segments_from_an_external_writer() {
-        // A serving handle compacts while a second writer (CLI `d3l
-        // add` beside the server) has appended a segment the handle
-        // never replayed. Compaction must fold only its own range —
-        // deleting the external segment would silently destroy an
-        // acknowledged durable write.
+        // A handle compacts while a second process, against the
+        // one-writer rule, has appended a segment the handle never
+        // replayed. Compaction must fold only its own range — deleting
+        // the external segment would silently destroy an acknowledged
+        // durable write.
         let dir = std::env::temp_dir().join(format!("d3l_store_ext_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut d3l = engine();
@@ -2186,10 +2141,13 @@ mod tests {
         other_store
             .append_add(&mut other_engine, &external)
             .unwrap();
-        assert!(store.has_newer_segments().unwrap());
+        assert_eq!(store.delta_count().unwrap(), 2, "own and external");
 
         // Compact folds only the handle's own segment (seq 1).
         assert_eq!(store.compact(&d3l).unwrap(), 1);
+        assert_eq!(store.delta_count().unwrap(), 1, "the external one");
+        let (_, external_bytes, _) = store.disk_usage().unwrap();
+        assert!(external_bytes > 0);
         assert!(
             dir.join(d3l_store::layout::delta_file_name(2)).exists(),
             "the external segment must survive compaction"

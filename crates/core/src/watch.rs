@@ -24,12 +24,14 @@
 //! * After each poll the same thread folds the accumulated delta
 //!   segments into a fresh base snapshot once their count or byte
 //!   total crosses a threshold ([`compact_if_due`]) — queries keep
-//!   running on immutable snapshots throughout, and serving replicas
-//!   follow with [`EngineHandle::reload_latest`].
+//!   running on immutable snapshots throughout.
 //!
-//! The watcher is the store's **single writer**: exactly one watcher
-//! (or CLI mutator) per index directory. Replicas open the same
-//! directory read-only and poll `reload_latest`.
+//! The watcher writes through the [`EngineHandle`] of the process that
+//! serves the index (`d3l serve --watch`): one process writes and
+//! serves an index directory, and its HTTP writes and the watcher's
+//! share the handle's store lock. A file skipped because it failed to
+//! read or parse is logged to stderr once, with the reason, and
+//! counted in [`WatchStats::skipped`].
 //!
 //! [`Ingestor`] is the synchronous core (one `poll()` = one scan +
 //! every settled change applied) so tests can drive every
@@ -58,10 +60,6 @@ pub struct WatchConfig {
     pub compact_segments: usize,
     /// Auto-compact once the delta segments total this many bytes.
     pub compact_bytes: u64,
-    /// Log each applying poll, skip and compaction to stderr (the CLI
-    /// foreground mode; servers keep it off and expose stats
-    /// instead).
-    pub verbose: bool,
 }
 
 impl Default for WatchConfig {
@@ -70,7 +68,6 @@ impl Default for WatchConfig {
             poll_interval: Duration::from_millis(200),
             compact_segments: 64,
             compact_bytes: 64 << 20,
-            verbose: false,
         }
     }
 }
@@ -314,7 +311,6 @@ struct QueuedChange {
 pub struct Ingestor {
     engine: Arc<EngineHandle>,
     dir: PathBuf,
-    cfg: WatchConfig,
     stats: Arc<WatchStats>,
     files: BTreeMap<String, TrackedFile>,
     /// The changes this poll found settled, by name; empty between
@@ -337,7 +333,6 @@ impl Ingestor {
     pub fn new(
         engine: Arc<EngineHandle>,
         dir: impl AsRef<Path>,
-        cfg: WatchConfig,
         stats: Arc<WatchStats>,
     ) -> std::io::Result<Ingestor> {
         let dir = dir.as_ref().to_path_buf();
@@ -369,7 +364,6 @@ impl Ingestor {
         let ingestor = Ingestor {
             engine,
             dir,
-            cfg,
             stats,
             files,
             queue: BTreeMap::new(),
@@ -445,12 +439,6 @@ impl Ingestor {
         }
         if applied > 0 {
             self.stats.batches.inc();
-            if self.cfg.verbose {
-                eprintln!(
-                    "[watch] applied {applied} change{}",
-                    if applied == 1 { "" } else { "s" }
-                );
-            }
         }
         self.stats.queued.set(self.queue.len() as u64);
         failed.map_or(Ok(applied), Err)
@@ -562,28 +550,19 @@ impl Ingestor {
                     // withdrew or replaced the entry.
                     return Ok(false);
                 };
-                let text = match std::fs::read_to_string(&tracked.path) {
-                    Ok(text) => text,
+                let parsed = match std::fs::read_to_string(&tracked.path) {
                     Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-                    Err(e) => {
-                        // Unreadable (permissions, I/O): skip until
-                        // the file changes again.
-                        tracked.state = FileState::Ingested;
-                        self.stats.skipped.inc();
-                        if self.cfg.verbose {
-                            eprintln!("[watch] skipping {name}: {e}");
-                        }
-                        return Ok(false);
-                    }
+                    Err(e) => Err(e.to_string()),
+                    Ok(text) => csv::parse_csv(name.to_string(), &text).map_err(|e| e.to_string()),
                 };
-                let table = match csv::parse_csv(name.to_string(), &text) {
+                let table = match parsed {
                     Ok(table) => table,
-                    Err(e) => {
+                    Err(why) => {
+                        // Unreadable or unparsable: skipped, and said
+                        // so once, until the file changes again.
                         tracked.state = FileState::Ingested;
                         self.stats.skipped.inc();
-                        if self.cfg.verbose {
-                            eprintln!("[watch] skipping {name}: {e}");
-                        }
+                        eprintln!("[watch] skipping {name}: {why}");
                         return Ok(false);
                     }
                 };
@@ -647,7 +626,7 @@ impl Watcher {
         cfg: WatchConfig,
     ) -> std::io::Result<Watcher> {
         let stats = Arc::new(WatchStats::new());
-        let mut ingestor = Ingestor::new(engine.clone(), dir, cfg.clone(), stats.clone())?;
+        let mut ingestor = Ingestor::new(engine.clone(), dir, stats.clone())?;
         let stop = Arc::new(AtomicBool::new(false));
         let (loop_stop, loop_stats) = (stop.clone(), stats.clone());
         let thread = std::thread::Builder::new()
@@ -659,12 +638,7 @@ impl Watcher {
                         eprintln!("[watch] ingest error: {e}");
                     }
                     match compact_if_due(&engine, &cfg) {
-                        Ok(true) => {
-                            loop_stats.compactions.inc();
-                            if cfg.verbose {
-                                eprintln!("[watch] compacted delta segments");
-                            }
-                        }
+                        Ok(true) => loop_stats.compactions.inc(),
                         Ok(false) => {}
                         Err(e) => {
                             loop_stats.errors.inc();

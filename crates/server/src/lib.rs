@@ -12,6 +12,9 @@
 //! * mutations persist through the store (delta append / compact)
 //!   *before* the swapped-in engine answers, so a 2xx implies
 //!   read-your-writes and a crash never loses an acknowledged write;
+//!   the serving process is the one writer of its index directory, and
+//!   a segment another process wrote there refuses the next write
+//!   with a 409;
 //! * results are **byte-identical** to in-process
 //!   [`ShardedD3l::query_batch`] at every worker-thread count — the
 //!   determinism suite compares response bodies bit-for-bit;
@@ -44,7 +47,6 @@
 //! | `POST /tables` | add a table (persisted, hot-swapped) |
 //! | `DELETE /tables/{name}` | remove a table (tombstoned) |
 //! | `POST /admin/compact` | fold delta segments into the base |
-//! | `POST /admin/reload` | pick up segments appended by another writer |
 //! | `POST /admin/shutdown` | graceful drain and exit |
 //!
 //! Modules: [`http`] (hardened request parser — every malformed input

@@ -33,6 +33,7 @@ use d3l_core::query::{QueryOptions, TableMatch};
 use d3l_core::trace::QueryTrace;
 use d3l_core::watch::WatchStats;
 use d3l_core::Evidence;
+use d3l_store::StoreError;
 use d3l_table::Table;
 use d3l_telemetry::{Counter, Histogram, PromWriter, Registry, PROM_CONTENT_TYPE};
 
@@ -526,12 +527,6 @@ const ENDPOINTS: &[(Method, &str, &str, Handler)] = &[
         "/admin/compact",
         "/admin",
         Server::handle_compact,
-    ),
-    (
-        Method::Post,
-        "/admin/reload",
-        "/admin",
-        Server::handle_reload,
     ),
     (Method::Post, "/admin/shutdown", "/admin", |s, _| {
         s.shared.shutdown.store(true, Ordering::SeqCst);
@@ -1374,7 +1369,10 @@ impl Server {
 
     fn maintenance_error(e: MaintenanceError) -> Response {
         match e {
-            MaintenanceError::DuplicateName(_) => Response::error(409, &e.to_string()),
+            MaintenanceError::DuplicateName(_)
+            | MaintenanceError::Store(StoreError::AnotherWriter { .. }) => {
+                Response::error(409, &e.to_string())
+            }
             MaintenanceError::UnknownTable(_) => Response::error(404, &e.to_string()),
             MaintenanceError::Store(_) => Response::error(500, &e.to_string()),
         }
@@ -1419,16 +1417,6 @@ impl Server {
         let ack = vec![("folded_segments".to_string(), Json::Num(folded as f64))];
         let body = api::mutation_response(&self.engine.snapshot(), ack);
         Ok(Response::json(200, body).into())
-    }
-
-    fn handle_reload(&self, _: &Request) -> Result<Routed, Response> {
-        let reloaded = self
-            .engine
-            .reload_latest()
-            .map_err(Self::maintenance_error)?;
-        let ack = vec![("reloaded".to_string(), Json::Bool(reloaded.is_some()))];
-        let snap = reloaded.unwrap_or_else(|| self.engine.snapshot());
-        Ok(Response::json(200, api::mutation_response(&snap, ack)).into())
     }
 }
 

@@ -54,6 +54,13 @@ pub enum StoreError {
     /// Structurally invalid data (bad lengths, out-of-range values,
     /// varints that overflow, ...).
     Corrupt(String),
+    /// The next delta segment's name was already taken: another
+    /// process wrote this index directory, which one process at a time
+    /// may write. The store and the caller's engine are as they were.
+    AnotherWriter {
+        /// Sequence number of the segment the other process published.
+        seq: u64,
+    },
     /// A delta segment failed to read, decode or apply. Wraps the
     /// underlying failure with the segment's sequence number so a
     /// store-level diagnostic names the file to inspect or delete
@@ -115,6 +122,11 @@ impl std::fmt::Display for StoreError {
                 write!(f, "required section {section:?} missing")
             }
             StoreError::Corrupt(msg) => write!(f, "corrupt store data: {msg}"),
+            StoreError::AnotherWriter { seq } => write!(
+                f,
+                "delta segment {seq:06} was written by another process: one process at a time \
+                 writes an index directory, so send the change to the process that owns it"
+            ),
             StoreError::BadSegment { seq, source } => {
                 write!(f, "corrupt segment {seq:06}: {source}")
             }
@@ -186,6 +198,10 @@ mod tests {
                 "missing",
             ),
             (StoreError::corrupt("bad length"), "bad length"),
+            (
+                StoreError::AnotherWriter { seq: 7 },
+                "delta segment 000007 was written by another process",
+            ),
             (
                 StoreError::bad_segment(3, StoreError::BadMagic { found: vec![] }),
                 "corrupt segment 000003",

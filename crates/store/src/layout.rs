@@ -3,9 +3,9 @@
 //! The store directory vocabulary — base-snapshot filename, delta
 //! segment naming, tmp-file markers — lives here with the rest of the
 //! wire format, so every layer that looks at a store directory (the
-//! `IndexStore` writer in `d3l-core`, the serving layer's
-//! reload-latest check, diagnostics) agrees on what the files mean
-//! without re-deriving the naming scheme:
+//! `IndexStore` writer in `d3l-core`, disk accounting, diagnostics)
+//! agrees on what the files mean without re-deriving the naming
+//! scheme:
 //!
 //! ```text
 //! <dir>/base.d3ls           full snapshot (atomic tmp + rename)
@@ -14,11 +14,9 @@
 //! <dir>/*.tmp.<pid>         in-flight atomic writes (swept on open)
 //! ```
 //!
-//! [`scan`] is the read-only inventory: it never opens a file, so a
-//! long-lived server can poll it cheaply to learn whether another
-//! writer appended segments since the engine was loaded
-//! ([`StoreScan::latest_seq`] vs the sequence the server replayed
-//! through).
+//! [`scan`] is the read-only inventory: it never opens a file. An open
+//! replays the segments it lists, compaction deletes the ones it
+//! folded, and disk accounting sums their sizes.
 
 use std::path::{Path, PathBuf};
 
@@ -164,21 +162,6 @@ pub struct StoreScan {
     pub base_bytes: Option<u64>,
     /// Delta segments as `(seq, path, bytes)`, ascending by `seq`.
     pub deltas: Vec<(u64, PathBuf, u64)>,
-}
-
-impl StoreScan {
-    /// Highest delta sequence number on disk (0 when there are no
-    /// segments). A serving process compares this against the
-    /// sequence it replayed through to decide whether a reload would
-    /// observe anything new.
-    pub fn latest_seq(&self) -> u64 {
-        self.deltas.last().map(|(seq, ..)| *seq).unwrap_or(0)
-    }
-
-    /// Total bytes across the delta segments.
-    pub fn delta_bytes(&self) -> u64 {
-        self.deltas.iter().map(|(_, _, b)| *b).sum()
-    }
 }
 
 /// Inventory a store directory without opening any file. Entries that
@@ -328,9 +311,9 @@ mod tests {
         assert_eq!(scan.base_bytes, Some(4));
         let seqs: Vec<u64> = scan.deltas.iter().map(|(s, ..)| *s).collect();
         assert_eq!(seqs, vec![1, 2, 3, 1_000_007]);
-        assert_eq!(scan.latest_seq(), 1_000_007);
-        let expected: u64 = [1u64, 2, 3, 1_000_007].iter().map(|s| s % 7 + 1).sum();
-        assert_eq!(scan.delta_bytes(), expected);
+        let bytes: Vec<u64> = scan.deltas.iter().map(|(.., b)| *b).collect();
+        let expected: Vec<u64> = [1u64, 2, 3, 1_000_007].iter().map(|s| s % 7 + 1).collect();
+        assert_eq!(bytes, expected);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -342,7 +325,6 @@ mod tests {
         let scan = scan(&dir).unwrap();
         assert_eq!(scan.base_bytes, None);
         assert!(scan.deltas.is_empty());
-        assert_eq!(scan.latest_seq(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -18,11 +18,11 @@
 //!   [`std::io::Write`] and read back one section at a time.
 //! * [`error`] — [`StoreError`], the typed failure surface (bad magic,
 //!   unsupported version, truncation, checksum mismatch, corruption,
-//!   per-segment wrapping).
+//!   a segment another process wrote, per-segment wrapping).
 //! * [`layout`] — the store-directory vocabulary (base-snapshot and
 //!   delta-segment filenames, tmp markers) plus the read-only
-//!   [`layout::scan`] inventory a serving process polls to notice
-//!   segments appended by another writer.
+//!   [`layout::scan`] inventory that replay, compaction and disk
+//!   accounting list segments with.
 //!
 //! Domain serialization lives with the domain types: `d3l-lsh` encodes
 //! LSH forests (`LshForest::{write_to,read_from}`), `d3l-embedding` encodes

@@ -3,8 +3,7 @@
 //! ```text
 //! d3l index   <lake-dir> --out <index-dir> [--shards N]
 //! d3l query   <lake-dir>|--index <index-dir> <target.csv> [-k N] [--joins] [--evidence N|V|F|E|D] [--threads N]
-//! d3l serve   --index <index-dir> [--shards N] [--port P] [--host H] [--threads N] [--cache-bytes N[k|m|g]] [--max-queue N] [--slow-query-ms N] [--watch <lake-dir>] [--reload-ms N]
-//! d3l watch   <lake-dir> --index <index-dir> [--poll-ms N] [--compact-segments N] [--compact-bytes N[k|m|g]]
+//! d3l serve   --index <index-dir> [--shards N] [--port P] [--host H] [--threads N] [--cache-bytes N[k|m|g]] [--max-queue N] [--slow-query-ms N] [--watch <lake-dir> [--poll-ms N] [--compact-segments N] [--compact-bytes N[k|m|g]]]
 //! d3l stats   <lake-dir>|--index <index-dir>
 //! d3l add     <index-dir> <table.csv>
 //! d3l remove  <index-dir> <table-name>
@@ -23,13 +22,15 @@
 //! segments back into the base snapshot. `serve` turns the persisted
 //! index into a long-lived concurrent HTTP service (see the README's
 //! "Serving" section for the endpoints); SIGINT drains in-flight
-//! requests before exiting. `watch` keeps an index continuously in
-//! sync with a lake directory (one poll loop: every settled change
+//! requests before exiting. `serve --watch` also keeps the index in
+//! step with a lake directory (one poll loop: every settled change
 //! applied, then compaction past a threshold; see the README's
-//! "Continuous ingestion" section);
-//! `serve --watch` runs the watcher inside the server process, and
-//! `serve --reload-ms` makes a read replica follow another process's
-//! writes.
+//! "Continuous ingestion" section).
+//!
+//! One process writes an index directory: `add`, `remove` and
+//! `compact` are for an index no server is serving, and a served index
+//! changes through the server (`POST /tables`, `DELETE /tables/{name}`,
+//! `POST /admin/compact`, or its watcher).
 
 use std::collections::HashSet;
 use std::io::{self, Write};
@@ -40,7 +41,7 @@ use d3l::benchgen;
 use d3l::prelude::*;
 use d3l::table::csv;
 
-const USAGE: &str = "usage:\n  d3l index <lake-dir> --out <index-dir> [--shards N]\n  d3l query <lake-dir>|--index <index-dir> <target.csv> [-k N] [--joins] [--evidence N|V|F|E|D] [--threads N]\n  d3l serve --index <index-dir> [--shards N] [--port P] [--host H] [--threads N] [--cache-bytes N[k|m|g]] [--max-queue N] [--slow-query-ms N] [--watch <lake-dir> [watch flags]] [--reload-ms N]\n  d3l watch <lake-dir> --index <index-dir> [--poll-ms N] [--compact-segments N] [--compact-bytes N[k|m|g]]\n  d3l stats <lake-dir>|--index <index-dir>\n  d3l add <index-dir> <table.csv>\n  d3l remove <index-dir> <table-name>\n  d3l compact <index-dir>\n  d3l demo";
+const USAGE: &str = "usage:\n  d3l index <lake-dir> --out <index-dir> [--shards N]\n  d3l query <lake-dir>|--index <index-dir> <target.csv> [-k N] [--joins] [--evidence N|V|F|E|D] [--threads N]\n  d3l serve --index <index-dir> [--shards N] [--port P] [--host H] [--threads N] [--cache-bytes N[k|m|g]] [--max-queue N] [--slow-query-ms N] [--watch <lake-dir> [--poll-ms N] [--compact-segments N] [--compact-bytes N[k|m|g]]]\n  d3l stats <lake-dir>|--index <index-dir>\n  d3l add <index-dir> <table.csv>\n  d3l remove <index-dir> <table-name>\n  d3l compact <index-dir>\n  d3l demo";
 
 /// A line of command output. Every command writes through here, not
 /// `println!`, which panics when stdout is gone: a failed write is the
@@ -70,7 +71,6 @@ fn main() -> ExitCode {
         Some("index") => cmd_index(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
-        Some("watch") => cmd_watch(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
         Some("add") => cmd_add(&args[1..]),
         Some("remove") => cmd_remove(&args[1..]),
@@ -362,9 +362,9 @@ fn parse_byte_size(s: &str) -> Result<u64, Box<dyn std::error::Error>> {
         .ok_or_else(|| format!("byte size {s:?} overflows u64").into())
 }
 
-/// Parse one continuous-ingestion flag into `cfg`. Returns `false`
-/// when the flag is not a watch knob (the caller handles it), so
-/// `d3l watch` and `d3l serve --watch` accept the same set.
+/// Parse one continuous-ingestion flag of `d3l serve --watch` into
+/// `cfg`. Returns `false` when the flag is not a watch knob (the
+/// caller handles it).
 fn parse_watch_flag(
     flag: &str,
     it: &mut std::slice::Iter<'_, String>,
@@ -397,84 +397,6 @@ fn parse_watch_flag(
     Ok(true)
 }
 
-fn cmd_watch(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut lake_dir = None;
-    let mut index_dir = None;
-    let mut cfg = WatchConfig {
-        verbose: true,
-        ..Default::default()
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--index" => {
-                index_dir = Some(it.next().ok_or("missing value for --index")?.to_string());
-            }
-            other => {
-                if parse_watch_flag(other, &mut it, &mut cfg)? {
-                    continue;
-                }
-                if lake_dir.is_none() && !other.starts_with('-') {
-                    lake_dir = Some(other.to_string());
-                } else {
-                    return Err(format!("unexpected argument {other}").into());
-                }
-            }
-        }
-    }
-    let lake_dir = lake_dir.ok_or("missing lake directory to watch")?;
-    let index_dir = index_dir.ok_or("missing --index <index-dir>")?;
-
-    let start = Instant::now();
-    let engine = std::sync::Arc::new(EngineHandle::open(&index_dir)?);
-    let snap = engine.snapshot();
-    eprintln!(
-        "cold start: loaded {} tables from {index_dir} in {:.1} ms",
-        snap.engine.live_table_count(),
-        start.elapsed().as_secs_f64() * 1e3
-    );
-    let watcher = Watcher::start(engine, &lake_dir, cfg.clone())?;
-    let stats = watcher.stats();
-    // Before the line that says Ctrl-C stops, so a Ctrl-C after it
-    // does.
-    #[cfg(unix)]
-    sig::install();
-    out!(
-        "watching {lake_dir} -> {index_dir} (poll {} ms, compact at {} segments or {} delta bytes); Ctrl-C stops",
-        cfg.poll_interval.as_millis(),
-        cfg.compact_segments,
-        cfg.compact_bytes,
-    );
-
-    #[cfg(unix)]
-    {
-        while !sig::requested() {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        eprintln!("shutdown requested; finishing the poll in flight ...");
-    }
-    #[cfg(not(unix))]
-    loop {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-
-    watcher.shutdown();
-    let lag = stats.ingest_lag();
-    out!(
-        "watched {} files; {} polls applied changes ({} adds, {} replaces, {} removes, {} skipped), {} compactions; ingest lag p50 {:.1} ms p99 {:.1} ms; bye",
-        stats.files_tracked(),
-        stats.batches(),
-        stats.added(),
-        stats.replaced(),
-        stats.removed(),
-        stats.skipped(),
-        stats.compactions(),
-        lag.quantile_ns(0.50) as f64 / 1e6,
-        lag.quantile_ns(0.99) as f64 / 1e6,
-    );
-    Ok(())
-}
-
 fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut index_dir = None;
     let mut port: u16 = 4333;
@@ -486,7 +408,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut shards: Option<usize> = None;
     let mut watch_dir: Option<String> = None;
     let mut watch_cfg = WatchConfig::default();
-    let mut reload_ms: Option<u64> = None;
+    let mut watch_flag = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -495,13 +417,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             }
             "--watch" => {
                 watch_dir = Some(it.next().ok_or("missing value for --watch")?.to_string());
-            }
-            "--reload-ms" => {
-                let ms: u64 = it.next().ok_or("missing value for --reload-ms")?.parse()?;
-                if ms == 0 {
-                    return Err("--reload-ms must be at least 1".into());
-                }
-                reload_ms = Some(ms);
             }
             "--shards" => {
                 let n: usize = it.next().ok_or("missing value for --shards")?.parse()?;
@@ -529,15 +444,14 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 if !parse_watch_flag(other, &mut it, &mut watch_cfg)? {
                     return Err(format!("unexpected argument {other}").into());
                 }
+                watch_flag = Some(other);
             }
         }
     }
-    let index_dir = index_dir.ok_or("missing --index <index-dir>")?;
-    if watch_dir.is_some() && reload_ms.is_some() {
-        // One process per index directory writes; --watch makes this
-        // server the writer, --reload-ms makes it a follower.
-        return Err("--watch and --reload-ms are mutually exclusive (the watcher is the single writer; replicas follow with --reload-ms)".into());
+    if let (Some(flag), None) = (watch_flag, &watch_dir) {
+        return Err(format!("{flag} tunes the watcher: it needs --watch <lake-dir>").into());
     }
+    let index_dir = index_dir.ok_or("missing --index <index-dir>")?;
 
     let start = Instant::now();
     let engine = std::sync::Arc::new(d3l::core::EngineHandle::open(&index_dir)?);
@@ -606,31 +520,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         watcher = Some(w);
     }
 
-    // Replica mode: another process (a watcher or the CLI mutators)
-    // writes this index directory; this server polls the store and
-    // hot-swaps in whatever new segments it finds.
-    let reload_stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let mut reload_thread = None;
-    if let Some(ms) = reload_ms {
-        out!("replica mode: following the index store every {ms} ms");
-        let stop = reload_stop.clone();
-        let eng = engine.clone();
-        reload_thread = Some(std::thread::spawn(move || {
-            use std::sync::atomic::Ordering;
-            let slice = std::time::Duration::from_millis(50);
-            let period = std::time::Duration::from_millis(ms);
-            while !stop.load(Ordering::Relaxed) {
-                if let Err(e) = eng.reload_latest() {
-                    eprintln!("reload error: {e}");
-                }
-                let deadline = Instant::now() + period;
-                while !stop.load(Ordering::Relaxed) && Instant::now() < deadline {
-                    std::thread::sleep(slice.min(deadline - Instant::now()));
-                }
-            }
-        }));
-    }
-
     #[cfg(unix)]
     {
         let handle = server.shutdown_handle();
@@ -645,10 +534,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
     let slow_handle = server.shutdown_handle();
     server.run()?;
-    reload_stop.store(true, std::sync::atomic::Ordering::SeqCst);
-    if let Some(t) = reload_thread {
-        let _ = t.join();
-    }
     if let Some(w) = watcher {
         eprintln!("stopping watcher; finishing the poll in flight ...");
         w.shutdown();
@@ -974,102 +859,37 @@ mod tests {
     }
 
     #[test]
-    fn watch_rejects_bad_arguments() {
-        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert!(cmd_watch(&args(&[])).is_err(), "watch needs a lake dir");
-        assert!(
-            cmd_watch(&args(&["lake-dir"])).is_err(),
-            "watch needs --index"
-        );
-        assert!(
-            cmd_watch(&args(&["lake-dir", "--index"])).is_err(),
-            "--index needs a value"
-        );
-        assert!(
-            cmd_watch(&args(&["a", "--index", "idx", "b"])).is_err(),
-            "extra positional must fail"
-        );
-        assert!(
-            cmd_watch(&args(&["a", "--index", "idx", "--poll-ms"])).is_err(),
-            "--poll-ms needs a value"
-        );
-        assert!(
-            cmd_watch(&args(&["a", "--index", "idx", "--poll-ms", "soon"])).is_err(),
-            "--poll-ms must parse"
-        );
-        // The watcher has no batching to tune: its former flags are
-        // arguments like any other it does not know.
-        for gone in ["ms", "max"] {
-            let flag = format!("--batch-{gone}");
-            let err = cmd_watch(&args(&["a", "--index", "idx", &flag, "5"])).unwrap_err();
-            assert_eq!(err.to_string(), format!("unexpected argument {flag}"));
-        }
-        assert!(
-            cmd_watch(&args(&["a", "--index", "idx", "--compact-segments", "0"])).is_err(),
-            "--compact-segments 0 must fail"
-        );
-        assert!(
-            cmd_watch(&args(&["a", "--index", "idx", "--compact-bytes", "64q"])).is_err(),
-            "unknown byte suffix must fail"
-        );
-        assert!(
-            cmd_watch(&args(&["a", "--index", "idx", "--compact-bytes", "0"])).is_err(),
-            "--compact-bytes 0 must fail"
-        );
-        assert!(
-            cmd_watch(&args(&[
-                "/nonexistent/lake",
-                "--index",
-                "/nonexistent/index"
-            ]))
-            .is_err(),
-            "missing store must fail before watching"
-        );
-    }
-
-    #[test]
     fn serve_watch_flags_are_validated() {
         let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert!(
             cmd_serve(&args(&["--index", "idx", "--watch"])).is_err(),
             "--watch needs a value"
         );
+        let watching = |extra: &[&str]| {
+            let list = [&["--index", "idx", "--watch", "lake"][..], extra].concat();
+            cmd_serve(&args(&list))
+        };
+        assert!(watching(&["--poll-ms"]).is_err(), "--poll-ms needs a value");
         assert!(
-            cmd_serve(&args(&["--index", "idx", "--reload-ms"])).is_err(),
-            "--reload-ms needs a value"
+            watching(&["--poll-ms", "soon"]).is_err(),
+            "--poll-ms must parse"
         );
-        assert!(
-            cmd_serve(&args(&["--index", "idx", "--reload-ms", "soon"])).is_err(),
-            "--reload-ms must parse"
-        );
-        assert!(
-            cmd_serve(&args(&["--index", "idx", "--reload-ms", "0"])).is_err(),
-            "--reload-ms 0 must fail"
-        );
-        assert!(
-            cmd_serve(&args(&[
-                "--index",
-                "idx",
-                "--watch",
-                "lake",
-                "--reload-ms",
-                "100"
-            ]))
-            .is_err(),
-            "--watch and --reload-ms are mutually exclusive"
-        );
-        assert!(
-            cmd_serve(&args(&[
-                "--index",
-                "idx",
-                "--watch",
-                "lake",
-                "--compact-segments",
-                "0"
-            ]))
-            .is_err(),
-            "serve takes the watch flags, validated alike"
-        );
+        for (flag, value) in [
+            ("--compact-segments", "0"),
+            ("--compact-bytes", "0"),
+            ("--compact-bytes", "64q"),
+        ] {
+            assert!(watching(&[flag, value]).is_err(), "{flag} {value}");
+        }
+        // Without a watcher the watch flags tune nothing: refused,
+        // naming the flag that is missing.
+        for flag in ["--poll-ms", "--compact-segments", "--compact-bytes"] {
+            let err = cmd_serve(&args(&["--index", "idx", flag, "5"])).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("{flag} tunes the watcher: it needs --watch <lake-dir>")
+            );
+        }
         for gone in ["ms", "max"] {
             let flag = format!("--batch-{gone}");
             let err =

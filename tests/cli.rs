@@ -107,9 +107,12 @@ fn no_arguments_prints_usage_and_exits_2() {
 
 #[test]
 fn unknown_subcommand_prints_usage_and_exits_2() {
-    let out = d3l_cmd(&["discover"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr_of(&out).contains("usage:"));
+    // `serve --watch` is the watcher's one front end; there is no `watch`.
+    for command in ["discover", "watch"] {
+        let out = d3l_cmd(&[command, "lake", "--index", "idx"]);
+        assert_eq!(out.status.code(), Some(2), "{command}");
+        assert!(stderr_of(&out).contains("usage:"), "{command}");
+    }
 }
 
 #[test]
@@ -777,9 +780,8 @@ fn joins_answer_identically_at_one_and_four_shards() {
 /// One run of the numeric-flag sweep, or why it did not end as it
 /// should: exit 0, or exit 1 with an `error:` line, and no panic on
 /// stderr. A run whose first stdout line says it is serving
-/// (`listening on`) or watching (`watching`) is sent SIGINT and must
-/// then drain and exit 0. Nothing may take 30 s to say what it does
-/// or to exit.
+/// (`listening on`) is sent SIGINT and must then drain and exit 0.
+/// Nothing may take 30 s to say what it does or to exit.
 #[cfg(unix)]
 fn sweep_run(args: &[&str]) -> Result<(), String> {
     use std::io::{BufRead, Read};
@@ -806,7 +808,7 @@ fn sweep_run(args: &[&str]) -> Result<(), String> {
         let _ = child.wait();
         return Err("no output in 30 s".into());
     };
-    let long_running = line.starts_with("listening on") || line.starts_with("watching");
+    let long_running = line.starts_with("listening on");
     if long_running {
         let pid = child.id().to_string();
         let kill = Command::new("kill").args(["-INT", &pid]).output();
@@ -838,12 +840,16 @@ fn sweep_run(args: &[&str]) -> Result<(), String> {
     Ok(())
 }
 
-/// Every numeric flag of `index`, `query`, `serve` and `watch` at 0, 1,
-/// 2³² and `u64::MAX`: each run exits 0, or exits 1 with a message;
-/// none panics, aborts or hangs, and `serve` and `watch` either refuse
-/// at once or boot and drain on SIGINT. (`index --shards 4294967296`
-/// aborted on allocating the shard list, `serve --threads
-/// 18446744073709551615` panicked on sizing its worker list.)
+/// Every numeric flag of `index`, `query` and `serve` (its watch flags
+/// with `--watch`) at 0, 1, 2³² and `u64::MAX`: each run exits 0, or
+/// exits 1 with a message; none panics, aborts or hangs, and `serve`
+/// either refuses at once or boots and drains on SIGINT. (`index
+/// --shards 4294967296` aborted on allocating the shard list, `serve
+/// --threads 18446744073709551615` panicked on sizing its worker list.)
+/// The swept flags are the usage text's: every flag it shows with a
+/// numeric placeholder (`N`, `P`, `N[k|m|g]`) is swept, and every
+/// swept flag is in it, so a flag cannot be added or deleted without
+/// the sweep following.
 #[cfg(unix)]
 #[test]
 fn every_numeric_flag_at_its_extremes_runs_or_is_refused() {
@@ -862,7 +868,6 @@ fn every_numeric_flag_at_its_extremes_runs_or_is_refused() {
         "2",
     ];
     let serve_watch = [&serve[..], &["--watch", lake.dir()]].concat();
-    let watch = ["watch", lake.dir(), "--index", &index_dir];
     let query = ["query", "--index", &index_dir, lake.target()];
     let mut runs: Vec<(Vec<&str>, &str)> = vec![
         (vec!["index", lake.dir(), "--out", &fresh_out], "--shards"),
@@ -876,13 +881,29 @@ fn every_numeric_flag_at_its_extremes_runs_or_is_refused() {
         "--cache-bytes",
         "--max-queue",
         "--slow-query-ms",
-        "--reload-ms",
     ] {
         runs.push((serve.to_vec(), flag));
     }
     for flag in ["--poll-ms", "--compact-segments", "--compact-bytes"] {
         runs.push((serve_watch.clone(), flag));
-        runs.push((watch.to_vec(), flag));
+    }
+
+    let usage = d3l_cmd(&[]);
+    assert_eq!(usage.status.code(), Some(2));
+    let usage = stderr_of(&usage);
+    let documented = numeric_flags(&usage);
+    let swept: std::collections::BTreeSet<(&str, &str)> = runs
+        .iter()
+        .map(|(command, flag)| (command[0], *flag))
+        .collect();
+    for pair in &documented {
+        assert!(swept.contains(pair), "{pair:?} is in the usage, not swept");
+    }
+    for pair in &swept {
+        assert!(
+            documented.contains(pair),
+            "{pair:?} is swept, not in the usage"
+        );
     }
 
     let start = std::time::Instant::now();
@@ -899,9 +920,30 @@ fn every_numeric_flag_at_its_extremes_runs_or_is_refused() {
     }
     let cases = runs.len() * values.len();
     println!("{cases} cases in {:.1} s", start.elapsed().as_secs_f64());
-    assert_eq!(cases, 64);
+    assert_eq!(cases, 48);
     assert!(failures.is_empty(), "{}", failures.join("\n"));
     std::fs::remove_dir_all(&index_dir).ok();
+}
+
+/// `(command, flag)` for every flag the usage text shows with a numeric
+/// placeholder: `N`, `P` or `N[k|m|g]`, closing brackets aside.
+#[cfg(unix)]
+fn numeric_flags(usage: &str) -> std::collections::BTreeSet<(&str, &str)> {
+    let mut flags = std::collections::BTreeSet::new();
+    for line in usage.lines() {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let ["d3l", command, ..] = words[..] else {
+            continue;
+        };
+        for pair in words.windows(2) {
+            let flag = pair[0].trim_start_matches('[');
+            let placeholder = pair[1].trim_end_matches(']');
+            if flag.starts_with('-') && matches!(placeholder, "N" | "P" | "N[k|m|g") {
+                flags.insert((command, flag));
+            }
+        }
+    }
+    flags
 }
 
 #[test]

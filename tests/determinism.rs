@@ -434,7 +434,6 @@ fn cached_server_is_byte_identical_to_uncached_across_mutations() {
             ("POST", "/tables", Some(add_body.as_str())),
             ("DELETE", "/tables/cache_mutation_probe", None),
             ("POST", "/admin/compact", Some("")),
-            ("POST", "/admin/reload", Some("")),
         ]
         .into_iter()
         .enumerate()
@@ -1115,12 +1114,12 @@ fn every_build_path_writes_the_same_bytes() {
 /// Continuous ingestion is deterministic: two watchers fed the same
 /// sequence of file adds, overwrites and deletes (with identical poll
 /// interleavings) produce byte-identical engines, and reopening
-/// either store from disk reproduces the same bytes — so a serving
-/// replica following `reload_latest` converges to exactly the
+/// either store from disk reproduces the same bytes — so a restart of
+/// the process that served the watcher's index serves exactly the
 /// watcher's state.
 #[test]
 fn watch_churn_replay_is_deterministic() {
-    use d3l::core::watch::{Ingestor, WatchConfig, WatchStats};
+    use d3l::core::watch::{Ingestor, WatchStats};
     use d3l::core::IndexStore;
     use std::sync::Arc;
 
@@ -1137,9 +1136,8 @@ fn watch_churn_replay_is_deterministic() {
             vec![store],
             ShardedD3l::from_monolith(empty),
         ));
-        let cfg = WatchConfig::default();
         let mut ing =
-            Ingestor::new(engine.clone(), &lake_dir, cfg, Arc::new(WatchStats::new())).unwrap();
+            Ingestor::new(engine.clone(), &lake_dir, Arc::new(WatchStats::new())).unwrap();
 
         // Identical churn script on both runs: adds, an overwrite, a
         // delete, interleaved with fixed poll counts.

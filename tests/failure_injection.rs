@@ -1,7 +1,7 @@
 //! Failure injection: malformed inputs, degenerate lakes, and edge
 //! shapes must degrade gracefully, never panic.
 
-use d3l::core::watch::{Ingestor, WatchConfig, WatchStats};
+use d3l::core::watch::{Ingestor, WatchStats};
 use d3l::core::IndexStore;
 use d3l::prelude::*;
 use d3l::store::{
@@ -505,10 +505,7 @@ fn failed_append_leaves_the_engine_where_it_was() {
     .unwrap();
     let refused = |result: Result<(), StoreError>, d3l: &D3l, before: &[u8]| {
         let err = result.unwrap_err();
-        assert!(
-            matches!(&err, StoreError::Corrupt(m) if m.contains("another writer")),
-            "{err}"
-        );
+        assert!(matches!(&err, StoreError::AnotherWriter { .. }), "{err}");
         assert!(d3l.to_snapshot_bytes() == before, "engine moved on {err}");
     };
 
@@ -817,11 +814,9 @@ fn watcher_killed_before_compaction_matches_a_from_scratch_rebuild() {
         vec![store],
         ShardedD3l::from_monolith(empty),
     ));
-    let cfg = WatchConfig::default();
     let mut ingestor = Ingestor::new(
         engine.clone(),
         &lake_dir,
-        cfg,
         std::sync::Arc::new(WatchStats::new()),
     )
     .unwrap();

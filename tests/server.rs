@@ -966,36 +966,43 @@ fn endpoints_answer_and_mutations_are_read_your_writes() {
     assert!(cache.get("insertions").unwrap().as_f64().unwrap() >= 1.0);
 }
 
+/// One process writes an index directory. A second process that
+/// appends a segment to a served directory (what `d3l add` beside a
+/// running `d3l serve` does) takes the sequence number the server's
+/// next write needs: that write is refused with a 409 naming the rule,
+/// the served engine does not move, and the store keeps the second
+/// writer's table, intact, for the next open.
 #[test]
-fn reload_endpoint_picks_up_an_external_writer() {
+fn a_second_writer_is_a_conflict_not_a_corrupt_store() {
     let lake = lake(4);
-    let srv = boot("reload", &lake, 2, Duration::from_secs(10));
+    let mut srv = boot("second_writer", &lake, 2, Duration::from_secs(10));
+    let table = |name: &str| {
+        Table::from_rows(
+            name,
+            &["Practice", "City"],
+            &[vec!["Practice 3-1".into(), "Salford".into()]],
+        )
+        .unwrap()
+    };
 
-    // Nothing new: reload is a cheap no-op.
-    let (status, body) = request_once(srv.addr, "POST", "/admin/reload", Some("")).unwrap();
-    assert_eq!(status, 200);
-    assert!(body.contains("\"reloaded\":false"), "{body}");
-
-    // A second writer (CLI `d3l add` next to the server) appends a
-    // segment directly to the store directory.
     let (mut store, mut engine) = IndexStore::open(&srv.dir).unwrap();
-    let late = Table::from_rows(
-        "late_breaking",
-        &["Practice", "City"],
-        &[vec!["Practice 3-1".into(), "Salford".into()]],
-    )
-    .unwrap();
-    store.append_add(&mut engine, &late).unwrap();
+    store.append_add(&mut engine, &table("outside")).unwrap();
 
-    let (status, body) = request_once(srv.addr, "POST", "/admin/reload", Some("")).unwrap();
+    let body = format!("{{\"table\":{}}}", table_to_json(&table("refused")));
+    let (status, body) = request_once(srv.addr, "POST", "/tables", Some(&body)).unwrap();
+    assert_eq!(status, 409, "{body}");
+    assert!(body.contains("another process"), "{body}");
+    let (status, stats) = request_once(srv.addr, "GET", "/stats", None).unwrap();
     assert_eq!(status, 200);
-    let ack = Json::parse(&body).unwrap();
-    assert_eq!(ack.get("reloaded").unwrap().as_bool(), Some(true));
-    assert_eq!(ack.get("engine_version").unwrap().as_usize(), Some(1));
-    assert_eq!(ack.get("live_tables").unwrap().as_usize(), Some(5));
-    let (_, body) =
-        request_once(srv.addr, "POST", "/query", Some(&query_body(&target(), 6))).unwrap();
-    assert!(body.contains("late_breaking"), "{body}");
+    let stats = Json::parse(&stats).unwrap();
+    assert_eq!(stats.get("live_tables").unwrap().as_usize(), Some(4));
+
+    srv.handle.shutdown();
+    srv.join.take().unwrap().join().unwrap().unwrap();
+    let reopened = EngineHandle::open(&srv.dir).unwrap().snapshot();
+    assert!(reopened.engine.table_id("outside").is_some());
+    assert!(reopened.engine.table_id("refused").is_none());
+    assert_eq!(reopened.engine.live_table_count(), 5);
 }
 
 #[test]

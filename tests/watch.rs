@@ -44,7 +44,6 @@ impl Fixture {
         Ingestor::new(
             self.engine.clone(),
             &self.lake_dir,
-            WatchConfig::default(),
             Arc::new(WatchStats::new()),
         )
         .unwrap()
