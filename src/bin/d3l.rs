@@ -865,6 +865,20 @@ mod tests {
             cmd_serve(&args(&["--index", "idx", "--watch"])).is_err(),
             "--watch needs a value"
         );
+        // Without a watcher the watch flags tune nothing: refused,
+        // naming the flag that is missing.
+        for flag in ["--poll-ms", "--compact-segments", "--compact-bytes"] {
+            let err = cmd_serve(&args(&["--index", "idx", flag, "5"])).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("{flag} tunes the watcher: it needs --watch <lake-dir>")
+            );
+        }
+    }
+
+    #[test]
+    fn watch_rejects_bad_arguments() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         let watching = |extra: &[&str]| {
             let list = [&["--index", "idx", "--watch", "lake"][..], extra].concat();
             cmd_serve(&args(&list))
@@ -881,21 +895,23 @@ mod tests {
         ] {
             assert!(watching(&[flag, value]).is_err(), "{flag} {value}");
         }
-        // Without a watcher the watch flags tune nothing: refused,
-        // naming the flag that is missing.
-        for flag in ["--poll-ms", "--compact-segments", "--compact-bytes"] {
-            let err = cmd_serve(&args(&["--index", "idx", flag, "5"])).unwrap_err();
-            assert_eq!(
-                err.to_string(),
-                format!("{flag} tunes the watcher: it needs --watch <lake-dir>")
-            );
-        }
+        // The watcher has no batching to tune: its former flags are
+        // arguments like any other it does not know.
         for gone in ["ms", "max"] {
             let flag = format!("--batch-{gone}");
-            let err =
-                cmd_serve(&args(&["--index", "idx", "--watch", "lake", &flag, "5"])).unwrap_err();
+            let err = watching(&[&flag, "5"]).unwrap_err();
             assert_eq!(err.to_string(), format!("unexpected argument {flag}"));
         }
+        assert!(
+            cmd_serve(&args(&[
+                "--index",
+                "/nonexistent/index",
+                "--watch",
+                "/nonexistent/lake"
+            ]))
+            .is_err(),
+            "missing store must fail before watching"
+        );
     }
 
     #[test]
