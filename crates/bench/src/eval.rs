@@ -69,6 +69,18 @@ pub fn prf_at_k(systems: &Systems, kind: SystemKind, targets: &[String], k: usiz
     }
 }
 
+/// The best recall at k any ranking can reach, averaged over targets:
+/// a target whose answer set `A_t` is larger than `k` can be recalled
+/// no further than `k / |A_t|`, so the mean of `min(k, |A_t|) / |A_t|`
+/// (0 for an empty answer set, as recall is).
+pub fn recall_ceiling(truth: &GroundTruth, targets: &[String], k: usize) -> f64 {
+    let ceiling = |t: &String| match truth.answer_set(t).len() {
+        0 => 0.0,
+        n => k.min(n) as f64 / n as f64,
+    };
+    targets.iter().map(ceiling).sum::<f64>() / targets.len().max(1) as f64
+}
+
 /// Fraction of a ranked table's proposed alignments confirmed by the
 /// ground truth.
 fn attr_precision_of(truth: &GroundTruth, target: &str, r: &RankedTable) -> f64 {

@@ -5,9 +5,9 @@
 use std::time::Instant;
 
 use d3l_benchgen::Benchmark;
-use d3l_core::{D3lConfig, DistanceVector, Evidence, ShardedD3l};
+use d3l_core::{D3l, D3lConfig, DistanceVector, Evidence};
 
-use crate::eval::{join_eval_at_k, k_sweep, plain_eval_at_k, prf_at_k};
+use crate::eval::{join_eval_at_k, k_sweep, plain_eval_at_k, prf_at_k, recall_ceiling};
 use crate::lake;
 use crate::runner::{SystemKind, Systems};
 
@@ -26,7 +26,8 @@ fn header(title: &str) {
 }
 
 /// Precision and recall rows of each series over the k sweep, averaged
-/// over the probes.
+/// over the probes, and under them the recall ceiling: the best recall
+/// any ranking of k tables reaches.
 fn pr_curves(systems: &Systems, series: &[(&str, SystemKind)]) {
     let probes = lake::probes(&systems.bench);
     let ks = k_sweep(systems.bench.truth.avg_answer_size());
@@ -50,6 +51,12 @@ fn pr_curves(systems: &Systems, series: &[(&str, SystemKind)]) {
         println!("{label:<width$} P {p_row}");
         println!("{:<width$} R {r_row}", "");
     }
+    let truth = &systems.bench.truth;
+    let ceiling: String = ks
+        .iter()
+        .map(|&k| format!("{:>6.2}", recall_ceiling(truth, &probes, k)))
+        .collect();
+    println!("{:<width$} R {ceiling}", "ceiling");
 }
 
 /// Experiment 1 / Figure 3: per-evidence precision and recall vs k,
@@ -220,7 +227,7 @@ pub fn exp8(systems: &Systems) {
 pub fn weights(systems: &Systems) {
     header("Evidence-weight training (§III-D)");
     let train = d3l_benchgen::synthetic(300, lake::SEED);
-    let train_d3l = ShardedD3l::index_lake(&train.lake, D3lConfig::default());
+    let train_d3l = D3l::index_lake(&train.lake, D3lConfig::default());
     let train_targets = train.pick_targets(20, lake::SEED);
     let (train_x, train_y) = pair_vectors(&train_d3l, &train, &train_targets);
     let probes = lake::probes(&systems.bench);
@@ -258,7 +265,7 @@ pub fn weights(systems: &Systems) {
 /// Labelled (distance-vector, related) pairs: each target's wide D3L
 /// ranking, labelled with the ground truth.
 fn pair_vectors(
-    d3l: &ShardedD3l,
+    d3l: &D3l,
     bench: &Benchmark,
     targets: &[String],
 ) -> (Vec<DistanceVector>, Vec<bool>) {
@@ -364,7 +371,7 @@ pub fn ablation_granularity(systems: &Systems) {
     // keeps no token set), so the tables are profiled here, with the
     // engine's own embedder.
     let q = systems.d3l.config().q;
-    let e = systems.d3l.shards()[0].embedder();
+    let e = systems.d3l.embedder();
     let tables: Vec<_> = lake::probes(bench)
         .iter()
         .take(40)

@@ -7,7 +7,7 @@ use std::time::Instant;
 use d3l_baselines::{Aurum, AurumConfig, Tus, TusConfig};
 use d3l_benchgen::{vocab, Benchmark};
 use d3l_core::query::QueryOptions;
-use d3l_core::{D3lConfig, Evidence, ShardedD3l};
+use d3l_core::{D3l, D3lConfig, Evidence};
 use d3l_table::TableId;
 
 /// One ranked table in system-independent form: the table name plus
@@ -50,7 +50,7 @@ pub struct Systems {
     /// The repository and ground truth.
     pub bench: Benchmark,
     /// D3L state.
-    pub d3l: ShardedD3l,
+    pub d3l: D3l,
     /// Seconds D3L took to index the lake.
     pub d3l_index_secs: f64,
     join_graph: OnceLock<d3l_core::SaJoinGraph>,
@@ -79,8 +79,7 @@ impl Systems {
     /// Index a benchmark's lake with D3L as `d3l index` does: the
     /// default configuration and the shipped lexicon-free embedder.
     pub fn build(bench: Benchmark) -> Self {
-        let (d3l, d3l_index_secs) =
-            timed(|| ShardedD3l::index_lake(&bench.lake, D3lConfig::default()));
+        let (d3l, d3l_index_secs) = timed(|| D3l::index_lake(&bench.lake, D3lConfig::default()));
         Systems {
             bench,
             d3l,
@@ -97,7 +96,7 @@ impl Systems {
     pub fn baselines(&self) -> &Baselines {
         self.baselines.get_or_init(|| {
             let lake = &self.bench.lake;
-            let embedder = self.d3l.shards()[0].embedder();
+            let embedder = self.d3l.embedder();
             let (tus, tus_s) = timed(|| {
                 Tus::index_lake(lake, HashMap::new(), embedder.clone(), TusConfig::default())
             });
@@ -118,7 +117,7 @@ impl Systems {
             Tus::index_lake(
                 &self.bench.lake,
                 vocab::kb_classes(),
-                self.d3l.shards()[0].embedder().clone(),
+                self.d3l.embedder().clone(),
                 TusConfig::default(),
             )
         })
@@ -126,7 +125,7 @@ impl Systems {
 
     /// Query one system for many lake-member targets at once, each
     /// excluding itself from its answer. D3L modes go through
-    /// [`ShardedD3l::query_batch_with`], which fans the batch out over
+    /// [`D3l::query_batch_with`], which fans the batch out over
     /// the configured query threads; the baselines have no batch API
     /// and answer one target after another.
     pub fn query_batch(

@@ -3,9 +3,8 @@
 //! allocation of its own.
 //!
 //! Table `t` is its name (its bytes in one arena), its subject column
-//! ([`NONE`] where it has none) and whether it is removed — a removal
-//! tombstone, or a hole a shard keeps at an id another shard owns —
-//! and it owns rows `first[t]..first[t + 1]`; its column `c` is row
+//! ([`NONE`] where it has none) and whether it is removed (a removal
+//! tombstone), and it owns rows `first[t]..first[t + 1]`; its column `c` is row
 //! `first[t] + c`. A row is the attribute's name (its bytes in another
 //! arena), its numeric extent (in a third, [`Extents`]), its flags byte
 //! (`profile`'s `FLAG_*` bits), and its **class** in each of the four

@@ -37,14 +37,6 @@ pub struct D3lConfig {
     /// thread count; this only trades latency for cores. Like
     /// `index_threads`, a store does not keep it.
     pub query_threads: usize,
-    /// Number of index shards (1 = the classic monolith, at most
-    /// [`D3lConfig::MAX_SHARDS`]). Tables are assigned to shards by a
-    /// stable fingerprint of the table name; each shard owns its four
-    /// forests and its own snapshot/delta chain, so a mutation
-    /// rewrites O(lake/shards) state. Rankings are byte-identical at
-    /// every shard count. Stored in the snapshot config so a reopened
-    /// index agrees with the writer.
-    pub shards: usize,
 }
 
 impl Default for D3lConfig {
@@ -59,7 +51,6 @@ impl Default for D3lConfig {
             seed: 0xd31,
             index_threads: 0,
             query_threads: 0,
-            shards: 1,
         }
     }
 }
@@ -124,17 +115,14 @@ impl D3lConfig {
     /// Why this configuration cannot shape an index, if it cannot: a
     /// signature, projection or tree count of zero, a signature length
     /// or embedding dimension past [`D3lConfig::MAX_SHAPE`], fewer
-    /// signature positions than trees, q-grams of no character, or a
-    /// shard count outside `1..=`[`D3lConfig::MAX_SHARDS`]. A build
-    /// asserts it, `d3l index` refuses `--shards` with it, and an open
-    /// refuses a stored configuration with it, so no build writes a
-    /// store its own open refuses.
+    /// signature positions than trees, or q-grams of no character. A
+    /// build asserts it and an open refuses a stored configuration with
+    /// it, so no build writes a store its own open refuses.
     pub fn shape_error(&self) -> Option<String> {
         let sizes = [
             ("num_perm", self.num_perm, Self::MAX_SHAPE),
             ("embed_bits", self.embed_bits, Self::MAX_SHAPE),
             ("embed_dim", self.embed_dim, Self::MAX_SHAPE),
-            ("shards", self.shards, Self::MAX_SHARDS),
         ];
         if let Some((name, n, max)) = sizes.iter().find(|(_, n, max)| !(1..=*max).contains(n)) {
             return Some(format!("config {name} {n} is outside 1..={max}"));
@@ -152,14 +140,6 @@ impl D3lConfig {
     /// default signature lengths, so the largest projector an open
     /// builds is 128 MiB.
     pub const MAX_SHAPE: usize = 4096;
-
-    /// Bound on `shards`. Each shard builds its own hashers — the
-    /// projector alone is `embed_dim × embed_bits` `f64`s, 128 KiB at
-    /// the defaults — and its own four forests, so a shard count is a
-    /// memory cost before any table is indexed: 32 MiB of projectors
-    /// at this bound and the defaults, where 100 000 shards would ask
-    /// for 12 GiB.
-    pub const MAX_SHARDS: usize = 256;
 }
 
 #[cfg(test)]
@@ -202,24 +182,5 @@ mod tests {
         // says.
         assert_eq!(c.effective_query_threads(), 2);
         assert!(D3lConfig::default().effective_query_threads() >= 1);
-    }
-
-    #[test]
-    fn shard_counts_past_the_bound_are_a_shape_error() {
-        for shards in [1, 2, D3lConfig::MAX_SHARDS] {
-            let c = D3lConfig {
-                shards,
-                ..Default::default()
-            };
-            assert_eq!(c.shape_error(), None, "{shards} shards");
-        }
-        for shards in [0, D3lConfig::MAX_SHARDS + 1, 1 << 32, usize::MAX] {
-            let c = D3lConfig {
-                shards,
-                ..Default::default()
-            };
-            let error = c.shape_error().expect("refused");
-            assert!(error.contains("shards"), "{error}");
-        }
     }
 }

@@ -31,9 +31,8 @@
 //! engine's table), and [`D3l::signed_table`] reads a live member back
 //! out as the same value. The bulk build and [`D3l::add_table`] sign
 //! and push; a delta segment is the record about to be pushed and
-//! replay pushes the decoded one; [`crate::ShardedD3l::split`] reads
-//! back and pushes into the owning shard; a query target is signed, a
-//! lake member queried as a target is read back.
+//! replay pushes the decoded one; a query target is signed, a lake
+//! member queried as a target is read back.
 //!
 //! There is one build path. A worker takes a contiguous run of table
 //! ids and, table by table, obtains the table (borrowed from a
@@ -125,16 +124,15 @@ pub(crate) type TableWords = [Vec<u64>; 4];
 /// A table as the index takes it: Algorithm 1's product, whole. Made by
 /// [`D3l::sign_table`] (a table to add, a query target) or read back
 /// from the index by [`D3l::signed_table`] (a lake member as a query
-/// target, a shard split) — equal values for one table — and what a
-/// delta segment carries. Only meaningful for the engine that made it:
-/// the words are its hashers' output, which every shard of one engine
-/// shares.
+/// target) — equal values for one table — and what a delta segment
+/// carries. Only meaningful for the engine that made it: the words are
+/// its hashers' output.
 ///
 /// Signing a target (q-gram, token, pattern and embedding extraction
 /// plus four signatures per attribute) dominates the cost of small
 /// queries, so callers that query one target repeatedly — `rank_all`
 /// plus `related_table_set` in the join workload, the evaluation loop's
-/// many `k` values — sign once ([`crate::ShardedD3l::prepare_target`])
+/// many `k` values — sign once ([`D3l::prepare_target`])
 /// and pass the record to the `*_prepared` variants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SignedTable {
@@ -205,10 +203,10 @@ pub(crate) struct AttrSigsRef<'a> {
     pub embedding: Option<&'a [u64]>,
 }
 
-/// An indexed set of tables — one shard of the engine
-/// ([`crate::ShardedD3l`]), or the whole lake when there is one shard.
-/// It builds, mutates and persists its four forests and profiles;
-/// queries run on the engine, over every shard at once.
+/// The discovery engine: the lake's tables in four LSH forests and an
+/// attribute table. It builds, mutates and persists them
+/// ([`crate::snapshot`]), answers queries ([`crate::query`]) and builds
+/// the SA-join graph ([`crate::join`]).
 ///
 /// `Clone` is deliberate and cheap relative to a rebuild: the serving
 /// layer's copy-on-write hot-swap ([`crate::hotswap::EngineHandle`])
@@ -355,12 +353,6 @@ impl D3l {
         }
     }
 
-    /// An engine over no tables with this one's embedder (and so, of
-    /// `cfg` with this one's shapes and seed, its hashers).
-    pub(crate) fn empty_like(&self, cfg: D3lConfig) -> Self {
-        Self::empty(cfg, self.embedder.clone())
-    }
-
     /// One worker's share of [`D3l::build`]: an engine of this one's
     /// configuration and hashers holding exactly the tables of `run`,
     /// uncommitted. Its slot vectors start at `run.start`, not at 0 —
@@ -370,7 +362,7 @@ impl D3l {
         run: std::ops::Range<usize>,
         table_at: &(impl Fn(usize) -> Result<Cow<'t, Table>, E> + Sync),
     ) -> Result<D3l, E> {
-        let mut part = self.empty_like(self.cfg.clone());
+        let mut part = Self::empty(self.cfg.clone(), self.embedder.clone());
         // Per-worker embedding memo: domain vocabulary recurs across
         // a run's columns, and cached vectors are identical to fresh
         // ones, so results stay thread-count-invariant.
@@ -474,16 +466,11 @@ impl D3l {
         SignedTable { attrs, words }
     }
 
-    /// Put a signed table into the index at `id`, at or above the slot
-    /// count (which the caller has checked): pad holes up to it — a
-    /// shard's slot vector is a sparse view of the global id space, so
-    /// the id is chosen globally and lands past holes — push, re-commit.
-    /// [`D3l::add_table`] and delta replay end here, so replaying a
-    /// segment patches the forests bit-identically.
+    /// Put a signed table into the index as its next slot, `id` (which
+    /// the caller has checked), and re-commit. [`D3l::add_table`] and
+    /// delta replay end here, so replaying a segment patches the
+    /// forests bit-identically.
     pub(crate) fn insert(&mut self, id: TableId, table: SignedTable) {
-        while self.table_count() < id.index() {
-            self.push_hole();
-        }
         self.push(id, table);
         self.commit(self.cfg.effective_threads());
     }
@@ -518,7 +505,7 @@ impl D3l {
     /// no raw rows needed, which is what lets a serving process answer
     /// "rank everything against lake member X" without keeping the CSVs
     /// resident. Equal to signing the original table. `None` for
-    /// out-of-range ids, holes and removal tombstones.
+    /// out-of-range ids and removal tombstones.
     pub fn signed_table(&self, id: TableId) -> Option<SignedTable> {
         if !self.is_live(id) {
             return None;
@@ -536,32 +523,6 @@ impl D3l {
         }
         attrs.end_table(self.table_name(id), self.attrs.subject(id.index()), false);
         Some(SignedTable { attrs, words })
-    }
-
-    /// Append an empty, permanently-tombstoned slot.
-    ///
-    /// The sharded engine keys every shard by *global* table id: a
-    /// shard's slot vector is dense over `0..=max_owned_id` with
-    /// holes at the ids other shards own. A hole is encoded with the
-    /// means the snapshot format already has — `removed = true` with
-    /// an empty name and arity 0 — so per-shard snapshots, deltas and
-    /// compaction all work unchanged. Holes are distinguishable from
-    /// real removal tombstones because tombstones keep their table
-    /// name for display.
-    pub(crate) fn push_hole(&mut self) {
-        self.push_tombstone("");
-    }
-
-    /// Append the slot [`D3l::remove_table`] leaves of a table named
-    /// `name`: emptied, removed, the name kept for display.
-    pub(crate) fn push_tombstone(&mut self, name: &str) {
-        self.attrs.end_table(name, None, true);
-    }
-
-    /// Whether a slot is a non-owned hole (see [`D3l::push_hole`]) as
-    /// opposed to a live table or a real removal tombstone.
-    pub(crate) fn is_hole(&self, id: TableId) -> bool {
-        self.is_removed(id) && self.table_name(id).is_empty()
     }
 
     /// Drop a table from the index (the maintenance counterpart of
@@ -605,8 +566,8 @@ impl D3l {
         true
     }
 
-    /// Whether an id names a table still serving (no hole, no
-    /// tombstone, no id past the slots).
+    /// Whether an id names a table still serving (no tombstone, no id
+    /// past the slots).
     pub(crate) fn is_live(&self, id: TableId) -> bool {
         id.index() < self.table_count() && !self.attrs.is_removed(id.index())
     }
@@ -827,7 +788,7 @@ impl D3l {
 
     /// The id of the live table named `name`: what
     /// [`D3l::name_to_id`] maps it to, without building the map.
-    pub(crate) fn table_id(&self, name: &str) -> Option<TableId> {
+    pub fn table_id(&self, name: &str) -> Option<TableId> {
         self.live_ids()
             .rev()
             .find(|&id| self.table_name(id) == name)
@@ -859,17 +820,6 @@ pub struct ClassStats {
     pub classes: usize,
     /// Attributes in the most populous class.
     pub largest_class: usize,
-}
-
-impl ClassStats {
-    /// Fold in another shard's share of the same index: attributes
-    /// and classes add up (one signature held in two shards is a class
-    /// in each), the largest class is the larger of the two.
-    pub(crate) fn add(&mut self, other: ClassStats) {
-        self.attributes += other.attributes;
-        self.classes += other.classes;
-        self.largest_class = self.largest_class.max(other.largest_class);
-    }
 }
 
 /// Byte footprint of one LSH forest, split by component.
@@ -933,28 +883,6 @@ impl MemoryFootprint {
             + self.profile_bytes
             + self.table_bytes
             + self.hasher_bytes
-    }
-
-    /// Element-wise sum of per-shard footprints. An empty slice is an
-    /// all-zero footprint.
-    pub fn sum(parts: &[MemoryFootprint]) -> MemoryFootprint {
-        let mut total = MemoryFootprint::default();
-        for fp in parts {
-            for (acc, add) in [
-                (&mut total.i_n, fp.i_n),
-                (&mut total.i_v, fp.i_v),
-                (&mut total.i_f, fp.i_f),
-                (&mut total.i_e, fp.i_e),
-            ] {
-                acc.tree_bytes += add.tree_bytes;
-                acc.signature_bytes += add.signature_bytes;
-                acc.posting_bytes += add.posting_bytes;
-            }
-            total.profile_bytes += fp.profile_bytes;
-            total.table_bytes += fp.table_bytes;
-            total.hasher_bytes += fp.hasher_bytes;
-        }
-        total
     }
 
     /// The four `(name, footprint)` index entries, for display.
@@ -1137,12 +1065,9 @@ mod tests {
         // A tree entry is a 4-byte key and a 4-byte class slot, one
         // per class in each of the `trees` trees.
         let trees = D3lConfig::fast().trees;
-        let tree_bytes = |fp: &MemoryFootprint, stats: [ClassStats; 4]| {
-            for ((name, idx), stats) in fp.indexes().into_iter().zip(stats) {
-                assert_eq!(idx.tree_bytes, 8 * trees * stats.classes, "{name}");
-            }
-        };
-        tree_bytes(&fp, d3l.class_stats());
+        for ((name, idx), stats) in fp.indexes().into_iter().zip(d3l.class_stats()) {
+            assert_eq!(idx.tree_bytes, 8 * trees * stats.classes, "{name}");
+        }
         for (name, idx) in fp.indexes() {
             assert!(!name.is_empty());
             assert!(idx.signature_bytes > 0, "{name} stores signatures");
@@ -1156,22 +1081,6 @@ mod tests {
         // least.
         let lists = d3l.i_n.len() * 8 + d3l.i_n.class_count() * 24;
         assert!(fp.i_n.posting_bytes > lists);
-        // Shards' footprints add up field by field, postings included.
-        let sharded = crate::ShardedD3l::split(d3l.clone(), 2);
-        let parts: Vec<_> = sharded.shards().iter().map(|s| s.byte_size()).collect();
-        let sum = MemoryFootprint::sum(&parts);
-        assert_eq!(sum, sharded.byte_size());
-        tree_bytes(&sum, sharded.class_stats());
-        for (i, (_, idx)) in sum.indexes().iter().enumerate() {
-            let of = |fp: &MemoryFootprint| fp.indexes()[i].1;
-            assert_eq!(
-                idx.posting_bytes,
-                of(&parts[0]).posting_bytes + of(&parts[1]).posting_bytes
-            );
-            assert_eq!(idx.total(), of(&parts[0]).total() + of(&parts[1]).total());
-        }
-        assert_eq!(sum.total(), parts[0].total() + parts[1].total());
-        assert_eq!(MemoryFootprint::sum(&[]), MemoryFootprint::default());
     }
 
     /// Attributes that share a name, a format or their values share a
@@ -1305,7 +1214,7 @@ mod tests {
         let mut d3l = D3l::index_lake(&partial, D3lConfig::fast());
         d3l.add_table(lake.table(TableId(0))); // add S1 incrementally
         let target = lake.table(TableId(1)); // S2 as target
-        let matches = crate::ShardedD3l::from_monolith(d3l).query(target, 2);
+        let matches = d3l.query(target, 2);
         assert!(
             matches.iter().any(|m| m.table == TableId(1)),
             "incrementally added S1 must be found for the S2 target"

@@ -10,12 +10,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use d3l_lsh::forest::{query_union, LshForest};
-use d3l_lsh::minhash::MinHashSignature;
 use d3l_table::TableId;
 
-use crate::index::AttrRef;
-use crate::shard::ShardedD3l;
+use crate::index::{AttrRef, D3l};
 
 /// Jaccard threshold on tset overlap for postulating an SA-join edge
 /// (§IV, condition (i)).
@@ -100,36 +97,28 @@ impl JoinPath {
     }
 }
 
-impl ShardedD3l {
+impl D3l {
     /// Build the SA-join graph over the whole lake: for every table's
     /// subject attribute, `IV` lookups propose overlap partners; an
     /// edge is added when the estimated tset Jaccard clears
     /// `JOIN_THRESHOLD`, 0.5 (condition (i)) — the queried side being a
-    /// subject attribute satisfies condition (ii). `IV` is read the
-    /// way the query pipeline reads it — every shard's forest in one
-    /// [`query_union`] — so the graph does not depend on the shard
-    /// count.
+    /// subject attribute satisfies condition (ii).
     pub fn build_join_graph(&self) -> SaJoinGraph {
         let mut graph = SaJoinGraph::default();
         let cfg = self.config();
         let width = cfg.lookup_width(32);
-        let i_v: Vec<&LshForest<MinHashSignature>> = self.shards().iter().map(|s| &s.i_v).collect();
         for t in 0..self.table_count() {
             let table = TableId(t as u32);
-            let Some(owner) = self.owner_of(table) else {
+            let Some(subject) = self.subject_of(table) else {
                 continue;
             };
-            let shard = &self.shards()[owner];
-            let Some(subject) = shard.subject_of(table) else {
-                continue;
-            };
-            if !shard.profile(subject).has_text {
+            if !self.profile(subject).has_text {
                 continue;
             }
-            let Some(tset_sig) = shard.stored_signatures_ref(subject).value else {
+            let Some(tset_sig) = self.stored_signatures_ref(subject).value else {
                 continue;
             };
-            for hit in query_union(&i_v, tset_sig, cfg.num_perm as u64, width) {
+            for hit in self.i_v.query_words(tset_sig, cfg.num_perm as u64, width) {
                 let other = AttrRef::from_key(hit.id);
                 if other.table == table || hit.similarity < JOIN_THRESHOLD {
                     continue;
@@ -244,7 +233,7 @@ mod tests {
     #[test]
     fn join_graph_links_overlapping_subjects() {
         let lake = chain_lake();
-        let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
+        let d3l = D3l::index_lake(&lake, D3lConfig::fast());
         let g = d3l.build_join_graph();
         let hub = lake.id_of("hub").unwrap();
         let mid = lake.id_of("mid").unwrap();
@@ -262,7 +251,7 @@ mod tests {
     #[test]
     fn algorithm3_finds_paths_outside_topk() {
         let lake = chain_lake();
-        let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
+        let d3l = D3l::index_lake(&lake, D3lConfig::fast());
         let g = d3l.build_join_graph();
         let hub = lake.id_of("hub").unwrap();
         let mid = lake.id_of("mid").unwrap();
@@ -290,7 +279,7 @@ mod tests {
     #[test]
     fn unrelated_nodes_are_pruned() {
         let lake = chain_lake();
-        let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
+        let d3l = D3l::index_lake(&lake, D3lConfig::fast());
         let g = d3l.build_join_graph();
         let hub = lake.id_of("hub").unwrap();
         let top_k: HashSet<TableId> = [hub].into_iter().collect();

@@ -20,13 +20,11 @@
 //!    pair, Algorithm 2 guarding the numeric KS case), and
 //!    (c) *CCDF-weighted aggregation* (Eq. 1–2 column-wise, Eq. 3
 //!    collapse). Stages (a) and (b) fan out over scoped threads
-//!    (`D3lConfig::query_threads`), and [`ShardedD3l::query_batch`]
+//!    (`D3lConfig::query_threads`), and [`D3l::query_batch`]
 //!    fans a whole evaluation workload out over targets — profiling
 //!    each target exactly once — while guaranteeing results
 //!    byte-identical to the sequential path at every thread count.
-//!    [`ShardedD3l`] ([`shard`]) is the engine that runs it: the lake
-//!    partitioned over `D3lConfig::shards` [`D3l`] shards, one shard
-//!    being the ordinary case;
+//!    [`D3l`] is the engine that runs it: one index, four forests;
 //! 4. [`join`] — Algorithm 3: extend the top-k with SA-join paths
 //!    that cover additional target attributes;
 //! 5. [`metrics`] — the paper's evaluation measures (precision,
@@ -34,14 +32,14 @@
 //!
 //! ```
 //! use d3l_table::{DataLake, Table};
-//! use d3l_core::{D3lConfig, ShardedD3l};
+//! use d3l_core::{D3l, D3lConfig};
 //!
 //! let mut lake = DataLake::new();
 //! lake.add(Table::from_rows("gp_funding",
 //!     &["Practice", "City"],
 //!     &[vec!["Blackfriars".into(), "Salford".into()]]).unwrap()).unwrap();
 //!
-//! let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
+//! let d3l = D3l::index_lake(&lake, D3lConfig::fast());
 //! let target = Table::from_rows("gps",
 //!     &["Practice", "City"],
 //!     &[vec!["Radclife".into(), "Manchester".into()]]).unwrap();
@@ -60,7 +58,6 @@ pub mod join;
 pub mod metrics;
 pub mod profile;
 pub mod query;
-pub mod shard;
 pub mod snapshot;
 pub mod trace;
 pub mod watch;
@@ -75,8 +72,28 @@ pub use index::{AttrRef, ClassStats, D3l, IndexFootprint, MemoryFootprint, Signe
 pub use join::{JoinPath, SaJoinGraph};
 pub use profile::{AttrView, AttributeProfile};
 pub use query::{Alignment, QueryOptions, TableMatch};
-pub use shard::{shard_of_name, ShardedD3l};
 pub use snapshot::{DeltaRecord, IndexStore};
 pub use trace::{QueryTrace, StageTimer};
 pub use watch::{compact_if_due, Ingestor, WatchConfig, WatchStats, Watcher};
 pub use weights::EvidenceWeights;
+
+/// [`D3l`] under the name `d3l-benchmark-layers` builds it by. ROADMAP
+/// item 1 (d) moves the benchmark to `D3l` and retires this.
+#[doc(hidden)]
+pub type ShardedD3l = D3l;
+
+impl D3l {
+    /// The engine as the one-element slice `d3l-benchmark-layers` reads
+    /// its codec through. ROADMAP item 1 (d) retires this.
+    #[doc(hidden)]
+    pub fn shards(&self) -> &[D3l] {
+        std::slice::from_ref(self)
+    }
+
+    /// 1: what `d3l-benchmark-layers` sizes a trace by. ROADMAP item
+    /// 1 (d) retires this.
+    #[doc(hidden)]
+    pub fn shard_count(&self) -> usize {
+        1
+    }
+}

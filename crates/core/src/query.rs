@@ -1,25 +1,22 @@
 //! Top-k discovery queries (§III-D) — an explicit three-stage
-//! pipeline, run by [`ShardedD3l`] at every shard count.
+//! pipeline, run by [`D3l`].
 //!
 //! Given a target table, the query path runs:
 //!
 //! 1. **Candidate generation** — the target is signed once into a
 //!    [`SignedTable`] (or, a lake member, read back as one) and each of
-//!    its attributes is looked up in the four LSH indexes by its
-//!    signature words. An index is one forest per shard, descended
-//!    together by
-//!    [`d3l_lsh::forest::query_union`], whose widening stop is driven
-//!    by the lake-wide candidate count; per-attribute candidate sets
-//!    are sorted by [`AttrRef::key`] so later stages iterate them in a
-//!    fixed order.
+//!    its attributes is looked up in the four LSH forests by its
+//!    signature words ([`d3l_lsh::forest::LshForest::query_words`]);
+//!    per-attribute candidate sets are sorted by [`AttrRef::key`] so
+//!    later stages iterate them in a fixed order.
 //! 2. **Pairwise evidence scoring** — every (target attribute,
 //!    candidate attribute) pair gets a full five-distance vector
 //!    (Algorithm 2 guards the numeric KS case with a precomputed
 //!    per-table subject guard). Both sides are read alike, as an
 //!    [`AttrView`] and word slices: the target's from its record, a
-//!    candidate's from its row in the shard that owns its table (the
-//!    row names its class in each forest, so resolving it is array
-//!    reads); the scoring itself sees no index state.
+//!    candidate's from its row (the row names its class in each
+//!    forest, so resolving it is array reads); the scoring itself sees
+//!    no index state.
 //! 3. **CCDF-weighted aggregation** — the scored pairs are sorted once
 //!    by source table and grouped in one pass, aggregated column-wise
 //!    with CCDF weights (Eq. 1–2, counted in sorted populations) and
@@ -28,18 +25,16 @@
 //!
 //! Stages 1 and 2 fan out over `std::thread::scope` workers
 //! (`D3lConfig::query_threads`, set on a built engine with
-//! [`ShardedD3l::set_query_threads`]; the `D3L_QUERY_THREADS`
+//! [`D3l::set_query_threads`]; the `D3L_QUERY_THREADS`
 //! environment variable stands in for the automatic count, 0);
-//! [`ShardedD3l::query_batch`] additionally fans out over targets.
+//! [`D3l::query_batch`] additionally fans out over targets.
 //! Work is split into contiguous chunks reassembled in input order and
-//! every reduction runs over key-sorted data, and no stage depends on
-//! how tables are assigned to shards, so
-//! results are **byte-identical at every thread count and every shard
-//! count** — the determinism suite pins both axes at once.
+//! every reduction runs over key-sorted data, so results are
+//! **byte-identical at every thread count** — the determinism suite
+//! pins it.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-use d3l_lsh::forest::{query_union, LshForest};
 use d3l_lsh::minhash::MinHashSignature;
 use d3l_lsh::randproj::BitSignature;
 use d3l_lsh::signature::Signature;
@@ -49,9 +44,8 @@ use d3l_table::{Table, TableId};
 use crate::config::D3lConfig;
 use crate::distance::DistanceVector;
 use crate::evidence::Evidence;
-use crate::index::{AttrRef, AttrSigsRef, SignedTable};
+use crate::index::{AttrRef, AttrSigsRef, D3l, SignedTable};
 use crate::profile::AttrView;
-use crate::shard::ShardedD3l;
 use crate::weights::{aggregate_evidence, ccdf_weight, EvidenceWeights};
 
 /// One aligned attribute pair within a [`TableMatch`].
@@ -107,7 +101,7 @@ pub struct QueryOptions {
 
 /// One attribute of a scored pair: what the index keeps of it and its
 /// signature words — a target's from its [`SignedTable`], a lake
-/// member's from its row and the arenas of the shard that owns it.
+/// member's from its row and the arenas.
 type Attr<'a> = (AttrView<'a>, AttrSigsRef<'a>);
 
 /// Map `f` over `items` on up to `threads` scoped workers, returning
@@ -149,8 +143,7 @@ where
 /// column, key) and read in one pass — a table is a run of them, and
 /// within it a target column is a run whose first lowest pick wins.
 ///
-/// Reads no index state: it sees only the scored pairs, so the ranking
-/// cannot depend on which shard a pair came from.
+/// Reads no index state: it sees only the scored pairs.
 fn stage_aggregate(
     mut scored: Vec<(usize, AttrRef, DistanceVector)>,
     columns: usize,
@@ -251,9 +244,8 @@ const LSH_THRESHOLD: f64 = 0.7;
 /// The five estimated distances of a (target attr, lake attr) pair
 /// with both sides already resolved — Algorithm 2 decides whether KS
 /// is computed. The resolution step (what the index keeps of the
-/// attribute and its stored signature words, by [`AttrRef`], routed to
-/// the owning shard) is the only part of pairwise scoring that touches
-/// index state.
+/// attribute and its stored signature words, by [`AttrRef`]) is the
+/// only part of pairwise scoring that touches index state.
 fn pair_distances_resolved(
     cfg: &D3lConfig,
     (tp, ts): Attr<'_>,
@@ -306,25 +298,13 @@ fn subjects_related_resolved(
             >= LSH_THRESHOLD
 }
 
-/// An engine's four indexes, each as one forest per shard.
-struct Indexes<'a> {
-    name: Vec<&'a LshForest<MinHashSignature>>,
-    value: Vec<&'a LshForest<MinHashSignature>>,
-    format: Vec<&'a LshForest<MinHashSignature>>,
-    embedding: Vec<&'a LshForest<BitSignature>>,
-}
-
 /// Look up one target attribute in the indexes (restricted to one
 /// evidence type when `only` is set; `Distribution` uses the N/F
 /// indexes as its blocking mechanism, mirroring Algorithm 2), and
 /// return the keys of every hit — one index's after another's, an
-/// attribute as often as indexes found it. An index is one forest per
-/// shard, read together by [`query_union`]: the widening stop and the
-/// fallback scan see the whole lake's candidate count, so the hits do
-/// not depend on the shard count.
+/// attribute as often as indexes found it.
 fn gather_candidates(
-    cfg: &D3lConfig,
-    indexes: &Indexes<'_>,
+    d3l: &D3l,
     (tp, ts): Attr<'_>,
     width: usize,
     only: Option<Evidence>,
@@ -336,42 +316,33 @@ fn gather_candidates(
     };
     let mut keys = Vec::new();
     let mut look_up = |hits: Vec<Hit>| keys.extend(hits.iter().map(|h| h.id));
-    let (perm, bits) = (cfg.num_perm as u64, cfg.embed_bits as u64);
+    let (perm, bits) = (d3l.cfg.num_perm as u64, d3l.cfg.embed_bits as u64);
     if want(Evidence::Name) && tp.has_name {
-        look_up(query_union(&indexes.name, ts.name, perm, width));
+        look_up(d3l.i_n.query_words(ts.name, perm, width));
     }
     if want(Evidence::Format) && tp.has_format {
-        look_up(query_union(&indexes.format, ts.format, perm, width));
+        look_up(d3l.i_f.query_words(ts.format, perm, width));
     }
     if let Some(value) = ts.value.filter(|_| want(Evidence::Value) && tp.has_text) {
-        look_up(query_union(&indexes.value, value, perm, width));
+        look_up(d3l.i_v.query_words(value, perm, width));
     }
     if let Some(embedding) = ts
         .embedding
         .filter(|_| want(Evidence::Embedding) && tp.has_embedding)
     {
-        look_up(query_union(&indexes.embedding, embedding, bits, width));
+        look_up(d3l.i_e.query_words(embedding, bits, width));
     }
     keys
 }
 
-impl ShardedD3l {
-    /// Stage 1 entry point: sign a target once
-    /// ([`crate::D3l::sign_table`]) for reuse across queries
-    /// (`query_prepared`, `rank_all_prepared`,
-    /// `related_table_set_prepared`). Every shard shares one set of
-    /// hashers, so shard 0's sign for all of them.
+impl D3l {
+    /// Stage 1 entry point: sign a target once ([`D3l::sign_table`])
+    /// for reuse across queries (`query_prepared`, `rank_all_prepared`,
+    /// `related_table_set_prepared`). An indexed table is a target as
+    /// its record read back ([`D3l::signed_table`]), equal to preparing
+    /// the original table.
     pub fn prepare_target(&self, target: &Table) -> SignedTable {
-        self.primary().sign_table(target)
-    }
-
-    /// An already-indexed table as a query target: its record read back
-    /// from the shard that owns it ([`crate::D3l::signed_table`]), equal
-    /// to preparing the original table. `None` for ids no shard holds a
-    /// live table at.
-    pub fn prepare_indexed(&self, id: TableId) -> Option<SignedTable> {
-        let s = self.owner_of(id)?;
-        self.shards()[s].signed_table(id)
+        self.sign_table(target)
     }
 
     /// The k-most related lake tables to `target` with default
@@ -385,7 +356,7 @@ impl ShardedD3l {
         self.query_prepared(&self.prepare_target(target), k, opts)
     }
 
-    /// [`ShardedD3l::query_with`] over an already-prepared target.
+    /// [`D3l::query_with`] over an already-prepared target.
     pub fn query_prepared(
         &self,
         prepared: &SignedTable,
@@ -405,7 +376,7 @@ impl ShardedD3l {
         self.rank_all_prepared(&self.prepare_target(target), width, opts)
     }
 
-    /// [`ShardedD3l::rank_all`] over an already-prepared target.
+    /// [`D3l::rank_all`] over an already-prepared target.
     pub fn rank_all_prepared(
         &self,
         prepared: &SignedTable,
@@ -419,22 +390,22 @@ impl ShardedD3l {
     /// The top-k answers for many targets at once, fanning the
     /// batch out over the configured query threads. Each target is
     /// profiled exactly once and ranked with the same deterministic
-    /// pipeline as [`ShardedD3l::query`], so
-    /// `query_batch(ts, k)[i] == query(&ts[i], k)` at every shard and
-    /// thread count.
+    /// pipeline as [`D3l::query`], so
+    /// `query_batch(ts, k)[i] == query(&ts[i], k)` at every thread
+    /// count.
     pub fn query_batch(&self, targets: &[Table], k: usize) -> Vec<Vec<TableMatch>> {
         let opts = vec![QueryOptions::default(); targets.len()];
         self.query_batch_with(targets, k, &opts)
     }
 
-    /// [`ShardedD3l::query_batch`] with per-target options (one
+    /// [`D3l::query_batch`] with per-target options (one
     /// [`QueryOptions`] per target — the evaluation loop excludes
     /// each target itself from its own answer).
     ///
     /// The batch fans out over the config/env thread count. When the
     /// batch is smaller than the thread budget, the leftover workers
     /// parallelize *within* each target instead, so a one-element
-    /// batch performs like [`ShardedD3l::query_with`].
+    /// batch performs like [`D3l::query_with`].
     pub fn query_batch_with(
         &self,
         targets: &[Table],
@@ -459,7 +430,7 @@ impl ShardedD3l {
         self.related_table_set_prepared(&self.prepare_target(target), width)
     }
 
-    /// [`ShardedD3l::related_table_set`] over an already-prepared
+    /// [`D3l::related_table_set`] over an already-prepared
     /// target. Runs stage 1 only, without the ranking pipeline's
     /// candidate sort — the output is an unordered set.
     pub fn related_table_set_prepared(
@@ -468,10 +439,9 @@ impl ShardedD3l {
         width: usize,
     ) -> HashSet<TableId> {
         let threads = self.config().effective_query_threads();
-        let target: Vec<Attr<'_>> = prepared.columns(self.primary()).collect();
-        let (cfg, indexes) = (self.config(), self.indexes());
+        let target: Vec<Attr<'_>> = prepared.columns(self).collect();
         par_map(&target, threads, |&attr| {
-            gather_candidates(cfg, &indexes, attr, width, None)
+            gather_candidates(self, attr, width, None)
         })
         .into_iter()
         .flatten()
@@ -501,18 +471,12 @@ impl ShardedD3l {
         threads: usize,
     ) -> Vec<TableMatch> {
         let mut timer = crate::trace::StageTimer::start(opts.trace.as_deref());
-        let target: Vec<Attr<'_>> = prepared.columns(self.primary()).collect();
+        let target: Vec<Attr<'_>> = prepared.columns(self).collect();
         let candidates = self.stage_candidates(&target, width, opts, threads);
         timer.candidates_done();
         let subject = prepared.subject().and_then(|c| target.get(c as usize));
         let guards = self.subject_guards(&target, subject.map(|s| s.1), &candidates, threads);
-        let scored = self.stage_score(
-            &target,
-            &candidates,
-            &guards,
-            threads,
-            opts.trace.as_deref(),
-        );
+        let scored = self.stage_score(&target, &candidates, &guards, threads);
         timer.score_done();
         let ranked = stage_aggregate(scored, target.len(), opts);
         timer.aggregate_done();
@@ -530,9 +494,8 @@ impl ShardedD3l {
         opts: &QueryOptions,
         threads: usize,
     ) -> Vec<Vec<AttrRef>> {
-        let (cfg, indexes) = (self.config(), self.indexes());
         par_map(target, threads, |&attr| {
-            let mut keys = gather_candidates(cfg, &indexes, attr, width, opts.evidence);
+            let mut keys = gather_candidates(self, attr, width, opts.evidence);
             keys.sort_unstable();
             keys.dedup();
             keys.into_iter()
@@ -542,24 +505,12 @@ impl ShardedD3l {
         })
     }
 
-    /// The four indexes as [`query_union`] reads them: one forest per
-    /// shard each. Built once per query, not once per target attribute.
-    fn indexes(&self) -> Indexes<'_> {
-        let shards = self.shards();
-        Indexes {
-            name: shards.iter().map(|s| &s.i_n).collect(),
-            value: shards.iter().map(|s| &s.i_v).collect(),
-            format: shards.iter().map(|s| &s.i_f).collect(),
-            embedding: shards.iter().map(|s| &s.i_e).collect(),
-        }
-    }
-
     /// Stage 2 — pairwise evidence scoring: a five-distance vector
     /// per (target attribute, candidate) pair, parallel over the
     /// flattened pair list, each candidate's attribute record and stored
-    /// signature words read from the shard that owns its table. `guards`
-    /// is Algorithm 2 line 4, a per-candidate-table predicate,
-    /// precomputed ([`ShardedD3l::subject_guards`]) for every table that
+    /// signature words read from its row. `guards` is Algorithm 2 line
+    /// 4, a per-candidate-table predicate, precomputed
+    /// ([`D3l::subject_guards`]) for every table that
     /// could face a KS measurement so the per-pair workers stay pure.
     /// Returns one flat `(target column, candidate, distances)` list in
     /// (column, key) order, without the pairs that carry no signal (all
@@ -570,7 +521,6 @@ impl ShardedD3l {
         candidates: &[Vec<AttrRef>],
         guards: &HashMap<TableId, bool>,
         threads: usize,
-        trace: Option<&crate::trace::QueryTrace>,
     ) -> Vec<(usize, AttrRef, DistanceVector)> {
         let work: Vec<(usize, AttrRef)> = candidates
             .iter()
@@ -579,18 +529,13 @@ impl ShardedD3l {
             .collect();
         let cfg = self.config();
         let mut scored = par_map(&work, threads, |&(i, attr)| {
-            let owner = self.owner_of(attr.table).expect("candidate has an owner");
-            let shard = &self.shards()[owner];
-            // Per-pair attribution only when traced: the scoring
-            // stage is the one place work belongs to a single shard.
-            let start = trace.map(|_| std::time::Instant::now());
-            let source = (shard.profile(attr), shard.stored_signatures_ref(attr));
+            let source = (self.profile(attr), self.stored_signatures_ref(attr));
             let guard_subject = guards.get(&attr.table).copied().unwrap_or(false);
-            let dv = pair_distances_resolved(cfg, target[i], source, guard_subject);
-            if let (Some(t), Some(s)) = (trace, start) {
-                t.add_shard_ns(owner, s.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            }
-            (i, attr, dv)
+            (
+                i,
+                attr,
+                pair_distances_resolved(cfg, target[i], source, guard_subject),
+            )
         });
         scored.retain(|(_, _, dv)| dv.has_signal());
         scored
@@ -620,10 +565,7 @@ impl ShardedD3l {
         }
         let tables: Vec<TableId> = tables.into_iter().collect();
         let guards = par_map(&tables, threads, |&t| {
-            let shard = &self.shards()[self.owner_of(t).expect("candidate has an owner")];
-            let ss = shard
-                .subject_of(t)
-                .map(|s_attr| shard.stored_signatures_ref(s_attr));
+            let ss = self.subject_of(t).map(|s| self.stored_signatures_ref(s));
             subjects_related_resolved(self.config(), subject, ss)
         });
         tables.into_iter().zip(guards).collect()
@@ -746,7 +688,7 @@ mod tests {
 
     #[test]
     fn related_tables_rank_above_decoys() {
-        let d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
+        let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
         let matches = d3l.query(&target(), 3);
         assert!(matches.len() >= 2);
         let names: Vec<&str> = matches.iter().map(|m| d3l.table_name(m.table)).collect();
@@ -776,7 +718,7 @@ mod tests {
 
     #[test]
     fn alignments_cover_shared_attributes() {
-        let d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
+        let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
         let matches = d3l.query(&target(), 2);
         let s2 = matches
             .iter()
@@ -792,7 +734,7 @@ mod tests {
 
     #[test]
     fn exclude_removes_self_matches() {
-        let d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
+        let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
         let t = lake().table_by_name("s1_gp_practices").unwrap().clone();
         let opts = QueryOptions {
             exclude: Some(TableId(0)),
@@ -804,7 +746,7 @@ mod tests {
 
     #[test]
     fn single_evidence_mode_ranks_by_that_evidence() {
-        let d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
+        let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
         let opts = QueryOptions {
             evidence: Some(Evidence::Name),
             ..Default::default()
@@ -817,7 +759,7 @@ mod tests {
 
     #[test]
     fn related_table_set_includes_sources() {
-        let d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
+        let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
         let related = d3l.related_table_set(&target(), 50);
         assert!(related.contains(&TableId(0)));
         assert!(related.contains(&TableId(1)));
@@ -828,7 +770,7 @@ mod tests {
         // Patients (s1) vs Moons (decoy): both numeric, but no name,
         // format, or subject evidence links the pair's tables, so D
         // must stay at 1 for the decoy's numeric column.
-        let d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
+        let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
         let matches = d3l.rank_all(&target(), 50, &QueryOptions::default());
         if let Some(decoy) = matches
             .iter()
@@ -860,7 +802,7 @@ mod tests {
 
     #[test]
     fn query_zero_k() {
-        let d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
+        let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
         assert!(d3l.query(&target(), 0).is_empty());
     }
 
@@ -885,7 +827,7 @@ mod tests {
 
     #[test]
     fn thread_count_never_changes_results() {
-        let mut d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
+        let mut d3l = D3l::index_lake(&lake(), D3lConfig::fast());
         let t = target();
         let mut at = |n: usize| {
             d3l.set_query_threads(n);
@@ -900,7 +842,7 @@ mod tests {
 
     #[test]
     fn prepared_target_reuse_matches_fresh_profiling() {
-        let d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
+        let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
         let t = target();
         let prepared = d3l.prepare_target(&t);
         assert_eq!(prepared.arity(), t.arity());
@@ -918,7 +860,7 @@ mod tests {
     #[test]
     fn batch_matches_per_target_queries() {
         let lake = lake();
-        let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
+        let d3l = D3l::index_lake(&lake, D3lConfig::fast());
         let targets: Vec<Table> = vec![
             target(),
             lake.table_by_name("s1_gp_practices").unwrap().clone(),
@@ -947,7 +889,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_empty() {
-        let d3l = ShardedD3l::index_lake(&lake(), D3lConfig::fast());
+        let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
         assert!(d3l.query_batch(&[], 5).is_empty());
     }
 }

@@ -10,9 +10,9 @@
 //! **The store keeps what scoring reads and nothing else, once.**
 //! Stored, one section each:
 //!
-//! - `CONF`: the configuration that shapes the index, eight fields —
+//! - `CONF`: the configuration that shapes the index, seven fields —
 //!   `num_perm`, `embed_bits`, `embed_dim`, `trees`, `q` and
-//!   `min_lookup` as varints, `seed` as a `u64`, `shards` as a varint.
+//!   `min_lookup` as varints, `seed` as a `u64`.
 //!   Not the thread counts, settings of the process, which the opening
 //!   process sets; not the paper's fixed thresholds, lookup factor and
 //!   join path length, constants of the code that reads them
@@ -92,7 +92,8 @@
 //! dimension, subword seed, blend weight and a length prefix. Format
 //! 10: `CONF` lost the four values no caller set — the LSH threshold
 //! and the join threshold (`f64`s), the lookup factor and the join path
-//! length (one-byte varints) — 18 bytes a base file.
+//! length (one-byte varints) — 18 bytes a base file. Format 11: `CONF`
+//! lost the shard count, one byte, with the in-process partition.
 //!
 //! The codec is streamed in both directions: saving writes each
 //! section to the sink as it is produced (profiles one table at a
@@ -182,7 +183,6 @@ fn encode_config(cfg: &D3lConfig, enc: &mut Encoder) {
     enc.put_varint(cfg.q as u64);
     enc.put_varint(cfg.min_lookup as u64);
     enc.put_u64(cfg.seed);
-    enc.put_varint(cfg.shards as u64);
 }
 
 fn decode_config(dec: &mut Decoder<'_>) -> Result<D3lConfig, StoreError> {
@@ -194,7 +194,6 @@ fn decode_config(dec: &mut Decoder<'_>) -> Result<D3lConfig, StoreError> {
         q: dec.get_varint()? as usize,
         min_lookup: dec.get_varint()? as usize,
         seed: dec.get_u64()?,
-        shards: dec.get_varint()? as usize,
         // The opening process sets its own.
         ..D3lConfig::default()
     };
@@ -264,9 +263,9 @@ fn decode_table(
             "table {name:?} has {n} attributes, more than a key can name"
         )));
     }
-    // A removal and a hole leave a table no attribute and no subject,
-    // so no forest can hold, and nothing resolves, an attribute of a
-    // removed table.
+    // A removal leaves a table no attribute and no subject, so no
+    // forest can hold, and nothing resolves, an attribute of a removed
+    // table.
     if removed && (n > 0 || subject.is_some()) {
         return Err(StoreError::corrupt(format!(
             "removed table {t} keeps {n} attributes or a subject"
@@ -535,11 +534,9 @@ pub enum DeltaRecord {
         /// The removed table.
         table: TableId,
     },
-    /// A table added at an explicit id, carrying the record the live
-    /// add pushed. Ids are allocated globally across the shard set, so
-    /// a shard's next local slot index says nothing about the id the
-    /// table must land on: replay pads the gap with holes (see
-    /// `D3l::push_hole`) and inserts at exactly `table`.
+    /// A table added at its id, carrying the record the live add
+    /// pushed. The id is the engine's next slot: replay refuses any
+    /// other.
     AddAt {
         /// The table's id.
         table: TableId,
@@ -618,9 +615,10 @@ impl D3l {
             }
             DeltaRecord::AddAt { table, added } => (table, added),
         };
-        if table.index() < self.table_count() {
+        if table.index() != self.table_count() {
             return Err(StoreError::corrupt(format!(
-                "delta adds table {table} at an already-occupied slot"
+                "delta adds table {table}, not the next slot t{}",
+                self.table_count()
             )));
         }
         self.insert(table, added);
@@ -682,15 +680,28 @@ impl IndexStore {
     ///
     /// A segment that fails to read, decode or apply — a zero-length
     /// or truncated file, a bit flip, a record naming an unknown
-    /// table — surfaces as [`StoreError::BadSegment`] carrying the
-    /// segment's sequence number, so the diagnostic names the file to
-    /// inspect instead of a raw decode error.
+    /// table or another slot than the next — surfaces as
+    /// [`StoreError::BadSegment`] carrying the segment's sequence
+    /// number, so the diagnostic names the file to inspect instead of a
+    /// raw decode error. A directory without a base snapshot, or none
+    /// at all, holds no index: its `NotFound` error names the directory
+    /// and the missing file.
     pub fn open(dir: impl AsRef<Path>) -> Result<(IndexStore, D3l), StoreError> {
         let dir = dir.as_ref().to_path_buf();
+        let base = std::fs::File::open(dir.join(BASE_FILE)).map_err(|e| match e.kind() {
+            io::ErrorKind::NotFound => io::Error::new(
+                e.kind(),
+                format!(
+                    "{} holds no index (no {BASE_FILE}); build one with `d3l index <lake-dir> --out {0}`",
+                    dir.display()
+                ),
+            ),
+            _ => e,
+        })?;
         Self::sweep_tmp(&dir)?;
         // Buffered for the small reads (section table, `PROF`'s
         // per-table blocks); slab-sized reads pass straight through.
-        let base = io::BufReader::new(std::fs::File::open(dir.join(BASE_FILE))?);
+        let base = io::BufReader::new(base);
         let mut reader = ContainerReader::open(base, KIND_SNAPSHOT)?;
         let applied_through = Self::applied_through(&mut reader)?;
         let mut d3l = D3l::read_snapshot(&mut reader)?;
@@ -737,24 +748,7 @@ impl IndexStore {
     /// segment is written before the engine is: on an error `d3l` is
     /// as it was, as is the store.
     pub fn append_add(&mut self, d3l: &mut D3l, table: &Table) -> Result<TableId, StoreError> {
-        let next = TableId(d3l.table_count() as u32);
-        self.append_add_at(d3l, table, next)
-    }
-
-    /// [`IndexStore::append_add`] at an explicit, globally-allocated
-    /// table id (shard stores — see [`DeltaRecord::AddAt`]). Pads the
-    /// engine's slot vector with holes up to `id`, so `id` must be at
-    /// or above the engine's current slot count (panics below it).
-    pub fn append_add_at(
-        &mut self,
-        d3l: &mut D3l,
-        table: &Table,
-        id: TableId,
-    ) -> Result<TableId, StoreError> {
-        assert!(
-            id.index() >= d3l.table_count(),
-            "append_add_at id {id} collides with an existing slot"
-        );
+        let id = TableId(d3l.table_count() as u32);
         let added = d3l.sign_table(table);
         self.append(d3l, DeltaRecord::AddAt { table: id, added })?;
         Ok(id)
@@ -966,7 +960,6 @@ impl IndexStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::ShardedD3l;
     use d3l_table::DataLake;
 
     /// `benchgen`'s dirty derivation at seed 11, drawn as the
@@ -1039,12 +1032,12 @@ mod tests {
         }
     }
 
-    /// `CONF` is the index's shape and nothing else: the eight fields
+    /// `CONF` is the index's shape and nothing else: the seven fields
     /// an open needs to rebuild the hashers and read the forests,
     /// in order, and no byte after them. The thread counts are the
     /// opening process's own.
     #[test]
-    fn conf_holds_the_eight_shape_fields_and_nothing_else() {
+    fn conf_holds_the_seven_shape_fields_and_nothing_else() {
         let cfg = D3lConfig {
             num_perm: 96,
             embed_bits: 80,
@@ -1053,7 +1046,6 @@ mod tests {
             q: 3,
             min_lookup: 17,
             seed: 0x0123_4567_89ab_cdef,
-            shards: 5,
             index_threads: 7,
             query_threads: 9,
         };
@@ -1064,7 +1056,6 @@ mod tests {
             expect.put_varint(n);
         }
         expect.put_u64(0x0123_4567_89ab_cdef);
-        expect.put_varint(5);
         assert_eq!(enc.as_bytes(), expect.as_bytes());
 
         let mut dec = Decoder::new(enc.as_bytes());
@@ -1072,7 +1063,7 @@ mod tests {
         dec.expect_exhausted("config").unwrap();
         let shape = |c: &D3lConfig| {
             let sizes = [c.num_perm, c.embed_bits, c.embed_dim, c.trees, c.q];
-            (sizes, c.min_lookup, c.seed, c.shards)
+            (sizes, c.min_lookup, c.seed)
         };
         assert_eq!(shape(&back), shape(&cfg));
         let process = D3lConfig::default();
@@ -1093,8 +1084,8 @@ mod tests {
             &[vec!["Blackfriars".into(), "Salford".into()]],
         )
         .unwrap();
-        let a = ShardedD3l::from_monolith(d3l).query(&target, 3);
-        let b = ShardedD3l::from_monolith(loaded.clone()).query(&target, 3);
+        let a = d3l.query(&target, 3);
+        let b = loaded.query(&target, 3);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.table, y.table);
@@ -1145,7 +1136,7 @@ mod tests {
         }
     }
 
-    /// A store written by format version 1 to 9 is named as such — by
+    /// A store written by format version 1 to 10 is named as such — by
     /// `open` as by the byte-slice decoder — and nothing of it is
     /// decoded.
     #[test]
@@ -1158,13 +1149,13 @@ mod tests {
         v1.put_u32(KIND_SNAPSHOT);
         v1.put_u32(0);
         v1.put_raw(&[0u8; 64]);
-        // Versions 2 to 9 had today's container around other sections
+        // Versions 2 to 10 had today's container around other sections
         // (64-bit MinHash values; a slab slot per attribute; embedding
         // vectors in `PROF`; no class tables; token sets in `PROF` and
         // `IN`/`IF` signed again from them; 8-byte extent values; forest
-        // headers and id tables; query knobs in `CONF`): whole,
-        // checksummed files with that header.
-        let newer: Vec<(u32, Vec<u8>)> = (2..=9u32)
+        // headers and id tables; query knobs in `CONF`; a shard count in
+        // `CONF`): whole, checksummed files with that header.
+        let newer: Vec<(u32, Vec<u8>)> = (2..=10u32)
             .map(|version| {
                 let mut bytes = engine().to_snapshot_bytes();
                 bytes[8..12].copy_from_slice(&version.to_le_bytes());
@@ -1178,7 +1169,7 @@ mod tests {
             let is_old = |err: &StoreError| {
                 matches!(
                     err,
-                    StoreError::UnsupportedVersion { found, supported: 10 } if *found == version
+                    StoreError::UnsupportedVersion { found, supported: 11 } if *found == version
                 )
             };
             let err = D3l::from_snapshot_bytes(bytes).unwrap_err();
@@ -1190,7 +1181,7 @@ mod tests {
             assert!(is_old(&err), "{err}");
             assert!(err.to_string().contains("re-index"), "{err}");
         }
-        // A version 9 delta segment beside a current base is named too,
+        // A version 10 delta segment beside a current base is named too,
         // as the segment it is.
         let mut d3l = engine();
         let mut store = IndexStore::create(&dir, &d3l).unwrap();
@@ -1198,12 +1189,12 @@ mod tests {
         store.append_add(&mut d3l, &gp).unwrap();
         let segment = dir.join(layout::delta_file_name(1));
         let mut bytes = std::fs::read(&segment).unwrap();
-        bytes[8..12].copy_from_slice(&9u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&10u32.to_le_bytes());
         std::fs::write(&segment, bytes).unwrap();
         let err = IndexStore::open(&dir).unwrap_err();
         assert!(
             matches!(&err, StoreError::BadSegment { seq: 1, source }
-                if matches!(**source, StoreError::UnsupportedVersion { found: 9, supported: 10 })),
+                if matches!(**source, StoreError::UnsupportedVersion { found: 10, supported: 11 })),
             "{err}"
         );
         assert!(err.to_string().contains("re-index"), "{err}");
@@ -1681,8 +1672,8 @@ mod tests {
 
     /// Nothing survives signing that scoring does not read. On every
     /// path an attribute takes into an engine — `index_lake`,
-    /// `index_dir`, `add_table`, delta replay, `compact` + reopen,
-    /// `ShardedD3l::split` at shards {1, 2} — the engine holds of it a
+    /// `index_dir`, `add_table`, delta replay, `compact` + reopen — the
+    /// engine holds of it a
     /// name and the encoding of its numeric extent, byte for byte (the
     /// accounting is content-defined, so the equality is exact), whose
     /// values are the built profile's bit for bit, and four flags that
@@ -1696,16 +1687,14 @@ mod tests {
         let lake = DataLake::load_dir(root.join("lake")).unwrap();
         let cfg = D3lConfig::fast();
 
-        let check = |engine: &ShardedD3l, ctx: &str| {
+        let check = |engine: &D3l, ctx: &str| {
             let (mut kept_bytes, mut flags_seen) = (0, [[0usize; 2]; 4]);
-            for shard in engine.shards() {
-                assert_eq!(shard.check_class_column(), Ok(()), "{ctx}");
-            }
+            assert_eq!(engine.check_class_column(), Ok(()), "{ctx}");
             let ids = engine.name_to_id();
             assert_eq!(ids.len(), lake.len(), "{ctx}");
             for (_, table) in lake.iter() {
                 let id = ids[table.name()];
-                let built = profile_table(table, cfg.q, engine.shards()[0].embedder());
+                let built = profile_table(table, cfg.q, engine.embedder());
                 for (column, built) in (0u32..).zip(&built) {
                     let held = engine.profile(AttrRef { table: id, column });
                     let ctx = format!("{ctx}: {}.{}", table.name(), built.name);
@@ -1742,14 +1731,10 @@ mod tests {
                 }
             }
             // Beside them a row holds where its name and extent end, a
-            // flags byte and four class slots, and every table (holes
-            // included) where its rows start, with one end per shard.
+            // flags byte and four class slots, and every table where its
+            // rows start, and one end.
             let rows = lake.total_attributes() * (4 + 4 + 1 + 16);
-            let tables: usize = engine
-                .shards()
-                .iter()
-                .map(|s| 4 * (s.table_count() + 1))
-                .sum();
+            let tables = 4 * (engine.table_count() + 1);
             let profile_bytes = engine.byte_size().profile_bytes;
             assert_eq!(profile_bytes, kept_bytes + rows + tables, "{ctx}");
             // Both values of the value and embedding flags occur (names
@@ -1764,18 +1749,9 @@ mod tests {
             );
         };
 
-        for shards in [1usize, 2] {
-            let cfg = D3lConfig {
-                shards,
-                ..cfg.clone()
-            };
-            let built = ShardedD3l::index_lake(&lake, cfg.clone());
-            check(&built, &format!("index_lake / {shards}"));
-            let streamed = ShardedD3l::index_dir(root.join("lake"), cfg.clone()).unwrap();
-            check(&streamed, &format!("index_dir / {shards}"));
-            let split = ShardedD3l::split(D3l::index_lake(&lake, cfg.clone()), shards);
-            check(&split, &format!("split / {shards}"));
-        }
+        check(&D3l::index_lake(&lake, cfg.clone()), "index_lake");
+        let streamed = D3l::index_dir(root.join("lake"), cfg.clone()).unwrap();
+        check(&streamed, "index_dir");
 
         // One table at a time through a store, then what a cold start
         // replays from the segments, then what it reads from the
@@ -1786,24 +1762,24 @@ mod tests {
         for (_, table) in lake.iter() {
             store.append_add(&mut d3l, table).unwrap();
         }
-        check(&ShardedD3l::from_monolith(d3l.clone()), "add_table");
+        check(&d3l, "add_table");
         let (_, replayed) = IndexStore::open(&dir).unwrap();
         assert!(replayed.to_snapshot_bytes() == d3l.to_snapshot_bytes());
-        check(&ShardedD3l::from_monolith(replayed), "delta replay");
+        check(&replayed, "delta replay");
         store.compact(&d3l).unwrap();
         let (_, opened) = IndexStore::open(&dir).unwrap();
-        check(&ShardedD3l::from_monolith(opened), "open");
+        check(&opened, "open");
         std::fs::remove_dir_all(&root).ok();
     }
 
-    /// A lake member prepared from the index is the member prepared
+    /// A lake member read back from the index is the member prepared
     /// from its rows: on every table of the pinned dirty lake — and one
     /// whose text column has no wordlike token, so a zero vector and an
     /// all-ones `IE` signature — the two records are equal (name,
     /// subject, every column's attribute record and its words in every
     /// index that covers it) and so is the top 10.
     #[test]
-    fn prepare_indexed_equals_prepare_target() {
+    fn signed_table_equals_prepare_target() {
         let mut lake = dirty_lake(40);
         let codes = Table::from_rows(
             "codes",
@@ -1827,11 +1803,11 @@ mod tests {
         });
         assert!(ones.embedding.unwrap().iter().all(|&w| w == u64::MAX));
 
-        let engine = ShardedD3l::from_monolith(d3l.clone());
+        let engine = &d3l;
         let (mut numeric, mut textual) = (0, 0);
         for (id, table) in lake.iter() {
             let from_rows = engine.prepare_target(table);
-            let from_index = engine.prepare_indexed(id).unwrap();
+            let from_index = engine.signed_table(id).unwrap();
             assert_eq!(from_index, from_rows, "{}", table.name());
             assert_eq!(from_index.arity(), table.arity());
             for attr in from_index
@@ -2071,7 +2047,7 @@ mod tests {
             &[vec!["Saturn".into(), "146".into()]],
         )
         .unwrap();
-        for m in ShardedD3l::from_monolith(compacted).query(&target, 5) {
+        for m in compacted.query(&target, 5) {
             assert_ne!(m.table, TableId(2), "tombstoned table surfaced");
         }
         std::fs::remove_dir_all(&dir).ok();

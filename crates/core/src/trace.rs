@@ -3,12 +3,9 @@
 //! A [`QueryTrace`] is an `Arc` of relaxed atomics hung off
 //! [`QueryOptions::trace`](crate::QueryOptions): when present, the
 //! pipeline accumulates wall-clock nanoseconds per stage (candidate
-//! generation → evidence scoring → CCDF aggregation) and — on the
-//! sharded engine — per owning shard inside the scoring stage, the
-//! only stage where work is attributable to a single shard
-//! (candidate generation is a union descent over every shard's trees
-//! at once). When absent, the pipeline takes no clock readings at
-//! all, so the benched hot path is untouched.
+//! generation → evidence scoring → CCDF aggregation), two clock reads
+//! a stage. When absent, the pipeline takes no clock readings at all,
+//! so the benched hot path is untouched.
 //!
 //! Tracing never participates in result-affecting state:
 //! [`options_fingerprint`](crate::options_fingerprint) excludes it
@@ -30,32 +27,20 @@ pub struct QueryTrace {
     pub score_ns: AtomicU64,
     /// Stage 3 — CCDF-weighted aggregation (Eq. 1–3).
     pub aggregate_ns: AtomicU64,
-    /// Scoring nanoseconds attributed to each owning shard (empty
-    /// unless built [`QueryTrace::with_shards`]).
-    pub shard_score_ns: Vec<AtomicU64>,
 }
 
 impl QueryTrace {
-    /// A fresh trace with no per-shard slots: stage totals only.
+    /// A fresh trace.
     pub fn new() -> Arc<Self> {
         Arc::new(QueryTrace::default())
     }
 
-    /// A fresh trace with one scoring slot per shard.
-    pub fn with_shards(shards: usize) -> Arc<Self> {
-        Arc::new(QueryTrace {
-            shard_score_ns: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            ..QueryTrace::default()
-        })
-    }
-
-    /// Attribute `ns` of scoring work to `shard` (ignored when the
-    /// trace was not sized for shards).
-    #[inline]
-    pub fn add_shard_ns(&self, shard: usize, ns: u64) {
-        if let Some(slot) = self.shard_score_ns.get(shard) {
-            slot.fetch_add(ns, Ordering::Relaxed);
-        }
+    /// [`QueryTrace::new`] under the name `d3l-benchmark-layers`
+    /// calls. ROADMAP item 1 (d) moves the benchmark to `new` and
+    /// retires this.
+    #[doc(hidden)]
+    pub fn with_shards(_: usize) -> Arc<Self> {
+        Self::new()
     }
 
     /// Accumulated stage nanoseconds as `(candidates, score,
@@ -66,23 +51,6 @@ impl QueryTrace {
             self.score_ns.load(Ordering::Relaxed),
             self.aggregate_ns.load(Ordering::Relaxed),
         )
-    }
-
-    /// Per-shard scoring nanoseconds (empty without per-shard slots).
-    pub fn shard_ns(&self) -> Vec<u64> {
-        self.shard_score_ns
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// The shard that spent the most scoring time, as
-    /// `(shard, nanoseconds)` — the scatter-gather straggler.
-    pub fn slowest_shard(&self) -> Option<(usize, u64)> {
-        self.shard_ns()
-            .into_iter()
-            .enumerate()
-            .max_by_key(|&(i, ns)| (ns, std::cmp::Reverse(i)))
     }
 }
 
@@ -167,18 +135,5 @@ mod tests {
         let (c, s, a) = trace.stages_ns();
         assert!(c >= 2_000_000, "first lap saw the sleep: {c}");
         assert!(s < c && a < c, "later laps are near-instant");
-    }
-
-    #[test]
-    fn shard_attribution_is_bounds_checked() {
-        let trace = QueryTrace::with_shards(2);
-        trace.add_shard_ns(0, 5);
-        trace.add_shard_ns(1, 9);
-        trace.add_shard_ns(7, 100); // out of range: dropped, no panic
-        assert_eq!(trace.shard_ns(), vec![5, 9]);
-        assert_eq!(trace.slowest_shard(), Some((1, 9)));
-        let monolith = QueryTrace::new();
-        monolith.add_shard_ns(0, 1);
-        assert_eq!(monolith.slowest_shard(), None);
     }
 }

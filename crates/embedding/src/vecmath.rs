@@ -9,7 +9,7 @@
 //! `tail` adds the remaining `len % 4` coordinates sequentially. The
 //! same order is used by `d3l-lsh`'s `RandomProjector::sign` per-plane
 //! dot, so every float evidence value in the system is a deterministic
-//! function of its inputs at any thread or shard count. The property
+//! function of its inputs at any thread count. The property
 //! suite holds the kernel to exact bit-agreement with a same-order
 //! naive loop; the one-accumulator loop it replaced is the unit tests'
 //! tolerance reference and is not compiled otherwise (timed in the

@@ -223,7 +223,7 @@ impl RandomProjector {
     /// the dimension differs from the projector's. Bit `p` is set when
     /// plane `p`'s dot product with `v`, summed in the order the
     /// module docs give, is `>= 0.0` — a deterministic function of the
-    /// input vector at every thread and shard count, on every tier.
+    /// input vector at every thread count, on every tier.
     pub fn sign_into(&self, v: &[f64], out: &mut [u64]) {
         assert_eq!(v.len(), self.dim, "vector dimension mismatch");
         assert_eq!(

@@ -3,13 +3,13 @@
 //! The response renderers are public and deterministic on purpose:
 //! the determinism suite proves that a server response body is
 //! **byte-identical** to rendering the in-process
-//! [`ShardedD3l::query_batch`] result with the same functions — the HTTP
+//! [`D3l::query_batch`] result with the same functions — the HTTP
 //! layer adds transport, never perturbation. Floats are written with
 //! shortest-round-trip precision, so a client parsing a distance gets
 //! the exact bits the engine computed.
 
 use d3l_core::hotswap::EngineSnapshot;
-use d3l_core::{ShardedD3l, TableMatch};
+use d3l_core::{D3l, TableMatch};
 use d3l_table::Table;
 
 use crate::json::Json;
@@ -118,7 +118,7 @@ pub fn table_from_json(value: &Json) -> Result<Table, ApiError> {
 
 /// Encode one ranked match. Alignments carry the source column index
 /// and name; the source table is the match's table.
-pub fn match_to_json(engine: &ShardedD3l, m: &TableMatch) -> Json {
+pub fn match_to_json(engine: &D3l, m: &TableMatch) -> Json {
     Json::Obj(vec![
         ("table".to_string(), Json::str(engine.table_name(m.table))),
         ("id".to_string(), Json::Num(m.table.0 as f64)),
@@ -159,7 +159,7 @@ pub fn match_to_json(engine: &ShardedD3l, m: &TableMatch) -> Json {
 }
 
 /// Encode a ranking.
-pub fn matches_to_json(engine: &ShardedD3l, matches: &[TableMatch]) -> Json {
+pub fn matches_to_json(engine: &D3l, matches: &[TableMatch]) -> Json {
     Json::Arr(matches.iter().map(|m| match_to_json(engine, m)).collect())
 }
 
@@ -282,8 +282,8 @@ mod tests {
     fn responses_render_deterministically() {
         let mut lake = DataLake::new();
         lake.add(table()).unwrap();
-        let engine = ShardedD3l::index_lake(&lake, D3lConfig::fast());
-        let snap = EngineSnapshot::at_version(7, engine);
+        let engine = D3l::index_lake(&lake, D3lConfig::fast());
+        let snap = EngineSnapshot { version: 7, engine };
         let target = Table::from_rows(
             "t",
             &["Practice", "City"],

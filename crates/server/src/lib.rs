@@ -3,7 +3,7 @@
 //! The paper positions D3L as an interactive discovery service over a
 //! live data lake; this crate is the long-lived process that makes it
 //! one. It is dependency-free (`std::net` + the workspace's own wire
-//! codecs) and serves a [`ShardedD3l`] engine cold-started from an
+//! codecs) and serves a [`D3l`] engine cold-started from an
 //! [`IndexStore`] directory behind a copy-on-write hot-swap
 //! ([`EngineHandle`]), so:
 //!
@@ -16,7 +16,7 @@
 //!   a segment another process wrote there refuses the next write
 //!   with a 409;
 //! * results are **byte-identical** to in-process
-//!   [`ShardedD3l::query_batch`] at every worker-thread count — the
+//!   [`D3l::query_batch`] at every worker-thread count — the
 //!   determinism suite compares response bodies bit-for-bit;
 //! * repeated queries hit a versioned result cache
 //!   (`d3l_core::cache`) whose keys carry the hot-swap engine
@@ -29,7 +29,7 @@
 //!   cannot starve the worker pool;
 //! * the process is **observable**: lock-free latency histograms
 //!   (`d3l_telemetry`) cover every endpoint, the three query-pipeline
-//!   stages, per-shard scoring, and store operations, exposed in
+//!   stages and store operations, exposed in
 //!   Prometheus text format at `GET /metrics`; every response carries
 //!   `X-Request-Id` (client-supplied ids echoed) and
 //!   `X-Engine-Version`, and requests slower than
@@ -55,8 +55,8 @@
 //! [`server`] (worker pool, routing, graceful shutdown, and the
 //! minimal [`Client`]).
 //!
-//! [`ShardedD3l`]: d3l_core::ShardedD3l
-//! [`ShardedD3l::query_batch`]: d3l_core::ShardedD3l::query_batch
+//! [`D3l`]: d3l_core::D3l
+//! [`D3l::query_batch`]: d3l_core::D3l::query_batch
 //! [`IndexStore`]: d3l_core::IndexStore
 //! [`EngineHandle`]: d3l_core::hotswap::EngineHandle
 

@@ -28,7 +28,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use d3l_core::cache::{options_fingerprint, table_fingerprint, CacheKey, DEFAULT_CACHE_BYTES};
-use d3l_core::hotswap::{sum_disk_stats, EngineHandle, EngineSnapshot, MaintenanceError};
+use d3l_core::hotswap::{EngineHandle, EngineSnapshot, MaintenanceError};
 use d3l_core::query::{QueryOptions, TableMatch};
 use d3l_core::trace::QueryTrace;
 use d3l_core::watch::WatchStats;
@@ -107,7 +107,7 @@ const MAX_THREADS: usize = 1024;
 const SLOW_RING_CAP: usize = 64;
 
 /// One captured slow request: identity, outcome, and its
-/// [`QueryTrace`], read for the per-stage / per-shard breakdown when
+/// [`QueryTrace`], read for the per-stage breakdown when
 /// the ring is rendered (zeros for endpoints that never entered the
 /// query pipeline).
 #[derive(Debug, Clone)]
@@ -145,20 +145,15 @@ impl SlowQuery {
             ("aggregate_ms".to_string(), ms(a)),
         ]);
         obj.push(("stages".to_string(), stages));
-        let shard_ns = trace.map(QueryTrace::shard_ns).unwrap_or_default();
-        if !shard_ns.is_empty() {
-            let shards = shard_ns.into_iter().map(ms).collect();
-            obj.push(("shard_score_ms".to_string(), Json::Arr(shards)));
-        }
         Json::Obj(obj)
     }
 }
 
 /// Server-owned instruments: the registry rendered by `/metrics`
 /// (and read by `/stats`) plus pre-registered `Arc`s for the counters
-/// and hot-path histograms (stage and per-shard series are fixed at
-/// bind; per-endpoint request series register on first use, off the
-/// query hot path).
+/// and hot-path histograms (stage series are fixed at bind;
+/// per-endpoint request series register on first use, off the query
+/// hot path).
 struct ServerMetrics {
     registry: Registry,
     /// Requests that parsed far enough to be routed.
@@ -172,8 +167,6 @@ struct ServerMetrics {
     stage_candidates: Arc<Histogram>,
     stage_score: Arc<Histogram>,
     stage_aggregate: Arc<Histogram>,
-    shard_score: Vec<Arc<Histogram>>,
-    shard_slowest: Arc<Histogram>,
     slow_queries_total: Arc<Counter>,
 }
 
@@ -182,7 +175,7 @@ const REQUEST_HELP: &str =
     "Wall-clock request latency per endpoint, split by result (hit/miss/ok/error/shed).";
 
 impl ServerMetrics {
-    fn new(shards: usize) -> Self {
+    fn new() -> Self {
         let registry = Registry::new();
         const RESPONSES: &str = "d3l_http_responses_total";
         let responses = ["2xx", "4xx", "5xx"].map(|class| {
@@ -194,17 +187,6 @@ impl ServerMetrics {
         let stage_candidates = registry.histogram(STAGE, STAGE_HELP, &[("stage", "candidates")]);
         let stage_score = registry.histogram(STAGE, STAGE_HELP, &[("stage", "score")]);
         let stage_aggregate = registry.histogram(STAGE, STAGE_HELP, &[("stage", "aggregate")]);
-        const SHARD: &str = "d3l_shard_score_seconds";
-        const SHARD_HELP: &str =
-            "Evidence-scoring time attributed to each owning shard per traced query.";
-        let shard_score = (0..shards)
-            .map(|s| registry.histogram(SHARD, SHARD_HELP, &[("shard", &s.to_string())]))
-            .collect();
-        let shard_slowest = registry.histogram(
-            "d3l_shard_slowest_seconds",
-            "Scoring time of the slowest shard per traced query (the scatter-gather straggler).",
-            &[],
-        );
         let slow_queries_total = registry.counter(
             "d3l_slow_queries_total",
             "Requests at or above the --slow-query-ms threshold.",
@@ -226,8 +208,6 @@ impl ServerMetrics {
             stage_candidates,
             stage_score,
             stage_aggregate,
-            shard_score,
-            shard_slowest,
             slow_queries_total,
         }
     }
@@ -250,24 +230,12 @@ impl ServerMetrics {
         )
     }
 
-    /// Fold a finished query's trace into the stage/shard histograms.
+    /// Fold a finished query's trace into the stage histograms.
     fn record_trace(&self, trace: &QueryTrace) {
         let (c, s, a) = trace.stages_ns();
         self.stage_candidates.record_ns(c);
         self.stage_score.record_ns(s);
         self.stage_aggregate.record_ns(a);
-        for (shard, &ns) in trace.shard_ns().iter().enumerate() {
-            if ns > 0 {
-                if let Some(h) = self.shard_score.get(shard) {
-                    h.record_ns(ns);
-                }
-            }
-        }
-        if let Some((_, ns)) = trace.slowest_shard() {
-            if ns > 0 {
-                self.shard_slowest.record_ns(ns);
-            }
-        }
     }
 }
 
@@ -570,7 +538,6 @@ impl Server {
         // the handle see the same entries); the serving config owns
         // its budget.
         engine.cache().set_budget(cfg.cache_bytes);
-        let shards = engine.snapshot().engine.shard_count();
         let boot_stamp = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -580,7 +547,7 @@ impl Server {
                 shutdown: AtomicBool::new(false),
                 started: Instant::now(),
                 queue: ConnQueue::new(),
-                metrics: ServerMetrics::new(shards),
+                metrics: ServerMetrics::new(),
                 watch: std::sync::OnceLock::new(),
                 slow: Mutex::new(VecDeque::with_capacity(SLOW_RING_CAP)),
                 slow_query_ms: cfg.slow_query_ms,
@@ -844,7 +811,7 @@ impl Server {
     }
 
     /// Record one routed request into the per-endpoint histogram,
-    /// fold its pipeline trace into the stage/shard histograms, and
+    /// fold its pipeline trace into the stage histograms, and
     /// capture it in the slow-query ring when it crossed the
     /// threshold.
     fn observe(
@@ -998,7 +965,7 @@ impl Server {
         if let Some(hit) = self.engine.cache().get(&key) {
             return Routed::hit(Response::json(200, hit.as_bytes().to_vec()));
         }
-        let trace = QueryTrace::with_shards(snap.engine.shard_count());
+        let trace = QueryTrace::new();
         opts.trace = Some(Arc::clone(&trace));
         let rendered = api::query_response(snap, &run(&opts));
         self.engine.cache().put(key, rendered.clone().into());
@@ -1034,7 +1001,7 @@ impl Server {
         let snap = self.engine.snapshot();
         // One trace across the whole batch: stage times sum over the
         // targets, which is exactly the per-request cost breakdown.
-        let trace = QueryTrace::with_shards(snap.engine.shard_count());
+        let trace = QueryTrace::new();
         let opts = QueryOptions {
             trace: Some(Arc::clone(&trace)),
             ..Default::default()
@@ -1077,7 +1044,7 @@ impl Server {
         Ok(self.serve_cached(&snap, target, width, opts, |opts| {
             let prepared = snap
                 .engine
-                .prepare_indexed(id)
+                .signed_table(id)
                 .expect("table_id only returns live tables");
             snap.engine.rank_all_prepared(&prepared, width, opts)
         }))
@@ -1152,42 +1119,8 @@ impl Server {
         ] {
             memory.push((key.to_string(), Json::Num(bytes as f64)));
         }
-        // Each store lists its directory once; the lake-wide figures
-        // are the per-shard ones summed.
-        let shard_disks = self.engine.shard_disk_stats().ok();
-        let disk = shard_disks
-            .as_deref()
-            .map_or(Json::Null, |d| disk_json(sum_disk_stats(d)));
-        // Per-shard breakdown: which partitions hold the bytes, and
-        // which version last touched each (a mutation stamps only its
-        // owning shard, so these diverge under partitioned load).
-        let shards_json: Vec<Json> = snap
-            .engine
-            .shards()
-            .iter()
-            .enumerate()
-            .map(|(s, shard)| {
-                let mut obj = vec![
-                    ("shard".to_string(), Json::Num(s as f64)),
-                    (
-                        "version".to_string(),
-                        Json::Num(snap.shard_versions[s] as f64),
-                    ),
-                    (
-                        "live_tables".to_string(),
-                        Json::Num(shard.live_table_count() as f64),
-                    ),
-                    (
-                        "memory_bytes".to_string(),
-                        Json::Num(shard.byte_size().total() as f64),
-                    ),
-                ];
-                if let Some(disks) = &shard_disks {
-                    obj.push(("disk".to_string(), disk_json(disks[s])));
-                }
-                Json::Obj(obj)
-            })
-            .collect();
+        // The store lists its directory once.
+        let disk = self.engine.disk_stats().map_or(Json::Null, disk_json);
         let m = &self.shared.metrics;
         let cache = self.engine.cache().stats();
         let mut body = vec![
@@ -1206,7 +1139,6 @@ impl Server {
             ),
             ("memory".to_string(), Json::Obj(memory)),
             ("disk".to_string(), disk),
-            ("shards".to_string(), Json::Arr(shards_json)),
             (
                 "cache".to_string(),
                 Json::Obj(vec![
@@ -1352,12 +1284,6 @@ impl Server {
             &[],
             snap.engine.byte_size().total() as u64,
         );
-        w.gauge_u64(
-            "d3l_engine_shards",
-            "Engine shard count.",
-            &[],
-            snap.engine.shard_count() as u64,
-        );
         w.gauge_f64(
             "d3l_uptime_seconds",
             "Server uptime.",
@@ -1381,8 +1307,7 @@ impl Server {
     fn handle_add_table(&self, req: &Request) -> Result<Routed, Response> {
         let table = Self::body_table(&Self::body_json(req)?)?;
         if table.name().is_empty() {
-            // `DELETE /tables/` could never name it again, and a
-            // tombstone without a name reads as a shard hole.
+            // `DELETE /tables/` could never name it again.
             return Err(Response::error(400, "table name must not be empty"));
         }
         let (id, snap) = self

@@ -1,11 +1,11 @@
 //! The container format shared by base snapshots and delta segments
-//! (format version 10): a fixed header, section payloads back to back,
+//! (format version 11): a fixed header, section payloads back to back,
 //! then a checksummed section table the reader finds from the end.
 //!
 //! ```text
 //! offset  field
 //! 0       magic              "D3LSTORE" (8 bytes)
-//! 8       format version     u32 LE (10)
+//! 8       format version     u32 LE (11)
 //! 12      container kind     u32 LE (1 = snapshot, 2 = delta)
 //! 16      payloads           section bytes, back to back
 //! T       section table      count × { tag: 4 bytes, offset: u64,
@@ -32,7 +32,7 @@
 //! rather than a garbled decode downstream.
 //!
 //! The version counts changes to what any section holds, not only to
-//! the container: version 10 is version 2's container around forest
+//! the container: version 11 is version 2's container around forest
 //! sections that hold each distinct signature once, as a class with
 //! the items that carry it, every one with its signature arena, and
 //! nothing their reader already knows — no shape, no count, no item
@@ -50,9 +50,11 @@
 //! version 8 (a header and an id table in every forest section, and
 //! copies of other facts: thread counts in the configuration, an arity
 //! per table, the embedder's dimension, seed and blend weight, a count
-//! per word list of an added table) and version 9 (four query
+//! per word list of an added table), version 9 (four query
 //! constants in the configuration: the LSH and join thresholds, the
-//! lookup factor and the join path length) — are not read: opening one is
+//! lookup factor and the join path length) and version 10 (a shard
+//! count in the configuration, and a partitioned index's shards each
+//! a store of its own) — are not read: opening one is
 //! [`StoreError::UnsupportedVersion`], and the lake must be re-indexed.
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -67,7 +69,7 @@ use crate::error::StoreError;
 pub const MAGIC: &[u8; 8] = b"D3LSTORE";
 
 /// The container format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 10;
+pub const FORMAT_VERSION: u32 = 11;
 
 /// Container kind of a full base snapshot.
 pub const KIND_SNAPSHOT: u32 = 1;
@@ -749,8 +751,8 @@ mod tests {
     #[test]
     fn other_versions_are_rejected() {
         // Newer and older alike: there is one read path, and a
-        // version 1 to 9 store must be re-indexed.
-        for version in [FORMAT_VERSION + 1, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0] {
+        // version 1 to 10 store must be re-indexed.
+        for version in [FORMAT_VERSION + 1, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0] {
             let mut bytes = two_section_container();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
@@ -795,7 +797,7 @@ mod tests {
     /// header before any is read.
     #[test]
     fn older_files_of_this_container_are_an_unsupported_version() {
-        assert_eq!(FORMAT_VERSION, 10);
+        assert_eq!(FORMAT_VERSION, 11);
         for version in 2..FORMAT_VERSION {
             let mut old = two_section_container();
             old[8..12].copy_from_slice(&version.to_le_bytes());
@@ -803,7 +805,7 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    StoreError::UnsupportedVersion { found, supported: 10 } if found == version
+                    StoreError::UnsupportedVersion { found, supported: 11 } if found == version
                 ),
                 "{err}"
             );

@@ -14,6 +14,9 @@
 //! <dir>/*.tmp.<pid>         in-flight atomic writes (swept on open)
 //! ```
 //!
+//! An index is exactly one such directory, with no subdirectories: a
+//! directory without `base.d3ls` holds no index.
+//!
 //! [`scan`] is the read-only inventory: it never opens a file. An open
 //! replays the segments it lists, compaction deletes the ones it
 //! folded, and disk accounting sums their sizes.
@@ -30,52 +33,6 @@ pub const DELTA_EXT: &str = "d3ld";
 
 /// Prefix of delta segment filenames.
 pub const DELTA_PREFIX: &str = "delta-";
-
-/// Prefix of per-shard subdirectories inside a sharded index root.
-/// A sharded layout nests one complete store directory per shard:
-///
-/// ```text
-/// <root>/shard-00/base.d3ls + delta-*.d3ld
-/// <root>/shard-01/...
-/// ```
-///
-/// A monolithic index keeps `base.d3ls` directly in `<root>` — the
-/// presence of that file vs `shard-00/` is how an opener tells the
-/// two layouts apart.
-pub const SHARD_PREFIX: &str = "shard-";
-
-/// The subdirectory name of shard `i` inside a sharded index root.
-/// Two-digit padding is cosmetic (like delta padding): inventory
-/// always orders by the parsed number.
-pub fn shard_dir_name(i: usize) -> String {
-    format!("{SHARD_PREFIX}{i:02}")
-}
-
-/// Parse the shard ordinal out of a directory name. `None` for
-/// anything that is not a well-formed shard directory name.
-pub fn shard_ordinal_of(name: &str) -> Option<usize> {
-    name.strip_prefix(SHARD_PREFIX)?.parse().ok()
-}
-
-/// Inventory the shard subdirectories of a sharded index root:
-/// ordinals found on disk, ascending. An empty result means the root
-/// is not a sharded layout (or is empty). Errors only on unreadable
-/// directories — a root holding a monolithic store simply reports no
-/// shards.
-pub fn shard_dirs(root: &Path) -> Result<Vec<(usize, PathBuf)>, StoreError> {
-    let mut shards = Vec::new();
-    for entry in std::fs::read_dir(root)?.collect::<Result<Vec<_>, _>>()? {
-        let path = entry.path();
-        if !path.is_dir() {
-            continue;
-        }
-        if let Some(ordinal) = entry.file_name().to_str().and_then(shard_ordinal_of) {
-            shards.push((ordinal, path));
-        }
-    }
-    shards.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-    Ok(shards)
-}
 
 /// The filename of the delta segment with sequence number `seq`.
 /// Sequence numbers are zero-padded to six digits for directory
@@ -250,46 +207,6 @@ mod tests {
         // Unprobeable values are never "provably dead".
         assert!(!pid_is_dead(0));
         assert!(!pid_is_dead(u32::MAX));
-    }
-
-    #[test]
-    fn shard_names_round_trip() {
-        for i in [0usize, 1, 7, 99, 100, 4096] {
-            let name = shard_dir_name(i);
-            assert_eq!(shard_ordinal_of(&name), Some(i), "{name}");
-        }
-        for name in ["shard-", "shard-xy", "shards-01", "shard"] {
-            assert_eq!(shard_ordinal_of(name), None, "{name}");
-        }
-    }
-
-    #[test]
-    fn shard_dirs_inventories_only_shard_subdirectories() {
-        let dir = std::env::temp_dir().join(format!("d3l_layout_shards_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        for name in ["shard-02", "shard-00", "shard-01", "notes", "shard-xy"] {
-            std::fs::create_dir_all(dir.join(name)).unwrap();
-        }
-        // A *file* named like a shard must not be inventoried.
-        std::fs::write(dir.join("shard-07"), b"not a dir").unwrap();
-        let shards = shard_dirs(&dir).unwrap();
-        let ordinals: Vec<usize> = shards.iter().map(|(i, _)| *i).collect();
-        assert_eq!(ordinals, vec![0, 1, 2]);
-        assert!(shards
-            .iter()
-            .all(|(i, p)| p.file_name().unwrap().to_str().unwrap() == shard_dir_name(*i)));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn shard_dirs_on_monolith_root_is_empty() {
-        let dir = std::env::temp_dir().join(format!("d3l_layout_mono_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(BASE_FILE), b"base").unwrap();
-        assert!(shard_dirs(&dir).unwrap().is_empty());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! relative error (≤ √2) of the true value.
 //!
 //! [`HistogramSnapshot`] is the mergeable plain-integer form: workers
-//! and shards snapshot independently and [`HistogramSnapshot::merge`]
-//! sums bucketwise, so cross-worker aggregation needs no shared lock.
+//! snapshot independently and [`HistogramSnapshot::merge`] sums
+//! bucketwise, so cross-worker aggregation needs no shared lock.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,7 +120,7 @@ impl Histogram {
 }
 
 /// The plain-integer form of a [`Histogram`]: mergeable across
-/// workers/shards and the input to quantile estimation and the
+/// workers and the input to quantile estimation and the
 /// Prometheus writer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {

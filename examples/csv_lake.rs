@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let build_start = Instant::now();
-    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::default());
+    let d3l = D3l::index_lake(&lake, D3lConfig::default());
     let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
     println!(
         "indexed in {build_ms:.1} ms; index footprint {} bytes ({:.0}% of the raw data)",

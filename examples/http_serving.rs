@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &["Planet", "Moons"],
         &[vec!["Saturn".into(), "146".into()]],
     )?)?;
-    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
+    let d3l = D3l::index_lake(&lake, D3lConfig::fast());
     let dir = std::env::temp_dir().join(format!("d3l_http_example_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 

@@ -25,7 +25,7 @@ fn main() {
     // Index with the domain lexicon so the E evidence understands the
     // vocabulary ("street" ≈ "road", "practice" ≈ "surgery", ...).
     let embedder = SemanticEmbedder::new(benchgen::vocab::domain_lexicon(64));
-    let d3l = ShardedD3l::index_lake_with(&bench.lake, D3lConfig::default(), embedder);
+    let d3l = D3l::index_lake_with(&bench.lake, D3lConfig::default(), embedder);
 
     let k = 10;
     let targets = bench.pick_targets(5, 7);

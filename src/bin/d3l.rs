@@ -1,9 +1,9 @@
 //! `d3l` — command-line dataset discovery over a directory of CSVs.
 //!
 //! ```text
-//! d3l index   <lake-dir> --out <index-dir> [--shards N]
+//! d3l index   <lake-dir> --out <index-dir>
 //! d3l query   <lake-dir>|--index <index-dir> <target.csv> [-k N] [--joins] [--evidence N|V|F|E|D] [--threads N]
-//! d3l serve   --index <index-dir> [--shards N] [--port P] [--host H] [--threads N] [--cache-bytes N[k|m|g]] [--max-queue N] [--slow-query-ms N] [--watch <lake-dir> [--poll-ms N] [--compact-segments N] [--compact-bytes N[k|m|g]]]
+//! d3l serve   --index <index-dir> [--port P] [--host H] [--threads N] [--cache-bytes N[k|m|g]] [--max-queue N] [--slow-query-ms N] [--watch <lake-dir> [--poll-ms N] [--compact-segments N] [--compact-bytes N[k|m|g]]]
 //! d3l stats   <lake-dir>|--index <index-dir>
 //! d3l add     <index-dir> <table.csv>
 //! d3l remove  <index-dir> <table-name>
@@ -41,7 +41,7 @@ use d3l::benchgen;
 use d3l::prelude::*;
 use d3l::table::csv;
 
-const USAGE: &str = "usage:\n  d3l index <lake-dir> --out <index-dir> [--shards N]\n  d3l query <lake-dir>|--index <index-dir> <target.csv> [-k N] [--joins] [--evidence N|V|F|E|D] [--threads N]\n  d3l serve --index <index-dir> [--shards N] [--port P] [--host H] [--threads N] [--cache-bytes N[k|m|g]] [--max-queue N] [--slow-query-ms N] [--watch <lake-dir> [--poll-ms N] [--compact-segments N] [--compact-bytes N[k|m|g]]]\n  d3l stats <lake-dir>|--index <index-dir>\n  d3l add <index-dir> <table.csv>\n  d3l remove <index-dir> <table-name>\n  d3l compact <index-dir>\n  d3l demo";
+const USAGE: &str = "usage:\n  d3l index <lake-dir> --out <index-dir>\n  d3l query <lake-dir>|--index <index-dir> <target.csv> [-k N] [--joins] [--evidence N|V|F|E|D] [--threads N]\n  d3l serve --index <index-dir> [--port P] [--host H] [--threads N] [--cache-bytes N[k|m|g]] [--max-queue N] [--slow-query-ms N] [--watch <lake-dir> [--poll-ms N] [--compact-segments N] [--compact-bytes N[k|m|g]]]\n  d3l stats <lake-dir>|--index <index-dir>\n  d3l add <index-dir> <table.csv>\n  d3l remove <index-dir> <table-name>\n  d3l compact <index-dir>\n  d3l demo";
 
 /// A line of command output. Every command writes through here, not
 /// `println!`, which panics when stdout is gone: a failed write is the
@@ -96,33 +96,27 @@ fn main() -> ExitCode {
     }
 }
 
-/// Build an engine for serving: either a millisecond cold start from
-/// a persisted index directory (monolithic or sharded — the layout is
-/// auto-detected), or an index-on-the-fly over a raw CSV lake
-/// directory.
+/// Build an engine to query: either a millisecond cold start from a
+/// persisted index directory, or an index-on-the-fly over a raw CSV
+/// lake directory.
 fn load_engine(
     lake_dir: Option<&str>,
     index_dir: Option<&str>,
-) -> Result<ShardedD3l, Box<dyn std::error::Error>> {
+) -> Result<D3l, Box<dyn std::error::Error>> {
     match (lake_dir, index_dir) {
         (None, Some(index)) => {
             let start = Instant::now();
-            let handle = EngineHandle::open(index)?;
-            let snap = handle.snapshot();
+            let (_, engine) = IndexStore::open(index)?;
             eprintln!(
-                "cold start: loaded {} tables ({} shard{}) from {index} in {:.1} ms (no re-profiling)",
-                snap.engine.live_table_count(),
-                snap.engine.shard_count(),
-                if snap.engine.shard_count() == 1 { "" } else { "s" },
+                "cold start: loaded {} tables from {index} in {:.1} ms (no re-profiling)",
+                engine.live_table_count(),
                 start.elapsed().as_secs_f64() * 1e3
             );
-            // Shards sit behind `Arc`: this copies pointers, not the
-            // engine the open just built.
-            Ok(snap.engine.clone())
+            Ok(engine)
         }
         (Some(dir), None) => {
             eprintln!("indexing the lake in {dir} ...");
-            Ok(ShardedD3l::index_dir(dir, D3lConfig::default())?)
+            Ok(D3l::index_dir(dir, D3lConfig::default())?)
         }
         (Some(_), Some(_)) => Err("give either a lake directory or --index, not both".into()),
         (None, None) => Err("missing lake directory (or --index <index-dir>)".into()),
@@ -132,25 +126,16 @@ fn load_engine(
 fn cmd_index(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut dir = None;
     let mut out = None;
-    let mut shards: usize = 1;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--out" => out = Some(it.next().ok_or("missing value for --out")?.to_string()),
-            "--shards" => shards = it.next().ok_or("missing value for --shards")?.parse()?,
             other if dir.is_none() => dir = Some(other.to_string()),
             other => return Err(format!("unexpected argument {other}").into()),
         }
     }
     let dir = dir.ok_or("missing lake directory")?;
     let out = out.ok_or("missing --out <index-dir>")?;
-    let cfg = D3lConfig {
-        shards,
-        ..Default::default()
-    };
-    if let Some(error) = cfg.shape_error() {
-        return Err(format!("--shards {shards}: {error}").into());
-    }
 
     eprintln!(
         "indexing the lake in {dir} ({} signing lanes) ...",
@@ -160,18 +145,14 @@ fn cmd_index(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     // Streamed: each table is read, parsed, indexed and dropped in
     // turn, and nothing is created under `out` unless all of them
     // load.
-    let engine = ShardedD3l::index_dir(&dir, cfg)?;
+    let engine = D3l::index_dir(&dir, D3lConfig::default())?;
     let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
     let save_start = Instant::now();
     let tables = engine.table_count();
-    // The shard count rides in every shard's config, so `d3l serve`
-    // and the maintenance commands reopen with the same partitioning
-    // without being told.
     let handle = EngineHandle::create(&out, engine)?;
     let (base_bytes, _, _) = handle.disk_stats()?;
     out!(
-        "indexed {tables} tables into {shards} shard{} in {build_ms:.1} ms; snapshot {base_bytes} bytes written to {out} in {:.1} ms",
-        if shards == 1 { "" } else { "s" },
+        "indexed {tables} tables in {build_ms:.1} ms; snapshot {base_bytes} bytes written to {out} in {:.1} ms",
         save_start.elapsed().as_secs_f64() * 1e3
     );
     Ok(())
@@ -184,11 +165,10 @@ fn cmd_add(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let engine = EngineHandle::open(index_dir)?;
     let table = d3l::table::lake::load_csv(std::path::Path::new(table_path))?;
     let start = Instant::now();
-    let (id, snap) = engine.add_table(&table)?;
-    let shard = snap.engine.shard_of(table.name());
+    let (id, _) = engine.add_table(&table)?;
     let (_, _, segments) = engine.disk_stats()?;
     out!(
-        "added {} as {id} (shard {shard}) in {:.1} ms ({segments} delta segments pending; run `d3l compact` to fold)",
+        "added {} as {id} in {:.1} ms ({segments} delta segments pending; run `d3l compact` to fold)",
         table.name(),
         start.elapsed().as_secs_f64() * 1e3,
     );
@@ -405,7 +385,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut cache_bytes: u64 = d3l::core::cache::DEFAULT_CACHE_BYTES;
     let mut max_queue: usize = d3l::server::ServerConfig::default().max_queue;
     let mut slow_query_ms: u64 = d3l::server::ServerConfig::default().slow_query_ms;
-    let mut shards: Option<usize> = None;
     let mut watch_dir: Option<String> = None;
     let mut watch_cfg = WatchConfig::default();
     let mut watch_flag = None;
@@ -417,13 +396,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             }
             "--watch" => {
                 watch_dir = Some(it.next().ok_or("missing value for --watch")?.to_string());
-            }
-            "--shards" => {
-                let n: usize = it.next().ok_or("missing value for --shards")?.parse()?;
-                if n == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                shards = Some(n);
             }
             "--port" => port = it.next().ok_or("missing value for --port")?.parse()?,
             "--host" => host = it.next().ok_or("missing value for --host")?.to_string(),
@@ -455,29 +427,9 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
     let start = Instant::now();
     let engine = std::sync::Arc::new(d3l::core::EngineHandle::open(&index_dir)?);
-    let snap = engine.snapshot();
-    // The layout on disk decides the shard count (it rides in every
-    // shard's config); an explicit --shards is a cross-check against
-    // serving the wrong index, not a way to repartition.
-    if let Some(n) = shards {
-        if n != snap.engine.shard_count() {
-            return Err(format!(
-                "--shards {n} does not match the index at {index_dir}, which has {} shard{} (repartition with `d3l index --shards {n}`)",
-                snap.engine.shard_count(),
-                if snap.engine.shard_count() == 1 { "" } else { "s" },
-            )
-            .into());
-        }
-    }
     eprintln!(
-        "cold start: loaded {} tables ({} shard{}) from {index_dir} in {:.1} ms",
-        snap.engine.live_table_count(),
-        snap.engine.shard_count(),
-        if snap.engine.shard_count() == 1 {
-            ""
-        } else {
-            "s"
-        },
+        "cold start: loaded {} tables from {index_dir} in {:.1} ms",
+        engine.snapshot().engine.live_table_count(),
         start.elapsed().as_secs_f64() * 1e3
     );
 
@@ -563,17 +515,13 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // On-disk accounting: the real store files when serving from an
-    // index directory (monolithic or sharded), otherwise the snapshot
-    // the lake would produce.
+    // index directory, otherwise the snapshot the lake would produce.
     let mut sections = Vec::new();
-    let (d3l, disk, shard_disk) = match (&dir, &index_dir) {
+    let (d3l, disk) = match (&dir, &index_dir) {
         (None, Some(index)) => {
-            let handle = EngineHandle::open(index)?;
-            let snap = handle.snapshot();
-            let per_shard = handle.shard_disk_stats()?;
-            let (base, deltas, pending) = handle.disk_stats()?;
-            sections = handle.base_sections()?;
-            (snap.engine.clone(), (base, deltas, pending), per_shard)
+            let (store, engine) = IndexStore::open(index)?;
+            sections = store.base_sections()?;
+            (engine, store.disk_usage()?)
         }
         (Some(dir), None) => {
             let lake = DataLake::load_dir(dir)?;
@@ -584,18 +532,14 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             out!("mean rows:      {:.1}", stats.mean_cardinality());
             out!("numeric ratio:  {:.1}%", stats.numeric_ratio * 100.0);
             out!("raw bytes:      {}", stats.bytes);
-            let mono = D3l::index_lake(&lake, D3lConfig::default());
+            let engine = D3l::index_lake(&lake, D3lConfig::default());
             out!(
                 "index bytes:    {} ({:.0}% overhead, in-memory)",
-                mono.index_byte_size(),
-                100.0 * mono.index_byte_size() as f64 / stats.bytes.max(1) as f64
+                engine.index_byte_size(),
+                100.0 * engine.index_byte_size() as f64 / stats.bytes.max(1) as f64
             );
-            let snapshot = mono.to_snapshot_bytes().len() as u64;
-            (
-                ShardedD3l::from_monolith(mono),
-                (snapshot, 0, 0),
-                Vec::new(),
-            )
+            let snapshot = engine.to_snapshot_bytes().len() as u64;
+            (engine, (snapshot, 0, 0))
         }
         _ => return Err("give either a lake directory or --index <index-dir>".into()),
     };
@@ -607,15 +551,6 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 "serving:        {} (rest tombstoned)",
                 d3l.live_table_count()
             );
-        }
-        if d3l.shard_count() > 1 {
-            out!("shards:         {}", d3l.shard_count());
-            for (s, (base, deltas, segments)) in shard_disk.iter().enumerate() {
-                out!(
-                    "  shard-{s:02}: {} live tables, {base} base + {deltas} delta bytes ({segments} segments)",
-                    d3l.shards()[s].live_table_count(),
-                );
-            }
         }
     }
     out!("signing lanes:  {}", d3l::core::index::signing_lanes());
@@ -661,7 +596,7 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         "",
         fp.total()
     );
-    out!("classes (distinct signatures; per-shard counts added, largest class of any shard):");
+    out!("classes (distinct signatures):");
     out!(
         "  {:<10} {:>12} {:>12} {:>14}",
         "index",
@@ -954,30 +889,6 @@ mod tests {
         assert!(
             cmd_index(&args(&["a", "--out", "b", "c"])).is_err(),
             "extra positional must fail"
-        );
-        assert!(
-            cmd_index(&args(&["a", "--out", "b", "--shards"])).is_err(),
-            "--shards needs a value"
-        );
-        assert!(
-            cmd_index(&args(&["a", "--out", "b", "--shards", "0"])).is_err(),
-            "zero shards must fail"
-        );
-        assert!(
-            cmd_index(&args(&["a", "--out", "b", "--shards", "257"])).is_err(),
-            "shards past the bound must fail"
-        );
-        assert!(
-            cmd_index(&args(&["a", "--out", "b", "--shards", "x"])).is_err(),
-            "non-numeric --shards must fail"
-        );
-        assert!(
-            cmd_serve(&args(&["--index", "idx", "--shards"])).is_err(),
-            "serve --shards needs a value"
-        );
-        assert!(
-            cmd_serve(&args(&["--index", "idx", "--shards", "0"])).is_err(),
-            "serve --shards 0 must fail"
         );
         assert!(cmd_add(&args(&["only-one"])).is_err());
         assert!(cmd_add(&args(&["/nonexistent/index", "t.csv"])).is_err());

@@ -35,7 +35,7 @@
 //! ).unwrap()).unwrap();
 //!
 //! // Index once, query with a target.
-//! let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
+//! let d3l = D3l::index_lake(&lake, D3lConfig::fast());
 //! let target = Table::from_rows(
 //!     "gps",
 //!     &["Practice", "City"],
@@ -73,8 +73,7 @@ pub use d3l_table as table;
 pub mod prelude {
     pub use d3l_core::{
         AttrRef, D3l, D3lConfig, DistanceVector, EngineHandle, Evidence, EvidenceWeights,
-        IndexStore, Ingestor, JoinPath, SaJoinGraph, ShardedD3l, TableMatch, WatchConfig,
-        WatchStats, Watcher,
+        IndexStore, Ingestor, JoinPath, SaJoinGraph, TableMatch, WatchConfig, WatchStats, Watcher,
     };
     pub use d3l_embedding::{Lexicon, SemanticEmbedder, WordEmbedder};
     pub use d3l_table::{Column, ColumnType, DataLake, Table, TableId};

@@ -174,9 +174,9 @@ fn stats_reports_lake_shape() {
 
     // Under the footprint table, how far each index pools: every
     // column is in IN and IF, the three textual ones in IV and IE —
-    // from the lake and, shard counts added, from a two-shard index.
+    // from the lake and from its index.
     let index_dir = format!("{}_index", lake.dir());
-    let out = d3l_cmd(&["index", lake.dir(), "--out", &index_dir, "--shards", "2"]);
+    let out = d3l_cmd(&["index", lake.dir(), "--out", &index_dir]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
     let indexed = d3l_cmd(&["stats", "--index", &index_dir]);
     assert_eq!(indexed.status.code(), Some(0), "{}", stderr_of(&indexed));
@@ -189,7 +189,7 @@ fn stats_reports_lake_shape() {
                 .map(|l| l.split_whitespace().collect())
                 .collect()
         };
-        let rows = table("classes (distinct signatures; per-shard counts added");
+        let rows = table("classes (distinct signatures)");
         let footprint = table("in-memory footprint");
         let number = |cell: &str| cell.parse::<usize>().expect("a count");
         let names: Vec<&str> = rows.iter().map(|r| r[0]).collect();
@@ -349,19 +349,17 @@ fn index_of_a_lake_with_a_bad_csv_leaves_no_index_directory() {
     let lake = TempLake::create("bad_csv");
     let index_dir = format!("{}_index", lake.dir());
     std::fs::write(lake.dir.join("broken.csv"), "a,b\n\"unterminated").unwrap();
-    for shards in ["1", "2"] {
-        let out = d3l_cmd(&["index", lake.dir(), "--out", &index_dir, "--shards", shards]);
-        assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout_of(&out));
-        assert!(
-            stderr_of(&out).contains("error: csv parse error"),
-            "must name the parse error: {}",
-            stderr_of(&out)
-        );
-        assert!(
-            !std::path::Path::new(&index_dir).exists(),
-            "a failed build must not leave a partial index"
-        );
-    }
+    let out = d3l_cmd(&["index", lake.dir(), "--out", &index_dir]);
+    assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout_of(&out));
+    assert!(
+        stderr_of(&out).contains("error: csv parse error"),
+        "must name the parse error: {}",
+        stderr_of(&out)
+    );
+    assert!(
+        !std::path::Path::new(&index_dir).exists(),
+        "a failed build must not leave a partial index"
+    );
 }
 
 #[test]
@@ -668,13 +666,12 @@ fn serve_watch_applies_live_churn_and_drains() {
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// `index --shards 4` then `serve`: `/stats` has one row per shard
-/// that reconciles with the lake totals, and echoes the cache budget
-/// and queue bound it was started with.
+/// `index` then `serve`: `/stats` counts the lake's tables and echoes
+/// the cache budget and queue bound the server was started with.
 #[cfg(unix)]
 #[test]
-fn sharded_index_serves_per_shard_stats_and_echoes_its_limits() {
-    let base = twelve_table_lake("shards");
+fn served_index_echoes_its_limits() {
+    let base = twelve_table_lake("limits");
     let index = base.join("index");
     let index_dir = index.to_str().unwrap();
     let out = d3l_cmd(&[
@@ -682,8 +679,6 @@ fn sharded_index_serves_per_shard_stats_and_echoes_its_limits() {
         base.join("lake").to_str().unwrap(),
         "--out",
         index_dir,
-        "--shards",
-        "4",
     ]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
 
@@ -725,55 +720,32 @@ fn sharded_index_serves_per_shard_stats_and_echoes_its_limits() {
         matches!(build("profile"), Some("release" | "debug")),
         "{doc:?}"
     );
-    let shards = doc.get("shards").and_then(|s| s.as_arr()).expect("shards");
-    let numbers: Vec<usize> = shards.iter().map(|s| stat(s, &["shard"])).collect();
-    assert_eq!(numbers, [0, 1, 2, 3]);
-    let live: usize = shards.iter().map(|s| stat(s, &["live_tables"])).sum();
-    assert_eq!(live, 12, "per-shard live tables must sum to the lake's");
-    for shard in shards {
-        assert!(stat(shard, &["memory_bytes"]) > 0, "{shard:?}");
-        assert!(stat(shard, &["disk", "base_bytes"]) > 0, "{shard:?}");
-    }
     serving.drain();
 
     std::fs::remove_dir_all(&base).ok();
 }
 
-/// Algorithm 3 runs over the shard set: `query --joins` on a
-/// four-shard index prints what it prints on a one-shard index.
+/// Algorithm 3 from a cold start: `query --joins` on a persisted index
+/// prints what it prints on the lake it was built from.
 #[cfg(unix)]
 #[test]
-fn joins_answer_identically_at_one_and_four_shards() {
+fn joins_answer_identically_from_the_index_and_the_lake() {
     let base = twelve_table_lake("joins");
     let lake = base.join("lake");
-    let target = lake.join("gp_03.csv");
-    let answer = |shards: &str| {
-        let index = base.join(format!("index-{shards}"));
-        let index_dir = index.to_str().unwrap();
-        let out = d3l_cmd(&[
-            "index",
-            lake.to_str().unwrap(),
-            "--out",
-            index_dir,
-            "--shards",
-            shards,
-        ]);
-        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
-        let out = d3l_cmd(&[
-            "query",
-            "--index",
-            index_dir,
-            target.to_str().unwrap(),
-            "-k",
-            "5",
-            "--joins",
-        ]);
+    let (lake_dir, target) = (lake.to_str().unwrap(), lake.join("gp_03.csv"));
+    let index = base.join("index");
+    let index_dir = index.to_str().unwrap();
+    let out = d3l_cmd(&["index", lake_dir, "--out", index_dir]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    let answer = |source: &[&str]| {
+        let tail = [target.to_str().unwrap(), "-k", "5", "--joins"];
+        let out = d3l_cmd(&[&["query"], source, &tail[..]].concat());
         assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
         stdout_of(&out)
     };
-    let one = answer("1");
-    assert!(one.contains("join paths from the top-5:"), "got: {one}");
-    assert_eq!(one, answer("4"));
+    let cold = answer(&["--index", index_dir]);
+    assert!(cold.contains("join paths from the top-5:"), "got: {cold}");
+    assert_eq!(cold, answer(&[lake_dir]));
     std::fs::remove_dir_all(&base).ok();
 }
 
@@ -843,8 +815,7 @@ fn sweep_run(args: &[&str]) -> Result<(), String> {
 /// Every numeric flag of `index`, `query` and `serve` (its watch flags
 /// with `--watch`) at 0, 1, 2³² and `u64::MAX`: each run exits 0, or
 /// exits 1 with a message; none panics, aborts or hangs, and `serve`
-/// either refuses at once or boots and drains on SIGINT. (`index
-/// --shards 4294967296` aborted on allocating the shard list, `serve
+/// either refuses at once or boots and drains on SIGINT. (`serve
 /// --threads 18446744073709551615` panicked on sizing its worker list.)
 /// The swept flags are the usage text's: every flag it shows with a
 /// numeric placeholder (`N`, `P`, `N[k|m|g]`) is swept, and every
@@ -857,7 +828,6 @@ fn every_numeric_flag_at_its_extremes_runs_or_is_refused() {
     let index_dir = format!("{}_index", lake.dir());
     let out = d3l_cmd(&["index", lake.dir(), "--out", &index_dir]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
-    let fresh_out = format!("{}_sweep_out", lake.dir());
     let serve = [
         "serve",
         "--index",
@@ -870,12 +840,10 @@ fn every_numeric_flag_at_its_extremes_runs_or_is_refused() {
     let serve_watch = [&serve[..], &["--watch", lake.dir()]].concat();
     let query = ["query", "--index", &index_dir, lake.target()];
     let mut runs: Vec<(Vec<&str>, &str)> = vec![
-        (vec!["index", lake.dir(), "--out", &fresh_out], "--shards"),
         ([&query[..], &["--joins"]].concat(), "-k"),
         (query.to_vec(), "--threads"),
     ];
     for flag in [
-        "--shards",
         "--port",
         "--threads",
         "--cache-bytes",
@@ -915,12 +883,11 @@ fn every_numeric_flag_at_its_extremes_runs_or_is_refused() {
             if let Err(why) = sweep_run(&args) {
                 failures.push(format!("d3l {}: {why}", args.join(" ")));
             }
-            std::fs::remove_dir_all(&fresh_out).ok();
         }
     }
     let cases = runs.len() * values.len();
     println!("{cases} cases in {:.1} s", start.elapsed().as_secs_f64());
-    assert_eq!(cases, 48);
+    assert_eq!(cases, 40);
     assert!(failures.is_empty(), "{}", failures.join("\n"));
     std::fs::remove_dir_all(&index_dir).ok();
 }

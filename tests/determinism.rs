@@ -3,11 +3,12 @@
 //! have to produce byte-identical `TableMatch` lists (table ids,
 //! distance bits, alignment ordering) for `query_threads` in
 //! {1, 2, 8}, and the batched API has to equal per-target queries.
-//! The same guarantee holds across *partitioning*: a sharded engine
-//! at shard counts {1, 2, 8} answers byte-identically to the
-//! monolith, through adds, removes, compaction and reopen, and on
-//! adversarial value domains (overflow, subnormals, non-finite
-//! text). The serving layer extends the guarantee across the wire:
+//! The same guarantee holds through a served engine's lifecycle — an
+//! engine behind a store answers byte-identically to the same
+//! operations replayed in memory, through adds, removes, compaction
+//! and reopen — and on adversarial value domains (overflow,
+//! subnormals, non-finite text). The serving layer extends the
+//! guarantee across the wire:
 //! server response bodies are byte-identical to rendering the
 //! in-process results, at server worker counts {1, 8}.
 
@@ -18,24 +19,22 @@ use d3l::core::query::QueryOptions;
 use d3l::features::NumericExtent;
 use d3l::prelude::*;
 
-fn indexed(tables: usize, seed: u64) -> (benchgen::Benchmark, ShardedD3l) {
+fn indexed(tables: usize, seed: u64) -> (benchgen::Benchmark, D3l) {
     let bench = benchgen::smaller_real(tables, seed);
     let embedder = SemanticEmbedder::new(benchgen::vocab::domain_lexicon(32));
     let cfg = D3lConfig {
         embed_dim: 32,
         ..D3lConfig::fast()
     };
-    let d3l = ShardedD3l::index_lake_with(&bench.lake, cfg, embedder);
+    let d3l = D3l::index_lake_with(&bench.lake, cfg, embedder);
     (bench, d3l)
 }
 
-/// Every shard's class column names, per attribute and index, the
-/// class whose postings hold the attribute, and every posting its row
+/// The class column names, per attribute and index, the class whose
+/// postings hold the attribute, and every posting its row
 /// (`D3l::check_class_column`).
-fn assert_class_columns(engine: &ShardedD3l, ctx: &str) {
-    for (s, shard) in engine.shards().iter().enumerate() {
-        assert_eq!(shard.check_class_column(), Ok(()), "{ctx}: shard {s}");
-    }
+fn assert_class_columns(engine: &D3l, ctx: &str) {
+    assert_eq!(engine.check_class_column(), Ok(()), "{ctx}");
 }
 
 /// Bitwise equality of two rankings: ids, f64 bits, alignments and
@@ -178,7 +177,7 @@ fn separately_built_indexes_agree() {
             query_threads,
             ..D3lConfig::fast()
         };
-        ShardedD3l::index_lake_with(&bench.lake, cfg, embedder)
+        D3l::index_lake_with(&bench.lake, cfg, embedder)
     };
     let serial = build(1, 1);
     let parallel = build(8, 8);
@@ -208,10 +207,8 @@ fn snapshot_round_trip_is_query_identical() {
     // in-memory engine that wrote the snapshot, at query threads 1
     // and 8.
     let (bench, mut d3l) = indexed(48, 29);
-    let mut loaded = ShardedD3l::from_monolith(
-        D3l::from_snapshot_bytes(&d3l.shards()[0].to_snapshot_bytes())
-            .expect("snapshot round trip must succeed"),
-    );
+    let mut loaded = D3l::from_snapshot_bytes(&d3l.to_snapshot_bytes())
+        .expect("snapshot round trip must succeed");
 
     let names = bench.pick_targets(5, 7);
     let targets: Vec<Table> = names
@@ -266,7 +263,7 @@ fn server_responses_are_byte_identical_to_in_process_results() {
     let (bench, d3l) = indexed(48, 31);
     let dir = std::env::temp_dir().join(format!("d3l_det_srv_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    IndexStore::create(&dir, &d3l.shards()[0]).unwrap();
+    IndexStore::create(&dir, &d3l).unwrap();
 
     let names = bench.pick_targets(4, 8);
     let targets: Vec<Table> = names
@@ -279,7 +276,10 @@ fn server_responses_are_byte_identical_to_in_process_results() {
     // same store (PR 4 guarantees the load is byte-identical to the
     // engine that wrote it).
     let (_, loaded) = IndexStore::open(&dir).unwrap();
-    let snap = EngineSnapshot::at_version(0, d3l::core::ShardedD3l::from_monolith(loaded));
+    let snap = EngineSnapshot {
+        version: 0,
+        engine: loaded,
+    };
     let expected_batch = server::batch_response(&snap, &snap.engine.query_batch(&targets, k));
     let expected_single: Vec<String> = targets
         .iter()
@@ -389,7 +389,7 @@ fn cached_server_is_byte_identical_to_uncached_across_mutations() {
                 std::process::id()
             ));
             let _ = std::fs::remove_dir_all(&dir);
-            IndexStore::create(&dir, &d3l.shards()[0]).unwrap();
+            IndexStore::create(&dir, &d3l).unwrap();
             let engine = Arc::new(EngineHandle::open(&dir).unwrap());
             let srv = Server::bind(
                 ("127.0.0.1", 0),
@@ -474,25 +474,23 @@ fn cached_server_is_byte_identical_to_uncached_across_mutations() {
 }
 
 #[test]
-fn sharded_engine_is_byte_identical_to_the_monolith_through_its_lifecycle() {
-    // The partitioned engine must be an implementation detail: at
-    // shard counts {1, 2, 8} and query threads {1, 8}, `query`,
-    // `query_batch` and `rank_all` answer byte-identically to a
-    // monolithic store built from the same lake — not just on the
-    // freshly built index, but after adds, a remove, a compaction and
-    // a cold reopen, with both sides walked through the same
-    // mutations.
+fn served_engine_is_byte_identical_to_in_memory_replay_through_its_lifecycle() {
+    // An engine behind a store must answer as the same operations
+    // applied in memory: at query threads {1, 8}, `query`,
+    // `query_batch`, `rank_all`, the SA-join graph and the join paths
+    // are byte-identical to an in-memory `D3l` walked through the same
+    // mutations — on the freshly built index, after adds, a remove, a
+    // compaction and a cold reopen.
     use d3l::core::hotswap::EngineHandle;
 
     let bench = benchgen::smaller_real(24, 41);
-    let build = |shards: usize| {
+    let build = || {
         let embedder = SemanticEmbedder::new(benchgen::vocab::domain_lexicon(32));
         let cfg = D3lConfig {
             embed_dim: 32,
-            shards,
             ..D3lConfig::fast()
         };
-        ShardedD3l::index_lake_with(&bench.lake, cfg, embedder)
+        D3l::index_lake_with(&bench.lake, cfg, embedder)
     };
 
     let names = bench.pick_targets(3, 13);
@@ -509,7 +507,7 @@ fn sharded_engine_is_byte_identical_to_the_monolith_through_its_lifecycle() {
     // Algorithm 3's inputs and outputs: the SA-join graph's edges and
     // the join paths from every top-k table of every target.
     type Joins = (Vec<(AttrRef, AttrRef, u64)>, Vec<Vec<TableId>>);
-    let joins = |engine: &ShardedD3l| -> Joins {
+    let joins = |engine: &D3l| -> Joins {
         let graph = engine.build_join_graph();
         let mut edges = Vec::new();
         for t in 0..engine.table_count() {
@@ -521,7 +519,7 @@ fn sharded_engine_is_byte_identical_to_the_monolith_through_its_lifecycle() {
         let mut paths = Vec::new();
         for (name, target) in names.iter().zip(&targets) {
             let opts = QueryOptions {
-                exclude: engine.name_to_id().get(name.as_str()).copied(),
+                exclude: engine.table_id(name),
                 ..Default::default()
             };
             let top = engine.query_with(target, 7, &opts);
@@ -536,105 +534,82 @@ fn sharded_engine_is_byte_identical_to_the_monolith_through_its_lifecycle() {
         (edges, paths)
     };
 
-    let compare = |stage: &str, shards: usize, mono: &EngineHandle, sharded: &EngineHandle| {
-        let ms = mono.snapshot();
-        let ss = sharded.snapshot();
-        assert_eq!(ss.engine.shard_count(), shards, "{stage}: shard count");
-        assert_class_columns(&ms.engine, stage);
-        assert_class_columns(&ss.engine, &format!("{stage} @{shards} shards"));
-        let (edges, paths) = joins(&ms.engine);
+    let compare = |stage: &str, served: &EngineHandle, model: &D3l| {
+        let snap = served.snapshot();
+        assert_class_columns(&snap.engine, &format!("{stage} (served)"));
+        assert_class_columns(model, &format!("{stage} (in memory)"));
+        let (edges, paths) = joins(model);
         assert!(!edges.is_empty() && !paths.is_empty(), "{stage}: no joins");
         assert_eq!(
             (edges, paths),
-            joins(&ss.engine),
-            "{stage}: join graph / paths @{shards} shards"
+            joins(&snap.engine),
+            "{stage}: join graph / paths"
         );
         let opts: Vec<QueryOptions> = names
             .iter()
             .map(|t| QueryOptions {
-                exclude: ms.engine.name_to_id().get(t.as_str()).copied(),
+                exclude: model.table_id(t),
                 ..Default::default()
             })
             .collect();
         for &threads in &[1usize, 8] {
-            // Copies of the served engines, so the thread count is set
-            // on these and not on what the handles serve.
-            let (mut mono, mut sharded) = (ms.engine.clone(), ss.engine.clone());
-            mono.set_query_threads(threads);
-            sharded.set_query_threads(threads);
+            // Copies, so the thread count is set on these and not on
+            // what the handle serves.
+            let (mut model, mut served) = (model.clone(), snap.engine.clone());
+            model.set_query_threads(threads);
+            served.set_query_threads(threads);
             for ((name, target), opt) in names.iter().zip(&targets).zip(&opts) {
-                let ctx = format!("{stage}: {name} @{shards} shards / {threads} threads");
+                let ctx = format!("{stage}: {name} @{threads} threads");
                 assert_identical(
-                    &mono.query_with(target, 7, opt),
-                    &sharded.query_with(target, 7, opt),
+                    &model.query_with(target, 7, opt),
+                    &served.query_with(target, 7, opt),
                     &format!("{ctx} (query)"),
                 );
                 assert_identical(
-                    &mono.rank_all(target, 40, opt),
-                    &sharded.rank_all(target, 40, opt),
+                    &model.rank_all(target, 40, opt),
+                    &served.rank_all(target, 40, opt),
                     &format!("{ctx} (rank_all)"),
                 );
             }
-            let a = mono.query_batch_with(&targets, 7, &opts);
-            let b = sharded.query_batch_with(&targets, 7, &opts);
+            let a = model.query_batch_with(&targets, 7, &opts);
+            let b = served.query_batch_with(&targets, 7, &opts);
             assert_eq!(a.len(), b.len());
             for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-                assert_identical(
-                    x,
-                    y,
-                    &format!("{stage}: batch[{i}] @{shards} shards / {threads} threads"),
-                );
+                assert_identical(x, y, &format!("{stage}: batch[{i}] @{threads} threads"));
             }
         }
     };
 
-    for shards in [1usize, 2, 8] {
-        let dir_for = |tag: &str| {
-            std::env::temp_dir().join(format!(
-                "d3l_shard_det_{tag}_{shards}_{}",
-                std::process::id()
-            ))
-        };
-        let mono_dir = dir_for("mono");
-        let shard_dir = dir_for("sharded");
-        let _ = std::fs::remove_dir_all(&mono_dir);
-        let _ = std::fs::remove_dir_all(&shard_dir);
-        let mono = EngineHandle::create(&mono_dir, build(1)).unwrap();
-        let sharded = EngineHandle::create(&shard_dir, build(shards)).unwrap();
-
-        compare("fresh", shards, &mono, &sharded);
-        for handle in [&mono, &sharded] {
-            handle.add_table(&probe_a).unwrap();
-            handle.add_table(&probe_b).unwrap();
-        }
-        compare("after add", shards, &mono, &sharded);
-        for handle in [&mono, &sharded] {
-            handle.remove_table(&removed_name).unwrap();
-        }
-        compare("after remove", shards, &mono, &sharded);
-        for handle in [&mono, &sharded] {
-            assert!(handle.compact().unwrap() > 0, "mutations left segments");
-        }
-        compare("after compact", shards, &mono, &sharded);
-        drop(mono);
-        drop(sharded);
-        let mono = EngineHandle::open(&mono_dir).unwrap();
-        let sharded = EngineHandle::open(&shard_dir).unwrap();
-        compare("after reopen", shards, &mono, &sharded);
-
-        std::fs::remove_dir_all(&mono_dir).ok();
-        std::fs::remove_dir_all(&shard_dir).ok();
+    let dir = std::env::temp_dir().join(format!("d3l_lifecycle_det_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let served = EngineHandle::create(&dir, build()).unwrap();
+    let mut model = build();
+    compare("fresh", &served, &model);
+    for probe in [&probe_a, &probe_b] {
+        served.add_table(probe).unwrap();
+        model.add_table(probe);
     }
+    compare("after add", &served, &model);
+    served.remove_table(&removed_name).unwrap();
+    assert!(model.remove_table(model.table_id(&removed_name).unwrap()));
+    compare("after remove", &served, &model);
+    assert!(served.compact().unwrap() > 0, "mutations left segments");
+    compare("after compact", &served, &model);
+    drop(served);
+    let served = EngineHandle::open(&dir).unwrap();
+    compare("after reopen", &served, &model);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn adversarial_value_domains_are_shard_and_thread_invariant() {
+fn adversarial_value_domains_are_thread_invariant() {
     // Columns engineered to sit on floating-point cliffs — overflow
     // to ±inf while parsing ("1e309"), subnormals ("1e-320"),
     // signed zero, and non-finite *text* ("nan", "inf", which the
     // profiler must treat as words, not numbers) — must not open any
-    // ordering or aggregation seam: every ranking is byte-identical
-    // across query threads {1, 2, 8} AND shard counts {1, 2, 8}.
+    // ordering or aggregation seam: every ranking of an engine is
+    // byte-identical across query threads {1, 2, 8}, and to a
+    // separately built engine's at one thread.
     let mut bench = benchgen::smaller_real(24, 43);
     let table = |name: &str, metric: &[&str]| {
         let rows: Vec<Vec<String>> = metric
@@ -670,21 +645,20 @@ fn adversarial_value_domains_are_shard_and_thread_invariant() {
     ] {
         bench.lake.add(t).unwrap();
     }
-    let build = |shards: usize| {
+    let build = || {
         let embedder = SemanticEmbedder::new(benchgen::vocab::domain_lexicon(32));
         let cfg = D3lConfig {
             embed_dim: 32,
-            shards,
             ..D3lConfig::fast()
         };
-        ShardedD3l::index_lake_with(&bench.lake, cfg, embedder)
+        D3l::index_lake_with(&bench.lake, cfg, embedder)
     };
     let opts_for = |name: &str| QueryOptions {
         exclude: bench.lake.id_of(name),
         ..Default::default()
     };
 
-    let mut baseline_engine = build(1);
+    let mut baseline_engine = build();
     baseline_engine.set_query_threads(1);
     let baselines: Vec<(Vec<TableMatch>, Vec<TableMatch>)> = adversarial
         .iter()
@@ -697,25 +671,23 @@ fn adversarial_value_domains_are_shard_and_thread_invariant() {
         })
         .collect();
 
-    for shards in [1usize, 2, 8] {
-        let mut engine = build(shards);
-        for &threads in &[1usize, 2, 8] {
-            engine.set_query_threads(threads);
-            for (name, (base_query, base_rank)) in adversarial.iter().zip(&baselines) {
-                let target = bench.lake.table_by_name(name).unwrap();
-                let opts = opts_for(name);
-                let ctx = format!("{name} @{shards} shards / {threads} threads");
-                assert_identical(
-                    base_query,
-                    &engine.query_with(target, 7, &opts),
-                    &format!("{ctx} (query)"),
-                );
-                assert_identical(
-                    base_rank,
-                    &engine.rank_all(target, 40, &opts),
-                    &format!("{ctx} (rank_all)"),
-                );
-            }
+    let mut engine = build();
+    for &threads in &[1usize, 2, 8] {
+        engine.set_query_threads(threads);
+        for (name, (base_query, base_rank)) in adversarial.iter().zip(&baselines) {
+            let target = bench.lake.table_by_name(name).unwrap();
+            let opts = opts_for(name);
+            let ctx = format!("{name} @{threads} threads");
+            assert_identical(
+                base_query,
+                &engine.query_with(target, 7, &opts),
+                &format!("{ctx} (query)"),
+            );
+            assert_identical(
+                base_rank,
+                &engine.rank_all(target, 40, &opts),
+                &format!("{ctx} (rank_all)"),
+            );
         }
     }
 }
@@ -735,9 +707,9 @@ fn index_build_is_thread_count_invariant() {
             query_threads: 1,
             ..D3lConfig::fast()
         };
-        ShardedD3l::index_lake_with(&bench.lake, cfg, embedder)
+        D3l::index_lake_with(&bench.lake, cfg, embedder)
     };
-    let mut builds: Vec<ShardedD3l> = THREAD_COUNTS.iter().map(|&n| build(n)).collect();
+    let mut builds: Vec<D3l> = THREAD_COUNTS.iter().map(|&n| build(n)).collect();
     for (d3l, &n) in builds.iter().zip(&THREAD_COUNTS) {
         assert_class_columns(d3l, &format!("@{n} index threads"));
     }
@@ -819,22 +791,24 @@ fn dirty_lake(tables: usize) -> DataLake {
 /// weight and the block's length, 18 bytes, 244 365 bytes (checksum
 /// `0xd251_3a6b_ccbc_c2cf`); format 10 leaves out the four query
 /// constants `CONF` held — two `f64` thresholds and two one-byte
-/// varints, 18 bytes. Profiling and signing may get faster; what they
-/// produce may not move.
+/// varints, 18 bytes, 244 347 bytes (checksum `0xce81_2ebb_7690_1be2`);
+/// format 11 leaves out the one-byte shard count `CONF` held. Profiling
+/// and signing may get faster; what they produce may not move.
 #[test]
 fn dirty_lake_snapshot_checksum_is_pinned() {
     let lake = dirty_lake(40);
     assert_eq!(lake.total_attributes(), 178);
     let built = D3l::index_lake(&lake, D3lConfig::default());
     let bytes = built.to_snapshot_bytes();
-    assert_eq!(bytes.len(), 244_347);
+    assert_eq!(bytes.len(), 244_346);
     // (attributes, classes, the bytes format 6 stored of a signature) of
     // IN, IV, IF, IE.
     let forests = [(178, 44, 0), (111, 107, 1024), (178, 58, 0), (111, 94, 32)];
     let classes = built.class_stats().map(|s| (s.attributes, s.classes));
     assert_eq!(classes, forests.map(|(n, c, _)| (n, c)));
     let attributes: usize = forests.iter().map(|(n, _, _)| n).sum();
-    assert_eq!(bytes.len(), 244_365 - 2 * 8 - 2);
+    assert_eq!(bytes.len(), 244_347 - 1);
+    assert_eq!(244_347, 244_365 - 2 * 8 - 2);
     assert_eq!(
         244_365,
         249_197 - 4 * 37 - 8 * attributes - lake.len() - 2 - 18
@@ -881,7 +855,7 @@ fn dirty_lake_snapshot_checksum_is_pinned() {
     assert_eq!(175_502, 195_398 - forests.map(saved).iter().sum::<usize>());
     assert_eq!(195_398, 286_712 - 178 * 513);
     assert_eq!(286_712, 651_252 - 2 * 178 * 1024 + 4);
-    assert_eq!(d3l::store::checksum(&bytes), 0xce81_2ebb_7690_1be2);
+    assert_eq!(d3l::store::checksum(&bytes), 0xebfd_0d59_7301_a179);
 }
 
 /// What the index of that lake *answers* is pinned too, to the values
@@ -947,7 +921,7 @@ fn dirty_lake_probe_rankings_are_pinned() {
         ),
     ];
     let lake = dirty_lake(40);
-    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::default());
+    let d3l = D3l::index_lake(&lake, D3lConfig::default());
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -989,7 +963,7 @@ fn dirty_lake_probe_rankings_are_pinned() {
 #[test]
 fn dirty_lake_alignments_are_pinned() {
     let lake = dirty_lake(40);
-    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::default());
+    let d3l = D3l::index_lake(&lake, D3lConfig::default());
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -1026,10 +1000,10 @@ fn dirty_lake_alignments_are_pinned() {
 }
 
 /// There is one build path: streaming a lake directory, indexing the
-/// loaded lake, feeding empty shards the records read back from a built
-/// engine, and adding the tables one by one to an empty store and
-/// compacting all leave the same snapshot bytes in every shard, at
-/// index threads {1, 2, 8} × shards {1, 2}.
+/// loaded lake, feeding an empty engine the records read back from a
+/// built one, and adding the tables one by one to an empty store and
+/// compacting all leave the same snapshot bytes, at index threads
+/// {1, 2, 8}.
 #[test]
 fn every_build_path_writes_the_same_bytes() {
     use d3l::core::hotswap::EngineHandle;
@@ -1044,69 +1018,56 @@ fn every_build_path_writes_the_same_bytes() {
     let lake = DataLake::load_dir(&lake_dir).unwrap();
     assert_eq!(lake.len(), 24);
 
-    let shard_bytes = |engine: &ShardedD3l| -> Vec<Vec<u8>> {
+    let bytes = |engine: &D3l| -> Vec<u8> {
         assert_class_columns(engine, "a build path");
-        engine
-            .shards()
-            .iter()
-            .map(|s| s.to_snapshot_bytes())
-            .collect()
+        engine.to_snapshot_bytes()
     };
     for index_threads in THREAD_COUNTS {
-        for shards in [1usize, 2] {
-            let ctx = format!("@{index_threads} index threads / {shards} shards");
-            let cfg = D3lConfig {
-                index_threads,
-                shards,
-                ..D3lConfig::fast()
-            };
-            let from_lake = shard_bytes(&ShardedD3l::index_lake(&lake, cfg.clone()));
-            assert_eq!(from_lake.len(), shards);
+        let ctx = format!("@{index_threads} index threads");
+        let cfg = D3lConfig {
+            index_threads,
+            ..D3lConfig::fast()
+        };
+        let from_lake = bytes(&D3l::index_lake(&lake, cfg.clone()));
 
-            let streamed = ShardedD3l::index_dir(&lake_dir, cfg.clone()).unwrap();
-            assert!(
-                shard_bytes(&streamed) == from_lake,
-                "streamed directory build differs {ctx}"
-            );
+        let streamed = D3l::index_dir(&lake_dir, cfg.clone()).unwrap();
+        assert!(
+            bytes(&streamed) == from_lake,
+            "streamed directory build differs {ctx}"
+        );
 
-            // A table read back from an index is the table as it went
-            // in: every record of the built engine, in id order, applied
-            // to the shard that owns it.
-            let mut fed: Vec<D3l> = (0..shards)
-                .map(|_| D3l::index_lake(&DataLake::new(), cfg.clone()))
-                .collect();
-            for t in 0..streamed.table_count() {
-                let table = TableId(t as u32);
-                let added = streamed.prepare_indexed(table).unwrap();
-                fed[streamed.owner_of(table).unwrap()]
-                    .apply_delta(DeltaRecord::AddAt { table, added })
-                    .unwrap();
-            }
-            assert!(
-                shard_bytes(&ShardedD3l::from_shards(fed)) == from_lake,
-                "engine fed read-back records differs {ctx}"
-            );
-
-            let store_dir = root.join(format!("store_{index_threads}_{shards}"));
-            let handle =
-                EngineHandle::create(&store_dir, ShardedD3l::index_lake(&DataLake::new(), cfg))
-                    .unwrap();
-            for (_, table) in lake.iter() {
-                handle.add_table(table).unwrap();
-            }
-            assert_class_columns(&handle.snapshot().engine, &format!("adds {ctx}"));
-            assert!(handle.compact().unwrap() > 0, "adds left segments");
-            assert!(
-                shard_bytes(&handle.snapshot().engine) == from_lake,
-                "one-by-one build differs {ctx}"
-            );
-            drop(handle);
-            let reopened = EngineHandle::open(&store_dir).unwrap();
-            assert!(
-                shard_bytes(&reopened.snapshot().engine) == from_lake,
-                "reopened one-by-one build differs {ctx}"
-            );
+        // A table read back from an index is the table as it went in:
+        // every record of the built engine, in id order.
+        let mut fed = D3l::index_lake(&DataLake::new(), cfg.clone());
+        for t in 0..streamed.table_count() {
+            let table = TableId(t as u32);
+            let added = streamed.signed_table(table).unwrap();
+            fed.apply_delta(DeltaRecord::AddAt { table, added })
+                .unwrap();
         }
+        assert!(
+            bytes(&fed) == from_lake,
+            "engine fed read-back records differs {ctx}"
+        );
+
+        let store_dir = root.join(format!("store_{index_threads}"));
+        let handle =
+            EngineHandle::create(&store_dir, D3l::index_lake(&DataLake::new(), cfg)).unwrap();
+        for (_, table) in lake.iter() {
+            handle.add_table(table).unwrap();
+        }
+        assert_class_columns(&handle.snapshot().engine, &format!("adds {ctx}"));
+        assert!(handle.compact().unwrap() > 0, "adds left segments");
+        assert!(
+            bytes(&handle.snapshot().engine) == from_lake,
+            "one-by-one build differs {ctx}"
+        );
+        drop(handle);
+        let reopened = EngineHandle::open(&store_dir).unwrap();
+        assert!(
+            bytes(&reopened.snapshot().engine) == from_lake,
+            "reopened one-by-one build differs {ctx}"
+        );
     }
     std::fs::remove_dir_all(&root).ok();
 }
@@ -1132,10 +1093,7 @@ fn watch_churn_replay_is_deterministic() {
         std::fs::create_dir_all(&lake_dir).unwrap();
         let empty = D3l::index_lake(&DataLake::new(), D3lConfig::fast());
         let store = IndexStore::create(&index_dir, &empty).unwrap();
-        let engine = Arc::new(d3l::core::EngineHandle::new_sharded(
-            vec![store],
-            ShardedD3l::from_monolith(empty),
-        ));
+        let engine = Arc::new(d3l::core::EngineHandle::new(store, empty));
         let mut ing =
             Ingestor::new(engine.clone(), &lake_dir, Arc::new(WatchStats::new())).unwrap();
 
@@ -1165,7 +1123,7 @@ fn watch_churn_replay_is_deterministic() {
         }
         assert_eq!(engine.snapshot().engine.live_table_count(), 2, "{tag}");
 
-        let bytes = engine.snapshot().engine.shards()[0].to_snapshot_bytes();
+        let bytes = engine.snapshot().engine.to_snapshot_bytes();
         (bytes, index_dir)
     };
 

@@ -76,7 +76,7 @@ fn streamed_build_reports_the_error_load_dir_reports() {
                 "{what} @{index_threads}: {got} vs {want}"
             );
             assert_eq!(got.to_string(), want.to_string(), "{what} @{index_threads}");
-            assert!(ShardedD3l::index_dir(&dir, cfg).is_err());
+            assert!(D3l::index_dir(&dir, cfg).is_err());
         }
     }
     // Two file names that are one table name once made printable.
@@ -102,7 +102,7 @@ fn streamed_build_reports_the_error_load_dir_reports() {
 
 #[test]
 fn empty_lake_answers_empty() {
-    let d3l = ShardedD3l::index_lake(&DataLake::new(), D3lConfig::fast());
+    let d3l = D3l::index_lake(&DataLake::new(), D3lConfig::fast());
     let target = Table::from_rows("t", &["a"], &[vec!["x".into()]]).unwrap();
     assert!(d3l.query(&target, 10).is_empty());
     let graph = d3l.build_join_graph();
@@ -114,7 +114,7 @@ fn empty_target_answers_empty() {
     let mut lake = DataLake::new();
     lake.add(Table::from_rows("s", &["a"], &[vec!["x".into()]]).unwrap())
         .unwrap();
-    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
+    let d3l = D3l::index_lake(&lake, D3lConfig::fast());
     let empty_target = Table::from_rows("t", &[], &[]).unwrap();
     assert!(d3l.query(&empty_target, 5).is_empty());
 }
@@ -133,7 +133,7 @@ fn all_null_columns_survive_the_pipeline() {
     .unwrap();
     lake.add(Table::from_rows("real", &["City"], &[vec!["Salford".into()]]).unwrap())
         .unwrap();
-    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
+    let d3l = D3l::index_lake(&lake, D3lConfig::fast());
     let target = Table::from_rows("t", &["City"], &[vec!["Salford".into()]]).unwrap();
     let matches = d3l.query(&target, 2);
     // The ghost table carries no evidence; the real one must rank
@@ -156,7 +156,7 @@ fn single_row_and_single_column_tables() {
         .unwrap(),
     )
     .unwrap();
-    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
+    let d3l = D3l::index_lake(&lake, D3lConfig::fast());
     assert_eq!(d3l.table_count(), 2);
     let target = Table::from_rows("t", &["x"], &[vec!["42".into()]]).unwrap();
     // Must not panic; numeric one-value extents are fine for KS.
@@ -175,7 +175,7 @@ fn unicode_content_is_handled() {
         .unwrap(),
     )
     .unwrap();
-    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
+    let d3l = D3l::index_lake(&lake, D3lConfig::fast());
     let target = Table::from_rows(
         "t",
         &["Nom", "Ville"],
@@ -201,7 +201,7 @@ fn query_k_larger_than_lake_is_bounded() {
         )
         .unwrap();
     }
-    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
+    let d3l = D3l::index_lake(&lake, D3lConfig::fast());
     let target = Table::from_rows("q", &["City"], &[vec!["Salford".into()]]).unwrap();
     let matches = d3l.query(&target, 1000);
     assert!(matches.len() <= 3);
@@ -212,7 +212,7 @@ fn duplicate_column_names_do_not_crash() {
     let t = Table::from_rows("dups", &["x", "x"], &[vec!["a".into(), "b".into()]]).unwrap();
     let mut lake = DataLake::new();
     lake.add(t).unwrap();
-    let d3l = ShardedD3l::index_lake(&lake, D3lConfig::fast());
+    let d3l = D3l::index_lake(&lake, D3lConfig::fast());
     assert_eq!(d3l.table_arity(TableId(0)), 2);
 }
 
@@ -290,8 +290,7 @@ fn forests_of_another_signature_length_are_refused_at_open() {
     match D3l::from_snapshot_bytes(&bad) {
         Err(StoreError::Corrupt(_)) => {}
         Err(other) => panic!("expected Corrupt, got {other}"),
-        Ok(d3l) => {
-            let engine = ShardedD3l::from_monolith(d3l);
+        Ok(engine) => {
             let target = lake.table(TableId(0));
             let opts = d3l::core::QueryOptions::default();
             let ranked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -435,6 +434,80 @@ fn opening_a_store_on_garbage_files_errors_cleanly() {
         other => panic!("expected BadSegment(WrongKind), got {other:?}"),
     }
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A directory that holds no index — an empty one, or none at all — is
+/// refused with an error that names it and the missing base snapshot,
+/// and says how to build one, by the store and by the handle the
+/// commands open it through. (Both said only "No such file or
+/// directory (os error 2)".)
+#[test]
+fn a_directory_that_holds_no_index_is_refused_by_name() {
+    let root = std::env::temp_dir().join(format!("d3l_fi_no_index_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let empty = root.join("empty");
+    std::fs::create_dir_all(&empty).unwrap();
+    for dir in [empty, root.join("nowhere")] {
+        let shown = dir.display().to_string();
+        let errors = [
+            IndexStore::open(&dir).map(|_| ()).unwrap_err(),
+            d3l::core::EngineHandle::open(&dir).map(|_| ()).unwrap_err(),
+        ];
+        for err in errors {
+            assert!(
+                matches!(&err, StoreError::Io(e) if e.kind() == std::io::ErrorKind::NotFound),
+                "{err}"
+            );
+            let message = err.to_string();
+            for needle in [shown.as_str(), "base.d3ls", "d3l index"] {
+                assert!(message.contains(needle), "{needle:?} not in {message}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A delta add lands on the engine's next slot or nowhere: a segment
+/// whose add names a slot five past it is a corrupt segment, named by
+/// its sequence number, and applying that record leaves the engine as
+/// it was. (Replay padded the gap with empty slots and opened.)
+#[test]
+fn a_delta_add_must_land_on_the_next_slot() {
+    use d3l::core::DeltaRecord;
+    let dir = std::env::temp_dir().join(format!("d3l_fi_next_slot_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut d3l = snapshot_engine();
+    let mut store = IndexStore::create(&dir, &d3l).unwrap();
+    let extra = Table::from_rows("late", &["GP"], &[vec!["Blackfriars".into()]]).unwrap();
+    let far = d3l.table_count() as u64 + 5;
+    store.append_add(&mut d3l, &extra).unwrap();
+    let path = dir.join(d3l::store::layout::delta_file_name(1));
+    let segment = std::fs::read(&path).unwrap();
+    let crafted = with_section(&segment, (KIND_DELTA, *b"DREC"), |record| {
+        // Record type 3, then the table id as a one-byte varint.
+        assert_eq!(record[..2], [3, 1]);
+        let mut id = Encoder::new();
+        id.put_varint(far);
+        [&record[..1], id.as_bytes(), &record[2..]].concat()
+    });
+    std::fs::write(&path, crafted).unwrap();
+    match IndexStore::open(&dir) {
+        Err(StoreError::BadSegment { seq: 1, source }) => {
+            assert!(matches!(*source, StoreError::Corrupt(_)), "{source}")
+        }
+        other => panic!("expected BadSegment(Corrupt), got {other:?}"),
+    }
+
+    let mut engine = snapshot_engine();
+    let before = engine.to_snapshot_bytes();
+    let record = DeltaRecord::AddAt {
+        table: TableId(far as u32),
+        added: engine.sign_table(&extra),
+    };
+    let err = engine.apply_delta(record).unwrap_err();
+    assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
+    assert!(engine.to_snapshot_bytes() == before, "the engine moved on");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -705,9 +778,8 @@ fn every_numeric_store_field_at_its_extremes_opens_or_is_refused() {
     };
     let conf = section_of(&base, *b"CONF");
     let mut walk = Fields::of(&conf);
-    // num_perm, embed_bits, embed_dim, trees, q, min_lookup, seed,
-    // shards.
-    for width in [Varint, Varint, Varint, Varint, Varint, Varint, U64, Varint] {
+    // num_perm, embed_bits, embed_dim, trees, q, min_lookup, seed.
+    for width in [Varint, Varint, Varint, Varint, Varint, Varint, U64] {
         walk.take(width);
     }
     assert!(walk.dec.is_exhausted());
@@ -770,14 +842,14 @@ fn every_numeric_store_field_at_its_extremes_opens_or_is_refused() {
             };
             match opened {
                 Ok(d3l) => {
-                    let answer = ShardedD3l::from_monolith(d3l).query(&target, 3);
+                    let answer = d3l.query(&target, 3);
                     assert!(answer.len() <= 3, "{ctx}");
                 }
                 Err(_) => refused += 1,
             }
         }
     }
-    assert_eq!(cases, 64);
+    assert_eq!(cases, 60);
     println!("{cases} cases, {refused} refused");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -810,10 +882,7 @@ fn watcher_killed_before_compaction_matches_a_from_scratch_rebuild() {
     let watch_index = root.join("watch_index");
     let empty = D3l::index_lake(&DataLake::new(), D3lConfig::fast());
     let store = IndexStore::create(&watch_index, &empty).unwrap();
-    let engine = std::sync::Arc::new(EngineHandle::new_sharded(
-        vec![store],
-        ShardedD3l::from_monolith(empty),
-    ));
+    let engine = std::sync::Arc::new(EngineHandle::new(store, empty));
     let mut ingestor = Ingestor::new(
         engine.clone(),
         &lake_dir,

@@ -111,10 +111,7 @@ fn boot_cfg(tag: &str, lake: &DataLake, cfg: ServerConfig) -> TestServer {
     let _ = std::fs::remove_dir_all(&dir);
     let d3l = D3l::index_lake(lake, D3lConfig::fast());
     let store = IndexStore::create(&dir, &d3l).unwrap();
-    let engine = Arc::new(EngineHandle::new_sharded(
-        vec![store],
-        ShardedD3l::from_monolith(d3l),
-    ));
+    let engine = Arc::new(EngineHandle::new(store, d3l));
     let server = Server::bind(("127.0.0.1", 0), engine.clone(), cfg).unwrap();
     let addr = server.local_addr().unwrap();
     let handle = server.shutdown_handle();
@@ -544,7 +541,7 @@ fn a_request_past_the_attribute_bound_is_refused_at_decode() {
 fn a_zero_max_queue_is_refused_at_bind() {
     let dir = std::env::temp_dir().join(format!("d3l_srv_zero_queue_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let d3l = ShardedD3l::index_lake(&lake(2), D3lConfig::fast());
+    let d3l = D3l::index_lake(&lake(2), D3lConfig::fast());
     let engine = Arc::new(EngineHandle::create(&dir, d3l).unwrap());
     let cfg = ServerConfig {
         max_queue: 0,
@@ -1389,7 +1386,7 @@ fn stress_concurrent_queries_race_mutating_writer() {
     // (1) PR 4 byte-identity oracle: replaying the exact mutation
     // sequence in-process yields a snapshot byte-identical to what
     // the server persisted.
-    let mut shadow = (*baseline.shards()[0]).clone();
+    let mut shadow = baseline;
     for _ in 0..iterations {
         let id = shadow.add_table(&churn);
         assert!(shadow.remove_table(id));
@@ -1404,9 +1401,9 @@ fn stress_concurrent_queries_race_mutating_writer() {
     // (2) Rebuild oracle: the surviving live set answers
     // byte-identically to a from-scratch rebuild over the same lake
     // (tombstones must leave no residue in the rankings).
-    let rebuilt = ShardedD3l::index_lake(&lake, D3lConfig::fast());
+    let rebuilt = D3l::index_lake(&lake, D3lConfig::fast());
     let opts = d3l::core::query::QueryOptions::default();
-    let a = ShardedD3l::from_monolith(persisted).rank_all(&target(), 40, &opts);
+    let a = persisted.rank_all(&target(), 40, &opts);
     let b = rebuilt.rank_all(&target(), 40, &opts);
     assert_eq!(a.len(), b.len(), "ranking lengths diverged");
     assert!(!a.is_empty());
@@ -1561,8 +1558,6 @@ fn metrics_exposition_is_valid_and_covers_the_pipeline() {
         "d3l_query_stage_seconds_bucket{stage=\"candidates\"",
         "d3l_query_stage_seconds_bucket{stage=\"score\"",
         "d3l_query_stage_seconds_bucket{stage=\"aggregate\"",
-        "d3l_shard_score_seconds",
-        "d3l_shard_slowest_seconds",
         "d3l_store_op_seconds_bucket{op=\"load\"",
         "d3l_store_op_seconds_bucket{op=\"append\"",
         "d3l_store_op_seconds_bucket{op=\"compact\"",
@@ -1579,7 +1574,6 @@ fn metrics_exposition_is_valid_and_covers_the_pipeline() {
         "d3l_engine_version",
         "d3l_engine_live_tables",
         "d3l_engine_memory_bytes",
-        "d3l_engine_shards",
         "d3l_uptime_seconds",
     ] {
         assert!(
@@ -1750,7 +1744,6 @@ const PINNED_FAMILIES: &[&str] = &[
     "d3l_cache_misses_total counter",
     "d3l_engine_live_tables gauge",
     "d3l_engine_memory_bytes gauge",
-    "d3l_engine_shards gauge",
     "d3l_engine_tables gauge",
     "d3l_engine_version gauge",
     "d3l_http_request_seconds histogram",
@@ -1760,8 +1753,6 @@ const PINNED_FAMILIES: &[&str] = &[
     "d3l_query_stage_seconds histogram",
     "d3l_queue_depth gauge",
     "d3l_queue_limit gauge",
-    "d3l_shard_score_seconds histogram",
-    "d3l_shard_slowest_seconds histogram",
     "d3l_slow_queries_total counter",
     "d3l_store_op_seconds histogram",
     "d3l_uptime_seconds gauge",
@@ -1777,7 +1768,6 @@ const PINNED_SERIES: &[&str] = &[
     "d3l_cache_misses_total{}",
     "d3l_engine_live_tables{}",
     "d3l_engine_memory_bytes{}",
-    "d3l_engine_shards{}",
     "d3l_engine_tables{}",
     "d3l_engine_version{}",
     "d3l_http_request_seconds{endpoint=\"/admin\",result=\"ok\"}",
@@ -1802,8 +1792,6 @@ const PINNED_SERIES: &[&str] = &[
     "d3l_query_stage_seconds{stage=\"score\"}",
     "d3l_queue_depth{}",
     "d3l_queue_limit{}",
-    "d3l_shard_score_seconds{shard=\"0\"}",
-    "d3l_shard_slowest_seconds{}",
     "d3l_slow_queries_total{}",
     "d3l_store_op_seconds{op=\"append\"}",
     "d3l_store_op_seconds{op=\"compact\"}",
@@ -1862,15 +1850,6 @@ const PINNED_STATS_KEYS: &[&str] = &[
     "server.threads",
     "server.uptime_ms",
     "server.uptime_seconds",
-    "shards",
-    "shards[].disk",
-    "shards[].disk.base_bytes",
-    "shards[].disk.delta_bytes",
-    "shards[].disk.delta_segments",
-    "shards[].live_tables",
-    "shards[].memory_bytes",
-    "shards[].shard",
-    "shards[].version",
     "signing_lanes",
     "tables",
 ];
@@ -2003,10 +1982,7 @@ fn stats_and_metrics_expose_watcher_state() {
     std::fs::create_dir_all(&lake_dir).unwrap();
     let d3l = D3l::index_lake(&lake(2), D3lConfig::fast());
     let store = IndexStore::create(&index_dir, &d3l).unwrap();
-    let engine = Arc::new(EngineHandle::new_sharded(
-        vec![store],
-        ShardedD3l::from_monolith(d3l),
-    ));
+    let engine = Arc::new(EngineHandle::new(store, d3l));
 
     let server = Server::bind(
         ("127.0.0.1", 0),
