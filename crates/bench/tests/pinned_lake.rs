@@ -76,3 +76,19 @@ fn the_pinned_lake_scores_what_the_benchmark_gates() {
         "ranking digest"
     );
 }
+
+/// The subject column an index build scores from the cell counts its
+/// profiler took is, on every table of the pinned lake, the one
+/// `d3l_ml::subject_attribute` finds by walking the table.
+#[test]
+fn every_built_subject_is_the_tables_own() {
+    let bench = lake::pinned();
+    let d3l = d3l_core::D3l::index_lake(&bench.lake, d3l_core::D3lConfig::default());
+    let mut with_subject = 0;
+    for (id, table) in bench.lake.iter() {
+        let built = d3l.subject_of(id).map(|attr| attr.column as usize);
+        assert_eq!(built, d3l_ml::subject_attribute(table), "{}", table.name());
+        with_subject += usize::from(built.is_some());
+    }
+    assert!(with_subject > 1000, "{with_subject} tables with a subject");
+}

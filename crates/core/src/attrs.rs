@@ -147,6 +147,11 @@ impl AttrTable {
         self.first[t] as usize..self.first[t + 1] as usize
     }
 
+    /// Number of rows.
+    pub(crate) fn row_count(&self) -> usize {
+        self.class.len()
+    }
+
     /// The row of `attr`, if the table list has it.
     pub(crate) fn row(&self, attr: AttrRef) -> Option<usize> {
         let t = attr.table.index();

@@ -61,13 +61,13 @@ use d3l_lsh::forest::LshForest;
 use d3l_lsh::kernels::SigningLanes;
 use d3l_lsh::minhash::{MinHashSignature, MinHasher};
 use d3l_lsh::randproj::{BitSignature, RandomProjector};
-use d3l_lsh::ItemId;
+use d3l_lsh::{ItemId, TokenSet};
 use d3l_table::lake::{csv_files, load_csv, table_name_of};
 use d3l_table::{DataLake, Table, TableError, TableId};
 
 use crate::attrs::{AttrTable, NONE};
 use crate::config::D3lConfig;
-use crate::profile::{profile_table, AttrView};
+use crate::profile::{profile_table_with, AttrView, Scratch};
 
 /// Which compilation of the lane loops — MinHash and hyperplane
 /// signing, and the embedder's n-gram sign sums — every engine in this
@@ -201,6 +201,70 @@ pub(crate) struct AttrSigsRef<'a> {
     pub value: Option<&'a [u64]>,
     pub format: &'a [u64],
     pub embedding: Option<&'a [u64]>,
+}
+
+/// Positions of `IN` and `IF` in an attribute row's classes.
+const IN: usize = 0;
+const IF: usize = 2;
+
+/// What signing keeps across tables: a build worker holds one for its
+/// whole run, [`D3l::sign_table`] one for its table. Beside the
+/// embedding memo sits the memo of signed name and format sets, and
+/// the profiler's buffers.
+struct Signer<'e> {
+    embedder: CachedEmbedder<'e>,
+    sets: SignedSets,
+    scratch: Scratch,
+}
+
+impl<'e> Signer<'e> {
+    fn new(embedder: &'e SemanticEmbedder) -> Self {
+        Signer {
+            embedder: CachedEmbedder::new(embedder),
+            sets: SignedSets::default(),
+            scratch: Scratch::default(),
+        }
+    }
+}
+
+/// A build worker's memo of the name and format sets it has signed,
+/// beside its [`CachedEmbedder`]: the `IN` and `IF` sets of a lake
+/// repeat (the 4 000-table benchmark lake's 13 814 attributes carry 22
+/// name and 13 format classes), so each distinct set is signed once.
+/// A set is keyed by itself, never by a digest, and maps to the first
+/// row that carried it. The memo holds no signature: a hit copies the
+/// words of that row's class, already in the worker's arena.
+#[derive(Default)]
+struct SignedSets {
+    name: HashMap<TokenSet, usize>,
+    format: HashMap<TokenSet, usize>,
+}
+
+impl SignedSets {
+    /// Write the signature of `set` in index `index` (`IN` or `IF`) of
+    /// `engine` into `out`, for the attribute that will be row `row`
+    /// of `engine`: copied from the class of the first row that carried
+    /// an equal set, if `engine` holds that row already, else signed.
+    /// A set is stored as a copy of its own length: a profile's set
+    /// keeps the capacity of every cell's hash it was built from.
+    fn sign(&mut self, engine: &D3l, index: usize, set: &TokenSet, row: usize, out: &mut [u64]) {
+        let (memo, forest) = match index {
+            IN => (&mut self.name, &engine.i_n),
+            _ => (&mut self.format, &engine.i_f),
+        };
+        match memo.get(set) {
+            Some(&first) if first < engine.attrs.row_count() => {
+                let class = engine.attrs.class(first)[index];
+                out.copy_from_slice(forest.class_words(class));
+            }
+            seen => {
+                engine.minhasher.sign_into(set.as_slice(), out);
+                if seen.is_none() {
+                    memo.insert(set.clone(), row);
+                }
+            }
+        }
+    }
 }
 
 /// The discovery engine: the lake's tables in four LSH forests and an
@@ -363,13 +427,14 @@ impl D3l {
         table_at: &(impl Fn(usize) -> Result<Cow<'t, Table>, E> + Sync),
     ) -> Result<D3l, E> {
         let mut part = Self::empty(self.cfg.clone(), self.embedder.clone());
-        // Per-worker embedding memo: domain vocabulary recurs across
-        // a run's columns, and cached vectors are identical to fresh
-        // ones, so results stay thread-count-invariant.
-        let cached = CachedEmbedder::new(&self.embedder);
+        // Per-worker memos: domain vocabulary recurs across a run's
+        // columns, and so do whole name and format sets; cached vectors
+        // and copied signatures are identical to fresh ones, so results
+        // stay thread-count-invariant.
+        let mut signer = Signer::new(&self.embedder);
         for i in run {
             let table = table_at(i)?;
-            let signed = part.sign_table_with(&table, &cached);
+            let signed = part.sign_table_with(&table, &mut signer);
             part.push(TableId(i as u32), signed);
         }
         Ok(part)
@@ -413,35 +478,51 @@ impl D3l {
     /// Algorithm 1 on one table, with this index's hashers: profile
     /// every column, detect the subject attribute, sign.
     pub fn sign_table(&self, table: &Table) -> SignedTable {
-        self.sign_table_with(table, &CachedEmbedder::new(&self.embedder))
+        self.sign_table_with(table, &mut Signer::new(&self.embedder))
     }
 
-    /// [`D3l::sign_table`] embedding through the caller's memo (a build
-    /// worker's, shared by the tables of its run). Each built profile
-    /// ends here: its sets and its vector are signed (lines 15–18, with
-    /// the §III-C rule that numeric attributes skip `IV` and `IE`), and
-    /// what is kept of it is its row — name, extent, and whether each
-    /// set, and the vector, held anything.
-    fn sign_table_with(&self, table: &Table, embedder: &impl WordEmbedder) -> SignedTable {
+    /// [`D3l::sign_table`] through the caller's [`Signer`] (a build
+    /// worker's, shared by the tables of its run, which it pushes into
+    /// this engine one by one). Each built profile ends here: its sets
+    /// and its vector are signed (lines 15–18, with the §III-C rule
+    /// that numeric attributes skip `IV` and `IE`), the subject
+    /// attribute is scored from the cell counts the profiler took, and
+    /// what is kept of a profile is its row — name, extent, and whether
+    /// each set, and the vector, held anything.
+    fn sign_table_with(&self, table: &Table, signer: &mut Signer) -> SignedTable {
         let (mh, rp) = (&self.minhasher, &self.projector);
         let (mh_words, rp_words) = self.strides();
-        let profiles = profile_table(table, self.cfg.q, embedder);
-        let textual = || profiles.iter().filter(|p| !p.is_numeric);
+        let Signer {
+            embedder,
+            sets,
+            scratch,
+        } = signer;
+        let profiles = profile_table_with(scratch, table, self.cfg.q, embedder);
+        let textual = profiles.iter().filter(|p| !p.is_numeric).count();
         let run = |covered: usize, stride: usize| vec![0u64; covered * stride];
         let mut words = [
             run(profiles.len(), mh_words),
-            run(textual().count(), mh_words),
+            run(textual, mh_words),
             run(profiles.len(), mh_words),
-            run(textual().count(), rp_words),
+            run(textual, rp_words),
         ];
+        let subject = d3l_ml::subject_of_textual(
+            profiles.len(),
+            profiles.iter().enumerate().filter_map(|(i, p)| {
+                // A non-numeric column with no non-null cell is empty,
+                // not textual.
+                let cells = p.cell_stats.filter(|cells| cells.non_null > 0)?;
+                Some((i, cells))
+            }),
+        );
         let [i_n, i_v, i_f, i_e] = &mut words;
         let every = i_n
             .chunks_exact_mut(mh_words)
             .zip(i_f.chunks_exact_mut(mh_words));
+        // This table's rows will follow the engine's.
+        let first_row = self.attrs.row_count();
         let mut attrs = AttrTable::default();
-        for (p, (name, format)) in profiles.iter().zip(every) {
-            mh.sign_into(p.qset.as_slice(), name);
-            mh.sign_into(p.rset.as_slice(), format);
+        for (row, (p, (name, format))) in (first_row..).zip(profiles.iter().zip(every)) {
             let extent = NumericExtent::from_sorted(&p.numeric_extent);
             let attr = AttrView {
                 name: &p.name,
@@ -453,16 +534,18 @@ impl D3l {
                 has_embedding: p.has_embedding(),
             };
             attrs.push(attr, [NONE; 4]);
+            sets.sign(self, IN, &p.qset, row, name);
+            sets.sign(self, IF, &p.rset, row, format);
         }
         let covered = i_v
             .chunks_exact_mut(mh_words)
             .zip(i_e.chunks_exact_mut(rp_words));
-        for (p, (value, embedding)) in textual().zip(covered) {
+        let textual = profiles.iter().filter(|p| !p.is_numeric);
+        for (p, (value, embedding)) in textual.zip(covered) {
             mh.sign_into(p.tset.as_slice(), value);
             rp.sign_into(&p.embedding, embedding);
         }
-        let subject = d3l_ml::subject_attribute(table).map(|c| c as u32);
-        attrs.end_table(table.name(), subject, false);
+        attrs.end_table(table.name(), subject.map(|c| c as u32), false);
         SignedTable { attrs, words }
     }
 
@@ -1106,6 +1189,152 @@ mod tests {
         assert_eq!(grown.class_stats(), d3l.class_stats());
         assert!(grown.i_n == d3l.i_n && grown.i_v == d3l.i_v);
         assert!(grown.i_f == d3l.i_f && grown.i_e == d3l.i_e);
+    }
+
+    /// The subject a signed table carries — scored from the cell
+    /// counts its profiler took — is the one
+    /// `d3l_ml::subject_attribute` finds by walking the table, on the
+    /// tables where the counts are easiest to get wrong.
+    #[test]
+    fn signed_subject_is_the_detectors_on_edge_tables() {
+        use d3l_table::Column;
+        let d3l = D3l::index_lake(&figure1_lake(), D3lConfig::fast());
+        let cells = |v: &[&str]| -> Vec<String> { v.iter().map(|c| c.to_string()).collect() };
+        let column = |name: &str, v: &[&str]| Column::new(name, cells(v));
+        let long = |tags: &[&str]| -> Vec<String> {
+            let long = |tag: &&str| format!("{tag} — a cell of twenty characters or more");
+            tags.iter().map(long).collect()
+        };
+        let tables = [
+            // An all-null text column (left of a textual one), and one
+            // holding nothing but nulls.
+            vec![
+                column("Empty", &["", " ", ""]),
+                column("Name", &["x", "y", "z"]),
+            ],
+            vec![column("Empty", &["", "\t"])],
+            // Whitespace-only cells, and whitespace variants of one
+            // value: three distinct cells with equal tokens.
+            vec![
+                column("Pad", &["\t", "  ", "x", " x"]),
+                column("City", &[" Salford", "Salford", "Salford ", "Salford"]),
+            ],
+            // One row.
+            vec![
+                column("Practice", &["Blackfriars"]),
+                column("City", &["Salford"]),
+                column("Patients", &["3572"]),
+            ],
+            // Every cell equal.
+            vec![
+                column("Same", &["x"; 6]),
+                column("Other", &["long value"; 6]),
+            ],
+            // Equal scores: column 0 is further left by 1/2 (2.5 × 0.5
+            // = 1.25 of logit), column 1 more distinct by 5/8 (2.0 ×
+            // 0.625 = 1.25); both full and of capped length. The
+            // leftmost wins.
+            vec![
+                Column::new("Left", long(&["a", "a", "a", "b", "b", "c", "c", "c"])),
+                Column::new("Right", long(&["a", "b", "c", "d", "e", "f", "g", "h"])),
+            ],
+        ];
+        for (n, columns) in tables.into_iter().enumerate() {
+            let table = Table::new(format!("edge_{n}"), columns).unwrap();
+            let want = d3l_ml::subject_attribute(&table).map(|c| c as u32);
+            assert_eq!(d3l.sign_table(&table).subject(), want, "{table:?}");
+            if n == 5 {
+                let features = |c: usize| {
+                    let cells = table.columns()[c].cell_stats();
+                    d3l_ml::subject_features(c, 2, true, &cells)
+                };
+                assert_eq!(features(0), [1.0, 1.0, 0.375, 1.0, 1.0]);
+                assert_eq!(features(1), [0.5, 1.0, 1.0, 1.0, 1.0]);
+                assert_eq!(want, Some(0), "the tie goes to the leftmost");
+            }
+        }
+    }
+
+    /// Names that differ only in case or punctuation share a q-gram
+    /// set, and cells drawn from a few shapes share a format set, so a
+    /// build worker signs most `IN` and `IF` sets once and copies the
+    /// rest: every signature it copied equals a fresh signing of the
+    /// attribute's own set, at every thread count.
+    #[test]
+    fn copied_name_and_format_signatures_are_fresh_ones() {
+        use crate::profile::AttributeProfile;
+        let names = [
+            "Practice Name",
+            "practice_name",
+            "PRACTICE-NAME",
+            "Practice.Name",
+            "City",
+            "city",
+        ];
+        let shapes = [
+            "M1 3BE",
+            "W1G 6BW",
+            "Salford",
+            "3572",
+            "Dr E Cullen",
+            "08:00-18:00",
+        ];
+        let mut lake = DataLake::new();
+        for t in 0..48 {
+            let column = |c: usize| -> Vec<String> {
+                let shape = |r: usize| shapes[(t * 7 + c * 3 + r) % shapes.len()].to_string();
+                (0..1 + t % 4).map(shape).collect()
+            };
+            let columns = (0..1 + t % 3)
+                .map(|c| d3l_table::Column::new(names[(t + c) % names.len()], column(c)))
+                .collect();
+            lake.add(Table::new(format!("t{t:02}"), columns).unwrap())
+                .unwrap();
+        }
+        for threads in [1, 2, 8] {
+            let cfg = D3lConfig {
+                index_threads: threads,
+                ..D3lConfig::fast()
+            };
+            let d3l = D3l::index_lake(&lake, cfg);
+            let mut fresh = vec![0u64; d3l.strides().0];
+            let (mut attributes, mut name_sets, mut format_sets) =
+                (0, HashSet::new(), HashSet::new());
+            for (id, table) in lake.iter() {
+                for (row, col) in d3l.attrs.rows(id.index()).zip(table.columns()) {
+                    let p = AttributeProfile::build(col, d3l.cfg.q, &d3l.embedder);
+                    let sigs = d3l.signatures_at(row);
+                    d3l.minhasher.sign_into(p.qset.as_slice(), &mut fresh);
+                    assert_eq!(
+                        sigs.name,
+                        &fresh[..],
+                        "{threads} threads: {} IN",
+                        col.name()
+                    );
+                    d3l.minhasher.sign_into(p.rset.as_slice(), &mut fresh);
+                    assert_eq!(
+                        sigs.format,
+                        &fresh[..],
+                        "{threads} threads: {} IF",
+                        col.name()
+                    );
+                    attributes += 1;
+                    name_sets.insert(p.qset);
+                    format_sets.insert(p.rset);
+                }
+            }
+            // The memo had repeats to find.
+            assert!(
+                name_sets.len() * 10 < attributes,
+                "{} of {attributes}",
+                name_sets.len()
+            );
+            assert!(
+                format_sets.len() * 2 < attributes,
+                "{} of {attributes}",
+                format_sets.len()
+            );
+        }
     }
 
     #[test]

@@ -12,16 +12,23 @@
 //! Numeric attributes are profiled for N and F only (§III-C): "we do
 //! not index numeric values into the respective indexes".
 //!
-//! [`AttributeProfile::build`] touches each cell once: one walk over
-//! the non-null cells hashes the cell's format pattern and then
-//! either parses it (numeric attributes) or tokenizes it into the
-//! column's [`TokenHistogram`] interner (textual ones). Everything
-//! after that runs over interned token ids — the
-//! frequent/infrequent split, the tset hashes (read back from the
-//! interner, never recomputed), the wordlike filter (once per
-//! distinct frequent token) — and the embedding is accumulated from
-//! the embedder's cache in sorted token order. [`profile_table`]
-//! reuses one interner for all the columns of a table.
+//! [`AttributeProfile::build`] reads each distinct cell once. A
+//! textual column is first reduced to its distinct cells, each with
+//! its multiplicity ([`DistinctCells`]); each distinct non-null cell is
+//! then read by one lexer walk that returns its format-pattern hash and
+//! interns its words into the column's [`TokenHistogram`], counted
+//! `multiplicity` times ([`TokenHistogram::insert_cell`]). The same
+//! table gives the column's [`CellStats`] — rows, non-null, distinct,
+//! characters — which the profile carries to the subject detector, so
+//! signing a table never walks its cells a second time. A numeric
+//! column keeps one pass per cell (its extent is a multiset): the
+//! cell's format-pattern hash, then its number. Everything after that
+//! runs over interned token ids — the frequent/infrequent split, the
+//! tset hashes (read back from the interner, never recomputed), the
+//! wordlike filter (once per distinct frequent token) — and the
+//! embedding is accumulated from the embedder's cache in sorted token
+//! order. [`profile_table`] reuses one interner and one cell table for
+//! all the columns of a table, and a build worker for all of its run.
 //!
 //! One type lives here: [`AttributeProfile`], Algorithm 1's output —
 //! what [`profile_table`] returns and what a query target is until it
@@ -42,10 +49,10 @@
 //! [`NumericExtent`]: d3l_features::NumericExtent
 
 use d3l_embedding::WordEmbedder;
-use d3l_features::histogram::TokenHistogram;
+use d3l_features::histogram::{DistinctCells, TokenHistogram};
 use d3l_features::{qgrams, regex_format, Extent};
 use d3l_lsh::TokenSet;
-use d3l_table::{typing, Column};
+use d3l_table::{typing, CellStats, Column};
 
 /// The extracted set representations of one attribute.
 ///
@@ -71,40 +78,64 @@ pub struct AttributeProfile {
     pub numeric_extent: Vec<f64>,
     /// Whether the column was inferred numeric.
     pub is_numeric: bool,
+    /// The cell counts of a non-numeric column, from its distinct-cell
+    /// table — what the subject detector scores; `None` for a numeric
+    /// column, which is never a subject.
+    pub cell_stats: Option<CellStats>,
 }
 
 impl AttributeProfile {
     /// Run Algorithm 1's feature extraction over one column.
     pub fn build<E: WordEmbedder>(column: &Column, q: usize, embedder: &E) -> Self {
-        Self::build_with(&mut TokenHistogram::new(), column, q, embedder)
+        Self::build_with(&mut Scratch::default(), column, q, embedder)
     }
 
-    /// [`AttributeProfile::build`] with the caller's interner as
-    /// scratch (cleared here), so a table's columns share its buffers.
+    /// [`AttributeProfile::build`] with the caller's interner and cell
+    /// table as scratch (cleared here), so the columns of a table, and
+    /// of a build worker's run, share their buffers.
     fn build_with<E: WordEmbedder>(
-        hist: &mut TokenHistogram,
+        scratch: &mut Scratch,
         column: &Column,
         q: usize,
         embedder: &E,
     ) -> Self {
+        let Scratch { hist, cells } = scratch;
         let name = column.name().to_string();
         let qset = qgrams::qgram_hash_set(&name, q);
         let is_numeric = column.column_type().is_numeric();
 
-        // The one pass over the extent: every cell's format pattern
-        // (streamed straight to a hash; no pattern strings), then its
-        // number or its tokens. Numeric attributes carry no V or E
-        // evidence, so they never reach the interner.
+        // The one read of the extent. Numeric attributes carry no V or
+        // E evidence and never reach the interner: each cell's format
+        // pattern (streamed straight to a hash), then its number. A
+        // textual one is read a distinct cell at a time: one lexer walk
+        // gives the cell's pattern hash and its words, counted as often
+        // as the cell occurs.
         hist.clear();
         let mut rset_hashes: Vec<u64> = Vec::new();
         let mut numeric_extent: Vec<f64> = Vec::new();
-        for v in column.non_null() {
-            rset_hashes.push(regex_format::format_pattern_hash(v));
-            if is_numeric {
+        let mut cell_stats = None;
+        if is_numeric {
+            for v in column.non_null() {
+                rset_hashes.push(regex_format::format_pattern_hash(v));
                 numeric_extent.extend(typing::parse_numeric(v));
-            } else {
-                hist.insert_value(v);
             }
+        } else {
+            let mut stats = CellStats {
+                rows: column.len(),
+                non_null: 0,
+                distinct: 0,
+                chars: 0,
+            };
+            cells.each(column.values(), |cell, times| {
+                if cell.trim().is_empty() {
+                    return;
+                }
+                stats.non_null += times as usize;
+                stats.distinct += 1;
+                stats.chars += cell.chars().count() * times as usize;
+                rset_hashes.push(hist.insert_cell(cell, times));
+            });
+            cell_stats = Some(stats);
         }
         let rset = TokenSet::from_hashes(rset_hashes);
         // Sorted ascending so KS at query time is a linear merge
@@ -150,6 +181,7 @@ impl AttributeProfile {
             embedding,
             numeric_extent,
             is_numeric,
+            cell_stats,
         }
     }
 
@@ -244,25 +276,44 @@ fn is_wordlike(token: &str) -> bool {
     false
 }
 
+/// The buffers profiling a column uses: the token interner and the
+/// distinct-cell table. One serves every column of a table, and a build
+/// worker keeps one for every table of its run.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    hist: TokenHistogram,
+    cells: DistinctCells,
+}
+
 /// Profile every column of a table.
 pub fn profile_table<E: WordEmbedder>(
     table: &d3l_table::Table,
     q: usize,
     embedder: &E,
 ) -> Vec<AttributeProfile> {
-    let mut hist = TokenHistogram::new();
+    profile_table_with(&mut Scratch::default(), table, q, embedder)
+}
+
+/// [`profile_table`] with the caller's scratch.
+pub(crate) fn profile_table_with<E: WordEmbedder>(
+    scratch: &mut Scratch,
+    table: &d3l_table::Table,
+    q: usize,
+    embedder: &E,
+) -> Vec<AttributeProfile> {
     table
         .columns()
         .iter()
-        .map(|c| AttributeProfile::build_with(&mut hist, c, q, embedder))
+        .map(|c| AttributeProfile::build_with(scratch, c, q, embedder))
         .collect()
 }
 
 /// The profiler this module replaced, kept as the reference the
 /// one-pass build is tested (and, by `profile_beats_oracle`, timed)
-/// against: three passes over the extent, a `HashMap<String, usize>`
+/// against: three passes over every cell, a `HashMap<String, usize>`
 /// histogram, every word lower-cased into a fresh `String` per pass,
-/// one `embed` clone per frequent token.
+/// one `embed` clone per frequent token, parts split with `str::split`
+/// and the subject counts from [`Column::cell_stats`].
 #[cfg(test)]
 mod oracle {
     use std::collections::{HashMap, HashSet};
@@ -271,6 +322,16 @@ mod oracle {
     use d3l_lsh::hash::hash_str;
 
     use super::*;
+
+    /// A value's parts: split at ASCII punctuation, trimmed, the empty
+    /// ones dropped.
+    pub fn parts(value: &str) -> Vec<&str> {
+        value
+            .split(|c: char| c.is_ascii_punctuation())
+            .map(str::trim)
+            .filter(|p| !p.is_empty())
+            .collect()
+    }
 
     /// The `HashMap` histogram: `(infrequent, frequent)` of one part.
     pub fn split_of_part(counts: &HashMap<String, usize>, part: &str) -> Option<(String, String)> {
@@ -290,7 +351,7 @@ mod oracle {
     pub fn histogram(column: &Column) -> HashMap<String, usize> {
         let mut counts = HashMap::new();
         for v in column.non_null() {
-            for t in tokenize::tokens(v) {
+            for t in parts(v).into_iter().flat_map(tokenize::words) {
                 *counts.entry(t).or_insert(0) += 1;
             }
         }
@@ -312,7 +373,7 @@ mod oracle {
         }
         if !is_numeric {
             for v in column.non_null() {
-                for part in tokenize::parts(v) {
+                for part in parts(v) {
                     if let Some((inf, freq)) = split_of_part(&counts, part) {
                         tset_hashes.push(hash_str(&inf));
                         if is_wordlike(&freq) {
@@ -344,12 +405,15 @@ mod oracle {
             embedding,
             numeric_extent,
             is_numeric,
+            cell_stats: (!is_numeric).then(|| column.cell_stats()),
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{HashMap, HashSet};
+
     use super::*;
     use d3l_embedding::{CachedEmbedder, HashEmbedder, Lexicon, SemanticEmbedder};
     use d3l_features::tokenize;
@@ -468,6 +532,57 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// `got`, built through `scratch`, equals the oracle's profile of
+    /// `column`: name, the three sets, extent and embedding bits, cell
+    /// counts; and the interner left in `scratch` holds the oracle's
+    /// histogram (every multiplicity counted) and picks its words.
+    fn assert_matches_oracle(
+        got: &AttributeProfile,
+        scratch: &Scratch,
+        column: &Column,
+        plain: &SemanticEmbedder,
+        ctx: &str,
+    ) {
+        let want = oracle::build(column, 4, plain);
+        assert_eq!(got.name, want.name, "{ctx}");
+        assert_eq!(got.is_numeric, want.is_numeric, "{ctx}");
+        assert_eq!(got.qset, want.qset, "{ctx}");
+        assert_eq!(got.tset, want.tset, "{ctx}");
+        assert_eq!(got.rset, want.rset, "{ctx}");
+        assert_eq!(bits(&got.embedding), bits(&want.embedding), "{ctx}");
+        assert_eq!(
+            bits(&got.numeric_extent),
+            bits(&want.numeric_extent),
+            "{ctx}"
+        );
+        assert_eq!(got.cell_stats, want.cell_stats, "{ctx}");
+        let hist = &scratch.hist;
+        if got.is_numeric {
+            assert_eq!(hist.total(), 0, "numeric extents are never tokenized");
+            return;
+        }
+        let counts = oracle::histogram(column);
+        assert_eq!(hist.distinct(), counts.len(), "{ctx}");
+        assert_eq!(hist.total(), counts.values().sum::<usize>(), "{ctx}");
+        for (token, &n) in &counts {
+            assert_eq!(hist.count(token), n, "{ctx}: {token:?}");
+        }
+        for v in column.non_null() {
+            for part in oracle::parts(v) {
+                let split = oracle::split_of_part(&counts, part);
+                assert_eq!(hist.split_of_part(part), split, "{ctx}: {part:?}");
+            }
+        }
+    }
+
+    /// Whether two different words of one part tie on their count in
+    /// `counts`.
+    fn part_has_a_tie(counts: &HashMap<String, usize>, part: &str) -> bool {
+        let words = tokenize::words(part);
+        let n = |w: &String| counts.get(w).copied().unwrap_or(0);
+        words.iter().any(|w| *w != words[0] && n(w) == n(&words[0]))
+    }
+
     /// The one-pass build equals the three-pass oracle on 2 400
     /// generated columns: same token sets, bit-equal floats. The
     /// string views of the interner equal the oracle's histogram too.
@@ -476,47 +591,30 @@ mod tests {
         let plain = embedder();
         let cached = CachedEmbedder::new(&plain);
         let mut c = Choices(0x0dd_ba11);
-        let mut hist = TokenHistogram::new();
+        let mut scratch = Scratch::default();
         let (mut textual, mut numeric, mut tied) = (0, 0, 0);
         for case in 0..2400 {
             let column = generated_column(&mut c);
             // Through the shared scratch, as `profile_table` runs it.
-            let got = AttributeProfile::build_with(&mut hist, &column, 4, &cached);
-            let want = oracle::build(&column, 4, &plain);
-            let ctx = format!("case {case}: {column:?}");
-            assert_eq!(got.name, want.name, "{ctx}");
-            assert_eq!(got.is_numeric, want.is_numeric, "{ctx}");
-            assert_eq!(got.qset, want.qset, "{ctx}");
-            assert_eq!(got.tset, want.tset, "{ctx}");
-            assert_eq!(got.rset, want.rset, "{ctx}");
-            assert_eq!(bits(&got.embedding), bits(&want.embedding), "{ctx}");
-            assert_eq!(
-                bits(&got.numeric_extent),
-                bits(&want.numeric_extent),
-                "{ctx}"
+            let got = AttributeProfile::build_with(&mut scratch, &column, 4, &cached);
+            assert_matches_oracle(
+                &got,
+                &scratch,
+                &column,
+                &plain,
+                &format!("case {case}: {column:?}"),
             );
             if got.is_numeric {
                 numeric += 1;
-                assert_eq!(hist.total(), 0, "numeric extents are never tokenized");
                 continue;
             }
             textual += 1;
             let counts = oracle::histogram(&column);
-            assert_eq!(hist.distinct(), counts.len(), "{ctx}");
-            assert_eq!(hist.total(), counts.values().sum::<usize>(), "{ctx}");
-            for (token, &n) in &counts {
-                assert_eq!(hist.count(token), n, "{ctx}: {token:?}");
-            }
             for v in column.non_null() {
-                for part in tokenize::parts(v) {
-                    let split = oracle::split_of_part(&counts, part);
-                    assert_eq!(hist.split_of_part(part), split, "{ctx}: {part:?}");
-                    let words = tokenize::words(part);
-                    tied += words
-                        .iter()
-                        .any(|w| *w != words[0] && counts[w] == counts[&words[0]])
-                        as usize;
-                }
+                tied += oracle::parts(v)
+                    .into_iter()
+                    .filter(|part| part_has_a_tie(&counts, part))
+                    .count();
             }
         }
         // The generator reaches what it is there to reach.
@@ -524,9 +622,112 @@ mod tests {
         assert!(tied > 1000, "count ties inside a part: {tied}");
     }
 
+    /// A column drawn from a small pool of cells, so that most cells
+    /// repeat: generated cells, whitespace variants of one value
+    /// (distinct cells with equal tokens), numeric cells, nulls — or a
+    /// pool of one cell.
+    fn pooled_column(c: &mut Choices) -> Column {
+        let mut pool: Vec<String> = match c.below(6) {
+            // Only nulls.
+            0 => vec!["".into(), " ".into(), "\t".into()],
+            // Repeated numbers: the extent is a multiset.
+            1 => (0..1 + c.below(4))
+                .map(|_| {
+                    c.pick(&["12", "-3", "1e3", "0", "007", "12.5", "1,200"])
+                        .to_string()
+                })
+                .collect(),
+            _ => {
+                // A few words per column, so that cells share words.
+                let words: Vec<&str> = (0..2 + c.below(3)).map(|_| c.pick(WORDS)).collect();
+                let mut pool = Vec::new();
+                if c.below(2) == 0 {
+                    pool.extend([" Salford", "Salford", "Salford "].map(String::from));
+                }
+                pool.extend((0..1 + c.below(5)).map(|_| {
+                    let mut cell = String::new();
+                    for _ in 0..1 + c.below(4) {
+                        cell.push_str(c.pick(&words));
+                        cell.push_str(c.pick(GAPS));
+                    }
+                    cell
+                }));
+                pool
+            }
+        };
+        if c.below(5) == 0 {
+            pool.truncate(1);
+        }
+        // Skewed draws, so the multiplicities differ.
+        let rows = [1, 2, 7, 20, 60, 150][c.below(6)];
+        let values = (0..rows)
+            .map(|_| pool[c.below(pool.len()).min(c.below(pool.len()))].clone())
+            .collect();
+        Column::new(c.pick(NAMES), values)
+    }
+
+    /// On columns where most cells repeat, reading each distinct cell
+    /// once, weighted by its multiplicity, still builds the oracle's
+    /// profile — including where only multiplicities break a tie
+    /// inside a part, and for cells that differ only in whitespace.
+    #[test]
+    fn repeated_cells_build_matches_the_oracle() {
+        let plain = embedder();
+        let cached = CachedEmbedder::new(&plain);
+        let mut c = Choices(0x05a1_f04d);
+        let mut scratch = Scratch::default();
+        let (mut all_null, mut single, mut numeric, mut whitespace, mut weighted_ties) =
+            (0, 0, 0, 0, 0);
+        for case in 0..2400 {
+            let column = pooled_column(&mut c);
+            let got = AttributeProfile::build_with(&mut scratch, &column, 4, &cached);
+            assert_matches_oracle(
+                &got,
+                &scratch,
+                &column,
+                &plain,
+                &format!("case {case}: {column:?}"),
+            );
+            let distinct: HashSet<&str> = column.non_null().collect();
+            all_null += (distinct.is_empty() && !column.is_empty()) as usize;
+            single += (distinct.len() == 1 && column.non_null().count() > 1) as usize;
+            numeric += (got.is_numeric && distinct.len() < column.non_null().count()) as usize;
+            let trimmed: HashSet<&str> = distinct.iter().map(|v| v.trim()).collect();
+            whitespace += (trimmed.len() < distinct.len()) as usize;
+            if got.is_numeric {
+                continue;
+            }
+            // The histogram over the distinct cells alone: where it
+            // breaks a tie the multiplicities make, or ties what they
+            // break, only the weights decide the part's words.
+            let counts = oracle::histogram(&column);
+            let once = oracle::histogram(&Column::new(
+                "",
+                distinct.iter().map(|v| v.to_string()).collect(),
+            ));
+            for v in &distinct {
+                weighted_ties += oracle::parts(v)
+                    .into_iter()
+                    .filter(|part| part_has_a_tie(&counts, part) != part_has_a_tie(&once, part))
+                    .count();
+            }
+        }
+        for (what, n) in [
+            ("all-null columns", all_null),
+            ("single-cell columns", single),
+            ("repeated numeric cells", numeric),
+            ("whitespace variants", whitespace),
+            ("ties only multiplicities decide", weighted_ties),
+        ] {
+            assert!(n > 50, "{what}: {n}");
+        }
+    }
+
     /// The same-run ratio gate (CI runs it in release): on the same
     /// generated tables the one-pass profiler takes at most half the
-    /// oracle's time (expected: a third).
+    /// oracle's time, on two inputs: address columns whose cells are
+    /// almost all distinct, and columns shaped like the clean 4 000-table
+    /// benchmark lake, where about half of a column's cells repeat.
     #[test]
     #[ignore = "timing: cargo test --release -p d3l-core profile_beats_oracle -- --ignored"]
     fn profile_beats_oracle() {
@@ -554,7 +755,43 @@ mod tests {
                 Column::new(format!("Address {i}"), values)
             })
             .collect();
-        let table = d3l_table::Table::new("addresses", columns).unwrap();
+        let addresses = d3l_table::Table::new("addresses", columns).unwrap();
+        // 400 columns of 150 cells in the clean lake's five shapes:
+        // company names, opening hours, weekdays (mostly repeats),
+        // postcodes and phone numbers (mostly distinct).
+        let mut c = Choices(0x4a4e);
+        let columns: Vec<Column> = (0..400)
+            .map(|i| {
+                let values = (0..150)
+                    .map(|_| match i % 5 {
+                        0 => format!(
+                            "{} {}",
+                            c.pick(&["Horizon", "Ivory", "Dynamo", "Beacon", "Summit", "Apex"]),
+                            c.pick(&["Services", "Holdings", "Ltd", "Trading", "Group", "plc"])
+                        ),
+                        1 => format!("{}am-{}pm", 6 + c.below(4), 5 + c.below(4)),
+                        2 => c
+                            .pick(&["Monday", "Tuesday", "Friday", "Saturday", "Sunday"])
+                            .into(),
+                        3 => format!(
+                            "{}{} {}{}",
+                            c.pick(&["B", "T", "E", "M", "LS"]),
+                            1 + c.below(30),
+                            c.below(10),
+                            c.pick(&["AOP", "FBK", "CLO", "BE", "NN"])
+                        ),
+                        _ => format!(
+                            "01{}{} {}",
+                            c.below(10),
+                            c.below(10),
+                            100_000 + c.below(900_000)
+                        ),
+                    })
+                    .collect();
+                Column::new(format!("Column {i}"), values)
+            })
+            .collect();
+        let lake_like = d3l_table::Table::new("lake_like", columns).unwrap();
         let plain = embedder();
         let time = |run: &dyn Fn() -> usize| {
             (0..5)
@@ -566,27 +803,36 @@ mod tests {
                 .min()
                 .unwrap()
         };
-        let oracle = time(&|| {
-            let cached = CachedEmbedder::new(&plain);
-            table
-                .columns()
-                .iter()
-                .map(|col| oracle::build(col, 4, &cached).tset.len())
-                .sum()
-        });
-        let one_pass = time(&|| {
-            let cached = CachedEmbedder::new(&plain);
-            profile_table(&table, 4, &cached)
-                .iter()
-                .map(|p| p.tset.len())
-                .sum()
-        });
-        let ratio = oracle.as_secs_f64() / one_pass.as_secs_f64();
-        println!("oracle {oracle:?}, one pass {one_pass:?}: {ratio:.2}x");
-        assert!(
-            ratio >= 2.0,
-            "one-pass profiling only {ratio:.2}x the oracle"
-        );
+        for (what, table) in [("addresses", &addresses), ("4k-lake-shaped", &lake_like)] {
+            let (distinct, cells) = table.columns().iter().fold((0, 0), |(d, n), col| {
+                let stats = col.cell_stats();
+                (d + stats.distinct, n + stats.non_null)
+            });
+            let oracle = time(&|| {
+                let cached = CachedEmbedder::new(&plain);
+                table
+                    .columns()
+                    .iter()
+                    .map(|col| oracle::build(col, 4, &cached).tset.len())
+                    .sum()
+            });
+            let one_pass = time(&|| {
+                let cached = CachedEmbedder::new(&plain);
+                profile_table(table, 4, &cached)
+                    .iter()
+                    .map(|p| p.tset.len())
+                    .sum()
+            });
+            let ratio = oracle.as_secs_f64() / one_pass.as_secs_f64();
+            let share = distinct as f64 / cells as f64;
+            println!(
+                "{what} ({share:.2} of cells distinct): oracle {oracle:?}, one pass {one_pass:?}: {ratio:.2}x"
+            );
+            assert!(
+                ratio >= 2.0,
+                "{what}: one-pass profiling only {ratio:.2}x the oracle"
+            );
+        }
     }
 
     fn embedder() -> SemanticEmbedder {

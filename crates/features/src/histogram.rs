@@ -10,26 +10,39 @@
 //!   added to the attribute vector (domain-type indicators — e.g.
 //!   `street`, `road`).
 //!
-//! [`TokenHistogram`] is that histogram kept as an *interner*, so every
-//! cell is tokenized exactly once. [`TokenHistogram::insert_value`]
-//! folds each word's case into one reused buffer, looks it up in an
-//! open-addressed table keyed by the token's FNV-1a — which *is* its
-//! [`hash_str`], so a token's tset hash is computed once per distinct
-//! token and read back, never re-hashed — and records the extent as a
-//! flat sequence of `u32` token ids with part boundaries. Distinct
-//! tokens live back to back in one byte arena; nothing is allocated
-//! per occurrence.
+//! Profiling a textual column is two steps, and both live here.
+//!
+//! 1. [`DistinctCells`] reduces the column to its distinct cells, each
+//!    with its multiplicity: an open-addressed table keyed by a
+//!    word-at-a-time hash of the cell's bytes, a cell kept as the row it
+//!    first occurs at. Half the cells of a clean lake's column repeat
+//!    (a fifth of a dirty one's), and nothing after this step reads a
+//!    repeat again.
+//! 2. [`TokenHistogram::insert_cell`] reads one distinct cell with the
+//!    one lexer ([`crate::regex_format`]): a single byte-level walk
+//!    that returns the cell's format-pattern hash and hands over its
+//!    words, which are lower-cased into one reused buffer, looked up in
+//!    an open-addressed table keyed by the token's FNV-1a — which *is*
+//!    its [`hash_str`], so a token's tset hash is computed once per
+//!    distinct token and read back, never re-hashed — and counted
+//!    `multiplicity` times. The extent is recorded as a flat sequence
+//!    of `u32` token ids with part boundaries, each distinct cell once.
+//!    Distinct tokens live back to back in one byte arena; nothing is
+//!    allocated per occurrence. [`TokenHistogram::insert_value`] is the
+//!    same call for one occurrence.
 //!
 //! The split then runs over ids ([`TokenHistogram::split_extent`]):
 //! per part, the id with the fewest and the id with the most
-//! occurrences, token bytes consulted only to break count ties. The
-//! string-keyed methods ([`TokenHistogram::count`],
-//! [`TokenHistogram::split_of_part`], …) are views over the same
-//! table and the same selection rule.
+//! occurrences, token bytes consulted only to break count ties. A
+//! repeated cell repeats its parts, which pick the same words, so
+//! recording each distinct cell once selects the same two token sets
+//! as recording every row. The string-keyed methods
+//! ([`TokenHistogram::count`], [`TokenHistogram::split_of_part`], …)
+//! are views over the same table and the same selection rule.
 
-use d3l_lsh::hash::hash_str;
+use d3l_lsh::hash::{hash_str, Fnv1a};
 
-use crate::tokenize;
+use crate::regex_format::{lex, Lexeme};
 
 /// Smallest (and post-[`TokenHistogram::clear`]) id-table size; a
 /// power of two.
@@ -47,11 +60,14 @@ pub struct TokenHistogram {
     hashes: Vec<u64>,
     /// Occurrences of each distinct token.
     counts: Vec<u32>,
+    /// Token occurrences, every multiplicity counted.
+    total: usize,
     /// Open-addressed id table: `id + 1` at the slot the token's hash
     /// probes to, 0 for an empty slot. Power-of-two sized, at most
     /// half full.
     table: Vec<u32>,
-    /// The extent as token ids, part after part.
+    /// The extent as token ids, part after part, each distinct cell
+    /// once.
     extent: Vec<u32>,
     /// End of each non-empty part in `extent`.
     part_ends: Vec<u32>,
@@ -131,6 +147,7 @@ impl TokenHistogram {
         self.ends.clear();
         self.hashes.clear();
         self.counts.clear();
+        self.total = 0;
         self.extent.clear();
         self.part_ends.clear();
         // One wide column must not make every later column pay for
@@ -140,51 +157,96 @@ impl TokenHistogram {
     }
 
     /// Insert all word tokens of one value (`H.insert(get_tokens(v))`):
-    /// the value's parts, each part's words lower-cased, interned and
-    /// appended to the extent.
+    /// [`TokenHistogram::insert_cell`] for one occurrence.
     pub fn insert_value(&mut self, value: &str) {
-        for part in tokenize::part_iter(value) {
-            for word in part.split_whitespace() {
-                self.lower.clear();
-                push_lowercase(word, &mut self.lower);
-                let id = self.intern_lower();
-                self.counts[id as usize] += 1;
-                self.extent.push(id);
-            }
-            // `part_iter` drops empty parts, so every part has a word.
-            self.part_ends
-                .push(u32::try_from(self.extent.len()).expect("column extent fits u32"));
-        }
+        self.insert_cell(value, 1);
     }
 
-    /// Id of the token in `self.lower`, interning it on first sight.
-    fn intern_lower(&mut self) -> u32 {
+    /// Insert a cell that occurs `times` times in the extent, and
+    /// return its [`format_pattern_hash`](crate::format_pattern_hash):
+    /// one lexer walk, whose words are lower-cased, interned and
+    /// counted `times` times, and whose parts are appended to the
+    /// extent once.
+    pub fn insert_cell(&mut self, cell: &str, times: u32) -> u64 {
+        let mut pattern = Fnv1a::new();
+        lex(
+            cell,
+            |symbol| pattern.write_byte(symbol),
+            |lexeme| match lexeme {
+                Lexeme::Word(start, end) => {
+                    let id = self.intern_word(&cell[start..end]);
+                    self.counts[id as usize] += times;
+                    self.total += times as usize;
+                    self.extent.push(id);
+                }
+                Lexeme::PartEnd => self
+                    .part_ends
+                    .push(u32::try_from(self.extent.len()).expect("column extent fits u32")),
+            },
+        );
+        pattern.finish()
+    }
+
+    /// Id of the lowercase form of `word`, interning it on first
+    /// sight. An ASCII word is folded and hashed in one pass and
+    /// compared case-blind, so it is copied only when it is new.
+    fn intern_word(&mut self, word: &str) -> u32 {
         if (self.counts.len() + 1) * 2 > self.table.len() {
             self.grow_table();
         }
-        let hash = hash_str(&self.lower);
-        let mask = self.table.len() - 1;
-        let mut slot = home_slot(hash, mask);
-        loop {
-            match self.table[slot] {
-                0 => break,
-                entry => {
-                    let id = entry - 1;
-                    if self.hashes[id as usize] == hash && self.token(id) == self.lower {
-                        return id;
-                    }
-                }
-            }
-            slot = (slot + 1) & mask;
-        }
+        let ascii = word.is_ascii();
+        let (hash, found) = if ascii {
+            let mut h = Fnv1a::new();
+            word.bytes()
+                .for_each(|b| h.write_byte(b.to_ascii_lowercase()));
+            let hash = h.finish();
+            (
+                hash,
+                self.probe(hash, |token| token.eq_ignore_ascii_case(word)),
+            )
+        } else {
+            self.lower.clear();
+            push_lowercase(word, &mut self.lower);
+            let hash = hash_str(&self.lower);
+            (hash, self.probe(hash, |token| token == self.lower))
+        };
+        let slot = match found {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
         let id = u32::try_from(self.counts.len()).expect("distinct tokens fit u32");
-        self.arena.push_str(&self.lower);
+        if ascii {
+            let start = self.arena.len();
+            self.arena.push_str(word);
+            self.arena[start..].make_ascii_lowercase();
+        } else {
+            self.arena.push_str(&self.lower);
+        }
         self.ends
             .push(u32::try_from(self.arena.len()).expect("token arena fits u32"));
         self.hashes.push(hash);
         self.counts.push(0);
         self.table[slot] = id + 1;
         id
+    }
+
+    /// The id of the token with [`hash_str`] `hash` that `is` accepts,
+    /// or the empty slot where it would go.
+    fn probe(&self, hash: u64, is: impl Fn(&str) -> bool) -> Result<u32, usize> {
+        let mask = self.table.len() - 1;
+        let mut slot = home_slot(hash, mask);
+        loop {
+            match self.table[slot] {
+                0 => return Err(slot),
+                entry => {
+                    let id = entry - 1;
+                    if self.hashes[id as usize] == hash && is(self.token(id)) {
+                        return Ok(id);
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
     }
 
     /// Double the id table (or create it) and re-seat every id by its
@@ -208,16 +270,7 @@ impl TokenHistogram {
         if self.table.is_empty() {
             return None;
         }
-        let hash = hash_str(token);
-        let mask = self.table.len() - 1;
-        let mut slot = home_slot(hash, mask);
-        loop {
-            let id = self.table[slot].checked_sub(1)?;
-            if self.hashes[id as usize] == hash && self.token(id) == token {
-                return Some(id);
-            }
-            slot = (slot + 1) & mask;
-        }
+        self.probe(hash_str(token), |t| t == token).ok()
     }
 
     /// The token with this id.
@@ -244,9 +297,9 @@ impl TokenHistogram {
             .map_or(0, |id| self.counts[id as usize] as usize)
     }
 
-    /// Total token occurrences inserted.
+    /// Total token occurrences inserted, every multiplicity counted.
     pub fn total(&self) -> usize {
-        self.extent.len()
+        self.total
     }
 
     /// Number of distinct tokens.
@@ -312,9 +365,117 @@ impl TokenHistogram {
     }
 }
 
+/// The distinct cells of a column and how often each occurs
+/// (step 1 of the module docs). The table is scratch: one serves every
+/// column a worker profiles, sized afresh for each.
+#[derive(Debug, Default, Clone)]
+pub struct DistinctCells {
+    /// Open-addressed entry table: `entry + 1` at the slot the cell's
+    /// hash probes to, 0 for an empty slot. Power-of-two sized, at most
+    /// half full.
+    table: Vec<u32>,
+    /// [`cell_hash`] of each distinct cell.
+    hashes: Vec<u64>,
+    /// The row each distinct cell first occurs at.
+    rows: Vec<u32>,
+    /// Occurrences of each distinct cell.
+    counts: Vec<u32>,
+}
+
+/// A hash of a cell's bytes read eight at a time (a short cell as two
+/// overlapping reads), folded by one wide multiply: only the table's
+/// speed depends on it (cells are compared whole), so it is
+/// fixed-seed, like the interner's — a column built to collide costs
+/// time, never a result.
+fn cell_hash(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let n = bytes.len();
+    let word = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().expect("eight bytes"));
+    let half = |i: usize| {
+        u64::from(u32::from_le_bytes(
+            bytes[i..i + 4].try_into().expect("four bytes"),
+        ))
+    };
+    let (a, b) = match n {
+        0 => (0, 0),
+        1..=3 => {
+            let three =
+                u64::from(bytes[0]) << 16 | u64::from(bytes[n / 2]) << 8 | u64::from(bytes[n - 1]);
+            (three, 0)
+        }
+        4..=8 => (half(0), half(n - 4)),
+        _ => {
+            let mut h = 0;
+            let mut i = 0;
+            while i + 8 < n {
+                h = (h ^ word(i)).wrapping_mul(K).rotate_left(31);
+                i += 8;
+            }
+            (h, word(n - 8))
+        }
+    };
+    let wide =
+        u128::from(a ^ 0xa076_1d64_78bd_642f) * u128::from(b ^ 0xe703_7ed1_a0b4_28db ^ n as u64);
+    wide as u64 ^ (wide >> 64) as u64
+}
+
+impl DistinctCells {
+    /// An empty table.
+    pub fn new() -> Self {
+        DistinctCells::default()
+    }
+
+    /// Call `each(cell, occurrences)` once for every distinct value of
+    /// `cells` (compared byte for byte, so ` x` and `x` are two), in
+    /// the order of their first occurrence.
+    pub fn each<S: AsRef<str>>(&mut self, cells: &[S], mut each: impl FnMut(&str, u32)) {
+        self.count(cells);
+        for (&row, &times) in self.rows.iter().zip(&self.counts) {
+            each(cells[row as usize].as_ref(), times);
+        }
+    }
+
+    fn count<S: AsRef<str>>(&mut self, cells: &[S]) {
+        let rows = u32::try_from(cells.len()).expect("a column's rows fit u32");
+        self.hashes.clear();
+        self.rows.clear();
+        self.counts.clear();
+        let size = (cells.len() * 2).next_power_of_two().max(MIN_TABLE);
+        self.table.clear();
+        self.table.resize(size, 0);
+        let mask = size - 1;
+        for (row, cell) in (0..rows).zip(cells) {
+            let cell = cell.as_ref();
+            let hash = cell_hash(cell.as_bytes());
+            let mut slot = home_slot(hash, mask);
+            loop {
+                match self.table[slot] {
+                    0 => {
+                        self.table[slot] = self.counts.len() as u32 + 1;
+                        self.hashes.push(hash);
+                        self.rows.push(row);
+                        self.counts.push(1);
+                        break;
+                    }
+                    entry => {
+                        let e = entry as usize - 1;
+                        if self.hashes[e] == hash && cells[self.rows[e] as usize].as_ref() == cell {
+                            self.counts[e] += 1;
+                            break;
+                        }
+                    }
+                }
+                slot = (slot + 1) & mask;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regex_format::oracle;
+    use crate::tokenize;
 
     fn address_histogram() -> TokenHistogram {
         let mut h = TokenHistogram::new();
@@ -390,7 +551,7 @@ mod tests {
         let mut expect: Vec<String> = Vec::new();
         for v in values {
             h.insert_value(v);
-            expect.extend(tokenize::tokens(v));
+            expect.extend(oracle::parts(v).into_iter().flat_map(tokenize::words));
         }
         let got: Vec<&str> = h.extent.iter().map(|&id| h.token(id)).collect();
         assert_eq!(got, expect);
@@ -401,7 +562,7 @@ mod tests {
             let id = h.find(t).unwrap();
             assert_eq!(h.token_hash(id), hash_str(t));
         }
-        let parts: usize = values.iter().map(|v| tokenize::parts(v).len()).sum();
+        let parts: usize = values.iter().map(|v| oracle::parts(v).len()).sum();
         assert_eq!(h.part_ends.len(), parts);
     }
 
@@ -461,5 +622,76 @@ mod tests {
         assert_eq!(h.split_extent(), ExtentSplit::default());
         h.insert_value("Tok0");
         assert_eq!(h.count("tok0"), 1);
+    }
+
+    /// A cell inserted once with its multiplicity counts as that many
+    /// insertions of it, and records its parts once.
+    #[test]
+    fn a_weighted_cell_counts_as_its_repeats() {
+        let cells = [
+            ("18 Portland Street, M1 3BE", 3),
+            ("Street road; road", 2),
+            ("", 4),
+        ];
+        let (mut weighted, mut repeated) = (TokenHistogram::new(), TokenHistogram::new());
+        for (cell, times) in cells {
+            let hash = weighted.insert_cell(cell, times);
+            assert_eq!(hash, crate::format_pattern_hash(cell), "{cell:?}");
+            (0..times).for_each(|_| repeated.insert_value(cell));
+        }
+        assert_eq!(weighted.total(), repeated.total());
+        assert_eq!(weighted.distinct(), repeated.distinct());
+        for t in ["street", "road", "portland", "3be"] {
+            assert_eq!(weighted.count(t), repeated.count(t), "{t}");
+        }
+        assert_eq!(
+            weighted.part_ends.len(),
+            4,
+            "each distinct cell's parts once"
+        );
+        let names = |h: &TokenHistogram, ids: Vec<u32>| -> Vec<String> {
+            let mut v: Vec<String> = ids.iter().map(|&id| h.token(id).to_string()).collect();
+            v.sort();
+            v
+        };
+        let (w, r) = (weighted.split_extent(), repeated.split_extent());
+        assert_eq!(
+            names(&weighted, w.infrequent),
+            names(&repeated, r.infrequent)
+        );
+        assert_eq!(names(&weighted, w.frequent), names(&repeated, r.frequent));
+    }
+
+    /// The distinct-cell table counts exactly what an ordered map
+    /// counts, in first-occurrence order, through growth and reuse.
+    #[test]
+    fn distinct_cells_count_exactly() {
+        let mut table = DistinctCells::new();
+        let mut state = 7u64;
+        for rows in [0usize, 1, 2, 5, 127, 128, 129, 600, 3, 5000, 1] {
+            let cells: Vec<String> = (0..rows)
+                .map(|_| {
+                    state = d3l_lsh::hash::splitmix64(state);
+                    // Pools of whitespace variants and long cells.
+                    match state % 5 {
+                        0 => " Salford".to_string(),
+                        1 => "Salford".to_string(),
+                        2 => String::new(),
+                        3 => format!("a long cell past eight bytes {}", state % 11),
+                        _ => format!("{}", state % (rows as u64 + 1)),
+                    }
+                })
+                .collect();
+            let mut got: Vec<(String, u32)> = Vec::new();
+            table.each(&cells, |cell, times| got.push((cell.to_string(), times)));
+            let mut want: Vec<(String, u32)> = Vec::new();
+            for cell in &cells {
+                match want.iter_mut().find(|(c, _)| c == cell) {
+                    Some((_, n)) => *n += 1,
+                    None => want.push((cell.clone(), 1)),
+                }
+            }
+            assert_eq!(got, want, "{rows} rows");
+        }
     }
 }

@@ -6,12 +6,14 @@
 //!   q = 4);
 //! * [`tokenize`] — value tokenization: a value is a *document*, split
 //!   into *parts* at punctuation, parts into lowercase words;
-//! * [`histogram`] — the per-column token interner: occurrence
-//!   counts plus the extent as token ids, with the
+//! * [`histogram`] — a column's distinct cells with their counts, and
+//!   the per-column token interner: occurrence counts plus the extent
+//!   as token ids, with the
 //!   frequent/infrequent split that feeds the value tset (**V**) and
 //!   the embedding token selection (**E**);
 //! * [`regex_format`] — format-describing pattern strings over the
-//!   primitive lexical classes `C U L N A P` (**F** evidence);
+//!   primitive lexical classes `C U L N A P` (**F** evidence), and the
+//!   one lexer that reads a cell's pattern and words in one walk;
 //! * [`ks`] — the two-sample Kolmogorov–Smirnov statistic (**D**
 //!   evidence for numeric attributes);
 //! * [`extent`] — the numeric extent as an index keeps it: exact
@@ -26,7 +28,7 @@ pub mod regex_format;
 pub mod tokenize;
 
 pub use extent::{Extent, Extents, NumericExtent};
-pub use histogram::TokenHistogram;
+pub use histogram::{DistinctCells, TokenHistogram};
 pub use qgrams::{qgram_hash_set, qgram_set};
 pub use regex_format::{format_pattern, format_pattern_hash};
 pub use tokenize::{parts, words};

@@ -4,20 +4,30 @@
 //! value is a document, a document is split into *parts* at
 //! punctuation characters, and each part into *words* at whitespace.
 
-/// Split a value into parts at punctuation characters. Whitespace is
-/// preserved inside parts (words are extracted later); empty parts
-/// are dropped.
-pub fn parts(value: &str) -> Vec<&str> {
-    part_iter(value).collect()
-}
+use crate::regex_format::{lex, Lexeme};
 
-/// [`parts`] without the `Vec`: the profiling pass walks a value's
-/// parts once and keeps none of them.
-pub(crate) fn part_iter(value: &str) -> impl Iterator<Item = &str> {
-    value
-        .split(|c: char| c.is_ascii_punctuation())
-        .map(str::trim)
-        .filter(|p| !p.is_empty())
+/// Split a value into parts at ASCII punctuation characters, each
+/// trimmed of whitespace (words are extracted later); empty parts are
+/// dropped. Read by the one cell lexer
+/// ([`regex_format`](crate::regex_format)): a part runs from its first
+/// word's start to its last word's end.
+pub fn parts(value: &str) -> Vec<&str> {
+    let mut parts = Vec::new();
+    let mut span: Option<(usize, usize)> = None;
+    lex(
+        value,
+        |_| {},
+        |lexeme| match lexeme {
+            Lexeme::Word(start, end) => {
+                span = Some((span.map_or(start, |(s, _)| s), end));
+            }
+            Lexeme::PartEnd => {
+                let (start, end) = span.take().expect("a part ends after its words");
+                parts.push(&value[start..end]);
+            }
+        },
+    );
+    parts
 }
 
 /// Split a part into lowercase words at whitespace.

@@ -19,7 +19,7 @@
 use crate::hash::hash_str;
 
 /// A sorted, deduplicated set of 64-bit token hashes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct TokenSet(Vec<u64>);
 
 impl TokenSet {

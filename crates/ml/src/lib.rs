@@ -12,7 +12,9 @@
 //!   entities a table is about, scored by one fixed logistic model,
 //!   for Algorithm 2's guards and SA-join discovery (§IV). "Favours
 //!   leftmost non-numeric attributes with fewer nulls and many
-//!   distinct values" (§III-C).
+//!   distinct values" (§III-C). An index build scores the same
+//!   features from the cell counts its profiler already took
+//!   ([`subject_of_textual`]), through the same scoring function.
 //!
 //! The experiment harness (`d3l-bench`) reports how often
 //! [`subject_attribute`] picks the entity column of the benchmark's
@@ -22,4 +24,4 @@ pub mod logreg;
 pub mod subject;
 
 pub use logreg::LogisticRegression;
-pub use subject::{subject_attribute, subject_features, SUBJECT_FEATURES};
+pub use subject::{subject_attribute, subject_features, subject_of_textual, SUBJECT_FEATURES};

@@ -15,15 +15,16 @@
 //! swaps the model: every stored table carries its subject column, so
 //! the subject attribute is a function of the table.
 
-use d3l_table::{ColumnType, Table};
+use d3l_table::{CellStats, ColumnType, Table};
 
 use crate::logreg::LogisticRegression;
 
 /// Number of features extracted per column.
 pub const SUBJECT_FEATURES: usize = 5;
 
-/// Feature vector for "is column `idx` the subject attribute of
-/// `table`?":
+/// Feature vector for "is column `idx` of a table of `arity` columns
+/// the subject attribute?", from whether the column is textual and
+/// its cell counts:
 ///
 /// 1. leftness — `1 - idx / arity` (subject attributes are leftmost);
 /// 2. non-numeric — 1.0 for textual columns;
@@ -31,16 +32,14 @@ pub const SUBJECT_FEATURES: usize = 5;
 /// 4. fill ratio — `1 - null_ratio` (few nulls);
 /// 5. multi-word ratio proxy — normalized average length (entity
 ///    names are longer than codes/flags).
-pub fn subject_features(table: &Table, idx: usize) -> [f64; SUBJECT_FEATURES] {
-    let col = &table.columns()[idx];
-    let arity = table.arity().max(1) as f64;
-    let leftness = 1.0 - idx as f64 / arity;
-    let non_numeric = if col.column_type() == ColumnType::Text {
-        1.0
-    } else {
-        0.0
-    };
-    let cells = col.cell_stats();
+pub fn subject_features(
+    idx: usize,
+    arity: usize,
+    textual: bool,
+    cells: &CellStats,
+) -> [f64; SUBJECT_FEATURES] {
+    let leftness = 1.0 - idx as f64 / arity.max(1) as f64;
+    let non_numeric = if textual { 1.0 } else { 0.0 };
     let fill = 1.0 - cells.null_ratio();
     let avg_len = (cells.avg_len() / 20.0).min(1.0);
     [leftness, non_numeric, cells.distinct_ratio(), fill, avg_len]
@@ -53,28 +52,29 @@ const SUBJECT_WEIGHTS: [f64; SUBJECT_FEATURES] = [2.5, 3.0, 2.0, 1.5, 1.0];
 /// Intercept of the subject score.
 const SUBJECT_BIAS: f64 = -5.5;
 
-/// Score of column `idx` being the subject attribute of `table`: the
-/// fixed model's `P(subject | features)`.
-fn subject_score(table: &Table, idx: usize) -> f64 {
+/// The one subject score: the fixed model's `P(subject | features)`.
+fn subject_score(features: &[f64; SUBJECT_FEATURES]) -> f64 {
     static MODEL: std::sync::OnceLock<LogisticRegression> = std::sync::OnceLock::new();
     MODEL
         .get_or_init(|| {
             LogisticRegression::from_coefficients(SUBJECT_WEIGHTS.to_vec(), SUBJECT_BIAS)
         })
-        .predict_proba(&subject_features(table, idx))
+        .predict_proba(features)
 }
 
-/// The subject attribute of a table — `get_subject_attribute(T)` in
-/// Algorithm 2: the highest-scoring *non-numeric* column (the paper
-/// assumes non-numeric subjects), the leftmost on a tie. `None` for
-/// tables with no textual column.
-pub fn subject_attribute(table: &Table) -> Option<usize> {
+/// The subject attribute of a table of `arity` columns, from the cell
+/// counts of its textual columns — `(column index, counts)`, in
+/// ascending column order: the highest-scoring column, the leftmost
+/// on a tie. `None` when there is no textual column. What
+/// [`subject_attribute`] computes from the table; an index build
+/// passes the counts its profiler already took.
+pub fn subject_of_textual(
+    arity: usize,
+    textual: impl IntoIterator<Item = (usize, CellStats)>,
+) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
-    for (i, col) in table.columns().iter().enumerate() {
-        if col.column_type() != ColumnType::Text {
-            continue;
-        }
-        let s = subject_score(table, i);
+    for (i, cells) in textual {
+        let s = subject_score(&subject_features(i, arity, true, &cells));
         if best.is_none_or(|(_, bs)| s > bs) {
             best = Some((i, s));
         }
@@ -82,10 +82,36 @@ pub fn subject_attribute(table: &Table) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
+/// The subject attribute of a table — `get_subject_attribute(T)` in
+/// Algorithm 2: the highest-scoring *non-numeric* column (the paper
+/// assumes non-numeric subjects), the leftmost on a tie. `None` for
+/// tables with no textual column.
+pub fn subject_attribute(table: &Table) -> Option<usize> {
+    let textual = table.columns().iter().enumerate();
+    subject_of_textual(
+        table.arity(),
+        textual
+            .filter(|(_, col)| col.column_type() == ColumnType::Text)
+            .map(|(i, col)| (i, col.cell_stats())),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use d3l_table::Table;
+
+    /// Column `idx`'s score, from the table.
+    fn score(table: &Table, idx: usize) -> f64 {
+        let col = &table.columns()[idx];
+        let textual = col.column_type() == ColumnType::Text;
+        subject_score(&subject_features(
+            idx,
+            table.arity(),
+            textual,
+            &col.cell_stats(),
+        ))
+    }
 
     fn s1() -> Table {
         // Figure 1's S1: subject attribute should be "Practice Name".
@@ -147,14 +173,16 @@ mod tests {
             .map(|i| vec!["Salford".to_string(), format!("Practice {i} Health Centre")])
             .collect();
         let t = Table::from_rows("t", &["City", "Name"], &rows).unwrap();
-        assert!(subject_score(&t, 1) > subject_score(&t, 0));
+        assert!(score(&t, 1) > score(&t, 0));
     }
 
     #[test]
     fn features_are_bounded() {
         let t = s1();
         for i in 0..t.arity() {
-            for f in subject_features(&t, i) {
+            let col = &t.columns()[i];
+            let textual = col.column_type() == ColumnType::Text;
+            for f in subject_features(i, t.arity(), textual, &col.cell_stats()) {
                 assert!((0.0..=1.0).contains(&f), "feature {f} out of range");
             }
         }
@@ -175,7 +203,7 @@ mod tests {
             })
             .collect();
         let t = Table::from_rows("t", &["sparse", "dense"], &mostly_null).unwrap();
-        assert!(subject_score(&t, 1) > subject_score(&t, 0));
+        assert!(score(&t, 1) > score(&t, 0));
         assert_eq!(subject_attribute(&t), Some(1));
     }
 }

@@ -17,6 +17,8 @@ use crate::table::Table;
 /// fields and fields that lose a `\r` are assembled in a scratch
 /// buffer first. Blank lines (a record of one empty field) are
 /// dropped, matching what the open-data corpora look like in practice.
+/// A leading UTF-8 byte-order mark (what Excel writes first) is not
+/// part of the first header, and is dropped too.
 pub fn parse_csv(name: impl Into<String>, text: &str) -> Result<Table, TableError> {
     enum State {
         FieldStart,
@@ -27,6 +29,7 @@ pub fn parse_csv(name: impl Into<String>, text: &str) -> Result<Table, TableErro
         QuoteInQuoted,
     }
 
+    let text = text.strip_prefix('\u{feff}').unwrap_or(text);
     let bytes = text.as_bytes();
     // Every record ends at a newline or at the end of the text.
     let records = bytes.iter().filter(|&&b| b == b'\n').count() + 1;
@@ -272,6 +275,23 @@ fn write_record(out: &mut String, fields: &[&str]) {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// One leading byte-order mark is dropped; a second one, or one
+    /// anywhere else, is text.
+    #[test]
+    fn a_leading_byte_order_mark_is_not_part_of_the_header() {
+        let t = parse_csv("t", "\u{feff}City,Practice\nSalford,Blackfriars\n").unwrap();
+        assert_eq!(t.columns()[0].name(), "City");
+        assert!(t.column("City").is_some());
+        assert_eq!(
+            t,
+            parse_csv("t", "City,Practice\nSalford,Blackfriars\n").unwrap()
+        );
+        let twice = parse_csv("t", "\u{feff}\u{feff}City\nx\n").unwrap();
+        assert_eq!(twice.columns()[0].name(), "\u{feff}City");
+        let inside = parse_csv("t", "City\n\u{feff}x\n").unwrap();
+        assert_eq!(inside.columns()[0].values()[0], "\u{feff}x");
+    }
 
     // The parser this module used to have — characters into one
     // `String` per field, records into `Vec<Vec<String>>`, transposed

@@ -143,6 +143,35 @@ fn query_finds_the_related_table() {
     assert!(!stdout.contains("no related tables"), "got: {stdout}");
 }
 
+/// An Excel-exported CSV starts with a UTF-8 byte-order mark. It is
+/// no part of the first header: the alignment names `City`.
+#[test]
+fn a_byte_order_mark_is_no_part_of_the_first_header() {
+    let base = std::env::temp_dir().join(format!("d3l_cli_test_{}_bom", std::process::id()));
+    let lake = base.join("lake");
+    std::fs::create_dir_all(&lake).unwrap();
+    std::fs::write(
+        lake.join("gp.csv"),
+        "\u{feff}City,Practice\nSalford,Blackfriars\nLondon,The London Clinic\n",
+    )
+    .unwrap();
+    std::fs::write(lake.join("planets.csv"), "Planet,Moons\nSaturn,146\n").unwrap();
+    let target = base.join("target.csv");
+    std::fs::write(&target, "City,Practice\nSalford,Blackfriars\n").unwrap();
+    let out = d3l_cmd(&[
+        "query",
+        lake.to_str().unwrap(),
+        target.to_str().unwrap(),
+        "-k",
+        "1",
+    ]);
+    std::fs::remove_dir_all(&base).ok();
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    let stdout = stdout_of(&out);
+    assert!(stdout.contains("target.City ← City\n"), "got: {stdout}");
+    assert!(!stdout.contains('\u{feff}'), "got: {stdout:?}");
+}
+
 #[test]
 fn query_accepts_each_evidence_flag() {
     let lake = TempLake::create("evidence_ok");

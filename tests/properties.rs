@@ -205,6 +205,30 @@ proptest! {
         }
     }
 
+    /// Permuting a column's rows leaves its profile unchanged — name,
+    /// the three sets, extent and embedding bits, cell counts — on
+    /// columns drawn from a small pool, so that cells repeat.
+    #[test]
+    fn profile_ignores_row_order(pool in prop::collection::vec(cell(), 1..6),
+                                 rows in prop::collection::vec((0usize..6, 0u64..1 << 40), 0..40)) {
+        let values: Vec<String> = rows.iter().map(|&(i, _)| pool[i % pool.len()].clone()).collect();
+        let mut order: Vec<usize> = (0..values.len()).collect();
+        order.sort_by_key(|&r| rows[r].1);
+        let permuted: Vec<String> = order.iter().map(|&r| values[r].clone()).collect();
+        let e = HashEmbedder::new(16, 1);
+        let a = AttributeProfile::build(&Column::new("A Col", values), 4, &e);
+        let b = AttributeProfile::build(&Column::new("A Col", permuted), 4, &e);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        prop_assert_eq!(&a.name, &b.name);
+        prop_assert_eq!(a.is_numeric, b.is_numeric);
+        prop_assert_eq!(&a.qset, &b.qset);
+        prop_assert_eq!(&a.tset, &b.tset);
+        prop_assert_eq!(&a.rset, &b.rset);
+        prop_assert_eq!(bits(&a.numeric_extent), bits(&b.numeric_extent));
+        prop_assert_eq!(bits(&a.embedding), bits(&b.embedding));
+        prop_assert_eq!(a.cell_stats, b.cell_stats);
+    }
+
     /// CSV serialization round-trips arbitrary cell content.
     #[test]
     fn csv_round_trip(rows in prop::collection::vec(
