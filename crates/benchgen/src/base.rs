@@ -187,9 +187,9 @@ mod tests {
         let tables = generate_base_tables(100, 30, 3);
         // health_registry and health_funding both draw from the same
         // 30-entity pool → overlap is certain.
-        let reg: std::collections::HashSet<&String> =
+        let reg: std::collections::HashSet<&str> =
             tables[0].1.columns()[0].values().iter().collect();
-        let fund: std::collections::HashSet<&String> =
+        let fund: std::collections::HashSet<&str> =
             tables[1].1.columns()[0].values().iter().collect();
         assert!(reg.intersection(&fund).count() > 0);
     }
@@ -205,10 +205,10 @@ mod tests {
     #[test]
     fn different_domains_have_disjoint_entities() {
         let tables = generate_base_tables(50, 30, 3);
-        let health: std::collections::HashSet<&String> =
+        let health: std::collections::HashSet<&str> =
             tables[0].1.columns()[0].values().iter().collect();
         // business_registry is index 4
-        let business: std::collections::HashSet<&String> =
+        let business: std::collections::HashSet<&str> =
             tables[4].1.columns()[0].values().iter().collect();
         assert_eq!(health.intersection(&business).count(), 0);
     }

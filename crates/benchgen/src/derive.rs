@@ -157,7 +157,7 @@ pub fn derive(cfg: &DeriveConfig) -> Benchmark {
         for &c in &keep {
             let (col_name, kind) = &spec.columns[c];
             let src = &table.columns()[c];
-            let mut vals: Vec<String> = rows.iter().map(|&r| src.values()[r].clone()).collect();
+            let mut vals: Vec<String> = rows.iter().map(|&r| src.values()[r].to_owned()).collect();
             let mut out_name = col_name.clone();
             if let Some(dirt) = &cfg.dirty {
                 out_name = maybe_rename(&mut rng, col_name, dirt);

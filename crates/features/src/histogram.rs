@@ -41,6 +41,7 @@
 //! are views over the same table and the same selection rule.
 
 use d3l_lsh::hash::{hash_str, Fnv1a};
+use d3l_table::column::Cells;
 
 use crate::regex_format::{lex, Lexeme};
 
@@ -428,14 +429,14 @@ impl DistinctCells {
     /// Call `each(cell, occurrences)` once for every distinct value of
     /// `cells` (compared byte for byte, so ` x` and `x` are two), in
     /// the order of their first occurrence.
-    pub fn each<S: AsRef<str>>(&mut self, cells: &[S], mut each: impl FnMut(&str, u32)) {
+    pub fn each(&mut self, cells: Cells<'_>, mut each: impl FnMut(&str, u32)) {
         self.count(cells);
         for (&row, &times) in self.rows.iter().zip(&self.counts) {
-            each(cells[row as usize].as_ref(), times);
+            each(&cells[row as usize], times);
         }
     }
 
-    fn count<S: AsRef<str>>(&mut self, cells: &[S]) {
+    fn count(&mut self, cells: Cells<'_>) {
         let rows = u32::try_from(cells.len()).expect("a column's rows fit u32");
         self.hashes.clear();
         self.rows.clear();
@@ -445,7 +446,6 @@ impl DistinctCells {
         self.table.resize(size, 0);
         let mask = size - 1;
         for (row, cell) in (0..rows).zip(cells) {
-            let cell = cell.as_ref();
             let hash = cell_hash(cell.as_bytes());
             let mut slot = home_slot(hash, mask);
             loop {
@@ -459,7 +459,7 @@ impl DistinctCells {
                     }
                     entry => {
                         let e = entry as usize - 1;
-                        if self.hashes[e] == hash && cells[self.rows[e] as usize].as_ref() == cell {
+                        if self.hashes[e] == hash && &cells[self.rows[e] as usize] == cell {
                             self.counts[e] += 1;
                             break;
                         }
@@ -476,6 +476,7 @@ mod tests {
     use super::*;
     use crate::regex_format::oracle;
     use crate::tokenize;
+    use d3l_table::Column;
 
     fn address_histogram() -> TokenHistogram {
         let mut h = TokenHistogram::new();
@@ -683,7 +684,10 @@ mod tests {
                 })
                 .collect();
             let mut got: Vec<(String, u32)> = Vec::new();
-            table.each(&cells, |cell, times| got.push((cell.to_string(), times)));
+            let column = Column::new("c", cells.clone());
+            table.each(column.values(), |cell, times| {
+                got.push((cell.to_string(), times))
+            });
             let mut want: Vec<(String, u32)> = Vec::new();
             for cell in &cells {
                 match want.iter_mut().find(|(c, _)| c == cell) {

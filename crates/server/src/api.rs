@@ -10,7 +10,7 @@
 
 use d3l_core::hotswap::EngineSnapshot;
 use d3l_core::{D3l, TableMatch};
-use d3l_table::Table;
+use d3l_table::{ColumnBuilder, Table};
 
 use crate::json::Json;
 
@@ -90,30 +90,36 @@ pub fn table_from_json(value: &Json) -> Result<Table, ApiError> {
         .get("rows")
         .and_then(Json::as_arr)
         .ok_or_else(|| refuse("table needs a \"rows\" array"))?;
-    let mut rows = Vec::with_capacity(rows_json.len());
+    // Each cell is copied once, from the parsed JSON into its column's
+    // buffer; the refusals come in the order the rows are read.
+    let mut cells: Vec<ColumnBuilder> = columns
+        .iter()
+        .map(|_| ColumnBuilder::with_capacity(rows_json.len(), 0))
+        .collect();
     for (i, row) in rows_json.iter().enumerate() {
-        let cells = row
+        let row = row
             .as_arr()
             .ok_or_else(|| refuse(format!("row {i} must be an array")))?;
-        if cells.len() != columns.len() {
+        if row.len() != columns.len() {
             return Err(refuse(format!(
                 "row {i} has {} cells for {} columns",
-                cells.len(),
+                row.len(),
                 columns.len()
             )));
         }
-        rows.push(
-            cells
-                .iter()
-                .map(|c| {
-                    c.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| refuse(format!("row {i} holds a non-string cell")))
-                })
-                .collect::<Result<Vec<String>, _>>()?,
-        );
+        for (column, cell) in cells.iter_mut().zip(row) {
+            let cell = cell
+                .as_str()
+                .ok_or_else(|| refuse(format!("row {i} holds a non-string cell")))?;
+            column.push(cell);
+        }
     }
-    Table::from_rows(name, &columns, &rows).map_err(|e| refuse(format!("invalid table: {e}")))
+    let columns = columns
+        .iter()
+        .zip(cells)
+        .map(|(name, cells)| cells.finish(*name))
+        .collect();
+    Table::new(name, columns).map_err(|e| refuse(format!("invalid table: {e}")))
 }
 
 /// Encode one ranked match. Alignments carry the source column index

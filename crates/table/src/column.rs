@@ -1,4 +1,13 @@
-//! Columns: named vectors of string cells with an inferred type.
+//! Columns: named sequences of string cells with an inferred type.
+//!
+//! A [`Column`] keeps its cells as one buffer — every cell's bytes
+//! back to back in one `String`, plus where each cell ends — the
+//! layout of Arrow's variable-size binary arrays. A lake's load then
+//! makes one allocation per column, not one per cell, and frees as
+//! few. [`Column::values`] lends the cells out as [`Cells`], a view
+//! that reads like a `&[&str]`; [`ColumnBuilder`] fills a column a
+//! cell at a time (the CSV reader and the server's JSON decoder) and
+//! [`Column::new`] packs a `Vec<String>`.
 
 use std::collections::HashSet;
 use std::hash::BuildHasherDefault;
@@ -27,11 +36,169 @@ impl ColumnType {
 }
 
 /// A named column of string cells. The empty string is a null.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The cells are one buffer: their bytes back to back in `data`, and
+/// where each ends. Two columns' cells are equal exactly when their
+/// buffers and ends are, so the derived `PartialEq` compares cells.
+#[derive(Clone, PartialEq)]
 pub struct Column {
     name: String,
-    values: Vec<String>,
+    /// Every cell's bytes, in row order, with nothing between them.
+    data: String,
+    /// `ends[r]` is where cell `r` ends in `data`; it starts where
+    /// cell `r - 1` ends (cell 0 at 0).
+    ends: Vec<usize>,
     ty: ColumnType,
+}
+
+impl std::fmt::Debug for Column {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Column")
+            .field("name", &self.name)
+            .field("values", &self.values())
+            .field("ty", &self.ty)
+            .finish()
+    }
+}
+
+/// A column's cells, borrowed: what [`Column::values`] hands out. It
+/// reads like a `&[&str]` — `len`, `get`, `iter` and `cells[r]`, which
+/// panics past the end as a slice does.
+#[derive(Clone, Copy)]
+pub struct Cells<'a> {
+    data: &'a str,
+    ends: &'a [usize],
+}
+
+impl<'a> Cells<'a> {
+    /// Number of cells, nulls included.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when there are no cells.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Cell `r`, or `None` past the end.
+    pub fn get(&self, r: usize) -> Option<&'a str> {
+        (r < self.ends.len()).then(|| self.cell(r))
+    }
+
+    /// The cells in row order.
+    pub fn iter(&self) -> CellsIter<'a> {
+        CellsIter {
+            data: self.data,
+            ends: self.ends.iter(),
+            start: 0,
+        }
+    }
+
+    /// Cell `r`; past the end it panics with the slice's message.
+    pub(crate) fn cell(&self, r: usize) -> &'a str {
+        let end = self.ends[r];
+        let start = if r == 0 { 0 } else { self.ends[r - 1] };
+        &self.data[start..end]
+    }
+}
+
+impl std::ops::Index<usize> for Cells<'_> {
+    type Output = str;
+
+    fn index(&self, r: usize) -> &str {
+        self.cell(r)
+    }
+}
+
+impl<'a> IntoIterator for Cells<'a> {
+    type Item = &'a str;
+    type IntoIter = CellsIter<'a>;
+
+    fn into_iter(self) -> CellsIter<'a> {
+        self.iter()
+    }
+}
+
+impl std::fmt::Debug for Cells<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over a column's cells in row order ([`Cells::iter`]).
+#[derive(Clone)]
+pub struct CellsIter<'a> {
+    data: &'a str,
+    ends: std::slice::Iter<'a, usize>,
+    /// Where the next cell starts.
+    start: usize,
+}
+
+impl<'a> Iterator for CellsIter<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let end = *self.ends.next()?;
+        let cell = &self.data[self.start..end];
+        self.start = end;
+        Some(cell)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ends.size_hint()
+    }
+}
+
+impl ExactSizeIterator for CellsIter<'_> {}
+
+/// A column being filled a cell at a time: each cell's bytes are
+/// appended to the one buffer the column will own. The CSV reader and
+/// the server's JSON decoder fill their columns through it;
+/// [`ColumnBuilder::finish`] infers the type.
+#[derive(Debug, Default)]
+pub struct ColumnBuilder {
+    data: String,
+    ends: Vec<usize>,
+}
+
+impl ColumnBuilder {
+    /// An empty column with room for `cells` cells of `bytes` bytes in
+    /// all.
+    pub fn with_capacity(cells: usize, bytes: usize) -> Self {
+        ColumnBuilder {
+            data: String::with_capacity(bytes),
+            ends: Vec::with_capacity(cells),
+        }
+    }
+
+    /// Append one cell.
+    pub fn push(&mut self, cell: &str) {
+        self.data.push_str(cell);
+        self.ends.push(self.data.len());
+    }
+
+    /// Take the last cell back.
+    pub(crate) fn pop(&mut self) {
+        if self.ends.pop().is_some() {
+            self.data.truncate(self.ends.last().copied().unwrap_or(0));
+        }
+    }
+
+    /// The column these cells make, its type inferred from them.
+    pub fn finish(self, name: impl Into<String>) -> Column {
+        let cells = Cells {
+            data: &self.data,
+            ends: &self.ends,
+        };
+        let ty = typing::infer_type(cells);
+        Column {
+            name: name.into(),
+            data: self.data,
+            ends: self.ends,
+            ty,
+        }
+    }
 }
 
 /// FNV-1a for the distinct-cell set of [`Column::cell_stats`], whose
@@ -102,14 +269,15 @@ impl CellStats {
 }
 
 impl Column {
-    /// Build a column, inferring its type from the supplied cells.
+    /// Build a column, inferring its type from the supplied cells,
+    /// which are packed into the column's one buffer.
     pub fn new(name: impl Into<String>, values: Vec<String>) -> Self {
-        let ty = typing::infer_type(values.iter().map(String::as_str));
-        Column {
-            name: name.into(),
-            values,
-            ty,
+        let bytes = values.iter().map(String::len).sum();
+        let mut cells = ColumnBuilder::with_capacity(values.len(), bytes);
+        for v in &values {
+            cells.push(v);
         }
+        cells.finish(name)
     }
 
     /// Attribute name.
@@ -128,33 +296,33 @@ impl Column {
     }
 
     /// All cells including nulls, in row order.
-    pub fn values(&self) -> &[String] {
-        &self.values
+    pub fn values(&self) -> Cells<'_> {
+        Cells {
+            data: &self.data,
+            ends: &self.ends,
+        }
     }
 
     /// Number of rows (including nulls).
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.ends.len()
     }
 
     /// True when the column has no rows.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterator over non-null (non-empty after trim) cells.
     pub fn non_null(&self) -> impl Iterator<Item = &str> {
-        self.values
-            .iter()
-            .map(String::as_str)
-            .filter(|v| !v.trim().is_empty())
+        self.values().iter().filter(|v| !v.trim().is_empty())
     }
 
     /// Null count, distinct count and total length of the cells, in
     /// one pass over the column.
     pub fn cell_stats(&self) -> CellStats {
         let mut distinct: HashSet<&str, BuildHasherDefault<CellHasher>> =
-            HashSet::with_capacity_and_hasher(self.values.len(), Default::default());
+            HashSet::with_capacity_and_hasher(self.len(), Default::default());
         let mut chars = 0usize;
         let mut non_null = 0usize;
         for v in self.non_null() {
@@ -163,7 +331,7 @@ impl Column {
             distinct.insert(v);
         }
         CellStats {
-            rows: self.values.len(),
+            rows: self.len(),
             non_null,
             distinct: distinct.len(),
             chars,
@@ -179,7 +347,7 @@ impl Column {
     /// Approximate in-memory/on-disk footprint of the column in bytes
     /// (cells + name), used for Table II space-overhead accounting.
     pub fn byte_size(&self) -> usize {
-        self.name.len() + self.values.iter().map(|v| v.len() + 1).sum::<usize>()
+        self.name.len() + self.data.len() + self.ends.len()
     }
 }
 
@@ -218,6 +386,74 @@ mod tests {
             proptest::prop_assert_eq!(stats.distinct, distinct.len());
             proptest::prop_assert_eq!(stats.rows, cells.len());
         }
+    }
+
+    /// The view reads like the `Vec<String>` the column was built
+    /// from: lengths, `get`, `iter`, indexing, equality.
+    #[test]
+    fn cells_read_like_the_strings_they_were_built_from() {
+        for cells in [
+            vec![],
+            vec![""],
+            vec!["", "", ""],
+            vec!["a", "", "bc", ""],
+            vec!["日本", "é", "", "naïve café", "\u{feff}x"],
+        ] {
+            let owned: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
+            let column = Column::new("c", owned.clone());
+            let view = column.values();
+            assert_eq!(view.len(), cells.len());
+            assert_eq!(view.is_empty(), cells.is_empty());
+            assert_eq!(column.len(), cells.len());
+            assert_eq!(view.iter().len(), cells.len());
+            assert_eq!(view.iter().collect::<Vec<_>>(), cells);
+            for (r, cell) in cells.iter().enumerate() {
+                assert_eq!(view.get(r), Some(*cell));
+                assert_eq!(&view[r], *cell);
+            }
+            assert_eq!(view.get(cells.len()), None);
+            assert_eq!(format!("{view:?}"), format!("{cells:?}"));
+            assert_eq!(
+                column.byte_size(),
+                1 + owned.iter().map(|v| v.len() + 1).sum::<usize>()
+            );
+            // Equal cells make equal columns, and a cell moved across
+            // a boundary does not.
+            assert_eq!(column, Column::new("c", owned));
+        }
+        assert_ne!(col(&["ab", "c"]), col(&["a", "bc"]));
+        assert_ne!(col(&["", "a"]), col(&["a", ""]));
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds: the len is 2 but the index is 2")]
+    fn indexing_past_the_end_panics_as_a_slice_does() {
+        let column = col(&["a", "b"]);
+        let _ = &column.values()[2];
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds: the len is 0 but the index is 0")]
+    fn indexing_an_empty_column_panics_as_a_slice_does() {
+        let column = col(&[]);
+        let _ = &column.values()[0];
+    }
+
+    /// A popped cell leaves the buffer as if it had never been pushed.
+    #[test]
+    fn a_popped_cell_leaves_no_trace() {
+        let mut cells = ColumnBuilder::default();
+        cells.push("12");
+        cells.push("x");
+        cells.pop();
+        cells.push("");
+        cells.push("34");
+        cells.pop();
+        cells.pop();
+        let mut empty = ColumnBuilder::default();
+        empty.pop();
+        assert_eq!(empty.finish("c"), col(&[]));
+        assert_eq!(cells.finish("c"), col(&["12"]));
     }
 
     #[test]

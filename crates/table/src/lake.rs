@@ -208,7 +208,7 @@ mod tests {
         let loaded = DataLake::load_dir(&dir).unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(
-            loaded
+            &loaded
                 .table_by_name("gp")
                 .unwrap()
                 .column("City")

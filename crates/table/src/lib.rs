@@ -20,7 +20,7 @@ pub mod lake;
 pub mod table;
 pub mod typing;
 
-pub use column::{CellStats, Column, ColumnType};
+pub use column::{CellStats, Cells, Column, ColumnBuilder, ColumnType};
 pub use error::TableError;
 pub use lake::{DataLake, TableId};
 pub use table::Table;

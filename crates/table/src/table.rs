@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use crate::column::Column;
+use crate::column::{Column, ColumnBuilder};
 use crate::error::TableError;
 
 /// A named table: columns in declaration order, all of equal length.
@@ -41,7 +41,9 @@ impl Table {
         rows: &[Vec<String>],
     ) -> Result<Self, TableError> {
         let width = header.len();
-        let mut cols: Vec<Vec<String>> = vec![Vec::with_capacity(rows.len()); width];
+        let mut cols: Vec<ColumnBuilder> = (0..width)
+            .map(|_| ColumnBuilder::with_capacity(rows.len(), 0))
+            .collect();
         for row in rows {
             if row.len() != width {
                 return Err(TableError::RaggedRows {
@@ -49,14 +51,14 @@ impl Table {
                     found: row.len(),
                 });
             }
-            for (i, cell) in row.iter().enumerate() {
-                cols[i].push(cell.clone());
+            for (col, cell) in cols.iter_mut().zip(row) {
+                col.push(cell);
             }
         }
         let columns = header
             .iter()
             .zip(cols)
-            .map(|(h, vals)| Column::new(*h, vals))
+            .map(|(h, cells)| cells.finish(*h))
             .collect();
         Table::new(name, columns)
     }
@@ -98,10 +100,7 @@ impl Table {
 
     /// One row as a vector of cell references.
     pub fn row(&self, i: usize) -> Vec<&str> {
-        self.columns
-            .iter()
-            .map(|c| c.values()[i].as_str())
-            .collect()
+        self.columns.iter().map(|c| c.values().cell(i)).collect()
     }
 
     /// Iterate rows as cell-reference vectors.
@@ -130,10 +129,7 @@ impl Table {
         let columns = self
             .columns
             .iter()
-            .map(|c| {
-                let vals = keep.iter().map(|&i| c.values()[i].clone()).collect();
-                Column::new(c.name(), vals)
-            })
+            .map(|c| gather(c, keep).finish(c.name()))
             .collect();
         Table {
             name: new_name.into(),
@@ -191,10 +187,7 @@ impl Table {
         let mut columns: Vec<Column> = self
             .columns
             .iter()
-            .map(|c| {
-                let vals = left_keep.iter().map(|&i| c.values()[i].clone()).collect();
-                Column::new(c.name(), vals)
-            })
+            .map(|c| gather(c, &left_keep).finish(c.name()))
             .collect();
         let left_names: std::collections::HashSet<&str> =
             self.columns.iter().map(|c| c.name()).collect();
@@ -202,13 +195,12 @@ impl Table {
             if ci == ri {
                 continue;
             }
-            let vals: Vec<String> = right_keep.iter().map(|&i| c.values()[i].clone()).collect();
             let name = if left_names.contains(c.name()) {
                 format!("{}.{}", other.name(), c.name())
             } else {
                 c.name().to_string()
             };
-            columns.push(Column::new(name, vals));
+            columns.push(gather(c, &right_keep).finish(name));
         }
         Table::new(new_name, columns)
     }
@@ -217,6 +209,18 @@ impl Table {
     pub fn byte_size(&self) -> usize {
         self.name.len() + self.columns.iter().map(Column::byte_size).sum::<usize>()
     }
+}
+
+/// The cells of `column` at rows `rows`, in that order, copied into a
+/// new column's buffer.
+fn gather(column: &Column, rows: &[usize]) -> ColumnBuilder {
+    let cells = column.values();
+    let bytes = rows.iter().map(|&r| cells.cell(r).len()).sum();
+    let mut out = ColumnBuilder::with_capacity(rows.len(), bytes);
+    for &r in rows {
+        out.push(cells.cell(r));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -240,7 +244,7 @@ mod tests {
         let t = gp_practices();
         assert_eq!(t.arity(), 3);
         assert_eq!(t.cardinality(), 2);
-        assert_eq!(t.column("City").unwrap().values()[1], "Salford");
+        assert_eq!(&t.column("City").unwrap().values()[1], "Salford");
         assert_eq!(t.row(0)[0], "Dr E Cullen");
         assert_eq!(t.rows().count(), 2);
     }
@@ -293,7 +297,7 @@ mod tests {
         assert_eq!(j.cardinality(), 1);
         assert_eq!(j.arity(), 4); // 3 left + 1 right (join col dropped)
         assert_eq!(
-            j.column("Opening hours").unwrap().values()[0],
+            &j.column("Opening hours").unwrap().values()[0],
             "08:00-18:00"
         );
     }
