@@ -25,7 +25,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use d3l_embedding::{CachedEmbedder, SemanticEmbedder, WordEmbedder};
+use d3l_embedding::{CachedEmbedder, HashEmbedder, WordEmbedder};
 use d3l_features::qgrams;
 use d3l_lsh::forest::LshForest;
 use d3l_lsh::minhash::{MinHashSignature, MinHasher};
@@ -101,7 +101,7 @@ fn attr_of_key(key: u64) -> (TableId, u32) {
 /// The enterprise knowledge graph plus the one-off query indexes.
 pub struct Aurum {
     cfg: AurumConfig,
-    embedder: SemanticEmbedder,
+    embedder: HashEmbedder,
     minhasher: MinHasher,
     projector: RandomProjector,
     /// column → (neighbour column → certainty score)
@@ -122,7 +122,7 @@ pub struct Aurum {
 
 impl Aurum {
     /// Profile a lake and build the knowledge graph.
-    pub fn index_lake(lake: &DataLake, embedder: SemanticEmbedder, cfg: AurumConfig) -> Self {
+    pub fn index_lake(lake: &DataLake, embedder: HashEmbedder, cfg: AurumConfig) -> Self {
         let minhasher = MinHasher::new(cfg.num_perm, SEED);
         let projector = RandomProjector::new(cfg.embed_dim, cfg.embed_bits, SEED ^ 0xa0);
         let mut content_index = LshForest::new(cfg.num_perm, cfg.trees);
@@ -422,10 +422,9 @@ impl Aurum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use d3l_benchgen::vocab;
 
-    fn embedder() -> SemanticEmbedder {
-        SemanticEmbedder::new(vocab::domain_lexicon(32))
+    fn embedder() -> HashEmbedder {
+        HashEmbedder::new(32, d3l_embedding::SUBWORD_SEED)
     }
 
     fn indexed() -> (d3l_benchgen::Benchmark, Aurum) {

@@ -26,7 +26,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use d3l_embedding::{CachedEmbedder, SemanticEmbedder, WordEmbedder};
+use d3l_embedding::{CachedEmbedder, HashEmbedder, WordEmbedder};
 use d3l_lsh::forest::LshForest;
 use d3l_lsh::minhash::{MinHashSignature, MinHasher};
 use d3l_lsh::randproj::{BitSignature, RandomProjector};
@@ -98,7 +98,7 @@ struct TusProfile {
 pub struct Tus {
     cfg: TusConfig,
     kb: HashMap<String, u32>,
-    embedder: SemanticEmbedder,
+    embedder: HashEmbedder,
     minhasher: MinHasher,
     projector: RandomProjector,
     set_index: LshForest<MinHashSignature>,
@@ -123,7 +123,7 @@ impl Tus {
     pub fn index_lake(
         lake: &DataLake,
         kb: HashMap<String, u32>,
-        embedder: SemanticEmbedder,
+        embedder: HashEmbedder,
         cfg: TusConfig,
     ) -> Self {
         let minhasher = MinHasher::new(cfg.num_perm, SEED);
@@ -328,8 +328,8 @@ mod tests {
     use super::*;
     use d3l_benchgen::vocab;
 
-    fn embedder() -> SemanticEmbedder {
-        SemanticEmbedder::new(vocab::domain_lexicon(32))
+    fn embedder() -> HashEmbedder {
+        HashEmbedder::new(32, d3l_embedding::SUBWORD_SEED)
     }
 
     fn small_bench() -> d3l_benchgen::Benchmark {

@@ -77,7 +77,7 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 
 impl Systems {
     /// Index a benchmark's lake with D3L as `d3l index` does: the
-    /// default configuration and the shipped lexicon-free embedder.
+    /// default configuration and the shipped subword-hashing embedder.
     pub fn build(bench: Benchmark) -> Self {
         let (d3l, d3l_index_secs) = timed(|| D3l::index_lake(&bench.lake, D3lConfig::default()));
         Systems {

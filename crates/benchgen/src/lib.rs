@@ -19,12 +19,11 @@
 //! [`GroundTruth`] captures both granularities the paper's metrics
 //! need: table-level relatedness (same base family) and
 //! attribute-level relatedness (same value domain, per Definition 1).
-//! [`vocab`] holds the word pools values are drawn from, and two
-//! answer-key oracles built from them: [`vocab::domain_lexicon`] (a
-//! synonym lexicon for the embedder) and [`vocab::kb_classes`] (a
-//! token → class knowledge base for TUS). No shipped system reads
-//! either: tests do, and `d3l-bench`'s Experiment 2 prints TUS with
-//! the knowledge base as a labelled oracle row.
+//! [`vocab`] holds the word pools values are drawn from, and an
+//! answer-key oracle built from them: [`vocab::kb_classes`] (a token →
+//! class knowledge base for TUS). No shipped system reads it: tests
+//! do, and `d3l-bench`'s Experiment 2 prints TUS with the knowledge
+//! base as a labelled oracle row.
 
 pub mod base;
 pub mod derive;

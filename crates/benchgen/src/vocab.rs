@@ -1,6 +1,6 @@
 //! Domain vocabularies: the word pools values are drawn from, the
 //! attribute-name synonym groups used by the dirty generator, and the
-//! synonym groups exported to build the embedding lexicon.
+//! knowledge base exported for TUS.
 
 use std::collections::HashMap;
 
@@ -278,71 +278,6 @@ pub fn name_synonyms(canonical: &str) -> &'static [&'static str] {
     }
 }
 
-/// Synonym groups for the embedding lexicon: attribute words and
-/// domain-indicator value words that a real WEM would place together.
-pub fn lexicon_groups() -> Vec<Vec<String>> {
-    let mut groups: Vec<Vec<&str>> = vec![
-        vec![
-            "street", "road", "avenue", "lane", "drive", "close", "way", "st", "rd", "av",
-        ],
-        vec![
-            "practice", "surgery", "clinic", "gp", "doctor", "dr", "medical", "health",
-        ],
-        vec![
-            "city", "town", "locality", "area", "borough", "district", "ward",
-        ],
-        vec!["postcode", "postal", "pcode", "zip"],
-        vec!["patients", "registered", "enrolled", "list"],
-        vec![
-            "payment", "funding", "amount", "paid", "cost", "price", "budget",
-        ],
-        vec!["hours", "opening", "times", "open"],
-        vec!["phone", "telephone", "tel", "contact"],
-        vec![
-            "school",
-            "academy",
-            "college",
-            "grammar",
-            "primary",
-            "education",
-        ],
-        vec!["station", "junction", "parkway", "route", "transport"],
-        vec!["reserve", "park", "wetland", "woodland", "meadow", "nature"],
-        vec!["library", "museum", "gallery", "theatre", "arts"],
-        vec!["estate", "court", "house", "gardens", "heights", "housing"],
-        vec!["centre", "center", "building"],
-        vec![
-            "name",
-            "title",
-            "organisation",
-            "organization",
-            "provider",
-            "entity",
-        ],
-        vec!["date", "recorded", "reported", "entry"],
-        vec!["rating", "grade", "assessment", "score", "band"],
-        vec!["status", "state", "condition"],
-        vec!["ltd", "holdings", "trading", "services", "group", "company"],
-        vec!["crime", "incident", "offence", "severity"],
-    ];
-    // Cities form one concept (place names): a WEM puts them in a
-    // tight region.
-    groups.push(CITIES.to_vec());
-    groups
-        .into_iter()
-        .map(|g| g.into_iter().map(str::to_lowercase).collect())
-        .collect()
-}
-
-/// Build the embedding lexicon used by both D3L and the baselines.
-pub fn domain_lexicon(dim: usize) -> d3l_embedding::Lexicon {
-    let mut lex = d3l_embedding::Lexicon::new(dim);
-    for group in lexicon_groups() {
-        lex.add_group(group.iter().map(String::as_str));
-    }
-    lex
-}
-
 /// Each domain's facility suffixes, in the order [`kb_classes`] reads
 /// them.
 const DOMAIN_SUFFIXES: [(Domain, &[&str]); 8] = [
@@ -361,8 +296,8 @@ const DOMAIN_SUFFIXES: [(Domain, &[&str]); 8] = [
 /// 3 streets, 10 organization words, 11 + the domain for each domain's
 /// facility suffixes; a token in two pools keeps the first one's).
 /// It is an **answer-key oracle**, not a stand-in for YAGO: each class
-/// is a pool the generator draws cell values from, as
-/// [`domain_lexicon`]'s groups are. No shipped system reads it.
+/// is a pool the generator draws cell values from. No shipped system
+/// reads it.
 pub fn kb_classes() -> HashMap<String, u32> {
     let pools = [
         (CITIES, 1),
@@ -407,17 +342,6 @@ mod tests {
     fn category_pools_resolve() {
         assert!(category_pool("rating0").contains(&"Good"));
         assert_eq!(category_pool("nonexistent"), &["A", "B", "C", "D"]);
-    }
-
-    #[test]
-    fn lexicon_builds_and_groups_synonyms() {
-        let lex = domain_lexicon(32);
-        assert!(lex.concepts() >= 20);
-        let street = lex.concept_of("street").unwrap();
-        assert_eq!(lex.concept_of("road"), Some(street));
-        assert_ne!(lex.concept_of("city"), Some(street));
-        // cities share a concept
-        assert_eq!(lex.concept_of("manchester"), lex.concept_of("salford"));
     }
 
     #[test]

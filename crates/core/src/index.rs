@@ -54,8 +54,7 @@ use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
 use std::path::Path;
 
-use d3l_embedding::WordEmbedder;
-use d3l_embedding::{CachedEmbedder, Lexicon, SemanticEmbedder};
+use d3l_embedding::{CachedEmbedder, HashEmbedder, SUBWORD_SEED};
 use d3l_features::NumericExtent;
 use d3l_lsh::forest::LshForest;
 use d3l_lsh::kernels::SigningLanes;
@@ -218,7 +217,7 @@ struct Signer<'e> {
 }
 
 impl<'e> Signer<'e> {
-    fn new(embedder: &'e SemanticEmbedder) -> Self {
+    fn new(embedder: &'e HashEmbedder) -> Self {
         Signer {
             embedder: CachedEmbedder::new(embedder),
             sets: SignedSets::default(),
@@ -279,7 +278,7 @@ impl SignedSets {
 #[derive(Clone)]
 pub struct D3l {
     pub(crate) cfg: D3lConfig,
-    pub(crate) embedder: SemanticEmbedder,
+    pub(crate) embedder: HashEmbedder,
     pub(crate) minhasher: MinHasher,
     pub(crate) projector: RandomProjector,
     /// `IN` — attribute-name q-gram index.
@@ -308,17 +307,9 @@ impl std::fmt::Debug for D3l {
 }
 
 impl D3l {
-    /// Index a lake with a lexicon-free embedder (pure subword
-    /// hashing). Use [`D3l::index_lake_with`] to supply a domain
-    /// lexicon.
+    /// Index a lake held in memory.
     pub fn index_lake(lake: &DataLake, cfg: D3lConfig) -> Self {
-        let embedder = SemanticEmbedder::new(Lexicon::new(cfg.embed_dim));
-        Self::index_lake_with(lake, cfg, embedder)
-    }
-
-    /// Index a lake with the supplied word-embedding model.
-    pub fn index_lake_with(lake: &DataLake, cfg: D3lConfig, embedder: SemanticEmbedder) -> Self {
-        let built = Self::build(lake.len(), cfg, embedder, |i| {
+        let built = Self::build(lake.len(), cfg, |i| {
             Ok::<_, Infallible>(Cow::Borrowed(lake.table(TableId(i as u32))))
         });
         match built {
@@ -334,7 +325,6 @@ impl D3l {
     /// order) that cannot be read or parsed — but each worker reads,
     /// parses, indexes and drops one table at a time.
     pub fn index_dir(dir: impl AsRef<Path>, cfg: D3lConfig) -> Result<Self, TableError> {
-        let embedder = SemanticEmbedder::new(Lexicon::new(cfg.embed_dim));
         let files = csv_files(dir)?;
         // Lossy stems can collide; a lake refuses the second of two
         // tables of one name, and so does this.
@@ -345,9 +335,7 @@ impl D3l {
             }
         }
         drop(names);
-        Self::build(files.len(), cfg, embedder, |i| {
-            load_csv(&files[i]).map(Cow::Owned)
-        })
+        Self::build(files.len(), cfg, |i| load_csv(&files[i]).map(Cow::Owned))
     }
 
     /// The one index build: tables `0..count`, obtained one at a time
@@ -355,23 +343,16 @@ impl D3l {
     /// workers over contiguous id runs. Fails with the error of the
     /// lowest-numbered table `table_at` failed on. Panics on a
     /// configuration that cannot shape an index
-    /// ([`D3lConfig::shape_error`]) or an embedder of another
-    /// dimension.
+    /// ([`D3lConfig::shape_error`]).
     fn build<'t, E: Send>(
         count: usize,
         cfg: D3lConfig,
-        embedder: SemanticEmbedder,
         table_at: impl Fn(usize) -> Result<Cow<'t, Table>, E> + Sync,
     ) -> Result<Self, E> {
         if let Some(error) = cfg.shape_error() {
             panic!("{error}");
         }
-        assert_eq!(
-            embedder.dim(),
-            cfg.embed_dim,
-            "embedder/config dim mismatch"
-        );
-        let mut d3l = Self::empty(cfg, embedder);
+        let mut d3l = Self::empty(cfg);
         let threads = d3l.cfg.effective_threads();
         let workers = threads.min(count.max(1));
         let run = count.div_ceil(workers).max(1);
@@ -402,8 +383,9 @@ impl D3l {
     }
 
     /// An engine over no tables, its hashers derived from the
-    /// configuration's seed.
-    pub(crate) fn empty(cfg: D3lConfig, embedder: SemanticEmbedder) -> Self {
+    /// configuration's seed and its embedder from the configuration's
+    /// dimension and [`SUBWORD_SEED`].
+    pub(crate) fn empty(cfg: D3lConfig) -> Self {
         D3l {
             i_n: LshForest::new(cfg.num_perm, cfg.trees),
             i_v: LshForest::new(cfg.num_perm, cfg.trees),
@@ -412,8 +394,8 @@ impl D3l {
             attrs: AttrTable::default(),
             minhasher: MinHasher::new(cfg.num_perm, cfg.seed),
             projector: RandomProjector::new(cfg.embed_dim, cfg.embed_bits, cfg.seed ^ 0xee),
+            embedder: HashEmbedder::new(cfg.embed_dim, SUBWORD_SEED),
             cfg,
-            embedder,
         }
     }
 
@@ -426,7 +408,7 @@ impl D3l {
         run: std::ops::Range<usize>,
         table_at: &(impl Fn(usize) -> Result<Cow<'t, Table>, E> + Sync),
     ) -> Result<D3l, E> {
-        let mut part = Self::empty(self.cfg.clone(), self.embedder.clone());
+        let mut part = Self::empty(self.cfg.clone());
         // Per-worker memos: domain vocabulary recurs across a run's
         // columns, and so do whole name and format sets; cached vectors
         // and copied signatures are identical to fresh ones, so results
@@ -719,7 +701,7 @@ impl D3l {
 
     /// The word embedder used at indexing (targets must be profiled
     /// with the same one).
-    pub fn embedder(&self) -> &SemanticEmbedder {
+    pub fn embedder(&self) -> &HashEmbedder {
         &self.embedder
     }
 

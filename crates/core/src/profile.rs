@@ -415,7 +415,7 @@ mod tests {
     use std::collections::{HashMap, HashSet};
 
     use super::*;
-    use d3l_embedding::{CachedEmbedder, HashEmbedder, Lexicon, SemanticEmbedder};
+    use d3l_embedding::{CachedEmbedder, HashEmbedder, SUBWORD_SEED};
     use d3l_features::tokenize;
     use d3l_lsh::hash::splitmix64;
     use d3l_table::Column;
@@ -540,7 +540,7 @@ mod tests {
         got: &AttributeProfile,
         scratch: &Scratch,
         column: &Column,
-        plain: &SemanticEmbedder,
+        plain: &HashEmbedder,
         ctx: &str,
     ) {
         let want = oracle::build(column, 4, plain);
@@ -835,14 +835,8 @@ mod tests {
         }
     }
 
-    fn embedder() -> SemanticEmbedder {
-        SemanticEmbedder::new(Lexicon::with_groups(
-            32,
-            &[
-                &["street", "road", "avenue"],
-                &["salford", "belfast", "manchester"],
-            ],
-        ))
+    fn embedder() -> HashEmbedder {
+        HashEmbedder::new(32, SUBWORD_SEED)
     }
 
     fn address_column() -> Column {

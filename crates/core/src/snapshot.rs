@@ -17,9 +17,6 @@
 //!   process sets; not the paper's fixed thresholds, lookup factor and
 //!   join path length, constants of the code that reads them
 //!   ([`D3lConfig`]).
-//! - `EMBD`: the embedder's lexicon, its word → concept map and concept
-//!   count. Its dimension is `CONF`'s, and the subword seed and the
-//!   blend weight are constants of `d3l-embedding`.
 //! - `TABL`: per table its name, subject column and removed flag.
 //! - `PROF`: per table one block of the records of its attributes —
 //!   name, numeric extent as the bytes of its one encoding, exact
@@ -35,13 +32,15 @@
 //!   module).
 //!
 //! Derived at open, never stored: the hashers (from the config's shapes
-//! and seed); each forest's tree shape and signature shape, from the
-//! config and those hashers, so a forest cannot disagree with the
-//! hashers that query it; each forest's items, the keys of the rows its
-//! index covers (`IN` and `IF` every row, `IV` and `IE` the non-numeric
-//! ones; §III-C), ascending, so a forest holds exactly those attributes;
-//! and every tree entry's key, the first four bytes of its label (from
-//! the arenas), against which the stored tree orders are checked.
+//! and seed); the word embedder (subword hashing at `CONF`'s dimension
+//! and `d3l-embedding`'s constant seed); each forest's tree shape and
+//! signature shape, from the config and those hashers, so a forest
+//! cannot disagree with the hashers that query it; each forest's items,
+//! the keys of the rows its index covers (`IN` and `IF` every row, `IV`
+//! and `IE` the non-numeric ones; §III-C), ascending, so a forest holds
+//! exactly those attributes; and every tree entry's key, the first
+//! four bytes of its label (from the arenas), against which the stored
+//! tree orders are checked.
 //! `TABL` and `PROF` decode into one table, the engine's attribute
 //! table: `TABL`'s name, subject and removed flag of a table and
 //! `PROF`'s block of its attribute records become that table and its
@@ -94,6 +93,10 @@
 //! and the join threshold (`f64`s), the lookup factor and the join path
 //! length (one-byte varints) — 18 bytes a base file. Format 11: `CONF`
 //! lost the shard count, one byte, with the in-process partition.
+//! Format 12: the `EMBD` section went — its 2 payload bytes (an empty
+//! lexicon: no concepts, no words) and its 28-byte directory entry, 30
+//! bytes a base file — with the lexicon: every index embeds by subword
+//! hashing alone, so the embedder has no state to store.
 //!
 //! The codec is streamed in both directions: saving writes each
 //! section to the sink as it is produced (profiles one table at a
@@ -135,7 +138,6 @@ use std::io::{self, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use d3l_embedding::{Lexicon, SemanticEmbedder};
 use d3l_features::Extent;
 use d3l_lsh::forest::LshForest;
 use d3l_lsh::minhash::MinHasher;
@@ -158,7 +160,6 @@ use crate::profile::{AttrView, FLAG_EMBEDDED, FLAG_FORMAT, FLAG_NAME, FLAG_NUMER
 pub use d3l_store::layout::BASE_FILE;
 
 const SEC_CONFIG: SectionTag = *b"CONF";
-const SEC_EMBEDDER: SectionTag = *b"EMBD";
 const SEC_TABLES: SectionTag = *b"TABL";
 const SEC_PROFILES: SectionTag = *b"PROF";
 const SEC_FOREST_N: SectionTag = *b"F_IN";
@@ -384,7 +385,6 @@ impl D3l {
         let mut conf = Encoder::new();
         encode_config(&self.cfg, &mut conf);
         w.add_section(SEC_CONFIG, conf.as_bytes())?;
-        w.add_section(SEC_EMBEDDER, &self.embedder.lexicon().to_bytes())?;
 
         let (attrs, mut tabl) = (&self.attrs, Encoder::new());
         tabl.put_varint(attrs.tables() as u64);
@@ -431,7 +431,6 @@ impl D3l {
         let mut conf_dec = Decoder::new(&conf);
         let cfg = decode_config(&mut conf_dec)?;
         conf_dec.expect_exhausted("config")?;
-        let lexicon = Lexicon::from_bytes(&reader.section(SEC_EMBEDDER)?, cfg.embed_dim)?;
 
         let tabl_bytes = reader.section(SEC_TABLES)?;
         let mut tabl = Decoder::new(&tabl_bytes);
@@ -485,7 +484,7 @@ impl D3l {
             i_f,
             i_e,
             attrs,
-            ..D3l::empty(cfg, SemanticEmbedder::new(lexicon))
+            ..D3l::empty(cfg)
         })
     }
 }
@@ -1136,7 +1135,7 @@ mod tests {
         }
     }
 
-    /// A store written by format version 1 to 10 is named as such — by
+    /// A store written by format version 1 to 11 is named as such — by
     /// `open` as by the byte-slice decoder — and nothing of it is
     /// decoded.
     #[test]
@@ -1149,13 +1148,14 @@ mod tests {
         v1.put_u32(KIND_SNAPSHOT);
         v1.put_u32(0);
         v1.put_raw(&[0u8; 64]);
-        // Versions 2 to 10 had today's container around other sections
+        // Versions 2 to 11 had today's container around other sections
         // (64-bit MinHash values; a slab slot per attribute; embedding
         // vectors in `PROF`; no class tables; token sets in `PROF` and
         // `IN`/`IF` signed again from them; 8-byte extent values; forest
         // headers and id tables; query knobs in `CONF`; a shard count in
-        // `CONF`): whole, checksummed files with that header.
-        let newer: Vec<(u32, Vec<u8>)> = (2..=10u32)
+        // `CONF`; an `EMBD` section): whole, checksummed files with that
+        // header.
+        let newer: Vec<(u32, Vec<u8>)> = (2..=11u32)
             .map(|version| {
                 let mut bytes = engine().to_snapshot_bytes();
                 bytes[8..12].copy_from_slice(&version.to_le_bytes());
@@ -1169,7 +1169,7 @@ mod tests {
             let is_old = |err: &StoreError| {
                 matches!(
                     err,
-                    StoreError::UnsupportedVersion { found, supported: 11 } if *found == version
+                    StoreError::UnsupportedVersion { found, supported: 12 } if *found == version
                 )
             };
             let err = D3l::from_snapshot_bytes(bytes).unwrap_err();
@@ -1181,7 +1181,7 @@ mod tests {
             assert!(is_old(&err), "{err}");
             assert!(err.to_string().contains("re-index"), "{err}");
         }
-        // A version 10 delta segment beside a current base is named too,
+        // A version 11 delta segment beside a current base is named too,
         // as the segment it is.
         let mut d3l = engine();
         let mut store = IndexStore::create(&dir, &d3l).unwrap();
@@ -1189,12 +1189,12 @@ mod tests {
         store.append_add(&mut d3l, &gp).unwrap();
         let segment = dir.join(layout::delta_file_name(1));
         let mut bytes = std::fs::read(&segment).unwrap();
-        bytes[8..12].copy_from_slice(&10u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&11u32.to_le_bytes());
         std::fs::write(&segment, bytes).unwrap();
         let err = IndexStore::open(&dir).unwrap_err();
         assert!(
             matches!(&err, StoreError::BadSegment { seq: 1, source }
-                if matches!(**source, StoreError::UnsupportedVersion { found: 10, supported: 11 })),
+                if matches!(**source, StoreError::UnsupportedVersion { found: 11, supported: 12 })),
             "{err}"
         );
         assert!(err.to_string().contains("re-index"), "{err}");
@@ -1555,8 +1555,7 @@ mod tests {
 
     /// A varint past `u32` where the store means a `u32` is refused, not
     /// truncated: a `TABL` subject column of 2³² (which read as column
-    /// 0, "gp_funding"'s text column "Practice"), and an `EMBD` lexicon
-    /// word's concept of 2³² + 1 (which read as concept 1 of 2).
+    /// 0, "gp_funding"'s text column "Practice").
     #[test]
     fn store_varints_past_u32_are_corrupt() {
         let snapshot = engine().to_snapshot_bytes();
@@ -1568,22 +1567,6 @@ mod tests {
             [&tabl[..13], column.as_bytes(), &tabl[14..]].concat()
         });
         assert_corrupt(&bad, "subject column 4294967296 exceeds u32");
-
-        let cfg = D3lConfig::fast();
-        let groups: &[&[&str]] = &[&["street", "road"], &["salford"]];
-        let lexicon = d3l_embedding::Lexicon::with_groups(cfg.embed_dim, groups);
-        let d3l = D3l::index_lake_with(&lake(), cfg, SemanticEmbedder::new(lexicon));
-        let bad = with_section(&d3l.to_snapshot_bytes(), SEC_EMBEDDER, |embd| {
-            // The lexicon: concept count | entries.
-            assert_eq!(embd[0], 2);
-            let mut planted = Encoder::new();
-            planted.put_varint(2);
-            planted.put_varint(1);
-            planted.put_str("road");
-            planted.put_varint((1 << 32) + 1);
-            planted.into_bytes()
-        });
-        assert_corrupt(&bad, "concept 4294967297, which exceeds u32");
     }
 
     /// A numeric extent that is no sorted extent of numbers — a NaN, an

@@ -1,8 +1,9 @@
 //! Subword hash embedder: fastText's character n-gram trick without
 //! the trained matrix. Each character n-gram (3..=5, with `<`/`>`
-//! boundary markers) is hashed to a deterministic pseudorandom ±1
-//! direction; a word's vector is the normalized sum of its n-gram
-//! directions, so words sharing morphology share vector mass.
+//! boundary markers) of a word's lowercase form is hashed to a
+//! deterministic pseudorandom ±1 direction; a word's vector is the
+//! normalized sum of its n-gram directions, so words sharing
+//! morphology share vector mass.
 //!
 //! Every coordinate of that sum is an integer — the count of n-grams
 //! voting +1 less the count voting −1 — so it is computed as one
@@ -78,17 +79,19 @@ impl HashEmbedder {
         bases
     }
 
-    /// The word's sign sums into `sums` (`dim` values, overwritten):
-    /// coordinate `i` is the number of its n-grams whose direction is
-    /// +1 there, less the number whose direction is −1. The empty word
-    /// has no n-grams and sums to zero.
+    /// The sign sums of the word's lowercase form into `sums` (`dim`
+    /// values, overwritten): coordinate `i` is the number of its
+    /// n-grams whose direction is +1 there, less the number whose
+    /// direction is −1. The empty word has no n-grams and sums to
+    /// zero. Every vector is made here, so this is where a word is
+    /// folded, and the only place.
     pub(crate) fn sign_sums(&self, word: &str, sums: &mut [i32]) {
         debug_assert_eq!(sums.len(), self.dim);
         if word.is_empty() {
             sums.fill(0);
             return;
         }
-        let bases = self.gram_bases(word);
+        let bases = self.gram_bases(&fold(word));
         #[cfg(target_arch = "x86_64")]
         if self.lanes.is_avx512() {
             // SAFETY: `is_avx512` is true only for the value
@@ -102,13 +105,24 @@ impl HashEmbedder {
         sign_sums_across(&bases, sums)
     }
 
-    /// Embed a word as the normalized sum of its n-gram directions:
-    /// its sign sums as `f64`, divided by their norm. The empty word
-    /// maps to the zero vector.
+    /// Embed a word as the normalized sum of the n-gram directions of
+    /// its lowercase form: its sign sums as `f64`, divided by their
+    /// norm. The empty word maps to the zero vector.
     pub fn embed(&self, word: &str) -> Vec<f64> {
         let mut sums = vec![0; self.dim];
         self.sign_sums(word, &mut sums);
         normalize(sums.into_iter().map(f64::from).collect())
+    }
+}
+
+/// A word as the embedder hashes it, lowercase: tokenized words arrive
+/// already lowercase, so this only allocates when there is something
+/// to fold.
+fn fold(word: &str) -> std::borrow::Cow<'_, str> {
+    if word.bytes().any(|b| b.is_ascii_uppercase()) || !word.is_ascii() {
+        std::borrow::Cow::Owned(word.to_lowercase())
+    } else {
+        std::borrow::Cow::Borrowed(word)
     }
 }
 
@@ -195,7 +209,8 @@ pub(crate) mod oracle {
         }
     }
 
-    /// The vector [`HashEmbedder::embed`] must return for `word`.
+    /// The vector [`HashEmbedder::embed`] must return for `word`,
+    /// given lowercase.
     pub(crate) fn embed(dim: usize, seed: u64, word: &str) -> Vec<f64> {
         let mut acc = vec![0.0; dim];
         if word.is_empty() {
@@ -257,7 +272,7 @@ mod tests {
     }
 
     /// Both compilations of the lanes reproduce the materialized-gram
-    /// float path bit for bit, at dimensions around the step width and
+    /// float path over the lowercase word bit for bit, at dimensions around the step width and
     /// at the largest an index allows, on words up to 20 000
     /// characters (sums past `i16`, which the memo does not store; not
     /// at 4 096 dimensions, where it would be 2.5 · 10⁸ mixes a path).
@@ -282,7 +297,7 @@ mod tests {
                 if dim == 4096 && word.len() > 100 {
                     continue;
                 }
-                let want = bits(&oracle::embed(dim, 7, word));
+                let want = bits(&oracle::embed(dim, 7, &word.to_lowercase()));
                 let ctx = format!("{} chars at {dim}", word.chars().count());
                 assert_eq!(bits(&detected.embed(word)), want, "{ctx}");
                 assert_eq!(bits(&portable.embed(word)), want, "{ctx}");
@@ -334,9 +349,9 @@ mod tests {
                 / words.len() as f64
                 * 1e6
         };
-        let detected = HashEmbedder::new(dim, 0xd3ee);
+        let detected = HashEmbedder::new(dim, crate::SUBWORD_SEED);
         let portable = detected.clone().portable();
-        let oracle_us = us_per_word(&|w| oracle::embed(dim, 0xd3ee, w));
+        let oracle_us = us_per_word(&|w| oracle::embed(dim, crate::SUBWORD_SEED, w));
         let portable_us = us_per_word(&|w| portable.embed(w));
         let detected_us = us_per_word(&|w| detected.embed(w));
         println!(

@@ -1,11 +1,11 @@
 //! The container format shared by base snapshots and delta segments
-//! (format version 11): a fixed header, section payloads back to back,
+//! (format version 12): a fixed header, section payloads back to back,
 //! then a checksummed section table the reader finds from the end.
 //!
 //! ```text
 //! offset  field
 //! 0       magic              "D3LSTORE" (8 bytes)
-//! 8       format version     u32 LE (11)
+//! 8       format version     u32 LE (12)
 //! 12      container kind     u32 LE (1 = snapshot, 2 = delta)
 //! 16      payloads           section bytes, back to back
 //! T       section table      count × { tag: 4 bytes, offset: u64,
@@ -32,15 +32,15 @@
 //! rather than a garbled decode downstream.
 //!
 //! The version counts changes to what any section holds, not only to
-//! the container: version 11 is version 2's container around forest
+//! the container: version 12 is version 2's container around forest
 //! sections that hold each distinct signature once, as a class with
 //! the items that carry it, every one with its signature arena, and
 //! nothing their reader already knows — no shape, no count, no item
 //! id (`d3l-lsh`'s `store` module) — and around attribute records
 //! without token sets or embedding vectors whose numeric extent is
 //! exact scaled-integer deltas (`d3l-core`'s snapshot module,
-//! `d3l-features`' `extent` module), and a configuration that is the
-//! index's shape alone. Older files — version 1 (table up
+//! `d3l-features`' `extent` module), a configuration that is the
+//! index's shape alone, and no embedder state. Older files — version 1 (table up
 //! front, FNV-1a checksums, per-item forest sections), version 2 (one
 //! 64-bit MinHash value to a word), version 3 (every forest's arena
 //! stored, a slot per item), version 4 (a vector in every profile),
@@ -52,9 +52,10 @@
 //! per table, the embedder's dimension, seed and blend weight, a count
 //! per word list of an added table), version 9 (four query
 //! constants in the configuration: the LSH and join thresholds, the
-//! lookup factor and the join path length) and version 10 (a shard
+//! lookup factor and the join path length), version 10 (a shard
 //! count in the configuration, and a partitioned index's shards each
-//! a store of its own) — are not read: opening one is
+//! a store of its own) and version 11 (an `EMBD` section holding the
+//! embedder's lexicon) — are not read: opening one is
 //! [`StoreError::UnsupportedVersion`], and the lake must be re-indexed.
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -69,7 +70,7 @@ use crate::error::StoreError;
 pub const MAGIC: &[u8; 8] = b"D3LSTORE";
 
 /// The container format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 11;
+pub const FORMAT_VERSION: u32 = 12;
 
 /// Container kind of a full base snapshot.
 pub const KIND_SNAPSHOT: u32 = 1;
@@ -751,8 +752,8 @@ mod tests {
     #[test]
     fn other_versions_are_rejected() {
         // Newer and older alike: there is one read path, and a
-        // version 1 to 10 store must be re-indexed.
-        for version in [FORMAT_VERSION + 1, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0] {
+        // version 1 to 11 store must be re-indexed.
+        for version in [FORMAT_VERSION + 1, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0] {
             let mut bytes = two_section_container();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
@@ -797,7 +798,7 @@ mod tests {
     /// header before any is read.
     #[test]
     fn older_files_of_this_container_are_an_unsupported_version() {
-        assert_eq!(FORMAT_VERSION, 11);
+        assert_eq!(FORMAT_VERSION, 12);
         for version in 2..FORMAT_VERSION {
             let mut old = two_section_container();
             old[8..12].copy_from_slice(&version.to_le_bytes());
@@ -805,7 +806,7 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    StoreError::UnsupportedVersion { found, supported: 11 } if found == version
+                    StoreError::UnsupportedVersion { found, supported: 12 } if found == version
                 ),
                 "{err}"
             );

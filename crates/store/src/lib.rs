@@ -25,10 +25,9 @@
 //!   accounting list segments with.
 //!
 //! Domain serialization lives with the domain types: `d3l-lsh` encodes
-//! LSH forests (`LshForest::{write_to,read_from}`), `d3l-embedding` encodes
-//! the lexicon state, and `d3l-core` assembles full engine snapshots,
-//! delta segments and the on-disk [`IndexStore`] directory layout on
-//! top of these primitives.
+//! LSH forests (`LshForest::{write_to,read_from}`), and `d3l-core`
+//! assembles full engine snapshots, delta segments and the on-disk
+//! [`IndexStore`] directory layout on top of these primitives.
 //!
 //! [`IndexStore`]: https://docs.rs/d3l-core
 

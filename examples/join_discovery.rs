@@ -16,8 +16,7 @@ use d3l::prelude::*;
 
 fn main() {
     let bench = benchgen::synthetic(96, 99);
-    let embedder = SemanticEmbedder::new(benchgen::vocab::domain_lexicon(64));
-    let d3l = D3l::index_lake_with(&bench.lake, D3lConfig::default(), embedder);
+    let d3l = D3l::index_lake(&bench.lake, D3lConfig::default());
 
     // Pick a wide target so there are attributes to cover.
     let tname = bench

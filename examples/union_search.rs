@@ -22,10 +22,9 @@ fn main() {
         bench.truth.avg_answer_size()
     );
 
-    // Index with the domain lexicon so the E evidence understands the
-    // vocabulary ("street" ≈ "road", "practice" ≈ "surgery", ...).
-    let embedder = SemanticEmbedder::new(benchgen::vocab::domain_lexicon(64));
-    let d3l = D3l::index_lake_with(&bench.lake, D3lConfig::default(), embedder);
+    // The E evidence embeds words by their character n-grams, so
+    // abbreviated and misspelled values still land near their sources.
+    let d3l = D3l::index_lake(&bench.lake, D3lConfig::default());
 
     let k = 10;
     let targets = bench.pick_targets(5, 7);

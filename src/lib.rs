@@ -53,7 +53,7 @@
 //! | [`table`] | `d3l-table` | tables, CSV, the in-memory lake |
 //! | [`lsh`] | `d3l-lsh` | MinHash, random projections, LSH Forest |
 //! | [`features`] | `d3l-features` | q-grams, tokens, format patterns, KS |
-//! | [`embedding`] | `d3l-embedding` | the fastText stand-in word embedder |
+//! | [`embedding`] | `d3l-embedding` | the word embedder: fastText's subword hashing, untrained |
 //! | [`store`] | `d3l-store` | binary snapshot codec + container for the persistent index store |
 //! | [`server`] | `d3l-server` | concurrent HTTP serving layer over the store (`d3l serve`) |
 //! | [`ml`] | `d3l-ml` | logistic regression, the subject-attribute classifier |
@@ -75,7 +75,7 @@ pub mod prelude {
         AttrRef, D3l, D3lConfig, DistanceVector, EngineHandle, Evidence, EvidenceWeights,
         IndexStore, Ingestor, JoinPath, SaJoinGraph, TableMatch, WatchConfig, WatchStats, Watcher,
     };
-    pub use d3l_embedding::{Lexicon, SemanticEmbedder, WordEmbedder};
+    pub use d3l_embedding::{HashEmbedder, WordEmbedder};
     pub use d3l_table::{Column, ColumnType, DataLake, Table, TableId};
 }
 

@@ -6,8 +6,8 @@ use d3l::core::query::QueryOptions;
 use d3l::prelude::*;
 use d3l_baselines::{Aurum, AurumConfig, Tus, TusConfig};
 
-fn embedder() -> SemanticEmbedder {
-    SemanticEmbedder::new(benchgen::vocab::domain_lexicon(32))
+fn embedder() -> HashEmbedder {
+    HashEmbedder::new(32, d3l::embedding::SUBWORD_SEED)
 }
 
 fn precision(relevant: &[bool]) -> f64 {
@@ -24,7 +24,7 @@ fn all_three_systems_find_related_tables_on_clean_data() {
         embed_dim: 32,
         ..D3lConfig::fast()
     };
-    let d3l = D3l::index_lake_with(&bench.lake, cfg, embedder());
+    let d3l = D3l::index_lake(&bench.lake, cfg);
     let tus = Tus::index_lake(
         &bench.lake,
         benchgen::vocab::kb_classes(),
@@ -85,7 +85,7 @@ fn d3l_degrades_less_than_baselines_on_dirty_data() {
             embed_dim: 32,
             ..D3lConfig::fast()
         };
-        let d3l = D3l::index_lake_with(&bench.lake, cfg, embedder());
+        let d3l = D3l::index_lake(&bench.lake, cfg);
         let tus = Tus::index_lake(
             &bench.lake,
             benchgen::vocab::kb_classes(),

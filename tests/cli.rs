@@ -322,7 +322,7 @@ fn index_persists_and_query_cold_starts_from_it() {
     let tags: Vec<&str> = rows.iter().map(|r| r.0).collect();
     assert_eq!(
         tags,
-        ["CONF", "EMBD", "TABL", "PROF", "F_IN", "F_IV", "F_IF", "F_IE", "SEQN"]
+        ["CONF", "TABL", "PROF", "F_IN", "F_IV", "F_IF", "F_IE", "SEQN"]
     );
     let base_len = std::fs::metadata(std::path::Path::new(&index_dir).join("base.d3ls"))
         .unwrap()

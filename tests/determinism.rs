@@ -21,12 +21,11 @@ use d3l::prelude::*;
 
 fn indexed(tables: usize, seed: u64) -> (benchgen::Benchmark, D3l) {
     let bench = benchgen::smaller_real(tables, seed);
-    let embedder = SemanticEmbedder::new(benchgen::vocab::domain_lexicon(32));
     let cfg = D3lConfig {
         embed_dim: 32,
         ..D3lConfig::fast()
     };
-    let d3l = D3l::index_lake_with(&bench.lake, cfg, embedder);
+    let d3l = D3l::index_lake(&bench.lake, cfg);
     (bench, d3l)
 }
 
@@ -170,14 +169,13 @@ fn separately_built_indexes_agree() {
     // construction and query pipeline are both deterministic.
     let bench = benchgen::smaller_real(32, 21);
     let build = |index_threads: usize, query_threads: usize| {
-        let embedder = SemanticEmbedder::new(benchgen::vocab::domain_lexicon(32));
         let cfg = D3lConfig {
             embed_dim: 32,
             index_threads,
             query_threads,
             ..D3lConfig::fast()
         };
-        D3l::index_lake_with(&bench.lake, cfg, embedder)
+        D3l::index_lake(&bench.lake, cfg)
     };
     let serial = build(1, 1);
     let parallel = build(8, 8);
@@ -485,12 +483,11 @@ fn served_engine_is_byte_identical_to_in_memory_replay_through_its_lifecycle() {
 
     let bench = benchgen::smaller_real(24, 41);
     let build = || {
-        let embedder = SemanticEmbedder::new(benchgen::vocab::domain_lexicon(32));
         let cfg = D3lConfig {
             embed_dim: 32,
             ..D3lConfig::fast()
         };
-        D3l::index_lake_with(&bench.lake, cfg, embedder)
+        D3l::index_lake(&bench.lake, cfg)
     };
 
     let names = bench.pick_targets(3, 13);
@@ -646,12 +643,11 @@ fn adversarial_value_domains_are_thread_invariant() {
         bench.lake.add(t).unwrap();
     }
     let build = || {
-        let embedder = SemanticEmbedder::new(benchgen::vocab::domain_lexicon(32));
         let cfg = D3lConfig {
             embed_dim: 32,
             ..D3lConfig::fast()
         };
-        D3l::index_lake_with(&bench.lake, cfg, embedder)
+        D3l::index_lake(&bench.lake, cfg)
     };
     let opts_for = |name: &str| QueryOptions {
         exclude: bench.lake.id_of(name),
@@ -700,14 +696,13 @@ fn index_build_is_thread_count_invariant() {
     // every combination of index and query thread counts.
     let bench = benchgen::smaller_real(32, 23);
     let build = |index_threads: usize| {
-        let embedder = SemanticEmbedder::new(benchgen::vocab::domain_lexicon(32));
         let cfg = D3lConfig {
             embed_dim: 32,
             index_threads,
             query_threads: 1,
             ..D3lConfig::fast()
         };
-        D3l::index_lake_with(&bench.lake, cfg, embedder)
+        D3l::index_lake(&bench.lake, cfg)
     };
     let mut builds: Vec<D3l> = THREAD_COUNTS.iter().map(|&n| build(n)).collect();
     for (d3l, &n) in builds.iter().zip(&THREAD_COUNTS) {
@@ -792,7 +787,9 @@ fn dirty_lake(tables: usize) -> DataLake {
 /// `0xd251_3a6b_ccbc_c2cf`); format 10 leaves out the four query
 /// constants `CONF` held — two `f64` thresholds and two one-byte
 /// varints, 18 bytes, 244 347 bytes (checksum `0xce81_2ebb_7690_1be2`);
-/// format 11 leaves out the one-byte shard count `CONF` held. Profiling
+/// format 11 leaves out the one-byte shard count `CONF` held, 244 346
+/// bytes (checksum `0xebfd_0d59_7301_a179`); format 12 leaves out
+/// `EMBD`: 2 payload bytes and its 28-byte directory entry. Profiling
 /// and signing may get faster; what they produce may not move.
 #[test]
 fn dirty_lake_snapshot_checksum_is_pinned() {
@@ -800,14 +797,15 @@ fn dirty_lake_snapshot_checksum_is_pinned() {
     assert_eq!(lake.total_attributes(), 178);
     let built = D3l::index_lake(&lake, D3lConfig::default());
     let bytes = built.to_snapshot_bytes();
-    assert_eq!(bytes.len(), 244_346);
+    assert_eq!(bytes.len(), 244_316);
     // (attributes, classes, the bytes format 6 stored of a signature) of
     // IN, IV, IF, IE.
     let forests = [(178, 44, 0), (111, 107, 1024), (178, 58, 0), (111, 94, 32)];
     let classes = built.class_stats().map(|s| (s.attributes, s.classes));
     assert_eq!(classes, forests.map(|(n, c, _)| (n, c)));
     let attributes: usize = forests.iter().map(|(n, _, _)| n).sum();
-    assert_eq!(bytes.len(), 244_347 - 1);
+    assert_eq!(bytes.len(), 244_346 - 2 - 28);
+    assert_eq!(244_346, 244_347 - 1);
     assert_eq!(244_347, 244_365 - 2 * 8 - 2);
     assert_eq!(
         244_365,
@@ -855,7 +853,7 @@ fn dirty_lake_snapshot_checksum_is_pinned() {
     assert_eq!(175_502, 195_398 - forests.map(saved).iter().sum::<usize>());
     assert_eq!(195_398, 286_712 - 178 * 513);
     assert_eq!(286_712, 651_252 - 2 * 178 * 1024 + 4);
-    assert_eq!(d3l::store::checksum(&bytes), 0xebfd_0d59_7301_a179);
+    assert_eq!(d3l::store::checksum(&bytes), 0x74fa_0404_7441_3a47);
 }
 
 /// What the index of that lake *answers* is pinned too, to the values

@@ -14,12 +14,11 @@ fn indexed(tables: usize, seed: u64, dirty: bool) -> (benchgen::Benchmark, D3l) 
     } else {
         benchgen::synthetic(tables, seed)
     };
-    let embedder = SemanticEmbedder::new(benchgen::vocab::domain_lexicon(32));
     let cfg = D3lConfig {
         embed_dim: 32,
         ..D3lConfig::fast()
     };
-    let d3l = D3l::index_lake_with(&bench.lake, cfg, embedder);
+    let d3l = D3l::index_lake(&bench.lake, cfg);
     (bench, d3l)
 }
 
@@ -172,12 +171,11 @@ fn csv_round_trip_preserves_discovery() {
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(reloaded.len(), bench.lake.len());
 
-    let embedder = SemanticEmbedder::new(benchgen::vocab::domain_lexicon(32));
     let cfg = D3lConfig {
         embed_dim: 32,
         ..D3lConfig::fast()
     };
-    let d3l2 = D3l::index_lake_with(&reloaded, cfg, embedder);
+    let d3l2 = D3l::index_lake(&reloaded, cfg);
     let t = &bench.pick_targets(1, 6)[0];
     let target = bench.lake.table_by_name(t).unwrap();
     let a: Vec<String> = d3l

@@ -112,16 +112,16 @@ fn the_footprint_accounts_for_what_an_open_leaves_live() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A memo keeps a word as its 64 `i16` sign sums, a norm and a lexicon
-/// flag in flat slabs, beside its key in the word → row map: measured
-/// 274 bytes a word over 5 000 distinct 9-character words (137 of them
-/// the sums, norm and flag; the rest the map and the slabs' spare
-/// capacity), where the `Vec<f64>`-per-word map it replaced left 601.
+/// A memo keeps a word as its 64 `i16` sign sums and a norm in flat
+/// slabs, beside its key in the word → row map: measured 273 bytes a
+/// word over 5 000 distinct 9-character words (136 of them the sums
+/// and norm; the rest the map and the slabs' spare capacity), where
+/// the `Vec<f64>`-per-word map it replaced left 601.
 #[test]
 fn the_embedding_memo_keeps_a_word_in_under_300_bytes() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     const WORDS: usize = 5_000;
-    let embedder = SemanticEmbedder::new(Lexicon::new(64));
+    let embedder = HashEmbedder::new(64, d3l::embedding::SUBWORD_SEED);
     let words: Vec<String> = (0..WORDS).map(|i| format!("word{i:05}")).collect();
     let before = LIVE.load(Ordering::Relaxed);
     let memo = CachedEmbedder::new(&embedder);

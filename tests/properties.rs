@@ -264,9 +264,8 @@ proptest! {
                                             seed in 0u64..200,
                                             k in 0usize..8) {
         let bench = d3l::benchgen::synthetic(tables, seed);
-        let embedder = SemanticEmbedder::new(d3l::benchgen::vocab::domain_lexicon(32));
         let cfg = D3lConfig { embed_dim: 32, ..D3lConfig::fast() };
-        let d3l = D3l::index_lake_with(&bench.lake, cfg, embedder);
+        let d3l = D3l::index_lake(&bench.lake, cfg);
         let tname = &bench.pick_targets(1, seed ^ 1)[0];
         let target = bench.lake.table_by_name(tname).unwrap();
         let res = d3l.query(target, k);
@@ -291,9 +290,8 @@ proptest! {
                                                       seed in 0u64..200,
                                                       rot in 1usize..6) {
         let bench = d3l::benchgen::synthetic(tables, seed);
-        let embedder = SemanticEmbedder::new(d3l::benchgen::vocab::domain_lexicon(32));
         let cfg = D3lConfig { embed_dim: 32, ..D3lConfig::fast() };
-        let d3l = D3l::index_lake_with(&bench.lake, cfg, embedder);
+        let d3l = D3l::index_lake(&bench.lake, cfg);
         let tname = &bench.pick_targets(1, seed ^ 3)[0];
         let target = bench.lake.table_by_name(tname).unwrap();
         let mut cols = target.columns().to_vec();
@@ -560,9 +558,10 @@ proptest! {
 // step, compiled twice (baseline and AVX-512), then divided by the
 // norm; the embedding memo keeps those sums as `i16`s and divides again
 // on every hit. Both must give the bits of the definition: the sum of
-// every n-gram's ±1 direction, taken as `f64`, normalized.
+// every n-gram's ±1 direction, taken as `f64`, normalized — over the
+// word's lowercase form, which is what the embedder hashes.
 
-use d3l::embedding::CachedEmbedder;
+use d3l::embedding::{CachedEmbedder, SUBWORD_SEED};
 
 /// The definition of `HashEmbedder::embed`, restated: the n-grams are
 /// the 3-, 4- and 5-char windows of `<word>` and `<word>` itself;
@@ -607,10 +606,11 @@ fn edge_words() -> Vec<String> {
     words
 }
 
-/// The lanes this CPU runs give the definition's bits, at dimensions
-/// around the eight-lane step and at the largest an index allows
-/// (there without the 20 000-character word, 2.5 · 10⁸ mixes). The
-/// crate's own tests hold both compilations to its oracle.
+/// The lanes this CPU runs give the definition's bits for the
+/// lowercase word, at dimensions around the eight-lane step and at the
+/// largest an index allows (there without the 20 000-character word,
+/// 2.5 · 10⁸ mixes). The crate's own tests hold both compilations to
+/// its oracle.
 #[test]
 fn embedding_lanes_equal_the_definition() {
     println!(
@@ -618,61 +618,57 @@ fn embedding_lanes_equal_the_definition() {
         d3l::lsh::kernels::SigningLanes::detect().name()
     );
     for dim in [1usize, 7, 8, 9, 63, 64, 65, 4096] {
-        let embedder = HashEmbedder::new(dim, 0xd3ee);
+        let embedder = HashEmbedder::new(dim, SUBWORD_SEED);
         for word in edge_words() {
             if dim == 4096 && word.len() > 100 {
                 continue;
             }
-            let want = f64_bits(&subword_definition(dim, 0xd3ee, &word));
+            let want = subword_definition(dim, SUBWORD_SEED, &word.to_lowercase());
+            let want = f64_bits(&want);
             let ctx = format!("{} chars at dim {dim}", word.chars().count());
             assert_eq!(f64_bits(&embedder.embed(&word)), want, "{ctx}");
         }
     }
 }
 
-/// An embedder with the empty lexicon or the generator's.
-fn lexicon_embedder(lexical: bool) -> SemanticEmbedder {
-    SemanticEmbedder::new(if lexical {
-        d3l::benchgen::vocab::domain_lexicon(64)
+/// `memo` answers `words`, one by one and as a bag, with the bits of
+/// the shipped `E`: the definition at 64 dimensions and the subword
+/// seed, of each word's lowercase form, and for a bag the normalized
+/// mean of those vectors.
+fn assert_memo_bits(memo: &CachedEmbedder, words: &[&str]) {
+    let want = |w: &str| subword_definition(64, SUBWORD_SEED, &w.to_lowercase());
+    let vectors: Vec<Vec<f64>> = words.iter().map(|w| want(w)).collect();
+    let bag = if vectors.is_empty() {
+        vec![0.0; 64]
     } else {
-        Lexicon::new(64)
-    })
-}
-
-/// `memo` answers `words`, one by one and as a bag, with `embedder`'s
-/// bits.
-fn assert_memo_bits(memo: &CachedEmbedder, embedder: &SemanticEmbedder, words: &[&str]) {
-    let bag = || words.iter().copied();
+        d3l::embedding::normalize(d3l::embedding::mean_vector(&vectors))
+    };
     assert_eq!(
-        f64_bits(&memo.embed_all(bag())),
-        f64_bits(&embedder.embed_all(bag())),
+        f64_bits(&memo.embed_all(words.iter().copied())),
+        f64_bits(&bag),
         "{words:?}"
     );
-    for w in bag() {
-        assert_eq!(
-            f64_bits(&memo.embed(w)),
-            f64_bits(&embedder.embed(w)),
-            "{w:?}"
-        );
+    for (w, v) in words.iter().zip(&vectors) {
+        assert_eq!(f64_bits(&memo.embed(w)), f64_bits(v), "{w:?}");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The memo answers every bag with the embedder's bits — misses,
-    /// hits in a memo that has seen earlier bags, and the word past
-    /// `i16` that it embeds afresh on every use — with the empty
-    /// lexicon and with the generator's. The long word joins the first
-    /// bag of a quarter of the cases (it costs 3.8 · 10⁶ mixes a use).
+    /// The memo of the engine's own embedder answers every bag with the
+    /// definition's bits — misses, hits in a memo that has seen earlier
+    /// bags, and the word past `i16` that it embeds afresh on every
+    /// use. The long word joins the first bag of a quarter of the cases
+    /// (it costs 3.8 · 10⁶ mixes a use).
     #[test]
     fn embedding_memo_equals_the_embedder(
         bags in prop::collection::vec(prop::collection::vec(0usize..15, 0..12), 1..6),
-        lexical in 0u8..2,
         long in 0u8..4,
     ) {
-        let embedder = lexicon_embedder(lexical == 1);
-        let memo = CachedEmbedder::new(&embedder);
+        let engine = D3l::index_lake(&DataLake::new(), D3lConfig::default());
+        assert_eq!(engine.embedder().dim(), 64);
+        let memo = CachedEmbedder::new(engine.embedder());
         let mut pool = edge_words();
         let long_word = pool.pop().unwrap();
         pool.extend(["Practice", "clinic", "GP", "blackfriars", "oakfield", "Ward7"].map(String::from));
@@ -681,7 +677,7 @@ proptest! {
             if long == 0 && b == 0 {
                 words.insert(words.len() / 2, &long_word);
             }
-            assert_memo_bits(&memo, &embedder, &words);
+            assert_memo_bits(&memo, &words);
         }
     }
 }

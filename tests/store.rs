@@ -11,12 +11,11 @@ use d3l::core::IndexStore;
 use d3l::prelude::*;
 
 fn build(lake: &DataLake) -> D3l {
-    let embedder = SemanticEmbedder::new(benchgen::vocab::domain_lexicon(32));
     let cfg = D3lConfig {
         embed_dim: 32,
         ..D3lConfig::fast()
     };
-    D3l::index_lake_with(lake, cfg, embedder)
+    D3l::index_lake(lake, cfg)
 }
 
 fn assert_identical(a: &[TableMatch], b: &[TableMatch], ctx: &str) {
