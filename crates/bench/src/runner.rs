@@ -126,7 +126,7 @@ impl Systems {
     /// Query one system for many lake-member targets at once, each
     /// excluding itself from its answer. D3L modes go through
     /// [`D3l::query_batch_with`], which fans the batch out over
-    /// the configured query threads; the baselines have no batch API
+    /// the configured threads; the baselines have no batch API
     /// and answer one target after another.
     pub fn query_batch(
         &self,
@@ -176,7 +176,8 @@ impl Systems {
     }
 
     /// Query one system for a lake-member target, excluding the
-    /// target itself from the answer: a batch of one.
+    /// target itself from the answer: a batch of one, answered on the
+    /// calling thread as TUS and Aurum answer theirs.
     pub fn query(&self, kind: SystemKind, target_name: &str, k: usize) -> Vec<RankedTable> {
         let mut one = self.query_batch(kind, &[target_name.to_string()], k);
         one.pop().expect("one answer per target")

@@ -27,16 +27,12 @@ pub struct D3lConfig {
     pub min_lookup: usize,
     /// Deterministic seed for hashing and projections.
     pub seed: u64,
-    /// Number of worker threads for index construction (0 = number of
-    /// available CPUs). A setting of the process, not of the index: a
-    /// store does not keep it.
-    pub index_threads: usize,
-    /// Number of worker threads for the query pipeline (0 = number of
-    /// available CPUs, or the `D3L_QUERY_THREADS` environment
-    /// variable where it is set). Results are byte-identical at every
-    /// thread count; this only trades latency for cores. Like
-    /// `index_threads`, a store does not keep it.
-    pub query_threads: usize,
+    /// Number of worker threads of an index build and of a query
+    /// batch (0 = [`available_cpus`]). A single query runs on the
+    /// thread that asked for it. Results are byte-identical at every
+    /// count. A setting of the process, not of the index: a store does
+    /// not keep it.
+    pub threads: usize,
 }
 
 impl Default for D3lConfig {
@@ -49,10 +45,15 @@ impl Default for D3lConfig {
             q: 4,
             min_lookup: 50,
             seed: 0xd31,
-            index_threads: 0,
-            query_threads: 0,
+            threads: 0,
         }
     }
+}
+
+/// Every CPU: the worker count a thread setting of 0 stands for, with
+/// a floor of one.
+pub fn available_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Per-attribute lookup width as a multiple of the requested table
@@ -73,37 +74,12 @@ impl D3lConfig {
         }
     }
 
-    /// Effective thread count for index construction.
+    /// Effective worker count of an index build and of a query batch.
     pub fn effective_threads(&self) -> usize {
-        Self::auto_threads(self.index_threads)
-    }
-
-    /// Effective thread count for the query pipeline. Precedence: a
-    /// [`D3lConfig::query_threads`] a caller set — meant literally, so
-    /// the determinism tests comparing thread counts get the counts
-    /// they ask for — then the `D3L_QUERY_THREADS` environment
-    /// variable, which replaces only the automatic 0 (CI forces the
-    /// suite through the single- and fully-parallel paths with it); 0
-    /// at either level means "use every available CPU".
-    pub fn effective_query_threads(&self) -> usize {
-        let n = if self.query_threads > 0 {
-            self.query_threads
+        if self.threads > 0 {
+            self.threads
         } else {
-            std::env::var("D3L_QUERY_THREADS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .unwrap_or(0)
-        };
-        Self::auto_threads(n)
-    }
-
-    fn auto_threads(n: usize) -> usize {
-        if n > 0 {
-            n
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            available_cpus()
         }
     }
 
@@ -166,21 +142,9 @@ mod tests {
     fn effective_threads_positive() {
         assert!(D3lConfig::default().effective_threads() >= 1);
         let c = D3lConfig {
-            index_threads: 3,
+            threads: 3,
             ..Default::default()
         };
         assert_eq!(c.effective_threads(), 3);
-    }
-
-    #[test]
-    fn effective_query_threads_precedence() {
-        let c = D3lConfig {
-            query_threads: 2,
-            ..Default::default()
-        };
-        // A count the caller set wins, whatever `D3L_QUERY_THREADS`
-        // says.
-        assert_eq!(c.effective_query_threads(), 2);
-        assert!(D3lConfig::default().effective_query_threads() >= 1);
     }
 }

@@ -339,7 +339,7 @@ impl D3l {
     }
 
     /// The one index build: tables `0..count`, obtained one at a time
-    /// through `table_at`, indexed by up to `cfg.index_threads`
+    /// through `table_at`, indexed by up to `cfg.threads`
     /// workers over contiguous id runs. Fails with the error of the
     /// lowest-numbered table `table_at` failed on. Panics on a
     /// configuration that cannot shape an index
@@ -658,11 +658,12 @@ impl D3l {
         &self.cfg
     }
 
-    /// Change the query-pipeline worker count (0 = all available
-    /// CPUs) without re-indexing. Thread count never changes query
-    /// results — only latency — so this is safe to flip at any time.
-    pub fn set_query_threads(&mut self, threads: usize) {
-        self.cfg.query_threads = threads;
+    /// Change [`D3lConfig::threads`], the worker count of a query
+    /// batch and of the forest commits after an add (0 = every CPU),
+    /// without re-indexing. The count never changes a result, only
+    /// the time to it, so this is safe to flip at any time.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.cfg.threads = threads;
     }
 
     /// Number of indexed tables.
@@ -1275,7 +1276,7 @@ mod tests {
         }
         for threads in [1, 2, 8] {
             let cfg = D3lConfig {
-                index_threads: threads,
+                threads,
                 ..D3lConfig::fast()
             };
             let d3l = D3l::index_lake(&lake, cfg);
@@ -1438,14 +1439,14 @@ mod tests {
         let serial = D3l::index_lake(
             &lake,
             D3lConfig {
-                index_threads: 1,
+                threads: 1,
                 ..D3lConfig::fast()
             },
         );
         let parallel = D3l::index_lake(
             &lake,
             D3lConfig {
-                index_threads: 4,
+                threads: 4,
                 ..D3lConfig::fast()
             },
         );

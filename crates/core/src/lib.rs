@@ -19,12 +19,12 @@
 //!    (b) *pairwise evidence scoring* (five distances per candidate
 //!    pair, Algorithm 2 guarding the numeric KS case), and
 //!    (c) *CCDF-weighted aggregation* (Eq. 1–2 column-wise, Eq. 3
-//!    collapse). Stages (a) and (b) fan out over scoped threads
-//!    (`D3lConfig::query_threads`), and [`D3l::query_batch`]
-//!    fans a whole evaluation workload out over targets — profiling
-//!    each target exactly once — while guaranteeing results
-//!    byte-identical to the sequential path at every thread count.
-//!    [`D3l`] is the engine that runs it: one index, four forests;
+//!    collapse). A query runs on the thread that asked for it;
+//!    [`D3l::query_batch`] fans a whole evaluation workload out over
+//!    targets (`D3lConfig::threads`) — profiling each target exactly
+//!    once — with results byte-identical to one query at a time at
+//!    every thread count. [`D3l`] is the engine that runs it: one
+//!    index, four forests;
 //! 4. [`join`] — Algorithm 3: extend the top-k with SA-join paths
 //!    that cover additional target attributes;
 //! 5. [`metrics`] — the paper's evaluation measures (precision,

@@ -11,8 +11,8 @@
 //!    later stages iterate them in a fixed order.
 //! 2. **Pairwise evidence scoring** — every (target attribute,
 //!    candidate attribute) pair gets a full five-distance vector
-//!    (Algorithm 2 guards the numeric KS case with a precomputed
-//!    per-table subject guard). Both sides are read alike, as an
+//!    (Algorithm 2 guards the numeric KS case with a per-table subject
+//!    guard, computed once per table). Both sides are read alike, as an
 //!    [`AttrView`] and word slices: the target's from its record, a
 //!    candidate's from its row (the row names its class in each
 //!    forest, so resolving it is array reads); the scoring itself sees
@@ -23,17 +23,15 @@
 //!    collapsed to a scalar by the weighted Euclidean norm (Eq. 3).
 //!    Tables are returned closest-first.
 //!
-//! Stages 1 and 2 fan out over `std::thread::scope` workers
-//! (`D3lConfig::query_threads`, set on a built engine with
-//! [`D3l::set_query_threads`]; the `D3L_QUERY_THREADS`
-//! environment variable stands in for the automatic count, 0);
-//! [`D3l::query_batch`] additionally fans out over targets.
-//! Work is split into contiguous chunks reassembled in input order and
-//! every reduction runs over key-sorted data, so results are
-//! **byte-identical at every thread count** — the determinism suite
-//! pins it.
+//! A query runs on the thread that asked for it. [`D3l::query_batch`]
+//! fans a batch out over targets on up to `D3lConfig::threads`
+//! `std::thread::scope` workers (set on a built engine with
+//! [`D3l::set_threads`]): the batch is split into contiguous runs
+//! reassembled in input order and each target is ranked as
+//! [`D3l::query_with`] ranks it, so results are **byte-identical at
+//! every thread count** — the determinism suite pins it.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use d3l_lsh::minhash::MinHashSignature;
 use d3l_lsh::randproj::BitSignature;
@@ -106,9 +104,8 @@ type Attr<'a> = (AttrView<'a>, AttrSigsRef<'a>);
 
 /// Map `f` over `items` on up to `threads` scoped workers, returning
 /// results in input order. Work is split into contiguous chunks whose
-/// results are reassembled in spawn order, so the output — and every
-/// float reduction downstream of it — is independent of the thread
-/// count.
+/// results are reassembled in spawn order, so the output is
+/// independent of the thread count.
 fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -376,21 +373,29 @@ impl D3l {
         self.rank_all_prepared(&self.prepare_target(target), width, opts)
     }
 
-    /// [`D3l::rank_all`] over an already-prepared target.
+    /// [`D3l::rank_all`] over an already-prepared target: the three
+    /// stages, one after another, on the calling thread.
     pub fn rank_all_prepared(
         &self,
         prepared: &SignedTable,
         width: usize,
         opts: &QueryOptions,
     ) -> Vec<TableMatch> {
-        let threads = self.config().effective_query_threads();
-        self.rank_all_inner(prepared, width, opts, threads)
+        let mut timer = crate::trace::StageTimer::start(opts.trace.as_deref());
+        let target: Vec<Attr<'_>> = prepared.columns(self).collect();
+        let candidates = self.stage_candidates(&target, width, opts);
+        timer.candidates_done();
+        let subject = prepared.subject().and_then(|c| target.get(c as usize));
+        let scored = self.stage_score(&target, subject.map(|s| s.1), &candidates);
+        timer.score_done();
+        let ranked = stage_aggregate(scored, target.len(), opts);
+        timer.aggregate_done();
+        ranked
     }
 
     /// The top-k answers for many targets at once, fanning the
-    /// batch out over the configured query threads. Each target is
-    /// profiled exactly once and ranked with the same deterministic
-    /// pipeline as [`D3l::query`], so
+    /// batch out over [`D3lConfig::threads`] workers. Each target is
+    /// profiled exactly once and ranked by [`D3l::query_with`], so
     /// `query_batch(ts, k)[i] == query(&ts[i], k)` at every thread
     /// count.
     pub fn query_batch(&self, targets: &[Table], k: usize) -> Vec<Vec<TableMatch>> {
@@ -400,12 +405,8 @@ impl D3l {
 
     /// [`D3l::query_batch`] with per-target options (one
     /// [`QueryOptions`] per target — the evaluation loop excludes
-    /// each target itself from its own answer).
-    ///
-    /// The batch fans out over the config/env thread count. When the
-    /// batch is smaller than the thread budget, the leftover workers
-    /// parallelize *within* each target instead, so a one-element
-    /// batch performs like [`D3l::query_with`].
+    /// each target itself from its own answer). A batch of one runs on
+    /// the calling thread.
     pub fn query_batch_with(
         &self,
         targets: &[Table],
@@ -414,13 +415,9 @@ impl D3l {
     ) -> Vec<Vec<TableMatch>> {
         assert_eq!(targets.len(), opts.len(), "one QueryOptions per target");
         let work: Vec<(&Table, &QueryOptions)> = targets.iter().zip(opts).collect();
-        let (outer, inner) = self.batch_threads(work.len());
-        let width = self.config().lookup_width(k);
-        par_map(&work, outer, |&(target, opt)| {
-            let prepared = self.prepare_target(target);
-            let mut all = self.rank_all_inner(&prepared, width, opt, inner);
-            all.truncate(k);
-            all
+        let threads = self.config().effective_threads();
+        par_map(&work, threads, |&(target, opt)| {
+            self.query_with(target, k, opt)
         })
     }
 
@@ -438,137 +435,72 @@ impl D3l {
         prepared: &SignedTable,
         width: usize,
     ) -> HashSet<TableId> {
-        let threads = self.config().effective_query_threads();
-        let target: Vec<Attr<'_>> = prepared.columns(self).collect();
-        par_map(&target, threads, |&attr| {
-            gather_candidates(self, attr, width, None)
-        })
-        .into_iter()
-        .flatten()
-        .map(|key| AttrRef::from_key(key).table)
-        .collect()
-    }
-
-    /// Split the thread budget between batch fan-out (outer) and the
-    /// per-target pipeline (inner): big batches get one worker per
-    /// target, small batches hand the spare workers to the pipeline
-    /// stages.
-    fn batch_threads(&self, batch_len: usize) -> (usize, usize) {
-        let budget = self.config().effective_query_threads();
-        let outer = budget.min(batch_len.max(1));
-        let inner = (budget / outer.max(1)).max(1);
-        (outer, inner)
-    }
-
-    /// The full pipeline over one prepared target with an explicit
-    /// worker count (batch workers pass their share of the thread
-    /// budget — 1 for batches at least as large as the budget).
-    fn rank_all_inner(
-        &self,
-        prepared: &SignedTable,
-        width: usize,
-        opts: &QueryOptions,
-        threads: usize,
-    ) -> Vec<TableMatch> {
-        let mut timer = crate::trace::StageTimer::start(opts.trace.as_deref());
-        let target: Vec<Attr<'_>> = prepared.columns(self).collect();
-        let candidates = self.stage_candidates(&target, width, opts, threads);
-        timer.candidates_done();
-        let subject = prepared.subject().and_then(|c| target.get(c as usize));
-        let guards = self.subject_guards(&target, subject.map(|s| s.1), &candidates, threads);
-        let scored = self.stage_score(&target, &candidates, &guards, threads);
-        timer.score_done();
-        let ranked = stage_aggregate(scored, target.len(), opts);
-        timer.aggregate_done();
-        ranked
+        prepared
+            .columns(self)
+            .flat_map(|attr| gather_candidates(self, attr, width, None))
+            .map(|key| AttrRef::from_key(key).table)
+            .collect()
     }
 
     /// Stage 1 — candidate generation: per target attribute, the
     /// union of the four indexes' lookups, filtered by `exclude` and
     /// sorted by [`AttrRef::key`] so every downstream iteration order
-    /// is thread-count-independent.
+    /// is fixed.
     fn stage_candidates(
         &self,
         target: &[Attr<'_>],
         width: usize,
         opts: &QueryOptions,
-        threads: usize,
     ) -> Vec<Vec<AttrRef>> {
-        par_map(target, threads, |&attr| {
-            let mut keys = gather_candidates(self, attr, width, opts.evidence);
-            keys.sort_unstable();
-            keys.dedup();
-            keys.into_iter()
-                .map(AttrRef::from_key)
-                .filter(|attr| opts.exclude != Some(attr.table))
-                .collect()
-        })
+        target
+            .iter()
+            .map(|&attr| {
+                let mut keys = gather_candidates(self, attr, width, opts.evidence);
+                keys.sort_unstable();
+                keys.dedup();
+                keys.into_iter()
+                    .map(AttrRef::from_key)
+                    .filter(|attr| opts.exclude != Some(attr.table))
+                    .collect()
+            })
+            .collect()
     }
 
     /// Stage 2 — pairwise evidence scoring: a five-distance vector
-    /// per (target attribute, candidate) pair, parallel over the
-    /// flattened pair list, each candidate's attribute record and stored
-    /// signature words read from its row. `guards` is Algorithm 2 line
-    /// 4, a per-candidate-table predicate, precomputed
-    /// ([`D3l::subject_guards`]) for every table that
-    /// could face a KS measurement so the per-pair workers stay pure.
-    /// Returns one flat `(target column, candidate, distances)` list in
-    /// (column, key) order, without the pairs that carry no signal (all
-    /// distances 1).
+    /// per (target attribute, candidate) pair, each candidate's
+    /// attribute record and stored signature words read from its row.
+    /// Algorithm 2 line 4 — are the candidate table's subject attribute
+    /// and the target's (`subject`) related in any index? — is asked
+    /// once per table, the first time a numeric target attribute meets
+    /// a numeric candidate of it. Returns one flat `(target column,
+    /// candidate, distances)` list in (column, key) order, without the
+    /// pairs that carry no signal (all distances 1).
     fn stage_score(
-        &self,
-        target: &[Attr<'_>],
-        candidates: &[Vec<AttrRef>],
-        guards: &HashMap<TableId, bool>,
-        threads: usize,
-    ) -> Vec<(usize, AttrRef, DistanceVector)> {
-        let work: Vec<(usize, AttrRef)> = candidates
-            .iter()
-            .enumerate()
-            .flat_map(|(i, cands)| cands.iter().map(move |&attr| (i, attr)))
-            .collect();
-        let cfg = self.config();
-        let mut scored = par_map(&work, threads, |&(i, attr)| {
-            let source = (self.profile(attr), self.stored_signatures_ref(attr));
-            let guard_subject = guards.get(&attr.table).copied().unwrap_or(false);
-            (
-                i,
-                attr,
-                pair_distances_resolved(cfg, target[i], source, guard_subject),
-            )
-        });
-        scored.retain(|(_, _, dv)| dv.has_signal());
-        scored
-    }
-
-    /// Algorithm 2 line 4 precomputation: for every candidate table
-    /// that contains a numeric candidate attribute paired with a
-    /// numeric target attribute, whether its subject attribute and
-    /// the target's (`subject`) are related in any index.
-    fn subject_guards(
         &self,
         target: &[Attr<'_>],
         subject: Option<AttrSigsRef<'_>>,
         candidates: &[Vec<AttrRef>],
-        threads: usize,
-    ) -> HashMap<TableId, bool> {
-        let mut tables: BTreeSet<TableId> = BTreeSet::new();
-        for ((tp, _), cands) in target.iter().zip(candidates) {
-            if !tp.is_numeric {
-                continue;
-            }
-            for attr in cands {
-                if self.profile(*attr).is_numeric {
-                    tables.insert(attr.table);
+    ) -> Vec<(usize, AttrRef, DistanceVector)> {
+        let cfg = self.config();
+        let mut guards: HashMap<TableId, bool> = HashMap::new();
+        let mut scored = Vec::new();
+        for (i, (&attr, cands)) in target.iter().zip(candidates).enumerate() {
+            for &source in cands {
+                let resolved = (self.profile(source), self.stored_signatures_ref(source));
+                let guard_subject = attr.0.is_numeric
+                    && resolved.0.is_numeric
+                    && *guards.entry(source.table).or_insert_with(|| {
+                        let ss = self.subject_of(source.table);
+                        let ss = ss.map(|s| self.stored_signatures_ref(s));
+                        subjects_related_resolved(cfg, subject, ss)
+                    });
+                let distances = pair_distances_resolved(cfg, attr, resolved, guard_subject);
+                if distances.has_signal() {
+                    scored.push((i, source, distances));
                 }
             }
         }
-        let tables: Vec<TableId> = tables.into_iter().collect();
-        let guards = par_map(&tables, threads, |&t| {
-            let ss = self.subject_of(t).map(|s| self.stored_signatures_ref(s));
-            subjects_related_resolved(self.config(), subject, ss)
-        });
-        tables.into_iter().zip(guards).collect()
+        scored
     }
 }
 
@@ -822,21 +754,6 @@ mod tests {
                     assert_eq!(dx.to_bits(), dy.to_bits());
                 }
             }
-        }
-    }
-
-    #[test]
-    fn thread_count_never_changes_results() {
-        let mut d3l = D3l::index_lake(&lake(), D3lConfig::fast());
-        let t = target();
-        let mut at = |n: usize| {
-            d3l.set_query_threads(n);
-            d3l.rank_all(&t, 50, &QueryOptions::default())
-        };
-        let base = at(1);
-        assert!(!base.is_empty());
-        for n in [2, 4, 8] {
-            assert_identical(&base, &at(n));
         }
     }
 

@@ -1033,7 +1033,7 @@ mod tests {
 
     /// `CONF` is the index's shape and nothing else: the seven fields
     /// an open needs to rebuild the hashers and read the forests,
-    /// in order, and no byte after them. The thread counts are the
+    /// in order, and no byte after them. The thread count is the
     /// opening process's own.
     #[test]
     fn conf_holds_the_seven_shape_fields_and_nothing_else() {
@@ -1045,8 +1045,7 @@ mod tests {
             q: 3,
             min_lookup: 17,
             seed: 0x0123_4567_89ab_cdef,
-            index_threads: 7,
-            query_threads: 9,
+            threads: 7,
         };
         let mut enc = Encoder::new();
         encode_config(&cfg, &mut enc);
@@ -1065,9 +1064,7 @@ mod tests {
             (sizes, c.min_lookup, c.seed)
         };
         assert_eq!(shape(&back), shape(&cfg));
-        let process = D3lConfig::default();
-        assert_eq!(back.index_threads, process.index_threads);
-        assert_eq!(back.query_threads, process.query_threads);
+        assert_eq!(back.threads, D3lConfig::default().threads);
     }
 
     #[test]

@@ -28,6 +28,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use d3l_core::cache::{options_fingerprint, table_fingerprint, CacheKey, DEFAULT_CACHE_BYTES};
+use d3l_core::config::available_cpus;
 use d3l_core::hotswap::{EngineHandle, EngineSnapshot, MaintenanceError};
 use d3l_core::query::{QueryOptions, TableMatch};
 use d3l_core::trace::QueryTrace;
@@ -582,7 +583,7 @@ impl Server {
         if self.cfg.threads > 0 {
             self.cfg.threads
         } else {
-            hw_threads()
+            available_cpus()
         }
     }
 
@@ -1169,7 +1170,7 @@ impl Server {
                         "uptime_seconds".to_string(),
                         Json::Num(self.shared.started.elapsed().as_secs_f64()),
                     ),
-                    ("hw_threads".to_string(), Json::Num(hw_threads() as f64)),
+                    ("hw_threads".to_string(), Json::Num(available_cpus() as f64)),
                     ("requests".to_string(), Json::Num(m.requests.get() as f64)),
                     (
                         "responses_2xx".to_string(),
@@ -1451,13 +1452,6 @@ fn disk_json((base, deltas, segments): (u64, u64, usize)) -> Json {
         ("delta_bytes".to_string(), Json::Num(deltas as f64)),
         ("delta_segments".to_string(), Json::Num(segments as f64)),
     ])
-}
-
-/// Hardware parallelism, with a floor of one.
-fn hw_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// One-shot convenience: connect, request, close.

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! d3l index   <lake-dir> --out <index-dir>
-//! d3l query   <lake-dir>|--index <index-dir> <target.csv> [-k N] [--joins] [--evidence N|V|F|E|D] [--threads N]
+//! d3l query   <lake-dir>|--index <index-dir> <target.csv> [-k N] [--joins] [--evidence N|V|F|E|D]
 //! d3l serve   --index <index-dir> [--port P] [--host H] [--threads N] [--cache-bytes N[k|m|g]] [--max-queue N] [--slow-query-ms N] [--watch <lake-dir> [--poll-ms N] [--compact-segments N] [--compact-bytes N[k|m|g]]]
 //! d3l stats   <lake-dir>|--index <index-dir>
 //! d3l add     <index-dir> <table.csv>
@@ -41,7 +41,7 @@ use d3l::benchgen;
 use d3l::prelude::*;
 use d3l::table::csv;
 
-const USAGE: &str = "usage:\n  d3l index <lake-dir> --out <index-dir>\n  d3l query <lake-dir>|--index <index-dir> <target.csv> [-k N] [--joins] [--evidence N|V|F|E|D] [--threads N]\n  d3l serve --index <index-dir> [--port P] [--host H] [--threads N] [--cache-bytes N[k|m|g]] [--max-queue N] [--slow-query-ms N] [--watch <lake-dir> [--poll-ms N] [--compact-segments N] [--compact-bytes N[k|m|g]]]\n  d3l stats <lake-dir>|--index <index-dir>\n  d3l add <index-dir> <table.csv>\n  d3l remove <index-dir> <table-name>\n  d3l compact <index-dir>\n  d3l demo";
+const USAGE: &str = "usage:\n  d3l index <lake-dir> --out <index-dir>\n  d3l query <lake-dir>|--index <index-dir> <target.csv> [-k N] [--joins] [--evidence N|V|F|E|D]\n  d3l serve --index <index-dir> [--port P] [--host H] [--threads N] [--cache-bytes N[k|m|g]] [--max-queue N] [--slow-query-ms N] [--watch <lake-dir> [--poll-ms N] [--compact-segments N] [--compact-bytes N[k|m|g]]]\n  d3l stats <lake-dir>|--index <index-dir>\n  d3l add <index-dir> <table.csv>\n  d3l remove <index-dir> <table-name>\n  d3l compact <index-dir>\n  d3l demo";
 
 /// A line of command output. Every command writes through here, not
 /// `println!`, which panics when stdout is gone: a failed write is the
@@ -205,7 +205,6 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut k = 10usize;
     let mut joins = false;
     let mut evidence = None;
-    let mut threads: Option<usize> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -218,9 +217,6 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 evidence =
                     Some(Evidence::from_letter(e).ok_or_else(|| format!("unknown evidence {e}"))?);
             }
-            "--threads" => {
-                threads = Some(it.next().ok_or("missing value for --threads")?.parse()?);
-            }
             "--index" => {
                 index_dir = Some(it.next().ok_or("missing value for --index")?.to_string());
             }
@@ -230,13 +226,7 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let target_path = target_path.ok_or("missing target csv")?;
-    let mut d3l = load_engine(dir.as_deref(), index_dir.as_deref())?;
-    // An explicit --threads beats D3L_QUERY_THREADS, which replaces
-    // only the automatic count, so 0 is spelled out as every CPU.
-    if let Some(n) = threads {
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        d3l.set_query_threads(if n == 0 { cpus } else { n });
-    }
+    let d3l = load_engine(dir.as_deref(), index_dir.as_deref())?;
 
     let text = std::fs::read_to_string(&target_path)?;
     let target = csv::parse_csv("target", &text)?;
@@ -730,12 +720,8 @@ mod tests {
             "--evidence without value must fail"
         );
         assert!(
-            cmd_query(&args(&["--threads"])).is_err(),
-            "--threads without value must fail"
-        );
-        assert!(
-            cmd_query(&args(&["--threads", "x", "a", "b"])).is_err(),
-            "non-numeric --threads must fail"
+            cmd_query(&args(&["a", "b", "--threads", "2"])).is_err(),
+            "query takes no --threads"
         );
         assert!(
             cmd_query(&args(&["--evidence", "Z", "a", "b"])).is_err(),

@@ -130,6 +130,31 @@ fn unknown_evidence_flag_exits_1_naming_the_flag() {
     assert!(stderr_of(&out).contains("unknown evidence Z"));
 }
 
+/// A query runs on the thread that asked for it: `query` has no thread
+/// count, and `--threads` is an unexpected argument.
+#[test]
+fn query_refuses_a_thread_count() {
+    let lake = TempLake::create("thread_flag");
+    let index_dir = format!("{}_index", lake.dir());
+    let out = d3l_cmd(&["index", lake.dir(), "--out", &index_dir]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    let out = d3l_cmd(&[
+        "query",
+        "--index",
+        &index_dir,
+        lake.target(),
+        "--threads",
+        "2",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        stderr_of(&out).contains("unexpected argument --threads"),
+        "stderr: {}",
+        stderr_of(&out)
+    );
+    std::fs::remove_dir_all(&index_dir).ok();
+}
+
 #[test]
 fn query_finds_the_related_table() {
     let lake = TempLake::create("query");
@@ -868,10 +893,7 @@ fn every_numeric_flag_at_its_extremes_runs_or_is_refused() {
     ];
     let serve_watch = [&serve[..], &["--watch", lake.dir()]].concat();
     let query = ["query", "--index", &index_dir, lake.target()];
-    let mut runs: Vec<(Vec<&str>, &str)> = vec![
-        ([&query[..], &["--joins"]].concat(), "-k"),
-        (query.to_vec(), "--threads"),
-    ];
+    let mut runs: Vec<(Vec<&str>, &str)> = vec![([&query[..], &["--joins"]].concat(), "-k")];
     for flag in [
         "--port",
         "--threads",
@@ -916,7 +938,7 @@ fn every_numeric_flag_at_its_extremes_runs_or_is_refused() {
     }
     let cases = runs.len() * values.len();
     println!("{cases} cases in {:.1} s", start.elapsed().as_secs_f64());
-    assert_eq!(cases, 40);
+    assert_eq!(cases, 36);
     assert!(failures.is_empty(), "{}", failures.join("\n"));
     std::fs::remove_dir_all(&index_dir).ok();
 }

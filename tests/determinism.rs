@@ -1,8 +1,8 @@
 //! Determinism regression tests for the query pipeline: thread count
-//! must never change results. `query`, `rank_all` and `query_batch`
-//! have to produce byte-identical `TableMatch` lists (table ids,
-//! distance bits, alignment ordering) for `query_threads` in
-//! {1, 2, 8}, and the batched API has to equal per-target queries.
+//! must never change results. `query_batch` has to produce
+//! byte-identical `TableMatch` lists (table ids, distance bits,
+//! alignment ordering) for `threads` in {1, 2, 8}, equal to per-target
+//! queries, and an index built at any thread count answers alike.
 //! The same guarantee holds through a served engine's lifecycle — an
 //! engine behind a store answers byte-identically to the same
 //! operations replayed in memory, through adds, removes, compaction
@@ -78,86 +78,44 @@ fn assert_identical(a: &[TableMatch], b: &[TableMatch], ctx: &str) {
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 #[test]
-fn rank_all_is_thread_count_invariant() {
-    let (bench, mut d3l) = indexed(48, 17);
-    for tname in bench.pick_targets(5, 3) {
-        let target = bench.lake.table_by_name(&tname).unwrap();
-        let mut rank = |n: usize| {
-            let opts = QueryOptions {
-                exclude: bench.lake.id_of(&tname),
-                ..Default::default()
-            };
-            d3l.set_query_threads(n);
-            d3l.rank_all(target, 40, &opts)
-        };
-        let base = rank(THREAD_COUNTS[0]);
-        assert!(!base.is_empty(), "{tname}: empty ranking");
-        for &n in &THREAD_COUNTS[1..] {
-            assert_identical(&base, &rank(n), &format!("{tname} rank_all @{n} threads"));
-        }
-    }
-}
-
-#[test]
-fn query_is_thread_count_invariant() {
-    let (bench, mut d3l) = indexed(48, 18);
-    for tname in bench.pick_targets(5, 4) {
-        let target = bench.lake.table_by_name(&tname).unwrap();
-        let mut run = |n: usize| {
-            let opts = QueryOptions {
-                exclude: bench.lake.id_of(&tname),
-                ..Default::default()
-            };
-            d3l.set_query_threads(n);
-            d3l.query_with(target, 7, &opts)
-        };
-        let base = run(THREAD_COUNTS[0]);
-        for &n in &THREAD_COUNTS[1..] {
-            assert_identical(&base, &run(n), &format!("{tname} query @{n} threads"));
-        }
-    }
-}
-
-#[test]
 fn query_batch_is_thread_count_invariant_and_matches_query() {
-    let (bench, mut d3l) = indexed(48, 19);
-    let names = bench.pick_targets(8, 5);
-    let targets: Vec<Table> = names
-        .iter()
-        .map(|t| bench.lake.table_by_name(t).unwrap().clone())
-        .collect();
-    let opts: Vec<QueryOptions> = names
-        .iter()
-        .map(|t| QueryOptions {
-            exclude: bench.lake.id_of(t),
-            ..Default::default()
-        })
-        .collect();
+    // Three lakes, each with its own targets (lake seed, target seed).
+    for (lake_seed, target_seed) in [(17, 3), (18, 4), (19, 5)] {
+        let (bench, mut d3l) = indexed(48, lake_seed);
+        let names = bench.pick_targets(8, target_seed);
+        let targets: Vec<Table> = names
+            .iter()
+            .map(|t| bench.lake.table_by_name(t).unwrap().clone())
+            .collect();
+        let opts: Vec<QueryOptions> = names
+            .iter()
+            .map(|t| QueryOptions {
+                exclude: bench.lake.id_of(t),
+                ..Default::default()
+            })
+            .collect();
 
-    // Batch fan-out is controlled by the config knob; flip it between
-    // runs on the same index. A count set here beats a forced
-    // D3L_QUERY_THREADS env (the CI matrix), so every run is at the
-    // count it names.
-    let mut runs = Vec::new();
-    for &n in &THREAD_COUNTS {
-        d3l.set_query_threads(n);
-        assert_eq!(d3l.config().effective_query_threads(), n);
-        runs.push(d3l.query_batch_with(&targets, 7, &opts));
-    }
-    for (run, &n) in runs.iter().zip(&THREAD_COUNTS).skip(1) {
-        assert_eq!(run.len(), runs[0].len());
-        for (i, (a, b)) in runs[0].iter().zip(run).enumerate() {
-            assert_identical(a, b, &format!("batch[{i}] @{n} threads"));
+        // Batch fan-out is controlled by the config knob; flip it
+        // between runs on the same index.
+        let mut runs = Vec::new();
+        for &n in &THREAD_COUNTS {
+            d3l.set_threads(n);
+            assert_eq!(d3l.config().effective_threads(), n);
+            runs.push(d3l.query_batch_with(&targets, 7, &opts));
         }
-    }
+        let ctx = |i: usize, n: usize| format!("lake {lake_seed}: batch[{i}] @{n} threads");
+        for (run, &n) in runs.iter().zip(&THREAD_COUNTS).skip(1) {
+            assert_eq!(run.len(), runs[0].len());
+            for (i, (a, b)) in runs[0].iter().zip(run).enumerate() {
+                assert_identical(a, b, &ctx(i, n));
+            }
+        }
 
-    // Batched output equals per-target queries at every thread count.
-    for &n in &THREAD_COUNTS {
-        d3l.set_query_threads(n);
-        assert_eq!(d3l.config().effective_query_threads(), n);
-        for ((target, opt), batched) in targets.iter().zip(&opts).zip(&runs[0]) {
+        // Batched output equals one query at a time.
+        for (i, ((target, opt), batched)) in targets.iter().zip(&opts).zip(&runs[0]).enumerate() {
+            assert!(!batched.is_empty(), "{}: empty ranking", ctx(i, 1));
             let seq = d3l.query_with(target, 7, opt);
-            assert_identical(&seq, batched, &format!("batch vs query @{n} threads"));
+            assert_identical(&seq, batched, &format!("{} vs query", ctx(i, 1)));
         }
     }
 }
@@ -168,17 +126,16 @@ fn separately_built_indexes_agree() {
     // with maximal fan-out — must answer identically: index
     // construction and query pipeline are both deterministic.
     let bench = benchgen::smaller_real(32, 21);
-    let build = |index_threads: usize, query_threads: usize| {
+    let build = |threads: usize| {
         let cfg = D3lConfig {
             embed_dim: 32,
-            index_threads,
-            query_threads,
+            threads,
             ..D3lConfig::fast()
         };
         D3l::index_lake(&bench.lake, cfg)
     };
-    let serial = build(1, 1);
-    let parallel = build(8, 8);
+    let serial = build(1);
+    let parallel = build(8);
     for tname in bench.pick_targets(4, 6) {
         let target = bench.lake.table_by_name(&tname).unwrap();
         let opts = QueryOptions {
@@ -202,8 +159,7 @@ fn separately_built_indexes_agree() {
 fn snapshot_round_trip_is_query_identical() {
     // A cold-started engine (snapshot save → load) must answer
     // `query`, `rank_all` and `query_batch` byte-identically to the
-    // in-memory engine that wrote the snapshot, at query threads 1
-    // and 8.
+    // in-memory engine that wrote the snapshot, at threads 1 and 8.
     let (bench, mut d3l) = indexed(48, 29);
     let mut loaded = D3l::from_snapshot_bytes(&d3l.to_snapshot_bytes())
         .expect("snapshot round trip must succeed");
@@ -222,10 +178,10 @@ fn snapshot_round_trip_is_query_identical() {
         .collect();
 
     for &n in &[1usize, 8] {
-        d3l.set_query_threads(n);
-        assert_eq!(d3l.config().effective_query_threads(), n);
-        loaded.set_query_threads(n);
-        assert_eq!(loaded.config().effective_query_threads(), n);
+        d3l.set_threads(n);
+        assert_eq!(d3l.config().effective_threads(), n);
+        loaded.set_threads(n);
+        assert_eq!(loaded.config().effective_threads(), n);
         for ((tname, target), opt) in names.iter().zip(&targets).zip(&opts) {
             assert_identical(
                 &d3l.query_with(target, 7, opt),
@@ -474,7 +430,7 @@ fn cached_server_is_byte_identical_to_uncached_across_mutations() {
 #[test]
 fn served_engine_is_byte_identical_to_in_memory_replay_through_its_lifecycle() {
     // An engine behind a store must answer as the same operations
-    // applied in memory: at query threads {1, 8}, `query`,
+    // applied in memory: at threads {1, 8}, `query`,
     // `query_batch`, `rank_all`, the SA-join graph and the join paths
     // are byte-identical to an in-memory `D3l` walked through the same
     // mutations — on the freshly built index, after adds, a remove, a
@@ -553,8 +509,8 @@ fn served_engine_is_byte_identical_to_in_memory_replay_through_its_lifecycle() {
             // Copies, so the thread count is set on these and not on
             // what the handle serves.
             let (mut model, mut served) = (model.clone(), snap.engine.clone());
-            model.set_query_threads(threads);
-            served.set_query_threads(threads);
+            model.set_threads(threads);
+            served.set_threads(threads);
             for ((name, target), opt) in names.iter().zip(&targets).zip(&opts) {
                 let ctx = format!("{stage}: {name} @{threads} threads");
                 assert_identical(
@@ -605,8 +561,8 @@ fn adversarial_value_domains_are_thread_invariant() {
     // signed zero, and non-finite *text* ("nan", "inf", which the
     // profiler must treat as words, not numbers) — must not open any
     // ordering or aggregation seam: every ranking of an engine is
-    // byte-identical across query threads {1, 2, 8}, and to a
-    // separately built engine's at one thread.
+    // byte-identical to a separately built engine's, and its batches
+    // are at threads {1, 2, 8}.
     let mut bench = benchgen::smaller_real(24, 43);
     let table = |name: &str, metric: &[&str]| {
         let rows: Vec<Vec<String>> = metric
@@ -654,8 +610,7 @@ fn adversarial_value_domains_are_thread_invariant() {
         ..Default::default()
     };
 
-    let mut baseline_engine = build();
-    baseline_engine.set_query_threads(1);
+    let baseline_engine = build();
     let baselines: Vec<(Vec<TableMatch>, Vec<TableMatch>)> = adversarial
         .iter()
         .map(|name| {
@@ -668,21 +623,33 @@ fn adversarial_value_domains_are_thread_invariant() {
         .collect();
 
     let mut engine = build();
-    for &threads in &[1usize, 2, 8] {
-        engine.set_query_threads(threads);
-        for (name, (base_query, base_rank)) in adversarial.iter().zip(&baselines) {
-            let target = bench.lake.table_by_name(name).unwrap();
-            let opts = opts_for(name);
-            let ctx = format!("{name} @{threads} threads");
+    for (name, (base_query, base_rank)) in adversarial.iter().zip(&baselines) {
+        let target = bench.lake.table_by_name(name).unwrap();
+        let opts = opts_for(name);
+        assert_identical(
+            base_query,
+            &engine.query_with(target, 7, &opts),
+            &format!("{name} (query)"),
+        );
+        assert_identical(
+            base_rank,
+            &engine.rank_all(target, 40, &opts),
+            &format!("{name} (rank_all)"),
+        );
+    }
+    let targets: Vec<Table> = adversarial
+        .iter()
+        .map(|name| bench.lake.table_by_name(name).unwrap().clone())
+        .collect();
+    let opts: Vec<QueryOptions> = adversarial.iter().map(|name| opts_for(name)).collect();
+    for &threads in &THREAD_COUNTS {
+        engine.set_threads(threads);
+        let batch = engine.query_batch_with(&targets, 7, &opts);
+        for ((name, (base_query, _)), got) in adversarial.iter().zip(&baselines).zip(&batch) {
             assert_identical(
                 base_query,
-                &engine.query_with(target, 7, &opts),
-                &format!("{ctx} (query)"),
-            );
-            assert_identical(
-                base_rank,
-                &engine.rank_all(target, 40, &opts),
-                &format!("{ctx} (rank_all)"),
+                got,
+                &format!("{name} @{threads} threads (batch)"),
             );
         }
     }
@@ -690,21 +657,19 @@ fn adversarial_value_domains_are_thread_invariant() {
 
 #[test]
 fn index_build_is_thread_count_invariant() {
-    // Indexes built at index threads {1, 2, 8} must be bitwise
+    // Indexes built at threads {1, 2, 8} must be bitwise
     // interchangeable: identical memory footprint (the forests hold
-    // the same trees and signatures) and byte-identical rankings for
-    // every combination of index and query thread counts.
+    // the same trees and signatures) and byte-identical rankings.
     let bench = benchgen::smaller_real(32, 23);
-    let build = |index_threads: usize| {
+    let build = |threads: usize| {
         let cfg = D3lConfig {
             embed_dim: 32,
-            index_threads,
-            query_threads: 1,
+            threads,
             ..D3lConfig::fast()
         };
         D3l::index_lake(&bench.lake, cfg)
     };
-    let mut builds: Vec<D3l> = THREAD_COUNTS.iter().map(|&n| build(n)).collect();
+    let builds: Vec<D3l> = THREAD_COUNTS.iter().map(|&n| build(n)).collect();
     for (d3l, &n) in builds.iter().zip(&THREAD_COUNTS) {
         assert_class_columns(d3l, &format!("@{n} index threads"));
     }
@@ -721,18 +686,14 @@ fn index_build_is_thread_count_invariant() {
             exclude: bench.lake.id_of(&tname),
             ..Default::default()
         };
-        builds[0].set_query_threads(1);
         let base = builds[0].rank_all(target, 40, &opts);
         assert!(!base.is_empty(), "{tname}: empty ranking");
-        for (d3l, &index_n) in builds.iter_mut().zip(&THREAD_COUNTS) {
-            for &query_n in &THREAD_COUNTS {
-                d3l.set_query_threads(query_n);
-                assert_identical(
-                    &base,
-                    &d3l.rank_all(target, 40, &opts),
-                    &format!("{tname} @{index_n} index / {query_n} query threads"),
-                );
-            }
+        for (d3l, &n) in builds.iter().zip(&THREAD_COUNTS).skip(1) {
+            assert_identical(
+                &base,
+                &d3l.rank_all(target, 40, &opts),
+                &format!("{tname} @{n} index threads"),
+            );
         }
     }
 }
@@ -1020,10 +981,10 @@ fn every_build_path_writes_the_same_bytes() {
         assert_class_columns(engine, "a build path");
         engine.to_snapshot_bytes()
     };
-    for index_threads in THREAD_COUNTS {
-        let ctx = format!("@{index_threads} index threads");
+    for threads in THREAD_COUNTS {
+        let ctx = format!("@{threads} index threads");
         let cfg = D3lConfig {
-            index_threads,
+            threads,
             ..D3lConfig::fast()
         };
         let from_lake = bytes(&D3l::index_lake(&lake, cfg.clone()));
@@ -1048,7 +1009,7 @@ fn every_build_path_writes_the_same_bytes() {
             "engine fed read-back records differs {ctx}"
         );
 
-        let store_dir = root.join(format!("store_{index_threads}"));
+        let store_dir = root.join(format!("store_{threads}"));
         let handle =
             EngineHandle::create(&store_dir, D3l::index_lake(&DataLake::new(), cfg)).unwrap();
         for (_, table) in lake.iter() {

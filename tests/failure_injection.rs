@@ -64,18 +64,18 @@ fn streamed_build_reports_the_error_load_dir_reports() {
             std::fs::write(dir.join(name), bytes).unwrap();
         }
         let want = DataLake::load_dir(&dir).unwrap_err();
-        for index_threads in [1usize, 2, 8] {
+        for threads in [1usize, 2, 8] {
             let cfg = D3lConfig {
-                index_threads,
+                threads,
                 ..D3lConfig::fast()
             };
             let got = D3l::index_dir(&dir, cfg.clone()).unwrap_err();
             assert_eq!(
                 std::mem::discriminant(&got),
                 std::mem::discriminant(&want),
-                "{what} @{index_threads}: {got} vs {want}"
+                "{what} @{threads}: {got} vs {want}"
             );
-            assert_eq!(got.to_string(), want.to_string(), "{what} @{index_threads}");
+            assert_eq!(got.to_string(), want.to_string(), "{what} @{threads}");
             assert!(D3l::index_dir(&dir, cfg).is_err());
         }
     }
