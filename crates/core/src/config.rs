@@ -27,11 +27,14 @@ pub struct D3lConfig {
     pub min_lookup: usize,
     /// Deterministic seed for hashing and projections.
     pub seed: u64,
-    /// Number of worker threads of an index build and of a query
-    /// batch (0 = [`available_cpus`]). A single query runs on the
-    /// thread that asked for it. Results are byte-identical at every
-    /// count. A setting of the process, not of the index: a store does
-    /// not keep it.
+    /// Number of worker threads of an index build and of a
+    /// [`D3l::query_batch_with`] (0 = [`available_cpus`]). A single
+    /// query runs on the thread that asked for it, and a write or a
+    /// delta replay commits on its own thread. Results are
+    /// byte-identical at every count. A setting of the process, not of
+    /// the index: a store does not keep it.
+    ///
+    /// [`D3l::query_batch_with`]: crate::D3l::query_batch_with
     pub threads: usize,
 }
 

@@ -378,7 +378,12 @@ impl D3l {
         for part in parts {
             d3l.absorb(part?);
         }
-        d3l.commit(threads);
+        // The one fanned-out commit: each tree sorts a total order, so
+        // the forests are identical at any thread count.
+        d3l.i_n.commit_parallel(threads);
+        d3l.i_v.commit_parallel(threads);
+        d3l.i_f.commit_parallel(threads);
+        d3l.i_e.commit_parallel(threads);
         Ok(d3l)
     }
 
@@ -432,16 +437,6 @@ impl D3l {
             self.i_e.append(part.i_e),
         ];
         self.attrs.append(part.attrs, &moved);
-    }
-
-    /// Commit the four forests within a thread budget: each forest's
-    /// tree sorts fan out in turn (results are identical at any
-    /// thread count; see [`LshForest::commit_parallel`]).
-    pub(crate) fn commit(&mut self, threads: usize) {
-        self.i_n.commit_parallel(threads);
-        self.i_v.commit_parallel(threads);
-        self.i_f.commit_parallel(threads);
-        self.i_e.commit_parallel(threads);
     }
 
     /// Incrementally index one more table (data lakes grow; Goods-style
@@ -532,12 +527,16 @@ impl D3l {
     }
 
     /// Put a signed table into the index as its next slot, `id` (which
-    /// the caller has checked), and re-commit. [`D3l::add_table`] and
-    /// delta replay end here, so replaying a segment patches the
+    /// the caller has checked), and re-commit on the calling thread:
+    /// each tree sorts the table's few new entries. [`D3l::add_table`]
+    /// and delta replay end here, so replaying a segment patches the
     /// forests bit-identically.
     pub(crate) fn insert(&mut self, id: TableId, table: SignedTable) {
         self.push(id, table);
-        self.commit(self.cfg.effective_threads());
+        self.i_n.commit();
+        self.i_v.commit();
+        self.i_f.commit();
+        self.i_e.commit();
     }
 
     /// Append a signed table as the next slot, `id`: copy every
@@ -658,10 +657,10 @@ impl D3l {
         &self.cfg
     }
 
-    /// Change [`D3lConfig::threads`], the worker count of a query
-    /// batch and of the forest commits after an add (0 = every CPU),
-    /// without re-indexing. The count never changes a result, only
-    /// the time to it, so this is safe to flip at any time.
+    /// Change [`D3lConfig::threads`], the worker count of
+    /// [`D3l::query_batch_with`] (0 = every CPU), without re-indexing.
+    /// The count never changes a result, only the time to it, so this
+    /// is safe to flip at any time.
     pub fn set_threads(&mut self, threads: usize) {
         self.cfg.threads = threads;
     }

@@ -20,7 +20,7 @@
 //!    pair, Algorithm 2 guarding the numeric KS case), and
 //!    (c) *CCDF-weighted aggregation* (Eq. 1–2 column-wise, Eq. 3
 //!    collapse). A query runs on the thread that asked for it;
-//!    [`D3l::query_batch`] fans a whole evaluation workload out over
+//!    [`D3l::query_batch_with`] fans a whole evaluation workload out over
 //!    targets (`D3lConfig::threads`) — profiling each target exactly
 //!    once — with results byte-identical to one query at a time at
 //!    every thread count. [`D3l`] is the engine that runs it: one

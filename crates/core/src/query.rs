@@ -23,7 +23,7 @@
 //!    collapsed to a scalar by the weighted Euclidean norm (Eq. 3).
 //!    Tables are returned closest-first.
 //!
-//! A query runs on the thread that asked for it. [`D3l::query_batch`]
+//! A query runs on the thread that asked for it. [`D3l::query_batch_with`]
 //! fans a batch out over targets on up to `D3lConfig::threads`
 //! `std::thread::scope` workers (set on a built engine with
 //! [`D3l::set_threads`]): the batch is split into contiguous runs
@@ -394,19 +394,13 @@ impl D3l {
     }
 
     /// The top-k answers for many targets at once, fanning the
-    /// batch out over [`D3lConfig::threads`] workers. Each target is
-    /// profiled exactly once and ranked by [`D3l::query_with`], so
-    /// `query_batch(ts, k)[i] == query(&ts[i], k)` at every thread
-    /// count.
-    pub fn query_batch(&self, targets: &[Table], k: usize) -> Vec<Vec<TableMatch>> {
-        let opts = vec![QueryOptions::default(); targets.len()];
-        self.query_batch_with(targets, k, &opts)
-    }
-
-    /// [`D3l::query_batch`] with per-target options (one
-    /// [`QueryOptions`] per target — the evaluation loop excludes
-    /// each target itself from its own answer). A batch of one runs on
-    /// the calling thread.
+    /// batch out over [`D3lConfig::threads`] workers, with one
+    /// [`QueryOptions`] per target (the evaluation loop excludes each
+    /// target itself from its own answer). Each target is profiled
+    /// exactly once and ranked by [`D3l::query_with`], so
+    /// `query_batch_with(ts, k, os)[i] == query_with(&ts[i], k, &os[i])`
+    /// at every thread count. A batch of one runs on the calling
+    /// thread.
     pub fn query_batch_with(
         &self,
         targets: &[Table],
@@ -783,7 +777,8 @@ mod tests {
             lake.table_by_name("s1_gp_practices").unwrap().clone(),
             lake.table_by_name("decoy_planets").unwrap().clone(),
         ];
-        let batched = d3l.query_batch(&targets, 3);
+        let defaults = vec![QueryOptions::default(); targets.len()];
+        let batched = d3l.query_batch_with(&targets, 3, &defaults);
         assert_eq!(batched.len(), targets.len());
         for (t, b) in targets.iter().zip(&batched) {
             assert_identical(&d3l.query(t, 3), b);
@@ -807,6 +802,6 @@ mod tests {
     #[test]
     fn empty_batch_is_empty() {
         let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
-        assert!(d3l.query_batch(&[], 5).is_empty());
+        assert!(d3l.query_batch_with(&[], 5, &[]).is_empty());
     }
 }

@@ -13,8 +13,8 @@
 //! - `CONF`: the configuration that shapes the index, seven fields —
 //!   `num_perm`, `embed_bits`, `embed_dim`, `trees`, `q` and
 //!   `min_lookup` as varints, `seed` as a `u64`.
-//!   Not the thread counts, settings of the process, which the opening
-//!   process sets; not the paper's fixed thresholds, lookup factor and
+//!   Not the thread count, a setting of the process, which the
+//!   opening process sets; not the paper's fixed thresholds, lookup factor and
 //!   join path length, constants of the code that reads them
 //!   ([`D3lConfig`]).
 //! - `TABL`: per table its name, subject column and removed flag.
@@ -48,55 +48,11 @@
 //! too (and one encoder writes both). A class table is kept in one
 //! place only: each forest's ranks are written into the rows' class
 //! column as the section is read, and the forest keeps its postings, no
-//! id → class map. Never written: an attribute's token sets (since
-//! format 7) or its embedding vector (since format 5). Algorithm 1
-//! builds them to be hashed into the indexes; once the four signatures
-//! exist nothing reads them (`profile` module), so an open signs
-//! nothing and a profile record is a name, an extent and a byte.
-//!
-//! What formats 7 to 10 made of the benchmark's stores (`d3l stats
-//! --index`, payload bytes, format 6 → 7 → 8 → 9 → 10):
-//!
-//! | section | clean 4 000 tables | dirty 2 000 tables |
-//! |---|---|---|
-//! | `CONF` | 37 → 35 → 17 | 37 → 35 → 17 |
-//! | `EMBD` | 20 → 2 | 20 → 2 |
-//! | `TABL` | 112 976 → 108 976 | 56 495 → 54 495 |
-//! | `PROF` | 5 676 416 → 1 905 845 → 515 200 | 2 778 112 → 1 087 189 → 333 488 |
-//! | `F_IN` | 167 214 → 189 741 → 79 192 | 110 086 → 167 429 → 96 416 |
-//! | `F_IV` | 4 325 422 → 4 325 421 → 4 234 328 | 5 667 918 → 5 667 917 → 5 622 584 |
-//! | `F_IF` | 166 638 → 179 949 → 69 400 | 166 790 → 1 131 397 → 1 060 384 |
-//! | `F_IE` | 336 782 → 336 781 → 245 688 | 496 622 → 496 621 → 451 288 |
-//! | `base.d3ls` | 10 785 794 → 7 051 059 → 5 660 414 → 5 253 110 → 5 253 092 | 9 276 369 → 8 607 394 → 7 853 693 → 7 618 981 → 7 618 963 |
-//!
-//! (13 814 attributes in 22 `IN` / 13 `IF` / 3 850 `IV` / 2 085 `IE`
-//! classes; 8 872 in 56 / 942 / 5 147 / 4 465.) Format 7: `PROF` lost
-//! 8 bytes a token — 465 834 and 207 991 tokens — and three length
-//! bytes an attribute; `F_IN` + `F_IF` gained one 1 KiB signature per
-//! class, 35 and 998 of them, which format 6 signed again at every open
-//! from the `qset`s and `rset`s it kept in `PROF` for that purpose;
-//! every forest header lost its arena-source byte. `F_IV` is the
-//! largest section of both stores again. Format 8: the numeric
-//! extents — 217 411 values in 2 432 attributes and 122 957 in 3 210,
-//! every one an integer (1 814 and 2 894 attributes) or a decimal of
-//! two places (618 and 316) — went from 8 bytes a value to a scale
-//! byte and one varint a value, 1 741 890 → 351 523 and 986 866 →
-//! 233 561 bytes with their counts, and 278 and 396 table blocks fit a
-//! shorter length prefix. Format 9: each forest lost its 37-byte header
-//! and its id table, 8 bytes per attribute it covers (13 814 / 11 382
-//! and 8 872 / 5 662 attributes in `IN` and `IF` / `IV` and `IE`) — in
-//! the clean store's `IN` and `IF`, whose attributes share 22 and 13
-//! signatures, 58 % and 61 % of the section; `TABL` lost each table's
-//! one-byte arity, `CONF` the two thread counts and `EMBD` its
-//! dimension, subword seed, blend weight and a length prefix. Format
-//! 10: `CONF` lost the four values no caller set — the LSH threshold
-//! and the join threshold (`f64`s), the lookup factor and the join path
-//! length (one-byte varints) — 18 bytes a base file. Format 11: `CONF`
-//! lost the shard count, one byte, with the in-process partition.
-//! Format 12: the `EMBD` section went — its 2 payload bytes (an empty
-//! lexicon: no concepts, no words) and its 28-byte directory entry, 30
-//! bytes a base file — with the lexicon: every index embeds by subword
-//! hashing alone, so the embedder has no state to store.
+//! id → class map. Never written: an attribute's token sets or its
+//! embedding vector. Algorithm 1 builds them to be hashed into the
+//! indexes; once the four signatures exist nothing reads them
+//! (`profile` module), so an open signs nothing and a profile record
+//! is a name, an extent and a byte.
 //!
 //! The codec is streamed in both directions: saving writes each
 //! section to the sink as it is produced (profiles one table at a

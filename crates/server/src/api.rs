@@ -3,7 +3,7 @@
 //! The response renderers are public and deterministic on purpose:
 //! the determinism suite proves that a server response body is
 //! **byte-identical** to rendering the in-process
-//! [`D3l::query_batch`] result with the same functions — the HTTP
+//! [`D3l::query_with`] result with the same functions — the HTTP
 //! layer adds transport, never perturbation. Floats are written with
 //! shortest-round-trip precision, so a client parsing a distance gets
 //! the exact bits the engine computed.
@@ -14,14 +14,13 @@ use d3l_table::{ColumnBuilder, Table};
 
 use crate::json::Json;
 
-/// Most attributes (columns) the tables of one request may hold in
-/// total: a `/query` target, the `/query_batch` targets together, or a
-/// `POST /tables` table. Preparing an attribute takes about 3.9 KB
-/// whatever its content — a `/query` target of 50 000 empty-named
-/// columns, a 150 KB body, raised a server's peak RSS by 186 MiB — so
-/// a request refused at decode above this bound can make the server
-/// sign no more than about 16 MiB, the default body cap, however few
-/// bytes it spends a column. The benchmark lakes' widest table has 8
+/// Most attributes (columns) the one table of a request may hold: a
+/// `/query` target or a `POST /tables` table. Preparing an attribute
+/// takes about 3.9 KB whatever its content — a `/query` target of
+/// 50 000 empty-named columns, a 150 KB body, raised a server's peak
+/// RSS by 186 MiB — so a request refused at decode above this bound
+/// can make the server sign no more than about 16 MiB, the default
+/// body cap, however few bytes it spends a column. The benchmark lakes' widest table has 8
 /// columns. A constant, not a setting.
 pub const MAX_REQUEST_ATTRIBUTES: usize = 4096;
 
@@ -170,53 +169,13 @@ pub fn matches_to_json(engine: &D3l, matches: &[TableMatch]) -> Json {
 }
 
 /// The envelope every engine-derived response shares: which snapshot
-/// answered. Version and live-table count come from the *same*
-/// immutable snapshot, so the pair is torn-read-proof by construction
-/// — the concurrency stress test asserts exactly this.
-fn envelope(snap: &EngineSnapshot, payload: (String, Json)) -> String {
-    Json::Obj(vec![
-        ("engine_version".to_string(), Json::Num(snap.version as f64)),
-        (
-            "live_tables".to_string(),
-            Json::Num(snap.engine.live_table_count() as f64),
-        ),
-        payload,
-    ])
-    .to_string()
-}
-
-/// The `POST /query` / `GET /rank_all` response body.
-pub fn query_response(snap: &EngineSnapshot, matches: &[TableMatch]) -> String {
-    envelope(
-        snap,
-        (
-            "matches".to_string(),
-            matches_to_json(&snap.engine, matches),
-        ),
-    )
-}
-
-/// The `POST /query_batch` response body: one ranking per target, in
-/// request order.
-pub fn batch_response(snap: &EngineSnapshot, batches: &[Vec<TableMatch>]) -> String {
-    envelope(
-        snap,
-        (
-            "results".to_string(),
-            Json::Arr(
-                batches
-                    .iter()
-                    .map(|ms| matches_to_json(&snap.engine, ms))
-                    .collect(),
-            ),
-        ),
-    )
-}
-
-/// The mutation acknowledgement body (`POST /tables`,
-/// `DELETE /tables/{name}`): the swapped-in snapshot a subsequent
+/// answered, then `extra`. Version and live-table count come from the
+/// *same* immutable snapshot, so the pair is torn-read-proof by
+/// construction — the concurrency stress test asserts exactly this. A
+/// mutation's acknowledgement (`POST /tables`, `DELETE
+/// /tables/{name}`) names the swapped-in snapshot, which a subsequent
 /// read is guaranteed to observe (read-your-writes after 2xx).
-pub fn mutation_response(snap: &EngineSnapshot, extra: Vec<(String, Json)>) -> String {
+pub fn envelope(snap: &EngineSnapshot, extra: Vec<(String, Json)>) -> String {
     let mut members = vec![
         ("engine_version".to_string(), Json::Num(snap.version as f64)),
         (
@@ -226,6 +185,12 @@ pub fn mutation_response(snap: &EngineSnapshot, extra: Vec<(String, Json)>) -> S
     ];
     members.extend(extra);
     Json::Obj(members).to_string()
+}
+
+/// The `POST /query` / `GET /rank_all` response body.
+pub fn query_response(snap: &EngineSnapshot, matches: &[TableMatch]) -> String {
+    let matches = matches_to_json(&snap.engine, matches);
+    envelope(snap, vec![("matches".to_string(), matches)])
 }
 
 #[cfg(test)]
@@ -309,9 +274,5 @@ mod tests {
         // The rendered distance parses back to the exact bits.
         let d = m.get("distance").unwrap().as_f64().unwrap();
         assert_eq!(d.to_bits(), matches[0].distance.to_bits());
-
-        let batch = batch_response(&snap, &[matches.clone(), vec![]]);
-        let parsed = Json::parse(&batch).unwrap();
-        assert_eq!(parsed.get("results").unwrap().as_arr().unwrap().len(), 2);
     }
 }

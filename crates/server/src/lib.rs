@@ -16,7 +16,7 @@
 //!   a segment another process wrote there refuses the next write
 //!   with a 409;
 //! * results are **byte-identical** to in-process
-//!   [`D3l::query_batch`] at every worker-thread count — the
+//!   [`D3l::query_with`] at every worker-thread count — the
 //!   determinism suite compares response bodies bit-for-bit;
 //! * repeated queries hit a versioned result cache
 //!   (`d3l_core::cache`) whose keys carry the hot-swap engine
@@ -39,7 +39,6 @@
 //! | endpoint | effect |
 //! |---|---|
 //! | `POST /query` | top-k ranking for one target table |
-//! | `POST /query_batch` | rankings for many targets in one call |
 //! | `GET /rank_all?target=<name>` | rank the lake against an indexed table |
 //! | `GET /stats` | engine version, footprints, cache/shed counters, queue depth |
 //! | `GET /metrics` | Prometheus 0.0.4 text exposition of all telemetry |
@@ -56,7 +55,7 @@
 //! minimal [`Client`]).
 //!
 //! [`D3l`]: d3l_core::D3l
-//! [`D3l::query_batch`]: d3l_core::D3l::query_batch
+//! [`D3l::query_with`]: d3l_core::D3l::query_with
 //! [`IndexStore`]: d3l_core::IndexStore
 //! [`EngineHandle`]: d3l_core::hotswap::EngineHandle
 
@@ -65,7 +64,7 @@ pub mod http;
 pub mod json;
 pub mod server;
 
-pub use api::{batch_response, query_response, table_from_json, table_to_json};
+pub use api::{query_response, table_from_json, table_to_json};
 pub use http::{Method, Request, Response};
 pub use json::Json;
 pub use server::{request_once, Client, Server, ServerConfig, ShutdownHandle};

@@ -72,12 +72,6 @@ pub struct ServerConfig {
     /// `Retry-After` instead of queueing without bound. At least 1, or
     /// [`Server::bind`] refuses it.
     pub max_queue: usize,
-    /// Fairness quantum: after serving this many consecutive
-    /// requests on one keep-alive connection while other connections
-    /// wait, the connection is rotated to the back of the queue (its
-    /// buffered pipelined bytes travel with it), so one pipelining
-    /// client cannot starve the pool. 0 disables rotation.
-    pub fair_batch: usize,
     /// Requests taking at least this many milliseconds are captured
     /// (with their per-stage breakdown) in the slow-query ring buffer
     /// served at `GET /debug/slow_queries` and dumped on drain.
@@ -92,11 +86,17 @@ impl Default for ServerConfig {
             io_timeout: Duration::from_secs(10),
             cache_bytes: DEFAULT_CACHE_BYTES,
             max_queue: 1024,
-            fair_batch: 32,
             slow_query_ms: 250,
         }
     }
 }
+
+/// Fairness quantum: after serving this many consecutive requests on
+/// one keep-alive connection while other connections wait, the
+/// connection is rotated to the back of the queue (its buffered
+/// pipelined bytes travel with it), so one pipelining client cannot
+/// starve the pool.
+const FAIR_BATCH: usize = 32;
 
 /// Bound on [`ServerConfig::threads`]: each worker is an OS thread
 /// spawned at [`Server::run`], so a count past what any machine
@@ -415,16 +415,6 @@ impl Routed {
         }
     }
 
-    /// Ran the pipeline but has no cache to hit or miss
-    /// (`/query_batch`).
-    fn traced(response: Response, trace: Arc<QueryTrace>) -> Routed {
-        Routed {
-            response,
-            cache_hit: None,
-            trace: Some(trace),
-        }
-    }
-
     /// The `result` label on the request histogram: errors win, then
     /// the cache outcome, then plain `ok`.
     fn result(&self) -> &'static str {
@@ -460,12 +450,6 @@ type Handler = fn(&Server, &Request) -> Result<Routed, Response>;
 /// the 405-versus-404 decision and the label all read this one list.
 const ENDPOINTS: &[(Method, &str, &str, Handler)] = &[
     (Method::Post, "/query", "/query", Server::handle_query),
-    (
-        Method::Post,
-        "/query_batch",
-        "/query_batch",
-        Server::handle_query_batch,
-    ),
     (
         Method::Get,
         "/rank_all",
@@ -767,10 +751,7 @@ impl Server {
                     // quantum while others are waiting — requeue it
                     // (with any pipelined bytes it already sent) and
                     // free the worker for the next connection.
-                    if self.cfg.fair_batch > 0
-                        && served_this_turn >= self.cfg.fair_batch
-                        && self.shared.queue.len() > 0
-                    {
+                    if served_this_turn >= FAIR_BATCH && self.shared.queue.len() > 0 {
                         let mut residue = carried.to_vec();
                         residue.extend_from_slice(reader.buffer());
                         self.shared.queue.push(Conn {
@@ -878,23 +859,21 @@ impl Server {
     /// table.
     fn body_table(body: &Json) -> Result<Table, Response> {
         let spec = body.get("table").unwrap_or(body);
-        Self::bound_attributes([spec])?;
+        Self::bound_attributes(spec)?;
         api::table_from_json(spec).map_err(|e| Response::error(400, &e.to_string()))
     }
 
-    /// Refuse with a typed 413, before any table is decoded, tables
-    /// whose `"columns"` hold more than [`api::MAX_REQUEST_ATTRIBUTES`]
-    /// attributes in total.
-    fn bound_attributes<'a>(specs: impl IntoIterator<Item = &'a Json>) -> Result<(), Response> {
-        let columns = |spec: &Json| {
-            spec.get("columns")
-                .and_then(Json::as_arr)
-                .map_or(0, <[Json]>::len)
-        };
-        let total: usize = specs.into_iter().map(columns).sum();
+    /// Refuse with a typed 413, before it is decoded, a table whose
+    /// `"columns"` hold more than [`api::MAX_REQUEST_ATTRIBUTES`]
+    /// attributes.
+    fn bound_attributes(spec: &Json) -> Result<(), Response> {
+        let total = spec
+            .get("columns")
+            .and_then(Json::as_arr)
+            .map_or(0, <[Json]>::len);
         if total > api::MAX_REQUEST_ATTRIBUTES {
             let message = format!(
-                "the request's tables hold {total} attributes; at most {} are accepted",
+                "the request's table holds {total} attributes; at most {} are accepted",
                 api::MAX_REQUEST_ATTRIBUTES
             );
             return Err(Response::error(413, &message));
@@ -902,8 +881,7 @@ impl Server {
         Ok(())
     }
 
-    /// A query body and its `"k"` (10 when absent): what `/query` and
-    /// `/query_batch` both decode first.
+    /// A `/query` body and its `"k"` (10 when absent).
     fn query_body(req: &Request) -> Result<(Json, usize), Response> {
         let body = Self::body_json(req)?;
         let k = match body.get("k") {
@@ -982,36 +960,6 @@ impl Server {
         Ok(self.serve_cached(&snap, fingerprint, k, opts, |opts| {
             snap.engine.query_with(&target, k, opts)
         }))
-    }
-
-    fn handle_query_batch(&self, req: &Request) -> Result<Routed, Response> {
-        let (body, k) = Self::query_body(req)?;
-        let specs = body
-            .get("targets")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| Response::error(400, "\"targets\" must be an array of tables"))?;
-        Self::bound_attributes(specs)?;
-        let targets = specs
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                api::table_from_json(spec)
-                    .map_err(|e| Response::error(400, &format!("target {i}: {e}")))
-            })
-            .collect::<Result<Vec<Table>, Response>>()?;
-        let snap = self.engine.snapshot();
-        // One trace across the whole batch: stage times sum over the
-        // targets, which is exactly the per-request cost breakdown.
-        let trace = QueryTrace::new();
-        let opts = QueryOptions {
-            trace: Some(Arc::clone(&trace)),
-            ..Default::default()
-        };
-        let results = snap
-            .engine
-            .query_batch_with(&targets, k, &vec![opts; targets.len()]);
-        let response = Response::json(200, api::batch_response(&snap, &results));
-        Ok(Routed::traced(response, trace))
     }
 
     fn handle_rank_all(&self, req: &Request) -> Result<Routed, Response> {
@@ -1319,7 +1267,7 @@ impl Server {
             ("added".to_string(), Json::str(table.name())),
             ("id".to_string(), Json::Num(id.0 as f64)),
         ];
-        Ok(Response::json(201, api::mutation_response(&snap, ack)).into())
+        Ok(Response::json(201, api::envelope(&snap, ack)).into())
     }
 
     fn handle_remove_table(&self, req: &Request) -> Result<Routed, Response> {
@@ -1335,13 +1283,13 @@ impl Server {
             ("removed".to_string(), Json::str(name)),
             ("id".to_string(), Json::Num(id.0 as f64)),
         ];
-        Ok(Response::json(200, api::mutation_response(&snap, ack)).into())
+        Ok(Response::json(200, api::envelope(&snap, ack)).into())
     }
 
     fn handle_compact(&self, _: &Request) -> Result<Routed, Response> {
         let folded = self.engine.compact().map_err(Self::maintenance_error)?;
         let ack = vec![("folded_segments".to_string(), Json::Num(folded as f64))];
-        let body = api::mutation_response(&self.engine.snapshot(), ack);
+        let body = api::envelope(&self.engine.snapshot(), ack);
         Ok(Response::json(200, body).into())
     }
 }

@@ -1,5 +1,5 @@
 //! Determinism regression tests for the query pipeline: thread count
-//! must never change results. `query_batch` has to produce
+//! must never change results. `query_batch_with` has to produce
 //! byte-identical `TableMatch` lists (table ids, distance bits,
 //! alignment ordering) for `threads` in {1, 2, 8}, equal to per-target
 //! queries, and an index built at any thread count answers alike.
@@ -206,9 +206,9 @@ fn snapshot_round_trip_is_query_identical() {
 #[test]
 fn server_responses_are_byte_identical_to_in_process_results() {
     // The HTTP layer must add transport, never perturbation: the
-    // bytes `POST /query` / `POST /query_batch` answer with are the
-    // deterministic rendering of the in-process `query_with` /
-    // `query_batch` results, whatever the server's worker count.
+    // bytes `POST /query` answers with are the deterministic rendering
+    // of the in-process `query_with` result, whatever the server's
+    // worker count.
     use d3l::core::hotswap::{EngineHandle, EngineSnapshot};
     use d3l::core::IndexStore;
     use d3l::server::{self, Client, Json, Server, ServerConfig};
@@ -234,7 +234,6 @@ fn server_responses_are_byte_identical_to_in_process_results() {
         version: 0,
         engine: loaded,
     };
-    let expected_batch = server::batch_response(&snap, &snap.engine.query_batch(&targets, k));
     let expected_single: Vec<String> = targets
         .iter()
         .map(|t| {
@@ -244,14 +243,6 @@ fn server_responses_are_byte_identical_to_in_process_results() {
             )
         })
         .collect();
-    let batch_request = Json::Obj(vec![
-        (
-            "targets".to_string(),
-            Json::Arr(targets.iter().map(server::table_to_json).collect()),
-        ),
-        ("k".to_string(), Json::Num(k as f64)),
-    ])
-    .to_string();
 
     for threads in [1usize, 8] {
         let engine = Arc::new(EngineHandle::open(&dir).unwrap());
@@ -268,14 +259,6 @@ fn server_responses_are_byte_identical_to_in_process_results() {
         let join = std::thread::spawn(move || srv.run());
 
         let mut client = Client::connect(addr).unwrap();
-        let (status, body) = client
-            .request("POST", "/query_batch", Some(&batch_request))
-            .unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(
-            body, expected_batch,
-            "query_batch body diverged at {threads} server threads"
-        );
         for (name, (t, want)) in names.iter().zip(targets.iter().zip(&expected_single)) {
             let req = Json::Obj(vec![
                 ("table".to_string(), server::table_to_json(t)),

@@ -268,6 +268,10 @@ fn routing_refusals_are_typed() {
     // Unknown paths and wrong methods.
     let (status, _) = request_once(srv.addr, "GET", "/definitely/not", None).unwrap();
     assert_eq!(status, 404);
+    let batch = format!("{{\"targets\":[{}]}}", table_to_json(&t));
+    let (status, body) = request_once(srv.addr, "POST", "/query_batch", Some(&batch)).unwrap();
+    assert_eq!(status, 404, "{body}");
+    assert!(body.contains("no endpoint at /query_batch"), "{body}");
     let (status, _) = request_once(srv.addr, "GET", "/query", None).unwrap();
     assert_eq!(status, 405, "GET on a POST endpoint");
     let (status, _) = request_once(srv.addr, "DELETE", "/stats", None).unwrap();
@@ -287,13 +291,6 @@ fn routing_refusals_are_typed() {
     );
     let (status, body) = request_once(srv.addr, "POST", "/query", Some(&bad_exclude)).unwrap();
     assert_eq!(status, 404, "{body}");
-    let (status, _) =
-        request_once(srv.addr, "POST", "/query_batch", Some("{\"targets\": 7}")).unwrap();
-    assert_eq!(status, 400);
-    let ragged = "{\"targets\":[{\"name\":\"x\",\"columns\":[\"a\"],\"rows\":[[\"1\",\"2\"]]}]}";
-    let (status, body) = request_once(srv.addr, "POST", "/query_batch", Some(ragged)).unwrap();
-    assert_eq!(status, 400);
-    assert!(body.contains("target 0"), "{body}");
 
     // rank_all parameter contract.
     let (status, _) = request_once(srv.addr, "GET", "/rank_all", None).unwrap();
@@ -341,11 +338,9 @@ fn huge_k_and_width_answer_and_the_server_survives() {
 
 /// Every numeric request field at 0, 1, the lake size, 2³² and
 /// `u64::MAX` (and `k` also at −1, 1.5 and 1e300): `k` on `/query` and
-/// `/query_batch`, `width` on `/rank_all`, and the number of
-/// `/query_batch` targets; and a table's column and row counts on
-/// `/query`, `/query_batch` and `POST /tables`. Each request answers
-/// 2xx with at most the lake's tables per ranking, or a typed 4xx; the
-/// server answers afterwards.
+/// `width` on `/rank_all`; and a table's column and row counts on
+/// `/query` and `POST /tables`. Each request answers 2xx with at most
+/// the lake's tables, or a typed 4xx; the server answers afterwards.
 #[test]
 fn every_numeric_request_field_at_its_extremes_answers_or_is_refused() {
     const TABLES: usize = 12;
@@ -354,74 +349,32 @@ fn every_numeric_request_field_at_its_extremes_answers_or_is_refused() {
     let extremes = ["0", "1", "12", "4294967296", "18446744073709551615"];
     let ks = extremes.iter().chain(&["-1", "1.5", "1e300"]);
     let target = table_to_json(&target()).to_string();
-    // The rankings an answer carries: `matches`, or each of a batch's
-    // `results`.
-    let rankings = |status: u16, body: &str, what: &str| -> Vec<usize> {
+    // The ranking an answer carries, at most the lake's tables.
+    let ranking = |status: u16, body: &str, what: &str| {
         if status != 200 {
             assert!((400..500).contains(&status), "{what}: {status} {body}");
-            return Vec::new();
+            return;
         }
         let doc = Json::parse(body).unwrap();
-        let lens: Vec<usize> = match doc.get("results") {
-            Some(batch) => batch
-                .as_arr()
-                .unwrap()
-                .iter()
-                .map(|r| r.as_arr().unwrap().len())
-                .collect(),
-            None => vec![doc.get("matches").unwrap().as_arr().unwrap().len()],
-        };
-        assert!(lens.iter().all(|&n| n <= TABLES), "{what}: {lens:?}");
-        lens
+        let len = doc.get("matches").unwrap().as_arr().unwrap().len();
+        assert!(len <= TABLES, "{what}: {len}");
     };
     for k in ks {
         let body = format!("{{\"table\":{target},\"k\":{k}}}");
         let (status, text) = request_once(srv.addr, "POST", "/query", Some(&body)).unwrap();
-        rankings(status, &text, &format!("/query k {k}"));
-        let body = format!("{{\"targets\":[{target},{target}],\"k\":{k}}}");
-        let (status, text) = request_once(srv.addr, "POST", "/query_batch", Some(&body)).unwrap();
-        let lens = rankings(status, &text, &format!("/query_batch k {k}"));
-        assert!(
-            status != 200 || lens.len() == 2,
-            "/query_batch k {k}: {lens:?}"
-        );
+        ranking(status, &text, &format!("/query k {k}"));
     }
     for width in extremes {
         let path = format!("/rank_all?target=gp_03&width={width}");
         let (status, text) = request_once(srv.addr, "GET", &path, None).unwrap();
-        rankings(status, &text, &format!("/rank_all width {width}"));
-    }
-    // Bytes a target takes in the array, its comma included.
-    let per_target = target.len() as u128 + 1;
-    for count in extremes {
-        let n: u128 = count.parse().unwrap();
-        if n <= TABLES as u128 {
-            let targets = vec![target.as_str(); n as usize].join(",");
-            let body = format!("{{\"targets\":[{targets}],\"k\":5}}");
-            let (status, text) =
-                request_once(srv.addr, "POST", "/query_batch", Some(&body)).unwrap();
-            let lens = rankings(status, &text, &format!("{n} batch targets"));
-            assert_eq!((status, lens.len() as u128), (200, n), "{n} batch targets");
-        } else {
-            // No body holds that many targets: the length it would
-            // need is declared, and refused before any of it is read.
-            let head = format!(
-                "POST /query_batch HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-                n * per_target
-            );
-            let status = status_of(&raw_exchange(srv.addr, head.as_bytes(), false));
-            assert!(
-                status.is_some_and(|s| (400..500).contains(&s)),
-                "{n} batch targets: {status:?}"
-            );
-        }
+        ranking(status, &text, &format!("/rank_all width {width}"));
     }
 
     // Table sizes on the wire: a table's column count at 0, 1, the
     // attribute bound and one past it (one row each), and the
     // 2-column target's row count at 0, 1 and the most rows the
-    // 256 KiB body cap holds, on `/query`, `/query_batch` and
-    // `POST /tables` (last: it grows the lake). One past the bound is
+    // 256 KiB body cap holds, on `/query` and `POST /tables` (last:
+    // it grows the lake). One past the bound is
     // a 413.
     let bound = MAX_REQUEST_ATTRIBUTES;
     // `(n, "columns")`: `c0`, `c1`, ... over one row of "v"s (none
@@ -441,12 +394,11 @@ fn every_numeric_request_field_at_its_extremes_answers_or_is_refused() {
     };
     let body_of = |path: &str, table: &str| match path {
         "/query" => format!("{{\"table\":{table},\"k\":5}}"),
-        "/query_batch" => format!("{{\"targets\":[{table}],\"k\":5}}"),
         _ => format!("{{\"table\":{table}}}"),
     };
     let cap = 256 * 1024;
     let mut slowest = (Duration::ZERO, String::new());
-    for path in ["/query", "/query_batch", "/tables"] {
+    for path in ["/query", "/tables"] {
         // Rows after the first cost their bytes plus a comma.
         let rows = |n| body_of(path, &sized("sized_0", (n, "rows"))).len();
         let most_rows = 1 + (cap - rows(1)) / (rows(2) - rows(1));
@@ -470,7 +422,7 @@ fn every_numeric_request_field_at_its_extremes_answers_or_is_refused() {
                     "{what}: {status} {text}"
                 );
             } else {
-                rankings(status, &text, &what);
+                ranking(status, &text, &what);
             }
             if size == (bound + 1, "columns") {
                 assert_eq!(status, 413, "{what}: {text}");
@@ -485,11 +437,10 @@ fn every_numeric_request_field_at_its_extremes_answers_or_is_refused() {
     assert_alive(srv.addr);
 }
 
-/// A request whose tables hold more than [`MAX_REQUEST_ATTRIBUTES`]
-/// attributes in total is refused with a typed 413 before anything is
-/// signed: a `/query` target one past the bound, two `/query_batch`
-/// targets that pass it together, and a `POST /tables` table one past
-/// it. A target at the bound answers 200.
+/// A request whose table holds more than [`MAX_REQUEST_ATTRIBUTES`]
+/// attributes is refused with a typed 413 before anything is signed:
+/// a `/query` target or a `POST /tables` table one past the bound. A
+/// target at the bound answers 200.
 #[test]
 fn a_request_past_the_attribute_bound_is_refused_at_decode() {
     let lake = lake(3);
@@ -508,15 +459,6 @@ fn a_request_past_the_attribute_bound_is_refused_at_decode() {
         (
             "/query",
             format!("{{\"table\":{}}}", table("t", bound + 1)),
-            413,
-        ),
-        (
-            "/query_batch",
-            format!(
-                "{{\"targets\":[{},{}]}}",
-                table("a", bound / 2),
-                table("b", bound / 2 + 1)
-            ),
             413,
         ),
         (
@@ -837,25 +779,6 @@ fn endpoints_answer_and_mutations_are_read_your_writes() {
     assert!(!matches.is_empty(), "related tables must be found");
     assert!(matches.len() <= 3, "k respected");
 
-    // query_batch answers per target, in order.
-    let batch = Json::Obj(vec![
-        (
-            "targets".to_string(),
-            Json::Arr(vec![
-                table_to_json(&target()),
-                table_to_json(lake.table(TableId(2))),
-            ]),
-        ),
-        ("k".to_string(), Json::Num(2.0)),
-    ])
-    .to_string();
-    let (status, body) = client
-        .request("POST", "/query_batch", Some(&batch))
-        .unwrap();
-    assert_eq!(status, 200);
-    let results = Json::parse(&body).unwrap();
-    assert_eq!(results.get("results").unwrap().as_arr().unwrap().len(), 2);
-
     // rank_all over an indexed member excludes it by default.
     let (status, body) = client
         .request("GET", "/rank_all?target=gp_02", None)
@@ -1161,8 +1084,8 @@ fn overload_sheds_with_typed_503_and_recovers() {
 #[test]
 fn pipelining_client_cannot_starve_the_pool() {
     // One worker. A pipelines a long burst of requests; B arrives
-    // mid-burst with one request. With the fairness quantum (2
-    // responses per turn here), the worker must rotate A back into the
+    // mid-burst with one request. With the fairness quantum (32
+    // responses per turn), the worker must rotate A back into the
     // queue and answer B before A's burst is done — and A must still
     // receive every one of its responses.
     //
@@ -1184,7 +1107,6 @@ fn pipelining_client_cannot_starve_the_pool() {
         &lake,
         ServerConfig {
             threads: 1,
-            fair_batch: 2,
             cache_bytes: 0, // keep every query on the engine path
             max_queue: 64,
             io_timeout: Duration::from_secs(10),
@@ -1676,14 +1598,6 @@ fn serving_surface_is_pinned() {
     let srv = boot("surface", &lake, 2, Duration::from_secs(10));
     let mut c = Client::connect(srv.addr).unwrap();
     let query = query_body(&target(), 5);
-    let batch = Json::Obj(vec![
-        (
-            "targets".to_string(),
-            Json::Arr(vec![table_to_json(&target())]),
-        ),
-        ("k".to_string(), Json::Num(2.0)),
-    ])
-    .to_string();
     let fresh = Table::from_rows(
         "fresh",
         &["Practice", "City"],
@@ -1697,7 +1611,6 @@ fn serving_surface_is_pinned() {
         ("GET", "/rank_all", None, 400),
         ("GET", "/nowhere", None, 404),
         ("DELETE", "/query", None, 405),
-        ("POST", "/query_batch", Some(batch.as_str()), 200),
         ("POST", "/tables", Some(add.as_str()), 201),
         ("DELETE", "/tables/fresh", None, 200),
         ("POST", "/admin/compact", Some(""), 200),
@@ -1775,7 +1688,6 @@ const PINNED_SERIES: &[&str] = &[
     "d3l_http_request_seconds{endpoint=\"/query\",result=\"error\"}",
     "d3l_http_request_seconds{endpoint=\"/query\",result=\"hit\"}",
     "d3l_http_request_seconds{endpoint=\"/query\",result=\"miss\"}",
-    "d3l_http_request_seconds{endpoint=\"/query_batch\",result=\"ok\"}",
     "d3l_http_request_seconds{endpoint=\"/rank_all\",result=\"error\"}",
     "d3l_http_request_seconds{endpoint=\"/rank_all\",result=\"miss\"}",
     "d3l_http_request_seconds{endpoint=\"/stats\",result=\"ok\"}",
