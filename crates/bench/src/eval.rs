@@ -4,7 +4,7 @@ use std::collections::HashSet;
 
 use d3l_benchgen::GroundTruth;
 
-use crate::runner::{RankedTable, SystemKind, Systems};
+use crate::runner::{par_map, RankedTable, SystemKind, Systems};
 
 /// One precision/recall data point (Figures 3–5).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,12 +124,9 @@ pub fn join_eval_at_k(
     k: usize,
 ) -> JoinEvalPoint {
     let truth = &systems.bench.truth;
-    let mut cov = 0.0;
-    let mut cov_j = 0.0;
-    let mut ap = 0.0;
-    let mut ap_j = 0.0;
-    let mut counted = 0usize;
-    for t in targets {
+    // Per probe: its means over its top-k groups, or `None` when it
+    // has no answer.
+    let per_probe = par_map(targets, |t| {
         let arity = systems.bench.lake.table_by_name(t).expect("member").arity() as f64;
         let groups = if use_aurum {
             systems.aurum_join_extensions(t, k)
@@ -137,7 +134,7 @@ pub fn join_eval_at_k(
             systems.d3l_join_extensions(t, k)
         };
         if groups.is_empty() {
-            continue;
+            return None;
         }
         let mut t_cov = 0.0;
         let mut t_cov_j = 0.0;
@@ -157,10 +154,18 @@ pub fn join_eval_at_k(
             t_ap_j += grouped_attr_precision(truth, t, &group);
         }
         let g = groups.len() as f64;
-        cov += t_cov / g;
-        cov_j += t_cov_j / g;
-        ap += t_ap / g;
-        ap_j += t_ap_j / g;
+        Some([t_cov / g, t_cov_j / g, t_ap / g, t_ap_j / g])
+    });
+    let mut cov = 0.0;
+    let mut cov_j = 0.0;
+    let mut ap = 0.0;
+    let mut ap_j = 0.0;
+    let mut counted = 0usize;
+    for [c, c_j, a, a_j] in per_probe.into_iter().flatten() {
+        cov += c;
+        cov_j += c_j;
+        ap += a;
+        ap_j += a_j;
         counted += 1;
     }
     let n = counted.max(1) as f64;
@@ -182,14 +187,11 @@ pub fn plain_eval_at_k(
     k: usize,
 ) -> JoinEvalPoint {
     let truth = &systems.bench.truth;
-    let mut cov = 0.0;
-    let mut ap = 0.0;
-    let mut counted = 0usize;
-    for t in targets {
+    let per_probe = par_map(targets, |t| {
         let arity = systems.bench.lake.table_by_name(t).expect("member").arity() as f64;
         let res = systems.query(kind, t, k);
         if res.is_empty() {
-            continue;
+            return None;
         }
         let mut t_cov = 0.0;
         let mut t_ap = 0.0;
@@ -197,8 +199,14 @@ pub fn plain_eval_at_k(
             t_cov += r.covered().len() as f64 / arity;
             t_ap += attr_precision_of(truth, t, r);
         }
-        cov += t_cov / res.len() as f64;
-        ap += t_ap / res.len() as f64;
+        Some([t_cov / res.len() as f64, t_ap / res.len() as f64])
+    });
+    let mut cov = 0.0;
+    let mut ap = 0.0;
+    let mut counted = 0usize;
+    for [c, a] in per_probe.into_iter().flatten() {
+        cov += c;
+        ap += a;
         counted += 1;
     }
     let n = counted.max(1) as f64;

@@ -9,7 +9,7 @@ use d3l_core::{D3l, D3lConfig, DistanceVector, Evidence};
 
 use crate::eval::{join_eval_at_k, k_sweep, plain_eval_at_k, prf_at_k, recall_ceiling};
 use crate::lake;
-use crate::runner::{SystemKind, Systems};
+use crate::runner::{par_map, SystemKind, Systems};
 
 /// Probes timed per answer size (Experiment 5) and followed along join
 /// paths (Experiments 8/9): the first this-many of [`lake::probes`].
@@ -272,20 +272,21 @@ fn pair_vectors(
     bench: &Benchmark,
     targets: &[String],
 ) -> (Vec<DistanceVector>, Vec<bool>) {
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for tname in targets {
+    let per_target = par_map(targets, |tname| {
         let target = bench.lake.table_by_name(tname).expect("member");
         let opts = d3l_core::query::QueryOptions {
             exclude: bench.lake.id_of(tname),
             ..Default::default()
         };
-        for m in d3l.rank_all(target, 100, &opts) {
-            xs.push(m.vector);
-            ys.push(bench.truth.tables_related(tname, d3l.table_name(m.table)));
-        }
-    }
-    (xs, ys)
+        d3l.rank_all(target, 100, &opts)
+            .into_iter()
+            .map(|m| {
+                let related = bench.truth.tables_related(tname, d3l.table_name(m.table));
+                (m.vector, related)
+            })
+            .collect::<Vec<_>>()
+    });
+    per_target.into_iter().flatten().unzip()
 }
 
 /// §III-C: how often the shipped subject-attribute model — the one
@@ -322,8 +323,7 @@ fn mean_precision(
 ) -> f64 {
     let probes = lake::probes(&systems.bench);
     let truth = &systems.bench.truth;
-    let mut p = 0.0;
-    for t in &probes {
+    let per_probe = par_map(&probes, |t| {
         let target = systems.bench.lake.table_by_name(t).expect("member");
         let opts = d3l_core::query::QueryOptions {
             exclude: systems.bench.lake.id_of(t),
@@ -336,9 +336,9 @@ fn mean_precision(
             .iter()
             .map(|m| truth.tables_related(t, systems.d3l.table_name(m.table)))
             .collect();
-        p += d3l_core::metrics::precision_at_k(&rel);
-    }
-    p / probes.len() as f64
+        d3l_core::metrics::precision_at_k(&rel)
+    });
+    per_probe.iter().sum::<f64>() / probes.len() as f64
 }
 
 /// Ablation: the shipped Eq. 3 weights vs uniform weights vs a

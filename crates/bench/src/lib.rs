@@ -6,7 +6,10 @@
 //! its 100 ground-truth probes. [`runner::Systems`] indexes that one
 //! lake with D3L, TUS and Aurum, all with the shipped subword-hashing
 //! embedder; [`eval`] holds the paper's measures and [`experiments`]
-//! what the `experiments` binary prints. `tests/pinned_lake.rs` holds
+//! what the `experiments` binary prints. Every probe loop maps its
+//! probes over threads through one function, [`runner::par_map`],
+//! whatever the system; only Exp. 5 times its queries one after
+//! another. `tests/pinned_lake.rs` holds
 //! D3L's precision and recall at k = 60 to the benchmark's exact
 //! figures, so the two evaluators judge the same thing.
 

@@ -1,4 +1,6 @@
-//! The three systems over one lake, and uniform query wrappers.
+//! The three systems over one lake, uniform query wrappers, and the
+//! harness's one fan-out: [`par_map`], through which every probe loop
+//! of every system runs.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
@@ -6,6 +8,7 @@ use std::time::Instant;
 
 use d3l_baselines::{Aurum, AurumConfig, Tus, TusConfig};
 use d3l_benchgen::{vocab, Benchmark};
+use d3l_core::config::available_cpus;
 use d3l_core::query::QueryOptions;
 use d3l_core::{D3l, D3lConfig, Evidence};
 use d3l_table::TableId;
@@ -68,6 +71,29 @@ pub struct Baselines {
     pub index_secs: [f64; 2],
 }
 
+/// Map `f` over `items` on [`available_cpus`] scoped workers, each
+/// taking one contiguous run, and return the results in input order.
+/// Every system answers a probe alike on any thread, so a loop that
+/// sums its per-probe values in probe order after the map gives the
+/// same figure as a sequential one, bit for bit.
+pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let workers = available_cpus().min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(items.len().div_ceil(workers))
+            .map(|run| scope.spawn(move || run.iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("probe worker panicked"))
+            .collect()
+    })
+}
+
 /// `f`'s value and the seconds it took.
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = Instant::now();
@@ -124,63 +150,42 @@ impl Systems {
     }
 
     /// Query one system for many lake-member targets at once, each
-    /// excluding itself from its answer. D3L modes go through
-    /// [`D3l::query_batch_with`], which fans the batch out over
-    /// the configured threads; the baselines have no batch API
-    /// and answer one target after another.
+    /// excluding itself from its answer: [`Systems::query`] mapped over
+    /// the targets by [`par_map`], answers in target order.
     pub fn query_batch(
         &self,
         kind: SystemKind,
         target_names: &[String],
         k: usize,
     ) -> Vec<Vec<RankedTable>> {
+        par_map(target_names, |t| self.query(kind, t, k))
+    }
+
+    /// Query one system for a lake-member target, excluding the
+    /// target itself from the answer, on the calling thread.
+    pub fn query(&self, kind: SystemKind, target_name: &str, k: usize) -> Vec<RankedTable> {
         let evidence = match kind {
             SystemKind::D3l => None,
             SystemKind::D3lSingle(e) => Some(e),
             SystemKind::Tus | SystemKind::TusKbOracle | SystemKind::Aurum => {
-                return target_names
-                    .iter()
-                    .map(|t| self.query_baseline(kind, t, k))
-                    .collect()
+                return self.query_baseline(kind, target_name, k)
             }
         };
-        let targets: Vec<d3l_table::Table> = target_names
-            .iter()
-            .map(|t| {
-                self.bench
-                    .lake
-                    .table_by_name(t)
-                    .expect("target must be a lake member")
-                    .clone()
-            })
-            .collect();
-        let opts: Vec<QueryOptions> = target_names
-            .iter()
-            .map(|t| QueryOptions {
-                exclude: self.bench.lake.id_of(t),
-                evidence,
-                ..Default::default()
-            })
-            .collect();
+        let target = self
+            .bench
+            .lake
+            .table_by_name(target_name)
+            .expect("target must be a lake member");
+        let opts = QueryOptions {
+            exclude: self.bench.lake.id_of(target_name),
+            evidence,
+            ..Default::default()
+        };
         self.d3l
-            .query_batch_with(&targets, k, &opts)
-            .into_iter()
-            .zip(target_names)
-            .map(|(matches, t)| {
-                matches
-                    .iter()
-                    .map(|m| self.ranked_of_d3l_match(t, m))
-                    .collect()
-            })
+            .query_with(target, k, &opts)
+            .iter()
+            .map(|m| self.ranked_of_d3l_match(target_name, m))
             .collect()
-    }
-
-    /// Query one system for a lake-member target, excluding the
-    /// target itself from the answer: a batch of one, answered on the
-    /// calling thread as TUS and Aurum answer theirs.
-    pub fn query(&self, kind: SystemKind, target_name: &str, k: usize) -> Vec<RankedTable> {
-        let mut one = self.query_batch(kind, &[target_name.to_string()], k);
-        one.pop().expect("one answer per target")
     }
 
     /// TUS's answer for the two TUS kinds, Aurum's for any other kind.
@@ -396,6 +401,8 @@ mod tests {
             SystemKind::D3l,
             SystemKind::D3lSingle(Evidence::Value),
             SystemKind::Tus,
+            SystemKind::TusKbOracle,
+            SystemKind::Aurum,
         ] {
             let batched = s.query_batch(kind, &targets, 5);
             assert_eq!(batched.len(), targets.len());
@@ -407,6 +414,16 @@ mod tests {
                     assert_eq!(x.aligned, y.aligned, "{kind:?} alignments for {t}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn par_map_equals_the_sequential_map() {
+        for n in [0usize, 1, 7] {
+            let items: Vec<usize> = (0..n).collect();
+            let square = |&i: &usize| i * i + 1;
+            let sequential: Vec<usize> = items.iter().map(square).collect();
+            assert_eq!(par_map(&items, square), sequential, "{n} items");
         }
     }
 

@@ -21,10 +21,8 @@
 //! heuristic invalidation, and a hit is byte-identical to what the
 //! engine would render, by construction. Compaction reorganizes disk
 //! without moving the version, and correctly leaves the cache warm.
-//! The worker-thread count is deliberately **excluded** from the
-//! options fingerprint: the query pipeline is byte-identical at every
-//! thread count (the determinism suite proves it), so thread settings
-//! changing between requests must share entries.
+//! A query runs on the thread that asked for it and carries no thread
+//! count, so nothing about where it ran can enter the key.
 //!
 //! Concurrency: one `Mutex` guards one map, one CLOCK ring, the byte
 //! budget and the live version, so a body up to the whole budget can
@@ -198,11 +196,6 @@ impl QueryCache {
         &self.registry
     }
 
-    /// Whether caching is enabled at all.
-    pub fn enabled(&self) -> bool {
-        self.lock().budget > 0
-    }
-
     fn lock(&self) -> MutexGuard<'_, State> {
         // The state is consistent between operations; a poisoning
         // panic cannot leave a torn map.
@@ -284,15 +277,6 @@ impl QueryCache {
         let evicted = state.evict_to(budget_bytes);
         drop(state);
         self.evictions.add(evicted);
-    }
-
-    /// Drop every entry (counters are kept; an explicit clear is an
-    /// operator action, not an eviction).
-    pub fn clear(&self) {
-        let mut state = self.lock();
-        state.map.clear();
-        state.ring.clear();
-        state.bytes = 0;
     }
 
     /// Current counters and occupancy.
@@ -440,7 +424,6 @@ mod tests {
     #[test]
     fn disabled_cache_is_silent() {
         let cache = QueryCache::new(0);
-        assert!(!cache.enabled());
         cache.put(key(1, 0), body(10));
         assert_eq!(cache.get(&key(1, 0)), None);
         let stats = cache.stats();
@@ -548,20 +531,9 @@ mod tests {
         assert!(cache.stats().entries > 0);
         cache.set_budget(0);
         assert_eq!(cache.stats().entries, 0);
-        assert!(!cache.enabled());
+        // Disabled: a put is dropped, so the get after it misses.
         cache.put(key(1, 0), body(10));
         assert_eq!(cache.get(&key(1, 0)), None);
-    }
-
-    #[test]
-    fn clear_empties_without_counting_evictions() {
-        let cache = QueryCache::new(1 << 20);
-        cache.put(key(1, 0), body(10));
-        let evictions_before = cache.stats().evictions;
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
-        assert_eq!(cache.stats().bytes, 0);
-        assert_eq!(cache.stats().evictions, evictions_before);
     }
 
     #[test]

@@ -27,14 +27,12 @@ pub struct D3lConfig {
     pub min_lookup: usize,
     /// Deterministic seed for hashing and projections.
     pub seed: u64,
-    /// Number of worker threads of an index build and of a
-    /// [`D3l::query_batch_with`] (0 = [`available_cpus`]). A single
-    /// query runs on the thread that asked for it, and a write or a
-    /// delta replay commits on its own thread. Results are
-    /// byte-identical at every count. A setting of the process, not of
-    /// the index: a store does not keep it.
-    ///
-    /// [`D3l::query_batch_with`]: crate::D3l::query_batch_with
+    /// Number of worker threads of an index build (0 =
+    /// [`available_cpus`]), and nothing else: a query runs on the
+    /// thread that asked for it, and a write or a delta replay commits
+    /// on its own thread. Builds are byte-identical at every count. A
+    /// setting of the process, not of the index: a store does not keep
+    /// it.
     pub threads: usize,
 }
 
@@ -74,15 +72,6 @@ impl D3lConfig {
             trees: 8,
             min_lookup: 20,
             ..Default::default()
-        }
-    }
-
-    /// Effective worker count of an index build and of a query batch.
-    pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            available_cpus()
         }
     }
 
@@ -139,15 +128,5 @@ mod tests {
         assert_eq!(c.lookup_width(100), 300);
         // Any `k` a caller passes has a width, not an overflow.
         assert_eq!(c.lookup_width(usize::MAX), usize::MAX);
-    }
-
-    #[test]
-    fn effective_threads_positive() {
-        assert!(D3lConfig::default().effective_threads() >= 1);
-        let c = D3lConfig {
-            threads: 3,
-            ..Default::default()
-        };
-        assert_eq!(c.effective_threads(), 3);
     }
 }

@@ -42,7 +42,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Instant;
 
-use d3l_store::{SectionTag, StoreError};
+use d3l_store::StoreError;
 use d3l_table::{Table, TableId};
 use d3l_telemetry::{Histogram, Registry};
 
@@ -260,12 +260,6 @@ impl EngineHandle {
     /// ([`IndexStore::disk_usage`]).
     pub fn disk_stats(&self) -> Result<(u64, u64, usize), MaintenanceError> {
         Ok(self.lock_store().disk_usage()?)
-    }
-
-    /// What the base snapshot is made of: `(section tag, payload
-    /// bytes)` in file order ([`IndexStore::base_sections`]).
-    pub fn base_sections(&self) -> Result<Vec<(SectionTag, u64)>, MaintenanceError> {
-        Ok(self.lock_store().base_sections()?)
     }
 
     /// Publish `next` as the successor of `prev` and return the new

@@ -339,8 +339,8 @@ impl D3l {
     }
 
     /// The one index build: tables `0..count`, obtained one at a time
-    /// through `table_at`, indexed by up to `cfg.threads`
-    /// workers over contiguous id runs. Fails with the error of the
+    /// through `table_at`, indexed by up to `cfg.threads` (0 = every
+    /// CPU) workers over contiguous id runs. Fails with the error of the
     /// lowest-numbered table `table_at` failed on. Panics on a
     /// configuration that cannot shape an index
     /// ([`D3lConfig::shape_error`]).
@@ -353,7 +353,10 @@ impl D3l {
             panic!("{error}");
         }
         let mut d3l = Self::empty(cfg);
-        let threads = d3l.cfg.effective_threads();
+        let threads = match d3l.cfg.threads {
+            0 => crate::config::available_cpus(),
+            n => n,
+        };
         let workers = threads.min(count.max(1));
         let run = count.div_ceil(workers).max(1);
         let runs = (0..count)
@@ -655,14 +658,6 @@ impl D3l {
     /// The configuration in effect.
     pub fn config(&self) -> &D3lConfig {
         &self.cfg
-    }
-
-    /// Change [`D3lConfig::threads`], the worker count of
-    /// [`D3l::query_batch_with`] (0 = every CPU), without re-indexing.
-    /// The count never changes a result, only the time to it, so this
-    /// is safe to flip at any time.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.cfg.threads = threads;
     }
 
     /// Number of indexed tables.

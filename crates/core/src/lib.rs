@@ -19,12 +19,9 @@
 //!    (b) *pairwise evidence scoring* (five distances per candidate
 //!    pair, Algorithm 2 guarding the numeric KS case), and
 //!    (c) *CCDF-weighted aggregation* (Eq. 1–2 column-wise, Eq. 3
-//!    collapse). A query runs on the thread that asked for it;
-//!    [`D3l::query_batch_with`] fans a whole evaluation workload out over
-//!    targets (`D3lConfig::threads`) — profiling each target exactly
-//!    once — with results byte-identical to one query at a time at
-//!    every thread count. [`D3l`] is the engine that runs it: one
-//!    index, four forests;
+//!    collapse). A query runs on the thread that asked for it: the
+//!    index build is the engine's one fan-out (`D3lConfig::threads`).
+//!    [`D3l`] is the engine that runs it: one index, four forests;
 //! 4. [`join`] — Algorithm 3: extend the top-k with SA-join paths
 //!    that cover additional target attributes;
 //! 5. [`metrics`] — the paper's evaluation measures (precision,

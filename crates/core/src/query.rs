@@ -23,13 +23,10 @@
 //!    collapsed to a scalar by the weighted Euclidean norm (Eq. 3).
 //!    Tables are returned closest-first.
 //!
-//! A query runs on the thread that asked for it. [`D3l::query_batch_with`]
-//! fans a batch out over targets on up to `D3lConfig::threads`
-//! `std::thread::scope` workers (set on a built engine with
-//! [`D3l::set_threads`]): the batch is split into contiguous runs
-//! reassembled in input order and each target is ranked as
-//! [`D3l::query_with`] ranks it, so results are **byte-identical at
-//! every thread count** — the determinism suite pins it.
+//! A query runs on the thread that asked for it; the engine fans out
+//! nowhere at query time. A caller with many targets maps them over
+//! its own threads (the evaluation harness does), and each answer is
+//! what [`D3l::query_with`] gives on one thread.
 
 use std::collections::{HashMap, HashSet};
 
@@ -101,35 +98,6 @@ pub struct QueryOptions {
 /// signature words — a target's from its [`SignedTable`], a lake
 /// member's from its row and the arenas.
 type Attr<'a> = (AttrView<'a>, AttrSigsRef<'a>);
-
-/// Map `f` over `items` on up to `threads` scoped workers, returning
-/// results in input order. Work is split into contiguous chunks whose
-/// results are reassembled in spawn order, so the output is
-/// independent of the thread count.
-fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
-        return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for batch in items.chunks(chunk) {
-            let f = &f;
-            handles.push(scope.spawn(move || batch.iter().map(f).collect::<Vec<R>>()));
-        }
-        for h in handles {
-            out.extend(h.join().expect("query worker panicked"));
-        }
-    });
-    out
-}
 
 /// Stage 3 — CCDF-weighted aggregation (Eq. 1–3) over stage 2's
 /// `(target column, candidate, distances)` pairs of a target with
@@ -391,28 +359,6 @@ impl D3l {
         let ranked = stage_aggregate(scored, target.len(), opts);
         timer.aggregate_done();
         ranked
-    }
-
-    /// The top-k answers for many targets at once, fanning the
-    /// batch out over [`D3lConfig::threads`] workers, with one
-    /// [`QueryOptions`] per target (the evaluation loop excludes each
-    /// target itself from its own answer). Each target is profiled
-    /// exactly once and ranked by [`D3l::query_with`], so
-    /// `query_batch_with(ts, k, os)[i] == query_with(&ts[i], k, &os[i])`
-    /// at every thread count. A batch of one runs on the calling
-    /// thread.
-    pub fn query_batch_with(
-        &self,
-        targets: &[Table],
-        k: usize,
-        opts: &[QueryOptions],
-    ) -> Vec<Vec<TableMatch>> {
-        assert_eq!(targets.len(), opts.len(), "one QueryOptions per target");
-        let work: Vec<(&Table, &QueryOptions)> = targets.iter().zip(opts).collect();
-        let threads = self.config().effective_threads();
-        par_map(&work, threads, |&(target, opt)| {
-            self.query_with(target, k, opt)
-        })
     }
 
     /// The set of lake tables related to `target` by at least one
@@ -766,42 +712,5 @@ mod tests {
             d3l.related_table_set(&t, 50),
             d3l.related_table_set_prepared(&prepared, 50)
         );
-    }
-
-    #[test]
-    fn batch_matches_per_target_queries() {
-        let lake = lake();
-        let d3l = D3l::index_lake(&lake, D3lConfig::fast());
-        let targets: Vec<Table> = vec![
-            target(),
-            lake.table_by_name("s1_gp_practices").unwrap().clone(),
-            lake.table_by_name("decoy_planets").unwrap().clone(),
-        ];
-        let defaults = vec![QueryOptions::default(); targets.len()];
-        let batched = d3l.query_batch_with(&targets, 3, &defaults);
-        assert_eq!(batched.len(), targets.len());
-        for (t, b) in targets.iter().zip(&batched) {
-            assert_identical(&d3l.query(t, 3), b);
-        }
-        // Per-target options flow through.
-        let opts: Vec<QueryOptions> = targets
-            .iter()
-            .map(|t| QueryOptions {
-                exclude: lake.id_of(t.name()),
-                ..Default::default()
-            })
-            .collect();
-        let batched = d3l.query_batch_with(&targets, 3, &opts);
-        for (b, o) in batched.iter().zip(&opts) {
-            if let Some(ex) = o.exclude {
-                assert!(b.iter().all(|m| m.table != ex), "excluded self returned");
-            }
-        }
-    }
-
-    #[test]
-    fn empty_batch_is_empty() {
-        let d3l = D3l::index_lake(&lake(), D3lConfig::fast());
-        assert!(d3l.query_batch_with(&[], 5, &[]).is_empty());
     }
 }

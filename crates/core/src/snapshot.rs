@@ -763,11 +763,6 @@ impl IndexStore {
         Ok(folded)
     }
 
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Number of delta segments awaiting compaction (stale segments
     /// below the folded watermark are leftovers of an interrupted
     /// compact and do not count — replay skips them).

@@ -106,14 +106,6 @@ impl Json {
         }
     }
 
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Parse a complete JSON document (trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
@@ -532,10 +524,7 @@ mod tests {
         assert_eq!(v.get("k").unwrap().as_usize(), Some(4), "last wins");
         assert_eq!(v.get("s").unwrap().as_str(), Some("x"));
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 1);
-        assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap()[0].as_bool(),
-            Some(true)
-        );
+        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0], Json::Bool(true));
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Num(1.5).as_usize(), None);
         assert_eq!(Json::Num(-1.0).as_usize(), None);

@@ -390,28 +390,37 @@ impl ConnQueue {
 }
 
 /// A routed response plus what observability needs to label it: the
-/// cache outcome (query endpoints only) and the pipeline trace (set
-/// when the query actually ran).
+/// cache outcome (query endpoints only), the pipeline trace (set when
+/// the query actually ran) and the version of the engine snapshot the
+/// response was answered from (set when the handler read one).
 struct Routed {
     response: Response,
     cache_hit: Option<bool>,
     trace: Option<Arc<QueryTrace>>,
+    version: Option<u64>,
 }
 
 impl Routed {
-    fn hit(response: Response) -> Routed {
+    /// A response answered from the snapshot at `version`.
+    fn at(version: u64, response: Response) -> Routed {
         Routed {
-            response,
-            cache_hit: Some(true),
-            trace: None,
+            version: Some(version),
+            ..response.into()
         }
     }
 
-    fn miss(response: Response, trace: Arc<QueryTrace>) -> Routed {
+    fn hit(version: u64, response: Response) -> Routed {
         Routed {
-            response,
+            cache_hit: Some(true),
+            ..Routed::at(version, response)
+        }
+    }
+
+    fn miss(version: u64, response: Response, trace: Arc<QueryTrace>) -> Routed {
+        Routed {
             cache_hit: Some(false),
             trace: Some(trace),
+            ..Routed::at(version, response)
         }
     }
 
@@ -436,6 +445,7 @@ impl From<Response> for Routed {
             response,
             cache_hit: None,
             trace: None,
+            version: None,
         }
     }
 }
@@ -456,9 +466,7 @@ const ENDPOINTS: &[(Method, &str, &str, Handler)] = &[
         "/rank_all",
         Server::handle_rank_all,
     ),
-    (Method::Get, "/stats", "/stats", |s, _| {
-        Ok(s.handle_stats().into())
-    }),
+    (Method::Get, "/stats", "/stats", |s, _| Ok(s.handle_stats())),
     (Method::Get, "/metrics", "/metrics", |s, _| {
         Ok(s.handle_metrics().into())
     }),
@@ -631,6 +639,7 @@ impl Server {
                 Response::error(503, "server at capacity; back off and retry")
                     .with_retry_after(RETRY_AFTER_SECS),
                 self.shared.next_request_id(),
+                self.engine.snapshot().version,
             )
             .write_to(&mut stream, false);
         self.shared
@@ -738,8 +747,13 @@ impl Server {
                     let t0 = Instant::now();
                     let (endpoint, routed) = self.route(&req);
                     let elapsed = t0.elapsed();
-                    self.observe(endpoint, &req, &request_id, &routed, elapsed);
-                    let response = self.stamp(routed.response, request_id);
+                    // A response that read no snapshot names the
+                    // current one.
+                    let version = routed
+                        .version
+                        .unwrap_or_else(|| self.engine.snapshot().version);
+                    self.observe(endpoint, &req, &request_id, &routed, version, elapsed);
+                    let response = self.stamp(routed.response, request_id, version);
                     self.shared.metrics.record_status(response.status);
                     let draining = self.shared.shutdown.load(Ordering::SeqCst);
                     let keep = req.keep_alive && !draining;
@@ -771,6 +785,7 @@ impl Server {
                             .stamp(
                                 Response::error(status, &err.to_string()),
                                 self.shared.next_request_id(),
+                                self.engine.snapshot().version,
                             )
                             .write_to(&mut write_half, false);
                     }
@@ -785,8 +800,7 @@ impl Server {
     /// Stamp the correlation headers every response carries: the
     /// request id (client-supplied or generated) and the engine
     /// version that answered.
-    fn stamp(&self, response: Response, request_id: String) -> Response {
-        let version = self.engine.snapshot().version;
+    fn stamp(&self, response: Response, request_id: String, version: u64) -> Response {
         response
             .with_header("X-Request-Id", request_id)
             .with_header("X-Engine-Version", version.to_string())
@@ -802,6 +816,7 @@ impl Server {
         req: &Request,
         request_id: &str,
         routed: &Routed,
+        version: u64,
         elapsed: Duration,
     ) {
         self.shared
@@ -818,7 +833,7 @@ impl Server {
                 path: req.path.clone(),
                 status: routed.response.status,
                 result: routed.result(),
-                engine_version: self.engine.snapshot().version,
+                engine_version: version,
                 total_ms: elapsed.as_nanos() as f64 / 1e6,
                 trace: routed.trace.clone(),
             });
@@ -942,13 +957,13 @@ impl Server {
             version: snap.version,
         };
         if let Some(hit) = self.engine.cache().get(&key) {
-            return Routed::hit(Response::json(200, hit.as_bytes().to_vec()));
+            return Routed::hit(snap.version, Response::json(200, hit.as_bytes().to_vec()));
         }
         let trace = QueryTrace::new();
         opts.trace = Some(Arc::clone(&trace));
         let rendered = api::query_response(snap, &run(&opts));
         self.engine.cache().put(key, rendered.clone().into());
-        Routed::miss(Response::json(200, rendered), trace)
+        Routed::miss(snap.version, Response::json(200, rendered), trace)
     }
 
     fn handle_query(&self, req: &Request) -> Result<Routed, Response> {
@@ -999,7 +1014,7 @@ impl Server {
         }))
     }
 
-    fn handle_stats(&self) -> Response {
+    fn handle_stats(&self) -> Routed {
         // The watcher's counters are read before the snapshot is taken:
         // a change they count as applied is in the engine the rest of
         // the document describes, never ahead of it.
@@ -1159,7 +1174,10 @@ impl Server {
             ),
         ];
         body.extend(watch);
-        Response::json(200, Json::Obj(body).to_string())
+        Routed::at(
+            snap.version,
+            Response::json(200, Json::Obj(body).to_string()),
+        )
     }
 
     /// `GET /metrics` — Prometheus text exposition 0.0.4, hand-rolled.
@@ -1253,6 +1271,15 @@ impl Server {
         }
     }
 
+    /// A mutation's acknowledgement: `ack` in the envelope of `snap`,
+    /// the snapshot it names and its header stamps.
+    fn acknowledge(status: u16, snap: &EngineSnapshot, ack: Vec<(String, Json)>) -> Routed {
+        Routed::at(
+            snap.version,
+            Response::json(status, api::envelope(snap, ack)),
+        )
+    }
+
     fn handle_add_table(&self, req: &Request) -> Result<Routed, Response> {
         let table = Self::body_table(&Self::body_json(req)?)?;
         if table.name().is_empty() {
@@ -1267,7 +1294,7 @@ impl Server {
             ("added".to_string(), Json::str(table.name())),
             ("id".to_string(), Json::Num(id.0 as f64)),
         ];
-        Ok(Response::json(201, api::envelope(&snap, ack)).into())
+        Ok(Self::acknowledge(201, &snap, ack))
     }
 
     fn handle_remove_table(&self, req: &Request) -> Result<Routed, Response> {
@@ -1283,14 +1310,14 @@ impl Server {
             ("removed".to_string(), Json::str(name)),
             ("id".to_string(), Json::Num(id.0 as f64)),
         ];
-        Ok(Response::json(200, api::envelope(&snap, ack)).into())
+        Ok(Self::acknowledge(200, &snap, ack))
     }
 
     fn handle_compact(&self, _: &Request) -> Result<Routed, Response> {
         let folded = self.engine.compact().map_err(Self::maintenance_error)?;
         let ack = vec![("folded_segments".to_string(), Json::Num(folded as f64))];
-        let body = api::envelope(&self.engine.snapshot(), ack);
-        Ok(Response::json(200, body).into())
+        let snap = self.engine.snapshot();
+        Ok(Self::acknowledge(200, &snap, ack))
     }
 }
 

@@ -280,11 +280,6 @@ impl<'a> Decoder<'a> {
         &self.buf[self.pos..]
     }
 
-    /// Length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, StoreError> {
-        self.get_str_ref().map(str::to_string)
-    }
-
     /// Length-prefixed UTF-8 string, borrowed from the buffer.
     pub fn get_str_ref(&mut self) -> Result<&'a str, StoreError> {
         let b = self.get_bytes()?;
@@ -511,7 +506,7 @@ mod tests {
         enc.put_bytes(&[0xff, 0xfe]);
         let bytes = enc.into_bytes();
         assert!(matches!(
-            Decoder::new(&bytes).get_str(),
+            Decoder::new(&bytes).get_str_ref(),
             Err(StoreError::Corrupt(_))
         ));
     }
@@ -671,7 +666,7 @@ mod tests {
             enc.put_u8(7);
             let bytes = enc.into_bytes();
             let mut dec = Decoder::new(&bytes);
-            prop_assert_eq!(dec.get_str().unwrap(), s);
+            prop_assert_eq!(dec.get_str_ref().unwrap(), s.as_str());
             prop_assert_eq!(dec.get_u64_slab(hashes.len()).unwrap(), hashes);
             prop_assert_eq!(dec.rest(), &[7u8][..]);
             prop_assert_eq!(dec.get_u8().unwrap(), 7);

@@ -18,9 +18,8 @@
 //! the upper bound of the containing bucket, i.e. within one bucket's
 //! relative error (≤ √2) of the true value.
 //!
-//! [`HistogramSnapshot`] is the mergeable plain-integer form: workers
-//! snapshot independently and [`HistogramSnapshot::merge`] sums
-//! bucketwise, so cross-worker aggregation needs no shared lock.
+//! [`HistogramSnapshot`] is the plain-integer form a reader takes of
+//! a histogram, to render or to read quantiles from.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -152,16 +151,6 @@ impl HistogramSnapshot {
     /// Exact sum in nanoseconds.
     pub fn sum_ns(&self) -> u64 {
         self.sum_ns
-    }
-
-    /// Fold `other` into `self`; the result is identical to having
-    /// recorded the union of both sample streams into one histogram.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (dst, src) in self.buckets.iter_mut().zip(&other.buckets) {
-            *dst += src;
-        }
-        self.sum_ns += other.sum_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
     }
 
     /// Quantile estimate in nanoseconds: the inclusive upper bound of
@@ -578,24 +567,6 @@ mod tests {
             );
             assert!(est >= oracle, "bucket upper bound bounds the true value");
         }
-    }
-
-    #[test]
-    fn merge_equals_recording_the_union() {
-        let (a, b, u) = (Histogram::new(), Histogram::new(), Histogram::new());
-        for i in 0..500u64 {
-            let v = i * i * 37 + 1;
-            a.record_ns(v);
-            u.record_ns(v);
-        }
-        for i in 0..300u64 {
-            let v = i * 977 + 12;
-            b.record_ns(v);
-            u.record_ns(v);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, u.snapshot());
     }
 
     #[test]

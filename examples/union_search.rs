@@ -29,25 +29,15 @@ fn main() {
     let k = 10;
     let targets = bench.pick_targets(5, 7);
 
-    // One batched call answers the whole workload: each target is
-    // profiled once and the batch fans out over the query threads,
-    // with results identical to per-target `query_with` calls.
-    let tables: Vec<Table> = targets
-        .iter()
-        .map(|t| bench.lake.table_by_name(t).expect("lake member").clone())
-        .collect();
-    let opts: Vec<QueryOptions> = targets
-        .iter()
-        .map(|t| QueryOptions {
-            exclude: bench.lake.id_of(t),
-            ..Default::default()
-        })
-        .collect();
-    let results = d3l.query_batch_with(&tables, k, &opts);
-
     let mut p_sum = 0.0;
     let mut r_sum = 0.0;
-    for (tname, result) in targets.iter().zip(&results) {
+    for tname in &targets {
+        let target = bench.lake.table_by_name(tname).expect("lake member");
+        let opts = QueryOptions {
+            exclude: bench.lake.id_of(tname),
+            ..Default::default()
+        };
+        let result = d3l.query_with(target, k, &opts);
         let relevant: Vec<bool> = result
             .iter()
             .map(|m| bench.truth.tables_related(tname, d3l.table_name(m.table)))

@@ -1,9 +1,9 @@
-//! Determinism regression tests for the query pipeline: thread count
-//! must never change results. `query_batch_with` has to produce
+//! Determinism regression tests for the query pipeline: the build's
+//! thread count must never change results. An index built at
+//! `threads` in {1, 2, 8} answers `query_with` and `rank_all` with
 //! byte-identical `TableMatch` lists (table ids, distance bits,
-//! alignment ordering) for `threads` in {1, 2, 8}, equal to per-target
-//! queries, and an index built at any thread count answers alike.
-//! The same guarantee holds through a served engine's lifecycle — an
+//! alignment ordering); a query itself runs on the thread that asked
+//! for it, so it has no thread count to vary. The same guarantee holds through a served engine's lifecycle — an
 //! engine behind a store answers byte-identically to the same
 //! operations replayed in memory, through adds, removes, compaction
 //! and reopen — and on adversarial value domains (overflow,
@@ -78,49 +78,6 @@ fn assert_identical(a: &[TableMatch], b: &[TableMatch], ctx: &str) {
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 #[test]
-fn query_batch_is_thread_count_invariant_and_matches_query() {
-    // Three lakes, each with its own targets (lake seed, target seed).
-    for (lake_seed, target_seed) in [(17, 3), (18, 4), (19, 5)] {
-        let (bench, mut d3l) = indexed(48, lake_seed);
-        let names = bench.pick_targets(8, target_seed);
-        let targets: Vec<Table> = names
-            .iter()
-            .map(|t| bench.lake.table_by_name(t).unwrap().clone())
-            .collect();
-        let opts: Vec<QueryOptions> = names
-            .iter()
-            .map(|t| QueryOptions {
-                exclude: bench.lake.id_of(t),
-                ..Default::default()
-            })
-            .collect();
-
-        // Batch fan-out is controlled by the config knob; flip it
-        // between runs on the same index.
-        let mut runs = Vec::new();
-        for &n in &THREAD_COUNTS {
-            d3l.set_threads(n);
-            assert_eq!(d3l.config().effective_threads(), n);
-            runs.push(d3l.query_batch_with(&targets, 7, &opts));
-        }
-        let ctx = |i: usize, n: usize| format!("lake {lake_seed}: batch[{i}] @{n} threads");
-        for (run, &n) in runs.iter().zip(&THREAD_COUNTS).skip(1) {
-            assert_eq!(run.len(), runs[0].len());
-            for (i, (a, b)) in runs[0].iter().zip(run).enumerate() {
-                assert_identical(a, b, &ctx(i, n));
-            }
-        }
-
-        // Batched output equals one query at a time.
-        for (i, ((target, opt), batched)) in targets.iter().zip(&opts).zip(&runs[0]).enumerate() {
-            assert!(!batched.is_empty(), "{}: empty ranking", ctx(i, 1));
-            let seq = d3l.query_with(target, 7, opt);
-            assert_identical(&seq, batched, &format!("{} vs query", ctx(i, 1)));
-        }
-    }
-}
-
-#[test]
 fn separately_built_indexes_agree() {
     // Two D3l instances over the same lake — one indexed serially, one
     // with maximal fan-out — must answer identically: index
@@ -158,48 +115,28 @@ fn separately_built_indexes_agree() {
 #[test]
 fn snapshot_round_trip_is_query_identical() {
     // A cold-started engine (snapshot save → load) must answer
-    // `query`, `rank_all` and `query_batch` byte-identically to the
-    // in-memory engine that wrote the snapshot, at threads 1 and 8.
-    let (bench, mut d3l) = indexed(48, 29);
-    let mut loaded = D3l::from_snapshot_bytes(&d3l.to_snapshot_bytes())
+    // `query` and `rank_all` byte-identically to the in-memory engine
+    // that wrote the snapshot.
+    let (bench, d3l) = indexed(48, 29);
+    let loaded = D3l::from_snapshot_bytes(&d3l.to_snapshot_bytes())
         .expect("snapshot round trip must succeed");
 
-    let names = bench.pick_targets(5, 7);
-    let targets: Vec<Table> = names
-        .iter()
-        .map(|t| bench.lake.table_by_name(t).unwrap().clone())
-        .collect();
-    let opts: Vec<QueryOptions> = names
-        .iter()
-        .map(|t| QueryOptions {
-            exclude: bench.lake.id_of(t),
+    for tname in bench.pick_targets(5, 7) {
+        let target = bench.lake.table_by_name(&tname).unwrap();
+        let opt = QueryOptions {
+            exclude: bench.lake.id_of(&tname),
             ..Default::default()
-        })
-        .collect();
-
-    for &n in &[1usize, 8] {
-        d3l.set_threads(n);
-        assert_eq!(d3l.config().effective_threads(), n);
-        loaded.set_threads(n);
-        assert_eq!(loaded.config().effective_threads(), n);
-        for ((tname, target), opt) in names.iter().zip(&targets).zip(&opts) {
-            assert_identical(
-                &d3l.query_with(target, 7, opt),
-                &loaded.query_with(target, 7, opt),
-                &format!("{tname} snapshot query @{n} threads"),
-            );
-            assert_identical(
-                &d3l.rank_all(target, 40, opt),
-                &loaded.rank_all(target, 40, opt),
-                &format!("{tname} snapshot rank_all @{n} threads"),
-            );
-        }
-        let a = d3l.query_batch_with(&targets, 7, &opts);
-        let b = loaded.query_batch_with(&targets, 7, &opts);
-        assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-            assert_identical(x, y, &format!("snapshot batch[{i}] @{n} threads"));
-        }
+        };
+        assert_identical(
+            &d3l.query_with(target, 7, &opt),
+            &loaded.query_with(target, 7, &opt),
+            &format!("{tname} snapshot query"),
+        );
+        assert_identical(
+            &d3l.rank_all(target, 40, &opt),
+            &loaded.rank_all(target, 40, &opt),
+            &format!("{tname} snapshot rank_all"),
+        );
     }
 }
 
@@ -413,11 +350,10 @@ fn cached_server_is_byte_identical_to_uncached_across_mutations() {
 #[test]
 fn served_engine_is_byte_identical_to_in_memory_replay_through_its_lifecycle() {
     // An engine behind a store must answer as the same operations
-    // applied in memory: at threads {1, 8}, `query`,
-    // `query_batch`, `rank_all`, the SA-join graph and the join paths
-    // are byte-identical to an in-memory `D3l` walked through the same
-    // mutations — on the freshly built index, after adds, a remove, a
-    // compaction and a cold reopen.
+    // applied in memory: `query`, `rank_all`, the SA-join graph and
+    // the join paths are byte-identical to an in-memory `D3l` walked
+    // through the same mutations — on the freshly built index, after
+    // adds, a remove, a compaction and a cold reopen.
     use d3l::core::hotswap::EngineHandle;
 
     let bench = benchgen::smaller_real(24, 41);
@@ -481,38 +417,22 @@ fn served_engine_is_byte_identical_to_in_memory_replay_through_its_lifecycle() {
             joins(&snap.engine),
             "{stage}: join graph / paths"
         );
-        let opts: Vec<QueryOptions> = names
-            .iter()
-            .map(|t| QueryOptions {
-                exclude: model.table_id(t),
+        for (name, target) in names.iter().zip(&targets) {
+            let opt = QueryOptions {
+                exclude: model.table_id(name),
                 ..Default::default()
-            })
-            .collect();
-        for &threads in &[1usize, 8] {
-            // Copies, so the thread count is set on these and not on
-            // what the handle serves.
-            let (mut model, mut served) = (model.clone(), snap.engine.clone());
-            model.set_threads(threads);
-            served.set_threads(threads);
-            for ((name, target), opt) in names.iter().zip(&targets).zip(&opts) {
-                let ctx = format!("{stage}: {name} @{threads} threads");
-                assert_identical(
-                    &model.query_with(target, 7, opt),
-                    &served.query_with(target, 7, opt),
-                    &format!("{ctx} (query)"),
-                );
-                assert_identical(
-                    &model.rank_all(target, 40, opt),
-                    &served.rank_all(target, 40, opt),
-                    &format!("{ctx} (rank_all)"),
-                );
-            }
-            let a = model.query_batch_with(&targets, 7, &opts);
-            let b = served.query_batch_with(&targets, 7, &opts);
-            assert_eq!(a.len(), b.len());
-            for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-                assert_identical(x, y, &format!("{stage}: batch[{i}] @{threads} threads"));
-            }
+            };
+            let ctx = format!("{stage}: {name}");
+            assert_identical(
+                &model.query_with(target, 7, &opt),
+                &snap.engine.query_with(target, 7, &opt),
+                &format!("{ctx} (query)"),
+            );
+            assert_identical(
+                &model.rank_all(target, 40, &opt),
+                &snap.engine.rank_all(target, 40, &opt),
+                &format!("{ctx} (rank_all)"),
+            );
         }
     };
 
@@ -543,9 +463,9 @@ fn adversarial_value_domains_are_thread_invariant() {
     // to ±inf while parsing ("1e309"), subnormals ("1e-320"),
     // signed zero, and non-finite *text* ("nan", "inf", which the
     // profiler must treat as words, not numbers) — must not open any
-    // ordering or aggregation seam: every ranking of an engine is
-    // byte-identical to a separately built engine's, and its batches
-    // are at threads {1, 2, 8}.
+    // ordering or aggregation seam: every ranking of an engine built at
+    // threads {1, 2, 8} is byte-identical to a separately built
+    // engine's.
     let mut bench = benchgen::smaller_real(24, 43);
     let table = |name: &str, metric: &[&str]| {
         let rows: Vec<Vec<String>> = metric
@@ -581,9 +501,10 @@ fn adversarial_value_domains_are_thread_invariant() {
     ] {
         bench.lake.add(t).unwrap();
     }
-    let build = || {
+    let build = |threads: usize| {
         let cfg = D3lConfig {
             embed_dim: 32,
+            threads,
             ..D3lConfig::fast()
         };
         D3l::index_lake(&bench.lake, cfg)
@@ -593,7 +514,7 @@ fn adversarial_value_domains_are_thread_invariant() {
         ..Default::default()
     };
 
-    let baseline_engine = build();
+    let baseline_engine = build(0);
     let baselines: Vec<(Vec<TableMatch>, Vec<TableMatch>)> = adversarial
         .iter()
         .map(|name| {
@@ -605,34 +526,20 @@ fn adversarial_value_domains_are_thread_invariant() {
         })
         .collect();
 
-    let mut engine = build();
-    for (name, (base_query, base_rank)) in adversarial.iter().zip(&baselines) {
-        let target = bench.lake.table_by_name(name).unwrap();
-        let opts = opts_for(name);
-        assert_identical(
-            base_query,
-            &engine.query_with(target, 7, &opts),
-            &format!("{name} (query)"),
-        );
-        assert_identical(
-            base_rank,
-            &engine.rank_all(target, 40, &opts),
-            &format!("{name} (rank_all)"),
-        );
-    }
-    let targets: Vec<Table> = adversarial
-        .iter()
-        .map(|name| bench.lake.table_by_name(name).unwrap().clone())
-        .collect();
-    let opts: Vec<QueryOptions> = adversarial.iter().map(|name| opts_for(name)).collect();
     for &threads in &THREAD_COUNTS {
-        engine.set_threads(threads);
-        let batch = engine.query_batch_with(&targets, 7, &opts);
-        for ((name, (base_query, _)), got) in adversarial.iter().zip(&baselines).zip(&batch) {
+        let engine = build(threads);
+        for (name, (base_query, base_rank)) in adversarial.iter().zip(&baselines) {
+            let target = bench.lake.table_by_name(name).unwrap();
+            let opts = opts_for(name);
             assert_identical(
                 base_query,
-                got,
-                &format!("{name} @{threads} threads (batch)"),
+                &engine.query_with(target, 7, &opts),
+                &format!("{name} @{threads} threads (query)"),
+            );
+            assert_identical(
+                base_rank,
+                &engine.rank_all(target, 40, &opts),
+                &format!("{name} @{threads} threads (rank_all)"),
             );
         }
     }
@@ -642,41 +549,58 @@ fn adversarial_value_domains_are_thread_invariant() {
 fn index_build_is_thread_count_invariant() {
     // Indexes built at threads {1, 2, 8} must be bitwise
     // interchangeable: identical memory footprint (the forests hold
-    // the same trees and signatures) and byte-identical rankings.
-    let bench = benchgen::smaller_real(32, 23);
-    let build = |threads: usize| {
-        let cfg = D3lConfig {
-            embed_dim: 32,
-            threads,
-            ..D3lConfig::fast()
+    // the same trees and signatures) and byte-identical rankings, of
+    // `query_with` and of `rank_all`. Four lakes, each with its own
+    // targets: (tables, lake seed, targets, target seed).
+    for (tables, lake_seed, count, target_seed) in [
+        (32, 23, 3, 9),
+        (48, 17, 8, 3),
+        (48, 18, 8, 4),
+        (48, 19, 8, 5),
+    ] {
+        let bench = benchgen::smaller_real(tables, lake_seed);
+        let build = |threads: usize| {
+            let cfg = D3lConfig {
+                embed_dim: 32,
+                threads,
+                ..D3lConfig::fast()
+            };
+            D3l::index_lake(&bench.lake, cfg)
         };
-        D3l::index_lake(&bench.lake, cfg)
-    };
-    let builds: Vec<D3l> = THREAD_COUNTS.iter().map(|&n| build(n)).collect();
-    for (d3l, &n) in builds.iter().zip(&THREAD_COUNTS) {
-        assert_class_columns(d3l, &format!("@{n} index threads"));
-    }
-    for (d3l, &n) in builds.iter().zip(&THREAD_COUNTS).skip(1) {
-        assert_eq!(
-            builds[0].byte_size(),
-            d3l.byte_size(),
-            "footprint differs at {n} index threads"
-        );
-    }
-    for tname in bench.pick_targets(3, 9) {
-        let target = bench.lake.table_by_name(&tname).unwrap();
-        let opts = QueryOptions {
-            exclude: bench.lake.id_of(&tname),
-            ..Default::default()
-        };
-        let base = builds[0].rank_all(target, 40, &opts);
-        assert!(!base.is_empty(), "{tname}: empty ranking");
+        let builds: Vec<D3l> = THREAD_COUNTS.iter().map(|&n| build(n)).collect();
+        for (d3l, &n) in builds.iter().zip(&THREAD_COUNTS) {
+            assert_class_columns(d3l, &format!("lake {lake_seed} @{n} index threads"));
+        }
         for (d3l, &n) in builds.iter().zip(&THREAD_COUNTS).skip(1) {
-            assert_identical(
-                &base,
-                &d3l.rank_all(target, 40, &opts),
-                &format!("{tname} @{n} index threads"),
+            assert_eq!(
+                builds[0].byte_size(),
+                d3l.byte_size(),
+                "lake {lake_seed}: footprint differs at {n} index threads"
             );
+        }
+        for tname in bench.pick_targets(count, target_seed) {
+            let target = bench.lake.table_by_name(&tname).unwrap();
+            let opts = QueryOptions {
+                exclude: bench.lake.id_of(&tname),
+                ..Default::default()
+            };
+            let query = builds[0].query_with(target, 7, &opts);
+            let rank = builds[0].rank_all(target, 40, &opts);
+            assert!(!query.is_empty(), "lake {lake_seed}: {tname}: empty query");
+            assert!(!rank.is_empty(), "lake {lake_seed}: {tname}: empty ranking");
+            for (d3l, &n) in builds.iter().zip(&THREAD_COUNTS).skip(1) {
+                let ctx = format!("lake {lake_seed}: {tname} @{n} index threads");
+                assert_identical(
+                    &query,
+                    &d3l.query_with(target, 7, &opts),
+                    &format!("{ctx} (query)"),
+                );
+                assert_identical(
+                    &rank,
+                    &d3l.rank_all(target, 40, &opts),
+                    &format!("{ctx} (rank_all)"),
+                );
+            }
         }
     }
 }

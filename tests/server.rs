@@ -1245,7 +1245,8 @@ fn stress_concurrent_queries_race_mutating_writer() {
         // consistent. `engine_version` and `live_tables` come from
         // one immutable snapshot, so the pair must always satisfy
         // live == initial + (version % 2) — the writer strictly
-        // alternates add (odd versions) and remove (even versions).
+        // alternates add (odd versions) and remove (even versions) —
+        // and the `X-Engine-Version` header must name that version.
         // A torn read (version from one state, count or matches from
         // another) would break the invariant. Each reader issues its
         // quota and then keeps going (bounded) until the writer has
@@ -1262,8 +1263,8 @@ fn stress_concurrent_queries_race_mutating_writer() {
                         break;
                     }
                     issued += 1;
-                    let (status, body) = client
-                        .request("POST", "/query", Some(&q_body))
+                    let (status, headers, body) = client
+                        .request_with_headers("POST", "/query", Some(&q_body), &[])
                         .expect("query failed");
                     assert_eq!(status, 200, "no failed requests allowed: {body}");
                     let parsed = Json::parse(&body).expect("response must be JSON");
@@ -1271,6 +1272,17 @@ fn stress_concurrent_queries_race_mutating_writer() {
                         .get("engine_version")
                         .and_then(Json::as_f64)
                         .expect("version") as u64;
+                    // The header names the snapshot that answered, not
+                    // one a write swapped in after the handler read it.
+                    let stamped = headers
+                        .iter()
+                        .find(|(name, _)| name == "x-engine-version")
+                        .map(|(_, value)| value.parse::<u64>().expect("numeric version"));
+                    assert_eq!(
+                        stamped,
+                        Some(version),
+                        "X-Engine-Version disagrees with the body's engine_version"
+                    );
                     let live = parsed
                         .get("live_tables")
                         .and_then(Json::as_f64)
@@ -1289,11 +1301,15 @@ fn stress_concurrent_queries_race_mutating_writer() {
                 }
             }));
         }
-        for r in readers {
-            r.join().expect("reader panicked");
-        }
+        // Stop the writer before a reader's failure is raised, or the
+        // scope would wait on it forever.
+        let outcomes: Vec<_> = readers.into_iter().map(|r| r.join()).collect();
         stop.store(true, Ordering::SeqCst);
-        writer.join().expect("writer panicked")
+        let iterations = writer.join().expect("writer panicked");
+        for outcome in outcomes {
+            outcome.expect("reader panicked");
+        }
+        iterations
     });
     assert!(
         iterations >= 3,
