@@ -54,16 +54,6 @@ impl GroundTruth {
         );
     }
 
-    /// Family (base table) of a table.
-    pub fn family_of(&self, table: &str) -> Option<&str> {
-        self.family.get(table).map(String::as_str)
-    }
-
-    /// Relatedness group (domain) of a table.
-    pub fn group_of(&self, table: &str) -> Option<&str> {
-        self.group.get(table).map(String::as_str)
-    }
-
     /// Are two distinct tables related (same group)?
     pub fn tables_related(&self, a: &str, b: &str) -> bool {
         if a == b {
@@ -126,31 +116,6 @@ impl GroundTruth {
     pub fn tables(&self) -> impl Iterator<Item = &str> {
         self.family.keys().map(String::as_str)
     }
-
-    /// Target attributes of `target` covered in the ground truth by
-    /// *any* column of `source` — used for ground-truth-optimal
-    /// coverage baselines in the experiments.
-    pub fn coverable_targets(&self, target: &str, source: &str) -> HashSet<String> {
-        let mut out = HashSet::new();
-        let t_cols: Vec<(&String, &String)> = self
-            .kinds
-            .iter()
-            .filter(|((t, _), _)| t == target)
-            .map(|((_, c), k)| (c, k))
-            .collect();
-        let s_kinds: HashSet<&String> = self
-            .kinds
-            .iter()
-            .filter(|((t, _), _)| t == source)
-            .map(|(_, k)| k)
-            .collect();
-        for (c, k) in t_cols {
-            if s_kinds.contains(k) {
-                out.insert(c.clone());
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -177,7 +142,6 @@ mod tests {
         assert!(!gt.tables_related("a1", "b1"));
         assert!(!gt.tables_related("a1", "a1"), "self is not related");
         assert!(!gt.tables_related("a1", "unknown"));
-        assert_eq!(gt.family_of("a1"), Some("base_a"));
     }
 
     #[test]
@@ -204,13 +168,5 @@ mod tests {
         assert!((gt.avg_answer_size() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(gt.table_count(), 3);
         assert_eq!(gt.tables().count(), 3);
-    }
-
-    #[test]
-    fn coverable_targets() {
-        let gt = truth();
-        let cov = gt.coverable_targets("a1", "b1");
-        assert!(cov.contains("City"));
-        assert!(!cov.contains("Patients"));
     }
 }

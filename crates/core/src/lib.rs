@@ -64,14 +64,14 @@ pub use cache::{options_fingerprint, table_fingerprint, CacheKey, CacheStats, Qu
 pub use config::D3lConfig;
 pub use distance::DistanceVector;
 pub use evidence::Evidence;
-pub use hotswap::{EngineHandle, EngineSnapshot, EngineTelemetry, MaintenanceError};
+pub use hotswap::{EngineHandle, EngineSnapshot, EngineTelemetry, MaintenanceError, FOLD_SEGMENTS};
 pub use index::{AttrRef, ClassStats, D3l, IndexFootprint, MemoryFootprint, SignedTable};
 pub use join::{JoinPath, SaJoinGraph};
 pub use profile::{AttrView, AttributeProfile};
 pub use query::{Alignment, QueryOptions, TableMatch};
 pub use snapshot::{DeltaRecord, IndexStore};
 pub use trace::{QueryTrace, StageTimer};
-pub use watch::{compact_if_due, Ingestor, WatchConfig, WatchStats, Watcher};
+pub use watch::{Ingestor, WatchStats, Watcher};
 pub use weights::EvidenceWeights;
 
 /// [`D3l`] under the name `d3l-benchmark-layers` builds it by. ROADMAP

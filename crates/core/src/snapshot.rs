@@ -763,6 +763,13 @@ impl IndexStore {
         Ok(folded)
     }
 
+    /// Delta segments this handle has appended or replayed since the
+    /// base's watermark, from its sequence numbers alone (no directory
+    /// listing): what a compact would fold.
+    pub fn pending_segments(&self) -> u64 {
+        self.next_delta_seq - 1 - self.applied_through
+    }
+
     /// Number of delta segments awaiting compaction (stale segments
     /// below the folded watermark are leftovers of an interrupted
     /// compact and do not count — replay skips them).

@@ -4,34 +4,37 @@
 //! The paper's data-lake setting is not static — datasets arrive,
 //! change and disappear while discovery queries keep running. The
 //! whole module is one rule: **scan; apply, in file-name order, every
-//! change whose fingerprint held across two polls; compact if a
-//! threshold is crossed.**
+//! change whose fingerprint held across two polls.**
 //!
 //! * The **scan** polls the directory over plain `std::fs` (no
-//!   notification APIs, no dependencies), fingerprinting each file by
-//!   `(len, mtime)` — and by a checksum of its bytes while its mtime
-//!   is too recent for those two to be trusted (within `RACY_WINDOW`,
-//!   2 s, of the previous scan).
+//!   notification APIs, no dependencies) every [`POLL_INTERVAL`],
+//!   fingerprinting each file by `(len, mtime)` — and by a checksum of
+//!   its bytes while its mtime is too recent for those two to be
+//!   trusted (within `RACY_WINDOW`, 2 s, of the previous scan). A file
+//!   is named as `d3l index` names it
+//!   ([`d3l_table::lake::table_name_of`]); of two files that are one
+//!   table name, the first in path order is tracked and the second
+//!   skipped.
 //! * A change is acted on only after the **stability window** — the
-//!   fingerprint must hold across two consecutive polls, so
-//!   [`WatchConfig::poll_interval`] is the debounce — and a file still
-//!   being copied in keeps settling rather than being half-ingested.
+//!   fingerprint must hold across two consecutive polls, so the poll
+//!   interval is the debounce — and a file still being copied in keeps
+//!   settling rather than being half-ingested.
 //! * Every change that settled is **applied the poll that finds it
 //!   settled**, through [`EngineHandle`] (new file → add, changed file
 //!   → remove + add, deleted file → remove), in name order. Each
 //!   change is its own delta segment, persisted before its own swap;
 //!   a change a store error interrupted is retried by the next poll.
-//! * After each poll the same thread folds the accumulated delta
-//!   segments into a fresh base snapshot once their count or byte
-//!   total crosses a threshold ([`compact_if_due`]) — queries keep
-//!   running on immutable snapshots throughout.
+//!   The watcher folds nothing itself: the handle's writes fold the
+//!   segments once [`crate::hotswap::FOLD_SEGMENTS`] are pending, as
+//!   they do for every other writer.
 //!
 //! The watcher writes through the [`EngineHandle`] of the process that
 //! serves the index (`d3l serve --watch`): one process writes and
 //! serves an index directory, and its HTTP writes and the watcher's
 //! share the handle's store lock. A file skipped because it failed to
-//! read or parse is logged to stderr once, with the reason, and
-//! counted in [`WatchStats::skipped`].
+//! read or parse, or because its table name is taken by another file,
+//! is logged to stderr once, with the reason, and counted in
+//! [`WatchStats::skipped`].
 //!
 //! [`Ingestor`] is the synchronous core (one `poll()` = one scan +
 //! every settled change applied) so tests can drive every
@@ -45,32 +48,15 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
-use d3l_table::csv;
+use d3l_table::lake::{load_csv, table_name_of};
+use d3l_table::TableError;
 use d3l_telemetry::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 
 use crate::hotswap::{EngineHandle, MaintenanceError};
 
-/// Tuning knobs of the continuous-ingestion loop.
-#[derive(Debug, Clone)]
-pub struct WatchConfig {
-    /// Directory scan cadence; also the width of the stability
-    /// window (a change must survive one full interval unchanged).
-    pub poll_interval: Duration,
-    /// Auto-compact once this many delta segments accumulate.
-    pub compact_segments: usize,
-    /// Auto-compact once the delta segments total this many bytes.
-    pub compact_bytes: u64,
-}
-
-impl Default for WatchConfig {
-    fn default() -> Self {
-        WatchConfig {
-            poll_interval: Duration::from_millis(200),
-            compact_segments: 64,
-            compact_bytes: 64 << 20,
-        }
-    }
-}
+/// Directory scan cadence; also the width of the stability window (a
+/// change must survive one full interval unchanged).
+pub const POLL_INTERVAL: Duration = Duration::from_millis(200);
 
 /// Watcher state shared with serving layers: lock-free counters,
 /// gauges and the ingestion-lag histogram, all registered in one
@@ -87,7 +73,6 @@ pub struct WatchStats {
     removed: Arc<Counter>,
     skipped: Arc<Counter>,
     errors: Arc<Counter>,
-    compactions: Arc<Counter>,
     ingest_lag: Arc<Histogram>,
 }
 
@@ -129,17 +114,12 @@ impl WatchStats {
             removed: registry.counter(APPLIED, APPLIED_HELP, &[("op", "remove")]),
             skipped: registry.counter(
                 "d3l_watch_skipped_files_total",
-                "Files skipped because they failed to read or parse.",
+                "Files skipped because they failed to read or parse, or their table name was taken.",
                 &[],
             ),
             errors: registry.counter(
                 "d3l_watch_errors_total",
                 "Watcher loop errors (scan or store failures).",
-                &[],
-            ),
-            compactions: registry.counter(
-                "d3l_watch_compactions_total",
-                "Compactions the watcher ran after a poll crossed a threshold.",
                 &[],
             ),
             ingest_lag: registry.histogram(
@@ -193,7 +173,7 @@ impl WatchStats {
         self.removed.get()
     }
 
-    /// Files skipped for read/parse failures.
+    /// Files skipped for read/parse failures or a taken table name.
     pub fn skipped(&self) -> u64 {
         self.skipped.get()
     }
@@ -201,11 +181,6 @@ impl WatchStats {
     /// Watcher loop errors.
     pub fn errors(&self) -> u64 {
         self.errors.get()
-    }
-
-    /// Compactions performed.
-    pub fn compactions(&self) -> u64 {
-        self.compactions.get()
     }
 
     /// Snapshot of the ingestion-lag distribution.
@@ -304,6 +279,9 @@ struct QueuedChange {
     detected: Instant,
 }
 
+/// A scanned CSV: `(table name, path, fingerprint)`.
+type Listed = (String, PathBuf, Fingerprint);
+
 /// The synchronous ingestion core: one [`Ingestor::poll`] scans the
 /// directory and applies every change that has settled. The
 /// [`Watcher`] calls this on a timer; tests call it directly to drive
@@ -319,6 +297,9 @@ pub struct Ingestor {
     /// Wall-clock start of the previous directory scan: what a file's
     /// mtime is held against to decide whether it is still racy.
     last_scan: SystemTime,
+    /// Files the previous scan left out because an earlier file took
+    /// their table name.
+    taken: BTreeSet<PathBuf>,
 }
 
 impl Ingestor {
@@ -345,7 +326,8 @@ impl Ingestor {
             .collect();
         let last_scan = SystemTime::now();
         let mut files = BTreeMap::new();
-        for (name, path, fp) in Self::list_csvs(&dir, last_scan)? {
+        let (listed, taken) = Self::list_csvs(&dir, last_scan)?;
+        for (name, path, fp) in listed {
             let state = if indexed.contains(&name) {
                 FileState::Ingested
             } else {
@@ -361,14 +343,16 @@ impl Ingestor {
                 },
             );
         }
-        let ingestor = Ingestor {
+        let mut ingestor = Ingestor {
             engine,
             dir,
             stats,
             files,
             queue: BTreeMap::new(),
             last_scan,
+            taken: BTreeSet::new(),
         };
+        ingestor.skip_taken(taken);
         ingestor
             .stats
             .files_tracked
@@ -381,38 +365,62 @@ impl Ingestor {
         &self.stats
     }
 
-    /// Every `*.csv` regular file in `dir` as
-    /// `(table name, path, fingerprint)`, `prev_scan` being when the
-    /// scan before this one began.
+    /// Every `*.csv` regular file in `dir`, in path order and named as
+    /// `d3l index` names it, `prev_scan` being when the scan before
+    /// this one began. A file whose table name a path before it took
+    /// is left out and returned in the second list, as
+    /// `D3l::index_dir` refuses it.
     fn list_csvs(
         dir: &Path,
         prev_scan: SystemTime,
-    ) -> std::io::Result<Vec<(String, PathBuf, Fingerprint)>> {
+    ) -> std::io::Result<(Vec<Listed>, Vec<PathBuf>)> {
         let racy_since = prev_scan
             .checked_sub(RACY_WINDOW)
             .unwrap_or(SystemTime::UNIX_EPOCH);
-        let mut out = Vec::new();
+        let mut found = Vec::new();
         for entry in std::fs::read_dir(dir)? {
             let entry = entry?;
             let path = entry.path();
             if path.extension().is_none_or(|e| e != "csv") {
                 continue;
             }
-            let Some(name) = path.file_stem().and_then(|s| s.to_str()) else {
-                continue;
-            };
             let Ok(md) = entry.metadata() else {
                 // Raced with a delete between readdir and stat: the
                 // next poll sees the settled truth.
                 continue;
             };
-            if !md.is_file() {
-                continue;
+            if md.is_file() {
+                found.push((path, md));
             }
-            let fp = fingerprint(&path, &md, racy_since);
-            out.push((name.to_string(), path, fp));
         }
-        Ok(out)
+        found.sort_by(|a, b| a.0.cmp(&b.0));
+        let (mut listed, mut taken) = (Vec::new(), Vec::new());
+        let mut names = BTreeSet::new();
+        for (path, md) in found {
+            let name = table_name_of(&path);
+            if names.insert(name.clone()) {
+                let fp = fingerprint(&path, &md, racy_since);
+                listed.push((name, path, fp));
+            } else {
+                taken.push(path);
+            }
+        }
+        Ok((listed, taken))
+    }
+
+    /// Count and log each file left out for a taken table name once,
+    /// when a scan first finds it so.
+    fn skip_taken(&mut self, taken: Vec<PathBuf>) {
+        let taken: BTreeSet<PathBuf> = taken.into_iter().collect();
+        for path in taken.difference(&self.taken) {
+            self.stats.skipped.inc();
+            eprintln!(
+                "[watch] skipping {}: table name {:?} is taken by an earlier file",
+                path.display(),
+                table_name_of(path)
+            );
+        }
+        self.taken = taken;
     }
 
     /// One watcher tick: scan the directory, then apply every change
@@ -449,7 +457,9 @@ impl Ingestor {
         let now = Instant::now();
         let prev_scan = std::mem::replace(&mut self.last_scan, SystemTime::now());
         let mut seen = BTreeSet::new();
-        for (name, path, fp) in Self::list_csvs(&self.dir, prev_scan)? {
+        let (listed, taken) = Self::list_csvs(&self.dir, prev_scan)?;
+        self.skip_taken(taken);
+        for (name, path, fp) in listed {
             seen.insert(name.clone());
             match self.files.get_mut(&name) {
                 None => {
@@ -550,12 +560,10 @@ impl Ingestor {
                     // withdrew or replaced the entry.
                     return Ok(false);
                 };
-                let parsed = match std::fs::read_to_string(&tracked.path) {
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-                    Err(e) => Err(e.to_string()),
-                    Ok(text) => csv::parse_csv(name.to_string(), &text).map_err(|e| e.to_string()),
-                };
-                let table = match parsed {
+                let table = match load_csv(&tracked.path) {
+                    Err(TableError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+                        return Ok(false)
+                    }
                     Ok(table) => table,
                     Err(why) => {
                         // Unreadable or unparsable: skipped, and said
@@ -589,26 +597,9 @@ impl Ingestor {
     }
 }
 
-/// Fold the delta segments into a fresh base snapshot if either
-/// threshold in `cfg` is crossed. Returns whether a compaction ran.
-/// The [`Watcher`] calls this after each poll; exposed so tests and
-/// embedders can drive the same policy synchronously.
-pub fn compact_if_due(engine: &EngineHandle, cfg: &WatchConfig) -> Result<bool, MaintenanceError> {
-    let (_base, delta_bytes, segments) = engine.disk_stats()?;
-    if segments == 0 {
-        return Ok(false);
-    }
-    if segments >= cfg.compact_segments.max(1) || delta_bytes >= cfg.compact_bytes.max(1) {
-        engine.compact()?;
-        return Ok(true);
-    }
-    Ok(false)
-}
-
 /// The continuous-ingestion driver: one thread that polls an
-/// [`Ingestor`] and then compacts past the configured thresholds.
-/// Queries on the shared [`EngineHandle`] keep running on immutable
-/// snapshots throughout.
+/// [`Ingestor`] every [`POLL_INTERVAL`]. Queries on the shared
+/// [`EngineHandle`] keep running on immutable snapshots throughout.
 pub struct Watcher {
     stats: Arc<WatchStats>,
     stop: Arc<AtomicBool>,
@@ -620,13 +611,9 @@ impl Watcher {
     /// if the directory cannot be scanned at all; runtime errors are
     /// counted in [`WatchStats::errors`] and logged, and the loop
     /// keeps going.
-    pub fn start(
-        engine: Arc<EngineHandle>,
-        dir: impl AsRef<Path>,
-        cfg: WatchConfig,
-    ) -> std::io::Result<Watcher> {
+    pub fn start(engine: Arc<EngineHandle>, dir: impl AsRef<Path>) -> std::io::Result<Watcher> {
         let stats = Arc::new(WatchStats::new());
-        let mut ingestor = Ingestor::new(engine.clone(), dir, stats.clone())?;
+        let mut ingestor = Ingestor::new(engine, dir, stats.clone())?;
         let stop = Arc::new(AtomicBool::new(false));
         let (loop_stop, loop_stats) = (stop.clone(), stats.clone());
         let thread = std::thread::Builder::new()
@@ -637,15 +624,7 @@ impl Watcher {
                         loop_stats.errors.inc();
                         eprintln!("[watch] ingest error: {e}");
                     }
-                    match compact_if_due(&engine, &cfg) {
-                        Ok(true) => loop_stats.compactions.inc(),
-                        Ok(false) => {}
-                        Err(e) => {
-                            loop_stats.errors.inc();
-                            eprintln!("[watch] compaction error: {e}");
-                        }
-                    }
-                    sleep_until_stopped(&loop_stop, cfg.poll_interval);
+                    sleep_until_stopped(&loop_stop, POLL_INTERVAL);
                 }
             })
             .expect("spawn watcher thread");

@@ -14,7 +14,9 @@
 //!   read-your-writes and a crash never loses an acknowledged write;
 //!   the serving process is the one writer of its index directory, and
 //!   a segment another process wrote there refuses the next write
-//!   with a 409;
+//!   with a 409; a write that finds [`FOLD_SEGMENTS`] segments pending
+//!   folds them into the base first, whether an endpoint or the
+//!   watcher made it, so the store never holds more;
 //! * results are **byte-identical** to in-process
 //!   [`D3l::query_with`] at every worker-thread count — the
 //!   determinism suite compares response bodies bit-for-bit;
@@ -58,6 +60,7 @@
 //! [`D3l::query_with`]: d3l_core::D3l::query_with
 //! [`IndexStore`]: d3l_core::IndexStore
 //! [`EngineHandle`]: d3l_core::hotswap::EngineHandle
+//! [`FOLD_SEGMENTS`]: d3l_core::FOLD_SEGMENTS
 
 pub mod api;
 pub mod http;

@@ -1040,10 +1040,6 @@ impl Server {
                     ("files_skipped".to_string(), Json::Num(ws.skipped() as f64)),
                     ("errors".to_string(), Json::Num(ws.errors() as f64)),
                     (
-                        "compactions".to_string(),
-                        Json::Num(ws.compactions() as f64),
-                    ),
-                    (
                         "ingest_lag_ms".to_string(),
                         Json::Obj(vec![
                             ("count".to_string(), Json::Num(lag.count() as f64)),

@@ -3,7 +3,7 @@
 //! ```text
 //! d3l index   <lake-dir> --out <index-dir>
 //! d3l query   <lake-dir>|--index <index-dir> <target.csv> [-k N] [--joins] [--evidence N|V|F|E|D]
-//! d3l serve   --index <index-dir> [--port P] [--host H] [--threads N] [--cache-bytes N[k|m|g]] [--max-queue N] [--slow-query-ms N] [--watch <lake-dir> [--poll-ms N] [--compact-segments N] [--compact-bytes N[k|m|g]]]
+//! d3l serve   --index <index-dir> [--port P] [--host H] [--threads N] [--cache-bytes N[k|m|g]] [--max-queue N] [--slow-query-ms N] [--watch <lake-dir>]
 //! d3l stats   <lake-dir>|--index <index-dir>
 //! d3l add     <index-dir> <table.csv>
 //! d3l remove  <index-dir> <table-name>
@@ -18,14 +18,14 @@
 //! `index` pays the profiling cost once and persists the engine;
 //! `query --index` / `stats --index` then cold-start from the
 //! snapshot in milliseconds with no re-profiling. `add`/`remove`
-//! profile only the delta and append it as a segment; `compact` folds
-//! segments back into the base snapshot. `serve` turns the persisted
-//! index into a long-lived concurrent HTTP service (see the README's
-//! "Serving" section for the endpoints); SIGINT drains in-flight
-//! requests before exiting. `serve --watch` also keeps the index in
-//! step with a lake directory (one poll loop: every settled change
-//! applied, then compaction past a threshold; see the README's
-//! "Continuous ingestion" section).
+//! profile only the delta and append it as a segment; a write that
+//! finds 64 segments pending folds them into the base snapshot first,
+//! whoever writes it, and `compact` folds them at once. `serve` turns
+//! the persisted index into a long-lived concurrent HTTP service (see
+//! the README's "Serving" section for the endpoints); SIGINT drains
+//! in-flight requests before exiting. `serve --watch` also keeps the
+//! index in step with a lake directory (one poll loop: every settled
+//! change applied; see the README's "Continuous ingestion" section).
 //!
 //! One process writes an index directory: `add`, `remove` and
 //! `compact` are for an index no server is serving, and a served index
@@ -38,10 +38,11 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use d3l::benchgen;
+use d3l::core::FOLD_SEGMENTS;
 use d3l::prelude::*;
 use d3l::table::csv;
 
-const USAGE: &str = "usage:\n  d3l index <lake-dir> --out <index-dir>\n  d3l query <lake-dir>|--index <index-dir> <target.csv> [-k N] [--joins] [--evidence N|V|F|E|D]\n  d3l serve --index <index-dir> [--port P] [--host H] [--threads N] [--cache-bytes N[k|m|g]] [--max-queue N] [--slow-query-ms N] [--watch <lake-dir> [--poll-ms N] [--compact-segments N] [--compact-bytes N[k|m|g]]]\n  d3l stats <lake-dir>|--index <index-dir>\n  d3l add <index-dir> <table.csv>\n  d3l remove <index-dir> <table-name>\n  d3l compact <index-dir>\n  d3l demo";
+const USAGE: &str = "usage:\n  d3l index <lake-dir> --out <index-dir>\n  d3l query <lake-dir>|--index <index-dir> <target.csv> [-k N] [--joins] [--evidence N|V|F|E|D]\n  d3l serve --index <index-dir> [--port P] [--host H] [--threads N] [--cache-bytes N[k|m|g]] [--max-queue N] [--slow-query-ms N] [--watch <lake-dir>]\n  d3l stats <lake-dir>|--index <index-dir>\n  d3l add <index-dir> <table.csv>\n  d3l remove <index-dir> <table-name>\n  d3l compact <index-dir>\n  d3l demo";
 
 /// A line of command output. Every command writes through here, not
 /// `println!`, which panics when stdout is gone: a failed write is the
@@ -168,7 +169,7 @@ fn cmd_add(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let (id, _) = engine.add_table(&table)?;
     let (_, _, segments) = engine.disk_stats()?;
     out!(
-        "added {} as {id} in {:.1} ms ({segments} delta segments pending; run `d3l compact` to fold)",
+        "added {} as {id} in {:.1} ms ({segments} delta segments pending; they fold at {FOLD_SEGMENTS}, or run `d3l compact`)",
         table.name(),
         start.elapsed().as_secs_f64() * 1e3,
     );
@@ -332,41 +333,6 @@ fn parse_byte_size(s: &str) -> Result<u64, Box<dyn std::error::Error>> {
         .ok_or_else(|| format!("byte size {s:?} overflows u64").into())
 }
 
-/// Parse one continuous-ingestion flag of `d3l serve --watch` into
-/// `cfg`. Returns `false` when the flag is not a watch knob (the
-/// caller handles it).
-fn parse_watch_flag(
-    flag: &str,
-    it: &mut std::slice::Iter<'_, String>,
-    cfg: &mut WatchConfig,
-) -> Result<bool, Box<dyn std::error::Error>> {
-    use std::time::Duration;
-    match flag {
-        "--poll-ms" => {
-            cfg.poll_interval =
-                Duration::from_millis(it.next().ok_or("missing value for --poll-ms")?.parse()?);
-        }
-        "--compact-segments" => {
-            cfg.compact_segments = it
-                .next()
-                .ok_or("missing value for --compact-segments")?
-                .parse()?;
-            if cfg.compact_segments == 0 {
-                return Err("--compact-segments must be at least 1".into());
-            }
-        }
-        "--compact-bytes" => {
-            cfg.compact_bytes =
-                parse_byte_size(it.next().ok_or("missing value for --compact-bytes")?)?;
-            if cfg.compact_bytes == 0 {
-                return Err("--compact-bytes must be at least 1".into());
-            }
-        }
-        _ => return Ok(false),
-    }
-    Ok(true)
-}
-
 fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut index_dir = None;
     let mut port: u16 = 4333;
@@ -376,8 +342,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut max_queue: usize = d3l::server::ServerConfig::default().max_queue;
     let mut slow_query_ms: u64 = d3l::server::ServerConfig::default().slow_query_ms;
     let mut watch_dir: Option<String> = None;
-    let mut watch_cfg = WatchConfig::default();
-    let mut watch_flag = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -402,16 +366,8 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                     .ok_or("missing value for --slow-query-ms")?
                     .parse()?;
             }
-            other => {
-                if !parse_watch_flag(other, &mut it, &mut watch_cfg)? {
-                    return Err(format!("unexpected argument {other}").into());
-                }
-                watch_flag = Some(other);
-            }
+            other => return Err(format!("unexpected argument {other}").into()),
         }
-    }
-    if let (Some(flag), None) = (watch_flag, &watch_dir) {
-        return Err(format!("{flag} tunes the watcher: it needs --watch <lake-dir>").into());
     }
     let index_dir = index_dir.ok_or("missing --index <index-dir>")?;
 
@@ -451,13 +407,11 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     // running on immutable snapshots while changes land.
     let mut watcher = None;
     if let Some(dir) = &watch_dir {
-        let w = Watcher::start(engine.clone(), dir, watch_cfg.clone())?;
+        let w = Watcher::start(engine.clone(), dir)?;
         server.attach_watch(w.stats());
         out!(
-            "watching {dir} (poll {} ms, compact at {} segments or {} delta bytes)",
-            watch_cfg.poll_interval.as_millis(),
-            watch_cfg.compact_segments,
-            watch_cfg.compact_bytes,
+            "watching {dir} (poll {} ms)",
+            d3l::core::watch::POLL_INTERVAL.as_millis()
         );
         watcher = Some(w);
     }
@@ -786,14 +740,19 @@ mod tests {
             cmd_serve(&args(&["--index", "idx", "--watch"])).is_err(),
             "--watch needs a value"
         );
-        // Without a watcher the watch flags tune nothing: refused,
-        // naming the flag that is missing.
-        for flag in ["--poll-ms", "--compact-segments", "--compact-bytes"] {
-            let err = cmd_serve(&args(&["--index", "idx", flag, "5"])).unwrap_err();
-            assert_eq!(
-                err.to_string(),
-                format!("{flag} tunes the watcher: it needs --watch <lake-dir>")
-            );
+        // The watcher has no knobs: its former flags are arguments like
+        // any other `serve` does not know, with or without `--watch`.
+        for (knob, unit) in [
+            ("poll", "ms"),
+            ("compact", "segments"),
+            ("compact", "bytes"),
+        ] {
+            let flag = format!("--{knob}-{unit}");
+            for watch in [&[][..], &["--watch", "lake"][..]] {
+                let list = [&["--index", "idx"][..], watch, &[&flag, "5"]].concat();
+                let err = cmd_serve(&args(&list)).unwrap_err();
+                assert_eq!(err.to_string(), format!("unexpected argument {flag}"));
+            }
         }
     }
 
@@ -804,24 +763,9 @@ mod tests {
             let list = [&["--index", "idx", "--watch", "lake"][..], extra].concat();
             cmd_serve(&args(&list))
         };
-        assert!(watching(&["--poll-ms"]).is_err(), "--poll-ms needs a value");
-        assert!(
-            watching(&["--poll-ms", "soon"]).is_err(),
-            "--poll-ms must parse"
-        );
-        for (flag, value) in [
-            ("--compact-segments", "0"),
-            ("--compact-bytes", "0"),
-            ("--compact-bytes", "64q"),
-        ] {
-            assert!(watching(&[flag, value]).is_err(), "{flag} {value}");
-        }
-        // The watcher has no batching to tune: its former flags are
-        // arguments like any other it does not know.
-        for gone in ["ms", "max"] {
-            let flag = format!("--batch-{gone}");
-            let err = watching(&[&flag, "5"]).unwrap_err();
-            assert_eq!(err.to_string(), format!("unexpected argument {flag}"));
+        for gone in ["--batch-ms", "--batch-max"] {
+            let err = watching(&[gone, "5"]).unwrap_err();
+            assert_eq!(err.to_string(), format!("unexpected argument {gone}"));
         }
         assert!(
             cmd_serve(&args(&[

@@ -73,7 +73,7 @@ pub use d3l_table as table;
 pub mod prelude {
     pub use d3l_core::{
         AttrRef, D3l, D3lConfig, DistanceVector, EngineHandle, Evidence, EvidenceWeights,
-        IndexStore, Ingestor, JoinPath, SaJoinGraph, TableMatch, WatchConfig, WatchStats, Watcher,
+        IndexStore, Ingestor, JoinPath, SaJoinGraph, TableMatch, WatchStats, Watcher,
     };
     pub use d3l_embedding::{HashEmbedder, WordEmbedder};
     pub use d3l_table::{Column, ColumnType, DataLake, Table, TableId};

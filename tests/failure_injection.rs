@@ -2,13 +2,14 @@
 //! shapes must degrade gracefully, never panic.
 
 use d3l::core::watch::{Ingestor, WatchStats};
-use d3l::core::IndexStore;
+use d3l::core::{IndexStore, MaintenanceError};
 use d3l::prelude::*;
 use d3l::store::{
     ContainerReader, ContainerWriter, Decoder, Encoder, SectionTag, StoreError, KIND_DELTA,
     KIND_SNAPSHOT,
 };
 use d3l::table::{csv, TableError};
+use std::sync::Arc;
 
 #[test]
 fn malformed_csv_is_rejected_not_panicked() {
@@ -606,6 +607,66 @@ fn failed_append_leaves_the_engine_where_it_was() {
     let (_, reopened) = IndexStore::open(&dir).unwrap();
     assert!(reopened.to_snapshot_bytes() == rebuilt.to_snapshot_bytes());
     assert!(d3l.to_snapshot_bytes() == rebuilt.to_snapshot_bytes());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A write that finds [`d3l::core::FOLD_SEGMENTS`] segments pending
+/// folds them before it appends; when the fold cannot write its base
+/// (here a directory stands where the new base would be renamed to),
+/// the write is refused with the store's error before anything is
+/// appended: engine, version and store stay as they were, and the
+/// write goes through once the obstruction is gone.
+#[test]
+fn failed_fold_refuses_the_write_and_moves_nothing() {
+    let dir = std::env::temp_dir().join(format!("d3l_fi_fold_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let handle = EngineHandle::create(&dir, snapshot_engine()).unwrap();
+    let table = |i: u64| {
+        Table::from_rows(
+            format!("late_{i:02}"),
+            &["GP", "Payment"],
+            &[vec!["Blackfriars".into(), format!("{}", 15530 + i)]],
+        )
+        .unwrap()
+    };
+    for i in 0..d3l::core::FOLD_SEGMENTS {
+        handle.add_table(&table(i)).unwrap();
+    }
+    let before = handle.snapshot();
+    assert_eq!(handle.disk_stats().unwrap().2, 64);
+
+    let base = dir.join("base.d3ls");
+    let aside = dir.join("base.aside");
+    std::fs::rename(&base, &aside).unwrap();
+    std::fs::create_dir(&base).unwrap();
+    std::fs::write(base.join("occupant"), b"not a snapshot").unwrap();
+    for write in [
+        handle.add_table(&table(64)).map(|_| ()),
+        handle.remove_table("late_00").map(|_| ()),
+    ] {
+        let err = write.unwrap_err();
+        assert!(
+            matches!(&err, MaintenanceError::Store(StoreError::Io(_))),
+            "{err}"
+        );
+        let now = handle.snapshot();
+        assert!(
+            Arc::ptr_eq(&now, &before),
+            "the engine was swapped on {err}"
+        );
+        assert_eq!(handle.telemetry().compact.count(), 0);
+    }
+    std::fs::remove_dir_all(&base).unwrap();
+    std::fs::rename(&aside, &base).unwrap();
+    assert_eq!(handle.disk_stats().unwrap().2, 64, "nothing appended");
+    let (_, reopened) = IndexStore::open(&dir).unwrap();
+    assert!(reopened.to_snapshot_bytes() == before.engine.to_snapshot_bytes());
+
+    let (_, after) = handle.add_table(&table(64)).unwrap();
+    assert_eq!(after.version, before.version + 1);
+    assert_eq!(handle.disk_stats().unwrap().2, 1);
+    let (_, reopened) = IndexStore::open(&dir).unwrap();
+    assert!(reopened.to_snapshot_bytes() == after.engine.to_snapshot_bytes());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -925,6 +925,39 @@ fn a_second_writer_is_a_conflict_not_a_corrupt_store() {
     assert_eq!(reopened.engine.live_table_count(), 5);
 }
 
+/// Every writer folds by one rule, HTTP included: 65 `POST /tables`
+/// leave one delta segment beside a base holding the first 64, and
+/// `/metrics` counts that one fold.
+#[test]
+fn http_writes_fold_at_the_handles_segment_count() {
+    let lake = lake(2);
+    let srv = boot("fold", &lake, 2, Duration::from_secs(10));
+    let mut client = Client::connect(srv.addr).unwrap();
+    for i in 0..=d3l::core::FOLD_SEGMENTS {
+        let table = Table::from_rows(
+            format!("added_{i:03}"),
+            &["Practice", "City"],
+            &[vec![format!("Practice {i}"), "Salford".into()]],
+        )
+        .unwrap();
+        let body = format!("{{\"table\":{}}}", table_to_json(&table));
+        let (status, body) = client.request("POST", "/tables", Some(&body)).unwrap();
+        assert_eq!(status, 201, "{body}");
+    }
+    let (_, body) = client.request("GET", "/stats", None).unwrap();
+    let stats = Json::parse(&body).unwrap();
+    let disk = stats.get("disk").unwrap();
+    assert_eq!(disk.get("delta_segments").unwrap().as_usize(), Some(1));
+    assert_eq!(stats.get("live_tables").unwrap().as_usize(), Some(67));
+    let (_, metrics) = client.request("GET", "/metrics", None).unwrap();
+    assert!(
+        metrics
+            .lines()
+            .any(|l| l == "d3l_store_op_seconds_count{op=\"compact\"} 1"),
+        "{metrics}"
+    );
+}
+
 #[test]
 fn shutdown_is_prompt_despite_idle_keep_alive_connections() {
     // Regression: a worker parked on an idle keep-alive connection
@@ -1901,7 +1934,7 @@ fn slow_query_ring_captures_traced_queries() {
 /// while the server keeps answering.
 #[test]
 fn stats_and_metrics_expose_watcher_state() {
-    use d3l::core::watch::{WatchConfig, Watcher};
+    use d3l::core::watch::Watcher;
 
     let root = std::env::temp_dir().join(format!("d3l_srv_watch_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -1922,15 +1955,7 @@ fn stats_and_metrics_expose_watcher_state() {
     )
     .unwrap();
     let addr = server.local_addr().unwrap();
-    let watcher = Watcher::start(
-        engine.clone(),
-        &lake_dir,
-        WatchConfig {
-            poll_interval: Duration::from_millis(10),
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let watcher = Watcher::start(engine.clone(), &lake_dir).unwrap();
     server.attach_watch(watcher.stats());
     let handle = server.shutdown_handle();
     let join = std::thread::spawn(move || server.run());
@@ -1950,7 +1975,6 @@ fn stats_and_metrics_expose_watcher_state() {
         "\"tables_removed\":",
         "\"files_skipped\":",
         "\"errors\":",
-        "\"compactions\":",
         "\"ingest_lag_ms\":{\"count\":",
         "\"p50\":",
         "\"p99\":",

@@ -12,8 +12,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use d3l::core::watch::{compact_if_due, Ingestor, WatchConfig, WatchStats, Watcher};
-use d3l::core::IndexStore;
+use d3l::core::watch::{Ingestor, WatchStats, Watcher};
+use d3l::core::{IndexStore, FOLD_SEGMENTS};
 use d3l::prelude::*;
 
 struct Fixture {
@@ -263,55 +263,34 @@ fn unparsable_csv_is_skipped_until_it_changes() {
     assert!(fx.has_table("bad"));
 }
 
+/// The watcher folds nothing itself: its writes go through the
+/// handle, which folds the pending segments when a write finds
+/// [`FOLD_SEGMENTS`] of them — the 65th table of one poll lands as the
+/// one segment left beside a base holding the other 64.
 #[test]
-fn compaction_triggers_on_segment_and_byte_thresholds() {
-    let fx = Fixture::new("compact");
-    for name in ["a", "b", "c"] {
-        fx.write(&format!("{name}.csv"), "City\nSalford\n");
+fn watcher_writes_fold_at_the_handles_segment_count() {
+    let fx = Fixture::new("fold");
+    let tables = FOLD_SEGMENTS as usize + 1;
+    for i in 0..tables {
+        fx.write(&format!("t{i:03}.csv"), &format!("City\nSalford {i}\n"));
     }
     let mut ing = fx.ingestor();
-    assert_eq!(ing.poll().unwrap(), 3);
-    assert_eq!(fx.segments(), 3);
+    assert_eq!(ing.poll().unwrap(), tables);
+    assert_eq!(fx.segments(), 1, "64 folded, the 65th appended");
+    assert_eq!(fx.engine.snapshot().version, tables as u64);
+    assert_eq!(fx.engine.telemetry().compact.count(), 1);
 
-    // Below both thresholds: no compaction.
-    let lax = WatchConfig {
-        compact_segments: 100,
-        compact_bytes: u64::MAX,
-        ..Default::default()
-    };
-    assert!(!compact_if_due(&fx.engine, &lax).unwrap());
-    assert_eq!(fx.segments(), 3);
-
-    // Segment-count threshold.
-    let by_count = WatchConfig {
-        compact_segments: 2,
-        compact_bytes: u64::MAX,
-        ..Default::default()
-    };
-    assert!(compact_if_due(&fx.engine, &by_count).unwrap());
-    assert_eq!(fx.segments(), 0, "segments folded into the base");
-    assert!(
-        !compact_if_due(&fx.engine, &by_count).unwrap(),
-        "nothing left to fold"
+    // A delete is a write like any other: it appends beside the base.
+    std::fs::remove_file(fx.lake_dir.join("t000.csv")).unwrap();
+    assert_eq!(ing.poll().unwrap(), 1);
+    assert_eq!(fx.segments(), 2);
+    let (_, reopened) = IndexStore::open(fx.lake_dir.with_file_name("index")).unwrap();
+    assert_eq!(
+        reopened.to_snapshot_bytes(),
+        fx.engine.snapshot().engine.to_snapshot_bytes(),
+        "base plus the two segments replay to the live engine"
     );
-
-    // Byte threshold, independently.
-    fx.write("d.csv", "City\nDerby\n");
-    while fx.segments() == 0 {
-        ing.poll().unwrap();
-    }
-    let by_bytes = WatchConfig {
-        compact_segments: 100,
-        compact_bytes: 1,
-        ..Default::default()
-    };
-    assert!(compact_if_due(&fx.engine, &by_bytes).unwrap());
-    assert_eq!(fx.segments(), 0);
-
-    // Compaction preserved the tables.
-    for name in ["a", "b", "c", "d"] {
-        assert!(fx.has_table(name), "{name} must survive compaction");
-    }
+    assert!(!fx.has_table("t000") && fx.has_table("t064"));
 }
 
 #[test]
@@ -353,12 +332,7 @@ fn watcher_threads() -> usize {
 fn threaded_watcher_ingests_and_shuts_down_cleanly() {
     let fx = Fixture::new("threaded");
     fx.write("first.csv", "City\nSalford\n");
-    let cfg = WatchConfig {
-        poll_interval: Duration::from_millis(10),
-        compact_segments: 2,
-        ..Default::default()
-    };
-    let watcher = Watcher::start(fx.engine.clone(), &fx.lake_dir, cfg).unwrap();
+    let watcher = Watcher::start(fx.engine.clone(), &fx.lake_dir).unwrap();
     let stats = watcher.stats();
 
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
@@ -378,26 +352,65 @@ fn threaded_watcher_ingests_and_shuts_down_cleanly() {
         std::thread::sleep(Duration::from_millis(10));
     }
 
-    // The second segment crosses `compact_segments`: the thread that
-    // ingested it folds both into the base after the same poll.
-    while stats.compactions() == 0 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "watcher never compacted"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(fx.segments(), 0, "segments folded into the base");
-    assert!(fx.has_table("first") && fx.has_table("second"));
+    assert_eq!(fx.segments(), 2, "one segment a table");
     #[cfg(target_os = "linux")]
-    assert_eq!(watcher_threads(), 1, "ingest and compaction share a thread");
+    assert_eq!(watcher_threads(), 1, "one watcher thread");
 
     watcher.shutdown();
     assert!(stats.polls() > 0);
-    assert_eq!(stats.compactions(), 1);
     assert_eq!(stats.added(), 2);
     assert_eq!(stats.errors(), 0);
     let lag = stats.ingest_lag();
     assert_eq!(lag.count(), 2);
     assert!(lag.max_ns() > 0, "ingestion lag must be measured, not zero");
+}
+
+/// A file is the table `d3l index` names it, printable or not:
+/// `caf\xe9.csv` is indexed as `"caf\u{FFFD}"`, and the watcher tracks
+/// it under that name, so deleting it removes the table. Of two files
+/// that are one name, the first in path order is the table and the
+/// second is skipped, counted once.
+#[cfg(unix)]
+#[test]
+fn a_file_with_a_lossy_name_is_tracked_under_its_indexed_name() {
+    use std::ffi::OsStr;
+    use std::os::unix::ffi::OsStrExt;
+
+    let fx = Fixture::new("lossy");
+    let cafe = |last: u8| {
+        fx.lake_dir.join(OsStr::from_bytes(&[
+            b'c', b'a', b'f', last, b'.', b'c', b's', b'v',
+        ]))
+    };
+    std::fs::write(cafe(0xe9), "City\nSalford\n").unwrap();
+    fx.write("plain.csv", "City\nBolton\n");
+    let built = D3l::index_dir(&fx.lake_dir, D3lConfig::fast()).unwrap();
+    let name = "caf\u{FFFD}";
+    assert!(built.table_id(name).is_some());
+    let engine =
+        Arc::new(EngineHandle::create(fx.lake_dir.with_file_name("index"), built).unwrap());
+    let stats = Arc::new(WatchStats::new());
+    let mut ing = Ingestor::new(engine.clone(), &fx.lake_dir, stats.clone()).unwrap();
+    assert_eq!(stats.files_tracked(), 2);
+    assert_eq!(ing.poll().unwrap(), 0, "both files are the index's tables");
+
+    std::fs::remove_file(cafe(0xe9)).unwrap();
+    assert_eq!(ing.poll().unwrap(), 1);
+    assert_eq!(engine.snapshot().engine.table_id(name), None);
+    assert_eq!(stats.removed(), 1);
+
+    std::fs::write(cafe(0xe9), "Town\nSalford\n").unwrap();
+    std::fs::write(cafe(0xef), "Ward\nSalford\n").unwrap();
+    assert_eq!(ing.poll().unwrap(), 0, "first sighting must only settle");
+    assert_eq!(stats.skipped(), 1, "the second file of one name");
+    assert_eq!(ing.poll().unwrap(), 1);
+    assert_eq!(ing.poll().unwrap(), 0);
+    assert_eq!(stats.skipped(), 1, "a taken name is counted once");
+    let snap = engine.snapshot();
+    let id = snap.engine.table_id(name).expect("re-added");
+    let column = snap.engine.profile(AttrRef {
+        table: id,
+        column: 0,
+    });
+    assert_eq!(column.name, "Town", "the first file in path order");
 }
