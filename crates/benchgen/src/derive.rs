@@ -153,7 +153,7 @@ pub fn derive(cfg: &DeriveConfig) -> Benchmark {
 
         // --- materialize + dirty ----------------------------------
         let mut columns: Vec<Column> = Vec::with_capacity(keep.len());
-        truth.add_table(&name, &spec.name, spec.domain.tag());
+        truth.add_table(&name, spec.domain.tag());
         for &c in &keep {
             let (col_name, kind) = &spec.columns[c];
             let src = &table.columns()[c];

@@ -1,12 +1,11 @@
 //! Ground truth recorded during derivation.
 //!
 //! Two granularities, mirroring the paper's benchmarks (§V): each
-//! table belongs to a *family* (the base table it was derived from) —
-//! tables of the same family are related (the TUS benchmark's
-//! derivation-based truth); and every generated column carries the
-//! *kind key* of its value domain — attributes with equal kind keys
-//! are related per Definition 1 (the basis of attribute precision in
-//! Experiments 9/11).
+//! table belongs to a relatedness *group* (the thematic domain it was
+//! derived in) — tables of the same group are related; and every
+//! generated column carries the *kind key* of its value domain —
+//! attributes with equal kind keys are related per Definition 1 (the
+//! basis of attribute precision in Experiments 9/11).
 
 use std::collections::{HashMap, HashSet};
 
@@ -15,13 +14,11 @@ use std::collections::{HashMap, HashSet};
 /// Table-level relatedness is *group*-based: tables derived within
 /// the same thematic domain share entity pools and regional value
 /// slices, so a curator applying Definition 1 would record them as
-/// related (they can populate each other's attributes). The base
-/// table (*family*) is also retained for finer-grained analyses.
+/// related (they can populate each other's attributes).
 #[derive(Debug, Default, Clone)]
 pub struct GroundTruth {
-    /// table name → family id (base table name).
-    family: HashMap<String, String>,
-    /// table name → relatedness group (thematic domain tag).
+    /// table name → relatedness group (thematic domain tag); its keys
+    /// are the registered tables.
     group: HashMap<String, String>,
     /// group id → member table names.
     members: HashMap<String, Vec<String>>,
@@ -35,10 +32,8 @@ impl GroundTruth {
         GroundTruth::default()
     }
 
-    /// Register a table in a family (base table) and relatedness
-    /// group (domain).
-    pub fn add_table(&mut self, table: &str, family: &str, group: &str) {
-        self.family.insert(table.to_string(), family.to_string());
+    /// Register a table in a relatedness group (domain).
+    pub fn add_table(&mut self, table: &str, group: &str) {
         self.group.insert(table.to_string(), group.to_string());
         self.members
             .entry(group.to_string())
@@ -100,21 +95,21 @@ impl GroundTruth {
     /// Average answer size over all registered tables (the paper
     /// reports 260 for Synthetic and 110 for Smaller Real).
     pub fn avg_answer_size(&self) -> f64 {
-        if self.family.is_empty() {
+        if self.group.is_empty() {
             return 0.0;
         }
-        let total: usize = self.family.keys().map(|t| self.answer_set(t).len()).sum();
-        total as f64 / self.family.len() as f64
+        let total: usize = self.group.keys().map(|t| self.answer_set(t).len()).sum();
+        total as f64 / self.group.len() as f64
     }
 
     /// Number of registered tables.
     pub fn table_count(&self) -> usize {
-        self.family.len()
+        self.group.len()
     }
 
     /// Iterate registered table names.
     pub fn tables(&self) -> impl Iterator<Item = &str> {
-        self.family.keys().map(String::as_str)
+        self.group.keys().map(String::as_str)
     }
 }
 
@@ -124,9 +119,9 @@ mod tests {
 
     fn truth() -> GroundTruth {
         let mut gt = GroundTruth::new();
-        gt.add_table("a1", "base_a", "dom_a");
-        gt.add_table("a2", "base_a", "dom_a");
-        gt.add_table("b1", "base_b", "dom_b");
+        gt.add_table("a1", "dom_a");
+        gt.add_table("a2", "dom_a");
+        gt.add_table("b1", "dom_b");
         gt.add_column("a1", "City", "city");
         gt.add_column("a2", "Town", "city");
         gt.add_column("b1", "City", "city");
@@ -136,7 +131,7 @@ mod tests {
     }
 
     #[test]
-    fn family_relatedness() {
+    fn group_relatedness() {
         let gt = truth();
         assert!(gt.tables_related("a1", "a2"));
         assert!(!gt.tables_related("a1", "b1"));
@@ -145,7 +140,7 @@ mod tests {
     }
 
     #[test]
-    fn attribute_relatedness_crosses_families() {
+    fn attribute_relatedness_crosses_groups() {
         let gt = truth();
         // City columns are the same value domain everywhere.
         assert!(gt.attrs_related("a1", "City", "b1", "City"));

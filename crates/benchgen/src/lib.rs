@@ -17,7 +17,7 @@
 //!   is `smaller_real(2000, 11)`.
 //!
 //! [`GroundTruth`] captures both granularities the paper's metrics
-//! need: table-level relatedness (same base family) and
+//! need: table-level relatedness (same thematic group) and
 //! attribute-level relatedness (same value domain, per Definition 1).
 //! [`vocab`] holds the word pools values are drawn from, and an
 //! answer-key oracle built from them: [`vocab::kb_classes`] (a token →

@@ -269,7 +269,7 @@ impl ColumnKind {
 /// A base-table schema: name, domain, and named+kinded columns.
 #[derive(Debug, Clone)]
 pub struct TableSpec {
-    /// Base table name (also the ground-truth family id).
+    /// Base table name.
     pub name: String,
     /// Thematic domain (controls entity pools and joins).
     pub domain: Domain,

@@ -5,7 +5,7 @@
 //! that amortization real. A [`D3l`] serializes into a versioned,
 //! checksummed container ([`D3l::to_snapshot_bytes`]) and loads back
 //! ([`D3l::from_snapshot_bytes`]) into a query-ready engine with **no
-//! re-profiling and no re-sorting**.
+//! re-profiling and no re-signing**.
 //!
 //! **The store keeps what scoring reads and nothing else, once.**
 //! Stored, one section each:
@@ -23,13 +23,12 @@
 //!   scaled-integer deltas (`d3l-features`' `extent` module), and a
 //!   flags byte: numeric, and which of the four evidence types it has.
 //!   A block's count is the table's arity; a removed table's is empty.
-//! - `F_IN`, `F_IV`, `F_IF`, `F_IE`: each committed forest whole — its
-//!   class table (which attribute carries which distinct signature;
-//!   `d3l-lsh`'s `forest` module: a signature is indexed once, as a
-//!   class, whatever the number of attributes that carry it), its
-//!   signature arena, one signature per class, and its tree orders over
-//!   those classes — all four through one codec (`d3l-lsh`'s `store`
-//!   module).
+//! - `F_IN`, `F_IV`, `F_IF`, `F_IE`: each committed forest — its class
+//!   table (which attribute carries which distinct signature, a varint
+//!   an attribute; `d3l-lsh`'s `forest` module: a signature is indexed
+//!   once, as a class, whatever the number of attributes that carry
+//!   it) and its signature arena, one signature per class — all four
+//!   through one codec (`d3l-lsh`'s `store` module).
 //!
 //! Derived at open, never stored: the hashers (from the config's shapes
 //! and seed); the word embedder (subword hashing at `CONF`'s dimension
@@ -38,9 +37,9 @@
 //! cannot disagree with the hashers that query it; each forest's items,
 //! the keys of the rows its index covers (`IN` and `IF` every row, `IV`
 //! and `IE` the non-numeric ones; §III-C), ascending, so a forest holds
-//! exactly those attributes; and every tree entry's key, the first
-//! four bytes of its label (from the arenas), against which the stored
-//! tree orders are checked.
+//! exactly those attributes; and every tree: a tree is its classes in
+//! label order, and the labels are a function of the arena, so each
+//! forest's trees are sorted at open by the sort a build's commit runs.
 //! `TABL` and `PROF` decode into one table, the engine's attribute
 //! table: `TABL`'s name, subject and removed flag of a table and
 //! `PROF`'s block of its attribute records become that table and its
@@ -90,7 +89,7 @@
 //!
 //! [`LshForest::commit`]: d3l_lsh::forest::LshForest::commit
 
-use std::io::{self, Read, Seek, Write};
+use std::io::{self, BufRead, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -299,7 +298,7 @@ fn check_subject(
 /// items are the rows its index covers — every row, or only the
 /// non-numeric ones when `textual_only` (`IV`, `IE`; §III-C) — so a
 /// forest holds exactly those attributes, by construction.
-fn read_forest<S: Signature, R: Read>(
+fn read_forest<S: Signature, R: BufRead>(
     sec: &mut SectionReader<'_, R>,
     (shape, sig_shape): ((usize, usize), (usize, u64)),
     (index, textual_only): (usize, bool),
@@ -382,7 +381,9 @@ impl D3l {
 
     /// Decode an engine from an opened snapshot container, one section
     /// at a time.
-    fn read_snapshot<R: Read + Seek>(reader: &mut ContainerReader<R>) -> Result<Self, StoreError> {
+    fn read_snapshot<R: BufRead + Seek>(
+        reader: &mut ContainerReader<R>,
+    ) -> Result<Self, StoreError> {
         let conf = reader.section(SEC_CONFIG)?;
         let mut conf_dec = Decoder::new(&conf);
         let cfg = decode_config(&mut conf_dec)?;
@@ -1090,7 +1091,7 @@ mod tests {
         }
     }
 
-    /// A store written by format version 1 to 11 is named as such — by
+    /// A store written by format version 1 to 12 is named as such — by
     /// `open` as by the byte-slice decoder — and nothing of it is
     /// decoded.
     #[test]
@@ -1103,14 +1104,14 @@ mod tests {
         v1.put_u32(KIND_SNAPSHOT);
         v1.put_u32(0);
         v1.put_raw(&[0u8; 64]);
-        // Versions 2 to 11 had today's container around other sections
+        // Versions 2 to 12 had today's container around other sections
         // (64-bit MinHash values; a slab slot per attribute; embedding
         // vectors in `PROF`; no class tables; token sets in `PROF` and
         // `IN`/`IF` signed again from them; 8-byte extent values; forest
         // headers and id tables; query knobs in `CONF`; a shard count in
-        // `CONF`; an `EMBD` section): whole, checksummed files with that
-        // header.
-        let newer: Vec<(u32, Vec<u8>)> = (2..=11u32)
+        // `CONF`; an `EMBD` section; stored tree orders and a `u32` class
+        // per attribute): whole, checksummed files with that header.
+        let newer: Vec<(u32, Vec<u8>)> = (2..=12u32)
             .map(|version| {
                 let mut bytes = engine().to_snapshot_bytes();
                 bytes[8..12].copy_from_slice(&version.to_le_bytes());
@@ -1124,7 +1125,7 @@ mod tests {
             let is_old = |err: &StoreError| {
                 matches!(
                     err,
-                    StoreError::UnsupportedVersion { found, supported: 12 } if *found == version
+                    StoreError::UnsupportedVersion { found, supported: 13 } if *found == version
                 )
             };
             let err = D3l::from_snapshot_bytes(bytes).unwrap_err();
@@ -1136,7 +1137,7 @@ mod tests {
             assert!(is_old(&err), "{err}");
             assert!(err.to_string().contains("re-index"), "{err}");
         }
-        // A version 11 delta segment beside a current base is named too,
+        // A version 12 delta segment beside a current base is named too,
         // as the segment it is.
         let mut d3l = engine();
         let mut store = IndexStore::create(&dir, &d3l).unwrap();
@@ -1144,12 +1145,12 @@ mod tests {
         store.append_add(&mut d3l, &gp).unwrap();
         let segment = dir.join(layout::delta_file_name(1));
         let mut bytes = std::fs::read(&segment).unwrap();
-        bytes[8..12].copy_from_slice(&11u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&12u32.to_le_bytes());
         std::fs::write(&segment, bytes).unwrap();
         let err = IndexStore::open(&dir).unwrap_err();
         assert!(
             matches!(&err, StoreError::BadSegment { seq: 1, source }
-                if matches!(**source, StoreError::UnsupportedVersion { found: 11, supported: 12 })),
+                if matches!(**source, StoreError::UnsupportedVersion { found: 12, supported: 13 })),
             "{err}"
         );
         assert!(err.to_string().contains("re-index"), "{err}");
@@ -1158,7 +1159,7 @@ mod tests {
 
     /// The same-run gate (CI runs it in release): opening the store of
     /// the 400-table pinned dirty lake — reading, checksumming and
-    /// checking four forests, regenerating their tree keys, filling the
+    /// checking four forests, sorting their trees, filling the
     /// attribute rows' classes — takes less time than profiling,
     /// signing and sorting the lake again, without which a store would
     /// be pointless (measured: 11.2–18.1×).
@@ -1246,38 +1247,92 @@ mod tests {
         );
     }
 
-    /// The class table names no class the slab and the trees do not
-    /// hold: one more class (the last attribute of `IN` and `IF` in a
-    /// class of its own) or one fewer ("Moons", the one member of class
-    /// 7, filed under class 0) is a typed error.
+    /// The class table founds no class the slab does not hold: one
+    /// more class (the last attribute of `IN` and `IF` in a class of its
+    /// own) or one fewer ("Moons", the one member of class 7, filed
+    /// under class 0) is a typed error. `IN`'s table is a varint an
+    /// attribute, `0 0 0 0 0 0 0 0 1 2`: eight classes founded, then
+    /// classes 0 and 1 named again.
     #[test]
-    fn class_table_naming_other_classes_than_the_section_holds_is_corrupt() {
+    fn class_table_founding_other_classes_than_the_section_holds_is_corrupt() {
         let bytes = pooled_engine().to_snapshot_bytes();
+        assert_eq!(
+            section_of(&bytes, SEC_FOREST_N)[..10],
+            [0, 0, 0, 0, 0, 0, 0, 0, 1, 2]
+        );
         for tag in [SEC_FOREST_N, SEC_FOREST_F] {
             let bad = with_section(&bytes, tag, |mut payload| {
-                payload[9 * 4..10 * 4].copy_from_slice(&8u32.to_le_bytes());
+                assert_ne!(payload[9], 0, "the last attribute joins a class");
+                payload[9] = 0;
                 payload
             });
             assert_refused(&bad);
         }
         let bad = with_section(&bytes, SEC_FOREST_N, |mut payload| {
-            assert_eq!(payload[7 * 4..8 * 4], 7u32.to_le_bytes());
-            payload[7 * 4..8 * 4].copy_from_slice(&0u32.to_le_bytes());
+            payload[7] = 1;
             payload
         });
         assert_refused(&bad);
     }
 
+    /// A forest section is its class table and its slab and nothing
+    /// else: on the 400-table dirty lake, each `F_*` payload is —
+    /// walking the attributes its index covers in key order — one byte
+    /// for each that founds a class and the varint of rank + 1 for each
+    /// that joins one, then `c × stride × 8` bytes of signatures. No
+    /// tree byte is stored.
     #[test]
-    fn classes_out_of_first_appearance_order_are_corrupt() {
+    fn a_forest_section_is_its_class_table_and_its_slab() {
+        use std::collections::hash_map::{Entry, HashMap};
+        let d3l = D3l::index_lake(&dirty_lake(400), D3lConfig::default());
+        let bytes = d3l.to_snapshot_bytes();
+        let (mh, rp) = d3l.strides();
+        let varint_len = |v: usize| (usize::BITS - v.leading_zeros()).max(1).div_ceil(7) as usize;
+        let tags = [SEC_FOREST_N, SEC_FOREST_V, SEC_FOREST_F, SEC_FOREST_E];
+        let mut wide = 0;
+        for (index, (tag, stride)) in tags.into_iter().zip([mh, mh, mh, rp]).enumerate() {
+            let mut rank_of: HashMap<u32, usize> = HashMap::new();
+            let mut table = 0;
+            for row in 0..d3l.attrs.row_count() {
+                let slot = d3l.attrs.class(row)[index];
+                if slot == NONE {
+                    continue;
+                }
+                let met = rank_of.len();
+                let len = match rank_of.entry(slot) {
+                    Entry::Vacant(new) => {
+                        new.insert(met);
+                        1
+                    }
+                    Entry::Occupied(known) => varint_len(known.get() + 1),
+                };
+                table += len;
+                wide += usize::from(len > 1);
+            }
+            let c = d3l.class_stats()[index].classes;
+            assert_eq!(rank_of.len(), c);
+            let payload = section_of(&bytes, tag).len();
+            assert_eq!(
+                payload,
+                table + c * stride * 8,
+                "{}",
+                String::from_utf8_lossy(&tag)
+            );
+        }
+        assert!(wide > 0, "some rank + 1 takes two bytes");
+    }
+
+    /// A class table names a class only once it is met: a repeat that
+    /// names one not yet founded is a typed error.
+    #[test]
+    fn a_class_named_before_it_is_met_is_corrupt() {
         let bytes = pooled_engine().to_snapshot_bytes();
-        // Classes 4 and 5 trade numbers: 5 is met before 4.
+        // The fifth attribute names class 5 where it founded class 4.
         let bad = with_section(&bytes, SEC_FOREST_N, |mut payload| {
-            payload[4 * 4..5 * 4].copy_from_slice(&5u32.to_le_bytes());
-            payload[5 * 4..6 * 4].copy_from_slice(&4u32.to_le_bytes());
+            payload[4] = 6;
             payload
         });
-        assert_corrupt(&bad, "not ranked by first appearance");
+        assert_corrupt(&bad, "names class 5 when 4 are known");
     }
 
     #[test]
@@ -1285,7 +1340,8 @@ mod tests {
         let d3l = pooled_engine();
         let (bytes, sig) = (d3l.to_snapshot_bytes(), d3l.strides().0 * 8);
         let bad = with_section(&bytes, SEC_FOREST_V, |mut payload| {
-            let slab = 7 * 4;
+            // Seven attributes, each founding its class: seven bytes.
+            let slab = 7;
             payload.copy_within(slab + sig..slab + 2 * sig, slab + 4 * sig);
             payload
         });

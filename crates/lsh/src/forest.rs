@@ -65,7 +65,9 @@
 //! already holds it, and returns the class's slot ([`LshForest::insert`]
 //! is the same for an already-built signature); an explicit
 //! [`LshForest::commit`] (or
-//! [`LshForest::commit_parallel`]) sorts the trees. All query methods
+//! [`LshForest::commit_parallel`]) sorts the trees — the one sort of a
+//! tree, which also builds the trees of a forest read from a store
+//! (`LshForest::read_from`: the store keeps no tree). All query methods
 //! take `&self` and require a committed forest, so a built forest can
 //! be shared lock-free across query workers. A bulk build fills one
 //! forest per worker and joins them with [`LshForest::append`], which
@@ -83,7 +85,7 @@ use crate::{top_k, Hit, ItemId};
 /// a `u32` slot is an aligned 8-byte entry.
 const KEPT: usize = 4;
 
-/// Label bytes [`FlatTree::sort`] reads into one integer sort key.
+/// Label bytes a sort reads into one integer ([`FlatTree::wide_key`]).
 const KEY_BYTES: usize = 16;
 
 /// The class arena as a tree sees it: slot `s` holds the words
@@ -135,16 +137,22 @@ impl<S: Signature> Arena<'_, S> {
         u32::from_be_bytes(be)
     }
 
-    /// How class `a` orders against class `b` when their labels agree
-    /// before `positions`: by the label bytes there, then by words.
-    fn cmp_from(self, a: u32, b: u32, positions: Range<usize>) -> Ordering {
+    /// How class `a`'s label bytes at `positions` order against class
+    /// `b`'s.
+    fn cmp_bytes(self, a: u32, b: u32, positions: Range<usize>) -> Ordering {
         let (wa, wb) = (self.slot(a), self.slot(b));
         let byte = |w, pos| label_byte::<S>(w, self.meta, pos);
         positions
             .map(|pos| byte(wa, pos).cmp(&byte(wb, pos)))
             .find(|o| o.is_ne())
             .unwrap_or(Ordering::Equal)
-            .then_with(|| wa.cmp(wb))
+    }
+
+    /// How class `a` orders against class `b` when their labels agree
+    /// before `positions`: by the label bytes there, then by words.
+    fn cmp_from(self, a: u32, b: u32, positions: Range<usize>) -> Ordering {
+        let by_bytes = self.cmp_bytes(a, b, positions);
+        by_bytes.then_with(|| self.slot(a).cmp(self.slot(b)))
     }
 
     /// How class `s`'s label bytes at `positions` order against
@@ -180,6 +188,80 @@ fn search(Range { mut start, mut end }: Range<usize>, below: impl Fn(usize) -> b
     start
 }
 
+/// A pending entry as a sort sees it: `(sort key, tree key, slot)` —
+/// the label's first [`KEY_BYTES`] bytes as one integer
+/// ([`FlatTree::wide_key`], or [`packed`]), its first [`KEPT`] bytes,
+/// and its class.
+type Pending = (u128, u32, u32);
+
+/// The bytes of a wide key that hold nothing but 0 and 1 — every byte
+/// of a bit signature's labels.
+const BIT_BYTES: u128 = 0x0101_0101_0101_0101_0101_0101_0101_0101;
+
+/// A wide key whose bytes are each 0 or 1, as its sixteen bits, first
+/// byte highest, at the top of the integer: the same order, held in
+/// two bytes.
+fn packed(wide: u128) -> u128 {
+    let gather = |bytes: u64| u128::from(bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56);
+    (gather((wide >> 64) as u64) << 8 | gather(wide as u64)) << 112
+}
+
+/// Sort `entries` by sort key, `tie` ordering equal ones by slot. Keys
+/// whose every byte is 0 or 1 — bit labels, whose first four bytes
+/// hold four bits and tie as a rule — are [`packed`] first, so that
+/// sixteen label bytes reach the top two bytes of the key. Two counting
+/// passes order the entries by those two bytes, the lower one first (a
+/// byte every entry shares costs a count and no move); each run that
+/// is still equal there is sorted by comparison. `scratch` holds at
+/// least as many entries as `entries`.
+fn radix_sort(
+    entries: &mut [Pending],
+    scratch: &mut [Pending],
+    tie: &impl Fn(u32, u32) -> Ordering,
+) {
+    let n = entries.len();
+    if entries.iter().fold(0, |or, e| or | e.0) & !BIT_BYTES == 0 {
+        entries.iter_mut().for_each(|e| e.0 = packed(e.0));
+    }
+    let digit = |e: &Pending, shift: u32| (e.0 >> shift) as u8 as usize;
+    let mut counts = [[0usize; 256]; 2];
+    for e in entries.iter() {
+        counts[0][digit(e, 112)] += 1;
+        counts[1][digit(e, 120)] += 1;
+    }
+    let mut in_scratch = false;
+    for (counts, shift) in counts.iter().zip([112, 120]) {
+        if counts.contains(&n) {
+            continue;
+        }
+        let (from, to): (&[Pending], &mut [Pending]) = if in_scratch {
+            (&scratch[..n], entries)
+        } else {
+            (entries, &mut scratch[..n])
+        };
+        let mut next = [0usize; 256];
+        let mut sum = 0;
+        for (next, &count) in next.iter_mut().zip(counts) {
+            *next = sum;
+            sum += count;
+        }
+        for e in from {
+            let d = digit(e, shift);
+            to[next[d]] = *e;
+            next[d] += 1;
+        }
+        in_scratch = !in_scratch;
+    }
+    if in_scratch {
+        entries.copy_from_slice(&scratch[..n]);
+    }
+    for run in entries.chunk_by_mut(|a, b| a.0 >> 112 == b.0 >> 112) {
+        if run.len() > 1 {
+            run.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| tie(a.2, b.2)));
+        }
+    }
+}
+
 /// Where a query descent is in one tree: the run `[lo, hi)` of entries
 /// whose labels share the query's prefix at the current depth, and how
 /// many leading label bytes the entries just outside it — `lo - 1` and
@@ -203,12 +285,14 @@ pub(crate) struct FlatTree {
     first: usize,
     /// Label length in bytes (the tree depth).
     k: usize,
-    /// Each entry's key: its label's first [`KEPT`] bytes.
+    /// The key of each entry of the sorted prefix: its label's first
+    /// [`KEPT`] bytes. A pending entry has none until it is sorted.
     keys: Vec<u32>,
-    /// Class slots, parallel to the keys.
+    /// Class slots: the sorted prefix's, parallel to the keys, then
+    /// the pending ones.
     slots: Vec<u32>,
-    /// Entries `[0, sorted_len)` are known to be in order: what
-    /// [`FlatTree::sort`] left, less what was removed since. Pushes
+    /// Entries `[0, sorted_len)` are in order: what
+    /// [`FlatTree::sort_all`] left, less what was removed since. Pushes
     /// land behind it, so a sort after a few of them sorts those few
     /// and merges.
     sorted_len: usize,
@@ -222,30 +306,6 @@ impl FlatTree {
             k,
             ..FlatTree::default()
         }
-    }
-
-    /// A tree over already-laid-out arrays (the snapshot decoder's
-    /// constructor), its sorted prefix found by one scan. Panics
-    /// unless there is one key per slot.
-    pub(crate) fn from_parts<S: Signature>(
-        (first, k): (usize, usize),
-        keys: Vec<u32>,
-        slots: Vec<u32>,
-        arena: Arena<'_, S>,
-    ) -> Self {
-        assert_eq!(keys.len(), slots.len(), "one key per slot");
-        let mut tree = FlatTree {
-            first,
-            k,
-            keys,
-            slots,
-            sorted_len: 0,
-        };
-        let in_order = (1..tree.len())
-            .take_while(|&i| tree.in_order(i, arena))
-            .count();
-        tree.sorted_len = (in_order + 1).min(tree.len());
-        tree
     }
 
     /// Number of entries.
@@ -273,13 +333,14 @@ impl FlatTree {
         self.first + KEPT.min(self.k)..self.first + self.k
     }
 
-    /// Append the entry of class `slot`, its key read from the arena.
-    fn push<S: Signature>(&mut self, slot: u32, arena: Arena<'_, S>) {
-        self.keys.push(arena.key(slot, self.first, self.k));
+    /// Append a pending entry for class `slot`; its key is read at the
+    /// next sort.
+    fn push(&mut self, slot: u32) {
         self.slots.push(slot);
     }
 
-    /// How entry `i` orders against class `slot`, whose key is `key`.
+    /// How entry `i` of the sorted prefix orders against class `slot`,
+    /// whose key is `key`.
     #[inline]
     fn cmp_entry<S: Signature>(
         &self,
@@ -291,82 +352,117 @@ impl FlatTree {
         by_key.then_with(|| arena.cmp_from(self.slots[i], slot, self.tail()))
     }
 
-    /// Sort entries by `(label, signature words)`. A tree holds one
-    /// entry per class and no two classes share their words, so this
-    /// is a total order and the result is independent of the starting
-    /// arrangement and of slot numbering.
+    /// The first [`KEY_BYTES`] bytes of the label of the class whose
+    /// words are `words`, as one big-endian integer — whose order is
+    /// the bytes' order — zero past the label's end.
+    #[inline]
+    fn wide_key<S: Signature>(&self, words: &[u64], meta: u64) -> u128 {
+        let mut be = [0u8; KEY_BYTES];
+        if self.k >= KEY_BYTES && self.first + KEY_BYTES <= S::lsh_len_words(words, meta) {
+            S::low_bytes(words, meta, self.first, &mut be);
+        } else {
+            let positions = self.first..self.first + self.k.min(KEY_BYTES);
+            for (b, pos) in be.iter_mut().zip(positions) {
+                *b = label_byte::<S>(words, meta, pos);
+            }
+        }
+        u128::from_be_bytes(be)
+    }
+
+    /// Sort the pending entries of `trees` — trees of one forest, which
+    /// hold the same pending classes in the same order, since a class
+    /// enters and leaves every tree at once — by `(label, signature
+    /// words)`, and merge each tree's into its sorted prefix. A tree
+    /// holds one entry per class and no two classes share their words,
+    /// so this is a total order and the result is independent of the
+    /// starting arrangement and of slot numbering. This is the one sort
+    /// of a tree: a commit after a build, after one table's inserts,
+    /// and the trees of a forest read from a store.
     ///
-    /// Only the entries pushed since the last sort are sorted; they
-    /// are then merged into the sorted prefix from the back, each one
-    /// found by binary search and the prefix entries above it moved up
-    /// as one block — a commit after one table's inserts costs a few
-    /// searches and block moves, not a sort of the tree.
-    fn sort<S: Signature>(&mut self, arena: Arena<'_, S>) {
-        let (n, prefix) = (self.len(), self.sorted_len);
-        if prefix == n {
+    /// Tree by tree, each pending class's wide key
+    /// ([`FlatTree::wide_key`]) is read from the arena, the entries are
+    /// ordered by [`radix_sort`] and merged; only one tree's entries
+    /// are held at a time (every tree's at once held about a mebibyte
+    /// more at the peak of an open of the 4 k lake). Equal labels order
+    /// by signature words, which order the classes the same way in
+    /// every tree: the classes are ranked by their words once, their
+    /// first words read with the first tree's keys.
+    fn sort_all<S: Signature>(trees: &mut [FlatTree], arena: Arena<'_, S>) {
+        let Some(tree) = trees.first() else {
+            return;
+        };
+        let pending = &tree.slots[tree.sorted_len..];
+        let p = pending.len();
+        if p == 0 {
             return;
         }
-        let (tail_keys, tail_slots) = self.sorted_tail(arena);
-        self.sorted_len = n;
+        debug_assert!(trees.iter().all(|t| t.slots[t.sorted_len..] == *pending));
+        let shift = 8 * (KEY_BYTES - KEPT);
+        let (mut entries, mut scratch) = (Vec::with_capacity(p), vec![(0, 0, 0); p]);
+        // Each pending class's first word, read with the first tree's
+        // keys, and its rank by words once those are read.
+        let mut firsts: Vec<(u64, u32)> = Vec::with_capacity(p);
+        let mut rank: Vec<u32> = Vec::new();
+        for tree in trees.iter_mut() {
+            entries.clear();
+            for &slot in &tree.slots[tree.sorted_len..] {
+                let words = arena.slot(slot);
+                if rank.is_empty() {
+                    firsts.push((words[0], slot));
+                }
+                let wide = tree.wide_key::<S>(words, arena.meta);
+                entries.push((wide, (wide >> shift) as u32, slot));
+            }
+            if rank.is_empty() {
+                // By the first word, and by the rest where those tie.
+                firsts.sort_unstable_by(|a, b| {
+                    (a.0.cmp(&b.0)).then_with(|| arena.slot(a.1).cmp(arena.slot(b.1)))
+                });
+                rank = vec![0; arena.words.len() / arena.stride];
+                for (r, (_, slot)) in (0u32..).zip(std::mem::take(&mut firsts)) {
+                    rank[slot as usize] = r;
+                }
+            }
+            let rest = tree.first + tree.k.min(KEY_BYTES)..tree.first + tree.k;
+            let tie = |a: u32, b: u32| {
+                let by_rank = rank[a as usize].cmp(&rank[b as usize]);
+                arena.cmp_bytes(a, b, rest.clone()).then(by_rank)
+            };
+            radix_sort(&mut entries, &mut scratch, &tie);
+            tree.merge(&entries, arena);
+        }
+    }
+
+    /// Merge the pending entries, sorted, into the sorted prefix, from
+    /// the back: each is found by binary search and the prefix entries
+    /// above it are moved up as one block — a commit after one table's
+    /// inserts costs a few searches and block moves, not a sort of the
+    /// tree.
+    fn merge<S: Signature>(&mut self, sorted: &[Pending], arena: Arena<'_, S>) {
+        let entry = |&(_, key, slot): &Pending| (key, slot);
+        let prefix = self.sorted_len;
+        self.sorted_len = self.len();
         if prefix == 0 {
-            self.keys = tail_keys;
-            self.slots = tail_slots;
+            // Every entry was pending: the slots are rewritten where
+            // they are, and the keys are new.
+            self.keys = sorted.iter().map(|e| e.1).collect();
+            for (slot, e) in self.slots.iter_mut().zip(sorted) {
+                *slot = e.2;
+            }
             return;
         }
-        // Prefix entries `[0, end)` are still where they were; tail
+        self.keys.resize(self.len(), 0);
+        // Prefix entries `[0, end)` are still where they were; pending
         // entry `j` ends up `j + 1` places above the last prefix entry
         // below it.
         let mut end = prefix;
-        for (j, entry) in tail_keys.into_iter().zip(tail_slots).enumerate().rev() {
+        for (j, entry) in sorted.iter().map(entry).enumerate().rev() {
             let lo = search(0..end, |i| self.cmp_entry(i, entry, arena).is_lt());
             self.keys.copy_within(lo..end, lo + j + 1);
             self.slots.copy_within(lo..end, lo + j + 1);
             (self.keys[lo + j], self.slots[lo + j]) = entry;
             end = lo;
         }
-    }
-
-    /// The entries behind the sorted prefix, sorted, as `(keys,
-    /// slots)`. Each is read as one big-endian integer of its first
-    /// [`KEY_BYTES`] label bytes — its key, and the bytes after it
-    /// from the arena — whose order is the bytes' order, so entries
-    /// compare as plain integers and the arena is read again only
-    /// where two of those tie.
-    fn sorted_tail<S: Signature>(&self, arena: Arena<'_, S>) -> (Vec<u32>, Vec<u32>) {
-        let (first, k) = (self.first, self.k);
-        let wide = first + KEPT.min(k)..first + k.min(KEY_BYTES);
-        let mut entries: Vec<(u128, u32)> = (self.sorted_len..self.len())
-            .map(|i| {
-                let slot = self.slots[i];
-                let words = arena.slot(slot);
-                let mut be = [0u8; KEY_BYTES];
-                be[..KEPT].copy_from_slice(&self.keys[i].to_be_bytes());
-                for (b, pos) in be[KEPT..].iter_mut().zip(wide.clone()) {
-                    *b = label_byte::<S>(words, arena.meta, pos);
-                }
-                (u128::from_be_bytes(be), slot)
-            })
-            .collect();
-        let rest = first + k.min(KEY_BYTES)..first + k;
-        entries.sort_unstable_by(|a, b| {
-            (a.0.cmp(&b.0)).then_with(|| arena.cmp_from(a.1, b.1, rest.clone()))
-        });
-        let shift = 8 * (KEY_BYTES - KEPT);
-        entries
-            .into_iter()
-            .map(|(wide, slot)| ((wide >> shift) as u32, slot))
-            .unzip()
-    }
-
-    /// Whether entry `i` sorts at or after the entry before it.
-    fn in_order<S: Signature>(&self, i: usize, arena: Arena<'_, S>) -> bool {
-        let entry = (self.keys[i], self.slots[i]);
-        self.cmp_entry(i - 1, entry, arena).is_le()
-    }
-
-    /// Whether entries are in `(label, signature words)` order.
-    pub(crate) fn is_sorted<S: Signature>(&self, arena: Arena<'_, S>) -> bool {
-        (self.sorted_len.max(1)..self.len()).all(|i| self.in_order(i, arena))
     }
 
     /// Where the entry of class `slot` is: inside the sorted prefix it
@@ -389,8 +485,10 @@ impl FlatTree {
         let Some(at) = self.position_of(slot, arena) else {
             return false;
         };
-        self.sorted_len -= usize::from(at < self.sorted_len);
-        self.keys.remove(at);
+        if at < self.sorted_len {
+            self.sorted_len -= 1;
+            self.keys.remove(at);
+        }
         self.slots.remove(at);
         true
     }
@@ -496,11 +594,22 @@ impl FlatTree {
 /// Hash of a signature's words, the content map's key: a
 /// rotate-xor-multiply fold — one multiply per word, where a full
 /// mixer per word was half the cost of an insert — which the map's own
-/// hasher then avalanches.
+/// hasher then avalanches. Word `i` folds into lane `i % 4`, so four
+/// multiplies are in flight where one fold waited on the last; the
+/// lanes fold into one at the end.
 fn content_hash(words: &[u64]) -> u64 {
-    words.iter().fold(0, |h: u64, &w| {
-        (h.rotate_left(5) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-    })
+    let step = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let mut lanes = [0u64; 4];
+    let mut quads = words.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, &w) in lanes.iter_mut().zip(quad) {
+            *lane = step(*lane, w);
+        }
+    }
+    for (lane, &w) in lanes.iter_mut().zip(quads.remainder()) {
+        *lane = step(*lane, w);
+    }
+    lanes.into_iter().fold(0, step)
 }
 
 /// Content hash → class slot. A hash names at most one slot in
@@ -681,8 +790,8 @@ impl<S> LshForest<S> {
         (&self.postings, &self.sig_words, self.sig_stride)
     }
 
-    /// The trees. The persistence layer stores each tree's class order
-    /// (not its keys), so a loaded forest needs no re-sort.
+    /// The trees.
+    #[cfg(test)]
     pub(crate) fn tree_arrays(&self) -> &[FlatTree] {
         &self.trees
     }
@@ -854,7 +963,7 @@ impl<S: Signature> LshForest<S> {
             None => {
                 let slot = scratch as u32;
                 for tree in &mut self.trees {
-                    tree.push(slot, arena);
+                    tree.push(slot);
                 }
                 self.classes.insert(hash, slot);
                 self.postings.push(vec![id]);
@@ -917,9 +1026,10 @@ impl<S: Signature> LshForest<S> {
         self.commit_parallel(1);
     }
 
-    /// [`LshForest::commit`] with the tree sorts fanned out over up
-    /// to `threads` scoped workers. Each tree sorts a total order, so
-    /// the committed forest is identical at every thread count.
+    /// [`LshForest::commit`] with the trees split over up to `threads`
+    /// scoped workers, each sorting its share of them.
+    /// Each tree sorts a total order, so the committed forest is
+    /// identical at every thread count.
     pub fn commit_parallel(&mut self, threads: usize) {
         if self.sorted {
             return;
@@ -927,12 +1037,12 @@ impl<S: Signature> LshForest<S> {
         let arena = Arena::<S>::new(&self.sig_words, self.sig_stride, self.sig_meta);
         let threads = threads.clamp(1, self.trees.len());
         if threads == 1 {
-            self.trees.iter_mut().for_each(|tree| tree.sort(arena));
+            FlatTree::sort_all(&mut self.trees, arena);
         } else {
             let chunk = self.trees.len().div_ceil(threads);
             std::thread::scope(|scope| {
                 for batch in self.trees.chunks_mut(chunk) {
-                    scope.spawn(move || batch.iter_mut().for_each(|tree| tree.sort(arena)));
+                    scope.spawn(move || FlatTree::sort_all(batch, arena));
                 }
             });
         }
@@ -992,12 +1102,12 @@ impl<S: Signature> LshForest<S> {
 
     /// Reassemble a forest from its deserialized classes — each one's
     /// members, and the signature slab taken whole: class `s` holds the
-    /// words `sig_words[s*stride .. (s+1)*stride]` — with no tree
-    /// entries yet ([`LshForest::set_trees`] brings them). The caller
-    /// (the snapshot decoder) passes ascending non-empty postings over
-    /// unique ids and the `(stride, meta)` shape of the hasher the
-    /// forest answers. What is checked here, because the
-    /// content map being built is what finds it: two classes holding
+    /// words `sig_words[s*stride .. (s+1)*stride]` — every class pending
+    /// in every tree, to be sorted by the next commit, as after a build's
+    /// inserts. The caller (the snapshot decoder) passes ascending
+    /// non-empty postings over unique ids and the `(stride, meta)` shape
+    /// of the hasher the forest answers. What is checked here, because
+    /// the content map being built is what finds it: two classes holding
     /// the same words, returned as `Err`.
     pub(crate) fn from_stored_classes(
         l: usize,
@@ -1023,21 +1133,15 @@ impl<S: Signature> LshForest<S> {
             }
             forest.classes.insert(hash, slot);
         }
+        for tree in &mut forest.trees {
+            tree.slots = (0..postings.len() as u32).collect();
+        }
+        forest.sorted = postings.is_empty();
         forest.sig_stride = sig_stride;
         forest.sig_meta = sig_meta;
         forest.sig_words = sig_words;
         forest.postings = postings;
         Ok(forest)
-    }
-
-    /// Give a forest of [`LshForest::from_stored_classes`] its trees:
-    /// `k`-stride, each holding every class once, sorted; the decoder
-    /// has checked both.
-    pub(crate) fn set_trees(&mut self, trees: Vec<FlatTree>) {
-        debug_assert_eq!(trees.len(), self.l, "one tree array per tree");
-        debug_assert!(trees.iter().all(|t| t.len() == self.postings.len()));
-        self.trees = trees;
-        self.sorted = true;
     }
 
     /// Top-`k` most similar items to `sig`: [`LshForest::query_words`]
@@ -1334,9 +1438,8 @@ pub(crate) mod tests {
 
     /// A tree over real labels — one-word bit signatures, whose label
     /// bytes are their low bits — with three classes under one key,
-    /// two of them under one label: searches that stop at the key,
-    /// searches that read past it, and a sortedness check that only
-    /// the bytes past the key can fail.
+    /// two of them under one label: searches that stop at the key, and
+    /// searches that read past it.
     #[test]
     fn flat_tree_basics() {
         let words = [
@@ -1350,11 +1453,10 @@ pub(crate) mod tests {
         let arena = Arena::<BitSignature>::new(&words, 1, 64);
         let mut t = FlatTree::new(0, 6);
         for slot in 0..4 {
-            t.push(slot, arena);
+            t.push(slot);
         }
         assert_eq!(t.len(), 4);
-        t.sort(arena);
-        assert!(t.is_sorted(arena));
+        sort(&mut t, arena);
         // (label, words) order: 011001/0, 011001/5, 011010/0, 100000/1.
         let (k0110, k1000) = (key_of(&[0, 1, 1, 0]), key_of(&[1, 0, 0, 0]));
         assert_eq!(
@@ -1398,14 +1500,12 @@ pub(crate) mod tests {
         t.renumber(0, 5, arena);
         assert!(t.remove_entry(2, arena));
         assert_eq!(t.slots(), &[3, 1, 5]);
-        let reloaded = FlatTree::from_parts((0, 6), t.keys.clone(), t.slots.clone(), arena);
-        assert!(reloaded.is_sorted(arena));
-        assert_eq!(reloaded.sorted_len, 3, "from_parts is the arrays verbatim");
-        // Slots 1 and 3 share a key: only their fifth label bytes say
-        // that this order is wrong.
-        let swapped = FlatTree::from_parts((0, 6), t.keys.clone(), vec![1, 3, 5], arena);
-        assert_eq!(swapped.sorted_len, 1);
-        assert!(!swapped.is_sorted(arena));
+        assert_eq!(t.keys(), &[k0110, k0110, k1000]);
+    }
+
+    /// [`FlatTree::sort_all`] over one tree.
+    fn sort<S: Signature>(t: &mut FlatTree, arena: Arena<'_, S>) {
+        FlatTree::sort_all(std::slice::from_mut(t), arena);
     }
 
     /// A sort after pushes onto a sorted tree — what a commit after
@@ -1447,7 +1547,7 @@ pub(crate) mod tests {
             for round in 0..12 {
                 // 0, 1, 2 and many pushes between sorts.
                 for _ in 0..[0usize, 1, 2, 40][round % 4] {
-                    grown.push(next, arena);
+                    grown.push(next);
                     held.push(next);
                     next += 1;
                 }
@@ -1473,18 +1573,13 @@ pub(crate) mod tests {
                         grown.renumber(from, from + 200, arena);
                     }
                 }
-                grown.sort(arena);
-                assert!(grown.is_sorted(arena), "k={k} round {round}");
+                sort(&mut grown, arena);
                 held.sort_by_key(|&s| (label_of(words[s as usize], k), words[s as usize]));
                 let expected: Vec<(u32, u32)> = held
                     .iter()
                     .map(|&s| (key_of(&label_of(words[s as usize], k)), s))
                     .collect();
                 assert_eq!(entries(&grown), expected, "k={k} round {round}");
-                // What a reload knows about the order is what a sort left.
-                let (keys, slots) = (grown.keys.clone(), grown.slots.clone());
-                let reloaded = FlatTree::from_parts((0, k), keys, slots, arena);
-                assert_eq!(reloaded.sorted_len, grown.len());
             }
             let (by_key, by_sort_integer) = ties(&grown, &words, k);
             assert!(k <= KEPT || by_key > 0, "k={k}: keys tie, tails differ");
@@ -1493,15 +1588,6 @@ pub(crate) mod tests {
                 "k={k}: ties past 16 bytes"
             );
         }
-        // Labels 1, 1, 0, 1: sorted up to the 0.
-        let words = [bits(&[1], 3), bits(&[1], 5), bits(&[0], 1), bits(&[1], 9)];
-        let arena = Arena::<BitSignature>::new(&words, 1, 64);
-        let keys = (0..4).map(|s| arena.key(s, 0, 1)).collect();
-        let unsorted = FlatTree::from_parts((0, 1), keys, vec![0, 1, 2, 3], arena);
-        assert_eq!(unsorted.sorted_len, 2);
-        assert!(!unsorted.is_sorted(arena));
-        let empty = FlatTree::from_parts((0, 4), vec![], vec![], arena);
-        assert_eq!(empty.sorted_len, 0);
     }
 
     /// Of a tree's neighbouring entries over one-word bit signatures:
@@ -1621,10 +1707,8 @@ pub(crate) mod tests {
         put(&mut f, 7, new.clone());
         f.commit();
         assert_eq!((f.len(), f.class_count()), (50, 50));
-        let arena = f.arena();
         for tree in f.tree_arrays() {
             assert_eq!(tree.len(), f.len());
-            assert!(tree.is_sorted(arena));
         }
         let hit = f.query(&new, 1)[0];
         assert_eq!((hit.id, hit.similarity), (7, 1.0));
@@ -2150,6 +2234,142 @@ pub(crate) mod tests {
         assert_eq!(to_bytes(&crowded), bytes, "build, then remove");
     }
 
+    /// Every tree of `forest` lists its classes in the order the model
+    /// reads: the distinct signatures of its items by `(label, words)`.
+    fn assert_trees_match_the_model<S: Signature + PartialEq + std::fmt::Debug>(
+        forest: &LshForest<S>,
+        model: &Model<S>,
+        what: &str,
+    ) {
+        let mut distinct: Vec<&S> = Vec::new();
+        for (_, s) in &model.items {
+            if !distinct.contains(&s) {
+                distinct.push(s);
+            }
+        }
+        for (t, tree) in forest.tree_arrays().iter().enumerate() {
+            let mut want: Vec<(Vec<u8>, &[u64])> = distinct
+                .iter()
+                .map(|s| (model.label(s, t), s.words()))
+                .collect();
+            want.sort();
+            let got: Vec<&[u64]> = tree
+                .slots()
+                .iter()
+                .map(|&s| forest.class_words(s))
+                .collect();
+            let want: Vec<&[u64]> = want.into_iter().map(|(_, words)| words).collect();
+            assert_eq!(got, want, "{what}: tree {t}");
+            let keys = tree.keys().iter().zip(tree.slots());
+            assert!(
+                keys.map(|(&key, &s)| (key, forest.arena().key(s, t * model.k, model.k)))
+                    .all(|(key, label)| key == label),
+                "{what}: tree {t} keys"
+            );
+        }
+    }
+
+    /// Drive a forest and the model with one script — insert, remove,
+    /// `append` of a small forest, commit — and hold every tree to the
+    /// model's order after each commit, at the end, and after a write
+    /// and a `read_from` of the section.
+    fn check_tree_orders<S: Signature + PartialEq + std::fmt::Debug>(
+        script: &[Step],
+        (sig_len, l): (usize, usize),
+        sig: &dyn Fn(u64) -> S,
+    ) {
+        let mut forest = LshForest::<S>::new(sig_len, l);
+        let mut slots: BTreeMap<ItemId, u32> = BTreeMap::new();
+        let mut model = Model {
+            l,
+            k: sig_len / l,
+            items: Vec::new(),
+        };
+        for (step, &(op, id, number)) in script.iter().enumerate() {
+            let s = number % 12;
+            match op {
+                0..=3 => {
+                    leave(&mut forest, &mut slots, id);
+                    slots.insert(id, insert_sig(&mut forest, id, &sig(s)));
+                    model.insert(id, sig(s));
+                }
+                4 | 5 => {
+                    leave(&mut forest, &mut slots, id);
+                    model.remove(id);
+                }
+                6 => {
+                    let mut other = LshForest::<S>::new(sig_len, l);
+                    let mut theirs = Vec::new();
+                    for (i, id) in (id + 100..id + 102).enumerate() {
+                        if !slots.contains_key(&id) {
+                            let s = sig((s + i as u64) % 12);
+                            theirs.push((id, insert_sig(&mut other, id, &s)));
+                            model.insert(id, s);
+                        }
+                    }
+                    let moved = forest.append(other);
+                    for (id, slot) in theirs {
+                        slots.insert(id, moved[slot as usize]);
+                    }
+                }
+                _ => {
+                    forest.commit();
+                    assert_trees_match_the_model(&forest, &model, &format!("step {step}"));
+                }
+            }
+        }
+        forest.commit();
+        assert_trees_match_the_model(&forest, &model, "end");
+        let reloaded = from_bytes_like(&to_bytes(&forest), &forest).unwrap();
+        assert_trees_match_the_model(&reloaded, &model, "reloaded");
+    }
+
+    /// The sort shapes: label depths 8, 16 and 32 — past the sixteen
+    /// bytes one sort integer holds, equal integers read on from the
+    /// arena.
+    const SORT_SHAPES: [(usize, usize); 3] = [(64, 8), (128, 8), (256, 8)];
+
+    /// A bit signature of `len` bits whose bits are `number`'s in the
+    /// last tree's positions and zero in every other: its labels tie
+    /// with every other such signature's in all trees but the last, so
+    /// equal labels order by words.
+    fn tied_bits(len: usize, l: usize, number: u64) -> BitSignature {
+        let mut words = vec![0u64; len.div_ceil(64)];
+        let first = len - len / l;
+        for bit in 0..len / l {
+            let pos = first + bit;
+            words[pos / 64] |= (number >> (bit % 64) & 1) << (pos % 64);
+        }
+        BitSignature::from_words(words, len).unwrap()
+    }
+
+    /// The forest's sort at its edges: no class, one class of several
+    /// items, two classes — for MinHash, bit and all-tied bit labels,
+    /// at every sort shape.
+    #[test]
+    fn tree_orders_match_the_model_at_zero_one_and_two_classes() {
+        for shape in SORT_SHAPES {
+            let mh = MinHasher::new(shape.0, 7);
+            let rp = RandomProjector::new(8, shape.0, 3);
+            for classes in 0..3u64 {
+                // Three items a class, then a commit.
+                let script: Vec<Step> = (0..3 * classes).map(|i| (0, i, i % classes)).collect();
+                let script = [script, vec![(7, 0, 0)]].concat();
+                check_tree_orders(&script, shape, &|s| {
+                    sign(&mh, &tokens("m", s as usize..s as usize + 20))
+                });
+                check_tree_orders::<BitSignature>(&script, shape, &|s| {
+                    rp.sign(
+                        &(0..8)
+                            .map(|d| (s * 7 + d) as f64 - 20.0)
+                            .collect::<Vec<_>>(),
+                    )
+                });
+                check_tree_orders(&script, shape, &|s| tied_bits(shape.0, shape.1, s + 1));
+            }
+        }
+    }
+
     /// Every script runs at three `(positions, trees)` shapes: depth 8,
     /// a key and four bytes past it; the default depth 16; and depth 4,
     /// where the key is the whole label.
@@ -2158,7 +2378,30 @@ pub(crate) mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
 
-        /// MinHash signatures: number `s` signs tokens `s..s+20`, so
+        /// The tree sort against the model: every tree's order is the
+        /// model's `(label, words)` after random insert, remove,
+        /// `append` and commit scripts, and after a write and a
+        /// `read_from` — MinHash labels, bit labels and bit labels tied
+        /// in every tree but the last, at label depths 8, 16 and 32.
+        #[test]
+        fn tree_orders_match_the_model(script in steps()) {
+            for shape in SORT_SHAPES {
+                let mh = MinHasher::new(shape.0, 7);
+                check_tree_orders(&script, shape, &|s| {
+                    sign(&mh, &tokens("m", s as usize..s as usize + 20))
+                });
+                let rp = RandomProjector::new(8, shape.0, 3);
+                check_tree_orders::<BitSignature>(&script, shape, &|s| {
+                    let v: Vec<f64> = (0..8u64)
+                        .map(|d| ((s + d) * 2654435761 % 97) as f64 - 48.0)
+                        .collect();
+                    rp.sign(&v)
+                });
+                check_tree_orders(&script, shape, &|s| tied_bits(shape.0, shape.1, s + 1));
+            }
+        }
+
+
         /// neighbouring numbers are similar and the descent stops at
         /// every depth.
         #[test]

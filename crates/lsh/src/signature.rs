@@ -33,6 +33,15 @@ pub trait Signature: Clone {
     /// Hash value at a position of a signature given as its raw arena
     /// words.
     fn lsh_hash_words(words: &[u64], meta: u64, i: usize) -> u64;
+    /// The low byte of the hash value at each of the positions
+    /// `first..first + out.len()`, all of them within the signature:
+    /// [`Signature::lsh_hash_words`] a position at a time, unless the
+    /// type reads them faster.
+    fn low_bytes(words: &[u64], meta: u64, first: usize, out: &mut [u8]) {
+        for (b, pos) in out.iter_mut().zip(first..) {
+            *b = Self::lsh_hash_words(words, meta, pos) as u8;
+        }
+    }
 }
 
 impl Signature for MinHashSignature {
@@ -75,5 +84,53 @@ impl Signature for BitSignature {
     }
     fn lsh_hash_words(words: &[u64], _meta: u64, i: usize) -> u64 {
         (words[i / 64] >> (i % 64)) & 1
+    }
+    fn low_bytes(words: &[u64], _meta: u64, first: usize, out: &mut [u8]) {
+        // A bit a position, 64 to a word: each word is read once.
+        let (mut word, mut at, mut rest) = (first / 64, first % 64, out);
+        while !rest.is_empty() {
+            let (now, later) = rest.split_at_mut(rest.len().min(64 - at));
+            let bits = words[word] >> at;
+            for (i, b) in now.iter_mut().enumerate() {
+                *b = (bits >> i) as u8 & 1;
+            }
+            (word, at, rest) = (word + 1, 0, later);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::minhash::MinHasher;
+    use crate::randproj::RandomProjector;
+
+    /// `low_bytes` is `lsh_hash_words`' low byte at every position of
+    /// every range: odd and even starts and lengths, and ranges that
+    /// cross a word.
+    fn check<S: Signature>(sig: &S) {
+        let (words, meta) = (sig.words(), sig.meta());
+        let len = S::lsh_len_words(words, meta);
+        for first in 0..len {
+            for n in 0..=(len - first).min(70) {
+                let mut out = vec![0xaa; n];
+                S::low_bytes(words, meta, first, &mut out);
+                let want: Vec<u8> = (first..first + n)
+                    .map(|pos| S::lsh_hash_words(words, meta, pos) as u8)
+                    .collect();
+                assert_eq!(out, want, "positions {first}..{}", first + n);
+            }
+        }
+    }
+
+    #[test]
+    fn low_bytes_are_the_hash_values_low_bytes() {
+        let tokens: Vec<String> = (0..40).map(|i| format!("t{i}")).collect();
+        let tokens = || tokens.iter().map(String::as_str);
+        for positions in [64, 67, 130] {
+            check(&MinHasher::new(positions, 7).sign_strs(tokens()));
+            let v: Vec<f64> = (0..8).map(|d| f64::from(d) - 3.5).collect();
+            check(&RandomProjector::new(8, positions, 3).sign(&v));
+        }
     }
 }

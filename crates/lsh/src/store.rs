@@ -2,22 +2,22 @@
 //!
 //! A committed [`LshForest`] is the product of the expensive indexing
 //! pass (signature generation + per-tree sorts). A forest section
-//! carries the signature arena — the words themselves, read back with
-//! no re-hashing — and the tree orders, so no cold start signs or
-//! re-sorts anything. Every forest is written and read by this one
-//! codec.
+//! carries what a cold start cannot derive — which item carries which
+//! signature, and the signature arena, the words themselves, read back
+//! with no re-hashing — and nothing it can: a tree is the sorted order
+//! of its labels, and the labels are a function of the arena, so the
+//! reader sorts the trees with the sort every commit runs. Every forest
+//! is written and read by this one codec.
 //!
 //! Wire layout (one streamed `d3l-store` container section, format
-//! version 9 — all fixed-width little-endian, no header, no per-item
-//! framing):
+//! version 13 — no header, no per-item framing):
 //!
 //! ```text
-//! classes  n × u32            the class of each item, by rank, in
-//!                             ascending item order
-//! slab     c × stride × u64   signature words, one class after
-//!                             another in rank order
-//! l × tree c × u32            entry j of the tree is the class of
-//!                             rank perm[j]
+//! classes  n × varint         the class of each item, in ascending
+//!                             item order: 0 is the next class not yet
+//!                             met, r + 1 is class r, already met
+//! slab     c × stride × u64   signature words, little-endian, one
+//!                             class after another in rank order
 //! ```
 //!
 //! A section holds only what no one else knows. Its reader states the
@@ -35,11 +35,14 @@
 //! meets them — which, like everything else in the section, is a
 //! function of which item carries which signature and of nothing else:
 //! not of the arena slot a class happens to occupy, nor of the order
-//! items were inserted and removed in. `c` is the number of classes the
-//! ranks name. A forest whose items all differ has `c = n` and the
-//! identity as its class table. A loaded forest's slots are the ranks,
-//! and the forest keeps no item → slot map (`crate::forest`): the
-//! decoder hands the class table back to its caller and keeps only the
+//! items were inserted and removed in. The class table spells that
+//! walk: a class is founded by a 0 and named by its rank + 1 after, so
+//! the ranks are first-appearance ranks by construction, `c` is the
+//! number of zeros, and the one error left is a repeat that names a
+//! class not yet met. A forest whose items all differ has `c = n` and a
+//! table of `n` zero bytes. A loaded forest's slots are the ranks, and
+//! the forest keeps no item → slot map (`crate::forest`): the decoder
+//! hands the class table back to its caller and keeps only the
 //! postings. A bit signature packs 64 positions to a word; a MinHash
 //! signature two, as 32-bit values (`crate::minhash`), so the paper's
 //! 256 permutations are `stride` 128, `meta` 256.
@@ -50,39 +53,35 @@
 //! time. On load the slab *becomes* the arena; nothing is copied per
 //! signature.
 //!
-//! Tree labels are not stored. A label is a pure function of the
-//! signature (one byte per consumed hash position, see
-//! `forest::label_byte`), so a tree is fully described by its order:
-//! the decoder regenerates each entry's key — the first four label
-//! bytes, all a resident tree keeps — with one sequential pass over
-//! the arena and a scatter per tree, and *checks* the stored order
-//! against the labels, reading the bytes past a key from the arena
-//! where two keys tie — a section whose slab no longer yields the
-//! labels its trees were sorted by is a typed error, never a forest
-//! that answers differently. Only committed forests are written, so
-//! every decoded tree must be sorted. Decoding validates every
-//! structural invariant the query paths rely on — a class table that
-//! names every class of `0..c` in order of first appearance (so no
-//! class without a member, one ranking per content), no two classes
-//! with the same signature, each tree a permutation of the classes
-//! (every rank in range, none repeated) in sorted order, and no byte
-//! left over — so a corrupt section becomes a typed [`StoreError`],
-//! never a panicking or silently-wrong forest.
+//! Trees are not stored. A label is a pure function of the signature
+//! (one byte per consumed hash position, see `forest::label_byte`), and
+//! a committed tree is its classes in `(label, signature words)` order
+//! — a total order — so the decoder builds every tree with the
+//! forest's commit, the sort a build and a delta replay run (each
+//! tree's 16-byte keys read from the arena, two counting passes, and a
+//! comparison sort of the runs they leave tied). Decoding validates every structural invariant the query paths
+//! rely on — a class table that names only classes already met, no
+//! two classes with the same signature, and no byte left over — so a
+//! corrupt section becomes a typed [`StoreError`], never a panicking
+//! or silently-wrong forest; the container's section checksum catches
+//! flipped bytes in the slab.
 //!
 //! Format versions 1 (per-item varint framing, stored labels), 2
 //! (64-bit MinHash values), 3 (every slab stored, one slot per item),
 //! 4 and 5 (an arena-source byte; one slab slot and one tree entry per
 //! item, no class table), 6 (the arena-source byte over classes: some
-//! forests written without their slab, signed again at open) and 7 and
-//! 8 (a header of both shapes, the counts and a committed flag, and an
-//! id table) are not read; the container rejects such files by version
-//! and the lake is re-indexed.
+//! forests written without their slab, signed again at open), 7 and 8
+//! (a header of both shapes, the counts and a committed flag, and an
+//! id table) and 9 to 12 (a `u32` rank per item, and each tree's order
+//! of the classes as `c` `u32` ranks, checked against the labels at
+//! open) are not read; the container rejects such files by version and
+//! the lake is re-indexed.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Write};
 
-use d3l_store::{SectionReader, SectionWriter, StoreError};
+use d3l_store::{Encoder, SectionReader, SectionWriter, StoreError};
 
-use crate::forest::{FlatTree, LshForest};
+use crate::forest::LshForest;
 use crate::signature::Signature;
 use crate::ItemId;
 
@@ -90,9 +89,9 @@ use crate::ItemId;
 const GATHER_ITEMS: usize = 64;
 
 impl<S: Signature> LshForest<S> {
-    /// Stream the committed forest (class table, signature slab, tree
-    /// orders) into a snapshot section. Signatures go from the arena to
-    /// the sink and nowhere else. Panics on an uncommitted forest.
+    /// Stream the committed forest (class table, signature slab) into a
+    /// snapshot section. Signatures go from the arena to the sink and
+    /// nowhere else. Panics on an uncommitted forest.
     pub fn write_to<W: Write>(&self, sec: &mut SectionWriter<'_, W>) -> io::Result<()> {
         assert!(self.is_committed(), "only a committed forest is stored");
         let (postings, sig_words, stride) = self.stored_parts();
@@ -104,19 +103,25 @@ impl<S: Signature> LshForest<S> {
         if !in_rank_order {
             by_rank.sort_unstable_by_key(|&s| postings[s as usize][0]);
         }
-        let mut rank_of_slot = vec![0u32; c];
         let mut members: Vec<(ItemId, u32)> = Vec::with_capacity(self.len());
         for (rank, &s) in (0u32..).zip(&by_rank) {
-            rank_of_slot[s as usize] = rank;
             members.extend(postings[s as usize].iter().map(|&id| (id, rank)));
         }
         members.sort_unstable();
-        let ranks: Vec<u32> = members.into_iter().map(|(_, rank)| rank).collect();
-        sec.put_u32_slab(&ranks)?;
-        drop(ranks);
+        let mut classes = Encoder::with_capacity(members.len());
+        let mut met = 0u32;
+        for (_, rank) in members {
+            if rank == met {
+                classes.put_varint(0);
+                met += 1;
+            } else {
+                classes.put_varint(u64::from(rank) + 1);
+            }
+        }
+        sec.put_raw(classes.as_bytes())?;
 
         if in_rank_order {
-            sec.put_u64_slab(sig_words)?;
+            sec.put_u64_slab(sig_words)
         } else {
             let mut gathered = Vec::with_capacity(GATHER_ITEMS * stride);
             for slots in by_rank.chunks(GATHER_ITEMS) {
@@ -126,29 +131,21 @@ impl<S: Signature> LshForest<S> {
                 }
                 sec.put_u64_slab(&gathered)?;
             }
+            Ok(())
         }
-
-        let mut perm: Vec<u32> = Vec::with_capacity(c);
-        for tree in self.tree_arrays() {
-            assert_eq!(tree.len(), c, "a tree holds one entry per class");
-            perm.clear();
-            perm.extend(tree.slots().iter().map(|&s| rank_of_slot[s as usize]));
-            sec.put_u32_slab(&perm)?;
-        }
-        Ok(())
     }
 
     /// Decode a forest streamed by [`LshForest::write_to`], validating
-    /// every structural invariant the query paths rely on. The caller
-    /// states what the section does not hold (module docs): the tree
-    /// shape `(l, k)`, the signature shape `(stride, meta)` of its
-    /// hasher, and the item ids, ascending — which also bounds
-    /// everything the decoder allocates by the section's size.
+    /// every structural invariant the query paths rely on, and sort its
+    /// trees. The caller states what the section does not hold (module
+    /// docs): the tree shape `(l, k)`, the signature shape `(stride,
+    /// meta)` of its hasher, and the item ids, ascending — which also
+    /// bounds everything the decoder allocates by the section's size.
     ///
     /// Slots are the caller's (`crate::forest`): `place` is told each
     /// item's slot as the class table is read — `(id, slot)` in id
     /// order, each id once.
-    pub fn read_from<R: Read>(
+    pub fn read_from<R: BufRead>(
         sec: &mut SectionReader<'_, R>,
         (l, k): (usize, usize),
         (stride, meta): (usize, u64),
@@ -156,25 +153,29 @@ impl<S: Signature> LshForest<S> {
         mut place: impl FnMut(ItemId, u32),
     ) -> Result<Self, StoreError> {
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids ascend");
-        // Ranks are by smallest member: walking the ids upwards, each
-        // class is first met right after the classes ranked below it,
-        // so the ranks name `0..c`.
-        let ranks = sec.get_u32_slab(ids.len(), "forest classes")?;
-        // Room for the classes the ranks name, no more than there are items.
-        let named = ranks.iter().max().map_or(0, |&rank| rank as usize + 1);
-        let mut classes: Vec<Vec<ItemId>> = Vec::with_capacity(named.min(ids.len()));
-        for (&id, &rank) in ids.iter().zip(&ranks) {
-            let met = classes.len();
-            match classes.get_mut(rank as usize) {
-                Some(class) => class.push(id),
-                None if rank as usize == met => classes.push(vec![id]),
-                None => {
+        // Each item's class, checked as it is read; then the classes,
+        // sized by the count of the zeros.
+        let mut ranks: Vec<u32> = Vec::with_capacity(ids.len());
+        let mut met = 0u32;
+        sec.get_varints(ids.len(), "forest classes", |named| {
+            let rank = match named {
+                0 => met,
+                named if named <= u64::from(met) => (named - 1) as u32,
+                named => {
                     return Err(StoreError::corrupt(format!(
-                        "class {rank} is first met at item {id}, before class {met}: \
-                         classes are not ranked by first appearance"
+                        "item {} names class {} when {met} are known",
+                        ids[ranks.len()],
+                        named - 1
                     )))
                 }
-            }
+            };
+            met += u32::from(named == 0);
+            ranks.push(rank);
+            Ok(())
+        })?;
+        let mut classes: Vec<Vec<ItemId>> = vec![Vec::new(); met as usize];
+        for (&id, &rank) in ids.iter().zip(&ranks) {
+            classes[rank as usize].push(id);
             // A loaded forest's slots are the ranks.
             place(id, rank);
         }
@@ -182,8 +183,8 @@ impl<S: Signature> LshForest<S> {
         // Pushed lists hold up to twice their ids' room; a forest that
         // serves for hours should hold what its footprint says.
         classes.iter_mut().for_each(Vec::shrink_to_fit);
-        let c = classes.len();
-        let words = c
+        let words = classes
+            .len()
             .checked_mul(stride)
             .ok_or_else(|| StoreError::corrupt("forest signature slab size overflows"))?;
         let sig_words = sec.get_u64_slab(words, "forest signatures")?;
@@ -191,50 +192,7 @@ impl<S: Signature> LshForest<S> {
             .map_err(|(a, b)| {
                 StoreError::corrupt(format!("classes {a} and {b} hold one signature"))
             })?;
-
-        // Every tree's order first — `place[t * c + rank]` is where
-        // tree `t` keeps the class of that rank — so that one
-        // sequential pass over the arena can put each signature's tree
-        // keys where each tree wants them, rather than a walk of the
-        // arena in each tree's order.
-        let mut place: Vec<u32> = Vec::new();
-        let mut parts: Vec<(Vec<u32>, Vec<u32>)> = Vec::with_capacity(l);
-        for t in 0..l {
-            let perm = sec.get_u32_slab(c, "forest tree")?;
-            place.resize((t + 1) * c, u32::MAX);
-            let place = &mut place[t * c..];
-            for (at, &rank) in perm.iter().enumerate() {
-                let rank = rank as usize;
-                if rank >= c {
-                    return Err(StoreError::corrupt(format!(
-                        "tree {t} names class {rank} of {c}"
-                    )));
-                }
-                // `at < c <= u32::MAX`: the sentinel is never a place.
-                if std::mem::replace(&mut place[rank], at as u32) != u32::MAX {
-                    return Err(StoreError::corrupt(format!(
-                        "tree {t} holds class {rank} twice"
-                    )));
-                }
-            }
-            parts.push((vec![0u32; c], perm));
-        }
-        let arena = forest.arena();
-        for slot in 0..c {
-            for (t, (keys, _)) in parts.iter_mut().enumerate() {
-                keys[place[t * c + slot] as usize] = arena.key(slot as u32, t * k, k);
-            }
-        }
-        drop(place);
-        let mut trees = Vec::with_capacity(l);
-        for (t, (keys, slots)) in parts.into_iter().enumerate() {
-            let tree = FlatTree::from_parts((t * k, k), keys, slots, arena);
-            if !tree.is_sorted(arena) {
-                return Err(StoreError::corrupt(format!("tree {t} is not sorted")));
-            }
-            trees.push(tree);
-        }
-        forest.set_trees(trees);
+        forest.commit();
         Ok(forest)
     }
 }
@@ -243,13 +201,11 @@ impl<S: Signature> LshForest<S> {
 pub(crate) mod tests {
     use super::*;
     use crate::forest::tests::{put, signature_of, slots_of, take};
-    use crate::forest::write_labels;
     use crate::minhash::{MinHashSignature, MinHasher};
     use crate::randproj::{BitSignature, RandomProjector};
     use d3l_store::{ContainerReader, ContainerWriter, KIND_SNAPSHOT};
 
     const TAG: [u8; 4] = *b"TEST";
-    const SHAPE: (usize, usize) = (8, 8);
 
     /// The section payload `write` streams.
     fn payload_of(
@@ -327,12 +283,6 @@ pub(crate) mod tests {
         f
     }
 
-    /// Offset of tree `t`'s permutation inside a section payload of
-    /// `n` items in `c` classes.
-    fn perm_at(n: usize, c: usize, stride: usize, t: usize) -> usize {
-        n * 4 + c * stride * 8 + t * c * 4
-    }
-
     /// [`minhash_forest`] with four more items under the signatures of
     /// items 0 and 6: 16 items in 12 classes, classes 0 and 2 of three
     /// members each.
@@ -345,10 +295,6 @@ pub(crate) mod tests {
         f.commit();
         assert_eq!((f.len(), f.class_count()), (16, 12));
         f
-    }
-
-    fn patch_rank(payload: &mut [u8], at: usize, rank: u32) {
-        payload[at..at + 4].copy_from_slice(&rank.to_le_bytes());
     }
 
     #[test]
@@ -489,10 +435,11 @@ pub(crate) mod tests {
         assert_eq!(to_bytes(&emptied), to_bytes(&f));
     }
 
-    /// A section is read at its reader's shapes, so one written at
-    /// others — a tree shape or a signature stride that is not the
-    /// writer's — is a typed error, never a forest whose signatures
-    /// disagree with the hasher that queries it.
+    /// A section is read at its reader's shapes, so one written at a
+    /// signature stride that is not the writer's is a typed error, never
+    /// a forest whose signatures disagree with the hasher that queries
+    /// it. (A tree shape is the reader's alone: the trees are sorted
+    /// from the slab at whatever shape it states.)
     #[test]
     fn truncation_and_corruption_are_typed_errors() {
         let f = minhash_forest();
@@ -510,12 +457,30 @@ pub(crate) mod tests {
         long.push(0);
         typed(from_bytes_like(&long, &f), "trailing byte");
         // Other shapes than the writer's.
-        for (shape, sig_shape) in [((8, 8), (35, 70)), ((8, 8), (31, 62)), ((4, 16), (32, 64))] {
+        for (shape, sig_shape) in [((8, 8), (35, 70)), ((8, 8), (31, 62)), ((4, 16), (33, 66))] {
             let read = |sec: &mut SectionReader<'_, io::Cursor<&[u8]>>| {
                 LshForest::read_from(sec, shape, sig_shape, f.ids().collect(), |_, _| {})
             };
             typed(decode(&bytes, read), &format!("{shape:?} {sig_shape:?}"));
         }
+    }
+
+    /// The trees are the reader's: the section of an 8-tree forest,
+    /// read at four trees of depth 16, is the forest a build at that
+    /// shape commits.
+    #[test]
+    fn a_reader_sorts_the_trees_at_its_own_shape() {
+        let mh = MinHasher::new(64, 7);
+        let mut wide = LshForest::new(64, 4);
+        for i in 0..12u64 {
+            wide.insert(i * 3, minhash_sig(&mh, i));
+        }
+        wide.commit();
+        let bytes = to_bytes(&minhash_forest());
+        assert_eq!(bytes, to_bytes(&wide));
+        let loaded = from_bytes_like(&bytes, &wide).unwrap();
+        assert_eq!(loaded.shape(), (4, 16));
+        assert!(loaded == wide);
     }
 
     /// Only a committed forest is written: what a reader makes of a
@@ -529,117 +494,17 @@ pub(crate) mod tests {
         to_bytes(&f);
     }
 
-    #[test]
-    fn a_tree_that_is_not_a_sorted_permutation_is_rejected() {
-        let f = pooled_forest();
-        let (n, c, stride) = (f.len(), f.class_count(), 32);
-        let good = to_bytes(&f);
-        assert!(from_bytes_like(&good, &f).unwrap() == f);
-        let rank_at =
-            |payload: &[u8], at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap());
-        for t in [0usize, 3, 7] {
-            let at = perm_at(n, c, stride, t);
-            // Out of range: classes, not items, are what a tree orders.
-            let mut bad = good.clone();
-            patch_rank(&mut bad, at + 4, c as u32);
-            let err = from_bytes_like(&bad, &f).unwrap_err();
-            assert!(matches!(err, StoreError::Corrupt(_)), "tree {t}: {err}");
-            // Repeated: entry 1 names entry 0's item (so another item
-            // has no entry — the orphan case of the old layout).
-            let mut bad = good.clone();
-            let first = rank_at(&bad, at);
-            patch_rank(&mut bad, at + 4, first);
-            let err = from_bytes_like(&bad, &f).unwrap_err();
-            assert!(matches!(err, StoreError::Corrupt(_)), "tree {t}: {err}");
-            // Unsorted: a valid permutation in the wrong order.
-            let mut bad = good.clone();
-            let (first, last) = (rank_at(&bad, at), rank_at(&bad, at + (c - 1) * 4));
-            patch_rank(&mut bad, at, last);
-            patch_rank(&mut bad, at + (c - 1) * 4, first);
-            let err = from_bytes_like(&bad, &f).unwrap_err();
-            assert!(
-                matches!(&err, StoreError::Corrupt(m) if m.contains("not sorted")),
-                "tree {t}: {err}"
-            );
-        }
-    }
-
-    /// The open-time order check reads past the keys: two neighbours
-    /// of a tree whose labels share their first four bytes and differ
-    /// in the fifth, their ranks swapped in that tree's stored order,
-    /// are a typed error — although by their keys alone the tree is
-    /// still sorted.
-    #[test]
-    fn a_tree_out_of_order_past_its_keys_is_rejected() {
-        let mh = MinHasher::new(64, 7);
-        // Near-duplicates: twenty shared tokens and one of their own,
-        // so two labels agree at most bytes and differ at a few.
-        let sigs: Vec<MinHashSignature> = (0..40)
-            .map(|i| {
-                let own = std::iter::once(format!("own{i}"));
-                let toks: Vec<String> = (0..20).map(|j| format!("tok{j}")).chain(own).collect();
-                mh.sign_strs(toks.iter().map(String::as_str))
-            })
-            .collect();
-        let mut f = LshForest::new(64, 8);
-        for (id, sig) in (0u64..).zip(&sigs) {
-            f.insert(id, sig.clone());
-        }
-        f.commit();
-        let (n, c, k) = (f.len(), f.class_count(), SHAPE.1);
-        let good = to_bytes(&f);
-        let rank_at = |at: usize| u32::from_le_bytes(good[at..at + 4].try_into().unwrap());
-        // A class's signature is its smallest member's; ids are 0..n.
-        let mut of_rank: Vec<&MinHashSignature> = Vec::new();
-        for (id, sig) in sigs.iter().enumerate() {
-            if rank_at(id * 4) as usize == of_rank.len() {
-                of_rank.push(sig);
-            }
-        }
-        let label = |rank: u32, t: usize| {
-            let sig = of_rank[rank as usize];
-            let mut label = Vec::new();
-            write_labels::<MinHashSignature>(
-                sig.words(),
-                sig.meta(),
-                t * k..(t + 1) * k,
-                &mut label,
-            );
-            label
-        };
-        let (t, at) = (0..SHAPE.0)
-            .flat_map(|t| (1..c).map(move |j| (t, perm_at(n, c, 32, t) + j * 4)))
-            .find(|&(t, at)| {
-                let (a, b) = (label(rank_at(at - 4), t), label(rank_at(at), t));
-                a[..4] == b[..4] && a[4] != b[4]
-            })
-            .expect("near-duplicates share a key somewhere");
-        let mut bad = good.clone();
-        patch_rank(&mut bad, at - 4, rank_at(at));
-        patch_rank(&mut bad, at, rank_at(at - 4));
-        let err = from_bytes_like(&bad, &f).unwrap_err();
-        let expected = format!("tree {t} is not sorted");
-        assert!(
-            matches!(&err, StoreError::Corrupt(m) if *m == expected),
-            "{err}"
-        );
-    }
-
     /// Items under one signature are one class on the wire: one slab
-    /// slot and one entry per tree, ranked by its smallest member.
+    /// slot, ranked by its smallest member, and no tree bytes.
     #[test]
     fn pooled_forest_round_trips() {
         let mh = MinHasher::new(64, 7);
         let f = pooled_forest();
         let stored = to_bytes(&f);
-        assert_eq!(stored.len(), 16 * 4 + 12 * 32 * 8 + SHAPE.0 * 12 * 4);
-        let ranks: Vec<u32> = stored[..16 * 4]
-            .chunks_exact(4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-            .collect();
-        // Ids 0, 3, .., 33 are classes 0..12; 100..104 join 0 and 2.
-        assert_eq!(ranks[..12], (0..12).collect::<Vec<u32>>()[..]);
-        assert_eq!(ranks[12..], [0, 2, 0, 2]);
+        assert_eq!(stored.len(), 16 + 12 * 32 * 8);
+        // Ids 0, 3, .., 33 found classes 0..12; 100..104 join 0 and 2.
+        assert_eq!(stored[..12], [0; 12]);
+        assert_eq!(stored[12..16], [1, 3, 1, 3]);
 
         let loaded = from_bytes_like(&stored, &f).unwrap();
         assert!(loaded == f);
@@ -653,15 +518,15 @@ pub(crate) mod tests {
         );
     }
 
-    /// The class table names the classes `0..c` in the order a walk up
-    /// the items first meets them: a class met before one ranked below
-    /// it is a typed error, and so is a table that names more or fewer
-    /// classes than the slab and the trees hold.
+    /// A class table can only found the next class or name one already
+    /// met: a repeat naming a class not yet met is a typed error, and
+    /// so is a table that founds more or fewer classes than the slab
+    /// holds.
     #[test]
-    fn a_class_table_that_is_not_a_first_appearance_ranking_is_rejected() {
+    fn a_class_table_that_names_a_class_not_yet_met_is_rejected() {
         let f = pooled_forest();
         let corrupt = |payload: &[u8], what: &str| match from_bytes_like(payload, &f).map(|_| ()) {
-            Err(StoreError::Corrupt(m)) => assert!(m.contains(what), "{m}"),
+            Err(StoreError::Corrupt(m)) => assert_eq!(m, what),
             other => panic!("{what}: {other:?}"),
         };
         let typed = |payload: &[u8], what: &str| match from_bytes_like(payload, &f).map(|_| ()) {
@@ -669,23 +534,28 @@ pub(crate) mod tests {
             other => panic!("{what}: {other:?}"),
         };
         let good = to_bytes(&f);
-        // Classes 4 and 5 swap names: 5 is met before 4.
-        let mut bad = good.clone();
-        patch_rank(&mut bad, 4 * 4, 5);
-        patch_rank(&mut bad, 5 * 4, 4);
-        corrupt(&bad, "not ranked by first appearance");
+        let with = |at: usize, byte: u8| {
+            let mut bad = good.clone();
+            bad[at] = byte;
+            bad
+        };
+        // Item 3 names class 1 when only class 0 is known.
+        corrupt(&with(1, 2), "item 3 names class 1 when 1 are known");
         // Item 100 names class 13 when 12 are known.
-        let mut bad = good.clone();
-        patch_rank(&mut bad, 12 * 4, 13);
-        corrupt(&bad, "not ranked by first appearance");
+        corrupt(&with(12, 14), "item 100 names class 13 when 12 are known");
         // Item 100 founds a thirteenth class.
-        let mut bad = good.clone();
-        patch_rank(&mut bad, 12 * 4, 12);
-        typed(&bad, "one class more");
+        typed(&with(12, 0), "one class more");
         // The last id-ordered class loses its only member to class 0.
-        let mut bad = good.clone();
-        patch_rank(&mut bad, 11 * 4, 0);
-        typed(&bad, "one class fewer");
+        typed(&with(11, 1), "one class fewer");
+        // A repeat past every class, in a ten-byte varint.
+        let mut far = good[..12].to_vec();
+        far.extend([0xff; 9]);
+        far.push(0x01);
+        far.extend(&good[13..]);
+        corrupt(
+            &far,
+            &format!("item 100 names class {} when 12 are known", u64::MAX - 1),
+        );
     }
 
     /// Two classes are two signatures: a slab that repeats one is a
@@ -694,7 +564,8 @@ pub(crate) mod tests {
     fn two_classes_with_one_signature_are_rejected() {
         let f = pooled_forest();
         let mut bad = to_bytes(&f);
-        let slab = f.len() * 4;
+        // One class-table byte an item.
+        let slab = f.len();
         bad.copy_within(slab + 3 * 256..slab + 4 * 256, slab + 9 * 256);
         let err = from_bytes_like(&bad, &f).unwrap_err();
         assert!(

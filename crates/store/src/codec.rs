@@ -119,15 +119,6 @@ pub(crate) fn u64s_to_le(words: &[u64], out: &mut [u8]) {
     }
 }
 
-/// Write the little-endian image of `words` over `out` (exactly
-/// `4 * words.len()` bytes).
-pub(crate) fn u32s_to_le(words: &[u32], out: &mut [u8]) {
-    debug_assert_eq!(out.len(), words.len() * 4);
-    for (dst, w) in out.chunks_exact_mut(4).zip(words) {
-        dst.copy_from_slice(&w.to_le_bytes());
-    }
-}
-
 /// Append the `u64` words whose little-endian image is `bytes` (a
 /// multiple of 8 long).
 pub(crate) fn extend_u64s_from_le(out: &mut Vec<u64>, bytes: &[u8]) {
@@ -136,17 +127,6 @@ pub(crate) fn extend_u64s_from_le(out: &mut Vec<u64>, bytes: &[u8]) {
         bytes
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
-    );
-}
-
-/// Append the `u32` words whose little-endian image is `bytes` (a
-/// multiple of 4 long).
-pub(crate) fn extend_u32s_from_le(out: &mut Vec<u32>, bytes: &[u8]) {
-    debug_assert_eq!(bytes.len() % 4, 0);
-    out.extend(
-        bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
     );
 }
 
@@ -539,14 +519,6 @@ mod tests {
         let mut back = Vec::new();
         extend_u64s_from_le(&mut back, enc.as_bytes());
         assert_eq!(back, words);
-
-        let ranks = [7u32, u32::MAX, 0x0a0b_0c0d];
-        let mut bytes = [0u8; 12];
-        u32s_to_le(&ranks, &mut bytes);
-        assert_eq!(&bytes[8..], &[0x0d, 0x0c, 0x0b, 0x0a]);
-        let mut back = Vec::new();
-        extend_u32s_from_le(&mut back, &bytes);
-        assert_eq!(back, ranks);
     }
 
     #[test]

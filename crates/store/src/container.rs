@@ -1,11 +1,11 @@
 //! The container format shared by base snapshots and delta segments
-//! (format version 12): a fixed header, section payloads back to back,
+//! (format version 13): a fixed header, section payloads back to back,
 //! then a checksummed section table the reader finds from the end.
 //!
 //! ```text
 //! offset  field
 //! 0       magic              "D3LSTORE" (8 bytes)
-//! 8       format version     u32 LE (12)
+//! 8       format version     u32 LE (13)
 //! 12      container kind     u32 LE (1 = snapshot, 2 = delta)
 //! 16      payloads           section bytes, back to back
 //! T       section table      count × { tag: 4 bytes, offset: u64,
@@ -32,11 +32,12 @@
 //! rather than a garbled decode downstream.
 //!
 //! The version counts changes to what any section holds, not only to
-//! the container: version 12 is version 2's container around forest
+//! the container: version 13 is version 2's container around forest
 //! sections that hold each distinct signature once, as a class with
-//! the items that carry it, every one with its signature arena, and
-//! nothing their reader already knows — no shape, no count, no item
-//! id (`d3l-lsh`'s `store` module) — and around attribute records
+//! the items that carry it (a varint an item), every one with its
+//! signature arena, and nothing their reader already knows or derives —
+//! no shape, no count, no item id, no tree (`d3l-lsh`'s `store`
+//! module) — and around attribute records
 //! without token sets or embedding vectors whose numeric extent is
 //! exact scaled-integer deltas (`d3l-core`'s snapshot module,
 //! `d3l-features`' `extent` module), a configuration that is the
@@ -54,23 +55,21 @@
 //! constants in the configuration: the LSH and join thresholds, the
 //! lookup factor and the join path length), version 10 (a shard
 //! count in the configuration, and a partitioned index's shards each
-//! a store of its own) and version 11 (an `EMBD` section holding the
-//! embedder's lexicon) — are not read: opening one is
+//! a store of its own), version 11 (an `EMBD` section holding the
+//! embedder's lexicon) and version 12 (a `u32` class per item and
+//! every tree's order in each forest section) — are not read: opening one is
 //! [`StoreError::UnsupportedVersion`], and the lake must be re-indexed.
 
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, Read, Seek, SeekFrom, Write};
 
-use crate::codec::{
-    extend_u32s_from_le, extend_u64s_from_le, u32s_to_le, u64s_to_le, Checksum, Decoder, Encoder,
-    MAX_VARINT_LEN,
-};
+use crate::codec::{extend_u64s_from_le, u64s_to_le, Checksum, Decoder, Encoder, MAX_VARINT_LEN};
 use crate::error::StoreError;
 
 /// Leading magic of every D3L store file.
 pub const MAGIC: &[u8; 8] = b"D3LSTORE";
 
 /// The container format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 12;
+pub const FORMAT_VERSION: u32 = 13;
 
 /// Container kind of a full base snapshot.
 pub const KIND_SNAPSHOT: u32 = 1;
@@ -232,28 +231,17 @@ impl<W: Write> SectionWriter<'_, W> {
         self.put_raw(bytes)
     }
 
-    /// A slab of fixed-width words, no prefix: converted and moved to
-    /// the sink a chunk at a time, never copied whole.
-    fn put_slab<T>(&mut self, words: &[T], to_le: fn(&[T], &mut [u8])) -> io::Result<()> {
-        let width = std::mem::size_of::<T>();
-        for chunk in words.chunks(SLAB_CHUNK / width) {
-            self.scratch.resize(std::mem::size_of_val(chunk), 0);
-            to_le(chunk, self.scratch);
+    /// A `u64` slab as little-endian words, no prefix: converted and
+    /// moved to the sink a chunk at a time, never copied whole.
+    pub fn put_u64_slab(&mut self, words: &[u64]) -> io::Result<()> {
+        for chunk in words.chunks(SLAB_CHUNK / 8) {
+            self.scratch.resize(chunk.len() * 8, 0);
+            u64s_to_le(chunk, self.scratch);
             self.sum.update(self.scratch);
             self.out.write_all(self.scratch)?;
         }
-        self.len += std::mem::size_of_val(words) as u64;
+        self.len += words.len() as u64 * 8;
         Ok(())
-    }
-
-    /// A `u64` slab as little-endian words, no prefix.
-    pub fn put_u64_slab(&mut self, words: &[u64]) -> io::Result<()> {
-        self.put_slab(words, u64s_to_le)
-    }
-
-    /// A `u32` slab as little-endian words, no prefix.
-    pub fn put_u32_slab(&mut self, words: &[u32]) -> io::Result<()> {
-        self.put_slab(words, u32s_to_le)
     }
 }
 
@@ -490,16 +478,7 @@ impl<R: Read> SectionReader<'_, R> {
     /// read into `buf` in place of what it held. The length is checked
     /// against what the section has left before `buf` grows to it.
     pub fn get_bytes(&mut self, buf: &mut Vec<u8>) -> Result<(), StoreError> {
-        let mut prefix = [0u8; MAX_VARINT_LEN];
-        let mut used = 0;
-        loop {
-            self.get_raw(&mut prefix[used..used + 1], "bytes length")?;
-            used += 1;
-            if prefix[used - 1] & 0x80 == 0 || used == MAX_VARINT_LEN {
-                break;
-            }
-        }
-        let len = Decoder::new(&prefix[..used]).get_varint()?;
+        let len = self.get_varint("bytes length")?;
         if len > self.remaining {
             return Err(StoreError::Truncated {
                 context: "bytes",
@@ -511,6 +490,21 @@ impl<R: Read> SectionReader<'_, R> {
         buf.clear();
         buf.resize(len, 0);
         self.get_raw(buf, "bytes")
+    }
+
+    /// The next LEB128 varint ([`Decoder::get_varint`]), read a byte at
+    /// a time: no byte past its last is taken from the section.
+    pub fn get_varint(&mut self, context: &'static str) -> Result<u64, StoreError> {
+        let mut bytes = [0u8; MAX_VARINT_LEN];
+        let mut used = 0;
+        loop {
+            self.get_raw(&mut bytes[used..used + 1], context)?;
+            used += 1;
+            if bytes[used - 1] & 0x80 == 0 || used == MAX_VARINT_LEN {
+                break;
+            }
+        }
+        Decoder::new(&bytes[..used]).get_varint()
     }
 
     /// Everything the section has left.
@@ -537,45 +531,69 @@ impl<R: Read> SectionReader<'_, R> {
         Ok(())
     }
 
-    /// The next `n` fixed-width words, in a vector of exactly that
-    /// capacity: file → chunk → destination, no whole-slab byte buffer
-    /// in between. (`SLAB_CHUNK` is a multiple of every word width, so
-    /// chunks never split a word.)
-    fn get_slab<T>(
-        &mut self,
-        n: usize,
-        context: &'static str,
-        extend_from_le: fn(&mut Vec<T>, &[u8]),
-    ) -> Result<Vec<T>, StoreError> {
-        let bytes = (n as u64).saturating_mul(std::mem::size_of::<T>() as u64);
-        self.claim(bytes, context)?;
-        let mut out = Vec::with_capacity(n);
-        self.pull(bytes, |chunk| extend_from_le(&mut out, chunk))?;
-        Ok(out)
-    }
-
-    /// The next `n` little-endian `u64` words.
+    /// The next `n` little-endian `u64` words, in a vector of exactly
+    /// that capacity: file → chunk → destination, no whole-slab byte
+    /// buffer in between. (`SLAB_CHUNK` is a multiple of 8, so chunks
+    /// never split a word.)
     pub fn get_u64_slab(
         &mut self,
         n: usize,
         context: &'static str,
     ) -> Result<Vec<u64>, StoreError> {
-        self.get_slab(n, context, extend_u64s_from_le)
-    }
-
-    /// The next `n` little-endian `u32` words.
-    pub fn get_u32_slab(
-        &mut self,
-        n: usize,
-        context: &'static str,
-    ) -> Result<Vec<u32>, StoreError> {
-        self.get_slab(n, context, extend_u32s_from_le)
+        let bytes = (n as u64).saturating_mul(8);
+        self.claim(bytes, context)?;
+        let mut out = Vec::with_capacity(n);
+        self.pull(bytes, |chunk| extend_u64s_from_le(&mut out, chunk))?;
+        Ok(out)
     }
 
     /// Read (and checksum) whatever the decoder left unconsumed.
     fn skip_rest(&mut self) -> Result<(), StoreError> {
         let left = std::mem::take(&mut self.remaining);
         self.pull(left, |_| {})
+    }
+}
+
+impl<R: BufRead> SectionReader<'_, R> {
+    /// The next `n` varints, each handed to `each` in turn: those the
+    /// source holds whole in its buffer are decoded there and
+    /// checksummed a buffer at a time, one split across two buffers is
+    /// read by [`SectionReader::get_varint`].
+    pub fn get_varints(
+        &mut self,
+        n: usize,
+        context: &'static str,
+        mut each: impl FnMut(u64) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let mut left = n;
+        while left > 0 {
+            let buffered = self.src.fill_buf()?;
+            let held = &buffered[..buffered
+                .len()
+                .min(usize::try_from(self.remaining).unwrap_or(usize::MAX))];
+            let mut used = 0;
+            while left > 0 {
+                let rest = &held[used..];
+                let Some(last) = rest
+                    .iter()
+                    .take(MAX_VARINT_LEN)
+                    .position(|&b| b & 0x80 == 0)
+                else {
+                    break;
+                };
+                each(Decoder::new(&rest[..=last]).get_varint()?)?;
+                (used, left) = (used + last + 1, left - 1);
+            }
+            if used == 0 {
+                each(self.get_varint(context)?)?;
+                left -= 1;
+                continue;
+            }
+            self.sum.update(&held[..used]);
+            self.remaining -= used as u64;
+            self.src.consume(used);
+        }
+        Ok(())
     }
 }
 
@@ -604,17 +622,21 @@ mod tests {
     }
 
     #[test]
-    fn slabs_stream_both_ways_across_chunk_boundaries() {
+    fn slabs_and_varints_stream_both_ways_across_chunk_boundaries() {
         // More words than one chunk holds, and not a multiple of it.
         let words: Vec<u64> = (0..(SLAB_CHUNK as u64 / 8) * 2 + 77)
             .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
             .collect();
-        let ranks: Vec<u32> = (0..(SLAB_CHUNK as u32 / 4) + 5).rev().collect();
+        let values = [0u64, 1, 127, 128, 16_383, 16_384, u64::MAX];
         let mut w = ContainerWriter::new(Vec::new(), KIND_SNAPSHOT).unwrap();
         w.stream_section(*b"SLAB", |sec| {
             sec.put_raw(&[9, 9])?;
             sec.put_u64_slab(&words)?;
-            sec.put_u32_slab(&ranks)
+            values.iter().try_for_each(|&v| {
+                let mut enc = Encoder::new();
+                enc.put_varint(v);
+                sec.put_raw(enc.as_bytes())
+            })
         })
         .unwrap();
         let bytes = w.finish().unwrap();
@@ -623,27 +645,56 @@ mod tests {
         let mut enc = Encoder::new();
         enc.put_raw(&[9, 9]);
         enc.put_u64_slab(&words);
-        for r in &ranks {
-            enc.put_u32(*r);
-        }
+        values.iter().for_each(|&v| enc.put_varint(v));
         let mut w = ContainerWriter::new(Vec::new(), KIND_SNAPSHOT).unwrap();
         w.add_section(*b"SLAB", enc.as_bytes()).unwrap();
         assert_eq!(w.finish().unwrap(), bytes);
 
         let mut r = ContainerReader::parse(&bytes, KIND_SNAPSHOT).unwrap();
-        let (head, got_words, got_ranks) = r
+        let (head, got_words, got_values) = r
             .stream_section(*b"SLAB", |sec| {
                 let mut head = [0u8; 2];
                 sec.get_raw(&mut head, "head")?;
                 let w = sec.get_u64_slab(words.len(), "words")?;
                 assert_eq!(w.capacity(), words.len(), "exact reservation");
-                let r = sec.get_u32_slab(ranks.len(), "ranks")?;
-                Ok((head, w, r))
+                let mut v = Vec::new();
+                sec.get_varints(values.len(), "v", |value| {
+                    v.push(value);
+                    Ok(())
+                })?;
+                Ok((head, w, v))
             })
             .unwrap();
         assert_eq!(head, [9, 9]);
         assert_eq!(got_words, words);
-        assert_eq!(got_ranks, ranks);
+        assert_eq!(got_values, values);
+        // A source that buffers a few bytes at a time splits varints:
+        // those are read a byte at a time, to the same values.
+        let small = io::BufReader::with_capacity(3, io::Cursor::new(&bytes));
+        let mut r = ContainerReader::open(small, KIND_SNAPSHOT).unwrap();
+        let split = r
+            .stream_section(*b"SLAB", |sec| {
+                sec.get_raw(&mut [0u8; 2], "head")?;
+                sec.get_u64_slab(words.len(), "words")?;
+                let mut v = Vec::new();
+                sec.get_varints(values.len(), "v", |value| {
+                    v.push(value);
+                    Ok(())
+                })?;
+                Ok(v)
+            })
+            .unwrap();
+        assert_eq!(split, values);
+        // A varint cut short is a truncation, not a read past the
+        // section.
+        let mut w = ContainerWriter::new(Vec::new(), KIND_SNAPSHOT).unwrap();
+        w.add_section(*b"CUT_", &[0x80]).unwrap();
+        let cut = w.finish().unwrap();
+        let mut r = ContainerReader::parse(&cut, KIND_SNAPSHOT).unwrap();
+        let err = r
+            .stream_section(*b"CUT_", |sec| sec.get_varints(1, "v", |_| Ok(())))
+            .unwrap_err();
+        assert!(matches!(err, StoreError::Truncated { .. }), "{err}");
     }
 
     /// Length-prefixed blocks stream one at a time into the bytes one
@@ -752,8 +803,8 @@ mod tests {
     #[test]
     fn other_versions_are_rejected() {
         // Newer and older alike: there is one read path, and a
-        // version 1 to 11 store must be re-indexed.
-        for version in [FORMAT_VERSION + 1, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0] {
+        // version 1 to 12 store must be re-indexed.
+        for version in [FORMAT_VERSION + 1, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0] {
             let mut bytes = two_section_container();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             assert!(matches!(
@@ -798,7 +849,7 @@ mod tests {
     /// header before any is read.
     #[test]
     fn older_files_of_this_container_are_an_unsupported_version() {
-        assert_eq!(FORMAT_VERSION, 12);
+        assert_eq!(FORMAT_VERSION, 13);
         for version in 2..FORMAT_VERSION {
             let mut old = two_section_container();
             old[8..12].copy_from_slice(&version.to_le_bytes());
@@ -806,7 +857,7 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    StoreError::UnsupportedVersion { found, supported: 12 } if found == version
+                    StoreError::UnsupportedVersion { found, supported: 13 } if found == version
                 ),
                 "{err}"
             );

@@ -97,6 +97,16 @@ fn main() -> ExitCode {
     }
 }
 
+/// `dir` as a lake to index, unless it is an index directory — a base
+/// snapshot and no CSV file — which would index as an empty lake.
+fn as_lake(dir: &str) -> Result<&str, Box<dyn std::error::Error>> {
+    let base = std::path::Path::new(dir).join(d3l::core::snapshot::BASE_FILE);
+    if base.is_file() && d3l::table::lake::csv_files(dir)?.is_empty() {
+        return Err(format!("{dir} is an index directory, not a lake; use --index {dir}").into());
+    }
+    Ok(dir)
+}
+
 /// Build an engine to query: either a millisecond cold start from a
 /// persisted index directory, or an index-on-the-fly over a raw CSV
 /// lake directory.
@@ -116,6 +126,7 @@ fn load_engine(
             Ok(engine)
         }
         (Some(dir), None) => {
+            let dir = as_lake(dir)?;
             eprintln!("indexing the lake in {dir} ...");
             Ok(D3l::index_dir(dir, D3lConfig::default())?)
         }
@@ -137,6 +148,7 @@ fn cmd_index(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     let dir = dir.ok_or("missing lake directory")?;
     let out = out.ok_or("missing --out <index-dir>")?;
+    as_lake(&dir)?;
 
     eprintln!(
         "indexing the lake in {dir} ({} signing lanes) ...",
@@ -468,7 +480,7 @@ fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             (engine, store.disk_usage()?)
         }
         (Some(dir), None) => {
-            let lake = DataLake::load_dir(dir)?;
+            let lake = DataLake::load_dir(as_lake(dir)?)?;
             let stats = benchgen::RepoStats::compute(&lake);
             out!("tables:         {}", stats.tables);
             out!("attributes:     {}", stats.attributes);

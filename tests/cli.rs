@@ -211,6 +211,41 @@ fn query_accepts_each_evidence_flag() {
     }
 }
 
+/// An index directory where a lake goes — a `base.d3ls` and no CSV
+/// file — is refused, naming `--index`, by `query`, `stats` and
+/// `index` alike: it used to index as an empty lake ("no related
+/// tables found", `tables: 0`, exit 0). An empty directory is still an
+/// empty lake.
+#[test]
+fn an_index_directory_is_not_taken_for_an_empty_lake() {
+    let lake = TempLake::create("index_as_lake");
+    let index_dir = format!("{}_index", lake.dir());
+    let out = d3l_cmd(&["index", lake.dir(), "--out", &index_dir]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    let again = format!("{index_dir}_again");
+    let runs: [&[&str]; 3] = [
+        &["query", &index_dir, lake.target()],
+        &["stats", &index_dir],
+        &["index", &index_dir, "--out", &again],
+    ];
+    for args in runs {
+        let out = d3l_cmd(args);
+        let stderr = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        let named = format!(
+            "error: {index_dir} is an index directory, not a lake; use --index {index_dir}"
+        );
+        assert!(stderr.contains(&named), "{args:?}: {stderr}");
+        assert!(!stderr.contains("indexing the lake"), "{args:?}: {stderr}");
+    }
+    assert!(!std::path::Path::new(&again).exists());
+    let empty = format!("{}_empty", lake.dir());
+    std::fs::create_dir_all(&empty).unwrap();
+    let out = d3l_cmd(&["stats", &empty]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    assert!(stdout_of(&out).contains("tables:         0"));
+}
+
 #[test]
 fn stats_reports_lake_shape() {
     let lake = TempLake::create("stats");

@@ -728,22 +728,34 @@ fn dirty_lake(tables: usize) -> DataLake {
 /// varints, 18 bytes, 244 347 bytes (checksum `0xce81_2ebb_7690_1be2`);
 /// format 11 leaves out the one-byte shard count `CONF` held, 244 346
 /// bytes (checksum `0xebfd_0d59_7301_a179`); format 12 leaves out
-/// `EMBD`: 2 payload bytes and its 28-byte directory entry. Profiling
-/// and signing may get faster; what they produce may not move.
+/// `EMBD`: 2 payload bytes and its 28-byte directory entry, 244 316
+/// bytes (checksum `0x74fa_0404_7441_3a47`); format 13 leaves out every
+/// forest's tree orders — 16 trees of a 4-byte entry per class, sorted
+/// again at open — and writes each attribute's class as a varint, one
+/// byte here, where it wrote a 4-byte rank. Profiling and signing may
+/// get faster; what they produce may not move.
 #[test]
 fn dirty_lake_snapshot_checksum_is_pinned() {
     let lake = dirty_lake(40);
     assert_eq!(lake.total_attributes(), 178);
     let built = D3l::index_lake(&lake, D3lConfig::default());
     let bytes = built.to_snapshot_bytes();
-    assert_eq!(bytes.len(), 244_316);
+    assert_eq!(bytes.len(), 223_190);
     // (attributes, classes, the bytes format 6 stored of a signature) of
     // IN, IV, IF, IE.
     let forests = [(178, 44, 0), (111, 107, 1024), (178, 58, 0), (111, 94, 32)];
     let classes = built.class_stats().map(|s| (s.attributes, s.classes));
     assert_eq!(classes, forests.map(|(n, c, _)| (n, c)));
     let attributes: usize = forests.iter().map(|(n, _, _)| n).sum();
-    assert_eq!(bytes.len(), 244_346 - 2 - 28);
+    // Format 13: no 16 tree orders of 4 bytes a class, and a one-byte
+    // varint class per attribute (no forest has 127 classes) for the
+    // four-byte rank.
+    let class_count: usize = forests.iter().map(|(_, c, _)| c).sum();
+    assert_eq!(
+        bytes.len(),
+        244_316 - 16 * 4 * class_count - (4 - 1) * attributes
+    );
+    assert_eq!(244_316, 244_346 - 2 - 28);
     assert_eq!(244_346, 244_347 - 1);
     assert_eq!(244_347, 244_365 - 2 * 8 - 2);
     assert_eq!(
@@ -792,7 +804,7 @@ fn dirty_lake_snapshot_checksum_is_pinned() {
     assert_eq!(175_502, 195_398 - forests.map(saved).iter().sum::<usize>());
     assert_eq!(195_398, 286_712 - 178 * 513);
     assert_eq!(286_712, 651_252 - 2 * 178 * 1024 + 4);
-    assert_eq!(d3l::store::checksum(&bytes), 0x74fa_0404_7441_3a47);
+    assert_eq!(d3l::store::checksum(&bytes), 0x2468_73dc_aa7a_c2b0);
 }
 
 /// What the index of that lake *answers* is pinned too, to the values

@@ -754,7 +754,6 @@ fn opening_a_store_sweeps_stale_tmp_files_even_of_live_pids() {
 enum Width {
     Varint,
     U8,
-    U32,
     U64,
 }
 
@@ -768,7 +767,6 @@ impl Width {
                 Some(enc.into_bytes())
             }
             Width::U8 => u8::try_from(v).ok().map(|b| vec![b]),
-            Width::U32 => u32::try_from(v).ok().map(|w| w.to_le_bytes().to_vec()),
             Width::U64 => Some(v.to_le_bytes().to_vec()),
         }
     }
@@ -797,7 +795,6 @@ impl<'a> Fields<'a> {
         let value = match width {
             Width::Varint => self.dec.get_varint().unwrap(),
             Width::U8 => self.dec.get_u8().unwrap().into(),
-            Width::U32 => self.dec.get_u32().unwrap().into(),
             Width::U64 => self.dec.get_u64().unwrap(),
         };
         self.found
@@ -807,7 +804,7 @@ impl<'a> Fields<'a> {
 }
 
 /// Every numeric field an open or a replay reads — each of `CONF`'s and
-/// `TABL`'s, the count of `PROF`'s first block, the first class rank of
+/// `TABL`'s, the count of `PROF`'s first block, the first class of
 /// each forest, the table id of a delta's add and of its remove —
 /// re-sealed at 0, 1, 2³² and `u64::MAX` where its encoding holds the
 /// value: the open, or the replay, returns a typed error or an engine
@@ -864,7 +861,7 @@ fn every_numeric_store_field_at_its_extremes_opens_or_is_refused() {
     for tag in [*b"F_IN", *b"F_IV", *b"F_IF", *b"F_IE"] {
         let forest = section_of(&base, tag);
         let mut walk = Fields::of(&forest);
-        walk.take(U32);
+        walk.take(Varint);
         found(None, tag, walk);
     }
     for (i, (_, segment)) in segments.iter().enumerate() {
@@ -910,7 +907,9 @@ fn every_numeric_store_field_at_its_extremes_opens_or_is_refused() {
             }
         }
     }
-    assert_eq!(cases, 60);
+    // A forest's first class is a varint, which holds all four values
+    // (a `u32` rank held two).
+    assert_eq!(cases, 68);
     println!("{cases} cases, {refused} refused");
     std::fs::remove_dir_all(&dir).ok();
 }
