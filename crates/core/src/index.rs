@@ -41,13 +41,19 @@
 //! and signature generation dominate, as the paper observes for all
 //! three compared systems (Experiment 4). The workers' forests are then
 //! appended in table-id order ([`LshForest::append`], which merges
-//! classes by content; with one worker there is nothing to append) and
-//! committed. A built profile holds hashed token sets, so its
+//! classes by content; with one worker there is nothing to append).
+//! The build holds no tree: the engines [`D3l::index_lake`] and
+//! [`D3l::index_dir`] return are committed, so they answer queries,
+//! while a build written straight to a store
+//! ([`crate::IndexStore::index_dir`], what `d3l index` runs) is never
+//! committed — the store keeps no tree, and its open sorts them. A
+//! built profile holds hashed token sets, so its
 //! signatures are derived from the hashes with no re-tokenization, and
-//! it ends at its record. A committed forest is a function of which
-//! attribute carries which signature, so the built index is
-//! byte-identical at every thread count, from a directory or from a
-//! lake, in bulk or one table at a time.
+//! it ends at its record. A forest's stored bytes, and its committed
+//! trees, are a function of which attribute carries which signature,
+//! so the built index is byte-identical at every thread count, from a
+//! directory or from a lake, in bulk or one table at a time, committed
+//! or not.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -307,13 +313,13 @@ impl std::fmt::Debug for D3l {
 }
 
 impl D3l {
-    /// Index a lake held in memory.
+    /// Index a lake held in memory, query-ready.
     pub fn index_lake(lake: &DataLake, cfg: D3lConfig) -> Self {
         let built = Self::build(lake.len(), cfg, |i| {
             Ok::<_, Infallible>(Cow::Borrowed(lake.table(TableId(i as u32))))
         });
         match built {
-            Ok(d3l) => d3l,
+            Ok(d3l) => d3l.committed(),
             Err(never) => match never {},
         }
     }
@@ -325,6 +331,12 @@ impl D3l {
     /// order) that cannot be read or parsed — but each worker reads,
     /// parses, indexes and drops one table at a time.
     pub fn index_dir(dir: impl AsRef<Path>, cfg: D3lConfig) -> Result<Self, TableError> {
+        Ok(Self::build_dir(dir, cfg)?.committed())
+    }
+
+    /// [`D3l::index_dir`] without the commit: what a build that is only
+    /// written to a store needs ([`crate::IndexStore::index_dir`]).
+    pub(crate) fn build_dir(dir: impl AsRef<Path>, cfg: D3lConfig) -> Result<Self, TableError> {
         let files = csv_files(dir)?;
         // Lossy stems can collide; a lake refuses the second of two
         // tables of one name, and so does this.
@@ -340,7 +352,10 @@ impl D3l {
 
     /// The one index build: tables `0..count`, obtained one at a time
     /// through `table_at`, indexed by up to `cfg.threads` (0 = every
-    /// CPU) workers over contiguous id runs. Fails with the error of the
+    /// CPU) workers over contiguous id runs. The forests are left
+    /// uncommitted — they hold every signature and no tree — for the
+    /// caller to commit ([`D3l::committed`]) if the engine will answer
+    /// a query, or to write as they are. Fails with the error of the
     /// lowest-numbered table `table_at` failed on. Panics on a
     /// configuration that cannot shape an index
     /// ([`D3lConfig::shape_error`]).
@@ -353,11 +368,7 @@ impl D3l {
             panic!("{error}");
         }
         let mut d3l = Self::empty(cfg);
-        let threads = match d3l.cfg.threads {
-            0 => crate::config::available_cpus(),
-            n => n,
-        };
-        let workers = threads.min(count.max(1));
+        let workers = d3l.build_threads().min(count.max(1));
         let run = count.div_ceil(workers).max(1);
         let runs = (0..count)
             .step_by(run)
@@ -381,13 +392,28 @@ impl D3l {
         for part in parts {
             d3l.absorb(part?);
         }
-        // The one fanned-out commit: each tree sorts a total order, so
-        // the forests are identical at any thread count.
-        d3l.i_n.commit_parallel(threads);
-        d3l.i_v.commit_parallel(threads);
-        d3l.i_f.commit_parallel(threads);
-        d3l.i_e.commit_parallel(threads);
         Ok(d3l)
+    }
+
+    /// Threads a build fans out over: `cfg.threads`, 0 meaning every
+    /// CPU.
+    fn build_threads(&self) -> usize {
+        match self.cfg.threads {
+            0 => crate::config::available_cpus(),
+            n => n,
+        }
+    }
+
+    /// A build, committed: the one fanned-out commit, over the build's
+    /// threads. Each tree sorts a total order, so the forests are
+    /// identical at any thread count.
+    fn committed(mut self) -> Self {
+        let threads = self.build_threads();
+        self.i_n.commit_parallel(threads);
+        self.i_v.commit_parallel(threads);
+        self.i_f.commit_parallel(threads);
+        self.i_e.commit_parallel(threads);
+        self
     }
 
     /// An engine over no tables, its hashers derived from the

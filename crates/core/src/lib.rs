@@ -69,7 +69,7 @@ pub use index::{AttrRef, ClassStats, D3l, IndexFootprint, MemoryFootprint, Signe
 pub use join::{JoinPath, SaJoinGraph};
 pub use profile::{AttrView, AttributeProfile};
 pub use query::{Alignment, QueryOptions, TableMatch};
-pub use snapshot::{DeltaRecord, IndexStore};
+pub use snapshot::{DeltaRecord, IndexDirError, IndexStore, Indexed};
 pub use trace::{QueryTrace, StageTimer};
 pub use watch::{Ingestor, WatchStats, Watcher};
 pub use weights::EvidenceWeights;

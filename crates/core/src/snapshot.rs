@@ -23,8 +23,8 @@
 //!   scaled-integer deltas (`d3l-features`' `extent` module), and a
 //!   flags byte: numeric, and which of the four evidence types it has.
 //!   A block's count is the table's arity; a removed table's is empty.
-//! - `F_IN`, `F_IV`, `F_IF`, `F_IE`: each committed forest — its class
-//!   table (which attribute carries which distinct signature, a varint
+//! - `F_IN`, `F_IV`, `F_IF`, `F_IE`: each forest, committed or not —
+//!   its class table (which attribute carries which distinct signature, a varint
 //!   an attribute; `d3l-lsh`'s `forest` module: a signature is indexed
 //!   once, as a class, whatever the number of attributes that carry
 //!   it) and its signature arena, one signature per class — all four
@@ -92,6 +92,7 @@
 use std::io::{self, BufRead, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use d3l_features::Extent;
 use d3l_lsh::forest::LshForest;
@@ -102,7 +103,7 @@ use d3l_store::{
     layout, ContainerReader, ContainerWriter, Decoder, Encoder, SectionReader, SectionTag,
     StoreError, KIND_DELTA, KIND_SNAPSHOT,
 };
-use d3l_table::{Table, TableId};
+use d3l_table::{Table, TableError, TableId};
 
 use crate::attrs::{AttrTable, NONE};
 use crate::config::D3lConfig;
@@ -372,9 +373,10 @@ impl D3l {
 
     /// Load a query-ready engine from snapshot bytes. The hashers are
     /// reconstructed deterministically from the persisted config and
-    /// the forests arrive signed and committed — nothing is
-    /// re-profiled, signed or sorted, which is what makes cold starts
-    /// orders of magnitude cheaper than a rebuild.
+    /// the forests arrive signed — nothing is re-profiled or signed,
+    /// which is what makes cold starts orders of magnitude cheaper than
+    /// a rebuild. The store keeps no tree: each forest's trees are
+    /// sorted from its arena as it is read, by the commit a build runs.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
         Self::read_snapshot(&mut ContainerReader::parse(bytes, KIND_SNAPSHOT)?)
     }
@@ -604,7 +606,84 @@ pub struct IndexStore {
     applied_through: u64,
 }
 
+/// What [`IndexStore::index_dir`] did.
+#[derive(Debug, Clone, Copy)]
+pub struct Indexed {
+    /// Tables indexed.
+    pub tables: usize,
+    /// Reading, profiling and signing the lake.
+    pub build: Duration,
+    /// Writing the base snapshot.
+    pub write: Duration,
+}
+
+/// Why [`IndexStore::index_dir`] wrote no store.
+#[derive(Debug)]
+pub enum IndexDirError {
+    /// A lake file could not be listed, read or parsed (the first, in id
+    /// order), or two files name one table.
+    Lake(TableError),
+    /// The store could not be written.
+    Store(StoreError),
+}
+
+impl std::fmt::Display for IndexDirError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            IndexDirError::Lake(e) => write!(f, "{e}"),
+            IndexDirError::Store(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for IndexDirError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            IndexDirError::Lake(e) => Some(e),
+            IndexDirError::Store(e) => Some(e),
+        }
+    }
+}
+
+impl From<TableError> for IndexDirError {
+    fn from(e: TableError) -> Self {
+        IndexDirError::Lake(e)
+    }
+}
+
+impl From<StoreError> for IndexDirError {
+    fn from(e: StoreError) -> Self {
+        IndexDirError::Store(e)
+    }
+}
+
 impl IndexStore {
+    /// Index the `*.csv` files of `lake` — the build [`D3l::index_dir`]
+    /// runs, each table read, signed and dropped in turn — and persist
+    /// it as a fresh store in `dir` ([`IndexStore::create`]): what
+    /// `d3l index` does. The engine is written and dropped without a
+    /// commit. A store holds no tree, so its base snapshot is byte for
+    /// byte the one `create` writes of [`D3l::index_dir`]'s engine, and
+    /// the open that serves it sorts the trees; a build that answers no
+    /// query sorts none. Nothing is created under `dir` unless every
+    /// table loads.
+    pub fn index_dir(
+        dir: impl AsRef<Path>,
+        lake: impl AsRef<Path>,
+        cfg: D3lConfig,
+    ) -> Result<(IndexStore, Indexed), IndexDirError> {
+        let start = Instant::now();
+        let built = D3l::build_dir(lake, cfg)?;
+        let build = start.elapsed();
+        let store = IndexStore::create(dir, &built)?;
+        let indexed = Indexed {
+            tables: built.table_count(),
+            build,
+            write: start.elapsed() - build,
+        };
+        Ok((store, indexed))
+    }
+
     /// Persist `d3l` as a fresh store in `dir` (created if missing;
     /// any stale delta segments and orphaned tmp files from a
     /// previous store are removed). The base file is written durably

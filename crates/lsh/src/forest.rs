@@ -11,8 +11,8 @@
 //! formats and — in a clean lake — their values, so most attributes
 //! carry a signature some other attribute already carries. The forest
 //! therefore indexes each *distinct signature* once: an arena slot is
-//! a **class** (one signature's words), every tree holds one entry
-//! per class, and a class keeps the id-sorted
+//! a **class** (one signature's words), every committed tree holds one
+//! entry per class, and a class keeps the id-sorted
 //! **posting list** of the items that carry its signature. A content
 //! map (hash of the words → slot, equality by comparing the words, never
 //! by the hash alone) finds the class a new signature belongs to. A
@@ -59,19 +59,23 @@
 //! the expanded postings of the classes at or above the similarity at
 //! which `k` members are reached — the per-item answer exactly.
 //!
-//! Construction is a two-phase builder: [`LshForest::insert_with`]
-//! lets the hasher sign straight into a scratch slot at the arena
-//! tail, which is kept if the signature is new and dropped if a class
-//! already holds it, and returns the class's slot ([`LshForest::insert`]
-//! is the same for an already-built signature); an explicit
-//! [`LshForest::commit`] (or
-//! [`LshForest::commit_parallel`]) sorts the trees — the one sort of a
-//! tree, which also builds the trees of a forest read from a store
-//! (`LshForest::read_from`: the store keeps no tree). All query methods
-//! take `&self` and require a committed forest, so a built forest can
-//! be shared lock-free across query workers. A bulk build fills one
-//! forest per worker and joins them with [`LshForest::append`], which
-//! merges classes by content.
+//! **Commit makes the trees.** [`LshForest::insert_with`] lets the
+//! hasher sign straight into a scratch slot at the arena tail, which is
+//! kept if the signature is new and dropped if a class already holds
+//! it, and returns the class's slot ([`LshForest::insert`] is the same
+//! for an already-built signature); it touches no tree, nor does
+//! [`LshForest::append`], which joins a bulk build's per-worker forests
+//! by content. A class founded since the last commit is simply a slot
+//! past the trees' entries. [`LshForest::commit`] (or
+//! [`LshForest::commit_parallel`]) gives every tree those classes,
+//! sorted and merged into what it holds — the one sort of a tree, and
+//! the only place a tree gains an entry, whether after a build, after
+//! one table's inserts, or for a forest read from a store
+//! (`LshForest::read_from`: the store keeps no tree). A forest that is
+//! built to be written and never queried is never committed: the store
+//! writes the postings and the arena alone. Queries and removals take a
+//! committed forest; queries take `&self`, so a built forest can be
+//! shared lock-free across query workers.
 
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
@@ -277,25 +281,19 @@ struct Cursor {
 /// One tree's `(key, slot)` entries in cache-flat form: entry `i` names
 /// the class in arena slot `slots[i]`, whose label — positions
 /// `first..first + k` of its signature — begins with the bytes of
-/// `keys[i]`. Sorted order is lexicographic on `(label, the class's
-/// signature words)`.
+/// `keys[i]`. Entries are always in order, lexicographic on `(label,
+/// the class's signature words)`: a tree gains entries only through
+/// [`FlatTree::sort_all`], and loses them in place.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FlatTree {
     /// First signature position of this tree's labels.
     first: usize,
     /// Label length in bytes (the tree depth).
     k: usize,
-    /// The key of each entry of the sorted prefix: its label's first
-    /// [`KEPT`] bytes. A pending entry has none until it is sorted.
+    /// The key of each entry: its label's first [`KEPT`] bytes.
     keys: Vec<u32>,
-    /// Class slots: the sorted prefix's, parallel to the keys, then
-    /// the pending ones.
+    /// Class slots, parallel to the keys.
     slots: Vec<u32>,
-    /// Entries `[0, sorted_len)` are in order: what
-    /// [`FlatTree::sort_all`] left, less what was removed since. Pushes
-    /// land behind it, so a sort after a few of them sorts those few
-    /// and merges.
-    sorted_len: usize,
 }
 
 impl FlatTree {
@@ -333,14 +331,7 @@ impl FlatTree {
         self.first + KEPT.min(self.k)..self.first + self.k
     }
 
-    /// Append a pending entry for class `slot`; its key is read at the
-    /// next sort.
-    fn push(&mut self, slot: u32) {
-        self.slots.push(slot);
-    }
-
-    /// How entry `i` of the sorted prefix orders against class `slot`,
-    /// whose key is `key`.
+    /// How entry `i` orders against class `slot`, whose key is `key`.
     #[inline]
     fn cmp_entry<S: Signature>(
         &self,
@@ -369,15 +360,15 @@ impl FlatTree {
         u128::from_be_bytes(be)
     }
 
-    /// Sort the pending entries of `trees` — trees of one forest, which
-    /// hold the same pending classes in the same order, since a class
-    /// enters and leaves every tree at once — by `(label, signature
-    /// words)`, and merge each tree's into its sorted prefix. A tree
-    /// holds one entry per class and no two classes share their words,
-    /// so this is a total order and the result is independent of the
-    /// starting arrangement and of slot numbering. This is the one sort
-    /// of a tree: a commit after a build, after one table's inserts,
-    /// and the trees of a forest read from a store.
+    /// Give each of `trees` — trees of one forest, which hold the same
+    /// classes, since a class enters and leaves every tree at once — an
+    /// entry for every class of `pending`, sorted by `(label, signature
+    /// words)` and merged into the entries it holds. A tree holds one
+    /// entry per class and no two classes share their words, so this is
+    /// a total order and the result is independent of the starting
+    /// arrangement and of slot numbering. This is the one sort of a
+    /// tree, and a commit is its one caller: after a build, after one
+    /// table's inserts, and for a forest read from a store.
     ///
     /// Tree by tree, each pending class's wide key
     /// ([`FlatTree::wide_key`]) is read from the arena, the entries are
@@ -387,25 +378,22 @@ impl FlatTree {
     /// by signature words, which order the classes the same way in
     /// every tree: the classes are ranked by their words once, their
     /// first words read with the first tree's keys.
-    fn sort_all<S: Signature>(trees: &mut [FlatTree], arena: Arena<'_, S>) {
-        let Some(tree) = trees.first() else {
-            return;
-        };
-        let pending = &tree.slots[tree.sorted_len..];
+    fn sort_all<S: Signature>(trees: &mut [FlatTree], arena: Arena<'_, S>, pending: Range<u32>) {
         let p = pending.len();
-        if p == 0 {
+        if trees.is_empty() || p == 0 {
             return;
         }
-        debug_assert!(trees.iter().all(|t| t.slots[t.sorted_len..] == *pending));
+        debug_assert!(trees.iter().all(|t| t.len() == trees[0].len()));
         let shift = 8 * (KEY_BYTES - KEPT);
         let (mut entries, mut scratch) = (Vec::with_capacity(p), vec![(0, 0, 0); p]);
         // Each pending class's first word, read with the first tree's
-        // keys, and its rank by words once those are read.
+        // keys, and its rank by words once those are read (entry
+        // `slot - pending.start`).
         let mut firsts: Vec<(u64, u32)> = Vec::with_capacity(p);
         let mut rank: Vec<u32> = Vec::new();
         for tree in trees.iter_mut() {
             entries.clear();
-            for &slot in &tree.slots[tree.sorted_len..] {
+            for slot in pending.clone() {
                 let words = arena.slot(slot);
                 if rank.is_empty() {
                     firsts.push((words[0], slot));
@@ -418,14 +406,15 @@ impl FlatTree {
                 firsts.sort_unstable_by(|a, b| {
                     (a.0.cmp(&b.0)).then_with(|| arena.slot(a.1).cmp(arena.slot(b.1)))
                 });
-                rank = vec![0; arena.words.len() / arena.stride];
+                rank = vec![0; p];
                 for (r, (_, slot)) in (0u32..).zip(std::mem::take(&mut firsts)) {
-                    rank[slot as usize] = r;
+                    rank[(slot - pending.start) as usize] = r;
                 }
             }
+            let rank_of = |slot: u32| rank[(slot - pending.start) as usize];
             let rest = tree.first + tree.k.min(KEY_BYTES)..tree.first + tree.k;
             let tie = |a: u32, b: u32| {
-                let by_rank = rank[a as usize].cmp(&rank[b as usize]);
+                let by_rank = rank_of(a).cmp(&rank_of(b));
                 arena.cmp_bytes(a, b, rest.clone()).then(by_rank)
             };
             radix_sort(&mut entries, &mut scratch, &tie);
@@ -433,62 +422,47 @@ impl FlatTree {
         }
     }
 
-    /// Merge the pending entries, sorted, into the sorted prefix, from
-    /// the back: each is found by binary search and the prefix entries
-    /// above it are moved up as one block — a commit after one table's
-    /// inserts costs a few searches and block moves, not a sort of the
-    /// tree.
+    /// Merge new entries, sorted, into the tree's, from the back: each
+    /// is found by binary search and the entries above it are moved up
+    /// as one block — a commit after one table's inserts costs a few
+    /// searches and block moves, not a sort of the tree.
     fn merge<S: Signature>(&mut self, sorted: &[Pending], arena: Arena<'_, S>) {
-        let entry = |&(_, key, slot): &Pending| (key, slot);
-        let prefix = self.sorted_len;
-        self.sorted_len = self.len();
-        if prefix == 0 {
-            // Every entry was pending: the slots are rewritten where
-            // they are, and the keys are new.
+        let held = self.len();
+        if held == 0 {
             self.keys = sorted.iter().map(|e| e.1).collect();
-            for (slot, e) in self.slots.iter_mut().zip(sorted) {
-                *slot = e.2;
-            }
+            self.slots = sorted.iter().map(|e| e.2).collect();
             return;
         }
-        self.keys.resize(self.len(), 0);
-        // Prefix entries `[0, end)` are still where they were; pending
-        // entry `j` ends up `j + 1` places above the last prefix entry
-        // below it.
-        let mut end = prefix;
-        for (j, entry) in sorted.iter().map(entry).enumerate().rev() {
-            let lo = search(0..end, |i| self.cmp_entry(i, entry, arena).is_lt());
+        self.keys.resize(held + sorted.len(), 0);
+        self.slots.resize(held + sorted.len(), 0);
+        // Entries `[0, end)` are still where they were; new entry `j`
+        // ends up `j + 1` places above the last old entry below it.
+        let mut end = held;
+        for (j, &(_, key, slot)) in sorted.iter().enumerate().rev() {
+            let lo = search(0..end, |i| self.cmp_entry(i, (key, slot), arena).is_lt());
             self.keys.copy_within(lo..end, lo + j + 1);
             self.slots.copy_within(lo..end, lo + j + 1);
-            (self.keys[lo + j], self.slots[lo + j]) = entry;
+            (self.keys[lo + j], self.slots[lo + j]) = (key, slot);
             end = lo;
         }
     }
 
-    /// Where the entry of class `slot` is: inside the sorted prefix it
-    /// is found by binary search on its key, read from the arena; only
-    /// entries pushed since the last sort are scanned.
+    /// Where the entry of class `slot` is, found by binary search on
+    /// its key, read from the arena.
     fn position_of<S: Signature>(&self, slot: u32, arena: Arena<'_, S>) -> Option<usize> {
-        let prefix = self.sorted_len;
         let entry = (arena.key(slot, self.first, self.k), slot);
-        let lo = search(0..prefix, |i| self.cmp_entry(i, entry, arena).is_lt());
-        if lo < prefix && self.slots[lo] == slot {
-            return Some(lo);
-        }
-        (prefix..self.len()).find(|&i| self.slots[i] == slot)
+        let at = search(0..self.len(), |i| self.cmp_entry(i, entry, arena).is_lt());
+        (at < self.len() && self.slots[at] == slot).then_some(at)
     }
 
     /// Drop the entry of class `slot`, moving the entries above it
-    /// down one place, so a sorted tree stays sorted. Returns whether
-    /// the entry was there.
+    /// down one place, so the tree stays sorted. Returns whether the
+    /// entry was there.
     fn remove_entry<S: Signature>(&mut self, slot: u32, arena: Arena<'_, S>) -> bool {
         let Some(at) = self.position_of(slot, arena) else {
             return false;
         };
-        if at < self.sorted_len {
-            self.sorted_len -= 1;
-            self.keys.remove(at);
-        }
+        self.keys.remove(at);
         self.slots.remove(at);
         true
     }
@@ -699,9 +673,10 @@ pub struct LshForest<S> {
     l: usize,
     /// Label depth per tree (`k` hash positions, one byte each).
     k: usize,
-    /// Per-tree sorted `(key, slot)` entries, one per class.
+    /// Per-tree sorted `(key, slot)` entries, every tree `n` long: one
+    /// per class in slots `0..n`, the classes the last commit saw less
+    /// those removed since. Classes in slots `n..` are uncommitted.
     trees: Vec<FlatTree>,
-    sorted: bool,
     /// Words per stored signature — every signature in one forest
     /// comes from one hasher, so the stride is uniform (set by the
     /// first insert).
@@ -731,14 +706,8 @@ impl<S> PartialEq for LshForest<S> {
             self.arena().slot(a) == other.arena().slot(b)
                 && self.postings[a as usize] == other.postings[b as usize]
         };
-        (self.l, self.k, self.sorted, self.len(), self.class_count())
-            == (
-                other.l,
-                other.k,
-                other.sorted,
-                other.len(),
-                other.class_count(),
-            )
+        let counts = |f: &Self| (f.l, f.k, f.is_committed(), f.len(), f.class_count());
+        counts(self) == counts(other)
             && (self.is_empty()
                 || (self.sig_stride, self.sig_meta) == (other.sig_stride, other.sig_meta))
             && self.trees.iter().zip(&other.trees).all(|(a, b)| {
@@ -796,9 +765,10 @@ impl<S> LshForest<S> {
         &self.trees
     }
 
-    /// Whether all inserts have been committed (trees sorted).
+    /// Whether every class has its entries in the trees: no class was
+    /// founded since the last commit.
     pub fn is_committed(&self) -> bool {
-        self.sorted
+        self.trees[0].len() == self.postings.len()
     }
 
     /// Borrowed arena words of class `slot`'s signature — the zero-copy
@@ -886,7 +856,6 @@ impl<S: Signature> LshForest<S> {
             l,
             k,
             trees: (0..l).map(|t| FlatTree::new(t * k, k)).collect(),
-            sorted: true,
             sig_stride: 0,
             sig_meta: 0,
             sig_words: Vec::new(),
@@ -922,10 +891,11 @@ impl<S: Signature> LshForest<S> {
     /// `fill` must overwrite all `words` words. The signature is
     /// signed into a scratch slot at the arena's tail: if a class
     /// already holds those words the scratch slot is dropped and the
-    /// item joins that class's postings (the trees do not change and a
-    /// committed forest stays committed); if not, the slot is the new
-    /// class, and its tree keys are read back from it. No other class
-    /// moves. To give a stored item another signature, remove it first.
+    /// item joins that class's postings (a committed forest stays
+    /// committed); if not, the slot is the new class, which the next
+    /// commit gives its tree entries, their keys read from the slot. No
+    /// tree is touched and no other class moves. To give a stored item
+    /// another signature, remove it first.
     /// Panics when the shape differs from what the forest stores (one
     /// forest holds one hasher's output), and when the item is already
     /// in the class it joins. The forest must be (re-)committed before
@@ -962,13 +932,9 @@ impl<S: Signature> LshForest<S> {
             }
             None => {
                 let slot = scratch as u32;
-                for tree in &mut self.trees {
-                    tree.push(slot);
-                }
                 self.classes.insert(hash, slot);
                 self.postings.push(vec![id]);
                 self.members += 1;
-                self.sorted = false;
                 slot
             }
         }
@@ -1020,8 +986,11 @@ impl<S: Signature> LshForest<S> {
         moved
     }
 
-    /// Commit pending inserts by sorting all trees. Queries require a
-    /// committed forest; committing twice is a no-op.
+    /// Make the trees: give each the classes founded since the last
+    /// commit — slots `tree.len()..class_count()` — sorted and merged
+    /// into the entries it holds. Nothing else adds a tree entry.
+    /// Queries and removals require a committed forest; committing
+    /// twice is a no-op.
     pub fn commit(&mut self) {
         self.commit_parallel(1);
     }
@@ -1031,34 +1000,41 @@ impl<S: Signature> LshForest<S> {
     /// Each tree sorts a total order, so the committed forest is
     /// identical at every thread count.
     pub fn commit_parallel(&mut self, threads: usize) {
-        if self.sorted {
+        let pending = self.trees[0].len() as u32..self.postings.len() as u32;
+        if pending.is_empty() {
             return;
         }
         let arena = Arena::<S>::new(&self.sig_words, self.sig_stride, self.sig_meta);
         let threads = threads.clamp(1, self.trees.len());
         if threads == 1 {
-            FlatTree::sort_all(&mut self.trees, arena);
+            FlatTree::sort_all(&mut self.trees, arena, pending);
         } else {
             let chunk = self.trees.len().div_ceil(threads);
             std::thread::scope(|scope| {
                 for batch in self.trees.chunks_mut(chunk) {
-                    scope.spawn(move || FlatTree::sort_all(batch, arena));
+                    let pending = pending.clone();
+                    scope.spawn(move || FlatTree::sort_all(batch, arena, pending));
                 }
             });
         }
-        self.sorted = true;
     }
 
     /// Remove item `id` from class `slot`, the slot its caller was
     /// given for it (the incremental-maintenance counterpart of
     /// [`LshForest::insert_with`]): a posting-list delete. A class dies
     /// with its last member — its entries leave the trees, which
-    /// preserves their order, so no re-commit is needed and a committed
-    /// forest stays committed — and the last class moves into its slot:
-    /// then the slot that class had is returned, and every member of
-    /// class `slot` now is one whose caller must learn its new slot.
-    /// Panics unless `id` is a member of class `slot`.
+    /// preserves their order, so no re-commit is needed and the forest
+    /// stays committed — and the last class moves into its slot: then
+    /// the slot that class had is returned, and every member of class
+    /// `slot` now is one whose caller must learn its new slot. Panics
+    /// on an uncommitted forest (a class leaves the trees by its entries,
+    /// which only a commit makes: every engine path commits right after
+    /// it inserts) and unless `id` is a member of class `slot`.
     pub fn remove(&mut self, id: ItemId, slot: u32) -> Option<u32> {
+        assert!(
+            self.is_committed(),
+            "remove from an uncommitted forest; commit first"
+        );
         let members = &mut self.postings[slot as usize];
         let at = members.binary_search(&id);
         members.remove(at.expect("an item is in the class its caller names"));
@@ -1102,9 +1078,9 @@ impl<S: Signature> LshForest<S> {
 
     /// Reassemble a forest from its deserialized classes — each one's
     /// members, and the signature slab taken whole: class `s` holds the
-    /// words `sig_words[s*stride .. (s+1)*stride]` — every class pending
-    /// in every tree, to be sorted by the next commit, as after a build's
-    /// inserts. The caller (the snapshot decoder) passes ascending
+    /// words `sig_words[s*stride .. (s+1)*stride]` — with no tree entry:
+    /// the next commit makes the trees, as after a build's inserts. The
+    /// caller (the snapshot decoder) passes ascending
     /// non-empty postings over unique ids and the `(stride, meta)` shape
     /// of the hasher the forest answers. What is checked here, because
     /// the content map being built is what finds it: two classes holding
@@ -1133,10 +1109,6 @@ impl<S: Signature> LshForest<S> {
             }
             forest.classes.insert(hash, slot);
         }
-        for tree in &mut forest.trees {
-            tree.slots = (0..postings.len() as u32).collect();
-        }
-        forest.sorted = postings.is_empty();
         forest.sig_stride = sig_stride;
         forest.sig_meta = sig_meta;
         forest.sig_words = sig_words;
@@ -1166,7 +1138,10 @@ impl<S: Signature> LshForest<S> {
     /// items by `(similarity desc, id asc)`, so the answer is a
     /// function of the stored items alone.
     pub fn query_words(&self, words: &[u64], meta: u64, k: usize) -> Vec<Hit> {
-        assert!(self.sorted, "forest not committed; call commit() first");
+        assert!(
+            self.is_committed(),
+            "forest not committed; call commit() first"
+        );
         let total = self.len();
         if k == 0 || total == 0 {
             return Vec::new();
@@ -1388,7 +1363,8 @@ pub(crate) mod tests {
 
     /// Remove item `id` from the slot `slots` keeps for it, and move
     /// the members of a class the removal moved — as an engine keeps
-    /// its class column. Whether the item was held.
+    /// its class column, committing first as an engine has. Whether the
+    /// item was held.
     fn leave<S: Signature>(
         f: &mut LshForest<S>,
         slots: &mut BTreeMap<ItemId, u32>,
@@ -1397,6 +1373,7 @@ pub(crate) mod tests {
         let Some(slot) = slots.remove(&id) else {
             return false;
         };
+        f.commit();
         if f.remove(id, slot).is_some() {
             for &member in f.class_members(slot) {
                 slots.insert(member, slot);
@@ -1452,11 +1429,8 @@ pub(crate) mod tests {
         ];
         let arena = Arena::<BitSignature>::new(&words, 1, 64);
         let mut t = FlatTree::new(0, 6);
-        for slot in 0..4 {
-            t.push(slot);
-        }
+        sort(&mut t, arena, 0..4);
         assert_eq!(t.len(), 4);
-        sort(&mut t, arena);
         // (label, words) order: 011001/0, 011001/5, 011010/0, 100000/1.
         let (k0110, k1000) = (key_of(&[0, 1, 1, 0]), key_of(&[1, 0, 0, 0]));
         assert_eq!(
@@ -1503,16 +1477,16 @@ pub(crate) mod tests {
         assert_eq!(t.keys(), &[k0110, k0110, k1000]);
     }
 
-    /// [`FlatTree::sort_all`] over one tree.
-    fn sort<S: Signature>(t: &mut FlatTree, arena: Arena<'_, S>) {
-        FlatTree::sort_all(std::slice::from_mut(t), arena);
+    /// [`FlatTree::sort_all`] of the classes `pending` into one tree.
+    fn sort<S: Signature>(t: &mut FlatTree, arena: Arena<'_, S>, pending: Range<u32>) {
+        FlatTree::sort_all(std::slice::from_mut(t), arena, pending);
     }
 
-    /// A sort after pushes onto a sorted tree — what a commit after
-    /// one table's inserts is — leaves exactly what sorting everything
-    /// from scratch leaves: at labels the key covers, pads or cuts, and
-    /// past the 16 bytes read as one sort integer, through removals
-    /// and renumbering on either side of the sorted prefix.
+    /// A sort of a few new classes into a sorted tree — what a commit
+    /// after one table's inserts is — leaves exactly what sorting
+    /// everything from scratch leaves: at labels the key covers, pads
+    /// or cuts, and past the 16 bytes read as one sort integer, through
+    /// removals and renumbering between sorts.
     #[test]
     fn sort_after_pushes_merges_into_the_sorted_prefix() {
         for k in [1usize, 3, 4, 5, 16, 17, 20] {
@@ -1545,15 +1519,8 @@ pub(crate) mod tests {
             let mut held: Vec<u32> = Vec::new();
             let mut next = 0u32;
             for round in 0..12 {
-                // 0, 1, 2 and many pushes between sorts.
-                for _ in 0..[0usize, 1, 2, 40][round % 4] {
-                    grown.push(next);
-                    held.push(next);
-                    next += 1;
-                }
-                if round % 3 == 1 {
-                    // One class from the sorted prefix, one pushed
-                    // since (the same one when nothing was sorted yet).
+                if round % 3 == 1 && !grown.slots.is_empty() {
+                    // The first class and the last one sorted in.
                     for gone in [grown.slots[0], next - 1] {
                         let Some(at) = held.iter().position(|&s| s == gone) else {
                             continue;
@@ -1563,8 +1530,9 @@ pub(crate) mod tests {
                         assert!(!grown.remove_entry(gone, arena), "gone is gone");
                     }
                 }
-                if round % 3 == 2 {
-                    // The same two sides, moved to their second slots.
+                if round % 3 == 2 && !grown.slots.is_empty() {
+                    // The middle class and the last one, moved to their
+                    // second slots.
                     for from in [grown.slots[grown.len() / 2], next - 1] {
                         let Some(at) = held.iter().position(|&s| s == from && s < 200) else {
                             continue;
@@ -1573,7 +1541,11 @@ pub(crate) mod tests {
                         grown.renumber(from, from + 200, arena);
                     }
                 }
-                sort(&mut grown, arena);
+                // 0, 1, 2 and many new classes a sort.
+                let added = [0u32, 1, 2, 40][round % 4];
+                held.extend(next..next + added);
+                sort(&mut grown, arena, next..next + added);
+                next += added;
                 held.sort_by_key(|&s| (label_of(words[s as usize], k), words[s as usize]));
                 let expected: Vec<(u32, u32)> = held
                     .iter()
@@ -1701,6 +1673,7 @@ pub(crate) mod tests {
                 sign(&mh, &tokens("fill", i as usize * 50..i as usize * 50 + 40)),
             );
         }
+        f.commit();
         put(&mut f, 7, old.clone());
         f.commit();
         assert_eq!(f.query(&old, 1)[0].id, 7);
@@ -1921,13 +1894,26 @@ pub(crate) mod tests {
         assert!(with == without);
         let q = sign(&mh, &tokens("r", 3..15));
         assert_eq!(with.query(&q, 5), without.query(&q, 5));
-        // So does removing an item inserted since the last commit,
-        // whose entries are still behind the trees' sorted prefixes.
+        // So does removing an item once the commit after its insert
+        // has merged its entries into the trees.
         let slot = insert_sig(&mut with, 77, &sign(&mh, &tokens("late", 0..12)));
-        assert_eq!(with.remove(77, slot), None);
         with.commit();
+        assert_eq!(with.remove(77, slot), None);
         assert!(with == without);
         assert_eq!(with.query(&q, 5), without.query(&q, 5));
+    }
+
+    /// A class leaves the trees by its entries, which only a commit
+    /// makes: a removal from an uncommitted forest is refused.
+    #[test]
+    #[should_panic(expected = "remove from an uncommitted forest")]
+    fn remove_from_an_uncommitted_forest_is_refused() {
+        let mh = MinHasher::new(64, 5);
+        let mut f = LshForest::new(64, 8);
+        f.insert(1, sign(&mh, &tokens("a", 0..5)));
+        f.commit();
+        let slot = insert_sig(&mut f, 2, &sign(&mh, &tokens("b", 0..5)));
+        f.remove(2, slot);
     }
 
     /// A cut inside a tie class keeps the class's smallest ids, for k
@@ -2269,14 +2255,45 @@ pub(crate) mod tests {
         }
     }
 
+    /// Whether `remove(id, slot)` on a copy of `f` panics with the
+    /// refusal of an uncommitted forest. The refusal's own panic message
+    /// is kept off the test output; every other panic still prints.
+    fn refused<S: Signature>(f: &LshForest<S>, id: ItemId, slot: u32) -> bool {
+        const REFUSAL: &str = "remove from an uncommitted forest";
+        static QUIET: std::sync::Once = std::sync::Once::new();
+        QUIET.call_once(|| {
+            let shown = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                if !info.to_string().contains(REFUSAL) {
+                    shown(info);
+                }
+            }));
+        });
+        let mut copy = f.clone();
+        let removal = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            copy.remove(id, slot);
+        }));
+        removal.is_err_and(|panic| {
+            let message = panic.downcast_ref::<&str>().copied();
+            let message = message.or(panic.downcast_ref::<String>().map(String::as_str));
+            message.is_some_and(|m| m.contains(REFUSAL))
+        })
+    }
+
     /// Drive a forest and the model with one script — insert, remove,
-    /// `append` of a small forest, commit — and hold every tree to the
-    /// model's order after each commit, at the end, and after a write
-    /// and a `read_from` of the section.
+    /// `append` of a small uncommitted forest, commit — and hold every
+    /// tree to the model's order after each commit, at the end, and
+    /// after a write and a `read_from` of the section. With `anywhere`,
+    /// a script's commit steps commit, and so does a step that would
+    /// remove from an uncommitted forest, once the forest has refused
+    /// the removal; without, the forest is committed at the end only,
+    /// and such a step is refused and skipped. No tree holds an entry
+    /// before the first commit.
     fn check_tree_orders<S: Signature + PartialEq + std::fmt::Debug>(
         script: &[Step],
         (sig_len, l): (usize, usize),
         sig: &dyn Fn(u64) -> S,
+        anywhere: bool,
     ) {
         let mut forest = LshForest::<S>::new(sig_len, l);
         let mut slots: BTreeMap<ItemId, u32> = BTreeMap::new();
@@ -2285,8 +2302,25 @@ pub(crate) mod tests {
             k: sig_len / l,
             items: Vec::new(),
         };
+        let commit = |forest: &mut LshForest<S>, model: &Model<S>, what: &str| {
+            forest.commit();
+            assert_trees_match_the_model(forest, model, what);
+        };
+        let mut committed = false;
         for (step, &(op, id, number)) in script.iter().enumerate() {
             let s = number % 12;
+            let what = format!("step {step}");
+            // Inserts and removals take `id` out of the forest first.
+            if let (0..=5, Some(&slot)) = (op, slots.get(&id)) {
+                if !forest.is_committed() {
+                    assert!(refused(&forest, id, slot), "{what}: removed uncommitted");
+                    if !anywhere {
+                        continue;
+                    }
+                    commit(&mut forest, &model, &what);
+                    committed = true;
+                }
+            }
             match op {
                 0..=3 => {
                     leave(&mut forest, &mut slots, id);
@@ -2312,14 +2346,18 @@ pub(crate) mod tests {
                         slots.insert(id, moved[slot as usize]);
                     }
                 }
-                _ => {
-                    forest.commit();
-                    assert_trees_match_the_model(&forest, &model, &format!("step {step}"));
+                _ if anywhere => {
+                    commit(&mut forest, &model, &what);
+                    committed = true;
                 }
+                _ => {}
+            }
+            if !committed {
+                let trees = forest.tree_arrays();
+                assert!(trees.iter().all(|t| t.len() == 0), "{what}: entries");
             }
         }
-        forest.commit();
-        assert_trees_match_the_model(&forest, &model, "end");
+        commit(&mut forest, &model, "end");
         let reloaded = from_bytes_like(&to_bytes(&forest), &forest).unwrap();
         assert_trees_match_the_model(&reloaded, &model, "reloaded");
     }
@@ -2355,17 +2393,28 @@ pub(crate) mod tests {
                 // Three items a class, then a commit.
                 let script: Vec<Step> = (0..3 * classes).map(|i| (0, i, i % classes)).collect();
                 let script = [script, vec![(7, 0, 0)]].concat();
-                check_tree_orders(&script, shape, &|s| {
-                    sign(&mh, &tokens("m", s as usize..s as usize + 20))
-                });
-                check_tree_orders::<BitSignature>(&script, shape, &|s| {
-                    rp.sign(
-                        &(0..8)
-                            .map(|d| (s * 7 + d) as f64 - 20.0)
-                            .collect::<Vec<_>>(),
-                    )
-                });
-                check_tree_orders(&script, shape, &|s| tied_bits(shape.0, shape.1, s + 1));
+                for anywhere in [true, false] {
+                    check_tree_orders(
+                        &script,
+                        shape,
+                        &|s| sign(&mh, &tokens("m", s as usize..s as usize + 20)),
+                        anywhere,
+                    );
+                    check_tree_orders::<BitSignature>(
+                        &script,
+                        shape,
+                        &|s| {
+                            rp.sign(
+                                &(0..8)
+                                    .map(|d| (s * 7 + d) as f64 - 20.0)
+                                    .collect::<Vec<_>>(),
+                            )
+                        },
+                        anywhere,
+                    );
+                    let tied = |s| tied_bits(shape.0, shape.1, s + 1);
+                    check_tree_orders(&script, shape, &tied, anywhere);
+                }
             }
         }
     }
@@ -2379,25 +2428,37 @@ pub(crate) mod tests {
         #![proptest_config(ProptestConfig::with_cases(40))]
 
         /// The tree sort against the model: every tree's order is the
-        /// model's `(label, words)` after random insert, remove,
-        /// `append` and commit scripts, and after a write and a
-        /// `read_from` — MinHash labels, bit labels and bit labels tied
-        /// in every tree but the last, at label depths 8, 16 and 32.
+        /// model's `(label, words)` after each commit of random insert,
+        /// remove, `append` and commit scripts — commits after any step,
+        /// or at the end only — and after a write and a `read_from`;
+        /// no tree holds an entry before the first commit, and a removal
+        /// from an uncommitted forest is refused. MinHash labels, bit
+        /// labels and bit labels tied in every tree but the last, at
+        /// label depths 8, 16 and 32.
         #[test]
         fn tree_orders_match_the_model(script in steps()) {
-            for shape in SORT_SHAPES {
+            for (shape, anywhere) in SORT_SHAPES.into_iter().flat_map(|s| [(s, true), (s, false)]) {
                 let mh = MinHasher::new(shape.0, 7);
-                check_tree_orders(&script, shape, &|s| {
-                    sign(&mh, &tokens("m", s as usize..s as usize + 20))
-                });
+                check_tree_orders(
+                    &script,
+                    shape,
+                    &|s| sign(&mh, &tokens("m", s as usize..s as usize + 20)),
+                    anywhere,
+                );
                 let rp = RandomProjector::new(8, shape.0, 3);
-                check_tree_orders::<BitSignature>(&script, shape, &|s| {
-                    let v: Vec<f64> = (0..8u64)
-                        .map(|d| ((s + d) * 2654435761 % 97) as f64 - 48.0)
-                        .collect();
-                    rp.sign(&v)
-                });
-                check_tree_orders(&script, shape, &|s| tied_bits(shape.0, shape.1, s + 1));
+                check_tree_orders::<BitSignature>(
+                    &script,
+                    shape,
+                    &|s| {
+                        let v: Vec<f64> = (0..8u64)
+                            .map(|d| ((s + d) * 2654435761 % 97) as f64 - 48.0)
+                            .collect();
+                        rp.sign(&v)
+                    },
+                    anywhere,
+                );
+                let tied = |s| tied_bits(shape.0, shape.1, s + 1);
+                check_tree_orders(&script, shape, &tied, anywhere);
             }
         }
 

@@ -1,13 +1,14 @@
 //! Binary persistence for LSH forests.
 //!
-//! A committed [`LshForest`] is the product of the expensive indexing
-//! pass (signature generation + per-tree sorts). A forest section
-//! carries what a cold start cannot derive — which item carries which
-//! signature, and the signature arena, the words themselves, read back
-//! with no re-hashing — and nothing it can: a tree is the sorted order
-//! of its labels, and the labels are a function of the arena, so the
-//! reader sorts the trees with the sort every commit runs. Every forest
-//! is written and read by this one codec.
+//! An [`LshForest`]'s signatures are the product of the expensive
+//! indexing pass. A forest section carries what a cold start cannot
+//! derive — which item carries which signature, and the signature
+//! arena, the words themselves, read back with no re-hashing — and
+//! nothing it can: a tree is the sorted order of its labels, and the
+//! labels are a function of the arena, so the writer reads no tree (a
+//! forest is written alike before and after its commit, and a build
+//! that is only written is never committed) and the reader's commit
+//! makes the trees. Every forest is written and read by this one codec.
 //!
 //! Wire layout (one streamed `d3l-store` container section, format
 //! version 13 — no header, no per-item framing):
@@ -57,7 +58,7 @@
 //! (one byte per consumed hash position, see `forest::label_byte`), and
 //! a committed tree is its classes in `(label, signature words)` order
 //! — a total order — so the decoder builds every tree with the
-//! forest's commit, the sort a build and a delta replay run (each
+//! forest's commit, the sort a query-ready build and a delta replay run (each
 //! tree's 16-byte keys read from the arena, two counting passes, and a
 //! comparison sort of the runs they leave tied). Decoding validates every structural invariant the query paths
 //! rely on — a class table that names only classes already met, no
@@ -89,11 +90,11 @@ use crate::ItemId;
 const GATHER_ITEMS: usize = 64;
 
 impl<S: Signature> LshForest<S> {
-    /// Stream the committed forest (class table, signature slab) into a
-    /// snapshot section. Signatures go from the arena to the sink and
-    /// nowhere else. Panics on an uncommitted forest.
+    /// Stream the forest (class table, signature slab) into a snapshot
+    /// section: its postings and its arena, never its trees, so the
+    /// bytes are the same before and after a commit. Signatures go from
+    /// the arena to the sink and nowhere else.
     pub fn write_to<W: Write>(&self, sec: &mut SectionWriter<'_, W>) -> io::Result<()> {
-        assert!(self.is_committed(), "only a committed forest is stored");
         let (postings, sig_words, stride) = self.stored_parts();
         let c = postings.len();
 
@@ -483,15 +484,33 @@ pub(crate) mod tests {
         assert!(loaded == wide);
     }
 
-    /// Only a committed forest is written: what a reader makes of a
-    /// section is a committed forest.
+    /// A section holds no tree, so a forest writes the same bytes
+    /// before and after its commit — fresh, and with classes added to a
+    /// committed forest — and a reader makes the same committed forest
+    /// of either.
     #[test]
-    #[should_panic(expected = "only a committed forest is stored")]
-    fn an_uncommitted_forest_is_not_written() {
+    fn an_uncommitted_forest_writes_the_committed_bytes() {
         let mh = MinHasher::new(64, 7);
-        let mut f = LshForest::new(64, 8);
-        f.insert(5, minhash_sig(&mh, 5));
-        to_bytes(&f);
+        let mut fresh = LshForest::new(64, 8);
+        for i in 0..12u64 {
+            fresh.insert(i * 3, minhash_sig(&mh, i));
+        }
+        let mut grown = minhash_forest();
+        for (id, i) in [(100u64, 0u64), (101, 40), (102, 41)] {
+            grown.insert(id, minhash_sig(&mh, i));
+        }
+        for mut f in [fresh, grown] {
+            assert!(!f.is_committed());
+            let before = to_bytes(&f);
+            let read_before = from_bytes_like(&before, &f).unwrap();
+            f.commit();
+            let after = to_bytes(&f);
+            assert_eq!(after, before);
+            let read_after = from_bytes_like(&after, &f).unwrap();
+            assert!(read_before.is_committed());
+            assert!(read_before == read_after);
+            assert!(read_before == f);
+        }
     }
 
     /// Items under one signature are one class on the wire: one slab

@@ -97,6 +97,42 @@ fn main() -> ExitCode {
     }
 }
 
+/// A subcommand's arguments, read front to back. A flag may be given
+/// once: a second use is refused, not taken over the first.
+struct Args<'a> {
+    it: std::slice::Iter<'a, String>,
+    seen: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Args {
+            it: args.iter(),
+            seen: Vec::new(),
+        }
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.it.next().map(String::as_str)
+    }
+
+    /// Note `flag` as given, refusing it if it was already.
+    fn flag(&mut self, flag: &'a str) -> Result<(), Box<dyn std::error::Error>> {
+        if self.seen.contains(&flag) {
+            return Err(format!("{flag} given twice").into());
+        }
+        self.seen.push(flag);
+        Ok(())
+    }
+
+    /// The value given to `flag` ([`Args::flag`]).
+    fn value(&mut self, flag: &'a str) -> Result<&'a str, Box<dyn std::error::Error>> {
+        self.flag(flag)?;
+        self.next()
+            .ok_or_else(|| format!("missing value for {flag}").into())
+    }
+}
+
 /// `dir` as a lake to index, unless it is an index directory — a base
 /// snapshot and no CSV file — which would index as an empty lake.
 fn as_lake(dir: &str) -> Result<&str, Box<dyn std::error::Error>> {
@@ -138,10 +174,10 @@ fn load_engine(
 fn cmd_index(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut dir = None;
     let mut out = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = Some(it.next().ok_or("missing value for --out")?.to_string()),
+    let mut args = Args::new(args);
+    while let Some(a) = args.next() {
+        match a {
+            "--out" => out = Some(args.value(a)?.to_string()),
             other if dir.is_none() => dir = Some(other.to_string()),
             other => return Err(format!("unexpected argument {other}").into()),
         }
@@ -154,19 +190,17 @@ fn cmd_index(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         "indexing the lake in {dir} ({} signing lanes) ...",
         d3l::core::index::signing_lanes()
     );
-    let build_start = Instant::now();
     // Streamed: each table is read, parsed, indexed and dropped in
     // turn, and nothing is created under `out` unless all of them
-    // load.
-    let engine = D3l::index_dir(&dir, D3lConfig::default())?;
-    let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
-    let save_start = Instant::now();
-    let tables = engine.table_count();
-    let handle = EngineHandle::create(&out, engine)?;
-    let (base_bytes, _, _) = handle.disk_stats()?;
+    // load. The build is written, not queried, so no tree is sorted.
+    let (store, indexed) = IndexStore::index_dir(&out, &dir, D3lConfig::default())?;
+    let (base_bytes, _, _) = store.disk_usage()?;
+    let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     out!(
-        "indexed {tables} tables in {build_ms:.1} ms; snapshot {base_bytes} bytes written to {out} in {:.1} ms",
-        save_start.elapsed().as_secs_f64() * 1e3
+        "indexed {} tables in {:.1} ms; snapshot {base_bytes} bytes written to {out} in {:.1} ms",
+        indexed.tables,
+        ms(indexed.build),
+        ms(indexed.write)
     );
     Ok(())
 }
@@ -218,21 +252,20 @@ fn cmd_query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut k = 10usize;
     let mut joins = false;
     let mut evidence = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-k" => {
-                k = it.next().ok_or("missing value for -k")?.parse()?;
+    let mut args = Args::new(args);
+    while let Some(a) = args.next() {
+        match a {
+            "-k" => k = args.value(a)?.parse()?,
+            "--joins" => {
+                args.flag(a)?;
+                joins = true;
             }
-            "--joins" => joins = true,
             "--evidence" => {
-                let e = it.next().ok_or("missing value for --evidence")?;
+                let e = args.value(a)?;
                 evidence =
                     Some(Evidence::from_letter(e).ok_or_else(|| format!("unknown evidence {e}"))?);
             }
-            "--index" => {
-                index_dir = Some(it.next().ok_or("missing value for --index")?.to_string());
-            }
+            "--index" => index_dir = Some(args.value(a)?.to_string()),
             other if dir.is_none() && index_dir.is_none() => dir = Some(other.to_string()),
             other if target_path.is_none() => target_path = Some(other.to_string()),
             other => return Err(format!("unexpected argument {other}").into()),
@@ -354,30 +387,17 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut max_queue: usize = d3l::server::ServerConfig::default().max_queue;
     let mut slow_query_ms: u64 = d3l::server::ServerConfig::default().slow_query_ms;
     let mut watch_dir: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--index" => {
-                index_dir = Some(it.next().ok_or("missing value for --index")?.to_string());
-            }
-            "--watch" => {
-                watch_dir = Some(it.next().ok_or("missing value for --watch")?.to_string());
-            }
-            "--port" => port = it.next().ok_or("missing value for --port")?.parse()?,
-            "--host" => host = it.next().ok_or("missing value for --host")?.to_string(),
-            "--threads" => threads = it.next().ok_or("missing value for --threads")?.parse()?,
-            "--cache-bytes" => {
-                cache_bytes = parse_byte_size(it.next().ok_or("missing value for --cache-bytes")?)?;
-            }
-            "--max-queue" => {
-                max_queue = it.next().ok_or("missing value for --max-queue")?.parse()?;
-            }
-            "--slow-query-ms" => {
-                slow_query_ms = it
-                    .next()
-                    .ok_or("missing value for --slow-query-ms")?
-                    .parse()?;
-            }
+    let mut args = Args::new(args);
+    while let Some(a) = args.next() {
+        match a {
+            "--index" => index_dir = Some(args.value(a)?.to_string()),
+            "--watch" => watch_dir = Some(args.value(a)?.to_string()),
+            "--port" => port = args.value(a)?.parse()?,
+            "--host" => host = args.value(a)?.to_string(),
+            "--threads" => threads = args.value(a)?.parse()?,
+            "--cache-bytes" => cache_bytes = parse_byte_size(args.value(a)?)?,
+            "--max-queue" => max_queue = args.value(a)?.parse()?,
+            "--slow-query-ms" => slow_query_ms = args.value(a)?.parse()?,
             other => return Err(format!("unexpected argument {other}").into()),
         }
     }
@@ -459,12 +479,10 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 
 fn cmd_stats(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let (mut dir, mut index_dir) = (None, None);
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--index" => {
-                index_dir = Some(it.next().ok_or("missing value for --index")?.to_string());
-            }
+    let mut args = Args::new(args);
+    while let Some(a) = args.next() {
+        match a {
+            "--index" => index_dir = Some(args.value(a)?.to_string()),
             other if dir.is_none() && index_dir.is_none() => dir = Some(other.to_string()),
             other => return Err(format!("unexpected argument {other}").into()),
         }

@@ -155,6 +155,68 @@ fn query_refuses_a_thread_count() {
     std::fs::remove_dir_all(&index_dir).ok();
 }
 
+/// `d3l <command>` exited 1 with `error: <flag> given twice`.
+fn assert_refused_twice(out: &Output, flag: &str) {
+    assert_eq!(out.status.code(), Some(1), "stdout: {}", stdout_of(out));
+    let want = format!("error: {flag} given twice");
+    assert!(stderr_of(out).contains(&want), "stderr: {}", stderr_of(out));
+}
+
+/// A flag given twice is refused, not taken over its first value:
+/// `index --out a --out b` writes neither directory.
+#[test]
+fn index_refuses_a_flag_given_twice() {
+    let lake = TempLake::create("twice_index");
+    let (a, b) = (format!("{}_a", lake.dir()), format!("{}_b", lake.dir()));
+    let out = d3l_cmd(&["index", lake.dir(), "--out", &a, "--out", &b]);
+    assert_refused_twice(&out, "--out");
+    for dir in [&a, &b] {
+        assert!(!std::path::Path::new(dir).exists(), "{dir} written");
+    }
+}
+
+/// Each of `query`'s flags, given twice, is refused — the same value
+/// twice too.
+#[test]
+fn query_refuses_a_flag_given_twice() {
+    let lake = TempLake::create("twice_query");
+    let (dir, target) = (lake.dir(), lake.target());
+    for (flag, tail) in [
+        ("-k", vec!["-k", "1", "-k", "2"]),
+        ("-k", vec!["-k", "1", "-k", "1"]),
+        ("--evidence", vec!["--evidence", "N", "--evidence", "V"]),
+        ("--joins", vec!["--joins", "--joins"]),
+    ] {
+        let out = d3l_cmd(&[&["query", dir, target][..], &tail].concat());
+        assert_refused_twice(&out, flag);
+    }
+    let out = d3l_cmd(&["query", "--index", dir, "--index", dir, target]);
+    assert_refused_twice(&out, "--index");
+}
+
+/// `serve` refuses a flag given twice before it opens the index.
+#[test]
+fn serve_refuses_a_flag_given_twice() {
+    for (flag, values) in [
+        ("--index", ["/no/such/index", "/no/such/index"]),
+        ("--port", ["0", "1"]),
+        ("--threads", ["1", "2"]),
+        ("--cache-bytes", ["1k", "2k"]),
+        ("--host", ["127.0.0.1", "localhost"]),
+        ("--watch", ["/no/such/lake", "/no/such/lake"]),
+    ] {
+        let out = d3l_cmd(&["serve", flag, values[0], flag, values[1]]);
+        assert_refused_twice(&out, flag);
+    }
+}
+
+/// `stats` refuses `--index` given twice.
+#[test]
+fn stats_refuses_a_flag_given_twice() {
+    let out = d3l_cmd(&["stats", "--index", "/a", "--index", "/b"]);
+    assert_refused_twice(&out, "--index");
+}
+
 #[test]
 fn query_finds_the_related_table() {
     let lake = TempLake::create("query");
@@ -989,6 +1051,39 @@ fn every_numeric_flag_at_its_extremes_runs_or_is_refused() {
     let cases = runs.len() * values.len();
     println!("{cases} cases in {:.1} s", start.elapsed().as_secs_f64());
     assert_eq!(cases, 24);
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    std::fs::remove_dir_all(&index_dir).ok();
+}
+
+/// `serve --port` and `--threads` at 0, 1, 2³² and `u64::MAX`, each
+/// given once beside the other: a run exits 0, or 1 with a message, or
+/// boots and drains on SIGINT. (The sweep above hands `serve` a port
+/// and a thread count before its swept flag, so there these two flags
+/// are given twice and refused as such.)
+#[cfg(unix)]
+#[test]
+fn serve_port_and_threads_at_their_extremes_run_or_are_refused() {
+    let lake = TempLake::create("serve_extremes");
+    let index_dir = format!("{}_index", lake.dir());
+    let out = d3l_cmd(&["index", lake.dir(), "--out", &index_dir]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    let mut failures = Vec::new();
+    for value in ["0", "1", "4294967296", "18446744073709551615"] {
+        for (flag, other) in [
+            ("--port", ["--threads", "2"]),
+            ("--threads", ["--port", "0"]),
+        ] {
+            let args = [
+                &["serve", "--index", &index_dir][..],
+                &other,
+                &[flag, value],
+            ]
+            .concat();
+            if let Err(why) = sweep_run(&args) {
+                failures.push(format!("d3l {}: {why}", args.join(" ")));
+            }
+        }
+    }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
     std::fs::remove_dir_all(&index_dir).ok();
 }

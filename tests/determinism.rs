@@ -952,10 +952,13 @@ fn dirty_lake_alignments_are_pinned() {
 /// loaded lake, feeding an empty engine the records read back from a
 /// built one, and adding the tables one by one to an empty store and
 /// compacting all leave the same snapshot bytes, at index threads
-/// {1, 2, 8}.
+/// {1, 2, 8} — and so does the build `d3l index` writes straight into
+/// a store, never committed, whose reopened engine answers as the
+/// in-memory build does.
 #[test]
 fn every_build_path_writes_the_same_bytes() {
     use d3l::core::hotswap::EngineHandle;
+    use d3l::core::snapshot::BASE_FILE;
     use d3l::core::DeltaRecord;
 
     let root = std::env::temp_dir().join(format!("d3l_build_paths_{}", std::process::id()));
@@ -977,7 +980,8 @@ fn every_build_path_writes_the_same_bytes() {
             threads,
             ..D3lConfig::fast()
         };
-        let from_lake = bytes(&D3l::index_lake(&lake, cfg.clone()));
+        let built = D3l::index_lake(&lake, cfg.clone());
+        let from_lake = bytes(&built);
 
         let streamed = D3l::index_dir(&lake_dir, cfg.clone()).unwrap();
         assert!(
@@ -998,6 +1002,37 @@ fn every_build_path_writes_the_same_bytes() {
             bytes(&fed) == from_lake,
             "engine fed read-back records differs {ctx}"
         );
+
+        // The uncommitted build, written straight into a store, against
+        // the store `EngineHandle::create` writes of the built engine.
+        let (created_dir, indexed_dir) = (
+            root.join(format!("created_{threads}")),
+            root.join(format!("indexed_{threads}")),
+        );
+        drop(EngineHandle::create(&created_dir, built.clone()).unwrap());
+        let (_, indexed) = IndexStore::index_dir(&indexed_dir, &lake_dir, cfg.clone()).unwrap();
+        assert_eq!(indexed.tables, lake.len(), "{ctx}");
+        let base = |dir: &std::path::Path| std::fs::read(dir.join(BASE_FILE)).unwrap();
+        assert!(
+            base(&indexed_dir) == base(&created_dir),
+            "store written from the uncommitted build differs {ctx}"
+        );
+        let (_, reopened) = IndexStore::open(&indexed_dir).unwrap();
+        assert!(
+            bytes(&reopened) == from_lake,
+            "reopened uncommitted build differs {ctx}"
+        );
+        for (id, target) in lake.iter().step_by(5) {
+            let opts = QueryOptions {
+                exclude: Some(id),
+                ..Default::default()
+            };
+            assert_identical(
+                &reopened.query_with(target, 5, &opts),
+                &built.query_with(target, 5, &opts),
+                &format!("reopened uncommitted build, {} {ctx}", target.name()),
+            );
+        }
 
         let store_dir = root.join(format!("store_{threads}"));
         let handle =
